@@ -66,7 +66,7 @@ bench-diff: bench-diff-netsim bench-diff-suite bench-diff-select bench-diff-faul
 
 bench-diff-netsim:
 	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk|ShardedPlanet' -benchmem -timeout 600s . ./internal/netsim \
-		| $(GO) run ./cmd/benchjson -diff -against pr9-sharded-engine \
+		| $(GO) run ./cmd/benchjson -diff -against pr12-sorted-waterfill-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_netsim.json
 
 # Gate the full-suite harness benchmark against its committed baseline

@@ -307,25 +307,32 @@ func (f *Flow) mathisBps() float64 {
 	return float64(f.mss) * 8 / f.rtt.Seconds() * mathisC / math.Sqrt(f.loss)
 }
 
-// halfEdge is one outgoing adjacency entry of the routing graph.
+// halfEdge is one outgoing adjacency entry of the routing graph: dense
+// indices of the receiving node and the link, and the link's delay inline.
 type halfEdge struct {
-	to   int // dense node index of the receiving endpoint
-	link *Link
+	to    int32
+	link  int32
+	delay time.Duration
 }
 
 // nodeHeapEntry is one entry of the Dijkstra priority queue. Ties on
 // distance are broken by node name, mirroring the deterministic pick rule
-// the allocator has always used.
+// the allocator has always used; rank is the node's position in the sorted
+// name list (Network.nameRank), so the tie-break is an integer compare.
 type nodeHeapEntry struct {
 	dist time.Duration
-	node int
+	rank int32
+	node int32
 }
 
 // routeTree is one source's cached shortest-path tree: a full Dijkstra run
 // from src answers every destination, so an N-destination fan-out costs one
-// tree build instead of N per-pair computations. Paths are materialized
-// lazily per destination and memoized; the tree is discarded wholesale when
-// the topology generation moves (AddNode/AddLink), never mutated in place.
+// tree build instead of N per-pair computations. All a tree retains is one
+// int32 per node: prev[v] is the dense index of the link entering v on the
+// shortest path from the source (noPrev for the source and for unreachable
+// nodes). Distances are sweep scratch and materialized paths are memoized
+// network-wide (Network.paths). The tree is discarded wholesale when the
+// topology generation moves (AddNode/AddLink), never mutated in place.
 //
 // The per-destination paths are byte-identical to the historical per-pair
 // Dijkstra: the algorithm is deterministic (pops ordered by distance then
@@ -335,13 +342,11 @@ type nodeHeapEntry struct {
 // popped node's predecessor chain is the same.
 type routeTree struct {
 	gen  uint64
-	dist []time.Duration
-	prev []*Link
-	// paths memoizes the reconstructed path per dense destination index;
-	// nil means not yet materialized (unreachable destinations stay nil and
-	// are answered from dist).
-	paths [][]*Link
+	prev []int32
 }
+
+// noPrev marks a routeTree node no link enters.
+const noPrev = int32(-1)
 
 // RouteStats counts routing work, exposed so benchmarks and the scale
 // experiments can quantify the tree cache: PathBuilds is what a per-pair
@@ -380,19 +385,30 @@ type Network struct {
 	topoGen uint64
 	stats   RouteStats
 
-	// Routing graph, rebuilt lazily after topology changes.
+	// paths memoizes every materialized path of topology generation
+	// pathGen, keyed by the packed dense (src, dst) indices.
+	paths   map[uint64][]*Link
+	pathGen uint64
+
+	// Routing graph, rebuilt lazily after topology changes: the adjacency
+	// list, each node's rank in the sorted name list (the Dijkstra
+	// tie-break), and the node a single-exit node's only out-edge leads to
+	// (-1 for any other node).
 	nodeIdx   map[string]int
 	nodeNames []string
 	adj       [][]halfEdge
+	nameRank  []int32
+	onlyOut   []int32
 	adjValid  bool
 
 	// Reusable scratch buffers (see docs/PERFORMANCE.md): per-link water
 	// level state indexed by Link.idx, the drained-flow batch of the
-	// completion handler, and the Dijkstra working set indexed by dense
-	// node index.
+	// completion handler, and the Dijkstra working set (tentative
+	// distances and visited marks indexed by dense node index, the queue).
 	remCap  []float64
 	remCnt  []int
 	doneBuf []*Flow
+	dist    []time.Duration
 	visited []bool
 	heapBuf []nodeHeapEntry
 
@@ -408,19 +424,16 @@ type Network struct {
 	compHeap   []*component
 	dirtyComps []*component
 	poolMode   bool
-	// forceDefensiveFix is a test-only switch: it suppresses the normal
-	// epsilon fix inside waterfill so the defensive !fixedAny fallback is
-	// reachable and its link accounting can be verified directly.
-	forceDefensiveFix bool
-	pstats            ReallocStats
+	pstats     ReallocStats
 
-	// Partition scratch, reused across events: previous rates and
-	// projected remaining bytes during a water-fill, flow-list merge
+	// Partition scratch, reused across events: the water-fill's per-flow
+	// floats (previous rates, projected remaining bytes, cap snapshot) and
+	// the snapshot's (cap, id) order, flow-list merge
 	// space, expired components popped by the completion handler, and the
 	// union-find working set (parents indexed by Link.idx, group roots
 	// and their components during a rebuild).
-	prevRate       []float64
-	remNow         []float64
+	fillScratch    []float64
+	capOrder       []capEntry
 	flowScratch    []*Flow
 	expiredScratch []*component
 	ufParent       []int
@@ -448,6 +461,7 @@ func New(engine *simulation.Engine, seed int64) *Network {
 		nodes:   make(map[string]bool),
 		links:   make(map[linkKey]*Link),
 		trees:   make(map[int]*routeTree),
+		paths:   make(map[uint64][]*Link),
 		nodeIdx: make(map[string]int),
 	}
 	n.completionFn = n.onCompletion
@@ -468,6 +482,7 @@ func (n *Network) AddNode(name string) error {
 	n.nodes[name] = true
 	n.nodeIdx[name] = len(n.nodeNames)
 	n.nodeNames = append(n.nodeNames, name)
+	n.dist = append(n.dist, 0)
 	n.visited = append(n.visited, false)
 	n.adjValid = false
 	n.topoGen++
@@ -631,8 +646,9 @@ var ErrNoRoute = errors.New("netsim: no route")
 var ErrPathDown = errors.New("netsim: path has a down link")
 
 // rebuildAdjacency regenerates the dense adjacency list from the link
-// table. Edges are sorted (by source, then destination name) so the graph
-// layout is independent of map iteration order.
+// table, with the name ranks and single-exit marks the sweep reads. Edges
+// are sorted (by source, then destination name) so the graph layout is
+// independent of map iteration order.
 func (n *Network) rebuildAdjacency() {
 	keys := make([]linkKey, 0, len(n.links))
 	for k := range n.links {
@@ -648,59 +664,76 @@ func (n *Network) rebuildAdjacency() {
 	for _, k := range keys {
 		l := n.links[k]
 		fi := n.nodeIdx[k.from]
-		n.adj[fi] = append(n.adj[fi], halfEdge{to: n.nodeIdx[k.to], link: l})
+		n.adj[fi] = append(n.adj[fi], halfEdge{to: int32(n.nodeIdx[k.to]), link: int32(l.idx), delay: l.cfg.Delay})
+	}
+	byName := make([]int32, len(n.adj))
+	n.nameRank = make([]int32, len(n.adj))
+	n.onlyOut = make([]int32, len(n.adj))
+	for node, out := range n.adj {
+		byName[node] = int32(node)
+		n.onlyOut[node] = -1
+		if len(out) == 1 {
+			n.onlyOut[node] = out[0].to
+		}
+	}
+	sort.Slice(byName, func(i, j int) bool { return n.nodeNames[byName[i]] < n.nodeNames[byName[j]] })
+	for rank, node := range byName {
+		n.nameRank[node] = int32(rank)
 	}
 	n.adjValid = true
 }
-
-// unreached marks a node the Dijkstra sweep never relaxed.
-const unreached = time.Duration(math.MaxInt64)
 
 // Route returns the directed links on the lowest-latency path src->dst
 // (Dijkstra on propagation delay, hop count as tie-break via tiny epsilon).
 // Paths are served from the source's cached shortest-path tree: the first
 // query from a source runs one Dijkstra sweep that answers every later
-// destination, and topology changes (AddNode/AddLink) invalidate trees by
-// generation counter. The returned paths are identical, link for link, to
-// the per-pair Dijkstra this cache replaced.
+// destination, and topology changes (AddNode/AddLink) invalidate trees and
+// memoized paths by generation counter. The returned paths are identical,
+// link for link, to the per-pair Dijkstra this cache replaced.
 func (n *Network) Route(src, dst string) ([]*Link, error) {
-	if !n.nodes[src] {
+	si, ok := n.nodeIdx[src]
+	if !ok {
 		return nil, fmt.Errorf("netsim: unknown node %q", src)
 	}
-	if !n.nodes[dst] {
+	di, ok := n.nodeIdx[dst]
+	if !ok {
 		return nil, fmt.Errorf("netsim: unknown node %q", dst)
 	}
 	if src == dst {
 		return nil, fmt.Errorf("netsim: src == dst (%q)", src)
 	}
 	n.stats.Queries++
-	si, di := n.nodeIdx[src], n.nodeIdx[dst]
+	if n.pathGen != n.topoGen {
+		clear(n.paths)
+		n.pathGen = n.topoGen
+	}
+	key := uint64(si)<<32 | uint64(di)
+	if p, ok := n.paths[key]; ok {
+		return p, nil
+	}
 	t := n.trees[si]
 	if t == nil || t.gen != n.topoGen {
 		t = n.computeTree(si)
 		n.trees[si] = t
 	}
-	if t.dist[di] == unreached {
+	if t.prev[di] == noPrev {
 		return nil, fmt.Errorf("%w: %s->%s", ErrNoRoute, src, dst)
-	}
-	if p := t.paths[di]; p != nil {
-		return p, nil
 	}
 	// Materialize the path from the predecessor chain: count the hops,
 	// then fill the exact-size slice back-to-front — one allocation per
 	// distinct (src,dst), exactly what the per-pair scheme paid.
 	n.stats.PathBuilds++
 	hops := 0
-	for at := di; at != si; at = n.nodeIdx[t.prev[at].from] {
+	for at := di; at != si; at = n.nodeIdx[n.linkList[t.prev[at]].from] {
 		hops++
 	}
 	path := make([]*Link, hops)
 	for at, i := di, hops-1; at != si; i-- {
-		l := t.prev[at]
+		l := n.linkList[t.prev[at]]
 		path[i] = l
 		at = n.nodeIdx[l.from]
 	}
-	t.paths[di] = path
+	n.paths[key] = path
 	return path, nil
 }
 
@@ -712,46 +745,44 @@ func (n *Network) RouteStats() RouteStats { return n.stats }
 // (integer time.Duration sums), pops are ordered by (distance, node name)
 // and relaxations improve strictly, so every node's predecessor chain is
 // deterministic and identical to the reference implementation's
-// scan-all-links version. The visited/heap working arrays live on the
-// Network and are reused across builds; dist/prev land in the tree, which
-// outlives the call as the source's route cache.
+// scan-all-links version. A relaxed node whose only out-edge leads back to
+// the node being popped is not queued: its distance and predecessor are
+// written like anyone's, and popping it could only re-offer that already
+// final neighbour a longer distance (docs/PERFORMANCE.md) — nine nodes in
+// ten on a world of hosts hanging off switches. The dist/visited/heap
+// working arrays are reused Network scratch; only prev lands in the tree.
 func (n *Network) computeTree(si int) *routeTree {
 	if !n.adjValid {
 		n.rebuildAdjacency()
 	}
 	n.stats.TreeBuilds++
 	const hopPenalty = time.Microsecond
-	nn := len(n.nodeNames)
-	t := &routeTree{
-		gen:   n.topoGen,
-		dist:  make([]time.Duration, nn),
-		prev:  make([]*Link, nn),
-		paths: make([][]*Link, nn),
-	}
-	for i := range t.dist {
-		t.dist[i] = unreached
-	}
-	for i := range n.visited {
+	t := &routeTree{gen: n.topoGen, prev: make([]int32, len(n.nodeNames))}
+	dist, prev := n.dist, t.prev
+	for i := range dist {
+		dist[i] = unreached
+		prev[i] = noPrev
 		n.visited[i] = false
 	}
-	t.dist[si] = 0
-	h := n.heapBuf[:0]
-	h = n.heapPush(h, nodeHeapEntry{0, si})
+	dist[si] = 0
+	h := heapPush(n.heapBuf[:0], nodeHeapEntry{0, n.nameRank[si], int32(si)})
 	for len(h) > 0 {
 		var top nodeHeapEntry
-		top, h = n.heapPop(h)
+		top, h = heapPop(h)
 		u := top.node
 		if n.visited[u] {
 			continue // stale entry superseded by a shorter one
 		}
 		n.visited[u] = true
-		du := t.dist[u]
+		du := dist[u]
 		for _, e := range n.adj[u] {
-			nd := du + e.link.cfg.Delay + hopPenalty
-			if nd < t.dist[e.to] {
-				t.dist[e.to] = nd
-				t.prev[e.to] = e.link
-				h = n.heapPush(h, nodeHeapEntry{nd, e.to})
+			nd := du + e.delay + hopPenalty
+			if nd < dist[e.to] {
+				dist[e.to] = nd
+				prev[e.to] = e.link
+				if n.onlyOut[e.to] != u {
+					h = heapPush(h, nodeHeapEntry{nd, n.nameRank[e.to], e.to})
+				}
 			}
 		}
 	}
@@ -759,21 +790,24 @@ func (n *Network) computeTree(si int) *routeTree {
 	return t
 }
 
-// heapLess orders queue entries by distance, then node name — the same
-// deterministic tie-break rule as the pick-minimum scan it replaces.
-func (n *Network) heapLess(a, b nodeHeapEntry) bool {
+// unreached marks a node the Dijkstra sweep has not relaxed.
+const unreached = time.Duration(math.MaxInt64)
+
+// heapLess orders queue entries by distance, then node name (its rank) —
+// the same deterministic tie-break as the pick-minimum scan it replaces.
+func heapLess(a, b nodeHeapEntry) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
 	}
-	return n.nodeNames[a.node] < n.nodeNames[b.node]
+	return a.rank < b.rank
 }
 
-func (n *Network) heapPush(h []nodeHeapEntry, e nodeHeapEntry) []nodeHeapEntry {
+func heapPush(h []nodeHeapEntry, e nodeHeapEntry) []nodeHeapEntry {
 	h = append(h, e)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !n.heapLess(h[i], h[parent]) {
+		if !heapLess(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -782,7 +816,7 @@ func (n *Network) heapPush(h []nodeHeapEntry, e nodeHeapEntry) []nodeHeapEntry {
 	return h
 }
 
-func (n *Network) heapPop(h []nodeHeapEntry) (nodeHeapEntry, []nodeHeapEntry) {
+func heapPop(h []nodeHeapEntry) (nodeHeapEntry, []nodeHeapEntry) {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -791,10 +825,10 @@ func (n *Network) heapPop(h []nodeHeapEntry) (nodeHeapEntry, []nodeHeapEntry) {
 	for {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < len(h) && n.heapLess(h[left], h[smallest]) {
+		if left < len(h) && heapLess(h[left], h[smallest]) {
 			smallest = left
 		}
-		if right < len(h) && n.heapLess(h[right], h[smallest]) {
+		if right < len(h) && heapLess(h[right], h[smallest]) {
 			smallest = right
 		}
 		if smallest == i {

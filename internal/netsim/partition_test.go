@@ -374,14 +374,16 @@ func TestSetLinkDownRegionIsolation(t *testing.T) {
 	}
 }
 
-// TestDefensiveFixBranchAccounting exercises the !fixedAny fallback in
-// waterfill directly (via the test-only forceDefensiveFix switch — the
-// branch is unreachable through the public API, see the proof sketch in
-// docs/PERFORMANCE.md) and verifies it maintains the same link accounting
-// as the normal fix path: remCap/remCnt consumed, usedBps accumulated.
-// Before the fix the branch set rates without touching any of the three,
-// leaving the sensors' view (UsedBps, AvailableBps, Utilization)
-// inconsistent with the allocation.
+// TestDefensiveFixBranchAccounting exercises the !fixed fallback in
+// waterfill. The branch is unreachable through the public API (see the
+// proof sketch in docs/PERFORMANCE.md); the one known trigger is a NaN
+// limit, so the test plants a NaN staticCapBps on one flow: the round
+// minimum ignores it, no round ever fixes it, and once every other flow is
+// fixed the straggler falls to the defensive pass. It must maintain the
+// same link accounting as the normal fix path: remCap/remCnt consumed,
+// usedBps accumulated. Before the fix the branch set rates without
+// touching any of the three, leaving the sensors' view (UsedBps,
+// AvailableBps, Utilization) inconsistent with the allocation.
 func TestDefensiveFixBranchAccounting(t *testing.T) {
 	eng, n := islandNet(t)
 	fA, err := n.StartFlow("a1", "a3", 10_000_000, FlowOptions{}, nil)
@@ -392,31 +394,40 @@ func TestDefensiveFixBranchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.forceDefensiveFix = true
+	realCap := fA.staticCapBps
+	fA.staticCapBps = math.NaN()
 	n.reallocate()
-	n.forceDefensiveFix = false
+	fA.staticCapBps = realCap
 
 	if !fA.fixed || !fB.fixed {
 		t.Fatal("defensive branch left flows unfixed")
 	}
-	// Both flows are fixed at the round minimum in one defensive pass.
-	if fA.rateBps <= 0 || fA.rateBps != fB.rateBps {
-		t.Fatalf("defensive rates %v/%v, want equal positive round minimum", fA.rateBps, fB.rateBps)
+	// fB is fixed normally in round one; the NaN flow is the defensive
+	// pass's straggler, fixed at the unconstrained round minimum.
+	if fB.rateBps <= 0 || fB.rateBps > fB.capBps() {
+		t.Fatalf("normal flow rate %v outside (0, cap %v]", fB.rateBps, fB.capBps())
+	}
+	if fA.rateBps != math.MaxFloat64 {
+		t.Fatalf("defensive rate %v, want the unconstrained round minimum %v", fA.rateBps, math.MaxFloat64)
 	}
 	shared, err := n.GetLink("a1", "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fA.rateBps + fB.rateBps; shared.UsedBps() != want {
+	if want := fB.rateBps + fA.rateBps; shared.UsedBps() != want {
 		t.Errorf("shared link usedBps %v after defensive fix, want %v", shared.UsedBps(), want)
 	}
 	if n.remCnt[shared.idx] != 0 {
 		t.Errorf("shared link remCnt %d after defensive fix, want 0", n.remCnt[shared.idx])
 	}
-	if avail, err := n.AvailableBps("a1", "a2"); err != nil || avail != shared.EffectiveCapacity()-shared.UsedBps() {
-		t.Errorf("AvailableBps %v (err %v) inconsistent with defensive accounting", avail, err)
+	if n.remCap[shared.idx] != 0 {
+		t.Errorf("shared link remCap %v after defensive fix, want 0 (fully consumed)", n.remCap[shared.idx])
 	}
-	checkPartition(t, n, "after defensive fix")
+	if avail, err := n.AvailableBps("a1", "a2"); err != nil || avail != 0 {
+		t.Errorf("AvailableBps %v (err %v) inconsistent with defensive accounting, want 0", avail, err)
+	}
+	// No checkPartition here: the straggler's rate is unconstrained by
+	// design, so the conservation half of it cannot hold until recovery.
 
 	// A normal reallocation restores max-min rates and the engine drains.
 	n.reallocate()

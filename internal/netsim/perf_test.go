@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,6 +53,132 @@ func BenchmarkReallocate(b *testing.B) {
 				n.reallocate()
 			}
 		})
+	}
+}
+
+// benchTrunkNet builds nFlows source hosts and nFlows sinks on either side
+// of one shared trunk (src -> hubA -> hubB -> dst), one long-lived flow per
+// pair, so all flows form a single component. Access delays differ per
+// source, so every flow has its own RTT and hence its own window cap. With
+// a fat trunk the component is cap-bound — one water-filling round per
+// flow, the planet-traffic regime; with a thin one the trunk's fair share
+// undercuts every cap and a single link-bound round fixes everyone. The
+// engine runs past slow start so caps are the constant window bounds.
+func benchTrunkNet(tb testing.TB, nFlows int, linkBound bool) *Network {
+	tb.Helper()
+	eng := simulation.NewEngine()
+	n := New(eng, 1)
+	trunk := LinkConfig{CapacityBps: 100e9, Delay: time.Millisecond}
+	if linkBound {
+		trunk.CapacityBps = 100e6
+	}
+	for _, hub := range []string{"hubA", "hubB"} {
+		if err := n.AddNode(hub); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := n.AddLink("hubA", "hubB", trunk); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < nFlows; i++ {
+		src, dst := fmt.Sprintf("s%03d", i), fmt.Sprintf("d%03d", i)
+		for _, nd := range []string{src, dst} {
+			if err := n.AddNode(nd); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		// A stride coprime to the flow counts scatters the delays, so cap
+		// order is not id order.
+		access := LinkConfig{CapacityBps: 1e9, Delay: time.Duration(1+(i*37)%nFlows) * 100 * time.Microsecond}
+		if err := n.AddLink(src, "hubA", access); err != nil {
+			tb.Fatal(err)
+		}
+		if err := n.AddLink("hubB", dst, LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond}); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := n.StartFlow(src, dst, 1<<40, FlowOptions{WindowBytes: 64 << 10}, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.RunUntil(5 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkReallocateCapBound measures one water-fill of a single
+// cap-bound component: as many rounds as flows. After the first few, each
+// round is found from the sorted cap snapshot, so ns/op grows about
+// linearly with the flow count (the two-pass scan it replaced grew
+// quadratically).
+func BenchmarkReallocateCapBound(b *testing.B) {
+	for _, nFlows := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("flows=%d", nFlows), func(b *testing.B) {
+			n := benchTrunkNet(b, nFlows, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.reallocate()
+			}
+		})
+	}
+}
+
+// BenchmarkReallocateLinkBound measures one water-fill of a single
+// link-bound component: the shared trunk's fair share fixes every flow in
+// one round, which runs the two reference passes — the regime the sorted
+// caps do not help, so it must cost no more than it did.
+func BenchmarkReallocateLinkBound(b *testing.B) {
+	for _, nFlows := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("flows=%d", nFlows), func(b *testing.B) {
+			n := benchTrunkNet(b, nFlows, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.reallocate()
+			}
+		})
+	}
+}
+
+// TestWaterfillWorkCounters pins the water-fill's complexity with its
+// deterministic work counters rather than a timing: on a 64-flow cap-bound
+// component the round structure is quadratic in reference units (64 rounds
+// scanning 64+63+...+1 unfixed flows) while the paths actually touched stay
+// linear — each flow is consumed once, found from the cap snapshot. The
+// link-bound twin is one round: the entry scan is its exact minimum, so
+// only the fix pass walks the flows.
+func TestWaterfillWorkCounters(t *testing.T) {
+	const flows = 64
+	n := benchTrunkNet(t, flows, false)
+	before := n.ReallocStats()
+	n.reallocate()
+	after := n.ReallocStats()
+	rounds := after.Rounds - before.Rounds
+	scanned := after.FlowsScanned - before.FlowsScanned
+	evaluated := after.FlowsEvaluated - before.FlowsEvaluated
+	if rounds != flows {
+		t.Errorf("cap-bound component took %d rounds, want %d (one per distinct cap)", rounds, flows)
+	}
+	if scanned < flows*flows/2 {
+		t.Errorf("FlowsScanned %d, want >= %d: the round structure is quadratic", scanned, flows*flows/2)
+	}
+	if evaluated > 2*flows {
+		t.Errorf("FlowsEvaluated %d, want <= %d: cap-bound rounds must not walk unfixed flows", evaluated, 2*flows)
+	}
+	if scans := after.LinkScans - before.LinkScans; scans != 1 {
+		t.Errorf("LinkScans %d, want 1 (the entry scan; the bound never went stale)", scans)
+	}
+
+	n = benchTrunkNet(t, flows, true)
+	before = n.ReallocStats()
+	n.reallocate()
+	after = n.ReallocStats()
+	if rounds := after.Rounds - before.Rounds; rounds != 1 {
+		t.Errorf("link-bound component took %d rounds, want 1", rounds)
+	}
+	if evaluated := after.FlowsEvaluated - before.FlowsEvaluated; evaluated != flows {
+		t.Errorf("link-bound round evaluated %d flow paths, want %d (the fix pass)", evaluated, flows)
 	}
 }
 
@@ -247,9 +375,10 @@ func TestReallocateSteadyStateAllocs(t *testing.T) {
 
 // TestRouteTreeColdAllocs pins the Dijkstra scratch reuse: after warm-up,
 // a cold route (tree rebuild + first path) may only allocate the tree —
-// the routeTree struct, its dist/prev/paths arrays, the cache-map insert —
-// and the exact-size path slice. The visited and heap working arrays are
-// shared Network scratch and must not reallocate.
+// the routeTree struct and its int32 prev array — and the exact-size path
+// slice (3 measured; the bound leaves room for the tree-cache and
+// path-memo map inserts to grow a bucket). The dist, visited and heap
+// working arrays are shared Network scratch and must not reallocate.
 func TestRouteTreeColdAllocs(t *testing.T) {
 	n := benchGridNet(t, 8)
 	if _, err := n.Route("n00", "n77"); err != nil {
@@ -424,98 +553,194 @@ func TestActiveListStaysSorted(t *testing.T) {
 	assertSorted("after drain")
 }
 
-// TestRouteMatchesReferenceDijkstra cross-checks the heap-based Dijkstra
-// against a straightforward reference implementation on a grid graph with
-// heterogeneous delays.
-func TestRouteMatchesReferenceDijkstra(t *testing.T) {
-	eng := simulation.NewEngine()
-	n := New(eng, 1)
-	name := func(r, c int) string { return fmt.Sprintf("n%d%d", r, c) }
-	const size = 5
-	for r := 0; r < size; r++ {
-		for c := 0; c < size; c++ {
-			if err := n.AddNode(name(r, c)); err != nil {
-				t.Fatal(err)
+// refRoute is a straightforward per-pair reference Dijkstra over the link
+// table: O(V^2) pick-minimum by (distance, node name), strict relaxation,
+// stop when dst is picked. It shares nothing with the production sweep —
+// no adjacency list, heap, name ranks, dead-end rule or tree — and returns
+// the path link by link (nil when dst is unreachable).
+func refRoute(n *Network, src, dst string) []*Link {
+	const hopPenalty = time.Microsecond
+	dist := map[string]time.Duration{src: 0}
+	prev := map[string]*Link{}
+	visited := map[string]bool{}
+	for {
+		cur, best := "", time.Duration(math.MaxInt64)
+		for nm, d := range dist {
+			if visited[nm] {
+				continue
+			}
+			if d < best || (d == best && (cur == "" || nm < cur)) {
+				best, cur = d, nm
+			}
+		}
+		if cur == "" || cur == dst {
+			break
+		}
+		visited[cur] = true
+		for k, l := range n.links {
+			if k.from != cur {
+				continue
+			}
+			nd := dist[cur] + l.cfg.Delay + hopPenalty
+			if d, ok := dist[k.to]; !ok || nd < d {
+				dist[k.to] = nd
+				prev[k.to] = l
 			}
 		}
 	}
-	delay := func(r, c, i int) time.Duration {
-		return time.Duration(1+(r*7+c*3+i*5)%11) * time.Millisecond
+	if _, ok := dist[dst]; !ok {
+		return nil
 	}
-	for r := 0; r < size; r++ {
-		for c := 0; c < size; c++ {
-			if c+1 < size {
-				if err := n.AddLink(name(r, c), name(r, c+1), LinkConfig{CapacityBps: 1e9, Delay: delay(r, c, 1)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if r+1 < size {
-				if err := n.AddLink(name(r, c), name(r+1, c), LinkConfig{CapacityBps: 1e9, Delay: delay(r, c, 2)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	var path []*Link
+	for at := dst; at != src; at = prev[at].from {
+		path = append([]*Link{prev[at]}, path...)
 	}
-	// Reference: O(V^2) scan-based Dijkstra over the link table.
-	refRoute := func(src, dst string) time.Duration {
-		const hopPenalty = time.Microsecond
-		dist := map[string]time.Duration{src: 0}
-		visited := map[string]bool{}
-		for {
-			cur, best := "", time.Duration(math.MaxInt64)
-			for nm, d := range dist {
-				if visited[nm] {
-					continue
-				}
-				if d < best || (d == best && (cur == "" || nm < cur)) {
-					best, cur = d, nm
-				}
-			}
-			if cur == "" || cur == dst {
-				break
-			}
-			visited[cur] = true
-			for k, l := range n.links {
-				if k.from != cur {
-					continue
-				}
-				nd := dist[cur] + l.cfg.Delay + hopPenalty
-				if d, ok := dist[k.to]; !ok || nd < d {
-					dist[k.to] = nd
-				}
-			}
-		}
-		return dist[dst]
-	}
-	pathDelay := func(path []*Link) time.Duration {
-		const hopPenalty = time.Microsecond
-		var d time.Duration
-		for _, l := range path {
-			d += l.cfg.Delay + hopPenalty
-		}
-		return d
-	}
-	for r := 0; r < size; r++ {
-		for c := 0; c < size; c++ {
-			src, dst := name(0, 0), name(r, c)
+	return path
+}
+
+// checkRoutesAgainstReference requires Route to agree with refRoute link
+// for link on every ordered node pair, ErrNoRoute included.
+func checkRoutesAgainstReference(t *testing.T, n *Network) {
+	t.Helper()
+	for _, src := range n.Nodes() {
+		for _, dst := range n.Nodes() {
 			if src == dst {
 				continue
 			}
-			path, err := n.Route(src, dst)
+			want := refRoute(n, src, dst)
+			got, err := n.Route(src, dst)
+			if want == nil {
+				if !errors.Is(err, ErrNoRoute) {
+					t.Errorf("route %s->%s: got %v (err %v), reference finds no route", src, dst, got, err)
+				}
+				continue
+			}
 			if err != nil {
-				t.Fatalf("route %s->%s: %v", src, dst, err)
+				t.Errorf("route %s->%s: %v, reference path has %d hops", src, dst, err, len(want))
+				continue
 			}
-			if got, want := pathDelay(path), refRoute(src, dst); got != want {
-				t.Errorf("route %s->%s total delay %v, reference %v", src, dst, got, want)
+			if len(got) != len(want) {
+				t.Errorf("route %s->%s: %d hops, reference %d", src, dst, len(got), len(want))
+				continue
 			}
-			if path[0].from != src || path[len(path)-1].to != dst {
-				t.Errorf("route %s->%s has endpoints %s->%s", src, dst, path[0].from, path[len(path)-1].to)
-			}
-			for i := 1; i < len(path); i++ {
-				if path[i].from != path[i-1].to {
-					t.Errorf("route %s->%s is discontiguous at hop %d", src, dst, i)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("route %s->%s hop %d: %s->%s, reference %s->%s", src, dst, i,
+						got[i].from, got[i].to, want[i].from, want[i].to)
+					break
 				}
 			}
 		}
 	}
+}
+
+// TestRouteMatchesReferenceDijkstra cross-checks the production routing
+// against refRoute, exact path for exact path: on a grid with heterogeneous
+// delays, on hand-built directed graphs aimed at the dead-end rule (a node
+// whose only out-edge returns to the node being popped is not queued) and
+// the int32 predecessor encoding, and on seeded random directed graphs
+// dense in distance ties, where the name-rank tie-break decides the tree.
+func TestRouteMatchesReferenceDijkstra(t *testing.T) {
+	type edge struct {
+		from, to string
+		ms       int
+	}
+	build := func(t *testing.T, nodes []string, edges []edge) *Network {
+		t.Helper()
+		n := New(simulation.NewEngine(), 1)
+		for _, nd := range nodes {
+			if err := n.AddNode(nd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range edges {
+			cfg := LinkConfig{CapacityBps: 1e9, Delay: time.Duration(e.ms) * time.Millisecond}
+			if err := n.AddDirectedLink(e.from, e.to, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	t.Run("grid", func(t *testing.T) {
+		const size = 5
+		name := func(r, c int) string { return fmt.Sprintf("n%d%d", r, c) }
+		var nodes []string
+		var edges []edge
+		for r := 0; r < size; r++ {
+			for c := 0; c < size; c++ {
+				nodes = append(nodes, name(r, c))
+				if c+1 < size {
+					d := 1 + (r*7+c*3+5)%11
+					edges = append(edges, edge{name(r, c), name(r, c+1), d}, edge{name(r, c+1), name(r, c), d})
+				}
+				if r+1 < size {
+					d := 1 + (r*7+c*3+10)%11
+					edges = append(edges, edge{name(r, c), name(r+1, c), d}, edge{name(r+1, c), name(r, c), d})
+				}
+			}
+		}
+		checkRoutesAgainstReference(t, build(t, nodes, edges))
+	})
+	t.Run("leaf with two parents", func(t *testing.T) {
+		// v's only out-edge returns to p1. Reached first from p1 it must not
+		// be queued, yet the shorter way in via p2 still lands in its
+		// dist/prev, and from p2 it must be queued: p1's own shortest path
+		// runs through it.
+		checkRoutesAgainstReference(t, build(t,
+			[]string{"s", "p1", "p2", "v", "w"},
+			[]edge{{"s", "p1", 1}, {"p1", "v", 9}, {"s", "p2", 2}, {"p2", "v", 1}, {"v", "p1", 1}, {"p1", "w", 1}}))
+		checkRoutesAgainstReference(t, build(t,
+			[]string{"s", "p1", "p2", "v", "w"},
+			[]edge{{"s", "p1", 9}, {"p1", "v", 1}, {"s", "p2", 1}, {"p2", "v", 1}, {"v", "p1", 1}, {"p1", "w", 1}}))
+	})
+	t.Run("single exit that leads on", func(t *testing.T) {
+		// Every inner node of a one-way chain has exactly one out-edge and
+		// it does not return to the node being popped: all must be queued.
+		checkRoutesAgainstReference(t, build(t,
+			[]string{"a", "b", "c", "d"},
+			[]edge{{"a", "b", 1}, {"b", "c", 1}, {"c", "d", 1}, {"d", "b", 1}}))
+	})
+	t.Run("unreachable", func(t *testing.T) {
+		// island has no links at all; src only transmits, so nothing routes
+		// to it; both must come back ErrNoRoute from the -1 predecessor.
+		n := build(t,
+			[]string{"src", "a", "b", "island"},
+			[]edge{{"src", "a", 1}, {"a", "b", 1}, {"b", "a", 1}})
+		checkRoutesAgainstReference(t, n)
+		for _, pair := range [][2]string{{"a", "island"}, {"a", "src"}, {"island", "a"}} {
+			if _, err := n.Route(pair[0], pair[1]); !errors.Is(err, ErrNoRoute) {
+				t.Errorf("route %s->%s: err %v, want ErrNoRoute", pair[0], pair[1], err)
+			}
+		}
+	})
+	t.Run("random directed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		for g := 0; g < 40; g++ {
+			k := 4 + rng.Intn(12)
+			var nodes []string
+			for i := 0; i < k; i++ {
+				// Insertion order is not name order: n10 sorts before n2.
+				nodes = append(nodes, fmt.Sprintf("n%d", (i*7)%k+rng.Intn(2)*100))
+			}
+			uniq := map[string]bool{}
+			var names []string
+			for _, nd := range nodes {
+				if !uniq[nd] {
+					uniq[nd] = true
+					names = append(names, nd)
+				}
+			}
+			var edges []edge
+			seen := map[[2]string]bool{}
+			for i := 0; i < len(names)*2; i++ {
+				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+				if a == b || seen[[2]string{a, b}] {
+					continue
+				}
+				seen[[2]string{a, b}] = true
+				edges = append(edges, edge{a, b, 1 + rng.Intn(3)}) // few distinct delays: many ties
+			}
+			checkRoutesAgainstReference(t, build(t, names, edges))
+		}
+	})
 }

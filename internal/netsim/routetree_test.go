@@ -1,8 +1,10 @@
 package netsim_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,7 +91,13 @@ func (g *refGraph) pathDelay(path []*netsim.Link) time.Duration {
 // TestRouteTreeMatchesReferenceOnTopo checks shortest-path-tree routing
 // against the reference scan-all-links Dijkstra across seeded random
 // planet topologies: every sampled pair's path must be contiguous, have
-// the right endpoints, and match the reference distance exactly.
+// the right endpoints, and match the reference distance exactly. Each
+// world also gets one-way additions the symmetric generator never makes,
+// aimed at the sweep's dead-end rule: an express link from one host to
+// another (the sender now has two exits, the receiver is a leaf reachable
+// from two parents),
+// a transmit-only probe (a single exit that leads on, unreachable as a
+// destination) and an island nothing links to.
 func TestRouteTreeMatchesReferenceOnTopo(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -107,13 +115,40 @@ func TestRouteTreeMatchesReferenceOnTopo(t *testing.T) {
 			n := tb.Network()
 			ref := refFromConfig(top.Config)
 			hosts := tb.Hosts()
+			oneWay := func(from, to string, d time.Duration) {
+				t.Helper()
+				if err := n.AddDirectedLink(from, to, netsim.LinkConfig{CapacityBps: 1e9, Delay: d}); err != nil {
+					t.Fatal(err)
+				}
+				ref.delay[[2]string{from, to}] = d
+				ref.nodes[from], ref.nodes[to] = true, true
+			}
+			for _, nd := range []string{"probe", "island"} {
+				if err := n.AddNode(nd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oneWay(hosts[0], hosts[len(hosts)-1], 50*time.Microsecond)
+			oneWay("probe", hosts[1], time.Millisecond)
+			for _, dst := range []string{"probe", "island"} {
+				if _, err := n.Route(hosts[2], dst); !errors.Is(err, netsim.ErrNoRoute) {
+					t.Fatalf("route %s -> %s: err %v, want ErrNoRoute", hosts[2], dst, err)
+				}
+				if ref.dist(hosts[2], dst) != -1 {
+					t.Fatalf("reference reaches %s", dst)
+				}
+			}
+			hosts = append(hosts, "probe")
 			// Sample sources spread across the host list; each source's
 			// tree answers every destination.
 			for si := 0; si < len(hosts); si += 7 {
 				src := hosts[si]
+				if si+7 >= len(hosts) {
+					src = "probe" // always sample the transmit-only source
+				}
 				for di := 0; di < len(hosts); di += 3 {
 					dst := hosts[di]
-					if src == dst {
+					if src == dst || dst == "probe" {
 						continue
 					}
 					path, err := n.Route(src, dst)
@@ -136,6 +171,56 @@ func TestRouteTreeMatchesReferenceOnTopo(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRouteTreeRetainedBytes pins what a cached tree keeps alive on the
+// 10k-host planet world: one int32 predecessor per node plus the struct,
+// nothing else — no distances, no per-node path slots (40 B x nodes before
+// the trees went lean; 1 400 cached trees were why planet-traffic peaked
+// at 704 MiB). The bound of 6 B x nodes leaves the allocator's size-class
+// rounding and the handful of memoized paths their room.
+func TestRouteTreeRetainedBytes(t *testing.T) {
+	top, err := topo.Generate(topo.Spec{
+		Seed: 42, Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := top.Build(simulation.NewEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tb.Network()
+	hosts := tb.Hosts()
+	nodes := len(n.Nodes())
+	if len(hosts) != 10_000 {
+		t.Fatalf("world has %d hosts, want 10000", len(hosts))
+	}
+	// Warm the adjacency list, the sweep scratch and the cache maps.
+	if _, err := n.Route(hosts[0], hosts[1]); err != nil {
+		t.Fatal(err)
+	}
+	const trees = 64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= trees; i++ {
+		if _, err := n.Route(hosts[i*100], hosts[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := n.RouteStats().TreeBuilds; got != trees+1 {
+		t.Fatalf("%d tree builds, want %d", got, trees+1)
+	}
+	perTree := float64(after.HeapAlloc-before.HeapAlloc) / trees
+	if limit := 6 * float64(nodes); perTree > limit {
+		t.Fatalf("a cached tree retains %.0f B on a %d-node world (%.1f B/node), want <= %.0f (6 B/node)",
+			perTree, nodes, perTree/float64(nodes), limit)
+	}
+	t.Logf("%.0f B per cached tree, %.2f B/node over %d nodes", perTree, perTree/float64(nodes), nodes)
+	runtime.KeepAlive(tb)
 }
 
 // TestRouteTreeNeverStale is the cache-invalidation regression test: a

@@ -229,6 +229,8 @@ func (sn *ShardedNetwork) ReallocStats() ReallocStats {
 		out.ComponentsDirtied += s.ComponentsDirtied
 		out.Rounds += s.Rounds
 		out.FlowsScanned += s.FlowsScanned
+		out.FlowsEvaluated += s.FlowsEvaluated
+		out.LinkScans += s.LinkScans
 		out.Merges += s.Merges
 		out.Splits += s.Splits
 		out.Components += s.Components
