@@ -35,7 +35,7 @@ bench: bench-netsim
 # new labels append: run with BENCH_LABEL=<change-id> before and after an
 # optimization (docs/PERFORMANCE.md documents the workflow).
 bench-netsim:
-	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk|ShardedPlanet' -benchmem -timeout 600s . ./internal/netsim \
+	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk' -benchmem -timeout 600s . ./internal/netsim \
 		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' -out BENCH_netsim.json
 
 # Record the full-suite harness benchmark (the `gridbench -all` workload
@@ -65,7 +65,7 @@ BENCH_DIFF_METRICS ?= allocs/op
 bench-diff: bench-diff-netsim bench-diff-suite bench-diff-select bench-diff-faults bench-diff-scale bench-diff-traffic
 
 bench-diff-netsim:
-	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk|ShardedPlanet' -benchmem -timeout 600s . ./internal/netsim \
+	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk' -benchmem -timeout 600s . ./internal/netsim \
 		| $(GO) run ./cmd/benchjson -diff -against pr12-sorted-waterfill-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_netsim.json
 

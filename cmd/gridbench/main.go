@@ -12,13 +12,10 @@
 //
 // Experiments run concurrently on a deterministic worker pool: -parallel N
 // sets the pool size (1 reproduces the historical sequential execution),
-// and the output is byte-identical at every N. -shards N additionally
-// partitions each large simulation across N region-sharded engines under
-// conservative time-windowed sync (1 = the historical single-engine
-// path); output is byte-identical at every shard count too. -trials T
-// replicates each selected experiment under T independent seeds and
-// reports each metric as mean ± 95% confidence interval; the published
-// numbers remain the single-trial seed-42 run.
+// and the output is byte-identical at every N. -trials T replicates each
+// selected experiment under T independent seeds and reports each metric
+// as mean ± 95% confidence interval; the published numbers remain the
+// single-trial seed-42 run.
 package main
 
 import (
@@ -58,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asCSV      = fs.Bool("csv", false, "emit the selected figure/table as CSV (for plotting)")
 		seed       = fs.Int64("seed", 42, "simulation seed")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "worker pool size (1 = sequential; output is identical at any value)")
-		shards     = fs.Int("shards", 1, "region-sharded engines per large simulation (1 = historical single-engine path; output is identical at any value)")
 		trials     = fs.Int("trials", 1, "independent seeds per experiment; >1 reports mean ± 95% CI")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -68,17 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridbench: -parallel must be >= 1, got %d\n", *parallel)
 		return 2
 	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "gridbench: -shards must be >= 1, got %d\n", *shards)
-		return 2
-	}
 	if *trials < 1 {
 		fmt.Fprintf(stderr, "gridbench: -trials must be >= 1, got %d\n", *trials)
 		return 2
 	}
 
 	if *asCSV {
-		if err := emitCSV(*fig, *table, *faults, *scale, *traffic, *seed, *parallel, *shards, stdout); err != nil {
+		if err := emitCSV(*fig, *table, *faults, *scale, *traffic, *seed, *parallel, stdout); err != nil {
 			fmt.Fprintf(stderr, "gridbench: %v\n", err)
 			return 1
 		}
@@ -94,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var failures []string
 	if *trials > 1 {
 		for _, e := range entries {
-			rep, err := experiments.Replicate(e, *seed, *trials, *parallel, experiments.WithShards(*shards))
+			rep, err := experiments.Replicate(e, *seed, *trials, *parallel)
 			if err != nil {
 				failures = append(failures, fmt.Sprintf("%s: %v", e.Name, err))
 				continue
@@ -102,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, rep.Table())
 		}
 	} else {
-		results, _ := experiments.RunEntries(entries, *seed, *parallel, experiments.WithShards(*shards))
+		results, _ := experiments.RunEntries(entries, *seed, *parallel)
 		for _, r := range results {
 			if r.Err != nil {
 				failures = append(failures, fmt.Sprintf("%s: %v", r.Name, r.Err))
@@ -156,10 +148,10 @@ func selectEntries(all bool, fig, table int, ablations, extensions, faults, scal
 }
 
 // emitCSV writes the selected artifact's structured rows as CSV.
-func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers, shards int, out io.Writer) error {
+func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers int, out io.Writer) error {
 	w := csv.NewWriter(out)
 	defer w.Flush()
-	opts := []experiments.Option{experiments.WithWorkers(workers), experiments.WithShards(shards)}
+	opts := []experiments.Option{experiments.WithWorkers(workers)}
 	switch {
 	case fig == 3:
 		rows, _, err := experiments.Figure3(seed, opts...)

@@ -12,7 +12,6 @@ type Option func(*config)
 
 type config struct {
 	workers int // ≤0 means runner's default (GOMAXPROCS)
-	shards  int // ≤1 means the historical single-engine path
 }
 
 // WithWorkers caps the number of simulation jobs an experiment runs
@@ -21,17 +20,6 @@ type config struct {
 // execution exactly — same worlds, same order, same output bytes.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithShards partitions each large-scenario simulation across n
-// region-sharded engines under conservative time-windowed sync
-// (simulation.ShardedEngine). n ≤ 1 (and the default) runs the
-// historical single-engine path. Like WithWorkers this only affects
-// resource usage: experiment output is byte-identical at every shard
-// count, enforced by the gridbench shards diff gates. Experiments whose
-// worlds are too small to partition ignore the option.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 func buildConfig(opts []Option) config {

@@ -5,12 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/cluster"
-	"github.com/hpclab/datagrid/internal/core"
-	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/topo"
@@ -116,124 +112,19 @@ const (
 	scaleFlowGap   = 2 * time.Second
 )
 
-// scaleBuilder derives a region host's HostPerf from the simulated
-// grid, observed from the region's hub switch. Rooting every probe at
-// the hub means all of a region's routes come from ONE shortest-path
-// tree — the planet-scale analogue of a GIIS measuring its own region.
-type scaleBuilder struct {
-	tb  *cluster.Testbed
-	hub string
-}
-
-func (b scaleBuilder) BuildHostPerf(host string, now time.Duration) (gridstate.HostPerf, error) {
-	net := b.tb.Network()
-	theo, err := net.BottleneckBps(b.hub, host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	avail, err := net.AvailableBps(b.hub, host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	h, err := b.tb.Host(host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	return gridstate.HostPerf{
-		Host:             host,
-		Local:            b.hub,
-		BandwidthMbps:    avail / 1e6,
-		TheoreticalMbps:  theo / 1e6,
-		BandwidthPercent: 100 * avail / theo,
-		CPUIdlePercent:   100 * h.CPUIdle(),
-		IOIdlePercent:    100 * h.IOIdle(),
-		At:               now,
-	}, nil
-}
-
-// scaleWorld is one generated grid point wired end to end: topology,
-// testbed, sharded catalog, per-region publishers federated under a
-// hierarchical selection server.
-type scaleWorld struct {
-	top *topo.Topology
-	tb  *cluster.Testbed
-	cat *replica.ShardedCatalog
-	fed *gridstate.Federation
-	srv *core.HierarchicalServer
-}
-
-// buildScaleWorld generates and wires one grid point. All randomness
-// comes from rngs seeded off pointSeed, so the world is a pure function
-// of (seed, point).
-func buildScaleWorld(pointSeed int64, p scalePoint) (*scaleWorld, error) {
-	spec := p.spec
-	spec.Seed = pointSeed
-	top, err := topo.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
-	tb, err := top.Build(simulation.NewEngine())
-	if err != nil {
-		return nil, err
-	}
-	// Background load draws follow region order, then generation order
-	// within a region — one fixed draw sequence.
-	rng := rand.New(rand.NewSource(pointSeed + 1))
-	for _, region := range top.Regions {
-		for _, hn := range top.HostsByRegion[region] {
-			h, err := tb.Host(hn)
-			if err != nil {
-				return nil, err
-			}
-			if err := h.SetBaseCPULoad(0.05 + 0.85*rng.Float64()); err != nil {
-				return nil, err
-			}
-			if err := h.SetBaseIOLoad(0.05 + 0.85*rng.Float64()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	cat := replica.NewSharded(topo.RegionOfHost)
-	if err := top.PlaceFiles(cat, p.files, p.replicas, 2048*workload.MB); err != nil {
-		return nil, err
-	}
-	srv, err := core.NewHierarchicalServer(cat, core.PaperWeights, nil)
-	if err != nil {
-		return nil, err
-	}
-	fed := gridstate.NewFederation()
-	for _, region := range top.Regions {
-		pub, err := gridstate.NewPublisher(
-			top.HubSwitch[region], top.HostsByRegion[region],
-			scaleBuilder{tb: tb, hub: top.HubSwitch[region]})
-		if err != nil {
-			return nil, err
-		}
-		if err := fed.Add(region, pub); err != nil {
-			return nil, err
-		}
-		if err := srv.AddRegion(region, pub); err != nil {
-			return nil, err
-		}
-	}
-	return &scaleWorld{top: top, tb: tb, cat: cat, fed: fed, srv: srv}, nil
-}
-
 // runScalePoint measures one grid size: a query phase (hierarchical
 // selection over the sharded catalog) and a flow phase (cross-region
 // transfers of the selected replicas), then collects the route-tree and
-// hierarchy counters. shards > 1 routes the point through the
-// space-partitioned engine (runScalePointSharded), whose output is
-// byte-identical; shards <= 1 is the historical single-engine path.
-func runScalePoint(pointSeed int64, p scalePoint, shards int) (PlanetScaleResult, error) {
-	if shards > 1 {
-		return runScalePointSharded(pointSeed, p, shards)
-	}
-	w, err := buildScaleWorld(pointSeed, p)
+// hierarchy counters. All randomness comes from rngs seeded off
+// pointSeed, so the result is a pure function of (seed, point).
+func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
+	spec := p.spec
+	spec.Seed = pointSeed
+	eng := simulation.NewEngine()
+	w, err := topo.NewWorld(spec, eng, p.files, p.replicas, 2048*workload.MB)
 	if err != nil {
 		return PlanetScaleResult{}, err
 	}
-	eng := w.tb.Engine()
 	res := PlanetScaleResult{
 		Label:   p.label,
 		Sites:   p.spec.Sites(),
@@ -249,14 +140,14 @@ func runScalePoint(pointSeed int64, p scalePoint, shards int) (PlanetScaleResult
 	rng := rand.New(rand.NewSource(pointSeed + 2))
 	pick := func() string { return fmt.Sprintf("lfn:d%d", rng.Intn(p.files)) }
 	for q := 0; q < p.queries; q++ {
-		if _, err := w.srv.SelectBest(pick(), eng.Now()); err != nil {
+		if _, err := w.Server.SelectBest(pick(), eng.Now()); err != nil {
 			return PlanetScaleResult{}, fmt.Errorf("query %d: %w", q, err)
 		}
 	}
 	// The scan bound is the whole point of the hierarchy: no single rank
 	// may ever exceed the file replica count, let alone a shard or the
 	// world.
-	if st := w.srv.Stats(); st.MaxSingleRank > p.replicas {
+	if st := w.Server.Stats(); st.MaxSingleRank > p.replicas {
 		return PlanetScaleResult{}, fmt.Errorf("hierarchy scanned %d hosts in one rank, replica bound is %d",
 			st.MaxSingleRank, p.replicas)
 	}
@@ -270,16 +161,16 @@ func runScalePoint(pointSeed int64, p scalePoint, shards int) (PlanetScaleResult
 	}
 	plans := make([]flowPlan, 0, p.flows)
 	for f := 0; f < p.flows; f++ {
-		best, err := w.srv.SelectBest(pick(), eng.Now())
+		best, err := w.Server.SelectBest(pick(), eng.Now())
 		if err != nil {
 			return PlanetScaleResult{}, fmt.Errorf("flow pick %d: %w", f, err)
 		}
 		src := best.Location.Host
-		dstRegion := w.top.Regions[rng.Intn(len(w.top.Regions))]
+		dstRegion := w.Top.Regions[rng.Intn(len(w.Top.Regions))]
 		for dstRegion == topo.RegionOfHost(src) {
-			dstRegion = w.top.Regions[rng.Intn(len(w.top.Regions))]
+			dstRegion = w.Top.Regions[rng.Intn(len(w.Top.Regions))]
 		}
-		dsts := w.top.HostsByRegion[dstRegion]
+		dsts := w.Top.HostsByRegion[dstRegion]
 		plans = append(plans, flowPlan{
 			src: src,
 			dst: dsts[rng.Intn(len(dsts))],
@@ -292,7 +183,7 @@ func runScalePoint(pointSeed int64, p scalePoint, shards int) (PlanetScaleResult
 	for _, pl := range plans {
 		pl := pl
 		if _, err := eng.After(pl.at, func(time.Duration) {
-			_, err := w.tb.Network().StartFlow(pl.src, pl.dst, scaleFlowBytes,
+			_, err := w.Testbed.Network().StartFlow(pl.src, pl.dst, scaleFlowBytes,
 				netsim.FlowOptions{WindowBytes: 1 << 20}, func(fl *netsim.Flow) {
 					totalSec += (eng.Now() - pl.at).Seconds()
 					done++
@@ -321,9 +212,9 @@ func runScalePoint(pointSeed int64, p scalePoint, shards int) (PlanetScaleResult
 		res.MeanTransferSec = totalSec / float64(done)
 	}
 
-	rs := w.tb.Network().RouteStats()
-	hs := w.srv.Stats()
-	ps := w.tb.Network().ReallocStats()
+	rs := w.Testbed.Network().RouteStats()
+	hs := w.Server.Stats()
+	ps := w.Testbed.Network().ReallocStats()
 	res.TreeBuilds = rs.TreeBuilds
 	res.PathBuilds = rs.PathBuilds
 	res.RegionsConsulted = hs.RegionsConsulted
@@ -352,7 +243,7 @@ func ExtensionPlanetScale(seed int64, opts ...Option) ([]PlanetScaleResult, stri
 		jobs[i] = runner.Job[PlanetScaleResult]{
 			Name: "planetscale/" + p.label,
 			Run: func(runner.Context) (PlanetScaleResult, error) {
-				return runScalePoint(seed+int64(i+1)*104729, p, cfg.shards)
+				return runScalePoint(seed+int64(i+1)*104729, p)
 			},
 		}
 	}

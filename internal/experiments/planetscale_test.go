@@ -19,7 +19,7 @@ var tinyScalePoint = scalePoint{
 }
 
 func TestPlanetScalePoint(t *testing.T) {
-	r, err := runScalePoint(7, tinyScalePoint, 1)
+	r, err := runScalePoint(7, tinyScalePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,18 +46,18 @@ func TestPlanetScalePoint(t *testing.T) {
 // unit scale: the same (seed, point) must reproduce every count and
 // virtual time exactly.
 func TestPlanetScalePointDeterministic(t *testing.T) {
-	a, err := runScalePoint(11, tinyScalePoint, 1)
+	a, err := runScalePoint(11, tinyScalePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runScalePoint(11, tinyScalePoint, 1)
+	b, err := runScalePoint(11, tinyScalePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := runScalePoint(12, tinyScalePoint, 1)
+	c, err := runScalePoint(12, tinyScalePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +66,24 @@ func TestPlanetScalePointDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanetScalePointShardsEquivalent: the space-partitioned path must
-// reproduce the single-engine result exactly — every counter and the
-// float mean — at several shard counts, including more shards than
-// regions (idle shards) .
-func TestPlanetScalePointShardsEquivalent(t *testing.T) {
-	want, err := runScalePoint(7, tinyScalePoint, 1)
+// TestPlanetScalePointPinned pins tinyScalePoint at seed 7 to a literal
+// captured at commit 323d685: any change to draw order, event order or
+// float arithmetic in the world, the engine or the allocator shows up
+// here.
+func TestPlanetScalePointPinned(t *testing.T) {
+	want := PlanetScaleResult{
+		Label: "tiny", Sites: 6, Hosts: 18, Regions: 3, Files: 200, Queries: 40, Flows: 6,
+		TreeBuilds: 8, PathBuilds: 24,
+		RegionsConsulted: 92, HostsScanned: 92, MaxSingleRank: 1,
+		MeanTransferSec: 60.759150351333325,
+		ReallocEvents:   48, ReallocRounds: 88, FlowsScanned: 159,
+		ComponentsDirtied: 45, MaxComponentFlows: 4, MaxRoundFlows: 4,
+	}
+	got, err := runScalePoint(7, tinyScalePoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 3, 5} {
-		got, err := runScalePoint(7, tinyScalePoint, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got != want {
-			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got != want {
+		t.Errorf("pinned result moved:\n got %+v\nwant %+v", got, want)
 	}
 }

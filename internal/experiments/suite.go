@@ -88,14 +88,13 @@ func Suite() []SuiteEntry {
 // (which fails fast), the suite collects every entry's error so one
 // broken experiment cannot hide the others; the returned error joins
 // all failures.
-// Additional options (e.g. WithShards) are forwarded to every entry.
-func RunEntries(entries []SuiteEntry, seed int64, workers int, extra ...Option) ([]EntryResult, error) {
+func RunEntries(entries []SuiteEntry, seed int64, workers int) ([]EntryResult, error) {
 	jobs := make([]runner.Job[EntryResult], len(entries))
 	for i, e := range entries {
 		jobs[i] = runner.Job[EntryResult]{
 			Name: e.Name,
 			Run: func(runner.Context) (EntryResult, error) {
-				out, ms, err := e.Run(seed, append([]Option{WithWorkers(workers)}, extra...)...)
+				out, ms, err := e.Run(seed, WithWorkers(workers))
 				if err != nil {
 					return EntryResult{}, err
 				}
@@ -138,7 +137,7 @@ type ReplicateResult struct {
 // verbatim — so its numbers are exactly the published single-trial run —
 // and trial t>0 uses runner.DeriveSeed(seed, t), the SplitMix64 stream
 // that guarantees well-separated generator states per trial.
-func Replicate(entry SuiteEntry, seed int64, trials, workers int, extra ...Option) (ReplicateResult, error) {
+func Replicate(entry SuiteEntry, seed int64, trials, workers int) (ReplicateResult, error) {
 	if trials < 1 {
 		return ReplicateResult{}, fmt.Errorf("experiments: trials must be >= 1, got %d", trials)
 	}
@@ -155,7 +154,7 @@ func Replicate(entry SuiteEntry, seed int64, trials, workers int, extra ...Optio
 		jobs[t] = runner.Job[[]Metric]{
 			Name: fmt.Sprintf("%s/trial%d", entry.Name, t),
 			Run: func(runner.Context) ([]Metric, error) {
-				_, ms, err := entry.Run(trialSeed, append([]Option{WithWorkers(workers)}, extra...)...)
+				_, ms, err := entry.Run(trialSeed, WithWorkers(workers))
 				return ms, err
 			},
 		}

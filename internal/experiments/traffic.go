@@ -146,8 +146,8 @@ func trafficSpec(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity i
 	}
 }
 
-func trafficPoint(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity, shards int) (TrafficResult, error) {
-	rep, err := traffic.Run(trafficSpec(seed, w, pol, intensity), shards)
+func trafficPoint(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity int) (TrafficResult, error) {
+	rep, err := traffic.Run(trafficSpec(seed, w, pol, intensity), 1)
 	if err != nil {
 		return TrafficResult{}, err
 	}
@@ -188,12 +188,6 @@ func trafficPoint(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity,
 // rather than quietly shipping a weaker table.
 func ExtensionTraffic(seed int64, opts ...Option) ([]TrafficResult, string, error) {
 	cfg := buildConfig(opts)
-	// cfg.shards ≤ 1 means the historical single-engine path; traffic.Run
-	// wants the explicit count.
-	shards := cfg.shards
-	if shards < 1 {
-		shards = 1
-	}
 	type point struct {
 		w         trafficWorld
 		pol       traffic.PolicyKind
@@ -215,7 +209,7 @@ func ExtensionTraffic(seed int64, opts ...Option) ([]TrafficResult, string, erro
 		jobs[i] = runner.Job[TrafficResult]{
 			Name: fmt.Sprintf("traffic/%s/%v/i%d", p.w.label, p.pol, p.intensity),
 			Run: func(runner.Context) (TrafficResult, error) {
-				return trafficPoint(seed, p.w, p.pol, p.intensity, shards)
+				return trafficPoint(seed, p.w, p.pol, p.intensity)
 			},
 		}
 	}

@@ -24,7 +24,7 @@ func TestDeterminismScope(t *testing.T) {
 		// own sources of jitter are as off-limits as the simulation's.
 		{"github.com/hpclab/datagrid/internal/runner", true},
 		// The traffic plane feeds experiment tables (p50/p95/p99, skew)
-		// and must stay byte-identical across -parallel and -shards.
+		// and must stay byte-identical across -parallel.
 		{"github.com/hpclab/datagrid/internal/traffic", true},
 		// The real FTP stack may use wall-clock-ish randomness (jitter,
 		// ephemeral ports) without perturbing experiment results.

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // EngineSharing flags simulation state crossing a goroutine boundary.
@@ -26,35 +25,18 @@ import (
 //     receiver of the called method (`go eng.Run()`);
 //   - engines/networks sent over a channel.
 //
-// Since PR 9 the same contract extends to the space partition: a
-// ShardedEngine's sub-engines are each owned by the goroutine the
-// coordinator assigns them for one window, and everything crossing
-// shards must travel through the boundary mailbox (ShardedEngine.Post),
-// never as a shared engine or network value. ShardedEngine itself is
-// matched like Engine/Network; the one sanctioned exception is the
-// internal/simulation package, which implements the coordinator and is
-// exempt (its window workers are the mechanism that makes everyone
-// else's single-goroutine assumption hold — the WaitGroup barrier is
-// the happens-before edge, proven under -race in CI).
-//
 // Values constructed inside the spawned function are owned by that
-// goroutine and are fine. Matching is by type name (Engine, Network,
-// ShardedEngine), like lockedcallback, so test stubs are covered
-// without importing the real packages.
+// goroutine and are fine. Matching is by type name (Engine, Network),
+// like lockedcallback, so test stubs are covered without importing the
+// real packages.
 var EngineSharing = &Analyzer{
 	Name: "enginesharing",
-	Doc: "flags *simulation.Engine / *simulation.ShardedEngine / *netsim.Network values " +
+	Doc: "flags *simulation.Engine / *netsim.Network values " +
 		"captured by go statements, passed to spawned goroutines, or sent over channels",
 	Run: runEngineSharing,
 }
 
 func runEngineSharing(pass *Pass) {
-	// The sharded-engine coordinator is the one place allowed to drive
-	// sub-engines from worker goroutines; exempting it here (not in an
-	// Applies hook) keeps the exemption visible to the fixture harness.
-	if strings.HasSuffix(pass.PkgPath, "internal/simulation") {
-		return
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
@@ -171,8 +153,6 @@ func sharedCoreTypeName(t types.Type) (string, bool) {
 	switch named.Obj().Name() {
 	case "Engine":
 		return "*Engine", true
-	case "ShardedEngine":
-		return "*ShardedEngine", true
 	case "Network":
 		return "*Network", true
 	}
@@ -180,9 +160,9 @@ func sharedCoreTypeName(t types.Type) (string, bool) {
 }
 
 // rootIdent finds the variable at the base of an expression chain
-// (a, a.b, (*a).b[i], se.Shard(0), ...). Call results chase the callee:
+// (a, a.b, (*a).b[i], tb.Engine(), ...). Call results chase the callee:
 // an engine obtained through an accessor on a captured value
-// (env.Engine(), se.Shard(i)) is still that captured value's engine. A
+// (tb.Engine()) is still that captured value's engine. A
 // nil result means the value is produced by a literal rather than read
 // from a variable.
 func rootIdent(e ast.Expr) *ast.Ident {

@@ -10,11 +10,3 @@ import (
 func TestEngineSharing(t *testing.T) {
 	linttest.Run(t, linttest.TestData(), lint.EngineSharing, "enginesharing")
 }
-
-// TestEngineSharingSimulationExempt pins the coordinator exemption: the
-// internal/simulation package drives sub-engines from window workers by
-// design, and the analyzer must stay silent there (the fixture's go
-// statements would be reported in any other package).
-func TestEngineSharingSimulationExempt(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.EngineSharing, "internal/simulation")
-}

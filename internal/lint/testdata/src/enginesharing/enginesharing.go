@@ -84,48 +84,25 @@ func suppressedHandoff(ch chan *Engine) {
 	ch <- eng
 }
 
-// ShardedEngine stands in for simulation.ShardedEngine: a coordinator
-// whose sub-engines are reachable through an accessor.
-type ShardedEngine struct{ shards []*Engine }
+// Testbed stands in for cluster.Testbed: a world whose engine is
+// reachable through an accessor.
+type Testbed struct{ eng *Engine }
 
-// NewSharded builds a private sharded coordinator.
-func NewSharded(n int) *ShardedEngine { return &ShardedEngine{shards: make([]*Engine, n)} }
+// Engine returns the testbed's engine.
+func (tb *Testbed) Engine() *Engine { return tb.eng }
 
-// Shard returns sub-engine i.
-func (s *ShardedEngine) Shard(i int) *Engine { return s.shards[i] }
-
-// RunUntil drives every shard.
-func (s *ShardedEngine) RunUntil(t int64) {}
-
-func shardedCapturedByClosure() {
-	se := NewSharded(4)
-	go func() {
-		se.RunUntil(10) // want `\*ShardedEngine captured by a go statement`
-	}()
-}
-
-func shardedSubEngineThroughAccessor() {
-	se := NewSharded(4)
+func engineThroughAccessor() {
+	tb := &Testbed{eng: NewEngine()}
 	go func() {
 		// The engine value is produced by a call, but the call chain
-		// bottoms out in the captured coordinator — still a capture.
-		se.Shard(0).Run() // want `\*Engine captured by a go statement`
+		// bottoms out in the captured testbed — still a capture.
+		tb.Engine().Run() // want `\*Engine captured by a go statement`
 	}()
 }
 
-func goShardedMethodValue() {
-	se := NewSharded(2)
-	go se.RunUntil(10) // want `go statement invokes a \*ShardedEngine method`
-}
-
-func shardedSentOverChannel(ch chan *ShardedEngine) {
-	ch <- NewSharded(2) // want `\*ShardedEngine sent over a channel`
-}
-
-func shardedOwnedInsideGoroutineIsFine() {
+func accessorOnOwnedTestbedIsFine() {
 	go func() {
-		se := NewSharded(2) // private coordinator: the sanctioned pattern
-		se.Shard(0).Run()
-		se.RunUntil(10)
+		tb := &Testbed{eng: NewEngine()} // private world: the sanctioned pattern
+		tb.Engine().Run()
 	}()
 }

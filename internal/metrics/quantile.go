@@ -23,10 +23,9 @@ import (
 //   - insertion-order independence: the sketch is a pure multiset of
 //     bucket counts, so any permutation of the same stream yields an
 //     identical sketch and identical quantiles;
-//   - mergeability: Merge adds bucket counts, so per-shard sketches
+//   - mergeability: Merge adds bucket counts, so partial sketches
 //     combined in any grouping equal the sketch of the concatenated
-//     stream. This is what lets sharded runs report byte-identical
-//     quantiles at any shard count.
+//     stream.
 type QuantileSketch struct {
 	alpha    float64
 	gamma    float64

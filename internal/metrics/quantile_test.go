@@ -24,7 +24,7 @@ func TestQuantileSketchDeterminism(t *testing.T) {
 	for i := len(xs) - 1; i >= 0; i-- {
 		rev.Add(xs[i])
 	}
-	// Split across 4 "shards" round-robin, then merge.
+	// Split across 4 partial sketches round-robin, then merge.
 	shards := make([]*QuantileSketch, 4)
 	for i := range shards {
 		shards[i] = NewQuantileSketch(0.01)

@@ -442,13 +442,6 @@ type Network struct {
 
 	nextEv       *simulation.Event
 	completionFn func(time.Duration)
-
-	// logOcc turns on link-occupancy logging (claim on a link's flow
-	// count going 0->1, release on 1->0). Off by default — it is enabled
-	// only by AttachSharded, whose window-edge audit consumes occLog to
-	// prove no two shards ever allocate the same link concurrently.
-	logOcc bool
-	occLog []occEvent
 }
 
 // New creates an empty network driven by engine. The seed feeds the
@@ -1015,9 +1008,6 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 	n.active = append(n.active, f)
 	for _, l := range path {
 		l.nflows++
-		if n.logOcc && l.nflows == 1 {
-			n.occLog = append(n.occLog, occEvent{at: f.started, idx: l.idx, claim: true})
-		}
 	}
 	// Join the partition (merging every component the path touches) and
 	// re-water-fill just the resulting component.
@@ -1191,9 +1181,6 @@ func (n *Network) removeFlow(f *Flow, final FlowState) {
 			// The link leaves the partition; nothing will water-fill it
 			// again until a flow returns, so zero its allocation exactly.
 			l.usedBps = 0
-			if n.logOcc {
-				n.occLog = append(n.occLog, occEvent{at: now, idx: l.idx, claim: false})
-			}
 		}
 	}
 	if f.rampEv != nil {

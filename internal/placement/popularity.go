@@ -9,9 +9,9 @@ import (
 
 // Executor applies a popularity policy's placement decisions at region
 // granularity. Decoupling the policy from replica.Manager lets the
-// traffic plane execute decisions as simulated epoch-boundary transfers
-// on the sharded engine, and lets tests drive the policy against a fake
-// grid without a simulation at all.
+// traffic plane execute decisions as simulated epoch-boundary
+// transfers, and lets tests drive the policy against a fake grid
+// without a simulation at all.
 type Executor interface {
 	// HoldingRegions returns the regions currently holding a replica of
 	// logical, in deterministic (sorted) order.

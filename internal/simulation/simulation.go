@@ -111,30 +111,6 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Scheduler is the engine's scheduling surface: the four calls every
-// simulated component (network flows, monitors, tickers, workload
-// generators) needs. Extracting it lets consumers be driven by either a
-// plain *Engine or one shard of a ShardedEngine without caring which;
-// the run-loop methods (Run, RunUntil, Step, Stop) deliberately stay off
-// the interface because only the owner of an engine may drive it.
-type Scheduler interface {
-	Now() time.Duration
-	Schedule(at time.Duration, fn func(now time.Duration)) (*Event, error)
-	After(d time.Duration, fn func(now time.Duration)) (*Event, error)
-	Cancel(ev *Event) bool
-}
-
-var _ Scheduler = (*Engine)(nil)
-
-// peekNext returns the timestamp of the earliest pending event. The
-// second result is false when the queue is empty.
-func (e *Engine) peekNext() (time.Duration, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
-
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 

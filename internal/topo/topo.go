@@ -276,13 +276,12 @@ type BoundaryLink struct {
 }
 
 // BoundaryCut returns the region→region boundary links of the topology
-// and the minimum one-way delay across them. That minimum is the
-// conservative lookahead for a space-partitioned simulation that places
-// each region (or a group of regions) on its own engine shard: no
-// event can cross the cut faster than the slowest-news boundary link,
-// so shards may safely advance that far without hearing from each
-// other. Link order follows the deterministic Config.WAN order. A
-// single-region topology has no cut and returns an error.
+// — the links a fault plan flaps — in the deterministic Config.WAN
+// order. The second result, the minimum one-way delay across them, was
+// the lookahead of the space-partitioned engine; nothing in the tree
+// reads it any more, and it stays only because the frozen benchmark
+// (cmd/gridperf) destructures three results. A single-region topology
+// has no cut and returns an error.
 func (t *Topology) BoundaryCut() ([]BoundaryLink, time.Duration, error) {
 	var cut []BoundaryLink
 	var min time.Duration

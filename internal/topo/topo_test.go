@@ -205,7 +205,7 @@ func TestBoundaryCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, lookahead, err := top.BoundaryCut()
+	cut, minDelay, err := top.BoundaryCut()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBoundaryCut(t *testing.T) {
 	}
 	// Every cut entry must genuinely cross regions and carry backbone-tier
 	// latency (Generate draws backbone delays from [20ms, 80ms)); the
-	// returned lookahead must be the exact minimum.
+	// returned delay must be the exact minimum.
 	min := cut[0].Delay
 	for _, b := range cut {
 		if b.Regions[0] == b.Regions[1] {
@@ -230,8 +230,8 @@ func TestBoundaryCut(t *testing.T) {
 			min = b.Delay
 		}
 	}
-	if lookahead != min {
-		t.Errorf("lookahead = %v, want minimum boundary delay %v", lookahead, min)
+	if minDelay != min {
+		t.Errorf("min delay = %v, want minimum boundary delay %v", minDelay, min)
 	}
 	// Cross-check against a raw scan of the WAN config: the cut is exactly
 	// the inter-region subset, in WAN order.

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/metrics"
@@ -12,10 +13,8 @@ import (
 // collector is the streaming reduction of the result stream: latency
 // quantiles via a mergeable log-bucket sketch, goodput and load skew via
 // integer accumulators. Nothing per-request is retained, so a run's
-// memory footprint is independent of its request count. All updates run
-// on shard 0's goroutine (transfer completions) or the driver between
-// runs; accumulators are integers so no float summation order exists to
-// diverge.
+// memory footprint is independent of its request count. Accumulators
+// are integers so no float summation order exists to diverge.
 type collector struct {
 	latency *metrics.QuantileSketch
 
@@ -69,8 +68,8 @@ func (c *collector) done(r simxfer.Result) {
 	c.servedBySite[siteOf(src)]++
 }
 
-// access reports one dispatched request to the placement policy. Runs on
-// the driver goroutine at drain time.
+// access reports one dispatched request to the placement policy, at
+// drain time.
 func (c *collector) access(rq request, servedFrom string) error {
 	return c.policy.OnAccess(placement.Access{
 		Logical:    rq.file,
@@ -78,6 +77,17 @@ func (c *collector) access(rq request, servedFrom string) error {
 		Client:     rq.dst,
 		At:         rq.at,
 	})
+}
+
+// balanced checks the run's accounting identities once the settle tail
+// has drained: every dispatched request has exactly one outcome and
+// nothing is still (or doubly) in flight.
+func (c *collector) balanced() error {
+	if c.submitted != c.completed+c.failed+c.localHits || c.inflight != 0 {
+		return fmt.Errorf("traffic: accounting broken: %d requests != %d completed + %d failed + %d local hits, %d in flight",
+			c.submitted, c.completed, c.failed, c.localHits, c.inflight)
+	}
+	return nil
 }
 
 // quantile returns the latency quantile in seconds, 0 when nothing

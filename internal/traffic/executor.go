@@ -13,9 +13,9 @@ import (
 // gridExecutor applies popularity-policy decisions to the simulated
 // grid: replica additions become real epoch-boundary transfers on the
 // shared network (registered in the catalog only when the copy lands),
-// removals unregister immediately. It is driven exclusively from the
-// driver goroutine at epoch boundaries; completion callbacks run on
-// shard 0 during the following windows.
+// removals unregister immediately. It is driven from the driver at
+// epoch boundaries; completion callbacks run during the following
+// engine runs.
 type gridExecutor struct {
 	w   *world
 	c   *collector
@@ -31,7 +31,7 @@ func newGridExecutor(w *world, c *collector) *gridExecutor {
 
 // HoldingRegions reports the regions holding the file, sorted.
 func (e *gridExecutor) HoldingRegions(logical string) ([]string, error) {
-	return e.w.cat.RegionsWith(logical)
+	return e.w.Catalog.RegionsWith(logical)
 }
 
 // AddReplica copies the file from its best-ranked current holder to a
@@ -39,15 +39,15 @@ func (e *gridExecutor) HoldingRegions(logical string) ([]string, error) {
 // transfer completes. The copy is a real transfer: it competes with
 // client traffic for the same links.
 func (e *gridExecutor) AddReplica(logical, region string, done func(error)) error {
-	hosts := e.w.top.HostsByRegion[region]
+	hosts := e.w.Top.HostsByRegion[region]
 	if len(hosts) == 0 {
 		return fmt.Errorf("traffic: unknown replica region %q", region)
 	}
-	best, err := e.w.srv.SelectBest(logical, e.now)
+	best, err := e.w.Server.SelectBest(logical, e.now)
 	if err != nil {
 		return err
 	}
-	lf, err := e.w.cat.Logical(logical)
+	lf, err := e.w.Catalog.Logical(logical)
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func (e *gridExecutor) AddReplica(logical, region string, done func(error)) erro
 		return fmt.Errorf("traffic: replica of %s would copy %s onto itself", logical, src)
 	}
 	e.c.inflight++
-	_, err = e.w.se.Shard(0).Schedule(e.now, func(time.Duration) {
+	_, err = e.w.Testbed.Engine().Schedule(e.now, func(time.Duration) {
 		err := e.w.xfer.Submit(simxfer.Request{
 			Sources: []string{src},
 			Dst:     dst,
@@ -66,15 +66,13 @@ func (e *gridExecutor) AddReplica(logical, region string, done func(error)) erro
 			Done: func(r simxfer.Result) {
 				e.c.inflight--
 				if r.Err == nil {
-					r.Err = e.w.cat.Register(logical, replicaLocation(region, dst, logical))
+					r.Err = e.w.Catalog.Register(logical, replicaLocation(region, dst, logical))
 				}
 				done(r.Err)
 			},
 		})
 		if err != nil {
-			// Submit validates against a built world; rejection here means
-			// the executor fed it garbage.
-			panic(fmt.Sprintf("traffic: replica copy %s -> %s failed to start: %v", src, dst, err))
+			e.w.fail(fmt.Errorf("traffic: replica copy %s -> %s failed to start: %w", src, dst, err))
 		}
 	})
 	if err != nil {
@@ -93,14 +91,14 @@ func replicaLocation(region, host, logical string) replica.Location {
 // RemoveReplica retires the file's first (sorted) location in the
 // region, refusing to orphan the last copy anywhere.
 func (e *gridExecutor) RemoveReplica(logical, region string) error {
-	regions, err := e.w.cat.RegionsWith(logical)
+	regions, err := e.w.Catalog.RegionsWith(logical)
 	if err != nil {
 		return err
 	}
 	if len(regions) < 2 {
 		return fmt.Errorf("traffic: refusing to orphan %s (only %v holds it)", logical, regions)
 	}
-	shard := e.w.cat.Shard(region)
+	shard := e.w.Catalog.Shard(region)
 	if shard == nil {
 		return fmt.Errorf("traffic: unknown replica region %q", region)
 	}
@@ -108,5 +106,5 @@ func (e *gridExecutor) RemoveReplica(logical, region string) error {
 	if err != nil {
 		return err
 	}
-	return e.w.cat.Unregister(logical, locs[0].Host, locs[0].Path)
+	return e.w.Catalog.Unregister(logical, locs[0].Host, locs[0].Path)
 }

@@ -19,11 +19,9 @@ type request struct {
 }
 
 // generator is one region's client population: a seeded arrival process
-// running on the region's own engine shard, drawing file, size and
-// destination per arrival and buffering the result until the driver
-// drains it at the next dispatch boundary. Everything it touches is
-// private to its shard's goroutine; the driver reads the buffer only
-// between engine runs.
+// with a private RNG, drawing file, size and destination per arrival and
+// buffering the result until the driver drains it at the next dispatch
+// boundary. The driver reads the buffer only between engine runs.
 type generator struct {
 	region  string
 	rng     *rand.Rand
@@ -39,13 +37,12 @@ type generator struct {
 	pending  []request
 }
 
-// newGenerator wires region index r's arrival process onto sched (the
-// region's shard engine). The RNG seed folds the region index so every
-// region draws an independent, reproducible stream regardless of how
-// regions map to shards.
+// newGenerator wires region index r's arrival process onto the world's
+// engine. The RNG seed folds the region index so every region draws an
+// independent, reproducible stream.
 func newGenerator(w *world, r int) (*generator, error) {
 	spec := w.spec
-	region := w.top.Regions[r]
+	region := w.Top.Regions[r]
 	hotEnd, warmEnd := spec.classBounds()
 	g := &generator{
 		region:  region,
@@ -53,7 +50,7 @@ func newGenerator(w *world, r int) (*generator, error) {
 		spec:    spec,
 		hotEnd:  hotEnd,
 		warmEnd: warmEnd,
-		hosts:   w.top.HostsByRegion[region],
+		hosts:   w.Top.HostsByRegion[region],
 	}
 	if len(g.hosts) == 0 {
 		return nil, fmt.Errorf("traffic: region %s has no hosts", region)
@@ -81,14 +78,14 @@ func newGenerator(w *world, r int) (*generator, error) {
 	// Diurnal intensity: regions are phase-shifted by index so load
 	// follows the sun around the generated planet.
 	base, amp := spec.RatePerMinute, spec.DiurnalAmplitude
-	period, phase := spec.DiurnalPeriod.Seconds(), float64(r)/float64(len(w.top.Regions))
+	period, phase := spec.DiurnalPeriod.Seconds(), float64(r)/float64(len(w.Top.Regions))
 	rate := func(now time.Duration) float64 {
 		if amp == 0 {
 			return base
 		}
 		return base * (1 + amp*math.Sin(2*math.Pi*(now.Seconds()/period+phase)))
 	}
-	g.arrivals, err = workload.NewArrivals(w.se.Shard(w.regionShard[region]), g.rng, rate,
+	g.arrivals, err = workload.NewArrivals(w.Testbed.Engine(), g.rng, rate,
 		func(now time.Duration) { g.fire(now) })
 	if err != nil {
 		return nil, err
@@ -96,7 +93,7 @@ func newGenerator(w *world, r int) (*generator, error) {
 	return g, nil
 }
 
-// fire draws one request. Runs on the generator's shard goroutine.
+// fire draws one request.
 func (g *generator) fire(now time.Duration) {
 	var idx int
 	switch u := g.rng.Float64(); {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/placement"
+	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/topo"
 )
@@ -13,7 +14,7 @@ import (
 // latency quantiles (seconds), goodput over the horizon, per-site load
 // skew and the control loop's placement activity. All fields derive from
 // integer accumulators or the order-independent sketch, so a Report is
-// byte-identical across shard counts and run repetitions.
+// byte-identical across run repetitions.
 type Report struct {
 	// Requests is how many client arrivals were dispatched; Completed,
 	// Failed and LocalHits partition their outcomes (a local hit is a
@@ -52,18 +53,26 @@ const maxSources = 4
 // end; failover transfers are bounded by attempt caps and timeouts).
 const settleSlack = 12 * time.Hour
 
-// Run executes the spec on a sharded engine with the given shard count.
-// The report is byte-identical for any shards >= 1.
-func Run(spec Spec, shards int) (*Report, error) {
+// Run executes the spec on one engine. The second argument was a shard
+// count when the simulator was space-partitioned; it is accepted and
+// ignored because the frozen benchmark (cmd/gridperf) still passes it.
+func Run(spec Spec, _ int) (*Report, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	w, err := buildWorld(spec, shards)
+	w, err := buildWorld(spec, simulation.NewEngine())
 	if err != nil {
 		return nil, err
 	}
+	return w.run()
+}
 
+// run drives a built world through the spec's horizon and settle tail.
+func (w *world) run() (*Report, error) {
+	spec := w.spec
+	eng := w.Testbed.Engine()
+	var err error
 	var pol placement.Policy
 	var c *collector
 	var exec *gridExecutor
@@ -76,7 +85,7 @@ func Run(spec Spec, shards int) (*Report, error) {
 		exec = newGridExecutor(w, c)
 		p, err := placement.NewPopularityPolicy(exec, placement.PopularityConfig{
 			RegionOf:    topo.RegionOfHost,
-			Regions:     len(w.top.Regions),
+			Regions:     len(w.Top.Regions),
 			MinReplicas: spec.MinReplicas,
 			MaxReplicas: spec.MaxReplicas,
 		})
@@ -87,15 +96,15 @@ func Run(spec Spec, shards int) (*Report, error) {
 		c.policy = pol
 	}
 
-	gens := make([]*generator, len(w.top.Regions))
-	for r := range w.top.Regions {
+	gens := make([]*generator, len(w.Top.Regions))
+	for r := range w.Top.Regions {
 		if gens[r], err = newGenerator(w, r); err != nil {
 			return nil, err
 		}
 	}
 
 	// The epoch-pinned snapshot discipline: publish at each boundary
-	// while the engines are stopped, rank against that frozen snapshot
+	// while the engine is stopped, rank against that frozen snapshot
 	// until the next one.
 	epochStart := time.Duration(0)
 	if err := w.republish(epochStart); err != nil {
@@ -115,7 +124,7 @@ func Run(spec Spec, shards int) (*Report, error) {
 			Rank: func(_ time.Duration, alive []string) []string {
 				out := make([]string, 0, len(alive))
 				for _, h := range alive {
-					if down, err := w.tbs[0].HostDown(h); err == nil && !down {
+					if down, err := w.Testbed.HostDown(h); err == nil && !down {
 						out = append(out, h)
 					}
 				}
@@ -128,12 +137,12 @@ func Run(spec Spec, shards int) (*Report, error) {
 	}
 
 	// dispatch drains one region's buffered arrivals: rank each file on
-	// the pinned epoch snapshot, then schedule the transfer on shard 0
-	// one dispatch interval after its arrival — always in the engines'
-	// future, spread like the arrivals themselves.
+	// the pinned epoch snapshot, then schedule the transfer one dispatch
+	// interval after its arrival — always in the engine's future, spread
+	// like the arrivals themselves.
 	dispatch := func(g *generator) error {
 		for _, rq := range g.take() {
-			cands, err := w.srv.Rank(rq.file, epochStart)
+			cands, err := w.Server.Rank(rq.file, epochStart)
 			if err != nil {
 				return fmt.Errorf("traffic: rank %s: %w", rq.file, err)
 			}
@@ -176,11 +185,9 @@ func Run(spec Spec, shards int) (*Report, error) {
 			}
 			c.submitted++
 			c.inflight++
-			if _, err := w.se.Shard(0).Schedule(rq.at+spec.DispatchInterval, func(time.Duration) {
+			if _, err := eng.Schedule(rq.at+spec.DispatchInterval, func(time.Duration) {
 				if err := w.xfer.Submit(req); err != nil {
-					// Submit rejects malformed requests only; the driver
-					// builds them from a validated spec.
-					panic(fmt.Sprintf("traffic: submit %s -> %s: %v", req.Sources[0], req.Dst, err))
+					w.fail(fmt.Errorf("traffic: submit %s -> %s: %w", req.Sources[0], req.Dst, err))
 				}
 			}); err != nil {
 				return err
@@ -191,7 +198,7 @@ func Run(spec Spec, shards int) (*Report, error) {
 
 	for now := time.Duration(0); now < spec.Horizon; {
 		now += spec.DispatchInterval
-		if err := w.se.RunUntil(now); err != nil {
+		if err := w.advance(now); err != nil {
 			return nil, err
 		}
 		if now%spec.Epoch == 0 {
@@ -223,13 +230,16 @@ func Run(spec Spec, shards int) (*Report, error) {
 		if deadline > spec.Horizon+settleSlack {
 			return nil, fmt.Errorf("traffic: %d transfers still in flight at %v", c.inflight, deadline)
 		}
-		if err := w.se.RunUntil(deadline); err != nil {
+		if err := w.advance(deadline); err != nil {
 			return nil, err
 		}
 	}
+	if err := c.balanced(); err != nil {
+		return nil, err
+	}
 
 	st := pol.Stats()
-	hs := w.srv.Stats()
+	hs := w.Server.Stats()
 	return &Report{
 		Requests:     c.submitted,
 		Completed:    c.completed,

@@ -12,20 +12,16 @@
 // on the same simulated network the client traffic competes with.
 //
 // Determinism is the design driver. A Run with a given Spec is
-// byte-identical at any shard count because every piece of mutable grid
-// state lives on exactly one shard:
+// byte-identical run over run because nothing depends on anything but
+// the seed and the one engine's event order:
 //
-//   - Client arrival processes run on their region's shard, each with a
-//     private RNG; they only append to per-region queues.
-//   - The driver drains those queues at fixed dispatch boundaries
-//     (global barriers where every shard clock agrees) and schedules all
-//     transfers on shard 0 — mirror 0 therefore executes the exact event
-//     sequence a sequential run would, and the other mirrors never touch
-//     observable state.
+//   - Client arrival processes are per region, each with a private RNG;
+//     they only append to per-region queues.
+//   - The driver drains those queues at fixed dispatch barriers, in
+//     region order, and schedules every transfer from there.
 //   - Selection is epoch-pinned: grid-state snapshots are rebuilt only
-//     at epoch boundaries while the engines are stopped, so every rank
+//     at epoch boundaries while the engine is stopped, so every rank
 //     within an epoch scores the same frozen snapshot.
-//   - Faults install on mirror 0 only, where all observable state lives.
 package traffic
 
 import (
@@ -82,8 +78,8 @@ type Spec struct {
 	RatePerMinute float64
 	// Horizon is how long clients generate requests.
 	Horizon time.Duration
-	// DispatchInterval is the drain cadence: arrivals buffered on their
-	// region's shard are submitted as transfers one interval later.
+	// DispatchInterval is the drain cadence: arrivals buffered per
+	// region are submitted as transfers one interval later.
 	// Default 10s.
 	DispatchInterval time.Duration
 	// Epoch is the control-loop cadence: snapshot republish and policy
@@ -150,7 +146,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		s.MaxReplicas = s.Topology.Regions
 	}
 	if s.Topology.Regions < 2 {
-		return s, errors.New("traffic: need at least 2 regions (the sharded engine needs a boundary cut)")
+		return s, errors.New("traffic: need at least 2 regions (fault plans flap the links between them)")
 	}
 	if s.Files < 3 || s.Replicas <= 0 {
 		return s, fmt.Errorf("traffic: need files >= 3 (one per class) and replicas > 0, got %d/%d", s.Files, s.Replicas)

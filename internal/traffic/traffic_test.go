@@ -2,9 +2,12 @@ package traffic
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/topo"
 )
 
@@ -82,23 +85,25 @@ func TestClassBounds(t *testing.T) {
 	}
 }
 
-// TestRunShardCountInvariance pins the tentpole determinism property:
-// the identical Report at 1, 2 and 4 shards, and across repeated runs.
-func TestRunShardCountInvariance(t *testing.T) {
-	base, err := Run(testSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
+// TestRunPinnedReport pins the full-featured spec's Report run over run
+// and against a literal captured at commit 323d685: any change to draw
+// order, event order or float arithmetic in the world, the engine, the
+// allocator or the driver shows up here.
+func TestRunPinnedReport(t *testing.T) {
+	want := &Report{
+		Requests: 3564, Completed: 2606, Failed: 100, LocalHits: 858, Attempts: 2972,
+		P50: 0.16694185969065212, P95: 4.437094042102034, P99: 7.768043531562235,
+		GoodputMbps: 29.16888888888889, SiteSkew: 1.7068303914044514,
+		Replications: 6, Removals: 7, Hot: 3, Warm: 3, Cold: 6,
+		Selections: 3570, HostsScanned: 10660,
 	}
-	if base.Requests == 0 || base.Completed == 0 {
-		t.Fatalf("run did nothing: %+v", base)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		got, err := Run(testSpec(), shards)
+	for run := 0; run < 2; run++ {
+		got, err := Run(testSpec(), 1)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("shards=%d diverged:\nbase %+v\ngot  %+v", shards, base, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: pinned report moved:\n got %+v\nwant %+v", run, got, want)
 		}
 	}
 }
@@ -106,7 +111,7 @@ func TestRunShardCountInvariance(t *testing.T) {
 // TestRunReportSanity checks the reduction's internal consistency on the
 // full-featured spec.
 func TestRunReportSanity(t *testing.T) {
-	r, err := Run(testSpec(), 2)
+	r, err := Run(testSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,15 @@ func TestRunReportSanity(t *testing.T) {
 	if r.Selections == 0 || r.HostsScanned == 0 {
 		t.Fatalf("hierarchy idle: %+v", r)
 	}
+	// Run itself refuses to report when the identities do not hold.
+	for _, c := range []collector{
+		{submitted: 3, completed: 1, failed: 1},               // a request with no outcome
+		{submitted: 2, completed: 1, failed: 1, inflight: -1}, // a double completion
+	} {
+		if err := c.balanced(); err == nil {
+			t.Errorf("collector %+v passed the accounting check", c)
+		}
+	}
 }
 
 // TestPopularityLoopActs: with hot traffic concentrated on few files the
@@ -140,7 +154,7 @@ func TestRunReportSanity(t *testing.T) {
 func TestPopularityLoopActs(t *testing.T) {
 	spec := testSpec()
 	spec.FaultIntensity = 0
-	r, err := Run(spec, 2)
+	r, err := Run(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +184,68 @@ func TestPolicyNoneIsStatic(t *testing.T) {
 	}
 	if r.Attempts != 0 {
 		t.Fatalf("legacy path logged %d failover attempts", r.Attempts)
+	}
+}
+
+// ghostHost parses as a region-0 host but is not in any generated
+// testbed, so simxfer.Submit rejects a transfer that names it.
+const ghostHost = "r00s00c0h99"
+
+// testWorld builds testSpec's world without running it, so a test can
+// damage it first.
+func testWorld(t *testing.T) *world {
+	t.Helper()
+	spec, err := testSpec().withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorld(spec, simulation.NewEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestSubmitFailureIsAnError: a client request the transferrer rejects
+// inside its scheduled callback must end the run with an error, not a
+// panic and not a hang in the settle loop.
+func TestSubmitFailureIsAnError(t *testing.T) {
+	w := testWorld(t)
+	w.Top.HostsByRegion[w.Top.Regions[0]] = []string{ghostHost}
+	if _, err := w.run(); err == nil || !strings.Contains(err.Error(), "traffic: submit") {
+		t.Fatalf("run with an unknown destination returned %v, want a submit error", err)
+	}
+}
+
+// TestReplicaCopyFailureIsAnError: a replication copy that cannot start
+// (here: its landing host is not in the testbed) ends the run the same
+// way.
+func TestReplicaCopyFailureIsAnError(t *testing.T) {
+	w := testWorld(t)
+	if err := w.republish(0); err != nil {
+		t.Fatal(err)
+	}
+	// Queue a copy of d0 into a region that does not hold it, landing on
+	// the ghost; the copy's Submit runs inside run's first engine advance.
+	held, err := w.Catalog.RegionsWith("lfn:d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := ""
+	for _, r := range w.Top.Regions {
+		if !slices.Contains(held, r) {
+			region = r
+			break
+		}
+	}
+	hosts := w.Top.HostsByRegion[region]
+	w.Top.HostsByRegion[region] = []string{ghostHost}
+	exec := newGridExecutor(w, newCollector(nil))
+	if err := exec.AddReplica("lfn:d0", region, func(error) {}); err != nil {
+		t.Fatal(err)
+	}
+	w.Top.HostsByRegion[region] = hosts
+	if _, err := w.run(); err == nil || !strings.Contains(err.Error(), "replica copy") {
+		t.Fatalf("run with a copy that cannot start returned %v, want a replica-copy error", err)
 	}
 }

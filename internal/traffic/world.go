@@ -2,147 +2,38 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
-	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/faults"
-	"github.com/hpclab/datagrid/internal/gridstate"
-	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/topo"
 )
 
-// world is one built traffic grid: a topology mirrored across the
-// engine shards, the sharded catalog and hierarchical selection stack,
-// and the transferrer every flow runs through. All observable state —
-// transfers, faults, monitoring reads — lives on mirror 0; mirrors 1..n
-// exist only to advance their regions' arrival processes in parallel.
+// world is one built traffic grid: the generated topo.World (testbed,
+// sharded catalog, hierarchical selection stack) and the transferrer
+// every flow runs through, all on one engine.
 type world struct {
+	*topo.World
 	spec Spec
-	top  *topo.Topology
-	se   *simulation.ShardedEngine
-	tbs  []*cluster.Testbed
-	cat  *replica.ShardedCatalog
-	srv  *core.HierarchicalServer
-	pubs map[string]*gridstate.Publisher
 	xfer *simxfer.Transferrer
 
-	regionShard map[string]int
+	// err is the first failure raised inside a scheduled callback, where
+	// there is no caller to return it to; see fail.
+	err error
 }
 
-// hubBuilder derives a host's HostPerf from mirror 0's live network and
-// load state, observed from the host's region hub — the same derivation
-// the planet-scale sweep uses, bound to the one mirror transfers run on.
-type hubBuilder struct {
-	tb  *cluster.Testbed
-	hub string
-}
-
-func (b hubBuilder) BuildHostPerf(host string, now time.Duration) (gridstate.HostPerf, error) {
-	net := b.tb.Network()
-	theo, err := net.BottleneckBps(b.hub, host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	avail, err := net.AvailableBps(b.hub, host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	h, err := b.tb.Host(host)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	return gridstate.HostPerf{
-		Host:             host,
-		Local:            b.hub,
-		BandwidthMbps:    avail / 1e6,
-		TheoreticalMbps:  theo / 1e6,
-		BandwidthPercent: 100 * avail / theo,
-		CPUIdlePercent:   100 * h.CPUIdle(),
-		IOIdlePercent:    100 * h.IOIdle(),
-		At:               now,
-	}, nil
-}
-
-// buildWorld realizes the spec on a sharded engine. Every mirror replays
-// the identical base-load draw sequence so mirror state agrees bitwise;
-// the catalog, hierarchy and transferrer are built once against mirror 0.
-func buildWorld(spec Spec, shards int) (*world, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("traffic: need at least 1 shard, got %d", shards)
-	}
+// buildWorld realizes the spec on engine.
+func buildWorld(spec Spec, engine *simulation.Engine) (*world, error) {
 	ts := spec.Topology
 	ts.Seed = spec.Seed
-	top, err := topo.Generate(ts)
+	tw, err := topo.NewWorld(ts, engine, spec.Files, spec.Replicas, spec.FileBytes)
 	if err != nil {
 		return nil, err
 	}
-	_, lookahead, err := top.BoundaryCut()
-	if err != nil {
-		return nil, err
-	}
-	se, err := simulation.NewSharded(shards, lookahead)
-	if err != nil {
-		return nil, err
-	}
-	w := &world{
-		spec:        spec,
-		top:         top,
-		se:          se,
-		tbs:         make([]*cluster.Testbed, shards),
-		pubs:        make(map[string]*gridstate.Publisher, len(top.Regions)),
-		regionShard: make(map[string]int, len(top.Regions)),
-	}
-	for i, region := range top.Regions {
-		w.regionShard[region] = i % shards
-	}
-	for s := 0; s < shards; s++ {
-		tb, err := top.Build(se.Shard(s))
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(spec.Seed + 1))
-		for _, region := range top.Regions {
-			for _, hn := range top.HostsByRegion[region] {
-				h, err := tb.Host(hn)
-				if err != nil {
-					return nil, err
-				}
-				if err := h.SetBaseCPULoad(0.05 + 0.85*rng.Float64()); err != nil {
-					return nil, err
-				}
-				if err := h.SetBaseIOLoad(0.05 + 0.85*rng.Float64()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		w.tbs[s] = tb
-	}
-	w.cat = replica.NewSharded(topo.RegionOfHost)
-	if err := top.PlaceFiles(w.cat, spec.Files, spec.Replicas, spec.FileBytes); err != nil {
-		return nil, err
-	}
-	w.srv, err = core.NewHierarchicalServer(w.cat, core.PaperWeights, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, region := range top.Regions {
-		pub, err := gridstate.NewPublisher(
-			top.HubSwitch[region], top.HostsByRegion[region],
-			hubBuilder{tb: w.tbs[0], hub: top.HubSwitch[region]})
-		if err != nil {
-			return nil, err
-		}
-		w.pubs[region] = pub
-		if err := w.srv.AddRegion(region, pub); err != nil {
-			return nil, err
-		}
-	}
-	w.xfer, err = simxfer.New(w.tbs[0])
-	if err != nil {
+	w := &world{World: tw, spec: spec}
+	if w.xfer, err = simxfer.New(w.Testbed); err != nil {
 		return nil, err
 	}
 	if err := w.installFaults(); err != nil {
@@ -151,15 +42,31 @@ func buildWorld(spec Spec, shards int) (*world, error) {
 	return w, nil
 }
 
-// installFaults draws the spec's fault schedule and installs it on
-// mirror 0 — the only mirror whose state is observable (flows, publisher
-// reads and liveness checks all go through tbs[0]). Monitor outages are
-// excluded: the traffic plane's thin publishers have no gate to pause.
+// fail records the first error a scheduled callback hit and stops the
+// engine; run returns it as soon as the engine hands control back.
+func (w *world) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.Testbed.Engine().Stop()
+}
+
+// advance runs the engine to deadline and surfaces a callback failure.
+func (w *world) advance(deadline time.Duration) error {
+	if err := w.Testbed.Engine().RunUntil(deadline); err != nil {
+		return err
+	}
+	return w.err
+}
+
+// installFaults draws the spec's fault schedule and installs it on the
+// testbed. Monitor outages are excluded: the traffic plane's thin
+// publishers have no gate to pause.
 func (w *world) installFaults() error {
 	if w.spec.FaultIntensity <= 0 {
 		return nil
 	}
-	cut, _, err := w.top.BoundaryCut()
+	cut, _, err := w.Top.BoundaryCut()
 	if err != nil {
 		return err
 	}
@@ -170,8 +77,8 @@ func (w *world) installFaults() error {
 	// Victim hosts: the first two hosts of every region — a fixed,
 	// topology-derived set so intensity sweeps stay comparable.
 	var hosts []string
-	for _, region := range w.top.Regions {
-		rh := w.top.HostsByRegion[region]
+	for _, region := range w.Top.Regions {
+		rh := w.Top.HostsByRegion[region]
 		for i := 0; i < 2 && i < len(rh); i++ {
 			hosts = append(hosts, rh[i])
 		}
@@ -190,7 +97,7 @@ func (w *world) installFaults() error {
 	if err != nil {
 		return err
 	}
-	inj, err := faults.NewInjector(w.tbs[0], nil)
+	inj, err := faults.NewInjector(w.Testbed, nil)
 	if err != nil {
 		return err
 	}
@@ -198,17 +105,16 @@ func (w *world) installFaults() error {
 }
 
 // republish rebuilds every region's grid-state snapshot at the epoch
-// boundary, while the engines are stopped and mirror 0's state is the
-// globally agreed state at now. Every Rank call until the next boundary
-// scores these frozen snapshots.
+// boundary, while the engine is stopped. Every Rank call until the next
+// boundary scores these frozen snapshots.
 func (w *world) republish(now time.Duration) error {
-	for _, region := range w.top.Regions {
+	for i, pub := range w.Publishers {
 		// Each iteration pins a different region's publisher at the same
 		// agreed boundary instant — the repeat is across publishers, not
 		// a stale repin of one.
 		//gridlint:snapshotdiscipline-ok one snapshot per region publisher at the epoch boundary
-		if s := w.pubs[region].Snapshot(now); s == nil {
-			return fmt.Errorf("traffic: republish %s at %v produced no snapshot", region, now)
+		if s := pub.Snapshot(now); s == nil {
+			return fmt.Errorf("traffic: republish %s at %v produced no snapshot", w.Top.Regions[i], now)
 		}
 	}
 	return nil

@@ -18,7 +18,7 @@ import (
 // intensity curves (diurnal load) ride the same core as constant-rate
 // streams without changing the draw order for the constant case.
 type Arrivals struct {
-	sched   simulation.Scheduler
+	eng     *simulation.Engine
 	rng     *rand.Rand
 	rate    func(now time.Duration) float64
 	fire    func(now time.Duration)
@@ -32,15 +32,15 @@ func ConstantRate(perMinute float64) func(time.Duration) float64 {
 	return func(time.Duration) float64 { return perMinute }
 }
 
-// NewArrivals starts an arrival process on the scheduler: fire is invoked
+// NewArrivals starts an arrival process on the engine: fire is invoked
 // at every arrival instant. rate must return a positive arrivals-per-minute
 // figure at every sampled time. The caller owns the RNG; all of the
 // process's draws (one ExpFloat64 per gap) come from it, interleaved with
 // whatever draws fire itself performs, exactly as the pre-refactor
 // generators drew them.
-func NewArrivals(sched simulation.Scheduler, rng *rand.Rand, rate func(time.Duration) float64, fire func(time.Duration)) (*Arrivals, error) {
-	if sched == nil {
-		return nil, errors.New("workload: nil scheduler")
+func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration) float64, fire func(time.Duration)) (*Arrivals, error) {
+	if eng == nil {
+		return nil, errors.New("workload: nil engine")
 	}
 	if rng == nil {
 		return nil, errors.New("workload: nil rng")
@@ -51,19 +51,19 @@ func NewArrivals(sched simulation.Scheduler, rng *rand.Rand, rate func(time.Dura
 	if fire == nil {
 		return nil, errors.New("workload: nil fire function")
 	}
-	a := &Arrivals{sched: sched, rng: rng, rate: rate, fire: fire}
+	a := &Arrivals{eng: eng, rng: rng, rate: rate, fire: fire}
 	a.scheduleNext()
 	return a, nil
 }
 
 func (a *Arrivals) scheduleNext() {
-	r := a.rate(a.sched.Now())
+	r := a.rate(a.eng.Now())
 	if !(r > 0) {
-		panic(fmt.Sprintf("workload: arrival rate %v at %v is not positive", r, a.sched.Now()))
+		panic(fmt.Sprintf("workload: arrival rate %v at %v is not positive", r, a.eng.Now()))
 	}
 	mean := time.Minute.Seconds() / r
 	delay := time.Duration(a.rng.ExpFloat64() * mean * float64(time.Second))
-	if _, err := a.sched.After(delay, func(now time.Duration) {
+	if _, err := a.eng.After(delay, func(now time.Duration) {
 		if a.stopped {
 			return
 		}
@@ -72,9 +72,9 @@ func (a *Arrivals) scheduleNext() {
 		a.scheduleNext()
 	}); err != nil {
 		// After clamps negative delays to "now" and the callback is never
-		// nil, so the scheduler cannot reject this event; an error here
-		// means the scheduler contract itself is broken and silently
-		// stopping the stream would corrupt every downstream number.
+		// nil, so the engine rejects this event only when now+delay
+		// overflows the virtual clock; silently stopping the stream
+		// would corrupt every downstream number.
 		panic(fmt.Sprintf("workload: arrival scheduling failed: %v", err))
 	}
 }

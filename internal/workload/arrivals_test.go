@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,35 +10,26 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// brokenScheduler violates the Scheduler contract by rejecting every
-// event — the failure mode scheduleNext historically swallowed by
-// silently setting stopped.
-type brokenScheduler struct{}
-
-func (brokenScheduler) Now() time.Duration { return 0 }
-func (brokenScheduler) Schedule(time.Duration, func(time.Duration)) (*simulation.Event, error) {
-	return nil, errors.New("synthetic scheduler failure")
-}
-func (b brokenScheduler) After(d time.Duration, fn func(time.Duration)) (*simulation.Event, error) {
-	return b.Schedule(d, fn)
-}
-func (brokenScheduler) Cancel(*simulation.Event) bool { return false }
-
 // TestArrivalsPanicsOnSchedulerError pins the impossible-error
-// convention: a scheduler that rejects an arrival event must panic
-// loudly, not silently stop the stream (the old behavior, which would
-// truncate every downstream metric without a trace).
+// convention: an engine that rejects an arrival event (here because the
+// next gap overflows the virtual clock) must panic loudly, not silently
+// stop the stream (the old behavior, which would truncate every
+// downstream metric without a trace).
 func TestArrivalsPanicsOnSchedulerError(t *testing.T) {
+	eng := simulation.NewEngine()
+	if err := eng.RunUntil(math.MaxInt64 - 1); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("NewArrivals on a broken scheduler should panic")
+			t.Fatal("NewArrivals past the end of the virtual clock should panic")
 		}
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "arrival scheduling failed") {
 			t.Fatalf("panic = %v, want arrival-scheduling message", r)
 		}
 	}()
-	_, _ = NewArrivals(brokenScheduler{}, rand.New(rand.NewSource(1)),
+	_, _ = NewArrivals(eng, rand.New(rand.NewSource(1)),
 		ConstantRate(60), func(time.Duration) {})
 }
 
@@ -47,7 +38,7 @@ func TestArrivalsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	fire := func(time.Duration) {}
 	if _, err := NewArrivals(nil, rng, ConstantRate(1), fire); err == nil {
-		t.Fatal("nil scheduler should be rejected")
+		t.Fatal("nil engine should be rejected")
 	}
 	if _, err := NewArrivals(eng, nil, ConstantRate(1), fire); err == nil {
 		t.Fatal("nil rng should be rejected")
