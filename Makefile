@@ -11,7 +11,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# gofmt -l prints the unformatted files; any output fails the target.
+# Analyzer fixtures under testdata/ are exempt.
 vet:
+	@test -z "$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/gridlint ./...
 
@@ -49,8 +52,8 @@ bench-suite:
 
 # Record the selection-throughput benchmark (pull-per-query vs pinned
 # gridstate snapshot, 1 and 8 concurrent selectors) into
-# BENCH_select.json. The snapshot/pull ratio is the batch-Rank speedup on
-# this machine (docs/PERFORMANCE.md documents the workflow).
+# BENCH_select.json. The snapshot/pull ratio is the pinned-view speedup
+# on this machine (docs/PERFORMANCE.md documents the workflow).
 bench-select:
 	$(GO) test -run='^$$' -bench='SelectionThroughput' -benchmem -timeout 600s . \
 		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' -out BENCH_select.json
@@ -78,7 +81,7 @@ bench-diff-suite:
 
 bench-diff-select:
 	$(GO) test -run='^$$' -bench='SelectionThroughput' -benchmem -timeout 600s . \
-		| $(GO) run ./cmd/benchjson -diff -against container-1cpu \
+		| $(GO) run ./cmd/benchjson -diff -against pr18-one-ranker-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_select.json
 
 # Record the fault-tolerance sweep (the `gridbench -faults` workload:

@@ -75,7 +75,7 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 	cands := make([]core.Candidate, 0, len(locs))
 	for _, loc := range locs {
 		mu.Lock()
-		rep, err := e.infoSrv.ReportLive(loc.Host, e.now)
+		rep, err := e.infoSrv.BuildHostPerf(loc.Host, e.now)
 		mu.Unlock()
 		if err != nil {
 			if errors.Is(err, info.ErrNoData) {

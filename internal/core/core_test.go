@@ -224,7 +224,11 @@ func TestSelectionServerValidation(t *testing.T) {
 		t.Fatal("nil catalog should be rejected")
 	}
 	if _, err := NewSelectionServer(p.catalog, nil, PaperWeights, nil); err == nil {
-		t.Fatal("nil info server should be rejected")
+		t.Fatal("nil snapshot source should be rejected")
+	}
+	var unset *info.Server
+	if _, err := NewSelectionServer(p.catalog, unset, PaperWeights, nil); err == nil {
+		t.Fatal("a nil *info.Server behind the interface should be rejected")
 	}
 	if _, err := NewSelectionServer(p.catalog, p.dep.Server, Weights{}, nil); err == nil {
 		t.Fatal("zero weights should be rejected")
@@ -549,7 +553,7 @@ func TestReportCarriesLatency(t *testing.T) {
 	if err := p.eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.dep.Server.Report("lz02", p.eng.Now())
+	rep, err := p.dep.Server.Snapshot(p.eng.Now()).Lookup("lz02")
 	if err != nil {
 		t.Fatal(err)
 	}

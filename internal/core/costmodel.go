@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 )
@@ -207,12 +207,24 @@ func (s BandwidthOnlySelector) Select(cands []Candidate) (int, error) {
 	return best, nil
 }
 
+// SnapshotSource yields epoch-stamped grid-state snapshots. Both
+// *info.Server (the full NWS/MDS/sysstat monitoring stack) and
+// *gridstate.Publisher (a bare publisher over any Builder) satisfy it,
+// so a selection server can run against either — the full stack in
+// paper-scale worlds, a thin publisher at planet scale where deploying
+// per-host monitors would dominate the simulation.
+type SnapshotSource interface {
+	Snapshot(now time.Duration) *gridstate.Snapshot
+}
+
 // SelectionServer is the replica selection server of Fig. 1: it takes the
-// replica catalog's location list, asks the information server for the
-// three system factors of every candidate, scores them, and picks the best.
+// replica catalog's location list, reads the three system factors of
+// every candidate from the information plane's current snapshot, scores
+// them, and picks the best. The flat paper testbed runs one over the whole
+// catalog; HierarchicalServer runs one per region shard.
 type SelectionServer struct {
 	catalog  *replica.Catalog
-	infoSrv  *info.Server
+	source   SnapshotSource
 	weights  Weights
 	selector Selector
 	// view is the last pinned snapshot view, reused while its snapshot
@@ -223,12 +235,14 @@ type SelectionServer struct {
 
 // NewSelectionServer wires a selection server. selector defaults to the
 // cost model with the given weights when nil.
-func NewSelectionServer(catalog *replica.Catalog, infoSrv *info.Server, weights Weights, selector Selector) (*SelectionServer, error) {
+func NewSelectionServer(catalog *replica.Catalog, source SnapshotSource, weights Weights, selector Selector) (*SelectionServer, error) {
 	if catalog == nil {
 		return nil, errors.New("core: selection server needs a catalog")
 	}
-	if infoSrv == nil {
-		return nil, errors.New("core: selection server needs an information server")
+	// A nil *info.Server (an unset Deployment.Server) wrapped in the
+	// interface is not == nil and would only fail at the first Rank.
+	if source == nil || source == SnapshotSource((*info.Server)(nil)) {
+		return nil, errors.New("core: selection server needs a snapshot source")
 	}
 	if err := weights.Validate(); err != nil {
 		return nil, err
@@ -236,7 +250,7 @@ func NewSelectionServer(catalog *replica.Catalog, infoSrv *info.Server, weights 
 	if selector == nil {
 		selector = CostModelSelector{Weights: weights}
 	}
-	return &SelectionServer{catalog: catalog, infoSrv: infoSrv, weights: weights, selector: selector}, nil
+	return &SelectionServer{catalog: catalog, source: source, weights: weights, selector: selector}, nil
 }
 
 // Weights returns the server's scoring weights.
@@ -246,35 +260,13 @@ func (s *SelectionServer) Weights() Weights { return s.weights }
 // monitoring data.
 var ErrNoUsableReplica = errors.New("core: no usable replica")
 
-// Rank scores every registered replica of the logical file and returns the
-// candidates sorted best-first. Replicas without monitoring data are
-// skipped; if none remain, ErrNoUsableReplica is returned.
+// Rank scores every registered replica of the logical file against the
+// snapshot current at now and returns the candidates sorted best-first.
+// Replicas without monitoring data are skipped; if none remain,
+// ErrNoUsableReplica is returned. Must run on the simulation goroutine
+// (pinning a snapshot may rebuild it).
 func (s *SelectionServer) Rank(logical string, now time.Duration) ([]Candidate, error) {
-	locs, err := s.catalog.Locations(logical)
-	if err != nil {
-		return nil, err
-	}
-	cands := make([]Candidate, 0, len(locs))
-	for _, loc := range locs {
-		rep, err := s.infoSrv.Report(loc.Host, now)
-		if err != nil {
-			if errors.Is(err, info.ErrNoData) {
-				continue
-			}
-			return nil, err
-		}
-		cands = append(cands, Candidate{Location: loc, Report: rep, Score: Score(rep, s.weights)})
-	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Location.String() < cands[j].Location.String()
-	})
-	return cands, nil
+	return s.PinView(now).Rank(logical)
 }
 
 // SelectBest returns the selector's choice among the ranked candidates.
@@ -283,12 +275,17 @@ func (s *SelectionServer) SelectBest(logical string, now time.Duration) (Candida
 	if err != nil {
 		return Candidate{}, err
 	}
-	i, err := s.selector.Select(cands)
+	return pick(s.selector, cands)
+}
+
+// pick applies a selector and bounds-checks its answer.
+func pick(sel Selector, cands []Candidate) (Candidate, error) {
+	i, err := sel.Select(cands)
 	if err != nil {
 		return Candidate{}, err
 	}
 	if i < 0 || i >= len(cands) {
-		return Candidate{}, fmt.Errorf("core: selector %q returned out-of-range index %d", s.selector.Name(), i)
+		return Candidate{}, fmt.Errorf("core: selector %q returned out-of-range index %d", sel.Name(), i)
 	}
 	return cands[i], nil
 }

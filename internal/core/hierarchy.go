@@ -3,137 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/gridstate"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 )
-
-// SnapshotSource yields epoch-stamped grid-state snapshots. Both
-// *info.Server (the full NWS/MDS/sysstat monitoring stack) and
-// *gridstate.Publisher (a bare publisher over any Builder) satisfy it,
-// so a region selector can run against either — the full stack in
-// paper-scale worlds, a thin publisher at planet scale where deploying
-// per-host monitors would dominate the simulation.
-type SnapshotSource interface {
-	Snapshot(now time.Duration) *gridstate.Snapshot
-}
-
-// RegionSelector is the lower tier of hierarchical selection: it ranks
-// ONLY its region's catalog shard against its region's snapshot — a
-// GIIS-style aggregation point. It never sees other regions' hosts, so
-// its cost is bounded by the shard, not the grid.
-//
-// Must run on the simulation goroutine (pinning a snapshot may rebuild
-// it); the per-epoch memo follows the SnapshotView discipline.
-type RegionSelector struct {
-	region  string
-	shard   *replica.Catalog
-	source  SnapshotSource
-	weights Weights
-
-	snap *gridstate.Snapshot
-	memo map[string]viewEntry
-
-	// scanned counts candidate locations scored since creation; maxRank
-	// is the largest single Rank's location count — the proof obligation
-	// that no rank ever exceeded the shard.
-	scanned uint64
-	maxRank int
-}
-
-// NewRegionSelector wires a selector for one region. shard must be the
-// region's replica shard (replica.ShardedCatalog.Shard), source the
-// region's snapshot source covering the region's hosts.
-func NewRegionSelector(region string, shard *replica.Catalog, source SnapshotSource, weights Weights) (*RegionSelector, error) {
-	if region == "" {
-		return nil, errors.New("core: region selector needs a region name")
-	}
-	if shard == nil {
-		return nil, fmt.Errorf("core: region selector %q needs a catalog shard", region)
-	}
-	if source == nil {
-		return nil, fmt.Errorf("core: region selector %q needs a snapshot source", region)
-	}
-	if err := weights.Validate(); err != nil {
-		return nil, err
-	}
-	return &RegionSelector{region: region, shard: shard, source: source, weights: weights}, nil
-}
-
-// Region returns the region this selector aggregates.
-func (r *RegionSelector) Region() string { return r.region }
-
-// pin refreshes the per-epoch memo when the region snapshot moved.
-func (r *RegionSelector) pin(now time.Duration) {
-	snap := r.source.Snapshot(now)
-	if snap == r.snap {
-		return
-	}
-	memo := make(map[string]viewEntry, len(snap.Hosts()))
-	for _, h := range snap.Hosts() {
-		rep, err := info.ReportFrom(snap, h)
-		if err != nil {
-			memo[h] = viewEntry{err: err}
-			continue
-		}
-		memo[h] = viewEntry{report: rep, score: Score(rep, r.weights)}
-	}
-	r.snap, r.memo = snap, memo
-}
-
-// Rank scores the region's replicas of the logical file against the
-// region snapshot, sorted best-first with SelectionServer.Rank's exact
-// semantics (unmonitored replicas skipped; ErrNoUsableReplica when none
-// remain). The scan is bounded by the shard's location list.
-func (r *RegionSelector) Rank(logical string, now time.Duration) ([]Candidate, error) {
-	locs, err := r.shard.Locations(logical)
-	if err != nil {
-		return nil, err
-	}
-	r.pin(now)
-	r.scanned += uint64(len(locs))
-	if len(locs) > r.maxRank {
-		r.maxRank = len(locs)
-	}
-	cands := make([]Candidate, 0, len(locs))
-	for _, loc := range locs {
-		e, ok := r.memo[loc.Host]
-		if !ok {
-			continue
-		}
-		if e.err != nil {
-			if errors.Is(e.err, info.ErrNoData) {
-				continue
-			}
-			return nil, e.err
-		}
-		cands = append(cands, Candidate{Location: loc, Report: e.report, Score: e.score})
-	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: %q has %d replicas in %s, none monitored",
-			ErrNoUsableReplica, logical, len(locs), r.region)
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Location.String() < cands[j].Location.String()
-	})
-	return cands, nil
-}
-
-// Best returns the region's top candidate — what the selector reports
-// upward to the merge tier.
-func (r *RegionSelector) Best(logical string, now time.Duration) (Candidate, error) {
-	cands, err := r.Rank(logical, now)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return cands[0], nil
-}
 
 // HierarchyStats is the hierarchical server's cumulative scan
 // accounting — the observable proof that selection work is bounded by
@@ -141,11 +16,11 @@ func (r *RegionSelector) Best(logical string, now time.Duration) (Candidate, err
 type HierarchyStats struct {
 	// Selections is the number of SelectBest/Rank calls served.
 	Selections uint64
-	// RegionsConsulted is the total region selectors asked (only regions
+	// RegionsConsulted is the total region servers asked (only regions
 	// actually holding a replica are ever consulted).
 	RegionsConsulted uint64
-	// HostsScanned is the total candidate locations scored across all
-	// region ranks.
+	// HostsScanned is the total catalog locations scanned across all
+	// region ranks, unmonitored ones included.
 	HostsScanned uint64
 	// MaxSingleRank is the largest location count any single region rank
 	// scanned — must never exceed the largest shard.
@@ -153,16 +28,21 @@ type HierarchyStats struct {
 }
 
 // HierarchicalServer is the thin top tier: it asks RegionsWith for the
-// regions holding the file, collects each region selector's best, and
-// merges per-region bests by (score desc, location asc) — the same
-// order the flat server sorts by, so for the cost-model selector the
-// hierarchical choice equals the flat choice while scanning only the
-// involved shards.
+// regions holding the file, has each region's SelectionServer rank its
+// own shard against its own snapshot — a GIIS-style aggregation point
+// that never sees other regions' hosts, so its cost is bounded by the
+// shard, not the grid — and merges the per-region bests in the same
+// best-first order every rank sorts by. For the cost-model selector the
+// hierarchical choice therefore equals the flat choice while scanning
+// only the involved shards.
+//
+// Must run on the simulation goroutine (ranking pins region snapshots,
+// which may rebuild them).
 type HierarchicalServer struct {
 	catalog  *replica.ShardedCatalog
 	weights  Weights
 	selector Selector
-	regions  map[string]*RegionSelector
+	regions  map[string]*SelectionServer
 	stats    HierarchyStats
 }
 
@@ -182,26 +62,26 @@ func NewHierarchicalServer(catalog *replica.ShardedCatalog, weights Weights, sel
 		catalog:  catalog,
 		weights:  weights,
 		selector: selector,
-		regions:  make(map[string]*RegionSelector),
+		regions:  make(map[string]*SelectionServer),
 	}, nil
 }
 
-// AddRegion registers the snapshot source for one region and builds its
-// selector over the region's shard. The shard must already exist (at
-// least one replica registered in the region).
+// AddRegion registers the snapshot source for one region and binds a
+// selection server to the region's catalog shard. The shard may still be
+// empty: replicas registered in the region later are ranked like any
+// other.
 func (h *HierarchicalServer) AddRegion(region string, source SnapshotSource) error {
+	if region == "" {
+		return errors.New("core: region needs a name")
+	}
 	if _, dup := h.regions[region]; dup {
 		return fmt.Errorf("core: region %q already registered", region)
 	}
-	shard := h.catalog.Shard(region)
-	if shard == nil {
-		return fmt.Errorf("core: region %q has no catalog shard yet", region)
-	}
-	sel, err := NewRegionSelector(region, shard, source, h.weights)
+	srv, err := NewSelectionServer(h.catalog.Shard(region), source, h.weights, h.selector)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: region %q: %w", region, err)
 	}
-	h.regions[region] = sel
+	h.regions[region] = srv
 	return nil
 }
 
@@ -231,16 +111,15 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 	h.stats.Selections++
 	merged := make([]Candidate, 0, len(regions))
 	for _, region := range regions {
-		sel, ok := h.regions[region]
+		srv, ok := h.regions[region]
 		if !ok {
 			return nil, fmt.Errorf("core: %q has replicas in unregistered region %q", logical, region)
 		}
 		h.stats.RegionsConsulted++
-		before := sel.scanned
-		best, err := sel.Best(logical, now)
-		h.stats.HostsScanned += sel.scanned - before
-		if sel.maxRank > h.stats.MaxSingleRank {
-			h.stats.MaxSingleRank = sel.maxRank
+		cands, scanned, err := srv.PinView(now).rank(logical)
+		h.stats.HostsScanned += uint64(scanned)
+		if scanned > h.stats.MaxSingleRank {
+			h.stats.MaxSingleRank = scanned
 		}
 		if err != nil {
 			if errors.Is(err, ErrNoUsableReplica) {
@@ -248,18 +127,13 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 			}
 			return nil, err
 		}
-		merged = append(merged, best)
+		merged = append(merged, cands[0])
 	}
 	if len(merged) == 0 {
 		return nil, fmt.Errorf("%w: %q monitored in none of its %d regions",
 			ErrNoUsableReplica, logical, len(regions))
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
-		}
-		return merged[i].Location.String() < merged[j].Location.String()
-	})
+	slices.SortStableFunc(merged, bestFirst)
 	return merged, nil
 }
 
@@ -273,12 +147,5 @@ func (h *HierarchicalServer) SelectBest(logical string, now time.Duration) (Cand
 	if err != nil {
 		return Candidate{}, err
 	}
-	i, err := h.selector.Select(merged)
-	if err != nil {
-		return Candidate{}, err
-	}
-	if i < 0 || i >= len(merged) {
-		return Candidate{}, fmt.Errorf("core: selector %q returned out-of-range index %d", h.selector.Name(), i)
-	}
-	return merged[i], nil
+	return pick(h.selector, merged)
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
@@ -38,13 +40,14 @@ type SnapshotView struct {
 // returns the same view. Must run on the simulation goroutine; the
 // returned view may then be shared freely.
 func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
-	snap := s.infoSrv.Snapshot(now)
+	snap := s.source.Snapshot(now)
 	if v := s.view; v != nil && v.snap == snap {
 		return v
 	}
-	memo := make(map[string]viewEntry, len(snap.Hosts()))
-	for _, h := range snap.Hosts() {
-		rep, err := info.ReportFrom(snap, h)
+	hosts := snap.Hosts()
+	memo := make(map[string]viewEntry, len(hosts))
+	for _, h := range hosts {
+		rep, err := snap.Lookup(h)
 		if err != nil {
 			memo[h] = viewEntry{err: err}
 			continue
@@ -62,17 +65,35 @@ func (v *SnapshotView) Snapshot() *gridstate.Snapshot { return v.snap }
 // Epoch returns the pinned snapshot's epoch.
 func (v *SnapshotView) Epoch() uint64 { return v.snap.Epoch() }
 
+// bestFirst is the candidate order every ranking and merge uses: score
+// descending, ties toward the lexicographically smaller location.
+func bestFirst(a, b Candidate) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Location.String(), b.Location.String())
+}
+
 // Rank scores every registered replica of the logical file against the
-// pinned snapshot and returns the candidates sorted best-first, with
-// exactly SelectionServer.Rank's semantics: replicas without monitoring
-// data are skipped, and ErrNoUsableReplica is returned if none remain.
-// Hosts the snapshot does not cover are treated as unmonitored — a view
-// cannot fall back to the live pull path without breaking its lock-free
-// contract.
+// pinned snapshot and returns the candidates sorted best-first. Replicas
+// without monitoring data — ErrNoData in the snapshot, or a host the
+// snapshot does not track — are skipped, and ErrNoUsableReplica is
+// returned if none remain; any other error the snapshot build stored for
+// a replica's host fails the rank.
 func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
+	cands, _, err := v.rank(logical)
+	return cands, err
+}
+
+// rank is Rank plus the number of catalog locations it scanned,
+// unmonitored ones included — the hierarchy's scan accounting.
+func (v *SnapshotView) rank(logical string) ([]Candidate, int, error) {
 	locs, err := v.srv.catalog.Locations(logical)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cands := make([]Candidate, 0, len(locs))
 	for _, loc := range locs {
@@ -84,20 +105,15 @@ func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
 			if errors.Is(e.err, info.ErrNoData) {
 				continue
 			}
-			return nil, e.err
+			return nil, len(locs), e.err
 		}
 		cands = append(cands, Candidate{Location: loc, Report: e.report, Score: e.score})
 	}
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
+		return nil, len(locs), fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Location.String() < cands[j].Location.String()
-	})
-	return cands, nil
+	slices.SortStableFunc(cands, bestFirst)
+	return cands, len(locs), nil
 }
 
 // SelectBest returns the server's selector's choice among the view-ranked
@@ -107,20 +123,7 @@ func (v *SnapshotView) SelectBest(logical string) (Candidate, error) {
 	if err != nil {
 		return Candidate{}, err
 	}
-	return v.srv.pick(cands)
-}
-
-// pick applies the configured selector with the same bounds check as
-// SelectBest.
-func (s *SelectionServer) pick(cands []Candidate) (Candidate, error) {
-	i, err := s.selector.Select(cands)
-	if err != nil {
-		return Candidate{}, err
-	}
-	if i < 0 || i >= len(cands) {
-		return Candidate{}, fmt.Errorf("core: selector %q returned out-of-range index %d", s.selector.Name(), i)
-	}
-	return cands[i], nil
+	return pick(v.srv.selector, cands)
 }
 
 // RankHosts returns the hosts holding the logical file ordered best-first
@@ -164,45 +167,4 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 	}
 	out = append(out, blind...) // already name-sorted: HostsWith sorts
 	return out, nil
-}
-
-// BatchItem is one logical file's outcome in a batch selection: the ranked
-// candidates, the selector's choice (for SelectBestBatch), or the error
-// that stopped that file. Files in a batch fail independently.
-type BatchItem struct {
-	Logical    string
-	Candidates []Candidate
-	Best       Candidate
-	Err        error
-}
-
-// RankBatch ranks every logical file against a single pinned snapshot, so
-// N files cost one snapshot validation instead of N×candidates substrate
-// pulls. Must run on the simulation goroutine (it may republish the
-// snapshot).
-func (s *SelectionServer) RankBatch(logicals []string, now time.Duration) []BatchItem {
-	v := s.PinView(now)
-	items := make([]BatchItem, len(logicals))
-	for i, lg := range logicals {
-		cands, err := v.Rank(lg)
-		items[i] = BatchItem{Logical: lg, Candidates: cands, Err: err}
-	}
-	return items
-}
-
-// SelectBestBatch ranks and selects for every logical file against a
-// single pinned snapshot.
-func (s *SelectionServer) SelectBestBatch(logicals []string, now time.Duration) []BatchItem {
-	v := s.PinView(now)
-	items := make([]BatchItem, len(logicals))
-	for i, lg := range logicals {
-		cands, err := v.Rank(lg)
-		if err != nil {
-			items[i] = BatchItem{Logical: lg, Err: err}
-			continue
-		}
-		best, err := s.pick(cands)
-		items[i] = BatchItem{Logical: lg, Candidates: cands, Best: best, Err: err}
-	}
-	return items
 }

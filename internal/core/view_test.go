@@ -9,9 +9,8 @@ import (
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
-// TestViewRankMatchesServerRank is the batch-vs-live equivalence check:
-// a pinned view must rank exactly as SelectionServer.Rank does at the
-// same instant.
+// TestViewRankMatchesServerRank: a pinned view must rank exactly as
+// SelectionServer.Rank does at the same instant.
 func TestViewRankMatchesServerRank(t *testing.T) {
 	p := buildPipeline(t)
 	for host, load := range map[string]float64{"hit0": 0.5, "lz02": 0.3} {
@@ -80,7 +79,9 @@ func TestViewSelectBestMatchesServer(t *testing.T) {
 	}
 }
 
-func TestRankBatchManyLogicals(t *testing.T) {
+// TestPinnedViewRanksManyLogicals: "pin once, rank many" is PinView plus a
+// loop — every file of a burst is judged on the same snapshot instant.
+func TestPinnedViewRanksManyLogicals(t *testing.T) {
 	p := buildPipeline(t)
 	// Register extra logical files with different replica subsets.
 	logicals := []string{"file-a"}
@@ -103,47 +104,44 @@ func TestRankBatchManyLogicals(t *testing.T) {
 	if err := p.eng.RunUntil(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	items := p.sel.RankBatch(logicals, p.eng.Now())
-	if len(items) != len(logicals) {
-		t.Fatalf("batch returned %d items for %d logicals", len(items), len(logicals))
-	}
-	for i, it := range items {
-		if it.Logical != logicals[i] {
-			t.Fatalf("item %d is %q, want %q", i, it.Logical, logicals[i])
-		}
-		if it.Err != nil {
-			t.Fatalf("%s: %v", it.Logical, it.Err)
+	view := p.sel.PinView(p.eng.Now())
+	var at time.Duration
+	for i, lg := range logicals {
+		cands, err := view.Rank(lg)
+		if err != nil {
+			t.Fatalf("%s: %v", lg, err)
 		}
 		want := 3
-		if hosts, ok := subsets[it.Logical]; ok {
+		if hosts, ok := subsets[lg]; ok {
 			want = len(hosts)
 		}
-		if len(it.Candidates) != want {
-			t.Fatalf("%s ranked %d candidates, want %d", it.Logical, len(it.Candidates), want)
+		if len(cands) != want {
+			t.Fatalf("%s ranked %d candidates, want %d", lg, len(cands), want)
 		}
-		// Every item's reports carry the same snapshot instant.
-		for _, c := range it.Candidates {
-			if c.Report.At != items[0].Candidates[0].Report.At {
-				t.Fatalf("mixed snapshot instants in one batch: %v vs %v",
-					c.Report.At, items[0].Candidates[0].Report.At)
+		if i == 0 {
+			at = cands[0].Report.At
+		}
+		for _, c := range cands {
+			if c.Report.At != at {
+				t.Fatalf("mixed snapshot instants under one pinned view: %v vs %v", c.Report.At, at)
 			}
 		}
-	}
-	// Per-logical results equal the individually ranked ones.
-	for _, it := range items {
-		live, err := p.sel.Rank(it.Logical, p.eng.Now())
+		// The view's result equals the individually ranked one.
+		live, err := p.sel.Rank(lg, p.eng.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range live {
-			if it.Candidates[i] != live[i] {
-				t.Fatalf("%s candidate %d diverged", it.Logical, i)
+		for j := range live {
+			if cands[j] != live[j] {
+				t.Fatalf("%s candidate %d diverged", lg, j)
 			}
 		}
 	}
 }
 
-func TestBatchFailsPerLogical(t *testing.T) {
+// TestPinnedViewFailsPerLogical: files ranked against one pinned view
+// fail independently.
+func TestPinnedViewFailsPerLogical(t *testing.T) {
 	p := buildPipeline(t)
 	// file-ghost has one replica on lz04, which the deployment does not
 	// monitor; file-nope does not exist at all.
@@ -156,15 +154,15 @@ func TestBatchFailsPerLogical(t *testing.T) {
 	if err := p.eng.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	items := p.sel.SelectBestBatch([]string{"file-a", "file-ghost", "file-nope"}, p.eng.Now())
-	if items[0].Err != nil || items[0].Best.Location.Host == "" {
-		t.Fatalf("file-a should select: %+v", items[0])
+	view := p.sel.PinView(p.eng.Now())
+	if best, err := view.SelectBest("file-a"); err != nil || best.Location.Host == "" {
+		t.Fatalf("file-a should select: %+v, %v", best, err)
 	}
-	if !errors.Is(items[1].Err, ErrNoUsableReplica) {
-		t.Fatalf("file-ghost err = %v, want ErrNoUsableReplica", items[1].Err)
+	if _, err := view.SelectBest("file-ghost"); !errors.Is(err, ErrNoUsableReplica) {
+		t.Fatalf("file-ghost err = %v, want ErrNoUsableReplica", err)
 	}
-	if items[2].Err == nil {
-		t.Fatal("unknown logical must fail its item")
+	if _, err := view.SelectBest("file-nope"); !errors.Is(err, replica.ErrUnknownLogical) {
+		t.Fatalf("file-nope err = %v, want ErrUnknownLogical", err)
 	}
 }
 

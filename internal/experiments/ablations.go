@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/runner"
@@ -138,7 +137,7 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 				snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
 				reports[i] = map[string]coreReport{}
 				for _, h := range hosts {
-					rep, err := info.ReportFrom(snap, h)
+					rep, err := snap.Lookup(h)
 					if err != nil {
 						return part{}, err
 					}

@@ -111,25 +111,28 @@ func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfe
 // seconds renders a duration in seconds for tables.
 func seconds(d time.Duration) float64 { return d.Seconds() }
 
-// buildCatalog registers the Table 1 scenario: logical file-a with
-// replicas on the three candidate hosts.
-func buildCatalog(sizeBytes int64) (*replica.Catalog, error) {
+// oneFileCatalog returns a catalog holding one logical file with one
+// replica, at /data/<name>, on each listed host.
+func oneFileCatalog(name string, sizeBytes int64, attrs map[string]string, hosts []string) (*replica.Catalog, error) {
 	cat := replica.NewCatalog()
-	if err := cat.CreateLogical(replica.LogicalFile{
-		Name:      "file-a",
-		SizeBytes: sizeBytes,
-		Attributes: map[string]string{
-			"type": "biological-database",
-		},
-	}); err != nil {
+	if err := cat.CreateLogical(replica.LogicalFile{Name: name, SizeBytes: sizeBytes, Attributes: attrs}); err != nil {
 		return nil, err
 	}
-	for _, h := range []string{"alpha4", "hit0", "lz02"} {
-		if err := cat.Register("file-a", replica.Location{Host: h, Path: "/data/file-a"}); err != nil {
+	for _, h := range hosts {
+		if err := cat.Register(name, replica.Location{Host: h, Path: "/data/" + name}); err != nil {
 			return nil, err
 		}
 	}
 	return cat, nil
+}
+
+// fileAAttrs tag the paper's file-a.
+var fileAAttrs = map[string]string{"type": "biological-database"}
+
+// buildCatalog registers the Table 1 scenario: logical file-a with
+// replicas on the three candidate hosts.
+func buildCatalog(sizeBytes int64) (*replica.Catalog, error) {
+	return oneFileCatalog("file-a", sizeBytes, fileAAttrs, []string{"alpha4", "hit0", "lz02"})
 }
 
 // selectionFor wires a selection server over the env's deployment.

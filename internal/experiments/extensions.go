@@ -10,7 +10,6 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
@@ -170,14 +169,9 @@ func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
 			if err != nil {
 				return 0, err
 			}
-			cat := replica.NewCatalog()
-			if err := cat.CreateLogical(replica.LogicalFile{Name: "file-x", SizeBytes: fileSize}); err != nil {
+			cat, err := oneFileCatalog("file-x", fileSize, nil, remotes)
+			if err != nil {
 				return 0, err
-			}
-			for _, r := range remotes {
-				if err := cat.Register("file-x", replica.Location{Host: r, Path: "/data/file-x"}); err != nil {
-					return 0, err
-				}
 			}
 			srv, err := core.NewSelectionServer(cat, dep.Server, paperWeights(), selector)
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/faults"
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -43,31 +42,11 @@ const (
 	faultsHorizon   = 30 * time.Minute
 )
 
-// faultsCatalog registers file-a on the two WAN replicas only. With the
+// faultsReplicaHosts are the replica holders and the crash/degrade
+// victims: the two candidates reachable only over WAN links. With the
 // same-site alpha4 copy out of the picture every download crosses a
 // faultable WAN path, which is the scenario failover exists for — the
 // LAN copy would otherwise absorb nearly every pick in ~10 seconds.
-func faultsCatalog() (*replica.Catalog, error) {
-	cat := replica.NewCatalog()
-	if err := cat.CreateLogical(replica.LogicalFile{
-		Name:      "file-a",
-		SizeBytes: faultsFileBytes,
-		Attributes: map[string]string{
-			"type": "biological-database",
-		},
-	}); err != nil {
-		return nil, err
-	}
-	for _, h := range faultsReplicaHosts {
-		if err := cat.Register("file-a", replica.Location{Host: h, Path: "/data/file-a"}); err != nil {
-			return nil, err
-		}
-	}
-	return cat, nil
-}
-
-// faultsReplicaHosts are the replica holders and the crash/degrade
-// victims: the two candidates reachable only over WAN links.
 var faultsReplicaHosts = []string{"hit0", "lz02"}
 
 // faultsPlan draws the episode schedule for one intensity level. The
@@ -151,7 +130,7 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 	if err := inj.Install(plan); err != nil {
 		return FaultsResult{}, err
 	}
-	cat, err := faultsCatalog()
+	cat, err := oneFileCatalog("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts)
 	if err != nil {
 		return FaultsResult{}, err
 	}

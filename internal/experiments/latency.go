@@ -9,7 +9,6 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
@@ -115,14 +114,9 @@ func latencyPoint(seed int64, sel core.Selector, fetches int, fileSize int64) (L
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	cat := replica.NewCatalog()
-	if err := cat.CreateLogical(replica.LogicalFile{Name: "small-file", SizeBytes: fileSize}); err != nil {
+	cat, err := oneFileCatalog("small-file", fileSize, nil, []string{"far", "near"})
+	if err != nil {
 		return LatencyResult{}, err
-	}
-	for _, h := range []string{"far", "near"} {
-		if err := cat.Register("small-file", replica.Location{Host: h, Path: "/data/small-file"}); err != nil {
-			return LatencyResult{}, err
-		}
 	}
 	srv, err := core.NewSelectionServer(cat, dep.Server, core.PaperWeights, sel)
 	if err != nil {

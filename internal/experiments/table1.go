@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
@@ -83,7 +82,7 @@ func Table1(seed int64, opts ...Option) (Table1Result, string, error) {
 			snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
 			var cands []Table1Candidate
 			for _, host := range hosts {
-				rep, err := info.ReportFrom(snap, host)
+				rep, err := snap.Lookup(host)
 				if err != nil {
 					return part{}, fmt.Errorf("experiments: report for %s: %w", host, err)
 				}

@@ -8,9 +8,7 @@ import (
 )
 
 // Builder produces one host's performance record at a virtual instant by
-// pulling the live monitoring substrates — it IS the legacy pull path,
-// retained as the snapshot builder so the two read paths cannot diverge.
-// info.Server implements it.
+// pulling the live monitoring substrates. info.Server implements it.
 type Builder interface {
 	BuildHostPerf(host string, now time.Duration) (HostPerf, error)
 }

@@ -41,14 +41,16 @@ type HostPerf struct {
 	BandwidthMbps float64
 	// TheoreticalMbps is the path's raw bottleneck line rate.
 	TheoreticalMbps float64
-	// BandwidthPercent is 100 * current/theoretical, clamped to [0, 100].
+	// BandwidthPercent is 100 * current/theoretical, clamped to [0, 100] —
+	// the cost model's BW_P(i,j).
 	BandwidthPercent float64
-	// CPUIdlePercent is the host's idle CPU share in [0, 100].
+	// CPUIdlePercent is the host's idle CPU share in [0, 100] — CPU_P(j).
 	CPUIdlePercent float64
-	// IOIdlePercent is the host's idle disk share in [0, 100].
+	// IOIdlePercent is the host's idle disk share in [0, 100] — IO_P(j).
 	IOIdlePercent float64
 	// LatencyMs is the NWS-forecast round-trip time in milliseconds, 0
-	// when no latency sensor covers the pair.
+	// when no latency sensor covers the pair — the extra system factor
+	// of the paper's future work #2 (core.LatencyAwareSelector).
 	LatencyMs float64
 	// At is the virtual time the record was built.
 	At time.Duration
@@ -112,7 +114,7 @@ func (s *Snapshot) SourcesStale(threshold time.Duration) bool {
 }
 
 // ErrUntracked is returned by Lookup for hosts the snapshot does not
-// cover; callers that need untracked hosts must use the live pull path.
+// cover; selection treats such hosts as unmonitored.
 var ErrUntracked = errors.New("gridstate: host not tracked by snapshot")
 
 // Lookup returns the host's performance record, the error the live build

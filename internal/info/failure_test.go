@@ -19,7 +19,7 @@ func TestLinkFailureMakesHostStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Healthy first.
-	if _, err := dep.Server.Report("lz02", eng.Now()); err != nil {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("lz02"); err != nil {
 		t.Fatalf("healthy report failed: %v", err)
 	}
 	// Kill the Li-Zen -> THU uplink.
@@ -33,11 +33,11 @@ func TestLinkFailureMakesHostStale(t *testing.T) {
 	if err := eng.RunUntil(4 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Server.Report("lz02", eng.Now()); !errors.Is(err, ErrNoData) {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("lz02"); !errors.Is(err, ErrNoData) {
 		t.Fatalf("dead host report err = %v, want ErrNoData", err)
 	}
 	// Other candidates stay reportable.
-	if _, err := dep.Server.Report("hit0", eng.Now()); err != nil {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("hit0"); err != nil {
 		t.Fatalf("unrelated host affected: %v", err)
 	}
 	// Restore the link: probes resume and the host becomes usable again.
@@ -47,7 +47,7 @@ func TestLinkFailureMakesHostStale(t *testing.T) {
 	if err := eng.RunUntil(6 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Server.Report("lz02", eng.Now()); err != nil {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("lz02"); err != nil {
 		t.Fatalf("recovered host still unmonitored: %v", err)
 	}
 }

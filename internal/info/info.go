@@ -4,14 +4,14 @@
 // three system factors" — network bandwidth (from NWS forecasts), CPU load
 // (from an MDS query) and I/O state (from sysstat collectors).
 //
-// Since the snapshot-plane refactor the server is a thin view over
-// gridstate: hosts with a sysstat collector (the deployment's monitored
-// set) are tracked by a gridstate.Publisher, and Report answers them from
-// the current epoch-stamped snapshot, rebuilding it lazily when the
-// virtual clock or a substrate revision moved. The original pull-per-query
-// path is retained verbatim as the snapshot builder (BuildHostPerf) and as
-// ReportLive for hosts outside the tracked set, so the two read paths
-// cannot diverge.
+// The server is a thin view over gridstate: hosts with a sysstat collector
+// (the deployment's monitored set) are tracked by a gridstate.Publisher,
+// and Snapshot answers them from the current epoch-stamped snapshot,
+// rebuilding it lazily when the virtual clock or a substrate revision
+// moved. The original pull-per-query path is the snapshot builder
+// (BuildHostPerf), so what a snapshot holds is exactly what a live query
+// at the build instant would have returned. Hosts outside the tracked set
+// are gridstate.ErrUntracked, which selection treats as unmonitored.
 package info
 
 import (
@@ -29,32 +29,8 @@ import (
 )
 
 // HostReport is the information server's answer about one candidate host,
-// seen from the local site. Percentages are in [0, 100].
-type HostReport struct {
-	// Host is the candidate replica host (node j in the cost model).
-	Host string
-	// Local is the requesting host (node i).
-	Local string
-	// BandwidthMbps is the NWS-forecast achievable TCP throughput from
-	// Host to Local.
-	BandwidthMbps float64
-	// TheoreticalMbps is the path's raw bottleneck line rate.
-	TheoreticalMbps float64
-	// BandwidthPercent is 100 * current/theoretical — the cost model's
-	// BW_P(i,j).
-	BandwidthPercent float64
-	// CPUIdlePercent is the candidate's idle CPU share — CPU_P(j).
-	CPUIdlePercent float64
-	// IOIdlePercent is the candidate's idle disk share — IO_P(j).
-	IOIdlePercent float64
-	// LatencyMs is the NWS-forecast round-trip time from Host to Local in
-	// milliseconds, 0 when no latency sensor covers the pair. It is the
-	// extra system factor of the paper's future work #2, consumed by
-	// core.LatencyAwareSelector.
-	LatencyMs float64
-	// At is the virtual time of the report.
-	At time.Duration
-}
+// seen from the local site: the snapshot plane's per-host record.
+type HostReport = gridstate.HostPerf
 
 // ioIdleSource is the slice of sysstat.Collector the server reads. Keeping
 // it an interface lets same-package tests substitute failing collectors.
@@ -102,9 +78,8 @@ func (s *Server) SetStaleness(d time.Duration) error {
 // GIIS); sys maps host name to its sysstat collector and may be nil if I/O
 // state should come from MDS disk entries instead.
 //
-// The keys of sys become the snapshot plane's tracked host set: Report
-// answers them from the publisher's current snapshot. Hosts outside sys
-// are served by the live pull path on every call.
+// The keys of sys become the snapshot plane's tracked host set; hosts
+// outside sys are not covered by Snapshot.
 func NewServer(local string, network *netsim.Network, nwsMem *nws.Memory, dir mds.Searcher, sys map[string]*sysstat.Collector) (*Server, error) {
 	if local == "" {
 		return nil, errors.New("info: empty local host")
@@ -165,75 +140,9 @@ func (s *Server) Snapshot(now time.Duration) *gridstate.Snapshot {
 // ErrNoData is returned when a substrate has no information about a host.
 var ErrNoData = errors.New("info: no monitoring data")
 
-// Report gathers the three system factors for a candidate host at the
-// current virtual time. Tracked hosts are answered from the snapshot
-// plane; others fall back to the live pull path (ReportLive).
-func (s *Server) Report(host string, now time.Duration) (HostReport, error) {
-	if host == "" {
-		return HostReport{}, errors.New("info: empty host")
-	}
-	if s.pub.Covers(host) {
-		return ReportFrom(s.pub.Snapshot(now), host)
-	}
-	return s.buildLive(host, now)
-}
-
-// ReportLive gathers the three system factors by querying the monitoring
-// substrates directly, bypassing the snapshot plane. This is the legacy
-// pull-per-query path; Report and the snapshot builder both reduce to it.
-func (s *Server) ReportLive(host string, now time.Duration) (HostReport, error) {
-	if host == "" {
-		return HostReport{}, errors.New("info: empty host")
-	}
-	return s.buildLive(host, now)
-}
-
-// BuildHostPerf implements gridstate.Builder: one tracked host's snapshot
-// entry is exactly the live pull path's answer at the build instant.
-func (s *Server) BuildHostPerf(host string, now time.Duration) (gridstate.HostPerf, error) {
-	r, err := s.buildLive(host, now)
-	if err != nil {
-		return gridstate.HostPerf{}, err
-	}
-	return gridstate.HostPerf{
-		Host:             r.Host,
-		Local:            r.Local,
-		BandwidthMbps:    r.BandwidthMbps,
-		TheoreticalMbps:  r.TheoreticalMbps,
-		BandwidthPercent: r.BandwidthPercent,
-		CPUIdlePercent:   r.CPUIdlePercent,
-		IOIdlePercent:    r.IOIdlePercent,
-		LatencyMs:        r.LatencyMs,
-		At:               r.At,
-	}, nil
-}
-
-// ReportFrom converts a snapshot entry into the server's answer for host.
-// It preserves the live path's error semantics exactly: the error stored
-// at build time (ErrNoData wrapping included) is returned as-is, and
-// hosts the snapshot does not cover yield gridstate.ErrUntracked.
-func ReportFrom(snap *gridstate.Snapshot, host string) (HostReport, error) {
-	perf, err := snap.Lookup(host)
-	if err != nil {
-		return HostReport{}, err
-	}
-	return HostReport{
-		Host:             perf.Host,
-		Local:            perf.Local,
-		BandwidthMbps:    perf.BandwidthMbps,
-		TheoreticalMbps:  perf.TheoreticalMbps,
-		BandwidthPercent: perf.BandwidthPercent,
-		CPUIdlePercent:   perf.CPUIdlePercent,
-		IOIdlePercent:    perf.IOIdlePercent,
-		LatencyMs:        perf.LatencyMs,
-		At:               perf.At,
-	}, nil
-}
-
-// buildLive is the pull path: it queries NWS, MDS and sysstat for one host
-// at one virtual instant. Both Report (for untracked hosts) and the
-// snapshot builder go through it.
-func (s *Server) buildLive(host string, now time.Duration) (HostReport, error) {
+// BuildHostPerf implements gridstate.Builder with the pull path: it
+// queries NWS, MDS and sysstat for one host at one virtual instant.
+func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, error) {
 	r := HostReport{Host: host, Local: s.local, At: now}
 
 	if host == s.local {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/mds"
 	"github.com/hpclab/datagrid/internal/netsim"
 	"github.com/hpclab/datagrid/internal/nws"
@@ -68,7 +69,7 @@ func TestReportGathersThreeFactors(t *testing.T) {
 	if err := eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r, err := dep.Server.Report("hit0", eng.Now())
+	r, err := dep.Server.Snapshot(eng.Now()).Lookup("hit0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestReportLocalHost(t *testing.T) {
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r, err := dep.Server.Report("alpha1", eng.Now())
+	r, err := dep.Server.Snapshot(eng.Now()).Lookup("alpha1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,13 @@ func TestReportUnmonitoredHost(t *testing.T) {
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// lz04 is on the testbed but has no bandwidth sensor to alpha1.
-	if _, err := dep.Server.Report("lz04", eng.Now()); !errors.Is(err, ErrNoData) {
-		t.Fatalf("unmonitored host err = %v, want ErrNoData", err)
+	// lz04 is on the testbed but has no bandwidth sensor to alpha1: the
+	// builder reports it unmonitored, and the snapshot does not track it.
+	if _, err := dep.Server.BuildHostPerf("lz04", eng.Now()); !errors.Is(err, ErrNoData) {
+		t.Fatalf("unmonitored host build err = %v, want ErrNoData", err)
 	}
-	if _, err := dep.Server.Report("", eng.Now()); err == nil {
-		t.Fatal("empty host should error")
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("lz04"); !errors.Is(err, gridstate.ErrUntracked) {
+		t.Fatalf("unmonitored host lookup err = %v, want ErrUntracked", err)
 	}
 }
 
@@ -125,7 +127,7 @@ func TestBandwidthPercentReflectsContention(t *testing.T) {
 	if err := eng.RunUntil(120 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := dep.Server.Report("lz02", eng.Now())
+	quiet, err := dep.Server.Snapshot(eng.Now()).Lookup("lz02")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestBandwidthPercentReflectsContention(t *testing.T) {
 	if err := eng.RunUntil(600 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	busy, err := dep.Server.Report("lz02", eng.Now())
+	busy, err := dep.Server.Snapshot(eng.Now()).Lookup("lz02")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestIOIdleFallsBackToMDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := bare.Report("hit0", eng.Now())
+	r, err := bare.BuildHostPerf("hit0", eng.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,28 +276,28 @@ func TestReportBadDirectoryData(t *testing.T) {
 	}
 	// No cpu entry at all.
 	s := mkServer(nil)
-	if _, err := s.Report("hit0", 0); !errors.Is(err, ErrNoData) {
+	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("missing cpu entry err = %v", err)
 	}
 	// cpu entry without the idle attribute.
 	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
 		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu",
 	}}})
-	if _, err := s.Report("hit0", 0); !errors.Is(err, ErrNoData) {
+	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("missing attr err = %v", err)
 	}
 	// cpu entry with a non-numeric idle value.
 	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
 		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "soon",
 	}}})
-	if _, err := s.Report("hit0", 0); err == nil {
+	if _, err := s.BuildHostPerf("hit0", 0); err == nil {
 		t.Fatal("bad numeric attr should error")
 	}
 	// Good cpu entry but no disk entry -> I/O fallback fails.
 	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
 		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000",
 	}}})
-	if _, err := s.Report("hit0", 0); !errors.Is(err, ErrNoData) {
+	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("missing disk entry err = %v", err)
 	}
 	// Disk entry with a bad I/O value.
@@ -303,7 +305,7 @@ func TestReportBadDirectoryData(t *testing.T) {
 		{DN: "c", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000"}},
 		{DN: "d", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "disk", mds.AttrIOFreeX100: "NaNope"}},
 	})
-	if _, err := s.Report("hit0", 0); err == nil {
+	if _, err := s.BuildHostPerf("hit0", 0); err == nil {
 		t.Fatal("bad io attr should error")
 	}
 	// Fully valid entries succeed.
@@ -311,7 +313,7 @@ func TestReportBadDirectoryData(t *testing.T) {
 		{DN: "c", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000"}},
 		{DN: "d", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "disk", mds.AttrIOFreeX100: "7500"}},
 	})
-	r, err := s.Report("hit0", 0)
+	r, err := s.BuildHostPerf("hit0", 0)
 	if err != nil || r.CPUIdlePercent != 50 || r.IOIdlePercent != 75 {
 		t.Fatalf("valid report = %+v, %v", r, err)
 	}

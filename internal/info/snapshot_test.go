@@ -12,11 +12,11 @@ import (
 	"github.com/hpclab/datagrid/internal/sysstat"
 )
 
-// TestReportMatchesReportLive is the snapshot-vs-pull equivalence check:
-// for every tracked host and at several instants, the snapshot-backed
-// Report must produce byte-for-byte the HostReport the live pull path
-// produces, successes and failures alike.
-func TestReportMatchesReportLive(t *testing.T) {
+// TestSnapshotLookupMatchesBuildHostPerf is the snapshot-vs-pull
+// equivalence check: for every tracked host and at several instants, the
+// snapshot's entry must be byte-for-byte the HostReport the live pull
+// path (the builder) produces, successes and failures alike.
+func TestSnapshotLookupMatchesBuildHostPerf(t *testing.T) {
 	eng, tb, dep := paperSetup(t)
 	hit0, _ := tb.Host("hit0")
 	if err := hit0.SetBaseCPULoad(0.5); err != nil {
@@ -31,8 +31,8 @@ func TestReportMatchesReportLive(t *testing.T) {
 			if !dep.Server.Publisher().Covers(h) {
 				t.Fatalf("%s should be tracked by the deployment", h)
 			}
-			snap, snapErr := dep.Server.Report(h, eng.Now())
-			live, liveErr := dep.Server.ReportLive(h, eng.Now())
+			snap, snapErr := dep.Server.Snapshot(eng.Now()).Lookup(h)
+			live, liveErr := dep.Server.BuildHostPerf(h, eng.Now())
 			if (snapErr == nil) != (liveErr == nil) {
 				t.Fatalf("%s at %v: snapshot err %v vs live err %v", h, at, snapErr, liveErr)
 			}
@@ -63,14 +63,14 @@ func TestStaleBandwidthYieldsErrNoData(t *testing.T) {
 	if err := eng.RunUntil(2*time.Minute + 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.Server.Report("hit0", eng.Now()); !errors.Is(err, ErrNoData) {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("hit0"); !errors.Is(err, ErrNoData) {
 		t.Fatalf("snapshot path err = %v, want ErrNoData", err)
 	}
-	if _, err := dep.Server.ReportLive("hit0", eng.Now()); !errors.Is(err, ErrNoData) {
+	if _, err := dep.Server.BuildHostPerf("hit0", eng.Now()); !errors.Is(err, ErrNoData) {
 		t.Fatalf("live path err = %v, want ErrNoData", err)
 	}
 	// The other candidates keep reporting: staleness is per host.
-	if _, err := dep.Server.Report("alpha4", eng.Now()); err != nil {
+	if _, err := dep.Server.Snapshot(eng.Now()).Lookup("alpha4"); err != nil {
 		t.Fatalf("alpha4 should still report: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestLatencyBestEffort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := srv.Report("hit0", eng.Now())
+	r, err := srv.BuildHostPerf("hit0", eng.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLatencyBestEffort(t *testing.T) {
 	}
 	// The full deployment runs latency sensors, so there the factor is
 	// populated.
-	full, err := dep.Server.Report("hit0", eng.Now())
+	full, err := dep.Server.Snapshot(eng.Now()).Lookup("hit0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestIOIdlePropagatesCollectorFault(t *testing.T) {
 	}
 	boom := errors.New("disk controller on fire")
 	dep.Server.sys["hit0"] = faultyCollector{err: boom}
-	_, err := dep.Server.ReportLive("hit0", eng.Now())
+	_, err := dep.Server.BuildHostPerf("hit0", eng.Now())
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the collector fault propagated", err)
 	}
@@ -157,7 +157,7 @@ func TestIOIdleNoSamplesStillFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.Server.sys["hit0"] = noSamplesCollector{}
-	r, err := dep.Server.ReportLive("hit0", eng.Now())
+	r, err := dep.Server.BuildHostPerf("hit0", eng.Now())
 	if err != nil {
 		t.Fatalf("no-samples collector must fall back to MDS: %v", err)
 	}
@@ -174,14 +174,14 @@ func TestFilterCacheIsPerHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := dep.Server.ReportLive("hit0", eng.Now()); err != nil {
+		if _, err := dep.Server.BuildHostPerf("hit0", eng.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := len(dep.Server.filters); n != 1 {
 		t.Fatalf("filter cache has %d entries after repeated hit0 reports, want 1", n)
 	}
-	if _, err := dep.Server.ReportLive("alpha4", eng.Now()); err != nil {
+	if _, err := dep.Server.BuildHostPerf("alpha4", eng.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(dep.Server.filters); n != 2 {
@@ -226,25 +226,11 @@ func TestSnapshotEpochAdvancesWithMonitoring(t *testing.T) {
 			t.Fatalf("snapshot should cover %s", h)
 		}
 	}
-	// An untracked testbed host stays on the live path and keeps its
-	// ErrNoData semantics through Report.
+	// An untracked testbed host is not in the snapshot at all.
 	if s3.Covers("lz04") {
 		t.Fatal("lz04 is not monitored and must not be tracked")
 	}
-	if _, err := dep.Server.Report("lz04", eng.Now()); !errors.Is(err, ErrNoData) {
-		t.Fatalf("lz04 err = %v, want ErrNoData via live path", err)
-	}
-}
-
-// TestReportFromUntracked: ReportFrom surfaces gridstate.ErrUntracked for
-// hosts outside the snapshot.
-func TestReportFromUntracked(t *testing.T) {
-	eng, _, dep := paperSetup(t)
-	if err := eng.RunUntil(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	snap := dep.Server.Snapshot(eng.Now())
-	if _, err := ReportFrom(snap, "lz04"); !errors.Is(err, gridstate.ErrUntracked) {
-		t.Fatalf("err = %v, want ErrUntracked", err)
+	if _, err := s3.Lookup("lz04"); !errors.Is(err, gridstate.ErrUntracked) {
+		t.Fatalf("lz04 err = %v, want ErrUntracked", err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 //   - repinning calls inside a loop whose body never advances the
 //     virtual clock — Publisher.Current/Snapshot/Publish and
 //     SelectionServer.Rank/SelectBest/PinView per iteration re-validate
-//     or re-pull the same instant's state; pin once before the loop, or
-//     use RankBatch/SelectBestBatch. Loops that call
+//     or re-pull the same instant's state; pin a SnapshotView once
+//     before the loop and rank against it. Loops that call
 //     Engine.Run/RunUntil/Step in the body legitimately pin once per
 //     epoch and are not flagged;
 //   - Snapshot/SnapshotView values stored into struct fields or
@@ -49,11 +49,8 @@ var Snapshotdiscipline = &Analyzer{
 // repinMethods maps receiver type name -> method names that pull or pin
 // grid state at the current instant.
 var repinMethods = map[string]map[string]bool{
-	"Publisher": {"Current": true, "Snapshot": true, "Publish": true},
-	"SelectionServer": {
-		"Rank": true, "SelectBest": true, "PinView": true,
-		"RankBatch": true, "SelectBestBatch": true,
-	},
+	"Publisher":       {"Current": true, "Snapshot": true, "Publish": true},
+	"SelectionServer": {"Rank": true, "SelectBest": true, "PinView": true},
 	// info.Server fronts the publisher with its own Snapshot accessor.
 	"Server": {"Snapshot": true},
 }
@@ -125,8 +122,8 @@ func checkLoopRepin(pass *Pass, body *ast.BlockStmt) {
 			if methods, ok := repinMethods[recv]; ok && methods[sel.Sel.Name] {
 				pass.Report(v.Pos(),
 					"%s.%s inside a loop that never advances the clock repins the same instant "+
-						"per iteration; pin a SnapshotView once before the loop (or use "+
-						"RankBatch/SelectBestBatch)", recv, sel.Sel.Name)
+						"per iteration; pin a SnapshotView once before the loop and rank against it",
+					recv, sel.Sel.Name)
 			}
 		}
 		return true

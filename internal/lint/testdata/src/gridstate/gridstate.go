@@ -14,6 +14,8 @@ type SnapshotView struct {
 	Snap *Snapshot
 }
 
+func (v *SnapshotView) Rank(host string) float64 { return 0 }
+
 // Publisher publishes snapshots; Current re-validates per call.
 type Publisher struct{ cur *Snapshot }
 
@@ -26,11 +28,9 @@ func (p *Publisher) Publish(s *Snapshot) { p.cur = s }
 // SelectionServer ranks replicas against a pinned snapshot.
 type SelectionServer struct{}
 
-func (s *SelectionServer) Rank(host string) float64              { return 0 }
-func (s *SelectionServer) SelectBest(hosts []string) string      { return "" }
-func (s *SelectionServer) PinView() *SnapshotView                { return &SnapshotView{} }
-func (s *SelectionServer) RankBatch(hosts []string) []float64    { return nil }
-func (s *SelectionServer) SelectBestBatch(q [][]string) []string { return nil }
+func (s *SelectionServer) Rank(host string) float64         { return 0 }
+func (s *SelectionServer) SelectBest(hosts []string) string { return "" }
+func (s *SelectionServer) PinView() *SnapshotView           { return &SnapshotView{} }
 
 // Engine is the virtual-clock stub; Run/RunUntil/Step advance time.
 type Engine struct{ now int64 }

@@ -33,10 +33,13 @@ func rankPerCandidate(srv *gridstate.SelectionServer, hosts []string) float64 {
 }
 
 // good: pin once, score the whole batch against one epoch.
-func pinOnce(pub *gridstate.Publisher, srv *gridstate.SelectionServer, hosts []string) []float64 {
-	snap := pub.Current()
-	_ = snap
-	return srv.RankBatch(hosts)
+func pinOnce(srv *gridstate.SelectionServer, hosts []string) []float64 {
+	view := srv.PinView()
+	out := make([]float64, 0, len(hosts))
+	for _, h := range hosts {
+		out = append(out, view.Rank(h))
+	}
+	return out
 }
 
 // good: the loop advances the clock, so each iteration pins a genuinely

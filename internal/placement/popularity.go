@@ -43,8 +43,8 @@ type PopularityConfig struct {
 
 // fileWindow accumulates one file's accesses within the current epoch.
 type fileWindow struct {
-	accesses  int            // ac_i: access frequency this epoch
-	byRegion  map[string]int // per-region access counts; len = dnc_i
+	accesses int            // ac_i: access frequency this epoch
+	byRegion map[string]int // per-region access counts; len = dnc_i
 }
 
 // PopularityPolicy implements weighted dynamic replication driven by

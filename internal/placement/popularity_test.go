@@ -151,7 +151,7 @@ func TestPopularityPolicyGrowsAndShrinks(t *testing.T) {
 // drop below MinReplicas no matter how extreme the popularity.
 func TestPopularityPolicyBounds(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{
-		"maxed": {"r0", "r1", "r2"},
+		"maxed":  {"r0", "r1", "r2"},
 		"pinned": {"r3"},
 	})
 	p, err := NewPopularityPolicy(grid, popCfg())

@@ -60,8 +60,11 @@ func (s *ShardedCatalog) stripeIdx(name string) int {
 	return int(h.Sum32() % shardStripes)
 }
 
-// shardFor returns the region's shard, creating it on first use.
-func (s *ShardedCatalog) shardFor(region string) *Catalog {
+// Shard returns the region's catalog shard, creating it empty on first
+// use, so a region server can bind to its shard before the region holds
+// any replica. The shard is live — region servers query it directly
+// instead of the global catalog.
+func (s *ShardedCatalog) Shard(region string) *Catalog {
 	s.shardMu.RLock()
 	c := s.shards[region]
 	s.shardMu.RUnlock()
@@ -77,16 +80,7 @@ func (s *ShardedCatalog) shardFor(region string) *Catalog {
 	return c
 }
 
-// Shard returns the region's catalog shard, or nil if no replica was ever
-// registered there. The shard is live — per-region selectors query it
-// directly instead of the global catalog.
-func (s *ShardedCatalog) Shard(region string) *Catalog {
-	s.shardMu.RLock()
-	defer s.shardMu.RUnlock()
-	return s.shards[region]
-}
-
-// Regions lists every region holding at least one shard, sorted.
+// Regions lists every region whose shard exists, sorted.
 func (s *ShardedCatalog) Regions() []string {
 	s.shardMu.RLock()
 	defer s.shardMu.RUnlock()
@@ -148,9 +142,7 @@ func (s *ShardedCatalog) DeleteLogical(name string) error {
 		return err
 	}
 	for region := range s.regs[i][name] {
-		if sh := s.Shard(region); sh != nil {
-			_ = sh.DeleteLogical(name)
-		}
+		_ = s.Shard(region).DeleteLogical(name)
 	}
 	delete(s.regs[i], name)
 	return nil
@@ -171,7 +163,7 @@ func (s *ShardedCatalog) Register(name string, loc Location) error {
 		return fmt.Errorf("replica: location needs host and path, got %q:%q", loc.Host, loc.Path)
 	}
 	region := s.regionOf(loc.Host)
-	sh := s.shardFor(region)
+	sh := s.Shard(region)
 	if err := sh.CreateLogical(f); err != nil && !isDuplicate(err) {
 		return err
 	}
@@ -196,11 +188,7 @@ func (s *ShardedCatalog) Unregister(name, host, path string) error {
 		return err
 	}
 	region := s.regionOf(host)
-	sh := s.Shard(region)
-	if sh == nil {
-		return fmt.Errorf("%w: %s:%s for %q", ErrUnknownReplica, host, path, name)
-	}
-	if err := sh.Unregister(name, host, path); err != nil {
+	if err := s.Shard(region).Unregister(name, host, path); err != nil {
 		if errors.Is(err, ErrUnknownLogical) {
 			// The logical exists globally but was never mirrored into
 			// this region's shard: the replica is what's unknown.
@@ -250,13 +238,11 @@ func (s *ShardedCatalog) Locations(name string) ([]Location, error) {
 	}
 	var out []Location
 	for _, r := range regions {
-		if sh := s.Shard(r); sh != nil {
-			locs, err := sh.Locations(name)
-			if err != nil {
-				continue // raced with Unregister; counts govern
-			}
-			out = append(out, locs...)
+		locs, err := s.Shard(r).Locations(name)
+		if err != nil {
+			continue // raced with Unregister; counts govern
 		}
+		out = append(out, locs...)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoReplicas, name)

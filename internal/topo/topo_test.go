@@ -257,3 +257,28 @@ func TestBoundaryCut(t *testing.T) {
 		t.Error("single-region topology: want no-cut error")
 	}
 }
+
+// TestNewWorldSparsePlacement: a world whose placement leaves regions
+// without any replica must still build, and its one placed file ranks.
+func TestNewWorldSparsePlacement(t *testing.T) {
+	spec := Spec{Seed: 1, Regions: 4, SitesPerRegion: 1, ClustersPerSite: 1, HostsPerCluster: 2}
+	w, err := NewWorld(spec, simulation.NewEngine(), 1, 1, 1<<20)
+	if err != nil {
+		t.Fatalf("sparse world: %v", err)
+	}
+	if got := w.Server.Regions(); !reflect.DeepEqual(got, w.Top.Regions) {
+		t.Fatalf("server regions %v, want every generated region %v", got, w.Top.Regions)
+	}
+	name := w.Catalog.LogicalNames()[0]
+	holding, err := w.Catalog.RegionsWith(name)
+	if err != nil || len(holding) != 1 {
+		t.Fatalf("%s held by %v (%v), want one region", name, holding, err)
+	}
+	best, err := w.Server.SelectBest(name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RegionOfHost(best.Location.Host); got != holding[0] {
+		t.Errorf("best replica %v is in %s, want %s", best.Location, got, holding[0])
+	}
+}

@@ -98,11 +98,7 @@ func (e *gridExecutor) RemoveReplica(logical, region string) error {
 	if len(regions) < 2 {
 		return fmt.Errorf("traffic: refusing to orphan %s (only %v holds it)", logical, regions)
 	}
-	shard := e.w.Catalog.Shard(region)
-	if shard == nil {
-		return fmt.Errorf("traffic: unknown replica region %q", region)
-	}
-	locs, err := shard.Locations(logical)
+	locs, err := e.w.Catalog.Shard(region).Locations(logical)
 	if err != nil {
 		return err
 	}
