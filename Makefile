@@ -81,7 +81,7 @@ bench-diff-suite:
 
 bench-diff-select:
 	$(GO) test -run='^$$' -bench='SelectionThroughput' -benchmem -timeout 600s . \
-		| $(GO) run ./cmd/benchjson -diff -against pr18-one-ranker-2cpu \
+		| $(GO) run ./cmd/benchjson -diff -against pr19-dense-catalog-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_select.json
 
 # Record the fault-tolerance sweep (the `gridbench -faults` workload:

@@ -104,7 +104,8 @@ func (h *HierarchicalServer) Stats() HierarchyStats { return h.stats }
 // replicas but never registered via AddRegion is an error — silently
 // ignoring it would hide misconfiguration.
 func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidate, error) {
-	regions, err := h.catalog.RegionsWith(logical)
+	var buf [8]string
+	regions, err := h.catalog.AppendRegionsWith(buf[:0], logical)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 			return nil, fmt.Errorf("core: %q has replicas in unregistered region %q", logical, region)
 		}
 		h.stats.RegionsConsulted++
-		cands, scanned, err := srv.PinView(now).rank(logical)
+		best, scanned, err := srv.PinView(now).scan(logical, nil)
 		h.stats.HostsScanned += uint64(scanned)
 		if scanned > h.stats.MaxSingleRank {
 			h.stats.MaxSingleRank = scanned
@@ -127,7 +128,7 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 			}
 			return nil, err
 		}
-		merged = append(merged, cands[0])
+		merged = append(merged, best)
 	}
 	if len(merged) == 0 {
 		return nil, fmt.Errorf("%w: %q monitored in none of its %d regions",

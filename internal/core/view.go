@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/info"
+	"github.com/hpclab/datagrid/internal/replica"
 )
 
 // viewEntry is one host's memoized outcome under a pinned snapshot: the
@@ -31,7 +31,7 @@ type viewEntry struct {
 type SnapshotView struct {
 	srv  *SelectionServer
 	snap *gridstate.Snapshot
-	memo map[string]viewEntry
+	memo map[string]*viewEntry // into one backing slice
 }
 
 // PinView pins the server's current grid-state snapshot (rebuilding it if
@@ -45,14 +45,14 @@ func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
 		return v
 	}
 	hosts := snap.Hosts()
-	memo := make(map[string]viewEntry, len(hosts))
-	for _, h := range hosts {
-		rep, err := snap.Lookup(h)
-		if err != nil {
-			memo[h] = viewEntry{err: err}
-			continue
+	entries := make([]viewEntry, len(hosts))
+	memo := make(map[string]*viewEntry, len(hosts))
+	for i, h := range hosts {
+		e := &entries[i]
+		if e.report, e.err = snap.Lookup(h); e.err == nil {
+			e.score = Score(e.report, s.weights)
 		}
-		memo[h] = viewEntry{report: rep, score: Score(rep, s.weights)}
+		memo[h] = e
 	}
 	v := &SnapshotView{srv: s, snap: snap, memo: memo}
 	s.view = v
@@ -74,7 +74,7 @@ func bestFirst(a, b Candidate) int {
 		}
 		return 1
 	}
-	return strings.Compare(a.Location.String(), b.Location.String())
+	return a.Location.Compare(b.Location)
 }
 
 // Rank scores every registered replica of the logical file against the
@@ -84,18 +84,33 @@ func bestFirst(a, b Candidate) int {
 // returned if none remain; any other error the snapshot build stored for
 // a replica's host fails the rank.
 func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
-	cands, _, err := v.rank(logical)
-	return cands, err
+	var cands []Candidate
+	_, _, err := v.scan(logical, &cands)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortStableFunc(cands, bestFirst)
+	return cands, nil
 }
 
-// rank is Rank plus the number of catalog locations it scanned,
-// unmonitored ones included — the hierarchy's scan accounting.
-func (v *SnapshotView) rank(logical string) ([]Candidate, int, error) {
-	locs, err := v.srv.catalog.Locations(logical)
+// scan is the only loop turning catalog locations into scored candidates.
+// It walks the file's locations in catalog order through a stack buffer
+// and returns the bestFirst minimum and the number of locations scanned,
+// unmonitored ones included — the hierarchy's scan accounting, also
+// beside an error. The catalog hands out distinct locations in ascending
+// Location.Compare order, so the first of the highest score is the
+// minimum: what a stable bestFirst sort would put at the head. all, when
+// non-nil, also collects every candidate, in catalog order.
+func (v *SnapshotView) scan(logical string, all *[]Candidate) (best Candidate, scanned int, err error) {
+	var buf [8]replica.Location
+	locs, err := v.srv.catalog.AppendLocations(buf[:0], logical)
 	if err != nil {
-		return nil, 0, err
+		return best, 0, err
 	}
-	cands := make([]Candidate, 0, len(locs))
+	if all != nil {
+		*all = make([]Candidate, 0, len(locs))
+	}
+	var top *viewEntry
 	for _, loc := range locs {
 		e, ok := v.memo[loc.Host]
 		if !ok {
@@ -105,15 +120,20 @@ func (v *SnapshotView) rank(logical string) ([]Candidate, int, error) {
 			if errors.Is(e.err, info.ErrNoData) {
 				continue
 			}
-			return nil, len(locs), e.err
+			return best, len(locs), e.err
 		}
-		cands = append(cands, Candidate{Location: loc, Report: e.report, Score: e.score})
+		if all != nil {
+			*all = append(*all, Candidate{Location: loc, Report: e.report, Score: e.score})
+		}
+		if top == nil || e.score > top.score {
+			top, best.Location = e, loc
+		}
 	}
-	if len(cands) == 0 {
-		return nil, len(locs), fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
+	if top == nil {
+		return best, len(locs), fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
 	}
-	slices.SortStableFunc(cands, bestFirst)
-	return cands, len(locs), nil
+	best.Report, best.Score = top.report, top.score
+	return best, len(locs), nil
 }
 
 // SelectBest returns the server's selector's choice among the view-ranked
@@ -155,16 +175,18 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 		}
 		blind = append(blind, h)
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
+	slices.SortStableFunc(ranked, func(a, b scored) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
 		}
-		return ranked[i].host < ranked[j].host
+		return strings.Compare(a.host, b.host)
 	})
 	out := make([]string, 0, len(ranked)+len(blind))
 	for _, r := range ranked {
 		out = append(out, r.host)
 	}
-	out = append(out, blind...) // already name-sorted: HostsWith sorts
-	return out, nil
+	return append(out, blind...), nil // blind is name-sorted: HostsWith sorts
 }

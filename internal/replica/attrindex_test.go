@@ -153,8 +153,8 @@ func TestFindByAttributesDeleteCleans(t *testing.T) {
 	if got := c.FindByAttributes(map[string]string{"exp": "cms"}); len(got) != 1 || got[0] != "b" {
 		t.Errorf("after re-create, find exp=cms = %v, want [b]", got)
 	}
-	if len(c.attrIndex["exp"]["cms"]) != 1 {
-		t.Errorf("index set for exp=cms has %d entries, want 1", len(c.attrIndex["exp"]["cms"]))
+	if n := len(c.attrIndex[attr{"exp", "cms"}]); n != 1 {
+		t.Errorf("index set for exp=cms has %d entries, want 1", n)
 	}
 	if err := c.DeleteLogical("a"); err != nil {
 		t.Fatal(err)

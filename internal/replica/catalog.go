@@ -6,9 +6,11 @@
 package replica
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -24,6 +26,46 @@ type Location struct {
 }
 
 func (l Location) String() string { return l.Host + ":" + l.Path }
+
+// Compare orders locations as strings.Compare(l.String(), o.String())
+// does, without building either string. Every list the catalog returns is
+// in this order. It is not the (Host, Path) tuple order: "n10:/f" sorts
+// before "n1:/f", because '0' — like every digit, '-' and '.' — is below
+// the ':' that follows the shorter host.
+func (l Location) Compare(o Location) int {
+	return compareLoc(l.Host, l.Path, o.Host, o.Path)
+}
+
+func compareLoc(ah, ap, bh, bp string) int {
+	if ah == bh {
+		return strings.Compare(ap, bp)
+	}
+	n := min(len(ah), len(bh))
+	if c := strings.Compare(ah[:n], bh[:n]); c != 0 {
+		return c
+	}
+	// One host is a proper prefix of the other: its ':' and path meet the
+	// rest of the longer host. Walk the two concatenations bytewise.
+	a, b := [3]string{ah[n:], ":", ap}, [3]string{bh[n:], ":", bp}
+	for i, j, x, y := 0, 0, 0, 0; ; x, y = x+1, y+1 {
+		for i < 3 && x == len(a[i]) {
+			i, x = i+1, 0
+		}
+		for j < 3 && y == len(b[j]) {
+			j, y = j+1, 0
+		}
+		switch {
+		case i == 3 && j == 3:
+			return 0
+		case i == 3:
+			return -1
+		case j == 3:
+			return 1
+		case a[i][x] != b[j][y]:
+			return cmp.Compare(a[i][x], b[j][y])
+		}
+	}
+}
 
 // LogicalFile is a catalog entry: a location-independent name plus
 // metadata, as in the Globus replica catalog.
@@ -41,27 +83,77 @@ type LogicalFile struct {
 // stores no file data and performs no transfers. All methods are safe for
 // concurrent use: a real catalog server fields registrations and lookups
 // from many clients at once.
+//
+// A Catalog is a handle on one store. NewCatalog's handle shows every
+// location; ShardedCatalog.Shard's shows one region's, and everything else
+// — names, sizes, attributes, collections, and every write — is the one
+// store's, whichever handle it goes through.
 type Catalog struct {
-	mu          sync.RWMutex
-	files       map[string]*LogicalFile
-	locations   map[string][]Location
+	*store
+	region int32 // allRegions, or the only region whose locations show
+}
+
+const allRegions int32 = -1
+
+// store is the catalog's one copy of everything. Logical names and hosts
+// are interned to dense ids on first sight, so a file is one record in a
+// slice and a location is a 32-byte entry holding its path; the collector
+// walks a few large slices instead of a map of maps per file.
+type store struct {
+	mu       sync.RWMutex
+	regionOf func(host string) string // nil: the flat catalog, one region
+
+	ids   map[string]int32 // live logical name -> index into files
+	files []file
+	free  []int32 // indexes of deleted files, reused by CreateLogical
+
+	hostIDs   map[string]int32
+	hosts     []host
+	regionIDs map[string]int32
+	shards    []*Catalog // by region id; shards[i].region == i
+	regions   []string   // region names by id
+
 	collections map[string]map[string]bool
-	// attrIndex is the inverted attribute index: key -> value -> set of
-	// logical names carrying that exact pair. FindByAttributes intersects
-	// index sets instead of scanning the catalog; the index is maintained
-	// on CreateLogical/DeleteLogical from the catalog's private attribute
-	// copies, so caller-side map mutation cannot corrupt it.
-	attrIndex map[string]map[string]map[string]bool
+	// attrIndex is the inverted attribute index: exact key/value pair ->
+	// the files carrying it. FindByAttributes intersects index sets
+	// instead of scanning the catalog; it is maintained from the store's
+	// private attribute copies, so caller-side map mutation cannot
+	// corrupt it.
+	attrIndex map[attr]map[int32]struct{}
+}
+
+type file struct {
+	name  string
+	size  int64
+	attrs []attr  // private copy, no particular order
+	locs  []entry // in Location.Compare order, kept so by Register
+}
+
+type attr struct{ key, val string }
+
+type entry struct {
+	host int32
+	path string
+	at   time.Duration
+}
+
+type host struct {
+	name   string
+	region int32 // resolved through regionOf once, at intern time
 }
 
 // NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{
-		files:       make(map[string]*LogicalFile),
-		locations:   make(map[string][]Location),
+func NewCatalog() *Catalog { return newStore(nil) }
+
+func newStore(regionOf func(string) string) *Catalog {
+	return &Catalog{region: allRegions, store: &store{
+		regionOf:    regionOf,
+		ids:         make(map[string]int32),
+		hostIDs:     make(map[string]int32),
+		regionIDs:   make(map[string]int32),
 		collections: make(map[string]map[string]bool),
-		attrIndex:   make(map[string]map[string]map[string]bool),
-	}
+		attrIndex:   make(map[attr]map[int32]struct{}),
+	}}
 }
 
 // Catalog errors.
@@ -75,6 +167,42 @@ var (
 	ErrLastReplica = errors.New("replica: refusing to delete the last copy")
 )
 
+// fileLocked returns the named file's record; the caller holds mu.
+func (s *store) fileLocked(name string) (*file, error) {
+	id, ok := s.ids[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
+	}
+	return &s.files[id], nil
+}
+
+// internRegion and internHost return the id of a name, assigning the next
+// one on first sight; the caller holds mu for writing.
+func (s *store) internRegion(name string) int32 {
+	id, ok := s.regionIDs[name]
+	if !ok {
+		id = int32(len(s.regions))
+		s.regionIDs[name] = id
+		s.regions = append(s.regions, name)
+		s.shards = append(s.shards, &Catalog{store: s, region: id})
+	}
+	return id
+}
+
+func (s *store) internHost(name string) int32 {
+	id, ok := s.hostIDs[name]
+	if !ok {
+		h := host{name: name}
+		if s.regionOf != nil {
+			h.region = s.internRegion(s.regionOf(name))
+		}
+		id = int32(len(s.hosts))
+		s.hostIDs[name] = id
+		s.hosts = append(s.hosts, h)
+	}
+	return id
+}
+
 // CreateLogical registers a new logical file name.
 func (c *Catalog) CreateLogical(f LogicalFile) error {
 	if f.Name == "" {
@@ -85,28 +213,31 @@ func (c *Catalog) CreateLogical(f LogicalFile) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.files[f.Name]; ok {
+	if _, ok := c.ids[f.Name]; ok {
 		return fmt.Errorf("%w: logical file %q", ErrDuplicate, f.Name)
 	}
-	cp := f
-	cp.Attributes = make(map[string]string, len(f.Attributes))
+	rec := file{name: f.Name, size: f.SizeBytes}
+	if len(f.Attributes) > 0 {
+		rec.attrs = make([]attr, 0, len(f.Attributes))
+	}
+	id := int32(len(c.files))
+	if n := len(c.free); n > 0 {
+		id, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		c.files = append(c.files, file{})
+	}
 	for k, v := range f.Attributes {
-		cp.Attributes[k] = v
-	}
-	c.files[f.Name] = &cp
-	for k, v := range cp.Attributes {
-		vals := c.attrIndex[k]
-		if vals == nil {
-			vals = make(map[string]map[string]bool)
-			c.attrIndex[k] = vals
+		a := attr{k, v}
+		rec.attrs = append(rec.attrs, a)
+		set := c.attrIndex[a]
+		if set == nil {
+			set = make(map[int32]struct{})
+			c.attrIndex[a] = set
 		}
-		names := vals[v]
-		if names == nil {
-			names = make(map[string]bool)
-			vals[v] = names
-		}
-		names[f.Name] = true
+		set[id] = struct{}{}
 	}
+	c.files[id] = rec
+	c.ids[f.Name] = id
 	return nil
 }
 
@@ -115,26 +246,23 @@ func (c *Catalog) CreateLogical(f LogicalFile) error {
 func (c *Catalog) DeleteLogical(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.files[name]
+	id, ok := c.ids[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownLogical, name)
 	}
-	delete(c.files, name)
-	delete(c.locations, name)
+	f := &c.files[id]
+	for _, a := range f.attrs {
+		set := c.attrIndex[a]
+		if delete(set, id); len(set) == 0 {
+			delete(c.attrIndex, a)
+		}
+	}
 	for _, members := range c.collections {
 		delete(members, name)
 	}
-	for k, v := range f.Attributes {
-		if names := c.attrIndex[k][v]; names != nil {
-			delete(names, name)
-			if len(names) == 0 {
-				delete(c.attrIndex[k], v)
-				if len(c.attrIndex[k]) == 0 {
-					delete(c.attrIndex, k)
-				}
-			}
-		}
-	}
+	delete(c.ids, name)
+	*f = file{}
+	c.free = append(c.free, id)
 	return nil
 }
 
@@ -146,16 +274,15 @@ func (c *Catalog) Logical(name string) (LogicalFile, error) {
 }
 
 func (c *Catalog) logicalLocked(name string) (LogicalFile, error) {
-	f, ok := c.files[name]
-	if !ok {
-		return LogicalFile{}, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
+	f, err := c.fileLocked(name)
+	if err != nil {
+		return LogicalFile{}, err
 	}
-	cp := *f
-	cp.Attributes = make(map[string]string, len(f.Attributes))
-	for k, v := range f.Attributes {
-		cp.Attributes[k] = v
+	out := LogicalFile{Name: f.name, SizeBytes: f.size, Attributes: make(map[string]string, len(f.attrs))}
+	for _, a := range f.attrs {
+		out.Attributes[a.key] = a.val
 	}
-	return cp, nil
+	return out, nil
 }
 
 // LogicalNames lists all logical files, sorted.
@@ -166,11 +293,11 @@ func (c *Catalog) LogicalNames() []string {
 }
 
 func (c *Catalog) logicalNamesLocked() []string {
-	out := make([]string, 0, len(c.files))
-	for n := range c.files {
+	out := make([]string, 0, len(c.ids))
+	for n := range c.ids {
 		out = append(out, n)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -192,48 +319,51 @@ func (c *Catalog) FindByAttributes(want map[string]string) []string {
 	// Seed candidates from the smallest index set among pairs with
 	// non-empty values; empty-valued pairs can match unindexed (absent)
 	// keys, so they only verify, never seed.
-	var seed map[string]bool
+	var seed map[int32]struct{}
 	seeded := false
 	for k, v := range want {
 		if v == "" {
 			continue
 		}
-		names := c.attrIndex[k][v]
-		if !seeded || len(names) < len(seed) {
-			seed, seeded = names, true
+		set := c.attrIndex[attr{k, v}]
+		if !seeded || len(set) < len(seed) {
+			seed, seeded = set, true
 		}
-		if len(names) == 0 {
+		if len(set) == 0 {
 			break // some required pair matches nothing
 		}
 	}
 	var out []string
 	if seeded {
-		for name := range seed {
-			if c.matchesLocked(name, want) {
-				out = append(out, name)
+		for id := range seed {
+			if f := &c.files[id]; f.matches(want) {
+				out = append(out, f.name)
 			}
 		}
 	} else {
 		// Only empty-valued (or no) constraints: the index cannot
 		// enumerate key-absent files, so scan — the pre-index behavior
 		// for exactly this query shape.
-		for name := range c.files {
-			if c.matchesLocked(name, want) {
-				out = append(out, name)
+		for _, id := range c.ids {
+			if f := &c.files[id]; f.matches(want) {
+				out = append(out, f.name)
 			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-func (c *Catalog) matchesLocked(name string, want map[string]string) bool {
-	f, ok := c.files[name]
-	if !ok {
-		return false
-	}
+func (f *file) matches(want map[string]string) bool {
 	for k, v := range want {
-		if f.Attributes[k] != v {
+		got := ""
+		for _, a := range f.attrs {
+			if a.key == k {
+				got = a.val
+				break
+			}
+		}
+		if got != v {
 			return false
 		}
 	}
@@ -244,18 +374,24 @@ func (c *Catalog) matchesLocked(name string, want map[string]string) bool {
 func (c *Catalog) Register(name string, loc Location) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.files[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLogical, name)
+	f, err := c.fileLocked(name)
+	if err != nil {
+		return err
 	}
 	if loc.Host == "" || loc.Path == "" {
 		return fmt.Errorf("replica: location needs host and path, got %q:%q", loc.Host, loc.Path)
 	}
-	for _, l := range c.locations[name] {
-		if l.Host == loc.Host && l.Path == loc.Path {
+	h := c.internHost(loc.Host)
+	at := len(f.locs)
+	for i, e := range f.locs {
+		if e.host == h && e.path == loc.Path {
 			return fmt.Errorf("%w: %s for %q", ErrDuplicate, loc, name)
 		}
+		if at == len(f.locs) && compareLoc(c.hosts[e.host].name, e.path, loc.Host, loc.Path) > 0 {
+			at = i
+		}
 	}
-	c.locations[name] = append(c.locations[name], loc)
+	f.locs = slices.Insert(f.locs, at, entry{host: h, path: loc.Path, at: loc.RegisteredAt})
 	return nil
 }
 
@@ -263,13 +399,19 @@ func (c *Catalog) Register(name string, loc Location) error {
 func (c *Catalog) Unregister(name string, host, path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.files[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLogical, name)
+	f, err := c.fileLocked(name)
+	if err != nil {
+		return err
 	}
-	locs := c.locations[name]
-	for i, l := range locs {
-		if l.Host == host && l.Path == path {
-			c.locations[name] = append(locs[:i], locs[i+1:]...)
+	h, known := c.hostIDs[host]
+	if !known && c.regionOf != nil {
+		// Naming a region's host has always created the region's shard,
+		// replica or no replica, and Regions lists it.
+		c.internRegion(c.regionOf(host))
+	}
+	for i, e := range f.locs {
+		if known && e.host == h && e.path == path {
+			f.locs = slices.Delete(f.locs, i, i+1)
 			return nil
 		}
 	}
@@ -277,42 +419,48 @@ func (c *Catalog) Unregister(name string, host, path string) error {
 }
 
 // Locations returns all registered physical copies of a logical file —
-// "a list of physical locations for all registered copies" (§3.1).
+// "a list of physical locations for all registered copies" (§3.1) — in
+// Location.Compare order.
 func (c *Catalog) Locations(name string) ([]Location, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.locationsLocked(name)
+	return c.AppendLocations(nil, name)
 }
 
-func (c *Catalog) locationsLocked(name string) ([]Location, error) {
-	if _, ok := c.files[name]; !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
+// AppendLocations is Locations into the caller's scratch: it appends to
+// dst and allocates only when dst lacks the room. dst comes back as it
+// went in beside an error.
+func (c *Catalog) AppendLocations(dst []Location, name string) ([]Location, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.appendLocationsLocked(dst, name)
+}
+
+func (c *Catalog) appendLocationsLocked(dst []Location, name string) ([]Location, error) {
+	f, err := c.fileLocked(name)
+	if err != nil {
+		return dst, err
 	}
-	locs := c.locations[name]
-	if len(locs) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoReplicas, name)
+	out := slices.Grow(dst, len(f.locs))
+	for _, e := range f.locs {
+		if h := &c.hosts[e.host]; c.region == allRegions || c.region == h.region {
+			out = append(out, Location{Host: h.name, Path: e.path, RegisteredAt: e.at})
+		}
 	}
-	out := append([]Location(nil), locs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	if len(out) == len(dst) {
+		return dst, fmt.Errorf("%w: %q", ErrNoReplicas, name)
+	}
 	return out, nil
 }
 
 // HostsWith returns the hosts holding a copy of the logical file, sorted.
 func (c *Catalog) HostsWith(name string) ([]string, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	locs, err := c.locationsLocked(name)
+	locs, err := c.Locations(name)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var out []string
-	for _, l := range locs {
-		if !seen[l.Host] {
-			seen[l.Host] = true
-			out = append(out, l.Host)
-		}
+	out := make([]string, len(locs))
+	for i, l := range locs {
+		out[i] = l.Host
 	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }

@@ -50,7 +50,7 @@ func (c *Catalog) AddToCollection(collection, logical string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownCollection, collection)
 	}
-	if _, ok := c.files[logical]; !ok {
+	if _, ok := c.ids[logical]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownLogical, logical)
 	}
 	if members[logical] {
@@ -122,11 +122,11 @@ func (c *Catalog) CollectionSize(collection string) (int64, error) {
 	}
 	var total int64
 	for _, m := range members {
-		f, err := c.logicalLocked(m)
+		f, err := c.fileLocked(m)
 		if err != nil {
 			return 0, err
 		}
-		total += f.SizeBytes
+		total += f.size
 	}
 	return total, nil
 }

@@ -20,7 +20,7 @@ type catalogDoc struct {
 func (c *Catalog) Save(w io.Writer) error {
 	c.mu.RLock()
 	doc := catalogDoc{
-		Locations:   make(map[string][]Location, len(c.locations)),
+		Locations:   make(map[string][]Location, len(c.ids)),
 		Collections: make(map[string][]string, len(c.collections)),
 	}
 	for _, name := range c.logicalNamesLocked() {
@@ -30,10 +30,8 @@ func (c *Catalog) Save(w io.Writer) error {
 			return err
 		}
 		doc.Files = append(doc.Files, f)
-		if locs := c.locations[name]; len(locs) > 0 {
-			cp := append([]Location(nil), locs...)
-			sort.Slice(cp, func(i, j int) bool { return cp[i].String() < cp[j].String() })
-			doc.Locations[name] = cp
+		if locs, err := c.appendLocationsLocked(nil, name); err == nil {
+			doc.Locations[name] = locs
 		}
 	}
 	for _, coll := range c.collectionsLocked() {

@@ -3,6 +3,8 @@ package replica
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -399,5 +401,59 @@ func TestPropertyQuotaAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocationOrderIsStringOrder pins the ordering trap: every list is in
+// host + ":" + path order, which is not (host, path) order once one host
+// extends another by a byte below ':'.
+func TestLocationOrderIsStringOrder(t *testing.T) {
+	c := NewCatalog()
+	if err := c.CreateLogical(LogicalFile{Name: "f", SizeBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, host := range []string{"a", "n1", "a-b", "n10", "a.b", "n1-x", "a0"} {
+		for _, path := range []string{"/q", "/p"} {
+			if err := c.Register("f", Location{Host: host, Path: path}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	locs, err := c.Locations("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range locs {
+		got = append(got, l.String())
+	}
+	want := []string{"a-b:/p", "a-b:/q", "a.b:/p", "a.b:/q", "a0:/p", "a0:/q", "a:/p", "a:/q",
+		"n1-x:/p", "n1-x:/q", "n10:/p", "n10:/q", "n1:/p", "n1:/q"}
+	if !slices.Equal(got, want) || !slices.IsSorted(got) {
+		t.Errorf("Locations = %v\nwant        %v", got, want)
+	}
+	// HostsWith sorts host names, which is the other order.
+	hosts, err := c.HostsWith("f")
+	if want := []string{"a", "a-b", "a.b", "a0", "n1", "n1-x", "n10"}; err != nil || !slices.Equal(hosts, want) {
+		t.Errorf("HostsWith = %v, %v; want %v", hosts, err, want)
+	}
+}
+
+// TestLocationCompareMatchesString checks Compare against the strings it
+// stands for over an alphabet of prefixes, separators and empty parts.
+func TestLocationCompareMatchesString(t *testing.T) {
+	parts := []string{"", "a", "a:", "a:b", "ab", "a-", "a0", ":", "::", "b", "a:b:c", "n1", "n10", "n1:0"}
+	sign := func(x int) int { return max(-1, min(1, x)) }
+	for _, ah := range parts {
+		for _, ap := range parts {
+			for _, bh := range parts {
+				for _, bp := range parts {
+					a, b := Location{Host: ah, Path: ap}, Location{Host: bh, Path: bp}
+					if got, want := sign(a.Compare(b)), strings.Compare(a.String(), b.String()); got != want {
+						t.Fatalf("Compare(%q, %q) = %d, want %d", a, b, got, want)
+					}
+				}
+			}
+		}
 	}
 }

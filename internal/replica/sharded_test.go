@@ -118,7 +118,7 @@ func TestShardedErrorsAndBookkeeping(t *testing.T) {
 }
 
 // TestShardedConcurrency exercises registration, lookup and deletion from
-// many goroutines; run under -race this pins the lock-striping discipline.
+// many goroutines; run under -race this pins the store's locking.
 func TestShardedConcurrency(t *testing.T) {
 	s := NewSharded(regionByPrefix)
 	const names = 64
@@ -165,5 +165,75 @@ func TestShardedConcurrency(t *testing.T) {
 		if got := s.Shard(r).LogicalNames(); len(got) != 0 {
 			t.Errorf("region %s shard not purged: %v", r, got)
 		}
+	}
+}
+
+// TestShardedNoStaleMetadata is the regression test for the mirrored
+// shards: a region's copy of a file's metadata outlived the file once the
+// region's last replica was unregistered before the file was deleted.
+func TestShardedNoStaleMetadata(t *testing.T) {
+	s := NewSharded(regionByPrefix)
+	create := func(size int64) {
+		t.Helper()
+		if err := s.CreateLogical(LogicalFile{Name: "f", SizeBytes: size}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register := func(host string) {
+		t.Helper()
+		if err := s.Register("f", Location{Host: host, Path: "/f"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create(1)
+	register("a-h1")
+	register("b-h1")
+	if err := s.Unregister("f", "a-h1", "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteLogical("f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Shard("a").Logical("f"); !errors.Is(err, ErrUnknownLogical) {
+		t.Errorf("shard a still knows the deleted f: %v", err)
+	}
+	create(2)
+	register("a-h1")
+	if f, err := s.Shard("a").Logical("f"); err != nil || f.SizeBytes != 2 {
+		t.Errorf("shard a knows f as %+v, %v; want the re-created file of size 2", f, err)
+	}
+	if err := s.DeleteLogical("f"); err != nil {
+		t.Fatal(err)
+	}
+	for _, region := range []string{"a", "b"} {
+		if _, err := s.Shard(region).Logical("f"); !errors.Is(err, ErrUnknownLogical) {
+			t.Errorf("shard %s still knows the deleted f: %v", region, err)
+		}
+		if _, err := s.Shard(region).Locations("f"); !errors.Is(err, ErrUnknownLogical) {
+			t.Errorf("shard %s still lists the deleted f: %v", region, err)
+		}
+	}
+}
+
+// TestCatalogWriteAllocs pins the write path and the fan-out query of a
+// warm catalog: re-registering and unregistering a known replica moves
+// entries inside the file's slice, and RegionsWith allocates its answer.
+func TestCatalogWriteAllocs(t *testing.T) {
+	s := newShardedFixture(t)
+	loc := Location{Host: "ap-h1", Path: "/data/nr"}
+	churn := func() {
+		if err := s.Register("nr", loc); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unregister("nr", loc.Host, loc.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn() // intern the host, grow the slice
+	if got := testing.AllocsPerRun(100, churn); got != 0 {
+		t.Errorf("Register+Unregister of a known replica: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { s.RegionsWith("nr") }); got > 1 {
+		t.Errorf("RegionsWith: %v allocs, want at most 1 (the slice it returns)", got)
 	}
 }
