@@ -1032,6 +1032,10 @@ func (n *Network) CancelFlow(f *Flow) error {
 // ActiveFlows returns the number of in-progress flows.
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
+// Flows returns the in-progress flows in start order. The slice is the
+// caller's; the flows are live.
+func (n *Network) Flows() []*Flow { return append([]*Flow(nil), n.active...) }
+
 func (n *Network) scheduleRamp(f *Flow) {
 	ev, err := n.engine.After(f.rtt, f.rampFn)
 	if err != nil {
