@@ -105,7 +105,7 @@ bench-scale:
 
 bench-diff-faults:
 	$(GO) test -run='^$$' -bench='FaultsSweep' -benchmem -timeout 600s . \
-		| $(GO) run ./cmd/benchjson -diff -against container-1cpu \
+		| $(GO) run ./cmd/benchjson -diff -against pr20-one-session-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_faults.json
 
 bench-diff-scale:
@@ -124,7 +124,7 @@ bench-traffic:
 
 bench-diff-traffic:
 	$(GO) test -run='^$$' -bench='TrafficSweep' -benchmem -timeout 3600s . \
-		| $(GO) run ./cmd/benchjson -diff -against container-1cpu \
+		| $(GO) run ./cmd/benchjson -diff -against pr20-one-session-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_traffic.json
 
 # Regenerate every paper artifact (Fig. 3, Fig. 4, Table 1, ablations,

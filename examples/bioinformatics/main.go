@@ -102,17 +102,8 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 	if err != nil {
 		return nil, err
 	}
-	transfer := func(srcHost, _, dstHost, _ string, bytes int64, done func(error)) error {
-		return xfer.Submit(simxfer.Request{
-			Sources: []string{srcHost},
-			Dst:     dstHost,
-			Bytes:   bytes,
-			Options: simxfer.GridFTPOptions(4),
-			Done:    func(r simxfer.Result) { done(r.Err) },
-		})
-	}
 	app, err := core.NewApplication(core.ApplicationConfig{Local: "alpha1"},
-		selection, transfer, engine)
+		selection, xfer.TransferFunc(simxfer.GridFTPOptions(4)), engine)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, er
 					return SelectorResult{}, err
 				}
 				app, err := core.NewApplication(core.ApplicationConfig{Local: "alpha1"},
-					srv, replicaTransfer(env.Xfer, simxfer.GridFTPOptions(0)), env.Engine)
+					srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
 				if err != nil {
 					return SelectorResult{}, err
 				}

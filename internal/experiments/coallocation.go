@@ -83,14 +83,9 @@ func ExtensionCoallocation(seed int64, opts ...Option) ([]CoallocationResult, st
 				if err != nil {
 					return CoallocationResult{}, err
 				}
-				deadline := env.Engine.Now()
-				for !completed {
-					deadline += 30 * time.Minute
-					if err := env.Engine.RunUntil(deadline); err != nil {
-						return CoallocationResult{}, err
-					}
-				}
-				return r, nil
+				err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "co-allocated download",
+					func() bool { return completed })
+				return r, err
 			},
 		})
 	}

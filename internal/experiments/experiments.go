@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
@@ -61,18 +62,27 @@ func NewEnv(seed int64, monitor bool) (*Env, error) {
 	return e, nil
 }
 
-// replicaTransfer adapts the unified transfer API to the replica.Transfer
-// callback shape the replica manager and the application pipeline consume.
-func replicaTransfer(xf *simxfer.Transferrer, o simxfer.Options) replica.Transfer {
-	return func(srcHost, _, dstHost, _ string, bytes int64, done func(error)) error {
-		return xf.Submit(simxfer.Request{
-			Sources: []string{srcHost},
-			Dst:     dstHost,
-			Bytes:   bytes,
-			Options: o,
-			Done:    func(r simxfer.Result) { done(r.Err) },
-		})
+// stallLimit is the virtual time past which a run that has not settled is
+// reported as stalled.
+const stallLimit = 1000 * time.Hour
+
+// settle advances the engine in slices of step, counted from virtual time
+// from, until done reports true. The dynamics tick forever, so the engine
+// never drains on its own; a run still not done when the next slice would
+// end past limit returns an error instead of spinning. The clock stops on
+// a slice boundary and later measurements start from it, so each caller's
+// from and step are part of its published output.
+func settle(eng *simulation.Engine, from, step, limit time.Duration, what string, done func() bool) error {
+	for deadline := from; !done(); {
+		deadline += step
+		if deadline > limit {
+			return fmt.Errorf("experiments: %s stalled: not done by %v", what, limit)
+		}
+		if err := eng.RunUntil(deadline); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // MeasureAt runs the world to virtual time at, then performs one transfer
@@ -93,17 +103,8 @@ func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfe
 	if err != nil {
 		return simxfer.Result{}, err
 	}
-	// Run until the transfer's completion callback fires. The dynamics
-	// tick forever, so RunUntil in bounded slices.
-	deadline := at
-	for !got {
-		deadline += 10 * time.Minute
-		if deadline > at+100*time.Hour {
-			return simxfer.Result{}, errors.New("experiments: transfer never completed")
-		}
-		if err := e.Engine.RunUntil(deadline); err != nil {
-			return simxfer.Result{}, err
-		}
+	if err := settle(e.Engine, at, 10*time.Minute, at+100*time.Hour, "transfer", func() bool { return got }); err != nil {
+		return simxfer.Result{}, err
 	}
 	return res, nil
 }
@@ -170,15 +171,10 @@ func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap
 	if _, err := e.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
 		return nil, err
 	}
-	deadline := e.Engine.Now()
-	for len(durations) < n && fetchErr == nil {
-		deadline += 30 * time.Minute
-		if deadline > 1000*time.Hour {
-			return nil, errors.New("experiments: fetch sequence stalled")
-		}
-		if err := e.Engine.RunUntil(deadline); err != nil {
-			return nil, err
-		}
+	err := settle(e.Engine, e.Engine.Now(), 30*time.Minute, stallLimit, "fetch sequence",
+		func() bool { return len(durations) == n || fetchErr != nil })
+	if err != nil {
+		return nil, err
 	}
 	if fetchErr != nil {
 		return nil, fetchErr

@@ -182,7 +182,7 @@ func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
 				return 0, err
 			}
 			app, err := core.NewApplication(core.ApplicationConfig{Local: local},
-				srv, replicaTransfer(xf, simxfer.GridFTPOptions(0)), engine)
+				srv, xf.TransferFunc(simxfer.GridFTPOptions(0)), engine)
 			if err != nil {
 				return 0, err
 			}

@@ -200,17 +200,11 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 	if _, err := env.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
 		return FaultsResult{}, err
 	}
-	// The dynamics tick forever, so run in bounded slices until the
-	// sequence settles. Attempt caps and timeouts bound every transfer.
-	deadline := env.Engine.Now()
-	for settled < faultsTransfers && runErr == nil {
-		deadline += 30 * time.Minute
-		if deadline > 1000*time.Hour {
-			return FaultsResult{}, fmt.Errorf("experiments: fault sequence stalled at %d/%d", settled, faultsTransfers)
-		}
-		if err := env.Engine.RunUntil(deadline); err != nil {
-			return FaultsResult{}, err
-		}
+	// Attempt caps and timeouts bound every transfer.
+	err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "fault sequence",
+		func() bool { return settled == faultsTransfers || runErr != nil })
+	if err != nil {
+		return FaultsResult{}, fmt.Errorf("%w (%d/%d settled)", err, settled, faultsTransfers)
 	}
 	if runErr != nil {
 		return FaultsResult{}, runErr

@@ -127,11 +127,12 @@ func latencyPoint(seed int64, sel core.Selector, fetches int, fileSize int64) (L
 		return LatencyResult{}, err
 	}
 	farPicks := 0
+	transfer := xf.TransferFunc(simxfer.GridFTPOptions(0))
 	countingTransfer := func(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
 		if srcHost == "far" {
 			farPicks++
 		}
-		return replicaTransfer(xf, simxfer.GridFTPOptions(0))(srcHost, srcPath, dstHost, dstPath, bytes, done)
+		return transfer(srcHost, srcPath, dstHost, dstPath, bytes, done)
 	}
 	app, err := core.NewApplication(core.ApplicationConfig{Local: "client"}, srv, countingTransfer, engine)
 	if err != nil {

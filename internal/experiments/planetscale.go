@@ -195,15 +195,10 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 			return PlanetScaleResult{}, err
 		}
 	}
-	deadline := eng.Now()
-	for done < len(plans) && runErr == nil {
-		deadline += time.Hour
-		if deadline > 1000*time.Hour {
-			return PlanetScaleResult{}, fmt.Errorf("planet-scale flows stalled at %d/%d", done, len(plans))
-		}
-		if err := eng.RunUntil(deadline); err != nil {
-			return PlanetScaleResult{}, err
-		}
+	err = settle(eng, eng.Now(), time.Hour, stallLimit, "planet-scale flows",
+		func() bool { return done == len(plans) || runErr != nil })
+	if err != nil {
+		return PlanetScaleResult{}, fmt.Errorf("%w (%d/%d landed)", err, done, len(plans))
 	}
 	if runErr != nil {
 		return PlanetScaleResult{}, runErr

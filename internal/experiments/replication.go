@@ -101,7 +101,7 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	}
 	env.Deploy = dep
 	catalog := replica.NewCatalog()
-	manager, err := replica.NewManager(catalog, replicaTransfer(env.Xfer, simxfer.GridFTPOptions(0)), env.Engine, nil)
+	manager, err := replica.NewManager(catalog, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine, nil)
 	if err != nil {
 		return ReplicationResult{}, err
 	}
@@ -117,7 +117,7 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 		return ReplicationResult{}, err
 	}
 	app, err := core.NewApplication(core.ApplicationConfig{Local: local},
-		srv, replicaTransfer(env.Xfer, simxfer.GridFTPOptions(0)), env.Engine)
+		srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
 	if err != nil {
 		return ReplicationResult{}, err
 	}
@@ -154,12 +154,10 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	if _, err := env.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
 		return ReplicationResult{}, err
 	}
-	deadline := env.Engine.Now()
-	for len(durations) < fetches && loopErr == nil {
-		deadline += 30 * time.Minute
-		if err := env.Engine.RunUntil(deadline); err != nil {
-			return ReplicationResult{}, err
-		}
+	err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "replication fetches",
+		func() bool { return len(durations) == fetches || loopErr != nil })
+	if err != nil {
+		return ReplicationResult{}, err
 	}
 	if loopErr != nil {
 		return ReplicationResult{}, loopErr

@@ -1,11 +1,12 @@
 package simxfer
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/simulation"
 )
 
 // RetryMode selects what a failover transfer does after a failed attempt.
@@ -71,7 +72,8 @@ type FailoverPolicy struct {
 	// Rank, when set and Mode is FailoverReselect, orders the surviving
 	// candidates best-first before each attempt — typically
 	// core.SelectionServer.RankHosts scoring a pinned grid-state
-	// snapshot. When nil the request's source order stands.
+	// snapshot. When nil, or when its first pick is not one of the
+	// request's sources, the request's source order stands.
 	Rank func(now time.Duration, alive []string) []string
 }
 
@@ -138,234 +140,97 @@ type Attempt struct {
 	Err error
 }
 
-// failoverRun is the per-transfer state machine. It lives entirely on the
-// simulation goroutine: every transition happens inside an engine event.
-type failoverRun struct {
-	t        *Transferrer
-	req      Request
-	pol      FailoverPolicy
-	o        Options // filled defaults
-	overhead float64
-
-	started      time.Duration
-	attempts     []Attempt
-	failed       map[string]bool
-	resumeOffset int64
-	lastErr      error
-}
-
-// failoverAttempt tracks one in-flight attempt.
-type failoverAttempt struct {
-	source  string
-	started time.Duration
-	want    int64
-	flows   []*netsim.Flow
-	left    int
-	ended   bool
-	timeout *simulation.Event
-}
-
-// submitFailover validates and launches a failover transfer. The source
-// list is an ordered candidate list; co-allocation and striping do not
-// compose with failover.
-func (t *Transferrer) submitFailover(req Request) error {
-	if req.Bytes <= 0 {
-		return fmt.Errorf("%w, got %d", ErrNonPositiveSize, req.Bytes)
+// pickSource chooses the next attempt's source, by index into the
+// request's candidate list. NoRetry and RetrySame pin the preferred
+// (first) source; FailoverReselect takes the best surviving candidate,
+// re-admitting burned sources once every candidate has failed (by then
+// the fault may have cleared, and the attempt budget still bounds the
+// run).
+func (x *transfer) pickSource(now time.Duration) int {
+	if x.pol.Mode != FailoverReselect {
+		return 0
 	}
-	o := req.Options
-	if err := o.fillDefaults(); err != nil {
-		return err
-	}
-	if o.Stripes > 1 {
-		return fmt.Errorf("%w: striped transfer", ErrFailoverConfig)
-	}
-	if req.Scheme != SchemeStatic || req.ChunkBytes != 0 {
-		return fmt.Errorf("%w: co-allocation scheme", ErrFailoverConfig)
-	}
-	seen := map[string]bool{}
-	for _, s := range req.Sources {
-		if s == req.Dst {
-			return fmt.Errorf("%w: source %q", ErrSameEndpoint, s)
-		}
-		if seen[s] {
-			return fmt.Errorf("%w: %q", ErrDuplicateSource, s)
-		}
-		seen[s] = true
-		if _, err := t.tb.Host(s); err != nil {
-			return err
-		}
-	}
-	if _, err := t.tb.Host(req.Dst); err != nil {
-		return err
-	}
-	pol := *req.Failover
-	if err := pol.fillDefaults(); err != nil {
-		return err
-	}
-
-	r := &failoverRun{
-		t:        t,
-		req:      req,
-		pol:      pol,
-		o:        o,
-		overhead: modeEOverhead(o),
-		started:  t.tb.Engine().Now(),
-		failed:   make(map[string]bool, len(req.Sources)),
-	}
-	r.startAttempt()
-	return nil
-}
-
-// pickSource chooses the next attempt's source. NoRetry and RetrySame pin
-// the preferred (first) source; FailoverReselect takes the best surviving
-// candidate, re-admitting burned sources once every candidate has failed
-// (by then the fault may have cleared, and the attempt budget still
-// bounds the run).
-func (r *failoverRun) pickSource(now time.Duration) string {
-	if r.pol.Mode != FailoverReselect {
-		return r.req.Sources[0]
-	}
-	alive := make([]string, 0, len(r.req.Sources))
-	for _, s := range r.req.Sources {
-		if !r.failed[s] {
+	alive := make([]string, 0, len(x.req.Sources))
+	for _, s := range x.req.Sources {
+		if !x.burned(s) {
 			alive = append(alive, s)
 		}
 	}
 	if len(alive) == 0 {
-		r.failed = make(map[string]bool, len(r.req.Sources))
-		alive = append(alive, r.req.Sources...)
+		x.readmitted = len(x.res.Attempts)
+		alive = append(alive, x.req.Sources...)
 	}
-	if r.pol.Rank != nil {
-		if ranked := r.pol.Rank(now, alive); len(ranked) > 0 {
-			return ranked[0]
+	pick := slices.Index(x.req.Sources, alive[0])
+	if x.pol.Rank != nil {
+		if ranked := x.pol.Rank(now, alive); len(ranked) > 0 {
+			if i := slices.Index(x.req.Sources, ranked[0]); i >= 0 {
+				pick = i
+			}
 		}
 	}
-	return alive[0]
+	return pick
 }
 
-// backoff returns the wait before attempt n+1 (n = failures so far).
-func (r *failoverRun) backoff(n int) time.Duration {
-	d := r.pol.InitialBackoff
-	for i := 1; i < n; i++ {
-		d = time.Duration(float64(d) * r.pol.BackoffFactor)
-		if d >= r.pol.MaxBackoff {
-			return r.pol.MaxBackoff
+// burned reports whether src has failed since the last re-admission.
+// Every logged attempt is a failure: a completed one ends the transfer.
+func (x *transfer) burned(src string) bool {
+	for _, a := range x.res.Attempts[x.readmitted:] {
+		if a.Source == src {
+			return true
 		}
 	}
-	if d > r.pol.MaxBackoff {
-		d = r.pol.MaxBackoff
+	return false
+}
+
+// backoff returns the wait after the n-th failure.
+func (x *transfer) backoff(n int) time.Duration {
+	d := x.pol.InitialBackoff
+	for i := 1; i < n; i++ {
+		d = time.Duration(float64(d) * x.pol.BackoffFactor)
+		if d >= x.pol.MaxBackoff {
+			return x.pol.MaxBackoff
+		}
+	}
+	if d > x.pol.MaxBackoff {
+		d = x.pol.MaxBackoff
 	}
 	return d
 }
 
-func (r *failoverRun) startAttempt() {
-	engine := r.t.tb.Engine()
+// startAttempt is the attempt-sequence scheduler's step: one session at a
+// time, from the picked source, carrying whatever has not landed yet. The
+// attempt's log entry is opened here and closed by endAttempt; the
+// attempt timeout is scheduled before the session's setup.
+func (x *transfer) startAttempt() {
+	engine := x.t.tb.Engine()
 	now := engine.Now()
-	if r.resumeOffset >= r.req.Bytes {
+	if x.resume >= x.req.Bytes {
 		// Everything landed across earlier attempts; nothing to resend.
-		r.finish(r.attempts[len(r.attempts)-1].Source, nil)
+		x.finishAttempts(nil)
 		return
 	}
-	at := &failoverAttempt{
-		source:  r.pickSource(now),
-		started: now,
-		want:    r.req.Bytes - r.resumeOffset,
-	}
-	// The failover engine shares the consolidated path probe with
-	// RecommendStreams; setup cost derives from the probed RTT.
-	st, err := ProbePath(r.t.tb.Network(), at.source, r.req.Dst)
-	if err != nil {
-		r.endAttempt(at, AttemptFailed, err)
-		return
-	}
-	if r.pol.AttemptTimeout > 0 {
-		at.timeout, _ = engine.After(r.pol.AttemptTimeout, func(time.Duration) {
-			r.endAttempt(at, AttemptTimedOut, fmt.Errorf("%w after %v", ErrAttemptTimeout, r.pol.AttemptTimeout))
+	i := x.pickSource(now)
+	x.res.Attempts = append(x.res.Attempts, Attempt{Source: x.req.Sources[i], Started: now})
+	s := x.newSession(x.req.Sources[i:i+1], x.req.Bytes-x.resume, x.req.Options.Streams, x.endAttempt)
+	if x.pol.AttemptTimeout > 0 {
+		x.timeout, _ = engine.After(x.pol.AttemptTimeout, func(time.Duration) {
+			s.end(fmt.Errorf("%w after %v", ErrAttemptTimeout, x.pol.AttemptTimeout))
 		})
 	}
-	setup := time.Duration(setupRoundTrips(r.o.Protocol)) * st.RTT
-	if _, err := engine.After(setup, func(time.Duration) { r.launch(at) }); err != nil {
-		r.endAttempt(at, AttemptFailed, err)
+	if err := s.open((*session).launch); err != nil {
+		s.end(err)
 	}
 }
 
-// launch starts the attempt's data channels once session setup elapses.
-func (r *failoverRun) launch(at *failoverAttempt) {
-	if at.ended {
-		return
-	}
-	src, err := r.t.tb.Host(at.source)
-	if err != nil {
-		r.endAttempt(at, AttemptFailed, err)
-		return
-	}
-	dst, err := r.t.tb.Host(r.req.Dst)
-	if err != nil {
-		r.endAttempt(at, AttemptFailed, err)
-		return
-	}
-	net := r.t.tb.Network()
-	cap := endpointCapBps(src, dst, r.o.Streams, r.o.Streams)
-	per := at.want / int64(r.o.Streams)
-	at.left = r.o.Streams
-	for k := 0; k < r.o.Streams; k++ {
-		sz := per
-		if k == 0 {
-			sz += at.want % int64(r.o.Streams)
-		}
-		if sz <= 0 {
-			at.left--
-			continue
-		}
-		f, ferr := net.StartFlow(at.source, r.req.Dst, sz, netsim.FlowOptions{
-			WindowBytes:      r.o.TCPBufferBytes,
-			RateCapBps:       cap,
-			OverheadFraction: r.overhead,
-			FailOnDown:       true,
-		}, func(f *netsim.Flow) { r.onFlow(at, f) })
-		if ferr != nil {
-			// Typically ErrPathDown: the route broke during setup.
-			r.endAttempt(at, AttemptFailed, ferr)
-			return
-		}
-		at.flows = append(at.flows, f)
-	}
-	if at.left == 0 {
-		r.endAttempt(at, AttemptCompleted, nil)
-	}
-}
-
-func (r *failoverRun) onFlow(at *failoverAttempt, f *netsim.Flow) {
-	if at.ended {
-		return
-	}
-	if f.State() == netsim.FlowFailed {
-		r.endAttempt(at, AttemptFailed,
-			fmt.Errorf("%w: %s->%s", netsim.ErrPathDown, at.source, r.req.Dst))
-		return
-	}
-	at.left--
-	if at.left == 0 {
-		r.endAttempt(at, AttemptCompleted, nil)
-	}
-}
-
-// endAttempt closes the attempt exactly once, cancels its leftovers,
-// records provenance, and either finishes the transfer or schedules the
+// endAttempt is the attempt session's report: tear down what is left of
+// it, close its log entry, and either finish the transfer or schedule the
 // next attempt after backoff.
-func (r *failoverRun) endAttempt(at *failoverAttempt, outcome AttemptOutcome, err error) {
-	if at.ended {
-		return
-	}
-	at.ended = true
-	engine := r.t.tb.Engine()
-	if at.timeout != nil {
-		engine.Cancel(at.timeout)
-		at.timeout = nil
-	}
-	net := r.t.tb.Network()
+func (x *transfer) endAttempt(s *session, err error) {
+	engine, net := x.t.tb.Engine(), x.t.tb.Network()
+	engine.Cancel(x.timeout)
+	x.timeout = nil
 	var delivered int64
-	for _, f := range at.flows {
+	for _, f := range s.flows {
 		if f.State() == netsim.FlowActive {
 			// Sibling channels of a failed or timed-out attempt are torn
 			// down with the session.
@@ -373,56 +238,35 @@ func (r *failoverRun) endAttempt(at *failoverAttempt, outcome AttemptOutcome, er
 		}
 		delivered += f.DeliveredPayloadBytes()
 	}
-	now := engine.Now()
-	r.attempts = append(r.attempts, Attempt{
-		Source:         at.source,
-		Started:        at.started,
-		Ended:          now,
-		BytesDelivered: delivered,
-		Outcome:        outcome,
-		Err:            err,
-	})
-	if outcome == AttemptCompleted {
-		r.finish(at.source, nil)
+	n := len(x.res.Attempts)
+	at := &x.res.Attempts[n-1]
+	at.Ended, at.BytesDelivered, at.Err = engine.Now(), delivered, err
+	switch {
+	case err == nil:
+		x.finishAttempts(nil)
 		return
+	case errors.Is(err, ErrAttemptTimeout):
+		at.Outcome = AttemptTimedOut
+	default:
+		at.Outcome = AttemptFailed
 	}
-	r.lastErr = err
-	r.failed[at.source] = true
 	// MODE E block framing carries offsets, so a restarted session can
 	// extend a partial file; stream modes start over.
-	if r.o.Protocol == ProtoGridFTPModeE {
-		r.resumeOffset += delivered
-		if r.resumeOffset > r.req.Bytes {
-			r.resumeOffset = r.req.Bytes
-		}
+	if x.req.Options.Protocol == ProtoGridFTPModeE {
+		x.resume = min(x.resume+delivered, x.req.Bytes)
 	}
-	if len(r.attempts) >= r.pol.MaxAttempts {
-		r.finish(at.source, fmt.Errorf("%w: %s after %d attempts: %v",
-			ErrTransferFailed, r.pol.Mode, len(r.attempts), r.lastErr))
+	if n >= x.pol.MaxAttempts {
+		x.finishAttempts(fmt.Errorf("%w: %s after %d attempts: %v", ErrTransferFailed, x.pol.Mode, n, err))
 		return
 	}
-	failures := 0
-	for _, a := range r.attempts {
-		if a.Outcome != AttemptCompleted {
-			failures++
-		}
-	}
-	if _, err := engine.After(r.backoff(failures), func(time.Duration) { r.startAttempt() }); err != nil {
-		r.finish(at.source, fmt.Errorf("%w: %v", ErrTransferFailed, err))
+	if _, err := engine.After(x.backoff(n), func(time.Duration) { x.startAttempt() }); err != nil {
+		x.finishAttempts(fmt.Errorf("%w: %v", ErrTransferFailed, err))
 	}
 }
 
-func (r *failoverRun) finish(src string, err error) {
-	r.req.Done(Result{
-		Src:      src,
-		Dst:      r.req.Dst,
-		Bytes:    r.req.Bytes,
-		Options:  r.o,
-		Channels: r.o.Streams,
-		Started:  r.started,
-		Finished: r.t.tb.Engine().Now(),
-		Sources:  append([]string(nil), r.req.Sources...),
-		Attempts: r.attempts,
-		Err:      err,
-	})
+// finishAttempts delivers the failover Result: the serving host is the
+// last attempt's source.
+func (x *transfer) finishAttempts(err error) {
+	x.res.Src = x.res.Attempts[len(x.res.Attempts)-1].Source
+	x.finish(err)
 }

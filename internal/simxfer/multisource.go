@@ -1,11 +1,6 @@
 package simxfer
 
-import (
-	"fmt"
-	"time"
-
-	"github.com/hpclab/datagrid/internal/netsim"
-)
+import "fmt"
 
 // Scheme selects how a multi-source (co-allocated) transfer divides the
 // file among the replica servers.
@@ -36,210 +31,118 @@ func (s Scheme) String() string {
 // DefaultChunkBytes is the dynamic scheme's work-queue granularity.
 const DefaultChunkBytes = 4 << 20
 
-// MultiSourceResult describes a completed co-allocated transfer.
-type MultiSourceResult struct {
-	Sources  []string
-	Dst      string
-	Bytes    int64
-	Scheme   Scheme
-	Started  time.Duration
-	Finished time.Duration
-	// BytesBySource records each server's contribution.
-	BytesBySource map[string]int64
-}
-
-// Duration returns the end-to-end transfer time.
-func (r MultiSourceResult) Duration() time.Duration { return r.Finished - r.Started }
-
-// submitMulti runs the co-allocation path. Unlike Submit it accepts a
-// one-element source list with the default scheme (degenerating to a
-// plain transfer), preserving the historical multi-source semantics.
-func (t *Transferrer) submitMulti(req Request) error {
-	sources, dstHost, bytes := req.Sources, req.Dst, req.Bytes
-	o, scheme, chunkBytes := req.Options, req.Scheme, req.ChunkBytes
-	if len(sources) == 0 {
-		return ErrNoSources
-	}
-	if bytes <= 0 {
-		return fmt.Errorf("%w, got %d", ErrNonPositiveSize, bytes)
-	}
-	if err := o.fillDefaults(); err != nil {
-		return err
-	}
-	if o.Stripes > 1 {
-		return ErrStripedCoalloc
-	}
-	if chunkBytes == 0 {
-		chunkBytes = DefaultChunkBytes
-	}
-	if chunkBytes < 0 {
-		return fmt.Errorf("%w: chunk size %d", ErrNegativeOption, chunkBytes)
-	}
-	seen := map[string]bool{}
-	for _, s := range sources {
-		if s == dstHost {
-			return fmt.Errorf("%w: source %q", ErrSameEndpoint, s)
-		}
-		if seen[s] {
-			return fmt.Errorf("%w: %q", ErrDuplicateSource, s)
-		}
-		seen[s] = true
-		if _, err := t.tb.Host(s); err != nil {
-			return err
-		}
-	}
-	if _, err := t.tb.Host(dstHost); err != nil {
-		return err
-	}
-
-	engine := t.tb.Engine()
-	res := MultiSourceResult{
-		Sources: append([]string(nil), sources...),
-		Dst:     dstHost,
-		Bytes:   bytes,
-		Scheme:  scheme,
-		Started: engine.Now(),
-		BytesBySource: func() map[string]int64 {
-			m := make(map[string]int64, len(sources))
-			for _, s := range sources {
-				m[s] = 0
+// split is the up-front scheduler: one session per source, each carrying
+// an equal share of the payload (the first takes the remainder) over its
+// own data movers. A single source is the plain transfer — or, with
+// Stripes set, the striped one, its movers drawn from the source's site;
+// several sources are static co-allocation, one mover each, every server
+// assuming it has the receiver's disk to itself.
+func (x *transfer) split() error {
+	k := int64(len(x.req.Sources))
+	x.open = len(x.req.Sources)
+	landed := x.landed
+	for i := range x.req.Sources {
+		movers := x.req.Sources[i : i+1]
+		if k == 1 {
+			var err error
+			if movers, err = x.stripeMovers(); err != nil {
+				return err
 			}
-			return m
-		}(),
-	}
-	finish := func(mr MultiSourceResult) { req.Done(resultFromMulti(mr, o)) }
-
-	switch scheme {
-	case SchemeStatic:
-		return t.startStatic(sources, dstHost, bytes, o, &res, finish)
-	case SchemeDynamic:
-		return t.startDynamic(sources, dstHost, bytes, o, chunkBytes, &res, finish)
-	default:
-		return fmt.Errorf("%w: %v", ErrUnknownScheme, scheme)
-	}
-}
-
-func (t *Transferrer) startStatic(sources []string, dstHost string, bytes int64, o Options, res *MultiSourceResult, done func(MultiSourceResult)) error {
-	per := bytes / int64(len(sources))
-	remaining := len(sources)
-	for i, src := range sources {
-		sz := per
+			x.res.Src, x.res.Sources = movers[0], movers
+			x.res.Channels = len(movers) * x.req.Options.Streams
+		}
+		share := x.req.Bytes / k
 		if i == 0 {
-			sz += bytes % int64(len(sources))
+			share += x.req.Bytes % k
 		}
-		src := src
-		if err := t.startSingle(src, dstHost, sz, o, func(r Result) {
-			res.BytesBySource[src] += r.Bytes
-			if r.Finished > res.Finished {
-				res.Finished = r.Finished
-			}
-			remaining--
-			if remaining == 0 {
-				done(*res)
-			}
-		}); err != nil {
+		s := x.newSession(movers, share, len(movers)*x.req.Options.Streams, landed)
+		if err := s.open((*session).launch); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (t *Transferrer) startDynamic(sources []string, dstHost string, bytes int64, o Options, chunkBytes int64, res *MultiSourceResult, done func(MultiSourceResult)) error {
-	engine := t.tb.Engine()
-	net := t.tb.Network()
-	nchunks := (bytes + chunkBytes - 1) / chunkBytes
-	nextChunk := int64(0)
-	pending := nchunks
-	finished := false
-
-	overhead := modeEOverhead(o)
-
-	// Each source runs a sequential chunk loop after its one-time session
-	// setup; endpoint caps are re-read per chunk so load changes matter.
-	var pull func(src string)
-	pull = func(src string) {
-		if finished || nextChunk >= nchunks {
-			return
+// stripeMovers picks a lone source's data movers: the named host first,
+// then its site peers up to Options.Stripes (striped GridFTP spreads data
+// movers across the cluster). The destination cannot also be a data
+// mover for itself, and stripes beyond the site's size are clamped.
+func (x *transfer) stripeMovers() ([]string, error) {
+	src := x.req.Sources[0]
+	movers := []string{src}
+	if x.req.Options.Stripes == 1 {
+		return movers, nil
+	}
+	h, err := x.t.tb.Host(src)
+	if err != nil {
+		return nil, err
+	}
+	peers, err := x.t.tb.SiteHosts(h.Site())
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range peers {
+		if len(movers) == x.req.Options.Stripes {
+			break
 		}
-		chunk := nextChunk
-		nextChunk++
-		sz := chunkBytes
-		if chunk == nchunks-1 {
-			sz = bytes - chunk*chunkBytes
-		}
-		h, err := t.tb.Host(src)
-		if err != nil {
-			return
-		}
-		dst, err := t.tb.Host(dstHost)
-		if err != nil {
-			return
-		}
-		cap := endpointCapBps(h, dst, o.Streams, o.Streams*len(sources))
-		remaining := o.Streams
-		for k := 0; k < o.Streams; k++ {
-			flowSz := sz / int64(o.Streams)
-			if k == 0 {
-				flowSz += sz % int64(o.Streams)
-			}
-			if flowSz <= 0 {
-				remaining--
-				continue
-			}
-			_, ferr := net.StartFlow(src, dstHost, flowSz, netsim.FlowOptions{
-				WindowBytes:      o.TCPBufferBytes,
-				RateCapBps:       cap,
-				OverheadFraction: overhead,
-			}, func(f *netsim.Flow) {
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				res.BytesBySource[src] += sz
-				pending--
-				if f.Finished() > res.Finished {
-					res.Finished = f.Finished()
-				}
-				if pending == 0 && !finished {
-					finished = true
-					done(*res)
-					return
-				}
-				pull(src)
-			})
-			if ferr != nil {
-				remaining--
-			}
-		}
-		if remaining == 0 {
-			// Nothing started (degenerate sizes); account and continue.
-			res.BytesBySource[src] += sz
-			pending--
-			if pending == 0 && !finished {
-				finished = true
-				res.Finished = engine.Now()
-				done(*res)
-				return
-			}
-			pull(src)
+		if p.Name() != src && p.Name() != x.req.Dst {
+			movers = append(movers, p.Name())
 		}
 	}
+	return movers, nil
+}
 
-	rtt := func(src string) time.Duration {
-		d, err := net.PathRTT(src, dstHost)
-		if err != nil {
-			return 0
-		}
-		return d
-	}
-	setupRTTs := setupRoundTrips(o.Protocol)
-	for _, src := range sources {
-		src := src
-		if _, err := engine.After(time.Duration(setupRTTs)*rtt(src), func(time.Duration) {
-			pull(src)
-		}); err != nil {
+// chunkQueue is the work-queue scheduler: every source opens one session,
+// then pulls its next chunk off the shared queue each time the previous
+// one lands, so fast servers carry more of the file. Setup is paid once
+// per source, not per chunk.
+func (x *transfer) chunkQueue() error {
+	x.chunks = (x.req.Bytes + x.req.ChunkBytes - 1) / x.req.ChunkBytes
+	x.open = int(x.chunks)
+	channels := len(x.req.Sources) * x.req.Options.Streams
+	landed, pull := x.landed, x.pull
+	for i := range x.req.Sources {
+		s := x.newSession(x.req.Sources[i:i+1], 0, channels, landed)
+		if err := s.open(pull); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pull hands the session the next chunk, if any is left.
+func (x *transfer) pull(s *session) {
+	if x.next == x.chunks {
+		return
+	}
+	s.bytes = x.req.ChunkBytes
+	if x.next == x.chunks-1 {
+		s.bytes = x.req.Bytes - x.next*x.req.ChunkBytes
+	}
+	x.next++
+	s.launch()
+}
+
+// landed is both schedulers' session report: credit the bytes that moved
+// to their server, deliver the Result when nothing is left out, and
+// under the chunk queue send the session back for more. A session whose
+// channels could not start fails the whole transfer at once; what the
+// other sessions still report after that is dropped.
+func (x *transfer) landed(s *session, err error) {
+	if x.res.Err != nil {
+		return
+	}
+	if err != nil {
+		x.finish(err)
+		return
+	}
+	if x.res.BytesBySource != nil {
+		x.res.BytesBySource[s.movers[0]] += s.bytes
+	}
+	x.open--
+	if x.open == 0 {
+		x.finish(nil)
+	} else if x.req.Scheme == SchemeDynamic {
+		x.pull(s)
+	}
 }

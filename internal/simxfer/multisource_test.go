@@ -7,25 +7,24 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// startMulti submits a co-allocated request through the unified API,
-// delivering the historical MultiSourceResult view.
-func startMulti(tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64, done func(MultiSourceResult)) error {
-	return tr.submitMulti(Request{
+// startMulti submits a co-allocated request.
+func startMulti(tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64, done func(Result)) error {
+	return tr.Submit(Request{
 		Sources:    sources,
 		Dst:        dst,
 		Bytes:      bytes,
 		Options:    o,
 		Scheme:     scheme,
 		ChunkBytes: chunk,
-		Done:       func(r Result) { done(r.MultiSource()) },
+		Done:       done,
 	})
 }
 
-func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64) MultiSourceResult {
+func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64) Result {
 	t.Helper()
-	var res MultiSourceResult
+	var res Result
 	got := false
-	if err := startMulti(tr, sources, dst, bytes, o, scheme, chunk, func(r MultiSourceResult) {
+	if err := startMulti(tr, sources, dst, bytes, o, scheme, chunk, func(r Result) {
 		res = r
 		got = true
 	}); err != nil {
@@ -37,12 +36,15 @@ func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []s
 	if !got {
 		t.Fatal("multi-source transfer never completed")
 	}
+	if res.Err != nil {
+		t.Fatalf("multi-source transfer failed: %v", res.Err)
+	}
 	return res
 }
 
 func TestMultiSourceValidation(t *testing.T) {
 	_, _, tr := newBed(t)
-	cb := func(MultiSourceResult) {}
+	cb := func(Result) {}
 	if err := startMulti(tr, nil, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
 		t.Fatal("no sources should be rejected")
 	}

@@ -1,9 +1,18 @@
 package simxfer
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Request is the single description of a simulated transfer: one or many
 // sources, an optional co-allocation scheme, and an optional failover
-// policy, all completing through one typed Result. It replaced the
-// historical Start/StartMultiSource/ReplicaTransfer entry points.
+// policy, all completing through one Result. Every request is one or
+// more sessions (setup round trips, then a fan-out of data channels)
+// under one of three schedulers: a split — one session per source, the
+// payload divided evenly up front, which with a single source is the
+// plain or striped transfer; a chunk queue (SchemeDynamic); or an attempt
+// sequence (Failover set).
 type Request struct {
 	// Sources is the serving host list. One element is a plain transfer;
 	// several are either co-allocated servers (no Failover) or an ordered
@@ -16,70 +25,141 @@ type Request struct {
 	Bytes int64
 	// Options carries the protocol parameters.
 	Options Options
-	// Scheme picks the co-allocation split policy when several sources
-	// serve concurrently. Zero (SchemeStatic) with one source and no
-	// ChunkBytes means a plain single-source transfer.
+	// Scheme picks how several sources share the payload. SchemeDynamic
+	// also applies to a single source, which then serves every chunk.
 	Scheme Scheme
 	// ChunkBytes is the SchemeDynamic work-queue granularity; zero means
-	// DefaultChunkBytes. Setting it (or a non-static Scheme) routes a
-	// one-element source list through the co-allocation path.
+	// DefaultChunkBytes. Other schemes ignore it.
 	ChunkBytes int64
 	// Failover, when non-nil, arms mid-transfer failure detection and
 	// the retry/failover engine. Incompatible with co-allocation.
 	Failover *FailoverPolicy
-	// Done receives the terminal Result exactly once. Failover requests
-	// deliver it on success and on exhaustion (check Result.Err); legacy
-	// requests always succeed once Submit returns nil.
+	// Done receives the terminal Result exactly once; check Result.Err.
 	Done func(Result)
 }
 
-// Submit validates the request and starts the transfer; done callbacks
-// fire later on the simulation goroutine. The error return covers
-// failures to start only.
+// Submit validates the request and starts the transfer; Done fires later
+// on the simulation goroutine. The error return covers failures to start
+// only, and a request that fails to start has scheduled nothing.
 func (t *Transferrer) Submit(req Request) error {
+	x, err := t.admit(req)
+	if err != nil {
+		return err
+	}
+	switch {
+	case req.Failover != nil:
+		x.startAttempt()
+		return nil
+	case req.Scheme == SchemeDynamic:
+		return x.chunkQueue()
+	default:
+		return x.split()
+	}
+}
+
+// TransferFunc adapts Submit to the callback shape the replica manager
+// and the application pipeline consume (replica.Transfer): one plain
+// transfer with options o per call, paths ignored, done receiving
+// Result.Err.
+func (t *Transferrer) TransferFunc(o Options) func(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
+	return func(srcHost, _, dstHost, _ string, bytes int64, done func(error)) error {
+		return t.Submit(Request{
+			Sources: []string{srcHost},
+			Dst:     dstHost,
+			Bytes:   bytes,
+			Options: o,
+			Done:    func(r Result) { done(r.Err) },
+		})
+	}
+}
+
+// admit is the one validation of a Request: size, options, scheme and
+// failover compatibility, every source (distinct, not the destination,
+// known), the destination, the routes and the failover policy, in that
+// order. It returns the transfer state with every default filled and the
+// parts of the Result that are known up front.
+func (t *Transferrer) admit(req Request) (*transfer, error) {
 	if req.Done == nil {
-		return ErrNilDone
+		return nil, ErrNilDone
 	}
 	if len(req.Sources) == 0 {
-		return ErrNoSources
+		return nil, ErrNoSources
+	}
+	if req.Bytes <= 0 {
+		return nil, fmt.Errorf("%w, got %d", ErrNonPositiveSize, req.Bytes)
+	}
+	if err := req.Options.fillDefaults(); err != nil {
+		return nil, err
+	}
+	coalloc := len(req.Sources) > 1 || req.Scheme != SchemeStatic
+	switch {
+	case req.Failover != nil && req.Options.Stripes > 1:
+		return nil, fmt.Errorf("%w: striped transfer", ErrFailoverConfig)
+	case req.Failover != nil && (req.Scheme != SchemeStatic || req.ChunkBytes != 0):
+		return nil, fmt.Errorf("%w: co-allocation scheme", ErrFailoverConfig)
+	case req.Failover == nil && coalloc && req.Options.Stripes > 1:
+		return nil, ErrStripedCoalloc
+	case req.ChunkBytes < 0:
+		return nil, fmt.Errorf("%w: chunk size %d", ErrNegativeOption, req.ChunkBytes)
+	}
+	if req.ChunkBytes == 0 {
+		req.ChunkBytes = DefaultChunkBytes
+	}
+	for i, s := range req.Sources {
+		if s == req.Dst {
+			return nil, fmt.Errorf("%w: source %q", ErrSameEndpoint, s)
+		}
+		if slices.Contains(req.Sources[:i], s) {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateSource, s)
+		}
+		if _, err := t.tb.Host(s); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := t.tb.Host(req.Dst); err != nil {
+		return nil, err
+	}
+	if req.Scheme != SchemeStatic && req.Scheme != SchemeDynamic {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownScheme, req.Scheme)
+	}
+	// Every source that will carry bytes must be routable. A failover
+	// request's standbys are resolved only if an attempt ever turns to
+	// them — on a 10,000-host world each resolution is a shortest-path
+	// tree — and an unroutable one is then a failed attempt.
+	routed := req.Sources
+	if req.Failover != nil {
+		routed = routed[:1]
+	}
+	for _, s := range routed {
+		if _, err := t.tb.Network().PathRTT(s, req.Dst); err != nil {
+			return nil, err
+		}
+	}
+	x := &transfer{t: t, req: req, overhead: modeEOverhead(req.Options)}
+	if req.Failover != nil {
+		x.pol = *req.Failover
+		if err := x.pol.fillDefaults(); err != nil {
+			return nil, err
+		}
+	}
+	x.res = Result{
+		Dst:      req.Dst,
+		Bytes:    req.Bytes,
+		Options:  req.Options,
+		Channels: len(req.Sources) * req.Options.Streams,
+		Started:  t.tb.Engine().Now(),
+		Scheme:   req.Scheme,
+	}
+	if coalloc || req.Failover != nil {
+		x.res.Sources = append([]string(nil), req.Sources...)
 	}
 	if req.Failover != nil {
-		return t.submitFailover(req)
+		x.res.Channels = req.Options.Streams
+	} else if coalloc {
+		x.res.BytesBySource = make(map[string]int64, len(req.Sources))
+		for _, s := range req.Sources {
+			x.res.BytesBySource[s] = 0
+		}
 	}
-	if len(req.Sources) == 1 && req.Scheme == SchemeStatic && req.ChunkBytes == 0 {
-		return t.startSingle(req.Sources[0], req.Dst, req.Bytes, req.Options, req.Done)
-	}
-	return t.submitMulti(req)
-}
-
-// MultiSource views the result as the historical MultiSourceResult shape.
-func (r Result) MultiSource() MultiSourceResult {
-	srcs := r.Sources
-	if len(srcs) == 0 && r.Src != "" {
-		srcs = []string{r.Src}
-	}
-	return MultiSourceResult{
-		Sources:       srcs,
-		Dst:           r.Dst,
-		Bytes:         r.Bytes,
-		Scheme:        r.Scheme,
-		Started:       r.Started,
-		Finished:      r.Finished,
-		BytesBySource: r.BytesBySource,
-	}
-}
-
-// resultFromMulti lifts a co-allocation outcome into the unified Result.
-func resultFromMulti(mr MultiSourceResult, o Options) Result {
-	return Result{
-		Dst:           mr.Dst,
-		Bytes:         mr.Bytes,
-		Options:       o,
-		Channels:      len(mr.Sources) * o.Streams,
-		Started:       mr.Started,
-		Finished:      mr.Finished,
-		Sources:       mr.Sources,
-		Scheme:        mr.Scheme,
-		BytesBySource: mr.BytesBySource,
-	}
+	return x, nil
 }

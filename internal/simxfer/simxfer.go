@@ -17,6 +17,7 @@ import (
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 	"github.com/hpclab/datagrid/internal/netsim"
+	"github.com/hpclab/datagrid/internal/simulation"
 )
 
 // Control-channel costs, counted from the real implementations:
@@ -116,39 +117,40 @@ func GridFTPOptions(streams int) Options {
 	return Options{Protocol: ProtoGridFTPModeE, Streams: streams}
 }
 
-// Result describes a finished simulated transfer, whatever entry point
-// produced it: a plain single-source run, a co-allocated multi-source
-// download, or a failover transfer that walked a candidate list.
+// Result describes a finished simulated transfer, whichever scheduler
+// drove it: a plain or striped single-source run, a co-allocated
+// multi-source download, or a failover transfer that walked a candidate
+// list.
 type Result struct {
 	// Src is the serving host — for failover transfers, the source of
-	// the final attempt. Empty for multi-source transfers (see Sources).
+	// the final attempt. Empty for co-allocated transfers (see Sources).
 	Src string
 	// Dst is the receiving host.
 	Dst string
 	// Bytes is the payload size.
 	Bytes int64
-	// Options echoes the transfer parameters.
+	// Options echoes the transfer parameters, defaults filled.
 	Options Options
 	// Channels is the total data-channel count used (streams x stripes,
 	// or streams x sources for co-allocation).
 	Channels int
-	// Started and Finished are virtual timestamps.
+	// Started and Finished are virtual timestamps: Submit and Done.
 	Started, Finished time.Duration
 	// Sources lists the participating hosts: the stripe movers of a
 	// single-source run, the servers of a co-allocated download, or the
 	// candidate list handed to a failover transfer.
 	Sources []string
-	// Scheme is the co-allocation split policy (multi-source only).
+	// Scheme is the co-allocation split policy (co-allocation only).
 	Scheme Scheme
-	// BytesBySource records each server's contribution (multi-source
-	// only; nil otherwise).
+	// BytesBySource records each server's contribution (co-allocation
+	// only; nil otherwise). Only bytes that moved are counted.
 	BytesBySource map[string]int64
 	// Attempts is the failover attempt log, in order; nil when the
 	// request carried no failover policy.
 	Attempts []Attempt
 	// Err is the terminal error: nil on success, ErrTransferFailed
-	// (wrapped) once a failover transfer exhausts its attempts. Legacy
-	// non-failover transfers always complete and report nil.
+	// (wrapped) once a failover transfer exhausts its attempts, or the
+	// cause when a data channel of any other transfer could not start.
 	Err error
 }
 
@@ -209,116 +211,155 @@ func endpointCapBps(src, dst *cluster.Host, srcChannels, dstChannels int) float6
 	return srcCap
 }
 
-// startSingle is the legacy single-source (optionally striped) transfer
-// path. Its event sequence is the simulator's reference behavior: the
-// experiment suite is byte-identical against it.
-func (t *Transferrer) startSingle(srcHost, dstHost string, bytes int64, o Options, done func(Result)) error {
-	if bytes <= 0 {
-		return fmt.Errorf("%w, got %d", ErrNonPositiveSize, bytes)
-	}
-	if srcHost == dstHost {
-		return fmt.Errorf("%w: src and dst are both %q", ErrSameEndpoint, srcHost)
-	}
-	if err := o.fillDefaults(); err != nil {
-		return err
-	}
-	src, err := t.tb.Host(srcHost)
+// transfer is the state behind one Submit: the validated request, the one
+// Result every scheduler fills, and the few counters the schedulers keep.
+// It lives entirely on the simulation goroutine.
+type transfer struct {
+	t        *Transferrer
+	req      Request // validated; Options, ChunkBytes and Failover carry their defaults
+	overhead float64 // MODE E framing overhead per payload byte
+	res      Result
+
+	// Split and chunk-queue schedulers.
+	open         int   // sessions (split) or chunks (queue) not yet landed
+	next, chunks int64 // chunk-queue cursor and length
+
+	// Attempt sequence (failover).
+	pol        FailoverPolicy
+	readmitted int   // attempt-log index of the last re-admission of burned sources
+	resume     int64 // payload bytes landed by earlier MODE E attempts
+	timeout    *simulation.Event
+}
+
+// session is the one transfer primitive, a GridFTP (or FTP) session: pay
+// the control-channel round trips, then move bytes over len(movers) x
+// Streams data channels — channel 0 takes the remainder, every channel of
+// a mover runs under that mover's endpoint cap — and report once, when
+// the last channel lands or the first one fails. The schedulers differ
+// only in how many sessions they open, what each carries and what they do
+// when one reports.
+type session struct {
+	x *transfer
+	// movers are the source-side data movers; movers[0] holds the
+	// control channel.
+	movers []string
+	// bytes is the payload of the next fan-out.
+	bytes int64
+	// dstChannels is how many channels share the receiver's disk.
+	dstChannels int
+	// done receives the session's one report per fan-out.
+	done func(s *session, err error)
+
+	flowDone func(*netsim.Flow)
+	left     int  // channels still moving
+	ended    bool // reported; later flow callbacks are stale
+	// flows are the live channels, tracked only when the request carries
+	// a failover policy (which also arms FailOnDown).
+	flows []*netsim.Flow
+}
+
+func (x *transfer) newSession(movers []string, bytes int64, dstChannels int, done func(*session, error)) *session {
+	s := &session{x: x, movers: movers, bytes: bytes, dstChannels: dstChannels, done: done}
+	s.flowDone = s.onFlow
+	return s
+}
+
+// open schedules start after the session's control-channel setup; a
+// session ended meanwhile (an attempt timeout shorter than the setup)
+// lets the event fire as a no-op.
+func (s *session) open(start func(*session)) error {
+	tb := s.x.t.tb
+	rtt, err := tb.Network().PathRTT(s.movers[0], s.x.req.Dst)
 	if err != nil {
 		return err
 	}
-	if _, err := t.tb.Host(dstHost); err != nil {
-		return err
-	}
-	net := t.tb.Network()
-	rtt, err := net.PathRTT(srcHost, dstHost)
-	if err != nil {
-		return err
-	}
-
-	// Pick stripe source hosts: the named host first, then its site
-	// peers (striped GridFTP spreads data movers across the cluster).
-	sources := []string{srcHost}
-	if o.Stripes > 1 {
-		peers, err := t.tb.SiteHosts(src.Site())
-		if err != nil {
-			return err
-		}
-		for _, p := range peers {
-			if len(sources) == o.Stripes {
-				break
-			}
-			// The destination cannot also be a data mover for itself.
-			if p.Name() != srcHost && p.Name() != dstHost {
-				sources = append(sources, p.Name())
-			}
-		}
-	}
-	stripes := len(sources)
-	channels := stripes * o.Streams
-
-	setup := time.Duration(setupRoundTrips(o.Protocol)) * rtt
-	overhead := modeEOverhead(o)
-
-	engine := t.tb.Engine()
-	started := engine.Now()
-	_, err = engine.After(setup, func(time.Duration) {
-		// Per-channel payload split (channel 0 takes the remainder).
-		per := bytes / int64(channels)
-		remaining := channels
-		var finished time.Duration
-		for si, source := range sources {
-			h, herr := t.tb.Host(source)
-			if herr != nil {
-				continue
-			}
-			dst, derr := t.tb.Host(dstHost)
-			if derr != nil {
-				continue
-			}
-			cap := endpointCapBps(h, dst, o.Streams, channels)
-			for k := 0; k < o.Streams; k++ {
-				sz := per
-				if si == 0 && k == 0 {
-					sz += bytes % int64(channels)
-				}
-				if sz <= 0 {
-					remaining--
-					continue
-				}
-				_, ferr := net.StartFlow(source, dstHost, sz, netsim.FlowOptions{
-					WindowBytes:      o.TCPBufferBytes,
-					RateCapBps:       cap,
-					OverheadFraction: overhead,
-				}, func(f *netsim.Flow) {
-					if f.Finished() > finished {
-						finished = f.Finished()
-					}
-					remaining--
-					if remaining == 0 {
-						done(Result{
-							Src: srcHost, Dst: dstHost, Bytes: bytes,
-							Options: o, Channels: channels,
-							Started: started, Finished: finished,
-							Sources: sources,
-						})
-					}
-				})
-				if ferr != nil {
-					// Should not happen once validated; account for the
-					// channel so completion still fires.
-					remaining--
-				}
-			}
-		}
-		if remaining == 0 {
-			// Degenerate: nothing started (all sizes zero) — complete now.
-			done(Result{
-				Src: srcHost, Dst: dstHost, Bytes: bytes,
-				Options: o, Channels: channels,
-				Started: started, Finished: engine.Now(),
-				Sources: sources,
-			})
+	setup := time.Duration(setupRoundTrips(s.x.req.Options.Protocol)) * rtt
+	_, err = tb.Engine().After(setup, func(time.Duration) {
+		if !s.ended {
+			start(s)
 		}
 	})
 	return err
+}
+
+// launch fans s.bytes out over the session's data channels. It is the
+// only place a flow starts. Endpoint caps are read here, per mover, so a
+// chunk or a retry sees the load of its own moment.
+func (s *session) launch() {
+	x, o := s.x, &s.x.req.Options
+	tb := x.t.tb
+	track := x.req.Failover != nil
+	channels := len(s.movers) * o.Streams
+	per := s.bytes / int64(channels)
+	s.ended, s.left, s.flows = false, channels, s.flows[:0]
+	dst, err := tb.Host(x.req.Dst)
+	if err != nil {
+		s.end(err)
+		return
+	}
+	for mi, mover := range s.movers {
+		h, err := tb.Host(mover)
+		if err != nil {
+			s.end(err)
+			return
+		}
+		cap := endpointCapBps(h, dst, o.Streams, s.dstChannels)
+		for k := 0; k < o.Streams; k++ {
+			sz := per
+			if mi == 0 && k == 0 {
+				sz += s.bytes % int64(channels)
+			}
+			if sz <= 0 {
+				s.left--
+				continue
+			}
+			f, err := tb.Network().StartFlow(mover, x.req.Dst, sz, netsim.FlowOptions{
+				WindowBytes:      o.TCPBufferBytes,
+				RateCapBps:       cap,
+				OverheadFraction: x.overhead,
+				FailOnDown:       track,
+			}, s.flowDone)
+			if err != nil {
+				// Under failover typically ErrPathDown: the route broke
+				// during setup.
+				s.end(err)
+				return
+			}
+			if track {
+				s.flows = append(s.flows, f)
+			}
+		}
+	}
+	if s.left == 0 {
+		s.end(nil)
+	}
+}
+
+func (s *session) onFlow(f *netsim.Flow) {
+	if s.ended {
+		return
+	}
+	if f.State() == netsim.FlowFailed {
+		s.end(fmt.Errorf("%w: %s->%s", netsim.ErrPathDown, f.Src(), f.Dst()))
+		return
+	}
+	s.left--
+	if s.left == 0 {
+		s.end(nil)
+	}
+}
+
+// end reports the fan-out exactly once.
+func (s *session) end(err error) {
+	if s.ended {
+		return
+	}
+	s.ended = true
+	s.done(s, err)
+}
+
+// finish stamps the Result and delivers it.
+func (x *transfer) finish(err error) {
+	x.res.Finished, x.res.Err = x.t.tb.Engine().Now(), err
+	x.req.Done(x.res)
 }

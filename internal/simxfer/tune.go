@@ -1,6 +1,7 @@
 package simxfer
 
 import (
+	"errors"
 	"math"
 
 	"github.com/hpclab/datagrid/internal/netsim"
@@ -24,23 +25,30 @@ func RecommendStreams(net *netsim.Network, src, dst string, windowBytes int, max
 	if maxStreams <= 0 {
 		maxStreams = MaxRecommendedStreams
 	}
-	st, err := ProbePath(net, src, dst)
+	if net == nil {
+		return 0, errors.New("simxfer: nil network")
+	}
+	// The four probes share one failure mode: an unroutable pair fails
+	// the first of them.
+	rtt, err := net.PathRTT(src, dst)
 	if err != nil {
 		return 0, err
 	}
-	avail := st.AvailableBps
+	loss, _ := net.PathLossRate(src, dst)
+	line, _ := net.BottleneckBps(src, dst)
+	avail, _ := net.AvailableBps(src, dst)
 	// Never plan for less than a tenth of the line rate: a momentarily
 	// saturated link still deserves a fair-share attempt.
-	if avail < st.BottleneckBps/10 {
-		avail = st.BottleneckBps / 10
+	if avail < line/10 {
+		avail = line / 10
 	}
 
 	perStream := math.Inf(1)
-	if st.RTT > 0 {
-		perStream = float64(windowBytes) * 8 / st.RTT.Seconds()
+	if rtt > 0 {
+		perStream = float64(windowBytes) * 8 / rtt.Seconds()
 		// Mathis limit with the standard MSS.
-		if st.LossRate > 0 {
-			if m := netsim.DefaultMSS * 8 / st.RTT.Seconds() * 1.22 / math.Sqrt(st.LossRate); m < perStream {
+		if loss > 0 {
+			if m := netsim.DefaultMSS * 8 / rtt.Seconds() * 1.22 / math.Sqrt(loss); m < perStream {
 				perStream = m
 			}
 		}

@@ -111,11 +111,11 @@ func (w *world) run() (*Report, error) {
 		return nil, err
 	}
 
-	failover := func() *simxfer.FailoverPolicy {
-		if !spec.Failover {
-			return nil
-		}
-		return &simxfer.FailoverPolicy{
+	// One policy serves the whole run: Submit copies it, and Rank reads
+	// only the world.
+	var failover *simxfer.FailoverPolicy
+	if spec.Failover {
+		failover = &simxfer.FailoverPolicy{
 			Mode:           simxfer.FailoverReselect,
 			MaxAttempts:    3,
 			InitialBackoff: 2 * time.Second,
@@ -180,7 +180,7 @@ func (w *world) run() (*Report, error) {
 				Dst:      rq.dst,
 				Bytes:    rq.bytes,
 				Options:  spec.options(),
-				Failover: failover(),
+				Failover: failover,
 				Done:     c.done,
 			}
 			c.submitted++
