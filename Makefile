@@ -19,8 +19,8 @@ vet:
 	$(GO) run ./cmd/gridlint ./...
 
 # Domain-specific static analysis (wallclock, determinism, seedflow,
-# lockedcallback, enginesharing, errcheck, snapshotdiscipline,
-# eventlifetime) — see docs/STATIC_ANALYSIS.md.
+# lockedcallback, enginesharing, errcheck, snapshotdiscipline) — see
+# docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/gridlint ./...
 
@@ -33,12 +33,16 @@ race:
 bench: bench-netsim
 	$(GO) test -bench=. -benchmem -timeout 1200s
 
-# Record the simulation-core benchmarks into BENCH_netsim.json so future
-# changes have a perf trajectory to compare against. Same label replaces,
-# new labels append: run with BENCH_LABEL=<change-id> before and after an
-# optimization (docs/PERFORMANCE.md documents the workflow).
+# Record the simulation-core benchmarks — the allocator and route trees,
+# the engine's event queue and the NWS forecaster bank — into
+# BENCH_netsim.json so future changes have a perf trajectory to compare
+# against. Same label replaces, new labels append: run with
+# BENCH_LABEL=<change-id> before and after an optimization
+# (docs/PERFORMANCE.md documents the workflow).
+SIMCORE_BENCH = Netsim|Reallocate|RouteTree|AddLinkBulk|ForecasterBank|EngineChurn
+
 bench-netsim:
-	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk' -benchmem -timeout 600s . ./internal/netsim \
+	$(GO) test -run='^$$' -bench='$(SIMCORE_BENCH)' -benchmem -timeout 600s . ./internal/netsim \
 		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' -out BENCH_netsim.json
 
 # Record the full-suite harness benchmark (the `gridbench -all` workload
@@ -68,15 +72,15 @@ BENCH_DIFF_METRICS ?= allocs/op
 bench-diff: bench-diff-netsim bench-diff-suite bench-diff-select bench-diff-faults bench-diff-scale bench-diff-traffic
 
 bench-diff-netsim:
-	$(GO) test -run='^$$' -bench='Netsim|Reallocate|RouteTree|AddLinkBulk' -benchmem -timeout 600s . ./internal/netsim \
-		| $(GO) run ./cmd/benchjson -diff -against pr12-sorted-waterfill-2cpu \
+	$(GO) test -run='^$$' -bench='$(SIMCORE_BENCH)' -benchmem -timeout 600s . ./internal/netsim \
+		| $(GO) run ./cmd/benchjson -diff -against pr21-tick-path-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_netsim.json
 
 # Gate the full-suite harness benchmark against its committed baseline
 # the same way (GridbenchAll sequential vs parallel, BENCH_suite.json).
 bench-diff-suite:
 	$(GO) test -run='^$$' -bench='GridbenchAll' -benchmem -timeout 1200s . \
-		| $(GO) run ./cmd/benchjson -diff -against container-1cpu \
+		| $(GO) run ./cmd/benchjson -diff -against pr21-tick-path-2cpu \
 			-metrics '$(BENCH_DIFF_METRICS)' -out BENCH_suite.json
 
 bench-diff-select:

@@ -408,6 +408,38 @@ func BenchmarkForecasterBank(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineChurn measures the event queue under a monitoring-sized
+// load: 1 000 events stay pending while each iteration schedules one more
+// and either fires the earliest or, one time in ten, cancels what it just
+// scheduled.
+func BenchmarkEngineChurn(b *testing.B) {
+	eng := simulation.NewEngine()
+	rng := rand.New(rand.NewSource(5))
+	fn := func(time.Duration) {}
+	delay := func() time.Duration { return time.Duration(1+rng.Intn(1000)) * time.Millisecond }
+	for i := 0; i < 1000; i++ {
+		if _, err := eng.After(delay(), fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := eng.After(delay(), fn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%10 == 0 {
+			eng.Cancel(ev)
+			continue
+		}
+		eng.Step()
+	}
+	if eng.Pending() != 1000 {
+		b.Fatalf("pending = %d, want 1000", eng.Pending())
+	}
+}
+
 // BenchmarkSelectionRank measures one full catalog -> information-server ->
 // score -> rank decision on the monitored testbed.
 func BenchmarkSelectionRank(b *testing.B) {

@@ -68,6 +68,9 @@ type Config struct {
 type Host struct {
 	cfg  HostConfig
 	site string
+	// up and down are the two directions of the LAN link to the site
+	// switch, resolved once so the per-tick NIC read builds no name.
+	up, down *netsim.Link
 
 	baseCPULoad float64 // synthetic background CPU busy fraction
 	baseIOLoad  float64 // synthetic background I/O busy fraction
@@ -224,6 +227,13 @@ func New(engine *simulation.Engine, seed int64, cfg Config) (*Testbed, error) {
 				return nil, err
 			}
 			h := &Host{cfg: hc, site: sc.Name}
+			var err error
+			if h.up, err = t.net.GetLink(hc.Name, sw); err != nil {
+				return nil, err
+			}
+			if h.down, err = t.net.GetLink(sw, hc.Name); err != nil {
+				return nil, err
+			}
 			t.hosts[hc.Name] = h
 			t.sites[sc.Name] = append(t.sites[sc.Name], h)
 		}
@@ -299,16 +309,7 @@ func (t *Testbed) HostNICBps(name string) (rx, tx float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sw := SwitchNode(h.Site())
-	up, err := t.net.GetLink(name, sw)
-	if err != nil {
-		return 0, 0, err
-	}
-	down, err := t.net.GetLink(sw, name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return down.UsedBps(), up.UsedBps(), nil
+	return h.down.UsedBps(), h.up.UsedBps(), nil
 }
 
 // SetHostDown fails (or restores) a host by taking down both directions of
@@ -333,11 +334,7 @@ func (t *Testbed) HostDown(name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	l, err := t.net.GetLink(name, SwitchNode(h.Site()))
-	if err != nil {
-		return false, err
-	}
-	return l.Down(), nil
+	return h.up.Down(), nil
 }
 
 // LoadConfig parameterizes a synthetic host load process: mean-reverting

@@ -10,6 +10,5 @@ func All() []*Analyzer {
 		EngineSharing,
 		ErrcheckLite,
 		Snapshotdiscipline,
-		Eventlifetime,
 	}
 }

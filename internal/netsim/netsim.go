@@ -219,7 +219,7 @@ type Flow struct {
 	// it stops binding.
 	cwndBps float64
 	ramping bool
-	rampEv  *simulation.Event
+	rampEv  simulation.Event
 	// rampFn is the slow-start tick callback, bound once at StartFlow so
 	// per-RTT rescheduling does not allocate a fresh closure.
 	rampFn   func(time.Duration)
@@ -440,7 +440,7 @@ type Network struct {
 	rootScratch    []int
 	groupScratch   []*component
 
-	nextEv       *simulation.Event
+	nextEv       simulation.Event
 	completionFn func(time.Duration)
 }
 
@@ -1056,7 +1056,6 @@ func (n *Network) scheduleRamp(f *Flow) {
 // water-filling is skipped and only the completion schedule is refreshed,
 // which keeps the event arithmetic identical to the full path.
 func (n *Network) rampTick(f *Flow) {
-	f.rampEv = nil // the firing event is dead; never hand it to Cancel
 	if f.state != FlowActive || !f.ramping {
 		return
 	}
@@ -1104,7 +1103,6 @@ func (n *Network) reallocate() {
 // by the truncating duration conversion are re-anchored, and the dirty
 // drain re-water-fills exactly the components that lost a flow.
 func (n *Network) onCompletion(time.Duration) {
-	n.nextEv = nil
 	now := n.engine.Now()
 	expired := n.expiredScratch[:0]
 	for len(n.compHeap) > 0 && n.compHeap[0].minAt <= now {
@@ -1187,10 +1185,7 @@ func (n *Network) removeFlow(f *Flow, final FlowState) {
 			l.usedBps = 0
 		}
 	}
-	if f.rampEv != nil {
-		n.engine.Cancel(f.rampEv)
-		f.rampEv = nil
-	}
+	n.engine.Cancel(f.rampEv)
 	f.state = final
 	f.finished = now
 	f.rateBps = 0

@@ -748,10 +748,7 @@ func (n *Network) processDirty() {
 // scheduling sequence number — event-order parity with the historical
 // algorithm when completions tie with other events.
 func (n *Network) rescheduleNextCompletion() {
-	if n.nextEv != nil {
-		n.engine.Cancel(n.nextEv)
-		n.nextEv = nil
-	}
+	n.engine.Cancel(n.nextEv)
 	if len(n.compHeap) == 0 {
 		return
 	}

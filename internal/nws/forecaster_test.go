@@ -294,3 +294,38 @@ func TestPropertyBankPicksMinimumError(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBankFullWindowAllocs pins the forecasting path: with every window
+// full, Update and Forecast allocate nothing.
+func TestBankFullWindowAllocs(t *testing.T) {
+	bank, err := NewBank(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	step := func() {
+		bank.Update(50 + rng.NormFloat64()*5)
+		if _, err := bank.Forecast(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Fatalf("Update+Forecast on full windows allocates %v objects/op, want 0", avg)
+	}
+}
+
+// TestWindowedExpertsDropNonFinite pins that the windowed experts refuse
+// NaN and ±Inf on their own, whoever feeds them.
+func TestWindowedExpertsDropNonFinite(t *testing.T) {
+	for _, f := range []Forecaster{newSlidingMean(3), newSlidingMedian(3), newTrimmedMean(3, 0.2)} {
+		for _, v := range []float64{1, math.NaN(), 2, math.Inf(1), 3, math.Inf(-1)} {
+			f.Update(v)
+		}
+		if v, ok := f.Predict(); !ok || v != 2 {
+			t.Errorf("%s = %v, %v after {1, NaN, 2, +Inf, 3, -Inf}, want 2", f.Name(), v, ok)
+		}
+	}
+}

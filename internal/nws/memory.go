@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"github.com/hpclab/datagrid/internal/ring"
 )
 
 // Standard resource names, matching the measurements NWS ships sensors for.
@@ -49,7 +51,7 @@ type Measurement struct {
 }
 
 type series struct {
-	ms   []Measurement
+	ms   ring.Buffer[Measurement]
 	bank *Bank
 }
 
@@ -75,10 +77,18 @@ func NewMemory(capacity int, experts func() []Forecaster) *Memory {
 	return &Memory{capacity: capacity, series: make(map[SeriesKey]*series), newExperts: experts}
 }
 
+// ErrNonFinite is returned by Store for a NaN or infinite value. Nothing is
+// recorded: a forecaster cannot use such a sample and a journal cannot
+// encode it.
+var ErrNonFinite = errors.New("nws: non-finite measurement")
+
 // Store appends a measurement to the series identified by key.
 func (m *Memory) Store(key SeriesKey, meas Measurement) error {
 	if err := key.validate(); err != nil {
 		return err
+	}
+	if !finite(meas.Value) {
+		return fmt.Errorf("%w: %v for %s", ErrNonFinite, meas.Value, key)
 	}
 	s, ok := m.series[key]
 	if !ok {
@@ -90,13 +100,10 @@ func (m *Memory) Store(key SeriesKey, meas Measurement) error {
 		if err != nil {
 			return err
 		}
-		s = &series{bank: bank}
+		s = &series{ms: ring.New[Measurement](m.capacity), bank: bank}
 		m.series[key] = s
 	}
-	s.ms = append(s.ms, meas)
-	if len(s.ms) > m.capacity {
-		s.ms = s.ms[len(s.ms)-m.capacity:]
-	}
+	s.ms.Push(meas)
 	s.bank.Update(meas.Value)
 	m.rev++
 	return nil
@@ -116,16 +123,16 @@ func (m *Memory) History(key SeriesKey) ([]Measurement, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
 	}
-	return append([]Measurement(nil), s.ms...), nil
+	return s.ms.Slice(), nil
 }
 
 // Latest returns the most recent measurement of a series.
 func (m *Memory) Latest(key SeriesKey) (Measurement, error) {
 	s, ok := m.series[key]
-	if !ok || len(s.ms) == 0 {
+	if !ok || s.ms.Len() == 0 {
 		return Measurement{}, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
 	}
-	return s.ms[len(s.ms)-1], nil
+	return *s.ms.At(s.ms.Len() - 1), nil
 }
 
 // Forecast returns the NWS forecast for a series.
@@ -153,5 +160,5 @@ func (m *Memory) Len(key SeriesKey) int {
 	if !ok {
 		return 0
 	}
-	return len(s.ms)
+	return s.ms.Len()
 }

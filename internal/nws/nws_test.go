@@ -2,6 +2,8 @@ package nws
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -381,5 +383,77 @@ func TestLatencySensorValidation(t *testing.T) {
 	}
 	if _, err := NewLatencySensor(nil, ns, mem, net, "a", "b", time.Second, 1); err == nil {
 		t.Fatal("nil engine should be rejected")
+	}
+}
+
+// TestMemoryRejectsNonFinite pins that a NaN or infinite measurement is
+// refused before anything moves: history, latest value, revision, the
+// bank and the sensor's store count all stay where they were.
+func TestMemoryRejectsNonFinite(t *testing.T) {
+	eng, _, ns, mem := deployment(t)
+	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
+	if err := mem.Store(key, Measurement{At: time.Second, Value: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	rev := mem.Revision()
+	before, _ := mem.Forecast(key)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := mem.Store(key, Measurement{At: 2 * time.Second, Value: v}); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("Store(%v) = %v, want ErrNonFinite", v, err)
+		}
+	}
+	// A first sample that is refused must not leave an empty series behind.
+	fresh := SeriesKey{Resource: ResourceCPU, Source: "b"}
+	if err := mem.Store(fresh, Measurement{Value: math.NaN()}); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("Store(NaN) on a new key = %v, want ErrNonFinite", err)
+	}
+	if keys := mem.Keys(); len(keys) != 1 {
+		t.Fatalf("refused first sample created a series: %v", keys)
+	}
+	if mem.Len(key) != 1 || mem.Revision() != rev {
+		t.Fatalf("Len = %d, Revision %d -> %d after refused stores", mem.Len(key), rev, mem.Revision())
+	}
+	if last, err := mem.Latest(key); err != nil || last.Value != 0.5 {
+		t.Fatalf("Latest = %v, %v", last, err)
+	}
+	if after, _ := mem.Forecast(key); after != before {
+		t.Fatalf("forecast moved: %+v -> %+v", before, after)
+	}
+
+	// A gauge that reads NaN probes but does not store.
+	gkey := SeriesKey{Resource: ResourceMemory, Source: "a"}
+	s, err := NewGaugeSensor(eng, ns, mem, gkey, time.Second, func() (float64, error) { return math.NaN(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if s.Probes() != 4 || s.Stores() != 0 || mem.Len(gkey) != 0 {
+		t.Fatalf("probes/stores/len = %d/%d/%d, want 4/0/0", s.Probes(), s.Stores(), mem.Len(gkey))
+	}
+}
+
+// TestMemoryStoreAtCapacityAllocs pins the steady-state store: a series at
+// capacity and a bank with every window full take a measurement without
+// allocating.
+func TestMemoryStoreAtCapacityAllocs(t *testing.T) {
+	m := NewMemory(64, nil)
+	key := SeriesKey{Resource: ResourceBandwidth, Source: "a", Target: "b"}
+	rng := rand.New(rand.NewSource(1))
+	store := func() {
+		if err := m.Store(key, Measurement{Value: 50 + rng.NormFloat64()*5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 128; i++ {
+		store()
+	}
+	if avg := testing.AllocsPerRun(200, store); avg != 0 {
+		t.Fatalf("Store at capacity allocates %v objects/op, want 0", avg)
+	}
+	hist, _ := m.History(key)
+	if latest, _ := m.Latest(key); len(hist) != 64 || hist[63] != latest {
+		t.Fatalf("history after wrap: %d records, newest %v, Latest %v", len(hist), hist[len(hist)-1], latest)
 	}
 }

@@ -2,6 +2,8 @@ package nws
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -77,5 +79,28 @@ func TestMemoryPersistEmpty(t *testing.T) {
 	n, err := m.Save(&buf)
 	if err != nil || n != 0 || buf.Len() != 0 {
 		t.Fatalf("empty Save = %d, %v, %d bytes", n, err, buf.Len())
+	}
+}
+
+// TestMemoryPersistAfterNonFinite: a refused NaN used to sit in the
+// history and fail the whole journal with "json: unsupported value".
+func TestMemoryPersistAfterNonFinite(t *testing.T) {
+	m := NewMemory(0, nil)
+	k := SeriesKey{Resource: ResourceCPU, Source: "lz02"}
+	for _, v := range []float64{0.25, math.NaN(), 0.75} {
+		if err := m.Store(k, Measurement{At: time.Second, Value: v}); err != nil && !errors.Is(err, ErrNonFinite) {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if n, err := m.Save(&buf); err != nil || n != 2 {
+		t.Fatalf("Save = %d, %v, want 2 measurements", n, err)
+	}
+	restored := NewMemory(0, nil)
+	if n, err := restored.Load(&buf); err != nil || n != 2 {
+		t.Fatalf("Load = %d, %v", n, err)
+	}
+	if last, err := restored.Latest(k); err != nil || last.Value != 0.75 {
+		t.Fatalf("restored latest = %v, %v", last, err)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// The gridlint analyzers assume engine semantics that the original tests
-// did not pin down: canceling an event after it fired is a no-op, FIFO
-// tie-breaking holds even when callbacks re-schedule at the current
-// timestamp, and Step on an empty queue neither fires nor advances time.
+// Engine semantics the original tests did not pin down: canceling an
+// event after it fired is a no-op, FIFO tie-breaking holds even when
+// callbacks re-schedule at the current timestamp, and Step on an empty
+// queue neither fires nor advances time.
 
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
@@ -26,9 +26,6 @@ func TestCancelAfterFire(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("Cancel after fire should report false")
 	}
-	if ev.Canceled() {
-		t.Fatal("a fired event must not be marked canceled")
-	}
 	if got := e.Fired(); got != 1 {
 		t.Fatalf("Fired = %d, want 1", got)
 	}
@@ -36,7 +33,7 @@ func TestCancelAfterFire(t *testing.T) {
 
 func TestCancelSelfDuringFire(t *testing.T) {
 	e := NewEngine()
-	var ev *Event
+	var ev Event
 	var insideResult bool
 	ev, err := e.Schedule(3, func(time.Duration) {
 		// The event is already off the queue while its callback runs;

@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// TestEventRecycledAfterCancel pins the free-list behavior: a canceled
-// event's struct is reused by the next Schedule call.
+// TestEventRecycledAfterCancel pins the slab behavior: a canceled event's
+// slot is reused by the next Schedule call under a new generation, so the
+// old handle stays dead.
 func TestEventRecycledAfterCancel(t *testing.T) {
 	e := NewEngine()
 	fn := func(time.Duration) {}
@@ -21,24 +22,30 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev1 != ev2 {
-		t.Fatal("canceled event struct was not recycled by the next Schedule")
+	if ev1.slot != ev2.slot {
+		t.Fatal("canceled event's slot was not recycled by the next Schedule")
 	}
-	if ev2.Canceled() {
-		t.Fatal("recycled event still reports canceled")
+	if ev1 == ev2 {
+		t.Fatal("recycled slot kept its generation: the dead handle is live again")
 	}
-	if ev2.At() != 2*time.Second {
-		t.Fatalf("recycled event At = %v, want 2s", ev2.At())
+	if e.Cancel(ev1) {
+		t.Fatal("Cancel of the dead handle canceled the slot's new event")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	if !e.Cancel(ev2) {
+		t.Fatal("the live handle did not cancel")
 	}
 }
 
-// TestEventRecycledAfterFire pins that fired events return to the pool
-// once their callback has finished — and, critically, not before: a
-// Cancel issued on the firing event from inside its own callback must be
-// a no-op, not a cancellation of a recycled successor.
+// TestEventRecycledAfterFire pins that a fired event's slot returns to
+// the slab, that a Cancel issued on the firing event from inside its own
+// callback is a no-op, and that the fired handle cannot cancel the slot's
+// next occupant.
 func TestEventRecycledAfterFire(t *testing.T) {
 	e := NewEngine()
-	var fired *Event
+	var fired Event
 	var cancelResult *bool
 	ev, err := e.Schedule(time.Second, func(time.Duration) {
 		r := e.Cancel(fired) // self-cancel mid-flight: must be a no-op
@@ -58,23 +65,39 @@ func TestEventRecycledAfterFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev2 != ev {
-		t.Fatal("fired event struct was not recycled by the next Schedule")
+	if ev2.slot != ev.slot {
+		t.Fatal("fired event's slot was not recycled by the next Schedule")
+	}
+	if e.Cancel(ev) || e.Pending() != 1 {
+		t.Fatal("the fired handle canceled the slot's new event")
 	}
 }
 
-// TestScheduleFireSteadyStateAllocs pins the allocation-free event loop:
-// a schedule/fire cycle against a warm pool allocates nothing.
-func TestScheduleFireSteadyStateAllocs(t *testing.T) {
+// warmEngine returns an engine holding pending far-future events, its
+// slab, free list and heap grown past what the pins below need.
+func warmEngine(t *testing.T, pending int) *Engine {
+	t.Helper()
 	e := NewEngine()
 	fn := func(time.Duration) {}
-	// Warm the pool and the heap's backing array.
-	for i := 0; i < 4; i++ {
-		if _, err := e.Schedule(e.Now(), fn); err != nil {
+	var evs []Event
+	for i := 0; i < pending+8; i++ {
+		ev, err := e.Schedule(time.Hour+time.Duration(i), fn)
+		if err != nil {
 			t.Fatal(err)
 		}
-		e.Step()
+		evs = append(evs, ev)
 	}
+	for _, ev := range evs[pending:] {
+		e.Cancel(ev)
+	}
+	return e
+}
+
+// TestScheduleFireSteadyStateAllocs pins the allocation-free event loop:
+// a schedule/fire cycle against a warm slab allocates nothing.
+func TestScheduleFireSteadyStateAllocs(t *testing.T) {
+	e := warmEngine(t, 64)
+	fn := func(time.Duration) {}
 	avg := testing.AllocsPerRun(100, func() {
 		if _, err := e.Schedule(e.Now(), fn); err != nil {
 			t.Fatal(err)
@@ -83,5 +106,43 @@ func TestScheduleFireSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state schedule/fire allocates %v objects/op, want 0", avg)
+	}
+}
+
+// TestScheduleCancelSteadyStateAllocs pins the other way an event dies.
+func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
+	e := warmEngine(t, 64)
+	fn := func(time.Duration) {}
+	avg := testing.AllocsPerRun(100, func() {
+		ev, err := e.Schedule(time.Minute, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Cancel(ev) {
+			t.Fatal("pending event did not cancel")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state schedule/cancel allocates %v objects/op, want 0", avg)
+	}
+}
+
+// TestTickerPeriodAllocs pins one ticker period — fire, callback,
+// reschedule — at zero allocations: the tick method value is bound once.
+func TestTickerPeriodAllocs(t *testing.T) {
+	e := warmEngine(t, 64)
+	ticks := 0
+	tk, err := e.NewTicker(time.Second, true, func(time.Duration) { ticks++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tk.Stop()
+	e.Step()
+	avg := testing.AllocsPerRun(100, func() { e.Step() })
+	if avg != 0 {
+		t.Fatalf("one ticker period allocates %v objects/op, want 0", avg)
+	}
+	if ticks < 100 {
+		t.Fatalf("ticker fired %d times, want >= 100", ticks)
 	}
 }

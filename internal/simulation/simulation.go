@@ -6,104 +6,66 @@
 package simulation
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 )
 
-// Event is a unit of scheduled work. Events fire in increasing timestamp
-// order; ties are broken by scheduling order (FIFO), which keeps runs
-// deterministic.
+// Event is a handle to a scheduled event: the slot the engine keeps the
+// event in and the generation that slot had when the event was scheduled.
+// Events fire in increasing timestamp order; ties are broken by scheduling
+// order (FIFO), which keeps runs deterministic.
 //
-// Event structs are pooled by the engine: once an event has fired or been
-// canceled, the engine may recycle the struct for a later Schedule/After
-// call. A handle is therefore dead the moment its event fires or is
-// canceled — holders must drop (nil) dead handles and must not pass them
-// to Cancel later, or they risk canceling an unrelated recycled event.
-// Canceling a dead handle that has not yet been recycled is still a
-// harmless no-op, so clearing handles from inside the event's own
-// callback (before any rescheduling) is always safe.
+// A slot's generation is bumped the moment its event fires or is canceled,
+// so a handle to a dead event matches nothing: Cancel on it is a no-op even
+// after the slot has been reused, and holders need not clear handles. The
+// zero Event is never live.
 type Event struct {
-	at       time.Duration // virtual time at which the event fires
-	seq      uint64        // tie-breaker: insertion sequence number
-	index    int           // heap index, -1 once removed
-	canceled bool
-	fn       func(now time.Duration)
+	slot uint32
+	gen  uint64
 }
 
-// At reports the virtual time this event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
+// slot is one cell of the engine's event slab. Generations start at 1.
+// Slots and heap positions are 32 bits wide: the slab grows only to the
+// peak number of concurrently pending events, and 2^31 of those would
+// need 100 GB.
+type slot struct {
+	fn  func(now time.Duration)
+	gen uint64
+	pos int32 // index into Engine.heap while pending
+}
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
+// entry is one pending event in the heap, ordered by (at, seq).
+type entry struct {
+	at   time.Duration
+	seq  uint64 // tie-breaker: insertion sequence number
+	slot uint32
+}
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all callbacks run on the goroutine that calls Run/Step.
 type Engine struct {
-	now   time.Duration
-	seq   uint64
-	queue eventQueue
-	// free is the event free list: structs recycled after fire/cancel so
-	// steady-state simulations (schedule, fire, reschedule, ...) allocate
-	// no events at all. Its length is bounded by the peak number of
-	// concurrently pending events.
-	free    []*Event
+	now time.Duration
+	seq uint64
+	// heap is a 4-ary min-heap of the pending events; slots holds their
+	// callbacks, addressed by entry.slot, and free lists the slots whose
+	// event fired or was canceled. A steady-state simulation (schedule,
+	// fire, reschedule, ...) therefore allocates nothing; all three are
+	// bounded by the peak number of concurrently pending events.
+	heap    []entry
+	slots   []slot
+	free    []uint32
 	running bool
 	stopped bool
 	fired   uint64
-}
-
-// getEvent pops a recycled event from the free list, or allocates one.
-func (e *Engine) getEvent() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{}
-}
-
-// putEvent returns a fired or canceled event to the free list. The fn
-// reference is dropped so the pool does not pin callback closures.
-func (e *Engine) putEvent(ev *Event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -118,9 +80,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled. Canceled events
-// are removed from the schedule immediately (Cancel calls heap.Remove),
-// so they are never counted here.
-func (e *Engine) Pending() int { return len(e.queue) }
+// leave the heap immediately, so they are never counted here.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // ErrPastEvent is returned by Schedule when the requested time is before
 // the current virtual time.
@@ -128,59 +89,138 @@ var ErrPastEvent = errors.New("simulation: cannot schedule event in the past")
 
 // Schedule registers fn to run at absolute virtual time at. It returns the
 // event handle, which may be used to cancel the event before it fires.
-func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (*Event, error) {
+func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, error) {
 	if at < e.now {
-		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
+		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
 	if fn == nil {
-		return nil, errors.New("simulation: nil event function")
+		return Event{}, errors.New("simulation: nil event function")
 	}
-	ev := e.getEvent()
-	*ev = Event{at: at, seq: e.seq, fn: fn}
+	var id uint32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		id = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	s := &e.slots[id]
+	s.fn = fn
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev, nil
+	return Event{slot: id, gen: s.gen}, nil
 }
 
 // After registers fn to run after delay d from the current virtual time.
 // A negative delay is treated as zero.
-func (e *Engine) After(d time.Duration, fn func(now time.Duration)) (*Event, error) {
+func (e *Engine) After(d time.Duration, fn func(now time.Duration)) (Event, error) {
 	if d < 0 {
 		d = 0
 	}
 	return e.Schedule(e.now+d, fn)
 }
 
-// Cancel removes the event from the schedule and recycles its struct.
-// Canceling an already-fired or already-canceled event whose struct has
-// not yet been reused is a no-op; see the Event doc for the handle
-// lifetime rules. Cancel reports whether the event was still pending.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.canceled || ev.index < 0 {
+// Cancel removes the event from the schedule and reports whether it was
+// still pending. A handle whose event already fired or was canceled — or
+// the zero Event — is dead, and canceling it does nothing.
+func (e *Engine) Cancel(ev Event) bool {
+	if int(ev.slot) >= len(e.slots) || e.slots[ev.slot].gen != ev.gen {
 		return false
 	}
-	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
-	e.putEvent(ev)
+	e.removeAt(int(e.slots[ev.slot].pos))
+	e.release(ev.slot)
 	return true
 }
 
+// release kills every handle to the slot's event and recycles the slot.
+// The fn reference is dropped so the slab does not pin callback closures.
+func (e *Engine) release(id uint32) {
+	s := &e.slots[id]
+	s.fn = nil
+	s.gen++
+	e.free = append(e.free, id)
+}
+
+// place stores x at heap index i and records the position in its slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+// siftUp moves the hole at i towards the root until x fits, then places x.
+func (e *Engine) siftUp(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(e.heap[p]) {
+			break
+		}
+		e.place(i, e.heap[p])
+		i = p
+	}
+	e.place(i, x)
+}
+
+// siftDown moves the hole at i towards the leaves until x fits, then
+// places x.
+func (e *Engine) siftDown(i int, x entry) {
+	n := len(e.heap)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if e.heap[j].before(e.heap[m]) {
+				m = j
+			}
+		}
+		if !e.heap[m].before(x) {
+			break
+		}
+		e.place(i, e.heap[m])
+		i = m
+	}
+	e.place(i, x)
+}
+
+// removeAt deletes the entry at heap index i by refilling the hole with the
+// last entry.
+func (e *Engine) removeAt(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(e.heap[(i-1)/4]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
+}
+
 // Step fires the next pending event, advancing the clock to its timestamp.
-// It reports whether an event was fired. The queue never holds canceled
-// events (Cancel removes them from the heap eagerly), so the head of the
-// queue is always live. The fired event is recycled only after its
-// callback returns, so canceling the firing event from inside its own
-// callback remains a harmless no-op.
+// It reports whether an event was fired. The heap never holds canceled
+// events, so its root is always live. The firing event's handle is dead
+// before its callback runs, so canceling it from inside the callback is a
+// no-op.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.at
+	top := e.heap[0]
+	fn := e.slots[top.slot].fn
+	e.removeAt(0)
+	e.release(top.slot)
+	e.now = top.at
 	e.fired++
-	fn := ev.fn
 	fn(e.now)
-	e.putEvent(ev)
 	return true
 }
 
@@ -207,11 +247,10 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 	e.stopped = false
 	defer func() { e.running = false }()
 	for !e.stopped {
-		if len(e.queue) == 0 {
+		if len(e.heap) == 0 {
 			break
 		}
-		next := e.queue[0]
-		if next.at > deadline {
+		if e.heap[0].at > deadline {
 			break
 		}
 		e.Step()
@@ -226,10 +265,12 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 // engine drains. The first invocation happens one period after creation
 // unless immediate is set.
 type Ticker struct {
-	engine  *Engine
-	period  time.Duration
-	fn      func(now time.Duration)
-	ev      *Event
+	engine *Engine
+	period time.Duration
+	fn     func(now time.Duration)
+	// tickFn is t.tick bound once, so rescheduling builds no method value.
+	tickFn  func(now time.Duration)
+	ev      Event
 	stopped bool
 	paused  bool
 }
@@ -244,11 +285,12 @@ func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now tim
 		return nil, errors.New("simulation: nil ticker function")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
+	t.tickFn = t.tick
 	first := period
 	if immediate {
 		first = 0
 	}
-	ev, err := e.After(first, t.tick)
+	ev, err := e.After(first, t.tickFn)
 	if err != nil {
 		return nil, err
 	}
@@ -257,19 +299,13 @@ func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now tim
 }
 
 func (t *Ticker) tick(now time.Duration) {
-	// The firing event is dead; drop the handle before running fn so a
-	// Stop from inside fn never cancels a recycled event.
-	t.ev = nil
-	if t.stopped {
-		return
-	}
 	if !t.paused {
 		t.fn(now)
 	}
 	if t.stopped { // fn may have stopped the ticker
 		return
 	}
-	ev, err := t.engine.After(t.period, t.tick)
+	ev, err := t.engine.After(t.period, t.tickFn)
 	if err != nil {
 		// After with a positive period can only fail if now+period
 		// overflows the virtual clock (~292 years). Silently dropping the

@@ -101,15 +101,22 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked canceled")
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after cancel and run, want 0", e.Pending())
 	}
 }
 
 func TestCancelNil(t *testing.T) {
 	e := NewEngine()
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) should be a no-op returning false")
+	if e.Cancel(Event{}) {
+		t.Fatal("Cancel of the zero handle should be a no-op returning false")
+	}
+	// The zero handle stays dead once slot 0 is in use.
+	if _, err := e.Schedule(1, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Cancel(Event{}) || e.Pending() != 1 {
+		t.Fatal("Cancel of the zero handle removed a live event")
 	}
 }
 
@@ -327,7 +334,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		count := int(n%64) + 1
 		var fired []time.Duration
 		canceled := 0
-		var evs []*Event
+		var evs []Event
 		for i := 0; i < count; i++ {
 			at := time.Duration(rng.Intn(1000))
 			ev, err := e.Schedule(at, func(now time.Duration) { fired = append(fired, now) })

@@ -228,7 +228,6 @@ func (x *transfer) startAttempt() {
 func (x *transfer) endAttempt(s *session, err error) {
 	engine, net := x.t.tb.Engine(), x.t.tb.Network()
 	engine.Cancel(x.timeout)
-	x.timeout = nil
 	var delivered int64
 	for _, f := range s.flows {
 		if f.State() == netsim.FlowActive {

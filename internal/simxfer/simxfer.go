@@ -228,7 +228,7 @@ type transfer struct {
 	pol        FailoverPolicy
 	readmitted int   // attempt-log index of the last re-admission of burned sources
 	resume     int64 // payload bytes landed by earlier MODE E attempts
-	timeout    *simulation.Event
+	timeout    simulation.Event
 }
 
 // session is the one transfer primitive, a GridFTP (or FTP) session: pay

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/ring"
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
@@ -27,8 +28,7 @@ type NetCollector struct {
 	host    string
 	read    NetReader
 	ticker  *simulation.Ticker
-	history []NetRecord
-	limit   int
+	history ring.Buffer[NetRecord]
 }
 
 // NewNetCollector starts sampling read() every period.
@@ -51,16 +51,13 @@ func NewNetCollector(engine *simulation.Engine, host string, read NetReader, per
 	if historySize < 0 {
 		return nil, fmt.Errorf("sysstat: negative history size %d", historySize)
 	}
-	c := &NetCollector{host: host, read: read, limit: historySize}
+	c := &NetCollector{host: host, read: read, history: ring.New[NetRecord](historySize)}
 	tk, err := engine.NewTicker(period, true, func(now time.Duration) {
 		rx, tx, err := c.read()
 		if err != nil {
 			return
 		}
-		c.history = append(c.history, NetRecord{At: now, RxKBps: rx / 8 / 1024, TxKBps: tx / 8 / 1024})
-		if len(c.history) > c.limit {
-			c.history = c.history[len(c.history)-c.limit:]
-		}
+		c.history.Push(NetRecord{At: now, RxKBps: rx / 8 / 1024, TxKBps: tx / 8 / 1024})
 	})
 	if err != nil {
 		return nil, err
@@ -79,26 +76,23 @@ func (c *NetCollector) SetPaused(paused bool) { c.ticker.SetPaused(paused) }
 func (c *NetCollector) Paused() bool { return c.ticker.Paused() }
 
 // History returns a copy of the samples, oldest first.
-func (c *NetCollector) History() []NetRecord { return append([]NetRecord(nil), c.history...) }
+func (c *NetCollector) History() []NetRecord { return c.history.Slice() }
 
 // Latest returns the most recent sample.
 func (c *NetCollector) Latest() (NetRecord, error) {
-	if len(c.history) == 0 {
+	if c.history.Len() == 0 {
 		return NetRecord{}, ErrNoSamples
 	}
-	return c.history[len(c.history)-1], nil
+	return *c.history.At(c.history.Len() - 1), nil
 }
 
 // RenderSarNet renders the history like `sar -n DEV`, limited to the
 // trailing n records (all if n <= 0).
 func (c *NetCollector) RenderSarNet(n int) string {
-	recs := c.history
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %6s %12s %12s   (%s)\n", "time", "IFACE", "rxkB/s", "txkB/s", c.host)
-	for _, r := range recs {
+	for i := trailing(c.history.Len(), n); i < c.history.Len(); i++ {
+		r := c.history.At(i)
 		fmt.Fprintf(&b, "%-12s %6s %12.2f %12.2f\n", fmtClock(r.At), "eth0", r.RxKBps, r.TxKBps)
 	}
 	return b.String()

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/ring"
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
@@ -95,8 +96,8 @@ type Collector struct {
 	rng    *rand.Rand
 	ticker *simulation.Ticker
 
-	cpu []CPURecord
-	io  []IORecord
+	cpu ring.Buffer[CPURecord]
+	io  ring.Buffer[IORecord]
 	rev uint64
 }
 
@@ -112,7 +113,10 @@ func NewCollector(engine *simulation.Engine, host string, target Target, cfg Con
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	c := &Collector{host: host, target: target, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	c := &Collector{
+		host: host, target: target, cfg: cfg, rng: rand.New(rand.NewSource(seed)),
+		cpu: ring.New[CPURecord](cfg.HistorySize), io: ring.New[IORecord](cfg.HistorySize),
+	}
 	tk, err := engine.NewTicker(cfg.Period, true, c.sample)
 	if err != nil {
 		return nil, err
@@ -157,23 +161,17 @@ func (c *Collector) sample(now time.Duration) {
 	if idle < 0 {
 		idle = 0
 	}
-	c.cpu = append(c.cpu, CPURecord{At: now, User: user, System: system, IOWait: iowait, Idle: idle})
-	if len(c.cpu) > c.cfg.HistorySize {
-		c.cpu = c.cpu[len(c.cpu)-c.cfg.HistorySize:]
-	}
+	c.cpu.Push(CPURecord{At: now, User: user, System: system, IOWait: iowait, Idle: idle})
 
 	rd := jitter(c.cfg.DiskPeakKBps*io*0.7, c.cfg.DiskPeakKBps*0.01)
 	wr := jitter(c.cfg.DiskPeakKBps*io*0.3, c.cfg.DiskPeakKBps*0.01)
-	c.io = append(c.io, IORecord{
+	c.io.Push(IORecord{
 		At:        now,
 		TPS:       jitter(c.cfg.DiskPeakTPS*io, 1),
 		ReadKBps:  rd,
 		WriteKBps: wr,
 		Util:      io,
 	})
-	if len(c.io) > c.cfg.HistorySize {
-		c.io = c.io[len(c.io)-c.cfg.HistorySize:]
-	}
 	c.rev++
 }
 
@@ -182,10 +180,10 @@ func (c *Collector) sample(now time.Duration) {
 func (c *Collector) Revision() uint64 { return c.rev }
 
 // CPUHistory returns a copy of the CPU records, oldest first.
-func (c *Collector) CPUHistory() []CPURecord { return append([]CPURecord(nil), c.cpu...) }
+func (c *Collector) CPUHistory() []CPURecord { return c.cpu.Slice() }
 
 // IOHistory returns a copy of the I/O records, oldest first.
-func (c *Collector) IOHistory() []IORecord { return append([]IORecord(nil), c.io...) }
+func (c *Collector) IOHistory() []IORecord { return c.io.Slice() }
 
 // ErrNoSamples is returned when a statistic is requested before any sample
 // was taken.
@@ -193,18 +191,18 @@ var ErrNoSamples = errors.New("sysstat: no samples collected yet")
 
 // LatestCPU returns the most recent CPU record.
 func (c *Collector) LatestCPU() (CPURecord, error) {
-	if len(c.cpu) == 0 {
+	if c.cpu.Len() == 0 {
 		return CPURecord{}, ErrNoSamples
 	}
-	return c.cpu[len(c.cpu)-1], nil
+	return *c.cpu.At(c.cpu.Len() - 1), nil
 }
 
 // LatestIO returns the most recent I/O record.
 func (c *Collector) LatestIO() (IORecord, error) {
-	if len(c.io) == 0 {
+	if c.io.Len() == 0 {
 		return IORecord{}, ErrNoSamples
 	}
-	return c.io[len(c.io)-1], nil
+	return *c.io.At(c.io.Len() - 1), nil
 }
 
 // CPUIdlePercent returns the latest idle percentage — the cost model's
@@ -230,11 +228,12 @@ func (c *Collector) IOIdlePercent() (float64, error) {
 // AverageCPUIdle returns the mean idle percentage over the trailing window.
 func (c *Collector) AverageCPUIdle(window time.Duration, now time.Duration) (float64, error) {
 	sum, n := 0.0, 0
-	for i := len(c.cpu) - 1; i >= 0; i-- {
-		if now-c.cpu[i].At > window {
+	for i := c.cpu.Len() - 1; i >= 0; i-- {
+		r := c.cpu.At(i)
+		if now-r.At > window {
 			break
 		}
-		sum += c.cpu[i].Idle
+		sum += r.Idle
 		n++
 	}
 	if n == 0 {
@@ -246,13 +245,10 @@ func (c *Collector) AverageCPUIdle(window time.Duration, now time.Duration) (flo
 // RenderSar renders the CPU history like `sar -u`, most recent last,
 // limited to the trailing n records (all if n <= 0).
 func (c *Collector) RenderSar(n int) string {
-	recs := c.cpu
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %8s %8s %8s   (%s)\n", "time", "%user", "%system", "%iowait", "%idle", c.host)
-	for _, r := range recs {
+	for i := trailing(c.cpu.Len(), n); i < c.cpu.Len(); i++ {
+		r := c.cpu.At(i)
 		fmt.Fprintf(&b, "%-12s %8.2f %8.2f %8.2f %8.2f\n",
 			fmtClock(r.At), r.User, r.System, r.IOWait, r.Idle)
 	}
@@ -262,17 +258,23 @@ func (c *Collector) RenderSar(n int) string {
 // RenderIostat renders the I/O history like `iostat -d -x`, most recent
 // last, limited to the trailing n records (all if n <= 0).
 func (c *Collector) RenderIostat(n int) string {
-	recs := c.io
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %10s %10s %8s   (%s)\n", "time", "tps", "kB_read/s", "kB_wrtn/s", "%util", c.host)
-	for _, r := range recs {
+	for i := trailing(c.io.Len(), n); i < c.io.Len(); i++ {
+		r := c.io.At(i)
 		fmt.Fprintf(&b, "%-12s %8.2f %10.2f %10.2f %8.2f\n",
 			fmtClock(r.At), r.TPS, r.ReadKBps, r.WriteKBps, 100*r.Util)
 	}
 	return b.String()
+}
+
+// trailing returns the index of the first of the last n of length records
+// (all of them if n <= 0).
+func trailing(length, n int) int {
+	if n > 0 && length > n {
+		return length - n
+	}
+	return 0
 }
 
 func fmtClock(d time.Duration) string {
@@ -294,13 +296,13 @@ type activityLine struct {
 // of sar's binary daily activity file.
 func (c *Collector) WriteActivityFile(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for i := range c.cpu {
-		if err := enc.Encode(activityLine{Kind: "cpu", Host: c.host, CPU: &c.cpu[i]}); err != nil {
+	for i := 0; i < c.cpu.Len(); i++ {
+		if err := enc.Encode(activityLine{Kind: "cpu", Host: c.host, CPU: c.cpu.At(i)}); err != nil {
 			return fmt.Errorf("sysstat: writing activity file: %w", err)
 		}
 	}
-	for i := range c.io {
-		if err := enc.Encode(activityLine{Kind: "io", Host: c.host, IO: &c.io[i]}); err != nil {
+	for i := 0; i < c.io.Len(); i++ {
+		if err := enc.Encode(activityLine{Kind: "io", Host: c.host, IO: c.io.At(i)}); err != nil {
 			return fmt.Errorf("sysstat: writing activity file: %w", err)
 		}
 	}

@@ -108,6 +108,28 @@ func TestHistoryBounded(t *testing.T) {
 	if recs[4].At != 100*time.Second {
 		t.Fatalf("history should keep newest; last at %v", recs[4].At)
 	}
+	// The wrapped history reads oldest first everywhere it is read.
+	for i, r := range c.IOHistory() {
+		if want := time.Duration(96+i) * time.Second; r.At != want || recs[i].At != want {
+			t.Fatalf("record %d at %v (io) / %v (cpu), want %v", i, r.At, recs[i].At, want)
+		}
+	}
+	if lines := strings.Split(strings.TrimSpace(c.RenderSar(2)), "\n"); len(lines) != 3 ||
+		!strings.HasPrefix(lines[1], "00:01:39") || !strings.HasPrefix(lines[2], "00:01:40") {
+		t.Fatalf("RenderSar(2) after wrap:\n%s", c.RenderSar(2))
+	}
+}
+
+// TestSampleAtHistorySizeAllocs pins the steady-state tick: with both
+// histories full, one sample overwrites in place and allocates nothing.
+func TestSampleAtHistorySizeAllocs(t *testing.T) {
+	eng, c := newCollector(t, &fakeHost{cpu: 0.5, io: 0.2}, Config{Period: time.Second, HistorySize: 8})
+	if err := eng.RunUntil(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { c.sample(eng.Now()) }); avg != 0 {
+		t.Fatalf("sample at HistorySize allocates %v objects/op, want 0", avg)
+	}
 }
 
 func TestAverageCPUIdleWindow(t *testing.T) {
