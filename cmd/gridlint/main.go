@@ -1,27 +1,21 @@
 // Command gridlint runs the repo's domain-specific static analyzers
-// (internal/lint) over the module: wall-clock hygiene, determinism and
-// seed provenance, lock-safe engine scheduling, snapshot discipline,
-// event-handle lifetimes and dropped-error checks. It is wired into
-// `make vet`, `make lint` and CI, and exits non-zero when any finding
-// survives suppression directives.
+// (internal/lint) over the module; `gridlint -list` names and describes
+// them. It is wired into `make vet`, `make lint` and CI, and exits
+// non-zero when any finding survives suppression directives.
 //
 // Usage:
 //
-//	gridlint [-list] [-run name[,name...]] [-unused=false] [-json] [-fix [-w]] [packages]
+//	gridlint [-list] [-run name[,name...]] [-unused=false] [-json] [packages]
 //
 // Package patterns are module-relative ("./...", "./internal/...",
 // "./cmd/gridlint"); the default is "./...". The module root is found by
 // walking up from the current directory to the nearest go.mod.
 //
 // Packages are analyzed together in dependency order with a shared fact
-// store, so cross-package facts (seed derivers, wall-clock returners,
-// event retainers) flow from dependencies to the packages under
-// analysis. Stale suppression directives are findings too; disable that
-// with -unused=false.
-//
-// -json emits the findings (with any suggested fixes) as a JSON array.
-// -fix prints the suggested fixes as a unified diff without touching
-// anything; -fix -w applies them in place.
+// store, so cross-package facts (seed derivers, wall-clock returners)
+// flow from dependencies to the packages under analysis. Stale
+// suppression directives are findings too; disable that with
+// -unused=false. -json emits the findings as a JSON array.
 package main
 
 import (
@@ -31,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/hpclab/datagrid/internal/lint"
@@ -44,12 +37,11 @@ func main() {
 // jsonFinding is the machine-readable shape of one diagnostic, consumed
 // by the CI artifact upload.
 type jsonFinding struct {
-	File     string              `json:"file"` // module-relative
-	Line     int                 `json:"line"`
-	Column   int                 `json:"column"`
-	Analyzer string              `json:"analyzer"`
-	Message  string              `json:"message"`
-	Fixes    []lint.SuggestedFix `json:"fixes,omitempty"`
+	File     string `json:"file"` // module-relative
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -59,13 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	unused := fs.Bool("unused", true, "report suppression directives that suppress nothing")
 	asJSON := fs.Bool("json", false, "emit findings as JSON")
-	fix := fs.Bool("fix", false, "print suggested fixes as a diff (dry run)")
-	write := fs.Bool("w", false, "with -fix: apply suggested fixes in place")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *write && !*fix {
-		fmt.Fprintln(stderr, "gridlint: -w requires -fix")
 		return 2
 	}
 
@@ -123,10 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	diags := lint.AnalyzeAll(loader, pkgs, analyzers, lint.Options{ReportUnused: *unused})
 
-	if *fix {
-		return applyFixMode(diags, modRoot, *write, stdout, stderr)
-	}
-
 	if *asJSON {
 		findings := make([]jsonFinding, 0, len(diags))
 		for _, d := range diags {
@@ -136,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Column:   d.Pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Fixes:    d.Fixes,
 			})
 		}
 		enc := json.NewEncoder(stdout)
@@ -157,62 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "gridlint: %d finding(s)\n", len(diags))
-		return 1
-	}
-	return 0
-}
-
-// applyFixMode previews (or, with -w, writes) every suggested fix the
-// diagnostics carry. Findings without fixes are listed so the exit code
-// keeps meaning "something needs attention".
-func applyFixMode(diags []lint.Diagnostic, modRoot string, write bool, stdout, stderr io.Writer) int {
-	var fixable []lint.Diagnostic
-	unfixed := 0
-	for _, d := range diags {
-		if len(d.Fixes) > 0 {
-			fixable = append(fixable, d)
-		} else {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s (no suggested fix)\n",
-				relTo(modRoot, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-			unfixed++
-		}
-	}
-	fixed, err := lint.ApplyFixes(fixable, nil)
-	if err != nil {
-		fmt.Fprintf(stderr, "gridlint: %v\n", err)
-		return 2
-	}
-	var names []string
-	for name := range fixed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		before, err := os.ReadFile(name)
-		if err != nil {
-			fmt.Fprintf(stderr, "gridlint: %v\n", err)
-			return 2
-		}
-		if write {
-			info, err := os.Stat(name)
-			if err != nil {
-				fmt.Fprintf(stderr, "gridlint: %v\n", err)
-				return 2
-			}
-			if err := os.WriteFile(name, fixed[name], info.Mode().Perm()); err != nil {
-				fmt.Fprintf(stderr, "gridlint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "fixed %s\n", relTo(modRoot, name))
-		} else {
-			fmt.Fprint(stdout, lint.Diff(relTo(modRoot, name), before, fixed[name]))
-		}
-	}
-	if !write && len(names) > 0 {
-		fmt.Fprintf(stderr, "gridlint: %d fixable finding(s) in %d file(s); rerun with -fix -w to apply\n",
-			len(fixable), len(names))
-	}
-	if unfixed > 0 || (!write && len(names) > 0) {
 		return 1
 	}
 	return 0

@@ -1,19 +1,27 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestListAnalyzers pins the suite: docs, the Makefile and CI point at
+// `gridlint -list` instead of enumerating analyzers, so this is the one
+// place the list is spelled out.
 func TestListAnalyzers(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("gridlint -list exited %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{"wallclock", "determinism", "lockedcallback", "errcheck"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		got = append(got, name)
+	}
+	want := []string{"wallclock", "determinism", "seedflow", "lockedcallback", "errcheck", "snapshotdiscipline"}
+	if !slices.Equal(got, want) {
+		t.Errorf("-list names %v, want exactly %v", got, want)
 	}
 }
 
@@ -24,13 +32,11 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestCleanPackages runs the full suite over packages that carry
-// fix-or-suppress state from this repo's history; they must stay clean.
+// TestCleanPackages runs the full suite, stale-directive check included,
+// over the whole module, so Tier-1 alone sees a finding anywhere.
 func TestCleanPackages(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"./internal/simulation", "./internal/netsim", "./internal/ftp", "./internal/gridftp"},
-		&out, &errOut)
-	if code != 0 {
+	if code := run([]string{"./..."}, &out, &errOut); code != 0 {
 		t.Fatalf("gridlint exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 }

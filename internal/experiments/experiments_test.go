@@ -155,11 +155,24 @@ func TestCostSeries(t *testing.T) {
 		t.Fatalf("points = %d, want 21", len(points))
 	}
 	hosts := map[string]bool{}
-	for _, p := range points {
+	for i, p := range points {
 		if p.Score <= 0 || p.Score > 100 {
 			t.Fatalf("score %v out of range", p.Score)
 		}
 		hosts[p.Host] = true
+		// One view per sampling instant: the epoch is shared within a row
+		// and strictly newer than the previous row's, so a view held
+		// across instants (stale scores) fails here.
+		if i == 0 {
+			continue
+		}
+		prev := points[i-1]
+		if p.At == prev.At && p.Epoch != prev.Epoch {
+			t.Fatalf("epoch %d and %d within the row at %v", prev.Epoch, p.Epoch, p.At)
+		}
+		if p.At != prev.At && p.Epoch <= prev.Epoch {
+			t.Fatalf("epoch %d at %v does not advance past %d at %v", p.Epoch, p.At, prev.Epoch, prev.At)
+		}
 	}
 	if len(hosts) != 3 {
 		t.Fatalf("hosts sampled = %v", hosts)

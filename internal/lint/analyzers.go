@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Determinism,
 		Seedflow,
 		LockedCallback,
-		EngineSharing,
 		ErrcheckLite,
 		Snapshotdiscipline,
 	}

@@ -40,13 +40,9 @@ type Directive struct {
 	Analyzer string
 	// Pos is the directive comment's own position.
 	Pos token.Position
-	// End is the comment's end position (used to delete stale directives).
-	End token.Position
 	// Target is the line the directive suppresses: its own line for a
 	// trailing directive, the next line for a standalone one.
 	Target int
-	// Standalone records whether the directive is alone on its line.
-	Standalone bool
 }
 
 // collectDirectives parses every suppression directive in the package.
@@ -63,16 +59,9 @@ func collectDirectives(pkg *Package) []Directive {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				d := Directive{
-					Analyzer:   name,
-					Pos:        pos,
-					End:        pkg.Fset.Position(c.End()),
-					Standalone: !code[pos.Line],
-				}
-				if d.Standalone {
-					d.Target = pos.Line + 1
-				} else {
-					d.Target = pos.Line
+				d := Directive{Analyzer: name, Pos: pos, Target: pos.Line}
+				if !code[pos.Line] {
+					d.Target++
 				}
 				out = append(out, d)
 			}
@@ -147,9 +136,7 @@ func filterSuppressed(pkg *Package, diags []Diagnostic, ran []string) ([]Diagnos
 	return kept, unused
 }
 
-// UnusedDirectiveDiagnostics converts stale directives into findings,
-// each carrying a suggested fix that deletes the directive comment (and
-// its whole line when it stands alone).
+// UnusedDirectiveDiagnostics converts stale directives into findings.
 func UnusedDirectiveDiagnostics(pkg *Package, unused []Directive) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range unused {
@@ -157,23 +144,11 @@ func UnusedDirectiveDiagnostics(pkg *Package, unused []Directive) []Diagnostic {
 		if name == "*" {
 			name = "ok"
 		}
-		start := dir.Pos.Offset
-		end := dir.End.Offset
-		if dir.Standalone {
-			// Delete the whole line: backtrack over the indentation and
-			// take the trailing newline with it.
-			start -= dir.Pos.Column - 1
-			end++
-		}
 		out = append(out, Diagnostic{
 			Analyzer: UnusedDirectiveName,
 			Pos:      dir.Pos,
 			Message: "directive //gridlint:" + displayDirective(dir.Analyzer) +
 				" suppresses no finding; remove it (analyzer " + name + " is clean here)",
-			Fixes: []SuggestedFix{{
-				Message: "delete the stale directive",
-				Edits:   []TextEdit{{Filename: dir.Pos.Filename, Start: start, End: end, NewText: ""}},
-			}},
 		})
 	}
 	return out

@@ -9,8 +9,6 @@ type Options struct {
 	// ReportUnused appends an "unuseddirective" finding for every
 	// suppression directive that suppressed nothing.
 	ReportUnused bool
-	// Facts is the shared fact store; nil allocates a fresh one.
-	Facts *FactStore
 }
 
 // AnalyzeAll analyzes the requested packages plus every module-local
@@ -20,10 +18,7 @@ type Options struct {
 // requested set contribute facts but no diagnostics: asking for
 // ./internal/simxfer must not also report on the packages it imports.
 func AnalyzeAll(loader *Loader, requested []*Package, analyzers []*Analyzer, opts Options) []Diagnostic {
-	store := opts.Facts
-	if store == nil {
-		store = NewFactStore()
-	}
+	store := NewFactStore()
 	want := make(map[*Package]bool, len(requested))
 	for _, p := range requested {
 		want[p] = true

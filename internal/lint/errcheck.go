@@ -67,8 +67,7 @@ func runErrcheckLite(pass *Pass) {
 			if !returnsError(pass, call) {
 				return true
 			}
-			fix := pass.Fix("discard the error explicitly", stmt.Pos(), stmt.Pos(), "_ = ")
-			pass.ReportFix(call.Pos(), []SuggestedFix{fix},
+			pass.Report(call.Pos(),
 				"error from %s.%s is dropped; handle it or discard explicitly with `_ =`",
 				exprString(sel.X), sel.Sel.Name)
 			return true

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"encoding/json"
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // Fact is one typed statement an analyzer exports about an exported
 // object of a package — e.g. "this function returns wall-clock time" or
@@ -54,48 +50,6 @@ func (s *FactStore) Add(f Fact) {
 func (s *FactStore) Lookup(analyzer, pkg, object, name string) (Fact, bool) {
 	f, ok := s.facts[factKey{pkg, object, analyzer, name}]
 	return f, ok
-}
-
-// All returns every fact, sorted (pkg, object, analyzer, name) so output
-// and serialization are deterministic.
-func (s *FactStore) All() []Fact {
-	out := make([]Fact, 0, len(s.facts))
-	for _, f := range s.facts {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Name < b.Name
-	})
-	return out
-}
-
-// Encode serializes the store as JSON (a sorted fact array), the format
-// the facts round-trip tests pin.
-func (s *FactStore) Encode() ([]byte, error) {
-	return json.MarshalIndent(s.All(), "", "  ")
-}
-
-// DecodeFacts deserializes an Encode'd fact array into a fresh store.
-func DecodeFacts(data []byte) (*FactStore, error) {
-	var facts []Fact
-	if err := json.Unmarshal(data, &facts); err != nil {
-		return nil, err
-	}
-	st := NewFactStore()
-	for _, f := range facts {
-		st.Add(f)
-	}
-	return st, nil
 }
 
 // ExportFact records a fact about obj under the pass's analyzer. Only

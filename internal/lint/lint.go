@@ -52,13 +52,11 @@ type Pass struct {
 	facts *FactStore
 }
 
-// Diagnostic is a single finding. Fixes, when present, carry
-// machine-applicable edits (see fix.go).
+// Diagnostic is a single finding.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -154,4 +152,28 @@ func RunFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnost
 // paths linttest gives testdata packages (internal/netsim).
 func PathHasSuffix(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
+}
+
+// rootIdent finds the variable at the base of an expression chain
+// (a, a.b, (*a).b[i], a.f(), ...); call results chase the callee. A nil
+// result means the value is produced by a literal rather than read from
+// a variable.
+func rootIdent(e ast.Expr) *ast.Ident {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v
+	case *ast.SelectorExpr:
+		return rootIdent(v.X)
+	case *ast.CallExpr:
+		return rootIdent(v.Fun)
+	case *ast.ParenExpr:
+		return rootIdent(v.X)
+	case *ast.StarExpr:
+		return rootIdent(v.X)
+	case *ast.IndexExpr:
+		return rootIdent(v.X)
+	case *ast.UnaryExpr:
+		return rootIdent(v.X)
+	}
+	return nil
 }

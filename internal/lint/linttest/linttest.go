@@ -16,10 +16,8 @@ package linttest
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,7 +43,19 @@ func TestData() string {
 // exactly as they do under the real driver.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
 	t.Helper()
-	pkg, diags := analyze(t, testdata, a, pkgPath)
+	loader := lint.NewTestLoader(filepath.Join(testdata, "src"))
+	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
+	pkg, err := loader.LoadDir(dir, pkgPath)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	for _, terr := range pkg.TypeErrors {
+		t.Errorf("testdata must type-check: %v", terr)
+	}
+	if a.Applies != nil && !a.Applies(pkgPath) {
+		t.Fatalf("analyzer %s does not apply to package %s; fix the testdata layout", a.Name, pkgPath)
+	}
+	diags := lint.AnalyzeAll(loader, []*lint.Package{pkg}, []*lint.Analyzer{a}, lint.Options{})
 	wants := collectWants(t, pkg)
 
 	matched := make([]bool, len(diags))
@@ -68,60 +78,6 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
 	for i, d := range diags {
 		if !matched[i] {
 			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
-		}
-	}
-}
-
-// analyze loads the fixture package and runs the analyzer over it and
-// every testdata-local package it imports, in dependency order with a
-// shared fact store, returning the target's surviving diagnostics.
-func analyze(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) (*lint.Package, []lint.Diagnostic) {
-	t.Helper()
-	loader := lint.NewTestLoader(filepath.Join(testdata, "src"))
-	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
-	pkg, err := loader.LoadDir(dir, pkgPath)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("testdata must type-check: %v", terr)
-	}
-	if a.Applies != nil && !a.Applies(pkgPath) {
-		t.Fatalf("analyzer %s does not apply to package %s; fix the testdata layout", a.Name, pkgPath)
-	}
-	diags := lint.AnalyzeAll(loader, []*lint.Package{pkg}, []*lint.Analyzer{a}, lint.Options{})
-	return pkg, diags
-}
-
-// RunFixes analyzes the fixture package like Run, applies every
-// suggested fix the diagnostics carry, and compares each rewritten file
-// against its golden sibling <file>.fixed. Fixture files without a
-// .fixed golden must not be touched by any fix.
-func RunFixes(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
-	t.Helper()
-	_, diags := analyze(t, testdata, a, pkgPath)
-	fixed, err := lint.ApplyFixes(diags, nil)
-	if err != nil {
-		t.Fatalf("applying fixes: %v", err)
-	}
-	if len(fixed) == 0 {
-		t.Fatalf("analyzer %s produced no suggested fixes on %s", a.Name, pkgPath)
-	}
-	var names []string
-	for name := range fixed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		golden := name + ".fixed"
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Errorf("fix touches %s but golden %s is unreadable: %v", name, golden, err)
-			continue
-		}
-		if got := string(fixed[name]); got != string(want) {
-			t.Errorf("fixed output for %s does not match %s:\n%s",
-				name, golden, lint.Diff(golden, want, fixed[name]))
 		}
 	}
 }

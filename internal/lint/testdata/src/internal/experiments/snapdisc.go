@@ -1,59 +1,11 @@
 // Package experiments (testdata) exercises the snapshotdiscipline
-// analyzer: per-iteration repinning in clock-stationary loops and
-// snapshot handles stored beyond a single callback are flagged; pinning
-// once per batch, pinning per epoch in clock-advancing loops, and plain
-// locals are allowed.
+// analyzer: snapshot handles stored beyond a single callback are
+// flagged; plain locals and parameters are allowed.
 package experiments
 
 import "gridstate"
 
 var lastSnap *gridstate.Snapshot
-
-// bad: each iteration re-pulls the same instant's state.
-func repinPerCandidate(pub *gridstate.Publisher, hosts []string) int {
-	n := 0
-	for range hosts {
-		s := pub.Current() // want `Publisher\.Current inside a loop that never advances the clock`
-		if s != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// bad: per-candidate Rank re-validates the snapshot every call.
-func rankPerCandidate(srv *gridstate.SelectionServer, hosts []string) float64 {
-	best := -1.0
-	for _, h := range hosts {
-		if r := srv.Rank(h); r > best { // want `SelectionServer\.Rank inside a loop that never advances the clock`
-			best = r
-		}
-	}
-	return best
-}
-
-// good: pin once, score the whole batch against one epoch.
-func pinOnce(srv *gridstate.SelectionServer, hosts []string) []float64 {
-	view := srv.PinView()
-	out := make([]float64, 0, len(hosts))
-	for _, h := range hosts {
-		out = append(out, view.Rank(h))
-	}
-	return out
-}
-
-// good: the loop advances the clock, so each iteration pins a genuinely
-// new epoch — the ablation-sweep shape.
-func perEpoch(eng *gridstate.Engine, pub *gridstate.Publisher, epochs int) int {
-	seen := 0
-	for i := 0; i < epochs; i++ {
-		eng.RunUntil(int64(i) * 1000)
-		if pub.Current() != nil {
-			seen++
-		}
-	}
-	return seen
-}
 
 type cache struct {
 	snap *gridstate.Snapshot

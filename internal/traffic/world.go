@@ -112,7 +112,6 @@ func (w *world) republish(now time.Duration) error {
 		// Each iteration pins a different region's publisher at the same
 		// agreed boundary instant — the repeat is across publishers, not
 		// a stale repin of one.
-		//gridlint:snapshotdiscipline-ok one snapshot per region publisher at the epoch boundary
 		if s := pub.Snapshot(now); s == nil {
 			return fmt.Errorf("traffic: republish %s at %v produced no snapshot", w.Top.Regions[i], now)
 		}
