@@ -51,7 +51,7 @@ bench: bench-netsim
 netsim_BENCH     = Netsim|Reallocate|RouteTree|AddLinkBulk|ForecasterBank|EngineChurn
 netsim_PKGS      = . ./internal/netsim
 netsim_TIMEOUT   = 600s
-netsim_BASELINE  = pr21-tick-path-2cpu
+netsim_BASELINE  = pr23-cap-bound-2cpu
 suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s
@@ -67,11 +67,11 @@ faults_BASELINE  = pr20-one-session-2cpu
 scale_BENCH      = ScaleSweep
 scale_PKGS       = .
 scale_TIMEOUT    = 1200s
-scale_BASELINE   = pr22-lint-2cpu
+scale_BASELINE   = pr23-cap-bound-2cpu
 traffic_BENCH    = TrafficSweep
 traffic_PKGS     = .
 traffic_TIMEOUT  = 3600s
-traffic_BASELINE = pr20-one-session-2cpu
+traffic_BASELINE = pr23-cap-bound-2cpu
 
 # Record a suite into BENCH_<suite>.json so future changes have a perf
 # trajectory to compare against. Same label replaces, new labels append:

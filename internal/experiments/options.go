@@ -36,8 +36,8 @@ func buildConfig(opts []Option) config {
 // historical sequential early return.
 //
 // Every job must build its own world (Env/engine/testbed) inside the
-// closure — engines are single-goroutine, and the enginesharing
-// analyzer enforces that none leaks across the pool.
+// closure — engines are single-goroutine, and one shared across the pool
+// fails the engine's "reentrant Run" guard and `go test -race`.
 func runPoints[T any](seed int64, cfg config, jobs []runner.Job[T]) ([]T, error) {
 	res, err := runner.Run(jobs, runner.Options{Workers: cfg.workers, Seed: seed})
 	if err != nil {

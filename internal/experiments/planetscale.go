@@ -42,13 +42,14 @@ type PlanetScaleResult struct {
 	// MeanTransferSec averages the cross-region flows' virtual transfer
 	// times.
 	MeanTransferSec float64
-	// ReallocEvents, ReallocRounds and FlowsScanned count the partitioned
-	// allocator's work over the whole run (netsim.ReallocStats);
-	// ComponentsDirtied is how many component water-fills those events
-	// triggered. MaxComponentFlows is the largest connected component ever
-	// water-filled and MaxRoundFlows the most flows any single round
-	// scanned — the scan bound that must track the largest component, not
-	// the world's flow count.
+	// ReallocEvents and ComponentsDirtied count the partitioned
+	// allocator's events over the whole run and the component allocations
+	// they triggered (netsim.ReallocStats); ReallocRounds and FlowsScanned
+	// count the water-fills that actually ran — none for a component whose
+	// links all keep head-room. MaxComponentFlows is the largest connected
+	// component ever allocated and MaxRoundFlows the most flows any single
+	// round scanned — the scan bound that must track the largest
+	// component, not the world's flow count.
 	ReallocEvents     uint64
 	ReallocRounds     uint64
 	FlowsScanned      uint64

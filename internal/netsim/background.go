@@ -47,8 +47,7 @@ func (c BackgroundConfig) validate() error {
 // BackgroundProcess drives time-varying background load on a link.
 type BackgroundProcess struct {
 	net    *Network
-	from   string
-	to     string
+	link   *Link
 	cfg    BackgroundConfig
 	rng    *rand.Rand
 	load   float64
@@ -62,7 +61,8 @@ func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed in
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if _, err := n.GetLink(from, to); err != nil {
+	l, err := n.GetLink(from, to)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Max == 0 {
@@ -70,15 +70,12 @@ func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed in
 	}
 	p := &BackgroundProcess{
 		net:  n,
-		from: from,
-		to:   to,
+		link: l,
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(seed)),
 		load: cfg.Mean,
 	}
-	if err := n.SetBackgroundLoad(from, to, p.load); err != nil {
-		return nil, err
-	}
+	n.setBackgroundLoad(l, p.load)
 	t, err := n.engine.NewTicker(cfg.Period, false, p.step)
 	if err != nil {
 		return nil, err
@@ -96,8 +93,7 @@ func (p *BackgroundProcess) step(time.Duration) {
 	if p.load > p.cfg.Max {
 		p.load = p.cfg.Max
 	}
-	// The link cannot have disappeared; ignore the impossible error.
-	_ = p.net.SetBackgroundLoad(p.from, p.to, p.load)
+	p.net.setBackgroundLoad(p.link, p.load)
 }
 
 // Load returns the current background load fraction.

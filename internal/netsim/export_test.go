@@ -11,3 +11,8 @@ func (n *Network) SetPoolMode(pool bool) { n.poolMode = pool }
 // PoolMode reports whether the network runs the single-component
 // reference algorithm.
 func (n *Network) PoolMode() bool { return n.poolMode }
+
+// Reallocate water-fills every live component: the full-recompute entry
+// point, for tests that measure the water-fill itself now that most events
+// are answered without one.
+func (n *Network) Reallocate() { n.reallocate() }

@@ -44,6 +44,14 @@ const initialCwnd = 2
 // the binding constraint.
 const allocEps = 1e-9
 
+// headRoom is the share of a link's effective capacity the summed caps of
+// its flows must leave free for the link to count as unable to bind: a
+// thousand allocEps, so neither the rounding of a water-fill's capacity
+// subtractions nor the drift of the incrementally kept Link.demand can
+// carry a fair share into a cap's epsilon band (docs/PERFORMANCE.md, "The
+// cap-bound path").
+const headRoom = 1e-6
+
 // LinkConfig describes one direction of a network link.
 type LinkConfig struct {
 	// CapacityBps is the raw line rate in bits per second.
@@ -87,10 +95,19 @@ type Link struct {
 	// down marks a failed link: zero effective capacity, so flows across
 	// it stall (they do not abort — TCP would retry forever too).
 	down bool
-	// usedBps is the total rate currently allocated to simulated flows.
+	// usedBps is the total rate currently allocated to simulated flows, as
+	// the owning component's last water-fill summed it. A cap-bound event
+	// leaves it behind (component.stale); readers go through UsedBps.
 	usedBps float64
 	// nflows is the number of active flows whose path crosses this link.
 	nflows int
+	// demand is the summed caps of those flows (each booked at no more than
+	// the line rate, so it stays finite), kept incrementally and reset to
+	// exactly 0 when the link empties. tight caches whether it breaks the
+	// headRoom margin; retight keeps the owning component's count in step.
+	demand float64
+	tight  bool
+	net    *Network
 }
 
 // Down reports whether the link is failed.
@@ -118,11 +135,18 @@ func (l *Link) EffectiveCapacity() float64 {
 func (l *Link) BackgroundLoad() float64 { return l.bgLoad }
 
 // UsedBps returns the rate currently allocated to simulated flows.
-func (l *Link) UsedBps() float64 { return l.usedBps }
+func (l *Link) UsedBps() float64 {
+	if cid := l.net.linkComp[l.idx]; cid >= 0 {
+		if c := l.net.comps[cid]; c.stale {
+			l.net.rebuildUsed(c)
+		}
+	}
+	return l.usedBps
+}
 
 // Utilization returns (background + allocated)/capacity in [0,1].
 func (l *Link) Utilization() float64 {
-	u := (l.cfg.CapacityBps*l.bgLoad + l.usedBps) / l.cfg.CapacityBps
+	u := (l.cfg.CapacityBps*l.bgLoad + l.UsedBps()) / l.cfg.CapacityBps
 	return math.Min(u, 1)
 }
 
@@ -425,14 +449,17 @@ type Network struct {
 	dirtyComps []*component
 	poolMode   bool
 	pstats     ReallocStats
+	// moved is the flow whose cap the event being drained moved, if any.
+	moved *Flow
 
 	// Partition scratch, reused across events: the water-fill's per-flow
-	// floats (previous rates, projected remaining bytes, cap snapshot) and
-	// the snapshot's (cap, id) order, flow-list merge
+	// floats (previous rates, projected remaining bytes, cap snapshot), the
+	// caps bandFree sorts, the snapshot's (cap, id) order, flow-list merge
 	// space, expired components popped by the completion handler, and the
 	// union-find working set (parents indexed by Link.idx, group roots
 	// and their components during a rebuild).
 	fillScratch    []float64
+	bandScratch    []float64
 	capOrder       []capEntry
 	flowScratch    []*Flow
 	expiredScratch []*component
@@ -529,7 +556,7 @@ func (n *Network) addDirected(from, to string, cfg LinkConfig) error {
 	if cfg.MSS == 0 {
 		cfg.MSS = DefaultMSS
 	}
-	l := &Link{from: from, to: to, cfg: cfg, idx: len(n.linkList)}
+	l := &Link{from: from, to: to, cfg: cfg, idx: len(n.linkList), net: n}
 	n.links[k] = l
 	n.linkList = append(n.linkList, l)
 	n.remCap = append(n.remCap, 0)
@@ -564,14 +591,20 @@ func (n *Network) SetBackgroundLoad(from, to string, frac float64) error {
 	if err != nil {
 		return err
 	}
+	n.setBackgroundLoad(l, frac)
+	return nil
+}
+
+func (n *Network) setBackgroundLoad(l *Link, frac float64) {
 	l.bgLoad = frac
+	n.retight(l)
+	n.pstats.CapacityEvents++
 	// Only the component crossing this link (if any) needs new rates;
 	// everyone else's allocation is untouched by construction.
 	if cid := n.linkComp[l.idx]; cid >= 0 {
-		n.markDirty(n.comps[cid])
+		n.markFill(n.comps[cid])
 	}
 	n.processDirty()
-	return nil
 }
 
 // SetLinkDown fails (or restores) the directed link from->to. Flows
@@ -586,13 +619,15 @@ func (n *Network) SetLinkDown(from, to string, down bool) error {
 		return err
 	}
 	l.down = down
+	n.retight(l)
+	n.pstats.CapacityEvents++
 	// Only the component crossing this link can see a rate change; flows
 	// in every other component — other regions, in the scale worlds — are
 	// untouched, and their ReallocStats stay flat.
 	var comp *component
 	if cid := n.linkComp[l.idx]; cid >= 0 {
 		comp = n.comps[cid]
-		n.markDirty(comp)
+		n.markFill(comp)
 	}
 	if !down {
 		n.processDirty()
@@ -919,7 +954,7 @@ func (n *Network) AvailableBps(src, dst string) (float64, error) {
 	}
 	min := math.Inf(1)
 	for _, l := range path {
-		avail := l.EffectiveCapacity() - l.usedBps
+		avail := l.EffectiveCapacity() - l.UsedBps()
 		if avail < 0 {
 			avail = 0
 		}
@@ -1010,8 +1045,10 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 		l.nflows++
 	}
 	// Join the partition (merging every component the path touches) and
-	// re-water-fill just the resulting component.
+	// re-allocate just the resulting component.
 	n.attachFlow(f)
+	n.capMoved(f, 0)
+	n.pstats.Starts++
 	n.processDirty()
 	return f, nil
 }
@@ -1025,6 +1062,7 @@ func (n *Network) CancelFlow(f *Flow) error {
 		return fmt.Errorf("netsim: flow %d is %v, not active", f.id, f.state)
 	}
 	n.removeFlow(f, FlowCanceled)
+	n.pstats.Completions++
 	n.processDirty()
 	return nil
 }
@@ -1062,6 +1100,7 @@ func (n *Network) rampTick(f *Flow) {
 	other := f.intrinsicBps
 	capOther := f.staticCapBps
 	skipWaterFill := capOther <= f.cwndBps || f.cwndBps > f.rateBps*(1+allocEps)
+	oldCap := f.capBps()
 	f.cwndBps *= 2
 	// Stop ramping once the congestion window exceeds every other
 	// bound — it can no longer be the binding constraint.
@@ -1072,10 +1111,15 @@ func (n *Network) rampTick(f *Flow) {
 	}
 	if skipWaterFill {
 		// Rates provably unchanged: no component needs water-filling, only
-		// the pending completion event's freshness is renewed.
+		// the pending completion event's freshness is renewed. The cap may
+		// still have doubled under a link that binds, and the links' demand
+		// has to say so.
+		n.book(f, oldCap, f.capBps())
+		n.pstats.RampSkips++
 		n.rescheduleNextCompletion()
 	} else {
-		n.markDirty(f.comp)
+		n.capMoved(f, oldCap)
+		n.pstats.RampFills++
 		n.processDirty()
 	}
 }
@@ -1090,7 +1134,7 @@ func (n *Network) reallocate() {
 		if c.gone {
 			continue
 		}
-		n.markDirty(c)
+		n.markFill(c)
 	}
 	n.processDirty()
 }
@@ -1151,6 +1195,7 @@ func (n *Network) onCompletion(time.Duration) {
 		expired[i] = nil
 	}
 	n.expiredScratch = expired[:0]
+	n.pstats.Completions++
 	n.processDirty()
 	for _, f := range done {
 		if f.done != nil {
@@ -1177,12 +1222,15 @@ func (n *Network) removeFlow(f *Flow, final FlowState) {
 	// RemainingBytes/DeliveredPayloadBytes from the stored value.
 	f.remaining = f.remainingAt(now)
 	f.settledAt = now
+	n.capChanged(f, f.capBps(), 0)
 	for _, l := range f.path {
 		l.nflows--
 		if l.nflows == 0 {
 			// The link leaves the partition; nothing will water-fill it
-			// again until a flow returns, so zero its allocation exactly.
-			l.usedBps = 0
+			// again until a flow returns, so zero its allocation — and the
+			// rounding its demand has gathered — exactly.
+			l.usedBps, l.demand = 0, 0
+			n.retight(l)
 		}
 	}
 	n.engine.Cancel(f.rampEv)

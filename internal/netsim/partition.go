@@ -73,30 +73,54 @@ type component struct {
 	dirty       bool
 	structDirty bool
 	gone        bool
+
+	// tight counts the links whose demand breaks the headRoom margin.
+	// mustFill is set, while the component waits in the dirty queue, by any
+	// change whose outcome the cap-bound path cannot name. stale means the
+	// last drain took that path, so the links' usedBps still describe the
+	// fill before it; rebuildUsed clears it.
+	tight    int
+	mustFill bool
+	stale    bool
 }
 
 // ReallocStats counts rate-allocation work the way RouteStats counts
 // routing work, so benchmarks and the scale experiments can quantify the
-// partitioned allocator: Rounds/FlowsScanned/MaxRoundFlows describe the
-// allocation's round structure, FlowsEvaluated/LinkScans the work spent
-// finding it, and ComponentsDirtied vs Components show how much of the
-// world each event actually touched.
+// partitioned allocator: the by-cause counters say what asked for an
+// allocation, ComponentsDirtied vs Components how much of the world each
+// event touched and CapBound how often the answer needed no water-fill;
+// Rounds/FlowsScanned/MaxRoundFlows describe the round structure of the
+// water-fills that did run, FlowsEvaluated/LinkScans the work spent finding
+// it.
 type ReallocStats struct {
 	// Events is the number of allocation passes (API events that drained
 	// the dirty set, water-filling or not).
 	Events uint64
-	// ComponentsDirtied is the cumulative number of components
-	// water-filled across all events.
+	// Events by cause. Starts, RampFills (slow-start ticks whose window was
+	// binding), Completions (completion instants and cancels) and
+	// CapacityEvents (SetBackgroundLoad, SetLinkDown) add up to Events;
+	// RampSkips are the slow-start ticks that provably moved no rate and
+	// drained nothing.
+	Starts, RampFills, RampSkips, Completions, CapacityEvents uint64
+	// ComponentsDirtied is the cumulative number of components allocated
+	// across all events, by either path; CapBound is how many of them the
+	// cap-bound path answered without a water-fill, and Rebuilds how many
+	// water-fills a read of a link's usage then ran to refresh it.
 	ComponentsDirtied uint64
+	CapBound          uint64
+	Rebuilds          uint64
 	// Rounds is the cumulative number of water-filling rounds — distinct
-	// limits flows were fixed at, however each round was found.
+	// limits flows were fixed at, however each round was found. Like the
+	// four counters below it counts the water-fills actually executed,
+	// on-read rebuilds included: a cap-bound component adds nothing.
 	Rounds uint64
 	// FlowsScanned is the cumulative number of flows still unfixed at the
-	// start of each round: the round structure in reference units, what a
-	// scan of every unfixed flow per round evaluates.
+	// start of each executed round: the round structure in reference units,
+	// what a scan of every unfixed flow per round evaluates.
 	FlowsScanned uint64
 	// FlowsEvaluated is the cumulative number of flow paths actually
-	// walked or consumed; LinkScans the number of exact link-share scans.
+	// walked or consumed by executed water-fills; LinkScans the number of
+	// exact link-share scans.
 	FlowsEvaluated uint64
 	LinkScans      uint64
 	// Merges counts component unions (StartFlow joining groups);
@@ -105,9 +129,9 @@ type ReallocStats struct {
 	Splits uint64
 	// Components is the number of live components at read time.
 	Components int
-	// MaxComponentFlows is the largest component (by flows) ever
-	// water-filled; MaxRoundFlows is the most flows unfixed at the start
-	// of a single round (<= MaxComponentFlows by construction).
+	// MaxComponentFlows is the largest component (by flows) ever allocated,
+	// by either path; MaxRoundFlows is the most flows unfixed at the start
+	// of a single executed round (<= MaxComponentFlows by construction).
 	MaxComponentFlows int
 	MaxRoundFlows     int
 }
@@ -159,6 +183,22 @@ func (n *Network) markDirty(c *component) {
 	n.dirtyComps = append(n.dirtyComps, c)
 }
 
+// markFill queues c for a real water-fill: the capacity under it moved, or
+// the caller wants the full recompute.
+func (n *Network) markFill(c *component) {
+	c.mustFill = true
+	n.markDirty(c)
+}
+
+// claimLink makes c the owner of link l.
+func (n *Network) claimLink(c *component, l *Link) {
+	n.linkComp[l.idx] = c.id
+	c.links = append(c.links, l)
+	if l.tight {
+		c.tight++
+	}
+}
+
 // newComp returns a fresh live component (pooled record when available)
 // already queued in the completion heap with no completion.
 func (n *Network) newComp() *component {
@@ -176,6 +216,7 @@ func (n *Network) newComp() *component {
 	c.minAt, c.minID = noCompletion, noMinID
 	c.heapIdx = -1
 	c.dirty, c.structDirty, c.gone = false, false, false
+	c.tight, c.mustFill, c.stale = 0, false, false
 	n.liveComps++
 	n.compHeapPush(c)
 	return c
@@ -233,8 +274,7 @@ func (n *Network) attachFlow(f *Flow) {
 	c.flows = append(c.flows, f)
 	for _, l := range f.path {
 		if n.linkComp[l.idx] != c.id {
-			n.linkComp[l.idx] = c.id
-			c.links = append(c.links, l)
+			n.claimLink(c, l)
 		}
 	}
 	n.markDirty(c)
@@ -249,8 +289,7 @@ func (n *Network) mergeComps(a, b *component) *component {
 	}
 	n.pstats.Merges++
 	for _, l := range b.links {
-		n.linkComp[l.idx] = a.id
-		a.links = append(a.links, l)
+		n.claimLink(a, l)
 	}
 	for _, f := range b.flows {
 		f.comp = a
@@ -275,6 +314,8 @@ func (n *Network) mergeComps(a, b *component) *component {
 		fa[k] = nil
 	}
 	n.flowScratch = fa[:0]
+	// Flows of the two sides may now share a round of the water-fill.
+	a.mustFill = a.mustFill || b.mustFill || a.tight > 0 || !n.bandFree(a.flows)
 	n.freeComp(b)
 	return a
 }
@@ -323,6 +364,7 @@ func (n *Network) rebuildComp(c *component) {
 	for _, l := range c.links {
 		n.linkComp[l.idx] = -1
 	}
+	c.tight = 0 // the surviving links are claimed again below
 	if len(c.flows) == 0 {
 		n.freeComp(c)
 		return
@@ -334,8 +376,7 @@ func (n *Network) rebuildComp(c *component) {
 		for _, f := range c.flows {
 			for _, l := range f.path {
 				if n.linkComp[l.idx] != c.id {
-					n.linkComp[l.idx] = c.id
-					c.links = append(c.links, l)
+					n.claimLink(c, l)
 				}
 			}
 		}
@@ -376,7 +417,13 @@ func (n *Network) rebuildComp(c *component) {
 			if len(roots) == 0 {
 				gc = c
 			} else {
+				if len(roots) == 1 {
+					// The component splits: flows that shared a round of the
+					// water-fill may land on different sides.
+					c.mustFill = c.mustFill || !n.bandFree(oldFlows)
+				}
 				gc = n.newComp()
+				gc.mustFill = c.mustFill
 				n.pstats.Splits++
 				n.markDirty(gc)
 			}
@@ -387,8 +434,7 @@ func (n *Network) rebuildComp(c *component) {
 		gc.flows = append(gc.flows, f)
 		for _, l := range f.path {
 			if n.linkComp[l.idx] != gc.id {
-				n.linkComp[l.idx] = gc.id
-				gc.links = append(gc.links, l)
+				n.claimLink(gc, l)
 			}
 		}
 	}
@@ -442,10 +488,6 @@ func cmpCap(a, b capEntry) int {
 // unchanged flows keep their anchor and cached completion time.
 func (n *Network) waterfill(c *component, now time.Duration) {
 	flows := c.flows
-	n.pstats.ComponentsDirtied++
-	if len(flows) > n.pstats.MaxComponentFlows {
-		n.pstats.MaxComponentFlows = len(flows)
-	}
 	k := len(flows)
 	if cap(n.capOrder) < k {
 		n.fillScratch = make([]float64, 3*2*k)
@@ -711,11 +753,147 @@ func (n *Network) updateCompMin(c *component) {
 	}
 }
 
+// retight re-evaluates link l against the headRoom margin after its demand
+// or effective capacity moved, keeping the owning component's count in step.
+func (n *Network) retight(l *Link) {
+	tight := !(l.demand <= l.EffectiveCapacity()*(1-headRoom))
+	if tight == l.tight {
+		return
+	}
+	l.tight = tight
+	if cid := n.linkComp[l.idx]; cid >= 0 {
+		if tight {
+			n.comps[cid].tight++
+		} else {
+			n.comps[cid].tight--
+		}
+	}
+}
+
+// bookable is the share of demand a flow with the given cap puts on l. A
+// cap is booked at no more than the line rate: above it the link is tight
+// whatever the sum says, and an infinite or NaN cap (a zero-RTT flow has
+// one) would otherwise poison the sum until the link empties.
+func (l *Link) bookable(cap float64) float64 {
+	if cap < l.cfg.CapacityBps {
+		return cap
+	}
+	return l.cfg.CapacityBps
+}
+
+// book moves flow f's share of its links' demand from oldCap to newCap; 0
+// stands for a flow that is not there.
+func (n *Network) book(f *Flow, oldCap, newCap float64) {
+	if oldCap == newCap {
+		return
+	}
+	for _, l := range f.path {
+		l.demand += l.bookable(newCap) - l.bookable(oldCap)
+		n.retight(l)
+	}
+}
+
+// inBand reports whether caps x and y differ yet land in one round of the
+// water-fill, by the comparison the water-fill itself makes: the larger is
+// within allocEps of the smaller.
+func inBand(x, y float64) bool {
+	if y < x {
+		x, y = y, x
+	}
+	return x < y && y <= x*(1+allocEps)
+}
+
+// bandFree reports whether no two of the flows hold unequal caps in one
+// band: every round of a water-fill over them, with head-room on every
+// link, then fixes flows of exactly one cap, however the flows are split
+// into components or merged with another band-free set.
+func (n *Network) bandFree(flows []*Flow) bool {
+	caps := n.bandScratch[:0]
+	for _, f := range flows {
+		caps = append(caps, f.capBps())
+	}
+	n.bandScratch = caps
+	slices.Sort(caps)
+	for i := 1; i < len(caps); i++ {
+		if inBand(caps[i-1], caps[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// capChanged books flow f's cap moving from oldCap to newCap (0: f is not
+// there) before the change reaches the allocator, and decides whether the
+// cap-bound path may answer for it. It may when every link of the component
+// had head-room before the change — processDirty checks after — and no other
+// flow holds an unequal cap in the band of either value: then a round of
+// the water-fill fixes exactly the flows with one cap at that cap, before
+// the change and after, and taking a flow out of its round or putting it
+// into one of its own moves nobody else's (docs/PERFORMANCE.md, "The
+// cap-bound path").
+func (n *Network) capChanged(f *Flow, oldCap, newCap float64) {
+	c := f.comp
+	if c.tight > 0 {
+		c.mustFill = true
+	}
+	if !c.mustFill {
+		for _, g := range c.flows {
+			if y := g.capBps(); g != f && (inBand(y, oldCap) || inBand(y, newCap)) {
+				c.mustFill = true
+				break
+			}
+		}
+	}
+	n.book(f, oldCap, newCap)
+}
+
+// capMoved is capChanged for a flow that stays: f started (oldCap is 0) or
+// its slow-start window moved its cap. StartFlow and rampTick both drain
+// before they return, so one event moves at most one cap.
+func (n *Network) capMoved(f *Flow, oldCap float64) {
+	n.capChanged(f, oldCap, f.capBps())
+	n.moved = f
+	n.markDirty(f.comp)
+}
+
+// setRate gives the flow the rate the water-fill would, with the water-
+// fill's arithmetic: progress is projected under the old rate, and the
+// anchor moves only if the rate did.
+func (f *Flow) setRate(rate float64, now time.Duration) {
+	rem := f.remainingAt(now)
+	if rate == f.rateBps {
+		return
+	}
+	f.rateBps = rate
+	f.remaining = rem
+	f.settledAt = now
+	f.setCompletionAt(now)
+}
+
+// rebuildUsed runs the water-fill a cap-bound drain skipped, for the one
+// thing it did not produce: the links' usedBps, a float sum in fix order.
+// The water-fill is a function of the component's flows, caps and
+// capacities, none of which moved since the drain, so it finds the rates
+// already in place, re-anchors no flow and leaves usedBps as the eager
+// fill would have.
+func (n *Network) rebuildUsed(c *component) {
+	if c.dirty {
+		panic("netsim: link usage read inside an allocation pass")
+	}
+	n.pstats.Rebuilds++
+	n.waterfill(c, n.engine.Now())
+	c.stale = false
+}
+
 // processDirty drains the dirty set: structurally dirty components are
 // re-partitioned (which may append fresh dirty components to the queue),
-// every dirty component is water-filled and re-keyed in the completion
-// heap, and the single pending completion event is re-aimed at the heap
-// top. Clean components are never visited.
+// every dirty component is allocated and re-keyed in the completion heap,
+// and the single pending completion event is re-aimed at the heap top.
+// Clean components are never visited. Allocation is a water-fill unless the
+// cap-bound path applies — every link of the component keeps its head-room
+// and capChanged vouched for each change since the last drain — in which
+// case every rate is already the water-fill's answer except the moved
+// flow's, which is its cap.
 func (n *Network) processDirty() {
 	now := n.engine.Now()
 	n.pstats.Events++
@@ -730,10 +908,24 @@ func (n *Network) processDirty() {
 				continue // emptied
 			}
 		}
-		n.waterfill(c, now)
+		n.pstats.ComponentsDirtied++
+		if len(c.flows) > n.pstats.MaxComponentFlows {
+			n.pstats.MaxComponentFlows = len(c.flows)
+		}
+		if c.mustFill || c.tight > 0 {
+			n.waterfill(c, now)
+			c.mustFill, c.stale = false, false
+		} else {
+			n.pstats.CapBound++
+			if f := n.moved; f != nil && f.comp == c {
+				f.setRate(f.capBps(), now)
+			}
+			c.stale = true
+		}
 		n.updateCompMin(c)
 		c.dirty = false
 	}
+	n.moved = nil
 	for i := range n.dirtyComps {
 		n.dirtyComps[i] = nil
 	}

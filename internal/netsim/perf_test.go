@@ -278,6 +278,37 @@ func TestReallocatePartitionedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCapBoundSteadyStateAllocs pins the two halves of the cap-bound path:
+// a ramp tick answered without a water-fill, and the read of a link's usage
+// that then rebuilds it, allocate nothing once the scratch is warm.
+func TestCapBoundSteadyStateAllocs(t *testing.T) {
+	n := benchLANWorld(t, 4, 3, false)
+	f := n.active[0]
+	if !f.ramping || f.comp.tight != 0 {
+		t.Fatalf("flow 0 ramping=%v in a component with %d tight links; want a ramping flow with head-room", f.ramping, f.comp.tight)
+	}
+	l := f.path[0]
+	cwnd := f.cwndBps
+	tick := func() {
+		// The same tick over and over: the window is put back, so the flow
+		// never leaves slow start.
+		n.engine.Cancel(f.rampEv)
+		n.book(f, f.capBps(), cwnd)
+		f.cwndBps, f.rateBps = cwnd, cwnd
+		n.rampTick(f)
+		if !f.comp.stale {
+			t.Fatal("the ramp tick was water-filled, not cap-bound")
+		}
+		if l.UsedBps() <= 0 || f.comp.stale {
+			t.Fatalf("reading the link did not rebuild its usage (%v, stale=%v)", l.usedBps, f.comp.stale)
+		}
+	}
+	tick()
+	if avg := testing.AllocsPerRun(100, tick); avg != 0 {
+		t.Fatalf("a cap-bound ramp tick and the rebuild on read allocate %v objects, want 0", avg)
+	}
+}
+
 // benchGridNet builds a size x size grid graph (n00 ... n77 style) with
 // uniform links, the worst case for the Dijkstra rewrite.
 func benchGridNet(tb testing.TB, size int) *Network {

@@ -32,10 +32,6 @@ func OracleCases() int { return *oracleCases }
 // the flows within epsilon of it, in ascending id order.
 func referenceWaterfill(n *Network, c *component, now time.Duration) {
 	flows := c.flows
-	n.pstats.ComponentsDirtied++
-	if len(flows) > n.pstats.MaxComponentFlows {
-		n.pstats.MaxComponentFlows = len(flows)
-	}
 	prev := make([]float64, len(flows))
 	rem := make([]float64, len(flows))
 	for i, f := range flows {
@@ -229,11 +225,10 @@ func OracleDiffAll(n *Network) (int, error) {
 	return cases, nil
 }
 
-// oracleWorld builds one random hand-made network — a few disjoint stars
-// and chains, some joined by a shared trunk — starts random flows on it
-// and lets the engine run a random while, so components hold flows at
-// every stage: ramping, window-bound, link-bound, partly drained.
-func oracleWorld(t *testing.T, rng *rand.Rand) *Network {
+// oracleNet builds one random hand-made network — a few disjoint stars and
+// chains, some joined by a shared trunk — and returns it with its hosts by
+// group.
+func oracleNet(t *testing.T, rng *rand.Rand) (*Network, [][]string) {
 	t.Helper()
 	eng := simulation.NewEngine()
 	n := New(eng, 1)
@@ -278,6 +273,16 @@ func oracleWorld(t *testing.T, rng *rand.Rand) *Network {
 		}
 		hosts = append(hosts, hs)
 	}
+	return n, hosts
+}
+
+// oracleWorld starts random flows on an oracleNet and lets the engine run a
+// random while, so components hold flows at every stage: ramping,
+// window-bound, link-bound, partly drained.
+func oracleWorld(t *testing.T, rng *rand.Rand) *Network {
+	t.Helper()
+	n, hosts := oracleNet(t, rng)
+	groups := len(hosts)
 	flows := 1 + rng.Intn(24)
 	for i := 0; i < flows; i++ {
 		gs, gd := rng.Intn(groups), rng.Intn(groups)
@@ -293,7 +298,7 @@ func oracleWorld(t *testing.T, rng *rand.Rand) *Network {
 		// Unroutable pairs (groups not on the trunk) are simply skipped.
 		_, _ = n.StartFlow(src, dst, 1<<20+rng.Int63n(64<<20), opts, nil)
 	}
-	if err := eng.RunUntil(time.Duration(rng.Int63n(int64(2 * time.Second)))); err != nil {
+	if err := n.engine.RunUntil(time.Duration(rng.Int63n(int64(2 * time.Second)))); err != nil {
 		t.Fatal(err)
 	}
 	return n

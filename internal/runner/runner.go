@@ -13,9 +13,9 @@
 //
 //   - A Job must be self-contained: it builds every mutable structure it
 //     touches (simulation.Engine, netsim.Network, cluster.Testbed, RNGs)
-//     inside Run. Engines are single-goroutine by design; the
-//     enginesharing gridlint analyzer rejects code that leaks one into a
-//     goroutine or channel.
+//     inside Run. Engines are single-goroutine by design; a shared one
+//     trips the engine's "reentrant Run" guard and the race detector CI
+//     runs the tests under.
 //   - A Job may read shared immutable data (a measurement trace, a
 //     config slice) but must not write anything outside its own return
 //     value.

@@ -1,7 +1,7 @@
 package traffic
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/topo"
@@ -33,8 +33,8 @@ func nearestFirst(cands []core.Candidate, requester string) []core.Candidate {
 		}
 		return 3
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return tier(cands[i]) < tier(cands[j])
+	slices.SortStableFunc(cands, func(a, b core.Candidate) int {
+		return tier(a) - tier(b)
 	})
 	return cands
 }

@@ -40,3 +40,20 @@ func TestNearestFirst(t *testing.T) {
 		t.Error("foreign requester should preserve score order")
 	}
 }
+
+// TestNearestFirstAllocs pins the request path's reorder at no allocation:
+// sort.SliceStable's reflect-based swapper and escaping closures cost three
+// per call.
+func TestNearestFirstAllocs(t *testing.T) {
+	cands := make([]core.Candidate, 4)
+	hosts := []string{"r09s01c0h00", "r02s04c0h01", "r02s00c0h03", "r02s00c0h01"}
+	avg := testing.AllocsPerRun(100, func() {
+		for i, h := range hosts {
+			cands[i] = core.Candidate{Location: replica.Location{Host: h, Path: "/grid/f"}, Score: float64(90 - i)}
+		}
+		nearestFirst(cands, "r02s00c0h01")
+	})
+	if avg != 0 {
+		t.Fatalf("nearestFirst allocates %v objects per call, want 0", avg)
+	}
+}

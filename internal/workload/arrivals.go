@@ -24,6 +24,9 @@ type Arrivals struct {
 	fire    func(now time.Duration)
 	stopped bool
 	count   int
+	// arriveFn is arrive bound once, so scheduling the next arrival does
+	// not allocate a closure per request.
+	arriveFn func(now time.Duration)
 }
 
 // ConstantRate adapts a fixed arrivals-per-minute figure to the rate
@@ -52,8 +55,18 @@ func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration
 		return nil, errors.New("workload: nil fire function")
 	}
 	a := &Arrivals{eng: eng, rng: rng, rate: rate, fire: fire}
+	a.arriveFn = a.arrive
 	a.scheduleNext()
 	return a, nil
+}
+
+func (a *Arrivals) arrive(now time.Duration) {
+	if a.stopped {
+		return
+	}
+	a.count++
+	a.fire(now)
+	a.scheduleNext()
 }
 
 func (a *Arrivals) scheduleNext() {
@@ -63,14 +76,7 @@ func (a *Arrivals) scheduleNext() {
 	}
 	mean := time.Minute.Seconds() / r
 	delay := time.Duration(a.rng.ExpFloat64() * mean * float64(time.Second))
-	if _, err := a.eng.After(delay, func(now time.Duration) {
-		if a.stopped {
-			return
-		}
-		a.count++
-		a.fire(now)
-		a.scheduleNext()
-	}); err != nil {
+	if _, err := a.eng.After(delay, a.arriveFn); err != nil {
 		// After clamps negative delays to "now" and the callback is never
 		// nil, so the engine rejects this event only when now+delay
 		// overflows the virtual clock; silently stopping the stream

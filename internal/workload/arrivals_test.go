@@ -177,3 +177,17 @@ func TestPopularityModelExplicitMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// TestArrivalsSteadyStateAllocs pins the arrival tick: drawing the gap,
+// firing and scheduling the next arrival reuse the callback bound in
+// NewArrivals and the engine's pooled event slot.
+func TestArrivalsSteadyStateAllocs(t *testing.T) {
+	eng := simulation.NewEngine()
+	if _, err := NewArrivals(eng, rand.New(rand.NewSource(1)), ConstantRate(60), func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Step() // warm the event slab
+	if avg := testing.AllocsPerRun(100, func() { eng.Step() }); avg != 0 {
+		t.Fatalf("one arrival allocates %v objects, want 0", avg)
+	}
+}
