@@ -51,7 +51,7 @@ bench: bench-netsim
 netsim_BENCH     = Netsim|Reallocate|RouteTree|AddLinkBulk|ForecasterBank|EngineChurn
 netsim_PKGS      = . ./internal/netsim
 netsim_TIMEOUT   = 600s
-netsim_BASELINE  = pr23-cap-bound-2cpu
+netsim_BASELINE  = pr24-plain-waterfill-2cpu
 suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s

@@ -15,7 +15,6 @@ import (
 	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
-	"github.com/hpclab/datagrid/internal/workload"
 )
 
 // Warmup is how long monitors run before any measurement, letting NWS
@@ -192,13 +191,4 @@ func meanSeconds(ds []time.Duration) float64 {
 		sum += d.Seconds()
 	}
 	return sum / float64(len(ds))
-}
-
-// sizesLabel formats the standard file-size sweep for table headers.
-func sizesLabel() []float64 {
-	out := make([]float64, len(workload.PaperFileSizesMB))
-	for i, s := range workload.PaperFileSizesMB {
-		out[i] = float64(s)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package ftp
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -429,6 +428,3 @@ func (c *Client) Quit() error {
 	}
 	return cerr
 }
-
-// ErrClosed is returned by operations on a closed client.
-var ErrClosed = errors.New("ftp: connection closed")

@@ -14,9 +14,10 @@ import (
 // cap-bound path) and leaves the links' usedBps to be rebuilt on read. This
 // file is the judge of both: a seeded storm of API calls is stepped through
 // the engine one event at a time, and after every event every live
-// component is rewound to where the event found it and handed to
-// referenceWaterfill. What the event left behind must be what the reference
-// leaves behind, bit for bit.
+// component is rewound to where the event found it and water-filled. What
+// the event left behind must be what the fill leaves behind, bit for bit.
+// The same rewind, over one scratch component of every active flow, is the
+// global algorithm the partition is held to (StepGlobal).
 
 // StormRegime shapes the flows and disturbances of one storm.
 type StormRegime struct {
@@ -74,18 +75,48 @@ func (o *capBoundOracle) before() {
 	}
 }
 
-// after checks the event that just fired. A flow whose rate the event moved
-// is put back as the event found it (a flow it started, as StartFlow made
-// it); the reference then runs from there at the current instant and must
-// arrive at the rate and the re-anchored progress production holds. A flow
-// whose rate did not move must not have been re-anchored, bar the one
-// re-anchoring the completion handler does by itself for a sub-byte
-// residue. One component in three also has its links read through UsedBps
-// first — the others stay stale into the next event, merges and splits
-// included — and a read must move no flow.
+// refill puts each flow of c whose rate the event moved back as the event
+// found it (a flow it started, as StartFlow made it) and water-fills c from
+// there at the current instant: the fill must arrive at the rates and the
+// re-anchored progress production holds in got. A flow whose rate did not
+// move must not have been re-anchored, bar the one re-anchoring the
+// completion handler does by itself for a sub-byte residue.
+func (o *capBoundOracle) refill(c *component, got []flowAnchor) error {
+	now := o.n.engine.Now()
+	for i, f := range c.flows {
+		p, ok := o.pre[f]
+		if !ok {
+			p = flowAnchor{0, f.wireBytes, f.started, noCompletion}
+		}
+		if math.Float64bits(p.rate) != math.Float64bits(got[i].rate) {
+			f.rateBps, f.remaining, f.settledAt, f.completionAt = p.rate, p.remaining, p.settledAt, p.completionAt
+		} else if residue := got[i].settledAt == now && p.completionAt <= now; !p.same(got[i]) && !residue {
+			return fmt.Errorf("flow %d re-anchored at an unchanged rate: %+v -> %+v", f.id, p, got[i])
+		}
+	}
+	o.n.waterfill(c, now)
+	for i, f := range c.flows {
+		if want := anchorOf(f); !want.same(got[i]) {
+			return fmt.Errorf("flow %d: production %+v, water-fill of %d flows %+v", f.id, got[i], len(c.flows), want)
+		}
+	}
+	return nil
+}
+
+func anchorsOf(flows []*Flow) []flowAnchor {
+	got := make([]flowAnchor, len(flows))
+	for i, f := range flows {
+		got[i] = anchorOf(f)
+	}
+	return got
+}
+
+// after checks the event that just fired, component by component (refill).
+// One component in three also has its links read through UsedBps first —
+// the others stay stale into the next event, merges and splits included —
+// and a read must move no flow.
 func (o *capBoundOracle) after(tally *StormTally) error {
 	n := o.n
-	now := n.engine.Now()
 	stats := n.pstats
 	defer func() { n.pstats = stats }() // the checker's own fills are not the storm's
 	for _, c := range n.comps {
@@ -99,10 +130,7 @@ func (o *capBoundOracle) after(tally *StormTally) error {
 		if err := checkDemand(c); err != nil {
 			return fmt.Errorf("component %d: %w", c.id, err)
 		}
-		got := make([]flowAnchor, len(c.flows))
-		for i, f := range c.flows {
-			got[i] = anchorOf(f)
-		}
+		got := anchorsOf(c.flows)
 		read := o.rng.Intn(3) == 0
 		used := make([]float64, len(c.links))
 		if read && c.stale {
@@ -122,28 +150,59 @@ func (o *capBoundOracle) after(tally *StormTally) error {
 			if !anchorOf(f).same(got[i]) {
 				return fmt.Errorf("component %d flow %d: reading link usage moved it from %+v to %+v", c.id, f.id, got[i], anchorOf(f))
 			}
-			p, ok := o.pre[f]
-			if !ok {
-				p = flowAnchor{0, f.wireBytes, f.started, noCompletion}
-			}
-			if math.Float64bits(p.rate) != math.Float64bits(got[i].rate) {
-				f.rateBps, f.remaining, f.settledAt, f.completionAt = p.rate, p.remaining, p.settledAt, p.completionAt
-			} else if residue := got[i].settledAt == now && p.completionAt <= now; !p.same(got[i]) && !residue {
-				return fmt.Errorf("component %d flow %d re-anchored at an unchanged rate: %+v -> %+v", c.id, f.id, p, got[i])
-			}
 		}
-		referenceWaterfill(n, c, now)
-		for i, f := range c.flows {
-			if want := anchorOf(f); !want.same(got[i]) {
-				return fmt.Errorf("component %d (%d flows, %d tight links) flow %d: production %+v, reference %+v",
-					c.id, len(c.flows), c.tight, f.id, got[i], want)
-			}
+		if err := o.refill(c, got); err != nil {
+			return fmt.Errorf("component %d (%d tight links) %w", c.id, c.tight, err)
 		}
 		for i, l := range c.links {
 			if read && math.Float64bits(l.usedBps) != math.Float64bits(used[i]) {
-				return fmt.Errorf("component %d link %s->%s UsedBps %v, reference %v", c.id, l.from, l.to, used[i], l.usedBps)
+				return fmt.Errorf("component %d link %s->%s UsedBps %v, water-fill %v", c.id, l.from, l.to, used[i], l.usedBps)
 			}
 			l.usedBps = used[i]
+		}
+	}
+	return nil
+}
+
+// global checks the event that just fired against the historical algorithm:
+// one water-fill of every active flow, whatever the partition says. It must
+// leave each flow where the partitioned allocator left it, bit for bit, and
+// its allocation must be max-min fair in its own right (conservation). The
+// links' usage is put back as production had it, stale or not.
+func (o *capBoundOracle) global() error {
+	n := o.n
+	g := globalComp(n)
+	stats, used := n.pstats, make([]float64, len(g.links))
+	for i, l := range g.links {
+		used[i] = l.usedBps
+	}
+	defer func() {
+		for i, l := range g.links {
+			l.usedBps = used[i]
+		}
+		n.pstats = stats
+	}()
+	if err := o.refill(g, anchorsOf(g.flows)); err != nil {
+		return err
+	}
+	return conservation(n)
+}
+
+// StepGlobal steps n's engine to virtual time until (or dry) one event at a
+// time, holding every event to the global water-fill.
+func StepGlobal(n *Network, until time.Duration) error {
+	done := false
+	if _, err := n.engine.Schedule(until, func(time.Duration) { done = true }); err != nil {
+		return err
+	}
+	o := &capBoundOracle{n: n, pre: make(map[*Flow]flowAnchor)}
+	for events := 1; !done; events++ {
+		o.before()
+		if !n.engine.Step() {
+			break
+		}
+		if err := o.global(); err != nil {
+			return fmt.Errorf("event %d at %v: %w", events, n.engine.Now(), err)
 		}
 	}
 	return nil
@@ -338,7 +397,7 @@ func TestCapBoundBandsAcrossMergeAndSplit(t *testing.T) {
 	}
 }
 
-// OracleNet exposes the water-fill oracle's hand-made random network to the
+// OracleNet exposes the water-fill sweep's hand-made random network to the
 // external cap-bound sweep, hosts flattened.
 func OracleNet(t *testing.T, rng *rand.Rand) (*Network, []string) {
 	n, groups := oracleNet(t, rng)

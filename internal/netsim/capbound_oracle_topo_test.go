@@ -15,7 +15,7 @@ import (
 // over the three regimes that matter: the planet workload's (WAN round
 // trips, 1 MiB windows, one stream), the metro workload's (64 KiB windows,
 // two streams sharing a cap) — both on seeded topo worlds — and a tight one
-// on the water-fill oracle's hand-made networks, where links bind, caps tie
+// on the water-fill sweep's hand-made networks, where links bind, caps tie
 // and demand hovers at the margin. -oracle.cases is the number of engine
 // events checked, split evenly; every regime must have taken both paths.
 func TestCapBoundOracle(t *testing.T) {

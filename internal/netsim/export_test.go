@@ -1,18 +1,30 @@
 package netsim
 
-// Test-only hooks for the global-vs-partitioned equivalence suite.
+// Test-only entry points into the allocator.
 
-// SetPoolMode switches the partition maintenance into a single
-// mega-component: every flow joins one component, so every event
-// water-fills the whole world — the historical global algorithm running
-// on the partitioned machinery. Must be called before any flow starts.
-func (n *Network) SetPoolMode(pool bool) { n.poolMode = pool }
+// reallocate water-fills every live component: the full-recompute entry
+// point, for tests and benchmarks that measure or provoke the water-fill
+// itself. Event paths mark only the components they touch, and answer most
+// of those without one.
+func (n *Network) reallocate() {
+	for _, c := range n.comps {
+		if !c.gone {
+			n.markFill(c)
+		}
+	}
+	n.processDirty()
+}
 
-// PoolMode reports whether the network runs the single-component
-// reference algorithm.
-func (n *Network) PoolMode() bool { return n.poolMode }
-
-// Reallocate water-fills every live component: the full-recompute entry
-// point, for tests that measure the water-fill itself now that most events
-// are answered without one.
-func (n *Network) Reallocate() { n.reallocate() }
+// globalComp is one scratch component of every active flow and every
+// occupied link: water-filling it is the historical whole-network
+// algorithm, which the partitioned allocator must agree with bit for bit.
+// It is no member of the partition (no link points at it).
+func globalComp(n *Network) *component {
+	g := &component{id: -1, flows: append([]*Flow(nil), n.active...)} // n.active is id-sorted
+	for _, l := range n.linkList {
+		if l.nflows > 0 {
+			g.links = append(g.links, l)
+		}
+	}
+	return g
+}

@@ -447,20 +447,17 @@ type Network struct {
 	linkComp   []int
 	compHeap   []*component
 	dirtyComps []*component
-	poolMode   bool
 	pstats     ReallocStats
 	// moved is the flow whose cap the event being drained moved, if any.
 	moved *Flow
 
 	// Partition scratch, reused across events: the water-fill's per-flow
-	// floats (previous rates, projected remaining bytes, cap snapshot), the
-	// caps bandFree sorts, the snapshot's (cap, id) order, flow-list merge
-	// space, expired components popped by the completion handler, and the
-	// union-find working set (parents indexed by Link.idx, group roots
-	// and their components during a rebuild).
+	// floats (previous rates, projected remaining bytes), the caps bandFree
+	// sorts, flow-list merge space, expired components popped by the
+	// completion handler, and the union-find working set (parents indexed
+	// by Link.idx, group roots and their components during a rebuild).
 	fillScratch    []float64
 	bandScratch    []float64
-	capOrder       []capEntry
 	flowScratch    []*Flow
 	expiredScratch []*component
 	ufParent       []int
@@ -1122,21 +1119,6 @@ func (n *Network) rampTick(f *Flow) {
 		n.pstats.RampFills++
 		n.processDirty()
 	}
-}
-
-// reallocate recomputes max-min fair rates for every live component by
-// marking the whole partition dirty and draining it. Event paths never
-// call this — they mark only the components they touch — but tests and
-// benchmarks use it as the full-recompute entry point, and it is the
-// partitioned equivalent of the historical whole-network water-fill.
-func (n *Network) reallocate() {
-	for _, c := range n.comps {
-		if c.gone {
-			continue
-		}
-		n.markFill(c)
-	}
-	n.processDirty()
 }
 
 // onCompletion fires when the earliest-cached completion arrives. It is

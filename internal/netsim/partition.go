@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -89,9 +88,8 @@ type component struct {
 // partitioned allocator: the by-cause counters say what asked for an
 // allocation, ComponentsDirtied vs Components how much of the world each
 // event touched and CapBound how often the answer needed no water-fill;
-// Rounds/FlowsScanned/MaxRoundFlows describe the round structure of the
-// water-fills that did run, FlowsEvaluated/LinkScans the work spent finding
-// it.
+// Rounds/FlowsScanned/MaxRoundFlows describe the rounds of the water-fills
+// that did run.
 type ReallocStats struct {
 	// Events is the number of allocation passes (API events that drained
 	// the dirty set, water-filling or not).
@@ -110,19 +108,14 @@ type ReallocStats struct {
 	CapBound          uint64
 	Rebuilds          uint64
 	// Rounds is the cumulative number of water-filling rounds — distinct
-	// limits flows were fixed at, however each round was found. Like the
-	// four counters below it counts the water-fills actually executed,
-	// on-read rebuilds included: a cap-bound component adds nothing.
+	// limits flows were fixed at. Like FlowsScanned and MaxRoundFlows it
+	// counts the water-fills actually executed, on-read rebuilds included:
+	// a cap-bound component adds nothing.
 	Rounds uint64
 	// FlowsScanned is the cumulative number of flows still unfixed at the
-	// start of each executed round: the round structure in reference units,
-	// what a scan of every unfixed flow per round evaluates.
+	// start of each executed round, each of which the round's two passes
+	// walk.
 	FlowsScanned uint64
-	// FlowsEvaluated is the cumulative number of flow paths actually
-	// walked or consumed by executed water-fills; LinkScans the number of
-	// exact link-share scans.
-	FlowsEvaluated uint64
-	LinkScans      uint64
 	// Merges counts component unions (StartFlow joining groups);
 	// Splits counts components created by rebuild after a flow left.
 	Merges uint64
@@ -245,24 +238,13 @@ func (n *Network) freeComp(c *component) {
 // it, and the result is marked dirty.
 func (n *Network) attachFlow(f *Flow) {
 	var c *component
-	if n.poolMode {
-		// Test hook: one mega-component makes every event water-fill the
-		// whole world — the reference global algorithm, on the same code.
-		for _, lc := range n.comps {
-			if !lc.gone {
+	for _, l := range f.path {
+		if cid := n.linkComp[l.idx]; cid >= 0 {
+			lc := n.comps[cid]
+			if c == nil {
 				c = lc
-				break
-			}
-		}
-	} else {
-		for _, l := range f.path {
-			if cid := n.linkComp[l.idx]; cid >= 0 {
-				lc := n.comps[cid]
-				if c == nil {
-					c = lc
-				} else if lc != c {
-					c = n.mergeComps(c, lc)
-				}
+			} else if lc != c {
+				c = n.mergeComps(c, lc)
 			}
 		}
 	}
@@ -370,18 +352,6 @@ func (n *Network) rebuildComp(c *component) {
 		return
 	}
 	c.structDirty = false
-	if n.poolMode {
-		// Single mega-component: just refresh the occupied-link list.
-		c.links = c.links[:0]
-		for _, f := range c.flows {
-			for _, l := range f.path {
-				if n.linkComp[l.idx] != c.id {
-					n.claimLink(c, l)
-				}
-			}
-		}
-		return
-	}
 	for _, f := range c.flows {
 		for _, l := range f.path {
 			n.ufParent[l.idx] = l.idx
@@ -449,196 +419,85 @@ func (n *Network) rebuildComp(c *component) {
 	n.groupScratch = gcomps[:0]
 }
 
-// capEntry is one unfixed flow's cap in the water-fill's (cap, id) order.
-// idx is the flow's position in the component's id-sorted flow list, so
-// ordering by idx is ordering by flow id.
-type capEntry struct {
-	cap float64
-	idx int32
-}
-
-func cmpCap(a, b capEntry) int {
-	if a.cap != b.cap {
-		if a.cap < b.cap {
-			return -1
-		}
-		return 1
-	}
-	return int(a.idx) - int(b.idx)
-}
-
 // waterfill runs max-min fair water-filling with per-flow caps over one
-// component. Each round fixes, in ascending id order, every unfixed flow
-// whose limit min(cap, link shares) is within allocEps of the round's
-// smallest; the rounds, their order and every float operation are those of
-// the plain two-pass scan (referenceWaterfill in the test oracle), so rates
-// are bit-identical — but a round bound by a flow cap is found without
-// walking a path. Caps cannot change during a call, so they are snapshotted
-// once (a fixed flow's entry becomes NaN, which no comparison selects), and
-// linkLow is a lower bound on every fair share remCap/remCnt an unfixed flow
-// can see: exact at entry and after an exact pass, lowered after each
-// consumeShare of a cap-bound round, -Inf (unknown) after a link-bound one.
-// While minLimit·(1+allocEps) < linkLow holds for the smallest unfixed cap,
-// that cap is the round minimum and the flows to fix are exactly those with
-// cap <= minLimit·(1+allocEps): found by scanning the snapshot in the first
-// few rounds, and from the (cap, id) order of the still-unfixed flows once
-// a component has taken more rounds than sorting it costs. Otherwise the
-// round runs the reference passes. docs/PERFORMANCE.md has the argument.
-// Flows whose rate actually changed (bitwise) are re-anchored at now;
-// unchanged flows keep their anchor and cached completion time.
+// component, in plain two-pass rounds: every round walks every unfixed
+// flow's path once to find the smallest limit min(cap, link shares), and
+// once more to fix, in ascending id order, the flows whose live limit is
+// within allocEps of it. Most events never get here — processDirty's
+// cap-bound path answers them — and the fills that remain are small
+// (docs/PERFORMANCE.md, "One plain water-fill"). Flows whose rate actually
+// changed (bitwise) are re-anchored at now; unchanged flows keep their
+// anchor and cached completion time.
 func (n *Network) waterfill(c *component, now time.Duration) {
 	flows := c.flows
 	k := len(flows)
-	if cap(n.capOrder) < k {
-		n.fillScratch = make([]float64, 3*2*k)
-		n.capOrder = make([]capEntry, 0, 2*k)
+	if len(n.fillScratch) < 2*k {
+		n.fillScratch = make([]float64, 4*k) // twice the need: room to grow
 	}
-	// Previous rates, projected remaining bytes and the cap snapshot, by
-	// flow position: three stripes of one scratch block.
-	prev, rem, caps := n.fillScratch[:k], n.fillScratch[k:2*k], n.fillScratch[2*k:3*k]
-	nanCap := false
+	// Previous rates and projected remaining bytes, by flow position.
+	prev, rem := n.fillScratch[:k], n.fillScratch[k:2*k]
 	for i, f := range flows {
 		prev[i] = f.rateBps
 		rem[i] = f.remainingAt(now)
 		f.fixed = false
 		f.rateBps = 0
-		caps[i] = f.capBps()
-		nanCap = nanCap || caps[i] != caps[i]
 	}
-	linkLow := math.Inf(1)
 	for _, l := range c.links {
 		n.remCap[l.idx] = l.EffectiveCapacity()
 		n.remCnt[l.idx] = l.nflows
 		l.usedBps = 0
-		linkLow = n.lowerShare(linkLow, l)
 	}
-	n.pstats.LinkScans++
-	// With every flow unfixed the scan above covers exactly the reference
-	// minimum's link terms — unless a NaN cap hides its flow's links from it.
-	linkExact := !nanCap
-	// A round's candidates cost one pass over caps to find; sorting costs
-	// about log2(n) such passes, so it waits until that many rounds have run
-	// (parallel streams of one transfer share a cap and never get there).
-	sortAt := bits.Len(uint(len(flows)))
-	order, next := n.capOrder[:0], 0 // once sorted, order[:next] are fixed
-	unfixed := len(flows)
-	for round := 0; unfixed > 0; round++ {
+	for unfixed := k; unfixed > 0; {
 		n.pstats.Rounds++
 		n.pstats.FlowsScanned += uint64(unfixed)
 		if unfixed > n.pstats.MaxRoundFlows {
 			n.pstats.MaxRoundFlows = unfixed
 		}
-		capMin := math.Inf(1) // smallest unfixed cap
-		if round < sortAt {
-			for _, v := range caps {
-				if v < capMin {
-					capMin = v
-				}
+		minLimit := math.Inf(1)
+		for _, f := range flows {
+			if f.fixed {
+				continue
 			}
-		} else {
-			if round == sortAt {
-				for i, v := range caps {
-					if v == v {
-						order = append(order, capEntry{v, int32(i)})
-					}
-				}
-				slices.SortFunc(order, cmpCap)
-			}
-			for next < len(order) && caps[order[next].idx] != order[next].cap {
-				next++
-			}
-			if next < len(order) {
-				capMin = order[next].cap
+			if lim := n.limit(f); lim < minLimit {
+				minLimit = lim
 			}
 		}
-		minLimit := capMin
-		if !(max(minLimit, 0)*(1+allocEps) < linkLow) {
-			// A link may bind, or the bound is stale: take the exact minimum.
-			if linkExact {
-				minLimit = min(capMin, linkLow) // neither is ever NaN
-			} else {
-				minLimit, linkLow = n.exactLimits(flows, caps)
-			}
-			if math.IsInf(minLimit, 1) {
-				// No binding constraint anywhere (e.g. zero-RTT loss-free
-				// path). Grant each flow its link share.
-				minLimit = math.MaxFloat64
-			}
+		if math.IsInf(minLimit, 1) {
+			// No binding constraint anywhere (e.g. zero-RTT loss-free
+			// path). Grant each flow its link share.
+			minLimit = math.MaxFloat64
 		}
 		if minLimit < 0 {
 			minLimit = 0
 		}
-		linkExact = false
-		thr := minLimit * (1 + allocEps)
 		fixed := 0
-		if thr < linkLow {
-			// Cap-bound round: every share exceeds thr, so exactly the caps
-			// <= thr are fixed, in id order.
-			cand, live := order[:0], 0 // the order buffer is free until sorted
-			if round < sortAt {
-				for i, v := range caps {
-					if v <= thr {
-						cand = append(cand, capEntry{v, int32(i)})
-					}
-				}
-				live = len(cand)
-			} else {
-				start := next
-				for ; next < len(order) && order[next].cap <= thr; next++ {
-					if e := order[next]; caps[e.idx] == e.cap {
-						live++
-					}
-				}
-				cand = order[start:next]
-				slices.SortFunc(cand, func(a, b capEntry) int { return int(a.idx) - int(b.idx) })
+		for _, f := range flows {
+			if f.fixed {
+				continue
 			}
-			last := live == unfixed // nothing left to keep a bound for
-			for _, e := range cand {
-				i := int(e.idx)
-				if caps[i] != e.cap {
-					continue // fixed by an earlier link-bound round
-				}
-				f := flows[i]
-				n.pstats.FlowsEvaluated++
+			if lim := n.limit(f); lim <= minLimit*(1+allocEps) {
 				f.rateBps = minLimit
+				if f.rateBps == math.MaxFloat64 {
+					f.rateBps = lim
+				}
 				n.consumeShare(f)
 				f.fixed = true
-				caps[i] = math.NaN()
 				fixed++
-				if last {
-					continue
-				}
-				for _, l := range f.path {
-					linkLow = n.lowerShare(linkLow, l)
-				}
-				if linkLow <= thr {
-					// Rounding dropped a share into the epsilon band (it rises
-					// in exact arithmetic): finish the round the reference way.
-					fixed += n.fixAtLimit(flows, caps, i+1, minLimit)
-					linkLow = math.Inf(-1)
-					break
-				}
 			}
 		}
 		if fixed == 0 {
-			// Link-bound round: the reference fix pass. Shares move by more
-			// than it tracks, so the bound is unknown until an exact pass.
-			fixed = n.fixAtLimit(flows, caps, 0, minLimit)
-			linkLow = math.Inf(-1)
-			if fixed == 0 {
-				// Defensive: a NaN limit is the only known trigger, but
-				// never loop forever. Fix the stragglers at the round
-				// minimum with the same link accounting as the normal path
-				// so remCap/remCnt/usedBps stay consistent.
-				for _, f := range flows {
-					if !f.fixed {
-						f.rateBps = minLimit
-						n.consumeShare(f)
-						f.fixed = true
-					}
+			// Defensive: a NaN limit is the only known trigger, but never
+			// loop forever. Fix the stragglers at the round minimum with
+			// the same link accounting as the normal path so
+			// remCap/remCnt/usedBps stay consistent.
+			for _, f := range flows {
+				if !f.fixed {
+					f.rateBps = minLimit
+					n.consumeShare(f)
+					f.fixed = true
 				}
-				break
 			}
+			break
 		}
 		unfixed -= fixed
 	}
@@ -652,73 +511,16 @@ func (n *Network) waterfill(c *component, now time.Duration) {
 	}
 }
 
-// lowerShare folds the fair share link l offers its unfixed flows into the
-// lower bound low.
-func (n *Network) lowerShare(low float64, l *Link) float64 {
-	if cnt := n.remCnt[l.idx]; cnt > 0 && n.remCap[l.idx]/float64(cnt) < low {
-		low = n.remCap[l.idx] / float64(cnt)
-	}
-	return low
-}
-
-// exactLimits is the reference minimum pass of one round: the smallest
-// limit min(cap, link shares) over the unfixed flows, and beside it the
-// smallest share alone.
-func (n *Network) exactLimits(flows []*Flow, caps []float64) (minLimit, linkLow float64) {
-	n.pstats.LinkScans++
-	minLimit, linkLow = math.Inf(1), math.Inf(1)
-	for i, f := range flows {
-		if f.fixed {
-			continue
-		}
-		n.pstats.FlowsEvaluated++
-		lim := caps[i]
-		for _, l := range f.path {
-			share := n.remCap[l.idx] / float64(n.remCnt[l.idx])
-			if share < lim {
-				lim = share
-			}
-			if share < linkLow {
-				linkLow = share
-			}
-		}
-		if lim < minLimit {
-			minLimit = lim
+// limit is what flow f could be fixed at right now: its cap or the fair
+// share remCap/remCnt of the scarcest link on its path, whichever is less.
+func (n *Network) limit(f *Flow) float64 {
+	lim := f.capBps()
+	for _, l := range f.path {
+		if share := n.remCap[l.idx] / float64(n.remCnt[l.idx]); share < lim {
+			lim = share
 		}
 	}
-	return minLimit, linkLow
-}
-
-// fixAtLimit is the reference fix pass of one round, from flow index from
-// up: every unfixed flow whose live limit is within epsilon of minLimit is
-// fixed at it, in ascending id order. It returns how many flows it fixed.
-func (n *Network) fixAtLimit(flows []*Flow, caps []float64, from int, minLimit float64) int {
-	fixed := 0
-	for i := from; i < len(flows); i++ {
-		f := flows[i]
-		if f.fixed {
-			continue
-		}
-		n.pstats.FlowsEvaluated++
-		lim := caps[i]
-		for _, l := range f.path {
-			share := n.remCap[l.idx] / float64(n.remCnt[l.idx])
-			if share < lim {
-				lim = share
-			}
-		}
-		if lim <= minLimit*(1+allocEps) {
-			f.rateBps = minLimit
-			if f.rateBps == math.MaxFloat64 {
-				f.rateBps = lim
-			}
-			n.consumeShare(f)
-			f.fixed = true
-			caps[i] = math.NaN() // out of the cap-bound rounds' sight
-			fixed++
-		}
-	}
-	return fixed
+	return lim
 }
 
 // consumeShare books a just-fixed flow's rate against its links: remaining

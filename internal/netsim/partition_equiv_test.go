@@ -13,19 +13,19 @@ import (
 	"github.com/hpclab/datagrid/internal/topo"
 )
 
-// The tentpole contract of the partitioned allocator: because max-min
-// water-filling decomposes exactly over link-disjoint components (see
+// The contract of the partitioned allocator: because max-min water-filling
+// decomposes exactly over link-disjoint components (see
 // docs/PERFORMANCE.md), the partitioned allocator must produce the same
 // rates — and therefore the same event stream, completion times and
 // delivered bytes, bit for bit — as the global algorithm. The global
-// reference is the same machinery in pool mode (one mega-component, every
-// event water-fills the world). These tests drive both over seeded
-// internal/topo worlds with staggered cross-region transfers, background
-// traffic shifts, and fault schedules (WAN link failures and recoveries,
-// with and without FailOnDown flows), then compare every flow exactly.
+// answer is one water-fill of every active flow, run after every engine
+// event from the state the event found (netsim.StepGlobal). These tests
+// drive seeded internal/topo worlds with staggered cross-region transfers,
+// background traffic shifts, and fault schedules (WAN link failures and
+// recoveries, with and without FailOnDown flows), and compare every flow
+// exactly at every event.
 
-// equivAction is one scheduled disturbance, built once per scenario so
-// the pool and partitioned runs replay the identical script.
+// equivAction is one scheduled disturbance of a scenario's script.
 type equivAction struct {
 	at   time.Duration
 	kind int // 0 start, 1 bg, 2 down, 3 up
@@ -34,15 +34,6 @@ type equivAction struct {
 	size int64
 	opts netsim.FlowOptions
 	frac float64
-}
-
-type equivRecord struct {
-	state     netsim.FlowState
-	started   time.Duration
-	finished  time.Duration
-	delivered int64
-	rate      float64
-	remaining float64
 }
 
 // equivScript builds the deterministic action schedule for a topology.
@@ -109,9 +100,9 @@ func equivScript(t *testing.T, tp *topo.Topology, seed int64, flows int, faults 
 	return acts
 }
 
-// equivRun replays the script on a fresh build of the topology and
-// returns every started flow's final record keyed by flow id.
-func equivRun(t *testing.T, tp *topo.Topology, acts []equivAction, pool bool) map[int64]equivRecord {
+// equivRun replays the script on a fresh build of the topology, every
+// event held to the global water-fill, and returns the flows it started.
+func equivRun(t *testing.T, tp *topo.Topology, acts []equivAction) []*netsim.Flow {
 	t.Helper()
 	eng := simulation.NewEngine()
 	tb, err := tp.Build(eng)
@@ -119,7 +110,6 @@ func equivRun(t *testing.T, tp *topo.Topology, acts []equivAction, pool bool) ma
 		t.Fatal(err)
 	}
 	n := tb.Network()
-	n.SetPoolMode(pool)
 	var flows []*netsim.Flow
 	for _, a := range acts {
 		a := a
@@ -129,8 +119,7 @@ func equivRun(t *testing.T, tp *topo.Topology, acts []equivAction, pool bool) ma
 				f, err := n.StartFlow(a.src, a.dst, a.size, a.opts, nil)
 				if err != nil {
 					// A FailOnDown start during a fault window is
-					// legitimately rejected; both runs see the same
-					// rejection because the schedules are identical.
+					// legitimately rejected.
 					if errors.Is(err, netsim.ErrPathDown) {
 						return
 					}
@@ -156,52 +145,20 @@ func equivRun(t *testing.T, tp *topo.Topology, acts []equivAction, pool bool) ma
 			t.Fatal(err)
 		}
 	}
-	// A fixed horizon (not a full drain) keeps still-active flows in the
-	// comparison: their rates and projected remaining bytes must match too.
-	if err := eng.RunUntil(90 * time.Second); err != nil {
-		t.Fatal(err)
+	// A fixed horizon (not a full drain) keeps the tail of the script's
+	// long transfers in the comparison.
+	if err := netsim.StepGlobal(n, 90*time.Second); err != nil {
+		t.Fatalf("partitioned allocator diverged from the global water-fill: %v", err)
 	}
-	out := make(map[int64]equivRecord, len(flows))
-	for _, f := range flows {
-		out[f.ID()] = equivRecord{
-			state:     f.State(),
-			started:   f.Started(),
-			finished:  f.Finished(),
-			delivered: f.DeliveredPayloadBytes(),
-			rate:      f.RateBps(),
-			remaining: f.RemainingBytes(),
-		}
+	if len(flows) == 0 {
+		t.Fatal("scenario started no flows")
 	}
-	return out
-}
-
-func equivCompare(t *testing.T, global, part map[int64]equivRecord) {
-	t.Helper()
-	if len(global) != len(part) {
-		t.Fatalf("flow count diverged: global %d, partitioned %d", len(global), len(part))
-	}
-	diverged := 0
-	for id, g := range global {
-		p, ok := part[id]
-		if !ok {
-			t.Errorf("flow %d missing from partitioned run", id)
-			continue
-		}
-		if g != p {
-			diverged++
-			if diverged <= 5 {
-				t.Errorf("flow %d diverged:\n  global      %+v\n  partitioned %+v", id, g, p)
-			}
-		}
-	}
-	if diverged > 5 {
-		t.Errorf("... and %d more divergent flows", diverged-5)
-	}
+	return flows
 }
 
 // TestPartitionedEquivalenceTopoWorlds pins rate/event-stream equality of
-// the partitioned allocator against the global (pool-mode) algorithm over
-// seeded topo worlds, without faults.
+// the partitioned allocator against the global algorithm over seeded topo
+// worlds, without faults.
 func TestPartitionedEquivalenceTopoWorlds(t *testing.T) {
 	for _, tc := range []struct {
 		spec  topo.Spec
@@ -215,13 +172,7 @@ func TestPartitionedEquivalenceTopoWorlds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acts := equivScript(t, tp, tc.spec.Seed*31, tc.flows, false)
-			global := equivRun(t, tp, acts, true)
-			part := equivRun(t, tp, acts, false)
-			if len(global) == 0 {
-				t.Fatal("scenario started no flows")
-			}
-			equivCompare(t, global, part)
+			equivRun(t, tp, equivScript(t, tp, tc.spec.Seed*31, tc.flows, false))
 		})
 	}
 }
@@ -237,22 +188,15 @@ func TestPartitionedEquivalenceFaultSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acts := equivScript(t, tp, seed*131, 64, true)
-			global := equivRun(t, tp, acts, true)
-			part := equivRun(t, tp, acts, false)
-			if len(global) == 0 {
-				t.Fatal("scenario started no flows")
-			}
 			failed := 0
-			for _, g := range global {
-				if g.state == netsim.FlowFailed {
+			for _, f := range equivRun(t, tp, equivScript(t, tp, seed*131, 64, true)) {
+				if f.State() == netsim.FlowFailed {
 					failed++
 				}
 			}
 			if failed == 0 {
 				t.Log("fault schedule produced no FailOnDown failures; equivalence still checked")
 			}
-			equivCompare(t, global, part)
 		})
 	}
 }

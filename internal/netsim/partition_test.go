@@ -445,16 +445,15 @@ func TestDefensiveFixBranchAccounting(t *testing.T) {
 	}
 }
 
-// TestPartitionedScanWork pins the tentpole's work bound with deterministic
+// TestPartitionedScanWork pins the partition's work bound with deterministic
 // counters rather than timing: on a world of disjoint LANs, a single-link
 // disturbance must re-scan only that LAN's component under the partitioned
-// allocator, while the pool-mode reference (the global algorithm on the
-// same machinery) sweeps every active flow — a >= 5x gap at 16 LANs.
+// allocator, while the global algorithm (one water-fill of every active
+// flow, globalComp) sweeps them all — a >= 5x gap at 16 LANs.
 func TestPartitionedScanWork(t *testing.T) {
-	build := func(pool bool) (*Network, *Link) {
+	build := func() (*Network, *Link) {
 		eng := simulation.NewEngine()
 		n := New(eng, 1)
-		n.SetPoolMode(pool)
 		const lans, hosts = 16, 4
 		for i := 0; i < lans; i++ {
 			hub := fmt.Sprintf("hub%d", i)
@@ -482,29 +481,30 @@ func TestPartitionedScanWork(t *testing.T) {
 		}
 		return n, l
 	}
-	work := func(pool bool) uint64 {
-		n, l := build(pool)
-		start := n.ReallocStats()
-		for i := 0; i < 10; i++ {
-			if err := n.SetBackgroundLoad(l.from, l.to, 0.1+0.01*float64(i%2)); err != nil {
-				t.Fatal(err)
-			}
+	n, l := build()
+	g := globalComp(n)
+	var partScanned, globalScanned uint64
+	for i := 0; i < 10; i++ {
+		start := n.pstats.FlowsScanned
+		if err := n.SetBackgroundLoad(l.from, l.to, 0.1+0.01*float64(i%2)); err != nil {
+			t.Fatal(err)
 		}
-		return n.ReallocStats().FlowsScanned - start.FlowsScanned
+		event := n.pstats.FlowsScanned
+		n.waterfill(g, n.engine.Now())
+		partScanned += event - start
+		globalScanned += n.pstats.FlowsScanned - event
 	}
-	poolScanned := work(true)
-	partScanned := work(false)
-	if partScanned == 0 || poolScanned == 0 {
-		t.Fatalf("no scan work recorded (pool %d, partitioned %d)", poolScanned, partScanned)
+	if partScanned == 0 || globalScanned == 0 {
+		t.Fatalf("no scan work recorded (global %d, partitioned %d)", globalScanned, partScanned)
 	}
-	ratio := float64(poolScanned) / float64(partScanned)
+	ratio := float64(globalScanned) / float64(partScanned)
 	if ratio < 5 {
-		t.Fatalf("partitioned allocator scanned %d flows vs pool %d (%.1fx), want >= 5x",
-			partScanned, poolScanned, ratio)
+		t.Fatalf("partitioned allocator scanned %d flows vs global %d (%.1fx), want >= 5x",
+			partScanned, globalScanned, ratio)
 	}
 	// The per-round sweep bound: no round may scan more flows than the
 	// largest component holds.
-	n, _ := build(false)
+	n, _ = build()
 	s := n.ReallocStats()
 	if s.MaxRoundFlows > s.MaxComponentFlows {
 		t.Fatalf("MaxRoundFlows %d exceeds MaxComponentFlows %d", s.MaxRoundFlows, s.MaxComponentFlows)

@@ -254,13 +254,6 @@ func Generate(spec Spec) (*Topology, error) {
 	return t, nil
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Build realizes the topology as a running testbed on engine.
 func (t *Topology) Build(engine *simulation.Engine) (*cluster.Testbed, error) {
 	return cluster.New(engine, t.Spec.Seed, t.Config)

@@ -122,6 +122,3 @@ func (g *generator) take() []request {
 
 // stop halts the arrival process.
 func (g *generator) stop() { g.arrivals.Stop() }
-
-// count returns how many arrivals the region has emitted.
-func (g *generator) count() int { return g.arrivals.Count() }

@@ -32,9 +32,9 @@ type Report struct {
 	GoodputMbps float64
 	// SiteSkew is max/mean completed serves across serving sites.
 	SiteSkew float64
-	// Replications, Removals and Evictions are the placement policy's
-	// completed actions; Hot, Warm and Cold are its final epoch's class
-	// sizes. All zero under PolicyNone.
+	// Replications and Removals are the placement policy's completed
+	// actions; Hot, Warm and Cold are its final epoch's class sizes. All
+	// zero under PolicyNone.
 	Replications int
 	Removals     int
 	Hot, Warm    int
