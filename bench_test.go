@@ -23,7 +23,6 @@ import (
 
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/experiments"
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/netsim"
 	"github.com/hpclab/datagrid/internal/nws"
@@ -249,7 +248,7 @@ func BenchmarkModeEFraming(b *testing.B) {
 // BenchmarkGridFTPLoopback measures a real 8 MiB MODE E download over
 // loopback sockets, per parallelism level.
 func BenchmarkGridFTPLoopback(b *testing.B) {
-	store := ftp.NewMemStore()
+	store := gridftp.NewMemStore()
 	payload := make([]byte, 8<<20)
 	rand.New(rand.NewSource(2)).Read(payload)
 	if err := store.Put("/bench.bin", payload); err != nil {
@@ -474,7 +473,7 @@ func BenchmarkSelectionRank(b *testing.B) {
 // BenchmarkMemStoreWriteAt measures the virtual filesystem's random write
 // path (what MODE E receivers hammer).
 func BenchmarkMemStoreWriteAt(b *testing.B) {
-	st := ftp.NewMemStore()
+	st := gridftp.NewMemStore()
 	f, err := st.Create("/bench")
 	if err != nil {
 		b.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 )
@@ -68,16 +67,16 @@ func main() {
 	flag.Var(&synth, "synth", "synthesize a file, e.g. /data/file-a=256MB (repeatable)")
 	flag.Parse()
 
-	var store ftp.Store = ftp.NewMemStore()
+	var store gridftp.Store = gridftp.NewMemStore()
 	if *serveDir != "" {
-		ds, err := ftp.NewDiskStore(*serveDir)
+		ds, err := gridftp.NewDiskStore(*serveDir)
 		if err != nil {
 			log.Fatalf("gridftpd: %v", err)
 		}
 		store = ds
 		log.Printf("serving %s from disk", ds.Root())
 	}
-	mem, _ := store.(*ftp.MemStore)
+	mem, _ := store.(*gridftp.MemStore)
 	rng := rand.New(rand.NewSource(*seed))
 	for _, spec := range synth {
 		path, sizeStr, ok := strings.Cut(spec, "=")

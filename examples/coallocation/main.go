@@ -8,20 +8,22 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/coalloc"
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/metrics"
 )
 
 // slowFile throttles reads, simulating a contended disk.
 type slowFile struct {
-	ftp.File
+	gridftp.File
 	delay time.Duration
 }
 
@@ -32,11 +34,11 @@ func (f slowFile) ReadAt(p []byte, off int64) (int, error) {
 
 // slowStore wraps a MemStore so every opened file reads slowly.
 type slowStore struct {
-	*ftp.MemStore
+	*gridftp.MemStore
 	delay time.Duration
 }
 
-func (s slowStore) Open(path string) (ftp.File, error) {
+func (s slowStore) Open(path string) (gridftp.File, error) {
 	f, err := s.MemStore.Open(path)
 	if err != nil {
 		return nil, err
@@ -45,53 +47,59 @@ func (s slowStore) Open(path string) (ftp.File, error) {
 }
 
 func main() {
-	const size = 32 << 20 // 32 MiB
+	if err := run(os.Stdout, 32<<20); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run co-allocates a size-byte replica, cut into 16 chunks, from three
+// loopback servers, and checks every download byte for byte.
+func run(out io.Writer, size int) error {
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(payload)
 
-	type server struct {
-		label string
-		store ftp.Store
-	}
 	// Every replica sits on a (simulated) disk with seek latency, as real
 	// 2005 storage nodes did — that is what makes aggregating several
 	// servers' disks worthwhile. One replica is markedly slower.
-	servers := []server{
-		{"fast-1", slowStore{MemStore: ftp.NewMemStore(), delay: 6 * time.Millisecond}},
-		{"fast-2", slowStore{MemStore: ftp.NewMemStore(), delay: 6 * time.Millisecond}},
-		{"slow", slowStore{MemStore: ftp.NewMemStore(), delay: 20 * time.Millisecond}},
+	servers := []struct {
+		label string
+		store slowStore
+	}{
+		{"fast-1", slowStore{MemStore: gridftp.NewMemStore(), delay: 6 * time.Millisecond}},
+		{"fast-2", slowStore{MemStore: gridftp.NewMemStore(), delay: 6 * time.Millisecond}},
+		{"slow", slowStore{MemStore: gridftp.NewMemStore(), delay: 20 * time.Millisecond}},
 	}
 
 	var sources []coalloc.Source
 	var single *gridftp.Client
 	for _, sv := range servers {
-		if err := sv.store.(slowStore).MemStore.Put("/data/replica.bin", payload); err != nil {
-			log.Fatal(err)
+		if err := sv.store.Put("/data/replica.bin", payload); err != nil {
+			return err
 		}
 		srv, err := gridftp.NewServer(gridftp.ServerConfig{Store: sv.store})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
-		fmt.Printf("replica server %-7s at %s\n", sv.label, addr)
+		fmt.Fprintf(out, "replica server %-7s at %s\n", sv.label, addr)
 		c, err := gridftp.Dial(addr, gridftp.ClientConfig{Parallelism: 2, Timeout: 30 * time.Second})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer c.Close()
 		if err := c.Login("anonymous", "demo"); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := c.Setup(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src, err := coalloc.NewGridFTPSource(sv.label, c)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sources = append(sources, src)
 		if sv.label == "fast-1" {
@@ -103,30 +111,30 @@ func main() {
 	start := time.Now()
 	got, err := single.Get("/data/replica.bin")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	singleTime := time.Since(start)
 	if !bytes.Equal(got, payload) {
-		log.Fatal("single-source download corrupted")
+		return errors.New("single-source download corrupted")
 	}
 
 	// Co-allocated: chunks from all three.
 	start = time.Now()
-	got, stats, err := coalloc.Fetch(sources, "/data/replica.bin", size, coalloc.Options{ChunkBytes: 2 << 20})
+	got, stats, err := coalloc.Fetch(sources, "/data/replica.bin", int64(size), coalloc.Options{ChunkBytes: int64(size) / 16})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coTime := time.Since(start)
 	if !bytes.Equal(got, payload) {
-		log.Fatal("co-allocated download corrupted")
+		return errors.New("co-allocated download corrupted")
 	}
 
 	tb := metrics.NewTable(fmt.Sprintf("downloading %d MiB over loopback", size>>20),
 		"configuration", "time")
 	tb.AddRow("single fast-1 server", singleTime.Round(time.Millisecond).String())
 	tb.AddRow("co-allocated, 3 servers", coTime.Round(time.Millisecond).String())
-	fmt.Println()
-	fmt.Println(tb.String())
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, tb.String())
 
 	dist := metrics.NewTable("dynamic chunk distribution", "server", "chunks", "MiB")
 	for _, sv := range servers {
@@ -134,6 +142,7 @@ func main() {
 			fmt.Sprintf("%d", stats.ChunksBySource[sv.label]),
 			fmt.Sprintf("%.1f", float64(stats.BytesBySource[sv.label])/float64(1<<20)))
 	}
-	fmt.Println(dist.String())
-	fmt.Println("note how the slow server is handed fewer chunks automatically")
+	fmt.Fprintln(out, dist.String())
+	fmt.Fprintln(out, "note how the slow server is handed fewer chunks automatically")
+	return nil
 }

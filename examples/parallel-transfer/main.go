@@ -14,35 +14,60 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/metrics"
 )
 
 func main() {
-	const payloadSize = 64 << 20 // 64 MiB
+	if err := run(os.Stdout, 64<<20); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	store := ftp.NewMemStore()
+// login dials addr with the given parallelism and negotiates the session.
+func login(addr string, streams int) (*gridftp.Client, error) {
+	c, err := gridftp.Dial(addr, gridftp.ClientConfig{Parallelism: streams})
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Login("anonymous", "demo"); err != nil {
+		c.Close()
+		return nil, err
+	}
+	if err := c.Setup(); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// run downloads a payloadSize-byte file in every mode, then a 4 KiB slice
+// of it, and checks every download byte for byte.
+func run(out io.Writer, payloadSize int) error {
+	store := gridftp.NewMemStore()
 	srv, err := gridftp.NewServer(gridftp.ServerConfig{Store: store})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("gridftp server on %s\n", addr)
+	fmt.Fprintf(out, "gridftp server on %s\n", addr)
 
 	payload := make([]byte, payloadSize)
 	rand.New(rand.NewSource(1)).Read(payload)
 	if err := store.Put("/data/payload.bin", payload); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	type runResult struct {
@@ -62,32 +87,26 @@ func main() {
 		{"MODE E, 8 streams", 8, true},
 	}
 	for _, r := range runs {
-		client, err := gridftp.Dial(addr, gridftp.ClientConfig{Parallelism: r.streams})
+		client, err := login(addr, r.streams)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := client.Login("anonymous", "demo"); err != nil {
-			log.Fatal(err)
-		}
-		if err := client.Setup(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if r.modeE && !client.ModeE() {
 			if err := client.UseModeE(); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		start := time.Now()
 		got, err := client.Get("/data/payload.bin")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		elapsed := time.Since(start)
 		if !bytes.Equal(got, payload) {
-			log.Fatalf("%s: payload corrupted", r.label)
+			return fmt.Errorf("%s: payload corrupted", r.label)
 		}
 		if err := client.Quit(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results = append(results, runResult{r.label, elapsed})
 	}
@@ -98,27 +117,22 @@ func main() {
 		tb.AddRow(r.label, r.elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f Mb/s", float64(payloadSize)*8/r.elapsed.Seconds()/1e6))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(out, tb.String())
 
 	// Partial transfer: fetch a 4 KiB slice from the middle (ERET).
-	client, err := gridftp.Dial(addr, gridftp.ClientConfig{Parallelism: 2})
+	client, err := login(addr, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer client.Quit()
-	if err := client.Login("anonymous", "demo"); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Setup(); err != nil {
-		log.Fatal(err)
-	}
-	slice, err := client.GetPartial("/data/payload.bin", payloadSize/2, 4096)
+	mid := payloadSize / 2
+	slice, err := client.GetPartial("/data/payload.bin", int64(mid), 4096)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if !bytes.Equal(slice, payload[payloadSize/2:payloadSize/2+4096]) {
-		log.Fatal("partial transfer corrupted")
+	if !bytes.Equal(slice, payload[mid:mid+4096]) {
+		return errors.New("partial transfer corrupted")
 	}
-	fmt.Printf("partial transfer: fetched bytes [%d, %d) correctly\n",
-		payloadSize/2, payloadSize/2+4096)
+	fmt.Fprintf(out, "partial transfer: fetched bytes [%d, %d) correctly\n", mid, mid+4096)
+	return nil
 }

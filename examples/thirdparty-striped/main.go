@@ -8,120 +8,143 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 )
 
 func main() {
-	const size = 16 << 20 // 16 MiB
+	if err := run(os.Stdout, 16<<20); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run mirrors a size-byte file between two GSI-protected servers by
+// third-party transfer, downloads the mirror over four stripes, and
+// checks both copies byte for byte.
+func run(out io.Writer, size int) error {
 	// One virtual organization: a CA everyone trusts.
 	ca, err := gsi.NewCA([]byte("demo-vo-secret"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	mkAuth := func(subject string, seed int64) *gsi.Authenticator {
+	mkAuth := func(subject string, seed int64) (*gsi.Authenticator, error) {
 		cred, err := ca.Issue(subject)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		a, err := gsi.NewAuthenticator(ca, cred, seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return a
+		return gsi.NewAuthenticator(ca, cred, seed)
 	}
 
-	// Two storage sites, both requiring GSI.
-	startServer := func(subject string, stripes int, seed int64) (*gridftp.Server, string, *ftp.MemStore) {
-		store := ftp.NewMemStore()
-		srv, err := gridftp.NewServer(gridftp.ServerConfig{
-			Store:      store,
-			GSI:        mkAuth(subject, seed),
-			RequireGSI: true,
-			Stripes:    stripes,
-		})
+	// Two storage sites, both requiring GSI, four stripes each.
+	startServer := func(subject string, seed int64) (*gridftp.Server, string, *gridftp.MemStore, error) {
+		auth, err := mkAuth(subject, seed)
 		if err != nil {
-			log.Fatal(err)
+			return nil, "", nil, err
+		}
+		store := gridftp.NewMemStore()
+		srv, err := gridftp.NewServer(gridftp.ServerConfig{Store: store, GSI: auth, RequireGSI: true, Stripes: 4})
+		if err != nil {
+			return nil, "", nil, err
 		}
 		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		return srv, addr, store
+		return srv, addr, store, err
 	}
-	srcSrv, srcAddr, srcStore := startServer("/O=demo/CN=storage.thu", 4, 1)
+	srcSrv, srcAddr, srcStore, err := startServer("/O=demo/CN=storage.thu", 1)
+	if err != nil {
+		return err
+	}
 	defer srcSrv.Close()
-	dstSrv, dstAddr, dstStore := startServer("/O=demo/CN=storage.hit", 4, 2)
+	dstSrv, dstAddr, dstStore, err := startServer("/O=demo/CN=storage.hit", 2)
+	if err != nil {
+		return err
+	}
 	defer dstSrv.Close()
-	fmt.Printf("source server %s, destination server %s\n", srcAddr, dstAddr)
+	fmt.Fprintf(out, "source server %s, destination server %s\n", srcAddr, dstAddr)
 
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(3)).Read(payload)
 	if err := srcStore.Put("/archive/run-2005.dat", payload); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	clientAuth := mkAuth("/O=demo/CN=ctyang", 9)
-	connect := func(addr string, parallelism int) *gridftp.Client {
+	clientAuth, err := mkAuth("/O=demo/CN=ctyang", 9)
+	if err != nil {
+		return err
+	}
+	connect := func(addr string, parallelism int) (*gridftp.Client, error) {
 		c, err := gridftp.Dial(addr, gridftp.ClientConfig{Parallelism: parallelism})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		peer, err := c.AuthGSI(clientAuth)
+		if err == nil {
+			fmt.Fprintf(out, "authenticated to %s\n", peer)
+			err = c.Setup()
+		}
 		if err != nil {
-			log.Fatal(err)
+			c.Close()
+			return nil, err
 		}
-		fmt.Printf("authenticated to %s\n", peer)
-		if err := c.Setup(); err != nil {
-			log.Fatal(err)
-		}
-		return c
+		return c, nil
 	}
 
 	// --- Third-party transfer: THU -> HIT, 4 parallel channels, the data
 	// never touches this process. ---
-	src := connect(srcAddr, 4)
-	dst := connect(dstAddr, 4)
+	src, err := connect(srcAddr, 4)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	dst, err := connect(dstAddr, 4)
+	if err != nil {
+		return err
+	}
+	defer dst.Close()
 	start := time.Now()
 	if err := gridftp.ThirdParty(src, "/archive/run-2005.dat", dst, "/mirror/run-2005.dat"); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("third-party copy of %d MiB in %v\n", size>>20, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "third-party copy of %d MiB in %v\n", size>>20, time.Since(start).Round(time.Millisecond))
 	mirrored, err := dstStore.Get("/mirror/run-2005.dat")
-	if err != nil || !bytes.Equal(mirrored, payload) {
-		log.Fatalf("mirror verification failed: %v", err)
+	if err != nil {
+		return err
 	}
-	fmt.Println("mirror verified byte-for-byte")
+	if !bytes.Equal(mirrored, payload) {
+		return errors.New("mirror verification failed")
+	}
+	fmt.Fprintln(out, "mirror verified byte-for-byte")
 	if err := src.Quit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// --- Striped retrieval from the destination's four data movers. ---
-	striped := connect(dstAddr, 2)
+	striped, err := connect(dstAddr, 2)
+	if err != nil {
+		return err
+	}
 	defer striped.Quit()
 	if !striped.ModeE() {
 		if err := striped.UseModeE(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	start = time.Now()
 	got, err := striped.GetStriped("/mirror/run-2005.dat")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !bytes.Equal(got, payload) {
-		log.Fatal("striped download corrupted")
+		return errors.New("striped download corrupted")
 	}
-	fmt.Printf("striped download (4 stripes) of %d MiB in %v\n",
+	fmt.Fprintf(out, "striped download (4 stripes) of %d MiB in %v\n",
 		size>>20, time.Since(start).Round(time.Millisecond))
-	if err := dst.Quit(); err != nil {
-		log.Fatal(err)
-	}
+	return dst.Quit()
 }

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gridftp"
 )
 
@@ -146,7 +145,7 @@ func TestFetchOverRealGridFTP(t *testing.T) {
 	data := payload(3<<20, 5)
 	var sources []Source
 	for i := 0; i < 2; i++ {
-		store := ftp.NewMemStore()
+		store := gridftp.NewMemStore()
 		if err := store.Put("/data/replica.bin", data); err != nil {
 			t.Fatal(err)
 		}

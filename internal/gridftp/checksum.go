@@ -10,8 +10,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"github.com/hpclab/datagrid/internal/ftp"
 )
 
 // Checksum algorithms supported by the CKSM command (the GridFTP v2
@@ -37,7 +35,7 @@ func newHasher(algo string) (hash.Hash, error) {
 
 // FileChecksum computes the named digest of [offset, offset+length) of f.
 // length < 0 means "to end of file".
-func FileChecksum(f ftp.File, algo string, offset, length int64) (string, error) {
+func FileChecksum(f File, algo string, offset, length int64) (string, error) {
 	h, err := newHasher(algo)
 	if err != nil {
 		return "", err
@@ -49,7 +47,7 @@ func FileChecksum(f ftp.File, algo string, offset, length int64) (string, error)
 	if length < 0 {
 		length = size - offset
 	}
-	if offset+length > size {
+	if length > size-offset {
 		return "", fmt.Errorf("gridftp: checksum region (%d,%d) beyond size %d", offset, length, size)
 	}
 	if _, err := io.Copy(h, io.NewSectionReader(f, offset, length)); err != nil {
@@ -60,32 +58,32 @@ func FileChecksum(f ftp.File, algo string, offset, length int64) (string, error)
 
 // handleCKSM implements "CKSM <algo> <offset> <length> <path>"; length -1
 // hashes to end of file. Reply: "213 <hex digest>".
-func (s *Server) handleCKSM(sess *ftp.Session, arg string) {
-	if !sess.RequireAuth() {
+func handleCKSM(s *session, arg string) {
+	if !s.requireAuth() {
 		return
 	}
 	fields := strings.SplitN(arg, " ", 4)
 	if len(fields) != 4 {
-		sess.Reply(501, "usage: CKSM <algo> <offset> <length> <path>")
+		s.reply(501, "usage: CKSM <algo> <offset> <length> <path>")
 		return
 	}
 	offset, err1 := strconv.ParseInt(fields[1], 10, 64)
 	length, err2 := strconv.ParseInt(fields[2], 10, 64)
 	if err1 != nil || err2 != nil {
-		sess.Reply(501, "bad offset/length")
+		s.reply(501, "bad offset/length")
 		return
 	}
-	f, err := sess.Store().Open(sess.ResolvePath(fields[3]))
+	f, err := s.store().Open(s.resolve(fields[3]))
 	if err != nil {
-		sess.Reply(550, err.Error())
+		s.reply(550, err.Error())
 		return
 	}
 	sum, err := FileChecksum(f, fields[0], offset, length)
 	if err != nil {
-		sess.Reply(504, err.Error())
+		s.reply(504, err.Error())
 		return
 	}
-	sess.Reply(213, sum)
+	s.reply(213, sum)
 }
 
 // Checksum asks the server for a digest of [offset, offset+length) of

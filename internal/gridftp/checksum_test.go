@@ -9,12 +9,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"github.com/hpclab/datagrid/internal/ftp"
 )
 
 func TestFileChecksumAlgorithms(t *testing.T) {
-	st := ftp.NewMemStore()
+	st := NewMemStore()
 	payload := []byte("the quick brown fox jumps over the lazy dog")
 	if err := st.Put("/f", payload); err != nil {
 		t.Fatal(err)
@@ -133,7 +131,7 @@ func TestGetVerifiedDetectsTampering(t *testing.T) {
 	}
 	tampered := append([]byte(nil), payload...)
 	tampered[12345] ^= 0xFF
-	if err := srv.Store().(*ftp.MemStore).Put("/data/big.bin", tampered); err != nil {
+	if err := memStore(srv).Put("/data/big.bin", tampered); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Checksum(AlgoMD5, 0, -1, "/data/big.bin")

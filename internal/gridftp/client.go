@@ -1,18 +1,20 @@
 package gridftp
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 )
 
-// ClientConfig tunes a GridFTP client session, mirroring globus-url-copy's
+// ClientConfig tunes a client session, mirroring globus-url-copy's
 // options.
 type ClientConfig struct {
 	// Timeout bounds each control and data operation; default 10s.
@@ -27,14 +29,16 @@ type ClientConfig struct {
 	TCPBuffer int
 }
 
-// Client is a GridFTP control-channel client.
+// Client is a GridFTP (or plain FTP) control-channel client.
 type Client struct {
-	*ftp.Client
+	conn  net.Conn
+	r     *bufio.Reader
 	cfg   ClientConfig
 	modeE bool
 }
 
-// Dial connects to a GridFTP (or plain FTP) server.
+// Dial connects to a GridFTP (or plain FTP) server and consumes the 220
+// banner.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("gridftp: negative parallelism %d", cfg.Parallelism)
@@ -42,17 +46,129 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.BlockSize < 0 || cfg.TCPBuffer < 0 {
 		return nil, errors.New("gridftp: negative client option")
 	}
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 10 * time.Second
+	}
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = 1
 	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = DefaultBlockSize
 	}
-	base, err := ftp.Dial(addr, cfg.Timeout)
+	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
 	if err != nil {
+		return nil, fmt.Errorf("gridftp: dial %s: %w", addr, err)
+	}
+	c := &Client{conn: conn, r: bufio.NewReader(conn), cfg: cfg}
+	code, msg, err := c.readReply()
+	if err != nil {
+		_ = conn.Close() // the banner error is the one to report
 		return nil, err
 	}
-	return &Client{Client: base, cfg: cfg}, nil
+	if code != 220 {
+		_ = conn.Close() // the banner error is the one to report
+		return nil, fmt.Errorf("gridftp: unexpected banner %d %s", code, msg)
+	}
+	return c, nil
+}
+
+// Close tears down the control connection without QUIT.
+func (c *Client) Close() error { return c.conn.Close() }
+
+// readReply reads one (possibly multi-line) server reply.
+func (c *Client) readReply() (int, string, error) {
+	//gridlint:wallclock-ok real socket read deadline on the live control connection
+	if err := c.conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
+		return 0, "", err
+	}
+	line, err := c.r.ReadString('\n')
+	if err != nil {
+		return 0, "", fmt.Errorf("gridftp: reading reply: %w", err)
+	}
+	line = strings.TrimRight(line, "\r\n")
+	if len(line) < 4 || (line[3] != ' ' && line[3] != '-') {
+		return 0, "", fmt.Errorf("gridftp: malformed reply %q", line)
+	}
+	code, err := strconv.Atoi(line[:3])
+	if err != nil || code < 100 {
+		return 0, "", fmt.Errorf("gridftp: bad reply code in %q", line)
+	}
+	msg := line[4:]
+	if line[3] == '-' { // multi-line: read until the "NNN " terminator
+		var sb strings.Builder
+		sb.WriteString(msg)
+		term := line[:3] + " "
+		for {
+			l, err := c.r.ReadString('\n')
+			if err != nil {
+				return 0, "", fmt.Errorf("gridftp: reading multiline reply: %w", err)
+			}
+			l = strings.TrimRight(l, "\r\n")
+			sb.WriteByte('\n')
+			if strings.HasPrefix(l, term) {
+				sb.WriteString(l[4:])
+				break
+			}
+			sb.WriteString(l)
+		}
+		msg = sb.String()
+	}
+	return code, msg, nil
+}
+
+// Cmd sends one command and reads the reply.
+func (c *Client) Cmd(format string, args ...any) (int, string, error) {
+	//gridlint:wallclock-ok real socket write deadline on the live control connection
+	if err := c.conn.SetWriteDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
+		return 0, "", err
+	}
+	if _, err := fmt.Fprintf(c.conn, format+"\r\n", args...); err != nil {
+		return 0, "", fmt.Errorf("gridftp: sending command: %w", err)
+	}
+	return c.readReply()
+}
+
+// Expect sends a command and verifies the reply code.
+func (c *Client) Expect(want int, format string, args ...any) (string, error) {
+	code, msg, err := c.Cmd(format, args...)
+	if err != nil {
+		return "", err
+	}
+	if code != want {
+		verb, _, _ := strings.Cut(fmt.Sprintf(format, args...), " ")
+		return msg, fmt.Errorf("gridftp: %s: got %d %s, want %d", verb, code, msg, want)
+	}
+	return msg, nil
+}
+
+// expectFinal reads a pending reply — the 226 closing a transfer whose 150
+// was already consumed — and checks its code.
+func (c *Client) expectFinal(want int) (string, error) {
+	code, msg, err := c.readReply()
+	if err != nil {
+		return "", err
+	}
+	if code != want {
+		return msg, fmt.Errorf("gridftp: transfer finished with %d %s, want %d", code, msg, want)
+	}
+	return msg, nil
+}
+
+// Login authenticates with USER/PASS.
+func (c *Client) Login(user, pass string) error {
+	code, msg, err := c.Cmd("USER %s", user)
+	if err != nil {
+		return err
+	}
+	switch code {
+	case 230:
+		return nil
+	case 331:
+		_, err := c.Expect(230, "PASS %s", pass)
+		return err
+	default:
+		return fmt.Errorf("gridftp: USER: %d %s", code, msg)
+	}
 }
 
 // AuthGSI authenticates the control channel with the GSI handshake and
@@ -64,18 +180,23 @@ func (c *Client) AuthGSI(a *gsi.Authenticator) (string, error) {
 	if _, err := c.Expect(334, "AUTH GSI"); err != nil {
 		return "", err
 	}
-	rw := struct {
+	peer, err := a.Client(struct {
 		io.Reader
 		io.Writer
-	}{c.Reader(), c.Conn()}
-	peer, err := a.Client(rw)
+	}{c.r, c.conn})
 	if err != nil {
 		return "", err
 	}
-	if _, err := c.ExpectFinal(235); err != nil {
+	if _, err := c.expectFinal(235); err != nil {
 		return "", err
 	}
 	return peer, nil
+}
+
+// TypeImage switches to binary transfers.
+func (c *Client) TypeImage() error {
+	_, err := c.Expect(200, "TYPE I")
+	return err
 }
 
 // Setup performs the standard post-login negotiation: binary type, MODE E
@@ -104,10 +225,9 @@ func (c *Client) UseModeE() error {
 		return err
 	}
 	c.modeE = true
-	if _, err := c.Expect(200, "OPTS RETR Parallelism=%d,%d,%d;", c.cfg.Parallelism, c.cfg.Parallelism, c.cfg.Parallelism); err != nil {
-		return err
-	}
-	return nil
+	p := c.cfg.Parallelism
+	_, err := c.Expect(200, "OPTS RETR Parallelism=%d,%d,%d;", p, p, p)
+	return err
 }
 
 // UseStreamMode switches back to stream mode with a single channel.
@@ -122,27 +242,252 @@ func (c *Client) UseStreamMode() error {
 // ModeE reports whether the session is in extended block mode.
 func (c *Client) ModeE() bool { return c.modeE }
 
-// Parallelism returns the configured channel count.
-func (c *Client) Parallelism() int { return c.cfg.Parallelism }
+// Passive issues PASV and returns the dialable data address.
+func (c *Client) Passive() (string, error) {
+	msg, err := c.Expect(227, "PASV")
+	if err != nil {
+		return "", err
+	}
+	open := strings.IndexByte(msg, '(')
+	close := strings.IndexByte(msg, ')')
+	if open < 0 || close < 0 || close <= open {
+		return "", fmt.Errorf("gridftp: unparseable PASV reply %q", msg)
+	}
+	return parsePasvAddr(msg[open+1 : close])
+}
 
-// dialDataChannels opens n connections to the server's passive address.
-func (c *Client) dialDataChannels(addr string, n int) ([]net.Conn, error) {
-	conns := make([]net.Conn, 0, n)
-	for i := 0; i < n; i++ {
-		conn, err := net.DialTimeout("tcp", addr, c.Timeout())
+// Size returns the server-side size of a file.
+func (c *Client) Size(path string) (int64, error) {
+	msg, err := c.Expect(213, "SIZE %s", path)
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseInt(strings.TrimSpace(msg), 10, 64)
+}
+
+// Rename moves a server-side file (RNFR/RNTO).
+func (c *Client) Rename(from, to string) error {
+	if _, err := c.Expect(350, "RNFR %s", from); err != nil {
+		return err
+	}
+	_, err := c.Expect(250, "RNTO %s", to)
+	return err
+}
+
+// Delete removes a server-side file (DELE).
+func (c *Client) Delete(path string) error {
+	_, err := c.Expect(250, "DELE %s", path)
+	return err
+}
+
+// ChangeDir changes the server-side working directory (CWD).
+func (c *Client) ChangeDir(dir string) error {
+	_, err := c.Expect(250, "CWD %s", dir)
+	return err
+}
+
+// Quit logs out and closes the connection.
+func (c *Client) Quit() error {
+	_, err := c.Expect(221, "QUIT")
+	cerr := c.conn.Close()
+	if err != nil {
+		return err
+	}
+	return cerr
+}
+
+// dialData opens one data connection per address, one after another, each
+// with the negotiated TCP buffer.
+func (c *Client) dialData(addrs []string) ([]net.Conn, error) {
+	conns := make([]net.Conn, 0, len(addrs))
+	for i, a := range addrs {
+		conn, err := net.DialTimeout("tcp", a, c.cfg.Timeout)
 		if err != nil {
 			closeAll(conns)
 			return nil, fmt.Errorf("gridftp: dialing data channel %d: %w", i, err)
 		}
-		if c.cfg.TCPBuffer > 0 {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				_ = tc.SetReadBuffer(c.cfg.TCPBuffer)
-				_ = tc.SetWriteBuffer(c.cfg.TCPBuffer)
-			}
-		}
+		setBuffers(conn, c.cfg.TCPBuffer)
 		conns = append(conns, conn)
 	}
 	return conns, nil
+}
+
+// dialPassive issues PASV and dials the address once per parallel channel.
+func (c *Client) dialPassive() ([]net.Conn, error) {
+	addr, err := c.Passive()
+	if err != nil {
+		return nil, err
+	}
+	addrs := make([]string, c.cfg.Parallelism)
+	for i := range addrs {
+		addrs[i] = addr
+	}
+	return c.dialData(addrs)
+}
+
+// streamData runs one stream-mode data command: PASV, the data connection,
+// REST when rest > 0, cmd and its 150 reply, xfer over the connection, the
+// close that ends it, and the 226 reply.
+func (c *Client) streamData(rest int64, cmd string, xfer func(net.Conn) (int64, error)) (int64, error) {
+	addr, err := c.Passive()
+	if err != nil {
+		return 0, err
+	}
+	conns, err := c.dialData([]string{addr})
+	if err != nil {
+		return 0, err
+	}
+	data := conns[0]
+	defer data.Close()
+	if rest > 0 {
+		if _, err := c.Expect(350, "REST %d", rest); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := c.Expect(150, "%s", cmd); err != nil {
+		return 0, err
+	}
+	n, err := xfer(data)
+	if err != nil {
+		return n, fmt.Errorf("gridftp: data transfer: %w", err)
+	}
+	// Closing signals EOF to an upload's receiver; a failed close means
+	// the transfer never terminated cleanly, so surface it.
+	if err := data.Close(); err != nil {
+		return n, fmt.Errorf("gridftp: close data connection: %w", err)
+	}
+	_, err = c.expectFinal(226)
+	return n, err
+}
+
+// Retr downloads a file into w in stream mode and returns the byte count.
+func (c *Client) Retr(path string, w io.Writer) (int64, error) {
+	return c.RetrFrom(path, 0, w)
+}
+
+// RetrFrom downloads a file starting at offset (REST + RETR).
+func (c *Client) RetrFrom(path string, offset int64, w io.Writer) (int64, error) {
+	return c.streamData(offset, "RETR "+path, func(d net.Conn) (int64, error) { return io.Copy(w, d) })
+}
+
+// RetrResumable downloads a file, transparently resuming with REST after
+// mid-transfer failures (a flaky disk or dropped data connection). The
+// retry budget applies to consecutive attempts that made no progress;
+// any forward progress resets it.
+func (c *Client) RetrResumable(path string, w io.Writer, maxRetries int) (int64, error) {
+	if maxRetries < 0 {
+		return 0, fmt.Errorf("gridftp: negative retry budget %d", maxRetries)
+	}
+	var total int64
+	retries := 0
+	for {
+		n, err := c.RetrFrom(path, total, w)
+		total += n
+		if err == nil {
+			return total, nil
+		}
+		if n == 0 {
+			retries++
+		} else {
+			retries = 0
+		}
+		if retries > maxRetries {
+			return total, fmt.Errorf("gridftp: resumable transfer of %s gave up after %d fruitless retries: %w",
+				path, maxRetries, err)
+		}
+	}
+}
+
+// Stor uploads r to path in stream mode and returns the byte count.
+func (c *Client) Stor(path string, r io.Reader) (int64, error) {
+	return c.streamData(0, "STOR "+path, func(d net.Conn) (int64, error) { return io.Copy(d, r) })
+}
+
+// Append appends r to a server-side file, creating it if absent (APPE).
+func (c *Client) Append(path string, r io.Reader) (int64, error) {
+	return c.streamData(0, "APPE "+path, func(d net.Conn) (int64, error) { return io.Copy(d, r) })
+}
+
+// List returns the server's file listing via NLST.
+func (c *Client) List() ([]string, error) {
+	var out []string
+	_, err := c.streamData(0, "NLST", func(d net.Conn) (int64, error) {
+		sc := bufio.NewScanner(d)
+		for sc.Scan() {
+			if l := strings.TrimSpace(sc.Text()); l != "" {
+				out = append(out, l)
+			}
+		}
+		return 0, sc.Err()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FileInfo is one MLSD listing entry.
+type FileInfo struct {
+	Path string
+	Size int64
+}
+
+// ListFacts retrieves the machine-readable listing for dir ("" for the
+// working directory) via MLSD.
+func (c *Client) ListFacts(dir string) ([]FileInfo, error) {
+	cmd := "MLSD"
+	if dir != "" {
+		cmd += " " + dir
+	}
+	var out []FileInfo
+	_, err := c.streamData(0, cmd, func(d net.Conn) (int64, error) {
+		sc := bufio.NewScanner(d)
+		for sc.Scan() {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" {
+				continue
+			}
+			facts, path, ok := strings.Cut(line, " ")
+			if !ok {
+				return 0, fmt.Errorf("malformed MLSD line %q", line)
+			}
+			fi := FileInfo{Path: path}
+			for _, f := range strings.Split(facts, ";") {
+				if k, v, ok := strings.Cut(f, "="); ok && strings.EqualFold(k, "size") {
+					n, err := strconv.ParseInt(v, 10, 64)
+					if err != nil {
+						return 0, fmt.Errorf("bad size in MLSD line %q", line)
+					}
+					fi.Size = n
+				}
+			}
+			out = append(out, fi)
+		}
+		return 0, sc.Err()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// receive runs one MODE E download over already dialed data channels:
+// cmd and its 150 reply, every block written into dst, then the 226
+// reply.
+func (c *Client) receive(conns []net.Conn, cmd string, dst io.WriterAt) error {
+	defer closeAll(conns)
+	if _, err := c.Expect(150, "%s", cmd); err != nil {
+		return err
+	}
+	_, announced, eods, err := ReceiveBlocks(conns, dst)
+	if err != nil {
+		return err
+	}
+	if announced > 0 && eods < announced {
+		return fmt.Errorf("gridftp: incomplete transfer: %d EODs of %d channels", eods, announced)
+	}
+	_, err = c.expectFinal(226)
+	return err
 }
 
 // byteWriterAt adapts a fixed buffer to io.WriterAt with bounds checking.
@@ -151,7 +496,7 @@ type byteWriterAt struct {
 }
 
 func (b byteWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > int64(len(b.buf)) {
+	if off < 0 || off > int64(len(b.buf)) || int64(len(p)) > int64(len(b.buf))-off {
 		return 0, fmt.Errorf("gridftp: write (%d,%d) outside buffer of %d", off, len(p), len(b.buf))
 	}
 	copy(b.buf[off:], p)
@@ -165,15 +510,20 @@ func (c *Client) Get(path string) ([]byte, error) {
 		return nil, err
 	}
 	if !c.modeE {
-		buf := make([]byte, 0, size)
-		w := &appendWriter{buf: &buf}
-		if _, err := c.Retr(path, w); err != nil {
+		// MinRead of slack lets bytes.Buffer take the last read and the
+		// EOF without growing.
+		buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+		if _, err := c.Retr(path, buf); err != nil {
 			return nil, err
 		}
-		return buf, nil
+		return buf.Bytes(), nil
+	}
+	conns, err := c.dialPassive()
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, size)
-	if err := c.retrModeE(fmt.Sprintf("RETR %s", path), buf); err != nil {
+	if err := c.receive(conns, "RETR "+path, byteWriterAt{buf}); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -185,135 +535,79 @@ func (c *Client) GetPartial(path string, offset, length int64) ([]byte, error) {
 	if offset < 0 || length < 0 {
 		return nil, errors.New("gridftp: negative partial range")
 	}
+	cmd := fmt.Sprintf("ERET P %d %d %s", offset, length, path)
 	if !c.modeE {
-		var sb strings.Builder
-		addr, err := c.Passive()
-		if err != nil {
+		var buf bytes.Buffer
+		if _, err := c.streamData(0, cmd, func(d net.Conn) (int64, error) { return buf.ReadFrom(d) }); err != nil {
 			return nil, err
 		}
-		conns, err := c.dialDataChannels(addr, 1)
-		if err != nil {
-			return nil, err
-		}
-		defer closeAll(conns)
-		if _, err := c.Expect(150, "ERET P %d %d %s", offset, length, path); err != nil {
-			return nil, err
-		}
-		if _, err := io.Copy(&sb, conns[0]); err != nil {
-			return nil, err
-		}
-		if _, err := c.ExpectFinal(226); err != nil {
-			return nil, err
-		}
-		return []byte(sb.String()), nil
+		return buf.Bytes(), nil
 	}
-	buf := make([]byte, length)
+	conns, err := c.dialPassive()
+	if err != nil {
+		return nil, err
+	}
 	// MODE E blocks carry absolute offsets; receive into a window shifted
 	// back by the region start.
-	if err := c.retrModeEInto(fmt.Sprintf("ERET P %d %d %s", offset, length, path), shiftedWriterAt{byteWriterAt{buf}, -offset}); err != nil {
+	buf := make([]byte, length)
+	if err := c.receive(conns, cmd, offsetWriterAt{byteWriterAt{buf}, -offset}); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-type shiftedWriterAt struct {
-	w     io.WriterAt
-	shift int64
-}
-
-func (s shiftedWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	return s.w.WriteAt(p, off+s.shift)
-}
-
-type appendWriter struct {
-	buf *[]byte
-}
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	*a.buf = append(*a.buf, p...)
-	return len(p), nil
-}
-
-func (c *Client) retrModeE(cmd string, buf []byte) error {
-	return c.retrModeEInto(cmd, byteWriterAt{buf})
-}
-
-func (c *Client) retrModeEInto(cmd string, dst io.WriterAt) error {
-	addr, err := c.Passive()
-	if err != nil {
-		return err
-	}
-	conns, err := c.dialDataChannels(addr, c.cfg.Parallelism)
-	if err != nil {
-		return err
-	}
-	defer closeAll(conns)
-	if _, err := c.Expect(150, "%s", cmd); err != nil {
-		return err
-	}
-	rs := make([]io.Reader, len(conns))
-	for i, cn := range conns {
-		rs[i] = cn
-	}
-	_, announced, eods, err := ReceiveBlocks(rs, dst)
-	if err != nil {
-		return err
-	}
-	if announced > 0 && eods < announced {
-		return fmt.Errorf("gridftp: incomplete transfer: %d EODs of %d channels", eods, announced)
-	}
-	if _, err := c.ExpectFinal(226); err != nil {
-		return err
-	}
-	return nil
-}
-
 // Put uploads data to path, using the session's mode and parallelism.
 func (c *Client) Put(path string, data []byte) error {
 	if !c.modeE {
-		_, err := c.Stor(path, strings.NewReader(string(data)))
+		_, err := c.Stor(path, bytes.NewReader(data))
 		return err
 	}
-	addr, err := c.Passive()
-	if err != nil {
-		return err
-	}
-	conns, err := c.dialDataChannels(addr, c.cfg.Parallelism)
+	conns, err := c.dialPassive()
 	if err != nil {
 		return err
 	}
 	defer closeAll(conns)
-	if _, err := c.Expect(200, "OPTS STOR Parallelism=%d,%d,%d;", c.cfg.Parallelism, c.cfg.Parallelism, c.cfg.Parallelism); err != nil {
+	p := c.cfg.Parallelism
+	if _, err := c.Expect(200, "OPTS STOR Parallelism=%d,%d,%d;", p, p, p); err != nil {
 		return err
 	}
 	if _, err := c.Expect(150, "STOR %s", path); err != nil {
 		return err
 	}
-	ws := make([]io.Writer, len(conns))
-	for i, cn := range conns {
-		ws[i] = cn
-	}
-	if err := SendBlocks(ws, bytesReaderAt(data), 0, int64(len(data)), c.cfg.BlockSize); err != nil {
+	if err := SendBlocks(conns, bytes.NewReader(data), 0, int64(len(data)), c.cfg.BlockSize); err != nil {
 		return err
 	}
 	closeAll(conns) // signal EOF on every channel
-	if _, err := c.ExpectFinal(226); err != nil {
-		return err
-	}
-	return nil
+	_, err = c.expectFinal(226)
+	return err
 }
 
-type bytesReaderAt []byte
+// spas asks the server for its striped data movers' addresses.
+func (c *Client) spas() ([]string, error) {
+	msg, err := c.Expect(229, "SPAS")
+	if err != nil {
+		return nil, err
+	}
+	return parseSpasReply(msg)
+}
 
-func (b bytesReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(b)) {
-		return 0, io.EOF
+// parseSpasReply extracts dialable addresses from the multiline 229 reply.
+func parseSpasReply(msg string) ([]string, error) {
+	var out []string
+	for _, line := range strings.Split(msg, "\n") {
+		line = strings.TrimSpace(line)
+		if strings.Count(line, ",") == 5 {
+			addr, err := parsePasvAddr(line)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, addr)
+		}
 	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
+	if len(out) == 0 {
+		return nil, fmt.Errorf("gridftp: no stripe addresses in SPAS reply %q", msg)
 	}
-	return n, nil
+	return out, nil
 }
 
 // GetStriped downloads a file over the server's striped data movers
@@ -326,65 +620,19 @@ func (c *Client) GetStriped(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	code, msg, err := c.Cmd("SPAS")
+	addrs, err := c.spas()
 	if err != nil {
 		return nil, err
 	}
-	if code != 229 {
-		return nil, fmt.Errorf("gridftp: SPAS: %d %s", code, msg)
-	}
-	addrs, err := parseSpasReply(msg)
+	conns, err := c.dialData(addrs)
 	if err != nil {
-		return nil, err
-	}
-	conns := make([]net.Conn, 0, len(addrs))
-	for _, a := range addrs {
-		conn, err := net.DialTimeout("tcp", a, c.Timeout())
-		if err != nil {
-			closeAll(conns)
-			return nil, fmt.Errorf("gridftp: dialing stripe %s: %w", a, err)
-		}
-		conns = append(conns, conn)
-	}
-	defer closeAll(conns)
-	if _, err := c.Expect(150, "RETR %s", path); err != nil {
 		return nil, err
 	}
 	buf := make([]byte, size)
-	rs := make([]io.Reader, len(conns))
-	for i, cn := range conns {
-		rs[i] = cn
-	}
-	_, announced, eods, err := ReceiveBlocks(rs, byteWriterAt{buf})
-	if err != nil {
-		return nil, err
-	}
-	if announced > 0 && eods < announced {
-		return nil, fmt.Errorf("gridftp: incomplete striped transfer: %d of %d EODs", eods, announced)
-	}
-	if _, err := c.ExpectFinal(226); err != nil {
+	if err := c.receive(conns, "RETR "+path, byteWriterAt{buf}); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// parseSpasReply extracts dialable addresses from the multiline 229 reply.
-func parseSpasReply(msg string) ([]string, error) {
-	var out []string
-	for _, line := range strings.Split(msg, "\n") {
-		line = strings.TrimSpace(line)
-		if strings.Count(line, ",") == 5 {
-			addr, err := ftp.ParsePasvAddr(line)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, addr)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("gridftp: no stripe addresses in SPAS reply %q", msg)
-	}
-	return out, nil
 }
 
 // ThirdPartyStriped moves srcPath on the src server to dstPath on the dst
@@ -400,41 +648,20 @@ func ThirdPartyStriped(src *Client, srcPath string, dst *Client, dstPath string)
 	if !src.modeE || !dst.modeE {
 		return errors.New("gridftp: striped third-party requires MODE E on both endpoints")
 	}
-	code, msg, err := src.Cmd("SPAS")
+	addrs, err := src.spas()
 	if err != nil {
 		return err
 	}
-	if code != 229 {
-		return fmt.Errorf("gridftp: SPAS: %d %s", code, msg)
-	}
-	addrs, err := parseSpasReply(msg)
-	if err != nil {
-		return err
-	}
-	specs := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		spec, err := ftp.FormatAddrSpec(a)
-		if err != nil {
+	specs := make([]string, len(addrs))
+	for i, a := range addrs {
+		if specs[i], err = formatAddr(a); err != nil {
 			return err
 		}
-		specs = append(specs, spec)
 	}
 	if _, err := dst.Expect(200, "SPOR %s", strings.Join(specs, " ")); err != nil {
 		return err
 	}
-	if _, err := dst.Expect(150, "STOR %s", dstPath); err != nil {
-		return err
-	}
-	if _, err := src.Expect(150, "RETR %s", srcPath); err != nil {
-		return err
-	}
-	if _, err := src.ExpectFinal(226); err != nil {
-		return err
-	}
-	if _, err := dst.ExpectFinal(226); err != nil {
-		return err
-	}
-	return nil
+	return relayTransfer(src, srcPath, dst, dstPath)
 }
 
 // ThirdParty moves srcPath on the src server directly to dstPath on the
@@ -453,7 +680,7 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string) error 
 	if err != nil {
 		return err
 	}
-	spec, err := ftp.FormatAddrSpec(srcAddr)
+	spec, err := formatAddr(srcAddr)
 	if err != nil {
 		return err
 	}
@@ -461,10 +688,7 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string) error 
 		return err
 	}
 	if src.modeE {
-		p := src.cfg.Parallelism
-		if dp := dst.cfg.Parallelism; dp < p {
-			p = dp
-		}
+		p := min(src.cfg.Parallelism, dst.cfg.Parallelism)
 		if _, err := src.Expect(200, "OPTS RETR Parallelism=%d;", p); err != nil {
 			return err
 		}
@@ -472,18 +696,22 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string) error 
 			return err
 		}
 	}
-	// Destination first: its 150 means it is dialing the source listener.
+	return relayTransfer(src, srcPath, dst, dstPath)
+}
+
+// relayTransfer starts a server-to-server copy whose data channels are
+// already arranged: the destination's STOR first (its 150 means it is
+// connecting to the source), then the source's RETR, then both 226s.
+func relayTransfer(src *Client, srcPath string, dst *Client, dstPath string) error {
 	if _, err := dst.Expect(150, "STOR %s", dstPath); err != nil {
 		return err
 	}
 	if _, err := src.Expect(150, "RETR %s", srcPath); err != nil {
 		return err
 	}
-	if _, err := src.ExpectFinal(226); err != nil {
+	if _, err := src.expectFinal(226); err != nil {
 		return err
 	}
-	if _, err := dst.ExpectFinal(226); err != nil {
-		return err
-	}
-	return nil
+	_, err := dst.expectFinal(226)
+	return err
 }

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 )
 
@@ -20,7 +19,7 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, string, []byte) {
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(99)).Read(payload)
 	if cfg.Store == nil {
-		st := ftp.NewMemStore()
+		st := NewMemStore()
 		if err := st.Put("/data/big.bin", payload); err != nil {
 			t.Fatal(err)
 		}
@@ -37,6 +36,9 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, string, []byte) {
 	t.Cleanup(func() { srv.Close() })
 	return srv, addr, payload
 }
+
+// memStore returns the MemStore a test server was started on.
+func memStore(srv *Server) *MemStore { return srv.cfg.Store.(*MemStore) }
 
 func dialAndLogin(t *testing.T, addr string, cfg ClientConfig) *Client {
 	t.Helper()
@@ -109,7 +111,7 @@ func TestModeEPut(t *testing.T) {
 	if err := c.Put("/up/parallel.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Store().(*ftp.MemStore).Get("/up/parallel.bin")
+	got, err := memStore(srv).Get("/up/parallel.bin")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("upload mismatch: %d bytes, %v", len(got), err)
 	}
@@ -122,7 +124,7 @@ func TestStreamModePut(t *testing.T) {
 	if err := c.Put("/up/s.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Store().(*ftp.MemStore).Get("/up/s.bin")
+	got, err := memStore(srv).Get("/up/s.bin")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("upload mismatch: %v, %v", got, err)
 	}
@@ -163,8 +165,12 @@ func TestRestPartialModeE(t *testing.T) {
 	if _, err := c.Expect(350, "REST %d", 1<<19); err != nil {
 		t.Fatal(err)
 	}
+	conns, err := c.dialPassive()
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 1<<20)
-	if err := c.retrModeE("RETR /data/big.bin", buf); err != nil {
+	if err := c.receive(conns, "RETR /data/big.bin", byteWriterAt{buf}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf[1<<19:], payload[1<<19:]) {
@@ -191,7 +197,7 @@ func TestStripedGet(t *testing.T) {
 
 func TestThirdPartyStream(t *testing.T) {
 	srcSrv, srcAddr, payload := startServer(t, ServerConfig{})
-	dstStore := ftp.NewMemStore()
+	dstStore := NewMemStore()
 	_, dstAddr, _ := startServer(t, ServerConfig{Store: dstStore})
 	_ = srcSrv
 	src := dialAndLogin(t, srcAddr, ClientConfig{})
@@ -207,7 +213,7 @@ func TestThirdPartyStream(t *testing.T) {
 
 func TestThirdPartyModeEParallel(t *testing.T) {
 	_, srcAddr, payload := startServer(t, ServerConfig{})
-	dstStore := ftp.NewMemStore()
+	dstStore := NewMemStore()
 	_, dstAddr, _ := startServer(t, ServerConfig{Store: dstStore})
 	src := dialAndLogin(t, srcAddr, ClientConfig{Parallelism: 4})
 	dst := dialAndLogin(t, dstAddr, ClientConfig{Parallelism: 4})
@@ -384,7 +390,7 @@ func TestESTOAdjustedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, err := c.dialDataChannels(addrSpec, 1)
+	conns, err := c.dialData([]string{addrSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,18 +400,14 @@ func TestESTOAdjustedStore(t *testing.T) {
 	if _, err := c.Expect(150, "ESTO A 100 /up/base.bin"); err != nil {
 		t.Fatal(err)
 	}
-	ws := make([]io.Writer, len(conns))
-	for i, cn := range conns {
-		ws[i] = cn
-	}
-	if err := SendBlocks(ws, bytesReaderAt(chunk), 0, int64(len(chunk)), 4); err != nil {
+	if err := SendBlocks(conns, bytes.NewReader(chunk), 0, int64(len(chunk)), 4); err != nil {
 		t.Fatal(err)
 	}
 	closeAll(conns)
-	if _, err := c.ExpectFinal(226); err != nil {
+	if _, err := c.expectFinal(226); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Store().(*ftp.MemStore).Get("/up/base.bin")
+	got, err := memStore(srv).Get("/up/base.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +445,7 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Fatal("missing store should be rejected")
 	}
-	st := ftp.NewMemStore()
+	st := NewMemStore()
 	if _, err := NewServer(ServerConfig{Store: st, Stripes: -1}); err == nil {
 		t.Fatal("negative stripes should be rejected")
 	}
@@ -497,7 +499,7 @@ func TestPropertyParallelSocketRoundTrip(t *testing.T) {
 
 func TestThirdPartyStriped(t *testing.T) {
 	_, srcAddr, payload := startServer(t, ServerConfig{Stripes: 3})
-	dstStore := ftp.NewMemStore()
+	dstStore := NewMemStore()
 	_, dstAddr, _ := startServer(t, ServerConfig{Store: dstStore})
 	src := dialAndLogin(t, srcAddr, ClientConfig{Parallelism: 2})
 	dst := dialAndLogin(t, dstAddr, ClientConfig{Parallelism: 2})
@@ -541,10 +543,10 @@ func TestESTOStreamMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	data.Close()
-	if _, err := c.ExpectFinal(226); err != nil {
+	if _, err := c.expectFinal(226); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Store().(*ftp.MemStore).Get("/up/base.bin")
+	got, err := memStore(srv).Get("/up/base.bin")
 	if err != nil || string(got[40:46]) != "MIDDLE" {
 		t.Fatalf("ESTO stream content = %q, %v", got[38:48], err)
 	}
@@ -618,7 +620,7 @@ func TestSPASReissueReplacesListeners(t *testing.T) {
 
 func TestXferlogModeE(t *testing.T) {
 	var logBuf bytes.Buffer
-	store := ftp.NewMemStore()
+	store := NewMemStore()
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(payload)
 	if err := store.Put("/data/f.bin", payload); err != nil {
@@ -649,5 +651,65 @@ func TestXferlogModeE(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "/up/g.bin") || !strings.Contains(lines[1], " i a ") {
 		t.Fatalf("MODE E upload line: %s", lines[1])
+	}
+}
+
+// TestTimedOutAcceptFreesListener: after a data accept times out (the
+// client never connected), the next transfer on the same PASV listener,
+// or the same SPAS stripes, must get the connection the client dials for
+// it — nothing from the failed wait may still be parked in Accept.
+func TestTimedOutAcceptFreesListener(t *testing.T) {
+	for _, striped := range []bool{false, true} {
+		_, addr, payload := startServer(t, ServerConfig{DataTimeout: 100 * time.Millisecond, Stripes: 2})
+		c := dialAndLogin(t, addr, ClientConfig{Timeout: 2 * time.Second})
+		var addrs []string
+		var err error
+		if striped {
+			if err := c.UseModeE(); err != nil {
+				t.Fatal(err)
+			}
+			addrs, err = c.spas()
+		} else {
+			var a string
+			a, err = c.Passive()
+			addrs = []string{a}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, err := c.Cmd("RETR /data/big.bin"); err != nil || code != 150 {
+			t.Fatalf("striped=%v: first RETR = %d, %v", striped, code, err)
+		}
+		if code, _, err := c.readReply(); err != nil || code != 425 {
+			t.Fatalf("striped=%v: unconnected RETR = %d, %v; want 425", striped, code, err)
+		}
+		conns, err := c.dialData(addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cn := range conns {
+			if err := cn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]byte, len(payload))
+		if striped {
+			err = c.receive(conns, "RETR /data/big.bin", byteWriterAt{got})
+		} else {
+			_, err = c.Expect(150, "RETR /data/big.bin")
+			if err == nil {
+				_, err = io.ReadFull(conns[0], got)
+			}
+			closeAll(conns)
+			if err == nil {
+				_, err = c.expectFinal(226)
+			}
+		}
+		if err != nil {
+			t.Fatalf("striped=%v: transfer after a timed-out accept: %v", striped, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("striped=%v: content mismatch", striped)
+		}
 	}
 }

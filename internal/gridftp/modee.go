@@ -1,11 +1,3 @@
-// Package gridftp implements the GridFTP protocol extensions on top of the
-// ftp package, as the Globus project did on top of wu-ftpd (paper §2.1,
-// §4.1-4.2): GSI authentication on the control channel, MODE E extended
-// block mode whose 17-byte block headers (8 flag bits + 64-bit offset +
-// 64-bit length) permit out-of-order arrival and therefore multiple
-// parallel TCP data channels, partial file transfer (REST/ERET/ESTO),
-// third-party transfer between two servers, striped data transfer (the
-// paper's future work #1), and TCP buffer negotiation (SBUF).
 package gridftp
 
 import (
@@ -100,7 +92,7 @@ func ReadBlock(r io.Reader) (Block, error) {
 // first channel also carries the EOF marker announcing the channel count.
 // It is the shared sender for server RETR, client STOR and every striped
 // variant.
-func SendBlocks(conns []io.Writer, src io.ReaderAt, offset, length int64, blockSize int) error {
+func SendBlocks[W io.Writer](conns []W, src io.ReaderAt, offset, length int64, blockSize int) error {
 	if len(conns) == 0 {
 		return errors.New("gridftp: no data channels")
 	}
@@ -154,7 +146,7 @@ func SendBlocks(conns []io.Writer, src io.ReaderAt, offset, length int64, blockS
 // more arrive via the accept callback (server STOR), so ReceiveBlocks
 // handles exactly the channels it is given and reports whether the stream
 // is complete.
-func ReceiveBlocks(conns []io.Reader, dst io.WriterAt) (total int64, channels int, eods int, err error) {
+func ReceiveBlocks[R io.Reader](conns []R, dst io.WriterAt) (total int64, channels int, eods int, err error) {
 	type result struct {
 		n    int64
 		eods int
@@ -163,7 +155,7 @@ func ReceiveBlocks(conns []io.Reader, dst io.WriterAt) (total int64, channels in
 	}
 	results := make(chan result, len(conns))
 	for _, c := range conns {
-		go func(c io.Reader) {
+		go func(c R) {
 			var r result
 			for {
 				b, err := ReadBlock(c)

@@ -75,7 +75,7 @@ func TestSendReceiveSingleChannel(t *testing.T) {
 	payload := bytes.Repeat([]byte("0123456789"), 1000)
 	pr, pw := io.Pipe()
 	go func() {
-		if err := SendBlocks([]io.Writer{pw}, bytesReaderAt(payload), 0, int64(len(payload)), 512); err != nil {
+		if err := SendBlocks([]io.Writer{pw}, bytes.NewReader(payload), 0, int64(len(payload)), 512); err != nil {
 			t.Error(err)
 		}
 		pw.Close()
@@ -105,7 +105,7 @@ func TestSendReceiveParallelChannels(t *testing.T) {
 		rs[i], ws[i] = pr, pw
 	}
 	go func() {
-		if err := SendBlocks(ws, bytesReaderAt(payload), 0, int64(len(payload)), 8192); err != nil {
+		if err := SendBlocks(ws, bytes.NewReader(payload), 0, int64(len(payload)), 8192); err != nil {
 			t.Error(err)
 		}
 		for _, w := range ws {
@@ -128,7 +128,7 @@ func TestSendReceiveParallelChannels(t *testing.T) {
 func TestSendBlocksRange(t *testing.T) {
 	payload := []byte("0123456789abcdef")
 	var buf bytes.Buffer
-	if err := SendBlocks([]io.Writer{&buf}, bytesReaderAt(payload), 4, 8, 3); err != nil {
+	if err := SendBlocks([]io.Writer{&buf}, bytes.NewReader(payload), 4, 8, 3); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]byte, len(payload))
@@ -142,20 +142,20 @@ func TestSendBlocksRange(t *testing.T) {
 }
 
 func TestSendBlocksValidation(t *testing.T) {
-	if err := SendBlocks(nil, bytesReaderAt(nil), 0, 0, 0); err == nil {
+	if err := SendBlocks([]io.Writer(nil), bytes.NewReader(nil), 0, 0, 0); err == nil {
 		t.Fatal("no channels should fail")
 	}
-	if err := SendBlocks([]io.Writer{io.Discard}, bytesReaderAt(nil), -1, 0, 0); err == nil {
+	if err := SendBlocks([]io.Writer{io.Discard}, bytes.NewReader(nil), -1, 0, 0); err == nil {
 		t.Fatal("negative offset should fail")
 	}
-	if err := SendBlocks([]io.Writer{io.Discard}, bytesReaderAt(nil), 0, -1, 0); err == nil {
+	if err := SendBlocks([]io.Writer{io.Discard}, bytes.NewReader(nil), 0, -1, 0); err == nil {
 		t.Fatal("negative length should fail")
 	}
 }
 
 func TestSendBlocksZeroLength(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SendBlocks([]io.Writer{&buf}, bytesReaderAt(nil), 0, 0, 0); err != nil {
+	if err := SendBlocks([]io.Writer{&buf}, bytes.NewReader(nil), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	total, channels, eods, err := ReceiveBlocks([]io.Reader{bytes.NewReader(buf.Bytes())}, byteWriterAt{nil})
@@ -181,7 +181,7 @@ func TestPropertyModeERoundTrip(t *testing.T) {
 			rs[i], ws[i] = pr, pw
 		}
 		go func() {
-			_ = SendBlocks(ws, bytesReaderAt(payload), 0, int64(size), bs)
+			_ = SendBlocks(ws, bytes.NewReader(payload), 0, int64(size), bs)
 			for _, w := range ws {
 				w.(*io.PipeWriter).Close()
 			}

@@ -1,31 +1,39 @@
+// Package gridftp implements the repository's real wire protocol over TCP:
+// a runnable RFC 959/3659 FTP subset — the baseline the paper measures
+// GridFTP against (§4.1) — together with the GridFTP extensions the Globus
+// project added to it (§2.1, §4.1-4.2): GSI authentication on the control
+// channel, MODE E extended block mode whose 17-byte block headers (8 flag
+// bits + 64-bit offset + 64-bit length) permit out-of-order arrival and
+// therefore multiple parallel TCP data channels, partial file transfer
+// (REST/ERET/ESTO), third-party transfer between two servers, striped data
+// transfer (the paper's future work #1), and TCP buffer negotiation (SBUF).
+//
+// One server speaks both: a session that never leaves MODE S is a plain
+// FTP session. Reply texts are part of the wire contract, so errors raised
+// by the FTP half keep their "ftp:" prefix — they reach clients verbatim
+// in 4xx/5xx replies.
 package gridftp
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	gopath "path"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/ftp"
 	"github.com/hpclab/datagrid/internal/gsi"
 )
 
-// Session Extra keys used by the extension handlers.
-const (
-	extraParallelism = "gridftp.parallelism"
-	extraSpas        = "gridftp.spas"
-	extraSpor        = "gridftp.spor"
-	extraSBuf        = "gridftp.sbuf"
-	extraGSIPeer     = "gridftp.gsiPeer"
-)
-
-// ServerConfig configures a GridFTP server.
+// ServerConfig configures a Server.
 type ServerConfig struct {
 	// Store is the filesystem served. Required.
-	Store ftp.Store
+	Store Store
 	// GSI, when set, enables the AUTH GSI command; with RequireGSI the
 	// server refuses USER/PASS logins.
 	GSI *gsi.Authenticator
@@ -35,116 +43,378 @@ type ServerConfig struct {
 	Stripes int
 	// DataTimeout bounds data-connection setup; default 10s.
 	DataTimeout time.Duration
-	// TransferLog receives wu-ftpd xferlog lines for completed transfers
-	// (stream and MODE E alike).
+	// TransferLog, when set, receives one wu-ftpd xferlog-style line per
+	// completed transfer (stream and MODE E alike), the era's standard
+	// transfer audit trail.
 	TransferLog io.Writer
 	// Clock supplies transfer timing and xferlog timestamps; defaults to
 	// time.Now. Override in tests or simulations for determinism.
 	Clock func() time.Time
 }
 
-// Server is a GridFTP server: an ftp.Server with the Grid extensions
-// installed.
+// Server is a GridFTP server bound to one listener.
 type Server struct {
-	*ftp.Server
 	cfg ServerConfig
+
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
+	wg     sync.WaitGroup
 }
 
-// NewServer builds a GridFTP server.
+// NewServer validates cfg and builds a server.
 func NewServer(cfg ServerConfig) (*Server, error) {
+	if cfg.Store == nil {
+		return nil, errors.New("gridftp: server needs a store")
+	}
 	if cfg.Stripes == 0 {
 		cfg.Stripes = 4
 	}
 	if cfg.Stripes < 0 {
 		return nil, fmt.Errorf("gridftp: negative stripe count %d", cfg.Stripes)
 	}
+	if cfg.RequireGSI && cfg.GSI == nil {
+		return nil, errors.New("gridftp: RequireGSI needs a GSI authenticator")
+	}
 	if cfg.DataTimeout == 0 {
 		cfg.DataTimeout = 10 * time.Second
 	}
-	var auth func(user, pass string) bool
-	if cfg.RequireGSI {
-		if cfg.GSI == nil {
-			return nil, errors.New("gridftp: RequireGSI needs a GSI authenticator")
-		}
-		auth = func(string, string) bool { return false }
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
-	base, err := ftp.NewServer(ftp.ServerConfig{
-		Store:       cfg.Store,
-		Auth:        auth,
-		Welcome:     "datagrid GridFTP server ready",
-		DataTimeout: cfg.DataTimeout,
-		TransferLog: cfg.TransferLog,
-		Clock:       cfg.Clock,
-	})
+	return &Server{cfg: cfg, conns: make(map[net.Conn]bool)}, nil
+}
+
+// Listen binds the server to addr (e.g. "127.0.0.1:0") and starts serving
+// in background goroutines. It returns the bound address.
+func (srv *Server) Listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return "", fmt.Errorf("gridftp: listen %s: %w", addr, err)
 	}
-	s := &Server{Server: base, cfg: cfg}
-	base.Handle("MODE", s.handleMODE)
-	base.Handle("AUTH", s.handleAUTH)
-	base.Handle("OPTS", s.handleOPTS)
-	base.Handle("SBUF", s.handleSBUF)
-	base.Handle("RETR", s.handleRETR)
-	base.Handle("STOR", s.handleSTOR)
-	base.Handle("ERET", s.handleERET)
-	base.Handle("ESTO", s.handleESTO)
-	base.Handle("SPAS", s.handleSPAS)
-	base.Handle("SPOR", s.handleSPOR)
-	base.Handle("CKSM", s.handleCKSM)
-	base.AddFeature("CKSM MD5,SHA1,CRC32")
-	base.AddFeature("AUTH GSI")
-	base.AddFeature("MODE E")
-	base.AddFeature("PARALLEL")
-	base.AddFeature("ERET")
-	base.AddFeature("ESTO")
-	base.AddFeature("SBUF")
-	base.AddFeature("SPAS")
-	base.AddFeature("SPOR")
-	base.OnSessionEnd(func(sess *ftp.Session) {
-		if lns, ok := sess.Extra[extraSpas].([]net.Listener); ok {
-			for _, ln := range lns {
-				_ = ln.Close() // session is gone; nowhere to report
-			}
+	srv.ln = ln
+	srv.wg.Add(1)
+	go srv.acceptLoop()
+	return ln.Addr().String(), nil
+}
+
+func (srv *Server) acceptLoop() {
+	defer srv.wg.Done()
+	for {
+		conn, err := srv.ln.Accept()
+		if err != nil {
+			return
 		}
-	})
-	return s, nil
+		srv.mu.Lock()
+		if srv.closed {
+			srv.mu.Unlock()
+			_ = conn.Close() // server shutting down; nothing to report to
+			return
+		}
+		srv.conns[conn] = true
+		srv.mu.Unlock()
+		srv.wg.Add(1)
+		go func() {
+			defer srv.wg.Done()
+			srv.serveConn(conn)
+			srv.mu.Lock()
+			delete(srv.conns, conn)
+			srv.mu.Unlock()
+		}()
+	}
 }
 
-func (s *Server) handleMODE(sess *ftp.Session, arg string) {
-	switch strings.ToUpper(arg) {
-	case "S":
-		sess.SetMode('S')
-		sess.Reply(200, "mode set to S")
-	case "E":
-		sess.SetMode('E')
-		sess.Reply(200, "mode set to E (extended block)")
+// Close stops the listener and tears down active sessions.
+func (srv *Server) Close() error {
+	srv.mu.Lock()
+	srv.closed = true
+	for c := range srv.conns {
+		_ = c.Close() // best-effort teardown of live sessions
+	}
+	srv.mu.Unlock()
+	var err error
+	if srv.ln != nil {
+		err = srv.ln.Close()
+	}
+	srv.wg.Wait()
+	return err
+}
+
+// session is one control connection's state.
+type session struct {
+	srv  *Server
+	conn net.Conn
+	r    *bufio.Reader
+
+	user       string
+	authed     bool
+	mode       byte // 'S' stream (default) or 'E' extended block
+	dtype      byte // 'A' ascii (default) or 'I' image
+	cwd        string
+	rest       int64
+	renameFrom string
+	quitting   bool
+
+	// Data-connection setup: a PASV listener or a PORT address; MODE E
+	// transfers prefer SPAS stripe listeners, then SPOR stripe addresses.
+	pasv     *net.TCPListener
+	portAddr string
+	spas     []*net.TCPListener
+	spor     []string
+
+	// MODE E options: the OPTS RETR/STOR parallelism and the SBUF TCP
+	// buffer size, 0 while unset.
+	parallelism int
+	sbuf        int
+}
+
+// dispatch runs one command through the command table — the RFC
+// 959/3659 subset, then the GridFTP extensions — and reports whether the
+// verb is known. A switch, unlike a package-level map of handlers, leaves
+// the server unlinked from binaries that import this package only for
+// its MODE E constants.
+func (s *session) dispatch(verb, arg string) bool {
+	switch verb {
+	case "USER":
+		handleUSER(s, arg)
+	case "PASS":
+		handlePASS(s)
+	case "QUIT":
+		s.reply(221, "goodbye")
+		s.quitting = true
+	case "SYST":
+		s.reply(215, "UNIX Type: L8")
+	case "NOOP":
+		s.reply(200, "NOOP ok")
+	case "TYPE":
+		handleTYPE(s, arg)
+	case "MODE":
+		handleMODE(s, arg)
+	case "PASV":
+		handlePASV(s)
+	case "PORT":
+		handlePORT(s, arg)
+	case "RETR":
+		handleRETR(s, arg)
+	case "STOR":
+		handleSTOR(s, arg)
+	case "APPE":
+		handleAPPE(s, arg)
+	case "SIZE":
+		handleSIZE(s, arg)
+	case "REST":
+		handleREST(s, arg)
+	case "DELE":
+		handleDELE(s, arg)
+	case "RNFR":
+		handleRNFR(s, arg)
+	case "RNTO":
+		handleRNTO(s, arg)
+	case "NLST":
+		handleNLST(s)
+	case "MLSD":
+		handleMLSD(s, arg)
+	case "STAT":
+		handleSTAT(s, arg)
+	case "FEAT":
+		s.replyLines(211, "Features:", features, "End")
+	case "PWD":
+		s.reply(257, `"`+s.cwd+`" is the current directory`)
+	case "CWD":
+		handleCWD(s, arg)
+	case "CDUP":
+		handleCWD(s, "..")
+	case "ABOR":
+		s.reply(226, "no transfer to abort")
+	case "AUTH":
+		handleAUTH(s, arg)
+	case "OPTS":
+		handleOPTS(s, arg)
+	case "SBUF":
+		handleSBUF(s, arg)
+	case "ERET":
+		handleERET(s, arg)
+	case "ESTO":
+		handleESTO(s, arg)
+	case "SPAS":
+		handleSPAS(s)
+	case "SPOR":
+		handleSPOR(s, arg)
+	case "CKSM":
+		handleCKSM(s, arg)
 	default:
-		sess.Reply(504, "only modes S and E supported")
+		return false
+	}
+	return true
+}
+
+// features is the FEAT reply body.
+var features = []string{
+	"SIZE", "REST STREAM", "MLSD type*;size*;",
+	"CKSM MD5,SHA1,CRC32", "AUTH GSI", "MODE E", "PARALLEL", "ERET", "ESTO", "SBUF", "SPAS", "SPOR",
+}
+
+func (srv *Server) serveConn(conn net.Conn) {
+	defer conn.Close()
+	s := &session{srv: srv, conn: conn, r: bufio.NewReader(conn), mode: 'S', dtype: 'A', cwd: "/"}
+	defer func() {
+		s.closePasv()
+		closeAll(s.spas)
+	}()
+	s.reply(220, "datagrid GridFTP server ready")
+	for !s.quitting {
+		line, err := s.r.ReadString('\n')
+		if err != nil {
+			return
+		}
+		line = strings.TrimRight(line, "\r\n")
+		if line == "" {
+			continue
+		}
+		verb, arg, _ := strings.Cut(line, " ")
+		if !s.dispatch(strings.ToUpper(verb), arg) {
+			s.reply(502, fmt.Sprintf("command %q not implemented", verb))
+		}
 	}
 }
 
-func (s *Server) handleAUTH(sess *ftp.Session, arg string) {
+func (s *session) reply(code int, msg string) {
+	fmt.Fprintf(s.conn, "%d %s\r\n", code, msg)
+}
+
+// replyLines sends a multi-line reply in RFC 959 format.
+func (s *session) replyLines(code int, first string, middle []string, last string) {
+	fmt.Fprintf(s.conn, "%d-%s\r\n", code, first)
+	for _, l := range middle {
+		fmt.Fprintf(s.conn, " %s\r\n", l)
+	}
+	fmt.Fprintf(s.conn, "%d %s\r\n", code, last)
+}
+
+func (s *session) store() Store { return s.srv.cfg.Store }
+
+// requireAuth replies 530 and returns false when the session has not
+// logged in.
+func (s *session) requireAuth() bool {
+	if !s.authed {
+		s.reply(530, "please login first")
+	}
+	return s.authed
+}
+
+// takeRest consumes the restart offset set by REST.
+func (s *session) takeRest() int64 {
+	r := s.rest
+	s.rest = 0
+	return r
+}
+
+// resolve interprets a command's path argument relative to the working
+// directory. Absolute arguments pass through.
+func (s *session) resolve(arg string) string {
+	arg = strings.TrimSpace(arg)
+	if strings.HasPrefix(arg, "/") {
+		return gopath.Clean(arg)
+	}
+	return gopath.Clean(gopath.Join(s.cwd, arg))
+}
+
+// logTransfer emits one xferlog-format line (wu-ftpd's transfer audit
+// format): date, duration, remote host, bytes, path, type, direction,
+// user. It is a no-op when no TransferLog is configured.
+func (s *session) logTransfer(start time.Time, bytes int64, path string, direction byte) {
+	w := s.srv.cfg.TransferLog
+	if w == nil {
+		return
+	}
+	now := s.srv.cfg.Clock()
+	secs := int64(now.Sub(start).Seconds())
+	if secs < 1 {
+		secs = 1 // xferlog records whole seconds, minimum 1
+	}
+	host, _, err := net.SplitHostPort(s.conn.RemoteAddr().String())
+	if err != nil {
+		host = s.conn.RemoteAddr().String()
+	}
+	user := s.user
+	if user == "" {
+		user = "?"
+	}
+	fmt.Fprintf(w, "%s %d %s %d %s b _ %c a %s ftp 0 * c\n",
+		now.Format("Mon Jan  2 15:04:05 2006"), secs, host, bytes, path, direction, user)
+}
+
+// --- login and session state ---
+
+func handleUSER(s *session, arg string) {
+	if arg == "" {
+		s.reply(501, "USER needs a name")
+		return
+	}
+	s.user = arg
+	s.reply(331, "password required for "+arg)
+}
+
+func handlePASS(s *session) {
+	if s.user == "" {
+		s.reply(503, "login with USER first")
+		return
+	}
+	if s.srv.cfg.RequireGSI {
+		s.reply(530, "login incorrect")
+		return
+	}
+	s.authed = true
+	s.reply(230, "user "+s.user+" logged in")
+}
+
+func handleAUTH(s *session, arg string) {
 	if !strings.EqualFold(arg, "GSI") && !strings.EqualFold(arg, "GSSAPI") {
-		sess.Reply(504, "only AUTH GSI supported")
+		s.reply(504, "only AUTH GSI supported")
 		return
 	}
-	if s.cfg.GSI == nil {
-		sess.Reply(534, "GSI not configured on this server")
+	if s.srv.cfg.GSI == nil {
+		s.reply(534, "GSI not configured on this server")
 		return
 	}
-	sess.Reply(334, "proceed with GSI handshake")
-	rw := struct {
+	s.reply(334, "proceed with GSI handshake")
+	peer, err := s.srv.cfg.GSI.Server(struct {
 		io.Reader
 		io.Writer
-	}{sess.Reader(), sess.Conn()}
-	peer, err := s.cfg.GSI.Server(rw)
+	}{s.r, s.conn})
 	if err != nil {
-		sess.Reply(535, "GSI authentication failed")
+		s.reply(535, "GSI authentication failed")
 		return
 	}
-	sess.Extra[extraGSIPeer] = peer
-	sess.SetAuthed(peer)
-	sess.Reply(235, "GSI authentication successful for "+peer)
+	s.user, s.authed = peer, true
+	s.reply(235, "GSI authentication successful for "+peer)
+}
+
+func handleTYPE(s *session, arg string) {
+	switch strings.ToUpper(arg) {
+	case "I":
+		s.dtype = 'I'
+		s.reply(200, "type set to I")
+	case "A":
+		s.dtype = 'A'
+		s.reply(200, "type set to A")
+	default:
+		s.reply(504, "only types A and I supported")
+	}
+}
+
+func handleMODE(s *session, arg string) {
+	switch strings.ToUpper(arg) {
+	case "S":
+		s.mode = 'S'
+		s.reply(200, "mode set to S")
+	case "E":
+		s.mode = 'E'
+		s.reply(200, "mode set to E (extended block)")
+	default:
+		s.reply(504, "only modes S and E supported")
+	}
 }
 
 // parseParallelism extracts the first integer of "Parallelism=a,b,c;".
@@ -165,379 +435,668 @@ func parseParallelism(arg string) (int, error) {
 	return n, nil
 }
 
-func (s *Server) handleOPTS(sess *ftp.Session, arg string) {
+func handleOPTS(s *session, arg string) {
 	verb, rest, _ := strings.Cut(arg, " ")
 	switch strings.ToUpper(verb) {
 	case "RETR", "STOR":
 		n, err := parseParallelism(rest)
 		if err != nil {
-			sess.Reply(501, err.Error())
+			s.reply(501, err.Error())
 			return
 		}
-		sess.Extra[extraParallelism] = n
-		sess.Reply(200, fmt.Sprintf("parallelism set to %d", n))
+		s.parallelism = n
+		s.reply(200, fmt.Sprintf("parallelism set to %d", n))
 	default:
-		sess.Reply(501, "OPTS target not supported")
+		s.reply(501, "OPTS target not supported")
 	}
 }
 
-func (s *Server) handleSBUF(sess *ftp.Session, arg string) {
+func handleSBUF(s *session, arg string) {
 	n, err := strconv.Atoi(strings.TrimSpace(arg))
 	if err != nil || n <= 0 {
-		sess.Reply(501, "bad buffer size")
+		s.reply(501, "bad buffer size")
 		return
 	}
-	sess.Extra[extraSBuf] = n
-	sess.Reply(200, fmt.Sprintf("TCP buffer set to %d", n))
+	s.sbuf = n
+	s.reply(200, fmt.Sprintf("TCP buffer set to %d", n))
 }
 
-func (s *Server) parallelism(sess *ftp.Session) int {
-	if n, ok := sess.Extra[extraParallelism].(int); ok && n > 0 {
-		return n
+func handleREST(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	n, err := strconv.ParseInt(arg, 10, 64)
+	if err != nil || n < 0 {
+		s.reply(501, "bad restart offset")
+		return
+	}
+	s.rest = n
+	s.reply(350, fmt.Sprintf("restarting at %d, send transfer command", n))
+}
+
+// --- files and directories ---
+
+func handleCWD(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	if arg == "" {
+		s.reply(501, "CWD needs a directory")
+		return
+	}
+	next := s.resolve(arg)
+	if !strings.HasPrefix(next, "/") {
+		s.reply(550, "invalid directory")
+		return
+	}
+	s.cwd = next
+	s.reply(250, "CWD successful, now "+s.cwd)
+}
+
+func handleSIZE(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	n, err := s.store().Size(s.resolve(arg))
+	if err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.reply(213, strconv.FormatInt(n, 10))
+}
+
+func handleDELE(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	if err := s.store().Remove(s.resolve(arg)); err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.reply(250, "file deleted")
+}
+
+func handleRNFR(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	p := s.resolve(arg)
+	if _, err := s.store().Size(p); err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.renameFrom = p
+	s.reply(350, "ready for RNTO")
+}
+
+func handleRNTO(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	if s.renameFrom == "" {
+		s.reply(503, "RNFR required first")
+		return
+	}
+	from := s.renameFrom
+	s.renameFrom = ""
+	if err := s.store().Rename(from, s.resolve(arg)); err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.reply(250, "rename successful")
+}
+
+func handleSTAT(s *session, arg string) {
+	if arg == "" {
+		s.replyLines(211, "server status",
+			[]string{
+				"logged in: " + fmt.Sprint(s.authed),
+				"type: " + string(s.dtype),
+				"mode: " + string(s.mode),
+				"cwd: " + s.cwd,
+				fmt.Sprintf("files: %d", len(s.store().List())),
+			}, "end of status")
+		return
+	}
+	if !s.requireAuth() {
+		return
+	}
+	p := s.resolve(arg)
+	size, err := s.store().Size(p)
+	if err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.replyLines(213, "status of "+p, []string{fmt.Sprintf("size: %d", size)}, "end of status")
+}
+
+func handleNLST(s *session) {
+	if !s.requireAuth() {
+		return
+	}
+	s.reply(150, "opening data connection for file list")
+	conn, err := s.openData()
+	if err != nil {
+		s.reply(425, err.Error())
+		return
+	}
+	defer conn.Close()
+	for _, p := range s.store().List() {
+		fmt.Fprintf(conn, "%s\r\n", p)
+	}
+	s.reply(226, "transfer complete")
+}
+
+// handleMLSD sends an RFC 3659 machine-readable listing of the files under
+// the given directory (the cwd if absent) over the data connection.
+func handleMLSD(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	dir := s.cwd
+	if arg != "" {
+		dir = s.resolve(arg)
+	}
+	prefix := strings.TrimSuffix(dir, "/") + "/"
+	s.reply(150, "opening data connection for MLSD")
+	conn, err := s.openData()
+	if err != nil {
+		s.reply(425, err.Error())
+		return
+	}
+	defer conn.Close()
+	for _, p := range s.store().List() {
+		if dir != "/" && !strings.HasPrefix(p, prefix) {
+			continue
+		}
+		size, err := s.store().Size(p)
+		if err != nil {
+			continue
+		}
+		fmt.Fprintf(conn, "type=file;size=%d; %s\r\n", size, p)
+	}
+	s.reply(226, "MLSD complete")
+}
+
+// --- data connections ---
+
+// formatAddr renders a "host:port" string as h1,h2,h3,h4,p1,p2: the form
+// of the 227 reply, the SPAS lines and the PORT and SPOR arguments.
+func formatAddr(hostport string) (string, error) {
+	host, portStr, err := net.SplitHostPort(hostport)
+	if err != nil {
+		return "", err
+	}
+	ip := net.ParseIP(host).To4()
+	if ip == nil {
+		return "", fmt.Errorf("ftp: passive mode needs IPv4, got %q", host)
+	}
+	port, err := strconv.ParseUint(portStr, 10, 16)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d,%d,%d,%d,%d,%d", ip[0], ip[1], ip[2], ip[3], port/256, port%256), nil
+}
+
+// parsePasvAddr parses the h1,h2,h3,h4,p1,p2 form into host:port.
+func parsePasvAddr(spec string) (string, error) {
+	parts := strings.Split(strings.TrimSpace(spec), ",")
+	if len(parts) != 6 {
+		return "", fmt.Errorf("ftp: bad address %q", spec)
+	}
+	var nums [6]int
+	for i, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || n < 0 || n > 255 {
+			return "", fmt.Errorf("ftp: bad address component %q", p)
+		}
+		nums[i] = n
+	}
+	return fmt.Sprintf("%d.%d.%d.%d:%d", nums[0], nums[1], nums[2], nums[3], nums[4]*256+nums[5]), nil
+}
+
+// listen opens a data listener on the control connection's local address.
+func (s *session) listen() (*net.TCPListener, error) {
+	host, _, err := net.SplitHostPort(s.conn.LocalAddr().String())
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+	if err != nil {
+		return nil, err
+	}
+	return ln.(*net.TCPListener), nil
+}
+
+func (s *session) closePasv() {
+	if s.pasv != nil {
+		_ = s.pasv.Close() // listener teardown; accept errors already surfaced
+		s.pasv = nil
+	}
+}
+
+func handlePASV(s *session) {
+	if !s.requireAuth() {
+		return
+	}
+	s.closePasv()
+	ln, err := s.listen()
+	if err != nil {
+		s.reply(425, "cannot open passive port: "+err.Error())
+		return
+	}
+	spec, err := formatAddr(ln.Addr().String())
+	if err != nil {
+		_ = ln.Close() // unusable listener; the format error is the report
+		s.reply(425, err.Error())
+		return
+	}
+	s.pasv = ln
+	s.reply(227, "Entering Passive Mode ("+spec+")")
+}
+
+func handlePORT(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	addr, err := parsePasvAddr(arg)
+	if err != nil {
+		s.reply(501, err.Error())
+		return
+	}
+	s.closePasv()
+	s.portAddr = addr
+	s.reply(200, "PORT command successful")
+}
+
+func handleSPAS(s *session) {
+	if !s.requireAuth() {
+		return
+	}
+	closeAll(s.spas)
+	s.spas = nil
+	lns := make([]*net.TCPListener, 0, s.srv.cfg.Stripes)
+	specs := make([]string, 0, s.srv.cfg.Stripes)
+	for i := 0; i < s.srv.cfg.Stripes; i++ {
+		ln, err := s.listen()
+		if err != nil {
+			closeAll(lns)
+			s.reply(425, "cannot open stripe listener: "+err.Error())
+			return
+		}
+		lns = append(lns, ln)
+		spec, err := formatAddr(ln.Addr().String())
+		if err != nil {
+			closeAll(lns)
+			s.reply(425, err.Error())
+			return
+		}
+		specs = append(specs, spec)
+	}
+	s.spas, s.spor = lns, nil
+	s.replyLines(229, "Entering Striped Passive Mode", specs, "End")
+}
+
+func handleSPOR(s *session, arg string) {
+	if !s.requireAuth() {
+		return
+	}
+	fields := strings.Fields(arg)
+	if len(fields) == 0 {
+		s.reply(501, "SPOR needs at least one address")
+		return
+	}
+	addrs := make([]string, 0, len(fields))
+	for _, f := range fields {
+		a, err := parsePasvAddr(f)
+		if err != nil {
+			s.reply(501, err.Error())
+			return
+		}
+		addrs = append(addrs, a)
+	}
+	closeAll(s.spas) // SPOR supersedes SPAS
+	s.spas, s.spor = nil, addrs
+	s.reply(200, fmt.Sprintf("striped port set (%d stripes)", len(addrs)))
+}
+
+// accept waits up to the data timeout for one connection on ln. The
+// deadline is the listener's own, so no goroutine outlives a timed-out
+// wait to swallow the connection meant for the next transfer.
+func (s *session) accept(ln *net.TCPListener) (net.Conn, error) {
+	//gridlint:wallclock-ok bounds a real Accept on a live socket, not simulated time
+	if err := ln.SetDeadline(time.Now().Add(s.srv.cfg.DataTimeout)); err != nil {
+		return nil, err
+	}
+	c, err := ln.Accept()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return nil, errors.New("ftp: timed out waiting for data connection")
+	}
+	return c, err
+}
+
+// openData establishes a data connection: accepted on the passive
+// listener if PASV was issued, else dialed to the PORT address.
+func (s *session) openData() (net.Conn, error) {
+	if s.pasv != nil {
+		return s.accept(s.pasv)
+	}
+	if s.portAddr != "" {
+		return net.DialTimeout("tcp", s.portAddr, s.srv.cfg.DataTimeout)
+	}
+	return nil, errors.New("ftp: use PASV or PORT first")
+}
+
+// channelCount is the number of data channels a MODE E transfer uses.
+func (s *session) channelCount() int {
+	switch {
+	case len(s.spas) > 0:
+		return len(s.spas)
+	case len(s.spor) > 0:
+		return len(s.spor)
+	case s.parallelism > 0:
+		return s.parallelism
 	}
 	return 1
 }
 
-func applySBuf(sess *ftp.Session, conns []net.Conn) {
-	n, ok := sess.Extra[extraSBuf].(int)
-	if !ok {
-		return
-	}
-	for _, c := range conns {
-		if tc, ok := c.(*net.TCPConn); ok {
-			_ = tc.SetReadBuffer(n)
-			_ = tc.SetWriteBuffer(n)
+// dataChannels establishes a MODE E transfer's data connections: one per
+// SPAS listener, one per SPOR address, else `parallelism` connections
+// accepted on the passive listener or dialed to the PORT address.
+func (s *session) dataChannels() ([]net.Conn, error) {
+	n := s.channelCount()
+	conns := make([]net.Conn, 0, n)
+	for i := 0; i < n; i++ {
+		var c net.Conn
+		var err error
+		switch {
+		case len(s.spas) > 0:
+			c, err = s.accept(s.spas[i])
+		case len(s.spor) > 0:
+			c, err = net.DialTimeout("tcp", s.spor[i], s.srv.cfg.DataTimeout)
+		default:
+			c, err = s.openData()
 		}
-	}
-}
-
-// dataChannels establishes the session's MODE E data connections:
-// striped listeners (SPAS) accept one each, a passive listener accepts
-// `parallelism` connections, striped addresses (SPOR) are dialed once
-// each, and an active-mode PORT address is dialed `parallelism` times.
-func (s *Server) dataChannels(sess *ftp.Session) ([]net.Conn, error) {
-	if lns, ok := sess.Extra[extraSpas].([]net.Listener); ok && len(lns) > 0 {
-		conns := make([]net.Conn, 0, len(lns))
-		for _, ln := range lns {
-			c, err := acceptTimeout(ln, s.cfg.DataTimeout)
-			if err != nil {
-				closeAll(conns)
-				return nil, err
-			}
-			conns = append(conns, c)
-		}
-		applySBuf(sess, conns)
-		return conns, nil
-	}
-	if addrs, ok := sess.Extra[extraSpor].([]string); ok && len(addrs) > 0 {
-		conns := make([]net.Conn, 0, len(addrs))
-		for _, a := range addrs {
-			c, err := net.DialTimeout("tcp", a, s.cfg.DataTimeout)
-			if err != nil {
-				closeAll(conns)
-				return nil, err
-			}
-			conns = append(conns, c)
-		}
-		applySBuf(sess, conns)
-		return conns, nil
-	}
-	p := s.parallelism(sess)
-	conns := make([]net.Conn, 0, p)
-	for i := 0; i < p; i++ {
-		c, err := sess.OpenDataConn()
 		if err != nil {
 			closeAll(conns)
 			return nil, err
 		}
+		setBuffers(c, s.sbuf)
 		conns = append(conns, c)
 	}
-	applySBuf(sess, conns)
 	return conns, nil
 }
 
-func acceptTimeout(ln net.Listener, d time.Duration) (net.Conn, error) {
-	type result struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- result{c, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.c, r.err
-	//gridlint:wallclock-ok bounds a real Accept on a live socket, not simulated time
-	case <-time.After(d):
-		return nil, errors.New("gridftp: timed out waiting for data connection")
+// setBuffers applies a negotiated SBUF size (0: none) to a data socket.
+func setBuffers(c net.Conn, n int) {
+	if tc, ok := c.(*net.TCPConn); ok && n > 0 {
+		_ = tc.SetReadBuffer(n) // a hint: the kernel may clamp it
+		_ = tc.SetWriteBuffer(n)
 	}
 }
 
-func closeAll(conns []net.Conn) {
-	for _, c := range conns {
-		_ = c.Close() // best-effort teardown of the stripe set
+func closeAll[C io.Closer](cs []C) {
+	for _, c := range cs {
+		_ = c.Close() // best-effort teardown of a connection or listener set
 	}
 }
 
-func (s *Server) handleRETR(sess *ftp.Session, arg string) {
-	if sess.Mode() != 'E' {
-		ftp.HandleRETR(sess, arg)
+// --- transfers ---
+
+func handleRETR(s *session, arg string) {
+	if !s.requireAuth() {
 		return
 	}
-	if !sess.RequireAuth() {
-		return
-	}
-	f, err := sess.Store().Open(sess.ResolvePath(arg))
+	p := s.resolve(arg)
+	f, err := s.store().Open(p)
 	if err != nil {
-		sess.Reply(550, err.Error())
+		s.reply(550, err.Error())
 		return
 	}
-	offset := sess.TakeRest()
+	offset := s.takeRest()
 	size := f.Size()
 	if offset > size {
-		sess.Reply(554, fmt.Sprintf("restart offset %d beyond size %d", offset, size))
+		s.reply(554, fmt.Sprintf("restart offset %d beyond size %d", offset, size))
 		return
 	}
-	s.sendRange(sess, f, offset, size-offset, arg)
+	n := size - offset
+	if s.mode == 'E' {
+		s.retrieveModeE(f, offset, n, arg, p)
+		return
+	}
+	s.retrieveStream(f, offset, n, p,
+		fmt.Sprintf("opening data connection for %s (%d bytes)", arg, n),
+		fmt.Sprintf("transfer complete (%d bytes)", n))
 }
 
-func (s *Server) handleERET(sess *ftp.Session, arg string) {
-	if !sess.RequireAuth() {
+// handleERET is the partial retrieve "ERET P <offset> <length> <path>".
+func handleERET(s *session, arg string) {
+	if !s.requireAuth() {
 		return
 	}
-	// ERET P <offset> <length> <path>
 	fields := strings.SplitN(arg, " ", 4)
 	if len(fields) != 4 || !strings.EqualFold(fields[0], "P") {
-		sess.Reply(501, "usage: ERET P <offset> <length> <path>")
+		s.reply(501, "usage: ERET P <offset> <length> <path>")
 		return
 	}
 	offset, err1 := strconv.ParseInt(fields[1], 10, 64)
 	length, err2 := strconv.ParseInt(fields[2], 10, 64)
 	if err1 != nil || err2 != nil || offset < 0 || length < 0 {
-		sess.Reply(501, "bad offset/length")
+		s.reply(501, "bad offset/length")
 		return
 	}
-	f, err := sess.Store().Open(sess.ResolvePath(fields[3]))
+	name, p := fields[3], s.resolve(fields[3])
+	f, err := s.store().Open(p)
 	if err != nil {
-		sess.Reply(550, err.Error())
+		s.reply(550, err.Error())
 		return
 	}
-	if offset+length > f.Size() {
-		sess.Reply(554, fmt.Sprintf("region (%d,%d) beyond size %d", offset, length, f.Size()))
+	if size := f.Size(); offset > size || length > size-offset {
+		s.reply(554, fmt.Sprintf("region (%d,%d) beyond size %d", offset, length, size))
 		return
 	}
-	if sess.Mode() != 'E' {
-		// Stream-mode partial retrieve.
-		sess.Reply(150, fmt.Sprintf("opening data connection for %s region (%d,%d)", fields[3], offset, length))
-		conn, err := sess.OpenDataConn()
-		if err != nil {
-			sess.Reply(425, err.Error())
-			return
-		}
-		defer conn.Close()
-		if _, err := io.Copy(conn, io.NewSectionReader(f, offset, length)); err != nil {
-			sess.Reply(426, "transfer aborted: "+err.Error())
-			return
-		}
-		sess.Reply(226, "transfer complete")
+	if s.mode == 'E' {
+		s.retrieveModeE(f, offset, length, name, p)
 		return
 	}
-	s.sendRange(sess, f, offset, length, fields[3])
+	s.retrieveStream(f, offset, length, p,
+		fmt.Sprintf("opening data connection for %s region (%d,%d)", name, offset, length),
+		"transfer complete")
 }
 
-// sendRange runs a MODE E send of [offset, offset+length) over the
-// session's data channels.
-func (s *Server) sendRange(sess *ftp.Session, f ftp.File, offset, length int64, name string) {
-	sess.Reply(150, fmt.Sprintf("opening %d data channel(s) for %s (%d bytes, MODE E)",
-		s.channelCount(sess), name, length))
-	conns, err := s.dataChannels(sess)
+// retrieveStream sends [offset, offset+length) of f over one stream-mode
+// data connection. opening and done are the 150 and 226 reply texts.
+func (s *session) retrieveStream(f File, offset, length int64, path, opening, done string) {
+	s.reply(150, opening)
+	conn, err := s.openData()
 	if err != nil {
-		sess.Reply(425, err.Error())
+		s.reply(425, err.Error())
+		return
+	}
+	defer conn.Close()
+	start := s.srv.cfg.Clock()
+	if _, err := io.Copy(conn, io.NewSectionReader(f, offset, length)); err != nil {
+		s.reply(426, "transfer aborted: "+err.Error())
+		return
+	}
+	s.logTransfer(start, length, path, 'o')
+	s.reply(226, done)
+}
+
+// retrieveModeE sends [offset, offset+length) of f as MODE E blocks over
+// the session's data channels; name is the path as the client gave it.
+func (s *session) retrieveModeE(f File, offset, length int64, name, path string) {
+	s.reply(150, fmt.Sprintf("opening %d data channel(s) for %s (%d bytes, MODE E)",
+		s.channelCount(), name, length))
+	conns, err := s.dataChannels()
+	if err != nil {
+		s.reply(425, err.Error())
 		return
 	}
 	defer closeAll(conns)
-	ws := make([]io.Writer, len(conns))
-	for i, c := range conns {
-		ws[i] = c
-	}
-	start := sess.Now()
-	if err := SendBlocks(ws, f, offset, length, DefaultBlockSize); err != nil {
-		sess.Reply(426, "transfer aborted: "+err.Error())
+	start := s.srv.cfg.Clock()
+	if err := SendBlocks(conns, f, offset, length, DefaultBlockSize); err != nil {
+		s.reply(426, "transfer aborted: "+err.Error())
 		return
 	}
-	sess.LogTransfer(sess.Now().Sub(start), length, name, 'o')
-	sess.Reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", length, len(conns)))
+	s.logTransfer(start, length, path, 'o')
+	s.reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", length, len(conns)))
 }
 
-func (s *Server) channelCount(sess *ftp.Session) int {
-	if lns, ok := sess.Extra[extraSpas].([]net.Listener); ok && len(lns) > 0 {
-		return len(lns)
+func handleSTOR(s *session, arg string) {
+	if !s.requireAuth() {
+		return
 	}
-	if addrs, ok := sess.Extra[extraSpor].([]string); ok && len(addrs) > 0 {
-		return len(addrs)
+	if s.mode == 'E' {
+		s.storeModeE(s.resolve(arg), 0, false)
+		return
 	}
-	return s.parallelism(sess)
+	s.storeStream(s.resolve(arg))
 }
 
-func (s *Server) handleSTOR(sess *ftp.Session, arg string) {
-	if sess.Mode() != 'E' {
-		ftp.HandleSTOR(sess, arg)
+// handleAPPE appends the incoming data to an existing file (creating it if
+// absent) — RFC 959 APPE, always a stream-mode transfer.
+func handleAPPE(s *session, arg string) {
+	if !s.requireAuth() {
 		return
 	}
-	if !sess.RequireAuth() {
+	p := s.resolve(arg)
+	size, err := s.store().Size(p)
+	if errors.Is(err, ErrNotFound) {
+		size = 0
+		if _, cerr := s.store().Create(p); cerr != nil {
+			s.reply(550, cerr.Error())
+			return
+		}
+	} else if err != nil {
+		s.reply(550, err.Error())
 		return
 	}
-	s.receiveInto(sess, arg, 0, false)
+	s.rest = size
+	s.storeStream(p)
 }
 
-func (s *Server) handleESTO(sess *ftp.Session, arg string) {
-	if !sess.RequireAuth() {
+// handleESTO is the adjusted store "ESTO A <offset> <path>": the data
+// lands shifted by offset.
+func handleESTO(s *session, arg string) {
+	if !s.requireAuth() {
 		return
 	}
-	// ESTO A <offset> <path>
 	fields := strings.SplitN(arg, " ", 3)
 	if len(fields) != 3 || !strings.EqualFold(fields[0], "A") {
-		sess.Reply(501, "usage: ESTO A <offset> <path>")
+		s.reply(501, "usage: ESTO A <offset> <path>")
 		return
 	}
 	offset, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil || offset < 0 {
-		sess.Reply(501, "bad offset")
+		s.reply(501, "bad offset")
 		return
 	}
-	if sess.Mode() != 'E' {
-		sess.SetRest(offset)
-		ftp.HandleSTOR(sess, fields[2])
+	if s.mode == 'E' {
+		s.storeModeE(s.resolve(fields[2]), offset, true)
 		return
 	}
-	s.receiveInto(sess, fields[2], offset, true)
+	s.rest = offset
+	s.storeStream(s.resolve(fields[2]))
 }
 
-// receiveInto runs a MODE E receive into path, shifting block offsets by
-// base when adjusted (ESTO A).
-func (s *Server) receiveInto(sess *ftp.Session, path string, base int64, adjusted bool) {
-	path = sess.ResolvePath(path)
-	var f ftp.File
+// storeStream receives one stream-mode upload into path, written from the
+// pending REST offset; without one the file is created or truncated.
+func (s *session) storeStream(path string) {
+	offset := s.takeRest()
+	var f File
 	var err error
-	if adjusted {
-		f, err = sess.Store().Open(path)
-		if errors.Is(err, ftp.ErrNotFound) {
-			f, err = sess.Store().Create(path)
-		}
+	if offset > 0 {
+		f, err = s.store().Open(path)
 	} else {
-		f, err = sess.Store().Create(path)
+		f, err = s.store().Create(path)
 	}
 	if err != nil {
-		sess.Reply(550, err.Error())
+		s.reply(550, err.Error())
 		return
 	}
-	sess.Reply(150, fmt.Sprintf("ready for %d data channel(s) (MODE E)", s.channelCount(sess)))
-	conns, err := s.dataChannels(sess)
+	s.reply(150, "ok to send data")
+	conn, err := s.openData()
 	if err != nil {
-		sess.Reply(425, err.Error())
+		s.reply(425, err.Error())
+		return
+	}
+	defer conn.Close()
+	start := s.srv.cfg.Clock()
+	buf := make([]byte, 64*1024)
+	total := int64(0)
+	for {
+		n, rerr := conn.Read(buf)
+		if n > 0 {
+			if _, werr := f.WriteAt(buf[:n], offset+total); werr != nil {
+				s.reply(452, "write failed: "+werr.Error())
+				return
+			}
+			total += int64(n)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			s.reply(426, "transfer aborted: "+rerr.Error())
+			return
+		}
+	}
+	s.logTransfer(start, total, path, 'i')
+	s.reply(226, fmt.Sprintf("transfer complete (%d bytes)", total))
+}
+
+// storeModeE runs a MODE E receive into path, shifting block offsets by
+// base. An adjusted store (ESTO) writes into the existing file; STOR
+// creates or truncates it.
+func (s *session) storeModeE(path string, base int64, adjusted bool) {
+	var f File
+	var err error
+	if adjusted {
+		f, err = s.store().Open(path)
+		if errors.Is(err, ErrNotFound) {
+			f, err = s.store().Create(path)
+		}
+	} else {
+		f, err = s.store().Create(path)
+	}
+	if err != nil {
+		s.reply(550, err.Error())
+		return
+	}
+	s.reply(150, fmt.Sprintf("ready for %d data channel(s) (MODE E)", s.channelCount()))
+	conns, err := s.dataChannels()
+	if err != nil {
+		s.reply(425, err.Error())
 		return
 	}
 	defer closeAll(conns)
-	rs := make([]io.Reader, len(conns))
-	for i, c := range conns {
-		rs[i] = c
-	}
 	dst := io.WriterAt(f)
 	if base != 0 {
 		dst = offsetWriterAt{f, base}
 	}
-	start := sess.Now()
-	total, announced, eods, err := ReceiveBlocks(rs, dst)
+	start := s.srv.cfg.Clock()
+	total, announced, eods, err := ReceiveBlocks(conns, dst)
 	if err != nil {
-		sess.Reply(426, "transfer aborted: "+err.Error())
+		s.reply(426, "transfer aborted: "+err.Error())
 		return
 	}
 	if announced > 0 && eods < announced {
-		sess.Reply(426, fmt.Sprintf("missing data channels: got %d EODs of %d", eods, announced))
+		s.reply(426, fmt.Sprintf("missing data channels: got %d EODs of %d", eods, announced))
 		return
 	}
-	sess.LogTransfer(sess.Now().Sub(start), total, path, 'i')
-	sess.Reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", total, len(conns)))
+	s.logTransfer(start, total, path, 'i')
+	s.reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", total, len(conns)))
 }
 
+// offsetWriterAt shifts every write by a fixed amount: an ESTO adjusted
+// store on the server, a ranged ERET download into its own buffer on the
+// client.
 type offsetWriterAt struct {
-	w    io.WriterAt
-	base int64
+	w     io.WriterAt
+	shift int64
 }
 
 func (o offsetWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	return o.w.WriteAt(p, off+o.base)
-}
-
-func (s *Server) handleSPAS(sess *ftp.Session, _ string) {
-	if !sess.RequireAuth() {
-		return
-	}
-	// Close any previous stripe listeners.
-	if old, ok := sess.Extra[extraSpas].([]net.Listener); ok {
-		for _, ln := range old {
-			_ = ln.Close() // superseded listeners; best-effort release
-		}
-	}
-	host, _, err := net.SplitHostPort(sess.Conn().LocalAddr().String())
-	if err != nil {
-		sess.Reply(425, err.Error())
-		return
-	}
-	lns := make([]net.Listener, 0, s.cfg.Stripes)
-	specs := make([]string, 0, s.cfg.Stripes)
-	for i := 0; i < s.cfg.Stripes; i++ {
-		ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-		if err != nil {
-			for _, l := range lns {
-				_ = l.Close() // unwind partial stripe set
-			}
-			sess.Reply(425, "cannot open stripe listener: "+err.Error())
-			return
-		}
-		spec, err := ftp.FormatPasvAddr(ln.Addr())
-		if err != nil {
-			_ = ln.Close()
-			for _, l := range lns {
-				_ = l.Close() // unwind partial stripe set
-			}
-			sess.Reply(425, err.Error())
-			return
-		}
-		lns = append(lns, ln)
-		specs = append(specs, spec)
-	}
-	sess.Extra[extraSpas] = lns
-	delete(sess.Extra, extraSpor)
-	sess.ReplyLines(229, "Entering Striped Passive Mode", specs, "End")
-}
-
-func (s *Server) handleSPOR(sess *ftp.Session, arg string) {
-	if !sess.RequireAuth() {
-		return
-	}
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		sess.Reply(501, "SPOR needs at least one address")
-		return
-	}
-	addrs := make([]string, 0, len(fields))
-	for _, f := range fields {
-		a, err := ftp.ParsePasvAddr(f)
-		if err != nil {
-			sess.Reply(501, err.Error())
-			return
-		}
-		addrs = append(addrs, a)
-	}
-	sess.Extra[extraSpor] = addrs
-	if old, ok := sess.Extra[extraSpas].([]net.Listener); ok {
-		for _, ln := range old {
-			_ = ln.Close() // SPOR supersedes SPAS; best-effort release
-		}
-		delete(sess.Extra, extraSpas)
-	}
-	sess.Reply(200, fmt.Sprintf("striped port set (%d stripes)", len(addrs)))
+	return o.w.WriteAt(p, off+o.shift)
 }

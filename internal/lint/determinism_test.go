@@ -26,9 +26,9 @@ func TestDeterminismScope(t *testing.T) {
 		// The traffic plane feeds experiment tables (p50/p95/p99, skew)
 		// and must stay byte-identical across -parallel.
 		{"github.com/hpclab/datagrid/internal/traffic", true},
-		// The real FTP stack may use wall-clock-ish randomness (jitter,
+		// The real GridFTP stack may use wall-clock-ish randomness (jitter,
 		// ephemeral ports) without perturbing experiment results.
-		{"github.com/hpclab/datagrid/internal/ftp", false},
+		{"github.com/hpclab/datagrid/internal/gridftp", false},
 		{"github.com/hpclab/datagrid/internal/netsimulator", false},
 	}
 	for _, c := range cases {

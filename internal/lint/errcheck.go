@@ -9,7 +9,6 @@ import (
 // where a dropped Close/Flush/SetDeadline error means silently corrupted
 // transfers or hung sockets.
 var errcheckScope = []string{
-	"internal/ftp",
 	"internal/gridftp",
 	"internal/gsi",
 }
@@ -26,7 +25,7 @@ var errcheckMethods = map[string]bool{
 	"SetWriteDeadline": true,
 }
 
-// ErrcheckLite flags statements in the FTP/GridFTP/GSI packages that
+// ErrcheckLite flags statements in the GridFTP and GSI packages that
 // call Close, Flush or SetDeadline and discard the returned error.
 //
 // Deliberate discards stay possible but must be explicit: write
@@ -36,8 +35,8 @@ var errcheckMethods = map[string]bool{
 // result gymnastics.
 var ErrcheckLite = &Analyzer{
 	Name: "errcheck",
-	Doc: "flags dropped errors from Close/Flush/SetDeadline in internal/ftp, " +
-		"internal/gridftp and internal/gsi",
+	Doc: "flags dropped errors from Close/Flush/SetDeadline in internal/gridftp " +
+		"and internal/gsi",
 	Applies: func(pkgPath string) bool {
 		for _, s := range errcheckScope {
 			if PathHasSuffix(pkgPath, s) {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestErrcheckLite(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.ErrcheckLite, "internal/ftp")
+	linttest.Run(t, linttest.TestData(), lint.ErrcheckLite, "internal/gridftp")
 }
 
 func TestErrcheckScope(t *testing.T) {
@@ -16,7 +16,6 @@ func TestErrcheckScope(t *testing.T) {
 		pkg  string
 		want bool
 	}{
-		{"github.com/hpclab/datagrid/internal/ftp", true},
 		{"github.com/hpclab/datagrid/internal/gridftp", true},
 		{"github.com/hpclab/datagrid/internal/gsi", true},
 		{"github.com/hpclab/datagrid/internal/netsim", false},

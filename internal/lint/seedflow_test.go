@@ -20,7 +20,7 @@ func TestSeedflowScope(t *testing.T) {
 		{"github.com/hpclab/datagrid/internal/experiments", true},
 		{"github.com/hpclab/datagrid/internal/faults", true},
 		{"github.com/hpclab/datagrid/internal/traffic", true},
-		{"github.com/hpclab/datagrid/internal/ftp", false},
+		{"github.com/hpclab/datagrid/internal/gridftp", false},
 		{"github.com/hpclab/datagrid/cmd/gridbench", false},
 	}
 	for _, c := range cases {

@@ -17,7 +17,7 @@ func TestWallclockScope(t *testing.T) {
 		want bool
 	}{
 		{"github.com/hpclab/datagrid/internal/netsim", true},
-		{"github.com/hpclab/datagrid/internal/ftp", true},
+		{"github.com/hpclab/datagrid/internal/gridftp", true},
 		{"github.com/hpclab/datagrid/cmd/gridbench", false},
 		{"github.com/hpclab/datagrid/examples/quickstart", false},
 	}

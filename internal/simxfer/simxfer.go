@@ -4,8 +4,8 @@
 // login or GSI handshake, mode/option negotiation), then moves the payload
 // as netsim TCP flows — one per data channel — capped by the endpoints'
 // disk bandwidth and CPU state. The paper's figures are regenerated with
-// these models; the wire protocols themselves live in internal/ftp and
-// internal/gridftp and run over real sockets.
+// these models; the wire protocol itself lives in internal/gridftp and
+// runs over real sockets.
 package simxfer
 
 import (
@@ -20,12 +20,19 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// Control-channel costs, counted from the real implementations:
-// TCP connect, banner, USER, PASS, TYPE, PASV, data-channel connect, RETR.
+// Control-channel costs, as modelled: TCP connect, banner, USER, PASS,
+// TYPE, PASV, data-channel connect, RETR. The real client sends SIZE
+// before PASV and gets its banner inside the connect, so its plain-FTP
+// download also costs 8 — TestSetupRoundTripsAgainstRealStack pins both.
 const ftpSetupRoundTrips = 8
 
 // GridFTP adds AUTH GSI + the GSI handshake + MODE E + OPTS (SBUF, when
-// used, piggybacks on the same exchange in our accounting).
+// used, piggybacks on the same exchange in our accounting). The real
+// client logs in with GSI instead of USER/PASS, not in addition, sends
+// MODE E and OPTS only in extended mode, and dials MODE E's data channels
+// one after another: 9, 11 and 14 round trips for stream mode, MODE E
+// at p = 1 and at p = 4, against the flat 12 charged here
+// (docs/SIMULATOR.md).
 const gridftpExtraRoundTrips = 2 + gsi.HandshakeRoundTrips
 
 // cpuFloor is the fraction of transfer throughput that survives a fully
