@@ -8,7 +8,7 @@ BENCH_LABEL ?= local
 # each (the table below).
 BENCH_SUITES = netsim suite select faults scale traffic
 
-.PHONY: all build vet lint test race bench bench-diff $(BENCH_SUITES:%=bench-%) $(BENCH_SUITES:%=bench-diff-%) figures examples clean
+.PHONY: all build vet lint test race bench bench-diff $(BENCH_SUITES:%=bench-%) $(BENCH_SUITES:%=bench-diff-%) figures unreached examples clean
 
 all: build vet test
 
@@ -98,6 +98,29 @@ $(BENCH_SUITES:%=bench-diff-%): bench-diff-%:
 # extensions) in the text form EXPERIMENTS.md quotes.
 figures:
 	$(GO) run ./cmd/gridbench -all
+
+# Declared functions that no binary links (docs/STATIC_ANALYSIS.md, "What
+# no binary reaches"): the module's text symbols in the packages' export
+# archives, minus those linked into any main, inlining off throughout so
+# every call is a symbol. Only names a source `func` declares are kept,
+# which drops the compiler's wrappers: generic instances, interface and
+# promoted-method stubs, pointer wrappers, closures. Not a CI gate.
+unreached:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	$(GO) list -export -gcflags=all=-l -f '{{.Export}}' ./... | xargs -n1 $(GO) tool nm \
+		| awk '$$2 == "T" { print $$3 }' | sort -u > $$tmp/archived && \
+	$(GO) build -gcflags=all=-l -o $$tmp/bin/ $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	for b in $$tmp/bin/*; do $(GO) tool nm $$b; done | awk '$$2 == "T" { print $$3 }' | sort -u > $$tmp/linked && \
+	$(GO) list -f '{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./... \
+		| awk 'NF == 2 { while ((getline l < $$2) > 0) { \
+			if (sub(/^func /, "", l) == 0) continue; r = ""; \
+			if (l ~ /^\(/) { e = index(l, ")"); n = split(substr(l, 2, e - 2), f, " "); \
+				r = f[n]; l = substr(l, e + 2); if (r ~ /\[/) continue; \
+				r = r ~ /^\*/ ? "(" r ")." : r "." } \
+			sub(/[[(].*/, "", l); print $$1 "." r l } close($$2) }' | sort -u > $$tmp/declared && \
+	comm -23 $$tmp/archived $$tmp/linked | comm -12 - $$tmp/declared > $$tmp/unreached && \
+	sed 's|^$(shell $(GO) list -m)/||' $$tmp/unreached && \
+	echo "$$(wc -l < $$tmp/unreached) declared functions no binary reaches"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -106,15 +106,11 @@ func render(points []experiments.CostPoint, seed int64, period time.Duration, ti
 	}
 	var avgs []hostAvg
 	for _, h := range hosts {
-		w, err := metrics.NewWindow(timescale)
-		if err != nil {
-			fmt.Fprintf(stderr, "replicacost: %v\n", err)
-			return 1
+		scores := make([]float64, len(byHost[h]))
+		for i, p := range byHost[h] {
+			scores[i] = p.Score
 		}
-		for _, p := range byHost[h] {
-			w.Push(p.Score)
-		}
-		m, err := w.Mean()
+		m, err := metrics.Mean(scores[max(0, len(scores)-timescale):])
 		if err != nil {
 			fmt.Fprintf(stderr, "replicacost: %v\n", err)
 			return 1

@@ -45,6 +45,14 @@ func TestRenderFixedSnapshotSeries(t *testing.T) {
 	if !strings.Contains(ranked, "alpha4") || strings.Index(ranked, "alpha4") > strings.Index(ranked, "hit0") {
 		t.Errorf("alpha4 should rank before hit0:\n%s", ranked)
 	}
+	// A time scale of one sample averages only the latest row.
+	stdout.Reset()
+	if code := render(fixedPoints(), 42, 10*time.Second, 1, &stdout, &stderr); code != 0 {
+		t.Fatalf("render exited %d, stderr: %s", code, stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "alpha4  88.00") || !strings.Contains(out, "lz02    20.10") {
+		t.Errorf("time scale 1 should average the last sample only:\n%s", out)
+	}
 }
 
 func TestRunRejectsBadTimescale(t *testing.T) {

@@ -68,9 +68,9 @@ type Config struct {
 type Host struct {
 	cfg  HostConfig
 	site string
-	// up and down are the two directions of the LAN link to the site
-	// switch, resolved once so the per-tick NIC read builds no name.
-	up, down *netsim.Link
+	// up is the host's LAN link to the site switch, resolved once so
+	// HostDown builds no name.
+	up *netsim.Link
 
 	baseCPULoad float64 // synthetic background CPU busy fraction
 	baseIOLoad  float64 // synthetic background I/O busy fraction
@@ -231,9 +231,6 @@ func New(engine *simulation.Engine, seed int64, cfg Config) (*Testbed, error) {
 			if h.up, err = t.net.GetLink(hc.Name, sw); err != nil {
 				return nil, err
 			}
-			if h.down, err = t.net.GetLink(sw, hc.Name); err != nil {
-				return nil, err
-			}
 			t.hosts[hc.Name] = h
 			t.sites[sc.Name] = append(t.sites[sc.Name], h)
 		}
@@ -298,18 +295,6 @@ func (t *Testbed) SiteHosts(site string) ([]*Host, error) {
 		return nil, fmt.Errorf("cluster: unknown site %q", site)
 	}
 	return hs, nil
-}
-
-// HostNICBps returns the host's current network interface rates in bits
-// per second: rx is traffic arriving from the site switch, tx is traffic
-// the host is sending. These feed the sysstat network collector, the
-// "network activity" column the paper's §2.3 attributes to sar.
-func (t *Testbed) HostNICBps(name string) (rx, tx float64, err error) {
-	h, err := t.Host(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return h.down.UsedBps(), h.up.UsedBps(), nil
 }
 
 // SetHostDown fails (or restores) a host by taking down both directions of

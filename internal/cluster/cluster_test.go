@@ -413,30 +413,3 @@ func TestSetHostDown(t *testing.T) {
 		t.Fatal("unknown host should error")
 	}
 }
-
-func TestHostNICBps(t *testing.T) {
-	eng := simulation.NewEngine()
-	tb, err := NewPaperTestbed(eng, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx, tx, err := tb.HostNICBps("alpha4")
-	if err != nil || rx != 0 || tx != 0 {
-		t.Fatalf("idle NIC = %v/%v, %v", rx, tx, err)
-	}
-	// A transfer out of alpha4 shows up as tx there and rx at alpha1.
-	if _, err := tb.Network().StartFlow("alpha4", "alpha1", 1<<30, netsim.FlowOptions{WindowBytes: 1 << 30, RateCapBps: 50e6}, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, tx, err = tb.HostNICBps("alpha4")
-	if err != nil || tx != 50e6 {
-		t.Fatalf("sender tx = %v, %v; want 50 Mb/s", tx, err)
-	}
-	rx, _, err = tb.HostNICBps("alpha1")
-	if err != nil || rx != 50e6 {
-		t.Fatalf("receiver rx = %v, %v; want 50 Mb/s", rx, err)
-	}
-	if _, _, err := tb.HostNICBps("ghost"); err == nil {
-		t.Fatal("unknown host should error")
-	}
-}

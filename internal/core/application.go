@@ -84,62 +84,6 @@ func NewApplication(cfg ApplicationConfig, selection *SelectionServer, transfer 
 	}, nil
 }
 
-// CollectionResult summarizes staging one whole logical collection.
-type CollectionResult struct {
-	// Collection is the staged collection name.
-	Collection string
-	// Results holds the per-file outcomes in fetch order.
-	Results []FetchResult
-	// Started and Finished span the whole staging operation.
-	Started, Finished time.Duration
-}
-
-// Duration returns the end-to-end staging time.
-func (r CollectionResult) Duration() time.Duration { return r.Finished - r.Started }
-
-// FetchCollection stages every member of a logical collection, selecting
-// the best replica independently for each file (conditions may shift
-// between transfers, so each fetch re-consults the information server).
-// Files are fetched sequentially, as the paper's single-client application
-// would. done is invoked once, after the last file lands or on the first
-// failure.
-func (a *Application) FetchCollection(collection string, done func(CollectionResult, error)) error {
-	if done == nil {
-		return errors.New("core: FetchCollection needs a completion callback")
-	}
-	members, err := a.catalog.CollectionFiles(collection)
-	if err != nil {
-		return err
-	}
-	if len(members) == 0 {
-		return fmt.Errorf("core: collection %q is empty", collection)
-	}
-	res := CollectionResult{Collection: collection, Started: a.clock.Now()}
-	var next func(i int)
-	next = func(i int) {
-		if i >= len(members) {
-			res.Finished = a.clock.Now()
-			done(res, nil)
-			return
-		}
-		err := a.Fetch(members[i], func(fr FetchResult, err error) {
-			if err != nil {
-				res.Finished = a.clock.Now()
-				done(res, fmt.Errorf("core: staging %q of collection %q: %w", members[i], collection, err))
-				return
-			}
-			res.Results = append(res.Results, fr)
-			next(i + 1)
-		})
-		if err != nil {
-			res.Finished = a.clock.Now()
-			done(res, err)
-		}
-	}
-	next(0)
-	return nil
-}
-
 // Fetch runs the full scenario for one logical file. done is invoked
 // exactly once with the outcome (immediately for local hits and failures
 // that occur before the transfer starts would instead be returned as an

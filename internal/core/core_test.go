@@ -612,95 +612,6 @@ func TestPropertyScoreMonotone(t *testing.T) {
 	}
 }
 
-func TestFetchCollection(t *testing.T) {
-	p := buildPipeline(t)
-	// Second member of the collection, replicated on hit0 only.
-	if err := p.catalog.CreateLogical(replica.LogicalFile{Name: "file-b", SizeBytes: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.catalog.Register("file-b", replica.Location{Host: "hit0", Path: "/data/file-b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.catalog.CreateCollection("run"); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"file-a", "file-b"} {
-		if err := p.catalog.AddToCollection("run", f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.eng.RunUntil(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tr := &recordingTransfer{}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got CollectionResult
-	var gotErr error
-	called := false
-	if err := app.FetchCollection("run", func(r CollectionResult, err error) {
-		got, gotErr, called = r, err, true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !called || gotErr != nil {
-		t.Fatalf("collection staging: called=%v err=%v", called, gotErr)
-	}
-	if len(got.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(got.Results))
-	}
-	// file-a comes from the best replica (alpha4); file-b has only hit0.
-	if got.Results[0].Chosen.Location.Host != "alpha4" {
-		t.Fatalf("file-a from %s", got.Results[0].Chosen.Location.Host)
-	}
-	if got.Results[1].Chosen.Location.Host != "hit0" {
-		t.Fatalf("file-b from %s", got.Results[1].Chosen.Location.Host)
-	}
-	if len(tr.calls) != 2 {
-		t.Fatalf("transfers = %v", tr.calls)
-	}
-	// Validation paths.
-	if err := app.FetchCollection("run", nil); err == nil {
-		t.Fatal("nil callback should be rejected")
-	}
-	if err := app.FetchCollection("ghost", func(CollectionResult, error) {}); err == nil {
-		t.Fatal("unknown collection should be rejected")
-	}
-	if err := p.catalog.CreateCollection("empty"); err != nil {
-		t.Fatal(err)
-	}
-	if err := app.FetchCollection("empty", func(CollectionResult, error) {}); err == nil {
-		t.Fatal("empty collection should be rejected")
-	}
-}
-
-func TestFetchCollectionPropagatesFailure(t *testing.T) {
-	p := buildPipeline(t)
-	if err := p.catalog.CreateCollection("run"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.catalog.AddToCollection("run", "file-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.RunUntil(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tr := &recordingTransfer{fail: errors.New("link reset")}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotErr error
-	if err := app.FetchCollection("run", func(_ CollectionResult, err error) { gotErr = err }); err != nil {
-		t.Fatal(err)
-	}
-	if gotErr == nil {
-		t.Fatal("member failure should surface")
-	}
-}
-
 // TestDiscoveryByCharacteristics walks the exact §4.3 flow: the user
 // "specifies the characteristics of the desired data", the catalog
 // resolves them to a logical file, and the pipeline fetches the best

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -94,6 +95,22 @@ func TestMemFileSparseWriteAt(t *testing.T) {
 	}
 	if _, err := f.WriteAt(buf, -1); err == nil {
 		t.Fatal("negative WriteAt offset should fail")
+	}
+}
+
+// TestMemFileWriteAtOverflow writes one byte at the largest offset: the
+// end of the write does not fit in an int64, so it must be an error, not
+// a wrapped slice bound and a panic.
+func TestMemFileWriteAtOverflow(t *testing.T) {
+	f, err := NewMemStore().Create("/huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.WriteAt([]byte{1}, math.MaxInt64); err == nil || n != 0 {
+		t.Fatalf("WriteAt at MaxInt64 = %d, %v; want an overflow error", n, err)
+	}
+	if f.Size() != 0 {
+		t.Fatalf("Size after the refused write = %d, want 0", f.Size())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -72,6 +73,9 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("ftp: negative offset")
+	}
+	if off > math.MaxInt64-int64(len(p)) {
+		return 0, fmt.Errorf("ftp: write of %d bytes at offset %d overflows", len(p), off)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

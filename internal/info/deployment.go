@@ -27,7 +27,8 @@ type DeploymentConfig struct {
 	// NWSProbeWindow is the probe's TCP window; default 512 KiB (probes
 	// measure achievable bandwidth, so they use tuned buffers).
 	NWSProbeWindow int
-	// SysstatPeriod is the sar/iostat sampling interval; default 2s.
+	// SysstatPeriod is the iostat sampling interval (and the NWS
+	// free-memory gauge's); default 2s.
 	SysstatPeriod time.Duration
 	// MDSTTL is the GRIS/GIIS cache TTL; default 5s.
 	MDSTTL time.Duration
@@ -55,15 +56,14 @@ func (c *DeploymentConfig) fillDefaults() {
 
 // Deployment is the full monitoring stack of Fig. 1's "information server":
 // an NWS installation (nameserver, memory, sensors), an MDS hierarchy
-// (GRIS per host, GIIS per site, one top GIIS) and a sysstat collector per
-// host, all wired into an info.Server.
+// (GRIS per host, GIIS per site, one top GIIS) and a sysstat I/O collector
+// per host, all wired into an info.Server.
 type Deployment struct {
 	Server     *Server
 	NWS        *nws.Memory
 	NameServer *nws.NameServer
 	TopGIIS    *mds.GIIS
 	Sysstat    map[string]*sysstat.Collector
-	Net        map[string]*sysstat.NetCollector
 	BWSensors  map[string]*nws.Sensor
 	// Sensors holds every NWS sensor (bandwidth, latency and gauges) in
 	// deployment order, so the whole installation can be paused at once.
@@ -75,7 +75,7 @@ type Deployment struct {
 }
 
 // SetMonitorsPaused suspends (or resumes) every monitoring process in the
-// deployment — NWS sensors, sysstat and network collectors, and the MDS
+// deployment — NWS sensors, sysstat collectors and the MDS
 // hierarchy. This is the fault plane's "monitor outage": the substrates
 // stop reporting, their revision counters freeze, and published grid-state
 // snapshots go stale until the outage ends.
@@ -84,9 +84,6 @@ func (d *Deployment) SetMonitorsPaused(paused bool) {
 		s.SetPaused(paused)
 	}
 	for _, c := range d.Sysstat {
-		c.SetPaused(paused)
-	}
-	for _, c := range d.Net {
 		c.SetPaused(paused)
 	}
 	for _, g := range d.GRIS {
@@ -212,26 +209,16 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 
 	// --- sysstat ---
 	collectors := make(map[string]*sysstat.Collector, len(remotes)+1)
-	netCollectors := make(map[string]*sysstat.NetCollector, len(remotes)+1)
 	for _, name := range append(append([]string(nil), remotes...), cfg.Local) {
 		h, err := tb.Host(name)
 		if err != nil {
 			return nil, err
 		}
-		seed++
-		col, err := sysstat.NewCollector(engine, name, h, sysstat.Config{Period: cfg.SysstatPeriod}, seed)
+		col, err := sysstat.NewCollector(engine, h, cfg.SysstatPeriod)
 		if err != nil {
 			return nil, err
 		}
 		collectors[name] = col
-		name := name
-		nc, err := sysstat.NewNetCollector(engine, name, func() (float64, float64, error) {
-			return tb.HostNICBps(name)
-		}, cfg.SysstatPeriod, 0)
-		if err != nil {
-			return nil, err
-		}
-		netCollectors[name] = nc
 		// NWS free-memory gauge (the fourth stock NWS sensor): available
 		// RAM shrinks as the host gets busier.
 		memKey := nws.SeriesKey{Resource: nws.ResourceMemory, Source: name}
@@ -260,7 +247,6 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		NameServer: ns,
 		TopGIIS:    top,
 		Sysstat:    collectors,
-		Net:        netCollectors,
 		BWSensors:  bwSensors,
 		Sensors:    sensors,
 		GRIS:       grisServers,

@@ -70,9 +70,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // NewStdLoader creates a loader with no module context: every import is
 // resolved from GOROOT source. It serves linttest, whose testdata
 // packages import only the standard library.

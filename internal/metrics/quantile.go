@@ -17,17 +17,10 @@ import (
 // in bucket i is within alpha (relatively) of the bucket midpoint the
 // estimator reports. Zeros get a dedicated counter.
 //
-// Two properties matter for the deterministic harness and are guaranteed
-// by construction:
-//
-//   - insertion-order independence: the sketch is a pure multiset of
-//     bucket counts, so any permutation of the same stream yields an
-//     identical sketch and identical quantiles;
-//   - mergeability: Merge adds bucket counts, so partial sketches
-//     combined in any grouping equal the sketch of the concatenated
-//     stream.
+// The sketch is a pure multiset of bucket counts, so any permutation of
+// the same stream yields an identical sketch and identical quantiles —
+// what the deterministic harness needs.
 type QuantileSketch struct {
-	alpha    float64
 	gamma    float64
 	invLnG   float64 // 1 / ln(gamma), precomputed for the hot path
 	counts   map[int]uint64
@@ -45,7 +38,6 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &QuantileSketch{
-		alpha:  alpha,
 		gamma:  gamma,
 		invLnG: 1 / math.Log(gamma),
 		counts: make(map[int]uint64),
@@ -53,9 +45,6 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		max:    math.Inf(-1),
 	}
 }
-
-// RelativeAccuracy returns the alpha the sketch was constructed with.
-func (s *QuantileSketch) RelativeAccuracy() float64 { return s.alpha }
 
 // Add records one observation. x must be finite and non-negative —
 // latencies, byte counts and rates all are, so a violation is a caller
@@ -95,25 +84,6 @@ func (s *QuantileSketch) value(i int) float64 {
 	// Bucket i covers (gamma^(i-1), gamma^i]; the point equidistant in
 	// relative terms from both edges is 2*gamma^i / (gamma+1).
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
-}
-
-// Count returns the number of observations recorded.
-func (s *QuantileSketch) Count() uint64 { return s.total }
-
-// Min returns the smallest observation recorded (exact, not bucketed).
-func (s *QuantileSketch) Min() (float64, error) {
-	if s.total == 0 {
-		return 0, ErrEmpty
-	}
-	return s.min, nil
-}
-
-// Max returns the largest observation recorded (exact, not bucketed).
-func (s *QuantileSketch) Max() (float64, error) {
-	if s.total == 0 {
-		return 0, ErrEmpty
-	}
-	return s.max, nil
 }
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) of the
@@ -159,26 +129,4 @@ func (s *QuantileSketch) Quantile(q float64) (float64, error) {
 		}
 	}
 	return s.max, nil
-}
-
-// Merge folds other into s. Both sketches must have been constructed with
-// the same alpha so their bucket boundaries line up.
-func (s *QuantileSketch) Merge(other *QuantileSketch) error {
-	if other.alpha != s.alpha {
-		return fmt.Errorf("metrics: cannot merge quantile sketches with alpha %v and %v", s.alpha, other.alpha)
-	}
-	for i, n := range other.counts {
-		s.counts[i] += n // commutative: order of bucket addition cannot matter
-	}
-	s.zeros += other.zeros
-	s.total += other.total
-	if other.total > 0 {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	return nil
 }

@@ -1,7 +1,8 @@
 // Package metrics provides the small statistics and reporting toolkit used
-// across the experiment harness: summary statistics, sliding windows,
-// correlation measures for validating the cost model, and plain-text table
-// and series rendering in the style of the paper's figures.
+// across the experiment harness: means and confidence intervals, a
+// streaming quantile sketch, correlation measures for validating the cost
+// model, and plain-text table and series rendering in the style of the
+// paper's figures.
 package metrics
 
 import (
@@ -26,44 +27,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Median returns the median of xs. For even-length input it averages the
-// two middle values.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2], nil
-	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
-}
-
 // Percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
 // interpolation between closest ranks.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -86,52 +49,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// MinMax returns the smallest and largest elements of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Summary bundles the common descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	med, _ := Median(xs)
-	p95, _ := Percentile(xs, 95)
-	min, max, _ := MinMax(xs)
-	return Summary{N: len(xs), Mean: m, StdDev: sd, Min: min, Median: med, P95: p95, Max: max}, nil
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
 // tTable95 holds the two-sided 95% critical values of Student's t for
@@ -250,63 +167,4 @@ func SameOrder(keys, values []float64) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Window is a fixed-capacity sliding window of float64 samples, used by the
-// cost display (paper Fig. 5) for the adjustable time-scale average and by
-// the NWS memory for bounded history.
-type Window struct {
-	buf   []float64
-	size  int
-	next  int
-	count int
-}
-
-// NewWindow returns a window holding at most size samples. size must be
-// positive.
-func NewWindow(size int) (*Window, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("metrics: window size must be positive, got %d", size)
-	}
-	return &Window{buf: make([]float64, size), size: size}, nil
-}
-
-// Push appends a sample, evicting the oldest if the window is full.
-func (w *Window) Push(x float64) {
-	w.buf[w.next] = x
-	w.next = (w.next + 1) % w.size
-	if w.count < w.size {
-		w.count++
-	}
-}
-
-// Len returns the number of samples currently held.
-func (w *Window) Len() int { return w.count }
-
-// Values returns the samples oldest-first.
-func (w *Window) Values() []float64 {
-	out := make([]float64, 0, w.count)
-	start := w.next - w.count
-	if start < 0 {
-		start += w.size
-	}
-	for i := 0; i < w.count; i++ {
-		out = append(out, w.buf[(start+i)%w.size])
-	}
-	return out
-}
-
-// Mean returns the mean of the samples in the window.
-func (w *Window) Mean() (float64, error) { return Mean(w.Values()) }
-
-// Last returns the most recent sample.
-func (w *Window) Last() (float64, error) {
-	if w.count == 0 {
-		return 0, ErrEmpty
-	}
-	i := w.next - 1
-	if i < 0 {
-		i += w.size
-	}
-	return w.buf[i], nil
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -17,37 +18,6 @@ func TestMean(t *testing.T) {
 	}
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Fatalf("Mean(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || v != 4 {
-		t.Fatalf("Variance = %v, %v; want 4", v, err)
-	}
-	sd, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || sd != 2 {
-		t.Fatalf("StdDev = %v, %v; want 2", sd, err)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-		{[]float64{5}, 5},
-	}
-	for _, c := range cases {
-		got, err := Median(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("Median(%v) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := Median(nil); err != ErrEmpty {
-		t.Fatal("Median(nil) should be ErrEmpty")
 	}
 }
 
@@ -71,32 +41,6 @@ func TestPercentile(t *testing.T) {
 	one, err := Percentile([]float64{42}, 75)
 	if err != nil || one != 42 {
 		t.Fatalf("single-element percentile = %v, %v", one, err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v,%v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatal("MinMax(nil) should be ErrEmpty")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty Summary string")
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatal("Summarize(nil) should be ErrEmpty")
 	}
 }
 
@@ -199,81 +143,6 @@ func TestSameOrder(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	w, err := NewWindow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Last(); err != ErrEmpty {
-		t.Fatal("Last on empty window should be ErrEmpty")
-	}
-	w.Push(1)
-	w.Push(2)
-	if got := w.Values(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Values = %v", got)
-	}
-	w.Push(3)
-	w.Push(4) // evicts 1
-	got := w.Values()
-	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
-		t.Fatalf("Values after wrap = %v", got)
-	}
-	last, err := w.Last()
-	if err != nil || last != 4 {
-		t.Fatalf("Last = %v, %v", last, err)
-	}
-	m, err := w.Mean()
-	if err != nil || m != 3 {
-		t.Fatalf("window Mean = %v, %v", m, err)
-	}
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d", w.Len())
-	}
-}
-
-func TestWindowInvalidSize(t *testing.T) {
-	if _, err := NewWindow(0); err == nil {
-		t.Fatal("zero window should be rejected")
-	}
-	if _, err := NewWindow(-2); err == nil {
-		t.Fatal("negative window should be rejected")
-	}
-}
-
-func TestPropertyWindowKeepsLastK(t *testing.T) {
-	f := func(seed int64, size uint8, n uint8) bool {
-		k := int(size%16) + 1
-		w, err := NewWindow(k)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var all []float64
-		for i := 0; i < int(n); i++ {
-			x := rng.Float64()
-			all = append(all, x)
-			w.Push(x)
-		}
-		want := all
-		if len(want) > k {
-			want = want[len(want)-k:]
-		}
-		got := w.Values()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertyPercentileWithinRange(t *testing.T) {
 	f := func(seed int64, n uint8, p uint8) bool {
 		if n == 0 {
@@ -286,11 +155,7 @@ func TestPropertyPercentileWithinRange(t *testing.T) {
 		}
 		pct := float64(p % 101)
 		v, err := Percentile(xs, pct)
-		if err != nil {
-			return false
-		}
-		min, max, _ := MinMax(xs)
-		return v >= min && v <= max
+		return err == nil && v >= slices.Min(xs) && v <= slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -337,9 +202,6 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
 }
 
 func TestTableRowPadding(t *testing.T) {
@@ -349,22 +211,6 @@ func TestTableRowPadding(t *testing.T) {
 	out := tb.String()
 	if contains(out, "extra-dropped") {
 		t.Fatalf("extra cell should be dropped:\n%s", out)
-	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "host", "score")
-	if err := tb.AddRowf("%s", "alpha1", "%.2f", 3.14159); err != nil {
-		t.Fatal(err)
-	}
-	if !contains(tb.String(), "3.14") {
-		t.Fatalf("formatted cell missing:\n%s", tb.String())
-	}
-	if err := tb.AddRowf("%s"); err == nil {
-		t.Fatal("odd arg count should error")
-	}
-	if err := tb.AddRowf(1, 2); err == nil {
-		t.Fatal("non-string verb should error")
 	}
 }
 

@@ -28,27 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each value with its paired verb, e.g.
-// AddRowf("%s", "alpha1", "%.2f", 12.5).
-func (t *Table) AddRowf(pairs ...any) error {
-	if len(pairs)%2 != 0 {
-		return fmt.Errorf("metrics: AddRowf needs verb/value pairs, got %d args", len(pairs))
-	}
-	var cells []string
-	for i := 0; i < len(pairs); i += 2 {
-		verb, ok := pairs[i].(string)
-		if !ok {
-			return fmt.Errorf("metrics: AddRowf verb at %d is %T, want string", i, pairs[i])
-		}
-		cells = append(cells, fmt.Sprintf(verb, pairs[i+1]))
-	}
-	t.AddRow(cells...)
-	return nil
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

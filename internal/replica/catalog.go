@@ -86,8 +86,8 @@ type LogicalFile struct {
 //
 // A Catalog is a handle on one store. NewCatalog's handle shows every
 // location; ShardedCatalog.Shard's shows one region's, and everything else
-// — names, sizes, attributes, collections, and every write — is the one
-// store's, whichever handle it goes through.
+// — names, sizes, attributes and every write — is the one store's,
+// whichever handle it goes through.
 type Catalog struct {
 	*store
 	region int32 // allRegions, or the only region whose locations show
@@ -103,23 +103,14 @@ type store struct {
 	mu       sync.RWMutex
 	regionOf func(host string) string // nil: the flat catalog, one region
 
-	ids   map[string]int32 // live logical name -> index into files
+	ids   map[string]int32 // logical name -> index into files
 	files []file
-	free  []int32 // indexes of deleted files, reused by CreateLogical
 
 	hostIDs   map[string]int32
 	hosts     []host
 	regionIDs map[string]int32
 	shards    []*Catalog // by region id; shards[i].region == i
 	regions   []string   // region names by id
-
-	collections map[string]map[string]bool
-	// attrIndex is the inverted attribute index: exact key/value pair ->
-	// the files carrying it. FindByAttributes intersects index sets
-	// instead of scanning the catalog; it is maintained from the store's
-	// private attribute copies, so caller-side map mutation cannot
-	// corrupt it.
-	attrIndex map[attr]map[int32]struct{}
 }
 
 type file struct {
@@ -147,12 +138,10 @@ func NewCatalog() *Catalog { return newStore(nil) }
 
 func newStore(regionOf func(string) string) *Catalog {
 	return &Catalog{region: allRegions, store: &store{
-		regionOf:    regionOf,
-		ids:         make(map[string]int32),
-		hostIDs:     make(map[string]int32),
-		regionIDs:   make(map[string]int32),
-		collections: make(map[string]map[string]bool),
-		attrIndex:   make(map[attr]map[int32]struct{}),
+		regionOf:  regionOf,
+		ids:       make(map[string]int32),
+		hostIDs:   make(map[string]int32),
+		regionIDs: make(map[string]int32),
 	}}
 }
 
@@ -220,49 +209,11 @@ func (c *Catalog) CreateLogical(f LogicalFile) error {
 	if len(f.Attributes) > 0 {
 		rec.attrs = make([]attr, 0, len(f.Attributes))
 	}
-	id := int32(len(c.files))
-	if n := len(c.free); n > 0 {
-		id, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		c.files = append(c.files, file{})
-	}
 	for k, v := range f.Attributes {
-		a := attr{k, v}
-		rec.attrs = append(rec.attrs, a)
-		set := c.attrIndex[a]
-		if set == nil {
-			set = make(map[int32]struct{})
-			c.attrIndex[a] = set
-		}
-		set[id] = struct{}{}
+		rec.attrs = append(rec.attrs, attr{k, v})
 	}
-	c.files[id] = rec
-	c.ids[f.Name] = id
-	return nil
-}
-
-// DeleteLogical removes a logical file, all its location records, and its
-// collection memberships.
-func (c *Catalog) DeleteLogical(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.ids[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLogical, name)
-	}
-	f := &c.files[id]
-	for _, a := range f.attrs {
-		set := c.attrIndex[a]
-		if delete(set, id); len(set) == 0 {
-			delete(c.attrIndex, a)
-		}
-	}
-	for _, members := range c.collections {
-		delete(members, name)
-	}
-	delete(c.ids, name)
-	*f = file{}
-	c.free = append(c.free, id)
+	c.ids[f.Name] = int32(len(c.files))
+	c.files = append(c.files, rec)
 	return nil
 }
 
@@ -270,10 +221,6 @@ func (c *Catalog) DeleteLogical(name string) error {
 func (c *Catalog) Logical(name string) (LogicalFile, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.logicalLocked(name)
-}
-
-func (c *Catalog) logicalLocked(name string) (LogicalFile, error) {
 	f, err := c.fileLocked(name)
 	if err != nil {
 		return LogicalFile{}, err
@@ -289,10 +236,6 @@ func (c *Catalog) logicalLocked(name string) (LogicalFile, error) {
 func (c *Catalog) LogicalNames() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.logicalNamesLocked()
-}
-
-func (c *Catalog) logicalNamesLocked() []string {
 	out := make([]string, 0, len(c.ids))
 	for n := range c.ids {
 		out = append(out, n)
@@ -302,52 +245,18 @@ func (c *Catalog) logicalNamesLocked() []string {
 }
 
 // FindByAttributes returns the names of logical files whose metadata
-// contains every key/value pair in want (the "specified characteristics"
-// lookup of §4.3). As before the inverted index, a pair with an empty
-// value matches files that either carry the key with an empty value or
-// lack the key entirely (Go's zero-value map lookup semantics).
-//
-// The query intersects inverted-index sets instead of scanning the
-// catalog: candidates come from the smallest index set among the
-// non-empty-valued pairs, then each candidate is verified against the
-// full query. Cost is proportional to the rarest attribute's popularity,
-// not the catalog size. Results are collected and sorted, so output stays
-// deterministic regardless of map iteration order.
+// contains every key/value pair in want, sorted (the "specified
+// characteristics" lookup of §4.3). A pair with an empty value also
+// matches files that lack the key (Go's zero-value map lookup semantics).
+// It scans the catalog: discovery runs once per user query, never on the
+// selection path.
 func (c *Catalog) FindByAttributes(want map[string]string) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Seed candidates from the smallest index set among pairs with
-	// non-empty values; empty-valued pairs can match unindexed (absent)
-	// keys, so they only verify, never seed.
-	var seed map[int32]struct{}
-	seeded := false
-	for k, v := range want {
-		if v == "" {
-			continue
-		}
-		set := c.attrIndex[attr{k, v}]
-		if !seeded || len(set) < len(seed) {
-			seed, seeded = set, true
-		}
-		if len(set) == 0 {
-			break // some required pair matches nothing
-		}
-	}
 	var out []string
-	if seeded {
-		for id := range seed {
-			if f := &c.files[id]; f.matches(want) {
-				out = append(out, f.name)
-			}
-		}
-	} else {
-		// Only empty-valued (or no) constraints: the index cannot
-		// enumerate key-absent files, so scan — the pre-index behavior
-		// for exactly this query shape.
-		for _, id := range c.ids {
-			if f := &c.files[id]; f.matches(want) {
-				out = append(out, f.name)
-			}
+	for i := range c.files {
+		if f := &c.files[i]; f.matches(want) {
+			out = append(out, f.name)
 		}
 	}
 	slices.Sort(out)
@@ -404,11 +313,6 @@ func (c *Catalog) Unregister(name string, host, path string) error {
 		return err
 	}
 	h, known := c.hostIDs[host]
-	if !known && c.regionOf != nil {
-		// Naming a region's host has always created the region's shard,
-		// replica or no replica, and Regions lists it.
-		c.internRegion(c.regionOf(host))
-	}
 	for i, e := range f.locs {
 		if known && e.host == h && e.path == path {
 			f.locs = slices.Delete(f.locs, i, i+1)
@@ -431,10 +335,6 @@ func (c *Catalog) Locations(name string) ([]Location, error) {
 func (c *Catalog) AppendLocations(dst []Location, name string) ([]Location, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.appendLocationsLocked(dst, name)
-}
-
-func (c *Catalog) appendLocationsLocked(dst []Location, name string) ([]Location, error) {
 	f, err := c.fileLocked(name)
 	if err != nil {
 		return dst, err

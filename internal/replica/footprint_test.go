@@ -9,9 +9,9 @@ import (
 )
 
 // TestCatalogRetainedBytes pins what a placed file costs the heap: one
-// record, one attribute pair, four entries and their paths, and a share of
-// the name map and the attribute index. The map-of-maps catalog mirrored
-// into a stripe and four region shards kept about 3.2 KB per file.
+// record, four entries and their paths, and a share of the name map —
+// about 400 B. The map-of-maps catalog mirrored into a stripe and four
+// region shards kept about 3.2 KB per file.
 func TestCatalogRetainedBytes(t *testing.T) {
 	top, err := topo.Generate(topo.Spec{
 		Seed: 42, Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25,
@@ -30,8 +30,8 @@ func TestCatalogRetainedBytes(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perFile := float64(after.HeapAlloc-before.HeapAlloc) / files
-	if perFile > 600 {
-		t.Fatalf("a placed file retains %.0f B, want <= 600", perFile)
+	if perFile > 440 {
+		t.Fatalf("a placed file retains %.0f B, want <= 440", perFile)
 	}
 	t.Logf("%.0f B per file over %d files x %d replicas", perFile, files, replicas)
 	runtime.KeepAlive(cat)

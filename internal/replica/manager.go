@@ -104,9 +104,6 @@ func NewManager(catalog *Catalog, transfer Transfer, clock Clock, quota *Storage
 // Catalog returns the underlying catalog.
 func (m *Manager) Catalog() *Catalog { return m.catalog }
 
-// Quota returns the storage accounting.
-func (m *Manager) Quota() *StorageQuota { return m.quota }
-
 // Publish records an existing file on srcHost as the first (or another)
 // replica of a logical file, creating the logical name if needed.
 func (m *Manager) Publish(f LogicalFile, host, path string) error {
@@ -195,8 +192,7 @@ func (m *Manager) Replicate(name, srcHost, dstHost, dstPath string, done func(er
 }
 
 // Delete unregisters a replica and frees its storage accounting. The last
-// copy of a logical file cannot be deleted (that would orphan the name);
-// use DeleteLogical on the catalog for full removal.
+// copy of a logical file cannot be deleted: that would orphan the name.
 func (m *Manager) Delete(name, host, path string) error {
 	lf, err := m.catalog.Logical(name)
 	if err != nil {

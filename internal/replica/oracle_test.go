@@ -3,17 +3,15 @@ package replica
 // The catalog oracle. Below the sweep, this file keeps the map-based
 // catalog the package shipped before the dense store — a flat Catalog of
 // nested maps and a ShardedCatalog of sixteen name-hashed metadata stripes
-// plus one mirrored Catalog per region — verbatim but for the type names,
-// as the reference the sweep drives beside the one store.
+// plus one mirrored Catalog per region — verbatim but for the type names
+// and the operations the store no longer has, as the reference the sweep
+// drives beside the one store.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,48 +36,38 @@ type reads interface {
 	HostsWith(name string) ([]string, error)
 }
 
-// subject is one catalog under the sweep. The optional parts are nil
-// where the reference has nothing to compare: it keeps collections and
-// Save on the flat catalog only, and regions on the sharded one only.
+// subject is one catalog under the sweep. The region parts are nil on
+// the flat catalog.
 type subject struct {
 	reads
 	CreateLogical func(LogicalFile) error
-	DeleteLogical func(string) error
 	Register      func(string, Location) error
 	Unregister    func(name, host, path string) error
 
-	flat *Catalog       // collections and Save, the store's side
-	ref  *oracleCatalog // collections and Save, the reference's side
-
 	RegionsWith func(string) ([]string, error)
-	Regions     func() []string
 	Shard       func(region string) reads
 }
 
 func storeFlat() subject {
 	c := NewCatalog()
-	return subject{reads: c, CreateLogical: c.CreateLogical, DeleteLogical: c.DeleteLogical,
-		Register: c.Register, Unregister: c.Unregister, flat: c}
+	return subject{reads: c, CreateLogical: c.CreateLogical, Register: c.Register, Unregister: c.Unregister}
 }
 
 func referenceFlat() subject {
 	c := newOracleCatalog()
-	return subject{reads: c, CreateLogical: c.CreateLogical, DeleteLogical: c.DeleteLogical,
-		Register: c.Register, Unregister: c.Unregister, ref: c}
+	return subject{reads: c, CreateLogical: c.CreateLogical, Register: c.Register, Unregister: c.Unregister}
 }
 
 func storeSharded() subject {
 	s := NewSharded(oracleRegionOf)
-	return subject{reads: s, CreateLogical: s.CreateLogical, DeleteLogical: s.DeleteLogical,
-		Register: s.Register, Unregister: s.Unregister,
-		RegionsWith: s.RegionsWith, Regions: s.Regions, Shard: func(r string) reads { return s.Shard(r) }}
+	return subject{reads: s, CreateLogical: s.CreateLogical, Register: s.Register, Unregister: s.Unregister,
+		RegionsWith: s.RegionsWith, Shard: func(r string) reads { return s.Shard(r) }}
 }
 
 func referenceSharded() subject {
 	s := newOracleSharded(oracleRegionOf)
-	return subject{reads: s, CreateLogical: s.CreateLogical, DeleteLogical: s.DeleteLogical,
-		Register: s.Register, Unregister: s.Unregister,
-		RegionsWith: s.RegionsWith, Regions: s.Regions, Shard: func(r string) reads { return s.Shard(r) }}
+	return subject{reads: s, CreateLogical: s.CreateLogical, Register: s.Register, Unregister: s.Unregister,
+		RegionsWith: s.RegionsWith, Shard: func(r string) reads { return s.Shard(r) }}
 }
 
 // The sweep's alphabets. The hosts are the ordering trap: every list is
@@ -94,7 +82,6 @@ var (
 	oraclePaths   = []string{"/p", "/q", "/p/r", ""}
 	oracleRegions = []string{"n", "a", "b", "zz"}
 	oracleAttrs   = []map[string]string{nil, {"k": "x"}, {"k": "y", "t": "x"}, {"k": "", "t": "y"}, {"t": ""}}
-	oracleColls   = []string{"c1", "c2", ""}
 )
 
 func oracleRegionOf(host string) string { return host[:1] }
@@ -103,39 +90,33 @@ type opKind int
 
 const (
 	opCreate opKind = iota
-	opDelete
 	opRegister
 	opUnregister
 	opReads
 	opShard
-	opCollection
-	opSave
 	opKinds
 )
 
 // op is one step of a sequence; which fields matter depends on kind.
 type op struct {
-	kind               opKind
-	name, host, path   string
-	region, collection string
-	attrs              map[string]string
-	size               int64
-	at                 time.Duration
-	variant            int
+	kind                     opKind
+	name, host, path, region string
+	attrs                    map[string]string
+	size                     int64
+	at                       time.Duration
+	variant                  int
 }
 
 // opWeights is each kind's share of a sequence, in percent: files are
-// created more often than deleted and registered more often than
-// unregistered, so that they fill, drain to their last replica and fill
-// again.
-var opWeights = [opKinds]int{opCreate: 10, opDelete: 3, opRegister: 27, opUnregister: 20,
-	opReads: 20, opShard: 10, opCollection: 8, opSave: 2}
+// registered more often than unregistered, so that they fill, drain to
+// their last replica and fill again.
+var opWeights = [opKinds]int{opCreate: 10, opRegister: 30, opUnregister: 25, opReads: 23, opShard: 12}
 
 func randomOp(rng *rand.Rand) op {
 	pick := func(s []string) string { return s[rng.Intn(len(s))] }
 	o := op{
 		name: pick(oracleNames), host: pick(oracleHosts), path: pick(oraclePaths),
-		region: pick(oracleRegions), collection: pick(oracleColls),
+		region:  pick(oracleRegions),
 		attrs:   oracleAttrs[rng.Intn(len(oracleAttrs))],
 		size:    int64(rng.Intn(8)), // 0 is invalid
 		at:      time.Duration(rng.Intn(1000)) * time.Second,
@@ -157,7 +138,7 @@ func errString(err error) string {
 		name string
 		err  error
 	}{{"UnknownLogical", ErrUnknownLogical}, {"NoReplicas", ErrNoReplicas}, {"Duplicate", ErrDuplicate},
-		{"UnknownReplica", ErrUnknownReplica}, {"UnknownCollection", ErrUnknownCollection}} {
+		{"UnknownReplica", ErrUnknownReplica}} {
 		if errors.Is(err, id.err) {
 			s += id.name + " "
 		}
@@ -180,8 +161,6 @@ func (o op) apply(s subject) string {
 		err := s.CreateLogical(LogicalFile{Name: o.name, SizeBytes: o.size, Attributes: attrs})
 		attrs["k"] = "mutated"
 		return errString(err)
-	case opDelete:
-		return errString(s.DeleteLogical(o.name))
 	case opRegister:
 		return errString(s.Register(o.name, Location{Host: o.host, Path: o.path, RegisteredAt: o.at}))
 	case opUnregister:
@@ -193,7 +172,7 @@ func (o op) apply(s subject) string {
 		out := show(s.Logical(o.name)) + "\n" + show(s.Locations(o.name)) + "\n" + show(s.HostsWith(o.name)) +
 			"\n" + show(s.LogicalNames(), nil) + "\n" + show(s.FindByAttributes(o.attrs), nil)
 		if s.RegionsWith != nil {
-			out += "\n" + show(s.RegionsWith(o.name)) + "\n" + show(s.Regions(), nil)
+			out += "\n" + show(s.RegionsWith(o.name))
 		}
 		return out
 	case opShard:
@@ -201,53 +180,14 @@ func (o op) apply(s subject) string {
 			return "flat"
 		}
 		return show(s.Shard(o.region).Locations(o.name))
-	case opCollection:
-		switch {
-		case s.flat != nil:
-			return o.collectionOp(s.flat)
-		case s.ref != nil:
-			return o.collectionOp(s.ref)
-		}
-		return "sharded"
-	case opSave:
-		var buf bytes.Buffer
-		switch {
-		case s.flat != nil:
-			return show(buf.String(), s.flat.Save(&buf))
-		case s.ref != nil:
-			return show(buf.String(), s.ref.Save(&buf))
-		}
-		return "sharded"
 	}
 	panic("unknown op")
-}
-
-func (o op) collectionOp(c interface {
-	CreateCollection(string) error
-	DeleteCollection(string) error
-	AddToCollection(collection, logical string) error
-	RemoveFromCollection(collection, logical string) error
-	CollectionFiles(string) ([]string, error)
-	Collections() []string
-	CollectionSize(string) (int64, error)
-}) string {
-	switch o.variant {
-	case 0:
-		return errString(c.CreateCollection(o.collection))
-	case 1:
-		return errString(c.DeleteCollection(o.collection))
-	case 2:
-		return errString(c.RemoveFromCollection(o.collection, o.name))
-	case 3:
-		return show(c.CollectionFiles(o.collection)) + "\n" + show(c.Collections(), nil) + "\n" + show(c.CollectionSize(o.collection))
-	}
-	return errString(c.AddToCollection(o.collection, o.name))
 }
 
 // oracleTally counts the edge cases a sweep reached, so that a generator
 // that stops reaching them fails instead of passing quietly.
 type oracleTally struct {
-	duplicates, unknownReplicas, lastRemovals, staleMirrors, trapOrders, saves int
+	duplicates, unknownReplicas, lastRemovals, staleMirrors, trapOrders int
 }
 
 // diffSequence drives one seeded op sequence through a store catalog and
@@ -268,8 +208,8 @@ func diffSequence(seed int64, sharded bool, store, reference subject, tally *ora
 		case o.kind == opShard && sharded && strings.Contains(want, "(") && strings.Contains(got, "("):
 			// The region holds no replica of the file. The reference says
 			// whatever its mirror remembers: unknown if the region never
-			// held one, no replicas if it once did — even when the file is
-			// long deleted. The store must say what is true now.
+			// held one, no replicas if it once did. The store must say
+			// what is true now.
 			_, err := store.Logical(o.name)
 			fixed := ErrNoReplicas
 			if err != nil {
@@ -296,20 +236,6 @@ func diffSequence(seed int64, sharded bool, store, reference subject, tally *ora
 			}
 		case o.kind == opReads && strings.Contains(got, "n10:/p") && strings.Contains(got, "n1:/p"):
 			tally.trapOrders++
-		case o.kind == opSave && store.flat != nil:
-			tally.saves++
-			// What Save wrote, LoadCatalog reads back to the same bytes.
-			var first, second bytes.Buffer
-			if err := store.flat.Save(&first); err != nil {
-				return err
-			}
-			loaded, err := LoadCatalog(bytes.NewReader(first.Bytes()))
-			if err != nil {
-				return fmt.Errorf("seed %d op %d: loading what Save wrote: %w", seed, i, err)
-			}
-			if err := loaded.Save(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
-				return fmt.Errorf("seed %d op %d: Save, LoadCatalog, Save changed the bytes (%v)", seed, i, err)
-			}
 		}
 		// A shard's metadata is the store's, never a mirror gone stale.
 		if sharded && o.kind == opShard {
@@ -347,7 +273,7 @@ func TestCatalogOracle(t *testing.T) {
 	}
 	t.Logf("%d sequences: %+v", *oracleCases, tally)
 	if tally.duplicates == 0 || tally.unknownReplicas == 0 || tally.lastRemovals == 0 ||
-		tally.staleMirrors == 0 || tally.trapOrders == 0 || tally.saves == 0 {
+		tally.staleMirrors == 0 || tally.trapOrders == 0 {
 		t.Fatalf("generator lost its edge cases: %+v", tally)
 	}
 }
@@ -367,17 +293,13 @@ func TestCatalogOracleCatchesMutations(t *testing.T) {
 			return s
 		}
 		left := map[string][]string{}
-		unregister, regionsWith, remove := s.Unregister, s.RegionsWith, s.DeleteLogical
+		unregister, regionsWith := s.Unregister, s.RegionsWith
 		s.Unregister = func(name, host, path string) error {
 			err := unregister(name, host, path)
 			if err == nil {
 				left[name] = append(left[name], oracleRegionOf(host))
 			}
 			return err
-		}
-		s.DeleteLogical = func(name string) error {
-			delete(left, name)
-			return remove(name)
 		}
 		s.RegionsWith = func(name string) ([]string, error) {
 			regions, err := regionsWith(name)
@@ -420,25 +342,16 @@ func (m tupleOrdered) Locations(name string) ([]Location, error) {
 // concurrent use: a real catalog server fields registrations and lookups
 // from many clients at once.
 type oracleCatalog struct {
-	mu          sync.RWMutex
-	files       map[string]*LogicalFile
-	locations   map[string][]Location
-	collections map[string]map[string]bool
-	// attrIndex is the inverted attribute index: key -> value -> set of
-	// logical names carrying that exact pair. FindByAttributes intersects
-	// index sets instead of scanning the catalog; the index is maintained
-	// on CreateLogical/DeleteLogical from the catalog's private attribute
-	// copies, so caller-side map mutation cannot corrupt it.
-	attrIndex map[string]map[string]map[string]bool
+	mu        sync.RWMutex
+	files     map[string]*LogicalFile
+	locations map[string][]Location
 }
 
 // newOracleCatalog returns an empty catalog.
 func newOracleCatalog() *oracleCatalog {
 	return &oracleCatalog{
-		files:       make(map[string]*LogicalFile),
-		locations:   make(map[string][]Location),
-		collections: make(map[string]map[string]bool),
-		attrIndex:   make(map[string]map[string]map[string]bool),
+		files:     make(map[string]*LogicalFile),
+		locations: make(map[string][]Location),
 	}
 }
 
@@ -461,47 +374,6 @@ func (c *oracleCatalog) CreateLogical(f LogicalFile) error {
 		cp.Attributes[k] = v
 	}
 	c.files[f.Name] = &cp
-	for k, v := range cp.Attributes {
-		vals := c.attrIndex[k]
-		if vals == nil {
-			vals = make(map[string]map[string]bool)
-			c.attrIndex[k] = vals
-		}
-		names := vals[v]
-		if names == nil {
-			names = make(map[string]bool)
-			vals[v] = names
-		}
-		names[f.Name] = true
-	}
-	return nil
-}
-
-// DeleteLogical removes a logical file, all its location records, and its
-// collection memberships.
-func (c *oracleCatalog) DeleteLogical(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLogical, name)
-	}
-	delete(c.files, name)
-	delete(c.locations, name)
-	for _, members := range c.collections {
-		delete(members, name)
-	}
-	for k, v := range f.Attributes {
-		if names := c.attrIndex[k][v]; names != nil {
-			delete(names, name)
-			if len(names) == 0 {
-				delete(c.attrIndex[k], v)
-				if len(c.attrIndex[k]) == 0 {
-					delete(c.attrIndex, k)
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -509,10 +381,6 @@ func (c *oracleCatalog) DeleteLogical(name string) error {
 func (c *oracleCatalog) Logical(name string) (LogicalFile, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.logicalLocked(name)
-}
-
-func (c *oracleCatalog) logicalLocked(name string) (LogicalFile, error) {
 	f, ok := c.files[name]
 	if !ok {
 		return LogicalFile{}, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
@@ -529,10 +397,6 @@ func (c *oracleCatalog) logicalLocked(name string) (LogicalFile, error) {
 func (c *oracleCatalog) LogicalNames() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.logicalNamesLocked()
-}
-
-func (c *oracleCatalog) logicalNamesLocked() []string {
 	out := make([]string, 0, len(c.files))
 	for n := range c.files {
 		out = append(out, n)
@@ -543,51 +407,16 @@ func (c *oracleCatalog) logicalNamesLocked() []string {
 
 // FindByAttributes returns the names of logical files whose metadata
 // contains every key/value pair in want (the "specified characteristics"
-// lookup of §4.3). As before the inverted index, a pair with an empty
-// value matches files that either carry the key with an empty value or
-// lack the key entirely (Go's zero-value map lookup semantics).
-//
-// The query intersects inverted-index sets instead of scanning the
-// catalog: candidates come from the smallest index set among the
-// non-empty-valued pairs, then each candidate is verified against the
-// full query. Cost is proportional to the rarest attribute's popularity,
-// not the catalog size. Results are collected and sorted, so output stays
-// deterministic regardless of map iteration order.
+// lookup of §4.3). A pair with an empty value matches files that either
+// carry the key with an empty value or lack the key entirely (Go's
+// zero-value map lookup semantics).
 func (c *oracleCatalog) FindByAttributes(want map[string]string) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Seed candidates from the smallest index set among pairs with
-	// non-empty values; empty-valued pairs can match unindexed (absent)
-	// keys, so they only verify, never seed.
-	var seed map[string]bool
-	seeded := false
-	for k, v := range want {
-		if v == "" {
-			continue
-		}
-		names := c.attrIndex[k][v]
-		if !seeded || len(names) < len(seed) {
-			seed, seeded = names, true
-		}
-		if len(names) == 0 {
-			break // some required pair matches nothing
-		}
-	}
 	var out []string
-	if seeded {
-		for name := range seed {
-			if c.matchesLocked(name, want) {
-				out = append(out, name)
-			}
-		}
-	} else {
-		// Only empty-valued (or no) constraints: the index cannot
-		// enumerate key-absent files, so scan — the pre-index behavior
-		// for exactly this query shape.
-		for name := range c.files {
-			if c.matchesLocked(name, want) {
-				out = append(out, name)
-			}
+	for name := range c.files {
+		if c.matchesLocked(name, want) {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
@@ -684,169 +513,6 @@ func (c *oracleCatalog) HostsWith(name string) ([]string, error) {
 	return out, nil
 }
 
-// CreateCollection registers an empty logical collection.
-func (c *oracleCatalog) CreateCollection(name string) error {
-	if name == "" {
-		return errors.New("replica: empty collection name")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.collections == nil {
-		c.collections = make(map[string]map[string]bool)
-	}
-	if _, ok := c.collections[name]; ok {
-		return fmt.Errorf("%w: collection %q", ErrDuplicate, name)
-	}
-	c.collections[name] = make(map[string]bool)
-	return nil
-}
-
-// DeleteCollection removes a collection (its member files are untouched).
-func (c *oracleCatalog) DeleteCollection(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.collections[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownCollection, name)
-	}
-	delete(c.collections, name)
-	return nil
-}
-
-// AddToCollection puts a logical file into a collection.
-func (c *oracleCatalog) AddToCollection(collection, logical string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	members, ok := c.collections[collection]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownCollection, collection)
-	}
-	if _, ok := c.files[logical]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownLogical, logical)
-	}
-	if members[logical] {
-		return fmt.Errorf("%w: %q in %q", ErrDuplicate, logical, collection)
-	}
-	members[logical] = true
-	return nil
-}
-
-// RemoveFromCollection takes a logical file out of a collection.
-func (c *oracleCatalog) RemoveFromCollection(collection, logical string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	members, ok := c.collections[collection]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownCollection, collection)
-	}
-	if !members[logical] {
-		return fmt.Errorf("%w: %q not in %q", ErrUnknownLogical, logical, collection)
-	}
-	delete(members, logical)
-	return nil
-}
-
-// CollectionFiles lists a collection's members, sorted.
-func (c *oracleCatalog) CollectionFiles(collection string) ([]string, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.collectionFilesLocked(collection)
-}
-
-func (c *oracleCatalog) collectionFilesLocked(collection string) ([]string, error) {
-	members, ok := c.collections[collection]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownCollection, collection)
-	}
-	out := make([]string, 0, len(members))
-	for m := range members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Collections lists all collection names, sorted.
-func (c *oracleCatalog) Collections() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.collectionsLocked()
-}
-
-func (c *oracleCatalog) collectionsLocked() []string {
-	out := make([]string, 0, len(c.collections))
-	for n := range c.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CollectionSize sums the member files' sizes — what staging the whole
-// collection would transfer.
-func (c *oracleCatalog) CollectionSize(collection string) (int64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	members, err := c.collectionFilesLocked(collection)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, m := range members {
-		f, err := c.logicalLocked(m)
-		if err != nil {
-			return 0, err
-		}
-		total += f.SizeBytes
-	}
-	return total, nil
-}
-
-// oracleDoc is the on-disk representation of a catalog — the analogue of
-// the LDAP backing store the Globus replica catalog used.
-type oracleDoc struct {
-	Files       []LogicalFile         `json:"files"`
-	Locations   map[string][]Location `json:"locations"`
-	Collections map[string][]string   `json:"collections"`
-}
-
-// Save serializes the whole catalog (files, locations, collections) as a
-// JSON document.
-func (c *oracleCatalog) Save(w io.Writer) error {
-	c.mu.RLock()
-	doc := oracleDoc{
-		Locations:   make(map[string][]Location, len(c.locations)),
-		Collections: make(map[string][]string, len(c.collections)),
-	}
-	for _, name := range c.logicalNamesLocked() {
-		f, err := c.logicalLocked(name)
-		if err != nil {
-			c.mu.RUnlock()
-			return err
-		}
-		doc.Files = append(doc.Files, f)
-		if locs := c.locations[name]; len(locs) > 0 {
-			cp := append([]Location(nil), locs...)
-			sort.Slice(cp, func(i, j int) bool { return cp[i].String() < cp[j].String() })
-			doc.Locations[name] = cp
-		}
-	}
-	for _, coll := range c.collectionsLocked() {
-		members, err := c.collectionFilesLocked(coll)
-		if err != nil {
-			c.mu.RUnlock()
-			return err
-		}
-		doc.Collections[coll] = members
-	}
-	c.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("replica: saving catalog: %w", err)
-	}
-	return nil
-}
-
 // oracleStripes is the number of metadata lock stripes in a
 // oracleSharded. Names hash onto stripes, so catalog-wide operations on
 // distinct names proceed in parallel instead of serializing on one lock.
@@ -855,20 +521,18 @@ const oracleStripes = 16
 // oracleSharded partitions the replica catalog by region: every region
 // gets its own *oracleCatalog shard holding only the replicas physically placed
 // there, and logical-file metadata lives in name-hashed stripes (each a
-// plain *oracleCatalog reused as a metadata store, so the inverted attribute
-// index works per stripe). The point is planet scale — a per-region
+// plain *oracleCatalog reused as a metadata store). The point is planet scale — a per-region
 // selector consults only its shard, registration in one region never
 // contends with lookups in another, and no operation scans the world.
 //
-// The per-name compound operations (Register, Unregister, DeleteLogical)
-// serialize on the name's stripe lock; operations on names in different
+// The per-name compound operations (Register, Unregister) serialize on
+// the name's stripe lock; operations on names in different
 // stripes run concurrently. All methods are safe for concurrent use.
 type oracleSharded struct {
 	regionOf func(host string) string
 
 	// stripes hold logical-file metadata (no locations), indexed by
-	// name hash. Each stripe is a full Catalog so FindByAttributes gets
-	// the inverted index for free.
+	// name hash.
 	stripes [oracleStripes]*oracleCatalog
 	// stripeMu serializes compound per-name operations within a stripe
 	// and guards regs.
@@ -919,18 +583,6 @@ func (s *oracleSharded) Shard(region string) *oracleCatalog {
 	return c
 }
 
-// Regions lists every region whose shard exists, sorted.
-func (s *oracleSharded) Regions() []string {
-	s.shardMu.RLock()
-	defer s.shardMu.RUnlock()
-	out := make([]string, 0, len(s.shards))
-	for r := range s.shards {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CreateLogical registers a new logical file name in its metadata stripe.
 func (s *oracleSharded) CreateLogical(f LogicalFile) error {
 	i := s.stripeIdx(f.Name)
@@ -959,7 +611,7 @@ func (s *oracleSharded) LogicalNames() []string {
 	return out
 }
 
-// FindByAttributes merges the per-stripe inverted-index queries, sorted.
+// FindByAttributes merges the per-stripe queries, sorted.
 func (s *oracleSharded) FindByAttributes(want map[string]string) []string {
 	var out []string
 	for i := range s.stripes {
@@ -969,22 +621,6 @@ func (s *oracleSharded) FindByAttributes(want map[string]string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DeleteLogical removes a logical file from its stripe and every region
-// shard holding replicas of it.
-func (s *oracleSharded) DeleteLogical(name string) error {
-	i := s.stripeIdx(name)
-	s.stripeMu[i].Lock()
-	defer s.stripeMu[i].Unlock()
-	if err := s.stripes[i].DeleteLogical(name); err != nil {
-		return err
-	}
-	for region := range s.regs[i][name] {
-		_ = s.Shard(region).DeleteLogical(name)
-	}
-	delete(s.regs[i], name)
-	return nil
 }
 
 // Register adds a physical location, routed to the shard of the host's

@@ -2,7 +2,9 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -32,14 +34,8 @@ func TestCatalogLogicalLifecycle(t *testing.T) {
 	if names := c.LogicalNames(); len(names) != 1 || names[0] != "file-a" {
 		t.Fatalf("LogicalNames = %v", names)
 	}
-	if err := c.DeleteLogical("file-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Logical("file-a"); !errors.Is(err, ErrUnknownLogical) {
-		t.Fatalf("post-delete err = %v", err)
-	}
-	if err := c.DeleteLogical("file-a"); !errors.Is(err, ErrUnknownLogical) {
-		t.Fatalf("double delete err = %v", err)
+	if _, err := c.Logical("file-b"); !errors.Is(err, ErrUnknownLogical) {
+		t.Fatalf("unknown logical err = %v", err)
 	}
 }
 
@@ -124,6 +120,110 @@ func TestCatalogFindByAttributes(t *testing.T) {
 	}
 	if got := c.FindByAttributes(nil); len(got) != 3 {
 		t.Fatalf("all = %v", got)
+	}
+}
+
+// refFind is a reference scan over the catalog's public reads:
+// FindByAttributes must return exactly this, including the empty-value
+// semantics (want["k"] == "" matches files lacking k entirely).
+func refFind(c *Catalog, want map[string]string) []string {
+	var out []string
+	for _, name := range c.LogicalNames() {
+		f, err := c.Logical(name)
+		if err != nil {
+			continue
+		}
+		ok := true
+		for k, v := range want {
+			if f.Attributes[k] != v {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+func TestFindByAttributesMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := NewCatalog()
+	keys := []string{"exp", "type", "fmt", "site"}
+	vals := []string{"cms", "atlas", "bio", "fasta", "dat", ""}
+	for i := 0; i < 200; i++ {
+		attrs := map[string]string{}
+		for _, k := range keys {
+			if rng.Intn(3) > 0 { // ~1/3 of files lack each key
+				attrs[k] = vals[rng.Intn(len(vals))]
+			}
+		}
+		if err := c.CreateLogical(LogicalFile{
+			Name: fmt.Sprintf("f%03d", i), SizeBytes: 1, Attributes: attrs,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []map[string]string{
+		nil,
+		{},
+		{"exp": "cms"},
+		{"exp": "cms", "type": "bio"},
+		{"exp": "cms", "type": "bio", "fmt": "fasta"},
+		{"exp": ""}, // matches absent key or explicit empty value
+		{"exp": "", "type": "bio"},
+		{"exp": "nope"},
+		{"bogus": "x"},
+		{"bogus": ""},
+	}
+	for _, q := range queries {
+		got := c.FindByAttributes(q)
+		want := refFind(c, q)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("FindByAttributes(%v) = %v, reference scan = %v", q, got, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		q := map[string]string{}
+		for _, k := range keys {
+			if rng.Intn(2) == 0 {
+				q[k] = vals[rng.Intn(len(vals))]
+			}
+		}
+		got, want := c.FindByAttributes(q), refFind(c, q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: FindByAttributes(%v) = %v, reference = %v", i, q, got, want)
+		}
+	}
+}
+
+// TestFindByAttributesCallerMutation pins the copy discipline: mutating
+// the caller's map after CreateLogical, or the map returned by Logical,
+// must not change query results.
+func TestFindByAttributesCallerMutation(t *testing.T) {
+	c := NewCatalog()
+	attrs := map[string]string{"type": "bio"}
+	if err := c.CreateLogical(LogicalFile{Name: "nr", SizeBytes: 1, Attributes: attrs}); err != nil {
+		t.Fatal(err)
+	}
+	// Mutate the map the caller handed in.
+	attrs["type"] = "physics"
+	attrs["extra"] = "x"
+	if got := c.FindByAttributes(map[string]string{"type": "bio"}); len(got) != 1 || got[0] != "nr" {
+		t.Errorf("after caller-map mutation, find type=bio = %v, want [nr]", got)
+	}
+	if got := c.FindByAttributes(map[string]string{"type": "physics"}); len(got) != 0 {
+		t.Errorf("caller-map mutation leaked into the catalog: find type=physics = %v", got)
+	}
+	// Mutate the copy Logical returns.
+	f, err := c.Logical("nr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Attributes["type"] = "physics"
+	if got := c.FindByAttributes(map[string]string{"type": "bio"}); len(got) != 1 || got[0] != "nr" {
+		t.Errorf("after Logical-copy mutation, find type=bio = %v, want [nr]", got)
 	}
 }
 

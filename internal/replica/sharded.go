@@ -39,15 +39,6 @@ func (s *ShardedCatalog) Shard(region string) *Catalog {
 	return s.shards[s.internRegion(region)]
 }
 
-// Regions lists every region whose shard exists, sorted.
-func (s *ShardedCatalog) Regions() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := slices.Clone(s.regions)
-	slices.Sort(out)
-	return out
-}
-
 // RegionsWith lists the regions holding at least one replica of the
 // logical file, sorted — the top-level selector's fan-out set: only these
 // regions' shards are consulted, never the world.

@@ -45,9 +45,6 @@ func newShardedFixture(t *testing.T) *ShardedCatalog {
 
 func TestShardedRoutesByRegion(t *testing.T) {
 	s := newShardedFixture(t)
-	if got, want := s.Regions(), []string{"ap", "eu", "us"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Regions() = %v, want %v", got, want)
-	}
 	// Each shard holds exactly its region's replicas.
 	euHosts, err := s.Shard("eu").HostsWith("nr")
 	if err != nil || !reflect.DeepEqual(euHosts, []string{"eu-h1"}) {
@@ -102,23 +99,13 @@ func TestShardedErrorsAndBookkeeping(t *testing.T) {
 	if got, err := s.RegionsWith("nr"); err != nil || !reflect.DeepEqual(got, []string{"us"}) {
 		t.Errorf("RegionsWith(nr) after eu unregister = %v, %v; want [us]", got, err)
 	}
-	// Deleting the file purges every shard.
-	if err := s.DeleteLogical("nr"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RegionsWith("nr"); !errors.Is(err, ErrUnknownLogical) {
-		t.Errorf("RegionsWith after delete: %v, want ErrUnknownLogical", err)
-	}
-	if _, err := s.Shard("us").Logical("nr"); !errors.Is(err, ErrUnknownLogical) {
-		t.Errorf("us shard still knows deleted nr: %v", err)
-	}
-	if _, err := s.Locations("est"); err != nil {
-		t.Errorf("unrelated file affected by delete: %v", err)
+	if _, err := s.RegionsWith("nope"); !errors.Is(err, ErrUnknownLogical) {
+		t.Errorf("RegionsWith unknown logical: %v, want ErrUnknownLogical", err)
 	}
 }
 
-// TestShardedConcurrency exercises registration, lookup and deletion from
-// many goroutines; run under -race this pins the store's locking.
+// TestShardedConcurrency exercises registration and lookup from many
+// goroutines; run under -race this pins the store's locking.
 func TestShardedConcurrency(t *testing.T) {
 	s := NewSharded(regionByPrefix)
 	const names = 64
@@ -157,60 +144,39 @@ func TestShardedConcurrency(t *testing.T) {
 		if err != nil || len(hosts) != 8 {
 			t.Errorf("%s: hosts %v err %v, want 8 hosts", name, hosts, err)
 		}
-		if err := s.DeleteLogical(name); err != nil {
-			t.Errorf("delete %s: %v", name, err)
-		}
-	}
-	for _, r := range s.Regions() {
-		if got := s.Shard(r).LogicalNames(); len(got) != 0 {
-			t.Errorf("region %s shard not purged: %v", r, got)
+		for _, r := range regions {
+			locs, _ := s.Shard(r).Locations(name)
+			for _, l := range locs {
+				if regionByPrefix(l.Host) != r {
+					t.Errorf("region %s shard lists %s", r, l)
+				}
+			}
 		}
 	}
 }
 
 // TestShardedNoStaleMetadata is the regression test for the mirrored
-// shards: a region's copy of a file's metadata outlived the file once the
-// region's last replica was unregistered before the file was deleted.
+// shards: a region's copy of a file's metadata outlived the region's last
+// replica. A shard now reads the one store's record.
 func TestShardedNoStaleMetadata(t *testing.T) {
 	s := NewSharded(regionByPrefix)
-	create := func(size int64) {
-		t.Helper()
-		if err := s.CreateLogical(LogicalFile{Name: "f", SizeBytes: size}); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.CreateLogical(LogicalFile{Name: "f", SizeBytes: 1}); err != nil {
+		t.Fatal(err)
 	}
-	register := func(host string) {
-		t.Helper()
+	for _, host := range []string{"a-h1", "b-h1"} {
 		if err := s.Register("f", Location{Host: host, Path: "/f"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	create(1)
-	register("a-h1")
-	register("b-h1")
 	if err := s.Unregister("f", "a-h1", "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteLogical("f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Shard("a").Logical("f"); !errors.Is(err, ErrUnknownLogical) {
-		t.Errorf("shard a still knows the deleted f: %v", err)
-	}
-	create(2)
-	register("a-h1")
-	if f, err := s.Shard("a").Logical("f"); err != nil || f.SizeBytes != 2 {
-		t.Errorf("shard a knows f as %+v, %v; want the re-created file of size 2", f, err)
-	}
-	if err := s.DeleteLogical("f"); err != nil {
-		t.Fatal(err)
-	}
-	for _, region := range []string{"a", "b"} {
-		if _, err := s.Shard(region).Logical("f"); !errors.Is(err, ErrUnknownLogical) {
-			t.Errorf("shard %s still knows the deleted f: %v", region, err)
+	for _, region := range []string{"a", "c"} {
+		if f, err := s.Shard(region).Logical("f"); err != nil || f.SizeBytes != 1 {
+			t.Errorf("shard %s knows f as %+v, %v; want the catalog's record", region, f, err)
 		}
-		if _, err := s.Shard(region).Locations("f"); !errors.Is(err, ErrUnknownLogical) {
-			t.Errorf("shard %s still lists the deleted f: %v", region, err)
+		if _, err := s.Shard(region).Locations("f"); !errors.Is(err, ErrNoReplicas) {
+			t.Errorf("shard %s lists f: %v, want ErrNoReplicas", region, err)
 		}
 	}
 }

@@ -306,10 +306,9 @@ type Registrar interface {
 }
 
 // PlaceFiles runs the replica-placement pass: it creates `files` logical
-// entries named "lfn:d<i>" of sizeBytes each, tagged with a "set"
-// attribute (i mod 16, so the inverted attribute index has realistic
-// fan-in), and registers `replicas` copies of each in distinct regions —
-// a seeded home region plus its successors, one random host per region.
+// entries named "lfn:d<i>" of sizeBytes each and registers `replicas`
+// copies of each in distinct regions — a seeded home region plus its
+// successors, one random host per region.
 // Placement draws come from a private RNG derived from Spec.Seed, so the
 // catalog contents are deterministic and independent of how many draws
 // Generate consumed.
@@ -327,13 +326,7 @@ func (t *Topology) PlaceFiles(reg Registrar, files, replicas int, sizeBytes int6
 	rng := rand.New(rand.NewSource(t.Spec.Seed + 1))
 	for i := 0; i < files; i++ {
 		name := fmt.Sprintf("lfn:d%d", i)
-		if err := reg.CreateLogical(replica.LogicalFile{
-			Name:      name,
-			SizeBytes: sizeBytes,
-			Attributes: map[string]string{
-				"set": fmt.Sprintf("s%d", i%16),
-			},
-		}); err != nil {
+		if err := reg.CreateLogical(replica.LogicalFile{Name: name, SizeBytes: sizeBytes}); err != nil {
 			return err
 		}
 		home := rng.Intn(len(t.Regions))
