@@ -48,10 +48,10 @@ bench: bench-netsim
 #   faults   `gridbench -faults`: no-retry vs retry-same vs failover
 #   scale    `gridbench -scale`: 20 to 200 sites, up to 10k hosts
 #   traffic  `gridbench -traffic`: metro and 200-site request streams
-netsim_BENCH     = Netsim|Reallocate|RouteTree|AddLinkBulk|ForecasterBank|EngineChurn
+netsim_BENCH     = Netsim|Reallocate|RouteTree|RoutePlanet|AddLinkBulk|ForecasterBank|EngineChurn
 netsim_PKGS      = . ./internal/netsim
 netsim_TIMEOUT   = 600s
-netsim_BASELINE  = pr24-plain-waterfill-2cpu
+netsim_BASELINE  = pr28-core-routes-2cpu
 suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s
@@ -67,7 +67,7 @@ faults_BASELINE  = pr20-one-session-2cpu
 scale_BENCH      = ScaleSweep
 scale_PKGS       = .
 scale_TIMEOUT    = 1200s
-scale_BASELINE   = pr23-cap-bound-2cpu
+scale_BASELINE   = pr28-core-routes-2cpu
 traffic_BENCH    = TrafficSweep
 traffic_PKGS     = .
 traffic_TIMEOUT  = 3600s

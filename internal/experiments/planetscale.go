@@ -28,7 +28,8 @@ type PlanetScaleResult struct {
 	// Queries and Flows are the workload sizes.
 	Queries int
 	Flows   int
-	// TreeBuilds is the number of per-source Dijkstra sweeps netsim ran;
+	// TreeBuilds is the number of Dijkstra sweeps of the core netsim ran,
+	// one per region hub some cross-region route left through;
 	// PathBuilds is the number of distinct (src,dst) paths materialized —
 	// exactly the Dijkstra runs the old per-pair cache would have paid.
 	TreeBuilds uint64
@@ -247,12 +248,12 @@ func ExtensionPlanetScale(seed int64, opts ...Option) ([]PlanetScaleResult, stri
 	if err != nil {
 		return nil, "", err
 	}
-	// The acceptance bar for the route-tree cache: at the largest grid,
-	// one tree sweep must replace at least 5 per-pair Dijkstra runs.
+	// The acceptance bar for routing on the core: every region hangs below
+	// its hub, so no grid may sweep more than one tree per region.
 	for _, r := range out {
-		if r.Sites >= 200 && r.DijkstraSavings() < 5 {
-			return nil, "", fmt.Errorf("route trees saved only %.1fx Dijkstra runs at %d sites, want >= 5x",
-				r.DijkstraSavings(), r.Sites)
+		if r.TreeBuilds > uint64(r.Regions) {
+			return nil, "", fmt.Errorf("%s: %d route tree sweeps, above its %d regions",
+				r.Label, r.TreeBuilds, r.Regions)
 		}
 	}
 	// The acceptance bar for the partitioned allocator: a reallocation

@@ -1,6 +1,18 @@
 package netsim
 
-// Test-only entry points into the allocator.
+// Test-only entry points into the allocator and the router.
+
+// RebuildRoutes runs rebuildAdjacency now, as the first Route after a
+// topology change would, so the external tests can time and count a cold
+// contraction on worlds this package cannot import.
+func RebuildRoutes(n *Network) { n.rebuildAdjacency() }
+
+// dropTrees forgets every swept tree and memoized path but keeps the
+// contraction, so the next Route pays one cold sweep and one path.
+func (n *Network) dropTrees() {
+	clear(n.trees)
+	clear(n.paths)
+}
 
 // reallocate water-fills every live component: the full-recompute entry
 // point, for tests and benchmarks that measure or provoke the water-fill

@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/simulation"
@@ -87,8 +89,10 @@ type Link struct {
 	from, to string
 	cfg      LinkConfig
 	// idx is the link's dense index into Network.linkList and the
-	// allocator's scratch arrays.
-	idx int
+	// allocator's scratch arrays; fromIdx and toIdx are its endpoints'
+	// dense node indices, which routing walks.
+	idx            int
+	fromIdx, toIdx int32
 	// bgLoad is the fraction of capacity consumed by background (non-grid)
 	// traffic, in [0,1).
 	bgLoad float64
@@ -331,55 +335,47 @@ func (f *Flow) mathisBps() float64 {
 	return float64(f.mss) * 8 / f.rtt.Seconds() * mathisC / math.Sqrt(f.loss)
 }
 
-// halfEdge is one outgoing adjacency entry of the routing graph: dense
-// indices of the receiving node and the link, and the link's delay inline.
+// halfEdge is one core-to-core edge of the routing graph: the receiving
+// node's core index, the link's dense index, and the link's delay inline.
 type halfEdge struct {
 	to    int32
 	link  int32
 	delay time.Duration
 }
 
-// nodeHeapEntry is one entry of the Dijkstra priority queue. Ties on
-// distance are broken by node name, mirroring the deterministic pick rule
-// the allocator has always used; rank is the node's position in the sorted
-// name list (Network.nameRank), so the tie-break is an integer compare.
+// nodeHeapEntry is one entry of the Dijkstra priority queue over core
+// indices. Ties on distance are broken by node name, mirroring the
+// deterministic pick rule the allocator has always used; rank is the node's
+// position among the sorted core names (Network.coreRank), so the
+// tie-break is an integer compare.
 type nodeHeapEntry struct {
 	dist time.Duration
 	rank int32
 	node int32
 }
 
-// routeTree is one source's cached shortest-path tree: a full Dijkstra run
-// from src answers every destination, so an N-destination fan-out costs one
-// tree build instead of N per-pair computations. All a tree retains is one
-// int32 per node: prev[v] is the dense index of the link entering v on the
-// shortest path from the source (noPrev for the source and for unreachable
-// nodes). Distances are sweep scratch and materialized paths are memoized
-// network-wide (Network.paths). The tree is discarded wholesale when the
-// topology generation moves (AddNode/AddLink), never mutated in place.
-//
-// The per-destination paths are byte-identical to the historical per-pair
-// Dijkstra: the algorithm is deterministic (pops ordered by distance then
-// node name, strict relaxation), and in Dijkstra with non-negative weights
-// a node's distance and predecessor are final when it is popped — so
-// whether the run stops at one destination or sweeps the whole graph, every
-// popped node's predecessor chain is the same.
-type routeTree struct {
-	gen  uint64
-	prev []int32
+// routeNode is one node's place in the contracted routing graph. A fringe
+// node hangs below parent through the links up (node->parent) and down
+// (parent->node), depth hops under attach, the core node its tree of
+// fringe nodes hangs from. A core node has parent -1, attach itself,
+// depth 0, and its index among the core nodes in core (-1 on the fringe).
+type routeNode struct {
+	parent, up, down int32
+	attach, depth    int32
+	core             int32
 }
 
-// noPrev marks a routeTree node no link enters.
+// noPrev marks a core node no link enters in a swept tree.
 const noPrev = int32(-1)
 
 // RouteStats counts routing work, exposed so benchmarks and the scale
 // experiments can quantify the tree cache: PathBuilds is what a per-pair
-// Dijkstra implementation would have run, TreeBuilds is what the tree cache
-// actually ran.
+// Dijkstra implementation would have run, TreeBuilds is what the core
+// sweeps actually ran.
 type RouteStats struct {
 	// Queries is the total number of Route calls (cache hits included).
 	Queries uint64
-	// TreeBuilds is the number of Dijkstra sweeps executed.
+	// TreeBuilds is the number of Dijkstra sweeps of the core executed.
 	TreeBuilds uint64
 	// PathBuilds is the number of distinct (src,dst) paths materialized —
 	// the Dijkstra count of the per-pair scheme this cache replaced.
@@ -390,7 +386,6 @@ type RouteStats struct {
 type Network struct {
 	engine *simulation.Engine
 	rng    *rand.Rand
-	nodes  map[string]bool
 	links  map[linkKey]*Link
 	// linkList holds every link at its dense index (Link.idx), the
 	// backing order for the allocator's scratch arrays.
@@ -401,39 +396,34 @@ type Network struct {
 	// water-filling round.
 	active []*Flow
 	nextID int64
-	// trees caches one shortest-path tree per source node (keyed by dense
-	// node index). Trees are invalidated by comparing their generation
-	// against topoGen — bulk topology construction bumps a counter instead
-	// of reallocating cache maps on every AddLink.
-	trees   map[int]*routeTree
-	topoGen uint64
-	stats   RouteStats
+	stats  RouteStats
 
-	// paths memoizes every materialized path of topology generation
-	// pathGen, keyed by the packed dense (src, dst) indices.
-	paths   map[uint64][]*Link
-	pathGen uint64
-
-	// Routing graph, rebuilt lazily after topology changes: the adjacency
-	// list, each node's rank in the sorted name list (the Dijkstra
-	// tie-break), and the node a single-exit node's only out-edge leads to
-	// (-1 for any other node).
+	// nodeIdx and nodeNames map every node's name to its dense index and
+	// back. The routing state is rebuilt by rebuildAdjacency on the first
+	// Route after a topology change clears adjValid: every node's
+	// routeNode, the core's out-edges (coreAdj[coreOff[c]:coreOff[c+1]]),
+	// each core node's name rank among the core (the Dijkstra tie-break),
+	// one predecessor-link slice per core index swept so far (nil until
+	// then), and every materialized path, keyed by the packed dense
+	// (src, dst) indices.
 	nodeIdx   map[string]int
 	nodeNames []string
-	adj       [][]halfEdge
-	nameRank  []int32
-	onlyOut   []int32
+	route     []routeNode
+	coreOff   []int32
+	coreAdj   []halfEdge
+	coreRank  []int32
+	trees     [][]int32
+	paths     map[uint64][]*Link
 	adjValid  bool
 
 	// Reusable scratch buffers (see docs/PERFORMANCE.md): per-link water
 	// level state indexed by Link.idx, the drained-flow batch of the
 	// completion handler, and the Dijkstra working set (tentative
-	// distances and visited marks indexed by dense node index, the queue).
+	// distances indexed by core index, the queue).
 	remCap  []float64
 	remCnt  []int
 	doneBuf []*Flow
 	dist    []time.Duration
-	visited []bool
 	heapBuf []nodeHeapEntry
 
 	// Component partition (see partition.go): comps holds every record by
@@ -475,9 +465,7 @@ func New(engine *simulation.Engine, seed int64) *Network {
 	n := &Network{
 		engine:  engine,
 		rng:     rand.New(rand.NewSource(seed)),
-		nodes:   make(map[string]bool),
 		links:   make(map[linkKey]*Link),
-		trees:   make(map[int]*routeTree),
 		paths:   make(map[uint64][]*Link),
 		nodeIdx: make(map[string]int),
 	}
@@ -493,28 +481,24 @@ func (n *Network) AddNode(name string) error {
 	if name == "" {
 		return errors.New("netsim: empty node name")
 	}
-	if n.nodes[name] {
+	if _, dup := n.nodeIdx[name]; dup {
 		return fmt.Errorf("netsim: duplicate node %q", name)
 	}
-	n.nodes[name] = true
 	n.nodeIdx[name] = len(n.nodeNames)
 	n.nodeNames = append(n.nodeNames, name)
-	n.dist = append(n.dist, 0)
-	n.visited = append(n.visited, false)
 	n.adjValid = false
-	n.topoGen++
 	return nil
 }
 
 // HasNode reports whether the node exists.
-func (n *Network) HasNode(name string) bool { return n.nodes[name] }
+func (n *Network) HasNode(name string) bool {
+	_, ok := n.nodeIdx[name]
+	return ok
+}
 
 // Nodes returns all node names, sorted.
 func (n *Network) Nodes() []string {
-	out := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		out = append(out, name)
-	}
+	out := slices.Clone(n.nodeNames)
 	sort.Strings(out)
 	return out
 }
@@ -537,10 +521,12 @@ func (n *Network) addDirected(from, to string, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	if !n.nodes[from] {
+	fi, ok := n.nodeIdx[from]
+	if !ok {
 		return fmt.Errorf("netsim: unknown node %q", from)
 	}
-	if !n.nodes[to] {
+	ti, ok := n.nodeIdx[to]
+	if !ok {
 		return fmt.Errorf("netsim: unknown node %q", to)
 	}
 	if from == to {
@@ -553,18 +539,15 @@ func (n *Network) addDirected(from, to string, cfg LinkConfig) error {
 	if cfg.MSS == 0 {
 		cfg.MSS = DefaultMSS
 	}
-	l := &Link{from: from, to: to, cfg: cfg, idx: len(n.linkList), net: n}
+	l := &Link{from: from, to: to, fromIdx: int32(fi), toIdx: int32(ti), cfg: cfg, idx: len(n.linkList), net: n}
 	n.links[k] = l
 	n.linkList = append(n.linkList, l)
 	n.remCap = append(n.remCap, 0)
 	n.remCnt = append(n.remCnt, 0)
 	n.linkComp = append(n.linkComp, -1)
 	n.ufParent = append(n.ufParent, 0)
-	// Invalidate the route cache by bumping the topology generation:
-	// cached trees carry the generation they were built under and stop
-	// matching, so an N-link bulk build costs one counter increment per
-	// link instead of reallocating a cache map N times.
-	n.topoGen++
+	// The routing state is rebuilt once, by the next Route, so an N-link
+	// bulk build pays one flag store per link.
 	n.adjValid = false
 	return nil
 }
@@ -670,51 +653,110 @@ var ErrNoRoute = errors.New("netsim: no route")
 // byte, so it is rejected up front.
 var ErrPathDown = errors.New("netsim: path has a down link")
 
-// rebuildAdjacency regenerates the dense adjacency list from the link
-// table, with the name ranks and single-exit marks the sweep reads. Edges
-// are sorted (by source, then destination name) so the graph layout is
-// independent of map iteration order.
+// rebuildAdjacency rebuilds the routing state from the link table, and
+// drops every swept tree and memoized path. It first peels the
+// single-homed fringe: a node whose only remaining links are one each way
+// to the same neighbour u hangs below u, and peeling repeats, in queue
+// order seeded by dense index, until no node qualifies. A one-way link
+// keeps both its endpoints, and a tree component keeps one root. What is
+// left is the core, and only the core's edges are kept for computeTree.
 func (n *Network) rebuildAdjacency() {
-	keys := make([]linkKey, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
+	rn := make([]routeNode, len(n.nodeNames))
+	deg := make([][2]int32, len(rn)) // remaining out- and in-links
+	for v := range rn {
+		rn[v] = routeNode{parent: -1, attach: int32(v), core: -1}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	n.adj = make([][]halfEdge, len(n.nodeNames))
-	for _, k := range keys {
-		l := n.links[k]
-		fi := n.nodeIdx[k.from]
-		n.adj[fi] = append(n.adj[fi], halfEdge{to: int32(n.nodeIdx[k.to]), link: int32(l.idx), delay: l.cfg.Delay})
+	// While peeling, up and down hold the XOR of a node's remaining out-
+	// and in-link indices: once one of each remains, they are those links.
+	for _, l := range n.linkList {
+		deg[l.fromIdx][0]++
+		rn[l.fromIdx].up ^= int32(l.idx)
+		deg[l.toIdx][1]++
+		rn[l.toIdx].down ^= int32(l.idx)
 	}
-	byName := make([]int32, len(n.adj))
-	n.nameRank = make([]int32, len(n.adj))
-	n.onlyOut = make([]int32, len(n.adj))
-	for node, out := range n.adj {
-		byName[node] = int32(node)
-		n.onlyOut[node] = -1
-		if len(out) == 1 {
-			n.onlyOut[node] = out[0].to
+	one := [2]int32{1, 1}
+	queue := make([]int32, 0, len(rn))
+	for v := range rn {
+		if deg[v] == one {
+			queue = append(queue, int32(v))
 		}
 	}
-	sort.Slice(byName, func(i, j int) bool { return n.nodeNames[byName[i]] < n.nodeNames[byName[j]] })
-	for rank, node := range byName {
-		n.nameRank[node] = int32(rank)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		if deg[v] != one {
+			continue // its neighbour was peeled first: v is a tree's root
+		}
+		out, in := n.linkList[rn[v].up], n.linkList[rn[v].down]
+		if u := out.toIdx; u == in.fromIdx {
+			rn[v].parent, deg[v] = u, [2]int32{}
+			deg[u][0]--
+			deg[u][1]--
+			rn[u].up ^= int32(in.idx)
+			rn[u].down ^= int32(out.idx)
+			if deg[u] == one {
+				queue = append(queue, u)
+			}
+		}
 	}
+	// A node is peeled after all its children, so the queue read backwards
+	// reaches every parent before its children.
+	for i := len(queue) - 1; i >= 0; i-- {
+		if v := queue[i]; rn[v].parent >= 0 {
+			p := rn[rn[v].parent]
+			rn[v].attach, rn[v].depth = p.attach, p.depth+1
+		}
+	}
+	byName := queue[:0] // the queue's storage, reused for the core nodes
+	for v := range rn {
+		if rn[v].parent < 0 {
+			rn[v].core = int32(len(byName))
+			byName = append(byName, int32(v))
+		}
+	}
+	nc := len(byName)
+	off := make([]int32, nc+1)
+	for _, l := range n.linkList {
+		if c := rn[l.fromIdx].core; c >= 0 && rn[l.toIdx].core >= 0 {
+			off[c+1]++
+		}
+	}
+	for c := 1; c <= nc; c++ {
+		off[c] += off[c-1]
+	}
+	adj := make([]halfEdge, off[nc])
+	for _, l := range n.linkList {
+		if c, d := rn[l.fromIdx].core, rn[l.toIdx].core; c >= 0 && d >= 0 {
+			adj[off[c]] = halfEdge{to: d, link: int32(l.idx), delay: l.cfg.Delay}
+			off[c]++
+		}
+	}
+	copy(off[1:], off[:nc]) // the fill advanced each start to the next one's
+	off[0] = 0
+	rank := make([]int32, nc)
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(n.nodeNames[a], n.nodeNames[b]) })
+	for r, v := range byName {
+		rank[rn[v].core] = int32(r)
+	}
+	n.route, n.coreOff, n.coreAdj, n.coreRank = rn, off, adj, rank
+	n.trees, n.dist = make([][]int32, nc), make([]time.Duration, nc)
+	clear(n.paths)
 	n.adjValid = true
 }
 
 // Route returns the directed links on the lowest-latency path src->dst
 // (Dijkstra on propagation delay, hop count as tie-break via tiny epsilon).
-// Paths are served from the source's cached shortest-path tree: the first
-// query from a source runs one Dijkstra sweep that answers every later
-// destination, and topology changes (AddNode/AddLink) invalidate trees and
-// memoized paths by generation counter. The returned paths are identical,
-// link for link, to the per-pair Dijkstra this cache replaced.
+// A path is three parts: the up links from src to x, the core chain from x
+// to y out of the tree swept from src's attachment, and the down links from
+// y to dst. With different attachments x and y are those attachments; with
+// the same one x = y is the two nodes' lowest common ancestor.
+//
+// The paths are link for link those of a per-pair Dijkstra over the whole
+// graph (docs/PERFORMANCE.md, "Routes on the core"). A fringe node has one
+// simple path to its attachment. It can offer a distance only to its
+// parent, and that offer is strictly larger since hopPenalty > 0, so it
+// never sets a core node's predecessor. And among core nodes the full
+// sweep's pop key (D + d_core, name) orders them as (d_core, name) does,
+// since D, src's distance to x, is the same for all of them.
 func (n *Network) Route(src, dst string) ([]*Link, error) {
 	si, ok := n.nodeIdx[src]
 	if !ok {
@@ -728,35 +770,59 @@ func (n *Network) Route(src, dst string) ([]*Link, error) {
 		return nil, fmt.Errorf("netsim: src == dst (%q)", src)
 	}
 	n.stats.Queries++
-	if n.pathGen != n.topoGen {
-		clear(n.paths)
-		n.pathGen = n.topoGen
+	if !n.adjValid {
+		n.rebuildAdjacency()
 	}
 	key := uint64(si)<<32 | uint64(di)
 	if p, ok := n.paths[key]; ok {
 		return p, nil
 	}
-	t := n.trees[si]
-	if t == nil || t.gen != n.topoGen {
-		t = n.computeTree(si)
-		n.trees[si] = t
+	rn := n.route
+	x, y := rn[si].attach, rn[di].attach
+	var prev []int32
+	if x == y {
+		a, b := int32(si), int32(di)
+		for rn[a].depth > rn[b].depth {
+			a = rn[a].parent
+		}
+		for rn[b].depth > rn[a].depth {
+			b = rn[b].parent
+		}
+		for a != b {
+			a, b = rn[a].parent, rn[b].parent
+		}
+		x, y = a, a
+	} else {
+		if prev = n.trees[rn[x].core]; prev == nil {
+			prev = n.computeTree(rn[x].core)
+			n.trees[rn[x].core] = prev
+		}
+		if prev[rn[y].core] == noPrev {
+			return nil, fmt.Errorf("%w: %s->%s", ErrNoRoute, src, dst)
+		}
 	}
-	if t.prev[di] == noPrev {
-		return nil, fmt.Errorf("%w: %s->%s", ErrNoRoute, src, dst)
-	}
-	// Materialize the path from the predecessor chain: count the hops,
-	// then fill the exact-size slice back-to-front — one allocation per
-	// distinct (src,dst), exactly what the per-pair scheme paid.
+	// Count the hops, then fill one exact-size slice from both ends — one
+	// allocation per distinct (src,dst), exactly what the per-pair scheme
+	// paid.
 	n.stats.PathBuilds++
-	hops := 0
-	for at := di; at != si; at = n.nodeIdx[n.linkList[t.prev[at]].from] {
+	hops := rn[si].depth - rn[x].depth + rn[di].depth - rn[y].depth
+	for at := y; at != x; at = n.linkList[prev[rn[at].core]].fromIdx {
 		hops++
 	}
 	path := make([]*Link, hops)
-	for at, i := di, hops-1; at != si; i-- {
-		l := n.linkList[t.prev[at]]
-		path[i] = l
-		at = n.nodeIdx[l.from]
+	i := 0
+	for v := int32(si); v != x; v = rn[v].parent {
+		path[i] = n.linkList[rn[v].up]
+		i++
+	}
+	i = len(path)
+	for v := int32(di); v != y; v = rn[v].parent {
+		i--
+		path[i] = n.linkList[rn[v].down]
+	}
+	for at := y; at != x; at = path[i].fromIdx {
+		i--
+		path[i] = n.linkList[prev[rn[at].core]]
 	}
 	n.paths[key] = path
 	return path, nil
@@ -765,54 +831,41 @@ func (n *Network) Route(src, dst string) ([]*Link, error) {
 // RouteStats returns cumulative routing-work counters.
 func (n *Network) RouteStats() RouteStats { return n.stats }
 
-// computeTree runs one full Dijkstra sweep from the dense node index si
-// over the prebuilt adjacency list with a binary heap. Distances are exact
-// (integer time.Duration sums), pops are ordered by (distance, node name)
-// and relaxations improve strictly, so every node's predecessor chain is
-// deterministic and identical to the reference implementation's
-// scan-all-links version. A relaxed node whose only out-edge leads back to
-// the node being popped is not queued: its distance and predecessor are
-// written like anyone's, and popping it could only re-offer that already
-// final neighbour a longer distance (docs/PERFORMANCE.md) — nine nodes in
-// ten on a world of hosts hanging off switches. The dist/visited/heap
-// working arrays are reused Network scratch; only prev lands in the tree.
-func (n *Network) computeTree(si int) *routeTree {
-	if !n.adjValid {
-		n.rebuildAdjacency()
-	}
+// computeTree runs one full Dijkstra sweep of the core from core index src
+// with a binary heap, and returns, per core index, the dense index of the
+// link entering it (noPrev for src and for unreachable nodes). Distances
+// are exact (integer time.Duration sums), pops are ordered by (distance,
+// node name) and relaxations improve strictly, so every predecessor chain
+// is deterministic. An entry is pushed only on a strict improvement, so
+// one whose distance is above its node's is stale. The dist and heap
+// working arrays are reused Network scratch.
+func (n *Network) computeTree(src int32) []int32 {
 	n.stats.TreeBuilds++
 	const hopPenalty = time.Microsecond
-	t := &routeTree{gen: n.topoGen, prev: make([]int32, len(n.nodeNames))}
-	dist, prev := n.dist, t.prev
+	dist, prev := n.dist, make([]int32, len(n.dist))
 	for i := range dist {
 		dist[i] = unreached
 		prev[i] = noPrev
-		n.visited[i] = false
 	}
-	dist[si] = 0
-	h := heapPush(n.heapBuf[:0], nodeHeapEntry{0, n.nameRank[si], int32(si)})
+	dist[src] = 0
+	h := heapPush(n.heapBuf[:0], nodeHeapEntry{0, n.coreRank[src], src})
 	for len(h) > 0 {
 		var top nodeHeapEntry
 		top, h = heapPop(h)
 		u := top.node
-		if n.visited[u] {
-			continue // stale entry superseded by a shorter one
+		if top.dist > dist[u] {
+			continue
 		}
-		n.visited[u] = true
-		du := dist[u]
-		for _, e := range n.adj[u] {
-			nd := du + e.delay + hopPenalty
-			if nd < dist[e.to] {
+		for _, e := range n.coreAdj[n.coreOff[u]:n.coreOff[u+1]] {
+			if nd := top.dist + e.delay + hopPenalty; nd < dist[e.to] {
 				dist[e.to] = nd
 				prev[e.to] = e.link
-				if n.onlyOut[e.to] != u {
-					h = heapPush(h, nodeHeapEntry{nd, n.nameRank[e.to], e.to})
-				}
+				h = heapPush(h, nodeHeapEntry{nd, n.coreRank[e.to], e.to})
 			}
 		}
 	}
 	n.heapBuf = h[:0]
-	return t
+	return prev
 }
 
 // unreached marks a node the Dijkstra sweep has not relaxed.

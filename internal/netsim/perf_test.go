@@ -330,9 +330,9 @@ func benchGridNet(tb testing.TB, size int) *Network {
 
 // BenchmarkRouteTreeCold measures an uncached route: one full Dijkstra
 // sweep (shortest-path tree build) plus the first path materialization,
-// corner-to-corner across an 8x8 grid graph. The generation bump at the
-// top of each iteration discards the cached tree, so every Route call
-// pays the cold cost.
+// corner-to-corner across an 8x8 grid graph, every node of which is core.
+// Dropping the trees at the top of each iteration makes every Route call
+// pay the cold cost.
 func BenchmarkRouteTreeCold(b *testing.B) {
 	n := benchGridNet(b, 8)
 	if _, err := n.Route("n00", "n77"); err != nil {
@@ -341,7 +341,7 @@ func BenchmarkRouteTreeCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.topoGen++
+		n.dropTrees()
 		if _, err := n.Route("n00", "n77"); err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func BenchmarkRouteTreeWarm(b *testing.B) {
 // BenchmarkAddLinkBulkBuild measures topology construction (the 8x8 grid:
 // 64 nodes, 112 duplex links). Before the generation-counter switch every
 // addDirected reallocated the route-cache map, so an N-link build churned
-// 2N maps; now invalidation is one integer bump per link.
+// 2N maps; now invalidation is one flag store per link.
 func BenchmarkAddLinkBulkBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -392,18 +392,18 @@ func TestReallocateSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRouteTreeColdAllocs pins the Dijkstra scratch reuse: after warm-up,
-// a cold route (tree rebuild + first path) may only allocate the tree —
-// the routeTree struct and its int32 prev array — and the exact-size path
-// slice (3 measured; the bound leaves room for the tree-cache and
-// path-memo map inserts to grow a bucket). The dist, visited and heap
-// working arrays are shared Network scratch and must not reallocate.
+// a cold route (tree rebuild + first path) may only allocate the tree's
+// int32 prev array and the exact-size path slice (2 measured; the bound
+// leaves room for the path-memo map insert to grow a bucket). The dist
+// and heap working arrays are shared Network scratch and must not
+// reallocate.
 func TestRouteTreeColdAllocs(t *testing.T) {
 	n := benchGridNet(t, 8)
 	if _, err := n.Route("n00", "n77"); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		n.topoGen++
+		n.dropTrees()
 		if _, err := n.Route("n00", "n77"); err != nil {
 			t.Fatal(err)
 		}
@@ -433,9 +433,9 @@ func TestRouteTreeWarmAllocs(t *testing.T) {
 // TestAddLinkBulkBuildAllocs pins the bulk-build cost of topology
 // construction. The old per-(src,dst) route cache reallocated its map on
 // every addDirected (2 per AddLink), so the 8x8 grid's 112 links paid 224
-// throwaway map headers on top of the real work; generation-counter
-// invalidation pays none. The bound covers both builds (591 measured
-// plain, 739 under -race instrumentation) and sits below the old
+// throwaway map headers on top of the real work; invalidating by a flag
+// the next Route reads pays none. The bound covers both builds (594
+// measured plain, 734 under -race instrumentation) and sits below the old
 // churn's >= 815 floor.
 func TestAddLinkBulkBuildAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(10, func() {
@@ -617,9 +617,9 @@ func TestActiveListStaysSorted(t *testing.T) {
 
 // refRoute is a straightforward per-pair reference Dijkstra over the link
 // table: O(V^2) pick-minimum by (distance, node name), strict relaxation,
-// stop when dst is picked. It shares nothing with the production sweep —
-// no adjacency list, heap, name ranks, dead-end rule or tree — and returns
-// the path link by link (nil when dst is unreachable).
+// stop when dst is picked. It shares nothing with the production router —
+// no contraction, core edges, heap, name ranks or tree — and returns the
+// path link by link (nil when dst is unreachable).
 func refRoute(n *Network, src, dst string) []*Link {
 	const hopPenalty = time.Microsecond
 	dist := map[string]time.Duration{src: 0}
@@ -698,10 +698,11 @@ func checkRoutesAgainstReference(t *testing.T, n *Network) {
 
 // TestRouteMatchesReferenceDijkstra cross-checks the production routing
 // against refRoute, exact path for exact path: on a grid with heterogeneous
-// delays, on hand-built directed graphs aimed at the dead-end rule (a node
-// whose only out-edge returns to the node being popped is not queued) and
-// the int32 predecessor encoding, and on seeded random directed graphs
-// dense in distance ties, where the name-rank tie-break decides the tree.
+// delays, all core; on whole-world trees, which contract to one root; on
+// hand-built shapes aimed at the peel rule — one-way links, which keep
+// their endpoints in the core, and a deep fringe whose same-attachment
+// pairs meet below the hub; and on seeded random directed graphs dense in
+// distance ties, where the name-rank tie-break decides the tree.
 func TestRouteMatchesReferenceDijkstra(t *testing.T) {
 	type edge struct {
 		from, to string
@@ -723,6 +724,73 @@ func TestRouteMatchesReferenceDijkstra(t *testing.T) {
 		}
 		return n
 	}
+	// duplex adds each edge both ways, with the same delay.
+	duplex := func(edges ...edge) []edge {
+		var out []edge
+		for _, e := range edges {
+			out = append(out, e, edge{e.to, e.from, e.ms})
+		}
+		return out
+	}
+	// hierarchy is a topo-shaped tree: region hubs r0 and r1 (joined by
+	// backbone), a site hub below each, two cluster switches below each
+	// site hub, two hosts below each switch, every delay distinct.
+	hierarchy := func(backbone ...edge) ([]string, []edge) {
+		nodes := []string{"r0", "r1"}
+		edges := backbone
+		ms := 1
+		hang := func(parent, child string) {
+			nodes = append(nodes, child)
+			edges = append(edges, duplex(edge{child, parent, ms})...)
+			ms++
+		}
+		for _, r := range []string{"r0", "r1"} {
+			hang(r, r+"s")
+			for c := 0; c < 2; c++ {
+				sw := fmt.Sprintf("%ss%d", r, c)
+				hang(r+"s", sw)
+				for h := 0; h < 2; h++ {
+					hang(sw, fmt.Sprintf("%sh%d", sw, h))
+				}
+			}
+		}
+		return nodes, edges
+	}
+	t.Run("chain", func(t *testing.T) {
+		checkRoutesAgainstReference(t, build(t, []string{"c", "a", "d", "b", "e"},
+			duplex(edge{"a", "b", 1}, edge{"b", "c", 2}, edge{"c", "d", 3}, edge{"d", "e", 4})))
+	})
+	t.Run("star", func(t *testing.T) {
+		checkRoutesAgainstReference(t, build(t, []string{"l1", "hub", "l2", "l3", "l4"},
+			duplex(edge{"l1", "hub", 1}, edge{"l2", "hub", 1}, edge{"l3", "hub", 2}, edge{"l4", "hub", 3})))
+	})
+	t.Run("two regions, one backbone link", func(t *testing.T) {
+		nodes, edges := hierarchy(duplex(edge{"r0", "r1", 40})...)
+		checkRoutesAgainstReference(t, build(t, nodes, edges))
+	})
+	t.Run("two nodes joined both ways", func(t *testing.T) {
+		checkRoutesAgainstReference(t, build(t, []string{"b", "a"}, duplex(edge{"a", "b", 1})))
+	})
+	t.Run("leaf with an extra one-way link", func(t *testing.T) {
+		// leaf hangs off sw, and also transmits straight to far: it keeps
+		// two out-links and stays core, as does far with its two in-links.
+		checkRoutesAgainstReference(t, build(t, []string{"hub", "sw", "leaf", "near", "far"},
+			append(duplex(edge{"sw", "hub", 1}, edge{"leaf", "sw", 1}, edge{"near", "sw", 1}, edge{"far", "hub", 5}),
+				edge{"leaf", "far", 1})))
+	})
+	t.Run("transmit-only probe off a fringe switch", func(t *testing.T) {
+		// probe -> sw is one-way: probe is a core node nothing reaches, and
+		// sw, with one more in-link than out-links, stays core too.
+		nodes, edges := hierarchy(duplex(edge{"r0", "r1", 40})...)
+		checkRoutesAgainstReference(t, build(t, append(nodes, "probe"), append(edges, edge{"probe", "r0s1", 1})))
+	})
+	t.Run("depth-3 fringe over a core ring", func(t *testing.T) {
+		// r0 and r1 close a ring through r2, so they stay core and their
+		// hierarchies are depth-3 fringes: hosts below one switch meet at
+		// the switch, hosts below sibling switches at the site hub.
+		nodes, edges := hierarchy(duplex(edge{"r0", "r1", 40}, edge{"r1", "r2", 30}, edge{"r2", "r0", 20})...)
+		checkRoutesAgainstReference(t, build(t, append(nodes, "r2"), edges))
+	})
 	t.Run("grid", func(t *testing.T) {
 		const size = 5
 		name := func(r, c int) string { return fmt.Sprintf("n%d%d", r, c) }
@@ -744,10 +812,10 @@ func TestRouteMatchesReferenceDijkstra(t *testing.T) {
 		checkRoutesAgainstReference(t, build(t, nodes, edges))
 	})
 	t.Run("leaf with two parents", func(t *testing.T) {
-		// v's only out-edge returns to p1. Reached first from p1 it must not
-		// be queued, yet the shorter way in via p2 still lands in its
-		// dist/prev, and from p2 it must be queued: p1's own shortest path
-		// runs through it.
+		// v's only out-edge returns to p1, but p2 reaches it one way too:
+		// with two in-links v stays core, the shorter way in sets its
+		// predecessor, and in the second graph p1's own shortest path runs
+		// through it.
 		checkRoutesAgainstReference(t, build(t,
 			[]string{"s", "p1", "p2", "v", "w"},
 			[]edge{{"s", "p1", 1}, {"p1", "v", 9}, {"s", "p2", 2}, {"p2", "v", 1}, {"v", "p1", 1}, {"p1", "w", 1}}))
@@ -756,15 +824,16 @@ func TestRouteMatchesReferenceDijkstra(t *testing.T) {
 			[]edge{{"s", "p1", 9}, {"p1", "v", 1}, {"s", "p2", 1}, {"p2", "v", 1}, {"v", "p1", 1}, {"p1", "w", 1}}))
 	})
 	t.Run("single exit that leads on", func(t *testing.T) {
-		// Every inner node of a one-way chain has exactly one out-edge and
-		// it does not return to the node being popped: all must be queued.
+		// c has one link each way, but in from b and out to d: a one-way
+		// ring, so c is not peeled.
 		checkRoutesAgainstReference(t, build(t,
 			[]string{"a", "b", "c", "d"},
 			[]edge{{"a", "b", 1}, {"b", "c", 1}, {"c", "d", 1}, {"d", "b", 1}}))
 	})
 	t.Run("unreachable", func(t *testing.T) {
 		// island has no links at all; src only transmits, so nothing routes
-		// to it; both must come back ErrNoRoute from the -1 predecessor.
+		// to it; both must come back ErrNoRoute from the core tree's -1
+		// predecessor.
 		n := build(t,
 			[]string{"src", "a", "b", "island"},
 			[]edge{{"src", "a", 1}, {"a", "b", 1}, {"b", "a", 1}})

@@ -40,11 +40,13 @@ func refFromConfig(cfg cluster.Config) *refGraph {
 	return g
 }
 
-// dist runs the O(V^2) textbook Dijkstra (same hop penalty and
-// lexicographic tie-break as netsim) and returns src's distance to dst.
-func (g *refGraph) dist(src, dst string) time.Duration {
+// tree runs the O(V^2) textbook Dijkstra from src to completion (same hop
+// penalty and lexicographic tie-break as netsim, strict relaxation) and
+// returns every reached node's path from src in pathString form.
+func (g *refGraph) tree(src string) map[string]string {
 	const hopPenalty = time.Microsecond
 	dist := map[string]time.Duration{src: 0}
+	prev := map[string]string{}
 	visited := map[string]bool{}
 	for {
 		cur, best := "", time.Duration(math.MaxInt64)
@@ -67,118 +69,110 @@ func (g *refGraph) dist(src, dst string) time.Duration {
 			nd := dist[cur] + d + hopPenalty
 			if old, ok := dist[k[1]]; !ok || nd < old {
 				dist[k[1]] = nd
+				prev[k[1]] = cur
 			}
 		}
 	}
-	d, ok := dist[dst]
-	if !ok {
-		return -1
+	paths := map[string]string{}
+	for dst := range dist {
+		for at := dst; at != src; at = prev[at] {
+			paths[dst] = prev[at] + ">" + at + ";" + paths[dst]
+		}
 	}
-	return d
+	return paths
 }
 
-// pathDelay sums a netsim path's delays using the reference graph's
-// delay table (netsim links don't expose Delay; the config is the truth).
-func (g *refGraph) pathDelay(path []*netsim.Link) time.Duration {
-	const hopPenalty = time.Microsecond
-	var d time.Duration
-	for _, l := range path {
-		d += g.delay[[2]string{l.From(), l.To()}] + hopPenalty
+// checkAgainstRef requires Route to take the reference's path link for
+// link on every ordered pair of the reference's nodes, ErrNoRoute where
+// the reference reaches nothing.
+func checkAgainstRef(t *testing.T, n *netsim.Network, ref *refGraph) {
+	t.Helper()
+	for src := range ref.nodes {
+		want := ref.tree(src)
+		for dst := range ref.nodes {
+			if src == dst {
+				continue
+			}
+			path, err := n.Route(src, dst)
+			w, ok := want[dst]
+			switch {
+			case !ok && !errors.Is(err, netsim.ErrNoRoute):
+				t.Errorf("route %s -> %s: %q (err %v), reference finds no route", src, dst, pathString(path), err)
+			case ok && err != nil:
+				t.Errorf("route %s -> %s: %v, reference %q", src, dst, err, w)
+			case ok && pathString(path) != w:
+				t.Errorf("route %s -> %s: %q, reference %q", src, dst, pathString(path), w)
+			}
+		}
 	}
-	return d
 }
 
-// TestRouteTreeMatchesReferenceOnTopo checks shortest-path-tree routing
-// against the reference scan-all-links Dijkstra across seeded random
-// planet topologies: every sampled pair's path must be contiguous, have
-// the right endpoints, and match the reference distance exactly. Each
-// world also gets one-way additions the symmetric generator never makes,
-// aimed at the sweep's dead-end rule: an express link from one host to
-// another (the sender now has two exits, the receiver is a leaf reachable
-// from two parents),
-// a transmit-only probe (a single exit that leads on, unreachable as a
-// destination) and an island nothing links to.
+// TestRouteTreeMatchesReferenceOnTopo checks routing on the core against
+// the reference scan-all-links Dijkstra, link for link on every ordered
+// pair, across seeded planet topologies of 2 to 4 regions — a 2-region
+// world's backbone is one link, so the whole world is one tree. Each world
+// is checked as generated, then again after additions the symmetric
+// generator never makes: an express link from one host to another (both
+// become core), a transmit-only probe (core, unreachable as a
+// destination), an island nothing links to, and an equal-delay diamond
+// below a region hub whose two arms' names sort against their insertion
+// order, so the core's name tie-break decides which arm a route takes.
 func TestRouteTreeMatchesReferenceOnTopo(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			top, err := topo.Generate(topo.Spec{
-				Seed: seed, Regions: 2 + int(seed%3),
-				SitesPerRegion: 2, ClustersPerSite: 2, HostsPerCluster: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := top.Build(simulation.NewEngine())
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := tb.Network()
-			ref := refFromConfig(top.Config)
-			hosts := tb.Hosts()
-			oneWay := func(from, to string, d time.Duration) {
-				t.Helper()
-				if err := n.AddDirectedLink(from, to, netsim.LinkConfig{CapacityBps: 1e9, Delay: d}); err != nil {
-					t.Fatal(err)
-				}
-				ref.delay[[2]string{from, to}] = d
-				ref.nodes[from], ref.nodes[to] = true, true
-			}
-			for _, nd := range []string{"probe", "island"} {
-				if err := n.AddNode(nd); err != nil {
-					t.Fatal(err)
-				}
-			}
-			oneWay(hosts[0], hosts[len(hosts)-1], 50*time.Microsecond)
-			oneWay("probe", hosts[1], time.Millisecond)
-			for _, dst := range []string{"probe", "island"} {
-				if _, err := n.Route(hosts[2], dst); !errors.Is(err, netsim.ErrNoRoute) {
-					t.Fatalf("route %s -> %s: err %v, want ErrNoRoute", hosts[2], dst, err)
-				}
-				if ref.dist(hosts[2], dst) != -1 {
-					t.Fatalf("reference reaches %s", dst)
-				}
-			}
-			hosts = append(hosts, "probe")
-			// Sample sources spread across the host list; each source's
-			// tree answers every destination.
-			for si := 0; si < len(hosts); si += 7 {
-				src := hosts[si]
-				if si+7 >= len(hosts) {
-					src = "probe" // always sample the transmit-only source
-				}
-				for di := 0; di < len(hosts); di += 3 {
-					dst := hosts[di]
-					if src == dst || dst == "probe" {
-						continue
-					}
-					path, err := n.Route(src, dst)
+			for regions := 2; regions <= 4; regions++ {
+				t.Run(fmt.Sprintf("regions=%d", regions), func(t *testing.T) {
+					top, err := topo.Generate(topo.Spec{
+						Seed: seed, Regions: regions,
+						SitesPerRegion: 2, ClustersPerSite: 2, HostsPerCluster: 2,
+					})
 					if err != nil {
-						t.Fatalf("route %s -> %s: %v", src, dst, err)
+						t.Fatal(err)
 					}
-					if path[0].From() != src || path[len(path)-1].To() != dst {
-						t.Fatalf("route %s -> %s has endpoints %s -> %s",
-							src, dst, path[0].From(), path[len(path)-1].To())
+					tb, err := top.Build(simulation.NewEngine())
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := 1; i < len(path); i++ {
-						if path[i].From() != path[i-1].To() {
-							t.Fatalf("route %s -> %s discontiguous at hop %d", src, dst, i)
+					n := tb.Network()
+					ref := refFromConfig(top.Config)
+					checkAgainstRef(t, n, ref)
+
+					hosts := tb.Hosts()
+					oneWay := func(from, to string, d time.Duration) {
+						t.Helper()
+						if err := n.AddDirectedLink(from, to, netsim.LinkConfig{CapacityBps: 1e9, Delay: d}); err != nil {
+							t.Fatal(err)
+						}
+						ref.delay[[2]string{from, to}] = d
+						ref.nodes[from], ref.nodes[to] = true, true
+					}
+					for _, nd := range []string{"probe", "island", "tie-b", "tie-a", "tie-t"} {
+						if err := n.AddNode(nd); err != nil {
+							t.Fatal(err)
 						}
 					}
-					if got, want := ref.pathDelay(path), ref.dist(src, dst); got != want {
-						t.Errorf("route %s -> %s delay %v, reference %v", src, dst, got, want)
+					ref.nodes["island"] = true
+					oneWay(hosts[0], hosts[len(hosts)-1], 50*time.Microsecond)
+					oneWay("probe", hosts[1], time.Millisecond)
+					hub := top.HubSwitch[top.Regions[0]]
+					for _, arm := range [][2]string{{hub, "tie-b"}, {hub, "tie-a"}, {"tie-b", "tie-t"}, {"tie-a", "tie-t"}} {
+						oneWay(arm[0], arm[1], time.Millisecond)
+						oneWay(arm[1], arm[0], time.Millisecond)
 					}
-				}
+					checkAgainstRef(t, n, ref)
+				})
 			}
 		})
 	}
 }
 
-// TestRouteTreeRetainedBytes pins what a cached tree keeps alive on the
-// 10k-host planet world: one int32 predecessor per node plus the struct,
-// nothing else — no distances, no per-node path slots (40 B x nodes before
-// the trees went lean; 1 400 cached trees were why planet-traffic peaked
-// at 704 MiB). The bound of 6 B x nodes leaves the allocator's size-class
-// rounding and the handful of memoized paths their room.
+// TestRouteTreeRetainedBytes pins all the routing state the 10k-host
+// planet world keeps after routing from every 100th host to hosts[0]: one
+// 24 B routeNode per node, the core's edges and trees, and 99 memoized
+// paths. When every source host kept its own 4 B/node tree, 1 400 of them
+// were 55 MiB of planet-traffic's 122 MiB peak; now hosts share the sweep
+// of their region hub. The bound of 32 B x nodes leaves the size-class
+// rounding and the memo their room.
 func TestRouteTreeRetainedBytes(t *testing.T) {
 	top, err := topo.Generate(topo.Spec{
 		Seed: 42, Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25,
@@ -196,31 +190,100 @@ func TestRouteTreeRetainedBytes(t *testing.T) {
 	if len(hosts) != 10_000 {
 		t.Fatalf("world has %d hosts, want 10000", len(hosts))
 	}
-	// Warm the adjacency list, the sweep scratch and the cache maps.
-	if _, err := n.Route(hosts[0], hosts[1]); err != nil {
-		t.Fatal(err)
-	}
-	const trees = 64
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 1; i <= trees; i++ {
-		if _, err := n.Route(hosts[i*100], hosts[0]); err != nil {
+	for i := 100; i < len(hosts); i += 100 {
+		if _, err := n.Route(hosts[i], hosts[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if got := n.RouteStats().TreeBuilds; got != trees+1 {
-		t.Fatalf("%d tree builds, want %d", got, trees+1)
+	if got := n.RouteStats().TreeBuilds; got > 10 {
+		t.Fatalf("%d tree builds, want <= 10 (one per region hub)", got)
 	}
-	perTree := float64(after.HeapAlloc-before.HeapAlloc) / trees
-	if limit := 6 * float64(nodes); perTree > limit {
-		t.Fatalf("a cached tree retains %.0f B on a %d-node world (%.1f B/node), want <= %.0f (6 B/node)",
-			perTree, nodes, perTree/float64(nodes), limit)
+	retained := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	if limit := 32 * float64(nodes); retained > limit {
+		t.Fatalf("routing state retains %.0f B on a %d-node world (%.1f B/node), want <= %.0f (32 B/node)",
+			retained, nodes, retained/float64(nodes), limit)
 	}
-	t.Logf("%.0f B per cached tree, %.2f B/node over %d nodes", perTree, perTree/float64(nodes), nodes)
+	t.Logf("routing state retains %.0f B, %.2f B/node over %d nodes, after %d tree builds",
+		retained, retained/float64(nodes), nodes, n.RouteStats().TreeBuilds)
+	// Keep the world alive across the second read: freeing its config or
+	// the sorted host list there would offset the state being measured.
+	runtime.KeepAlive(top)
 	runtime.KeepAlive(tb)
+	runtime.KeepAlive(hosts)
+}
+
+// TestRouteRebuildAllocs pins what a forced rebuildAdjacency allocates: a
+// fixed set of flat arrays (8), the same on the paper testbed's 15 nodes
+// as on a 36-node topo world. The per-node adjacency lists it replaced
+// paid 34 and 73 there.
+func TestRouteRebuildAllocs(t *testing.T) {
+	paper, err := cluster.NewPaperTestbed(simulation.NewEngine(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := topo.Generate(topo.Spec{Seed: 1, Regions: 3, SitesPerRegion: 2, ClustersPerSite: 2, HostsPerCluster: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := top.Build(simulation.NewEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*cluster.Testbed{paper, world} {
+		n := tb.Network()
+		netsim.RebuildRoutes(n)
+		if avg := testing.AllocsPerRun(100, func() { netsim.RebuildRoutes(n) }); avg > 8 {
+			t.Errorf("rebuilding the routes of a %d-node world allocates %v objects, want <= 8",
+				len(n.Nodes()), avg)
+		}
+	}
+}
+
+// BenchmarkRoutePlanet measures routing on the 10k-host planet world: a
+// cold contraction, then routes from all 10 000 hosts to a fixed 64-host
+// sample, so each iteration sweeps the core from every region hub and
+// materializes 640 000 paths.
+func BenchmarkRoutePlanet(b *testing.B) {
+	top, err := topo.Generate(topo.Spec{
+		Seed: 42, Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb, err := top.Build(simulation.NewEngine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := tb.Network()
+	hosts := tb.Hosts()
+	dsts := make([]string, 64)
+	for i := range dsts {
+		dsts[i] = hosts[i*len(hosts)/len(dsts)+7]
+	}
+	routeAll := func() {
+		netsim.RebuildRoutes(n)
+		for _, src := range hosts {
+			for _, dst := range dsts {
+				if src == dst {
+					continue
+				}
+				if _, err := n.Route(src, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	routeAll() // grow the path memo once: a rebuild clears it, keeping its room
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		routeAll()
+	}
 }
 
 // TestRouteTreeNeverStale is the cache-invalidation regression test: a
