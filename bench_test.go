@@ -503,7 +503,7 @@ func BenchmarkExtensionReplication(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		if r.Strategy == "threshold(3)+LRU" {
+		if r.Strategy == "threshold(3)" {
 			b.ReportMetric(r.EarlySeconds, "before-sec")
 			b.ReportMetric(r.LateSeconds, "after-sec")
 		}

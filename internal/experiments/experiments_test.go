@@ -352,7 +352,7 @@ func TestExtensionReplication(t *testing.T) {
 		byName[r.Strategy] = r
 	}
 	base := byName["no-replication"]
-	dyn := byName["threshold(3)+LRU"]
+	dyn := byName["threshold(3)"]
 	if base.Replications != 0 || dyn.Replications != 1 {
 		t.Fatalf("replication counts wrong:\n%s", rendered)
 	}

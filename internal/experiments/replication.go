@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
@@ -28,9 +29,9 @@ type ReplicationResult struct {
 
 // ExtensionReplication evaluates dynamic replica placement: a user at HIT
 // (gridhit3) repeatedly fetches a file that initially lives only at THU.
-// With the threshold replicator, the third access triggers replication to
-// the HIT site, and later fetches are served across the 1 Gb/s LAN instead
-// of the 100 Mb/s WAN.
+// With the threshold policy, the third access triggers replication to the
+// HIT site, and later fetches are served across the 1 Gb/s LAN instead of
+// the 100 Mb/s WAN.
 func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, string, error) {
 	const fetches = 8
 	const fileSize = 512 * workload.MB
@@ -38,17 +39,11 @@ func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, stri
 	cfg := buildConfig(opts)
 
 	strategies := []replicationStrategy{
-		{"no-replication", func(*replica.Manager, *Env) (func(placement.Access) error, func() int, error) {
-			n := placement.NoReplication{}
-			return n.OnAccess, func() int { return 0 }, nil
+		{"no-replication", func(*siteExecutor) (placement.Policy, error) {
+			return placement.NoReplication{}, nil
 		}},
-		{"threshold(3)+LRU", func(man *replica.Manager, env *Env) (func(placement.Access) error, func() int, error) {
-			rep, err := placement.NewReplicator(man, placement.ClusterMapper{Testbed: env.Testbed},
-				placement.Config{Threshold: 3, Evict: true})
-			if err != nil {
-				return nil, nil, err
-			}
-			return rep.OnAccess, rep.Replications, nil
+		{"threshold(3)", func(x *siteExecutor) (placement.Policy, error) {
+			return placement.NewThresholdPolicy(x, placement.ThresholdConfig{Threshold: 3, RegionOf: x.siteOf})
 		}},
 	}
 
@@ -75,11 +70,78 @@ func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, stri
 	return out, tb.String(), nil
 }
 
-// replicationStrategy names one placement policy and builds its access
-// hook and replication counter against a private world's manager.
+// replicationStrategy names one placement policy and builds it over a
+// private world's executor.
 type replicationStrategy struct {
 	name string
-	mk   func(man *replica.Manager, env *Env) (func(placement.Access) error, func() int, error)
+	mk   func(x *siteExecutor) (placement.Policy, error)
+}
+
+// siteExecutor carries out a placement policy's decisions on the paper
+// testbed, where regions are sites. A new replica is the Globus replica
+// management operation: a GridFTP copy from the file's first registered
+// location to the site's first host, registered in the catalog when it
+// lands.
+type siteExecutor struct {
+	env      *Env
+	catalog  *replica.Catalog
+	transfer replica.Transfer
+}
+
+var _ placement.Executor = (*siteExecutor)(nil)
+
+// siteOf maps a host to its site; hosts outside the testbed have none.
+func (x *siteExecutor) siteOf(host string) string {
+	h, err := x.env.Testbed.Host(host)
+	if err != nil {
+		return ""
+	}
+	return h.Site()
+}
+
+// HoldingRegions reports the sites holding the file, sorted.
+func (x *siteExecutor) HoldingRegions(logical string) ([]string, error) {
+	hosts, err := x.catalog.HostsWith(logical)
+	if err != nil {
+		return nil, err
+	}
+	var sites []string
+	for _, h := range hosts {
+		if s := x.siteOf(h); s != "" {
+			sites = append(sites, s)
+		}
+	}
+	slices.Sort(sites)
+	return slices.Compact(sites), nil
+}
+
+// AddReplica copies the file to /replicas/<file> on the site's first host.
+func (x *siteExecutor) AddReplica(logical, site string, done func(error)) error {
+	lf, err := x.catalog.Logical(logical)
+	if err != nil {
+		return err
+	}
+	locs, err := x.catalog.Locations(logical)
+	if err != nil {
+		return err
+	}
+	hosts, err := x.env.Testbed.SiteHosts(site)
+	if err != nil {
+		return err
+	}
+	dst := replica.Location{Host: hosts[0].Name(), Path: "/replicas/" + logical}
+	return x.transfer(locs[0].Host, locs[0].Path, dst.Host, dst.Path, lf.SizeBytes, func(err error) {
+		if err == nil {
+			dst.RegisteredAt = x.env.Engine.Now()
+			err = x.catalog.Register(logical, dst)
+		}
+		done(err)
+	})
+}
+
+// RemoveReplica refuses: the experiment only ever adds replicas.
+func (x *siteExecutor) RemoveReplica(logical, site string) error {
+	return fmt.Errorf("experiments: replication experiment cannot remove %s from %s", logical, site)
 }
 
 // replicationPoint runs one placement strategy's full fetch sequence in
@@ -101,14 +163,13 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	}
 	env.Deploy = dep
 	catalog := replica.NewCatalog()
-	manager, err := replica.NewManager(catalog, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine, nil)
-	if err != nil {
+	if err := catalog.CreateLogical(replica.LogicalFile{Name: "file-a", SizeBytes: fileSize}); err != nil {
 		return ReplicationResult{}, err
 	}
-	if err := manager.Publish(replica.LogicalFile{Name: "file-a", SizeBytes: fileSize}, "alpha4", "/data/file-a"); err != nil {
+	if err := catalog.Register("file-a", replica.Location{Host: "alpha4", Path: "/data/file-a"}); err != nil {
 		return ReplicationResult{}, err
 	}
-	onAccess, replications, err := st.mk(manager, env)
+	policy, err := st.mk(&siteExecutor{env: env, catalog: catalog, transfer: env.Xfer.TransferFunc(simxfer.GridFTPOptions(0))})
 	if err != nil {
 		return ReplicationResult{}, err
 	}
@@ -137,12 +198,15 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 				return
 			}
 			durations = append(durations, r.Duration().Seconds())
-			_ = onAccess(placement.Access{
+			if err := policy.OnAccess(placement.Access{
 				Logical:    "file-a",
 				ServedFrom: r.Chosen.Location.Host,
 				Client:     local,
 				At:         env.Engine.Now(),
-			})
+			}); err != nil {
+				loopErr = err
+				return
+			}
 			if _, serr := env.Engine.After(time.Minute, func(time.Duration) { launch(i + 1) }); serr != nil {
 				loopErr = serr
 			}
@@ -168,6 +232,6 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 		Strategy:     st.name,
 		EarlySeconds: early,
 		LateSeconds:  late,
-		Replications: replications(),
+		Replications: policy.Stats().Replications,
 	}, nil
 }

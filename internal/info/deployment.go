@@ -55,16 +55,15 @@ func (c *DeploymentConfig) fillDefaults() {
 }
 
 // Deployment is the full monitoring stack of Fig. 1's "information server":
-// an NWS installation (nameserver, memory, sensors), an MDS hierarchy
+// an NWS installation (memory and sensors), an MDS hierarchy
 // (GRIS per host, GIIS per site, one top GIIS) and a sysstat I/O collector
 // per host, all wired into an info.Server.
 type Deployment struct {
-	Server     *Server
-	NWS        *nws.Memory
-	NameServer *nws.NameServer
-	TopGIIS    *mds.GIIS
-	Sysstat    map[string]*sysstat.Collector
-	BWSensors  map[string]*nws.Sensor
+	Server    *Server
+	NWS       *nws.Memory
+	TopGIIS   *mds.GIIS
+	Sysstat   map[string]*sysstat.Collector
+	BWSensors map[string]*nws.Sensor
 	// Sensors holds every NWS sensor (bandwidth, latency and gauges) in
 	// deployment order, so the whole installation can be paused at once.
 	Sensors []*nws.Sensor
@@ -130,17 +129,13 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	}
 
 	// --- NWS ---
-	ns := nws.NewNameServer()
-	mem := nws.NewMemory(0, nil)
-	if err := ns.Register(nws.Registration{Name: "memory.main", Kind: nws.KindMemory, Host: cfg.Local}); err != nil {
-		return nil, err
-	}
+	mem := nws.NewMemory()
 	seed := cfg.Seed
 	bwSensors := make(map[string]*nws.Sensor, len(remotes))
 	var sensors []*nws.Sensor
 	for _, r := range remotes {
 		seed++
-		s, err := nws.NewBandwidthSensor(engine, ns, mem, tb.Network(), r, cfg.Local, nws.BandwidthSensorConfig{
+		s, err := nws.NewBandwidthSensor(engine, mem, tb.Network(), r, cfg.Local, nws.BandwidthSensorConfig{
 			Period:      cfg.NWSProbePeriod,
 			ProbeBytes:  cfg.NWSProbeBytes,
 			WindowBytes: cfg.NWSProbeWindow,
@@ -151,7 +146,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		bwSensors[r] = s
 		sensors = append(sensors, s)
 		seed++
-		lat, err := nws.NewLatencySensor(engine, ns, mem, tb.Network(), r, cfg.Local, cfg.NWSProbePeriod, seed)
+		lat, err := nws.NewLatencySensor(engine, mem, tb.Network(), r, cfg.Local, cfg.NWSProbePeriod, seed)
 		if err != nil {
 			return nil, fmt.Errorf("info: latency sensor %s->%s: %w", r, cfg.Local, err)
 		}
@@ -223,7 +218,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		// RAM shrinks as the host gets busier.
 		memKey := nws.SeriesKey{Resource: nws.ResourceMemory, Source: name}
 		host := h
-		gauge, err := nws.NewGaugeSensor(engine, ns, mem, memKey, cfg.SysstatPeriod, func() (float64, error) {
+		gauge, err := nws.NewGaugeSensor(engine, mem, memKey, cfg.SysstatPeriod, func() (float64, error) {
 			return float64(host.Config().MemMB) * (0.35 + 0.65*host.CPUIdle()), nil
 		})
 		if err != nil {
@@ -242,14 +237,13 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{
-		Server:     srv,
-		NWS:        mem,
-		NameServer: ns,
-		TopGIIS:    top,
-		Sysstat:    collectors,
-		BWSensors:  bwSensors,
-		Sensors:    sensors,
-		GRIS:       grisServers,
-		SiteGIIS:   siteServers,
+		Server:    srv,
+		NWS:       mem,
+		TopGIIS:   top,
+		Sysstat:   collectors,
+		BWSensors: bwSensors,
+		Sensors:   sensors,
+		GRIS:      grisServers,
+		SiteGIIS:  siteServers,
 	}, nil
 }

@@ -153,7 +153,7 @@ func TestBandwidthPercentReflectsContention(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	eng := simulation.NewEngine()
 	net := netsim.New(eng, 1)
-	mem := nws.NewMemory(0, nil)
+	mem := nws.NewMemory()
 	dir, err := mds.NewGIIS(eng, "o=grid", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +195,9 @@ func TestDeployDefaultsToAllRemotes(t *testing.T) {
 	if len(dep.Sysstat) != 12 {
 		t.Fatalf("sysstat collectors = %d, want 12", len(dep.Sysstat))
 	}
-	// The NWS nameserver knows every sensor (11 bandwidth + 11 latency +
-	// 12 free-memory gauges) plus the memory process itself.
-	if got := len(dep.NameServer.List("")); got != 35 {
-		t.Fatalf("nameserver registrations = %d, want 35", got)
+	// Every NWS sensor: 11 bandwidth + 11 latency + 12 free-memory gauges.
+	if got := len(dep.Sensors); got != 34 {
+		t.Fatalf("NWS sensors = %d, want 34", got)
 	}
 }
 
@@ -259,7 +258,7 @@ func TestReportBadDirectoryData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := nws.NewMemory(0, nil)
+	mem := nws.NewMemory()
 	key := nws.SeriesKey{Resource: nws.ResourceBandwidth, Source: "hit0", Target: "alpha1"}
 	if err := mem.Store(key, nws.Measurement{Value: 50}); err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func TestLatencyBestEffort(t *testing.T) {
 	}
 	// A hand-wired server whose NWS memory holds only a bandwidth series
 	// for hit0->alpha1 (no latency), with MDS supplying the idle factors.
-	mem := nws.NewMemory(0, nil)
+	mem := nws.NewMemory()
 	key := nws.SeriesKey{Resource: nws.ResourceBandwidth, Source: "hit0", Target: "alpha1"}
 	for i := 0; i < 5; i++ {
 		if err := mem.Store(key, nws.Measurement{At: time.Duration(i) * time.Second, Value: 60}); err != nil {

@@ -227,6 +227,11 @@ func (p *filterParser) parseComparison() (Filter, error) {
 	if attr == "" {
 		return nil, fmt.Errorf("missing attribute at %d", start)
 	}
+	if strings.ContainsAny(attr[:1], "&|!") {
+		// Only whitespace skipSpace does not skip ("(\n!=x)") gets an
+		// operator here, and the rendered filter would parse as a composite.
+		return nil, fmt.Errorf("attribute %q at %d starts with an operator", attr, start)
+	}
 	if p.pos >= len(p.in) {
 		return nil, errors.New("missing operator")
 	}

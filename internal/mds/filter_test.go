@@ -123,6 +123,8 @@ func TestParseErrors(t *testing.T) {
 		"(attr>value)",
 		"(attr<value)",
 		"()",
+		"(\n!a=b)", // would render as "(!a=b)", which is no filter
+		"(\n&a=b)",
 	}
 	for _, s := range bad {
 		if _, err := ParseFilter(s); err == nil {

@@ -3,7 +3,7 @@ package mds
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -171,7 +171,7 @@ type GIIS struct {
 	engine   *simulation.Engine
 	suffix   string
 	ttl      time.Duration
-	children []giisChild
+	children []Searcher
 
 	cache     []Entry
 	cachedAt  time.Duration
@@ -179,17 +179,6 @@ type GIIS struct {
 	queries   int
 	rev       uint64
 	paused    bool
-}
-
-// giisChild is one registered downstream server with its soft-state
-// expiry (zero expiresAt = never expires).
-type giisChild struct {
-	s         Searcher
-	expiresAt time.Duration
-}
-
-func (c giisChild) expired(now time.Duration) bool {
-	return c.expiresAt > 0 && now > c.expiresAt
 }
 
 // NewGIIS creates an index server for the given suffix with cache ttl.
@@ -210,50 +199,21 @@ func NewGIIS(engine *simulation.Engine, suffix string, ttl time.Duration) (*GIIS
 func (g *GIIS) Suffix() string { return g.suffix }
 
 // Register adds a child server (GRIS or GIIS) permanently, as a static
-// MDS configuration would.
+// MDS configuration would. Registering a child whose suffix is already
+// registered replaces it.
 func (g *GIIS) Register(s Searcher) error {
-	return g.RegisterTTL(s, 0)
-}
-
-// RegisterTTL adds (or renews) a child server with MDS-style soft state:
-// the registration expires after ttl of virtual time unless renewed by
-// calling RegisterTTL again, after which the child's entries silently
-// vanish from search results — how GRRP keeps a GIIS from serving
-// information about departed resources. ttl <= 0 registers permanently.
-func (g *GIIS) RegisterTTL(s Searcher, ttl time.Duration) error {
 	if s == nil {
 		return errors.New("mds: nil child")
 	}
-	var expires time.Duration
-	if ttl > 0 {
-		expires = g.engine.Now() + ttl
+	i := slices.IndexFunc(g.children, func(c Searcher) bool { return c.Suffix() == s.Suffix() })
+	if i >= 0 {
+		g.children[i] = s
+	} else {
+		g.children = append(g.children, s)
 	}
-	for i, c := range g.children {
-		if c.s.Suffix() == s.Suffix() {
-			// Renewal refreshes the deadline (and the searcher pointer).
-			g.children[i] = giisChild{s: s, expiresAt: expires}
-			g.haveCache = false
-			g.rev++
-			return nil
-		}
-	}
-	g.children = append(g.children, giisChild{s: s, expiresAt: expires})
 	g.haveCache = false
 	g.rev++
 	return nil
-}
-
-// Children returns the suffixes of live (unexpired) children, sorted.
-func (g *GIIS) Children() []string {
-	now := g.engine.Now()
-	out := make([]string, 0, len(g.children))
-	for _, c := range g.children {
-		if !c.expired(now) {
-			out = append(out, c.s.Suffix())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Queries reports how many child fan-outs happened (for cache tests).
@@ -283,10 +243,7 @@ func (g *GIIS) Search(f Filter) ([]Entry, error) {
 	if (!g.haveCache || now-g.cachedAt > g.ttl) && !g.paused {
 		var all []Entry
 		for _, c := range g.children {
-			if c.expired(now) {
-				continue
-			}
-			es, err := c.s.Search(MatchAll)
+			es, err := c.Search(MatchAll)
 			if err != nil {
 				continue
 			}

@@ -209,8 +209,12 @@ func TestGIISHierarchicalSearch(t *testing.T) {
 	if err != nil || len(one) != 1 || one[0].Attrs[AttrHostName] != "hit0" {
 		t.Fatalf("hit0 search = %v, %v", one, err)
 	}
-	if got := len(top.Children()); got != 2 {
-		t.Fatalf("children = %d", got)
+	sites := map[string]bool{}
+	for _, e := range all {
+		sites[e.Attrs[AttrSite]] = true
+	}
+	if len(sites) != 2 {
+		t.Fatalf("top search spans sites %v, want THU and HIT", sites)
 	}
 }
 
@@ -279,16 +283,30 @@ func TestGIISValidation(t *testing.T) {
 	if err := g.Register(nil); err == nil {
 		t.Fatal("nil child should be rejected")
 	}
-	child, _ := NewGRIS(eng, "c", 0)
+	server := func(v string) *GRIS {
+		s, _ := NewGRIS(eng, "c", 0)
+		if err := s.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) { return Attributes{"k": v}, nil }}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	child := server("first")
 	if err := g.Register(child); err != nil {
 		t.Fatal(err)
 	}
-	// Re-registration is a soft-state renewal, not an error.
+	// Registering the same suffix again is not an error and not a second child.
 	if err := g.Register(child); err != nil {
-		t.Fatalf("renewal should succeed: %v", err)
+		t.Fatalf("re-registration should succeed: %v", err)
 	}
-	if got := g.Children(); len(got) != 1 {
-		t.Fatalf("renewal must not duplicate the child: %v", got)
+	if es, _ := g.Search(nil); len(es) != 1 {
+		t.Fatalf("re-registration duplicated the child: %v", es)
+	}
+	// A different server under the same suffix replaces the first.
+	if err := g.Register(server("second")); err != nil {
+		t.Fatal(err)
+	}
+	if es, _ := g.Search(nil); len(es) != 1 || es[0].Attrs["k"] != "second" {
+		t.Fatalf("same-suffix registration should replace the child: %v", es)
 	}
 }
 
@@ -310,74 +328,4 @@ func TestProviderPercentScaling(t *testing.T) {
 	if attrs[AttrIOFreeX100] != "6660" {
 		t.Fatalf("io free x100 = %q, want 6660", attrs[AttrIOFreeX100])
 	}
-}
-
-func TestGIISSoftStateExpiry(t *testing.T) {
-	eng := simulation.NewEngine()
-	top, err := NewGIIS(eng, "o=grid", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gris := newGRIS(t, eng, 0)
-	h := &fakeTarget{name: "alpha1", cpuIdle: 1}
-	if err := gris.AddProvider(NewCPUProvider(h, HostStatic{Site: "THU", CPUModel: "m", CPUCount: 1, CPUMHz: 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := top.RegisterTTL(gris, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	es, err := top.Search(nil)
-	if err != nil || len(es) != 1 {
-		t.Fatalf("fresh registration search = %d, %v", len(es), err)
-	}
-	// Renewed at t=20s: alive through t=50s.
-	advance := func(to time.Duration) {
-		t.Helper()
-		if _, err := eng.Schedule(to, func(time.Duration) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	advance(20 * time.Second)
-	if err := top.RegisterTTL(gris, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	advance(45 * time.Second)
-	es, err = top.Search(nil)
-	if err != nil || len(es) != 1 {
-		t.Fatalf("renewed registration search = %d, %v", len(es), err)
-	}
-	// Past the renewed deadline (and the GIIS cache TTL): entries vanish.
-	advance(60 * time.Second)
-	es, err = top.Search(nil)
-	if err != nil || len(es) != 0 {
-		t.Fatalf("expired registration search = %d, %v", len(es), err)
-	}
-	if got := top.Children(); len(got) != 0 {
-		t.Fatalf("expired child still listed: %v", got)
-	}
-	// A permanent sibling is unaffected.
-	forever := newGRISWithSuffix(t, eng, "Mds-Host-hn=hit0,o=grid")
-	if err := forever.AddProvider(NewCPUProvider(&fakeTarget{name: "hit0", cpuIdle: 1}, HostStatic{Site: "HIT", CPUModel: "m", CPUCount: 1, CPUMHz: 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := top.Register(forever); err != nil {
-		t.Fatal(err)
-	}
-	advance(2 * time.Minute)
-	es, err = top.Search(nil)
-	if err != nil || len(es) != 1 {
-		t.Fatalf("permanent sibling search = %d, %v", len(es), err)
-	}
-}
-
-func newGRISWithSuffix(t *testing.T, eng *simulation.Engine, suffix string) *GRIS {
-	t.Helper()
-	g, err := NewGRIS(eng, suffix, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }

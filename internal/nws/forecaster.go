@@ -1,10 +1,10 @@
 // Package nws reimplements the Network Weather Service (§2.2 of the paper):
 // a distributed monitoring system producing short-term performance
-// forecasts from historical measurements. It provides the three NWS
-// component processes — nws_nameserver (naming/discovery), nws_memory
-// (measurement storage) and nws_sensor (periodic measurement) — plus the
-// NWS forecasting engine: a bank of simple predictors raced against each
-// other, where the predictor with the lowest accumulated error wins the
+// forecasts from historical measurements. It provides the two NWS
+// processes replica selection reads through — nws_memory (measurement
+// storage) and nws_sensor (periodic measurement) — plus the NWS
+// forecasting engine: a bank of simple predictors raced against each
+// other, where the predictor with the lowest mean squared error wins the
 // right to make the next forecast (Wolski's "mixture of experts").
 package nws
 
@@ -237,19 +237,15 @@ func DefaultForecasters() []Forecaster {
 	return fs
 }
 
-// Forecast is the bank's combined output.
+// Forecast is the bank's output.
 type Forecast struct {
 	// Value is the winning expert's prediction (lowest cumulative MSE).
 	Value float64
-	// MAEValue is the prediction of the lowest-cumulative-MAE expert.
-	MAEValue float64
-	// Expert and MAEExpert name the winning models.
-	Expert    string
-	MAEExpert string
-	// MSE and MAE are the winners' mean errors so far, a measure of how
+	// Expert names the winning model.
+	Expert string
+	// MSE is the winner's mean squared error so far, a measure of how
 	// trustworthy the forecast is.
 	MSE float64
-	MAE float64
 	// N is the number of measurements the bank has seen.
 	N int
 }
@@ -259,7 +255,6 @@ type Forecast struct {
 type Bank struct {
 	experts []Forecaster
 	sqErr   []float64
-	absErr  []float64
 	scored  []int
 	n       int
 }
@@ -286,7 +281,6 @@ func NewBank(experts []Forecaster) (*Bank, error) {
 	return &Bank{
 		experts: experts,
 		sqErr:   make([]float64, len(experts)),
-		absErr:  make([]float64, len(experts)),
 		scored:  make([]int, len(experts)),
 	}, nil
 }
@@ -301,7 +295,6 @@ func (b *Bank) Update(v float64) {
 		if p, ok := e.Predict(); ok {
 			d := p - v
 			b.sqErr[i] += d * d
-			b.absErr[i] += math.Abs(d)
 			b.scored[i]++
 		}
 	}
@@ -311,62 +304,32 @@ func (b *Bank) Update(v float64) {
 	b.n++
 }
 
-// N returns the number of measurements seen.
-func (b *Bank) N() int { return b.n }
-
 // ErrNoForecast is returned before the bank has any usable prediction.
 var ErrNoForecast = errors.New("nws: no forecast available yet")
 
-// Forecast returns the current winning predictions.
+// Forecast returns the current winning prediction.
 func (b *Bank) Forecast() (Forecast, error) {
-	bestMSE, bestMAE := -1, -1
+	best := -1
 	for i, e := range b.experts {
 		if _, ok := e.Predict(); !ok {
 			continue
 		}
-		if bestMSE == -1 {
-			bestMSE, bestMAE = i, i
-			continue
-		}
-		if b.meanErr(b.sqErr, i) < b.meanErr(b.sqErr, bestMSE) {
-			bestMSE = i
-		}
-		if b.meanErr(b.absErr, i) < b.meanErr(b.absErr, bestMAE) {
-			bestMAE = i
+		if best == -1 || b.meanErr(i) < b.meanErr(best) {
+			best = i
 		}
 	}
-	if bestMSE == -1 {
+	if best == -1 {
 		return Forecast{}, ErrNoForecast
 	}
-	v, _ := b.experts[bestMSE].Predict()
-	mv, _ := b.experts[bestMAE].Predict()
-	return Forecast{
-		Value:     v,
-		MAEValue:  mv,
-		Expert:    b.experts[bestMSE].Name(),
-		MAEExpert: b.experts[bestMAE].Name(),
-		MSE:       b.meanErr(b.sqErr, bestMSE),
-		MAE:       b.meanErr(b.absErr, bestMAE),
-		N:         b.n,
-	}, nil
+	v, _ := b.experts[best].Predict()
+	return Forecast{Value: v, Expert: b.experts[best].Name(), MSE: b.meanErr(best), N: b.n}, nil
 }
 
-// meanErr returns an expert's error normalized by how many times it was
-// scored, so late-starting windowed models compete fairly.
-func (b *Bank) meanErr(errs []float64, i int) float64 {
+// meanErr returns an expert's mean squared error, normalized by how many
+// times it was scored so late-starting windowed models compete fairly.
+func (b *Bank) meanErr(i int) float64 {
 	if b.scored[i] == 0 {
 		return math.Inf(1)
 	}
-	return errs[i] / float64(b.scored[i])
-}
-
-// ExpertErrors reports each expert's mean squared error so far (for the
-// forecaster ablation experiment). Experts that never predicted report
-// +Inf.
-func (b *Bank) ExpertErrors() map[string]float64 {
-	out := make(map[string]float64, len(b.experts))
-	for i, e := range b.experts {
-		out[e.Name()] = b.meanErr(b.sqErr, i)
-	}
-	return out
+	return b.sqErr[i] / float64(b.scored[i])
 }

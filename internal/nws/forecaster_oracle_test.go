@@ -191,9 +191,8 @@ func diffStream(seed int64) error {
 		}
 		got, gotErr := bank.Forecast()
 		want, wantErr := ref.Forecast()
-		if gotErr != wantErr || got.Expert != want.Expert || got.MAEExpert != want.MAEExpert || got.N != want.N ||
-			!same(got.Value, want.Value, zeros) || !same(got.MAEValue, want.MAEValue, zeros) ||
-			!same(got.MSE, want.MSE, zeros) || !same(got.MAE, want.MAE, zeros) {
+		if gotErr != wantErr || got.Expert != want.Expert || got.N != want.N ||
+			!same(got.Value, want.Value, zeros) || !same(got.MSE, want.MSE, zeros) {
 			return fmt.Errorf("%s: forecast %+v (%v), reference %+v (%v)", where(i), got, gotErr, want, wantErr)
 		}
 	}

@@ -121,12 +121,8 @@ func TestBankValidation(t *testing.T) {
 	if _, err := NewBank([]Forecaster{&lastValue{}, &lastValue{}}); err == nil {
 		t.Fatal("duplicate names should be rejected")
 	}
-	b, err := NewBank(nil)
-	if err != nil {
+	if _, err := NewBank(nil); err != nil {
 		t.Fatal(err)
-	}
-	if b.N() != 0 {
-		t.Fatal("fresh bank should have N=0")
 	}
 }
 
@@ -146,10 +142,10 @@ func TestBankConstantSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Value != 42 || f.MAEValue != 42 {
+	if f.Value != 42 {
 		t.Fatalf("constant forecast = %+v", f)
 	}
-	if f.MSE != 0 || f.MAE != 0 {
+	if f.MSE != 0 {
 		t.Fatalf("constant series should have zero error: %+v", f)
 	}
 	if f.N != 100 {
@@ -161,11 +157,13 @@ func TestBankPrefersSmootherOnNoisySeries(t *testing.T) {
 	// Alternating values around a fixed mean: "last" is maximally wrong,
 	// any averaging model is better; the bank must not pick "last".
 	b, _ := NewBank(nil)
+	var vals []float64
 	for i := 0; i < 200; i++ {
 		v := 10.0
 		if i%2 == 0 {
 			v = 20.0
 		}
+		vals = append(vals, v)
 		b.Update(v)
 	}
 	f, err := b.Forecast()
@@ -175,9 +173,8 @@ func TestBankPrefersSmootherOnNoisySeries(t *testing.T) {
 	if f.Expert == "last" {
 		t.Fatalf("bank picked 'last' on an alternating series: %+v", f)
 	}
-	errs := b.ExpertErrors()
-	if errs["last"] <= errs[f.Expert] {
-		t.Fatalf("winner %q (mse %.3f) not better than last (mse %.3f)", f.Expert, errs[f.Expert], errs["last"])
+	if last := expertMSE(t, "last", vals); last <= f.MSE {
+		t.Fatalf("winner %q (mse %.3f) not better than last (mse %.3f)", f.Expert, f.MSE, last)
 	}
 	if f.Value < 10 || f.Value > 20 {
 		t.Fatalf("forecast %v outside observed range", f.Value)
@@ -188,11 +185,14 @@ func TestBankAdaptsToLevelShift(t *testing.T) {
 	// After a persistent level shift, responsive experts (last/high-gain
 	// EWMA/short windows) should beat the all-history mean.
 	b, _ := NewBank(nil)
-	for i := 0; i < 100; i++ {
-		b.Update(10)
-	}
-	for i := 0; i < 100; i++ {
-		b.Update(100)
+	var vals []float64
+	for i := 0; i < 200; i++ {
+		v := 10.0
+		if i >= 100 {
+			v = 100
+		}
+		vals = append(vals, v)
+		b.Update(v)
 	}
 	f, err := b.Forecast()
 	if err != nil {
@@ -201,8 +201,7 @@ func TestBankAdaptsToLevelShift(t *testing.T) {
 	if math.Abs(f.Value-100) > 5 {
 		t.Fatalf("post-shift forecast = %v, want near 100 (expert %s)", f.Value, f.Expert)
 	}
-	errs := b.ExpertErrors()
-	if errs[f.Expert] >= errs["run_mean"] {
+	if f.MSE >= expertMSE(t, "run_mean", vals) {
 		t.Fatal("winner should beat the all-history mean after a level shift")
 	}
 }
@@ -212,26 +211,44 @@ func TestBankRejectsNaNAndInf(t *testing.T) {
 	b.Update(10)
 	b.Update(math.NaN())
 	b.Update(math.Inf(1))
-	if b.N() != 1 {
-		t.Fatalf("N = %d, want 1 (NaN/Inf dropped)", b.N())
-	}
 	f, err := b.Forecast()
-	if err != nil || f.Value != 10 {
-		t.Fatalf("forecast = %+v, %v", f, err)
+	if err != nil || f.Value != 10 || f.N != 1 {
+		t.Fatalf("forecast = %+v, %v; want value 10 from N = 1 (NaN/Inf dropped)", f, err)
 	}
 }
 
-func TestExpertErrorsUnscored(t *testing.T) {
+// TestForecastUnscoredMSE: after one sample no expert has been scored
+// (predictions are scored against the *next* value), so every error is
+// +Inf and the first expert able to predict wins.
+func TestForecastUnscoredMSE(t *testing.T) {
 	b, _ := NewBank(nil)
 	b.Update(5)
-	errs := b.ExpertErrors()
-	// After one sample, no expert has been scored (predictions are scored
-	// against the *next* value), so all errors are +Inf.
-	for name, e := range errs {
-		if !math.IsInf(e, 1) {
-			t.Fatalf("expert %q error = %v, want +Inf before scoring", name, e)
-		}
+	f, err := b.Forecast()
+	if err != nil || !math.IsInf(f.MSE, 1) || f.Expert != "last" || f.Value != 5 {
+		t.Fatalf("forecast = %+v, %v; want last's 5 with MSE +Inf", f, err)
 	}
+}
+
+// expertMSE replays vals through a fresh default expert and returns its
+// mean squared one-step error, scored the way the bank scores it.
+func expertMSE(t *testing.T, name string, vals []float64) float64 {
+	t.Helper()
+	for _, f := range DefaultForecasters() {
+		if f.Name() != name {
+			continue
+		}
+		sum, n := 0.0, 0
+		for _, v := range vals {
+			if p, ok := f.Predict(); ok {
+				sum += (p - v) * (p - v)
+				n++
+			}
+			f.Update(v)
+		}
+		return sum / float64(n)
+	}
+	t.Fatalf("no default expert %q", name)
+	return 0
 }
 
 // Property: every bank forecast lies within [min, max] of the observed
@@ -258,8 +275,7 @@ func TestPropertyForecastWithinObservedRange(t *testing.T) {
 			return false
 		}
 		const eps = 1e-9
-		return fc.Value >= min-eps && fc.Value <= max+eps &&
-			fc.MAEValue >= min-eps && fc.MAEValue <= max+eps
+		return fc.Value >= min-eps && fc.Value <= max+eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -275,16 +291,17 @@ func TestPropertyBankPicksMinimumError(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		var vals []float64
 		for i := 0; i < 100; i++ {
-			b.Update(50 + rng.NormFloat64()*10)
+			vals = append(vals, 50+rng.NormFloat64()*10)
+			b.Update(vals[i])
 		}
 		fc, err := b.Forecast()
 		if err != nil {
 			return false
 		}
-		errs := b.ExpertErrors()
-		for _, e := range errs {
-			if e < errs[fc.Expert] {
+		for _, e := range DefaultForecasters() {
+			if expertMSE(t, e.Name(), vals) < fc.MSE {
 				return false
 			}
 		}

@@ -3,7 +3,6 @@ package nws
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/ring"
@@ -55,31 +54,27 @@ type series struct {
 	bank *Bank
 }
 
-// Memory is the nws_memory process: bounded persistent storage for
-// measurement series, plus a forecasting bank per series that is updated
-// as measurements arrive.
+// seriesCapacity is how many measurements a Memory keeps per series.
+const seriesCapacity = 512
+
+// Memory is the nws_memory process: bounded storage for measurement
+// series, plus a forecasting bank of DefaultForecasters per series that is
+// updated as measurements arrive.
 type Memory struct {
-	capacity   int
-	series     map[SeriesKey]*series
-	newExperts func() []Forecaster
+	series map[SeriesKey]*series
 	// rev counts successful stores; the gridstate snapshot plane polls it
 	// to detect that forecasts may have moved.
 	rev uint64
 }
 
-// NewMemory creates a memory holding at most capacity measurements per
-// series (<= 0 selects the NWS-ish default of 512). experts, if non-nil,
-// constructs the forecaster bank used for each new series.
-func NewMemory(capacity int, experts func() []Forecaster) *Memory {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &Memory{capacity: capacity, series: make(map[SeriesKey]*series), newExperts: experts}
+// NewMemory creates a memory holding the latest 512 measurements of each
+// series.
+func NewMemory() *Memory {
+	return &Memory{series: make(map[SeriesKey]*series)}
 }
 
 // ErrNonFinite is returned by Store for a NaN or infinite value. Nothing is
-// recorded: a forecaster cannot use such a sample and a journal cannot
-// encode it.
+// recorded: a forecaster cannot use such a sample.
 var ErrNonFinite = errors.New("nws: non-finite measurement")
 
 // Store appends a measurement to the series identified by key.
@@ -92,15 +87,11 @@ func (m *Memory) Store(key SeriesKey, meas Measurement) error {
 	}
 	s, ok := m.series[key]
 	if !ok {
-		var experts []Forecaster
-		if m.newExperts != nil {
-			experts = m.newExperts()
-		}
-		bank, err := NewBank(experts)
+		bank, err := NewBank(nil)
 		if err != nil {
 			return err
 		}
-		s = &series{ms: ring.New[Measurement](m.capacity), bank: bank}
+		s = &series{ms: ring.New[Measurement](seriesCapacity), bank: bank}
 		m.series[key] = s
 	}
 	s.ms.Push(meas)
@@ -142,23 +133,4 @@ func (m *Memory) Forecast(key SeriesKey) (Forecast, error) {
 		return Forecast{}, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
 	}
 	return s.bank.Forecast()
-}
-
-// Keys lists all stored series, sorted by their string form.
-func (m *Memory) Keys() []SeriesKey {
-	out := make([]SeriesKey, 0, len(m.series))
-	for k := range m.series {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// Len returns the number of measurements held for key (0 if unknown).
-func (m *Memory) Len(key SeriesKey) int {
-	s, ok := m.series[key]
-	if !ok {
-		return 0
-	}
-	return s.ms.Len()
 }

@@ -23,7 +23,7 @@ func TestSeriesKeyString(t *testing.T) {
 }
 
 func TestMemoryStoreAndQuery(t *testing.T) {
-	m := NewMemory(0, nil)
+	m := NewMemory()
 	k := SeriesKey{Resource: ResourceCPU, Source: "h1"}
 	for i := 0; i < 5; i++ {
 		if err := m.Store(k, Measurement{At: time.Duration(i) * time.Second, Value: float64(i)}); err != nil {
@@ -38,9 +38,6 @@ func TestMemoryStoreAndQuery(t *testing.T) {
 	if err != nil || last.Value != 4 {
 		t.Fatalf("latest = %v, %v", last, err)
 	}
-	if m.Len(k) != 5 {
-		t.Fatalf("Len = %d", m.Len(k))
-	}
 	fc, err := m.Forecast(k)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +48,7 @@ func TestMemoryStoreAndQuery(t *testing.T) {
 }
 
 func TestMemoryUnknownSeries(t *testing.T) {
-	m := NewMemory(0, nil)
+	m := NewMemory()
 	k := SeriesKey{Resource: "x", Source: "y"}
 	if _, err := m.History(k); !errors.Is(err, ErrUnknownSeries) {
 		t.Fatalf("History err = %v", err)
@@ -62,27 +59,24 @@ func TestMemoryUnknownSeries(t *testing.T) {
 	if _, err := m.Forecast(k); !errors.Is(err, ErrUnknownSeries) {
 		t.Fatalf("Forecast err = %v", err)
 	}
-	if m.Len(k) != 0 {
-		t.Fatal("Len of unknown series should be 0")
-	}
 }
 
 func TestMemoryBoundedCapacity(t *testing.T) {
-	m := NewMemory(3, nil)
+	m := NewMemory()
 	k := SeriesKey{Resource: "r", Source: "s"}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < seriesCapacity+10; i++ {
 		if err := m.Store(k, Measurement{Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	hist, _ := m.History(k)
-	if len(hist) != 3 || hist[0].Value != 7 {
-		t.Fatalf("bounded history = %v", hist)
+	if len(hist) != seriesCapacity || hist[0].Value != 10 {
+		t.Fatalf("bounded history: %d records, oldest %v", len(hist), hist[0])
 	}
 }
 
 func TestMemoryKeyValidation(t *testing.T) {
-	m := NewMemory(0, nil)
+	m := NewMemory()
 	if err := m.Store(SeriesKey{Source: "s"}, Measurement{}); err == nil {
 		t.Fatal("empty resource should be rejected")
 	}
@@ -91,87 +85,8 @@ func TestMemoryKeyValidation(t *testing.T) {
 	}
 }
 
-func TestMemoryKeysSorted(t *testing.T) {
-	m := NewMemory(0, nil)
-	keys := []SeriesKey{
-		{Resource: "z", Source: "s"},
-		{Resource: "a", Source: "s"},
-		{Resource: "m", Source: "s", Target: "t"},
-	}
-	for _, k := range keys {
-		if err := m.Store(k, Measurement{Value: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Keys()
-	if len(got) != 3 {
-		t.Fatalf("Keys = %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].String() > got[i].String() {
-			t.Fatalf("keys not sorted: %v", got)
-		}
-	}
-}
-
-func TestMemoryCustomExperts(t *testing.T) {
-	m := NewMemory(0, func() []Forecaster { return []Forecaster{&lastValue{}} })
-	k := SeriesKey{Resource: "r", Source: "s"}
-	for _, v := range []float64{1, 2, 3} {
-		if err := m.Store(k, Measurement{Value: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fc, err := m.Forecast(k)
-	if err != nil || fc.Expert != "last" || fc.Value != 3 {
-		t.Fatalf("forecast = %+v, %v", fc, err)
-	}
-}
-
-func TestNameServer(t *testing.T) {
-	ns := NewNameServer()
-	if err := ns.Register(Registration{Name: "m1", Kind: KindMemory, Host: "alpha1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Register(Registration{Name: "s1", Kind: KindSensor, Host: "alpha1"}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ns.Lookup("m1")
-	if err != nil || r.Kind != KindMemory {
-		t.Fatalf("Lookup = %+v, %v", r, err)
-	}
-	if _, err := ns.Lookup("ghost"); !errors.Is(err, ErrNotRegistered) {
-		t.Fatalf("Lookup ghost err = %v", err)
-	}
-	if got := ns.List(KindSensor); len(got) != 1 || got[0].Name != "s1" {
-		t.Fatalf("List sensors = %v", got)
-	}
-	if got := ns.List(""); len(got) != 2 {
-		t.Fatalf("List all = %v", got)
-	}
-	if !ns.Unregister("s1") {
-		t.Fatal("Unregister should report true")
-	}
-	if ns.Unregister("s1") {
-		t.Fatal("double Unregister should report false")
-	}
-}
-
-func TestNameServerValidation(t *testing.T) {
-	ns := NewNameServer()
-	if err := ns.Register(Registration{Kind: KindSensor, Host: "h"}); err == nil {
-		t.Fatal("empty name should be rejected")
-	}
-	if err := ns.Register(Registration{Name: "x", Kind: "weird", Host: "h"}); err == nil {
-		t.Fatal("bad kind should be rejected")
-	}
-	if err := ns.Register(Registration{Name: "x", Kind: KindSensor}); err == nil {
-		t.Fatal("empty host should be rejected")
-	}
-}
-
-// deployment builds engine + 2-node network + nameserver + memory.
-func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *NameServer, *Memory) {
+// deployment builds engine + 2-node network + memory.
+func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *Memory) {
 	t.Helper()
 	eng := simulation.NewEngine()
 	net := netsim.New(eng, 1)
@@ -183,22 +98,22 @@ func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *NameServer,
 	if err := net.AddLink("a", "b", netsim.LinkConfig{CapacityBps: 100e6, Delay: 5 * time.Millisecond, LossRate: 0.001}); err != nil {
 		t.Fatal(err)
 	}
-	return eng, net, NewNameServer(), NewMemory(0, nil)
+	return eng, net, NewMemory()
 }
 
 func TestGaugeSensor(t *testing.T) {
-	eng, _, ns, mem := deployment(t)
+	eng, _, mem := deployment(t)
 	val := 0.8
 	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
-	s, err := NewGaugeSensor(eng, ns, mem, key, time.Second, func() (float64, error) { return val, nil })
+	s, err := NewGaugeSensor(eng, mem, key, time.Second, func() (float64, error) { return val, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len(key) != 6 { // immediate + 5
-		t.Fatalf("samples = %d, want 6", mem.Len(key))
+	if hist, _ := mem.History(key); len(hist) != 6 { // immediate + 5
+		t.Fatalf("samples = %d, want 6", len(hist))
 	}
 	last, err := mem.Latest(key)
 	if err != nil || last.Value != 0.8 {
@@ -207,24 +122,20 @@ func TestGaugeSensor(t *testing.T) {
 	if s.Probes() != 6 || s.Stores() != 6 {
 		t.Fatalf("probes/stores = %d/%d", s.Probes(), s.Stores())
 	}
-	// The sensor must be discoverable via the nameserver.
-	if _, err := ns.Lookup("gauge." + key.String()); err != nil {
-		t.Fatalf("sensor not registered: %v", err)
-	}
 	s.Stop()
 	if err := eng.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len(key) != 6 {
+	if hist, _ := mem.History(key); len(hist) != 6 {
 		t.Fatal("sensor kept sampling after Stop")
 	}
 }
 
 func TestGaugeSensorSkipsFailedReads(t *testing.T) {
-	eng, _, ns, mem := deployment(t)
+	eng, _, mem := deployment(t)
 	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
 	fail := false
-	s, err := NewGaugeSensor(eng, ns, mem, key, time.Second, func() (float64, error) {
+	s, err := NewGaugeSensor(eng, mem, key, time.Second, func() (float64, error) {
 		if fail {
 			return 0, errors.New("boom")
 		}
@@ -249,25 +160,25 @@ func TestGaugeSensorSkipsFailedReads(t *testing.T) {
 }
 
 func TestGaugeSensorValidation(t *testing.T) {
-	eng, _, ns, mem := deployment(t)
+	eng, _, mem := deployment(t)
 	key := SeriesKey{Resource: "r", Source: "s"}
-	if _, err := NewGaugeSensor(nil, ns, mem, key, time.Second, func() (float64, error) { return 0, nil }); err == nil {
+	if _, err := NewGaugeSensor(nil, mem, key, time.Second, func() (float64, error) { return 0, nil }); err == nil {
 		t.Fatal("nil engine should be rejected")
 	}
-	if _, err := NewGaugeSensor(eng, ns, mem, key, time.Second, nil); err == nil {
+	if _, err := NewGaugeSensor(eng, mem, key, time.Second, nil); err == nil {
 		t.Fatal("nil read fn should be rejected")
 	}
-	if _, err := NewGaugeSensor(eng, ns, mem, SeriesKey{}, time.Second, func() (float64, error) { return 0, nil }); err == nil {
+	if _, err := NewGaugeSensor(eng, mem, SeriesKey{}, time.Second, func() (float64, error) { return 0, nil }); err == nil {
 		t.Fatal("bad key should be rejected")
 	}
-	if _, err := NewGaugeSensor(eng, ns, mem, key, 0, func() (float64, error) { return 0, nil }); err == nil {
+	if _, err := NewGaugeSensor(eng, mem, key, 0, func() (float64, error) { return 0, nil }); err == nil {
 		t.Fatal("zero period should be rejected")
 	}
 }
 
 func TestBandwidthSensorProbes(t *testing.T) {
-	eng, net, ns, mem := deployment(t)
-	s, err := NewBandwidthSensor(eng, ns, mem, net, "a", "b", BandwidthSensorConfig{Period: 10 * time.Second})
+	eng, net, mem := deployment(t)
+	s, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +186,8 @@ func TestBandwidthSensorProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := SeriesKey{Resource: ResourceBandwidth, Source: "a", Target: "b"}
-	if mem.Len(key) < 5 {
-		t.Fatalf("bandwidth samples = %d, want >= 5", mem.Len(key))
+	if hist, _ := mem.History(key); len(hist) < 5 {
+		t.Fatalf("bandwidth samples = %d, want >= 5", len(hist))
 	}
 	last, err := mem.Latest(key)
 	if err != nil {
@@ -298,14 +209,11 @@ func TestBandwidthSensorProbes(t *testing.T) {
 	if s.Stores() < 5 {
 		t.Fatalf("stores = %d", s.Stores())
 	}
-	if _, err := ns.Lookup("bw.a->b"); err != nil {
-		t.Fatalf("bandwidth sensor not registered: %v", err)
-	}
 }
 
 func TestBandwidthSensorMeasuresContention(t *testing.T) {
-	eng, net, ns, mem := deployment(t)
-	if _, err := NewBandwidthSensor(eng, ns, mem, net, "a", "b", BandwidthSensorConfig{Period: 5 * time.Second, WindowBytes: 1 << 22}); err != nil {
+	eng, net, mem := deployment(t)
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: 5 * time.Second, WindowBytes: 1 << 22}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(30 * time.Second); err != nil {
@@ -336,24 +244,24 @@ func TestBandwidthSensorMeasuresContention(t *testing.T) {
 }
 
 func TestBandwidthSensorValidation(t *testing.T) {
-	eng, net, ns, mem := deployment(t)
-	if _, err := NewBandwidthSensor(eng, ns, mem, net, "a", "ghost", BandwidthSensorConfig{Period: time.Second}); err == nil {
+	eng, net, mem := deployment(t)
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "ghost", BandwidthSensorConfig{Period: time.Second}); err == nil {
 		t.Fatal("unroutable pair should be rejected")
 	}
-	if _, err := NewBandwidthSensor(eng, ns, mem, net, "a", "b", BandwidthSensorConfig{}); err == nil {
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{}); err == nil {
 		t.Fatal("zero period should be rejected")
 	}
-	if _, err := NewBandwidthSensor(eng, ns, mem, net, "a", "b", BandwidthSensorConfig{Period: time.Second, ProbeBytes: -1}); err == nil {
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: time.Second, ProbeBytes: -1}); err == nil {
 		t.Fatal("negative probe size should be rejected")
 	}
-	if _, err := NewBandwidthSensor(eng, ns, mem, nil, "a", "b", BandwidthSensorConfig{Period: time.Second}); err == nil {
+	if _, err := NewBandwidthSensor(eng, mem, nil, "a", "b", BandwidthSensorConfig{Period: time.Second}); err == nil {
 		t.Fatal("nil network should be rejected")
 	}
 }
 
 func TestLatencySensor(t *testing.T) {
-	eng, net, ns, mem := deployment(t)
-	s, err := NewLatencySensor(eng, ns, mem, net, "a", "b", time.Second, 3)
+	eng, net, mem := deployment(t)
+	s, err := NewLatencySensor(eng, mem, net, "a", "b", time.Second, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +285,11 @@ func TestLatencySensor(t *testing.T) {
 }
 
 func TestLatencySensorValidation(t *testing.T) {
-	eng, net, ns, mem := deployment(t)
-	if _, err := NewLatencySensor(eng, ns, mem, net, "a", "nope", time.Second, 1); err == nil {
+	eng, net, mem := deployment(t)
+	if _, err := NewLatencySensor(eng, mem, net, "a", "nope", time.Second, 1); err == nil {
 		t.Fatal("unroutable pair should be rejected")
 	}
-	if _, err := NewLatencySensor(nil, ns, mem, net, "a", "b", time.Second, 1); err == nil {
+	if _, err := NewLatencySensor(nil, mem, net, "a", "b", time.Second, 1); err == nil {
 		t.Fatal("nil engine should be rejected")
 	}
 }
@@ -390,7 +298,7 @@ func TestLatencySensorValidation(t *testing.T) {
 // refused before anything moves: history, latest value, revision, the
 // bank and the sensor's store count all stay where they were.
 func TestMemoryRejectsNonFinite(t *testing.T) {
-	eng, _, ns, mem := deployment(t)
+	eng, _, mem := deployment(t)
 	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
 	if err := mem.Store(key, Measurement{At: time.Second, Value: 0.5}); err != nil {
 		t.Fatal(err)
@@ -407,11 +315,11 @@ func TestMemoryRejectsNonFinite(t *testing.T) {
 	if err := mem.Store(fresh, Measurement{Value: math.NaN()}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("Store(NaN) on a new key = %v, want ErrNonFinite", err)
 	}
-	if keys := mem.Keys(); len(keys) != 1 {
-		t.Fatalf("refused first sample created a series: %v", keys)
+	if _, err := mem.History(fresh); !errors.Is(err, ErrUnknownSeries) {
+		t.Fatalf("refused first sample created a series: History = %v", err)
 	}
-	if mem.Len(key) != 1 || mem.Revision() != rev {
-		t.Fatalf("Len = %d, Revision %d -> %d after refused stores", mem.Len(key), rev, mem.Revision())
+	if hist, _ := mem.History(key); len(hist) != 1 || mem.Revision() != rev {
+		t.Fatalf("%d records, Revision %d -> %d after refused stores", len(hist), rev, mem.Revision())
 	}
 	if last, err := mem.Latest(key); err != nil || last.Value != 0.5 {
 		t.Fatalf("Latest = %v, %v", last, err)
@@ -422,15 +330,15 @@ func TestMemoryRejectsNonFinite(t *testing.T) {
 
 	// A gauge that reads NaN probes but does not store.
 	gkey := SeriesKey{Resource: ResourceMemory, Source: "a"}
-	s, err := NewGaugeSensor(eng, ns, mem, gkey, time.Second, func() (float64, error) { return math.NaN(), nil })
+	s, err := NewGaugeSensor(eng, mem, gkey, time.Second, func() (float64, error) { return math.NaN(), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if s.Probes() != 4 || s.Stores() != 0 || mem.Len(gkey) != 0 {
-		t.Fatalf("probes/stores/len = %d/%d/%d, want 4/0/0", s.Probes(), s.Stores(), mem.Len(gkey))
+	if _, err := mem.History(gkey); s.Probes() != 4 || s.Stores() != 0 || !errors.Is(err, ErrUnknownSeries) {
+		t.Fatalf("probes/stores = %d/%d, History = %v; want 4/0, no series", s.Probes(), s.Stores(), err)
 	}
 }
 
@@ -438,7 +346,7 @@ func TestMemoryRejectsNonFinite(t *testing.T) {
 // capacity and a bank with every window full take a measurement without
 // allocating.
 func TestMemoryStoreAtCapacityAllocs(t *testing.T) {
-	m := NewMemory(64, nil)
+	m := NewMemory()
 	key := SeriesKey{Resource: ResourceBandwidth, Source: "a", Target: "b"}
 	rng := rand.New(rand.NewSource(1))
 	store := func() {
@@ -446,14 +354,14 @@ func TestMemoryStoreAtCapacityAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 128; i++ {
+	for i := 0; i < 2*seriesCapacity; i++ {
 		store()
 	}
 	if avg := testing.AllocsPerRun(200, store); avg != 0 {
 		t.Fatalf("Store at capacity allocates %v objects/op, want 0", avg)
 	}
 	hist, _ := m.History(key)
-	if latest, _ := m.Latest(key); len(hist) != 64 || hist[63] != latest {
+	if latest, _ := m.Latest(key); len(hist) != seriesCapacity || hist[len(hist)-1] != latest {
 		t.Fatalf("history after wrap: %d records, newest %v, Latest %v", len(hist), hist[len(hist)-1], latest)
 	}
 }

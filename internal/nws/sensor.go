@@ -22,7 +22,7 @@ type Sensor struct {
 	stores int
 }
 
-// Name returns the sensor's registered name.
+// Name returns the sensor's name, e.g. "bw.hit0->alpha1".
 func (s *Sensor) Name() string { return s.name }
 
 // Key returns the series the sensor feeds.
@@ -45,27 +45,12 @@ func (s *Sensor) SetPaused(paused bool) { s.ticker.SetPaused(paused) }
 // Paused reports whether the sensor is currently suspended.
 func (s *Sensor) Paused() bool { return s.ticker.Paused() }
 
-func registerSensor(ns *NameServer, engine *simulation.Engine, name, host string, key SeriesKey, period time.Duration) error {
-	return ns.Register(Registration{
-		Name: name,
-		Kind: KindSensor,
-		Host: host,
-		Attrs: map[string]string{
-			"resource": key.Resource,
-			"source":   key.Source,
-			"target":   key.Target,
-			"period":   period.String(),
-		},
-		At: engine.Now(),
-	})
-}
-
 // NewGaugeSensor creates a sensor that samples read() every period and
 // stores the result under key. It backs the CPU-availability, free-memory
 // and I/O-availability sensors, whose values are locally readable.
-func NewGaugeSensor(engine *simulation.Engine, ns *NameServer, mem *Memory, key SeriesKey, period time.Duration, read func() (float64, error)) (*Sensor, error) {
-	if engine == nil || ns == nil || mem == nil {
-		return nil, errors.New("nws: gauge sensor needs engine, nameserver and memory")
+func NewGaugeSensor(engine *simulation.Engine, mem *Memory, key SeriesKey, period time.Duration, read func() (float64, error)) (*Sensor, error) {
+	if engine == nil || mem == nil {
+		return nil, errors.New("nws: gauge sensor needs engine and memory")
 	}
 	if read == nil {
 		return nil, errors.New("nws: nil gauge read function")
@@ -89,10 +74,6 @@ func NewGaugeSensor(engine *simulation.Engine, ns *NameServer, mem *Memory, key 
 		return nil, err
 	}
 	s.ticker = tk
-	if err := registerSensor(ns, engine, name, key.Source, key, period); err != nil {
-		s.Stop()
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -133,9 +114,9 @@ func (c *BandwidthSensorConfig) fillDefaults() error {
 // network with grid transfers, so — exactly as with real NWS — measurements
 // are noisy and reflect current conditions. A new probe is skipped while
 // the previous one is still in flight.
-func NewBandwidthSensor(engine *simulation.Engine, ns *NameServer, mem *Memory, net *netsim.Network, src, dst string, cfg BandwidthSensorConfig) (*Sensor, error) {
-	if engine == nil || ns == nil || mem == nil || net == nil {
-		return nil, errors.New("nws: bandwidth sensor needs engine, nameserver, memory and network")
+func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Network, src, dst string, cfg BandwidthSensorConfig) (*Sensor, error) {
+	if engine == nil || mem == nil || net == nil {
+		return nil, errors.New("nws: bandwidth sensor needs engine, memory and network")
 	}
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -182,19 +163,15 @@ func NewBandwidthSensor(engine *simulation.Engine, ns *NameServer, mem *Memory, 
 		return nil, err
 	}
 	s.ticker = tk
-	if err := registerSensor(ns, engine, name, src, key, cfg.Period); err != nil {
-		s.Stop()
-		return nil, err
-	}
 	return s, nil
 }
 
 // NewLatencySensor creates a sensor recording the path round-trip time in
 // milliseconds with a small multiplicative jitter (queueing noise a real
 // ping would see).
-func NewLatencySensor(engine *simulation.Engine, ns *NameServer, mem *Memory, net *netsim.Network, src, dst string, period time.Duration, seed int64) (*Sensor, error) {
-	if engine == nil || ns == nil || mem == nil || net == nil {
-		return nil, errors.New("nws: latency sensor needs engine, nameserver, memory and network")
+func NewLatencySensor(engine *simulation.Engine, mem *Memory, net *netsim.Network, src, dst string, period time.Duration, seed int64) (*Sensor, error) {
+	if engine == nil || mem == nil || net == nil {
+		return nil, errors.New("nws: latency sensor needs engine, memory and network")
 	}
 	if _, err := net.Route(src, dst); err != nil {
 		return nil, err
@@ -219,9 +196,5 @@ func NewLatencySensor(engine *simulation.Engine, ns *NameServer, mem *Memory, ne
 		return nil, err
 	}
 	s.ticker = tk
-	if err := registerSensor(ns, engine, name, src, key, period); err != nil {
-		s.Stop()
-		return nil, err
-	}
 	return s, nil
 }

@@ -1,19 +1,18 @@
 // Package placement adds dynamic replica placement on top of the replica
-// manager: strategies that watch access patterns and create (or evict)
-// replicas so data migrates toward its consumers. The paper treats the
-// replica set as given; this package implements the natural next step the
-// data-grid literature of the era explored (threshold/popularity-based
-// "cascading" replication with LRU eviction), and the repository's
-// extension experiments quantify its effect.
+// catalog: policies watch the access stream and create (or retire)
+// replicas through an Executor, so data migrates toward its consumers. The
+// paper treats the replica set as given; this package implements the next
+// step the data-grid literature of the era explored — threshold
+// ("cascading") replication and popularity-weighted hot/warm/cold
+// placement — and the repository's extension experiments and traffic plane
+// quantify its effect.
 package placement
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
-
-	"github.com/hpclab/datagrid/internal/cluster"
-	"github.com/hpclab/datagrid/internal/replica"
 )
 
 // Policy is the dynamic-replication control surface: every placement
@@ -41,59 +40,28 @@ type Stats struct {
 	Replications int
 	// Removals is how many replicas the policy retired by epoch decision.
 	Removals int
-	// Evictions is how many replicas were LRU-evicted to make room.
-	Evictions int
 	// Hot, Warm, Cold are the class sizes of the most recent epoch for
 	// classifying policies (zero for threshold/no-op policies).
 	Hot, Warm, Cold int
 }
 
-// SiteMapper resolves hosts to sites and picks the storage host new
-// replicas land on within a site.
-type SiteMapper interface {
-	// SiteOf returns the site a host belongs to.
-	SiteOf(host string) (string, error)
-	// StorageHost returns the host of a site that stores new replicas.
-	StorageHost(site string) (string, error)
-}
-
-// ClusterMapper adapts a cluster.Testbed to SiteMapper, using each site's
-// first declared host as its storage node.
-type ClusterMapper struct {
-	Testbed *cluster.Testbed
-}
-
-// SiteOf returns the owning site of host.
-func (m ClusterMapper) SiteOf(host string) (string, error) {
-	h, err := m.Testbed.Host(host)
-	if err != nil {
-		return "", err
-	}
-	return h.Site(), nil
-}
-
-// StorageHost returns the site's first host.
-func (m ClusterMapper) StorageHost(site string) (string, error) {
-	hs, err := m.Testbed.SiteHosts(site)
-	if err != nil {
-		return "", err
-	}
-	if len(hs) == 0 {
-		return "", fmt.Errorf("placement: site %q has no hosts", site)
-	}
-	return hs[0].Name(), nil
-}
-
-// Config tunes the threshold replicator.
-type Config struct {
-	// Threshold is the number of accesses from one site after which the
-	// file is replicated there. Must be positive.
-	Threshold int
-	// DestDir is the path prefix for created replicas; default "/replicas".
-	DestDir string
-	// Evict enables LRU eviction on the destination when its quota is
-	// full.
-	Evict bool
+// Executor applies a policy's placement decisions at region granularity.
+// Decoupling the policies from any one grid lets the traffic plane execute
+// decisions as simulated epoch-boundary transfers, the replication
+// experiment as copies on the paper testbed, and tests against a fake grid
+// without a simulation at all.
+type Executor interface {
+	// HoldingRegions returns the regions currently holding a replica of
+	// logical, in deterministic (sorted) order.
+	HoldingRegions(logical string) ([]string, error)
+	// AddReplica places a new replica of logical in region, copying from
+	// an existing holder; done fires when the copy completes (success or
+	// failure). done is never nil. An error means the copy did not start,
+	// and done will not fire.
+	AddReplica(logical, region string, done func(error)) error
+	// RemoveReplica retires logical's replica in region. Implementations
+	// must refuse to orphan the last copy.
+	RemoveReplica(logical, region string) error
 }
 
 // Access is one observed fetch, fed to the strategy by the application
@@ -109,181 +77,97 @@ type Access struct {
 	At time.Duration
 }
 
-// Replicator implements threshold-based dynamic replication: when a site
-// keeps pulling a file it does not hold, the file is replicated to that
-// site; when the destination is full (and eviction is enabled), its least
-// recently used replica makes room.
-type Replicator struct {
-	manager *replica.Manager
-	mapper  SiteMapper
-	cfg     Config
-
-	// counts tracks accesses per (logical, client site) since the last
-	// replication decision.
-	counts map[string]int
-	// lastAccess tracks per-(logical, host) recency for LRU eviction.
-	lastAccess map[string]time.Duration
-	// inFlight guards against duplicate replications of the same key.
-	inFlight map[string]bool
-
-	// Replications counts successfully completed placements.
-	replications int
-	evictions    int
-	accesses     int
+// ThresholdConfig tunes the threshold policy.
+type ThresholdConfig struct {
+	// Threshold is the number of accesses from one region after which the
+	// file is replicated there. Must be positive.
+	Threshold int
+	// RegionOf maps a client host to its region.
+	RegionOf func(host string) string
 }
 
-var _ Policy = (*Replicator)(nil)
+// ThresholdPolicy implements threshold-based dynamic replication: when a
+// region keeps pulling a file it does not hold, the file is copied into
+// that region. It reacts to each access directly and keeps no epoch state.
+type ThresholdPolicy struct {
+	cfg  ThresholdConfig
+	exec Executor
 
-// NewReplicator wires a threshold replicator.
-func NewReplicator(manager *replica.Manager, mapper SiteMapper, cfg Config) (*Replicator, error) {
-	if manager == nil {
-		return nil, errors.New("placement: nil manager")
+	counts   map[[2]string]int // (logical, client region) → accesses since the last decision
+	inFlight map[string]bool   // logical → an AddReplica copy is outstanding
+	stats    Stats
+}
+
+var _ Policy = (*ThresholdPolicy)(nil)
+
+// NewThresholdPolicy wires the policy to an executor.
+func NewThresholdPolicy(exec Executor, cfg ThresholdConfig) (*ThresholdPolicy, error) {
+	if exec == nil {
+		return nil, errors.New("placement: nil executor")
 	}
-	if mapper == nil {
-		return nil, errors.New("placement: nil mapper")
+	if cfg.RegionOf == nil {
+		return nil, errors.New("placement: nil RegionOf")
 	}
 	if cfg.Threshold <= 0 {
 		return nil, fmt.Errorf("placement: threshold must be positive, got %d", cfg.Threshold)
 	}
-	if cfg.DestDir == "" {
-		cfg.DestDir = "/replicas"
-	}
-	return &Replicator{
-		manager:    manager,
-		mapper:     mapper,
-		cfg:        cfg,
-		counts:     make(map[string]int),
-		lastAccess: make(map[string]time.Duration),
-		inFlight:   make(map[string]bool),
+	return &ThresholdPolicy{
+		cfg:      cfg,
+		exec:     exec,
+		counts:   make(map[[2]string]int),
+		inFlight: make(map[string]bool),
 	}, nil
 }
 
-// Replications returns the number of completed dynamic replications.
-func (r *Replicator) Replications() int { return r.replications }
-
-// Evictions returns the number of LRU evictions performed.
-func (r *Replicator) Evictions() int { return r.evictions }
-
-// OnEpoch is a no-op: the threshold replicator reacts to each access
-// directly and keeps no epoch-scoped state.
-func (r *Replicator) OnEpoch(time.Duration) error { return nil }
-
-// Stats reports the replicator's cumulative counters.
-func (r *Replicator) Stats() Stats {
-	return Stats{Accesses: r.accesses, Replications: r.replications, Evictions: r.evictions}
-}
-
-func key2(a, b string) string { return a + "|" + b }
-
-// OnAccess records a fetch and, past the threshold, replicates the file to
-// the client's site. Errors are returned for observability but the
-// replicator stays consistent regardless; callers may log and continue.
-func (r *Replicator) OnAccess(a Access) error {
+// OnAccess counts the fetch against the client's region. At the threshold
+// the count resets if the region already holds the file; otherwise the
+// file is copied there, unless a copy of it is already under way. A
+// completed copy resets the count; a failed one leaves it, so the next
+// access retries.
+func (p *ThresholdPolicy) OnAccess(a Access) error {
 	if a.Logical == "" || a.Client == "" {
 		return errors.New("placement: access needs logical and client")
 	}
-	r.accesses++
-	r.lastAccess[key2(a.Logical, a.ServedFrom)] = a.At
-	site, err := r.mapper.SiteOf(a.Client)
-	if err != nil {
-		return err
-	}
-	ck := key2(a.Logical, site)
-	r.counts[ck]++
-	if r.counts[ck] < r.cfg.Threshold {
+	p.stats.Accesses++
+	region := p.cfg.RegionOf(a.Client)
+	key := [2]string{a.Logical, region}
+	p.counts[key]++
+	if p.counts[key] < p.cfg.Threshold {
 		return nil
 	}
-	// Already replicated to this site?
-	hosts, err := r.manager.Catalog().HostsWith(a.Logical)
+	holding, err := p.exec.HoldingRegions(a.Logical)
 	if err != nil {
 		return err
 	}
-	for _, h := range hosts {
-		hs, err := r.mapper.SiteOf(h)
-		if err != nil {
-			continue // hosts outside the testbed (e.g. archival) are ignored
-		}
-		if hs == site {
-			r.counts[ck] = 0
-			return nil
-		}
-	}
-	dst, err := r.mapper.StorageHost(site)
-	if err != nil {
-		return err
-	}
-	return r.replicate(a.Logical, hosts[0], dst, ck)
-}
-
-func (r *Replicator) replicate(logical, src, dst, countKey string) error {
-	ik := key2(logical, dst)
-	if r.inFlight[ik] {
+	if slices.Contains(holding, region) {
+		p.counts[key] = 0
 		return nil
 	}
-	dstPath := r.cfg.DestDir + "/" + logical
-	start := func() error {
-		r.inFlight[ik] = true
-		return r.manager.Replicate(logical, src, dst, dstPath, func(err error) {
-			delete(r.inFlight, ik)
-			if err == nil {
-				r.replications++
-				r.counts[countKey] = 0
-			}
-		})
+	if p.inFlight[a.Logical] {
+		return nil
 	}
-	err := start()
-	if errors.Is(err, replica.ErrQuotaExceeded) && r.cfg.Evict {
-		if everr := r.evictLRU(dst); everr != nil {
-			delete(r.inFlight, ik)
-			return fmt.Errorf("placement: eviction for %s on %s: %w", logical, dst, everr)
+	p.inFlight[a.Logical] = true
+	err = p.exec.AddReplica(a.Logical, region, func(err error) {
+		delete(p.inFlight, a.Logical)
+		if err == nil {
+			p.stats.Replications++
+			p.counts[key] = 0
 		}
-		err = start()
-	}
+	})
 	if err != nil {
-		delete(r.inFlight, ik)
-		return err
+		delete(p.inFlight, a.Logical)
 	}
-	return nil
+	return err
 }
 
-// evictLRU removes the least recently used replica held by host. Replicas
-// that are the last copy of their file are skipped (the manager refuses to
-// orphan a logical name).
-func (r *Replicator) evictLRU(host string) error {
-	cat := r.manager.Catalog()
-	var victim replica.Location
-	victimLogical := ""
-	victimAt := time.Duration(1<<62 - 1)
-	for _, name := range cat.LogicalNames() {
-		locs, err := cat.Locations(name)
-		if err != nil {
-			continue
-		}
-		if len(locs) < 2 {
-			continue // last copy, not evictable
-		}
-		for _, l := range locs {
-			if l.Host != host {
-				continue
-			}
-			at := r.lastAccess[key2(name, host)]
-			if at < victimAt {
-				victim, victimLogical, victimAt = l, name, at
-			}
-		}
-	}
-	if victimLogical == "" {
-		return errors.New("placement: nothing evictable")
-	}
-	if err := r.manager.Delete(victimLogical, victim.Host, victim.Path); err != nil {
-		return err
-	}
-	r.evictions++
-	return nil
-}
+// OnEpoch does nothing: the threshold policy acts on each access.
+func (p *ThresholdPolicy) OnEpoch(time.Duration) error { return nil }
 
-// NoReplication is the baseline strategy: it observes accesses (so recency
-// statistics stay comparable) and never replicates.
+// Stats reports the policy's cumulative counters.
+func (p *ThresholdPolicy) Stats() Stats { return p.stats }
+
+// NoReplication is the baseline strategy: it observes accesses and never
+// replicates.
 type NoReplication struct{}
 
 var _ Policy = NoReplication{}

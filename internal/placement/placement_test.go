@@ -2,252 +2,131 @@ package placement
 
 import (
 	"errors"
+	"slices"
 	"testing"
-	"time"
-
-	"github.com/hpclab/datagrid/internal/cluster"
-	"github.com/hpclab/datagrid/internal/replica"
-	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// fakeMapper is a static host->site mapping.
-type fakeMapper struct {
-	sites   map[string]string
-	storage map[string]string
-}
-
-func (m fakeMapper) SiteOf(host string) (string, error) {
-	s, ok := m.sites[host]
-	if !ok {
-		return "", errors.New("unknown host")
-	}
-	return s, nil
-}
-
-func (m fakeMapper) StorageHost(site string) (string, error) {
-	h, ok := m.storage[site]
-	if !ok {
-		return "", errors.New("unknown site")
-	}
-	return h, nil
-}
-
-var testMapper = fakeMapper{
-	sites: map[string]string{
-		"a1": "A", "a2": "A",
-		"b1": "B", "b2": "B",
-	},
-	storage: map[string]string{"A": "a1", "B": "b1"},
-}
-
-type fixture struct {
-	clock   *fakeClock
-	rec     *recTransfer
-	manager *replica.Manager
-	rep     *Replicator
-	quota   *replica.StorageQuota
-}
-
-type fakeClock struct{ now time.Duration }
-
-func (f *fakeClock) Now() time.Duration { return f.now }
-
-type recTransfer struct {
-	calls []string
-	fail  error
-}
-
-func (r *recTransfer) fn(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
-	r.calls = append(r.calls, srcHost+"->"+dstHost+":"+dstPath)
-	done(r.fail)
-	return nil
-}
-
-func newFixture(t *testing.T, cfg Config, quota *replica.StorageQuota) *fixture {
+func newThreshold(t *testing.T, exec Executor, threshold int) *ThresholdPolicy {
 	t.Helper()
-	clock := &fakeClock{}
-	rec := &recTransfer{}
-	cat := replica.NewCatalog()
-	man, err := replica.NewManager(cat, rec.fn, clock, quota)
+	p, err := NewThresholdPolicy(exec, ThresholdConfig{Threshold: threshold, RegionOf: regionOf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := NewReplicator(man, testMapper, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{clock: clock, rec: rec, manager: man, rep: rep, quota: quota}
-}
-
-func publish(t *testing.T, f *fixture, name string, size int64, host string) {
-	t.Helper()
-	if err := f.manager.Publish(replica.LogicalFile{Name: name, SizeBytes: size}, host, "/data/"+name); err != nil {
-		t.Fatal(err)
-	}
+	return p
 }
 
 func TestValidation(t *testing.T) {
-	f := newFixture(t, Config{Threshold: 1}, nil)
-	if _, err := NewReplicator(nil, testMapper, Config{Threshold: 1}); err == nil {
-		t.Fatal("nil manager should be rejected")
+	grid := newFakeGrid(nil)
+	if _, err := NewThresholdPolicy(nil, ThresholdConfig{Threshold: 1, RegionOf: regionOf}); err == nil {
+		t.Fatal("nil executor should be rejected")
 	}
-	if _, err := NewReplicator(f.manager, nil, Config{Threshold: 1}); err == nil {
-		t.Fatal("nil mapper should be rejected")
+	if _, err := NewThresholdPolicy(grid, ThresholdConfig{Threshold: 1}); err == nil {
+		t.Fatal("nil RegionOf should be rejected")
 	}
-	if _, err := NewReplicator(f.manager, testMapper, Config{}); err == nil {
+	if _, err := NewThresholdPolicy(grid, ThresholdConfig{RegionOf: regionOf}); err == nil {
 		t.Fatal("zero threshold should be rejected")
 	}
-	if err := f.rep.OnAccess(Access{}); err == nil {
+	if err := newThreshold(t, grid, 1).OnAccess(Access{}); err == nil {
 		t.Fatal("empty access should be rejected")
-	}
-	if err := f.rep.OnAccess(Access{Logical: "x", Client: "ghost"}); err == nil {
-		t.Fatal("unknown client host should surface")
 	}
 }
 
 func TestThresholdTriggersReplication(t *testing.T) {
-	f := newFixture(t, Config{Threshold: 3}, nil)
-	publish(t, f, "file-a", 100, "a2")
-	// Two accesses from site B: below threshold, nothing happens.
+	grid := newFakeGrid(map[string][]string{"file-a": {"r0"}})
+	p := newThreshold(t, grid, 3)
+	// Two accesses from r1: below threshold, nothing happens.
 	for i := 0; i < 2; i++ {
-		if err := f.rep.OnAccess(Access{Logical: "file-a", ServedFrom: "a2", Client: "b2", At: f.clock.now}); err != nil {
-			t.Fatal(err)
-		}
+		mustAccess(t, p, access("file-a", "r1-host"))
 	}
-	if len(f.rec.calls) != 0 {
-		t.Fatalf("premature replication: %v", f.rec.calls)
+	if len(grid.log) != 0 {
+		t.Fatalf("premature replication: %v", grid.log)
 	}
-	// Third access crosses the threshold: replicate to B's storage host.
-	if err := f.rep.OnAccess(Access{Logical: "file-a", ServedFrom: "a2", Client: "b2"}); err != nil {
-		t.Fatal(err)
+	// Third access crosses the threshold: replicate into r1.
+	mustAccess(t, p, access("file-a", "r1-host"))
+	if want := []string{"add file-a r1"}; !slices.Equal(grid.log, want) {
+		t.Fatalf("decisions = %v, want %v", grid.log, want)
 	}
-	if len(f.rec.calls) != 1 || f.rec.calls[0] != "a2->b1:/replicas/file-a" {
-		t.Fatalf("replication calls = %v", f.rec.calls)
-	}
-	if f.rep.Replications() != 1 {
-		t.Fatalf("Replications = %d", f.rep.Replications())
-	}
-	hosts, err := f.manager.Catalog().HostsWith("file-a")
-	if err != nil || len(hosts) != 2 {
-		t.Fatalf("hosts = %v, %v", hosts, err)
+	if st := p.Stats(); st.Replications != 1 || st.Accesses != 3 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestNoDuplicateReplicationToSameSite(t *testing.T) {
-	f := newFixture(t, Config{Threshold: 2}, nil)
-	publish(t, f, "file-a", 100, "a1")
+	grid := newFakeGrid(map[string][]string{"file-a": {"r0"}})
+	p := newThreshold(t, grid, 2)
 	for i := 0; i < 10; i++ {
-		if err := f.rep.OnAccess(Access{Logical: "file-a", ServedFrom: "a1", Client: "b1"}); err != nil {
-			t.Fatal(err)
-		}
+		mustAccess(t, p, access("file-a", "r1-host"))
 	}
-	if len(f.rec.calls) != 1 {
-		t.Fatalf("should replicate exactly once: %v", f.rec.calls)
+	if len(grid.log) != 1 {
+		t.Fatalf("should replicate exactly once: %v", grid.log)
 	}
-	// Accesses from the holding site never replicate.
+	// Accesses from a holding region never replicate.
 	for i := 0; i < 10; i++ {
-		if err := f.rep.OnAccess(Access{Logical: "file-a", ServedFrom: "a1", Client: "a2"}); err != nil {
-			t.Fatal(err)
-		}
+		mustAccess(t, p, access("file-a", "r0-host"))
 	}
-	if len(f.rec.calls) != 1 {
-		t.Fatalf("same-site access should not replicate: %v", f.rec.calls)
+	if len(grid.log) != 1 {
+		t.Fatalf("holding-region access should not replicate: %v", grid.log)
 	}
 }
 
 func TestCountsResetAfterReplication(t *testing.T) {
-	f := newFixture(t, Config{Threshold: 2}, nil)
-	publish(t, f, "f1", 10, "a1")
-	publish(t, f, "f2", 10, "a1")
-	// f1 crosses threshold from B; f2 counts must be independent.
+	grid := newFakeGrid(map[string][]string{"f1": {"r0"}, "f2": {"r0"}})
+	p := newThreshold(t, grid, 2)
+	// f1 crosses the threshold from r1; f2's count is its own.
 	for i := 0; i < 2; i++ {
-		if err := f.rep.OnAccess(Access{Logical: "f1", ServedFrom: "a1", Client: "b1"}); err != nil {
-			t.Fatal(err)
-		}
+		mustAccess(t, p, access("f1", "r1-host"))
 	}
-	if err := f.rep.OnAccess(Access{Logical: "f2", ServedFrom: "a1", Client: "b1"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.rec.calls) != 1 {
-		t.Fatalf("calls = %v", f.rec.calls)
+	mustAccess(t, p, access("f2", "r1-host"))
+	if want := []string{"add f1 r1"}; !slices.Equal(grid.log, want) {
+		t.Fatalf("decisions = %v, want %v", grid.log, want)
 	}
 }
 
-func TestEvictionMakesRoom(t *testing.T) {
-	quota := replica.NewStorageQuota()
-	if err := quota.SetCapacity("b1", 150); err != nil {
-		t.Fatal(err)
+// TestThresholdPolicyInFlightGuard: while a copy of a file is outstanding,
+// no region triggers a second one; once it lands, the next region can.
+func TestThresholdPolicyInFlightGuard(t *testing.T) {
+	grid := newFakeGrid(map[string][]string{"f": {"r0"}})
+	async := &asyncGrid{fakeGrid: grid, pending: make(map[string]func(error))}
+	p := newThreshold(t, async, 1)
+	mustAccess(t, p, access("f", "r1-host"))
+	mustAccess(t, p, access("f", "r1-host"))
+	mustAccess(t, p, access("f", "r2-host"))
+	if want := []string{"add f r1"}; !slices.Equal(grid.log, want) {
+		t.Fatalf("decisions with a copy in flight = %v, want %v", grid.log, want)
 	}
-	f := newFixture(t, Config{Threshold: 1, Evict: true}, quota)
-	publish(t, f, "old", 100, "a1")
-	publish(t, f, "hot", 100, "a2")
-	// Stage "old" onto b1 first (via an access from B).
-	f.clock.now = 10 * time.Second
-	if err := f.rep.OnAccess(Access{Logical: "old", ServedFrom: "a1", Client: "b2", At: f.clock.now}); err != nil {
-		t.Fatal(err)
+	async.pending["f"](nil)
+	if p.Stats().Replications != 1 {
+		t.Fatalf("replications = %d, want 1", p.Stats().Replications)
 	}
-	if quota.Used("b1") != 100 {
-		t.Fatalf("b1 used = %d", quota.Used("b1"))
-	}
-	// Now "hot" needs the space: the LRU replica ("old") must be evicted.
-	f.clock.now = 60 * time.Second
-	if err := f.rep.OnAccess(Access{Logical: "hot", ServedFrom: "a2", Client: "b2", At: f.clock.now}); err != nil {
-		t.Fatal(err)
-	}
-	if f.rep.Evictions() != 1 {
-		t.Fatalf("evictions = %d", f.rep.Evictions())
-	}
-	hosts, err := f.manager.Catalog().HostsWith("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, h := range hosts {
-		if h == "b1" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("hot not replicated to b1: %v", hosts)
-	}
-	oldHosts, err := f.manager.Catalog().HostsWith("old")
-	if err != nil || len(oldHosts) != 1 || oldHosts[0] != "a1" {
-		t.Fatalf("old should have been evicted from b1: %v, %v", oldHosts, err)
+	mustAccess(t, p, access("f", "r1-host")) // now held: no copy
+	mustAccess(t, p, access("f", "r2-host"))
+	if want := []string{"add f r1", "add f r2"}; !slices.Equal(grid.log, want) {
+		t.Fatalf("decisions after the copy landed = %v, want %v", grid.log, want)
 	}
 }
 
-func TestEvictionRefusesLastCopy(t *testing.T) {
-	quota := replica.NewStorageQuota()
-	if err := quota.SetCapacity("b1", 150); err != nil {
-		t.Fatal(err)
+// TestThresholdPolicyRetriesAfterFailure: a copy that fails to start
+// returns its error and leaves no in-flight mark, and one that fails in
+// flight leaves the count; either way the next access tries again.
+func TestThresholdPolicyRetriesAfterFailure(t *testing.T) {
+	grid := newFakeGrid(map[string][]string{"f": {"r0"}})
+	grid.startErr = errors.New("no route")
+	p := newThreshold(t, grid, 2)
+	mustAccess(t, p, access("f", "r1-host"))
+	if err := p.OnAccess(access("f", "r1-host")); !errors.Is(err, grid.startErr) {
+		t.Fatalf("OnAccess = %v, want the start error", err)
 	}
-	f := newFixture(t, Config{Threshold: 1, Evict: true}, quota)
-	// "pinned" lives ONLY on b1 — it cannot be evicted.
-	publish(t, f, "pinned", 100, "b1")
-	publish(t, f, "hot", 100, "a1")
-	err := f.rep.OnAccess(Access{Logical: "hot", ServedFrom: "a1", Client: "b2"})
-	if err == nil {
-		t.Fatal("replication should fail when nothing is evictable")
+	grid.startErr = nil
+	grid.failAdd = true
+	mustAccess(t, p, access("f", "r1-host"))
+	grid.failAdd = false
+	mustAccess(t, p, access("f", "r1-host"))
+	want := []string{"add f r1", "add f r1", "add f r1"}
+	if !slices.Equal(grid.log, want) {
+		t.Fatalf("decisions = %v, want %v", grid.log, want)
 	}
-	hosts, _ := f.manager.Catalog().HostsWith("pinned")
-	if len(hosts) != 1 || hosts[0] != "b1" {
-		t.Fatalf("pinned replica must survive: %v", hosts)
-	}
-}
-
-func TestQuotaFailureWithoutEviction(t *testing.T) {
-	quota := replica.NewStorageQuota()
-	if err := quota.SetCapacity("b1", 50); err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, Config{Threshold: 1}, quota) // Evict off
-	publish(t, f, "big", 100, "a1")
-	err := f.rep.OnAccess(Access{Logical: "big", ServedFrom: "a1", Client: "b1"})
-	if !errors.Is(err, replica.ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want quota exceeded", err)
-	}
-	if f.rep.Replications() != 0 {
-		t.Fatal("no replication should have completed")
+	if got := grid.replicas["f"]; !slices.Equal(got, []string{"r0", "r1"}) || p.Stats().Replications != 1 {
+		t.Fatalf("replicas = %v, replications = %d; want [r0 r1], 1", got, p.Stats().Replications)
 	}
 }
 
@@ -255,28 +134,5 @@ func TestNoReplicationBaseline(t *testing.T) {
 	var n NoReplication
 	if err := n.OnAccess(Access{Logical: "x", Client: "y"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClusterMapper(t *testing.T) {
-	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ClusterMapper{Testbed: tb}
-	site, err := m.SiteOf("lz02")
-	if err != nil || site != cluster.SiteLiZen {
-		t.Fatalf("SiteOf = %q, %v", site, err)
-	}
-	if _, err := m.SiteOf("ghost"); err == nil {
-		t.Fatal("unknown host should error")
-	}
-	h, err := m.StorageHost(cluster.SiteTHU)
-	if err != nil || h != "alpha1" {
-		t.Fatalf("StorageHost = %q, %v", h, err)
-	}
-	if _, err := m.StorageHost("nowhere"); err == nil {
-		t.Fatal("unknown site should error")
 	}
 }

@@ -7,24 +7,6 @@ import (
 	"time"
 )
 
-// Executor applies a popularity policy's placement decisions at region
-// granularity. Decoupling the policy from replica.Manager lets the
-// traffic plane execute decisions as simulated epoch-boundary
-// transfers, and lets tests drive the policy against a fake grid
-// without a simulation at all.
-type Executor interface {
-	// HoldingRegions returns the regions currently holding a replica of
-	// logical, in deterministic (sorted) order.
-	HoldingRegions(logical string) ([]string, error)
-	// AddReplica places a new replica of logical in region, copying from
-	// the nearest existing holder; done fires when the copy completes
-	// (success or failure). done is never nil.
-	AddReplica(logical, region string, done func(error)) error
-	// RemoveReplica retires logical's replica in region. Implementations
-	// must refuse to orphan the last copy.
-	RemoveReplica(logical, region string) error
-}
-
 // PopularityConfig tunes the weighted hot/warm/cold policy.
 type PopularityConfig struct {
 	// RegionOf maps a client host to its region.

@@ -9,10 +9,12 @@ import (
 )
 
 // fakeGrid is an in-memory Executor recording every decision the policy
-// issues, with synchronous copy completion.
+// issues, with synchronous copy completion. startErr refuses to start a
+// copy; failAdd fails it in flight.
 type fakeGrid struct {
 	replicas map[string][]string // logical → holding regions, sorted
 	log      []string
+	startErr error
 	failAdd  bool
 }
 
@@ -31,6 +33,9 @@ func (g *fakeGrid) HoldingRegions(logical string) ([]string, error) {
 
 func (g *fakeGrid) AddReplica(logical, region string, done func(error)) error {
 	g.log = append(g.log, fmt.Sprintf("add %s %s", logical, region))
+	if g.startErr != nil {
+		return g.startErr
+	}
 	if g.failAdd {
 		done(errors.New("copy failed"))
 		return nil

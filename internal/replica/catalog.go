@@ -1,8 +1,8 @@
-// Package replica implements the Data Grid replica management service of
-// paper §1–§3: a replica catalog mapping logical file names to registered
-// physical copies, and a replica manager handling creation, registration,
-// location and deletion of replicas (the Globus "replica management
-// service" built from the replica catalog plus GridFTP transfers).
+// Package replica implements the replica catalog of paper §1–§3: a name
+// service mapping logical file names to registered physical copies. A
+// replica is created the way the Globus replica management service creates
+// one — copy with GridFTP (a Transfer), then register the new location —
+// by whoever drives the copy: placement's executors and the experiments.
 package replica
 
 import (
@@ -151,9 +151,6 @@ var (
 	ErrDuplicate      = errors.New("replica: already registered")
 	ErrNoReplicas     = errors.New("replica: no replicas registered")
 	ErrUnknownReplica = errors.New("replica: unknown replica")
-	// ErrLastReplica is returned by Manager.Delete when removing the
-	// replica would orphan the logical name.
-	ErrLastReplica = errors.New("replica: refusing to delete the last copy")
 )
 
 // fileLocked returns the named file's record; the caller holds mu.

@@ -8,8 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func TestCatalogLogicalLifecycle(t *testing.T) {
@@ -224,283 +222,6 @@ func TestFindByAttributesCallerMutation(t *testing.T) {
 	f.Attributes["type"] = "physics"
 	if got := c.FindByAttributes(map[string]string{"type": "bio"}); len(got) != 1 || got[0] != "nr" {
 		t.Errorf("after Logical-copy mutation, find type=bio = %v, want [nr]", got)
-	}
-}
-
-// fakeClock is a manual virtual clock.
-type fakeClock struct{ now time.Duration }
-
-func (f *fakeClock) Now() time.Duration { return f.now }
-
-// instantTransfer succeeds immediately; it records calls.
-type transferRecorder struct {
-	calls  []string
-	fail   error
-	defer_ bool
-	queued []func()
-}
-
-func (r *transferRecorder) fn(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
-	r.calls = append(r.calls, srcHost+":"+srcPath+"->"+dstHost+":"+dstPath)
-	run := func() { done(r.fail) }
-	if r.defer_ {
-		r.queued = append(r.queued, run)
-		return nil
-	}
-	run()
-	return nil
-}
-
-func (r *transferRecorder) flush() {
-	for _, f := range r.queued {
-		f()
-	}
-	r.queued = nil
-}
-
-func newManager(t *testing.T, tr Transfer, quota *StorageQuota) (*Manager, *Catalog, *fakeClock) {
-	t.Helper()
-	c := NewCatalog()
-	clk := &fakeClock{}
-	m, err := NewManager(c, tr, clk, quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, c, clk
-}
-
-func TestManagerValidation(t *testing.T) {
-	c := NewCatalog()
-	clk := &fakeClock{}
-	tr := func(a, b, x, y string, n int64, d func(error)) error { return nil }
-	if _, err := NewManager(nil, tr, clk, nil); err == nil {
-		t.Fatal("nil catalog should be rejected")
-	}
-	if _, err := NewManager(c, nil, clk, nil); err == nil {
-		t.Fatal("nil transfer should be rejected")
-	}
-	if _, err := NewManager(c, tr, nil, nil); err == nil {
-		t.Fatal("nil clock should be rejected")
-	}
-}
-
-func TestPublishAndReplicate(t *testing.T) {
-	rec := &transferRecorder{}
-	m, c, clk := newManager(t, rec.fn, nil)
-	lf := LogicalFile{Name: "file-a", SizeBytes: 1024}
-	if err := m.Publish(lf, "alpha4", "/data/file-a"); err != nil {
-		t.Fatal(err)
-	}
-	clk.now = 5 * time.Second
-	var result error = errors.New("sentinel: callback never ran")
-	if err := m.Replicate("file-a", "alpha4", "hit0", "/data/file-a", func(err error) { result = err }); err != nil {
-		t.Fatal(err)
-	}
-	if result != nil {
-		t.Fatalf("replication result = %v", result)
-	}
-	locs, err := c.Locations("file-a")
-	if err != nil || len(locs) != 2 {
-		t.Fatalf("locations after replicate = %v, %v", locs, err)
-	}
-	for _, l := range locs {
-		if l.Host == "hit0" && l.RegisteredAt != 5*time.Second {
-			t.Fatalf("replica timestamp = %v", l.RegisteredAt)
-		}
-	}
-	if len(rec.calls) != 1 || rec.calls[0] != "alpha4:/data/file-a->hit0:/data/file-a" {
-		t.Fatalf("transfer calls = %v", rec.calls)
-	}
-}
-
-func TestPublishCreatesLogicalOnce(t *testing.T) {
-	rec := &transferRecorder{}
-	m, c, _ := newManager(t, rec.fn, nil)
-	lf := LogicalFile{Name: "f", SizeBytes: 10}
-	if err := m.Publish(lf, "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Publish(lf, "h2", "/b"); err != nil {
-		t.Fatal(err)
-	}
-	locs, _ := c.Locations("f")
-	if len(locs) != 2 {
-		t.Fatalf("locations = %v", locs)
-	}
-	if err := m.Publish(lf, "h1", "/a"); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate publish err = %v", err)
-	}
-}
-
-func TestReplicateErrors(t *testing.T) {
-	rec := &transferRecorder{}
-	m, _, _ := newManager(t, rec.fn, nil)
-	if err := m.Replicate("ghost", "a", "b", "/p", nil); !errors.Is(err, ErrUnknownLogical) {
-		t.Fatalf("unknown logical err = %v", err)
-	}
-	if err := m.Publish(LogicalFile{Name: "f", SizeBytes: 10}, "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Replicate("f", "h9", "h2", "/p", nil); !errors.Is(err, ErrUnknownReplica) {
-		t.Fatalf("unknown source err = %v", err)
-	}
-	if err := m.Replicate("f", "h1", "h1", "/a", nil); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("existing destination err = %v", err)
-	}
-}
-
-func TestReplicateFailureRollsBack(t *testing.T) {
-	rec := &transferRecorder{fail: errors.New("link down")}
-	quota := NewStorageQuota()
-	m, c, _ := newManager(t, rec.fn, quota)
-	if err := m.Publish(LogicalFile{Name: "f", SizeBytes: 100}, "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	var result error
-	if err := m.Replicate("f", "h1", "h2", "/b", func(err error) { result = err }); err != nil {
-		t.Fatal(err)
-	}
-	if result == nil {
-		t.Fatal("failed transfer should surface its error")
-	}
-	locs, _ := c.Locations("f")
-	if len(locs) != 1 {
-		t.Fatalf("failed replica must not be registered: %v", locs)
-	}
-	if quota.Used("h2") != 0 {
-		t.Fatalf("failed replica must release quota, used = %d", quota.Used("h2"))
-	}
-}
-
-func TestReplicateInFlightGuard(t *testing.T) {
-	rec := &transferRecorder{defer_: true}
-	m, c, _ := newManager(t, rec.fn, nil)
-	if err := m.Publish(LogicalFile{Name: "f", SizeBytes: 10}, "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Replicate("f", "h1", "h2", "/b", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Replicate("f", "h1", "h2", "/b", nil); !errors.Is(err, ErrReplicationInFlight) {
-		t.Fatalf("in-flight guard err = %v", err)
-	}
-	rec.flush()
-	locs, _ := c.Locations("f")
-	if len(locs) != 2 {
-		t.Fatalf("locations after flush = %v", locs)
-	}
-	// After completion, replicating to a new path works again.
-	if err := m.Replicate("f", "h1", "h2", "/c", nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuotaEnforcement(t *testing.T) {
-	rec := &transferRecorder{}
-	quota := NewStorageQuota()
-	if err := quota.SetCapacity("small", 150); err != nil {
-		t.Fatal(err)
-	}
-	m, _, _ := newManager(t, rec.fn, quota)
-	if err := m.Publish(LogicalFile{Name: "f1", SizeBytes: 100}, "big", "/f1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Replicate("f1", "big", "small", "/f1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if quota.Used("small") != 100 {
-		t.Fatalf("used = %d", quota.Used("small"))
-	}
-	if err := m.Publish(LogicalFile{Name: "f2", SizeBytes: 100}, "big", "/f2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Replicate("f2", "big", "small", "/f2", nil); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("quota err = %v", err)
-	}
-	// Unlimited host accepts anything.
-	if err := m.Publish(LogicalFile{Name: "f3", SizeBytes: 1 << 40}, "big", "/f3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := quota.SetCapacity("", 10); err == nil {
-		t.Fatal("empty host quota should be rejected")
-	}
-	if err := quota.SetCapacity("x", 0); err == nil {
-		t.Fatal("zero capacity should be rejected")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	rec := &transferRecorder{}
-	quota := NewStorageQuota()
-	m, c, _ := newManager(t, rec.fn, quota)
-	if err := m.Publish(LogicalFile{Name: "f", SizeBytes: 10}, "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete("f", "h1", "/a"); !errors.Is(err, ErrLastReplica) {
-		t.Fatalf("deleting the last copy: err = %v, want ErrLastReplica", err)
-	}
-	if err := m.Replicate("f", "h1", "h2", "/b", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete("f", "h1", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if quota.Used("h1") != 0 {
-		t.Fatalf("delete should release quota, used = %d", quota.Used("h1"))
-	}
-	locs, _ := c.Locations("f")
-	if len(locs) != 1 || locs[0].Host != "h2" {
-		t.Fatalf("locations = %v", locs)
-	}
-	if err := m.Delete("ghost", "h", "/p"); !errors.Is(err, ErrUnknownLogical) {
-		t.Fatalf("delete unknown err = %v", err)
-	}
-}
-
-// Property: quota accounting never goes negative and never exceeds
-// capacity under any publish/replicate/delete sequence.
-func TestPropertyQuotaAccounting(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rec := &transferRecorder{}
-		quota := NewStorageQuota()
-		const cap = 1000
-		if err := quota.SetCapacity("h2", cap); err != nil {
-			return false
-		}
-		c := NewCatalog()
-		m, err := NewManager(c, rec.fn, &fakeClock{}, quota)
-		if err != nil {
-			return false
-		}
-		nfiles := 0
-		for i := 0; i < int(n%40); i++ {
-			switch rng.Intn(3) {
-			case 0: // publish a new file on the unlimited host
-				nfiles++
-				name := string(rune('a' + nfiles%26))
-				_ = m.Publish(LogicalFile{Name: name, SizeBytes: int64(1 + rng.Intn(400))}, "h1", "/"+name)
-			case 1: // replicate something to the limited host
-				names := c.LogicalNames()
-				if len(names) > 0 {
-					name := names[rng.Intn(len(names))]
-					_ = m.Replicate(name, "h1", "h2", "/"+name, nil)
-				}
-			case 2: // delete from the limited host
-				names := c.LogicalNames()
-				if len(names) > 0 {
-					name := names[rng.Intn(len(names))]
-					_ = m.Delete(name, "h2", "/"+name)
-				}
-			}
-			if quota.Used("h2") < 0 || quota.Used("h2") > cap {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

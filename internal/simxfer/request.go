@@ -57,9 +57,9 @@ func (t *Transferrer) Submit(req Request) error {
 	}
 }
 
-// TransferFunc adapts Submit to the callback shape the replica manager
-// and the application pipeline consume (replica.Transfer): one plain
-// transfer with options o per call, paths ignored, done receiving
+// TransferFunc adapts Submit to the callback shape the application
+// pipeline and the replication experiment consume (replica.Transfer): one
+// plain transfer with options o per call, paths ignored, done receiving
 // Result.Err.
 func (t *Transferrer) TransferFunc(o Options) func(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
 	return func(srcHost, _, dstHost, _ string, bytes int64, done func(error)) error {
