@@ -11,20 +11,21 @@
 // "./cmd/gridlint"); the default is "./...". The module root is found by
 // walking up from the current directory to the nearest go.mod.
 //
-// Packages are analyzed together in dependency order with a shared fact
-// store, so cross-package facts (seed derivers, wall-clock returners)
-// flow from dependencies to the packages under analysis. Stale
-// suppression directives are findings too; disable that with
-// -unused=false. -json emits the findings as a JSON array.
+// Each package is analyzed on its own; its dependencies are type-checked
+// but not analyzed. Stale suppression directives are findings too;
+// disable that with -unused=false. -json emits the findings as a JSON
+// array, sorted like the text output by file, line and analyzer.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/hpclab/datagrid/internal/lint"
@@ -101,13 +102,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridlint: %v\n", err)
 		return 2
 	}
+	var diags []lint.Diagnostic
 	for _, pkg := range pkgs {
 		for _, err := range pkg.TypeErrors {
 			fmt.Fprintf(stderr, "gridlint: %s: type error: %v\n", pkg.Path, err)
 		}
+		found, stale := lint.Run(pkg, analyzers)
+		diags = append(diags, found...)
+		if *unused {
+			diags = append(diags, lint.UnusedDirectiveDiagnostics(pkg, stale)...)
+		}
 	}
-
-	diags := lint.AnalyzeAll(loader, pkgs, analyzers, lint.Options{ReportUnused: *unused})
+	slices.SortStableFunc(diags, func(a, b lint.Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), strings.Compare(a.Analyzer, b.Analyzer))
+	})
 
 	if *asJSON {
 		findings := make([]jsonFinding, 0, len(diags))

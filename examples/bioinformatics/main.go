@@ -102,7 +102,7 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 	if err != nil {
 		return nil, err
 	}
-	app, err := core.NewApplication(core.ApplicationConfig{Local: "alpha1"},
+	app, err := core.NewApplication("alpha1",
 		selection, xfer.TransferFunc(simxfer.GridFTPOptions(4)), engine)
 	if err != nil {
 		return nil, err

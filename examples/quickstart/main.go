@@ -83,7 +83,7 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	app, err := core.NewApplication(core.ApplicationConfig{Local: "alpha1"},
+	app, err := core.NewApplication("alpha1",
 		selection, xfer.TransferFunc(simxfer.GridFTPOptions(4)), engine)
 	if err != nil {
 		return err

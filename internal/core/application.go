@@ -36,29 +36,16 @@ func (r FetchResult) Duration() time.Duration { return r.Finished - r.Started }
 // GridFTP (abstracted as a replica.Transfer).
 type Application struct {
 	local     string
-	localDir  string
 	selection *SelectionServer
 	transfer  replica.Transfer
 	clock     Clock
-	// registerFetched, when set, publishes the fetched copy back into the
-	// catalog so later requests (anywhere) can use it.
-	registerFetched bool
-	catalog         *replica.Catalog
+	catalog   *replica.Catalog
 }
 
-// ApplicationConfig configures the client pipeline.
-type ApplicationConfig struct {
-	// Local is the host the application runs on.
-	Local string
-	// LocalDir is where fetched files land; default "/cache".
-	LocalDir string
-	// RegisterFetched publishes fetched copies as new replicas.
-	RegisterFetched bool
-}
-
-// NewApplication wires the client pipeline.
-func NewApplication(cfg ApplicationConfig, selection *SelectionServer, transfer replica.Transfer, clock Clock) (*Application, error) {
-	if cfg.Local == "" {
+// NewApplication wires the client pipeline for an application running on
+// host local. Fetched files land in /cache on that host.
+func NewApplication(local string, selection *SelectionServer, transfer replica.Transfer, clock Clock) (*Application, error) {
+	if local == "" {
 		return nil, errors.New("core: application needs a local host")
 	}
 	if selection == nil {
@@ -70,17 +57,12 @@ func NewApplication(cfg ApplicationConfig, selection *SelectionServer, transfer 
 	if clock == nil {
 		return nil, errors.New("core: application needs a clock")
 	}
-	if cfg.LocalDir == "" {
-		cfg.LocalDir = "/cache"
-	}
 	return &Application{
-		local:           cfg.Local,
-		localDir:        cfg.LocalDir,
-		selection:       selection,
-		transfer:        transfer,
-		clock:           clock,
-		registerFetched: cfg.RegisterFetched,
-		catalog:         selection.catalog,
+		local:     local,
+		selection: selection,
+		transfer:  transfer,
+		clock:     clock,
+		catalog:   selection.catalog,
 	}, nil
 }
 
@@ -119,9 +101,8 @@ func (a *Application) Fetch(logical string, done func(FetchResult, error)) error
 	if err != nil {
 		return err
 	}
-	dstPath := a.localDir + "/" + logical
 	// Step 5: transfer the chosen replica via GridFTP.
-	return a.transfer(best.Location.Host, best.Location.Path, a.local, dstPath, lf.SizeBytes, func(terr error) {
+	return a.transfer(best.Location.Host, best.Location.Path, a.local, "/cache/"+logical, lf.SizeBytes, func(terr error) {
 		res := FetchResult{
 			Logical:  logical,
 			Chosen:   best,
@@ -131,11 +112,6 @@ func (a *Application) Fetch(logical string, done func(FetchResult, error)) error
 		if terr != nil {
 			done(res, fmt.Errorf("core: fetching %q from %s: %w", logical, best.Location.Host, terr))
 			return
-		}
-		if a.registerFetched {
-			_ = a.catalog.Register(logical, replica.Location{
-				Host: a.local, Path: dstPath, RegisteredAt: a.clock.Now(),
-			})
 		}
 		done(res, nil)
 	})

@@ -388,7 +388,7 @@ func TestApplicationFetchRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &recordingTransfer{}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
+	app, err := NewApplication("alpha1", p.sel, tr.fn, p.eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestApplicationLocalHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &recordingTransfer{}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
+	app, err := NewApplication("alpha1", p.sel, tr.fn, p.eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,49 +433,13 @@ func TestApplicationLocalHit(t *testing.T) {
 	}
 }
 
-func TestApplicationRegisterFetched(t *testing.T) {
-	p := buildPipeline(t)
-	if err := p.eng.RunUntil(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tr := &recordingTransfer{}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1", RegisterFetched: true}, p.sel, tr.fn, p.eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Fetch("file-a", func(FetchResult, error) {}); err != nil {
-		t.Fatal(err)
-	}
-	hosts, err := p.catalog.HostsWith("file-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, h := range hosts {
-		if h == "alpha1" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fetched copy not registered: %v", hosts)
-	}
-	// Second fetch must now be a local hit.
-	var second FetchResult
-	if err := app.Fetch("file-a", func(r FetchResult, err error) { second = r }); err != nil {
-		t.Fatal(err)
-	}
-	if !second.LocalHit {
-		t.Fatal("second fetch should hit the registered local copy")
-	}
-}
-
 func TestApplicationTransferFailure(t *testing.T) {
 	p := buildPipeline(t)
 	if err := p.eng.RunUntil(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	tr := &recordingTransfer{fail: errors.New("broken pipe")}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
+	app, err := NewApplication("alpha1", p.sel, tr.fn, p.eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,19 +455,19 @@ func TestApplicationTransferFailure(t *testing.T) {
 func TestApplicationValidation(t *testing.T) {
 	p := buildPipeline(t)
 	tr := &recordingTransfer{}
-	if _, err := NewApplication(ApplicationConfig{}, p.sel, tr.fn, p.eng); err == nil {
+	if _, err := NewApplication("", p.sel, tr.fn, p.eng); err == nil {
 		t.Fatal("missing local should be rejected")
 	}
-	if _, err := NewApplication(ApplicationConfig{Local: "a"}, nil, tr.fn, p.eng); err == nil {
+	if _, err := NewApplication("a", nil, tr.fn, p.eng); err == nil {
 		t.Fatal("nil selection should be rejected")
 	}
-	if _, err := NewApplication(ApplicationConfig{Local: "a"}, p.sel, nil, p.eng); err == nil {
+	if _, err := NewApplication("a", p.sel, nil, p.eng); err == nil {
 		t.Fatal("nil transfer should be rejected")
 	}
-	if _, err := NewApplication(ApplicationConfig{Local: "a"}, p.sel, tr.fn, nil); err == nil {
+	if _, err := NewApplication("a", p.sel, tr.fn, nil); err == nil {
 		t.Fatal("nil clock should be rejected")
 	}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
+	app, err := NewApplication("alpha1", p.sel, tr.fn, p.eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +605,7 @@ func TestDiscoveryByCharacteristics(t *testing.T) {
 		t.Fatalf("discovery = %v", names)
 	}
 	tr := &recordingTransfer{}
-	app, err := NewApplication(ApplicationConfig{Local: "alpha1"}, p.sel, tr.fn, p.eng)
+	app, err := NewApplication("alpha1", p.sel, tr.fn, p.eng)
 	if err != nil {
 		t.Fatal(err)
 	}

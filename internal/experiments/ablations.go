@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
+	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/runner"
@@ -42,7 +43,7 @@ func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, er
 	for _, p := range policies {
 		jobs = append(jobs, runner.Job[SelectorResult]{
 			Name: "selectors/" + p.name,
-			Run: func(runner.Context) (SelectorResult, error) {
+			Run: func() (SelectorResult, error) {
 				selPolicy := p.mk()
 				env, err := NewEnv(seed, true)
 				if err != nil {
@@ -56,7 +57,7 @@ func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, er
 				if err != nil {
 					return SelectorResult{}, err
 				}
-				app, err := core.NewApplication(core.ApplicationConfig{Local: "alpha1"},
+				app, err := core.NewApplication("alpha1",
 					srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
 				if err != nil {
 					return SelectorResult{}, err
@@ -64,7 +65,7 @@ func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, er
 				if err := env.Engine.RunUntil(Warmup); err != nil {
 					return SelectorResult{}, err
 				}
-				ds, err := sequentialFetches(env, app, "file-a", fetches, 30*time.Second)
+				ds, err := sequentialFetches(env, app, "file-a", fetches, 30*time.Second, nil)
 				if err != nil {
 					return SelectorResult{}, err
 				}
@@ -72,7 +73,7 @@ func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, er
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -117,17 +118,17 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 	// information-server reports per epoch; one job per (epoch, host)
 	// measures that candidate's actual time in a cloned world.
 	type part struct {
-		reports []map[string]coreReport
+		reports []map[string]info.HostReport
 		seconds float64
 	}
 	jobs := []runner.Job[part]{{
 		Name: "weights/reports",
-		Run: func(runner.Context) (part, error) {
+		Run: func() (part, error) {
 			ref, err := NewEnv(seed, true)
 			if err != nil {
 				return part{}, err
 			}
-			reports := make([]map[string]coreReport, epochs)
+			reports := make([]map[string]info.HostReport, epochs)
 			for i := 0; i < epochs; i++ {
 				if err := ref.Engine.RunUntil(epochAt(i)); err != nil {
 					return part{}, err
@@ -135,13 +136,13 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 				// One pinned snapshot per decision epoch: all three
 				// candidates are judged on the same grid state.
 				snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
-				reports[i] = map[string]coreReport{}
+				reports[i] = map[string]info.HostReport{}
 				for _, h := range hosts {
 					rep, err := snap.Lookup(h)
 					if err != nil {
 						return part{}, err
 					}
-					reports[i][h] = coreReport{rep.BandwidthPercent, rep.CPUIdlePercent, rep.IOIdlePercent}
+					reports[i][h] = rep
 				}
 			}
 			return part{reports: reports}, nil
@@ -151,7 +152,7 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 		for _, h := range hosts {
 			jobs = append(jobs, runner.Job[part]{
 				Name: fmt.Sprintf("weights/measure/epoch%d/%s", i, h),
-				Run: func(runner.Context) (part, error) {
+				Run: func() (part, error) {
 					world, err := NewEnv(seed, true)
 					if err != nil {
 						return part{}, err
@@ -165,7 +166,7 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 			})
 		}
 	}
-	parts, err := runPoints(seed, cfg, jobs)
+	parts, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -182,11 +183,11 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 	for _, w := range vectors {
 		sumTime, sumRegret := 0.0, 0.0
 		for i := 0; i < epochs; i++ {
+			// hosts is ascending, so the strict > breaks ties toward the
+			// smaller host, as core's ranking does.
 			best, bestScore := "", math.Inf(-1)
 			for _, h := range hosts {
-				r := reports[i][h]
-				score := r.bw*w.Bandwidth + r.cpu*w.CPU + r.io*w.IO
-				if score > bestScore {
+				if score := core.Score(reports[i][h], w); score > bestScore {
 					best, bestScore = h, score
 				}
 			}
@@ -211,8 +212,6 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 	}
 	return out, tb.String(), nil
 }
-
-type coreReport struct{ bw, cpu, io float64 }
 
 // ForecasterResult is one predictor's error on the testbed bandwidth trace.
 type ForecasterResult struct {
@@ -261,7 +260,7 @@ func AblationForecasters(seed int64, opts ...Option) ([]ForecasterResult, string
 	for i := 0; i < nExperts; i++ {
 		jobs = append(jobs, runner.Job[scored]{
 			Name: fmt.Sprintf("forecasters/expert%d", i),
-			Run: func(runner.Context) (scored, error) {
+			Run: func() (scored, error) {
 				f := nws.DefaultForecasters()[i]
 				sum, n := 0.0, 0
 				for _, v := range trace {
@@ -281,7 +280,7 @@ func AblationForecasters(seed int64, opts ...Option) ([]ForecasterResult, string
 	}
 	jobs = append(jobs, runner.Job[scored]{
 		Name: "forecasters/bank",
-		Run: func(runner.Context) (scored, error) {
+		Run: func() (scored, error) {
 			// The adaptive bank's forecast before each new value.
 			bank, err := nws.NewBank(nil)
 			if err != nil {
@@ -299,7 +298,7 @@ func AblationForecasters(seed int64, opts ...Option) ([]ForecasterResult, string
 			return scored{r: ForecasterResult{Name: "nws-bank(adaptive)", MSE: sum / float64(n)}, ok: true}, nil
 		},
 	})
-	parts, err := runPoints(seed, cfg, jobs)
+	parts, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

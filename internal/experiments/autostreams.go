@@ -51,14 +51,14 @@ func AblationAutoStreams(seed int64, opts ...Option) ([]AutoStreamsResult, strin
 		for _, fixed := range []int{1, 4, 16} {
 			jobs = append(jobs, runner.Job[AutoStreamsResult]{
 				Name: fmt.Sprintf("autostreams/%s->%s/%d", p.src, p.dst, fixed),
-				Run: func(runner.Context) (AutoStreamsResult, error) {
+				Run: func() (AutoStreamsResult, error) {
 					return measure(fixed, fmt.Sprintf("%d", fixed))
 				},
 			})
 		}
 		jobs = append(jobs, runner.Job[AutoStreamsResult]{
 			Name: fmt.Sprintf("autostreams/%s->%s/auto", p.src, p.dst),
-			Run: func(runner.Context) (AutoStreamsResult, error) {
+			Run: func() (AutoStreamsResult, error) {
 				// The recommendation consults the same world state the
 				// fixed runs start from (fresh testbed at warmup).
 				env, err := NewEnv(seed, false)
@@ -76,7 +76,7 @@ func AblationAutoStreams(seed int64, opts ...Option) ([]AutoStreamsResult, strin
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

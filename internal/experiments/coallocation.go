@@ -44,7 +44,7 @@ func ExtensionCoallocation(seed int64, opts ...Option) ([]CoallocationResult, st
 	for _, c := range cfgs {
 		jobs = append(jobs, runner.Job[CoallocationResult]{
 			Name: "coalloc/" + c.name,
-			Run: func(runner.Context) (CoallocationResult, error) {
+			Run: func() (CoallocationResult, error) {
 				env, err := NewEnv(seed, false)
 				if err != nil {
 					return CoallocationResult{}, err
@@ -89,7 +89,7 @@ func ExtensionCoallocation(seed int64, opts ...Option) ([]CoallocationResult, st
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

@@ -144,8 +144,11 @@ func (e *Env) selectionFor(cat *replica.Catalog, w core.Weights, sel core.Select
 }
 
 // sequentialFetches runs n fetches of logical through app, spaced gap
-// apart, and returns each fetch's duration.
-func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap time.Duration) ([]time.Duration, error) {
+// apart, and returns each fetch's duration. A non-nil after sees each
+// completed fetch before the next one is scheduled; its error ends the
+// sequence.
+func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap time.Duration,
+	after func(core.FetchResult) error) ([]time.Duration, error) {
 	durations := make([]time.Duration, 0, n)
 	var fetchErr error
 	var launch func(i int)
@@ -159,6 +162,12 @@ func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap
 				return
 			}
 			durations = append(durations, r.Duration())
+			if after != nil {
+				if err := after(r); err != nil {
+					fetchErr = err
+					return
+				}
+			}
 			if _, serr := e.Engine.After(gap, func(time.Duration) { launch(i + 1) }); serr != nil {
 				fetchErr = serr
 			}

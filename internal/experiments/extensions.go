@@ -33,7 +33,7 @@ func ExtensionStriped(seed int64, opts ...Option) ([]StripedResult, string, erro
 	for _, stripes := range []int{1, 2, 4} {
 		jobs = append(jobs, runner.Job[StripedResult]{
 			Name: fmt.Sprintf("striped/%d", stripes),
-			Run: func(runner.Context) (StripedResult, error) {
+			Run: func() (StripedResult, error) {
 				env, err := NewEnv(seed, false)
 				if err != nil {
 					return StripedResult{}, err
@@ -58,7 +58,7 @@ func ExtensionStriped(seed int64, opts ...Option) ([]StripedResult, string, erro
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -181,7 +181,7 @@ func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
 			if err != nil {
 				return 0, err
 			}
-			app, err := core.NewApplication(core.ApplicationConfig{Local: local},
+			app, err := core.NewApplication(local,
 				srv, xf.TransferFunc(simxfer.GridFTPOptions(0)), engine)
 			if err != nil {
 				return 0, err
@@ -190,7 +190,7 @@ func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
 				return 0, err
 			}
 			env := &Env{Engine: engine, Testbed: tb, Xfer: xf}
-			ds, err := sequentialFetches(env, app, "file-x", fetches, 30*time.Second)
+			ds, err := sequentialFetches(env, app, "file-x", fetches, 30*time.Second, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -199,18 +199,18 @@ func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
 		jobs = append(jobs,
 			runner.Job[float64]{
 				Name: fmt.Sprintf("scale/%dsites/cost-model", sites),
-				Run: func(runner.Context) (float64, error) {
+				Run: func() (float64, error) {
 					return run(core.CostModelSelector{Weights: paperWeights()})
 				},
 			},
 			runner.Job[float64]{
 				Name: fmt.Sprintf("scale/%dsites/random", sites),
-				Run: func(runner.Context) (float64, error) {
+				Run: func() (float64, error) {
 					return run(core.NewRandomSelector(seed))
 				},
 			})
 	}
-	vals, err := runPoints(seed, cfg, jobs)
+	vals, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

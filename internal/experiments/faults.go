@@ -229,13 +229,13 @@ func ExtensionFaults(seed int64, opts ...Option) ([]FaultsResult, string, error)
 			intensity, mode := intensity, mode
 			jobs = append(jobs, runner.Job[FaultsResult]{
 				Name: fmt.Sprintf("faults/i%d/%v", intensity, mode),
-				Run: func(runner.Context) (FaultsResult, error) {
+				Run: func() (FaultsResult, error) {
 					return faultsPoint(seed, intensity, mode)
 				},
 			})
 		}
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

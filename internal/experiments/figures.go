@@ -31,7 +31,7 @@ func Figure3(seed int64, opts ...Option) ([]Figure3Row, string, error) {
 		for _, proto := range protos {
 			jobs = append(jobs, runner.Job[float64]{
 				Name: fmt.Sprintf("fig3/%dMB/%v", sizeMB, proto),
-				Run: func(runner.Context) (float64, error) {
+				Run: func() (float64, error) {
 					// The point pins the verbatim base seed (not the
 					// derived per-job seed): published numbers rely on
 					// every fresh world replaying identical conditions.
@@ -48,7 +48,7 @@ func Figure3(seed int64, opts ...Option) ([]Figure3Row, string, error) {
 			})
 		}
 	}
-	vals, err := runPoints(seed, cfg, jobs)
+	vals, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -95,7 +95,7 @@ func Figure4(seed int64, opts ...Option) ([]Figure4Series, string, error) {
 		for _, sizeMB := range workload.PaperFileSizesMB {
 			jobs = append(jobs, runner.Job[float64]{
 				Name: fmt.Sprintf("fig4/streams=%d/%dMB", streams, sizeMB),
-				Run: func(runner.Context) (float64, error) {
+				Run: func() (float64, error) {
 					env, err := NewEnv(seed, false)
 					if err != nil {
 						return 0, err
@@ -109,7 +109,7 @@ func Figure4(seed int64, opts ...Option) ([]Figure4Series, string, error) {
 			})
 		}
 	}
-	vals, err := runPoints(seed, cfg, jobs)
+	vals, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

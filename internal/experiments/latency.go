@@ -75,12 +75,12 @@ func AblationLatency(seed int64, opts ...Option) ([]LatencyResult, string, error
 	for _, sel := range selectors {
 		jobs = append(jobs, runner.Job[LatencyResult]{
 			Name: "latency/" + sel.Name(),
-			Run: func(runner.Context) (LatencyResult, error) {
+			Run: func() (LatencyResult, error) {
 				return latencyPoint(seed, sel, fetches, fileSize)
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -134,7 +134,7 @@ func latencyPoint(seed int64, sel core.Selector, fetches int, fileSize int64) (L
 		}
 		return transfer(srcHost, srcPath, dstHost, dstPath, bytes, done)
 	}
-	app, err := core.NewApplication(core.ApplicationConfig{Local: "client"}, srv, countingTransfer, engine)
+	app, err := core.NewApplication("client", srv, countingTransfer, engine)
 	if err != nil {
 		return LatencyResult{}, err
 	}
@@ -142,7 +142,7 @@ func latencyPoint(seed int64, sel core.Selector, fetches int, fileSize int64) (L
 		return LatencyResult{}, err
 	}
 	env := &Env{Engine: engine, Testbed: tb, Xfer: xf}
-	ds, err := sequentialFetches(env, app, "small-file", fetches, 30*time.Second)
+	ds, err := sequentialFetches(env, app, "small-file", fetches, 30*time.Second, nil)
 	if err != nil {
 		return LatencyResult{}, err
 	}

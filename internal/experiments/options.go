@@ -38,8 +38,8 @@ func buildConfig(opts []Option) config {
 // Every job must build its own world (Env/engine/testbed) inside the
 // closure — engines are single-goroutine, and one shared across the pool
 // fails the engine's "reentrant Run" guard and `go test -race`.
-func runPoints[T any](seed int64, cfg config, jobs []runner.Job[T]) ([]T, error) {
-	res, err := runner.Run(jobs, runner.Options{Workers: cfg.workers, Seed: seed})
+func runPoints[T any](cfg config, jobs []runner.Job[T]) ([]T, error) {
+	res, err := runner.Run(jobs, runner.Options{Workers: cfg.workers})
 	if err != nil {
 		return nil, err
 	}

@@ -239,12 +239,12 @@ func ExtensionPlanetScale(seed int64, opts ...Option) ([]PlanetScaleResult, stri
 		i, p := i, p
 		jobs[i] = runner.Job[PlanetScaleResult]{
 			Name: "planetscale/" + p.label,
-			Run: func(runner.Context) (PlanetScaleResult, error) {
+			Run: func() (PlanetScaleResult, error) {
 				return runScalePoint(seed+int64(i+1)*104729, p)
 			},
 		}
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

@@ -51,12 +51,12 @@ func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, stri
 	for _, st := range strategies {
 		jobs = append(jobs, runner.Job[ReplicationResult]{
 			Name: "replication/" + st.name,
-			Run: func(runner.Context) (ReplicationResult, error) {
+			Run: func() (ReplicationResult, error) {
 				return replicationPoint(seed, st, fetches, fileSize, local)
 			},
 		})
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -177,7 +177,7 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	app, err := core.NewApplication(core.ApplicationConfig{Local: local},
+	app, err := core.NewApplication(local,
 		srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
 	if err != nil {
 		return ReplicationResult{}, err
@@ -185,53 +185,21 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	if err := env.Engine.RunUntil(Warmup); err != nil {
 		return ReplicationResult{}, err
 	}
-	durations := make([]float64, 0, fetches)
-	var launch func(i int)
-	var loopErr error
-	launch = func(i int) {
-		if i >= fetches {
-			return
-		}
-		err := app.Fetch("file-a", func(r core.FetchResult, err error) {
-			if err != nil {
-				loopErr = err
-				return
-			}
-			durations = append(durations, r.Duration().Seconds())
-			if err := policy.OnAccess(placement.Access{
-				Logical:    "file-a",
-				ServedFrom: r.Chosen.Location.Host,
-				Client:     local,
-				At:         env.Engine.Now(),
-			}); err != nil {
-				loopErr = err
-				return
-			}
-			if _, serr := env.Engine.After(time.Minute, func(time.Duration) { launch(i + 1) }); serr != nil {
-				loopErr = serr
-			}
+	ds, err := sequentialFetches(env, app, "file-a", fetches, time.Minute, func(r core.FetchResult) error {
+		return policy.OnAccess(placement.Access{
+			Logical:    "file-a",
+			ServedFrom: r.Chosen.Location.Host,
+			Client:     local,
+			At:         env.Engine.Now(),
 		})
-		if err != nil {
-			loopErr = err
-		}
-	}
-	if _, err := env.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
-		return ReplicationResult{}, err
-	}
-	err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "replication fetches",
-		func() bool { return len(durations) == fetches || loopErr != nil })
+	})
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	if loopErr != nil {
-		return ReplicationResult{}, loopErr
-	}
-	early, _ := metrics.Mean(durations[:3])
-	late, _ := metrics.Mean(durations[3:])
 	return ReplicationResult{
 		Strategy:     st.name,
-		EarlySeconds: early,
-		LateSeconds:  late,
+		EarlySeconds: meanSeconds(ds[:3]),
+		LateSeconds:  meanSeconds(ds[3:]),
 		Replications: policy.Stats().Replications,
 	}, nil
 }

@@ -93,7 +93,7 @@ func RunEntries(entries []SuiteEntry, seed int64, workers int) ([]EntryResult, e
 	for i, e := range entries {
 		jobs[i] = runner.Job[EntryResult]{
 			Name: e.Name,
-			Run: func(runner.Context) (EntryResult, error) {
+			Run: func() (EntryResult, error) {
 				out, ms, err := e.Run(seed, WithWorkers(workers))
 				if err != nil {
 					return EntryResult{}, err
@@ -102,9 +102,7 @@ func RunEntries(entries []SuiteEntry, seed int64, workers int) ([]EntryResult, e
 			},
 		}
 	}
-	rs, err := runner.Run(jobs, runner.Options{
-		Workers: workers, Seed: seed, Policy: runner.CollectAll,
-	})
+	rs, err := runner.Run(jobs, runner.Options{Workers: workers, Policy: runner.CollectAll})
 	out := make([]EntryResult, len(rs))
 	for i, r := range rs {
 		out[i] = r.Value
@@ -153,15 +151,13 @@ func Replicate(entry SuiteEntry, seed int64, trials, workers int) (ReplicateResu
 	for t, trialSeed := range seeds {
 		jobs[t] = runner.Job[[]Metric]{
 			Name: fmt.Sprintf("%s/trial%d", entry.Name, t),
-			Run: func(runner.Context) ([]Metric, error) {
+			Run: func() ([]Metric, error) {
 				_, ms, err := entry.Run(trialSeed, WithWorkers(workers))
 				return ms, err
 			},
 		}
 	}
-	rs, err := runner.Run(jobs, runner.Options{
-		Workers: workers, Seed: seed, Policy: runner.FailFast,
-	})
+	rs, err := runner.Run(jobs, runner.Options{Workers: workers, Policy: runner.FailFast})
 	if err != nil {
 		return ReplicateResult{}, err
 	}

@@ -69,7 +69,7 @@ func Table1(seed int64, opts ...Option) (Table1Result, string, error) {
 	}
 	jobs := []runner.Job[part]{{
 		Name: "table1/reference",
-		Run: func(runner.Context) (part, error) {
+		Run: func() (part, error) {
 			ref, err := NewEnv(seed, true)
 			if err != nil {
 				return part{}, err
@@ -110,7 +110,7 @@ func Table1(seed int64, opts ...Option) (Table1Result, string, error) {
 	for _, host := range hosts[1:] {
 		jobs = append(jobs, runner.Job[part]{
 			Name: "table1/measure/" + host,
-			Run: func(runner.Context) (part, error) {
+			Run: func() (part, error) {
 				world, err := NewEnv(seed, true)
 				if err != nil {
 					return part{}, err
@@ -123,7 +123,7 @@ func Table1(seed int64, opts ...Option) (Table1Result, string, error) {
 			},
 		})
 	}
-	parts, err := runPoints(seed, cfg, jobs)
+	parts, err := runPoints(cfg, jobs)
 	if err != nil {
 		return Table1Result{}, "", err
 	}

@@ -208,12 +208,12 @@ func ExtensionTraffic(seed int64, opts ...Option) ([]TrafficResult, string, erro
 		p := p
 		jobs[i] = runner.Job[TrafficResult]{
 			Name: fmt.Sprintf("traffic/%s/%v/i%d", p.w.label, p.pol, p.intensity),
-			Run: func(runner.Context) (TrafficResult, error) {
+			Run: func() (TrafficResult, error) {
 				return trafficPoint(seed, p.w, p.pol, p.intensity)
 			},
 		}
 	}
-	out, err := runPoints(seed, cfg, jobs)
+	out, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}

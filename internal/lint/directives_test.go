@@ -54,7 +54,7 @@ func loadDirectiveFixture(t *testing.T) *Package {
 // now exclusive.
 func TestDirectiveCoversOneLine(t *testing.T) {
 	pkg := loadDirectiveFixture(t)
-	diags, unused := RunFacts(pkg, []*Analyzer{Wallclock}, nil)
+	diags, unused := Run(pkg, []*Analyzer{Wallclock})
 
 	var lines []int
 	for _, d := range diags {

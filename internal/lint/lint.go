@@ -9,6 +9,9 @@
 // (no event-engine re-entry while holding locks, no silently dropped I/O
 // errors). See docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // suppression directive syntax.
+//
+// Unlike go/analysis there are no facts: Run analyzes one package on its
+// own, from its syntax and types.
 package lint
 
 import (
@@ -16,7 +19,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -49,7 +51,6 @@ type Pass struct {
 	PkgPath  string
 
 	diags *[]Diagnostic
-	facts *FactStore
 }
 
 // Diagnostic is a single finding.
@@ -94,25 +95,12 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return nil
 }
 
-// Run executes the analyzers over a loaded package and returns the
-// surviving (non-suppressed) diagnostics sorted by position. Facts are
-// accumulated into a throwaway store; use RunFacts when analyzing
-// multiple packages that exchange facts.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunFacts(pkg, analyzers, NewFactStore())
-	return diags
-}
-
-// RunFacts executes the analyzers over a loaded package with a shared
-// fact store: facts exported by previously analyzed packages are visible
-// through Pass.HasFact, and facts this package exports land in the store
-// for its importers. It returns the surviving (non-suppressed)
-// diagnostics sorted by position, plus the directives that suppressed
-// nothing (see UnusedDirectiveDiagnostics).
-func RunFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, []Directive) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+// Run executes the analyzers over one loaded package, on its own: no
+// analyzer reads anything about another package but its types. It
+// returns the surviving (non-suppressed) diagnostics in the order the
+// analyzers reported them, plus the directives that suppressed nothing
+// (see UnusedDirectiveDiagnostics).
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Directive) {
 	var diags []Diagnostic
 	ran := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
@@ -128,21 +116,10 @@ func RunFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnost
 			Info:     pkg.Info,
 			PkgPath:  pkg.Path,
 			diags:    &diags,
-			facts:    facts,
 		}
 		a.Run(pass)
 	}
-	diags, unused := filterSuppressed(pkg, diags, ran)
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos.Filename != diags[j].Pos.Filename {
-			return diags[i].Pos.Filename < diags[j].Pos.Filename
-		}
-		if diags[i].Pos.Line != diags[j].Pos.Line {
-			return diags[i].Pos.Line < diags[j].Pos.Line
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
-	return diags, unused
+	return filterSuppressed(pkg, diags, ran)
 }
 
 // PathHasSuffix reports whether pkgPath equals suffix or ends in

@@ -38,9 +38,8 @@ func TestData() string {
 // Run loads <testdata>/src/<pkgPath>, applies the analyzer, and reports
 // any mismatch between diagnostics and // want annotations as test
 // failures. Fixture imports that resolve inside the testdata tree
-// (import "internal/runner" -> <testdata>/src/internal/runner) are
-// analyzed first with a shared fact store, so cross-package facts work
-// exactly as they do under the real driver.
+// (import "gridstate" -> <testdata>/src/gridstate) are type-checked from
+// there but not analyzed, as gridlint treats a package's dependencies.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
 	t.Helper()
 	loader := lint.NewTestLoader(filepath.Join(testdata, "src"))
@@ -55,7 +54,7 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
 	if a.Applies != nil && !a.Applies(pkgPath) {
 		t.Fatalf("analyzer %s does not apply to package %s; fix the testdata layout", a.Name, pkgPath)
 	}
-	diags := lint.AnalyzeAll(loader, []*lint.Package{pkg}, []*lint.Analyzer{a}, lint.Options{})
+	diags, _ := lint.Run(pkg, []*lint.Analyzer{a})
 	wants := collectWants(t, pkg)
 
 	matched := make([]bool, len(diags))

@@ -87,24 +87,13 @@ func NewStdLoader() *Loader {
 
 // NewTestLoader creates a loader rooted at a testdata source tree: an
 // import path whose directory exists under srcRoot resolves there
-// (import "seedlib" -> <srcRoot>/seedlib), everything else comes from
-// GOROOT source. This is what lets linttest fixtures import sibling
-// fixture packages, exercising the cross-package facts layer.
+// (import "gridstate" -> <srcRoot>/gridstate), everything else comes
+// from GOROOT source. This is what lets a linttest fixture import a
+// sibling fixture package that stands in for a real one.
 func NewTestLoader(srcRoot string) *Loader {
 	l := NewStdLoader()
 	l.srcRoot = srcRoot
 	return l
-}
-
-// Loaded returns every package the loader has parsed and type-checked so
-// far (module-local and testdata-local; standard-library packages are
-// handled by the source importer and never appear here).
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	return out
 }
 
 func readModulePath(gomod string) (string, error) {
@@ -278,7 +267,7 @@ func (l *Loader) walkPackages(root string, dirs map[string]bool) error {
 // goFilesIn lists the non-test Go files of dir that build on the host
 // platform. Build constraints (//go:build lines and _GOOS/_GOARCH file
 // suffixes) are honored via go/build, so platform-split files like
-// cputime_linux.go / cputime_other.go don't collide in one load.
+// x_linux.go / x_other.go don't collide in one load.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -8,35 +8,31 @@ import (
 // Seedflow enforces seed provenance in the determinism-scope packages:
 // every RNG constructed there must be traceable to a configuration seed
 // — a function parameter, a struct field named like "seed", or a value
-// derived from one through a seed-deriving function such as
-// runner.DeriveSeed — so that re-running an experiment with a different
-// -seed actually reseeds every component. The failure modes it catches:
+// computed from one, through arithmetic or a call such as
+// runner.DeriveSeed(seed, i) — so that re-running an experiment with a
+// different -seed actually reseeds every component. The failure modes it
+// catches:
 //
 //   - hard-coded seeds (rand.NewSource(42)): the component silently
 //     ignores the experiment's seed, so "independent" trials share one
 //     RNG stream;
-//   - seeds from untraceable sources (globals, unblessed calls): seed
+//   - seeds from untraceable sources (globals, calls on no seed): seed
 //     provenance becomes unauditable;
-//   - package-level math/rand functions (rand.Intn, ...): the shared
-//     process-global source defeats per-component seeding outright.
+//   - RNGs built in package-level initializers, before any config exists.
 //
-// The analyzer exports a "seedDeriver" fact for every exported function
-// that computes an integer from its parameters without touching the
-// wall clock or the global rand source (runner.DeriveSeed is the
-// canonical carrier), and honors the fact across package boundaries: a
-// seed produced by a fact-carrying function from a blessed argument is
-// itself blessed.
+// A call is blessed when any of its arguments is, the rule arithmetic
+// already follows. What a helper does with the seed inside is judged in
+// the helper: a time.Now there is wallclock's finding, a global rand
+// draw determinism's.
 var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc: "flags RNG constructions in determinism-scope packages whose seed does not trace to " +
-		"a config seed, parameter or seed-deriving function (e.g. runner.DeriveSeed), and " +
-		"bans global math/rand functions there outright",
+		"a config seed, parameter or a call on one (e.g. runner.DeriveSeed)",
 	Applies: Determinism.Applies,
 	Run:     runSeedflow,
 }
 
 func runSeedflow(pass *Pass) {
-	derivers := localSeedDerivers(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -58,79 +54,11 @@ func runSeedflow(pass *Pass) {
 			if fn.Body == nil {
 				continue
 			}
-			sf := &seedScan{pass: pass, fn: fn, derivers: derivers, blessed: map[string]bool{}}
+			sf := &seedScan{pass: pass, fn: fn, blessed: map[string]bool{}}
 			sf.collectBlessedLocals()
 			sf.checkBody()
 		}
 	}
-}
-
-// localSeedDerivers computes the seed-deriver property for this
-// package's own functions (exported and unexported), exporting the fact
-// for the exported ones so importers see it. A function qualifies when
-// it returns an integer, its return expressions reference at least one
-// of its parameters, and its body never reads the wall clock or the
-// global rand source — i.e. the output is a pure function of the inputs.
-func localSeedDerivers(pass *Pass) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Name == nil {
-				continue
-			}
-			obj, ok := pass.ObjectOf(fn.Name).(*types.Func)
-			if !ok || !isSeedDeriver(pass, fn, obj) {
-				continue
-			}
-			out[obj] = true
-			pass.ExportFact(obj, "seedDeriver", "derives its result from its parameters")
-		}
-	}
-	return out
-}
-
-func isSeedDeriver(pass *Pass, fn *ast.FuncDecl, obj *types.Func) bool {
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 || sig.Params().Len() == 0 {
-		return false
-	}
-	if !isIntegerType(sig.Results().At(sig.Results().Len() - 1).Type()) {
-		return false
-	}
-	params := map[types.Object]bool{}
-	for i := 0; i < sig.Params().Len(); i++ {
-		params[sig.Params().At(i)] = true
-	}
-	usesParam, impure := false, false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.Ident:
-			if o := pass.ObjectOf(v); o != nil && params[o] {
-				usesParam = true
-			}
-		case *ast.CallExpr:
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-				if f, ok := pass.ObjectOf(sel.Sel).(*types.Func); ok && f.Pkg() != nil {
-					switch f.Pkg().Path() {
-					case "time":
-						impure = true
-					case "math/rand":
-						if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() == nil {
-							impure = true
-						}
-					}
-				}
-			}
-		}
-		return !impure
-	})
-	return usesParam && !impure
-}
-
-func isIntegerType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
 }
 
 // isSeededRand reports whether t is (a pointer to) math/rand's Rand —
@@ -150,9 +78,8 @@ func isSeededRand(t types.Type) bool {
 
 // seedScan checks one function's RNG constructions.
 type seedScan struct {
-	pass     *Pass
-	fn       *ast.FuncDecl
-	derivers map[*types.Func]bool
+	pass *Pass
+	fn   *ast.FuncDecl
 	// blessed holds rendered expressions of locals assigned from blessed
 	// values (seed := cfg.Seed; src := rand.NewSource(seed); ...).
 	blessed map[string]bool
@@ -189,46 +116,26 @@ func (s *seedScan) collectBlessedLocals() {
 
 func (s *seedScan) checkBody() {
 	ast.Inspect(s.fn.Body, func(n ast.Node) bool {
+		// Global draws (rand.Intn, ...) are determinism's finding.
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := s.pass.ObjectOf(sel.Sel).(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return true // methods on *rand.Rand draw from their own source
-		}
-		if !randAllowed[fn.Name()] {
-			s.pass.Report(call.Pos(),
-				"rand.%s draws from the process-global source, outside any seed provenance; "+
-					"use a seeded *rand.Rand traced to the experiment seed", fn.Name())
+		if !ok || !s.isRandConstructor(call) || len(call.Args) == 0 {
 			return true
 		}
 		// A constructor whose source argument is itself a rand constructor
 		// call is judged at the inner call, not twice. Likewise an
 		// already-constructed *rand.Rand (NewZipf's first argument): its
 		// seed provenance was judged where it was built.
-		if len(call.Args) > 0 {
-			if inner, ok := call.Args[0].(*ast.CallExpr); ok && s.isRandConstructor(inner) {
-				return true
-			}
-			if isSeededRand(s.pass.TypeOf(call.Args[0])) {
-				return true
-			}
-			if !s.isBlessed(call.Args[0]) {
-				s.pass.Report(call.Pos(),
-					"rand.%s seed does not trace to a config seed: derive it from a parameter, "+
-						"a seed field, or a seed-deriving function like runner.DeriveSeed "+
-						"(//gridlint:seedflow-ok <reason> if provenance is established elsewhere)",
-					fn.Name())
-			}
+		if inner, ok := call.Args[0].(*ast.CallExpr); ok && s.isRandConstructor(inner) {
+			return true
 		}
+		if isSeededRand(s.pass.TypeOf(call.Args[0])) || s.isBlessed(call.Args[0]) {
+			return true
+		}
+		s.pass.Report(call.Pos(),
+			"rand.%s seed does not trace to a config seed: derive it from a parameter, "+
+				"a seed field, or a seed-deriving function like runner.DeriveSeed "+
+				"(//gridlint:seedflow-ok <reason> if provenance is established elsewhere)",
+			call.Fun.(*ast.SelectorExpr).Sel.Name)
 		return true
 	})
 }
@@ -244,8 +151,8 @@ func (s *seedScan) isRandConstructor(call *ast.CallExpr) bool {
 
 // isBlessed reports whether the expression's value traces to a config
 // seed: a parameter (or receiver) of the enclosing function, a field
-// named like "seed", a blessed local, a seed-deriving function applied
-// to a blessed argument, or arithmetic over blessed values.
+// named like "seed", a blessed local, or arithmetic over or a call on a
+// blessed value.
 func (s *seedScan) isBlessed(e ast.Expr) bool {
 	switch v := e.(type) {
 	case *ast.Ident:
@@ -275,21 +182,8 @@ func (s *seedScan) isBlessed(e ast.Expr) bool {
 		if s.isRandConstructor(v) {
 			return len(v.Args) > 0 && s.isBlessed(v.Args[0])
 		}
-		// A seed-deriving function (local table or cross-package fact)
-		// applied to at least one blessed argument yields a blessed seed.
-		var callee *types.Func
-		switch fun := v.Fun.(type) {
-		case *ast.Ident:
-			callee, _ = s.pass.ObjectOf(fun).(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = s.pass.ObjectOf(fun.Sel).(*types.Func)
-		}
-		if callee == nil {
-			return false
-		}
-		if !s.derivers[callee] && !s.pass.HasFact(callee, "seedDeriver") {
-			return false
-		}
+		// Any other call on at least one blessed argument yields a
+		// blessed value, as arithmetic does.
 		for _, arg := range v.Args {
 			if s.isBlessed(arg) {
 				return true

@@ -16,14 +16,9 @@ import (
 // (cmd/..., examples/...) front real users and real sockets, so they are
 // exempt; library sites that legitimately need wall time (socket
 // deadlines in the real FTP stack) carry a //gridlint:wallclock-ok
-// directive naming the reason.
-//
-// The analyzer also exports a "returnsWallClock" fact for every exported
-// function whose result derives from the wall clock (directly or through
-// package-local helpers), and flags calls to fact-carrying functions
-// from other packages — so wall-clock time laundered through a helper
-// (`func Stamp() time.Time { return time.Now() }` behind a suppression
-// directive) is still caught at the call site.
+// directive naming the reason. That directive is the reviewed decision:
+// a helper that returns the time.Now it annotated is not re-flagged at
+// its callers.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "flags time.Now/Since/Sleep/After/Tick/NewTimer/NewTicker/AfterFunc in library packages; " +
@@ -47,7 +42,6 @@ var wallclockBanned = map[string]bool{
 }
 
 func runWallclock(pass *Pass) {
-	exportWallclockFacts(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -59,116 +53,13 @@ func runWallclock(pass *Pass) {
 				return true
 			}
 			fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if wallclockBanned[sel.Sel.Name] && fn.Pkg().Path() == "time" {
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && wallclockBanned[sel.Sel.Name] {
 				pass.Report(call.Pos(),
 					"time.%s reads the wall clock; use the simulation engine's virtual clock, "+
 						"or annotate //gridlint:wallclock-ok <reason> for real-I/O paths",
 					sel.Sel.Name)
-				return true
-			}
-			// Cross-package laundering: the callee's own package exported a
-			// returnsWallClock fact for it. Same-package carriers are not
-			// re-flagged here — the time.* call inside them already was.
-			if fn.Pkg() != pass.Pkg && pass.HasFact(fn, "returnsWallClock") {
-				pass.Report(call.Pos(),
-					"%s.%s returns wall-clock time (%s); use the simulation engine's virtual "+
-						"clock, or annotate //gridlint:wallclock-ok <reason> for real-I/O paths",
-					fn.Pkg().Name(), fn.Name(), pass.FactDetail(fn, "returnsWallClock"))
 			}
 			return true
 		})
 	}
-}
-
-// wallclockValueSources are the time functions whose *return value* is
-// wall-clock derived. Sleep/deadline/timer functions are deliberately
-// absent: a function that sleeps does not return wall time, and treating
-// every time user as a carrier would flag the whole real-I/O stack.
-var wallclockValueSources = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// exportWallclockFacts computes, to a fixpoint over package-local
-// helpers, which functions return a wall-clock-derived value — a return
-// expression contains time.Now/Since/Until (or a call to a known
-// carrier) AND the function's results include a time.Time or
-// time.Duration — and exports the fact for the exported ones.
-func exportWallclockFacts(pass *Pass) {
-	carriers := map[*types.Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || fn.Name == nil {
-					continue
-				}
-				obj, ok := pass.ObjectOf(fn.Name).(*types.Func)
-				if !ok || carriers[obj] || !returnsTimeValue(obj) {
-					continue
-				}
-				if returnsDeriveWallClock(pass, fn.Body, carriers) {
-					carriers[obj] = true
-					changed = true
-				}
-			}
-		}
-	}
-	for obj := range carriers {
-		pass.ExportFact(obj, "returnsWallClock", "derives its result from the wall clock")
-	}
-}
-
-// returnsTimeValue reports whether the function's results include a
-// time.Time or time.Duration.
-func returnsTimeValue(obj *types.Func) bool {
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		t := sig.Results().At(i).Type()
-		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil &&
-			named.Obj().Pkg().Path() == "time" &&
-			(named.Obj().Name() == "Time" || named.Obj().Name() == "Duration") {
-			return true
-		}
-	}
-	return false
-}
-
-// returnsDeriveWallClock reports whether any return expression in the
-// body contains a wall-clock value source or a call to a known carrier.
-func returnsDeriveWallClock(pass *Pass, body *ast.BlockStmt, carriers map[*types.Func]bool) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return !found
-		}
-		for _, res := range ret.Results {
-			ast.Inspect(res, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return !found
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return !found
-				}
-				if fn, ok := pass.ObjectOf(sel.Sel).(*types.Func); ok && fn.Pkg() != nil {
-					if wallclockValueSources[sel.Sel.Name] && fn.Pkg().Path() == "time" {
-						found = true
-					}
-					if carriers[fn] || pass.HasFact(fn, "returnsWallClock") {
-						found = true
-					}
-				}
-				return !found
-			})
-		}
-		return !found
-	})
-	return found
 }

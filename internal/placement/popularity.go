@@ -189,12 +189,16 @@ func (p *PopularityPolicy) grow(name string) error {
 		return nil // every demanding region is already served
 	}
 	p.inFlight[name] = true
-	return p.exec.AddReplica(name, target, func(err error) {
+	err = p.exec.AddReplica(name, target, func(err error) {
 		delete(p.inFlight, name)
 		if err == nil {
 			p.stats.Replications++
 		}
 	})
+	if err != nil {
+		delete(p.inFlight, name) // done never fires for a copy that did not start
+	}
+	return err
 }
 
 // shrink removes name's replica in the served region with the lowest

@@ -244,6 +244,39 @@ func TestPopularityPolicyInFlightGuard(t *testing.T) {
 	}
 }
 
+// TestPopularityPolicyRetriesAfterStartFailure: a copy that fails to
+// start never calls done, so the in-flight mark must be cleared at once;
+// otherwise the file stays blocked for the rest of the run.
+func TestPopularityPolicyRetriesAfterStartFailure(t *testing.T) {
+	grid := newFakeGrid(map[string][]string{"f": {"r0"}, "g": {"r0"}})
+	grid.startErr = errors.New("no route")
+	p, err := NewPopularityPolicy(grid, popCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hammer := func() {
+		for i := 0; i < 10; i++ {
+			mustAccess(t, p, access("f", "r1-host"))
+		}
+		mustAccess(t, p, access("g", "r1-host"))
+	}
+	hammer()
+	if err := p.OnEpoch(time.Minute); !errors.Is(err, grid.startErr) {
+		t.Fatalf("epoch 1: err = %v, want the start error", err)
+	}
+	grid.startErr = nil
+	hammer()
+	if err := p.OnEpoch(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"add f r1", "add f r1"}; fmt.Sprint(grid.log) != fmt.Sprint(want) {
+		t.Fatalf("decisions = %v, want %v (epoch 2 must retry)", grid.log, want)
+	}
+	if got := p.Stats().Replications; got != 1 {
+		t.Fatalf("replications = %d, want 1", got)
+	}
+}
+
 // asyncGrid defers AddReplica completion so tests can hold copies open.
 type asyncGrid struct {
 	*fakeGrid

@@ -4,7 +4,7 @@
 // The evaluation suite (internal/experiments, cmd/gridbench) is a sweep
 // of independent simulations: every point of Fig. 3/4, every Table 1
 // candidate and every ablation row builds its own disposable world from
-// a seed. The runner executes such jobs on up to GOMAXPROCS OS threads
+// a seed. The runner executes such jobs on up to GOMAXPROCS goroutines
 // and hands the results back in submission order, so the assembled
 // tables and figures are byte-identical to a sequential run no matter
 // how the scheduler interleaves the workers.
@@ -19,14 +19,13 @@
 //   - A Job may read shared immutable data (a measurement trace, a
 //     config slice) but must not write anything outside its own return
 //     value.
-//   - Randomness comes either from a seed the closure captured verbatim
-//     (how the published experiments pin their worlds) or from
-//     Context.Seed, which is derived as splitmix64(Options.Seed,
-//     job index) and therefore independent of worker count and
-//     scheduling order.
+//   - Randomness comes from a seed the closure captured: the verbatim
+//     experiment seed (how the published experiments pin their worlds)
+//     or one DeriveSeed computed before submission (gridbench -trials).
+//     Nothing about a job depends on the worker that runs it.
 //
-// Under those rules Run(jobs, opts) is a pure function of (jobs,
-// opts.Seed) — the Workers knob changes wall-clock time only.
+// Under those rules Run(jobs, opts) is a pure function of jobs — the
+// Workers knob changes wall-clock time only.
 package runner
 
 import (
@@ -45,18 +44,7 @@ type Job[T any] struct {
 	Name string
 	// Run performs the work. It is called at most once, from exactly one
 	// worker goroutine.
-	Run func(c Context) (T, error)
-}
-
-// Context carries the per-job execution context into a Job's Run.
-type Context struct {
-	// Index is the job's position in the submitted slice.
-	Index int
-	// Seed is this job's private RNG seed, DeriveSeed(Options.Seed,
-	// Index). It depends only on the base seed and the job index — never
-	// on worker count or scheduling — so a job that seeds its world from
-	// it produces the same result under any parallelism.
-	Seed int64
+	Run func() (T, error)
 }
 
 // Policy selects how Run reacts to a failing job.
@@ -80,9 +68,6 @@ type Options struct {
 	// Workers caps concurrent jobs. Values <= 0 mean GOMAXPROCS(0); the
 	// cap is further clamped to len(jobs).
 	Workers int
-	// Seed is the base seed from which each job's Context.Seed is
-	// derived.
-	Seed int64
 	// Policy is the error policy; the zero value is FailFast.
 	Policy Policy
 }
@@ -90,7 +75,6 @@ type Options struct {
 // Result is one job's outcome, returned in submission order.
 type Result[T any] struct {
 	Name  string
-	Index int
 	Value T
 	// Err is the job's error, or a wrapped panic value if Run panicked.
 	Err error
@@ -99,11 +83,6 @@ type Result[T any] struct {
 	Skipped bool
 	// Wall is the job's wall-clock duration (zero when skipped).
 	Wall time.Duration
-	// CPU is the job's on-thread CPU time (user+system) where the
-	// platform supports per-thread accounting (RUSAGE_THREAD on Linux);
-	// zero elsewhere. Workers are locked to their OS thread for the
-	// lifetime of a job, so this is an honest per-job measure.
-	CPU time.Duration
 }
 
 // Run executes jobs on a bounded worker pool and returns their results
@@ -116,7 +95,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 	results := make([]Result[T], len(jobs))
 	for i := range results {
 		results[i].Name = jobs[i].Name
-		results[i].Index = i
 	}
 	if len(jobs) == 0 {
 		return results, nil
@@ -136,11 +114,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Pin the worker to its OS thread so per-thread CPU
-			// accounting attributes a job's cycles to the thread that
-			// ran it.
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
@@ -151,7 +124,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 					r.Skipped = true
 					continue
 				}
-				cpu0, cpuOK := threadCPUTime()
 				start := time.Now() //gridlint:wallclock-ok measures host wall-clock of a job, not simulated time
 				var v T
 				var err error
@@ -161,12 +133,9 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 							err = fmt.Errorf("job panicked: %v", p)
 						}
 					}()
-					v, err = jobs[i].Run(Context{Index: i, Seed: DeriveSeed(opts.Seed, i)})
+					v, err = jobs[i].Run()
 				}()
 				r.Wall = time.Since(start) //gridlint:wallclock-ok measures host wall-clock of a job, not simulated time
-				if cpu1, ok := threadCPUTime(); ok && cpuOK {
-					r.CPU = cpu1 - cpu0
-				}
 				r.Value, r.Err = v, err
 				if err != nil && opts.Policy == FailFast {
 					failed.Store(true)
@@ -198,17 +167,6 @@ func Values[T any](results []Result[T]) []T {
 		out[i] = results[i].Value
 	}
 	return out
-}
-
-// TotalWall sums the per-job wall time — the work a sequential run
-// would have serialized. Comparing it against the pool's elapsed time
-// gives the realized speedup.
-func TotalWall[T any](results []Result[T]) time.Duration {
-	var sum time.Duration
-	for i := range results {
-		sum += results[i].Wall
-	}
-	return sum
 }
 
 func jobName(name string, i int) string {

@@ -22,8 +22,8 @@ func splitmix64Mix(z uint64) uint64 {
 // The published experiments do NOT pass this through to their worlds —
 // they pin the verbatim base seed so their output stays byte-identical
 // to the paper's sequential runs. Derived seeds serve the multi-trial
-// replication path (gridbench -trials) and any future experiment that
-// wants per-job independent randomness.
+// replication path (experiments.Replicate, gridbench -trials) and
+// gridperf's paper-suite seeds.
 func DeriveSeed(base int64, index int) int64 {
 	return int64(splitmix64Mix(uint64(base) + (uint64(index)+1)*splitmix64Gamma))
 }
