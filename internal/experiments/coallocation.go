@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/runner"
@@ -83,8 +82,7 @@ func ExtensionCoallocation(seed int64, opts ...Option) ([]CoallocationResult, st
 				if err != nil {
 					return CoallocationResult{}, err
 				}
-				err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "co-allocated download",
-					func() bool { return completed })
+				err = settle(env.Engine, stallLimit, "co-allocated download", func() bool { return completed })
 				return r, err
 			},
 		})

@@ -65,27 +65,26 @@ func NewEnv(seed int64, monitor bool) (*Env, error) {
 // reported as stalled.
 const stallLimit = 1000 * time.Hour
 
-// settle advances the engine in slices of step, counted from virtual time
-// from, until done reports true. The dynamics tick forever, so the engine
-// never drains on its own; a run still not done when the next slice would
-// end past limit returns an error instead of spinning. The clock stops on
-// a slice boundary and later measurements start from it, so each caller's
-// from and step are part of its published output.
-func settle(eng *simulation.Engine, from, step, limit time.Duration, what string, done func() bool) error {
-	for deadline := from; !done(); {
-		deadline += step
-		if deadline > limit {
-			return fmt.Errorf("experiments: %s stalled: not done by %v", what, limit)
+// settle fires events one at a time until done reports true, so the clock
+// stops at the instant of the event that completed the run and nothing
+// after it is simulated: a caller reads what its completion callbacks
+// captured, or state no later event could change, then drops the world.
+// A run is reported as stalled instead of spinning or hanging when the
+// queue drains with done still false, or when an event fires past limit.
+func settle(eng *simulation.Engine, limit time.Duration, what string, done func() bool) error {
+	for !done() {
+		if !eng.Step() {
+			return fmt.Errorf("experiments: %s stalled: no events left at %v", what, eng.Now())
 		}
-		if err := eng.RunUntil(deadline); err != nil {
-			return err
+		if eng.Now() > limit {
+			return fmt.Errorf("experiments: %s stalled: not done by %v", what, limit)
 		}
 	}
 	return nil
 }
 
 // MeasureAt runs the world to virtual time at, then performs one transfer
-// and returns its result.
+// and returns its result. The world stops at the transfer's completion.
 func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfer.Options) (simxfer.Result, error) {
 	if err := e.Engine.RunUntil(at); err != nil {
 		return simxfer.Result{}, err
@@ -102,7 +101,7 @@ func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfe
 	if err != nil {
 		return simxfer.Result{}, err
 	}
-	if err := settle(e.Engine, at, 10*time.Minute, at+100*time.Hour, "transfer", func() bool { return got }); err != nil {
+	if err := settle(e.Engine, at+100*time.Hour, "transfer", func() bool { return got }); err != nil {
 		return simxfer.Result{}, err
 	}
 	return res, nil
@@ -179,7 +178,7 @@ func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap
 	if _, err := e.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
 		return nil, err
 	}
-	err := settle(e.Engine, e.Engine.Now(), 30*time.Minute, stallLimit, "fetch sequence",
+	err := settle(e.Engine, stallLimit, "fetch sequence",
 		func() bool { return len(durations) == n || fetchErr != nil })
 	if err != nil {
 		return nil, err

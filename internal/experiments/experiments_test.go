@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/simxfer"
+	"github.com/hpclab/datagrid/internal/workload"
 )
 
 const seed = 42
@@ -24,6 +25,43 @@ func TestEnvDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different measurements")
+	}
+}
+
+// TestMeasureAtEndsAtTheAnswer pins the whole event count of two
+// measurement worlds at seed 42: each stops at its transfer's completing
+// event. When settle still ran every world to the next 10-minute slice
+// boundary, the Fig. 3 world (FTP, 256 MB) ran to 13:00 and fired 9,367
+// events, and the monitored Table 1 world (hit0, 1024 MB) ran to 14:00
+// and fired 15,729, its NWS free-memory gauges included. A slice tail, or
+// a new monitor on the paper testbed that no result reads, fails here.
+func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		monitor  bool
+		at       time.Duration
+		src, dst string
+		bytes    int64
+		o        simxfer.Options
+		fired    uint64
+	}{
+		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.FTPOptions(), 2629},
+		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 6745},
+	} {
+		env, err := NewEnv(seed, c.monitor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.MeasureAt(c.at, c.src, c.dst, c.bytes, c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := c.at + res.Duration(); env.Engine.Now() != end {
+			t.Fatalf("%s: clock = %v, want the transfer's end %v", c.name, env.Engine.Now(), end)
+		}
+		if got := env.Engine.Fired(); got != c.fired {
+			t.Fatalf("%s: world fired %d events, want %d", c.name, got, c.fired)
+		}
 	}
 }
 

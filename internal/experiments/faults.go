@@ -201,7 +201,7 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 		return FaultsResult{}, err
 	}
 	// Attempt caps and timeouts bound every transfer.
-	err = settle(env.Engine, env.Engine.Now(), 30*time.Minute, stallLimit, "fault sequence",
+	err = settle(env.Engine, stallLimit, "fault sequence",
 		func() bool { return settled == faultsTransfers || runErr != nil })
 	if err != nil {
 		return FaultsResult{}, fmt.Errorf("%w (%d/%d settled)", err, settled, faultsTransfers)

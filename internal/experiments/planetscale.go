@@ -197,7 +197,7 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 			return PlanetScaleResult{}, err
 		}
 	}
-	err = settle(eng, eng.Now(), time.Hour, stallLimit, "planet-scale flows",
+	err = settle(eng, stallLimit, "planet-scale flows",
 		func() bool { return done == len(plans) || runErr != nil })
 	if err != nil {
 		return PlanetScaleResult{}, fmt.Errorf("%w (%d/%d landed)", err, done, len(plans))

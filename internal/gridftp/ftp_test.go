@@ -114,6 +114,28 @@ func TestMemFileWriteAtOverflow(t *testing.T) {
 	}
 }
 
+// TestMemFileWriteAtHoleBound: a write may leave a hole of up to
+// MaxBlockLen past the end, as out-of-order MODE E blocks do, but one
+// further is refused before anything is allocated, however far in range.
+func TestMemFileWriteAtHoleBound(t *testing.T) {
+	f, err := NewMemStore().Create("/holes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{MaxBlockLen + 1, math.MaxInt64 / 2} {
+		if n, err := f.WriteAt([]byte{1}, off); err == nil || n != 0 || f.Size() != 0 {
+			t.Fatalf("WriteAt at %d = %d, %v, size %d; want a refused write", off, n, err, f.Size())
+		}
+	}
+	if _, err := f.WriteAt([]byte{1}, MaxBlockLen); err != nil || f.Size() != MaxBlockLen+1 {
+		t.Fatalf("WriteAt at the bound: %v, size %d", err, f.Size())
+	}
+	// The bound moves with the end.
+	if _, err := f.WriteAt([]byte{2}, 2*MaxBlockLen+1); err != nil || f.Size() != 2*MaxBlockLen+2 {
+		t.Fatalf("WriteAt past the grown end: %v, size %d", err, f.Size())
+	}
+}
+
 func TestServerValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Fatal("server without store should be rejected")

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"regexp"
 	"strconv"
@@ -274,6 +275,71 @@ func FuzzBlock(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), raw[:HeaderLen+len(b.Payload)]) {
 			t.Fatalf("re-encoded %x, read %x", buf.Bytes(), raw[:HeaderLen+len(b.Payload)])
+		}
+	})
+}
+
+// FuzzReceiveBlocks: one or two MODE E data channels drained into a
+// MemStore file. No block may open a hole of more than MaxBlockLen past
+// the file's end, so the file never outgrows what the input carries by
+// more than that per block. One channel's writes land in order, so its
+// file, byte count and verdict must equal a plain sequential replay.
+func FuzzReceiveBlocks(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ch0, ch1 []byte) {
+		in := int64(len(ch0) + len(ch1))
+		if in > 256 {
+			t.Skip("every block may open a 16 MiB hole; keep the allocation small")
+		}
+		st := NewMemStore()
+		file, err := st.Create("/in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := []io.Reader{bytes.NewReader(ch0)}
+		if len(ch1) > 0 {
+			conns = append(conns, bytes.NewReader(ch1))
+		}
+		total, _, _, rerr := ReceiveBlocks(conns, file)
+		if total > in || file.Size() > total+in/HeaderLen*MaxBlockLen {
+			t.Fatalf("%d input bytes wrote %d payload bytes into a %d-byte file", in, total, file.Size())
+		}
+		if len(ch1) > 0 {
+			return
+		}
+		var want []byte
+		var wantTotal int64
+		wantErr := false
+		for r := bytes.NewReader(ch0); ; {
+			b, err := ReadBlock(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				wantErr = true
+				break
+			}
+			if n := uint64(len(b.Payload)); n > 0 {
+				if b.Offset > math.MaxInt64-n || b.Offset > uint64(len(want))+MaxBlockLen {
+					wantErr = true
+					break
+				}
+				if end := b.Offset + n; end > uint64(len(want)) {
+					want = append(want, make([]byte, end-uint64(len(want)))...)
+				}
+				copy(want[b.Offset:], b.Payload)
+				wantTotal += int64(n)
+			}
+			if b.EOD() {
+				break
+			}
+		}
+		got, err := st.Get("/in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (rerr != nil) != wantErr || total != wantTotal || !bytes.Equal(got, want) {
+			t.Fatalf("received %d bytes into %d (err %v), replay wrote %d into %d (err %v)",
+				total, len(got), rerr, wantTotal, len(want), wantErr)
 		}
 	})
 }

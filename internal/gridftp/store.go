@@ -70,6 +70,12 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// WriteAt may leave a hole, since MODE E blocks arrive out of order, but
+// it refuses to start more than MaxBlockLen past the current end: a hole
+// is zero-filled memory, so an unbounded offset would let one block
+// allocate anything. Each of a sender's channels writes its own blocks in
+// order, so a SendBlocks write lands at most (channels − 1) × block size
+// past the end, and none is refused while that stays within MaxBlockLen.
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("ftp: negative offset")
@@ -79,6 +85,10 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if off-int64(len(f.data)) > MaxBlockLen {
+		return 0, fmt.Errorf("ftp: write at offset %d leaves a hole of more than %d bytes past the end at %d",
+			off, MaxBlockLen, len(f.data))
+	}
 	end := off + int64(len(p))
 	if end > int64(len(f.data)) {
 		if end <= int64(cap(f.data)) {

@@ -27,8 +27,7 @@ type DeploymentConfig struct {
 	// NWSProbeWindow is the probe's TCP window; default 512 KiB (probes
 	// measure achievable bandwidth, so they use tuned buffers).
 	NWSProbeWindow int
-	// SysstatPeriod is the iostat sampling interval (and the NWS
-	// free-memory gauge's); default 2s.
+	// SysstatPeriod is the iostat sampling interval; default 2s.
 	SysstatPeriod time.Duration
 	// MDSTTL is the GRIS/GIIS cache TTL; default 5s.
 	MDSTTL time.Duration
@@ -64,8 +63,8 @@ type Deployment struct {
 	TopGIIS   *mds.GIIS
 	Sysstat   map[string]*sysstat.Collector
 	BWSensors map[string]*nws.Sensor
-	// Sensors holds every NWS sensor (bandwidth, latency and gauges) in
-	// deployment order, so the whole installation can be paused at once.
+	// Sensors holds every NWS sensor (bandwidth and latency) in deployment
+	// order, so the whole installation can be paused at once.
 	Sensors []*nws.Sensor
 	// GRIS and SiteGIIS hold the MDS hierarchy below TopGIIS in
 	// deployment order.
@@ -214,17 +213,6 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 			return nil, err
 		}
 		collectors[name] = col
-		// NWS free-memory gauge (the fourth stock NWS sensor): available
-		// RAM shrinks as the host gets busier.
-		memKey := nws.SeriesKey{Resource: nws.ResourceMemory, Source: name}
-		host := h
-		gauge, err := nws.NewGaugeSensor(engine, mem, memKey, cfg.SysstatPeriod, func() (float64, error) {
-			return float64(host.Config().MemMB) * (0.35 + 0.65*host.CPUIdle()), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sensors = append(sensors, gauge)
 	}
 
 	srv, err := NewServer(cfg.Local, tb.Network(), mem, top, collectors)

@@ -195,9 +195,9 @@ func TestDeployDefaultsToAllRemotes(t *testing.T) {
 	if len(dep.Sysstat) != 12 {
 		t.Fatalf("sysstat collectors = %d, want 12", len(dep.Sysstat))
 	}
-	// Every NWS sensor: 11 bandwidth + 11 latency + 12 free-memory gauges.
-	if got := len(dep.Sensors); got != 34 {
-		t.Fatalf("NWS sensors = %d, want 34", got)
+	// Every NWS sensor: 11 bandwidth + 11 latency.
+	if got := len(dep.Sensors); got != 22 {
+		t.Fatalf("NWS sensors = %d, want 22", got)
 	}
 }
 
@@ -312,22 +312,5 @@ func TestReportBadDirectoryData(t *testing.T) {
 	r, err := s.BuildHostPerf("hit0", 0)
 	if err != nil || r.CPUIdlePercent != 50 || r.IOIdlePercent != 75 {
 		t.Fatalf("valid report = %+v, %v", r, err)
-	}
-}
-
-func TestDeploymentMemorySensorAndNIC(t *testing.T) {
-	eng, tb, dep := paperSetup(t)
-	if err := eng.RunUntil(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Free-memory series exists and is bounded by the host's RAM.
-	key := nws.SeriesKey{Resource: nws.ResourceMemory, Source: "hit0"}
-	last, err := dep.NWS.Latest(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, _ := tb.Host("hit0")
-	if last.Value <= 0 || last.Value > float64(h.Config().MemMB) {
-		t.Fatalf("free memory = %v MB of %d", last.Value, h.Config().MemMB)
 	}
 }

@@ -8,18 +8,14 @@ import (
 	"github.com/hpclab/datagrid/internal/ring"
 )
 
-// Standard resource names, matching the measurements NWS ships sensors for.
+// Resource names of the two network sensors, matching NWS's own.
 const (
 	ResourceBandwidth = "bandwidth.tcp" // end-to-end TCP throughput, Mb/s
 	ResourceLatency   = "latency.tcp"   // end-to-end round trip, milliseconds
-	ResourceCPU       = "availableCPU"  // fraction of CPU available, 0..1
-	ResourceMemory    = "freeMemory"    // available memory, MB
-	ResourceIO        = "availableIO"   // fraction of disk bandwidth available, 0..1
 )
 
-// SeriesKey identifies one measured quantity. Target is empty for
-// host-local resources (CPU, memory) and names the far endpoint for
-// network resources.
+// SeriesKey identifies one measured quantity. Target names the far
+// endpoint of a network measurement; it is empty for a host-local one.
 type SeriesKey struct {
 	Resource string
 	Source   string

@@ -12,8 +12,8 @@ import (
 )
 
 func TestSeriesKeyString(t *testing.T) {
-	k := SeriesKey{Resource: ResourceCPU, Source: "alpha1"}
-	if k.String() != "availableCPU@alpha1" {
+	k := SeriesKey{Resource: "load", Source: "alpha1"}
+	if k.String() != "load@alpha1" {
 		t.Fatalf("key = %q", k.String())
 	}
 	k2 := SeriesKey{Resource: ResourceBandwidth, Source: "a", Target: "b"}
@@ -24,7 +24,7 @@ func TestSeriesKeyString(t *testing.T) {
 
 func TestMemoryStoreAndQuery(t *testing.T) {
 	m := NewMemory()
-	k := SeriesKey{Resource: ResourceCPU, Source: "h1"}
+	k := SeriesKey{Resource: ResourceLatency, Source: "h1", Target: "h2"}
 	for i := 0; i < 5; i++ {
 		if err := m.Store(k, Measurement{At: time.Duration(i) * time.Second, Value: float64(i)}); err != nil {
 			t.Fatal(err)
@@ -99,81 +99,6 @@ func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *Memory) {
 		t.Fatal(err)
 	}
 	return eng, net, NewMemory()
-}
-
-func TestGaugeSensor(t *testing.T) {
-	eng, _, mem := deployment(t)
-	val := 0.8
-	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
-	s, err := NewGaugeSensor(eng, mem, key, time.Second, func() (float64, error) { return val, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if hist, _ := mem.History(key); len(hist) != 6 { // immediate + 5
-		t.Fatalf("samples = %d, want 6", len(hist))
-	}
-	last, err := mem.Latest(key)
-	if err != nil || last.Value != 0.8 {
-		t.Fatalf("latest = %v, %v", last, err)
-	}
-	if s.Probes() != 6 || s.Stores() != 6 {
-		t.Fatalf("probes/stores = %d/%d", s.Probes(), s.Stores())
-	}
-	s.Stop()
-	if err := eng.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if hist, _ := mem.History(key); len(hist) != 6 {
-		t.Fatal("sensor kept sampling after Stop")
-	}
-}
-
-func TestGaugeSensorSkipsFailedReads(t *testing.T) {
-	eng, _, mem := deployment(t)
-	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
-	fail := false
-	s, err := NewGaugeSensor(eng, mem, key, time.Second, func() (float64, error) {
-		if fail {
-			return 0, errors.New("boom")
-		}
-		return 1, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	if err := eng.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stores() != 3 { // t=0,1,2
-		t.Fatalf("stores = %d, want 3", s.Stores())
-	}
-	if s.Probes() != 6 {
-		t.Fatalf("probes = %d, want 6 (failures still count as attempts)", s.Probes())
-	}
-}
-
-func TestGaugeSensorValidation(t *testing.T) {
-	eng, _, mem := deployment(t)
-	key := SeriesKey{Resource: "r", Source: "s"}
-	if _, err := NewGaugeSensor(nil, mem, key, time.Second, func() (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("nil engine should be rejected")
-	}
-	if _, err := NewGaugeSensor(eng, mem, key, time.Second, nil); err == nil {
-		t.Fatal("nil read fn should be rejected")
-	}
-	if _, err := NewGaugeSensor(eng, mem, SeriesKey{}, time.Second, func() (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("bad key should be rejected")
-	}
-	if _, err := NewGaugeSensor(eng, mem, key, 0, func() (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("zero period should be rejected")
-	}
 }
 
 func TestBandwidthSensorProbes(t *testing.T) {
@@ -282,6 +207,16 @@ func TestLatencySensor(t *testing.T) {
 	if s.Key().Resource != ResourceLatency {
 		t.Fatalf("sensor key = %v", s.Key())
 	}
+	if s.Probes() != 11 || s.Stores() != 11 {
+		t.Fatalf("probes/stores = %d/%d, want 11/11 (immediate + 10)", s.Probes(), s.Stores())
+	}
+	s.Stop()
+	if err := eng.RunUntil(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if hist, _ := mem.History(key); len(hist) != 11 {
+		t.Fatal("sensor kept sampling after Stop")
+	}
 }
 
 func TestLatencySensorValidation(t *testing.T) {
@@ -292,14 +227,17 @@ func TestLatencySensorValidation(t *testing.T) {
 	if _, err := NewLatencySensor(nil, mem, net, "a", "b", time.Second, 1); err == nil {
 		t.Fatal("nil engine should be rejected")
 	}
+	if _, err := NewLatencySensor(eng, mem, net, "a", "b", 0, 1); err == nil {
+		t.Fatal("zero period should be rejected")
+	}
 }
 
 // TestMemoryRejectsNonFinite pins that a NaN or infinite measurement is
-// refused before anything moves: history, latest value, revision, the
-// bank and the sensor's store count all stay where they were.
+// refused before anything moves: history, latest value, revision and the
+// bank all stay where they were.
 func TestMemoryRejectsNonFinite(t *testing.T) {
-	eng, _, mem := deployment(t)
-	key := SeriesKey{Resource: ResourceCPU, Source: "a"}
+	mem := NewMemory()
+	key := SeriesKey{Resource: ResourceLatency, Source: "a", Target: "b"}
 	if err := mem.Store(key, Measurement{At: time.Second, Value: 0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +249,7 @@ func TestMemoryRejectsNonFinite(t *testing.T) {
 		}
 	}
 	// A first sample that is refused must not leave an empty series behind.
-	fresh := SeriesKey{Resource: ResourceCPU, Source: "b"}
+	fresh := SeriesKey{Resource: ResourceLatency, Source: "b", Target: "a"}
 	if err := mem.Store(fresh, Measurement{Value: math.NaN()}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("Store(NaN) on a new key = %v, want ErrNonFinite", err)
 	}
@@ -328,18 +266,6 @@ func TestMemoryRejectsNonFinite(t *testing.T) {
 		t.Fatalf("forecast moved: %+v -> %+v", before, after)
 	}
 
-	// A gauge that reads NaN probes but does not store.
-	gkey := SeriesKey{Resource: ResourceMemory, Source: "a"}
-	s, err := NewGaugeSensor(eng, mem, gkey, time.Second, func() (float64, error) { return math.NaN(), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mem.History(gkey); s.Probes() != 4 || s.Stores() != 0 || !errors.Is(err, ErrUnknownSeries) {
-		t.Fatalf("probes/stores = %d/%d, History = %v; want 4/0, no series", s.Probes(), s.Stores(), err)
-	}
 }
 
 // TestMemoryStoreAtCapacityAllocs pins the steady-state store: a series at

@@ -45,38 +45,6 @@ func (s *Sensor) SetPaused(paused bool) { s.ticker.SetPaused(paused) }
 // Paused reports whether the sensor is currently suspended.
 func (s *Sensor) Paused() bool { return s.ticker.Paused() }
 
-// NewGaugeSensor creates a sensor that samples read() every period and
-// stores the result under key. It backs the CPU-availability, free-memory
-// and I/O-availability sensors, whose values are locally readable.
-func NewGaugeSensor(engine *simulation.Engine, mem *Memory, key SeriesKey, period time.Duration, read func() (float64, error)) (*Sensor, error) {
-	if engine == nil || mem == nil {
-		return nil, errors.New("nws: gauge sensor needs engine and memory")
-	}
-	if read == nil {
-		return nil, errors.New("nws: nil gauge read function")
-	}
-	if err := key.validate(); err != nil {
-		return nil, err
-	}
-	name := "gauge." + key.String()
-	s := &Sensor{name: name, key: key, mem: mem}
-	tk, err := engine.NewTicker(period, true, func(now time.Duration) {
-		s.probes++
-		v, err := read()
-		if err != nil {
-			return // transient failure: skip this sample, keep ticking
-		}
-		if mem.Store(key, Measurement{At: now, Value: v}) == nil {
-			s.stores++
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.ticker = tk
-	return s, nil
-}
-
 // BandwidthSensorConfig tunes an end-to-end TCP bandwidth sensor.
 type BandwidthSensorConfig struct {
 	// Period between probes.
