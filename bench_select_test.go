@@ -3,7 +3,9 @@ package datagrid
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,8 @@ import (
 	"github.com/hpclab/datagrid/internal/experiments"
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
+	"github.com/hpclab/datagrid/internal/simulation"
+	"github.com/hpclab/datagrid/internal/topo"
 )
 
 // selectionBenchLogicals is the batch size: the number of logical files a
@@ -103,7 +107,7 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 // server queries, serialized because the live substrates are
 // single-goroutine) versus "snapshot" (one pinned gridstate epoch,
 // lock-free batch Rank). The per-op workload is identical; the snapshot
-// path wins on per-request work (map lookups against an immutable epoch
+// path wins on per-request work (id-table reads against an immutable epoch
 // versus MDS searches, forecast evaluations and staleness checks), not on
 // core count. Recorded to BENCH_select.json via `make bench-select`.
 func BenchmarkSelectionThroughput(b *testing.B) {
@@ -158,6 +162,38 @@ func BenchmarkSelectionThroughput(b *testing.B) {
 					b.ReportMetric(ranks/secs, "ranks/s")
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkHierarchicalRank is the read select-churn and the traffic plane
+// make once per request: HierarchicalServer.Rank of a Zipf-drawn file on a
+// 10-region topo.NewWorld (1,000 hosts, 10,000 files of 4 replicas, each
+// in its own region), against region snapshots pinned before the timer
+// starts. One op is one Rank. Recorded to BENCH_select.json via `make
+// bench-select`.
+func BenchmarkHierarchicalRank(b *testing.B) {
+	const files = 10_000
+	spec := topo.Spec{Seed: benchSeed, Regions: 10, SitesPerRegion: 4, ClustersPerSite: 1, HostsPerCluster: 25}
+	w, err := topo.NewWorld(spec, simulation.NewEngine(), files, 4, 64<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(benchSeed)), 1.4, 1, files-1)
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = "lfn:d" + strconv.FormatUint(zipf.Uint64(), 10)
+	}
+	for _, name := range names { // pin every region's snapshot and view
+		if _, err := w.Server.Rank(name, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Server.Rank(names[i%len(names)], 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

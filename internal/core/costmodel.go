@@ -229,8 +229,14 @@ type SelectionServer struct {
 	selector Selector
 	// view is the last pinned snapshot view, reused while its snapshot
 	// stays current (per-epoch memoization). Written only by PinView on
-	// the simulation goroutine.
+	// the simulation goroutine, as are hosts and slots.
 	view *SnapshotView
+	// hosts is the last pinned snapshot's tracked-host list, sorted, and
+	// slots the id table over it: slots[id] is 1 + the index in hosts of
+	// the catalog host with that id, 0 when the snapshot does not track
+	// it. It covers the hosts the catalog had interned at the last pin.
+	hosts []string
+	slots []int32
 }
 
 // NewSelectionServer wires a selection server. selector defaults to the

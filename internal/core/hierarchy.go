@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/replica"
@@ -27,14 +28,14 @@ type HierarchyStats struct {
 	MaxSingleRank int
 }
 
-// HierarchicalServer is the thin top tier: it asks RegionsWith for the
-// regions holding the file, has each region's SelectionServer rank its
-// own shard against its own snapshot — a GIIS-style aggregation point
-// that never sees other regions' hosts, so its cost is bounded by the
-// shard, not the grid — and merges the per-region bests in the same
-// best-first order every rank sorts by. For the cost-model selector the
-// hierarchical choice therefore equals the flat choice while scanning
-// only the involved shards.
+// HierarchicalServer is the thin top tier: it reads the file's locations
+// from the catalog once, tagged with their region ids, and has each
+// region's SelectionServer rank its part against its own snapshot — a
+// GIIS-style aggregation point that never sees other regions' hosts, so
+// its cost is bounded by the shard, not the grid — and merges the
+// per-region bests in the same best-first order every rank sorts by. For
+// the cost-model selector the hierarchical choice therefore equals the
+// flat choice while scanning only the involved shards.
 //
 // Must run on the simulation goroutine (ranking pins region snapshots,
 // which may rebuild them).
@@ -42,8 +43,15 @@ type HierarchicalServer struct {
 	catalog  *replica.ShardedCatalog
 	weights  Weights
 	selector Selector
-	regions  map[string]*SelectionServer
-	stats    HierarchyStats
+	// regions, names and order are indexed by catalog region id and cover
+	// every region the catalog had interned at their last refresh:
+	// the region's server (nil until AddRegion), its name, and its rank
+	// among the names in ascending order — the order regions are consulted
+	// in.
+	regions []*SelectionServer
+	names   []string
+	order   []int32
+	stats   HierarchyStats
 }
 
 // NewHierarchicalServer wires the top tier over a sharded catalog.
@@ -58,12 +66,23 @@ func NewHierarchicalServer(catalog *replica.ShardedCatalog, weights Weights, sel
 	if selector == nil {
 		selector = CostModelSelector{Weights: weights}
 	}
-	return &HierarchicalServer{
-		catalog:  catalog,
-		weights:  weights,
-		selector: selector,
-		regions:  make(map[string]*SelectionServer),
-	}, nil
+	return &HierarchicalServer{catalog: catalog, weights: weights, selector: selector}, nil
+}
+
+// refreshRegions catches the id-indexed tables up with the regions the
+// catalog has interned since the last refresh.
+func (h *HierarchicalServer) refreshRegions() {
+	h.names = h.catalog.RegionNames()
+	h.regions = append(h.regions, make([]*SelectionServer, len(h.names)-len(h.regions))...)
+	byName := make([]int32, len(h.names))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(h.names[a], h.names[b]) })
+	h.order = make([]int32, len(h.names))
+	for rank, id := range byName {
+		h.order[id] = int32(rank)
+	}
 }
 
 // AddRegion registers the snapshot source for one region and binds a
@@ -74,24 +93,27 @@ func (h *HierarchicalServer) AddRegion(region string, source SnapshotSource) err
 	if region == "" {
 		return errors.New("core: region needs a name")
 	}
-	if _, dup := h.regions[region]; dup {
+	if id := slices.Index(h.names, region); id >= 0 && h.regions[id] != nil {
 		return fmt.Errorf("core: region %q already registered", region)
 	}
 	srv, err := NewSelectionServer(h.catalog.Shard(region), source, h.weights, h.selector)
 	if err != nil {
 		return fmt.Errorf("core: region %q: %w", region, err)
 	}
-	h.regions[region] = srv
+	h.refreshRegions()
+	h.regions[slices.Index(h.names, region)] = srv
 	return nil
 }
 
 // Regions lists the registered regions, sorted.
 func (h *HierarchicalServer) Regions() []string {
-	out := make([]string, 0, len(h.regions))
-	for r := range h.regions {
-		out = append(out, r)
+	var out []string
+	for id, srv := range h.regions {
+		if srv != nil {
+			out = append(out, h.names[id])
+		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -104,24 +126,43 @@ func (h *HierarchicalServer) Stats() HierarchyStats { return h.stats }
 // replicas but never registered via AddRegion is an error — silently
 // ignoring it would hide misconfiguration.
 func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidate, error) {
-	var buf [8]string
-	regions, err := h.catalog.AppendRegionsWith(buf[:0], logical)
+	var buf [16]replica.Tagged
+	locs, err := h.catalog.AppendTagged(buf[:0], logical)
 	if err != nil {
 		return nil, err
 	}
 	h.stats.Selections++
-	merged := make([]Candidate, 0, len(regions))
-	for _, region := range regions {
-		srv, ok := h.regions[region]
-		if !ok {
-			return nil, fmt.Errorf("core: %q has replicas in unregistered region %q", logical, region)
+	for _, t := range locs {
+		if int(t.RegionID) >= len(h.order) {
+			h.refreshRegions()
+			break
+		}
+	}
+	// Group by region, regions in name order; the stable sort keeps each
+	// region's locations in catalog order.
+	slices.SortStableFunc(locs, func(a, b replica.Tagged) int {
+		return cmp.Compare(h.order[a.RegionID], h.order[b.RegionID])
+	})
+	var bests [16]Candidate
+	merged := bests[:0]
+	regions := 0
+	for rest := locs; len(rest) > 0; {
+		id := rest[0].RegionID
+		n := 1
+		for n < len(rest) && rest[n].RegionID == id {
+			n++
+		}
+		part := rest[:n]
+		rest = rest[n:]
+		regions++
+		srv := h.regions[id]
+		if srv == nil {
+			return nil, fmt.Errorf("core: %q has replicas in unregistered region %q", logical, h.names[id])
 		}
 		h.stats.RegionsConsulted++
-		best, scanned, err := srv.PinView(now).scan(logical, nil)
-		h.stats.HostsScanned += uint64(scanned)
-		if scanned > h.stats.MaxSingleRank {
-			h.stats.MaxSingleRank = scanned
-		}
+		h.stats.HostsScanned += uint64(n)
+		h.stats.MaxSingleRank = max(h.stats.MaxSingleRank, n)
+		best, err := srv.PinView(now).scan(logical, part, nil)
 		if err != nil {
 			if errors.Is(err, ErrNoUsableReplica) {
 				continue
@@ -132,10 +173,25 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 	}
 	if len(merged) == 0 {
 		return nil, fmt.Errorf("%w: %q monitored in none of its %d regions",
-			ErrNoUsableReplica, logical, len(regions))
+			ErrNoUsableReplica, logical, regions)
 	}
-	slices.SortStableFunc(merged, bestFirst)
-	return merged, nil
+	// Insertion-sort positions, not the 136-byte candidates, then copy each
+	// best once into the result.
+	var posBuf [16]int
+	pos := posBuf[:0]
+	for i := range merged {
+		j := len(pos)
+		pos = append(pos, i)
+		for ; j > 0 && bestFirst(merged[pos[j-1]], merged[i]) > 0; j-- {
+			pos[j] = pos[j-1]
+		}
+		pos[j] = i
+	}
+	out := make([]Candidate, len(merged))
+	for k, i := range pos {
+		out[k] = merged[i]
+	}
+	return out, nil
 }
 
 // SelectBest applies the configured selector to the merged per-region

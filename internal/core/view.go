@@ -22,16 +22,20 @@ type viewEntry struct {
 
 // SnapshotView scores candidates against one pinned grid-state snapshot.
 // Every tracked host's report and score is memoized when the view is
-// built, so ranking N logical files costs N catalog lookups plus sorts —
-// no substrate queries. The view is immutable after PinView returns it;
-// Rank and SelectBest are safe to call from any number of goroutines
-// concurrently, provided the replica catalog is not mutated meanwhile and
-// the configured selector is stateless (CostModelSelector and the other
-// value-type selectors are; *RoundRobinSelector is not).
+// built, so ranking N logical files costs N catalog reads plus sorts — no
+// substrate queries. A location finds its host's outcome through the
+// server's id table, indexed by catalog host id. The view is immutable
+// after PinView returns it; Rank and SelectBest are safe to call from any
+// number of goroutines concurrently, provided the replica catalog is not
+// mutated meanwhile and the configured selector is stateless
+// (CostModelSelector and the other value-type selectors are;
+// *RoundRobinSelector is not).
 type SnapshotView struct {
-	srv  *SelectionServer
-	snap *gridstate.Snapshot
-	memo map[string]*viewEntry // into one backing slice
+	srv     *SelectionServer
+	snap    *gridstate.Snapshot
+	hosts   []string    // the tracked hosts, sorted; entries[i] is hosts[i]'s
+	entries []viewEntry // one per tracked host
+	slots   []int32     // the server's id table as of the pin (SelectionServer.slots)
 }
 
 // PinView pins the server's current grid-state snapshot (rebuilding it if
@@ -39,24 +43,56 @@ type SnapshotView struct {
 // Views are memoized per epoch: pinning twice without substrate movement
 // returns the same view. Must run on the simulation goroutine; the
 // returned view may then be shared freely.
+//
+// PinView is the only writer of the server's id table, and it never
+// writes a table a view holds: a changed tracked-host list starts a new
+// table, and hosts the catalog interned since the last pin extend a copy.
 func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
 	snap := s.source.Snapshot(now)
 	if v := s.view; v != nil && v.snap == snap {
 		return v
 	}
-	hosts := snap.Hosts()
-	entries := make([]viewEntry, len(hosts))
-	memo := make(map[string]*viewEntry, len(hosts))
-	for i, h := range hosts {
+	if hosts := snap.Hosts(); !slices.Equal(hosts, s.hosts) {
+		s.hosts, s.slots = hosts, nil
+	}
+	if late := s.catalog.HostNames(len(s.slots)); late != nil {
+		slots := make([]int32, len(s.slots), len(s.slots)+len(late))
+		copy(slots, s.slots)
+		for _, h := range late {
+			i, ok := slices.BinarySearch(s.hosts, h)
+			if !ok {
+				i = -1
+			}
+			slots = append(slots, int32(i+1))
+		}
+		s.slots = slots
+	}
+	entries := make([]viewEntry, len(s.hosts))
+	for i, h := range s.hosts {
 		e := &entries[i]
 		if e.report, e.err = snap.Lookup(h); e.err == nil {
 			e.score = Score(e.report, s.weights)
 		}
-		memo[h] = e
 	}
-	v := &SnapshotView{srv: s, snap: snap, memo: memo}
+	v := &SnapshotView{srv: s, snap: snap, hosts: s.hosts, entries: entries, slots: s.slots}
 	s.view = v
 	return v
+}
+
+// entry returns the memoized outcome for a catalog host, or nil when the
+// snapshot does not track it. A host the catalog interned after the pin
+// is past the table's end and is found by name.
+func (v *SnapshotView) entry(id int32, host string) *viewEntry {
+	if int(id) < len(v.slots) {
+		if i := v.slots[id]; i > 0 {
+			return &v.entries[i-1]
+		}
+		return nil
+	}
+	if i, ok := slices.BinarySearch(v.hosts, host); ok {
+		return &v.entries[i]
+	}
+	return nil
 }
 
 // Snapshot returns the pinned snapshot backing this view.
@@ -84,56 +120,52 @@ func bestFirst(a, b Candidate) int {
 // returned if none remain; any other error the snapshot build stored for
 // a replica's host fails the rank.
 func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
-	var cands []Candidate
-	_, _, err := v.scan(logical, &cands)
+	var buf [8]replica.Tagged
+	locs, err := v.srv.catalog.AppendTagged(buf[:0], logical)
 	if err != nil {
+		return nil, err
+	}
+	cands := make([]Candidate, 0, len(locs))
+	if _, err := v.scan(logical, locs, &cands); err != nil {
 		return nil, err
 	}
 	slices.SortStableFunc(cands, bestFirst)
 	return cands, nil
 }
 
-// scan is the only loop turning catalog locations into scored candidates.
-// It walks the file's locations in catalog order through a stack buffer
-// and returns the bestFirst minimum and the number of locations scanned,
-// unmonitored ones included — the hierarchy's scan accounting, also
-// beside an error. The catalog hands out distinct locations in ascending
+// scan is the only loop turning catalog locations into scored candidates,
+// on both tiers: the flat Rank hands it the file's catalog read, the
+// hierarchy one region's part of its single read. It returns the bestFirst
+// minimum. The catalog hands out distinct locations in ascending
 // Location.Compare order, so the first of the highest score is the
 // minimum: what a stable bestFirst sort would put at the head. all, when
 // non-nil, also collects every candidate, in catalog order.
-func (v *SnapshotView) scan(logical string, all *[]Candidate) (best Candidate, scanned int, err error) {
-	var buf [8]replica.Location
-	locs, err := v.srv.catalog.AppendLocations(buf[:0], logical)
-	if err != nil {
-		return best, 0, err
-	}
-	if all != nil {
-		*all = make([]Candidate, 0, len(locs))
-	}
+func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all *[]Candidate) (best Candidate, err error) {
 	var top *viewEntry
-	for _, loc := range locs {
-		e, ok := v.memo[loc.Host]
-		if !ok {
+	for i := range locs {
+		t := &locs[i]
+		e := v.entry(t.HostID, t.Host)
+		if e == nil {
 			continue
 		}
 		if e.err != nil {
 			if errors.Is(e.err, info.ErrNoData) {
 				continue
 			}
-			return best, len(locs), e.err
+			return best, e.err
 		}
 		if all != nil {
-			*all = append(*all, Candidate{Location: loc, Report: e.report, Score: e.score})
+			*all = append(*all, Candidate{Location: t.Location, Report: e.report, Score: e.score})
 		}
 		if top == nil || e.score > top.score {
-			top, best.Location = e, loc
+			top, best.Location = e, t.Location
 		}
 	}
 	if top == nil {
-		return best, len(locs), fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
+		return best, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
 	}
 	best.Report, best.Score = top.report, top.score
-	return best, len(locs), nil
+	return best, nil
 }
 
 // SelectBest returns the server's selector's choice among the view-ranked
@@ -154,10 +186,12 @@ func (v *SnapshotView) SelectBest(logical string) (Candidate, error) {
 // rejects are dropped entirely). Must run on the simulation goroutine (it
 // pins the current snapshot).
 func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive func(string) bool) ([]string, error) {
-	hosts, err := s.catalog.HostsWith(logical)
+	var buf [8]replica.Tagged
+	locs, err := s.catalog.AppendTagged(buf[:0], logical)
 	if err != nil {
 		return nil, err
 	}
+	slices.SortStableFunc(locs, func(a, b replica.Tagged) int { return strings.Compare(a.Host, b.Host) })
 	v := s.PinView(now)
 	type scored struct {
 		host  string
@@ -165,15 +199,15 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 	}
 	var ranked []scored
 	var blind []string
-	for _, h := range hosts {
-		if alive != nil && !alive(h) {
+	for i, t := range locs {
+		if i > 0 && locs[i-1].Host == t.Host || alive != nil && !alive(t.Host) {
 			continue
 		}
-		if e, ok := v.memo[h]; ok && e.err == nil {
-			ranked = append(ranked, scored{host: h, score: e.score})
+		if e := v.entry(t.HostID, t.Host); e != nil && e.err == nil {
+			ranked = append(ranked, scored{host: t.Host, score: e.score})
 			continue
 		}
-		blind = append(blind, h)
+		blind = append(blind, t.Host)
 	}
 	slices.SortStableFunc(ranked, func(a, b scored) int {
 		if a.score != b.score {
@@ -188,5 +222,5 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 	for _, r := range ranked {
 		out = append(out, r.host)
 	}
-	return append(out, blind...), nil // blind is name-sorted: HostsWith sorts
+	return append(out, blind...), nil // blind is in name order, as locs is
 }

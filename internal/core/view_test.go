@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
@@ -203,4 +205,105 @@ func TestViewConcurrentRank(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRankScoresHostsInternedAfterPin: a replica registered, after the
+// view was pinned, on a host the catalog had never seen is past the end of
+// the view's id table. Without a re-pin, every tier must still score it
+// when the snapshot tracks the host, and skip it when it does not.
+func TestRankScoresHostsInternedAfterPin(t *testing.T) {
+	perf := func(bw float64) oracleHost {
+		return oracleHost{tracked: true, perf: gridstate.HostPerf{BandwidthPercent: bw, CPUIdlePercent: 50, IOIdlePercent: 50}}
+	}
+	// eu-late is tracked and scores best; eu-stray is tracked by nobody.
+	hosts := oracleBuilder{"eu-h0": perf(40), "eu-h1": perf(60), "eu-late": perf(90)}
+	tracked := []string{"eu-h0", "eu-h1", "eu-late"}
+	pub := func() *gridstate.Publisher {
+		p, err := gridstate.NewPublisher("client.eu", tracked, hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	flatCat, sharded := replica.NewCatalog(), replica.NewSharded(hierRegionOf)
+	cats := []*replica.Catalog{flatCat, sharded.Catalog}
+	register := func(hosts ...string) {
+		t.Helper()
+		for _, c := range cats {
+			for _, h := range hosts {
+				if err := c.Register("f", replica.Location{Host: h, Path: "/d/f"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, c := range cats {
+		if err := c.CreateLogical(replica.LogicalFile{Name: "f", SizeBytes: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register("eu-h0", "eu-h1")
+	flat, err := NewSelectionServer(flatCat, pub(), PaperWeights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := NewHierarchicalServer(sharded, PaperWeights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hier.AddRegion("eu", pub()); err != nil {
+		t.Fatal(err)
+	}
+	view := flat.PinView(0)
+	if _, err := hier.Rank("f", 0); err != nil {
+		t.Fatal(err)
+	}
+	region := hier.regions[slices.Index(hier.names, "eu")]
+	regionView := region.view
+
+	register("eu-late", "eu-stray")
+
+	score := func(h string) float64 { return Score(hosts[h].perf, PaperWeights) }
+	cands, err := view.Rank("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range cands {
+		got = append(got, c.Location.Host)
+		if c.Score != score(c.Location.Host) {
+			t.Errorf("flat: %s scored %v, want %v", c.Location.Host, c.Score, score(c.Location.Host))
+		}
+	}
+	if want := []string{"eu-late", "eu-h1", "eu-h0"}; !slices.Equal(got, want) {
+		t.Errorf("flat Rank = %v, want %v", got, want)
+	}
+	merged, err := hier.Rank("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 1 || merged[0].Location.Host != "eu-late" || merged[0].Score != score("eu-late") {
+		t.Errorf("hierarchical Rank = %+v, want eu-late alone at %v", merged, score("eu-late"))
+	}
+	ranked, err := flat.RankHosts("f", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"eu-late", "eu-h1", "eu-h0", "eu-stray"}; !slices.Equal(ranked, want) {
+		t.Errorf("RankHosts = %v, want %v (the untracked host last, unscored)", ranked, want)
+	}
+	if flat.PinView(0) != view || region.view != regionView {
+		t.Fatal("the test re-pinned: the late hosts never left the fallback")
+	}
+	// The next pin extends the table: the late hosts leave the fallback.
+	repinned := flat.PinView(time.Second)
+	locs, err := flatCat.AppendTagged(nil, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range locs {
+		if int(l.HostID) >= len(repinned.slots) {
+			t.Errorf("%s (id %d) is past the re-pinned table's end %d", l.Host, l.HostID, len(repinned.slots))
+		}
+	}
 }

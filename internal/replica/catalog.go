@@ -323,13 +323,32 @@ func (c *Catalog) Unregister(name string, host, path string) error {
 // "a list of physical locations for all registered copies" (§3.1) — in
 // Location.Compare order.
 func (c *Catalog) Locations(name string) ([]Location, error) {
-	return c.AppendLocations(nil, name)
+	var buf [8]Tagged
+	tagged, err := c.AppendTagged(buf[:0], name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Location, len(tagged))
+	for i, t := range tagged {
+		out[i] = t.Location
+	}
+	return out, nil
 }
 
-// AppendLocations is Locations into the caller's scratch: it appends to
-// dst and allocates only when dst lacks the room. dst comes back as it
-// went in beside an error.
-func (c *Catalog) AppendLocations(dst []Location, name string) ([]Location, error) {
+// Tagged is a location with the catalog's dense ids for its host and the
+// host's region. Ids are assigned on first sight and never change, so a
+// reader may index its own tables by them; HostNames and
+// ShardedCatalog.RegionNames map them back to names.
+type Tagged struct {
+	Location
+	HostID, RegionID int32
+}
+
+// AppendTagged is the one read a selection makes: under one read lock and
+// one name lookup it appends the file's locations that this handle shows
+// to dst, tagged, in Location.Compare order. It allocates only when dst
+// lacks the room, and dst comes back as it went in beside an error.
+func (c *Catalog) AppendTagged(dst []Tagged, name string) ([]Tagged, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	f, err := c.fileLocked(name)
@@ -339,13 +358,32 @@ func (c *Catalog) AppendLocations(dst []Location, name string) ([]Location, erro
 	out := slices.Grow(dst, len(f.locs))
 	for _, e := range f.locs {
 		if h := &c.hosts[e.host]; c.region == allRegions || c.region == h.region {
-			out = append(out, Location{Host: h.name, Path: e.path, RegisteredAt: e.at})
+			out = append(out, Tagged{
+				Location: Location{Host: h.name, Path: e.path, RegisteredAt: e.at},
+				HostID:   e.host, RegionID: h.region,
+			})
 		}
 	}
 	if len(out) == len(dst) {
 		return dst, fmt.Errorf("%w: %q", ErrNoReplicas, name)
 	}
 	return out, nil
+}
+
+// HostNames returns the names of the hosts with ids from `from` on, in id
+// order, or nil when the catalog has interned no host past from. Hosts are
+// the store's, whichever handle asks.
+func (c *Catalog) HostNames(from int) []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if from >= len(c.hosts) {
+		return nil
+	}
+	out := make([]string, len(c.hosts)-from)
+	for i := range out {
+		out[i] = c.hosts[from+i].name
+	}
+	return out
 }
 
 // HostsWith returns the hosts holding a copy of the logical file, sorted.

@@ -7,8 +7,8 @@ import (
 
 // ShardedCatalog is a catalog that knows which region every host is in,
 // so that a region's selector reads only the replicas placed there and
-// the top tier learns from RegionsWith which regions to ask — no
-// operation scans the world. It is the same one store as the flat
+// the top tier groups one AppendTagged read by region id — no operation
+// scans the world. It is the same one store as the flat
 // Catalog it embeds (the all-regions handle: Register, Locations,
 // FindByAttributes and the rest answer for the whole grid); a host's
 // region is resolved once, when the host is first seen.
@@ -40,35 +40,32 @@ func (s *ShardedCatalog) Shard(region string) *Catalog {
 }
 
 // RegionsWith lists the regions holding at least one replica of the
-// logical file, sorted — the top-level selector's fan-out set: only these
-// regions' shards are consulted, never the world.
+// logical file, sorted.
 func (s *ShardedCatalog) RegionsWith(name string) ([]string, error) {
-	var buf [8]string
-	out, err := s.AppendRegionsWith(buf[:0], name)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(out), nil
-}
-
-// AppendRegionsWith is RegionsWith into the caller's scratch, as
-// AppendLocations is Locations.
-func (s *ShardedCatalog) AppendRegionsWith(dst []string, name string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	f, err := s.fileLocked(name)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
 	if len(f.locs) == 0 {
-		return dst, fmt.Errorf("%w: %q", ErrNoReplicas, name)
+		return nil, fmt.Errorf("%w: %q", ErrNoReplicas, name)
 	}
-	out := dst
+	var buf [8]string
+	out := buf[:0]
 	for _, e := range f.locs {
-		if r := s.regions[s.hosts[e.host].region]; !slices.Contains(out[len(dst):], r) {
+		if r := s.regions[s.hosts[e.host].region]; !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
-	slices.Sort(out[len(dst):])
-	return out, nil
+	slices.Sort(out)
+	return slices.Clone(out), nil
+}
+
+// RegionNames returns the region names by region id: the ids
+// AppendTagged's locations carry.
+func (s *ShardedCatalog) RegionNames() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.regions)
 }

@@ -98,8 +98,8 @@ func (e *gridExecutor) RemoveReplica(logical, region string) error {
 	if len(regions) < 2 {
 		return fmt.Errorf("traffic: refusing to orphan %s (only %v holds it)", logical, regions)
 	}
-	var buf [8]replica.Location
-	locs, err := e.w.Catalog.Shard(region).AppendLocations(buf[:0], logical)
+	var buf [8]replica.Tagged
+	locs, err := e.w.Catalog.Shard(region).AppendTagged(buf[:0], logical)
 	if err != nil {
 		return err
 	}
