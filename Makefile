@@ -42,17 +42,18 @@ bench: bench-netsim
 # workflow and each file's headline number.
 #
 #   netsim   the simulation core: allocator and route trees, the engine's
-#            event queue, the NWS forecaster bank
+#            event queue, the NWS forecaster bank, a parallel-stream
+#            transfer through slow start
 #   suite    `gridbench -all` on the worker pool, sequential vs parallel
 #   select   pull-per-query vs pinned snapshot, 1 and 8 selectors; one
 #            hierarchical Rank on a 10-region world
 #   faults   `gridbench -faults`: no-retry vs retry-same vs failover
 #   scale    `gridbench -scale`: 20 to 200 sites, up to 10k hosts
 #   traffic  `gridbench -traffic`: metro and 200-site request streams
-netsim_BENCH     = Netsim|Reallocate|RouteTree|RoutePlanet|AddLinkBulk|ForecasterBank|EngineChurn
+netsim_BENCH     = Netsim|Reallocate|RouteTree|RoutePlanet|AddLinkBulk|ForecasterBank|EngineChurn|ParallelStreamRamp
 netsim_PKGS      = . ./internal/netsim
 netsim_TIMEOUT   = 600s
-netsim_BASELINE  = pr28-core-routes-2cpu
+netsim_BASELINE  = pr34-ramp-batch-2cpu
 suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s

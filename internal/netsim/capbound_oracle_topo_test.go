@@ -12,17 +12,22 @@ import (
 
 // TestCapBoundOracle is the step-wise differential sweep of the cap-bound
 // path and the on-read rebuild (capbound_oracle_test.go has the checker),
-// over the three regimes that matter: the planet workload's (WAN round
-// trips, 1 MiB windows, one stream), the metro workload's (64 KiB windows,
-// two streams sharing a cap) — both on seeded topo worlds — and a tight one
+// over the regimes that matter: the planet workload's (WAN round trips,
+// 1 MiB windows, one stream), the metro workload's (64 KiB windows, two
+// streams sharing a cap) — both on seeded topo worlds — and two tight ones
 // on the water-fill sweep's hand-made networks, where links bind, caps tie
-// and demand hovers at the margin. -oracle.cases is the number of engine
-// events checked, split evenly; every regime must have taken both paths.
+// and demand hovers at the margin, with one stream and with two. Streams
+// that start together tick in one slow-start event, so an event can move
+// several caps: the metro regime must have batched ticks, and the
+// tight-streams regime batches whose ticks had to fill mid-way.
+// -oracle.cases is the number of engine events checked, split evenly;
+// every regime must have taken both paths.
 func TestCapBoundOracle(t *testing.T) {
 	regimes := []netsim.StormRegime{
 		{Name: "planet", WindowBytes: 1 << 20, Streams: 1, Horizon: 20 * time.Second},
 		{Name: "metro", WindowBytes: 64 << 10, Streams: 2, Horizon: 5 * time.Second},
 		{Name: "tight", Streams: 1, Horizon: 3 * time.Second, Tight: true},
+		{Name: "tight-streams", Streams: 2, Horizon: 3 * time.Second, Tight: true},
 	}
 	for _, reg := range regimes {
 		t.Run(reg.Name, func(t *testing.T) {
@@ -52,10 +57,13 @@ func TestCapBoundOracle(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
-			t.Logf("%d events, %d components diffed: %d cap-bound, %d water-filled, %d rebuilt on read",
-				tally.Events, tally.Components, tally.Fast, tally.Filled, tally.Rebuilds)
+			t.Logf("%d events, %d components diffed: %d cap-bound, %d water-filled, %d rebuilt on read; %d batched ramp events, %d mid-batch drains",
+				tally.Events, tally.Components, tally.Fast, tally.Filled, tally.Rebuilds, tally.Batched, tally.MidBatch)
 			if tally.Fast == 0 || tally.Filled == 0 || tally.Rebuilds == 0 {
 				t.Fatalf("one path went untested: %d cap-bound, %d water-filled, %d rebuilt on read", tally.Fast, tally.Filled, tally.Rebuilds)
+			}
+			if (reg.Name == "metro" && tally.Batched == 0) || (reg.Name == "tight-streams" && tally.MidBatch == 0) {
+				t.Fatalf("batched ticks went untested: %d batched ramp events, %d mid-batch drains", tally.Batched, tally.MidBatch)
 			}
 		})
 	}

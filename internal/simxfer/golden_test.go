@@ -158,10 +158,11 @@ func TestSubmitGolden(t *testing.T) {
 	}
 }
 
-// failoverSubmitAllocBudget is the parent tree's measured allocation
-// count for one warm failover Submit-to-Done cycle (4 streams, two
-// candidates, healthy path); the one-session rewrite may not exceed it.
-const failoverSubmitAllocBudget = 23
+// failoverSubmitAllocBudget is the measured allocation count for one warm
+// failover Submit-to-Done cycle (4 streams, two candidates, healthy path).
+// The four streams ramp in shared slow-start batches, so the count holds
+// the four Flows but no per-stream ramp closure.
+const failoverSubmitAllocBudget = 16
 
 func TestFailoverSubmitAllocs(t *testing.T) {
 	eng, _, tr := newBed(t)
