@@ -79,6 +79,11 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
+// Scheduled returns the number of events ever scheduled, canceled ones
+// included: the next event's tie-breaking sequence number. Only Schedule
+// moves it, so an unchanged count means nothing was scheduled since.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
 // Pending returns the number of events still scheduled. Canceled events
 // leave the heap immediately, so they are never counted here.
 func (e *Engine) Pending() int { return len(e.heap) }

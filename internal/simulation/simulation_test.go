@@ -324,6 +324,35 @@ func TestFiredCounter(t *testing.T) {
 	}
 }
 
+func TestScheduledCounter(t *testing.T) {
+	e := NewEngine()
+	a, err := e.Schedule(1, func(time.Duration) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Schedule(2, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Scheduled() != 2 {
+		t.Fatalf("Scheduled = %d after two schedules, want 2", e.Scheduled())
+	}
+	// A cancel paired with a schedule leaves Fired+Pending where it was,
+	// but not the sequence.
+	e.Cancel(a)
+	if _, err := e.Schedule(1, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Scheduled() != 3 {
+		t.Fatalf("Scheduled = %d after a cancel and a schedule, want 3", e.Scheduled())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Scheduled() != 3 || e.Fired() != 2 {
+		t.Fatalf("after the run: Scheduled = %d, Fired = %d, want 3 and 2", e.Scheduled(), e.Fired())
+	}
+}
+
 // Property: events always fire in non-decreasing time order regardless of
 // insertion order, and the number fired equals the number scheduled minus
 // the number canceled.
