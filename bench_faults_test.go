@@ -16,7 +16,7 @@ func BenchmarkFaultsSweep(b *testing.B) {
 	var rows []experiments.FaultsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = experiments.ExtensionFaults(benchSeed)
+		rows, _, err = experiments.ExtensionFaults(benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 	var rows []experiments.PlanetScaleResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = experiments.ExtensionPlanetScale(benchSeed)
+		rows, _, err = experiments.ExtensionPlanetScale(benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,14 +1,14 @@
 // Package datagrid holds the repository-level benchmark harness: one
-// benchmark per paper artifact (Fig. 3, Fig. 4, Table 1), one per ablation
-// and extension experiment from DESIGN.md, and micro-benchmarks for the
-// performance-critical substrates. Run with
+// benchmark per paper figure (Fig. 3, Fig. 4) by point, one sub-benchmark
+// per `gridbench -all` entry (BenchmarkSuiteEntries), the sweep
+// benchmarks, and micro-benchmarks for the performance-critical
+// substrates. Run with
 //
 //	go test -bench=. -benchmem
 //
 // Experiment benchmarks re-run the full simulated experiment per
-// iteration and report the headline quantity (transfer seconds, regret,
-// MSE) as custom metrics, so `go test -bench` regenerates the paper's
-// numbers.
+// iteration and report its results (transfer seconds, regret, MSE) as
+// custom metrics, so `go test -bench` regenerates the paper's numbers.
 package datagrid
 
 import (
@@ -84,108 +84,28 @@ func BenchmarkFigure4ParallelStreams(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1CostModel regenerates Table 1 and reports the rank
-// agreement between scores and measured times.
-func BenchmarkTable1CostModel(b *testing.B) {
-	var res experiments.Table1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, _, err = experiments.Table1(benchSeed)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkSuiteEntries runs each `gridbench -all` entry as a
+// sub-benchmark and reports every metric the suite names for it
+// (whitespace in a name becomes "_"), so `go test -bench` regenerates the
+// paper's numbers and the ablation and extension results.
+func BenchmarkSuiteEntries(b *testing.B) {
+	for _, e := range experiments.Suite() {
+		switch e.Group {
+		case experiments.GroupFaults, experiments.GroupScale, experiments.GroupTraffic:
+			continue
 		}
-	}
-	agree := 0.0
-	if res.OrderingsAgree {
-		agree = 1
-	}
-	b.ReportMetric(agree, "rank-agreement")
-	b.ReportMetric(res.Spearman, "spearman")
-}
-
-// BenchmarkAblationSelectors reports each policy's mean fetch time.
-func BenchmarkAblationSelectors(b *testing.B) {
-	var rows []experiments.SelectorResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.AblationSelectors(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanSeconds, r.Name+"-sec")
-	}
-}
-
-// BenchmarkAblationWeights reports oracle regret per weight vector.
-func BenchmarkAblationWeights(b *testing.B) {
-	var rows []experiments.WeightResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.AblationWeights(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := fmt.Sprintf("w%.0f-%.0f-%.0f-regret", r.Weights.Bandwidth*100, r.Weights.CPU*100, r.Weights.IO*100)
-		b.ReportMetric(r.MeanRegretSeconds, name)
-	}
-}
-
-// BenchmarkAblationForecasters reports the adaptive bank's MSE against the
-// best and worst individual experts.
-func BenchmarkAblationForecasters(b *testing.B) {
-	var rows []experiments.ForecasterResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.AblationForecasters(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Name {
-		case "nws-bank(adaptive)":
-			b.ReportMetric(r.MSE, "bank-mse")
-		case "last":
-			b.ReportMetric(r.MSE, "last-mse")
-		case "run_mean":
-			b.ReportMetric(r.MSE, "runmean-mse")
-		}
-	}
-}
-
-// BenchmarkExtensionStriped reports transfer time by stripe count with a
-// disk-saturated source.
-func BenchmarkExtensionStriped(b *testing.B) {
-	var rows []experiments.StripedResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.ExtensionStriped(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, fmt.Sprintf("stripes%d-sec", r.Stripes))
-	}
-}
-
-// BenchmarkExtensionScale reports the cost model's improvement over random
-// selection as the grid grows.
-func BenchmarkExtensionScale(b *testing.B) {
-	var rows []experiments.ScaleResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.ExtensionScale(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ImprovementPercent, fmt.Sprintf("sites%d-improve-pct", r.Sites))
+		b.Run(e.Name, func(b *testing.B) {
+			var ms []experiments.Metric
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, ms, err = e.Run(benchSeed, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, m := range ms {
+				b.ReportMetric(m.Value, strings.Join(strings.Fields(m.Name), "_"))
+			}
+		})
 	}
 }
 
@@ -489,88 +409,4 @@ func BenchmarkMemStoreWriteAt(b *testing.B) {
 		}
 	}
 	_ = io.Discard
-}
-
-// BenchmarkExtensionReplication reports fetch times before/after dynamic
-// replica placement kicks in.
-func BenchmarkExtensionReplication(b *testing.B) {
-	var rows []experiments.ReplicationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.ExtensionReplication(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Strategy == "threshold(3)" {
-			b.ReportMetric(r.EarlySeconds, "before-sec")
-			b.ReportMetric(r.LateSeconds, "after-sec")
-		}
-	}
-}
-
-// BenchmarkExtensionCoallocation reports single-source vs static vs
-// dynamic co-allocated download times.
-func BenchmarkExtensionCoallocation(b *testing.B) {
-	var rows []experiments.CoallocationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.ExtensionCoallocation(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Config {
-		case "single hit0":
-			b.ReportMetric(r.Seconds, "best-single-sec")
-		case "static split hit0+lz02":
-			b.ReportMetric(r.Seconds, "static-sec")
-		case "dynamic chunks hit0+lz02":
-			b.ReportMetric(r.Seconds, "dynamic-sec")
-		}
-	}
-}
-
-// BenchmarkAblationLatency reports plain vs latency-aware selection on the
-// small-file workload.
-func BenchmarkAblationLatency(b *testing.B) {
-	var rows []experiments.LatencyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.AblationLatency(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch r.Selector {
-		case "cost-model":
-			b.ReportMetric(r.MeanSeconds, "plain-sec")
-		case "cost-model+latency":
-			b.ReportMetric(r.MeanSeconds, "latency-aware-sec")
-		}
-	}
-}
-
-// BenchmarkAblationAutoStreams reports adaptive vs fixed parallelism times.
-func BenchmarkAblationAutoStreams(b *testing.B) {
-	var rows []experiments.AutoStreamsResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.AblationAutoStreams(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if len(r.Config) > 4 && r.Config[:4] == "auto" {
-			key := "auto-hit-sec"
-			if strings.Contains(r.Path, "LiZen") {
-				key = "auto-lizen-sec"
-			}
-			b.ReportMetric(r.Seconds, key)
-		}
-	}
 }

@@ -17,7 +17,7 @@ func BenchmarkTrafficSweep(b *testing.B) {
 	var rows []experiments.TrafficResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = experiments.ExtensionTraffic(benchSeed)
+		rows, _, err = experiments.ExtensionTraffic(benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

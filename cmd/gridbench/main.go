@@ -70,6 +70,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *asCSV {
+		// -csv prints one artifact's rows from one seed; refuse what it
+		// would otherwise drop silently.
+		selected := 0
+		for _, on := range []bool{*all, *fig != 0, *table != 0, *ablations, *extensions, *faults, *scale, *traffic} {
+			if on {
+				selected++
+			}
+		}
+		if selected > 1 {
+			fmt.Fprintln(stderr, "gridbench: -csv prints one artifact; select only one")
+			return 2
+		}
+		if *trials > 1 {
+			fmt.Fprintln(stderr, "gridbench: -csv prints one seed's rows; it cannot aggregate -trials")
+			return 2
+		}
 		if err := emitCSV(*fig, *table, *faults, *scale, *traffic, *seed, *parallel, stdout); err != nil {
 			fmt.Fprintf(stderr, "gridbench: %v\n", err)
 			return 1
@@ -151,10 +167,9 @@ func selectEntries(all bool, fig, table int, ablations, extensions, faults, scal
 func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers int, out io.Writer) error {
 	w := csv.NewWriter(out)
 	defer w.Flush()
-	opts := []experiments.Option{experiments.WithWorkers(workers)}
 	switch {
 	case fig == 3:
-		rows, _, err := experiments.Figure3(seed, opts...)
+		rows, _, err := experiments.Figure3(seed, workers)
 		if err != nil {
 			return err
 		}
@@ -171,7 +186,7 @@ func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers in
 			}
 		}
 	case fig == 4:
-		series, _, err := experiments.Figure4(seed, opts...)
+		series, _, err := experiments.Figure4(seed, workers)
 		if err != nil {
 			return err
 		}
@@ -190,7 +205,7 @@ func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers in
 			}
 		}
 	case table == 1:
-		res, _, err := experiments.Table1(seed, opts...)
+		res, _, err := experiments.Table1(seed, workers)
 		if err != nil {
 			return err
 		}
@@ -210,7 +225,7 @@ func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers in
 			}
 		}
 	case faults:
-		rows, _, err := experiments.ExtensionFaults(seed, opts...)
+		rows, _, err := experiments.ExtensionFaults(seed, workers)
 		if err != nil {
 			return err
 		}
@@ -230,7 +245,7 @@ func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers in
 			}
 		}
 	case scale:
-		rows, _, err := experiments.ExtensionPlanetScale(seed, opts...)
+		rows, _, err := experiments.ExtensionPlanetScale(seed, workers)
 		if err != nil {
 			return err
 		}
@@ -270,7 +285,7 @@ func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers in
 			}
 		}
 	case traffic:
-		rows, _, err := experiments.ExtensionTraffic(seed, opts...)
+		rows, _, err := experiments.ExtensionTraffic(seed, workers)
 		if err != nil {
 			return err
 		}

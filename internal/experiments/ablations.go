@@ -10,7 +10,6 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/nws"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -26,54 +25,36 @@ type SelectorResult struct {
 // baselines (random, round-robin) and the bandwidth-only variant on the
 // same sequence of fetches under identical dynamics. The paper has no
 // explicit baseline; this quantifies what the model buys.
-func AblationSelectors(seed int64, opts ...Option) ([]SelectorResult, string, error) {
+func AblationSelectors(seed int64, workers int) ([]SelectorResult, string, error) {
 	const fetches = 8
 	const fileSize = 256 * workload.MB
-	cfg := buildConfig(opts)
-	policies := []struct {
-		name string
-		mk   func() core.Selector
-	}{
-		{"cost-model", func() core.Selector { return core.CostModelSelector{Weights: paperWeights()} }},
-		{"bandwidth-only", func() core.Selector { return core.BandwidthOnlySelector{} }},
-		{"round-robin", func() core.Selector { return &core.RoundRobinSelector{} }},
-		{"random", func() core.Selector { return core.NewRandomSelector(seed) }},
-	}
-	var jobs []runner.Job[SelectorResult]
-	for _, p := range policies {
-		jobs = append(jobs, runner.Job[SelectorResult]{
-			Name: "selectors/" + p.name,
-			Run: func() (SelectorResult, error) {
-				selPolicy := p.mk()
-				env, err := NewEnv(seed, true)
-				if err != nil {
-					return SelectorResult{}, err
-				}
-				cat, err := buildCatalog(fileSize)
-				if err != nil {
-					return SelectorResult{}, err
-				}
-				srv, err := env.selectionFor(cat, paperWeights(), selPolicy)
-				if err != nil {
-					return SelectorResult{}, err
-				}
-				app, err := core.NewApplication("alpha1",
-					srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
-				if err != nil {
-					return SelectorResult{}, err
-				}
-				if err := env.Engine.RunUntil(Warmup); err != nil {
-					return SelectorResult{}, err
-				}
-				ds, err := sequentialFetches(env, app, "file-a", fetches, 30*time.Second, nil)
-				if err != nil {
-					return SelectorResult{}, err
-				}
-				return SelectorResult{Name: selPolicy.Name(), MeanSeconds: meanSeconds(ds), Fetches: len(ds)}, nil
-			},
-		})
-	}
-	out, err := runPoints(cfg, jobs)
+	policies := []string{"cost-model", "bandwidth-only", "round-robin", "random"}
+	out, err := sweep(workers, "selector ablation", policies, func(policy string) (SelectorResult, error) {
+		var sel core.Selector = core.CostModelSelector{Weights: core.PaperWeights}
+		switch policy {
+		case "bandwidth-only":
+			sel = core.BandwidthOnlySelector{}
+		case "round-robin":
+			sel = &core.RoundRobinSelector{}
+		case "random":
+			sel = core.NewRandomSelector(seed)
+		}
+		env, err := NewEnv(seed, true)
+		if err != nil {
+			return SelectorResult{}, err
+		}
+		cat, err := buildCatalog(fileSize)
+		if err != nil {
+			return SelectorResult{}, err
+		}
+		srv, err := env.selectionFor(cat, sel)
+		if err != nil {
+			return SelectorResult{}, err
+		}
+		ds, err := env.sequentialFetches(srv, "alpha1", env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)),
+			"file-a", fetches, 30*time.Second, nil)
+		return SelectorResult{Name: sel.Name(), MeanSeconds: meanSeconds(ds), Fetches: len(ds)}, err
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -100,10 +81,9 @@ type WeightResult struct {
 // world, so each weight vector's choices can be scored against the oracle
 // (future work #2 of the paper: "how to determine the system factors
 // weight").
-func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error) {
+func AblationWeights(seed int64, workers int) ([]WeightResult, string, error) {
 	const epochs = 5
 	const fileSize = 512 * workload.MB
-	cfg := buildConfig(opts)
 	vectors := []core.Weights{
 		{Bandwidth: 1.0},
 		{Bandwidth: 0.8, CPU: 0.1, IO: 0.1}, // the paper's choice
@@ -114,69 +94,58 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 	hosts := []string{"alpha4", "hit0", "lz02"}
 	epochAt := func(i int) time.Duration { return Warmup + time.Duration(i)*2*time.Minute }
 
-	// One job replays the reference world and collects the
-	// information-server reports per epoch; one job per (epoch, host)
+	// The first point (no host) replays the reference world and collects
+	// the information-server reports per epoch; every (epoch, host) point
 	// measures that candidate's actual time in a cloned world.
+	type point struct {
+		epoch int
+		host  string
+	}
+	points := []point{{}}
+	for i := 0; i < epochs; i++ {
+		for _, h := range hosts {
+			points = append(points, point{i, h})
+		}
+	}
 	type part struct {
 		reports []map[string]info.HostReport
 		seconds float64
 	}
-	jobs := []runner.Job[part]{{
-		Name: "weights/reports",
-		Run: func() (part, error) {
-			ref, err := NewEnv(seed, true)
-			if err != nil {
+	parts, err := sweep(workers, "weight ablation", points, func(p point) (part, error) {
+		if p.host != "" {
+			s, err := measureFresh(seed, true, epochAt(p.epoch), p.host, "alpha1", fileSize, simxfer.GridFTPOptions(0))
+			return part{seconds: s}, err
+		}
+		ref, err := NewEnv(seed, true)
+		if err != nil {
+			return part{}, err
+		}
+		reports := make([]map[string]info.HostReport, epochs)
+		for i := range reports {
+			if err := ref.Engine.RunUntil(epochAt(i)); err != nil {
 				return part{}, err
 			}
-			reports := make([]map[string]info.HostReport, epochs)
-			for i := 0; i < epochs; i++ {
-				if err := ref.Engine.RunUntil(epochAt(i)); err != nil {
+			// One pinned snapshot per decision epoch: all three
+			// candidates are judged on the same grid state.
+			snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
+			reports[i] = map[string]info.HostReport{}
+			for _, h := range hosts {
+				rep, err := snap.Lookup(h)
+				if err != nil {
 					return part{}, err
 				}
-				// One pinned snapshot per decision epoch: all three
-				// candidates are judged on the same grid state.
-				snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
-				reports[i] = map[string]info.HostReport{}
-				for _, h := range hosts {
-					rep, err := snap.Lookup(h)
-					if err != nil {
-						return part{}, err
-					}
-					reports[i][h] = rep
-				}
+				reports[i][h] = rep
 			}
-			return part{reports: reports}, nil
-		},
-	}}
-	for i := 0; i < epochs; i++ {
-		for _, h := range hosts {
-			jobs = append(jobs, runner.Job[part]{
-				Name: fmt.Sprintf("weights/measure/epoch%d/%s", i, h),
-				Run: func() (part, error) {
-					world, err := NewEnv(seed, true)
-					if err != nil {
-						return part{}, err
-					}
-					res, err := world.MeasureAt(epochAt(i), h, "alpha1", fileSize, simxfer.GridFTPOptions(0))
-					if err != nil {
-						return part{}, err
-					}
-					return part{seconds: seconds(res.Duration())}, nil
-				},
-			})
 		}
-	}
-	parts, err := runPoints(cfg, jobs)
+		return part{reports: reports}, nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
 	reports := parts[0].reports
-	times := make([]map[string]float64, epochs)
-	for i := 0; i < epochs; i++ {
-		times[i] = map[string]float64{}
-		for hi, h := range hosts {
-			times[i][h] = parts[1+i*len(hosts)+hi].seconds
-		}
+	times := make(map[point]float64, len(points))
+	for i, p := range points {
+		times[p] = parts[i].seconds
 	}
 
 	var out []WeightResult
@@ -185,18 +154,15 @@ func AblationWeights(seed int64, opts ...Option) ([]WeightResult, string, error)
 		for i := 0; i < epochs; i++ {
 			// hosts is ascending, so the strict > breaks ties toward the
 			// smaller host, as core's ranking does.
-			best, bestScore := "", math.Inf(-1)
+			best, bestScore, oracle := "", math.Inf(-1), math.Inf(1)
 			for _, h := range hosts {
 				if score := core.Score(reports[i][h], w); score > bestScore {
 					best, bestScore = h, score
 				}
+				oracle = math.Min(oracle, times[point{i, h}])
 			}
-			oracle := math.Inf(1)
-			for _, h := range hosts {
-				oracle = math.Min(oracle, times[i][h])
-			}
-			sumTime += times[i][best]
-			sumRegret += times[i][best] - oracle
+			sumTime += times[point{i, best}]
+			sumRegret += times[point{i, best}] - oracle
 		}
 		out = append(out, WeightResult{
 			Weights:           w,
@@ -223,8 +189,7 @@ type ForecasterResult struct {
 // with one-step-ahead mean squared error on a bandwidth measurement trace
 // recorded from the monitored testbed (hit0 -> alpha1, whose backbone
 // background traffic makes the trace genuinely dynamic).
-func AblationForecasters(seed int64, opts ...Option) ([]ForecasterResult, string, error) {
-	cfg := buildConfig(opts)
+func AblationForecasters(seed int64, workers int) ([]ForecasterResult, string, error) {
 	env, err := NewEnv(seed, true)
 	if err != nil {
 		return nil, "", err
@@ -249,63 +214,54 @@ func AblationForecasters(seed int64, opts ...Option) ([]ForecasterResult, string
 		trace[i] = m.Value
 	}
 
-	// Score each individual expert and the adaptive bank as pool jobs:
-	// each job owns its forecaster; the trace is shared read-only.
+	// Score each individual expert and the adaptive bank (the last
+	// point) as pool points: each point owns its forecaster; the trace is
+	// shared read-only.
 	nExperts := len(nws.DefaultForecasters())
-	type scored struct {
-		r  ForecasterResult
-		ok bool
+	points := make([]int, nExperts+1)
+	for i := range points {
+		points[i] = i
 	}
-	var jobs []runner.Job[scored]
-	for i := 0; i < nExperts; i++ {
-		jobs = append(jobs, runner.Job[scored]{
-			Name: fmt.Sprintf("forecasters/expert%d", i),
-			Run: func() (scored, error) {
-				f := nws.DefaultForecasters()[i]
-				sum, n := 0.0, 0
-				for _, v := range trace {
-					if p, ok := f.Predict(); ok {
-						d := p - v
-						sum += d * d
-						n++
-					}
-					f.Update(v)
-				}
-				if n == 0 {
-					return scored{}, nil
-				}
-				return scored{r: ForecasterResult{Name: f.Name(), MSE: sum / float64(n)}, ok: true}, nil
-			},
-		})
-	}
-	jobs = append(jobs, runner.Job[scored]{
-		Name: "forecasters/bank",
-		Run: func() (scored, error) {
+	scored, err := sweep(workers, "forecaster ablation", points, func(i int) (ForecasterResult, error) {
+		var name string
+		var predict func() (float64, bool)
+		var update func(float64)
+		if i < nExperts {
+			f := nws.DefaultForecasters()[i]
+			name, predict, update = f.Name(), f.Predict, f.Update
+		} else {
 			// The adaptive bank's forecast before each new value.
 			bank, err := nws.NewBank(nil)
 			if err != nil {
-				return scored{}, err
+				return ForecasterResult{}, err
 			}
-			sum, n := 0.0, 0
-			for _, v := range trace {
-				if fc, err := bank.Forecast(); err == nil {
-					d := fc.Value - v
-					sum += d * d
-					n++
-				}
-				bank.Update(v)
+			name, update = "nws-bank(adaptive)", bank.Update
+			predict = func() (float64, bool) {
+				fc, err := bank.Forecast()
+				return fc.Value, err == nil
 			}
-			return scored{r: ForecasterResult{Name: "nws-bank(adaptive)", MSE: sum / float64(n)}, ok: true}, nil
-		},
+		}
+		sum, n := 0.0, 0
+		for _, v := range trace {
+			if p, ok := predict(); ok {
+				d := p - v
+				sum += d * d
+				n++
+			}
+			update(v)
+		}
+		if n == 0 {
+			return ForecasterResult{}, nil // never predicted: no row
+		}
+		return ForecasterResult{Name: name, MSE: sum / float64(n)}, nil
 	})
-	parts, err := runPoints(cfg, jobs)
 	if err != nil {
 		return nil, "", err
 	}
 	var out []ForecasterResult
-	for _, p := range parts {
-		if p.ok {
-			out = append(out, p.r)
+	for _, r := range scored {
+		if r.Name != "" {
+			out = append(out, r)
 		}
 	}
 

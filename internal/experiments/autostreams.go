@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -22,61 +21,45 @@ type AutoStreamsResult struct {
 // measurement-driven recommendation on the paper's two WAN paths. The
 // point is not beating the best fixed setting but matching it on *both*
 // paths with one policy — no per-path hand tuning.
-func AblationAutoStreams(seed int64, opts ...Option) ([]AutoStreamsResult, string, error) {
+func AblationAutoStreams(seed int64, workers int) ([]AutoStreamsResult, string, error) {
 	const fileSize = 512 * workload.MB
-	cfg := buildConfig(opts)
-	paths := []struct {
-		name     string
-		src, dst string
-	}{
-		{"THU->HIT (100 Mb/s)", "alpha1", "gridhit3"},
-		{"THU->LiZen (30 Mb/s, lossy)", "alpha2", "lz04"},
+	// streams 0 stands for the recommendation.
+	type point struct {
+		path, src, dst string
+		streams        int
 	}
-	var jobs []runner.Job[AutoStreamsResult]
-	for _, p := range paths {
-		measure := func(streams int, label string) (AutoStreamsResult, error) {
+	var points []point
+	for _, p := range []point{
+		{path: "THU->HIT (100 Mb/s)", src: "alpha1", dst: "gridhit3"},
+		{path: "THU->LiZen (30 Mb/s, lossy)", src: "alpha2", dst: "lz04"},
+	} {
+		for _, streams := range []int{1, 4, 16, 0} {
+			p.streams = streams
+			points = append(points, p)
+		}
+	}
+	out, err := sweep(workers, "adaptive parallelism ablation", points, func(p point) (AutoStreamsResult, error) {
+		r := AutoStreamsResult{Path: p.path, Config: fmt.Sprintf("%d", p.streams), Streams: p.streams}
+		if p.streams == 0 {
+			// The recommendation consults the same world state the
+			// fixed runs start from (fresh testbed at warmup).
 			env, err := NewEnv(seed, false)
 			if err != nil {
-				return AutoStreamsResult{}, err
+				return r, err
 			}
-			res, err := env.MeasureAt(Warmup, p.src, p.dst, fileSize, simxfer.GridFTPOptions(streams))
+			if err := env.Engine.RunUntil(Warmup); err != nil {
+				return r, err
+			}
+			r.Streams, err = simxfer.RecommendStreams(env.Testbed.Network(), p.src, p.dst, 0, 0)
 			if err != nil {
-				return AutoStreamsResult{}, err
+				return r, err
 			}
-			return AutoStreamsResult{
-				Path: p.name, Config: label, Streams: streams,
-				Seconds: seconds(res.Duration()),
-			}, nil
+			r.Config = fmt.Sprintf("auto(%d)", r.Streams)
 		}
-		for _, fixed := range []int{1, 4, 16} {
-			jobs = append(jobs, runner.Job[AutoStreamsResult]{
-				Name: fmt.Sprintf("autostreams/%s->%s/%d", p.src, p.dst, fixed),
-				Run: func() (AutoStreamsResult, error) {
-					return measure(fixed, fmt.Sprintf("%d", fixed))
-				},
-			})
-		}
-		jobs = append(jobs, runner.Job[AutoStreamsResult]{
-			Name: fmt.Sprintf("autostreams/%s->%s/auto", p.src, p.dst),
-			Run: func() (AutoStreamsResult, error) {
-				// The recommendation consults the same world state the
-				// fixed runs start from (fresh testbed at warmup).
-				env, err := NewEnv(seed, false)
-				if err != nil {
-					return AutoStreamsResult{}, err
-				}
-				if err := env.Engine.RunUntil(Warmup); err != nil {
-					return AutoStreamsResult{}, err
-				}
-				auto, err := simxfer.RecommendStreams(env.Testbed.Network(), p.src, p.dst, 0, 0)
-				if err != nil {
-					return AutoStreamsResult{}, err
-				}
-				return measure(auto, fmt.Sprintf("auto(%d)", auto))
-			},
-		})
-	}
-	out, err := runPoints(cfg, jobs)
+		var err error
+		r.Seconds, err = measureFresh(seed, false, Warmup, p.src, p.dst, fileSize, simxfer.GridFTPOptions(r.Streams))
+		return r, err
+	})
 	if err != nil {
 		return nil, "", err
 	}

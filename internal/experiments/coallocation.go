@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -24,70 +23,38 @@ type CoallocationResult struct {
 // replicated at hit0 (fast path to THU) and lz02 (slow path); the user at
 // alpha1 downloads it four ways: from each single replica, with a static
 // equal split across both, and with dynamic chunk scheduling across both.
-func ExtensionCoallocation(seed int64, opts ...Option) ([]CoallocationResult, string, error) {
+func ExtensionCoallocation(seed int64, workers int) ([]CoallocationResult, string, error) {
 	const fileSize = 1024 * workload.MB
-	cfg := buildConfig(opts)
 	type dlConfig struct {
 		name    string
 		sources []string
 		scheme  simxfer.Scheme
-		multi   bool
 	}
 	cfgs := []dlConfig{
-		{"single hit0", []string{"hit0"}, 0, false},
-		{"single lz02", []string{"lz02"}, 0, false},
-		{"static split hit0+lz02", []string{"hit0", "lz02"}, simxfer.SchemeStatic, true},
-		{"dynamic chunks hit0+lz02", []string{"hit0", "lz02"}, simxfer.SchemeDynamic, true},
+		{"single hit0", []string{"hit0"}, 0},
+		{"single lz02", []string{"lz02"}, 0},
+		{"static split hit0+lz02", []string{"hit0", "lz02"}, simxfer.SchemeStatic},
+		{"dynamic chunks hit0+lz02", []string{"hit0", "lz02"}, simxfer.SchemeDynamic},
 	}
-	var jobs []runner.Job[CoallocationResult]
-	for _, c := range cfgs {
-		jobs = append(jobs, runner.Job[CoallocationResult]{
-			Name: "coalloc/" + c.name,
-			Run: func() (CoallocationResult, error) {
-				env, err := NewEnv(seed, false)
-				if err != nil {
-					return CoallocationResult{}, err
-				}
-				if err := env.Engine.RunUntil(Warmup); err != nil {
-					return CoallocationResult{}, err
-				}
-				r := CoallocationResult{Config: c.name, BytesBySource: map[string]int64{}}
-				completed := false
-				if c.multi {
-					err = env.Xfer.Submit(simxfer.Request{
-						Sources: c.sources,
-						Dst:     "alpha1",
-						Bytes:   fileSize,
-						Options: simxfer.GridFTPOptions(0),
-						Scheme:  c.scheme,
-						Done: func(res simxfer.Result) {
-							r.Seconds = res.Duration().Seconds()
-							r.BytesBySource = res.BytesBySource
-							completed = true
-						},
-					})
-				} else {
-					err = env.Xfer.Submit(simxfer.Request{
-						Sources: c.sources[:1],
-						Dst:     "alpha1",
-						Bytes:   fileSize,
-						Options: simxfer.GridFTPOptions(0),
-						Done: func(res simxfer.Result) {
-							r.Seconds = res.Duration().Seconds()
-							r.BytesBySource[c.sources[0]] = res.Bytes
-							completed = true
-						},
-					})
-				}
-				if err != nil {
-					return CoallocationResult{}, err
-				}
-				err = settle(env.Engine, stallLimit, "co-allocated download", func() bool { return completed })
-				return r, err
-			},
+	out, err := sweep(workers, "coallocation extension", cfgs, func(c dlConfig) (CoallocationResult, error) {
+		env, err := NewEnv(seed, false)
+		if err != nil {
+			return CoallocationResult{}, err
+		}
+		res, err := env.submitAt(Warmup, simxfer.Request{
+			Sources: c.sources,
+			Dst:     "alpha1",
+			Bytes:   fileSize,
+			Options: simxfer.GridFTPOptions(0),
+			Scheme:  c.scheme,
 		})
-	}
-	out, err := runPoints(cfg, jobs)
+		r := CoallocationResult{Config: c.name, Seconds: res.Duration().Seconds(), BytesBySource: res.BytesBySource}
+		if r.BytesBySource == nil {
+			// A single-source Result carries no per-source split.
+			r.BytesBySource = map[string]int64{c.sources[0]: res.Bytes}
+		}
+		return r, err
+	})
 	if err != nil {
 		return nil, "", err
 	}

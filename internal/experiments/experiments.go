@@ -13,6 +13,7 @@ import (
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
+	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 )
@@ -35,30 +36,38 @@ type Env struct {
 // is true, the full NWS/MDS/sysstat deployment is installed with alpha1 as
 // the local host and the Table 1 candidates as remotes.
 func NewEnv(seed int64, monitor bool) (*Env, error) {
-	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, seed)
+	tb, err := cluster.NewPaperTestbed(simulation.NewEngine(), seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := cluster.StartPaperDynamics(tb, seed); err != nil {
 		return nil, err
 	}
-	e := &Env{Engine: eng, Testbed: tb}
-	e.Xfer, err = simxfer.New(tb)
+	e, err := envOn(tb)
+	if err != nil || !monitor {
+		return e, err
+	}
+	return e, e.monitor(info.DeploymentConfig{
+		Local:   "alpha1",
+		Remotes: []string{"alpha4", "hit0", "lz02"},
+		Seed:    seed + 1000,
+	})
+}
+
+// envOn wraps a built testbed, not yet monitored, as an Env.
+func envOn(tb *cluster.Testbed) (*Env, error) {
+	xf, err := simxfer.New(tb)
 	if err != nil {
 		return nil, err
 	}
-	if monitor {
-		e.Deploy, err = info.Deploy(tb, info.DeploymentConfig{
-			Local:   "alpha1",
-			Remotes: []string{"alpha4", "hit0", "lz02"},
-			Seed:    seed + 1000,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+	return &Env{Engine: tb.Engine(), Testbed: tb, Xfer: xf}, nil
+}
+
+// monitor installs the NWS/MDS/sysstat deployment cfg describes.
+func (e *Env) monitor(cfg info.DeploymentConfig) error {
+	dep, err := info.Deploy(e.Testbed, cfg)
+	e.Deploy = dep
+	return err
 }
 
 // stallLimit is the virtual time past which a run that has not settled is
@@ -86,19 +95,20 @@ func settle(eng *simulation.Engine, limit time.Duration, what string, done func(
 // MeasureAt runs the world to virtual time at, then performs one transfer
 // and returns its result. The world stops at the transfer's completion.
 func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfer.Options) (simxfer.Result, error) {
+	return e.submitAt(at, simxfer.Request{Sources: []string{src}, Dst: dst, Bytes: bytes, Options: o})
+}
+
+// submitAt runs the world to virtual time at, then submits req (its Done
+// is set here) and returns the result. The world stops at the request's
+// completion.
+func (e *Env) submitAt(at time.Duration, req simxfer.Request) (simxfer.Result, error) {
 	if err := e.Engine.RunUntil(at); err != nil {
 		return simxfer.Result{}, err
 	}
 	var res simxfer.Result
 	got := false
-	err := e.Xfer.Submit(simxfer.Request{
-		Sources: []string{src},
-		Dst:     dst,
-		Bytes:   bytes,
-		Options: o,
-		Done:    func(r simxfer.Result) { res = r; got = true },
-	})
-	if err != nil {
+	req.Done = func(r simxfer.Result) { res = r; got = true }
+	if err := e.Xfer.Submit(req); err != nil {
 		return simxfer.Result{}, err
 	}
 	if err := settle(e.Engine, at+100*time.Hour, "transfer", func() bool { return got }); err != nil {
@@ -107,8 +117,16 @@ func (e *Env) MeasureAt(at time.Duration, src, dst string, bytes int64, o simxfe
 	return res, nil
 }
 
-// seconds renders a duration in seconds for tables.
-func seconds(d time.Duration) float64 { return d.Seconds() }
+// measureFresh builds a fresh world from seed and returns how many
+// seconds one transfer, started at virtual time at, takes in it.
+func measureFresh(seed int64, monitor bool, at time.Duration, src, dst string, bytes int64, o simxfer.Options) (float64, error) {
+	env, err := NewEnv(seed, monitor)
+	if err != nil {
+		return 0, err
+	}
+	res, err := env.MeasureAt(at, src, dst, bytes, o)
+	return res.Duration().Seconds(), err
+}
 
 // oneFileCatalog returns a catalog holding one logical file with one
 // replica, at /data/<name>, on each listed host.
@@ -134,59 +152,105 @@ func buildCatalog(sizeBytes int64) (*replica.Catalog, error) {
 	return oneFileCatalog("file-a", sizeBytes, fileAAttrs, []string{"alpha4", "hit0", "lz02"})
 }
 
-// selectionFor wires a selection server over the env's deployment.
-func (e *Env) selectionFor(cat *replica.Catalog, w core.Weights, sel core.Selector) (*core.SelectionServer, error) {
+// selectionFor wires a selection server with the paper's 80/10/10
+// weights over the env's deployment.
+func (e *Env) selectionFor(cat *replica.Catalog, sel core.Selector) (*core.SelectionServer, error) {
 	if e.Deploy == nil {
 		return nil, errors.New("experiments: env has no monitoring deployment")
 	}
-	return core.NewSelectionServer(cat, e.Deploy.Server, w, sel)
+	return core.NewSelectionServer(cat, e.Deploy.Server, core.PaperWeights, sel)
 }
 
-// sequentialFetches runs n fetches of logical through app, spaced gap
-// apart, and returns each fetch's duration. A non-nil after sees each
-// completed fetch before the next one is scheduled; its error ends the
-// sequence.
-func sequentialFetches(e *Env, app *core.Application, logical string, n int, gap time.Duration,
-	after func(core.FetchResult) error) ([]time.Duration, error) {
-	durations := make([]time.Duration, 0, n)
-	var fetchErr error
-	var launch func(i int)
-	launch = func(i int) {
-		if i >= n {
-			return
-		}
-		err := app.Fetch(logical, func(r core.FetchResult, err error) {
+// sweep runs run once per point, one pool job per point on at most
+// workers goroutines (≤ 0 means GOMAXPROCS), and returns the results in
+// point order, so whatever is assembled from them is byte-identical at
+// any worker count. It fails fast: the first failure skips the points not
+// yet started, mirroring the historical sequential early return. The
+// error names the experiment and the failing point with %v, so points
+// are plain data, and a point that holds a func names itself with a
+// String method.
+//
+// Every point must build its own world (Env/engine/testbed) inside run —
+// engines are single-goroutine, and one shared across the pool fails the
+// engine's "reentrant Run" guard and `go test -race`.
+func sweep[P, T any](workers int, what string, points []P, run func(P) (T, error)) ([]T, error) {
+	jobs := make([]runner.Job[T], len(points))
+	for i, p := range points {
+		jobs[i] = runner.Job[T]{Name: what, Run: func() (T, error) {
+			v, err := run(p)
 			if err != nil {
-				fetchErr = err
-				return
+				err = fmt.Errorf("point %v: %w", p, err)
 			}
-			durations = append(durations, r.Duration())
-			if after != nil {
-				if err := after(r); err != nil {
-					fetchErr = err
-					return
-				}
-			}
-			if _, serr := e.Engine.After(gap, func(time.Duration) { launch(i + 1) }); serr != nil {
-				fetchErr = serr
-			}
-		})
-		if err != nil {
-			fetchErr = err
-		}
+			return v, err
+		}}
 	}
-	if _, err := e.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
-		return nil, err
-	}
-	err := settle(e.Engine, stallLimit, "fetch sequence",
-		func() bool { return len(durations) == n || fetchErr != nil })
+	res, err := runner.Run(jobs, runner.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	if fetchErr != nil {
-		return nil, fetchErr
+	return runner.Values(res), nil
+}
+
+// sequence runs n steps on the virtual clock: step 0 starts now, and step
+// i+1 starts gap after step i calls done. An error from a step, or one
+// passed to done, ends the run and is returned; so is a stall.
+func (e *Env) sequence(what string, n int, gap time.Duration, step func(i int, done func(error)) error) error {
+	finished := 0
+	var runErr error
+	var launch func(i int)
+	launch = func(i int) {
+		if i == n {
+			return
+		}
+		err := step(i, func(err error) {
+			if err != nil {
+				runErr = err
+				return
+			}
+			finished++
+			if _, err := e.Engine.After(gap, func(time.Duration) { launch(i + 1) }); err != nil {
+				runErr = err
+			}
+		})
+		if err != nil {
+			runErr = err
+		}
 	}
-	return durations, nil
+	if _, err := e.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
+		return err
+	}
+	if err := settle(e.Engine, stallLimit, what, func() bool { return finished == n || runErr != nil }); err != nil {
+		return fmt.Errorf("%w (%d/%d done)", err, finished, n)
+	}
+	return runErr
+}
+
+// sequentialFetches warms the world up, then has an application at local
+// fetch logical n times through srv and transfer, gap apart, and returns
+// each fetch's duration. A non-nil after sees each completed fetch before
+// the next one is scheduled; its error ends the sequence.
+func (e *Env) sequentialFetches(srv *core.SelectionServer, local string, transfer replica.Transfer,
+	logical string, n int, gap time.Duration, after func(core.FetchResult) error) ([]time.Duration, error) {
+	app, err := core.NewApplication(local, srv, transfer, e.Engine)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Engine.RunUntil(Warmup); err != nil {
+		return nil, err
+	}
+	durations := make([]time.Duration, 0, n)
+	err = e.sequence("fetch sequence", n, gap, func(_ int, done func(error)) error {
+		return app.Fetch(logical, func(r core.FetchResult, err error) {
+			if err == nil {
+				durations = append(durations, r.Duration())
+				if after != nil {
+					err = after(r)
+				}
+			}
+			done(err)
+		})
+	})
+	return durations, err
 }
 
 // meanSeconds averages durations in seconds.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -66,7 +67,7 @@ func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	rows, rendered, err := Figure3(seed)
+	rows, rendered, err := Figure3(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	series, rendered, err := Figure4(seed)
+	series, rendered, err := Figure4(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestTable1RankingAgreement(t *testing.T) {
-	res, rendered, err := Table1(seed)
+	res, rendered, err := Table1(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestCostSeries(t *testing.T) {
 }
 
 func TestAblationSelectors(t *testing.T) {
-	res, rendered, err := AblationSelectors(seed)
+	res, rendered, err := AblationSelectors(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestAblationSelectors(t *testing.T) {
 }
 
 func TestAblationWeights(t *testing.T) {
-	res, rendered, err := AblationWeights(seed)
+	res, rendered, err := AblationWeights(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestAblationWeights(t *testing.T) {
 	}
 	var paper, noBW WeightResult
 	for _, r := range res {
-		if r.Weights == paperWeights() {
+		if r.Weights == core.PaperWeights {
 			paper = r
 		}
 		if r.Weights.Bandwidth == 0 {
@@ -278,7 +279,7 @@ func TestAblationWeights(t *testing.T) {
 }
 
 func TestAblationForecasters(t *testing.T) {
-	res, rendered, err := AblationForecasters(seed)
+	res, rendered, err := AblationForecasters(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestAblationForecasters(t *testing.T) {
 }
 
 func TestExtensionStriped(t *testing.T) {
-	res, rendered, err := ExtensionStriped(seed)
+	res, rendered, err := ExtensionStriped(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestExtensionStriped(t *testing.T) {
 }
 
 func TestExtensionScale(t *testing.T) {
-	res, rendered, err := ExtensionScale(seed)
+	res, rendered, err := ExtensionScale(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +357,11 @@ func TestExtensionScale(t *testing.T) {
 // incremental allocator, the slow-start fast path and the pooled event
 // plumbing must never let run-to-run jitter into experiment output.
 func TestExtensionScaleDeterminismPin(t *testing.T) {
-	res1, rendered1, err := ExtensionScale(seed)
+	res1, rendered1, err := ExtensionScale(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, rendered2, err := ExtensionScale(seed)
+	res2, rendered2, err := ExtensionScale(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestExtensionScaleDeterminismPin(t *testing.T) {
 }
 
 func TestExtensionReplication(t *testing.T) {
-	res, rendered, err := ExtensionReplication(seed)
+	res, rendered, err := ExtensionReplication(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestExtensionReplication(t *testing.T) {
 }
 
 func TestExtensionCoallocation(t *testing.T) {
-	res, rendered, err := ExtensionCoallocation(seed)
+	res, rendered, err := ExtensionCoallocation(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestExtensionCoallocation(t *testing.T) {
 }
 
 func TestAblationLatency(t *testing.T) {
-	res, rendered, err := AblationLatency(seed)
+	res, rendered, err := AblationLatency(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestAblationLatency(t *testing.T) {
 }
 
 func TestAblationAutoStreams(t *testing.T) {
-	res, rendered, err := AblationAutoStreams(seed)
+	res, rendered, err := AblationAutoStreams(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

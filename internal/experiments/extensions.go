@@ -10,7 +10,6 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -27,38 +26,27 @@ type StripedResult struct {
 // transfer. The source host's disk is saturated, so parallel streams from
 // one host cannot help, but stripes across site peers aggregate disk
 // bandwidth.
-func ExtensionStriped(seed int64, opts ...Option) ([]StripedResult, string, error) {
-	cfg := buildConfig(opts)
-	var jobs []runner.Job[StripedResult]
-	for _, stripes := range []int{1, 2, 4} {
-		jobs = append(jobs, runner.Job[StripedResult]{
-			Name: fmt.Sprintf("striped/%d", stripes),
-			Run: func() (StripedResult, error) {
-				env, err := NewEnv(seed, false)
-				if err != nil {
-					return StripedResult{}, err
-				}
-				h, err := env.Testbed.Host("alpha4")
-				if err != nil {
-					return StripedResult{}, err
-				}
-				// Attach an I/O-heavy job: unlike base load (which the
-				// synthetic load process keeps rewriting), job load
-				// persists for the whole transfer.
-				if _, err := h.AddJob(0.2, 0.65); err != nil {
-					return StripedResult{}, err
-				}
-				res, err := env.MeasureAt(Warmup, "alpha4", "alpha1", 1024*workload.MB, simxfer.Options{
-					Protocol: simxfer.ProtoGridFTPModeE, Streams: 2, Stripes: stripes,
-				})
-				if err != nil {
-					return StripedResult{}, err
-				}
-				return StripedResult{Stripes: stripes, Streams: 2, Seconds: seconds(res.Duration())}, nil
-			},
+func ExtensionStriped(seed int64, workers int) ([]StripedResult, string, error) {
+	out, err := sweep(workers, "striped extension", []int{1, 2, 4}, func(stripes int) (StripedResult, error) {
+		env, err := NewEnv(seed, false)
+		if err != nil {
+			return StripedResult{}, err
+		}
+		h, err := env.Testbed.Host("alpha4")
+		if err != nil {
+			return StripedResult{}, err
+		}
+		// Attach an I/O-heavy job: unlike base load (which the synthetic
+		// load process keeps rewriting), job load persists for the whole
+		// transfer.
+		if _, err := h.AddJob(0.2, 0.65); err != nil {
+			return StripedResult{}, err
+		}
+		res, err := env.MeasureAt(Warmup, "alpha4", "alpha1", 1024*workload.MB, simxfer.Options{
+			Protocol: simxfer.ProtoGridFTPModeE, Streams: 2, Stripes: stripes,
 		})
-	}
-	out, err := runPoints(cfg, jobs)
+		return StripedResult{Stripes: stripes, Streams: 2, Seconds: res.Duration().Seconds()}, err
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -145,84 +133,62 @@ func randomGrid(engine *simulation.Engine, sites int, seed int64) (*cluster.Test
 // ExtensionScale grows the grid from 3 to 12 sites and compares cost-model
 // selection against random selection for sequential fetches of a file
 // replicated on one host per remote site.
-func ExtensionScale(seed int64, opts ...Option) ([]ScaleResult, string, error) {
+func ExtensionScale(seed int64, workers int) ([]ScaleResult, string, error) {
 	const fileSize = 256 * workload.MB
 	const fetches = 5
-	cfg := buildConfig(opts)
-	siteCounts := []int{3, 6, 9, 12}
-	var jobs []runner.Job[float64]
-	for _, sites := range siteCounts {
-		run := func(selector core.Selector) (float64, error) {
-			engine := simulation.NewEngine()
-			tb, err := randomGrid(engine, sites, seed+int64(sites))
-			if err != nil {
-				return 0, err
-			}
-			local := "site00-h0"
-			var remotes []string
-			for i := 1; i < sites; i++ {
-				remotes = append(remotes, fmt.Sprintf("site%02d-h0", i))
-			}
-			dep, err := info.Deploy(tb, info.DeploymentConfig{
-				Local: local, Remotes: remotes, Seed: seed,
-			})
-			if err != nil {
-				return 0, err
-			}
-			cat, err := oneFileCatalog("file-x", fileSize, nil, remotes)
-			if err != nil {
-				return 0, err
-			}
-			srv, err := core.NewSelectionServer(cat, dep.Server, paperWeights(), selector)
-			if err != nil {
-				return 0, err
-			}
-			xf, err := simxfer.New(tb)
-			if err != nil {
-				return 0, err
-			}
-			app, err := core.NewApplication(local,
-				srv, xf.TransferFunc(simxfer.GridFTPOptions(0)), engine)
-			if err != nil {
-				return 0, err
-			}
-			if err := engine.RunUntil(Warmup); err != nil {
-				return 0, err
-			}
-			env := &Env{Engine: engine, Testbed: tb, Xfer: xf}
-			ds, err := sequentialFetches(env, app, "file-x", fetches, 30*time.Second, nil)
-			if err != nil {
-				return 0, err
-			}
-			return meanSeconds(ds), nil
-		}
-		jobs = append(jobs,
-			runner.Job[float64]{
-				Name: fmt.Sprintf("scale/%dsites/cost-model", sites),
-				Run: func() (float64, error) {
-					return run(core.CostModelSelector{Weights: paperWeights()})
-				},
-			},
-			runner.Job[float64]{
-				Name: fmt.Sprintf("scale/%dsites/random", sites),
-				Run: func() (float64, error) {
-					return run(core.NewRandomSelector(seed))
-				},
-			})
+	type point struct {
+		sites  int
+		random bool
 	}
-	vals, err := runPoints(cfg, jobs)
+	var points []point
+	for _, sites := range []int{3, 6, 9, 12} {
+		points = append(points, point{sites, false}, point{sites, true})
+	}
+	vals, err := sweep(workers, "scale extension", points, func(p point) (float64, error) {
+		tb, err := randomGrid(simulation.NewEngine(), p.sites, seed+int64(p.sites))
+		if err != nil {
+			return 0, err
+		}
+		env, err := envOn(tb)
+		if err != nil {
+			return 0, err
+		}
+		local := "site00-h0"
+		var remotes []string
+		for i := 1; i < p.sites; i++ {
+			remotes = append(remotes, fmt.Sprintf("site%02d-h0", i))
+		}
+		if err := env.monitor(info.DeploymentConfig{Local: local, Remotes: remotes, Seed: seed}); err != nil {
+			return 0, err
+		}
+		cat, err := oneFileCatalog("file-x", fileSize, nil, remotes)
+		if err != nil {
+			return 0, err
+		}
+		var sel core.Selector = core.CostModelSelector{Weights: core.PaperWeights}
+		if p.random {
+			sel = core.NewRandomSelector(seed)
+		}
+		srv, err := env.selectionFor(cat, sel)
+		if err != nil {
+			return 0, err
+		}
+		ds, err := env.sequentialFetches(srv, local, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)),
+			"file-x", fetches, 30*time.Second, nil)
+		return meanSeconds(ds), err
+	})
 	if err != nil {
 		return nil, "", err
 	}
 	var out []ScaleResult
-	for i, sites := range siteCounts {
-		cm, rnd := vals[2*i], vals[2*i+1]
-		out = append(out, ScaleResult{
-			Sites:              sites,
-			CostModelSeconds:   cm,
-			RandomSeconds:      rnd,
-			ImprovementPercent: 100 * (rnd - cm) / rnd,
-		})
+	for i, p := range points {
+		if !p.random {
+			out = append(out, ScaleResult{Sites: p.sites, CostModelSeconds: vals[i]})
+			continue
+		}
+		r := &out[len(out)-1]
+		r.RandomSeconds = vals[i]
+		r.ImprovementPercent = 100 * (r.RandomSeconds - r.CostModelSeconds) / r.RandomSeconds
 	}
 	tb := metrics.NewTable("Extension: selection quality as the grid grows (256 MB, 5 fetches)",
 		"sites", "cost-model (s)", "random (s)", "improvement %")

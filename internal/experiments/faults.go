@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/faults"
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -89,23 +89,12 @@ func faultsPolicy(mode simxfer.RetryMode, srv *core.SelectionServer, alive func(
 	if mode == simxfer.FailoverReselect {
 		pol.Rank = func(now time.Duration, candidates []string) []string {
 			ranked, err := srv.RankHosts("file-a", now, alive)
-			if err != nil {
+			// The ranking's order, over the candidates still allowed.
+			ranked = slices.DeleteFunc(ranked, func(h string) bool { return !slices.Contains(candidates, h) })
+			if err != nil || len(ranked) == 0 {
 				return candidates
 			}
-			allowed := make(map[string]bool, len(candidates))
-			for _, h := range candidates {
-				allowed[h] = true
-			}
-			out := make([]string, 0, len(candidates))
-			for _, h := range ranked {
-				if allowed[h] {
-					out = append(out, h)
-				}
-			}
-			if len(out) == 0 {
-				return candidates
-			}
-			return out
+			return ranked
 		}
 	}
 	return pol
@@ -134,7 +123,7 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 	if err != nil {
 		return FaultsResult{}, err
 	}
-	srv, err := env.selectionFor(cat, core.PaperWeights, nil)
+	srv, err := env.selectionFor(cat, nil)
 	if err != nil {
 		return FaultsResult{}, err
 	}
@@ -148,34 +137,22 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 	}
 	res := FaultsResult{Intensity: intensity, Policy: mode.String()}
 	totalSec := 0.0
-	settled := 0
-	var runErr error
-	var launch func(i int)
-	next := func(i int) {
-		if _, err := env.Engine.After(faultsGap, func(time.Duration) { launch(i) }); err != nil {
-			runErr = err
-		}
-	}
-	launch = func(i int) {
-		if i >= faultsTransfers || runErr != nil {
-			return
-		}
+	// Attempt caps and timeouts bound every transfer.
+	err = env.sequence("fault sequence", faultsTransfers, faultsGap, func(_ int, done func(error)) error {
 		// Rank by the cost-model snapshot alone, as the historical client
 		// did: during a monitor outage the snapshot is stale, so a dead
 		// replica can look best. Liveness awareness is exactly what the
 		// failover policy adds (the reselect Rank callback filters on it).
 		ranked, err := srv.RankHosts("file-a", env.Engine.Now(), nil)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if len(ranked) == 0 {
 			res.Failed++
-			settled++
-			next(i + 1)
-			return
+			done(nil)
+			return nil
 		}
-		err = env.Xfer.Submit(simxfer.Request{
+		return env.Xfer.Submit(simxfer.Request{
 			Sources:  ranked,
 			Dst:      "alpha1",
 			Bytes:    faultsFileBytes,
@@ -189,25 +166,12 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 					res.Completed++
 					totalSec += r.Duration().Seconds()
 				}
-				settled++
-				next(i + 1)
+				done(nil)
 			},
 		})
-		if err != nil {
-			runErr = err
-		}
-	}
-	if _, err := env.Engine.After(0, func(time.Duration) { launch(0) }); err != nil {
-		return FaultsResult{}, err
-	}
-	// Attempt caps and timeouts bound every transfer.
-	err = settle(env.Engine, stallLimit, "fault sequence",
-		func() bool { return settled == faultsTransfers || runErr != nil })
+	})
 	if err != nil {
-		return FaultsResult{}, fmt.Errorf("%w (%d/%d settled)", err, settled, faultsTransfers)
-	}
-	if runErr != nil {
-		return FaultsResult{}, runErr
+		return FaultsResult{}, err
 	}
 	if res.Completed > 0 {
 		res.MeanSeconds = totalSec / float64(res.Completed)
@@ -220,22 +184,20 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 // behavior, blind retry of the same replica, and failover with
 // cost-model reselection. Each grid point is an independent world; the
 // fault plan at a given intensity is identical across policies.
-func ExtensionFaults(seed int64, opts ...Option) ([]FaultsResult, string, error) {
-	cfg := buildConfig(opts)
-	modes := []simxfer.RetryMode{simxfer.NoRetry, simxfer.RetrySame, simxfer.FailoverReselect}
-	var jobs []runner.Job[FaultsResult]
+func ExtensionFaults(seed int64, workers int) ([]FaultsResult, string, error) {
+	type point struct {
+		intensity int
+		mode      simxfer.RetryMode
+	}
+	var points []point
 	for _, intensity := range []int{0, 1, 2, 3} {
-		for _, mode := range modes {
-			intensity, mode := intensity, mode
-			jobs = append(jobs, runner.Job[FaultsResult]{
-				Name: fmt.Sprintf("faults/i%d/%v", intensity, mode),
-				Run: func() (FaultsResult, error) {
-					return faultsPoint(seed, intensity, mode)
-				},
-			})
+		for _, mode := range []simxfer.RetryMode{simxfer.NoRetry, simxfer.RetrySame, simxfer.FailoverReselect} {
+			points = append(points, point{intensity, mode})
 		}
 	}
-	out, err := runPoints(cfg, jobs)
+	out, err := sweep(workers, "fault tolerance", points, func(p point) (FaultsResult, error) {
+		return faultsPoint(seed, p.intensity, p.mode)
+	})
 	if err != nil {
 		return nil, "", err
 	}

@@ -11,7 +11,7 @@ import (
 // transfers as the no-retry baseline at every intensity — strictly more
 // at some intensity, or the sweep has stopped demonstrating anything.
 func TestExtensionFaults(t *testing.T) {
-	rows, out, err := ExtensionFaults(42)
+	rows, out, err := ExtensionFaults(42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestExtensionFaults(t *testing.T) {
 // sweep's jobs run on the shared pool, and parallel execution must not
 // leak into results.
 func TestExtensionFaultsDeterministic(t *testing.T) {
-	seq, _, err := ExtensionFaults(42, WithWorkers(1))
+	seq, _, err := ExtensionFaults(42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := ExtensionFaults(42, WithWorkers(8))
+	par, _, err := ExtensionFaults(42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -18,53 +17,41 @@ type Figure3Row struct {
 	GridFTPSeconds float64
 }
 
-// Figure3 reproduces Fig. 3 ("FTP versus GridFTP"). Each (protocol, size)
-// cell runs in a fresh world with the same seed, so both protocols see
-// identical network conditions. The cells are independent simulations,
-// so they fan out across the worker pool; results are collected in
-// submission order and the output is byte-identical at any parallelism.
-func Figure3(seed int64, opts ...Option) ([]Figure3Row, string, error) {
-	cfg := buildConfig(opts)
-	protos := []simxfer.Protocol{simxfer.ProtoFTP, simxfer.ProtoGridFTPStream}
-	var jobs []runner.Job[float64]
-	for _, sizeMB := range workload.PaperFileSizesMB {
-		for _, proto := range protos {
-			jobs = append(jobs, runner.Job[float64]{
-				Name: fmt.Sprintf("fig3/%dMB/%v", sizeMB, proto),
-				Run: func() (float64, error) {
-					// The point pins the verbatim base seed (not the
-					// derived per-job seed): published numbers rely on
-					// every fresh world replaying identical conditions.
-					env, err := NewEnv(seed, false)
-					if err != nil {
-						return 0, err
-					}
-					res, err := env.MeasureAt(Warmup, "alpha1", "gridhit3", sizeMB*workload.MB, simxfer.Options{Protocol: proto})
-					if err != nil {
-						return 0, err
-					}
-					return seconds(res.Duration()), nil
-				},
-			})
-		}
+// Figure3 reproduces Fig. 3 ("FTP versus GridFTP"). Each (size,
+// protocol) cell runs in a fresh world with the same seed, so both
+// protocols see identical network conditions. The cells are independent
+// simulations, so they fan out across the worker pool; results are
+// collected in point order and the output is byte-identical at any
+// parallelism.
+func Figure3(seed int64, workers int) ([]Figure3Row, string, error) {
+	type cell struct {
+		sizeMB int64
+		proto  simxfer.Protocol
 	}
-	vals, err := runPoints(cfg, jobs)
+	var cells []cell
+	for _, sizeMB := range workload.PaperFileSizesMB {
+		cells = append(cells, cell{sizeMB, simxfer.ProtoFTP}, cell{sizeMB, simxfer.ProtoGridFTPStream})
+	}
+	vals, err := sweep(workers, "figure 3", cells, func(c cell) (float64, error) {
+		// The cell pins the verbatim base seed (not a derived per-job
+		// seed): published numbers rely on every fresh world replaying
+		// identical conditions.
+		return measureFresh(seed, false, Warmup, "alpha1", "gridhit3", c.sizeMB*workload.MB, simxfer.Options{Protocol: c.proto})
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	rows := make([]Figure3Row, 0, len(workload.PaperFileSizesMB))
-	for i, sizeMB := range workload.PaperFileSizesMB {
-		rows = append(rows, Figure3Row{
-			SizeMB:         sizeMB,
-			FTPSeconds:     vals[i*len(protos)],
-			GridFTPSeconds: vals[i*len(protos)+1],
-		})
-	}
+	var rows []Figure3Row
 	ftp := metrics.Series{Name: "FTP"}
 	grid := metrics.Series{Name: "GridFTP"}
-	for _, r := range rows {
-		ftp.AddPoint(float64(r.SizeMB), r.FTPSeconds)
-		grid.AddPoint(float64(r.SizeMB), r.GridFTPSeconds)
+	for i, c := range cells {
+		if c.proto == simxfer.ProtoFTP {
+			rows = append(rows, Figure3Row{SizeMB: c.sizeMB, FTPSeconds: vals[i]})
+			ftp.AddPoint(float64(c.sizeMB), vals[i])
+		} else {
+			rows[len(rows)-1].GridFTPSeconds = vals[i]
+			grid.AddPoint(float64(c.sizeMB), vals[i])
+		}
 	}
 	rendered, err := metrics.RenderSeries(
 		"Figure 3: FTP versus GridFTP (THU alpha1 -> HIT gridhit3)",
@@ -88,50 +75,36 @@ type Figure4Series struct {
 // Figure4 reproduces Fig. 4 ("GridFTP with parallel data transfer"):
 // transfer times from THU alpha2 to Li-Zen lz04 for stream mode and 1, 2,
 // 4, 8, 16 parallel TCP streams across the paper's file sizes.
-func Figure4(seed int64, opts ...Option) ([]Figure4Series, string, error) {
-	cfg := buildConfig(opts)
-	var jobs []runner.Job[float64]
+func Figure4(seed int64, workers int) ([]Figure4Series, string, error) {
+	type cell struct {
+		streams int
+		sizeMB  int64
+	}
+	var cells []cell
 	for _, streams := range workload.PaperStreamCounts {
 		for _, sizeMB := range workload.PaperFileSizesMB {
-			jobs = append(jobs, runner.Job[float64]{
-				Name: fmt.Sprintf("fig4/streams=%d/%dMB", streams, sizeMB),
-				Run: func() (float64, error) {
-					env, err := NewEnv(seed, false)
-					if err != nil {
-						return 0, err
-					}
-					res, err := env.MeasureAt(Warmup, "alpha2", "lz04", sizeMB*workload.MB, simxfer.GridFTPOptions(streams))
-					if err != nil {
-						return 0, err
-					}
-					return seconds(res.Duration()), nil
-				},
-			})
+			cells = append(cells, cell{streams, sizeMB})
 		}
 	}
-	vals, err := runPoints(cfg, jobs)
+	vals, err := sweep(workers, "figure 4", cells, func(c cell) (float64, error) {
+		return measureFresh(seed, false, Warmup, "alpha2", "lz04", c.sizeMB*workload.MB, simxfer.GridFTPOptions(c.streams))
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	out := make([]Figure4Series, 0, len(workload.PaperStreamCounts))
-	for si, streams := range workload.PaperStreamCounts {
-		s := Figure4Series{Streams: streams, SecondsBySizeMB: map[int64]float64{}}
-		for zi, sizeMB := range workload.PaperFileSizesMB {
-			s.SecondsBySizeMB[sizeMB] = vals[si*len(workload.PaperFileSizesMB)+zi]
+	var out []Figure4Series
+	var series []metrics.Series
+	for i, c := range cells {
+		if len(out) == 0 || out[len(out)-1].Streams != c.streams {
+			out = append(out, Figure4Series{Streams: c.streams, SecondsBySizeMB: map[int64]float64{}})
+			name := fmt.Sprintf("%d TCP Stream(s)", c.streams)
+			if c.streams == 0 {
+				name = "no parallel (stream mode)"
+			}
+			series = append(series, metrics.Series{Name: name})
 		}
-		out = append(out, s)
-	}
-	series := make([]metrics.Series, 0, len(out))
-	for _, s := range out {
-		name := fmt.Sprintf("%d TCP Stream(s)", s.Streams)
-		if s.Streams == 0 {
-			name = "no parallel (stream mode)"
-		}
-		ms := metrics.Series{Name: name}
-		for _, sizeMB := range workload.PaperFileSizesMB {
-			ms.AddPoint(float64(sizeMB), s.SecondsBySizeMB[sizeMB])
-		}
-		series = append(series, ms)
+		out[len(out)-1].SecondsBySizeMB[c.sizeMB] = vals[i]
+		series[len(series)-1].AddPoint(float64(c.sizeMB), vals[i])
 	}
 	rendered, err := metrics.RenderSeries(
 		"Figure 4: GridFTP with parallel data transfer (THU alpha2 -> Li-Zen lz04)",
@@ -169,11 +142,8 @@ func CostSeries(seed int64, span, period time.Duration) ([]CostPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, err := env.selectionFor(cat, paperWeights(), nil)
+	sel, err := env.selectionFor(cat, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := env.Engine.RunUntil(Warmup); err != nil {
 		return nil, err
 	}
 	var points []CostPoint

@@ -9,7 +9,6 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -24,19 +23,19 @@ type LatencyResult struct {
 	FarPicks int
 }
 
-// latencyTestbed builds the scenario where the paper's three factors
-// mislead: the "far" replica sits behind a fat 100 Mb/s pipe with 80 ms
-// RTT (high bandwidth percentage, but un-tuned TCP windows and session
-// setup are RTT-bound), while the "near" replica has a thinner, loaded
-// 50 Mb/s pipe 4 ms away.
-func latencyTestbed(engine *simulation.Engine, seed int64) (*cluster.Testbed, error) {
+// latencyEnv builds and monitors the scenario where the paper's three
+// factors mislead: the "far" replica sits behind a fat 100 Mb/s pipe with
+// 80 ms RTT (high bandwidth percentage, but un-tuned TCP windows and
+// session setup are RTT-bound), while the "near" replica has a thinner,
+// loaded 50 Mb/s pipe 4 ms away.
+func latencyEnv(seed int64) (*Env, error) {
 	lan := netsim.LinkConfig{CapacityBps: 1e9, Delay: 50 * time.Microsecond}
 	disk := cluster.DiskSpec{CapacityGB: 80, ReadBps: 4e8, WriteBps: 3.2e8}
 	cpu := cluster.CPUSpec{Model: "sim", Cores: 1, MHz: 2000}
 	host := func(n string) []cluster.HostConfig {
 		return []cluster.HostConfig{{Name: n, CPU: cpu, MemMB: 512, Disk: disk}}
 	}
-	tb, err := cluster.New(engine, seed, cluster.Config{
+	tb, err := cluster.New(simulation.NewEngine(), seed, cluster.Config{
 		Sites: []cluster.SiteConfig{
 			{Name: "Home", LAN: lan, Hosts: host("client")},
 			{Name: "Far", LAN: lan, Hosts: host("far")},
@@ -56,31 +55,57 @@ func latencyTestbed(engine *simulation.Engine, seed int64) (*cluster.Testbed, er
 	if err != nil {
 		return nil, err
 	}
-	return tb, nil
+	env, err := envOn(tb)
+	if err != nil {
+		return nil, err
+	}
+	// Long probes with tuned windows, so the far path's measured
+	// bandwidth reflects its steady state rather than slow start — the
+	// very regime in which the plain model is misled.
+	return env, env.monitor(info.DeploymentConfig{
+		Local:          "client",
+		Remotes:        []string{"far", "near"},
+		Seed:           seed,
+		NWSProbeBytes:  64 << 20,
+		NWSProbeWindow: 8 << 20,
+	})
 }
 
 // AblationLatency compares the plain three-factor cost model against the
 // latency-aware extension on a small-file workload, where per-session
 // round trips and un-tuned TCP windows make RTT, not bandwidth, the
 // binding constraint.
-func AblationLatency(seed int64, opts ...Option) ([]LatencyResult, string, error) {
+func AblationLatency(seed int64, workers int) ([]LatencyResult, string, error) {
 	const fetches = 6
 	const fileSize = 2 * workload.MB
-	cfg := buildConfig(opts)
 	selectors := []core.Selector{
 		core.CostModelSelector{Weights: core.PaperWeights},
 		core.LatencyAwareSelector{Weights: core.PaperWeights, PenaltyPerMs: 0.5},
 	}
-	var jobs []runner.Job[LatencyResult]
-	for _, sel := range selectors {
-		jobs = append(jobs, runner.Job[LatencyResult]{
-			Name: "latency/" + sel.Name(),
-			Run: func() (LatencyResult, error) {
-				return latencyPoint(seed, sel, fetches, fileSize)
-			},
-		})
-	}
-	out, err := runPoints(cfg, jobs)
+	out, err := sweep(workers, "latency ablation", selectors, func(sel core.Selector) (LatencyResult, error) {
+		env, err := latencyEnv(seed)
+		if err != nil {
+			return LatencyResult{}, err
+		}
+		cat, err := oneFileCatalog("small-file", fileSize, nil, []string{"far", "near"})
+		if err != nil {
+			return LatencyResult{}, err
+		}
+		srv, err := env.selectionFor(cat, sel)
+		if err != nil {
+			return LatencyResult{}, err
+		}
+		farPicks := 0
+		transfer := env.Xfer.TransferFunc(simxfer.GridFTPOptions(0))
+		countingTransfer := func(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
+			if srcHost == "far" {
+				farPicks++
+			}
+			return transfer(srcHost, srcPath, dstHost, dstPath, bytes, done)
+		}
+		ds, err := env.sequentialFetches(srv, "client", countingTransfer, "small-file", fetches, 30*time.Second, nil)
+		return LatencyResult{Selector: sel.Name(), MeanSeconds: meanSeconds(ds), FarPicks: farPicks}, err
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -91,64 +116,4 @@ func AblationLatency(seed int64, opts ...Option) ([]LatencyResult, string, error
 		tb.AddRow(r.Selector, fmt.Sprintf("%.2f", r.MeanSeconds), fmt.Sprintf("%d", r.FarPicks))
 	}
 	return out, tb.String(), nil
-}
-
-// latencyPoint runs one selector's full fetch sequence in a private
-// world.
-func latencyPoint(seed int64, sel core.Selector, fetches int, fileSize int64) (LatencyResult, error) {
-	engine := simulation.NewEngine()
-	tb, err := latencyTestbed(engine, seed)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	// Long probes with tuned windows, so the far path's measured
-	// bandwidth reflects its steady state rather than slow start —
-	// the very regime in which the plain model is misled.
-	dep, err := info.Deploy(tb, info.DeploymentConfig{
-		Local:          "client",
-		Remotes:        []string{"far", "near"},
-		Seed:           seed,
-		NWSProbeBytes:  64 << 20,
-		NWSProbeWindow: 8 << 20,
-	})
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	cat, err := oneFileCatalog("small-file", fileSize, nil, []string{"far", "near"})
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	srv, err := core.NewSelectionServer(cat, dep.Server, core.PaperWeights, sel)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	xf, err := simxfer.New(tb)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	farPicks := 0
-	transfer := xf.TransferFunc(simxfer.GridFTPOptions(0))
-	countingTransfer := func(srcHost, srcPath, dstHost, dstPath string, bytes int64, done func(error)) error {
-		if srcHost == "far" {
-			farPicks++
-		}
-		return transfer(srcHost, srcPath, dstHost, dstPath, bytes, done)
-	}
-	app, err := core.NewApplication("client", srv, countingTransfer, engine)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	if err := engine.RunUntil(Warmup); err != nil {
-		return LatencyResult{}, err
-	}
-	env := &Env{Engine: engine, Testbed: tb, Xfer: xf}
-	ds, err := sequentialFetches(env, app, "small-file", fetches, 30*time.Second, nil)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	return LatencyResult{
-		Selector:    sel.Name(),
-		MeanSeconds: meanSeconds(ds),
-		FarPicks:    farPicks,
-	}, nil
 }

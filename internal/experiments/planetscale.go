@@ -7,7 +7,6 @@ import (
 
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/topo"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -71,7 +70,9 @@ func (r PlanetScaleResult) DijkstraSavings() float64 {
 // scalePoint is one sweep entry: the topology spec plus catalog and
 // workload sizes.
 type scalePoint struct {
-	label    string
+	label string
+	// tier derives the point's seed from the experiment seed.
+	tier     int64
 	spec     topo.Spec // Seed filled per point from the experiment seed
 	files    int
 	replicas int
@@ -85,6 +86,7 @@ type scalePoint struct {
 var scaleSweep = []scalePoint{
 	{
 		label:    "20-site",
+		tier:     1,
 		spec:     topo.Spec{Regions: 4, SitesPerRegion: 5, ClustersPerSite: 2, HostsPerCluster: 10},
 		files:    10_000,
 		replicas: 3,
@@ -93,6 +95,7 @@ var scaleSweep = []scalePoint{
 	},
 	{
 		label:    "80-site",
+		tier:     2,
 		spec:     topo.Spec{Regions: 8, SitesPerRegion: 10, ClustersPerSite: 2, HostsPerCluster: 15},
 		files:    100_000,
 		replicas: 3,
@@ -101,6 +104,7 @@ var scaleSweep = []scalePoint{
 	},
 	{
 		label:    "200-site",
+		tier:     3,
 		spec:     topo.Spec{Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25},
 		files:    1_000_000,
 		replicas: 3,
@@ -155,13 +159,11 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 	}
 
 	// Flow phase: select a replica for each of p.flows files and pull it
-	// to a seeded-random host in a different region. Pairs are fixed up
-	// front; launches are staggered on the virtual clock.
-	type flowPlan struct {
-		src, dst string
-		at       time.Duration
-	}
-	plans := make([]flowPlan, 0, p.flows)
+	// to a seeded-random host in a different region. Every pair is drawn
+	// before the clock starts; launches are staggered on the virtual clock.
+	done := 0
+	var totalSec float64
+	var runErr error
 	for f := 0; f < p.flows; f++ {
 		best, err := w.Server.SelectBest(pick(), eng.Now())
 		if err != nil {
@@ -173,34 +175,25 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 			dstRegion = w.Top.Regions[rng.Intn(len(w.Top.Regions))]
 		}
 		dsts := w.Top.HostsByRegion[dstRegion]
-		plans = append(plans, flowPlan{
-			src: src,
-			dst: dsts[rng.Intn(len(dsts))],
-			at:  time.Duration(f) * scaleFlowGap,
-		})
-	}
-	done := 0
-	var totalSec float64
-	var runErr error
-	for _, pl := range plans {
-		pl := pl
-		if _, err := eng.After(pl.at, func(time.Duration) {
-			_, err := w.Testbed.Network().StartFlow(pl.src, pl.dst, scaleFlowBytes,
+		dst := dsts[rng.Intn(len(dsts))]
+		at := time.Duration(f) * scaleFlowGap
+		if _, err := eng.After(at, func(time.Duration) {
+			_, err := w.Testbed.Network().StartFlow(src, dst, scaleFlowBytes,
 				netsim.FlowOptions{WindowBytes: 1 << 20}, func(fl *netsim.Flow) {
-					totalSec += (eng.Now() - pl.at).Seconds()
+					totalSec += (eng.Now() - at).Seconds()
 					done++
 				})
 			if err != nil && runErr == nil {
-				runErr = fmt.Errorf("flow %s -> %s: %w", pl.src, pl.dst, err)
+				runErr = fmt.Errorf("flow %s -> %s: %w", src, dst, err)
 			}
 		}); err != nil {
 			return PlanetScaleResult{}, err
 		}
 	}
 	err = settle(eng, stallLimit, "planet-scale flows",
-		func() bool { return done == len(plans) || runErr != nil })
+		func() bool { return done == p.flows || runErr != nil })
 	if err != nil {
-		return PlanetScaleResult{}, fmt.Errorf("%w (%d/%d landed)", err, done, len(plans))
+		return PlanetScaleResult{}, fmt.Errorf("%w (%d/%d landed)", err, done, p.flows)
 	}
 	if runErr != nil {
 		return PlanetScaleResult{}, runErr
@@ -232,37 +225,26 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 // the region-sharded replica catalog, and two-level hierarchical
 // selection. Each grid point is an independent world; results are pure
 // counts and virtual times, identical at any worker count.
-func ExtensionPlanetScale(seed int64, opts ...Option) ([]PlanetScaleResult, string, error) {
-	cfg := buildConfig(opts)
-	jobs := make([]runner.Job[PlanetScaleResult], len(scaleSweep))
-	for i, p := range scaleSweep {
-		i, p := i, p
-		jobs[i] = runner.Job[PlanetScaleResult]{
-			Name: "planetscale/" + p.label,
-			Run: func() (PlanetScaleResult, error) {
-				return runScalePoint(seed+int64(i+1)*104729, p)
-			},
-		}
-	}
-	out, err := runPoints(cfg, jobs)
+func ExtensionPlanetScale(seed int64, workers int) ([]PlanetScaleResult, string, error) {
+	out, err := sweep(workers, "planet scale", scaleSweep, func(p scalePoint) (PlanetScaleResult, error) {
+		return runScalePoint(seed+p.tier*104729, p)
+	})
 	if err != nil {
 		return nil, "", err
 	}
-	// The acceptance bar for routing on the core: every region hangs below
-	// its hub, so no grid may sweep more than one tree per region.
 	for _, r := range out {
+		// The acceptance bar for routing on the core: every region hangs
+		// below its hub, so no grid may sweep more than one tree per region.
 		if r.TreeBuilds > uint64(r.Regions) {
 			return nil, "", fmt.Errorf("%s: %d route tree sweeps, above its %d regions",
 				r.Label, r.TreeBuilds, r.Regions)
 		}
-	}
-	// The acceptance bar for the partitioned allocator: a reallocation
-	// round never scans more flows than the largest connected component,
-	// and at the largest grid that component is strictly smaller than the
-	// world's flow count (at small grids the staggered transfers can all
-	// merge across the shared backbone, so only the big point separates
-	// component from world).
-	for _, r := range out {
+		// The acceptance bar for the partitioned allocator: a reallocation
+		// round never scans more flows than the largest connected
+		// component, and at the largest grid that component is strictly
+		// smaller than the world's flow count (at small grids the staggered
+		// transfers can all merge across the shared backbone, so only the
+		// big point separates component from world).
 		if r.MaxRoundFlows > r.MaxComponentFlows {
 			return nil, "", fmt.Errorf("%s: a reallocate round scanned %d flows, above the largest component's %d",
 				r.Label, r.MaxRoundFlows, r.MaxComponentFlows)

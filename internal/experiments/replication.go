@@ -10,7 +10,6 @@ import (
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/placement"
 	"github.com/hpclab/datagrid/internal/replica"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -32,12 +31,7 @@ type ReplicationResult struct {
 // With the threshold policy, the third access triggers replication to the
 // HIT site, and later fetches are served across the 1 Gb/s LAN instead of
 // the 100 Mb/s WAN.
-func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, string, error) {
-	const fetches = 8
-	const fileSize = 512 * workload.MB
-	const local = "gridhit3"
-	cfg := buildConfig(opts)
-
+func ExtensionReplication(seed int64, workers int) ([]ReplicationResult, string, error) {
 	strategies := []replicationStrategy{
 		{"no-replication", func(*siteExecutor) (placement.Policy, error) {
 			return placement.NoReplication{}, nil
@@ -46,17 +40,9 @@ func ExtensionReplication(seed int64, opts ...Option) ([]ReplicationResult, stri
 			return placement.NewThresholdPolicy(x, placement.ThresholdConfig{Threshold: 3, RegionOf: x.siteOf})
 		}},
 	}
-
-	var jobs []runner.Job[ReplicationResult]
-	for _, st := range strategies {
-		jobs = append(jobs, runner.Job[ReplicationResult]{
-			Name: "replication/" + st.name,
-			Run: func() (ReplicationResult, error) {
-				return replicationPoint(seed, st, fetches, fileSize, local)
-			},
-		})
-	}
-	out, err := runPoints(cfg, jobs)
+	out, err := sweep(workers, "replication extension", strategies, func(st replicationStrategy) (ReplicationResult, error) {
+		return replicationPoint(seed, st)
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -76,6 +62,9 @@ type replicationStrategy struct {
 	name string
 	mk   func(x *siteExecutor) (placement.Policy, error)
 }
+
+// String names the strategy in a failing point's error.
+func (st replicationStrategy) String() string { return st.name }
 
 // siteExecutor carries out a placement policy's decisions on the paper
 // testbed, where regions are sites. A new replica is the Globus replica
@@ -146,14 +135,17 @@ func (x *siteExecutor) RemoveReplica(logical, site string) error {
 
 // replicationPoint runs one placement strategy's full fetch sequence in
 // a private world.
-func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize int64, local string) (ReplicationResult, error) {
+func replicationPoint(seed int64, st replicationStrategy) (ReplicationResult, error) {
+	const fetches = 8
+	const fileSize = 512 * workload.MB
+	const local = "gridhit3"
 	env, err := NewEnv(seed, false)
 	if err != nil {
 		return ReplicationResult{}, err
 	}
 	// Monitor from the HIT user's perspective; candidates are the
 	// initial holder and the site storage host replicas may land on.
-	dep, err := info.Deploy(env.Testbed, info.DeploymentConfig{
+	err = env.monitor(info.DeploymentConfig{
 		Local:   local,
 		Remotes: []string{"alpha4", "hit0"},
 		Seed:    seed + 7,
@@ -161,31 +153,20 @@ func replicationPoint(seed int64, st replicationStrategy, fetches int, fileSize 
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	env.Deploy = dep
-	catalog := replica.NewCatalog()
-	if err := catalog.CreateLogical(replica.LogicalFile{Name: "file-a", SizeBytes: fileSize}); err != nil {
-		return ReplicationResult{}, err
-	}
-	if err := catalog.Register("file-a", replica.Location{Host: "alpha4", Path: "/data/file-a"}); err != nil {
-		return ReplicationResult{}, err
-	}
-	policy, err := st.mk(&siteExecutor{env: env, catalog: catalog, transfer: env.Xfer.TransferFunc(simxfer.GridFTPOptions(0))})
+	catalog, err := oneFileCatalog("file-a", fileSize, nil, []string{"alpha4"})
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	srv, err := core.NewSelectionServer(catalog, dep.Server, paperWeights(), nil)
+	transfer := env.Xfer.TransferFunc(simxfer.GridFTPOptions(0))
+	policy, err := st.mk(&siteExecutor{env: env, catalog: catalog, transfer: transfer})
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	app, err := core.NewApplication(local,
-		srv, env.Xfer.TransferFunc(simxfer.GridFTPOptions(0)), env.Engine)
+	srv, err := env.selectionFor(catalog, nil)
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	if err := env.Engine.RunUntil(Warmup); err != nil {
-		return ReplicationResult{}, err
-	}
-	ds, err := sequentialFetches(env, app, "file-a", fetches, time.Minute, func(r core.FetchResult) error {
+	ds, err := env.sequentialFetches(srv, local, transfer, "file-a", fetches, time.Minute, func(r core.FetchResult) error {
 		return policy.OnAccess(placement.Access{
 			Logical:    "file-a",
 			ServedFrom: r.Chosen.Location.Host,

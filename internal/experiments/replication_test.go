@@ -9,7 +9,6 @@ import (
 	"github.com/hpclab/datagrid/internal/cluster"
 	"github.com/hpclab/datagrid/internal/placement"
 	"github.com/hpclab/datagrid/internal/replica"
-	"github.com/hpclab/datagrid/internal/workload"
 )
 
 // TestSiteExecutorRegistersLandedCopies: a replica enters the catalog only
@@ -84,7 +83,7 @@ func (failingPolicy) OnAccess(placement.Access) error { return errPolicy }
 // point with its error instead of a row that silently reads 0 replications.
 func TestReplicationPointSurfacesPolicyErrors(t *testing.T) {
 	st := replicationStrategy{"failing", func(*siteExecutor) (placement.Policy, error) { return failingPolicy{}, nil }}
-	if _, err := replicationPoint(seed, st, 8, 512*workload.MB, "gridhit3"); !errors.Is(err, errPolicy) {
+	if _, err := replicationPoint(seed, st); !errors.Is(err, errPolicy) {
 		t.Fatalf("replicationPoint = %v, want %v", err, errPolicy)
 	}
 }

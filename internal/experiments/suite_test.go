@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpclab/datagrid/internal/placement"
 	"github.com/hpclab/datagrid/internal/runner"
 )
 
@@ -48,7 +49,7 @@ func TestRunEntriesCollectsAllFailures(t *testing.T) {
 	boom := errors.New("boom")
 	mk := func(name string, err error) SuiteEntry {
 		return SuiteEntry{Name: name, Group: GroupAblations,
-			Run: func(seed int64, opts ...Option) (string, []Metric, error) {
+			Run: func(seed int64, workers int) (string, []Metric, error) {
 				if err != nil {
 					return "", nil, err
 				}
@@ -79,7 +80,7 @@ func TestRunEntriesCollectsAllFailures(t *testing.T) {
 
 func TestReplicateSeedsAndAggregation(t *testing.T) {
 	var gotSeeds []int64
-	entry := SuiteEntry{Name: "fake", Run: func(seed int64, opts ...Option) (string, []Metric, error) {
+	entry := SuiteEntry{Name: "fake", Run: func(seed int64, workers int) (string, []Metric, error) {
 		gotSeeds = append(gotSeeds, seed) // trials run on 1 worker here, so append is safe
 		return "", []Metric{
 			{Name: "constant", Value: 3},
@@ -125,7 +126,7 @@ func TestReplicateRejectsZeroTrials(t *testing.T) {
 func TestReplicateTrialZeroMatchesSingleRun(t *testing.T) {
 	// The replication contract: trial 0 is the base seed verbatim, so a
 	// 1-trial replication reproduces the published run exactly.
-	entry := SuiteEntry{Name: "echo", Run: func(seed int64, opts ...Option) (string, []Metric, error) {
+	entry := SuiteEntry{Name: "echo", Run: func(seed int64, workers int) (string, []Metric, error) {
 		return fmt.Sprintf("seed=%d", seed), []Metric{{Name: "seed", Value: float64(seed)}}, nil
 	}}
 	rep, err := Replicate(entry, 42, 1, 4)
@@ -134,5 +135,43 @@ func TestReplicateTrialZeroMatchesSingleRun(t *testing.T) {
 	}
 	if rep.Metrics[0].Mean != 42 || rep.Metrics[0].CI95Half != 0 {
 		t.Errorf("1-trial replication must echo the base seed run: %+v", rep.Metrics[0])
+	}
+}
+
+// TestSweepOrdersResultsAndNamesTheFailingPoint: results come back in
+// point order at any worker count, and a failing point's error names the
+// experiment and the point — through its String method when it holds a
+// func, never as a func or pointer value.
+func TestSweepOrdersResultsAndNamesTheFailingPoint(t *testing.T) {
+	points := []int{5, 3, 8, 1, 9, 2}
+	for _, workers := range []int{1, 4} {
+		got, err := sweep(workers, "square", points, func(p int) (int, error) { return p * p, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range points {
+			if got[i] != p*p {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, got[i], p*p)
+			}
+		}
+	}
+	boom := errors.New("boom")
+	type cell struct {
+		sizeMB int64
+		proto  string
+	}
+	_, err := sweep(2, "figure 3", []cell{{256, "ftp"}, {512, "ftp"}}, func(c cell) (float64, error) {
+		if c.sizeMB == 512 {
+			return 0, boom
+		}
+		return 1, nil
+	})
+	if !errors.Is(err, boom) || err.Error() != "figure 3: point {512 ftp}: boom" {
+		t.Fatalf("err = %v, want figure 3: point {512 ftp}: boom", err)
+	}
+	st := replicationStrategy{"failing", func(*siteExecutor) (placement.Policy, error) { return nil, boom }}
+	_, err = sweep(1, "replication extension", []replicationStrategy{st}, func(replicationStrategy) (int, error) { return 0, boom })
+	if err == nil || err.Error() != "replication extension: point failing: boom" {
+		t.Fatalf("err = %v, want replication extension: point failing: boom", err)
 	}
 }

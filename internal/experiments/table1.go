@@ -6,13 +6,9 @@ import (
 
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
-
-// paperWeights returns the 80/10/10 weights of §3.3.
-func paperWeights() core.Weights { return core.PaperWeights }
 
 // Table1Candidate is one column of Table 1.
 type Table1Candidate struct {
@@ -51,86 +47,70 @@ type Table1Result struct {
 // with the same seed — identical conditions — so measurements do not
 // perturb each other, mirroring the paper's sequential measurements.
 //
-// Execution fans out across the worker pool: one job rebuilds the
-// reference world (factors, scores and the local disk read), and one
-// job per remote candidate measures its transfer in a private world.
-func Table1(seed int64, opts ...Option) (Table1Result, string, error) {
+// Execution fans out across the worker pool with one point per host:
+// alpha1's point rebuilds the reference world (every candidate's factors
+// and score, and alpha1's local disk read), and each remote host's point
+// measures its transfer in a private world.
+func Table1(seed int64, workers int) (Table1Result, string, error) {
 	const fileSize = 1024 * workload.MB
 	snapshot := Warmup + time.Minute
-	cfg := buildConfig(opts)
 
 	hosts := []string{"alpha1", "alpha4", "hit0", "lz02"}
-	// part carries either the reference job's candidate skeletons (with
-	// scores and alpha1's local read time filled in) or one remote
+	// part carries either the reference point's candidates or one remote
 	// host's measured transfer seconds.
 	type part struct {
 		candidates []Table1Candidate
 		seconds    float64
 	}
-	jobs := []runner.Job[part]{{
-		Name: "table1/reference",
-		Run: func() (part, error) {
-			ref, err := NewEnv(seed, true)
+	parts, err := sweep(workers, "table 1", hosts, func(host string) (part, error) {
+		if host != "alpha1" {
+			s, err := measureFresh(seed, true, snapshot, host, "alpha1", fileSize, simxfer.GridFTPOptions(0))
+			return part{seconds: s}, err
+		}
+		ref, err := NewEnv(seed, true)
+		if err != nil {
+			return part{}, err
+		}
+		if err := ref.Engine.RunUntil(snapshot); err != nil {
+			return part{}, err
+		}
+		// Pin one grid-state snapshot so every candidate's factors come
+		// from the same epoch, not four separate pulls.
+		snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
+		var cands []Table1Candidate
+		for _, h := range hosts {
+			rep, err := snap.Lookup(h)
 			if err != nil {
-				return part{}, err
+				return part{}, fmt.Errorf("experiments: report for %s: %w", h, err)
 			}
-			if err := ref.Engine.RunUntil(snapshot); err != nil {
-				return part{}, err
+			c := Table1Candidate{
+				Host:      h,
+				Local:     h == host,
+				BWPercent: rep.BandwidthPercent,
+				CPUIdle:   rep.CPUIdlePercent,
+				IOIdle:    rep.IOIdlePercent,
+				Score:     core.Score(rep, core.PaperWeights),
 			}
-			// Pin one grid-state snapshot so every candidate's factors
-			// come from the same epoch, not four separate pulls.
-			snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
-			var cands []Table1Candidate
-			for _, host := range hosts {
-				rep, err := snap.Lookup(host)
-				if err != nil {
-					return part{}, fmt.Errorf("experiments: report for %s: %w", host, err)
-				}
-				c := Table1Candidate{
-					Host:      host,
-					Local:     host == "alpha1",
-					BWPercent: rep.BandwidthPercent,
-					CPUIdle:   rep.CPUIdlePercent,
-					IOIdle:    rep.IOIdlePercent,
-					Score:     core.Score(rep, paperWeights()),
-				}
-				if c.Local {
-					// Local access: read the file from the local disk.
-					h, err := ref.Testbed.Host(host)
-					if err != nil {
-						return part{}, err
-					}
-					c.TransferSeconds = float64(fileSize) * 8 / h.EffectiveDiskReadBps()
-				}
-				cands = append(cands, c)
-			}
-			return part{candidates: cands}, nil
-		},
-	}}
-	for _, host := range hosts[1:] {
-		jobs = append(jobs, runner.Job[part]{
-			Name: "table1/measure/" + host,
-			Run: func() (part, error) {
-				world, err := NewEnv(seed, true)
+			if c.Local {
+				// Local access: read the file from the local disk.
+				th, err := ref.Testbed.Host(h)
 				if err != nil {
 					return part{}, err
 				}
-				res, err := world.MeasureAt(snapshot, host, "alpha1", fileSize, simxfer.GridFTPOptions(0))
-				if err != nil {
-					return part{}, err
-				}
-				return part{seconds: seconds(res.Duration())}, nil
-			},
-		})
-	}
-	parts, err := runPoints(cfg, jobs)
+				c.TransferSeconds = float64(fileSize) * 8 / th.EffectiveDiskReadBps()
+			}
+			cands = append(cands, c)
+		}
+		return part{candidates: cands}, nil
+	})
 	if err != nil {
 		return Table1Result{}, "", err
 	}
-	var out Table1Result
-	out.Candidates = parts[0].candidates
-	for i := range hosts[1:] {
-		out.Candidates[i+1].TransferSeconds = parts[i+1].seconds
+	out := Table1Result{Candidates: parts[0].candidates}
+	for i := range hosts {
+		if !out.Candidates[i].Local {
+			out.Candidates[i].TransferSeconds = parts[i].seconds
+		}
 	}
 
 	scores := make([]float64, len(out.Candidates))

@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/metrics"
-	"github.com/hpclab/datagrid/internal/runner"
 	"github.com/hpclab/datagrid/internal/topo"
 	"github.com/hpclab/datagrid/internal/traffic"
 )
 
 // TrafficResult is one grid point of the traffic-plane sweep: a world
 // size, an offered request intensity, a placement policy and a fault
-// level, reduced to the request plane's streaming statistics.
+// level, reduced to the request plane's streaming statistics (the
+// embedded traffic.Report).
 type TrafficResult struct {
 	// Label names the topology tier; Sites and Hosts describe it.
 	Label string
@@ -24,157 +24,75 @@ type TrafficResult struct {
 	// Intensity is the fault-plan scale (0 = fault-free).
 	Policy    string
 	Intensity int
-	// Requests counts dispatched arrivals; Completed, Failed and
-	// LocalHits partition their outcomes. Submitted is the number that
-	// went through simxfer.Submit (Requests minus local hits).
-	Requests  int
-	Completed int
-	Failed    int
-	LocalHits int
-	Attempts  int
-	// P50, P95, P99 are transfer-latency quantiles in seconds.
-	P50, P95, P99 float64
-	GoodputMbps   float64
-	SiteSkew      float64
-	// Replications and Removals are the control loop's completed
-	// placement actions (0 under the static policy).
-	Replications int
-	Removals     int
+	traffic.Report
 }
 
 // Submitted is how many requests actually went through simxfer.Submit.
 func (r TrafficResult) Submitted() int { return r.Requests - r.LocalHits }
 
-// trafficWorld is one topology tier of the sweep.
+// trafficWorld is one topology tier of the sweep. Its spec declares the
+// world and its load; each point adds the seed, the policy, the fault
+// intensity and the request mix every tier shares.
 type trafficWorld struct {
 	label string
 	// tier derives the world's seed from the experiment seed: every
 	// policy and fault level of one tier replays the identical arrival
 	// stream, so row differences come from the policy and faults alone.
-	tier  int64
-	topo  topo.Spec
-	files int
-	// replicas is the initial per-file replica count; fileBytes the
-	// catalog size (the cost of one dynamic replication copy).
-	replicas  int
-	fileBytes int64
-	// ratePerMinute is per region; horizon fixes the request volume.
-	ratePerMinute float64
-	horizon       time.Duration
-	epoch         time.Duration
-	sizesMB       []int64
-	streams       int
-	// tcpBuffer is the per-channel TCP window; zero keeps the un-tuned
-	// 64 KiB default (right for the metro tier's short RTTs, hopeless
-	// across planetary ones).
-	tcpBuffer int
+	tier int64
+	spec traffic.Spec
 }
 
-// The metro tier is small enough to sweep the full policy x fault grid;
-// the planet tier is the 200-site world from the planet-scale sweep,
-// driven at a volume of over a million requests in one run.
-func trafficWorlds() []trafficWorld {
-	return []trafficWorld{
-		{
-			label:         "metro-20",
-			tier:          1,
-			topo:          topo.Spec{Regions: 4, SitesPerRegion: 5, ClustersPerSite: 1, HostsPerCluster: 5},
-			files:         200,
-			replicas:      2,
-			fileBytes:     64 << 20,
-			ratePerMinute: 150,
-			horizon:       2 * time.Hour,
-			epoch:         10 * time.Minute,
-			sizesMB:       []int64{1, 2, 4},
-			streams:       2,
-		},
-	}
+// metroTraffic is small enough to sweep the full policy x fault grid.
+// Its transfers keep the un-tuned 64 KiB TCP window, right for the metro
+// tier's short RTTs.
+var metroTraffic = trafficWorld{"metro-20", 1, traffic.Spec{
+	Topology:      topo.Spec{Regions: 4, SitesPerRegion: 5, ClustersPerSite: 1, HostsPerCluster: 5},
+	Files:         200,
+	Replicas:      2,
+	FileBytes:     64 << 20,
+	RatePerMinute: 150,
+	Horizon:       2 * time.Hour,
+	Epoch:         10 * time.Minute,
+	SizesMB:       []int64{1, 2, 4},
+	Streams:       2,
+}}
+
+// planetTraffic is the megarow: the 200-site, 10k-host world from the
+// planet-scale sweep, run long enough that one run pushes over a million
+// requests through the unified transfer API. The rate is deliberately
+// moderate — request latency on this world is dominated by WAN round
+// trips, so transfers live for seconds and the offered rate directly sets
+// the concurrent flow population the allocator must re-waterfill on
+// every event; a long horizon at sustainable concurrency is dramatically
+// cheaper than a short flood (cost per event scales with component
+// size), and is also the honest open-loop regime — a flood pushes the
+// open loop past capacity and measures queueing collapse, not the grid.
+// Planetary RTTs need a tuned TCP window, or the window/RTT bound
+// dominates every transfer.
+var planetTraffic = trafficWorld{"planet-200", 2, traffic.Spec{
+	Topology:       topo.Spec{Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25},
+	Files:          2000,
+	Replicas:       4,
+	FileBytes:      64 << 20,
+	RatePerMinute:  60,
+	Horizon:        1700 * time.Minute,
+	Epoch:          30 * time.Minute,
+	SizesMB:        []int64{1, 2},
+	Streams:        1,
+	TCPBufferBytes: 1 << 20,
+}}
+
+// trafficPoint is one grid point of the traffic sweep; its run adds the
+// request mix every tier shares.
+type trafficPoint struct {
+	w         trafficWorld
+	pol       traffic.PolicyKind
+	intensity int
 }
 
-// planetTrafficWorld is the megarow: the 200-site, 10k-host world run
-// long enough that one run pushes over a million requests through the
-// unified transfer API. The rate is deliberately moderate — request
-// latency on this world is dominated by WAN round trips, so transfers
-// live for seconds and the offered rate directly sets the concurrent
-// flow population the allocator must re-waterfill on every event; a
-// long horizon at sustainable concurrency is dramatically cheaper than
-// a short flood (cost per event scales with component size), and is
-// also the honest open-loop regime — a flood pushes the open loop past
-// capacity and measures queueing collapse, not the grid.
-func planetTrafficWorld() trafficWorld {
-	return trafficWorld{
-		label:         "planet-200",
-		tier:          2,
-		topo:          topo.Spec{Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25},
-		files:         2000,
-		replicas:      4,
-		fileBytes:     64 << 20,
-		ratePerMinute: 60,
-		horizon:       1700 * time.Minute,
-		epoch:         30 * time.Minute,
-		sizesMB:       []int64{1, 2},
-		streams:       1,
-		tcpBuffer:     1 << 20,
-	}
-}
-
-// trafficSpec realizes one grid point's traffic.Spec.
-func trafficSpec(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity int) traffic.Spec {
-	return traffic.Spec{
-		Seed:             seed + w.tier*104729,
-		Topology:         w.topo,
-		Files:            w.files,
-		Replicas:         w.replicas,
-		FileBytes:        w.fileBytes,
-		RatePerMinute:    w.ratePerMinute,
-		Horizon:          w.horizon,
-		DispatchInterval: 10 * time.Second,
-		Epoch:            w.epoch,
-		HotFiles:         0.05,
-		WarmFiles:        0.25,
-		HotShare:         0.7,
-		WarmShare:        0.2,
-		ZipfS:            1.4,
-		DiurnalAmplitude: 0.4,
-		DiurnalPeriod:    4 * time.Hour,
-		SizesMB:          w.sizesMB,
-		Streams:          w.streams,
-		TCPBufferBytes:   w.tcpBuffer,
-		Failover:         true,
-		FaultIntensity:   intensity,
-		Policy:           pol,
-	}
-}
-
-func trafficPoint(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity int) (TrafficResult, error) {
-	rep, err := traffic.Run(trafficSpec(seed, w, pol, intensity), 1)
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	name := "static"
-	if pol == traffic.PolicyPopularity {
-		name = "popularity"
-	}
-	return TrafficResult{
-		Label:         w.label,
-		Sites:         w.topo.Regions * w.topo.SitesPerRegion,
-		Hosts:         w.topo.Regions * w.topo.SitesPerRegion * w.topo.ClustersPerSite * w.topo.HostsPerCluster,
-		RatePerMinute: w.ratePerMinute,
-		Policy:        name,
-		Intensity:     intensity,
-		Requests:      rep.Requests,
-		Completed:     rep.Completed,
-		Failed:        rep.Failed,
-		LocalHits:     rep.LocalHits,
-		Attempts:      rep.Attempts,
-		P50:           rep.P50,
-		P95:           rep.P95,
-		P99:           rep.P99,
-		GoodputMbps:   rep.GoodputMbps,
-		SiteSkew:      rep.SiteSkew,
-		Replications:  rep.Replications,
-		Removals:      rep.Removals,
-	}, nil
+// String names the point in a failing point's error.
+func (p trafficPoint) String() string {
+	return fmt.Sprintf("%s/%v/i%d", p.w.label, p.pol, p.intensity)
 }
 
 // ExtensionTraffic is the traffic-plane sweep: topology size x request
@@ -186,34 +104,45 @@ func trafficPoint(seed int64, w trafficWorld, pol traffic.PolicyKind, intensity 
 // popularity policy must beat the static baseline on p99 latency —
 // so a regression that silences the control loop fails the experiment
 // rather than quietly shipping a weaker table.
-func ExtensionTraffic(seed int64, opts ...Option) ([]TrafficResult, string, error) {
-	cfg := buildConfig(opts)
-	type point struct {
-		w         trafficWorld
-		pol       traffic.PolicyKind
-		intensity int
-	}
-	var points []point
-	for _, w := range trafficWorlds() {
-		for _, intensity := range []int{0, 2} {
-			for _, pol := range []traffic.PolicyKind{traffic.PolicyNone, traffic.PolicyPopularity} {
-				points = append(points, point{w, pol, intensity})
-			}
+func ExtensionTraffic(seed int64, workers int) ([]TrafficResult, string, error) {
+	var points []trafficPoint
+	for _, intensity := range []int{0, 2} {
+		for _, pol := range []traffic.PolicyKind{traffic.PolicyNone, traffic.PolicyPopularity} {
+			points = append(points, trafficPoint{metroTraffic, pol, intensity})
 		}
 	}
-	points = append(points, point{planetTrafficWorld(), traffic.PolicyPopularity, 1})
-
-	jobs := make([]runner.Job[TrafficResult], len(points))
-	for i, p := range points {
-		p := p
-		jobs[i] = runner.Job[TrafficResult]{
-			Name: fmt.Sprintf("traffic/%s/%v/i%d", p.w.label, p.pol, p.intensity),
-			Run: func() (TrafficResult, error) {
-				return trafficPoint(seed, p.w, p.pol, p.intensity)
-			},
+	points = append(points, trafficPoint{planetTraffic, traffic.PolicyPopularity, 1})
+	out, err := sweep(workers, "traffic plane", points, func(p trafficPoint) (TrafficResult, error) {
+		s := p.w.spec
+		s.Seed = seed + p.w.tier*104729
+		s.Policy = p.pol
+		s.FaultIntensity = p.intensity
+		// The request mix every tier shares: a diurnal Zipf flood over
+		// hot, warm and cold popularity classes, failover armed.
+		s.Failover = true
+		s.DispatchInterval = 10 * time.Second
+		s.HotFiles, s.WarmFiles = 0.05, 0.25
+		s.HotShare, s.WarmShare = 0.7, 0.2
+		s.ZipfS = 1.4
+		s.DiurnalAmplitude, s.DiurnalPeriod = 0.4, 4*time.Hour
+		rep, err := traffic.Run(s, 1)
+		if err != nil {
+			return TrafficResult{}, err
 		}
-	}
-	out, err := runPoints(cfg, jobs)
+		name := "static"
+		if p.pol == traffic.PolicyPopularity {
+			name = "popularity"
+		}
+		return TrafficResult{
+			Label:         p.w.label,
+			Sites:         s.Topology.Sites(),
+			Hosts:         s.Topology.Hosts(),
+			RatePerMinute: s.RatePerMinute,
+			Policy:        name,
+			Intensity:     p.intensity,
+			Report:        *rep,
+		}, nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
