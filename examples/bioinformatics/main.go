@@ -71,7 +71,7 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 		remotes = append(remotes, h)
 	}
 	sort.Strings(remotes)
-	dep, err := info.Deploy(testbed, info.DeploymentConfig{Local: "alpha1", Remotes: remotes, Seed: seed})
+	dep, err := info.Deploy(testbed, info.DeploymentConfig{Local: "alpha1", Remotes: remotes})
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,6 @@ func run(out io.Writer) error {
 	dep, err := info.Deploy(testbed, info.DeploymentConfig{
 		Local:   "alpha1",
 		Remotes: []string{"alpha4", "hit0", "lz02"},
-		Seed:    seed,
 	})
 	if err != nil {
 		return err

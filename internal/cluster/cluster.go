@@ -84,9 +84,6 @@ func (h *Host) Name() string { return h.cfg.Name }
 // Site returns the owning site name.
 func (h *Host) Site() string { return h.site }
 
-// Config returns the static host description.
-func (h *Host) Config() HostConfig { return h.cfg }
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -126,7 +126,7 @@ func TestHostLoadAccessors(t *testing.T) {
 	if err := h.SetBaseIOLoad(-0.1); err == nil {
 		t.Fatal("negative load should be rejected")
 	}
-	if h.Name() != "h1" || h.Site() != "s1" || h.Config().MemMB != 1024 {
+	if h.Name() != "h1" || h.Site() != "s1" || h.cfg.MemMB != 1024 {
 		t.Fatal("host metadata accessors wrong")
 	}
 	if _, err := tb.Host("nope"); err == nil {
@@ -264,12 +264,12 @@ func TestPaperTestbed(t *testing.T) {
 	}
 	// Paper hardware: THU nodes are dual-core, Li-Zen single 900 MHz.
 	a1, _ := tb.Host("alpha1")
-	if a1.Config().CPU.Cores != 2 || a1.Config().CPU.MHz != 2000 {
-		t.Fatalf("alpha1 CPU = %+v", a1.Config().CPU)
+	if a1.cfg.CPU.Cores != 2 || a1.cfg.CPU.MHz != 2000 {
+		t.Fatalf("alpha1 CPU = %+v", a1.cfg.CPU)
 	}
 	lz, _ := tb.Host("lz02")
-	if lz.Config().CPU.MHz != 900 || lz.Config().MemMB != 256 {
-		t.Fatalf("lz02 spec = %+v", lz.Config())
+	if lz.cfg.CPU.MHz != 900 || lz.cfg.MemMB != 256 {
+		t.Fatalf("lz02 spec = %+v", lz.cfg)
 	}
 }
 

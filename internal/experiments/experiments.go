@@ -50,7 +50,6 @@ func NewEnv(seed int64, monitor bool) (*Env, error) {
 	return e, e.monitor(info.DeploymentConfig{
 		Local:   "alpha1",
 		Remotes: []string{"alpha4", "hit0", "lz02"},
-		Seed:    seed + 1000,
 	})
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,8 +35,10 @@ func TestEnvDeterministic(t *testing.T) {
 // event. When settle still ran every world to the next 10-minute slice
 // boundary, the Fig. 3 world (FTP, 256 MB) ran to 13:00 and fired 9,367
 // events, and the monitored Table 1 world (hit0, 1024 MB) ran to 14:00
-// and fired 15,729, its NWS free-memory gauges included. A slice tail, or
-// a new monitor on the paper testbed that no result reads, fails here.
+// and fired 15,729, its NWS free-memory gauges included; before the
+// default deployment dropped its latency sensors (one per remote, read
+// by no result), it fired 6,745 here. A slice tail, or a new monitor on
+// the paper testbed that no result reads, fails here.
 func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -47,7 +50,7 @@ func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 		fired    uint64
 	}{
 		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.FTPOptions(), 2629},
-		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 6745},
+		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 6622},
 	} {
 		env, err := NewEnv(seed, c.monitor)
 		if err != nil {
@@ -464,6 +467,37 @@ func TestAblationLatency(t *testing.T) {
 	}
 	if aware.MeanSeconds*2 > plain.MeanSeconds {
 		t.Fatalf("latency awareness should at least halve fetch time:\n%s", rendered)
+	}
+}
+
+// TestLatencyEnvRunsItsOwnSensors: the latency ablation is the one
+// experiment that reads LatencyMs, so its world installs the latency
+// sensors the default deployment no longer runs. The forecasts at the end
+// of warm-up are pinned, so a change to the sensors' seeds (seed+2 for
+// far, seed+4 for near) or to their place in the event order fails here.
+func TestLatencyEnvRunsItsOwnSensors(t *testing.T) {
+	env, err := latencyEnv(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Engine.RunUntil(Warmup); err != nil {
+		t.Fatal(err)
+	}
+	snap := env.Deploy.Server.Snapshot(env.Engine.Now())
+	for _, c := range []struct {
+		host string
+		want string
+	}{{"far", "84.703495"}, {"near", "25.551562"}} {
+		r, err := snap.Lookup(c.host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.LatencyMs <= 0 {
+			t.Fatalf("%s LatencyMs = %v, want > 0", c.host, r.LatencyMs)
+		}
+		if got := fmt.Sprintf("%.6f", r.LatencyMs); got != c.want {
+			t.Fatalf("%s LatencyMs = %s, want %s", c.host, got, c.want)
+		}
 	}
 }
 

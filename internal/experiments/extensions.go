@@ -158,7 +158,7 @@ func ExtensionScale(seed int64, workers int) ([]ScaleResult, string, error) {
 		for i := 1; i < p.sites; i++ {
 			remotes = append(remotes, fmt.Sprintf("site%02d-h0", i))
 		}
-		if err := env.monitor(info.DeploymentConfig{Local: local, Remotes: remotes, Seed: seed}); err != nil {
+		if err := env.monitor(info.DeploymentConfig{Local: local, Remotes: remotes}); err != nil {
 			return 0, err
 		}
 		cat, err := oneFileCatalog("file-x", fileSize, nil, remotes)

@@ -9,6 +9,7 @@ import (
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
+	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -62,13 +63,25 @@ func latencyEnv(seed int64) (*Env, error) {
 	// Long probes with tuned windows, so the far path's measured
 	// bandwidth reflects its steady state rather than slow start — the
 	// very regime in which the plain model is misled.
-	return env, env.monitor(info.DeploymentConfig{
+	if err := env.monitor(info.DeploymentConfig{
 		Local:          "client",
 		Remotes:        []string{"far", "near"},
-		Seed:           seed,
 		NWSProbeBytes:  64 << 20,
 		NWSProbeWindow: 8 << 20,
-	})
+	}); err != nil {
+		return env, err
+	}
+	// This is the one experiment that reads latency, so it runs the
+	// latency sensors itself: one per remote, probing every 10 s.
+	for _, s := range []struct {
+		remote string
+		seed   int64
+	}{{"far", seed + 2}, {"near", seed + 4}} {
+		if _, err := nws.NewLatencySensor(env.Engine, env.Deploy.NWS, tb.Network(), s.remote, "client", 10*time.Second, s.seed); err != nil {
+			return env, err
+		}
+	}
+	return env, nil
 }
 
 // AblationLatency compares the plain three-factor cost model against the

@@ -148,7 +148,6 @@ func replicationPoint(seed int64, st replicationStrategy) (ReplicationResult, er
 	err = env.monitor(info.DeploymentConfig{
 		Local:   local,
 		Remotes: []string{"alpha4", "hit0"},
-		Seed:    seed + 7,
 	})
 	if err != nil {
 		return ReplicationResult{}, err

@@ -31,8 +31,6 @@ type DeploymentConfig struct {
 	SysstatPeriod time.Duration
 	// MDSTTL is the GRIS/GIIS cache TTL; default 5s.
 	MDSTTL time.Duration
-	// Seed derives all monitor seeds.
-	Seed int64
 }
 
 func (c *DeploymentConfig) fillDefaults() {
@@ -54,18 +52,18 @@ func (c *DeploymentConfig) fillDefaults() {
 }
 
 // Deployment is the full monitoring stack of Fig. 1's "information server":
-// an NWS installation (memory and sensors), an MDS hierarchy
-// (GRIS per host, GIIS per site, one top GIIS) and a sysstat I/O collector
-// per host, all wired into an info.Server.
+// an NWS installation (memory and one bandwidth sensor per remote), an MDS
+// hierarchy (GRIS per host, GIIS per site, one top GIIS) and a sysstat I/O
+// collector per host, all wired into an info.Server. It runs only the
+// monitors selection reads; an experiment that reads more (the latency
+// ablation) installs its own sensors on NWS.
 type Deployment struct {
-	Server    *Server
-	NWS       *nws.Memory
-	TopGIIS   *mds.GIIS
-	Sysstat   map[string]*sysstat.Collector
-	BWSensors map[string]*nws.Sensor
-	// Sensors holds every NWS sensor (bandwidth and latency) in deployment
-	// order, so the whole installation can be paused at once.
-	Sensors []*nws.Sensor
+	Server  *Server
+	NWS     *nws.Memory
+	TopGIIS *mds.GIIS
+	Sysstat map[string]*sysstat.Collector
+	// Sensors holds the bandwidth sensor of each remote.
+	Sensors map[string]*nws.Sensor
 	// GRIS and SiteGIIS hold the MDS hierarchy below TopGIIS in
 	// deployment order.
 	GRIS     []*mds.GRIS
@@ -129,11 +127,8 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 
 	// --- NWS ---
 	mem := nws.NewMemory()
-	seed := cfg.Seed
-	bwSensors := make(map[string]*nws.Sensor, len(remotes))
-	var sensors []*nws.Sensor
+	sensors := make(map[string]*nws.Sensor, len(remotes))
 	for _, r := range remotes {
-		seed++
 		s, err := nws.NewBandwidthSensor(engine, mem, tb.Network(), r, cfg.Local, nws.BandwidthSensorConfig{
 			Period:      cfg.NWSProbePeriod,
 			ProbeBytes:  cfg.NWSProbeBytes,
@@ -142,14 +137,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("info: bandwidth sensor %s->%s: %w", r, cfg.Local, err)
 		}
-		bwSensors[r] = s
-		sensors = append(sensors, s)
-		seed++
-		lat, err := nws.NewLatencySensor(engine, mem, tb.Network(), r, cfg.Local, cfg.NWSProbePeriod, seed)
-		if err != nil {
-			return nil, fmt.Errorf("info: latency sensor %s->%s: %w", r, cfg.Local, err)
-		}
-		sensors = append(sensors, lat)
+		sensors[r] = s
 	}
 
 	// --- MDS hierarchy ---
@@ -175,21 +163,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 				return nil, err
 			}
 			grisServers = append(grisServers, gris)
-			hc := h.Config()
-			st := mds.HostStatic{
-				Site:       site,
-				CPUModel:   hc.CPU.Model,
-				CPUCount:   hc.CPU.Cores,
-				CPUMHz:     hc.CPU.MHz,
-				MemMB:      hc.MemMB,
-				DiskGB:     hc.Disk.CapacityGB,
-				DiskReadB:  hc.Disk.ReadBps,
-				DiskWriteB: hc.Disk.WriteBps,
-			}
-			if err := gris.AddProvider(mds.NewCPUProvider(h, st)); err != nil {
-				return nil, err
-			}
-			if err := gris.AddProvider(mds.NewStorageProvider(h, st)); err != nil {
+			if err := gris.AddProvider(mds.NewCPUProvider(h, site)); err != nil {
 				return nil, err
 			}
 			if err := siteGIIS.Register(gris); err != nil {
@@ -225,13 +199,12 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{
-		Server:    srv,
-		NWS:       mem,
-		TopGIIS:   top,
-		Sysstat:   collectors,
-		BWSensors: bwSensors,
-		Sensors:   sensors,
-		GRIS:      grisServers,
-		SiteGIIS:  siteServers,
+		Server:   srv,
+		NWS:      mem,
+		TopGIIS:  top,
+		Sysstat:  collectors,
+		Sensors:  sensors,
+		GRIS:     grisServers,
+		SiteGIIS: siteServers,
 	}, nil
 }

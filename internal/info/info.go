@@ -38,13 +38,6 @@ type ioIdleSource interface {
 	IOIdlePercent() (float64, error)
 }
 
-// hostFilters holds a host's precompiled MDS filters so the hot query path
-// does not re-parse the same filter strings on every report.
-type hostFilters struct {
-	cpu  mds.Filter
-	disk mds.Filter
-}
-
 // Server aggregates the three monitoring substrates.
 type Server struct {
 	local   string
@@ -52,7 +45,9 @@ type Server struct {
 	nwsMem  *nws.Memory
 	dir     mds.Searcher
 	sys     map[string]ioIdleSource
-	filters map[string]hostFilters
+	// filters holds each host's precompiled MDS CPU filter, so the hot
+	// query path does not re-parse the same filter string on every report.
+	filters map[string]mds.Filter
 	pub     *gridstate.Publisher
 	// maxAge, when positive, marks hosts whose last bandwidth measurement
 	// is older than this as unmonitored (ErrNoData). Stale series mean
@@ -75,8 +70,8 @@ func (s *Server) SetStaleness(d time.Duration) error {
 
 // NewServer builds an information server for queries issued from the local
 // host. dir is the MDS index to query for CPU state (typically the top
-// GIIS); sys maps host name to its sysstat collector and may be nil if I/O
-// state should come from MDS disk entries instead.
+// GIIS); sys maps host name to its sysstat collector, the only source of
+// I/O state.
 //
 // The keys of sys become the snapshot plane's tracked host set; hosts
 // outside sys are not covered by Snapshot.
@@ -93,6 +88,9 @@ func NewServer(local string, network *netsim.Network, nwsMem *nws.Memory, dir md
 	if dir == nil {
 		return nil, errors.New("info: nil MDS directory")
 	}
+	if len(sys) == 0 {
+		return nil, errors.New("info: no sysstat collectors")
+	}
 	tracked := make([]string, 0, len(sys))
 	isys := make(map[string]ioIdleSource, len(sys))
 	for h, c := range sys {
@@ -106,7 +104,7 @@ func NewServer(local string, network *netsim.Network, nwsMem *nws.Memory, dir md
 		nwsMem:  nwsMem,
 		dir:     dir,
 		sys:     isys,
-		filters: make(map[string]hostFilters),
+		filters: make(map[string]mds.Filter),
 	}
 	sources := []gridstate.Source{nwsMem}
 	if d, ok := dir.(gridstate.Source); ok {
@@ -178,8 +176,9 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 		if r.BandwidthPercent < 0 {
 			r.BandwidthPercent = 0
 		}
-		// Latency is best-effort: not every deployment runs latency
-		// sensors, and the base cost model does not need it.
+		// Latency is best-effort: a deployment runs no latency sensors
+		// (only the latency ablation installs them), and the base cost
+		// model does not need it.
 		if lfc, err := s.nwsMem.Forecast(nws.SeriesKey{
 			Resource: nws.ResourceLatency, Source: host, Target: s.local,
 		}); err == nil {
@@ -201,31 +200,26 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 	return r, nil
 }
 
-// filtersFor returns the host's precompiled MDS filters, parsing and
-// caching them on first use.
-func (s *Server) filtersFor(host string) (hostFilters, error) {
+// cpuFilter returns the host's precompiled MDS CPU filter, parsing and
+// caching it on first use.
+func (s *Server) cpuFilter(host string) (mds.Filter, error) {
 	if f, ok := s.filters[host]; ok {
 		return f, nil
 	}
-	cpu, err := mds.ParseFilter("(&(" + mds.AttrHostName + "=" + host + ")(" + mds.AttrDevice + "=cpu))")
+	f, err := mds.ParseFilter("(&(" + mds.AttrHostName + "=" + host + ")(" + mds.AttrDevice + "=cpu))")
 	if err != nil {
-		return hostFilters{}, err
+		return nil, err
 	}
-	disk, err := mds.ParseFilter("(&(" + mds.AttrHostName + "=" + host + ")(" + mds.AttrDevice + "=disk))")
-	if err != nil {
-		return hostFilters{}, err
-	}
-	f := hostFilters{cpu: cpu, disk: disk}
 	s.filters[host] = f
 	return f, nil
 }
 
 func (s *Server) cpuIdle(host string) (float64, error) {
-	hf, err := s.filtersFor(host)
+	f, err := s.cpuFilter(host)
 	if err != nil {
 		return 0, err
 	}
-	es, err := s.dir.Search(hf.cpu)
+	es, err := s.dir.Search(f)
 	if err != nil {
 		return 0, fmt.Errorf("%w: MDS query for %s: %v", ErrNoData, host, err)
 	}
@@ -243,35 +237,20 @@ func (s *Server) cpuIdle(host string) (float64, error) {
 	return float64(x100) / 100, nil
 }
 
+// ioIdle reads the host's sysstat collector. A host without one, or a
+// collector that has not sampled yet, is ErrNoData; any other collector
+// failure is a real fault and propagates as itself.
 func (s *Server) ioIdle(host string) (float64, error) {
-	if col, ok := s.sys[host]; ok {
-		v, err := col.IOIdlePercent()
-		if err == nil {
-			return v, nil
-		}
-		if !errors.Is(err, sysstat.ErrNoSamples) {
-			// A collector that exists but fails for any reason other
-			// than "no samples yet" is a real fault; hiding it behind
-			// the MDS fallback would mask broken monitoring.
-			return 0, fmt.Errorf("info: I/O collector for %s: %w", host, err)
-		}
-		// No samples yet: fall through to the MDS disk entry.
-	}
-	hf, err := s.filtersFor(host)
-	if err != nil {
-		return 0, err
-	}
-	es, err := s.dir.Search(hf.disk)
-	if err != nil || len(es) == 0 {
-		return 0, fmt.Errorf("%w: no I/O state for %s", ErrNoData, host)
-	}
-	raw, ok := es[0].Attrs[mds.AttrIOFreeX100]
+	col, ok := s.sys[host]
 	if !ok {
-		return 0, fmt.Errorf("%w: MDS entry for %s lacks %s", ErrNoData, host, mds.AttrIOFreeX100)
+		return 0, fmt.Errorf("%w: no I/O collector for %s", ErrNoData, host)
 	}
-	x100, err := strconv.Atoi(raw)
+	v, err := col.IOIdlePercent()
+	if errors.Is(err, sysstat.ErrNoSamples) {
+		return 0, fmt.Errorf("%w: I/O collector for %s: %v", ErrNoData, host, err)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("info: bad %s=%q for %s: %w", mds.AttrIOFreeX100, raw, host, err)
+		return 0, fmt.Errorf("info: I/O collector for %s: %w", host, err)
 	}
-	return float64(x100) / 100, nil
+	return v, nil
 }

@@ -2,6 +2,8 @@ package info
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/hpclab/datagrid/internal/netsim"
 	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/simulation"
+	"github.com/hpclab/datagrid/internal/sysstat"
 )
 
 // paperSetup deploys monitoring on the paper testbed with alpha1 local.
@@ -24,7 +27,6 @@ func paperSetup(t *testing.T) (*simulation.Engine, *cluster.Testbed, *Deployment
 	dep, err := Deploy(tb, DeploymentConfig{
 		Local:   "alpha1",
 		Remotes: []string{"alpha4", "hit0", "lz02"},
-		Seed:    42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,19 +160,29 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServer("", net, mem, dir, nil); err == nil {
+	col, err := sysstat.NewCollector(eng, idleTarget{}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := map[string]*sysstat.Collector{"h": col}
+	if _, err := NewServer("", net, mem, dir, sys); err == nil {
 		t.Fatal("empty local should be rejected")
 	}
-	if _, err := NewServer("h", nil, mem, dir, nil); err == nil {
+	if _, err := NewServer("h", nil, mem, dir, sys); err == nil {
 		t.Fatal("nil network should be rejected")
 	}
-	if _, err := NewServer("h", net, nil, dir, nil); err == nil {
+	if _, err := NewServer("h", net, nil, dir, sys); err == nil {
 		t.Fatal("nil memory should be rejected")
 	}
-	if _, err := NewServer("h", net, mem, nil, nil); err == nil {
+	if _, err := NewServer("h", net, mem, nil, sys); err == nil {
 		t.Fatal("nil directory should be rejected")
 	}
-	s, err := NewServer("h", net, mem, dir, nil)
+	// sysstat is the only source of I/O state: a server without
+	// collectors could report no host.
+	if _, err := NewServer("h", net, mem, dir, nil); err == nil {
+		t.Fatal("no collectors should be rejected")
+	}
+	s, err := NewServer("h", net, mem, dir, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +190,11 @@ func TestServerValidation(t *testing.T) {
 		t.Fatalf("Local = %q", s.Local())
 	}
 }
+
+// idleTarget is a disk that is never busy.
+type idleTarget struct{}
+
+func (idleTarget) IOLoad() float64 { return 0 }
 
 func TestDeployDefaultsToAllRemotes(t *testing.T) {
 	eng := simulation.NewEngine()
@@ -189,50 +206,63 @@ func TestDeployDefaultsToAllRemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(dep.BWSensors); got != 11 {
-		t.Fatalf("bandwidth sensors = %d, want 11 (all other hosts)", got)
+	// Every NWS sensor is a bandwidth sensor, one per other host.
+	if got := len(dep.Sensors); got != 11 {
+		t.Fatalf("NWS sensors = %d, want 11 (all other hosts)", got)
+	}
+	for r, s := range dep.Sensors {
+		if k := s.Key(); k.Resource != nws.ResourceBandwidth || k.Source != r || k.Target != "alpha1" {
+			t.Fatalf("sensor for %s feeds %v, want bandwidth %s->alpha1", r, k, r)
+		}
 	}
 	if len(dep.Sysstat) != 12 {
 		t.Fatalf("sysstat collectors = %d, want 12", len(dep.Sysstat))
 	}
-	// Every NWS sensor: 11 bandwidth + 11 latency.
-	if got := len(dep.Sensors); got != 22 {
-		t.Fatalf("NWS sensors = %d, want 22", got)
+	// No monitor feeds a latency series: only the latency ablation reads
+	// one, and it installs its own sensors.
+	if err := eng.RunUntil(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.NWS.Latest(nws.SeriesKey{Resource: nws.ResourceLatency, Source: "hit0", Target: "alpha1"}); !errors.Is(err, nws.ErrUnknownSeries) {
+		t.Fatalf("latency series err = %v, want ErrUnknownSeries", err)
+	}
+	if _, err := dep.NWS.Latest(nws.SeriesKey{Resource: nws.ResourceBandwidth, Source: "hit0", Target: "alpha1"}); err != nil {
+		t.Fatalf("bandwidth series: %v", err)
 	}
 }
 
-// TestIOIdleFallsBackToMDS covers hosts without a sysstat collector: the
-// information server reads the I/O state from the MDS disk entry instead.
-func TestIOIdleFallsBackToMDS(t *testing.T) {
+// TestDeployGRISEntriesAreCPUOnly: every GRIS publishes one entry, the CPU
+// entry, carrying exactly what filters and selection read.
+func TestDeployGRISEntriesAreCPUOnly(t *testing.T) {
 	eng := simulation.NewEngine()
 	tb, err := cluster.NewPaperTestbed(eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1", Remotes: []string{"hit0"}, Seed: 1})
+	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := tb.Host("hit0")
-	if err := h.SetBaseIOLoad(0.35); err != nil {
-		t.Fatal(err)
+	if len(dep.GRIS) != 12 {
+		t.Fatalf("GRIS servers = %d, want one per host (12)", len(dep.GRIS))
 	}
-	if err := eng.RunUntil(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// A server over the same substrates but with NO sysstat collectors.
-	bare, err := NewServer("alpha1", tb.Network(), dep.NWS, dep.TopGIIS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := bare.BuildHostPerf("hit0", eng.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MDS caches for 5s; the base load was set before warmup ended, so the
-	// entry reflects the load process's current walk — just check range.
-	if r.IOIdlePercent <= 0 || r.IOIdlePercent > 100 {
-		t.Fatalf("fallback IO idle = %v", r.IOIdlePercent)
+	want := []string{mds.AttrCPUFreeX100, mds.AttrDevice, mds.AttrHostName, mds.AttrSite}
+	for _, g := range dep.GRIS {
+		es, err := g.Search(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(es) != 1 || es[0].Attrs[mds.AttrDevice] != "cpu" {
+			t.Fatalf("%s publishes %v, want one cpu entry", g.Suffix(), es)
+		}
+		var keys []string
+		for k := range es[0].Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("%s cpu entry attributes = %v, want %v", g.Suffix(), keys, want)
+		}
 	}
 }
 
@@ -251,6 +281,12 @@ func (f fixedSearcher) Search(flt mds.Filter) ([]mds.Entry, error) {
 }
 func (f fixedSearcher) Suffix() string { return "fixed" }
 
+// fixedCollector is a sysstat collector reporting a constant I/O idle
+// percentage.
+type fixedCollector float64
+
+func (f fixedCollector) IOIdlePercent() (float64, error) { return float64(f), nil }
+
 // TestReportBadDirectoryData covers the malformed-MDS-entry paths.
 func TestReportBadDirectoryData(t *testing.T) {
 	eng := simulation.NewEngine()
@@ -263,8 +299,15 @@ func TestReportBadDirectoryData(t *testing.T) {
 	if err := mem.Store(key, nws.Measurement{Value: 50}); err != nil {
 		t.Fatal(err)
 	}
+	// The server needs a collector; the ones that matter below are
+	// hit0's, substituted per case.
+	col, err := sysstat.NewCollector(eng, idleTarget{}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := map[string]*sysstat.Collector{"alpha1": col}
 	mkServer := func(entries []mds.Entry) *Server {
-		s, err := NewServer("alpha1", tb.Network(), mem, fixedSearcher{entries}, nil)
+		s, err := NewServer("alpha1", tb.Network(), mem, fixedSearcher{entries}, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,26 +332,16 @@ func TestReportBadDirectoryData(t *testing.T) {
 	if _, err := s.BuildHostPerf("hit0", 0); err == nil {
 		t.Fatal("bad numeric attr should error")
 	}
-	// Good cpu entry but no disk entry -> I/O fallback fails.
-	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
+	// A valid cpu entry gets as far as the I/O factor, which only a
+	// sysstat collector supplies: this server has none for hit0.
+	s = mkServer([]mds.Entry{{DN: "c", Attrs: mds.Attributes{
 		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000",
 	}}})
 	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
-		t.Fatalf("missing disk entry err = %v", err)
+		t.Fatalf("host without an I/O collector err = %v, want ErrNoData", err)
 	}
-	// Disk entry with a bad I/O value.
-	s = mkServer([]mds.Entry{
-		{DN: "c", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000"}},
-		{DN: "d", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "disk", mds.AttrIOFreeX100: "NaNope"}},
-	})
-	if _, err := s.BuildHostPerf("hit0", 0); err == nil {
-		t.Fatal("bad io attr should error")
-	}
-	// Fully valid entries succeed.
-	s = mkServer([]mds.Entry{
-		{DN: "c", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000"}},
-		{DN: "d", Attrs: mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "disk", mds.AttrIOFreeX100: "7500"}},
-	})
+	// With a collector the same entry makes a full report.
+	s.sys["hit0"] = fixedCollector(75)
 	r, err := s.BuildHostPerf("hit0", 0)
 	if err != nil || r.CPUIdlePercent != 50 || r.IOIdlePercent != 75 {
 		t.Fatalf("valid report = %+v, %v", r, err)

@@ -59,7 +59,7 @@ func TestStaleBandwidthYieldsErrNoData(t *testing.T) {
 	}
 	// Kill hit0's bandwidth probes and let the series age past the
 	// deployment's staleness bound (6 probe periods = 60s by default).
-	dep.BWSensors["hit0"].Stop()
+	dep.Sensors["hit0"].Stop()
 	if err := eng.RunUntil(2*time.Minute + 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,17 @@ func TestStaleBandwidthYieldsErrNoData(t *testing.T) {
 // report LatencyMs == 0 without error — latency is an optional factor.
 func TestLatencyBestEffort(t *testing.T) {
 	eng, tb, dep := paperSetup(t)
+	// The deployment runs no latency sensor; install one beside it for
+	// hit0, as the latency ablation does.
+	if _, err := nws.NewLatencySensor(eng, dep.NWS, tb.Network(), "hit0", "alpha1", 10*time.Second, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// A hand-wired server whose NWS memory holds only a bandwidth series
-	// for hit0->alpha1 (no latency), with MDS supplying the idle factors.
+	// for hit0->alpha1 (no latency), with MDS and sysstat supplying the
+	// idle factors.
 	mem := nws.NewMemory()
 	key := nws.SeriesKey{Resource: nws.ResourceBandwidth, Source: "hit0", Target: "alpha1"}
 	for i := 0; i < 5; i++ {
@@ -91,7 +97,7 @@ func TestLatencyBestEffort(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := NewServer("alpha1", tb.Network(), mem, dep.TopGIIS, nil)
+	srv, err := NewServer("alpha1", tb.Network(), mem, dep.TopGIIS, map[string]*sysstat.Collector{"hit0": dep.Sysstat["hit0"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +111,8 @@ func TestLatencyBestEffort(t *testing.T) {
 	if r.BandwidthMbps != 60 {
 		t.Fatalf("BandwidthMbps = %v", r.BandwidthMbps)
 	}
-	// The full deployment runs latency sensors, so there the factor is
-	// populated.
+	// The deployment's NWS memory now holds a latency series for hit0, so
+	// there the factor is populated.
 	full, err := dep.Server.Snapshot(eng.Now()).Lookup("hit0")
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +137,8 @@ func (noSamplesCollector) IOIdlePercent() (float64, error) {
 }
 
 // TestIOIdlePropagatesCollectorFault: a collector failing for any reason
-// other than "no samples yet" must surface its error instead of being
-// silently papered over by the MDS fallback.
+// other than "no samples yet" must surface its error, not be reported as
+// a host that is merely unmonitored.
 func TestIOIdlePropagatesCollectorFault(t *testing.T) {
 	eng, _, dep := paperSetup(t)
 	if err := eng.RunUntil(30 * time.Second); err != nil {
@@ -149,25 +155,22 @@ func TestIOIdlePropagatesCollectorFault(t *testing.T) {
 	}
 }
 
-// TestIOIdleNoSamplesStillFallsBack: wrapped ErrNoSamples keeps the MDS
-// fallback — only genuine faults propagate.
-func TestIOIdleNoSamplesStillFallsBack(t *testing.T) {
+// TestIOIdleNoSamplesIsErrNoData: a collector that has not sampled yet
+// (wrapped ErrNoSamples) leaves the host unmonitored — sysstat is the only
+// source of I/O state, so there is nothing to fall back to.
+func TestIOIdleNoSamplesIsErrNoData(t *testing.T) {
 	eng, _, dep := paperSetup(t)
 	if err := eng.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	dep.Server.sys["hit0"] = noSamplesCollector{}
-	r, err := dep.Server.BuildHostPerf("hit0", eng.Now())
-	if err != nil {
-		t.Fatalf("no-samples collector must fall back to MDS: %v", err)
-	}
-	if r.IOIdlePercent <= 0 {
-		t.Fatalf("IOIdlePercent = %v, want MDS-supplied value", r.IOIdlePercent)
+	if _, err := dep.Server.BuildHostPerf("hit0", eng.Now()); !errors.Is(err, ErrNoData) {
+		t.Fatalf("no-samples collector err = %v, want ErrNoData", err)
 	}
 }
 
 // TestFilterCacheIsPerHost: repeated reports reuse the precompiled MDS
-// filters instead of re-parsing them.
+// filter instead of re-parsing it.
 func TestFilterCacheIsPerHost(t *testing.T) {
 	eng, _, dep := paperSetup(t)
 	if err := eng.RunUntil(30 * time.Second); err != nil {
@@ -187,12 +190,12 @@ func TestFilterCacheIsPerHost(t *testing.T) {
 	if n := len(dep.Server.filters); n != 2 {
 		t.Fatalf("filter cache has %d entries, want 2", n)
 	}
-	hf := dep.Server.filters["hit0"]
-	if hf.cpu == nil || hf.disk == nil {
-		t.Fatal("cached filters must be precompiled")
+	f := dep.Server.filters["hit0"]
+	if f == nil {
+		t.Fatal("cached filter must be precompiled")
 	}
-	// The cached filters match exactly their host's entries.
-	es, err := dep.TopGIIS.Search(hf.cpu)
+	// The cached filter matches exactly its host's entry.
+	es, err := dep.TopGIIS.Search(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@ package mds
 
 import "testing"
 
-// fuzzAttrs are the entries every fuzzed filter is matched against: the
-// two kinds the standard providers emit, one with odd values, and none.
+// fuzzAttrs are the entries every fuzzed filter is matched against: a CPU
+// entry with a parenthesised value, a disk-shaped entry of another
+// device, one with odd values, and none.
 var fuzzAttrs = []Attributes{
-	{AttrHostName: "alpha1", AttrSite: "THU", AttrDevice: "cpu", AttrCPUFreeX100: "7500", AttrCPUModel: "AMD(tm) Athlon(MP)"},
-	{AttrHostName: "hit0", AttrSite: "HIT", AttrDevice: "disk", AttrIOFreeX100: "500"},
+	{AttrHostName: "alpha1", AttrSite: "THU", AttrDevice: "cpu", AttrCPUFreeX100: "7500", "Mds-Cpu-model": "AMD(tm) Athlon(MP)"},
+	{"Mds-Host-hn": "hit0", "Mds-Vo-name": "HIT", "Mds-Device-name": "disk", "Mds-Io-Free-percentX100": "500"},
 	{"a": "*", "b": "", "c": "-1e3", "": "x"},
 	nil,
 }

@@ -264,78 +264,35 @@ func (g *GIIS) Search(f Filter) ([]Entry, error) {
 	return out, nil
 }
 
-// Host is the minimal host surface the standard providers read. Both
+// Host is the minimal host surface the CPU provider reads. Both
 // *cluster.Host and test fakes satisfy it.
 type Host interface {
 	Name() string
 	CPUIdle() float64
-	IOIdle() float64
 }
 
-// Attribute names used by the standard providers; the X100 suffix follows
-// the real MDS convention of scaling percentages by 100 into integers.
+// Attribute names of the CPU entry; the X100 suffix follows the real MDS
+// convention of scaling percentages by 100 into integers.
 const (
-	AttrHostName     = "Mds-Host-hn"
-	AttrSite         = "Mds-Vo-name"
-	AttrDevice       = "Mds-Device-name"
-	AttrCPUFreeX100  = "Mds-Cpu-Free-1minX100"
-	AttrCPUModel     = "Mds-Cpu-model"
-	AttrCPUCount     = "Mds-Cpu-Total-count"
-	AttrCPUMHz       = "Mds-Cpu-speedMHz"
-	AttrMemTotalMB   = "Mds-Memory-Ram-Total-sizeMB"
-	AttrDiskTotalGB  = "Mds-Fs-Total-sizeGB"
-	AttrIOFreeX100   = "Mds-Io-Free-percentX100"
-	AttrDiskReadBps  = "Mds-Fs-readBps"
-	AttrDiskWriteBps = "Mds-Fs-writeBps"
+	AttrHostName    = "Mds-Host-hn"
+	AttrSite        = "Mds-Vo-name"
+	AttrDevice      = "Mds-Device-name"
+	AttrCPUFreeX100 = "Mds-Cpu-Free-1minX100"
 )
 
-// HostStatic describes the unchanging attributes of a host entry.
-type HostStatic struct {
-	Site       string
-	CPUModel   string
-	CPUCount   int
-	CPUMHz     float64
-	MemMB      int
-	DiskGB     float64
-	DiskReadB  float64
-	DiskWriteB float64
-}
-
 // NewCPUProvider returns the provider emitting the CPU device entry for a
-// host — the "measurement of CPU status … through the Globus Toolkit/MDS"
-// of paper §3.2.
-func NewCPUProvider(h Host, st HostStatic) Provider {
+// host at site — the "measurement of CPU status … through the Globus
+// Toolkit/MDS" of paper §3.2. The entry carries what filters and
+// selection read: host, site, device and the idle percentage.
+func NewCPUProvider(h Host, site string) Provider {
 	return ProviderFunc{
 		Rdn: AttrDevice + "=cpu," + AttrHostName + "=" + h.Name(),
 		Fn: func() (Attributes, error) {
 			return Attributes{
 				AttrHostName:    h.Name(),
-				AttrSite:        st.Site,
+				AttrSite:        site,
 				AttrDevice:      "cpu",
-				AttrCPUModel:    st.CPUModel,
-				AttrCPUCount:    strconv.Itoa(st.CPUCount),
-				AttrCPUMHz:      strconv.FormatFloat(st.CPUMHz, 'f', 0, 64),
 				AttrCPUFreeX100: strconv.Itoa(int(h.CPUIdle() * 100 * 100)),
-			}, nil
-		},
-	}
-}
-
-// NewStorageProvider returns the provider emitting the filesystem/disk
-// entry for a host.
-func NewStorageProvider(h Host, st HostStatic) Provider {
-	return ProviderFunc{
-		Rdn: AttrDevice + "=disk," + AttrHostName + "=" + h.Name(),
-		Fn: func() (Attributes, error) {
-			return Attributes{
-				AttrHostName:     h.Name(),
-				AttrSite:         st.Site,
-				AttrDevice:       "disk",
-				AttrMemTotalMB:   strconv.Itoa(st.MemMB),
-				AttrDiskTotalGB:  strconv.FormatFloat(st.DiskGB, 'f', 0, 64),
-				AttrDiskReadBps:  strconv.FormatFloat(st.DiskReadB, 'f', 0, 64),
-				AttrDiskWriteBps: strconv.FormatFloat(st.DiskWriteB, 'f', 0, 64),
-				AttrIOFreeX100:   strconv.Itoa(int(h.IOIdle() * 100 * 100)),
 			}, nil
 		},
 	}

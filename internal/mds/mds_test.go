@@ -12,12 +12,10 @@ import (
 type fakeTarget struct {
 	name    string
 	cpuIdle float64
-	ioIdle  float64
 }
 
 func (f *fakeTarget) Name() string     { return f.name }
 func (f *fakeTarget) CPUIdle() float64 { return f.cpuIdle }
-func (f *fakeTarget) IOIdle() float64  { return f.ioIdle }
 
 func newGRIS(t *testing.T, eng *simulation.Engine, ttl time.Duration) *GRIS {
 	t.Helper()
@@ -31,12 +29,14 @@ func newGRIS(t *testing.T, eng *simulation.Engine, ttl time.Duration) *GRIS {
 func TestGRISProvidersAndSearch(t *testing.T) {
 	eng := simulation.NewEngine()
 	g := newGRIS(t, eng, time.Minute)
-	h := &fakeTarget{name: "alpha1", cpuIdle: 0.75, ioIdle: 0.9}
-	st := HostStatic{Site: "THU", CPUModel: "AthlonMP", CPUCount: 2, CPUMHz: 2000, MemMB: 1024, DiskGB: 60, DiskReadB: 4e8, DiskWriteB: 3e8}
-	if err := g.AddProvider(NewCPUProvider(h, st)); err != nil {
+	h := &fakeTarget{name: "alpha1", cpuIdle: 0.75}
+	if err := g.AddProvider(NewCPUProvider(h, "THU")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddProvider(NewStorageProvider(h, st)); err != nil {
+	// A second device's entry, so filters have something to tell apart.
+	if err := g.AddProvider(ProviderFunc{Rdn: "Mds-Device-name=disk", Fn: func() (Attributes, error) {
+		return Attributes{"Mds-Host-hn": "alpha1", "Mds-Device-name": "disk", "Mds-Io-Free-percentX100": "9000"}, nil
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	all, err := g.Search(nil)
@@ -64,7 +64,7 @@ func TestGRISCacheTTL(t *testing.T) {
 	eng := simulation.NewEngine()
 	g := newGRIS(t, eng, 10*time.Second)
 	h := &fakeTarget{name: "alpha1", cpuIdle: 1.0}
-	if err := g.AddProvider(NewCPUProvider(h, HostStatic{Site: "THU", CPUCount: 1, CPUModel: "x", CPUMHz: 1})); err != nil {
+	if err := g.AddProvider(NewCPUProvider(h, "THU")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Search(nil); err != nil {
@@ -174,13 +174,13 @@ func buildHierarchy(t *testing.T, eng *simulation.Engine) (*GIIS, map[string]*fa
 			t.Fatal(err)
 		}
 		for _, n := range names {
-			h := &fakeTarget{name: n, cpuIdle: 0.5, ioIdle: 0.5}
+			h := &fakeTarget{name: n, cpuIdle: 0.5}
 			hosts[n] = h
 			gris, err := NewGRIS(eng, "Mds-Host-hn="+n+",Mds-Vo-name="+site+",o=grid", time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := gris.AddProvider(NewCPUProvider(h, HostStatic{Site: site, CPUModel: "m", CPUCount: 1, CPUMHz: 1000})); err != nil {
+			if err := gris.AddProvider(NewCPUProvider(h, site)); err != nil {
 				t.Fatal(err)
 			}
 			if err := siteGIIS.Register(gris); err != nil {
@@ -311,21 +311,12 @@ func TestGIISValidation(t *testing.T) {
 }
 
 func TestProviderPercentScaling(t *testing.T) {
-	h := &fakeTarget{name: "h", cpuIdle: 0.333, ioIdle: 0.666}
-	cpu := NewCPUProvider(h, HostStatic{Site: "s", CPUModel: "m", CPUCount: 1, CPUMHz: 1})
-	attrs, err := cpu.Collect()
+	h := &fakeTarget{name: "h", cpuIdle: 0.333}
+	attrs, err := NewCPUProvider(h, "s").Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if attrs[AttrCPUFreeX100] != "3330" {
 		t.Fatalf("cpu free x100 = %q, want 3330", attrs[AttrCPUFreeX100])
-	}
-	disk := NewStorageProvider(h, HostStatic{Site: "s"})
-	attrs, err = disk.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attrs[AttrIOFreeX100] != "6660" {
-		t.Fatalf("io free x100 = %q, want 6660", attrs[AttrIOFreeX100])
 	}
 }

@@ -104,11 +104,20 @@ func (m *Memory) Revision() uint64 { return m.rev }
 // ErrUnknownSeries is returned for series with no measurements.
 var ErrUnknownSeries = errors.New("nws: unknown series")
 
+// unknownSeries is ErrUnknownSeries for one key. Its message is built only
+// when read, so a miss that the caller discards — the information
+// server's best-effort latency read — costs no formatting.
+type unknownSeries struct{ key SeriesKey }
+
+func (e *unknownSeries) Error() string { return ErrUnknownSeries.Error() + ": " + e.key.String() }
+
+func (e *unknownSeries) Unwrap() error { return ErrUnknownSeries }
+
 // History returns a copy of a series, oldest first.
 func (m *Memory) History(key SeriesKey) ([]Measurement, error) {
 	s, ok := m.series[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
+		return nil, &unknownSeries{key}
 	}
 	return s.ms.Slice(), nil
 }
@@ -117,7 +126,7 @@ func (m *Memory) History(key SeriesKey) ([]Measurement, error) {
 func (m *Memory) Latest(key SeriesKey) (Measurement, error) {
 	s, ok := m.series[key]
 	if !ok || s.ms.Len() == 0 {
-		return Measurement{}, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
+		return Measurement{}, &unknownSeries{key}
 	}
 	return *s.ms.At(s.ms.Len() - 1), nil
 }
@@ -126,7 +135,7 @@ func (m *Memory) Latest(key SeriesKey) (Measurement, error) {
 func (m *Memory) Forecast(key SeriesKey) (Forecast, error) {
 	s, ok := m.series[key]
 	if !ok {
-		return Forecast{}, fmt.Errorf("%w: %s", ErrUnknownSeries, key)
+		return Forecast{}, &unknownSeries{key}
 	}
 	return s.bank.Forecast()
 }

@@ -47,17 +47,28 @@ func TestMemoryStoreAndQuery(t *testing.T) {
 	}
 }
 
+// TestMemoryUnknownSeries: a miss names the key, unwraps to
+// ErrUnknownSeries, and costs at most one allocation — its message is
+// only formatted when read.
 func TestMemoryUnknownSeries(t *testing.T) {
 	m := NewMemory()
-	k := SeriesKey{Resource: "x", Source: "y"}
-	if _, err := m.History(k); !errors.Is(err, ErrUnknownSeries) {
-		t.Fatalf("History err = %v", err)
+	k := SeriesKey{Resource: ResourceLatency, Source: "hit0", Target: "alpha1"}
+	const want = "nws: unknown series: latency.tcp:hit0->alpha1"
+	misses := map[string]func() error{
+		"History":  func() error { _, err := m.History(k); return err },
+		"Latest":   func() error { _, err := m.Latest(k); return err },
+		"Forecast": func() error { _, err := m.Forecast(k); return err },
 	}
-	if _, err := m.Latest(k); !errors.Is(err, ErrUnknownSeries) {
-		t.Fatalf("Latest err = %v", err)
+	for name, miss := range misses {
+		if err := miss(); !errors.Is(err, ErrUnknownSeries) || err.Error() != want {
+			t.Fatalf("%s err = %v, want %q wrapping ErrUnknownSeries", name, err, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = miss() }); n > 1 {
+			t.Fatalf("%s miss allocates %v times, want <= 1", name, n)
+		}
 	}
-	if _, err := m.Forecast(k); !errors.Is(err, ErrUnknownSeries) {
-		t.Fatalf("Forecast err = %v", err)
+	if _, err := m.Latest(SeriesKey{Resource: "x", Source: "y"}); err.Error() != "nws: unknown series: x@y" {
+		t.Fatalf("host-local miss err = %v", err)
 	}
 }
 
