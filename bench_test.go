@@ -221,7 +221,7 @@ func BenchmarkGridFTPLoopback(b *testing.B) {
 func BenchmarkNetsimFlowEvents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := simulation.NewEngine()
-		net := netsim.New(eng, 1)
+		net := netsim.New(eng)
 		if err := net.AddNode("a"); err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkNetsimStressLargeGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := simulation.NewEngine()
-		net := netsim.New(eng, 7)
+		net := netsim.New(eng)
 		var sites []string
 		for r := 0; r < routers; r++ {
 			router := fmt.Sprintf("r%d", r)

@@ -51,7 +51,7 @@ type outcome struct {
 
 func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, span time.Duration) (*outcome, error) {
 	engine := simulation.NewEngine()
-	testbed, err := cluster.NewPaperTestbed(engine, seed)
+	testbed, err := cluster.NewPaperTestbed(engine)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func main() {
 func run(out io.Writer) error {
 	const seed = 21
 	engine := simulation.NewEngine()
-	testbed, err := cluster.NewPaperTestbed(engine, seed)
+	testbed, err := cluster.NewPaperTestbed(engine)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func run(out io.Writer) error {
 	// 1. The testbed: three PC clusters joined by a WAN, with synthetic
 	//    host load and background traffic.
 	engine := simulation.NewEngine()
-	testbed, err := cluster.NewPaperTestbed(engine, seed)
+	testbed, err := cluster.NewPaperTestbed(engine)
 	if err != nil {
 		return err
 	}

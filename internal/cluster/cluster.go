@@ -16,21 +16,8 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// CPUSpec describes a host's processor.
-type CPUSpec struct {
-	// Model is a human-readable CPU name (for MDS host records).
-	Model string
-	// Cores is the number of processors (the paper's THU nodes are dual
-	// AthlonMP).
-	Cores int
-	// MHz is the per-core clock rate.
-	MHz float64
-}
-
 // DiskSpec describes a host's storage.
 type DiskSpec struct {
-	// CapacityGB is the disk size.
-	CapacityGB float64
 	// ReadBps and WriteBps are the sequential transfer rates in bits/s.
 	ReadBps  float64
 	WriteBps float64
@@ -38,10 +25,8 @@ type DiskSpec struct {
 
 // HostConfig declares one grid host.
 type HostConfig struct {
-	Name  string
-	CPU   CPUSpec
-	MemMB int
-	Disk  DiskSpec
+	Name string
+	Disk DiskSpec
 }
 
 // SiteConfig declares one cluster site.
@@ -179,13 +164,13 @@ type Testbed struct {
 func SwitchNode(site string) string { return "switch." + site }
 
 // New builds a testbed (and its network topology) from cfg.
-func New(engine *simulation.Engine, seed int64, cfg Config) (*Testbed, error) {
+func New(engine *simulation.Engine, cfg Config) (*Testbed, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, errors.New("cluster: testbed needs at least one site")
 	}
 	t := &Testbed{
 		engine: engine,
-		net:    netsim.New(engine, seed),
+		net:    netsim.New(engine),
 		sites:  make(map[string][]*Host),
 		hosts:  make(map[string]*Host),
 	}
@@ -213,9 +198,6 @@ func New(engine *simulation.Engine, seed int64, cfg Config) (*Testbed, error) {
 			}
 			if hc.Disk.ReadBps <= 0 || hc.Disk.WriteBps <= 0 {
 				return nil, fmt.Errorf("cluster: host %q needs positive disk rates", hc.Name)
-			}
-			if hc.CPU.Cores <= 0 {
-				return nil, fmt.Errorf("cluster: host %q needs at least one core", hc.Name)
 			}
 			if err := t.net.AddNode(hc.Name); err != nil {
 				return nil, err

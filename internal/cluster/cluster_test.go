@@ -15,11 +15,11 @@ func twoSiteConfig() Config {
 	return Config{
 		Sites: []SiteConfig{
 			{Name: "s1", LAN: lan, Hosts: []HostConfig{
-				{Name: "h1", CPU: CPUSpec{Cores: 2, MHz: 2000}, MemMB: 1024, Disk: DiskSpec{CapacityGB: 60, ReadBps: 400 * mbps, WriteBps: 300 * mbps}},
-				{Name: "h2", CPU: CPUSpec{Cores: 1, MHz: 900}, MemMB: 256, Disk: DiskSpec{CapacityGB: 10, ReadBps: 100 * mbps, WriteBps: 80 * mbps}},
+				{Name: "h1", Disk: DiskSpec{ReadBps: 400 * mbps, WriteBps: 300 * mbps}},
+				{Name: "h2", Disk: DiskSpec{ReadBps: 100 * mbps, WriteBps: 80 * mbps}},
 			}},
 			{Name: "s2", LAN: lan, Hosts: []HostConfig{
-				{Name: "h3", CPU: CPUSpec{Cores: 1, MHz: 2800}, MemMB: 512, Disk: DiskSpec{CapacityGB: 80, ReadBps: 400 * mbps, WriteBps: 300 * mbps}},
+				{Name: "h3", Disk: DiskSpec{ReadBps: 400 * mbps, WriteBps: 300 * mbps}},
 			}},
 		},
 		WAN: []WANLink{{From: "s1", To: "s2", Link: netsim.LinkConfig{CapacityBps: 100 * mbps, Delay: 2 * time.Millisecond}}},
@@ -29,7 +29,7 @@ func twoSiteConfig() Config {
 func newTestbed(t *testing.T) (*simulation.Engine, *Testbed) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	tb, err := New(eng, 1, twoSiteConfig())
+	tb, err := New(eng, twoSiteConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,29 +65,27 @@ func TestTopologyBuilt(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	eng := simulation.NewEngine()
 	lan := netsim.LinkConfig{CapacityBps: gbps}
-	disk := DiskSpec{CapacityGB: 1, ReadBps: 1, WriteBps: 1}
-	cpu := CPUSpec{Cores: 1, MHz: 1000}
+	disk := DiskSpec{ReadBps: 1, WriteBps: 1}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"no sites", Config{}},
-		{"empty site name", Config{Sites: []SiteConfig{{LAN: lan, Hosts: []HostConfig{{Name: "h", CPU: cpu, Disk: disk}}}}}},
+		{"empty site name", Config{Sites: []SiteConfig{{LAN: lan, Hosts: []HostConfig{{Name: "h", Disk: disk}}}}}},
 		{"no hosts", Config{Sites: []SiteConfig{{Name: "s", LAN: lan}}}},
-		{"empty host name", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{CPU: cpu, Disk: disk}}}}}},
-		{"zero disk", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h", CPU: cpu}}}}}},
-		{"zero cores", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h", Disk: disk}}}}}},
+		{"empty host name", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Disk: disk}}}}}},
+		{"zero disk", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h"}}}}}},
 		{"dup site", Config{Sites: []SiteConfig{
-			{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h1", CPU: cpu, Disk: disk}}},
-			{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h2", CPU: cpu, Disk: disk}}}}}},
+			{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h1", Disk: disk}}},
+			{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h2", Disk: disk}}}}}},
 		{"dup host", Config{Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{
-			{Name: "h", CPU: cpu, Disk: disk}, {Name: "h", CPU: cpu, Disk: disk}}}}}},
+			{Name: "h", Disk: disk}, {Name: "h", Disk: disk}}}}}},
 		{"bad wan site", Config{
-			Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h", CPU: cpu, Disk: disk}}}},
+			Sites: []SiteConfig{{Name: "s", LAN: lan, Hosts: []HostConfig{{Name: "h", Disk: disk}}}},
 			WAN:   []WANLink{{From: "s", To: "zzz", Link: netsim.LinkConfig{CapacityBps: 1}}}}},
 	}
 	for _, c := range cases {
-		if _, err := New(eng, 1, c.cfg); err == nil {
+		if _, err := New(eng, c.cfg); err == nil {
 			t.Fatalf("config %q should be rejected", c.name)
 		}
 	}
@@ -126,7 +124,7 @@ func TestHostLoadAccessors(t *testing.T) {
 	if err := h.SetBaseIOLoad(-0.1); err == nil {
 		t.Fatal("negative load should be rejected")
 	}
-	if h.Name() != "h1" || h.Site() != "s1" || h.cfg.MemMB != 1024 {
+	if h.Name() != "h1" || h.Site() != "s1" {
 		t.Fatal("host metadata accessors wrong")
 	}
 	if _, err := tb.Host("nope"); err == nil {
@@ -233,7 +231,7 @@ func TestLoadConfigValidation(t *testing.T) {
 
 func TestPaperTestbed(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := NewPaperTestbed(eng, 1)
+	tb, err := NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,20 +260,22 @@ func TestPaperTestbed(t *testing.T) {
 	if err != nil || bn != 100*mbps {
 		t.Fatalf("THU->HIT bottleneck = %v, %v; want 100 Mb/s", bn, err)
 	}
-	// Paper hardware: THU nodes are dual-core, Li-Zen single 900 MHz.
-	a1, _ := tb.Host("alpha1")
-	if a1.cfg.CPU.Cores != 2 || a1.cfg.CPU.MHz != 2000 {
-		t.Fatalf("alpha1 CPU = %+v", a1.cfg.CPU)
-	}
-	lz, _ := tb.Host("lz02")
-	if lz.cfg.CPU.MHz != 900 || lz.cfg.MemMB != 256 {
-		t.Fatalf("lz02 spec = %+v", lz.cfg)
+	// Paper hardware: each site's disks, the one host spec the model reads.
+	for host, want := range map[string]DiskSpec{
+		"alpha1": {ReadBps: 400 * mbps, WriteBps: 320 * mbps},
+		"lz02":   {ReadBps: 160 * mbps, WriteBps: 120 * mbps},
+		"hit0":   {ReadBps: 440 * mbps, WriteBps: 360 * mbps},
+	} {
+		h, _ := tb.Host(host)
+		if h.cfg.Disk != want {
+			t.Fatalf("%s disk = %+v, want %+v", host, h.cfg.Disk, want)
+		}
 	}
 }
 
 func TestPaperDynamics(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := NewPaperTestbed(eng, 1)
+	tb, err := NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPaperDynamics(t *testing.T) {
 func TestDeterministicDynamics(t *testing.T) {
 	run := func() float64 {
 		eng := simulation.NewEngine()
-		tb, err := NewPaperTestbed(eng, 5)
+		tb, err := NewPaperTestbed(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestDeterministicDynamics(t *testing.T) {
 func TestPropertyJobLoadBounds(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		eng := simulation.NewEngine()
-		tb, err := New(eng, 1, twoSiteConfig())
+		tb, err := New(eng, twoSiteConfig())
 		if err != nil {
 			return false
 		}
@@ -374,7 +374,7 @@ func TestPropertyJobLoadBounds(t *testing.T) {
 
 func TestSetHostDown(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := NewPaperTestbed(eng, 1)
+	tb, err := NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

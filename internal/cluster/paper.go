@@ -25,6 +25,10 @@ const (
 //   - Li-Zen: four Celeron 900 MHz, 256 MB RAM, 10 GB HD, 30 Mb/s network
 //   - HIT: four P4 2.8 GHz, 512 MB RAM, 80 GB HD, 1 Gb/s LAN
 //
+// Only the disk rates and the links enter the model: CPU state is the
+// hosts' load processes, and nothing reads a clock rate, core count,
+// memory size or disk capacity, so the config does not carry them.
+//
 // The paper gives per-site link rates but not WAN characteristics; the WAN
 // numbers below are chosen to be plausible for the 2005 Taiwanese academic
 // network (TANet) and — more importantly — to exhibit the behaviours the
@@ -32,18 +36,14 @@ const (
 // are near-identical, and the THU<->Li-Zen path is a 30 Mb/s bottleneck
 // with enough loss that a single un-tuned TCP stream cannot fill it.
 func PaperConfig() Config {
-	thuDisk := DiskSpec{CapacityGB: 60, ReadBps: 400 * mbps, WriteBps: 320 * mbps}
-	lzDisk := DiskSpec{CapacityGB: 10, ReadBps: 160 * mbps, WriteBps: 120 * mbps}
-	hitDisk := DiskSpec{CapacityGB: 80, ReadBps: 440 * mbps, WriteBps: 360 * mbps}
+	thuDisk := DiskSpec{ReadBps: 400 * mbps, WriteBps: 320 * mbps}
+	lzDisk := DiskSpec{ReadBps: 160 * mbps, WriteBps: 120 * mbps}
+	hitDisk := DiskSpec{ReadBps: 440 * mbps, WriteBps: 360 * mbps}
 
-	thuCPU := CPUSpec{Model: "AMD AthlonMP 2.0GHz x2", Cores: 2, MHz: 2000}
-	lzCPU := CPUSpec{Model: "Intel Celeron 900MHz", Cores: 1, MHz: 900}
-	hitCPU := CPUSpec{Model: "Intel P4 2.8GHz", Cores: 1, MHz: 2800}
-
-	mkHosts := func(names []string, cpu CPUSpec, mem int, disk DiskSpec) []HostConfig {
+	mkHosts := func(names []string, disk DiskSpec) []HostConfig {
 		out := make([]HostConfig, len(names))
 		for i, n := range names {
-			out[i] = HostConfig{Name: n, CPU: cpu, MemMB: mem, Disk: disk}
+			out[i] = HostConfig{Name: n, Disk: disk}
 		}
 		return out
 	}
@@ -51,22 +51,19 @@ func PaperConfig() Config {
 	return Config{
 		Sites: []SiteConfig{
 			{
-				Name: SiteTHU,
-				LAN:  netsim.LinkConfig{CapacityBps: gbps, Delay: 50 * time.Microsecond},
-				Hosts: mkHosts([]string{"alpha1", "alpha2", "alpha3", "alpha4"},
-					thuCPU, 1024, thuDisk),
+				Name:  SiteTHU,
+				LAN:   netsim.LinkConfig{CapacityBps: gbps, Delay: 50 * time.Microsecond},
+				Hosts: mkHosts([]string{"alpha1", "alpha2", "alpha3", "alpha4"}, thuDisk),
 			},
 			{
-				Name: SiteLiZen,
-				LAN:  netsim.LinkConfig{CapacityBps: 30 * mbps, Delay: 100 * time.Microsecond},
-				Hosts: mkHosts([]string{"lz01", "lz02", "lz03", "lz04"},
-					lzCPU, 256, lzDisk),
+				Name:  SiteLiZen,
+				LAN:   netsim.LinkConfig{CapacityBps: 30 * mbps, Delay: 100 * time.Microsecond},
+				Hosts: mkHosts([]string{"lz01", "lz02", "lz03", "lz04"}, lzDisk),
 			},
 			{
-				Name: SiteHIT,
-				LAN:  netsim.LinkConfig{CapacityBps: gbps, Delay: 50 * time.Microsecond},
-				Hosts: mkHosts([]string{"hit0", "gridhit1", "gridhit2", "gridhit3"},
-					hitCPU, 512, hitDisk),
+				Name:  SiteHIT,
+				LAN:   netsim.LinkConfig{CapacityBps: gbps, Delay: 50 * time.Microsecond},
+				Hosts: mkHosts([]string{"hit0", "gridhit1", "gridhit2", "gridhit3"}, hitDisk),
 			},
 		},
 		WAN: []WANLink{
@@ -92,8 +89,8 @@ func PaperConfig() Config {
 
 // NewPaperTestbed builds the paper's three-cluster testbed on a fresh
 // engine-driven network.
-func NewPaperTestbed(engine *simulation.Engine, seed int64) (*Testbed, error) {
-	return New(engine, seed, PaperConfig())
+func NewPaperTestbed(engine *simulation.Engine) (*Testbed, error) {
+	return New(engine, PaperConfig())
 }
 
 // StartPaperDynamics attaches the synthetic load and background-traffic

@@ -191,7 +191,7 @@ type pipeline struct {
 func buildPipeline(t *testing.T) *pipeline {
 	t.Helper()
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type Env struct {
 // is true, the full NWS/MDS/sysstat deployment is installed with alpha1 as
 // the local host and the Table 1 candidates as remotes.
 func NewEnv(seed int64, monitor bool) (*Env, error) {
-	tb, err := cluster.NewPaperTestbed(simulation.NewEngine(), seed)
+	tb, err := cluster.NewPaperTestbed(simulation.NewEngine())
 	if err != nil {
 		return nil, err
 	}

@@ -31,12 +31,11 @@ type LatencyResult struct {
 // loaded 50 Mb/s pipe 4 ms away.
 func latencyEnv(seed int64) (*Env, error) {
 	lan := netsim.LinkConfig{CapacityBps: 1e9, Delay: 50 * time.Microsecond}
-	disk := cluster.DiskSpec{CapacityGB: 80, ReadBps: 4e8, WriteBps: 3.2e8}
-	cpu := cluster.CPUSpec{Model: "sim", Cores: 1, MHz: 2000}
+	disk := cluster.DiskSpec{ReadBps: 4e8, WriteBps: 3.2e8}
 	host := func(n string) []cluster.HostConfig {
-		return []cluster.HostConfig{{Name: n, CPU: cpu, MemMB: 512, Disk: disk}}
+		return []cluster.HostConfig{{Name: n, Disk: disk}}
 	}
-	tb, err := cluster.New(simulation.NewEngine(), seed, cluster.Config{
+	tb, err := cluster.New(simulation.NewEngine(), cluster.Config{
 		Sites: []cluster.SiteConfig{
 			{Name: "Home", LAN: lan, Hosts: host("client")},
 			{Name: "Far", LAN: lan, Hosts: host("far")},

@@ -13,7 +13,7 @@ import (
 func newBed(t *testing.T) (*simulation.Engine, *cluster.Testbed) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

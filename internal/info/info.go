@@ -45,8 +45,8 @@ type Server struct {
 	nwsMem  *nws.Memory
 	dir     mds.Searcher
 	sys     map[string]ioIdleSource
-	// filters holds each host's precompiled MDS CPU filter, so the hot
-	// query path does not re-parse the same filter string on every report.
+	// filters holds each host's MDS CPU filter, so the hot query path
+	// does not rebuild it on every report.
 	filters map[string]mds.Filter
 	pub     *gridstate.Publisher
 	// maxAge, when positive, marks hosts whose last bandwidth measurement
@@ -200,33 +200,25 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 	return r, nil
 }
 
-// cpuFilter returns the host's precompiled MDS CPU filter, parsing and
-// caching it on first use.
-func (s *Server) cpuFilter(host string) (mds.Filter, error) {
-	if f, ok := s.filters[host]; ok {
-		return f, nil
+// cpuFilter returns the host's MDS CPU filter, built on first use.
+func (s *Server) cpuFilter(host string) mds.Filter {
+	f, ok := s.filters[host]
+	if !ok {
+		f = mds.Filter{{Attr: mds.AttrHostName, Value: host}, {Attr: mds.AttrDevice, Value: "cpu"}}
+		s.filters[host] = f
 	}
-	f, err := mds.ParseFilter("(&(" + mds.AttrHostName + "=" + host + ")(" + mds.AttrDevice + "=cpu))")
-	if err != nil {
-		return nil, err
-	}
-	s.filters[host] = f
-	return f, nil
+	return f
 }
 
 func (s *Server) cpuIdle(host string) (float64, error) {
-	f, err := s.cpuFilter(host)
-	if err != nil {
-		return 0, err
-	}
-	es, err := s.dir.Search(f)
+	es, err := s.dir.Search(s.cpuFilter(host))
 	if err != nil {
 		return 0, fmt.Errorf("%w: MDS query for %s: %v", ErrNoData, host, err)
 	}
 	if len(es) == 0 {
 		return 0, fmt.Errorf("%w: no MDS cpu entry for %s", ErrNoData, host)
 	}
-	raw, ok := es[0].Attrs[mds.AttrCPUFreeX100]
+	raw, ok := es[0].Attr(mds.AttrCPUFreeX100)
 	if !ok {
 		return 0, fmt.Errorf("%w: MDS entry for %s lacks %s", ErrNoData, host, mds.AttrCPUFreeX100)
 	}

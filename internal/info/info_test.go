@@ -2,8 +2,7 @@ package info
 
 import (
 	"errors"
-	"slices"
-	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 func paperSetup(t *testing.T) (*simulation.Engine, *cluster.Testbed, *Deployment) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func paperSetup(t *testing.T) (*simulation.Engine, *cluster.Testbed, *Deployment
 
 func TestDeployValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestBandwidthPercentReflectsContention(t *testing.T) {
 
 func TestServerValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := netsim.New(eng, 1)
+	net := netsim.New(eng)
 	mem := nws.NewMemory()
 	dir, err := mds.NewGIIS(eng, "o=grid", 0)
 	if err != nil {
@@ -198,7 +197,7 @@ func (idleTarget) IOLoad() float64 { return 0 }
 
 func TestDeployDefaultsToAllRemotes(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestDeployDefaultsToAllRemotes(t *testing.T) {
 // entry, carrying exactly what filters and selection read.
 func TestDeployGRISEntriesAreCPUOnly(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,34 +251,38 @@ func TestDeployGRISEntriesAreCPUOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(es) != 1 || es[0].Attrs[mds.AttrDevice] != "cpu" {
+		if len(es) != 1 {
 			t.Fatalf("%s publishes %v, want one cpu entry", g.Suffix(), es)
 		}
-		var keys []string
-		for k := range es[0].Attrs {
-			keys = append(keys, k)
+		if dev, _ := es[0].Attr(mds.AttrDevice); dev != "cpu" {
+			t.Fatalf("%s publishes device %q, want cpu", g.Suffix(), dev)
 		}
-		sort.Strings(keys)
-		if !slices.Equal(keys, want) {
-			t.Fatalf("%s cpu entry attributes = %v, want %v", g.Suffix(), keys, want)
+		for _, k := range want {
+			if _, ok := es[0].Attr(k); !ok {
+				t.Fatalf("%s cpu entry lacks %s", g.Suffix(), k)
+			}
+		}
+		if n := es[0].Len(); n != len(want) {
+			t.Fatalf("%s cpu entry has %d attributes, want exactly %v", g.Suffix(), n, want)
 		}
 	}
 }
 
-type fixedSearcher struct {
-	entries []mds.Entry
-}
-
-func (f fixedSearcher) Search(flt mds.Filter) ([]mds.Entry, error) {
-	var out []mds.Entry
-	for _, e := range f.entries {
-		if flt == nil || flt.Matches(e.Attrs) {
-			out = append(out, e)
+// fixedDirectory is a GRIS serving one provider per attribute set.
+func fixedDirectory(t *testing.T, eng *simulation.Engine, sets ...mds.Attributes) *mds.GRIS {
+	t.Helper()
+	g, err := mds.NewGRIS(eng, "o=fixed", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, attrs := range sets {
+		p := mds.ProviderFunc{Rdn: "entry=" + strconv.Itoa(i), Fn: func() (mds.Attributes, error) { return attrs, nil }}
+		if err := g.AddProvider(p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return out, nil
+	return g
 }
-func (f fixedSearcher) Suffix() string { return "fixed" }
 
 // fixedCollector is a sysstat collector reporting a constant I/O idle
 // percentage.
@@ -290,7 +293,7 @@ func (f fixedCollector) IOIdlePercent() (float64, error) { return float64(f), ni
 // TestReportBadDirectoryData covers the malformed-MDS-entry paths.
 func TestReportBadDirectoryData(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,37 +309,31 @@ func TestReportBadDirectoryData(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := map[string]*sysstat.Collector{"alpha1": col}
-	mkServer := func(entries []mds.Entry) *Server {
-		s, err := NewServer("alpha1", tb.Network(), mem, fixedSearcher{entries}, sys)
+	mkServer := func(sets ...mds.Attributes) *Server {
+		s, err := NewServer("alpha1", tb.Network(), mem, fixedDirectory(t, eng, sets...), sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	// No cpu entry at all.
-	s := mkServer(nil)
+	s := mkServer()
 	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("missing cpu entry err = %v", err)
 	}
 	// cpu entry without the idle attribute.
-	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
-		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu",
-	}}})
+	s = mkServer(mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu"})
 	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("missing attr err = %v", err)
 	}
 	// cpu entry with a non-numeric idle value.
-	s = mkServer([]mds.Entry{{DN: "x", Attrs: mds.Attributes{
-		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "soon",
-	}}})
+	s = mkServer(mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "soon"})
 	if _, err := s.BuildHostPerf("hit0", 0); err == nil {
 		t.Fatal("bad numeric attr should error")
 	}
 	// A valid cpu entry gets as far as the I/O factor, which only a
 	// sysstat collector supplies: this server has none for hit0.
-	s = mkServer([]mds.Entry{{DN: "c", Attrs: mds.Attributes{
-		mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000",
-	}}})
+	s = mkServer(mds.Attributes{mds.AttrHostName: "hit0", mds.AttrDevice: "cpu", mds.AttrCPUFreeX100: "5000"})
 	if _, err := s.BuildHostPerf("hit0", 0); !errors.Is(err, ErrNoData) {
 		t.Fatalf("host without an I/O collector err = %v, want ErrNoData", err)
 	}

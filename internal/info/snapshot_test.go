@@ -169,8 +169,8 @@ func TestIOIdleNoSamplesIsErrNoData(t *testing.T) {
 	}
 }
 
-// TestFilterCacheIsPerHost: repeated reports reuse the precompiled MDS
-// filter instead of re-parsing it.
+// TestFilterCacheIsPerHost: repeated reports reuse the host's MDS filter
+// instead of rebuilding it.
 func TestFilterCacheIsPerHost(t *testing.T) {
 	eng, _, dep := paperSetup(t)
 	if err := eng.RunUntil(30 * time.Second); err != nil {
@@ -192,15 +192,18 @@ func TestFilterCacheIsPerHost(t *testing.T) {
 	}
 	f := dep.Server.filters["hit0"]
 	if f == nil {
-		t.Fatal("cached filter must be precompiled")
+		t.Fatal("cached filter must be built")
 	}
 	// The cached filter matches exactly its host's entry.
 	es, err := dep.TopGIIS.Search(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(es) != 1 || es[0].Attrs[mds.AttrHostName] != "hit0" {
+	if len(es) != 1 {
 		t.Fatalf("cpu filter matched %v", es)
+	}
+	if h, _ := es[0].Attr(mds.AttrHostName); h != "hit0" {
+		t.Fatalf("cpu filter matched host %q", h)
 	}
 }
 

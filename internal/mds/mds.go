@@ -1,8 +1,15 @@
+// Package mds reimplements the slice of the Globus Monitoring and
+// Discovery Service the paper uses (§2.1, §3.2): per-host information
+// providers collected by a GRIS (Grid Resource Information Service),
+// aggregated hierarchically by GIIS (Grid Index Information Service)
+// nodes, queried with equality filters, and cached with TTLs on the
+// simulation clock. Served entries are read-only and shared by every tier.
 package mds
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"time"
@@ -10,24 +17,40 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// Attributes is one directory entry's attribute set.
+// Attributes is the attribute set a provider collects for one entry.
 type Attributes map[string]string
 
-// clone copies an attribute set so callers cannot mutate cached entries.
-func (a Attributes) clone() Attributes {
-	out := make(Attributes, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
-
-// Entry is one object in the directory information tree.
+// Entry is one object in the directory information tree; its attributes
+// are read through Attr.
 type Entry struct {
 	// DN is the distinguished name, e.g.
 	// "Mds-Device-name=cpu,Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid".
 	DN    string
-	Attrs Attributes
+	attrs Attributes
+}
+
+// Attr returns the value of the named attribute and whether it is set.
+func (e Entry) Attr(name string) (string, bool) {
+	v, ok := e.attrs[name]
+	return v, ok
+}
+
+// Len returns the number of attributes the entry carries.
+func (e Entry) Len() int { return len(e.attrs) }
+
+// Term is one equality test: the entry's Attr attribute is set to Value.
+type Term struct{ Attr, Value string }
+
+// Filter is a conjunction of equality terms; the empty filter matches all.
+type Filter []Term
+
+func (f Filter) matches(attrs Attributes) bool {
+	for _, t := range f {
+		if v, ok := attrs[t.Attr]; !ok || v != t.Value {
+			return false
+		}
+	}
+	return true
 }
 
 // Provider supplies one entry's worth of live information (the analogue of
@@ -60,40 +83,101 @@ type Searcher interface {
 	Suffix() string
 }
 
+// cache is the TTL cache a GRIS and a GIIS share; they differ only in
+// refresh, which collects the entries the cache serves.
+type cache struct {
+	engine  *simulation.Engine
+	suffix  string
+	ttl     time.Duration
+	refresh func() []Entry
+
+	entries   []Entry
+	cachedAt  time.Duration
+	haveCache bool
+	refreshes int
+	rev       uint64
+	paused    bool
+}
+
+func newCache(kind string, engine *simulation.Engine, suffix string, ttl time.Duration) (cache, error) {
+	if engine == nil {
+		return cache{}, fmt.Errorf("mds: %s needs an engine", kind)
+	}
+	if suffix == "" {
+		return cache{}, fmt.Errorf("mds: %s needs a suffix", kind)
+	}
+	if ttl < 0 {
+		return cache{}, fmt.Errorf("mds: negative TTL %v", ttl)
+	}
+	return cache{engine: engine, suffix: suffix, ttl: ttl}, nil
+}
+
+// Suffix returns the DN suffix of this server.
+func (c *cache) Suffix() string { return c.suffix }
+
+// Refreshes reports how many times the cache was refreshed: provider runs
+// on a GRIS, child fan-outs on a GIIS.
+func (c *cache) Refreshes() int { return c.refreshes }
+
+// SetPaused suspends (or resumes) refreshes: while paused, Search keeps
+// serving the stale cache past its TTL and the revision counter stops
+// moving — the fault plane's model of a GRIS whose provider scripts have
+// stopped, or of a GIIS cut off from its registrants.
+func (c *cache) SetPaused(paused bool) { c.paused = paused }
+
+// Paused reports whether refreshes are currently suspended.
+func (c *cache) Paused() bool { return c.paused }
+
+// Revision increases whenever the served entries may have changed: a
+// cache refresh or a provider or child registration. Snapshot consumers
+// (gridstate.Publisher) poll it to detect directory movement.
+func (c *cache) Revision() uint64 { return c.rev }
+
+// invalidate forces a refresh on the next search after a registration.
+func (c *cache) invalidate() {
+	c.haveCache = false
+	c.rev++
+}
+
+// Search returns the cached entries matching f, refreshing a stale cache
+// first unless refreshes are paused.
+func (c *cache) Search(f Filter) ([]Entry, error) {
+	now := c.engine.Now()
+	if (!c.haveCache || now-c.cachedAt > c.ttl) && !c.paused {
+		c.entries = c.refresh()
+		c.refreshes++
+		c.rev++
+		c.cachedAt = now
+		c.haveCache = true
+	}
+	var out []Entry
+	for _, e := range c.entries {
+		if f.matches(e.attrs) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 // GRIS is a Grid Resource Information Service: the per-host directory
 // server that runs information providers and caches their output.
 type GRIS struct {
-	engine    *simulation.Engine
-	suffix    string
-	ttl       time.Duration
+	cache
 	providers []Provider
-
-	cache     []Entry
-	cachedAt  time.Duration
-	haveCache bool
-	collects  int
-	rev       uint64
-	paused    bool
 }
 
 // NewGRIS creates a GRIS answering for suffix (e.g.
 // "Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid"). Provider output is cached
 // for ttl of virtual time, mirroring MDS's cachettl.
 func NewGRIS(engine *simulation.Engine, suffix string, ttl time.Duration) (*GRIS, error) {
-	if engine == nil {
-		return nil, errors.New("mds: GRIS needs an engine")
+	c, err := newCache("GRIS", engine, suffix, ttl)
+	if err != nil {
+		return nil, err
 	}
-	if suffix == "" {
-		return nil, errors.New("mds: GRIS needs a suffix")
-	}
-	if ttl < 0 {
-		return nil, fmt.Errorf("mds: negative TTL %v", ttl)
-	}
-	return &GRIS{engine: engine, suffix: suffix, ttl: ttl}, nil
+	g := &GRIS{cache: c}
+	g.refresh = g.collect
+	return g, nil
 }
-
-// Suffix returns the DN suffix of this server.
-func (g *GRIS) Suffix() string { return g.suffix }
 
 // AddProvider registers an information provider.
 func (g *GRIS) AddProvider(p Provider) error {
@@ -109,94 +193,45 @@ func (g *GRIS) AddProvider(p Provider) error {
 		}
 	}
 	g.providers = append(g.providers, p)
-	g.haveCache = false // force refresh with the new provider
-	g.rev++
+	g.invalidate()
 	return nil
 }
 
-// Collects reports how many times providers were invoked (for cache tests).
-func (g *GRIS) Collects() int { return g.collects }
-
-// SetPaused suspends (or resumes) provider refreshes: while paused, Search
-// keeps serving the stale cache past its TTL and the revision counter
-// stops moving — the fault plane's model of an MDS server whose
-// information-provider scripts have stopped running.
-func (g *GRIS) SetPaused(paused bool) { g.paused = paused }
-
-// Paused reports whether refreshes are currently suspended.
-func (g *GRIS) Paused() bool { return g.paused }
-
-// Revision increases whenever the served entries may have changed: a
-// provider cache refresh or a provider registration. Snapshot consumers
-// (gridstate.Publisher) poll it to detect directory movement.
-func (g *GRIS) Revision() uint64 { return g.rev }
-
-// Search runs the filter over this host's entries, refreshing the provider
-// cache if it is stale.
-func (g *GRIS) Search(f Filter) ([]Entry, error) {
-	if f == nil {
-		f = MatchAll
-	}
-	now := g.engine.Now()
-	if (!g.haveCache || now-g.cachedAt > g.ttl) && !g.paused {
-		entries := make([]Entry, 0, len(g.providers))
-		for _, p := range g.providers {
-			attrs, err := p.Collect()
-			if err != nil {
-				// Provider failure drops its entry, as a crashed
-				// information-provider script would in MDS.
-				continue
-			}
-			entries = append(entries, Entry{DN: p.RDN() + "," + g.suffix, Attrs: attrs.clone()})
+// collect runs every provider and copies its output: the one copy an
+// attribute set gets, so a provider that later mutates the map it
+// returned cannot change what the hierarchy serves.
+func (g *GRIS) collect() []Entry {
+	entries := make([]Entry, 0, len(g.providers))
+	for _, p := range g.providers {
+		attrs, err := p.Collect()
+		if err != nil {
+			// Provider failure drops its entry, as a crashed
+			// information-provider script would in MDS.
+			continue
 		}
-		g.collects++
-		g.rev++
-		g.cache = entries
-		g.cachedAt = now
-		g.haveCache = true
+		entries = append(entries, Entry{DN: p.RDN() + "," + g.suffix, attrs: maps.Clone(attrs)})
 	}
-	var out []Entry
-	for _, e := range g.cache {
-		if f.Matches(e.Attrs) {
-			out = append(out, Entry{DN: e.DN, Attrs: e.Attrs.clone()})
-		}
-	}
-	return out, nil
+	return entries
 }
 
 // GIIS is a Grid Index Information Service: it aggregates registered
 // children (GRIS servers or lower-level GIIS) and answers searches over
 // the union of their entries, with its own TTL cache.
 type GIIS struct {
-	engine   *simulation.Engine
-	suffix   string
-	ttl      time.Duration
+	cache
 	children []Searcher
-
-	cache     []Entry
-	cachedAt  time.Duration
-	haveCache bool
-	queries   int
-	rev       uint64
-	paused    bool
 }
 
 // NewGIIS creates an index server for the given suffix with cache ttl.
 func NewGIIS(engine *simulation.Engine, suffix string, ttl time.Duration) (*GIIS, error) {
-	if engine == nil {
-		return nil, errors.New("mds: GIIS needs an engine")
+	c, err := newCache("GIIS", engine, suffix, ttl)
+	if err != nil {
+		return nil, err
 	}
-	if suffix == "" {
-		return nil, errors.New("mds: GIIS needs a suffix")
-	}
-	if ttl < 0 {
-		return nil, fmt.Errorf("mds: negative TTL %v", ttl)
-	}
-	return &GIIS{engine: engine, suffix: suffix, ttl: ttl}, nil
+	g := &GIIS{cache: c}
+	g.refresh = g.fanOut
+	return g, nil
 }
-
-// Suffix returns the DN suffix of this server.
-func (g *GIIS) Suffix() string { return g.suffix }
 
 // Register adds a child server (GRIS or GIIS) permanently, as a static
 // MDS configuration would. Registering a child whose suffix is already
@@ -211,57 +246,23 @@ func (g *GIIS) Register(s Searcher) error {
 	} else {
 		g.children = append(g.children, s)
 	}
-	g.haveCache = false
-	g.rev++
+	g.invalidate()
 	return nil
 }
 
-// Queries reports how many child fan-outs happened (for cache tests).
-func (g *GIIS) Queries() int { return g.queries }
-
-// SetPaused suspends (or resumes) child refreshes: while paused, Search
-// keeps serving the stale cache past its TTL and the revision counter
-// stops moving — a GIIS cut off from its registrants.
-func (g *GIIS) SetPaused(paused bool) { g.paused = paused }
-
-// Paused reports whether refreshes are currently suspended.
-func (g *GIIS) Paused() bool { return g.paused }
-
-// Revision increases whenever the served entries may have changed: a
-// cache refresh against the children or a (re-)registration. Snapshot
-// consumers (gridstate.Publisher) poll it to detect directory movement.
-func (g *GIIS) Revision() uint64 { return g.rev }
-
-// Search fans the query out to all children (subject to the TTL cache) and
-// filters the union. A failing child is skipped — one down site must not
-// take out the whole index, which is the point of the hierarchy.
-func (g *GIIS) Search(f Filter) ([]Entry, error) {
-	if f == nil {
-		f = MatchAll
-	}
-	now := g.engine.Now()
-	if (!g.haveCache || now-g.cachedAt > g.ttl) && !g.paused {
-		var all []Entry
-		for _, c := range g.children {
-			es, err := c.Search(MatchAll)
-			if err != nil {
-				continue
-			}
-			all = append(all, es...)
+// fanOut collects every child's entries. A failing child is skipped — one
+// down site must not take out the whole index, which is the point of the
+// hierarchy.
+func (g *GIIS) fanOut() []Entry {
+	var all []Entry
+	for _, c := range g.children {
+		es, err := c.Search(nil)
+		if err != nil {
+			continue
 		}
-		g.queries++
-		g.rev++
-		g.cache = all
-		g.cachedAt = now
-		g.haveCache = true
+		all = append(all, es...)
 	}
-	var out []Entry
-	for _, e := range g.cache {
-		if f.Matches(e.Attrs) {
-			out = append(out, Entry{DN: e.DN, Attrs: e.Attrs.clone()})
-		}
-	}
-	return out, nil
+	return all
 }
 
 // Host is the minimal host surface the CPU provider reads. Both

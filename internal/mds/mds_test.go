@@ -17,6 +17,42 @@ type fakeTarget struct {
 func (f *fakeTarget) Name() string     { return f.name }
 func (f *fakeTarget) CPUIdle() float64 { return f.cpuIdle }
 
+// attr reads one attribute of e, "" when it is not set.
+func attr(e Entry, name string) string {
+	v, _ := e.Attr(name)
+	return v
+}
+
+func TestFilterEquality(t *testing.T) {
+	cpu := Attributes{AttrHostName: "alpha1", AttrDevice: "cpu"}
+	for _, c := range []struct {
+		f     Filter
+		attrs Attributes
+		want  bool
+	}{
+		{Filter{{AttrHostName, "alpha1"}}, cpu, true},
+		{Filter{{AttrHostName, "alpha2"}}, cpu, false},
+		{Filter{{AttrSite, "alpha1"}}, cpu, false}, // attribute not set
+		{Filter{{AttrSite, ""}}, cpu, false},       // unset is not empty
+		{Filter{{AttrHostName, "alpha1"}, {AttrDevice, "cpu"}}, cpu, true},
+		{Filter{{AttrHostName, "alpha1"}, {AttrDevice, "disk"}}, cpu, false},
+	} {
+		if got := c.f.matches(c.attrs); got != c.want {
+			t.Errorf("%v matches %v = %v, want %v", c.f, c.attrs, got, c.want)
+		}
+	}
+}
+
+// TestMatchAll: the empty filter matches every entry, even one without
+// attributes.
+func TestMatchAll(t *testing.T) {
+	for _, f := range []Filter{nil, {}} {
+		if !f.matches(nil) || !f.matches(Attributes{"x": "y"}) {
+			t.Fatalf("%#v must match everything", f)
+		}
+	}
+}
+
 func newGRIS(t *testing.T, eng *simulation.Engine, ttl time.Duration) *GRIS {
 	t.Helper()
 	g, err := NewGRIS(eng, "Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid", ttl)
@@ -43,19 +79,19 @@ func TestGRISProvidersAndSearch(t *testing.T) {
 	if err != nil || len(all) != 2 {
 		t.Fatalf("Search(nil) = %v, %v", all, err)
 	}
-	cpu, err := g.Search(mustParse(t, "(Mds-Device-name=cpu)"))
+	cpu, err := g.Search(Filter{{AttrDevice, "cpu"}})
 	if err != nil || len(cpu) != 1 {
 		t.Fatalf("cpu search = %v, %v", cpu, err)
 	}
-	if got := cpu[0].Attrs[AttrCPUFreeX100]; got != "7500" {
+	if got := attr(cpu[0], AttrCPUFreeX100); got != "7500" {
 		t.Fatalf("CPU free = %q, want 7500", got)
 	}
 	if cpu[0].DN != "Mds-Device-name=cpu,Mds-Host-hn=alpha1,Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid" {
 		// provider RDN includes host; suffix includes host too — verify shape
 		t.Logf("DN = %s", cpu[0].DN)
 	}
-	disk, err := g.Search(mustParse(t, "(Mds-Io-Free-percentX100>=8000)"))
-	if err != nil || len(disk) != 1 {
+	disk, err := g.Search(Filter{{"Mds-Host-hn", "alpha1"}, {"Mds-Io-Free-percentX100", "9000"}})
+	if err != nil || len(disk) != 1 || disk[0].DN != "Mds-Device-name=disk,"+g.Suffix() {
 		t.Fatalf("disk idle search = %v, %v", disk, err)
 	}
 }
@@ -73,14 +109,14 @@ func TestGRISCacheTTL(t *testing.T) {
 	if _, err := g.Search(nil); err != nil {
 		t.Fatal(err)
 	}
-	if g.Collects() != 1 {
-		t.Fatalf("collects = %d, want 1 (second search cached)", g.Collects())
+	if g.Refreshes() != 1 {
+		t.Fatalf("collects = %d, want 1 (second search cached)", g.Refreshes())
 	}
 	// Change the live value: a cached search must NOT see it.
 	h.cpuIdle = 0.5
 	es, _ := g.Search(nil)
-	if es[0].Attrs[AttrCPUFreeX100] != "10000" {
-		t.Fatalf("cached value should be stale: %v", es[0].Attrs[AttrCPUFreeX100])
+	if attr(es[0], AttrCPUFreeX100) != "10000" {
+		t.Fatalf("cached value should be stale: %v", attr(es[0], AttrCPUFreeX100))
 	}
 	// After TTL expiry the fresh value must appear.
 	if _, err := eng.Schedule(11*time.Second, func(time.Duration) {}); err != nil {
@@ -90,11 +126,11 @@ func TestGRISCacheTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	es, _ = g.Search(nil)
-	if es[0].Attrs[AttrCPUFreeX100] != "5000" {
-		t.Fatalf("post-TTL value = %v, want 5000", es[0].Attrs[AttrCPUFreeX100])
+	if attr(es[0], AttrCPUFreeX100) != "5000" {
+		t.Fatalf("post-TTL value = %v, want 5000", attr(es[0], AttrCPUFreeX100))
 	}
-	if g.Collects() != 2 {
-		t.Fatalf("collects = %d, want 2", g.Collects())
+	if g.Refreshes() != 2 {
+		t.Fatalf("collects = %d, want 2", g.Refreshes())
 	}
 }
 
@@ -140,19 +176,33 @@ func TestGRISValidation(t *testing.T) {
 	}
 }
 
-func TestSearchResultsAreCopies(t *testing.T) {
+// TestProviderMutationWaitsForRefresh: a GRIS copies a provider's output
+// when it refreshes, so a provider that later mutates the map it returned
+// changes nothing the hierarchy serves until the next refresh.
+func TestProviderMutationWaitsForRefresh(t *testing.T) {
 	eng := simulation.NewEngine()
-	g := newGRIS(t, eng, time.Hour)
-	if err := g.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) {
-		return Attributes{"k": "original"}, nil
-	}}); err != nil {
+	g := newGRIS(t, eng, time.Minute)
+	owned := Attributes{"k": "original"}
+	if err := g.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) { return owned, nil }}); err != nil {
 		t.Fatal(err)
 	}
-	first, _ := g.Search(nil)
-	first[0].Attrs["k"] = "mutated"
-	second, _ := g.Search(nil)
-	if second[0].Attrs["k"] != "original" {
-		t.Fatal("caller mutation leaked into the cache")
+	if _, err := g.Search(nil); err != nil {
+		t.Fatal(err)
+	}
+	owned["k"] = "mutated"
+	owned["extra"] = "x"
+	es, _ := g.Search(Filter{{"k", "original"}})
+	if len(es) != 1 || attr(es[0], "k") != "original" || es[0].Len() != 1 {
+		t.Fatalf("provider mutation reached the cached entry: %v", es)
+	}
+	if _, err := eng.Schedule(2*time.Minute, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if es, _ := g.Search(nil); attr(es[0], "k") != "mutated" || es[0].Len() != 2 {
+		t.Fatalf("refresh did not pick up the provider's new output: %v", es)
 	}
 }
 
@@ -201,20 +251,35 @@ func TestGIISHierarchicalSearch(t *testing.T) {
 	if err != nil || len(all) != 3 {
 		t.Fatalf("top search = %d entries, %v; want 3", len(all), err)
 	}
-	thu, err := top.Search(mustParse(t, "(Mds-Vo-name=THU)"))
+	thu, err := top.Search(Filter{{AttrSite, "THU"}})
 	if err != nil || len(thu) != 2 {
 		t.Fatalf("THU search = %d, %v; want 2", len(thu), err)
 	}
-	one, err := top.Search(mustParse(t, "(Mds-Host-hn=hit0)"))
-	if err != nil || len(one) != 1 || one[0].Attrs[AttrHostName] != "hit0" {
+	one, err := top.Search(Filter{{AttrHostName, "hit0"}})
+	if err != nil || len(one) != 1 || attr(one[0], AttrHostName) != "hit0" {
 		t.Fatalf("hit0 search = %v, %v", one, err)
 	}
 	sites := map[string]bool{}
 	for _, e := range all {
-		sites[e.Attrs[AttrSite]] = true
+		sites[attr(e, AttrSite)] = true
 	}
 	if len(sites) != 2 {
 		t.Fatalf("top search spans sites %v, want THU and HIT", sites)
+	}
+}
+
+// TestWarmTopSearchAllocatesNoAttributeMap: every tier serves the entry the
+// GRIS copied at refresh, so a warm top-GIIS query for one host's CPU
+// entry allocates the result slice and nothing else.
+func TestWarmTopSearchAllocatesNoAttributeMap(t *testing.T) {
+	eng := simulation.NewEngine()
+	top, _ := buildHierarchy(t, eng)
+	f := Filter{{AttrHostName, "hit0"}, {AttrDevice, "cpu"}}
+	if es, err := top.Search(f); err != nil || len(es) != 1 {
+		t.Fatalf("warm-up search = %v, %v", es, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = top.Search(f) }); avg > 1 {
+		t.Fatalf("warm search allocates %v objects, want only the result slice", avg)
 	}
 }
 
@@ -227,8 +292,8 @@ func TestGIISCacheTTL(t *testing.T) {
 	if _, err := top.Search(nil); err != nil {
 		t.Fatal(err)
 	}
-	if top.Queries() != 1 {
-		t.Fatalf("queries = %d, want 1", top.Queries())
+	if top.Refreshes() != 1 {
+		t.Fatalf("queries = %d, want 1", top.Refreshes())
 	}
 	hosts["alpha1"].cpuIdle = 0.1
 	// Advance past every TTL in the hierarchy.
@@ -238,13 +303,13 @@ func TestGIISCacheTTL(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	es, err := top.Search(mustParse(t, "(Mds-Host-hn=alpha1)"))
+	es, err := top.Search(Filter{{AttrHostName, "alpha1"}})
 	if err != nil || len(es) != 1 {
 		t.Fatal(err)
 	}
 	want := strconv.Itoa(int(0.1 * 100 * 100))
-	if es[0].Attrs[AttrCPUFreeX100] != want {
-		t.Fatalf("post-TTL cpu free = %v, want %v", es[0].Attrs[AttrCPUFreeX100], want)
+	if attr(es[0], AttrCPUFreeX100) != want {
+		t.Fatalf("post-TTL cpu free = %v, want %v", attr(es[0], AttrCPUFreeX100), want)
 	}
 }
 
@@ -305,7 +370,7 @@ func TestGIISValidation(t *testing.T) {
 	if err := g.Register(server("second")); err != nil {
 		t.Fatal(err)
 	}
-	if es, _ := g.Search(nil); len(es) != 1 || es[0].Attrs["k"] != "second" {
+	if es, _ := g.Search(nil); len(es) != 1 || attr(es[0], "k") != "second" {
 		t.Fatalf("same-suffix registration should replace the child: %v", es)
 	}
 }

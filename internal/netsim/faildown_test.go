@@ -48,7 +48,7 @@ func TestLinkDownStallsByDefault(t *testing.T) {
 // flows elsewhere and legacy flows on the same link are untouched.
 func TestFailOnDownKillsCrossingFlows(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	for _, n := range []string{"a", "b", "c"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -383,7 +382,6 @@ type RouteStats struct {
 // Network is the simulated WAN.
 type Network struct {
 	engine *simulation.Engine
-	rng    *rand.Rand
 	links  map[linkKey]*Link
 	// linkList holds every link at its dense index (Link.idx), the
 	// backing order for the allocator's scratch arrays.
@@ -471,13 +469,10 @@ type Network struct {
 	completionFn func(time.Duration)
 }
 
-// New creates an empty network driven by engine. The seed feeds the
-// network's private random source (used only by helpers like jittered
-// background processes).
-func New(engine *simulation.Engine, seed int64) *Network {
+// New creates an empty network driven by engine.
+func New(engine *simulation.Engine) *Network {
 	n := &Network{
 		engine:  engine,
-		rng:     rand.New(rand.NewSource(seed)),
 		links:   make(map[linkKey]*Link),
 		paths:   make(map[uint64][]*Link),
 		nodeIdx: make(map[string]int),

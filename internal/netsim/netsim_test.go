@@ -20,7 +20,7 @@ const (
 func buildPair(t *testing.T, cfg LinkConfig) (*simulation.Engine, *Network) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	for _, n := range []string{"a", "b"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func TestParallelStreamsAggregateOnLossyPath(t *testing.T) {
 	durations := map[int]time.Duration{}
 	for _, streams := range []int{1, 2, 4, 8, 16} {
 		eng := simulation.NewEngine()
-		net := New(eng, 1)
+		net := New(eng)
 		for _, n := range []string{"a", "b"} {
 			if err := net.AddNode(n); err != nil {
 				t.Fatal(err)
@@ -219,7 +219,7 @@ func TestOverheadFraction(t *testing.T) {
 
 func TestMultiHopRouting(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	for _, n := range []string{"a", "r1", "r2", "b"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestMultiHopRouting(t *testing.T) {
 
 func TestPathLossCompounds(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	for _, n := range []string{"a", "m", "b"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -274,7 +274,7 @@ func TestPathLossCompounds(t *testing.T) {
 
 func TestNoRoute(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	for _, n := range []string{"a", "b"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -290,7 +290,7 @@ func TestNoRoute(t *testing.T) {
 
 func TestTopologyValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	net := New(eng, 1)
+	net := New(eng)
 	if err := net.AddNode(""); err == nil {
 		t.Fatal("empty node name should fail")
 	}
@@ -506,7 +506,7 @@ func TestPropertyMoreStreamsNeverSlower(t *testing.T) {
 		prev := time.Duration(math.MaxInt64)
 		for _, k := range []int{1, 2, 4, 8} {
 			eng := simulation.NewEngine()
-			net := New(eng, seed)
+			net := New(eng)
 			if err := net.AddNode("a"); err != nil {
 				return false
 			}
@@ -551,7 +551,7 @@ func TestPropertyAllocationRespectsCapacity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := simulation.NewEngine()
-		net := New(eng, seed)
+		net := New(eng)
 		if err := net.AddNode("a"); err != nil {
 			return false
 		}
@@ -630,7 +630,7 @@ func TestPropertyDurationLowerBound(t *testing.T) {
 		loss := rng.Float64() * 0.005
 		bytes := int64(100_000 + rng.Intn(10_000_000))
 		eng := simulation.NewEngine()
-		net := New(eng, seed)
+		net := New(eng)
 		if net.AddNode("a") != nil || net.AddNode("b") != nil {
 			return false
 		}

@@ -133,7 +133,7 @@ func checkPartition(t *testing.T, n *Network, when string) {
 func islandNet(t *testing.T) (*simulation.Engine, *Network) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	for _, nd := range []string{"a1", "a2", "a3", "b1", "b2", "b3"} {
 		if err := n.AddNode(nd); err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestComponentMergeAndSplit(t *testing.T) {
 // invariants after every disturbance.
 func TestPartitionInvariantsUnderChurn(t *testing.T) {
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	const lans = 6
 	for i := 0; i < lans; i++ {
 		hub := fmt.Sprintf("hub%d", i)
@@ -453,7 +453,7 @@ func TestDefensiveFixBranchAccounting(t *testing.T) {
 func TestPartitionedScanWork(t *testing.T) {
 	build := func() (*Network, *Link) {
 		eng := simulation.NewEngine()
-		n := New(eng, 1)
+		n := New(eng)
 		const lans, hosts = 16, 4
 		for i := 0; i < lans; i++ {
 			hub := fmt.Sprintf("hub%d", i)

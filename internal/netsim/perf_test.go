@@ -16,7 +16,7 @@ import (
 func benchStarNet(tb testing.TB, nLeaves, nFlows int) (*simulation.Engine, *Network) {
 	tb.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	if err := n.AddNode("hub"); err != nil {
 		tb.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkReallocate(b *testing.B) {
 func benchTrunkNet(tb testing.TB, nFlows int, linkBound bool) *Network {
 	tb.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	trunk := LinkConfig{CapacityBps: 100e9, Delay: time.Millisecond}
 	if linkBound {
 		trunk.CapacityBps = 100e6
@@ -174,7 +174,7 @@ func TestWaterfillWorkCounters(t *testing.T) {
 func benchLANWorld(tb testing.TB, nLANs, hosts int) *Network {
 	tb.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	for l := 0; l < nLANs; l++ {
 		hub := fmt.Sprintf("hub%03d", l)
 		if err := n.AddNode(hub); err != nil {
@@ -340,7 +340,7 @@ func TestTransferAllocs(t *testing.T) {
 func benchGridNet(tb testing.TB, size int) *Network {
 	tb.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	name := func(r, c int) string { return fmt.Sprintf("n%d%d", r, c) }
 	for r := 0; r < size; r++ {
 		for c := 0; c < size; c++ {
@@ -749,7 +749,7 @@ func TestRouteMatchesReferenceDijkstra(t *testing.T) {
 	}
 	build := func(t *testing.T, nodes []string, edges []edge) *Network {
 		t.Helper()
-		n := New(simulation.NewEngine(), 1)
+		n := New(simulation.NewEngine())
 		for _, nd := range nodes {
 			if err := n.AddNode(nd); err != nil {
 				t.Fatal(err)

@@ -25,7 +25,7 @@ var updateRampGolden = flag.Bool("update", false, "rewrite testdata/ramp_stream_
 func rampNet(t *testing.T) (*simulation.Engine, *Network) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	for _, nd := range []string{"s0", "s1", "s2", "s3", "s4", "r1", "r2", "d0", "d1", "d2", "d3"} {
 		if err := n.AddNode(nd); err != nil {
 			t.Fatal(err)

@@ -222,7 +222,7 @@ func TestRouteTreeRetainedBytes(t *testing.T) {
 // as on a 36-node topo world. The per-node adjacency lists it replaced
 // paid 34 and 73 there.
 func TestRouteRebuildAllocs(t *testing.T) {
-	paper, err := cluster.NewPaperTestbed(simulation.NewEngine(), 1)
+	paper, err := cluster.NewPaperTestbed(simulation.NewEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func BenchmarkRoutePlanet(b *testing.B) {
 // with the documented static-routing semantics.
 func TestRouteTreeNeverStale(t *testing.T) {
 	eng := simulation.NewEngine()
-	n := netsim.New(eng, 1)
+	n := netsim.New(eng)
 	for _, node := range []string{"a", "m1", "m2", "b"} {
 		if err := n.AddNode(node); err != nil {
 			t.Fatal(err)

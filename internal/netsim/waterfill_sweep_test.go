@@ -31,7 +31,7 @@ func OracleCases() int { return *oracleCases }
 func oracleNet(t *testing.T, rng *rand.Rand) (*Network, [][]string) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	n := New(eng, 1)
+	n := New(eng)
 	add := func(name string) {
 		if err := n.AddNode(name); err != nil {
 			t.Fatal(err)

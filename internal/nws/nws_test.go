@@ -100,7 +100,7 @@ func TestMemoryKeyValidation(t *testing.T) {
 func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *Memory) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	net := netsim.New(eng, 1)
+	net := netsim.New(eng)
 	for _, n := range []string{"a", "b"} {
 		if err := net.AddNode(n); err != nil {
 			t.Fatal(err)

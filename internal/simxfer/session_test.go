@@ -21,7 +21,7 @@ func islandBed(t *testing.T) (*simulation.Engine, *Transferrer) {
 	island.Hosts[0].Name = "castaway"
 	cfg.Sites = append(cfg.Sites, island)
 	eng := simulation.NewEngine()
-	tb, err := cluster.New(eng, 1, cfg)
+	tb, err := cluster.New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ const mb = 1_000_000
 func newBed(t *testing.T) (*simulation.Engine, *cluster.Testbed, *Transferrer) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

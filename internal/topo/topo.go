@@ -150,9 +150,6 @@ func Generate(spec Spec) (*Topology, error) {
 		HostsByRegion: make(map[string][]string, spec.Regions),
 		HubSwitch:     make(map[string]string, spec.Regions),
 	}
-	coreSpecs := []cluster.CPUSpec{
-		{Cores: 4, MHz: 2400}, {Cores: 8, MHz: 2600}, {Cores: 16, MHz: 3000},
-	}
 	// regionHub[r] / siteHub[r][s] are the cluster (SiteConfig) names
 	// whose switches act as hubs for the tier above them.
 	regionHub := make([]string, spec.Regions)
@@ -173,14 +170,16 @@ func Generate(spec Spec) (*Topology, error) {
 				}
 				for h := 0; h < spec.HostsPerCluster; h++ {
 					hname := fmt.Sprintf("%sh%02d", cname, h)
+					// Two draws no field reads: Intn(n) consumes a number
+					// of source values that depends on n, and the pins and
+					// the planet/metro digests depend on the stream.
+					rng.Intn(3)
+					rng.Intn(3)
 					sc.Hosts = append(sc.Hosts, cluster.HostConfig{
-						Name:  hname,
-						CPU:   coreSpecs[rng.Intn(len(coreSpecs))],
-						MemMB: 4096 << rng.Intn(3),
+						Name: hname,
 						Disk: cluster.DiskSpec{
-							CapacityGB: 1000,
-							ReadBps:    400e6 + float64(rng.Intn(5))*100e6,
-							WriteBps:   300e6 + float64(rng.Intn(4))*100e6,
+							ReadBps:  400e6 + float64(rng.Intn(5))*100e6,
+							WriteBps: 300e6 + float64(rng.Intn(4))*100e6,
 						},
 					})
 					t.HostsByRegion[region] = append(t.HostsByRegion[region], hname)
@@ -256,7 +255,7 @@ func Generate(spec Spec) (*Topology, error) {
 
 // Build realizes the topology as a running testbed on engine.
 func (t *Topology) Build(engine *simulation.Engine) (*cluster.Testbed, error) {
-	return cluster.New(engine, t.Spec.Seed, t.Config)
+	return cluster.New(engine, t.Config)
 }
 
 // BoundaryLink is one WAN link whose endpoints live in different

@@ -118,66 +118,6 @@ func TestArrivalsStopFreezesRNG(t *testing.T) {
 	}
 }
 
-func TestPopularityModelValidation(t *testing.T) {
-	eng := simulation.NewEngine()
-	emit := func(string) {}
-	files := []string{"a", "b", "c"}
-	if _, err := NewRequestGenerator(eng, RequestConfig{
-		Files: files, RatePerMinute: 1, Popularity: PopularityUniform, ZipfS: 2,
-	}, emit); err == nil {
-		t.Fatal("uniform + ZipfS should be rejected")
-	}
-	if _, err := NewRequestGenerator(eng, RequestConfig{
-		Files: files, RatePerMinute: 1, Popularity: PopularityZipf, ZipfS: 0.5,
-	}, emit); err == nil {
-		t.Fatal("Zipf model with s <= 1 should be rejected")
-	}
-	if _, err := NewRequestGenerator(eng, RequestConfig{
-		Files: files, RatePerMinute: 1, Popularity: PopularityModel(99),
-	}, emit); err == nil {
-		t.Fatal("unknown popularity model should be rejected")
-	}
-}
-
-// TestPopularityModelExplicitMatchesLegacy: naming the model explicitly
-// must reproduce the legacy implicit streams bit-for-bit, so configs can
-// migrate off the deprecated ZipfS fallback without changing a number.
-func TestPopularityModelExplicitMatchesLegacy(t *testing.T) {
-	run := func(cfg RequestConfig) []string {
-		eng := simulation.NewEngine()
-		var got []string
-		if _, err := NewRequestGenerator(eng, cfg, func(f string) { got = append(got, f) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.RunUntil(20 * time.Minute); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	files := []string{"a", "b", "c", "d"}
-	pairs := []struct{ legacy, explicit RequestConfig }{
-		{
-			RequestConfig{Files: files, RatePerMinute: 60, Seed: 5},
-			RequestConfig{Files: files, RatePerMinute: 60, Seed: 5, Popularity: PopularityUniform},
-		},
-		{
-			RequestConfig{Files: files, RatePerMinute: 60, Seed: 5, ZipfS: 1.7},
-			RequestConfig{Files: files, RatePerMinute: 60, Seed: 5, ZipfS: 1.7, Popularity: PopularityZipf},
-		},
-	}
-	for i, p := range pairs {
-		a, b := run(p.legacy), run(p.explicit)
-		if len(a) != len(b) {
-			t.Fatalf("pair %d: lengths differ: %d vs %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("pair %d diverged at %d: %s vs %s", i, j, a[j], b[j])
-			}
-		}
-	}
-}
-
 // TestArrivalsSteadyStateAllocs pins the arrival tick: drawing the gap,
 // firing and scheduling the next arrival reuse the callback bound in
 // NewArrivals and the engine's pooled event slot.

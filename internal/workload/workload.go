@@ -27,36 +27,14 @@ var PaperStreamCounts = []int{0, 1, 2, 4, 8, 16}
 // MB is the paper's megabyte (decimal, as network people count).
 const MB = 1_000_000
 
-// PopularityModel names how a request stream picks which file each
-// arrival asks for.
-type PopularityModel int
-
-const (
-	// PopularityDefault preserves the legacy implicit selection: ZipfS > 0
-	// means Zipf popularity, ZipfS == 0 falls back to uniform.
-	//
-	// Deprecated: name the model explicitly with PopularityUniform or
-	// PopularityZipf; the implicit fallback exists only so historical
-	// configs keep their exact behavior.
-	PopularityDefault PopularityModel = iota
-	// PopularityUniform picks files uniformly at random.
-	PopularityUniform
-	// PopularityZipf picks files by Zipf rank-skew; RequestConfig.ZipfS
-	// carries the exponent and must be > 1.
-	PopularityZipf
-)
-
 // RequestConfig parameterizes a Poisson stream of data-access requests.
 type RequestConfig struct {
 	// Files are the logical file names requested.
 	Files []string
 	// RatePerMinute is the mean arrival rate.
 	RatePerMinute float64
-	// Popularity selects the file-popularity model. The zero value keeps
-	// the legacy ZipfS-driven selection for existing configs.
-	Popularity PopularityModel
-	// ZipfS is the Zipf skew (>1). Under PopularityDefault, 0 selects
-	// uniform popularity.
+	// ZipfS picks the file-popularity model: 0 is uniform, > 1 is Zipf
+	// rank-skew with that exponent, and anything else is an error.
 	ZipfS float64
 	// Seed drives arrival times and file choice.
 	Seed int64
@@ -86,31 +64,15 @@ func NewRequestGenerator(engine *simulation.Engine, cfg RequestConfig, emit func
 	if cfg.RatePerMinute <= 0 {
 		return nil, fmt.Errorf("workload: rate must be positive, got %v", cfg.RatePerMinute)
 	}
-	zipf := false
-	switch cfg.Popularity {
-	case PopularityDefault:
-		if cfg.ZipfS < 0 || (cfg.ZipfS > 0 && cfg.ZipfS <= 1) {
-			return nil, fmt.Errorf("workload: Zipf s must be > 1 (or 0 for uniform), got %v", cfg.ZipfS)
-		}
-		zipf = cfg.ZipfS > 0
-	case PopularityUniform:
-		if cfg.ZipfS != 0 {
-			return nil, fmt.Errorf("workload: uniform popularity does not take a Zipf skew, got s=%v", cfg.ZipfS)
-		}
-	case PopularityZipf:
-		if cfg.ZipfS <= 1 {
-			return nil, fmt.Errorf("workload: Zipf popularity needs s > 1, got %v", cfg.ZipfS)
-		}
-		zipf = true
-	default:
-		return nil, fmt.Errorf("workload: unknown popularity model %d", cfg.Popularity)
+	if cfg.ZipfS < 0 || (cfg.ZipfS > 0 && cfg.ZipfS <= 1) {
+		return nil, fmt.Errorf("workload: Zipf s must be > 1 (or 0 for uniform), got %v", cfg.ZipfS)
 	}
 	g := &RequestGenerator{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		emit: emit,
 	}
-	if zipf {
+	if cfg.ZipfS > 0 {
 		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS, 1, uint64(len(cfg.Files)-1))
 		if g.zipf == nil {
 			return nil, fmt.Errorf("workload: bad Zipf parameters s=%v n=%d", cfg.ZipfS, len(cfg.Files))

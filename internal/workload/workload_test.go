@@ -33,8 +33,10 @@ func TestRequestGeneratorValidation(t *testing.T) {
 	if _, err := NewRequestGenerator(eng, RequestConfig{Files: []string{"f"}}, emit); err == nil {
 		t.Fatal("zero rate should be rejected")
 	}
-	if _, err := NewRequestGenerator(eng, RequestConfig{Files: []string{"f"}, RatePerMinute: 1, ZipfS: 0.5}, emit); err == nil {
-		t.Fatal("Zipf s <= 1 should be rejected")
+	for _, s := range []float64{0.5, 1, -1} {
+		if _, err := NewRequestGenerator(eng, RequestConfig{Files: []string{"f"}, RatePerMinute: 1, ZipfS: s}, emit); err == nil {
+			t.Fatalf("Zipf s = %v should be rejected (0 is uniform, > 1 is Zipf)", s)
+		}
 	}
 }
 
@@ -231,7 +233,7 @@ func TestRequestGeneratorInterArrivalExponential(t *testing.T) {
 func TestJobGeneratorDeterministic(t *testing.T) {
 	runOnce := func() []float64 {
 		eng := simulation.NewEngine()
-		tb, err := cluster.NewPaperTestbed(eng, 1)
+		tb, err := cluster.NewPaperTestbed(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +274,7 @@ func TestJobGeneratorDeterministic(t *testing.T) {
 
 func TestJobGenerator(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +326,7 @@ func TestJobGenerator(t *testing.T) {
 
 func TestJobGeneratorValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	tb, err := cluster.NewPaperTestbed(eng, 1)
+	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
