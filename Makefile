@@ -46,7 +46,8 @@ bench: bench-netsim
 #            transfer through slow start
 #   suite    `gridbench -all` on the worker pool, sequential vs parallel
 #   select   pull-per-query vs pinned snapshot, 1 and 8 selectors; one
-#            hierarchical Rank on a 10-region world
+#            hierarchical Rank on a 10-region world; the catalog build
+#            (PlaceFiles) of select-churn and metro-traffic
 #   faults   `gridbench -faults`: no-retry vs retry-same vs failover
 #   scale    `gridbench -scale`: 20 to 200 sites, up to 10k hosts
 #   traffic  `gridbench -traffic`: metro and 200-site request streams
@@ -58,10 +59,10 @@ suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s
 suite_BASELINE   = pr21-tick-path-2cpu
-select_BENCH     = SelectionThroughput|HierarchicalRank
+select_BENCH     = SelectionThroughput|HierarchicalRank|CatalogPlace
 select_PKGS      = .
 select_TIMEOUT   = 600s
-select_BASELINE  = dense-ids-2cpu
+select_BASELINE  = pr39-arena-catalog-2cpu
 faults_BENCH     = FaultsSweep
 faults_PKGS      = .
 faults_TIMEOUT   = 600s

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -195,5 +196,55 @@ func BenchmarkHierarchicalRank(b *testing.B) {
 		if _, err := w.Server.Rank(names[i%len(names)], 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCatalogPlace is the catalog build both catalog-bound workloads
+// start with: topo.PlaceFiles into a fresh region-sharded catalog, on
+// select-churn's world (10,000 hosts, 100,000 files x 4 replicas) and on
+// metro-traffic's (100 hosts, 200 files x 2). The topology is generated
+// before the timer starts; one op is one whole placement. retained-B/file
+// is the heap the placed catalog keeps, measured after runtime.GC().
+// Recorded to BENCH_select.json via `make bench-select`.
+func BenchmarkCatalogPlace(b *testing.B) {
+	for _, c := range []struct {
+		name            string
+		spec            topo.Spec
+		files, replicas int
+	}{
+		{"churn", topo.Spec{Seed: benchSeed, Regions: 10, SitesPerRegion: 20, ClustersPerSite: 2, HostsPerCluster: 25}, 100_000, 4},
+		{"metro", topo.Spec{Seed: benchSeed + 104729, Regions: 4, SitesPerRegion: 5, ClustersPerSite: 1, HostsPerCluster: 5}, 200, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			top, err := topo.Generate(c.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var retained float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				if i == 0 {
+					b.StopTimer()
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					b.StartTimer()
+				}
+				cat := replica.NewSharded(topo.RegionOfHost)
+				if err := top.PlaceFiles(cat, c.files, c.replicas, 64<<20); err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.StopTimer()
+					runtime.GC()
+					runtime.ReadMemStats(&after)
+					retained = float64(after.HeapAlloc-before.HeapAlloc) / float64(c.files)
+					runtime.KeepAlive(cat)
+					b.StartTimer()
+				}
+			}
+			b.ReportMetric(retained, "retained-B/file")
+		})
 	}
 }

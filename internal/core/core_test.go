@@ -581,9 +581,9 @@ func TestPropertyScoreMonotone(t *testing.T) {
 }
 
 // TestDiscoveryByCharacteristics walks the exact §4.3 flow: the user
-// "specifies the characteristics of the desired data", the catalog
-// resolves them to a logical file, and the pipeline fetches the best
-// replica of it.
+// "specifies the characteristics of the desired data", a scan of the
+// catalog's records resolves them to a logical file, and the pipeline
+// fetches the best replica of it.
 func TestDiscoveryByCharacteristics(t *testing.T) {
 	p := buildPipeline(t)
 	// file-a was registered without attributes in buildPipeline; add a
@@ -604,7 +604,16 @@ func TestDiscoveryByCharacteristics(t *testing.T) {
 	if err := p.eng.RunUntil(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	names := p.catalog.FindByAttributes(map[string]string{"type": "biological-database", "format": "fasta"})
+	var names []string
+	for _, name := range p.catalog.LogicalNames() {
+		f, err := p.catalog.Logical(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Attributes["type"] == "biological-database" && f.Attributes["format"] == "fasta" {
+			names = append(names, name)
+		}
+	}
 	if len(names) != 1 || names[0] != "nr-2005-07" {
 		t.Fatalf("discovery = %v", names)
 	}

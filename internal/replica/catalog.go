@@ -74,8 +74,9 @@ type LogicalFile struct {
 	Name string
 	// SizeBytes is the file size (identical across replicas).
 	SizeBytes int64
-	// Attributes carries free-form metadata used for discovery
-	// ("the characteristics of the desired data", §4.3).
+	// Attributes carries free-form metadata ("the characteristics of
+	// the desired data", §4.3); the catalog keeps a copy and Logical
+	// hands back another.
 	Attributes map[string]string
 }
 
@@ -96,15 +97,20 @@ type Catalog struct {
 const allRegions int32 = -1
 
 // store is the catalog's one copy of everything. Logical names and hosts
-// are interned to dense ids on first sight, so a file is one record in a
-// slice and a location is a 32-byte entry holding its path; the collector
-// walks a few large slices instead of a map of maps per file.
+// are interned to dense ids on first sight, so a file is one 32-byte
+// record in a slice and a location is a 24-byte entry in the slab. Names,
+// paths and attributes live in the text arena and records hold spans into
+// it, so neither the records, the entries, the attributes nor the name
+// table hold a pointer: the collector never scans them (arena.go).
 type store struct {
 	mu       sync.RWMutex
 	regionOf func(host string) string // nil: the flat catalog, one region
 
-	ids   map[string]int32 // logical name -> index into files
+	text  text
+	slab  slab
+	names nameIndex // logical name -> index into files
 	files []file
+	attrs []attr // the files that have attributes, in file id order
 
 	hostIDs   map[string]int32
 	hosts     []host
@@ -114,18 +120,20 @@ type store struct {
 }
 
 type file struct {
-	name  string
-	size  int64
-	attrs []attr  // private copy, no particular order
-	locs  []entry // in Location.Compare order, kept so by Register
+	name span
+	size int64
+	locs run // in Location.Compare order, kept so by Register
 }
-
-type attr struct{ key, val string }
 
 type entry struct {
 	host int32
-	path string
+	path span
 	at   time.Duration
+}
+
+type attr struct {
+	file     int32
+	key, val span
 }
 
 type host struct {
@@ -139,7 +147,7 @@ func NewCatalog() *Catalog { return newStore(nil) }
 func newStore(regionOf func(string) string) *Catalog {
 	return &Catalog{region: allRegions, store: &store{
 		regionOf:  regionOf,
-		ids:       make(map[string]int32),
+		names:     newNameIndex(),
 		hostIDs:   make(map[string]int32),
 		regionIDs: make(map[string]int32),
 	}}
@@ -155,8 +163,8 @@ var (
 
 // fileLocked returns the named file's record; the caller holds mu.
 func (s *store) fileLocked(name string) (*file, error) {
-	id, ok := s.ids[name]
-	if !ok {
+	id, _ := s.find(name)
+	if id < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
 	}
 	return &s.files[id], nil
@@ -199,18 +207,17 @@ func (c *Catalog) CreateLogical(f LogicalFile) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.ids[f.Name]; ok {
+	c.growNames()
+	id, slot := c.find(f.Name)
+	if id >= 0 {
 		return fmt.Errorf("%w: logical file %q", ErrDuplicate, f.Name)
 	}
-	rec := file{name: f.Name, size: f.SizeBytes}
-	if len(f.Attributes) > 0 {
-		rec.attrs = make([]attr, 0, len(f.Attributes))
-	}
+	id = int32(len(c.files))
+	c.names.slots[slot] = id + 1
+	c.files = append(c.files, file{name: c.text.add(f.Name), size: f.SizeBytes})
 	for k, v := range f.Attributes {
-		rec.attrs = append(rec.attrs, attr{k, v})
+		c.attrs = append(c.attrs, attr{file: id, key: c.text.add(k), val: c.text.add(v)})
 	}
-	c.ids[f.Name] = int32(len(c.files))
-	c.files = append(c.files, rec)
 	return nil
 }
 
@@ -218,13 +225,19 @@ func (c *Catalog) CreateLogical(f LogicalFile) error {
 func (c *Catalog) Logical(name string) (LogicalFile, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	f, err := c.fileLocked(name)
-	if err != nil {
-		return LogicalFile{}, err
+	id, _ := c.find(name)
+	if id < 0 {
+		return LogicalFile{}, fmt.Errorf("%w: %q", ErrUnknownLogical, name)
 	}
-	out := LogicalFile{Name: f.name, SizeBytes: f.size, Attributes: make(map[string]string, len(f.attrs))}
-	for _, a := range f.attrs {
-		out.Attributes[a.key] = a.val
+	from, _ := slices.BinarySearchFunc(c.attrs, id, func(a attr, id int32) int { return cmp.Compare(a.file, id) })
+	to := from
+	for to < len(c.attrs) && c.attrs[to].file == id {
+		to++
+	}
+	f := &c.files[id]
+	out := LogicalFile{Name: c.text.str(f.name), SizeBytes: f.size, Attributes: make(map[string]string, to-from)}
+	for _, a := range c.attrs[from:to] {
+		out.Attributes[c.text.str(a.key)] = c.text.str(a.val)
 	}
 	return out, nil
 }
@@ -233,47 +246,12 @@ func (c *Catalog) Logical(name string) (LogicalFile, error) {
 func (c *Catalog) LogicalNames() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.ids))
-	for n := range c.ids {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// FindByAttributes returns the names of logical files whose metadata
-// contains every key/value pair in want, sorted (the "specified
-// characteristics" lookup of §4.3). A pair with an empty value also
-// matches files that lack the key (Go's zero-value map lookup semantics).
-// It scans the catalog: discovery runs once per user query, never on the
-// selection path.
-func (c *Catalog) FindByAttributes(want map[string]string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
+	out := make([]string, len(c.files))
 	for i := range c.files {
-		if f := &c.files[i]; f.matches(want) {
-			out = append(out, f.name)
-		}
+		out[i] = c.text.str(c.files[i].name)
 	}
 	slices.Sort(out)
 	return out
-}
-
-func (f *file) matches(want map[string]string) bool {
-	for k, v := range want {
-		got := ""
-		for _, a := range f.attrs {
-			if a.key == k {
-				got = a.val
-				break
-			}
-		}
-		if got != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Register adds a physical location for a logical file.
@@ -288,20 +266,29 @@ func (c *Catalog) Register(name string, loc Location) error {
 		return fmt.Errorf("replica: location needs host and path, got %q:%q", loc.Host, loc.Path)
 	}
 	h := c.internHost(loc.Host)
-	at := len(f.locs)
-	for i, e := range f.locs {
-		if e.host == h && e.path == loc.Path {
-			return fmt.Errorf("%w: %s for %q", ErrDuplicate, loc, name)
+	locs := c.slab.entries(f.locs)
+	at, path := len(locs), span{}
+	for i, e := range locs {
+		p := c.text.str(e.path)
+		if p == loc.Path {
+			if e.host == h {
+				return fmt.Errorf("%w: %s for %q", ErrDuplicate, loc, name)
+			}
+			path = e.path // another host's copy under the same path: share its text
 		}
-		if at == len(f.locs) && compareLoc(c.hosts[e.host].name, e.path, loc.Host, loc.Path) > 0 {
+		if at == len(locs) && compareLoc(c.hosts[e.host].name, p, loc.Host, loc.Path) > 0 {
 			at = i
 		}
 	}
-	f.locs = slices.Insert(f.locs, at, entry{host: h, path: loc.Path, at: loc.RegisteredAt})
+	if path.n == 0 {
+		path = c.text.add(loc.Path)
+	}
+	c.slab.insert(&f.locs, at, entry{host: h, path: path, at: loc.RegisteredAt})
 	return nil
 }
 
-// Unregister removes a physical location record. It does not delete data.
+// Unregister removes a physical location record. It does not delete data,
+// and the catalog keeps the path's text.
 func (c *Catalog) Unregister(name string, host, path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,9 +297,9 @@ func (c *Catalog) Unregister(name string, host, path string) error {
 		return err
 	}
 	h, known := c.hostIDs[host]
-	for i, e := range f.locs {
-		if known && e.host == h && e.path == path {
-			f.locs = slices.Delete(f.locs, i, i+1)
+	for i, e := range c.slab.entries(f.locs) {
+		if known && e.host == h && c.text.str(e.path) == path {
+			c.slab.remove(&f.locs, i)
 			return nil
 		}
 	}
@@ -355,11 +342,12 @@ func (c *Catalog) AppendTagged(dst []Tagged, name string) ([]Tagged, error) {
 	if err != nil {
 		return dst, err
 	}
-	out := slices.Grow(dst, len(f.locs))
-	for _, e := range f.locs {
+	locs := c.slab.entries(f.locs)
+	out := slices.Grow(dst, len(locs))
+	for _, e := range locs {
 		if h := &c.hosts[e.host]; c.region == allRegions || c.region == h.region {
 			out = append(out, Tagged{
-				Location: Location{Host: h.name, Path: e.path, RegisteredAt: e.at},
+				Location: Location{Host: h.name, Path: c.text.str(e.path), RegisteredAt: e.at},
 				HostID:   e.host, RegionID: h.region,
 			})
 		}

@@ -31,7 +31,6 @@ var oracleCases = flag.Int("oracle.cases", 1000, "op sequences the catalog oracl
 type reads interface {
 	Logical(name string) (LogicalFile, error)
 	LogicalNames() []string
-	FindByAttributes(want map[string]string) []string
 	Locations(name string) ([]Location, error)
 	HostsWith(name string) ([]string, error)
 }
@@ -170,7 +169,7 @@ func (o op) apply(s subject) string {
 		return errString(s.Unregister(o.name, o.host, o.path))
 	case opReads:
 		out := show(s.Logical(o.name)) + "\n" + show(s.Locations(o.name)) + "\n" + show(s.HostsWith(o.name)) +
-			"\n" + show(s.LogicalNames(), nil) + "\n" + show(s.FindByAttributes(o.attrs), nil)
+			"\n" + show(s.LogicalNames(), nil)
 		if s.RegionsWith != nil {
 			out += "\n" + show(s.RegionsWith(o.name))
 		}
@@ -405,37 +404,6 @@ func (c *oracleCatalog) LogicalNames() []string {
 	return out
 }
 
-// FindByAttributes returns the names of logical files whose metadata
-// contains every key/value pair in want (the "specified characteristics"
-// lookup of §4.3). A pair with an empty value matches files that either
-// carry the key with an empty value or lack the key entirely (Go's
-// zero-value map lookup semantics).
-func (c *oracleCatalog) FindByAttributes(want map[string]string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
-	for name := range c.files {
-		if c.matchesLocked(name, want) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (c *oracleCatalog) matchesLocked(name string, want map[string]string) bool {
-	f, ok := c.files[name]
-	if !ok {
-		return false
-	}
-	for k, v := range want {
-		if f.Attributes[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Register adds a physical location for a logical file.
 func (c *oracleCatalog) Register(name string, loc Location) error {
 	c.mu.Lock()
@@ -605,18 +573,6 @@ func (s *oracleSharded) LogicalNames() []string {
 	for i := range s.stripes {
 		s.stripeMu[i].RLock()
 		out = append(out, s.stripes[i].LogicalNames()...)
-		s.stripeMu[i].RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FindByAttributes merges the per-stripe queries, sorted.
-func (s *oracleSharded) FindByAttributes(want map[string]string) []string {
-	var out []string
-	for i := range s.stripes {
-		s.stripeMu[i].RLock()
-		out = append(out, s.stripes[i].FindByAttributes(want)...)
 		s.stripeMu[i].RUnlock()
 	}
 	sort.Strings(out)

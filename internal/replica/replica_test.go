@@ -2,9 +2,7 @@ package replica
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"reflect"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -93,135 +91,30 @@ func TestCatalogLocations(t *testing.T) {
 	}
 }
 
-func TestCatalogFindByAttributes(t *testing.T) {
-	c := NewCatalog()
-	files := []LogicalFile{
-		{Name: "nr", SizeBytes: 1, Attributes: map[string]string{"type": "bio", "fmt": "fasta"}},
-		{Name: "swissprot", SizeBytes: 1, Attributes: map[string]string{"type": "bio", "fmt": "dat"}},
-		{Name: "cms-run", SizeBytes: 1, Attributes: map[string]string{"type": "hep"}},
-	}
-	for _, f := range files {
-		if err := c.CreateLogical(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bio := c.FindByAttributes(map[string]string{"type": "bio"})
-	if len(bio) != 2 || bio[0] != "nr" || bio[1] != "swissprot" {
-		t.Fatalf("bio = %v", bio)
-	}
-	fasta := c.FindByAttributes(map[string]string{"type": "bio", "fmt": "fasta"})
-	if len(fasta) != 1 || fasta[0] != "nr" {
-		t.Fatalf("fasta = %v", fasta)
-	}
-	if got := c.FindByAttributes(map[string]string{"type": "astro"}); len(got) != 0 {
-		t.Fatalf("astro = %v", got)
-	}
-	if got := c.FindByAttributes(nil); len(got) != 3 {
-		t.Fatalf("all = %v", got)
-	}
-}
-
-// refFind is a reference scan over the catalog's public reads:
-// FindByAttributes must return exactly this, including the empty-value
-// semantics (want["k"] == "" matches files lacking k entirely).
-func refFind(c *Catalog, want map[string]string) []string {
-	var out []string
-	for _, name := range c.LogicalNames() {
-		f, err := c.Logical(name)
-		if err != nil {
-			continue
-		}
-		ok := true
-		for k, v := range want {
-			if f.Attributes[k] != v {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-func TestFindByAttributesMatchesReferenceScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := NewCatalog()
-	keys := []string{"exp", "type", "fmt", "site"}
-	vals := []string{"cms", "atlas", "bio", "fasta", "dat", ""}
-	for i := 0; i < 200; i++ {
-		attrs := map[string]string{}
-		for _, k := range keys {
-			if rng.Intn(3) > 0 { // ~1/3 of files lack each key
-				attrs[k] = vals[rng.Intn(len(vals))]
-			}
-		}
-		if err := c.CreateLogical(LogicalFile{
-			Name: fmt.Sprintf("f%03d", i), SizeBytes: 1, Attributes: attrs,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := []map[string]string{
-		nil,
-		{},
-		{"exp": "cms"},
-		{"exp": "cms", "type": "bio"},
-		{"exp": "cms", "type": "bio", "fmt": "fasta"},
-		{"exp": ""}, // matches absent key or explicit empty value
-		{"exp": "", "type": "bio"},
-		{"exp": "nope"},
-		{"bogus": "x"},
-		{"bogus": ""},
-	}
-	for _, q := range queries {
-		got := c.FindByAttributes(q)
-		want := refFind(c, q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("FindByAttributes(%v) = %v, reference scan = %v", q, got, want)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		q := map[string]string{}
-		for _, k := range keys {
-			if rng.Intn(2) == 0 {
-				q[k] = vals[rng.Intn(len(vals))]
-			}
-		}
-		got, want := c.FindByAttributes(q), refFind(c, q)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: FindByAttributes(%v) = %v, reference = %v", i, q, got, want)
-		}
-	}
-}
-
-// TestFindByAttributesCallerMutation pins the copy discipline: mutating
-// the caller's map after CreateLogical, or the map returned by Logical,
-// must not change query results.
-func TestFindByAttributesCallerMutation(t *testing.T) {
+// TestAttributesCallerMutation pins the copy discipline: mutating the
+// caller's map after CreateLogical, or the map returned by Logical, must
+// not change what the catalog holds.
+func TestAttributesCallerMutation(t *testing.T) {
 	c := NewCatalog()
 	attrs := map[string]string{"type": "bio"}
 	if err := c.CreateLogical(LogicalFile{Name: "nr", SizeBytes: 1, Attributes: attrs}); err != nil {
 		t.Fatal(err)
 	}
+	want := map[string]string{"type": "bio"}
 	// Mutate the map the caller handed in.
 	attrs["type"] = "physics"
 	attrs["extra"] = "x"
-	if got := c.FindByAttributes(map[string]string{"type": "bio"}); len(got) != 1 || got[0] != "nr" {
-		t.Errorf("after caller-map mutation, find type=bio = %v, want [nr]", got)
-	}
-	if got := c.FindByAttributes(map[string]string{"type": "physics"}); len(got) != 0 {
-		t.Errorf("caller-map mutation leaked into the catalog: find type=physics = %v", got)
-	}
-	// Mutate the copy Logical returns.
 	f, err := c.Logical("nr")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !maps.Equal(f.Attributes, want) {
+		t.Errorf("after caller-map mutation, Logical attributes = %v, want %v", f.Attributes, want)
+	}
+	// Mutate the copy Logical returns.
 	f.Attributes["type"] = "physics"
-	if got := c.FindByAttributes(map[string]string{"type": "bio"}); len(got) != 1 || got[0] != "nr" {
-		t.Errorf("after Logical-copy mutation, find type=bio = %v, want [nr]", got)
+	if again, _ := c.Logical("nr"); !maps.Equal(again.Attributes, want) {
+		t.Errorf("after Logical-copy mutation, Logical attributes = %v, want %v", again.Attributes, want)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // so that a region's selector reads only the replicas placed there and
 // the top tier groups one AppendTagged read by region id — no operation
 // scans the world. It is the same one store as the flat
-// Catalog it embeds (the all-regions handle: Register, Locations,
-// FindByAttributes and the rest answer for the whole grid); a host's
-// region is resolved once, when the host is first seen.
+// Catalog it embeds (the all-regions handle: Register, Locations and the
+// rest answer for the whole grid); a host's region is resolved once, when
+// the host is first seen.
 type ShardedCatalog struct{ *Catalog }
 
 // NewSharded returns an empty sharded catalog. regionOf maps a storage
@@ -48,12 +48,12 @@ func (s *ShardedCatalog) RegionsWith(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(f.locs) == 0 {
+	if f.locs.n == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoReplicas, name)
 	}
 	var buf [8]string
 	out := buf[:0]
-	for _, e := range f.locs {
+	for _, e := range s.slab.entries(f.locs) {
 		if r := s.regions[s.hosts[e.host].region]; !slices.Contains(out, r) {
 			out = append(out, r)
 		}

@@ -73,8 +73,8 @@ func TestShardedRoutesByRegion(t *testing.T) {
 	if err != nil || len(locs) != 2 || locs[0].Host != "ap-h1" || locs[1].Host != "eu-h2" {
 		t.Errorf("Locations(run-1) = %v, %v", locs, err)
 	}
-	if got := s.FindByAttributes(map[string]string{"type": "bio"}); !reflect.DeepEqual(got, []string{"est", "nr"}) {
-		t.Errorf("FindByAttributes(type=bio) = %v, want [est nr]", got)
+	if f, err := s.Logical("est"); err != nil || !reflect.DeepEqual(f.Attributes, map[string]string{"type": "bio"}) {
+		t.Errorf("Logical(est) = %+v, %v; want type=bio", f, err)
 	}
 	if got, want := s.LogicalNames(), []string{"est", "nr", "run-1"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("LogicalNames() = %v, want %v", got, want)
@@ -129,7 +129,9 @@ func TestShardedConcurrency(t *testing.T) {
 				if err := s.Register(name, Location{Host: host, Path: "/d/" + name}); err != nil && !errors.Is(err, ErrDuplicate) {
 					t.Errorf("Register: %v", err)
 				}
-				s.FindByAttributes(map[string]string{"bucket": "b1"})
+				if f, err := s.Logical(name); err != nil || f.Attributes["bucket"] != fmt.Sprintf("b%d", i%4) {
+					t.Errorf("Logical(%s) = %+v, %v", name, f, err)
+				}
 				if _, err := s.RegionsWith(name); err != nil && !errors.Is(err, ErrNoReplicas) {
 					t.Errorf("RegionsWith: %v", err)
 				}
