@@ -230,15 +230,6 @@ func (c *Client) UseModeE() error {
 	return err
 }
 
-// UseStreamMode switches back to stream mode with a single channel.
-func (c *Client) UseStreamMode() error {
-	if _, err := c.Expect(200, "MODE S"); err != nil {
-		return err
-	}
-	c.modeE = false
-	return nil
-}
-
 // ModeE reports whether the session is in extended block mode.
 func (c *Client) ModeE() bool { return c.modeE }
 
@@ -263,27 +254,6 @@ func (c *Client) Size(path string) (int64, error) {
 		return 0, err
 	}
 	return strconv.ParseInt(strings.TrimSpace(msg), 10, 64)
-}
-
-// Rename moves a server-side file (RNFR/RNTO).
-func (c *Client) Rename(from, to string) error {
-	if _, err := c.Expect(350, "RNFR %s", from); err != nil {
-		return err
-	}
-	_, err := c.Expect(250, "RNTO %s", to)
-	return err
-}
-
-// Delete removes a server-side file (DELE).
-func (c *Client) Delete(path string) error {
-	_, err := c.Expect(250, "DELE %s", path)
-	return err
-}
-
-// ChangeDir changes the server-side working directory (CWD).
-func (c *Client) ChangeDir(dir string) error {
-	_, err := c.Expect(250, "CWD %s", dir)
-	return err
 }
 
 // Quit logs out and closes the connection.
@@ -370,105 +340,9 @@ func (c *Client) RetrFrom(path string, offset int64, w io.Writer) (int64, error)
 	return c.streamData(offset, "RETR "+path, func(d net.Conn) (int64, error) { return io.Copy(w, d) })
 }
 
-// RetrResumable downloads a file, transparently resuming with REST after
-// mid-transfer failures (a flaky disk or dropped data connection). The
-// retry budget applies to consecutive attempts that made no progress;
-// any forward progress resets it.
-func (c *Client) RetrResumable(path string, w io.Writer, maxRetries int) (int64, error) {
-	if maxRetries < 0 {
-		return 0, fmt.Errorf("gridftp: negative retry budget %d", maxRetries)
-	}
-	var total int64
-	retries := 0
-	for {
-		n, err := c.RetrFrom(path, total, w)
-		total += n
-		if err == nil {
-			return total, nil
-		}
-		if n == 0 {
-			retries++
-		} else {
-			retries = 0
-		}
-		if retries > maxRetries {
-			return total, fmt.Errorf("gridftp: resumable transfer of %s gave up after %d fruitless retries: %w",
-				path, maxRetries, err)
-		}
-	}
-}
-
 // Stor uploads r to path in stream mode and returns the byte count.
 func (c *Client) Stor(path string, r io.Reader) (int64, error) {
 	return c.streamData(0, "STOR "+path, func(d net.Conn) (int64, error) { return io.Copy(d, r) })
-}
-
-// Append appends r to a server-side file, creating it if absent (APPE).
-func (c *Client) Append(path string, r io.Reader) (int64, error) {
-	return c.streamData(0, "APPE "+path, func(d net.Conn) (int64, error) { return io.Copy(d, r) })
-}
-
-// List returns the server's file listing via NLST.
-func (c *Client) List() ([]string, error) {
-	var out []string
-	_, err := c.streamData(0, "NLST", func(d net.Conn) (int64, error) {
-		sc := bufio.NewScanner(d)
-		for sc.Scan() {
-			if l := strings.TrimSpace(sc.Text()); l != "" {
-				out = append(out, l)
-			}
-		}
-		return 0, sc.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FileInfo is one MLSD listing entry.
-type FileInfo struct {
-	Path string
-	Size int64
-}
-
-// ListFacts retrieves the machine-readable listing for dir ("" for the
-// working directory) via MLSD.
-func (c *Client) ListFacts(dir string) ([]FileInfo, error) {
-	cmd := "MLSD"
-	if dir != "" {
-		cmd += " " + dir
-	}
-	var out []FileInfo
-	_, err := c.streamData(0, cmd, func(d net.Conn) (int64, error) {
-		sc := bufio.NewScanner(d)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			facts, path, ok := strings.Cut(line, " ")
-			if !ok {
-				return 0, fmt.Errorf("malformed MLSD line %q", line)
-			}
-			fi := FileInfo{Path: path}
-			for _, f := range strings.Split(facts, ";") {
-				if k, v, ok := strings.Cut(f, "="); ok && strings.EqualFold(k, "size") {
-					n, err := strconv.ParseInt(v, 10, 64)
-					if err != nil {
-						return 0, fmt.Errorf("bad size in MLSD line %q", line)
-					}
-					fi.Size = n
-				}
-			}
-			out = append(out, fi)
-		}
-		return 0, sc.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // receive runs one MODE E download over already dialed data channels:
@@ -501,6 +375,17 @@ func (b byteWriterAt) WriteAt(p []byte, off int64) (int, error) {
 	}
 	copy(b.buf[off:], p)
 	return len(p), nil
+}
+
+// offsetWriterAt shifts every write by a fixed amount: a ranged ERET
+// download lands in a buffer that starts at the region's offset.
+type offsetWriterAt struct {
+	w     io.WriterAt
+	shift int64
+}
+
+func (o offsetWriterAt) WriteAt(p []byte, off int64) (int, error) {
+	return o.w.WriteAt(p, off+o.shift)
 }
 
 // Get downloads a whole file, using the session's mode and parallelism.
@@ -633,35 +518,6 @@ func (c *Client) GetStriped(path string) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// ThirdPartyStriped moves srcPath on the src server to dstPath on the dst
-// server through the source's striped data movers: the client asks the
-// source for its stripe listeners (SPAS), hands them to the destination
-// (SPOR), and the destination's movers pull the file in parallel — the
-// full combination of the paper's future-work striping with third-party
-// transfer. Both sessions must be in MODE E.
-func ThirdPartyStriped(src *Client, srcPath string, dst *Client, dstPath string) error {
-	if src == nil || dst == nil {
-		return errors.New("gridftp: third-party needs two clients")
-	}
-	if !src.modeE || !dst.modeE {
-		return errors.New("gridftp: striped third-party requires MODE E on both endpoints")
-	}
-	addrs, err := src.spas()
-	if err != nil {
-		return err
-	}
-	specs := make([]string, len(addrs))
-	for i, a := range addrs {
-		if specs[i], err = formatAddr(a); err != nil {
-			return err
-		}
-	}
-	if _, err := dst.Expect(200, "SPOR %s", strings.Join(specs, " ")); err != nil {
-		return err
-	}
-	return relayTransfer(src, srcPath, dst, dstPath)
 }
 
 // ThirdParty moves srcPath on the src server directly to dstPath on the

@@ -68,7 +68,7 @@ func (d diskFile) Size() int64 {
 	return fi.Size()
 }
 
-// Open returns an existing file for reading (and offset writes, for ESTO).
+// Open returns an existing file for reading (and offset writes, for REST+STOR).
 func (s *DiskStore) Open(path string) (File, error) {
 	full, err := s.resolve(path)
 	if err != nil {
@@ -139,38 +139,6 @@ func (s *DiskStore) List() []string {
 	})
 	sort.Strings(out)
 	return out
-}
-
-// Remove deletes a file.
-func (s *DiskStore) Remove(path string) error {
-	full, err := s.resolve(path)
-	if err != nil {
-		return err
-	}
-	err = os.Remove(full)
-	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return err
-}
-
-// Rename moves a file, creating target directories as needed.
-func (s *DiskStore) Rename(from, to string) error {
-	src, err := s.resolve(from)
-	if err != nil {
-		return err
-	}
-	dst, err := s.resolve(to)
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(src); errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%w: %s", ErrNotFound, from)
-	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	return os.Rename(src, dst)
 }
 
 var _ Store = (*DiskStore)(nil)

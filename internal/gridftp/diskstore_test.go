@@ -63,20 +63,11 @@ func TestDiskStoreCRUD(t *testing.T) {
 	if got := st.List(); len(got) != 1 || got[0] != "/data/nested/file.bin" {
 		t.Fatalf("List = %v", got)
 	}
-	if err := st.Rename("/data/nested/file.bin", "/archive/f.bin"); err != nil {
-		t.Fatal(err)
+	if _, err := st.Open("/data/nested/ghost.bin"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Open missing err = %v", err)
 	}
-	if _, err := st.Open("/data/nested/file.bin"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("old path err = %v", err)
-	}
-	if err := st.Remove("/archive/f.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Remove("/archive/f.bin"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove err = %v", err)
-	}
-	if err := st.Rename("/ghost", "/x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("rename missing err = %v", err)
+	if _, err := st.Size("/ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Size missing err = %v", err)
 	}
 	if _, err := st.Size("/"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Size on directory err = %v", err)

@@ -2,148 +2,43 @@ package gridftp
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net"
 	"strings"
 	"testing"
 )
 
-func TestStoreRename(t *testing.T) {
-	st := NewMemStore()
-	if err := st.Put("/a.txt", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rename("/a.txt", "/b/c.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Open("/a.txt"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("old name should be gone")
-	}
-	got, err := st.Get("/b/c.txt")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("renamed content = %q, %v", got, err)
-	}
-	if err := st.Rename("/missing", "/x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("rename missing err = %v", err)
-	}
-	if err := st.Rename("/b/c.txt", "../escape"); err == nil {
-		t.Fatal("traversal target should be rejected")
-	}
-}
-
-func TestClientRename(t *testing.T) {
-	_, addr := startHello(t)
-	c := dialAndLogin(t, addr, ClientConfig{})
-	if err := c.Rename("/data/hello.txt", "/archive/hello.txt"); err != nil {
-		t.Fatal(err)
-	}
-	files, err := c.List()
-	if err != nil || len(files) != 1 || files[0] != "/archive/hello.txt" {
-		t.Fatalf("List after rename = %v, %v", files, err)
-	}
-	if err := c.Rename("/missing", "/x"); err == nil {
-		t.Fatal("renaming a missing file should fail")
-	}
-	// RNTO without RNFR is a sequence error.
-	code, _, err := c.Cmd("RNTO /y")
-	if err != nil || code != 503 {
-		t.Fatalf("bare RNTO = %d, %v", code, err)
-	}
-}
-
-func TestClientAppend(t *testing.T) {
-	st, addr := startHello(t)
-	c := dialAndLogin(t, addr, ClientConfig{})
-	if _, err := c.Append("/log.txt", strings.NewReader("line one\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Append("/log.txt", strings.NewReader("line two\n")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Get("/log.txt")
-	if err != nil || string(got) != "line one\nline two\n" {
-		t.Fatalf("appended content = %q, %v", got, err)
-	}
-}
-
-func TestClientDelete(t *testing.T) {
-	_, addr := startHello(t)
-	c := dialAndLogin(t, addr, ClientConfig{})
-	if err := c.Delete("/data/hello.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("/data/hello.txt"); err == nil {
-		t.Fatal("double delete should fail")
-	}
-}
-
+// TestCwdRelativePaths: every session's working directory is the root.
+// PWD answers "/", relative arguments resolve against it, and CWD and CDUP
+// are not implemented.
 func TestCwdRelativePaths(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	if err := c.ChangeDir("/data"); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := c.Expect(257, "PWD")
-	if err != nil || !strings.Contains(msg, "/data") {
-		t.Fatalf("PWD = %q, %v", msg, err)
-	}
-	// Relative RETR resolves against the cwd.
 	var buf bytes.Buffer
-	if _, err := c.Retr("hello.txt", &buf); err != nil {
+	if _, err := c.Retr("data/hello.txt", &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "hello, grid" {
 		t.Fatalf("relative RETR = %q", buf.String())
 	}
-	// SIZE too.
-	n, err := c.Size("hello.txt")
+	n, err := c.Size("data/../data/hello.txt")
 	if err != nil || n != 11 {
 		t.Fatalf("relative SIZE = %d, %v", n, err)
 	}
-	// CDUP pops back to root.
-	if _, err := c.Expect(250, "CDUP"); err != nil {
-		t.Fatal(err)
-	}
-	msg, _ = c.Expect(257, "PWD")
-	if !strings.Contains(msg, `"/"`) {
-		t.Fatalf("PWD after CDUP = %q", msg)
-	}
-	// Relative STOR lands under the cwd.
-	if err := c.ChangeDir("up"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stor("nested.bin", strings.NewReader("x")); err != nil {
+	if _, err := c.Stor("up/nested.bin", strings.NewReader("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Size("/up/nested.bin"); err != nil {
 		t.Fatalf("relative STOR landed wrong: %v", err)
 	}
-	code, _, err := c.Cmd("CWD")
-	if err != nil || code != 501 {
-		t.Fatalf("empty CWD = %d, %v", code, err)
-	}
-}
-
-func TestStatCommand(t *testing.T) {
-	_, addr := startHello(t)
-	c := dialAndLogin(t, addr, ClientConfig{})
-	code, msg, err := c.Cmd("STAT")
-	if err != nil || code != 211 {
-		t.Fatalf("STAT = %d, %v", code, err)
-	}
-	for _, want := range []string{"logged in: true", "mode: S", "cwd: /", "files: 1"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("STAT missing %q:\n%s", want, msg)
+	for _, cmd := range []string{"CWD /data", "CDUP"} {
+		if code, _, err := c.Cmd(cmd); err != nil || code != 502 {
+			t.Fatalf("%s = %d, %v; want 502", cmd, code, err)
 		}
 	}
-	code, msg, err = c.Cmd("STAT /data/hello.txt")
-	if err != nil || code != 213 || !strings.Contains(msg, "size: 11") {
-		t.Fatalf("STAT file = %d %q, %v", code, msg, err)
-	}
-	code, _, err = c.Cmd("STAT /missing")
-	if err != nil || code != 550 {
-		t.Fatalf("STAT missing = %d, %v", code, err)
+	msg, err := c.Expect(257, "PWD")
+	if err != nil || !strings.Contains(msg, `"/"`) {
+		t.Fatalf("PWD = %q, %v", msg, err)
 	}
 }
 
@@ -153,40 +48,6 @@ func TestAbor(t *testing.T) {
 	code, _, err := c.Cmd("ABOR")
 	if err != nil || code != 226 {
 		t.Fatalf("ABOR = %d, %v", code, err)
-	}
-}
-
-func TestMLSD(t *testing.T) {
-	st, addr := startHello(t)
-	if err := st.Put("/data/other.bin", make([]byte, 42)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put("/elsewhere/x", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	c := dialAndLogin(t, addr, ClientConfig{})
-	all, err := c.ListFacts("/")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("ListFacts(/) = %v, %v", all, err)
-	}
-	data, err := c.ListFacts("/data")
-	if err != nil || len(data) != 2 {
-		t.Fatalf("ListFacts(/data) = %v, %v", data, err)
-	}
-	bySize := map[string]int64{}
-	for _, fi := range data {
-		bySize[fi.Path] = fi.Size
-	}
-	if bySize["/data/hello.txt"] != 11 || bySize["/data/other.bin"] != 42 {
-		t.Fatalf("sizes = %v", bySize)
-	}
-	// Relative to cwd.
-	if err := c.ChangeDir("/elsewhere"); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := c.ListFacts("")
-	if err != nil || len(rel) != 1 || rel[0].Path != "/elsewhere/x" {
-		t.Fatalf("ListFacts cwd = %v, %v", rel, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,12 +49,6 @@ func TestMemStore(t *testing.T) {
 	}
 	if got := st.List(); len(got) != 1 || got[0] != "/a/b.bin" {
 		t.Fatalf("List = %v", got)
-	}
-	if err := st.Remove("/a/b.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Remove("/a/b.bin"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove err = %v", err)
 	}
 	if _, err := st.Create(""); err == nil {
 		t.Fatal("empty path should be rejected")
@@ -233,6 +228,17 @@ func TestStorAndRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), payload) {
 		t.Fatal("round trip mismatch")
 	}
+	// REST then STOR writes into the existing file from the offset.
+	if _, err := c.streamData(16, "STOR /up/large.bin", func(d net.Conn) (int64, error) {
+		return io.Copy(d, strings.NewReader("PATCHED"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	copy(payload[16:], "PATCHED")
+	got, err = st.Get("/up/large.bin")
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("REST+STOR content mismatch: %d bytes, %v", len(got), err)
+	}
 }
 
 func TestRestPartialRetr(t *testing.T) {
@@ -252,22 +258,6 @@ func TestRestPartialRetr(t *testing.T) {
 	}
 }
 
-func TestDeleAndList(t *testing.T) {
-	_, addr := startHello(t)
-	c := dialAndLogin(t, addr, ClientConfig{})
-	files, err := c.List()
-	if err != nil || len(files) != 1 || files[0] != "/data/hello.txt" {
-		t.Fatalf("List = %v, %v", files, err)
-	}
-	if _, err := c.Expect(250, "DELE /data/hello.txt"); err != nil {
-		t.Fatal(err)
-	}
-	files, err = c.List()
-	if err != nil || len(files) != 0 {
-		t.Fatalf("List after DELE = %v, %v", files, err)
-	}
-}
-
 func TestFeatMultiline(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
@@ -280,12 +270,64 @@ func TestFeatMultiline(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: an unknown verb, and each verb the server no longer
+// implements, answers 502, changes nothing, and leaves the session
+// answering the next command.
 func TestUnknownCommand(t *testing.T) {
+	st, addr := startHello(t)
+	c := dialAndLogin(t, addr, ClientConfig{})
+	for _, cmd := range []string{
+		"XYZZY",
+		"APPE /data/hello.txt",
+		"CWD /data",
+		"CDUP",
+		"DELE /data/hello.txt",
+		"RNFR /data/hello.txt",
+		"RNTO /data/moved.txt",
+		"NLST",
+		"MLSD /data",
+		"CKSM MD5 0 -1 /data/hello.txt",
+		"SPOR 127,0,0,1,0,1",
+		"ESTO A 0 /data/hello.txt",
+		"STAT",
+	} {
+		if code, _, err := c.Cmd(cmd); err != nil || code != 502 {
+			t.Fatalf("%s = %d, %v; want 502", cmd, code, err)
+		}
+		if _, err := c.Expect(200, "NOOP"); err != nil {
+			t.Fatalf("after %s: %v", cmd, err)
+		}
+	}
+	if got := st.List(); len(got) != 1 || got[0] != "/data/hello.txt" {
+		t.Fatalf("files after the refused verbs = %v", got)
+	}
+	if got, err := st.Get("/data/hello.txt"); err != nil || string(got) != "hello, grid" {
+		t.Fatalf("content after the refused verbs = %q, %v", got, err)
+	}
+}
+
+// TestFeatVerbsAnswered: FEAT and dispatch agree. Every line FEAT sends
+// opens with a verb the server answers with something other than 502;
+// PARALLEL is carried by OPTS.
+func TestFeatVerbsAnswered(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	code, _, err := c.Cmd("XYZZY")
-	if err != nil || code != 502 {
-		t.Fatalf("unknown command = %d, %v", code, err)
+	msg, err := c.Expect(211, "FEAT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(msg, "\n")
+	if len(lines) != len(features)+2 {
+		t.Fatalf("FEAT body = %q, want %d feature lines", msg, len(features))
+	}
+	for _, line := range lines[1 : len(lines)-1] {
+		verb, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		if verb == "PARALLEL" {
+			verb = "OPTS"
+		}
+		if code, _, err := c.Cmd(verb); err != nil || code == 502 {
+			t.Fatalf("FEAT advertises %q, but %s = %d, %v", line, verb, code, err)
+		}
 	}
 }
 

@@ -3,16 +3,13 @@ package gridftp
 import (
 	"bufio"
 	"bytes"
-	"crypto/md5"
-	"crypto/sha1"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,9 +56,9 @@ var fuzzFile = func() []byte {
 
 // runSession feeds script to a server session over net.Pipe and returns
 // every line the server wrote. A pipe has no host address, so PASV and
-// SPAS fail and no listener is ever opened; callers skip PORT and SPOR,
-// so nothing is dialed either. The trailing QUITs outlast an AUTH GSI
-// handshake, which reads at most two lines.
+// SPAS fail and no listener is ever opened; callers skip PORT, so nothing
+// is dialed either. The trailing QUITs outlast an AUTH GSI handshake,
+// which reads at most two lines.
 func runSession(t *testing.T, script string) []string {
 	st := NewMemStore()
 	if err := st.Put("/data/f.bin", fuzzFile); err != nil {
@@ -148,8 +145,8 @@ func replies(t *testing.T, lines []string) []int {
 func FuzzSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script string) {
 		upper := strings.ToUpper(script)
-		if strings.Contains(upper, "PORT") || strings.Contains(upper, "SPOR") {
-			t.Skip("PORT and SPOR make the server dial out")
+		if strings.Contains(upper, "PORT") {
+			t.Skip("PORT makes the server dial out")
 		}
 		if codes := replies(t, runSession(t, script)); len(codes) == 0 || codes[0] != 220 {
 			t.Fatalf("no banner: %v", codes)
@@ -157,10 +154,10 @@ func FuzzSession(f *testing.F) {
 	})
 }
 
-// FuzzRangeArgs: the argument forms of ERET (P off len path), CKSM (algo
-// off len path) and ESTO (A off path), each reply judged against an
-// independent reading of the arguments; a CKSM digest against a local
-// hash of the same bytes.
+// FuzzRangeArgs: the argument form of ERET (P off len path), each reply
+// judged against an independent reading of the arguments. CKSM and ESTO
+// take the same fields and must answer 502 whatever they are: the server
+// no longer implements either.
 func FuzzRangeArgs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, word, off, length string) {
 		if strings.ContainsAny(word+off+length, " \n") {
@@ -186,47 +183,59 @@ func FuzzRangeArgs(f *testing.F) {
 		default:
 			want = append(want, 150, 425) // no data connection to open
 		}
-		var region []byte
-		switch algo := strings.ToUpper(word); {
-		case oerr != nil || nerr != nil:
-			want = append(want, 501)
-		case algo != AlgoMD5 && algo != AlgoSHA1 && algo != AlgoCRC32,
-			o < 0 || o > size, n >= 0 && n > size-o:
-			want = append(want, 504)
-		default:
-			want = append(want, 213)
-			region = fuzzFile[o:]
-			if n >= 0 {
-				region = region[:n]
-			}
-		}
-		if !strings.EqualFold(word, "A") || oerr != nil || o < 0 {
-			want = append(want, 501)
-		} else {
-			want = append(want, 150, 425)
-		}
-		want = append(want, 221)
+		want = append(want, 502, 502, 221)
 		if fmt.Sprint(codes) != fmt.Sprint(want) {
 			t.Fatalf("replies %v, want %v:\n%s", codes, want, strings.Join(lines, "\n"))
 		}
-		if region == nil {
-			return
-		}
-		var digest []byte
-		switch strings.ToUpper(word) {
-		case AlgoMD5:
-			d := md5.Sum(region)
-			digest = d[:]
-		case AlgoSHA1:
-			d := sha1.Sum(region)
-			digest = d[:]
-		default:
-			digest = binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(region))
-		}
-		for _, l := range lines {
-			if strings.HasPrefix(l, "213 ") && strings.TrimSpace(l[4:]) != hex.EncodeToString(digest) {
-				t.Fatalf("CKSM %s %d %d = %s, want %x", word, o, n, l[4:], digest)
+	})
+}
+
+// FuzzXferlog: whatever user name and path a client sends, its transfer's
+// xferlog record is one line of the format's 18 fields. The path (as the
+// server resolves it) and the user are one field each, with every byte up
+// to the space and DEL written as '_', and every other field is what the
+// transfer makes it.
+func FuzzXferlog(f *testing.F) {
+	at := time.Date(2005, 7, 4, 12, 0, 0, 0, time.UTC)
+	underscored := func(s string) string {
+		var b strings.Builder
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c > ' ' && c != 0x7f {
+				b.WriteByte(c)
+			} else {
+				b.WriteByte('_')
 			}
+		}
+		return b.String()
+	}
+	f.Fuzz(func(t *testing.T, user, arg string, n int64, upload bool) {
+		var log bytes.Buffer
+		srv, err := NewServer(ServerConfig{Store: NewMemStore(), TransferLog: &log, Clock: func() time.Time { return at }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, peer := net.Pipe()
+		defer conn.Close()
+		defer peer.Close()
+		s := &session{srv: srv, conn: conn, user: user}
+		dir := byte('o')
+		if upload {
+			dir = 'i'
+		}
+		path := s.resolve(arg)
+		s.logTransfer(at, n, path, dir)
+		line, ok := strings.CutSuffix(log.String(), "\n")
+		if !ok || strings.Contains(line, "\n") {
+			t.Fatalf("record %q is not one line", log.String())
+		}
+		if user == "" {
+			user = "?"
+		}
+		want := []string{"Mon", "Jul", "4", "12:00:00", "2005", "1", "pipe", strconv.FormatInt(n, 10),
+			underscored(path), "b", "_", string(dir), "a", underscored(user), "ftp", "0", "*", "c"}
+		got := strings.FieldsFunc(line, func(r rune) bool { return r <= ' ' })
+		if !slices.Equal(got, want) {
+			t.Fatalf("record %q splits into %d fields %q, want %q", line, len(got), got, want)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,7 +336,7 @@ func TestFeatAdvertisesExtensions(t *testing.T) {
 	if err != nil || code != 211 {
 		t.Fatal(err)
 	}
-	for _, feat := range []string{"MODE E", "PARALLEL", "ERET", "ESTO", "SBUF", "SPAS", "SPOR", "AUTH GSI"} {
+	for _, feat := range []string{"MODE E", "PARALLEL", "ERET", "SBUF", "SPAS", "AUTH GSI"} {
 		if !strings.Contains(msg, feat) {
 			t.Fatalf("FEAT missing %q:\n%s", feat, msg)
 		}
@@ -374,45 +373,6 @@ func TestOPTSValidation(t *testing.T) {
 	code, _, err = c.Cmd("OPTS MLST foo")
 	if err != nil || code != 501 {
 		t.Fatalf("OPTS MLST = %d, %v", code, err)
-	}
-}
-
-func TestESTOAdjustedStore(t *testing.T) {
-	srv, addr, _ := startServer(t, ServerConfig{})
-	c := dialAndLogin(t, addr, ClientConfig{Parallelism: 2})
-	// First lay down a base file, then ESTO a chunk at an offset.
-	base := make([]byte, 1000)
-	if err := c.Put("/up/base.bin", base); err != nil {
-		t.Fatal(err)
-	}
-	chunk := []byte("INSERTED")
-	addrSpec, err := c.Passive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, err := c.dialData([]string{addrSpec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Expect(200, "OPTS STOR Parallelism=1;"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Expect(150, "ESTO A 100 /up/base.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := SendBlocks(conns, bytes.NewReader(chunk), 0, int64(len(chunk)), 4); err != nil {
-		t.Fatal(err)
-	}
-	closeAll(conns)
-	if _, err := c.expectFinal(226); err != nil {
-		t.Fatal(err)
-	}
-	got, err := memStore(srv).Get("/up/base.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[100:108]) != "INSERTED" {
-		t.Fatalf("ESTO content = %q", got[95:115])
 	}
 }
 
@@ -497,68 +457,10 @@ func TestPropertyParallelSocketRoundTrip(t *testing.T) {
 	_ = srv
 }
 
-func TestThirdPartyStriped(t *testing.T) {
-	_, srcAddr, payload := startServer(t, ServerConfig{Stripes: 3})
-	dstStore := NewMemStore()
-	_, dstAddr, _ := startServer(t, ServerConfig{Store: dstStore})
-	src := dialAndLogin(t, srcAddr, ClientConfig{Parallelism: 2})
-	dst := dialAndLogin(t, dstAddr, ClientConfig{Parallelism: 2})
-	if err := ThirdPartyStriped(src, "/data/big.bin", dst, "/mirror/striped.bin"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dstStore.Get("/mirror/striped.bin")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("striped third-party mismatch: %d bytes, %v", len(got), err)
-	}
-	// Requires MODE E on both ends.
-	s2 := dialAndLogin(t, srcAddr, ClientConfig{})
-	d2 := dialAndLogin(t, dstAddr, ClientConfig{})
-	if err := ThirdPartyStriped(s2, "/a", d2, "/b"); err == nil {
-		t.Fatal("stream-mode striped third-party should be rejected")
-	}
-	if err := ThirdPartyStriped(nil, "/a", d2, "/b"); err == nil {
-		t.Fatal("nil client should be rejected")
-	}
-}
-
-func TestESTOStreamMode(t *testing.T) {
-	srv, addr, _ := startServer(t, ServerConfig{})
-	c := dialAndLogin(t, addr, ClientConfig{})
-	if err := c.Put("/up/base.bin", make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	// ESTO A in stream mode: adjusted store via the plain data channel.
-	pasvAddr, err := c.Passive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := net.DialTimeout("tcp", pasvAddr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Expect(150, "ESTO A 40 /up/base.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := data.Write([]byte("MIDDLE")); err != nil {
-		t.Fatal(err)
-	}
-	data.Close()
-	if _, err := c.expectFinal(226); err != nil {
-		t.Fatal(err)
-	}
-	got, err := memStore(srv).Get("/up/base.bin")
-	if err != nil || string(got[40:46]) != "MIDDLE" {
-		t.Fatalf("ESTO stream content = %q, %v", got[38:48], err)
-	}
-}
-
-func TestESTOAndERETBadArgs(t *testing.T) {
+func TestERETBadArgs(t *testing.T) {
 	_, addr, _ := startServer(t, ServerConfig{})
 	c := dialAndLogin(t, addr, ClientConfig{})
 	for _, cmd := range []string{
-		"ESTO nonsense",
-		"ESTO A x /p",
-		"ESTO A -1 /p",
 		"ERET nonsense",
 		"ERET P 1 2",
 		"ERET P x y /p",
@@ -576,25 +478,32 @@ func TestESTOAndERETBadArgs(t *testing.T) {
 	}
 }
 
+// TestUseStreamModeSwitchBack: MODE S after MODE E puts the session back
+// in stream mode, so a plain RETR moves the file over one connection.
+func TestUseStreamModeSwitchBack(t *testing.T) {
+	_, addr, payload := startServer(t, ServerConfig{})
+	c := dialAndLogin(t, addr, ClientConfig{Parallelism: 4})
+	if !c.ModeE() {
+		t.Fatal("setup should have enabled MODE E")
+	}
+	if _, err := c.Expect(200, "MODE S"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := c.Retr("/data/big.bin", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), payload) {
+		t.Fatal("stream-mode content mismatch after switch back")
+	}
+}
+
 func TestModeXRejected(t *testing.T) {
 	_, addr, _ := startServer(t, ServerConfig{})
 	c := dialAndLogin(t, addr, ClientConfig{})
 	code, _, err := c.Cmd("MODE X")
 	if err != nil || code != 504 {
 		t.Fatalf("MODE X = %d, %v; want 504", code, err)
-	}
-}
-
-func TestSPORBadAddress(t *testing.T) {
-	_, addr, _ := startServer(t, ServerConfig{})
-	c := dialAndLogin(t, addr, ClientConfig{})
-	code, _, err := c.Cmd("SPOR not,an,addr")
-	if err != nil || code != 501 {
-		t.Fatalf("bad SPOR = %d, %v; want 501", code, err)
-	}
-	code, _, err = c.Cmd("SPOR")
-	if err != nil || code != 501 {
-		t.Fatalf("empty SPOR = %d, %v; want 501", code, err)
 	}
 }
 

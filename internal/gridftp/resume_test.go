@@ -47,83 +47,39 @@ func (f *flakyFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
+// TestRetrResumable: a read error mid-transfer fails a plain Retr and
+// leaves the session usable; a RetrFrom (REST + RETR) that starts at the
+// bytes already received then completes the file byte for byte.
 func TestRetrResumable(t *testing.T) {
 	mem := NewMemStore()
 	payload := bytes.Repeat([]byte("resume-me-"), 100_000) // 1 MB
 	if err := mem.Put("/data/big.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	// Fail twice once the transfer passes 256 KiB.
-	st := &flakyStore{MemStore: mem, failAt: 256 << 10, remaining: 2}
-	srv, err := NewServer(ServerConfig{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("u", "p"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.TypeImage(); err != nil {
-		t.Fatal(err)
-	}
-	// Plain Retr fails on the hiccup...
-	var junk bytes.Buffer
-	if _, err := c.Retr("/data/big.bin", &junk); err == nil {
-		t.Fatal("plain Retr should fail on the first hiccup")
-	}
-	// ...but the resumable variant rides through both failures.
+	// Fail once the transfer passes 256 KiB.
+	st := &flakyStore{MemStore: mem, failAt: 256 << 10, remaining: 1}
+	_, addr, _ := startServer(t, ServerConfig{Store: st})
+	c := dialAndLogin(t, addr, ClientConfig{})
 	var buf bytes.Buffer
-	n, err := c.RetrResumable("/data/big.bin", &buf, 3)
+	n, err := c.Retr("/data/big.bin", &buf)
+	if err == nil {
+		t.Fatal("plain Retr should fail on the hiccup")
+	}
+	if n == 0 || n != int64(buf.Len()) || !bytes.Equal(buf.Bytes(), payload[:n]) {
+		t.Fatalf("failed Retr delivered %d bytes (%d buffered), want a prefix of the file", n, buf.Len())
+	}
+	if _, err := c.Expect(200, "NOOP"); err != nil {
+		t.Fatalf("session after the failed transfer: %v", err)
+	}
+	m, err := c.RetrFrom("/data/big.bin", n, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(payload)) || !bytes.Equal(buf.Bytes(), payload) {
-		t.Fatalf("resumable transfer = %d bytes, match=%v", n, bytes.Equal(buf.Bytes(), payload))
+	if n+m != int64(len(payload)) || !bytes.Equal(buf.Bytes(), payload) {
+		t.Fatalf("resumed transfer = %d+%d bytes, match=%v", n, m, bytes.Equal(buf.Bytes(), payload))
 	}
-	if st.failures != 2 {
-		t.Fatalf("failures = %d, want exactly 2 (one per hiccup)", st.failures)
-	}
-}
-
-func TestRetrResumableGivesUp(t *testing.T) {
-	mem := NewMemStore()
-	if err := mem.Put("/f", make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	// Fails forever from byte zero: no progress is ever possible.
-	st := &flakyStore{MemStore: mem, failAt: 0, remaining: 1 << 30}
-	srv, err := NewServer(ServerConfig{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("u", "p"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := c.RetrResumable("/f", &buf, 2); err == nil {
-		t.Fatal("hopeless transfer should give up")
-	}
-	if _, err := c.RetrResumable("/f", &buf, -1); err == nil {
-		t.Fatal("negative retry budget should be rejected")
+	if st.failures != 1 {
+		t.Fatalf("failures = %d, want exactly 1", st.failures)
 	}
 }
 
@@ -184,5 +140,29 @@ func TestXferlog(t *testing.T) {
 		if !strings.Contains(ul, want) {
 			t.Fatalf("upload line missing %q: %s", want, ul)
 		}
+	}
+	// A user name and a path with spaces in them are one field each.
+	c2, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Login("ct yang", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Stor("/up/a b.bin", strings.NewReader("12345")); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("xferlog lines = %d:\n%s", len(lines), logBuf.String())
+	}
+	for _, l := range lines {
+		if n := len(strings.Fields(l)); n != 18 {
+			t.Fatalf("xferlog line has %d fields, want 18: %s", n, l)
+		}
+	}
+	if sp := lines[2]; !strings.Contains(sp, " /up/a_b.bin ") || !strings.Contains(sp, " i a ct_yang ") {
+		t.Fatalf("spaced upload line: %s", sp)
 	}
 }

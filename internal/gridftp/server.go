@@ -5,7 +5,7 @@
 // channel, MODE E extended block mode whose 17-byte block headers (8 flag
 // bits + 64-bit offset + 64-bit length) permit out-of-order arrival and
 // therefore multiple parallel TCP data channels, partial file transfer
-// (REST/ERET/ESTO), third-party transfer between two servers, striped data
+// (REST/ERET), third-party transfer between two servers, striped data
 // transfer (the paper's future work #1), and TCP buffer negotiation (SBUF).
 //
 // One server speaks both: a session that never leaves MODE S is a plain
@@ -147,21 +147,18 @@ type session struct {
 	conn net.Conn
 	r    *bufio.Reader
 
-	user       string
-	authed     bool
-	mode       byte // 'S' stream (default) or 'E' extended block
-	dtype      byte // 'A' ascii (default) or 'I' image
-	cwd        string
-	rest       int64
-	renameFrom string
-	quitting   bool
+	user     string
+	authed   bool
+	mode     byte // 'S' stream (default) or 'E' extended block
+	dtype    byte // 'A' ascii (default) or 'I' image
+	rest     int64
+	quitting bool
 
 	// Data-connection setup: a PASV listener or a PORT address; MODE E
-	// transfers prefer SPAS stripe listeners, then SPOR stripe addresses.
+	// transfers prefer SPAS stripe listeners.
 	pasv     *net.TCPListener
 	portAddr string
 	spas     []*net.TCPListener
-	spor     []string
 
 	// MODE E options: the OPTS RETR/STOR parallelism and the SBUF TCP
 	// buffer size, 0 while unset.
@@ -199,32 +196,14 @@ func (s *session) dispatch(verb, arg string) bool {
 		handleRETR(s, arg)
 	case "STOR":
 		handleSTOR(s, arg)
-	case "APPE":
-		handleAPPE(s, arg)
 	case "SIZE":
 		handleSIZE(s, arg)
 	case "REST":
 		handleREST(s, arg)
-	case "DELE":
-		handleDELE(s, arg)
-	case "RNFR":
-		handleRNFR(s, arg)
-	case "RNTO":
-		handleRNTO(s, arg)
-	case "NLST":
-		handleNLST(s)
-	case "MLSD":
-		handleMLSD(s, arg)
-	case "STAT":
-		handleSTAT(s, arg)
 	case "FEAT":
 		s.replyLines(211, "Features:", features, "End")
 	case "PWD":
-		s.reply(257, `"`+s.cwd+`" is the current directory`)
-	case "CWD":
-		handleCWD(s, arg)
-	case "CDUP":
-		handleCWD(s, "..")
+		s.reply(257, `"/" is the current directory`)
 	case "ABOR":
 		s.reply(226, "no transfer to abort")
 	case "AUTH":
@@ -235,29 +214,21 @@ func (s *session) dispatch(verb, arg string) bool {
 		handleSBUF(s, arg)
 	case "ERET":
 		handleERET(s, arg)
-	case "ESTO":
-		handleESTO(s, arg)
 	case "SPAS":
 		handleSPAS(s)
-	case "SPOR":
-		handleSPOR(s, arg)
-	case "CKSM":
-		handleCKSM(s, arg)
 	default:
 		return false
 	}
 	return true
 }
 
-// features is the FEAT reply body.
-var features = []string{
-	"SIZE", "REST STREAM", "MLSD type*;size*;",
-	"CKSM MD5,SHA1,CRC32", "AUTH GSI", "MODE E", "PARALLEL", "ERET", "ESTO", "SBUF", "SPAS", "SPOR",
-}
+// features is the FEAT reply body. Each line opens with a verb dispatch
+// answers, except PARALLEL: GridFTP's name for OPTS RETR/STOR Parallelism.
+var features = []string{"SIZE", "REST STREAM", "AUTH GSI", "MODE E", "PARALLEL", "ERET", "SBUF", "SPAS"}
 
 func (srv *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	s := &session{srv: srv, conn: conn, r: bufio.NewReader(conn), mode: 'S', dtype: 'A', cwd: "/"}
+	s := &session{srv: srv, conn: conn, r: bufio.NewReader(conn), mode: 'S', dtype: 'A'}
 	defer func() {
 		s.closePasv()
 		closeAll(s.spas)
@@ -310,19 +281,17 @@ func (s *session) takeRest() int64 {
 	return r
 }
 
-// resolve interprets a command's path argument relative to the working
-// directory. Absolute arguments pass through.
+// resolve interprets a command's path argument against the root, the
+// one working directory every session has.
 func (s *session) resolve(arg string) string {
-	arg = strings.TrimSpace(arg)
-	if strings.HasPrefix(arg, "/") {
-		return gopath.Clean(arg)
-	}
-	return gopath.Clean(gopath.Join(s.cwd, arg))
+	return gopath.Clean("/" + strings.TrimSpace(arg))
 }
 
 // logTransfer emits one xferlog-format line (wu-ftpd's transfer audit
 // format): date, duration, remote host, bytes, path, type, direction,
-// user. It is a no-op when no TransferLog is configured.
+// user. The path and the user are client-supplied, so each is written as
+// one xferlogField and the line always splits into 18 fields. It is a
+// no-op when no TransferLog is configured.
 func (s *session) logTransfer(start time.Time, bytes int64, path string, direction byte) {
 	w := s.srv.cfg.TransferLog
 	if w == nil {
@@ -342,7 +311,19 @@ func (s *session) logTransfer(start time.Time, bytes int64, path string, directi
 		user = "?"
 	}
 	fmt.Fprintf(w, "%s %d %s %d %s b _ %c a %s ftp 0 * c\n",
-		now.Format("Mon Jan  2 15:04:05 2006"), secs, host, bytes, path, direction, user)
+		now.Format("Mon Jan  2 15:04:05 2006"), secs, host, bytes, xferlogField(path), direction, xferlogField(user))
+}
+
+// xferlogField makes s one whitespace-free xferlog field: every byte up to
+// and including the space, and DEL, is written as '_'.
+func xferlogField(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if c <= ' ' || c == 0x7f {
+			b[i] = '_'
+		}
+	}
+	return string(b)
 }
 
 // --- login and session state ---
@@ -474,24 +455,7 @@ func handleREST(s *session, arg string) {
 	s.reply(350, fmt.Sprintf("restarting at %d, send transfer command", n))
 }
 
-// --- files and directories ---
-
-func handleCWD(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	if arg == "" {
-		s.reply(501, "CWD needs a directory")
-		return
-	}
-	next := s.resolve(arg)
-	if !strings.HasPrefix(next, "/") {
-		s.reply(550, "invalid directory")
-		return
-	}
-	s.cwd = next
-	s.reply(250, "CWD successful, now "+s.cwd)
-}
+// --- files ---
 
 func handleSIZE(s *session, arg string) {
 	if !s.requireAuth() {
@@ -505,123 +469,10 @@ func handleSIZE(s *session, arg string) {
 	s.reply(213, strconv.FormatInt(n, 10))
 }
 
-func handleDELE(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	if err := s.store().Remove(s.resolve(arg)); err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.reply(250, "file deleted")
-}
-
-func handleRNFR(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	p := s.resolve(arg)
-	if _, err := s.store().Size(p); err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.renameFrom = p
-	s.reply(350, "ready for RNTO")
-}
-
-func handleRNTO(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	if s.renameFrom == "" {
-		s.reply(503, "RNFR required first")
-		return
-	}
-	from := s.renameFrom
-	s.renameFrom = ""
-	if err := s.store().Rename(from, s.resolve(arg)); err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.reply(250, "rename successful")
-}
-
-func handleSTAT(s *session, arg string) {
-	if arg == "" {
-		s.replyLines(211, "server status",
-			[]string{
-				"logged in: " + fmt.Sprint(s.authed),
-				"type: " + string(s.dtype),
-				"mode: " + string(s.mode),
-				"cwd: " + s.cwd,
-				fmt.Sprintf("files: %d", len(s.store().List())),
-			}, "end of status")
-		return
-	}
-	if !s.requireAuth() {
-		return
-	}
-	p := s.resolve(arg)
-	size, err := s.store().Size(p)
-	if err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.replyLines(213, "status of "+p, []string{fmt.Sprintf("size: %d", size)}, "end of status")
-}
-
-func handleNLST(s *session) {
-	if !s.requireAuth() {
-		return
-	}
-	s.reply(150, "opening data connection for file list")
-	conn, err := s.openData()
-	if err != nil {
-		s.reply(425, err.Error())
-		return
-	}
-	defer conn.Close()
-	for _, p := range s.store().List() {
-		fmt.Fprintf(conn, "%s\r\n", p)
-	}
-	s.reply(226, "transfer complete")
-}
-
-// handleMLSD sends an RFC 3659 machine-readable listing of the files under
-// the given directory (the cwd if absent) over the data connection.
-func handleMLSD(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	dir := s.cwd
-	if arg != "" {
-		dir = s.resolve(arg)
-	}
-	prefix := strings.TrimSuffix(dir, "/") + "/"
-	s.reply(150, "opening data connection for MLSD")
-	conn, err := s.openData()
-	if err != nil {
-		s.reply(425, err.Error())
-		return
-	}
-	defer conn.Close()
-	for _, p := range s.store().List() {
-		if dir != "/" && !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		size, err := s.store().Size(p)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(conn, "type=file;size=%d; %s\r\n", size, p)
-	}
-	s.reply(226, "MLSD complete")
-}
-
 // --- data connections ---
 
 // formatAddr renders a "host:port" string as h1,h2,h3,h4,p1,p2: the form
-// of the 227 reply, the SPAS lines and the PORT and SPOR arguments.
+// of the 227 reply, the SPAS lines and the PORT argument.
 func formatAddr(hostport string) (string, error) {
 	host, portStr, err := net.SplitHostPort(hostport)
 	if err != nil {
@@ -733,31 +584,8 @@ func handleSPAS(s *session) {
 		}
 		specs = append(specs, spec)
 	}
-	s.spas, s.spor = lns, nil
+	s.spas = lns
 	s.replyLines(229, "Entering Striped Passive Mode", specs, "End")
-}
-
-func handleSPOR(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		s.reply(501, "SPOR needs at least one address")
-		return
-	}
-	addrs := make([]string, 0, len(fields))
-	for _, f := range fields {
-		a, err := parsePasvAddr(f)
-		if err != nil {
-			s.reply(501, err.Error())
-			return
-		}
-		addrs = append(addrs, a)
-	}
-	closeAll(s.spas) // SPOR supersedes SPAS
-	s.spas, s.spor = nil, addrs
-	s.reply(200, fmt.Sprintf("striped port set (%d stripes)", len(addrs)))
 }
 
 // accept waits up to the data timeout for one connection on ln. The
@@ -792,8 +620,6 @@ func (s *session) channelCount() int {
 	switch {
 	case len(s.spas) > 0:
 		return len(s.spas)
-	case len(s.spor) > 0:
-		return len(s.spor)
 	case s.parallelism > 0:
 		return s.parallelism
 	}
@@ -801,7 +627,7 @@ func (s *session) channelCount() int {
 }
 
 // dataChannels establishes a MODE E transfer's data connections: one per
-// SPAS listener, one per SPOR address, else `parallelism` connections
+// SPAS listener, else `parallelism` connections
 // accepted on the passive listener or dialed to the PORT address.
 func (s *session) dataChannels() ([]net.Conn, error) {
 	n := s.channelCount()
@@ -812,8 +638,6 @@ func (s *session) dataChannels() ([]net.Conn, error) {
 		switch {
 		case len(s.spas) > 0:
 			c, err = s.accept(s.spas[i])
-		case len(s.spor) > 0:
-			c, err = net.DialTimeout("tcp", s.spor[i], s.srv.cfg.DataTimeout)
 		default:
 			c, err = s.openData()
 		}
@@ -948,56 +772,10 @@ func handleSTOR(s *session, arg string) {
 		return
 	}
 	if s.mode == 'E' {
-		s.storeModeE(s.resolve(arg), 0, false)
+		s.storeModeE(s.resolve(arg))
 		return
 	}
 	s.storeStream(s.resolve(arg))
-}
-
-// handleAPPE appends the incoming data to an existing file (creating it if
-// absent) — RFC 959 APPE, always a stream-mode transfer.
-func handleAPPE(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	p := s.resolve(arg)
-	size, err := s.store().Size(p)
-	if errors.Is(err, ErrNotFound) {
-		size = 0
-		if _, cerr := s.store().Create(p); cerr != nil {
-			s.reply(550, cerr.Error())
-			return
-		}
-	} else if err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.rest = size
-	s.storeStream(p)
-}
-
-// handleESTO is the adjusted store "ESTO A <offset> <path>": the data
-// lands shifted by offset.
-func handleESTO(s *session, arg string) {
-	if !s.requireAuth() {
-		return
-	}
-	fields := strings.SplitN(arg, " ", 3)
-	if len(fields) != 3 || !strings.EqualFold(fields[0], "A") {
-		s.reply(501, "usage: ESTO A <offset> <path>")
-		return
-	}
-	offset, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil || offset < 0 {
-		s.reply(501, "bad offset")
-		return
-	}
-	if s.mode == 'E' {
-		s.storeModeE(s.resolve(fields[2]), offset, true)
-		return
-	}
-	s.rest = offset
-	s.storeStream(s.resolve(fields[2]))
 }
 
 // storeStream receives one stream-mode upload into path, written from the
@@ -1046,20 +824,9 @@ func (s *session) storeStream(path string) {
 	s.reply(226, fmt.Sprintf("transfer complete (%d bytes)", total))
 }
 
-// storeModeE runs a MODE E receive into path, shifting block offsets by
-// base. An adjusted store (ESTO) writes into the existing file; STOR
-// creates or truncates it.
-func (s *session) storeModeE(path string, base int64, adjusted bool) {
-	var f File
-	var err error
-	if adjusted {
-		f, err = s.store().Open(path)
-		if errors.Is(err, ErrNotFound) {
-			f, err = s.store().Create(path)
-		}
-	} else {
-		f, err = s.store().Create(path)
-	}
+// storeModeE runs a MODE E receive into path, created or truncated.
+func (s *session) storeModeE(path string) {
+	f, err := s.store().Create(path)
 	if err != nil {
 		s.reply(550, err.Error())
 		return
@@ -1071,12 +838,8 @@ func (s *session) storeModeE(path string, base int64, adjusted bool) {
 		return
 	}
 	defer closeAll(conns)
-	dst := io.WriterAt(f)
-	if base != 0 {
-		dst = offsetWriterAt{f, base}
-	}
 	start := s.srv.cfg.Clock()
-	total, announced, eods, err := ReceiveBlocks(conns, dst)
+	total, announced, eods, err := ReceiveBlocks(conns, f)
 	if err != nil {
 		s.reply(426, "transfer aborted: "+err.Error())
 		return
@@ -1087,16 +850,4 @@ func (s *session) storeModeE(path string, base int64, adjusted bool) {
 	}
 	s.logTransfer(start, total, path, 'i')
 	s.reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", total, len(conns)))
-}
-
-// offsetWriterAt shifts every write by a fixed amount: an ESTO adjusted
-// store on the server, a ranged ERET download into its own buffer on the
-// client.
-type offsetWriterAt struct {
-	w     io.WriterAt
-	shift int64
-}
-
-func (o offsetWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	return o.w.WriteAt(p, off+o.shift)
 }

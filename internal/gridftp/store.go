@@ -29,10 +29,6 @@ type Store interface {
 	Size(path string) (int64, error)
 	// List returns all paths, sorted.
 	List() []string
-	// Remove deletes a file.
-	Remove(path string) error
-	// Rename moves a file to a new path (RNFR/RNTO).
-	Rename(from, to string) error
 }
 
 // ErrNotFound is returned for missing paths.
@@ -176,42 +172,6 @@ func (s *MemStore) List() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Remove deletes a file.
-func (s *MemStore) Remove(path string) error {
-	p, err := cleanPath(path)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.files[p]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, p)
-	}
-	delete(s.files, p)
-	return nil
-}
-
-// Rename moves a file to a new path, replacing any existing target.
-func (s *MemStore) Rename(from, to string) error {
-	f, err := cleanPath(from)
-	if err != nil {
-		return err
-	}
-	t, err := cleanPath(to)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	file, ok := s.files[f]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, f)
-	}
-	delete(s.files, f)
-	s.files[t] = file
-	return nil
 }
 
 // Put writes a whole file (test and example convenience).

@@ -3,7 +3,6 @@ package gridftp_test
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"flag"
 	"math/rand"
 	"net"
@@ -108,39 +107,6 @@ func (r *relay) transcript() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// onceFlakyStore fails one read at or past failAt: a disk hiccup in the
-// middle of a stream-mode download.
-type onceFlakyStore struct {
-	*gridftp.MemStore
-	failAt int64
-	mu     sync.Mutex
-	failed bool
-}
-
-func (s *onceFlakyStore) Open(path string) (gridftp.File, error) {
-	f, err := s.MemStore.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return onceFlakyFile{f, s}, nil
-}
-
-type onceFlakyFile struct {
-	gridftp.File
-	s *onceFlakyStore
-}
-
-func (f onceFlakyFile) ReadAt(p []byte, off int64) (int, error) {
-	f.s.mu.Lock()
-	fail := !f.s.failed && off >= f.s.failAt
-	f.s.failed = f.s.failed || fail
-	f.s.mu.Unlock()
-	if fail {
-		return 0, errors.New("simulated disk hiccup")
-	}
-	return f.File.ReadAt(p, off)
 }
 
 // transcriptWorld is one case's servers, each behind its own relay.
@@ -329,22 +295,6 @@ var transcriptCases = []struct {
 			w.t.Fatalf("mirror = %d bytes, %v", len(got), err)
 		}
 		w.quit(src, dst)
-	}},
-	{"retr-resumable", func(w *transcriptWorld) {
-		mem := gridftp.NewMemStore()
-		if err := mem.Put("/data/big.bin", w.payload); err != nil {
-			w.t.Fatal(err)
-		}
-		st := &onceFlakyStore{MemStore: mem, failAt: 256 << 10}
-		c := w.login(w.serve(gridftp.ServerConfig{Store: st}), gridftp.ClientConfig{}, nil)
-		var buf bytes.Buffer
-		if _, err := c.RetrResumable("/data/big.bin", &buf, 1); err != nil {
-			w.t.Fatal(err)
-		}
-		if !st.failed || !bytes.Equal(buf.Bytes(), w.payload) {
-			w.t.Fatalf("resumed download: failed=%v, match=%v", st.failed, bytes.Equal(buf.Bytes(), w.payload))
-		}
-		w.quit(c)
 	}},
 	{"coalloc-eret", func(w *transcriptWorld) {
 		c := w.login(w.serve(gridftp.ServerConfig{}), gridftp.ClientConfig{Parallelism: 2}, nil)
