@@ -1,14 +1,13 @@
 // Package cluster models the Data Grid testbed: sites (PC clusters) made of
 // hosts with CPUs and disks, joined by a LAN switch per site and WAN links
 // between sites. Host CPU and I/O load are dynamic, driven either by
-// synthetic load processes or by explicitly attached jobs, and are the
+// synthetic load walks or by explicitly attached jobs, and are the
 // quantities the paper's monitoring substrates (MDS, sysstat) observe.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -61,6 +60,8 @@ type Host struct {
 	baseIOLoad  float64 // synthetic background I/O busy fraction
 	jobCPULoad  float64 // CPU busy contributed by attached jobs
 	jobIOLoad   float64 // I/O busy contributed by attached jobs
+	// walk moves the base loads (StartLoad), or is nil.
+	walk *simulation.Walk
 }
 
 // Name returns the host name (also its netsim node name).
@@ -80,31 +81,41 @@ func clamp01(x float64) float64 {
 }
 
 // CPULoad returns the busy fraction of the CPU in [0,1].
-func (h *Host) CPULoad() float64 { return clamp01(h.baseCPULoad + h.jobCPULoad) }
+func (h *Host) CPULoad() float64 {
+	h.walk.Advance()
+	return clamp01(h.baseCPULoad + h.jobCPULoad)
+}
 
 // CPUIdle returns 1 - CPULoad.
 func (h *Host) CPUIdle() float64 { return 1 - h.CPULoad() }
 
 // IOLoad returns the busy fraction of the disk subsystem in [0,1].
-func (h *Host) IOLoad() float64 { return clamp01(h.baseIOLoad + h.jobIOLoad) }
+func (h *Host) IOLoad() float64 {
+	h.walk.Advance()
+	return clamp01(h.baseIOLoad + h.jobIOLoad)
+}
 
 // IOIdle returns 1 - IOLoad.
 func (h *Host) IOIdle() float64 { return 1 - h.IOLoad() }
 
-// SetBaseCPULoad sets the synthetic background CPU load fraction.
+// SetBaseCPULoad sets the synthetic background CPU load fraction, after
+// the load walk's due steps.
 func (h *Host) SetBaseCPULoad(v float64) error {
 	if v < 0 || v > 1 {
 		return fmt.Errorf("cluster: CPU load %v out of [0,1]", v)
 	}
+	h.walk.Advance()
 	h.baseCPULoad = v
 	return nil
 }
 
-// SetBaseIOLoad sets the synthetic background I/O load fraction.
+// SetBaseIOLoad sets the synthetic background I/O load fraction, after
+// the load walk's due steps.
 func (h *Host) SetBaseIOLoad(v float64) error {
 	if v < 0 || v > 1 {
 		return fmt.Errorf("cluster: I/O load %v out of [0,1]", v)
 	}
+	h.walk.Advance()
 	h.baseIOLoad = v
 	return nil
 }
@@ -301,7 +312,7 @@ func (t *Testbed) HostDown(name string) (bool, error) {
 	return h.up.Down(), nil
 }
 
-// LoadConfig parameterizes a synthetic host load process: mean-reverting
+// LoadConfig parameterizes a synthetic host load walk: mean-reverting
 // random walks for CPU and I/O load, mimicking a shared cluster node.
 type LoadConfig struct {
 	CPUMean, CPUVolatility float64
@@ -312,62 +323,24 @@ type LoadConfig struct {
 	Period time.Duration
 }
 
-func (c LoadConfig) validate() error {
-	if c.CPUMean < 0 || c.CPUMean > 1 || c.IOMean < 0 || c.IOMean > 1 {
-		return fmt.Errorf("cluster: load means (%v,%v) out of [0,1]", c.CPUMean, c.IOMean)
-	}
-	if c.CPUVolatility < 0 || c.IOVolatility < 0 {
-		return errors.New("cluster: negative volatility")
-	}
-	if c.Reversion <= 0 || c.Reversion > 1 {
-		return fmt.Errorf("cluster: reversion %v out of (0,1]", c.Reversion)
-	}
-	if c.Period <= 0 {
-		return fmt.Errorf("cluster: load period must be positive, got %v", c.Period)
-	}
-	return nil
-}
-
-// LoadProcess drives a host's base CPU/IO load.
-type LoadProcess struct {
-	host   *Host
-	cfg    LoadConfig
-	rng    *rand.Rand
-	ticker *simulation.Ticker
-}
-
-// StartLoad attaches a synthetic load process to the host.
-func (t *Testbed) StartLoad(host string, cfg LoadConfig, seed int64) (*LoadProcess, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// StartLoad attaches a synthetic load walk to the host: its base CPU and
+// I/O load start at the means and step every Period, CPU first, from one
+// RNG seeded with seed. No event is scheduled: reading or setting the
+// host's load applies the due steps.
+func (t *Testbed) StartLoad(host string, cfg LoadConfig, seed int64) error {
+	if cfg.CPUMean > 1 || cfg.IOMean > 1 {
+		return fmt.Errorf("cluster: load means (%v,%v) above 1", cfg.CPUMean, cfg.IOMean)
 	}
 	h, err := t.Host(host)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &LoadProcess{host: h, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-	if err := h.SetBaseCPULoad(cfg.CPUMean); err != nil {
-		return nil, err
-	}
-	if err := h.SetBaseIOLoad(cfg.IOMean); err != nil {
-		return nil, err
-	}
-	tk, err := t.engine.NewTicker(cfg.Period, false, p.step)
+	w, err := simulation.NewWalk(t.engine, cfg.Period, seed,
+		simulation.WalkAxis{V: &h.baseCPULoad, Mean: cfg.CPUMean, Reversion: cfg.Reversion, Volatility: cfg.CPUVolatility, Max: 1},
+		simulation.WalkAxis{V: &h.baseIOLoad, Mean: cfg.IOMean, Reversion: cfg.Reversion, Volatility: cfg.IOVolatility, Max: 1})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.ticker = tk
-	return p, nil
+	h.walk, h.baseCPULoad, h.baseIOLoad = w, cfg.CPUMean, cfg.IOMean
+	return nil
 }
-
-func (p *LoadProcess) step(time.Duration) {
-	next := func(cur, mean, vol float64) float64 {
-		cur += p.cfg.Reversion*(mean-cur) + p.rng.NormFloat64()*vol
-		return clamp01(cur)
-	}
-	p.host.baseCPULoad = next(p.host.baseCPULoad, p.cfg.CPUMean, p.cfg.CPUVolatility)
-	p.host.baseIOLoad = next(p.host.baseIOLoad, p.cfg.IOMean, p.cfg.IOVolatility)
-}
-
-// Stop freezes the load at its current value.
-func (p *LoadProcess) Stop() { p.ticker.Stop() }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,19 +170,23 @@ func TestJobs(t *testing.T) {
 	}
 }
 
+var walkCfg = LoadConfig{
+	CPUMean: 0.4, CPUVolatility: 0.08,
+	IOMean: 0.2, IOVolatility: 0.05,
+	Reversion: 0.2, Period: time.Second,
+}
+
 func TestLoadProcess(t *testing.T) {
 	eng, tb := newTestbed(t)
-	p, err := tb.StartLoad("h2", LoadConfig{
-		CPUMean: 0.4, CPUVolatility: 0.08,
-		IOMean: 0.2, IOVolatility: 0.05,
-		Reversion: 0.2, Period: time.Second,
-	}, 7)
-	if err != nil {
+	if err := tb.StartLoad("h2", walkCfg, 7); err != nil {
 		t.Fatal(err)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("a load walk scheduled %d events, want none", eng.Pending())
 	}
 	h, _ := tb.Host("h2")
 	if h.CPULoad() != 0.4 || h.IOLoad() != 0.2 {
-		t.Fatal("load process should start at the mean")
+		t.Fatal("load walk should start at the mean")
 	}
 	moved := false
 	prev := h.CPULoad()
@@ -200,13 +205,147 @@ func TestLoadProcess(t *testing.T) {
 	if !moved {
 		t.Fatal("load never changed")
 	}
-	p.Stop()
-	frozen := h.CPULoad()
+}
+
+// refLoad replays a host's load walk outside the engine: one step moves
+// CPU, then I/O, each with its own draw from one RNG.
+type refLoad struct {
+	cfg     LoadConfig
+	rng     *rand.Rand
+	cpu, io float64
+}
+
+func newRefLoad(cfg LoadConfig, seed int64) *refLoad {
+	return &refLoad{cfg: cfg, rng: rand.New(rand.NewSource(seed)), cpu: cfg.CPUMean, io: cfg.IOMean}
+}
+
+func (r *refLoad) step() {
+	next := func(v, mean, vol float64) float64 {
+		return clamp01(v + (r.cfg.Reversion*(mean-v) + r.rng.NormFloat64()*vol))
+	}
+	r.cpu = next(r.cpu, r.cfg.CPUMean, r.cfg.CPUVolatility)
+	r.io = next(r.io, r.cfg.IOMean, r.cfg.IOVolatility)
+}
+
+// A read scheduled at time 0 for the instant of the second step sees
+// that step: a step due at T comes before every read at T.
+func TestLoadWalkStepPrecedesReadAtItsInstant(t *testing.T) {
+	eng, tb := newTestbed(t)
+	if err := tb.StartLoad("h1", walkCfg, 11); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := tb.Host("h1")
+	var cpu, io float64
+	if _, err := eng.Schedule(2*walkCfg.Period, func(time.Duration) { cpu, io = h.CPULoad(), h.IOLoad() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(3*walkCfg.Period - 1); err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefLoad(walkCfg, 11)
+	ref.step()
+	ref.step()
+	if cpu != ref.cpu || io != ref.io {
+		t.Fatalf("read at 2 periods = (%v, %v), want two steps (%v, %v)", cpu, io, ref.cpu, ref.io)
+	}
+}
+
+// How often a host's load is read does not move it: the walk applies
+// the same draws in the same order however its steps are batched.
+func TestLoadWalkIndependentOfReadCadence(t *testing.T) {
+	run := func(every time.Duration) map[string][2]float64 {
+		eng := simulation.NewEngine()
+		tb, err := NewPaperTestbed(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := StartPaperDynamics(tb, 42); err != nil {
+			t.Fatal(err)
+		}
+		if every > 0 {
+			if _, err := eng.NewTicker(every, false, func(time.Duration) {
+				for _, n := range tb.Hosts() {
+					h, _ := tb.Host(n)
+					h.CPULoad()
+					h.IOLoad()
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.RunUntil(60 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][2]float64)
+		for _, n := range tb.Hosts() {
+			h, _ := tb.Host(n)
+			out[n] = [2]float64{h.CPULoad(), h.IOLoad()}
+		}
+		return out
+	}
+	often, once := run(100*time.Millisecond), run(0)
+	for n, want := range once {
+		got := often[n]
+		if math.Float64bits(got[0]) != math.Float64bits(want[0]) || math.Float64bits(got[1]) != math.Float64bits(want[1]) {
+			t.Fatalf("%s at 60s: read every 100ms = %v, read once = %v", n, got, want)
+		}
+	}
+}
+
+// Setting a walked host's base load applies the steps already due, then
+// the written value holds until the next grid point, where the walk
+// steps on from it.
+func TestSetBaseLoadAppliesDueSteps(t *testing.T) {
+	eng, tb := newTestbed(t)
+	if err := tb.StartLoad("h1", walkCfg, 5); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := tb.Host("h1")
+	if err := eng.RunUntil(2*walkCfg.Period + walkCfg.Period/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetBaseCPULoad(0.9); err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefLoad(walkCfg, 5)
+	ref.step()
+	ref.step()
+	if h.IOLoad() != ref.io {
+		t.Fatalf("I/O after the set = %v, want two steps applied (%v)", h.IOLoad(), ref.io)
+	}
+	if err := eng.RunUntil(3*walkCfg.Period - 1); err != nil {
+		t.Fatal(err)
+	}
+	if h.CPULoad() != 0.9 {
+		t.Fatalf("CPU before the next grid point = %v, want the written 0.9", h.CPULoad())
+	}
+	if err := eng.RunUntil(3 * walkCfg.Period); err != nil {
+		t.Fatal(err)
+	}
+	ref.cpu = 0.9
+	ref.step()
+	if h.CPULoad() != ref.cpu || h.IOLoad() != ref.io {
+		t.Fatalf("at the next grid point = (%v, %v), want one step from 0.9 (%v, %v)", h.CPULoad(), h.IOLoad(), ref.cpu, ref.io)
+	}
+}
+
+// The paper testbed's dynamics fire only the background-traffic steps:
+// 6 WAN directions × 60 one-second steps in a minute. Host load walks
+// schedule nothing (with a 2 s ticker per host they added 12 × 30).
+func TestPaperDynamicsEvents(t *testing.T) {
+	eng := simulation.NewEngine()
+	tb, err := NewPaperTestbed(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := StartPaperDynamics(tb, 42); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if h.CPULoad() != frozen {
-		t.Fatal("load changed after Stop")
+	if got := eng.Fired(); got != 360 {
+		t.Fatalf("paper dynamics fired %d events in 60s, want 360", got)
 	}
 }
 
@@ -220,11 +359,11 @@ func TestLoadConfigValidation(t *testing.T) {
 		{Reversion: 0.5, Period: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := tb.StartLoad("h1", cfg, 1); err == nil {
+		if err := tb.StartLoad("h1", cfg, 1); err == nil {
 			t.Fatalf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := tb.StartLoad("ghost", LoadConfig{Reversion: 0.5, Period: time.Second}, 1); err == nil {
+	if err := tb.StartLoad("ghost", LoadConfig{Reversion: 0.5, Period: time.Second}, 1); err == nil {
 		t.Fatal("unknown host should be rejected")
 	}
 }

@@ -26,7 +26,7 @@ const (
 //   - HIT: four P4 2.8 GHz, 512 MB RAM, 80 GB HD, 1 Gb/s LAN
 //
 // Only the disk rates and the links enter the model: CPU state is the
-// hosts' load processes, and nothing reads a clock rate, core count,
+// hosts' load walks, and nothing reads a clock rate, core count,
 // memory size or disk capacity, so the config does not carry them.
 //
 // The paper gives per-site link rates but not WAN characteristics; the WAN
@@ -93,9 +93,9 @@ func NewPaperTestbed(engine *simulation.Engine) (*Testbed, error) {
 	return New(engine, PaperConfig())
 }
 
-// StartPaperDynamics attaches the synthetic load and background-traffic
-// processes that make the testbed "real and dynamic" (paper §1): every host
-// gets a load process and every WAN direction gets wandering cross traffic.
+// StartPaperDynamics attaches the synthetic load walks and background
+// traffic that make the testbed "real and dynamic" (paper §1): every host
+// gets a load walk and every WAN direction gets wandering cross traffic.
 // Seeds derive deterministically from the base seed.
 func StartPaperDynamics(t *Testbed, seed int64) error {
 	loadFor := func(site string) LoadConfig {
@@ -115,7 +115,7 @@ func StartPaperDynamics(t *Testbed, seed int64) error {
 			return err
 		}
 		s++
-		if _, err := t.StartLoad(name, loadFor(h.Site()), s); err != nil {
+		if err := t.StartLoad(name, loadFor(h.Site()), s); err != nil {
 			return err
 		}
 	}
@@ -124,7 +124,7 @@ func StartPaperDynamics(t *Testbed, seed int64) error {
 	for _, p := range pairs {
 		for _, dir := range [][2]string{{p[0], p[1]}, {p[1], p[0]}} {
 			s++
-			if _, err := t.Network().StartBackground(SwitchNode(dir[0]), SwitchNode(dir[1]), bg, s); err != nil {
+			if err := t.Network().StartBackground(SwitchNode(dir[0]), SwitchNode(dir[1]), bg, s); err != nil {
 				return err
 			}
 		}

@@ -50,7 +50,7 @@ func latencyEnv(seed int64) (*Env, error) {
 		return nil, err
 	}
 	// Load the near pipe so its bandwidth percentage trails the far one.
-	_, err = tb.Network().StartBackground(cluster.SwitchNode("Near"), cluster.SwitchNode("Home"),
+	err = tb.Network().StartBackground(cluster.SwitchNode("Near"), cluster.SwitchNode("Home"),
 		netsim.BackgroundConfig{Mean: 0.25, Volatility: 0.03, Reversion: 0.3, Period: time.Second}, seed+5)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/simulation"
@@ -25,79 +24,32 @@ type BackgroundConfig struct {
 	Max float64
 }
 
-func (c BackgroundConfig) validate() error {
-	if c.Mean < 0 || c.Mean >= 1 {
-		return fmt.Errorf("netsim: background mean %v out of [0,1)", c.Mean)
-	}
-	if c.Volatility < 0 {
-		return fmt.Errorf("netsim: negative volatility %v", c.Volatility)
-	}
-	if c.Reversion <= 0 || c.Reversion > 1 {
-		return fmt.Errorf("netsim: reversion %v out of (0,1]", c.Reversion)
-	}
-	if c.Period <= 0 {
-		return fmt.Errorf("netsim: background period must be positive, got %v", c.Period)
-	}
-	if c.Max < 0 || c.Max >= 1 {
-		return fmt.Errorf("netsim: background max %v out of [0,1)", c.Max)
-	}
-	return nil
-}
-
-// BackgroundProcess drives time-varying background load on a link.
-type BackgroundProcess struct {
-	net    *Network
-	link   *Link
-	cfg    BackgroundConfig
-	rng    *rand.Rand
-	load   float64
-	ticker *simulation.Ticker
-}
-
-// StartBackground attaches a background-traffic process to the directed
-// link from->to. The process starts at the mean load and updates every
-// Period. seed makes the trajectory reproducible.
-func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed int64) (*BackgroundProcess, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// StartBackground attaches background traffic to the directed link
+// from->to: a walk seeded with seed that starts at the mean load and
+// steps every Period. Unlike host load it is advanced by a ticker: a step
+// moves the rates of the flows crossing the link at its own instant, and
+// setBackgroundLoad's retight must see every step before the next fill.
+func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed int64) error {
+	if cfg.Mean >= 1 || cfg.Max < 0 || cfg.Max >= 1 {
+		return fmt.Errorf("netsim: background mean %v or max %v out of [0,1)", cfg.Mean, cfg.Max)
 	}
 	l, err := n.GetLink(from, to)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Max == 0 {
 		cfg.Max = 0.95
 	}
-	p := &BackgroundProcess{
-		net:  n,
-		link: l,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(seed)),
-		load: cfg.Mean,
-	}
-	n.setBackgroundLoad(l, p.load)
-	t, err := n.engine.NewTicker(cfg.Period, false, p.step)
+	load := cfg.Mean
+	w, err := simulation.NewWalk(n.engine, cfg.Period, seed, simulation.WalkAxis{
+		V: &load, Mean: cfg.Mean, Reversion: cfg.Reversion, Volatility: cfg.Volatility, Max: cfg.Max})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.ticker = t
-	return p, nil
+	n.setBackgroundLoad(l, load)
+	_, err = n.engine.NewTicker(cfg.Period, false, func(time.Duration) {
+		w.Advance()
+		n.setBackgroundLoad(l, load)
+	})
+	return err
 }
-
-func (p *BackgroundProcess) step(time.Duration) {
-	shock := p.rng.NormFloat64() * p.cfg.Volatility
-	p.load += p.cfg.Reversion*(p.cfg.Mean-p.load) + shock
-	if p.load < 0 {
-		p.load = 0
-	}
-	if p.load > p.cfg.Max {
-		p.load = p.cfg.Max
-	}
-	p.net.setBackgroundLoad(p.link, p.load)
-}
-
-// Load returns the current background load fraction.
-func (p *BackgroundProcess) Load() float64 { return p.load }
-
-// Stop halts future updates, freezing the current load.
-func (p *BackgroundProcess) Stop() { p.ticker.Stop() }
