@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -236,7 +237,7 @@ func BenchmarkNetsimFlowEvents(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +302,7 @@ func BenchmarkNetsimStressLargeGrid(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			b.Fatal(err)
 		}
 		if completed != flows {

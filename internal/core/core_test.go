@@ -26,19 +26,6 @@ func TestWeightsValidate(t *testing.T) {
 	}
 }
 
-func TestWeightsNormalize(t *testing.T) {
-	w, err := (Weights{8, 1, 1}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != PaperWeights {
-		t.Fatalf("Normalize = %+v, want paper weights", w)
-	}
-	if _, err := (Weights{}).Normalize(); err == nil {
-		t.Fatal("normalizing zero weights should fail")
-	}
-}
-
 func report(bw, cpu, io float64) info.HostReport {
 	return info.HostReport{BandwidthPercent: bw, CPUIdlePercent: cpu, IOIdlePercent: io}
 }
@@ -233,8 +220,8 @@ func TestSelectionServerValidation(t *testing.T) {
 	if _, err := NewSelectionServer(p.catalog, p.dep.Server, Weights{}, nil); err == nil {
 		t.Fatal("zero weights should be rejected")
 	}
-	if p.sel.Weights() != PaperWeights {
-		t.Fatalf("Weights = %+v", p.sel.Weights())
+	if p.sel.weights != PaperWeights {
+		t.Fatalf("weights = %+v", p.sel.weights)
 	}
 }
 

@@ -49,15 +49,6 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// Normalize returns the weights scaled to sum to 1.
-func (w Weights) Normalize() (Weights, error) {
-	if err := w.Validate(); err != nil {
-		return Weights{}, err
-	}
-	sum := w.Bandwidth + w.CPU + w.IO
-	return Weights{w.Bandwidth / sum, w.CPU / sum, w.IO / sum}, nil
-}
-
 // Score applies formula (1) to an information-server report. The result is
 // in [0, 100] for normalized weights; higher is better.
 func Score(r info.HostReport, w Weights) float64 {
@@ -258,9 +249,6 @@ func NewSelectionServer(catalog *replica.Catalog, source SnapshotSource, weights
 	}
 	return &SelectionServer{catalog: catalog, source: source, weights: weights, selector: selector}, nil
 }
-
-// Weights returns the server's scoring weights.
-func (s *SelectionServer) Weights() Weights { return s.weights }
 
 // ErrNoUsableReplica is returned when every registered replica lacks
 // monitoring data.

@@ -95,9 +95,6 @@ func (v *SnapshotView) entry(id int32, host string) *viewEntry {
 	return nil
 }
 
-// Snapshot returns the pinned snapshot backing this view.
-func (v *SnapshotView) Snapshot() *gridstate.Snapshot { return v.snap }
-
 // Epoch returns the pinned snapshot's epoch.
 func (v *SnapshotView) Epoch() uint64 { return v.snap.Epoch() }
 
@@ -166,16 +163,6 @@ func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all *[]Candid
 	}
 	best.Report, best.Score = top.report, top.score
 	return best, nil
-}
-
-// SelectBest returns the server's selector's choice among the view-ranked
-// candidates of the logical file.
-func (v *SnapshotView) SelectBest(logical string) (Candidate, error) {
-	cands, err := v.Rank(logical)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return pick(v.srv.selector, cands)
 }
 
 // RankHosts returns the hosts holding the logical file ordered best-first

@@ -19,7 +19,7 @@ func TestEnvDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := env.MeasureAt(Warmup, "alpha1", "gridhit3", 64_000_000, simxfer.FTPOptions())
+		res, err := env.MeasureAt(Warmup, "alpha1", "gridhit3", 64_000_000, simxfer.Options{Protocol: simxfer.ProtoFTP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 		o        simxfer.Options
 		fired    uint64
 	}{
-		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.FTPOptions(), 1321},
+		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.Options{Protocol: simxfer.ProtoFTP}, 1321},
 		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 4210},
 	} {
 		env, err := NewEnv(seed, c.monitor)

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/hpclab/datagrid/internal/faults"
+	"github.com/hpclab/datagrid/internal/simxfer"
 )
 
 // TestExtensionFaults pins the properties the fault-tolerance sweep
@@ -77,5 +82,77 @@ func TestExtensionFaultsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("results differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
+// TestEmptyFaultPlanEqualsNoInjector holds a metamorphic relation: a fault
+// plan with zero episodes is no fault plan. The paper testbed with
+// monitoring runs faultsPoint's failover-reselect transfer sequence twice,
+// once with an injector holding an empty plan and once with no injector;
+// every transfer's Result and the engine's fired-event count must agree.
+func TestEmptyFaultPlanEqualsNoInjector(t *testing.T) {
+	run := func(inject bool) (string, uint64) {
+		t.Helper()
+		env, err := NewEnv(42, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inject {
+			inj, err := faults.NewInjector(env.Testbed, env.Deploy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inj.Install(&faults.Plan{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat, err := oneFileCatalog("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := env.selectionFor(cat, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Engine.RunUntil(Warmup); err != nil {
+			t.Fatal(err)
+		}
+		alive := func(h string) bool {
+			down, err := env.Testbed.HostDown(h)
+			return err == nil && !down
+		}
+		var log strings.Builder
+		err = env.sequence("empty-plan sequence", faultsTransfers, faultsGap, func(_ int, done func(error)) error {
+			ranked, err := srv.RankHosts("file-a", env.Engine.Now(), nil)
+			if err != nil {
+				return err
+			}
+			return env.Xfer.Submit(simxfer.Request{
+				Sources:  ranked,
+				Dst:      "alpha1",
+				Bytes:    faultsFileBytes,
+				Options:  simxfer.GridFTPOptions(4),
+				Failover: faultsPolicy(simxfer.FailoverReselect, srv, alive),
+				Done: func(r simxfer.Result) {
+					fmt.Fprintf(&log, "%+v\n", r)
+					done(nil)
+				},
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log.String(), env.Engine.Fired()
+	}
+	withPlan, firedWith := run(true)
+	without, firedWithout := run(false)
+	if n := strings.Count(without, "\n"); n != faultsTransfers {
+		t.Fatalf("%d transfers finished, want %d", n, faultsTransfers)
+	}
+	if withPlan != without {
+		t.Errorf("results differ with an empty plan installed:\n%s\nwithout an injector:\n%s", withPlan, without)
+	}
+	if firedWith != firedWithout {
+		t.Errorf("fired %d events with an empty plan installed, %d without an injector", firedWith, firedWithout)
 	}
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestHostCrashAndReboot(t *testing.T) {
 	probe(5*time.Second, false)
 	probe(15*time.Second, true)
 	probe(35*time.Second, false)
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,7 +130,7 @@ func TestOverlappingCrashesNest(t *testing.T) {
 	// the second still covers it.
 	probe(35*time.Second, true)
 	probe(55*time.Second, false)
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +159,7 @@ func TestDiskDegradeLoadsAndReverts(t *testing.T) {
 			t.Errorf("after episode: IOLoad = %v, want base %v", got, base)
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +179,7 @@ func TestMonitorOutagesCoalesce(t *testing.T) {
 	if err := in.Install(plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	// Two overlapping outages pause once and resume once, at the outer
@@ -237,7 +238,7 @@ func TestLinkFlapKillsFailFastTransfers(t *testing.T) {
 			t.Errorf("post-revert flow: %v", err)
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if firstState != netsim.FlowFailed {

@@ -19,35 +19,28 @@ type DeploymentConfig struct {
 	// Remotes are the hosts to monitor as replica candidates. Empty means
 	// every other host on the testbed.
 	Remotes []string
-	// NWSProbePeriod is the bandwidth-probe interval; default 10s.
-	NWSProbePeriod time.Duration
 	// NWSProbeBytes is the probe size; default 4 MiB — large enough that
 	// slow start does not dominate the measurement on fast paths.
 	NWSProbeBytes int64
 	// NWSProbeWindow is the probe's TCP window; default 512 KiB (probes
 	// measure achievable bandwidth, so they use tuned buffers).
 	NWSProbeWindow int
-	// SysstatPeriod is the iostat sampling interval; default 2s.
-	SysstatPeriod time.Duration
-	// MDSTTL is the GRIS/GIIS cache TTL; default 5s.
-	MDSTTL time.Duration
 }
 
+// The monitoring cadences: the NWS bandwidth-probe interval, the iostat
+// sampling interval, and the GRIS/GIIS cache TTL.
+const (
+	nwsProbePeriod = 10 * time.Second
+	sysstatPeriod  = 2 * time.Second
+	mdsTTL         = 5 * time.Second
+)
+
 func (c *DeploymentConfig) fillDefaults() {
-	if c.NWSProbePeriod == 0 {
-		c.NWSProbePeriod = 10 * time.Second
-	}
 	if c.NWSProbeBytes == 0 {
 		c.NWSProbeBytes = 4 << 20
 	}
 	if c.NWSProbeWindow == 0 {
 		c.NWSProbeWindow = 512 << 10
-	}
-	if c.SysstatPeriod == 0 {
-		c.SysstatPeriod = 2 * time.Second
-	}
-	if c.MDSTTL == 0 {
-		c.MDSTTL = 5 * time.Second
 	}
 }
 
@@ -130,7 +123,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	sensors := make(map[string]*nws.Sensor, len(remotes))
 	for _, r := range remotes {
 		s, err := nws.NewBandwidthSensor(engine, mem, tb.Network(), r, cfg.Local, nws.BandwidthSensorConfig{
-			Period:      cfg.NWSProbePeriod,
+			Period:      nwsProbePeriod,
 			ProbeBytes:  cfg.NWSProbeBytes,
 			WindowBytes: cfg.NWSProbeWindow,
 		})
@@ -141,14 +134,14 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	}
 
 	// --- MDS hierarchy ---
-	top, err := mds.NewGIIS(engine, "Mds-Vo-name=grid,o=grid", cfg.MDSTTL)
+	top, err := mds.NewGIIS(engine, "Mds-Vo-name=grid,o=grid", mdsTTL)
 	if err != nil {
 		return nil, err
 	}
 	var grisServers []*mds.GRIS
 	var siteServers []*mds.GIIS
 	for _, site := range tb.Sites() {
-		siteGIIS, err := mds.NewGIIS(engine, "Mds-Vo-name="+site+",o=grid", cfg.MDSTTL)
+		siteGIIS, err := mds.NewGIIS(engine, "Mds-Vo-name="+site+",o=grid", mdsTTL)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +151,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 			return nil, err
 		}
 		for _, h := range hosts {
-			gris, err := mds.NewGRIS(engine, "Mds-Host-hn="+h.Name()+",Mds-Vo-name="+site+",o=grid", cfg.MDSTTL)
+			gris, err := mds.NewGRIS(engine, "Mds-Host-hn="+h.Name()+",Mds-Vo-name="+site+",o=grid", mdsTTL)
 			if err != nil {
 				return nil, err
 			}
@@ -182,7 +175,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		col, err := sysstat.NewCollector(engine, h, cfg.SysstatPeriod)
+		col, err := sysstat.NewCollector(engine, h, sysstatPeriod)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +188,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	}
 	// A host whose probes have failed for several periods is treated as
 	// unmonitored, so selection routes around dead hosts and links.
-	if err := srv.SetStaleness(6 * cfg.NWSProbePeriod); err != nil {
+	if err := srv.SetStaleness(6 * nwsProbePeriod); err != nil {
 		return nil, err
 	}
 	return &Deployment{

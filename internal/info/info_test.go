@@ -210,8 +210,8 @@ func TestDeployDefaultsToAllRemotes(t *testing.T) {
 		t.Fatalf("NWS sensors = %d, want 11 (all other hosts)", got)
 	}
 	for r, s := range dep.Sensors {
-		if k := s.Key(); k.Resource != nws.ResourceBandwidth || k.Source != r || k.Target != "alpha1" {
-			t.Fatalf("sensor for %s feeds %v, want bandwidth %s->alpha1", r, k, r)
+		if got, want := s.Name(), "bw."+r+"->alpha1"; got != want {
+			t.Fatalf("sensor for %s is %q, want %q", r, got, want)
 		}
 	}
 	if len(dep.Sysstat) != 12 {

@@ -59,7 +59,7 @@ func TestStaleBandwidthYieldsErrNoData(t *testing.T) {
 	}
 	// Kill hit0's bandwidth probes and let the series age past the
 	// deployment's staleness bound (6 probe periods = 60s by default).
-	dep.Sensors["hit0"].Stop()
+	dep.Sensors["hit0"].SetPaused(true)
 	if err := eng.RunUntil(2*time.Minute + 90*time.Second); err != nil {
 		t.Fatal(err)
 	}

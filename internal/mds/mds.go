@@ -94,7 +94,6 @@ type cache struct {
 	entries   []Entry
 	cachedAt  time.Duration
 	haveCache bool
-	refreshes int
 	rev       uint64
 	paused    bool
 }
@@ -115,18 +114,11 @@ func newCache(kind string, engine *simulation.Engine, suffix string, ttl time.Du
 // Suffix returns the DN suffix of this server.
 func (c *cache) Suffix() string { return c.suffix }
 
-// Refreshes reports how many times the cache was refreshed: provider runs
-// on a GRIS, child fan-outs on a GIIS.
-func (c *cache) Refreshes() int { return c.refreshes }
-
 // SetPaused suspends (or resumes) refreshes: while paused, Search keeps
 // serving the stale cache past its TTL and the revision counter stops
 // moving — the fault plane's model of a GRIS whose provider scripts have
 // stopped, or of a GIIS cut off from its registrants.
 func (c *cache) SetPaused(paused bool) { c.paused = paused }
-
-// Paused reports whether refreshes are currently suspended.
-func (c *cache) Paused() bool { return c.paused }
 
 // Revision increases whenever the served entries may have changed: a
 // cache refresh or a provider or child registration. Snapshot consumers
@@ -145,7 +137,6 @@ func (c *cache) Search(f Filter) ([]Entry, error) {
 	now := c.engine.Now()
 	if (!c.haveCache || now-c.cachedAt > c.ttl) && !c.paused {
 		c.entries = c.refresh()
-		c.refreshes++
 		c.rev++
 		c.cachedAt = now
 		c.haveCache = true

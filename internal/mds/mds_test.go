@@ -2,6 +2,7 @@ package mds
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -103,14 +104,16 @@ func TestGRISCacheTTL(t *testing.T) {
 	if err := g.AddProvider(NewCPUProvider(h, "THU")); err != nil {
 		t.Fatal(err)
 	}
+	// Nothing registers below, so every revision step is a refresh.
+	rev := g.Revision()
 	if _, err := g.Search(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Search(nil); err != nil {
 		t.Fatal(err)
 	}
-	if g.Refreshes() != 1 {
-		t.Fatalf("collects = %d, want 1 (second search cached)", g.Refreshes())
+	if got := g.Revision() - rev; got != 1 {
+		t.Fatalf("collects = %d, want 1 (second search cached)", got)
 	}
 	// Change the live value: a cached search must NOT see it.
 	h.cpuIdle = 0.5
@@ -122,15 +125,15 @@ func TestGRISCacheTTL(t *testing.T) {
 	if _, err := eng.Schedule(11*time.Second, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	es, _ = g.Search(nil)
 	if attr(es[0], AttrCPUFreeX100) != "5000" {
 		t.Fatalf("post-TTL value = %v, want 5000", attr(es[0], AttrCPUFreeX100))
 	}
-	if g.Refreshes() != 2 {
-		t.Fatalf("collects = %d, want 2", g.Refreshes())
+	if got := g.Revision() - rev; got != 2 {
+		t.Fatalf("collects = %d, want 2", got)
 	}
 }
 
@@ -198,7 +201,7 @@ func TestProviderMutationWaitsForRefresh(t *testing.T) {
 	if _, err := eng.Schedule(2*time.Minute, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if es, _ := g.Search(nil); attr(es[0], "k") != "mutated" || es[0].Len() != 2 {
@@ -286,21 +289,22 @@ func TestWarmTopSearchAllocatesNoAttributeMap(t *testing.T) {
 func TestGIISCacheTTL(t *testing.T) {
 	eng := simulation.NewEngine()
 	top, hosts := buildHierarchy(t, eng)
+	rev := top.Revision()
 	if _, err := top.Search(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := top.Search(nil); err != nil {
 		t.Fatal(err)
 	}
-	if top.Refreshes() != 1 {
-		t.Fatalf("queries = %d, want 1", top.Refreshes())
+	if got := top.Revision() - rev; got != 1 {
+		t.Fatalf("queries = %d, want 1", got)
 	}
 	hosts["alpha1"].cpuIdle = 0.1
 	// Advance past every TTL in the hierarchy.
 	if _, err := eng.Schedule(3*time.Second, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	es, err := top.Search(Filter{{AttrHostName, "alpha1"}})

@@ -57,9 +57,9 @@ func TestQuantileSketchAccuracy(t *testing.T) {
 			sk.Add(xs[i])
 		}
 		for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-			exact, err := Percentile(xs, q*100)
+			exact, err := percentile(xs, q*100)
 			if err != nil {
-				t.Fatalf("Percentile: %v", err)
+				t.Fatalf("percentile: %v", err)
 			}
 			got, err := sk.Quantile(q)
 			if err != nil {

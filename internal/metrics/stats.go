@@ -27,30 +27,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
-// interpolation between closest ranks.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("metrics: percentile %v out of range [0,100]", p)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
 // tTable95 holds the two-sided 95% critical values of Student's t for
 // 1..30 degrees of freedom; larger samples fall back to the normal 1.96.
 var tTable95 = [...]float64{

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -21,24 +22,49 @@ func TestMean(t *testing.T) {
 	}
 }
 
+// percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
+// interpolation between closest ranks: the exact reference the streaming
+// sketch (quantile_test.go) is held to.
+func percentile(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	if p < 0 || p > 100 {
+		return 0, fmt.Errorf("metrics: percentile %v out of range [0,100]", p)
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0], nil
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo], nil
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac, nil
+}
+
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	p50, err := Percentile(xs, 50)
+	p50, err := percentile(xs, 50)
 	if err != nil || p50 != 5.5 {
 		t.Fatalf("P50 = %v, %v; want 5.5", p50, err)
 	}
-	p0, _ := Percentile(xs, 0)
-	p100, _ := Percentile(xs, 100)
+	p0, _ := percentile(xs, 0)
+	p100, _ := percentile(xs, 100)
 	if p0 != 1 || p100 != 10 {
 		t.Fatalf("P0=%v P100=%v, want 1 and 10", p0, p100)
 	}
-	if _, err := Percentile(xs, -1); err == nil {
+	if _, err := percentile(xs, -1); err == nil {
 		t.Fatal("negative percentile should error")
 	}
-	if _, err := Percentile(xs, 101); err == nil {
+	if _, err := percentile(xs, 101); err == nil {
 		t.Fatal("percentile > 100 should error")
 	}
-	one, err := Percentile([]float64{42}, 75)
+	one, err := percentile([]float64{42}, 75)
 	if err != nil || one != 42 {
 		t.Fatalf("single-element percentile = %v, %v", one, err)
 	}
@@ -154,7 +180,7 @@ func TestPropertyPercentileWithinRange(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 		}
 		pct := float64(p % 101)
-		v, err := Percentile(xs, pct)
+		v, err := percentile(xs, pct)
 		return err == nil && v >= slices.Min(xs) && v <= slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

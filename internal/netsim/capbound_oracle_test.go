@@ -80,7 +80,7 @@ type capBoundOracle struct {
 
 func (o *capBoundOracle) before() {
 	clear(o.pre)
-	for _, f := range o.n.active {
+	for _, f := range o.n.Flows() {
 		o.pre[f] = anchorOf(f)
 	}
 }
@@ -315,8 +315,8 @@ func CapBoundStorm(n *Network, rng *rand.Rand, hosts []string, reg StormRegime, 
 				}
 			}
 		case k < 14:
-			if len(n.active) > 0 {
-				opErr = n.CancelFlow(n.active[rng.Intn(len(n.active))])
+			if fl := n.Flows(); len(fl) > 0 { // id-sorted
+				opErr = n.CancelFlow(fl[rng.Intn(len(fl))])
 			}
 		case k < 17:
 			l := n.linkList[rng.Intn(len(n.linkList))]

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestLinkDownStallsByDefault(t *testing.T) {
 	if err := net.SetLinkDown("a", "b", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if f.State() != FlowDone {
@@ -98,7 +99,7 @@ func TestFailOnDownKillsCrossingFlows(t *testing.T) {
 	if err := net.CancelFlow(legacy); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if bystander.State() != FlowDone {

@@ -7,7 +7,7 @@
 // transfer is a handful of flow events, not a billion packet events.
 //
 // The simulator is driven by a simulation.Engine; all API calls must happen
-// on the engine goroutine (from event callbacks or between Run calls).
+// on the engine goroutine (from event callbacks or between RunUntil calls).
 //
 // The hot paths (rate reallocation, routing, event plumbing) are written to
 // be allocation-free in steady state so that large grids simulate at memory
@@ -16,11 +16,11 @@
 package netsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -115,15 +115,6 @@ type Link struct {
 
 // Down reports whether the link is failed.
 func (l *Link) Down() bool { return l.down }
-
-// From returns the name of the transmitting node.
-func (l *Link) From() string { return l.from }
-
-// To returns the name of the receiving node.
-func (l *Link) To() string { return l.to }
-
-// Capacity returns the raw line rate in bits per second.
-func (l *Link) Capacity() float64 { return l.cfg.CapacityBps }
 
 // EffectiveCapacity returns line rate minus background traffic, or zero
 // when the link is down.
@@ -270,9 +261,6 @@ func (f *Flow) State() FlowState { return f.state }
 // RateBps returns the currently allocated rate in bits per second.
 func (f *Flow) RateBps() float64 { return f.rateBps }
 
-// RTT returns the round-trip time of the flow's path.
-func (f *Flow) RTT() time.Duration { return f.rtt }
-
 // Started returns the virtual time the flow began.
 func (f *Flow) Started() time.Duration { return f.started }
 
@@ -386,13 +374,8 @@ type Network struct {
 	// linkList holds every link at its dense index (Link.idx), the
 	// backing order for the allocator's scratch arrays.
 	linkList []*Link
-	// active holds the active flows sorted by ascending id. Flow ids are
-	// assigned monotonically, so insertion is an append and the order is
-	// maintained incrementally on removal instead of re-sorted every
-	// water-filling round.
-	active []*Flow
-	nextID int64
-	stats  RouteStats
+	nextID   int64
+	stats    RouteStats
 
 	// nodeIdx and nodeNames map every node's name to its dense index and
 	// back. The routing state is rebuilt by rebuildAdjacency on the first
@@ -481,9 +464,6 @@ func New(engine *simulation.Engine) *Network {
 	return n
 }
 
-// Engine returns the driving simulation engine.
-func (n *Network) Engine() *simulation.Engine { return n.engine }
-
 // AddNode registers a host or router by name.
 func (n *Network) AddNode(name string) error {
 	if name == "" {
@@ -498,19 +478,6 @@ func (n *Network) AddNode(name string) error {
 	return nil
 }
 
-// HasNode reports whether the node exists.
-func (n *Network) HasNode(name string) bool {
-	_, ok := n.nodeIdx[name]
-	return ok
-}
-
-// Nodes returns all node names, sorted.
-func (n *Network) Nodes() []string {
-	out := slices.Clone(n.nodeNames)
-	sort.Strings(out)
-	return out
-}
-
 // AddLink adds a full-duplex link between a and b with identical
 // characteristics in both directions.
 func (n *Network) AddLink(a, b string, cfg LinkConfig) error {
@@ -518,11 +485,6 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) error {
 		return err
 	}
 	return n.addDirected(b, a, cfg)
-}
-
-// AddDirectedLink adds a one-direction link (useful for asymmetric paths).
-func (n *Network) AddDirectedLink(from, to string, cfg LinkConfig) error {
-	return n.addDirected(from, to, cfg)
 }
 
 func (n *Network) addDirected(from, to string, cfg LinkConfig) error {
@@ -567,20 +529,6 @@ func (n *Network) GetLink(from, to string) (*Link, error) {
 		return nil, fmt.Errorf("netsim: no link %s->%s", from, to)
 	}
 	return l, nil
-}
-
-// SetBackgroundLoad sets the background traffic fraction on the directed
-// link from->to and reallocates flow rates.
-func (n *Network) SetBackgroundLoad(from, to string, frac float64) error {
-	if frac < 0 || frac >= 1 {
-		return fmt.Errorf("netsim: background load %v out of [0,1)", frac)
-	}
-	l, err := n.GetLink(from, to)
-	if err != nil {
-		return err
-	}
-	n.setBackgroundLoad(l, frac)
-	return nil
 }
 
 func (n *Network) setBackgroundLoad(l *Link, frac float64) {
@@ -1096,8 +1044,6 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 		f.cwndBps = float64(initialCwnd*f.mss) * 8 / f.rtt.Seconds()
 		n.scheduleRamp(f)
 	}
-	// Ids are monotonic, so appending keeps the active list sorted.
-	n.active = append(n.active, f)
 	for _, l := range path {
 		l.nflows++
 	}
@@ -1124,12 +1070,19 @@ func (n *Network) CancelFlow(f *Flow) error {
 	return nil
 }
 
-// ActiveFlows returns the number of in-progress flows.
-func (n *Network) ActiveFlows() int { return len(n.active) }
-
-// Flows returns the in-progress flows in start order. The slice is the
-// caller's; the flows are live.
-func (n *Network) Flows() []*Flow { return append([]*Flow(nil), n.active...) }
+// Flows returns the in-progress flows in start (id) order: the flows of
+// every live component, which between them hold exactly the active flows.
+// The slice is the caller's; the flows are live.
+func (n *Network) Flows() []*Flow {
+	var out []*Flow
+	for _, c := range n.comps {
+		if !c.gone {
+			out = append(out, c.flows...)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+	return out
+}
 
 // rampBatch is one engine event that ticks the slow start of every flow
 // whose window doubles at instant at. The streams of one transfer start back
@@ -1310,9 +1263,9 @@ func (n *Network) onCompletion(time.Duration) {
 			f.settledAt = now
 			if f.remaining <= 0.5 {
 				// Drained (sub-byte residues are float rounding, not real
-				// payload). Insert keeping the batch id-sorted: completion
-				// order across components must match the historical
-				// id-ordered scan of the global active list.
+				// payload). Insert keeping the batch id-sorted: completions
+				// across components run in flow-id order, whichever
+				// component drained first.
 				done = append(done, f)
 				for j := len(done) - 1; j > 0 && done[j-1].id > done[j].id; j-- {
 					done[j-1], done[j] = done[j], done[j-1]
@@ -1355,14 +1308,6 @@ func (n *Network) onCompletion(time.Duration) {
 }
 
 func (n *Network) removeFlow(f *Flow, final FlowState) {
-	// The active list is sorted by id: binary-search the slot, then close
-	// the gap to preserve the incremental order.
-	i := sort.Search(len(n.active), func(i int) bool { return n.active[i].id >= f.id })
-	if i < len(n.active) && n.active[i] == f {
-		copy(n.active[i:], n.active[i+1:])
-		n.active[len(n.active)-1] = nil
-		n.active = n.active[:len(n.active)-1]
-	}
 	now := n.engine.Now()
 	// Freeze progress before the rate is cleared: terminal flows answer
 	// RemainingBytes/DeliveredPayloadBytes from the stored value.

@@ -38,7 +38,7 @@ func runFlow(t *testing.T, eng *simulation.Engine, net *Network, bytes int64, op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if f.State() != FlowDone {
@@ -107,7 +107,7 @@ func TestFairShareTwoFlows(t *testing.T) {
 	if got := f1.RateBps(); math.Abs(got-50*mbps) > 1 {
 		t.Fatalf("fair share = %v, want 50 Mb/s", got)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	want := 8 * time.Second
@@ -132,7 +132,7 @@ func TestMaxMinWithCappedFlow(t *testing.T) {
 	if got := free.RateBps(); math.Abs(got-80*mbps) > 1 {
 		t.Fatalf("free rate = %v, want 80 Mb/s (max-min should hand over spare capacity)", got)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +166,7 @@ func TestParallelStreamsAggregateOnLossyPath(t *testing.T) {
 			}
 			_ = f
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			t.Fatal(err)
 		}
 		durations[streams] = last
@@ -359,11 +359,11 @@ func TestCancelFlow(t *testing.T) {
 	if err := net.CancelFlow(nil); err == nil {
 		t.Fatal("nil cancel should fail")
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	if net.ActiveFlows() != 0 {
-		t.Fatalf("ActiveFlows = %d", net.ActiveFlows())
+	if len(net.Flows()) != 0 {
+		t.Fatalf("ActiveFlows = %d", len(net.Flows()))
 	}
 }
 
@@ -491,7 +491,7 @@ func TestDoneCallbackSeesCompletedFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !called {
@@ -535,7 +535,7 @@ func TestPropertyMoreStreamsNeverSlower(t *testing.T) {
 					return false
 				}
 			}
-			if err := eng.Run(); err != nil {
+			if err := eng.RunUntil(math.MaxInt64); err != nil {
 				return false
 			}
 			// Allow 1% slack for ramp effects on tiny per-stream sizes.
@@ -586,7 +586,7 @@ func TestPropertyAllocationRespectsCapacity(t *testing.T) {
 		if sum > capacity*(1+1e-9) {
 			return false
 		}
-		return eng.Run() == nil
+		return eng.RunUntil(math.MaxInt64) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -647,7 +647,7 @@ func TestPropertyDurationLowerBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if eng.Run() != nil || fl.State() != FlowDone {
+		if eng.RunUntil(math.MaxInt64) != nil || fl.State() != FlowDone {
 			return false
 		}
 		ideal := time.Duration(float64(bytes) * 8 / capacity * float64(time.Second))

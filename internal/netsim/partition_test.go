@@ -11,11 +11,12 @@ import (
 
 // checkPartition asserts every structural invariant of the component
 // partition between events: flows and components point at each other,
-// every link on an active flow's path is owned by that flow's component,
-// unoccupied links are unowned with zero allocation, no capacity leaks
-// across components (per-link usedBps equals the owning component's flow
-// sum), and the completion heap is a valid min-heap over exactly the live
-// components.
+// every component flow is active, each link's flow count equals the
+// component flows crossing it, every link on a component flow's path is
+// owned by that flow's component, unoccupied links are unowned with zero
+// allocation, no capacity leaks across components (per-link usedBps equals
+// the owning component's flow sum), and the completion heap is a valid
+// min-heap over exactly the live components.
 func checkPartition(t *testing.T, n *Network, when string) {
 	t.Helper()
 	live := 0
@@ -84,25 +85,31 @@ func checkPartition(t *testing.T, n *Network, when string) {
 			t.Errorf("%s: completion heap property violated at %d", when, i)
 		}
 	}
-	for _, f := range n.active {
-		if !seen[f.id] {
-			t.Errorf("%s: active flow %d missing from every component", when, f.id)
-		}
-	}
-	if len(seen) != len(n.active) {
-		t.Errorf("%s: components hold %d flows, active list %d", when, len(seen), len(n.active))
-	}
-	// Per-component rate conservation, and no cross-component capacity
-	// leakage: a link's allocation is exactly the flow sum of its owning
-	// component — flows of other components contribute nothing.
+	// Cross-check against state the partition does not own: StartFlow and
+	// removeFlow keep each link's nflows, so it must count exactly the
+	// component flows whose path crosses the link. Per-component rate
+	// conservation, and no cross-component capacity leakage: a link's
+	// allocation is exactly the flow sum of its owning component — flows
+	// of other components contribute nothing.
+	crossing := make([]int, len(n.linkList))
 	perLink := make([]float64, len(n.linkList))
-	for _, f := range n.active {
-		for _, l := range f.path {
-			perLink[l.idx] += f.rateBps
+	for _, c := range n.comps {
+		if c.gone {
+			continue
+		}
+		for _, f := range c.flows {
+			for _, l := range f.path {
+				crossing[l.idx]++
+				perLink[l.idx] += f.rateBps
+			}
 		}
 	}
 	for i, l := range n.linkList {
 		cid := n.linkComp[i]
+		if l.nflows != crossing[i] {
+			t.Errorf("%s: link %s->%s counts %d flows, components route %d across it",
+				when, l.from, l.to, l.nflows, crossing[i])
+		}
 		if l.nflows > 0 && cid < 0 {
 			t.Errorf("%s: occupied link %s->%s owned by no component", when, l.from, l.to)
 		}
@@ -201,7 +208,7 @@ func TestComponentMergeAndSplit(t *testing.T) {
 		t.Fatal("islands still share a component after the bridge left")
 	}
 
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	checkPartition(t, n, "after drain")
@@ -296,12 +303,12 @@ func TestPartitionInvariantsUnderChurn(t *testing.T) {
 		}
 	}
 	checkPartition(t, n, "after cancels")
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	checkPartition(t, n, "after drain")
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("%d flows still active after drain", n.ActiveFlows())
+	if len(n.Flows()) != 0 {
+		t.Fatalf("%d flows still active after drain", len(n.Flows()))
 	}
 }
 
@@ -371,7 +378,7 @@ func TestSetLinkDownRegionIsolation(t *testing.T) {
 		t.Errorf("MaxRoundFlows %d -> %d during single-flow island failure, want at most 1",
 			before.MaxRoundFlows, after.MaxRoundFlows)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if fB.State() != FlowDone {
@@ -437,7 +444,7 @@ func TestDefensiveFixBranchAccounting(t *testing.T) {
 	// A normal reallocation restores max-min rates and the engine drains.
 	n.reallocate()
 	checkPartition(t, n, "after recovery")
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if fA.State() != FlowDone || fB.State() != FlowDone {

@@ -271,7 +271,8 @@ func TestReallocatePartitionedSteadyStateAllocs(t *testing.T) {
 // once the scratch and the batch pool are warm.
 func TestCapBoundSteadyStateAllocs(t *testing.T) {
 	n := benchLANWorld(t, 1, 3)
-	f, g := n.active[0], n.active[1]
+	fl := n.Flows()
+	f, g := fl[0], fl[1]
 	if b := f.ramp; b == nil || g.ramp != b || b.live != 2 || f.comp != g.comp || f.comp.tight != 0 {
 		t.Fatalf("flows 0 and 1 share batch %v (%p, %p) in a component with %d tight links; want one batch of both with head-room",
 			f.ramp != nil && f.ramp == g.ramp, f.ramp, g.ramp, f.comp.tight)
@@ -322,11 +323,11 @@ func TestTransferAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			t.Fatal(err)
 		}
-		if n.ActiveFlows() != 0 {
-			t.Fatalf("%d flows still active after the run", n.ActiveFlows())
+		if len(n.Flows()) != 0 {
+			t.Fatalf("%d flows still active after the run", len(n.Flows()))
 		}
 	}
 	transfer()
@@ -499,11 +500,12 @@ func TestAddLinkBulkBuildAllocs(t *testing.T) {
 // fields must be fresh: callers fill, or read UsedBps, first.
 func conservation(n *Network) error {
 	const slack = 1e-6
-	tol := allocEps * float64(len(n.active)+1)
+	active := n.Flows()
+	tol := allocEps * float64(len(active)+1)
 	sum := make([]float64, len(n.linkList))
 	top := make([]float64, len(n.linkList)) // the fastest flow on each link
 	unbound := make([]bool, len(n.linkList))
-	for _, f := range n.active {
+	for _, f := range active {
 		cap := f.capBps()
 		if math.IsNaN(cap) {
 			for _, l := range f.comp.links {
@@ -534,7 +536,7 @@ func conservation(n *Network) error {
 		}
 	}
 flows:
-	for _, f := range n.active {
+	for _, f := range active {
 		if unbound[f.path[0].idx] || f.rateBps >= max(f.capBps(), 0)*(1-tol) {
 			continue
 		}
@@ -579,7 +581,7 @@ func TestReallocationConservation(t *testing.T) {
 	checkConservation(t, n, "after background load")
 
 	var cancel []*Flow
-	for _, f := range n.active {
+	for _, f := range n.Flows() {
 		if f.id%3 == 0 {
 			cancel = append(cancel, f)
 		}
@@ -601,10 +603,10 @@ func TestReallocationConservation(t *testing.T) {
 	}
 	checkConservation(t, n, "steady state")
 
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range n.active {
+	for _, f := range n.Flows() {
 		for _, l := range f.path {
 			if l.Down() {
 				return // stalled on the failed link, expected
@@ -614,23 +616,29 @@ func TestReallocationConservation(t *testing.T) {
 	}
 }
 
-// TestActiveListStaysSorted pins the incremental order invariant the
-// allocator depends on: the active list is sorted by flow id at all times,
-// across interleaved starts, cancels and completions.
-func TestActiveListStaysSorted(t *testing.T) {
+// TestComponentFlowListsStaySorted pins the order invariant the completion
+// handler and Flows depend on: every component's flow list is sorted by
+// flow id at all times, across interleaved starts, cancels, merges, splits
+// and completions.
+func TestComponentFlowListsStaySorted(t *testing.T) {
 	eng, n := benchStarNet(t, 8, 30)
 	assertSorted := func(when string) {
 		t.Helper()
-		for i := 1; i < len(n.active); i++ {
-			if n.active[i-1].id >= n.active[i].id {
-				t.Fatalf("%s: active list out of order at %d: %d >= %d",
-					when, i, n.active[i-1].id, n.active[i].id)
+		for _, c := range n.comps {
+			if c.gone {
+				continue
+			}
+			for i := 1; i < len(c.flows); i++ {
+				if c.flows[i-1].id >= c.flows[i].id {
+					t.Fatalf("%s: component %d out of order at %d: %d >= %d",
+						when, c.id, i, c.flows[i-1].id, c.flows[i].id)
+				}
 			}
 		}
 	}
 	assertSorted("after start")
 	for _, id := range []int64{4, 17, 0, 29, 12} {
-		for _, f := range n.active {
+		for _, f := range n.Flows() {
 			if f.id == id {
 				if err := n.CancelFlow(f); err != nil {
 					t.Fatal(err)
@@ -648,7 +656,7 @@ func TestActiveListStaysSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSorted("after late start")
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	assertSorted("after drain")

@@ -225,7 +225,7 @@ func rampStream(t *testing.T, w *bytes.Buffer, seed int64) {
 	})
 	at(1500*time.Millisecond+123457, func(time.Duration) { mid = true })
 	at(horizon-time.Millisecond, func(time.Duration) {
-		for _, f := range append([]*Flow(nil), n.active...) {
+		for _, f := range n.Flows() {
 			cancel(f)
 		}
 		start(pairs[0], 3, FlowOptions{}, 1<<20)

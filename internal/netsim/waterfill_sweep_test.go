@@ -119,12 +119,13 @@ func oraclePerturb(n *Network, rng *rand.Rand) {
 			l.cfg.CapacityBps = 1e4 * float64(1+rng.Intn(100)) // saturated
 		}
 	}
-	if len(n.active) == 0 {
+	active := n.Flows() // id-sorted
+	if len(active) == 0 {
 		return
 	}
 	regime := rng.Intn(6)
 	base := 1e5 * float64(1+rng.Intn(1000))
-	for _, f := range n.active {
+	for _, f := range active {
 		switch regime {
 		case 0: // leave the natural caps: mixed cap/link rounds
 		case 1: // caps within allocEps of each other

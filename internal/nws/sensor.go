@@ -14,36 +14,16 @@ import (
 // and stores it in a Memory.
 type Sensor struct {
 	name   string
-	key    SeriesKey
-	mem    *Memory
 	ticker *simulation.Ticker
-	// probes counts measurement attempts; stores counts successes.
-	probes int
-	stores int
 }
 
 // Name returns the sensor's name, e.g. "bw.hit0->alpha1".
 func (s *Sensor) Name() string { return s.name }
 
-// Key returns the series the sensor feeds.
-func (s *Sensor) Key() SeriesKey { return s.key }
-
-// Probes returns the number of measurement attempts so far.
-func (s *Sensor) Probes() int { return s.probes }
-
-// Stores returns the number of measurements successfully recorded.
-func (s *Sensor) Stores() int { return s.stores }
-
-// Stop halts the sensor.
-func (s *Sensor) Stop() { s.ticker.Stop() }
-
 // SetPaused suspends (or resumes) measurements without killing the
 // sensor: the fault plane uses this to model an nws_sensor process that
 // has crashed, so its series goes stale until the process "restarts".
 func (s *Sensor) SetPaused(paused bool) { s.ticker.SetPaused(paused) }
-
-// Paused reports whether the sensor is currently suspended.
-func (s *Sensor) Paused() bool { return s.ticker.Paused() }
 
 // BandwidthSensorConfig tunes an end-to-end TCP bandwidth sensor.
 type BandwidthSensorConfig struct {
@@ -54,11 +34,12 @@ type BandwidthSensorConfig struct {
 	ProbeBytes int64
 	// WindowBytes is the probe's TCP window; default netsim's 64 KiB.
 	WindowBytes int
-	// Timeout abandons a probe still in flight after this long (a stalled
-	// path); default 3x Period. While a probe is in flight, new probes
-	// are skipped.
-	Timeout time.Duration
 }
+
+// probeTimeoutPeriods is how many periods a probe may stay in flight
+// before it is abandoned (a stalled path). While a probe is in flight,
+// new probes are skipped.
+const probeTimeoutPeriods = 3
 
 func (c *BandwidthSensorConfig) fillDefaults() error {
 	if c.Period <= 0 {
@@ -67,11 +48,8 @@ func (c *BandwidthSensorConfig) fillDefaults() error {
 	if c.ProbeBytes == 0 {
 		c.ProbeBytes = 512 * 1024
 	}
-	if c.ProbeBytes < 0 || c.WindowBytes < 0 || c.Timeout < 0 {
+	if c.ProbeBytes < 0 || c.WindowBytes < 0 {
 		return errors.New("nws: negative bandwidth sensor option")
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 3 * c.Period
 	}
 	return nil
 }
@@ -93,8 +71,7 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 		return nil, err
 	}
 	key := SeriesKey{Resource: ResourceBandwidth, Source: src, Target: dst}
-	name := "bw." + src + "->" + dst
-	s := &Sensor{name: name, key: key, mem: mem}
+	s := &Sensor{name: "bw." + src + "->" + dst}
 	var probe *netsim.Flow
 	var probeStart time.Duration
 	tk, err := engine.NewTicker(cfg.Period, true, func(now time.Duration) {
@@ -104,13 +81,12 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 			// or down). Abandon it, as real NWS sensors time their probes
 			// out, and record nothing: the series goes stale, which
 			// consumers can detect.
-			if now-probeStart > cfg.Timeout {
+			if now-probeStart > probeTimeoutPeriods*cfg.Period {
 				_ = net.CancelFlow(probe)
 				probe = nil
 			}
 			return
 		}
-		s.probes++
 		probeStart = now
 		f, err := net.StartFlow(src, dst, cfg.ProbeBytes, netsim.FlowOptions{WindowBytes: cfg.WindowBytes}, func(f *netsim.Flow) {
 			probe = nil
@@ -119,9 +95,7 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 				return
 			}
 			mbpsv := float64(cfg.ProbeBytes) * 8 / d / 1e6
-			if mem.Store(key, Measurement{At: f.Finished(), Value: mbpsv}) == nil {
-				s.stores++
-			}
+			_ = mem.Store(key, Measurement{At: f.Finished(), Value: mbpsv})
 		})
 		if err == nil {
 			probe = f
@@ -145,20 +119,16 @@ func NewLatencySensor(engine *simulation.Engine, mem *Memory, net *netsim.Networ
 		return nil, err
 	}
 	key := SeriesKey{Resource: ResourceLatency, Source: src, Target: dst}
-	name := "lat." + src + "->" + dst
 	rng := rand.New(rand.NewSource(seed))
-	s := &Sensor{name: name, key: key, mem: mem}
+	s := &Sensor{name: "lat." + src + "->" + dst}
 	tk, err := engine.NewTicker(period, true, func(now time.Duration) {
-		s.probes++
 		// Pings see queueing delay on loaded links, not just propagation.
 		rtt, err := net.PathRTTLoaded(src, dst)
 		if err != nil {
 			return
 		}
 		ms := rtt.Seconds() * 1e3 * (1 + rng.Float64()*0.1)
-		if mem.Store(key, Measurement{At: now, Value: ms}) == nil {
-			s.stores++
-		}
+		_ = mem.Store(key, Measurement{At: now, Value: ms})
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -43,7 +44,7 @@ func TestCancelSelfDuringFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if insideResult {
@@ -78,7 +79,7 @@ func TestFIFOTieBreakWithCancelAndRequeue(t *testing.T) {
 	if !e.Cancel(evB) {
 		t.Fatal("Cancel of pending event should report true")
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	want := "a,c,d"

@@ -132,11 +132,9 @@ func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
 func TestTickerPeriodAllocs(t *testing.T) {
 	e := warmEngine(t, 64)
 	ticks := 0
-	tk, err := e.NewTicker(time.Second, true, func(time.Duration) { ticks++ })
-	if err != nil {
+	if _, err := e.NewTicker(time.Second, true, func(time.Duration) { ticks++ }); err != nil {
 		t.Fatal(err)
 	}
-	defer tk.Stop()
 	e.Step()
 	avg := testing.AllocsPerRun(100, func() { e.Step() })
 	if avg != 0 {

@@ -51,7 +51,7 @@ func (a entry) before(b entry) bool {
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; all callbacks run on the goroutine that calls Run/Step.
+// concurrent use; all callbacks run on the goroutine that calls RunUntil/Step.
 type Engine struct {
 	now time.Duration
 	seq uint64
@@ -229,21 +229,18 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Stop makes Run return after the currently executing event completes.
+// Stop makes RunUntil return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// ErrReentrantRun is returned when Run/RunUntil is called from inside an
-// event callback.
+// ErrReentrantRun is returned when RunUntil is called from inside an event
+// callback.
 var ErrReentrantRun = errors.New("simulation: reentrant Run")
-
-// Run fires events until the queue drains or Stop is called.
-func (e *Engine) Run() error {
-	return e.RunUntil(time.Duration(math.MaxInt64))
-}
 
 // RunUntil fires events whose timestamp is <= deadline, then advances the
 // clock to deadline (if the clock has not already passed it). Events
-// scheduled beyond the deadline remain queued.
+// scheduled beyond the deadline remain queued. A deadline of math.MaxInt64
+// is no deadline: events fire until the queue drains or Stop is called,
+// and the clock stays at the last event.
 func (e *Engine) RunUntil(deadline time.Duration) error {
 	if e.running {
 		return ErrReentrantRun
@@ -266,18 +263,16 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 	return nil
 }
 
-// Ticker repeatedly invokes fn every period until Stop is called or the
-// engine drains. The first invocation happens one period after creation
-// unless immediate is set.
+// Ticker repeatedly invokes fn every period; it never stops, so an engine
+// with a ticker never drains. The first invocation happens one period
+// after creation unless immediate is set.
 type Ticker struct {
 	engine *Engine
 	period time.Duration
 	fn     func(now time.Duration)
 	// tickFn is t.tick bound once, so rescheduling builds no method value.
-	tickFn  func(now time.Duration)
-	ev      Event
-	stopped bool
-	paused  bool
+	tickFn func(now time.Duration)
+	paused bool
 }
 
 // NewTicker schedules fn to run periodically on the engine. period must be
@@ -295,11 +290,9 @@ func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now tim
 	if immediate {
 		first = 0
 	}
-	ev, err := e.After(first, t.tickFn)
-	if err != nil {
+	if _, err := e.After(first, t.tickFn); err != nil {
 		return nil, err
 	}
-	t.ev = ev
 	return t, nil
 }
 
@@ -307,18 +300,13 @@ func (t *Ticker) tick(now time.Duration) {
 	if !t.paused {
 		t.fn(now)
 	}
-	if t.stopped { // fn may have stopped the ticker
-		return
-	}
-	ev, err := t.engine.After(t.period, t.tickFn)
-	if err != nil {
+	if _, err := t.engine.After(t.period, t.tickFn); err != nil {
 		// After with a positive period can only fail if now+period
 		// overflows the virtual clock (~292 years). Silently dropping the
 		// error would freeze the ticker forever with no diagnostic, so
 		// treat it as the programming error it is.
 		panic(fmt.Sprintf("simulation: ticker reschedule failed: %v", err))
 	}
-	t.ev = ev
 }
 
 // SetPaused suspends (or resumes) the ticker's callback without
@@ -326,17 +314,4 @@ func (t *Ticker) tick(now time.Duration) {
 // period grid, but fn is skipped while paused. That models a monitoring
 // process that has crashed — the rest of the simulation's event stream
 // is unchanged, which keeps runs with and without an outage comparable.
-// Pausing a stopped ticker has no effect.
 func (t *Ticker) SetPaused(paused bool) { t.paused = paused }
-
-// Paused reports whether the ticker's callback is currently suspended.
-func (t *Ticker) Paused() bool { return t.paused }
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.engine.Cancel(t.ev)
-}

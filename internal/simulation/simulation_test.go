@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,7 +18,7 @@ func TestScheduleOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 0}
@@ -40,7 +41,7 @@ func TestFIFOTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !sort.IntsAreSorted(got) {
@@ -53,7 +54,7 @@ func TestSchedulePastRejected(t *testing.T) {
 	if _, err := e.Schedule(10, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Schedule(5, func(time.Duration) {}); err == nil {
@@ -74,7 +75,7 @@ func TestAfterNegativeDelayClamped(t *testing.T) {
 	if _, err := e.After(-5, func(time.Duration) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
@@ -95,7 +96,7 @@ func TestCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("double Cancel should report false")
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -138,7 +139,7 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 25 {
 		t.Fatalf("clock = %v after RunUntil(25)", e.Now())
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 4 {
@@ -155,14 +156,14 @@ func TestStopInsideEvent(t *testing.T) {
 	if _, err := e.Schedule(2, func(time.Duration) { count++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
 		t.Fatalf("count = %d after Stop, want 1", count)
 	}
 	// The second event is still pending and can be resumed.
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if count != 2 {
@@ -173,10 +174,10 @@ func TestStopInsideEvent(t *testing.T) {
 func TestReentrantRunRejected(t *testing.T) {
 	e := NewEngine()
 	var inner error
-	if _, err := e.Schedule(1, func(time.Duration) { inner = e.Run() }); err != nil {
+	if _, err := e.Schedule(1, func(time.Duration) { inner = e.RunUntil(math.MaxInt64) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if inner != ErrReentrantRun {
@@ -195,7 +196,7 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 2 || times[0] != 5 || times[1] != 10 {
@@ -206,14 +207,10 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	tk, err := e.NewTicker(10, false, func(now time.Duration) { ticks = append(ticks, now) })
-	if err != nil {
+	if _, err := e.NewTicker(10, false, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(35, func(time.Duration) { tk.Stop() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(35); err != nil {
 		t.Fatal(err)
 	}
 	if len(ticks) != 3 || ticks[0] != 10 || ticks[1] != 20 || ticks[2] != 30 {
@@ -224,14 +221,10 @@ func TestTicker(t *testing.T) {
 func TestTickerImmediate(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	tk, err := e.NewTicker(10, true, func(now time.Duration) { ticks = append(ticks, now) })
-	if err != nil {
+	if _, err := e.NewTicker(10, true, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(15, func(time.Duration) { tk.Stop() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(15); err != nil {
 		t.Fatal(err)
 	}
 	if len(ticks) != 2 || ticks[0] != 0 || ticks[1] != 10 {
@@ -239,25 +232,24 @@ func TestTickerImmediate(t *testing.T) {
 	}
 }
 
+// A ticker never stops on its own: a callback that stops the engine ends
+// RunUntil after that tick, with the next tick still queued.
 func TestTickerStopInsideCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tk *Ticker
-	tk, err := e.NewTicker(1, false, func(time.Duration) {
+	if _, err := e.NewTicker(1, false, func(time.Duration) {
 		count++
 		if count == 3 {
-			tk.Stop()
+			e.Stop()
 		}
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	_ = tk
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
+	if count != 3 || e.Now() != 3 || e.Pending() != 1 {
+		t.Fatalf("count = %d at %v with %d pending, want 3 at 3 with the next tick", count, e.Now(), e.Pending())
 	}
 }
 
@@ -273,18 +265,10 @@ func TestTickerSetPaused(t *testing.T) {
 	if _, err := e.Schedule(25, func(time.Duration) { tk.SetPaused(true) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(45, func(time.Duration) {
-		if !tk.Paused() {
-			t.Error("ticker should report paused")
-		}
-		tk.SetPaused(false)
-	}); err != nil {
+	if _, err := e.Schedule(45, func(time.Duration) { tk.SetPaused(false) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(55, func(time.Duration) { tk.Stop() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(55); err != nil {
 		t.Fatal(err)
 	}
 	want := []time.Duration{10, 20, 50}
@@ -313,7 +297,7 @@ func TestFiredCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if e.Fired() != 7 {
@@ -345,7 +329,7 @@ func TestScheduledCounter(t *testing.T) {
 	if e.Scheduled() != 3 {
 		t.Fatalf("Scheduled = %d after a cancel and a schedule, want 3", e.Scheduled())
 	}
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if e.Scheduled() != 3 || e.Fired() != 2 {
@@ -379,7 +363,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 				}
 			}
 		}
-		if err := e.Run(); err != nil {
+		if err := e.RunUntil(math.MaxInt64); err != nil {
 			return false
 		}
 		if len(fired) != count-canceled {

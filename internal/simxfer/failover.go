@@ -42,8 +42,10 @@ const (
 	DefaultMaxAttempts    = 4
 	DefaultInitialBackoff = 500 * time.Millisecond
 	DefaultMaxBackoff     = 10 * time.Second
-	DefaultBackoffFactor  = 2.0
 )
+
+// backoffFactor is the failover backoff's growth multiplier.
+const backoffFactor = 2.0
 
 // FailoverPolicy arms a Request with mid-transfer failure detection and
 // recovery. Attempts run one at a time; after a failure the engine waits
@@ -58,13 +60,10 @@ type FailoverPolicy struct {
 	// (forced to 1 under NoRetry).
 	MaxAttempts int
 	// InitialBackoff is the wait after the first failure; each further
-	// failure multiplies it by BackoffFactor up to MaxBackoff.
+	// failure doubles it up to MaxBackoff.
 	InitialBackoff time.Duration
 	// MaxBackoff caps the growth; default DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// BackoffFactor is the growth multiplier; default
-	// DefaultBackoffFactor, must be >= 1.
-	BackoffFactor float64
 	// AttemptTimeout, when positive, abandons an attempt (setup
 	// included) that has not completed in time — catching stalls the
 	// path-down detector cannot see. Zero disables it.
@@ -90,11 +89,7 @@ func (p *FailoverPolicy) fillDefaults() error {
 	if p.MaxBackoff == 0 {
 		p.MaxBackoff = DefaultMaxBackoff
 	}
-	if p.BackoffFactor == 0 {
-		p.BackoffFactor = DefaultBackoffFactor
-	}
-	if p.MaxAttempts < 0 || p.InitialBackoff < 0 || p.MaxBackoff < 0 ||
-		p.BackoffFactor < 1 || p.AttemptTimeout < 0 {
+	if p.MaxAttempts < 0 || p.InitialBackoff < 0 || p.MaxBackoff < 0 || p.AttemptTimeout < 0 {
 		return fmt.Errorf("%w: bad policy value", ErrFailoverConfig)
 	}
 	return nil
@@ -186,7 +181,7 @@ func (x *transfer) burned(src string) bool {
 func (x *transfer) backoff(n int) time.Duration {
 	d := x.pol.InitialBackoff
 	for i := 1; i < n; i++ {
-		d = time.Duration(float64(d) * x.pol.BackoffFactor)
+		d = time.Duration(float64(d) * backoffFactor)
 		if d >= x.pol.MaxBackoff {
 			return x.pol.MaxBackoff
 		}

@@ -2,6 +2,7 @@ package simxfer
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func submitAndRun(t *testing.T, eng *simulation.Engine, tr *Transferrer, req Req
 	if err := tr.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !got {
@@ -82,8 +83,6 @@ func TestSubmitSentinels(t *testing.T) {
 		{"failover + scheme", Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: 1, Done: cb, Scheme: SchemeDynamic, Failover: pol}, ErrFailoverConfig},
 		{"failover + stripes", Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: 1, Done: cb,
 			Options: Options{Protocol: ProtoGridFTPModeE, Stripes: 2}, Failover: pol}, ErrFailoverConfig},
-		{"failover bad factor", Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: 1, Done: cb,
-			Failover: &FailoverPolicy{BackoffFactor: 0.5}}, ErrFailoverConfig},
 	}
 	for _, c := range cases {
 		if err := tr.Submit(c.req); !errors.Is(err, c.want) {
@@ -91,7 +90,7 @@ func TestSubmitSentinels(t *testing.T) {
 		}
 	}
 	// The single- and multi-source paths surface the same sentinels.
-	if err := start(tr, "alpha1", "hit0", 0, FTPOptions(), cb); !errors.Is(err, ErrNonPositiveSize) {
+	if err := start(tr, "alpha1", "hit0", 0, Options{Protocol: ProtoFTP}, cb); !errors.Is(err, ErrNonPositiveSize) {
 		t.Errorf("single-source zero bytes: %v", err)
 	}
 	if err := start(tr, "alpha1", "hit0", 1, Options{Streams: -1}, cb); !errors.Is(err, ErrNegativeOption) {
@@ -251,7 +250,7 @@ func TestModeEResumesStreamModeRestarts(t *testing.T) {
 		t.Fatalf("mode E delivered %d bytes total, want exactly %d", got, 256*mb)
 	}
 
-	stream := flapped(FTPOptions())
+	stream := flapped(Options{Protocol: ProtoFTP})
 	if stream.Err != nil {
 		t.Fatalf("stream: %v (attempts %+v)", stream.Err, stream.Attempts)
 	}
@@ -272,7 +271,7 @@ func TestAttemptTimeoutBoundsSlowAttempts(t *testing.T) {
 	// cuts both attempts short.
 	res := submitAndRun(t, eng, tr, Request{
 		Sources: []string{"lz02"}, Dst: "alpha1", Bytes: 256 * mb,
-		Options: FTPOptions(),
+		Options: Options{Protocol: ProtoFTP},
 		Failover: &FailoverPolicy{
 			Mode:           RetrySame,
 			MaxAttempts:    2,
@@ -316,7 +315,7 @@ func TestNonFailoverResultHasNilErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !called || gotErr != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,7 +40,7 @@ func goldenCases() []goldenCase {
 	crash := []hostEvent{{"hit0", 10 * time.Second, true}}
 	retry := &FailoverPolicy{Mode: RetrySame, MaxAttempts: 6, InitialBackoff: 4 * time.Second, MaxBackoff: 16 * time.Second}
 	return []goldenCase{
-		{name: "plain ftp", req: Request{Sources: []string{"alpha1"}, Dst: "gridhit3", Bytes: oddMB, Options: FTPOptions()}},
+		{name: "plain ftp", req: Request{Sources: []string{"alpha1"}, Dst: "gridhit3", Bytes: oddMB, Options: Options{Protocol: ProtoFTP}}},
 		{name: "gridftp stream mode", req: Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(0)}},
 		{name: "mode E x4", req: Request{Sources: []string{"alpha2"}, Dst: "lz04", Bytes: oddMB, Options: GridFTPOptions(4)}},
 		{name: "mode E x4 tiny", req: Request{Sources: []string{"alpha2"}, Dst: "lz04", Bytes: 3, Options: GridFTPOptions(4)}},
@@ -58,7 +59,7 @@ func goldenCases() []goldenCase {
 			Failover: &FailoverPolicy{Mode: NoRetry}}},
 		{name: "failover retry-same mode E resumes", faults: flap, req: Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(4),
 			Failover: retry}},
-		{name: "failover retry-same stream mode restarts", faults: flap, req: Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: oddMB, Options: FTPOptions(),
+		{name: "failover retry-same stream mode restarts", faults: flap, req: Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: oddMB, Options: Options{Protocol: ProtoFTP},
 			Failover: retry}},
 		{name: "failover reselect crash", faults: crash, req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(4),
 			Failover: &FailoverPolicy{Mode: FailoverReselect}}},
@@ -70,7 +71,7 @@ func goldenCases() []goldenCase {
 					return out
 				}}},
 			faults: []hostEvent{{"lz02", 5 * time.Second, true}, {"hit0", 0, true}, {"hit0", 15 * time.Second, false}, {"gridhit1", 0, true}}},
-		{name: "failover attempt timeout", req: Request{Sources: []string{"lz02"}, Dst: "alpha1", Bytes: oddMB, Options: FTPOptions(),
+		{name: "failover attempt timeout", req: Request{Sources: []string{"lz02"}, Dst: "alpha1", Bytes: oddMB, Options: Options{Protocol: ProtoFTP},
 			Failover: &FailoverPolicy{Mode: RetrySame, MaxAttempts: 2, AttemptTimeout: 20 * time.Second}}},
 		{name: "failover timeout inside setup", req: Request{Sources: []string{"lz02", "hit0"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(4),
 			Failover: &FailoverPolicy{Mode: FailoverReselect, MaxAttempts: 2, AttemptTimeout: 150 * time.Millisecond}}},
@@ -176,7 +177,7 @@ func TestFailoverSubmitAllocs(t *testing.T) {
 		if err := tr.Submit(req); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package simxfer
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []s
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if !got {

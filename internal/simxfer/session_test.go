@@ -2,6 +2,7 @@ package simxfer
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func TestSubmitNoRouteSchedulesNothing(t *testing.T) {
 		if got := eng.Pending(); got != before {
 			t.Errorf("%s: %d events scheduled by a rejected Submit", c.name, got-before)
 		}
-		if err := eng.Run(); err != nil {
+		if err := eng.RunUntil(math.MaxInt64); err != nil {
 			t.Fatal(err)
 		}
 	}

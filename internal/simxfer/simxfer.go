@@ -85,8 +85,6 @@ type Options struct {
 	// TCPBufferBytes is the data-channel window; default 64 KiB (the
 	// un-tuned 2005 default the paper's testbed used).
 	TCPBufferBytes int
-	// BlockSize is the MODE E block payload size; default 64 KiB.
-	BlockSize int
 }
 
 func (o *Options) fillDefaults() error {
@@ -96,7 +94,7 @@ func (o *Options) fillDefaults() error {
 	if o.Stripes == 0 {
 		o.Stripes = 1
 	}
-	if o.Streams < 0 || o.Stripes < 0 || o.TCPBufferBytes < 0 || o.BlockSize < 0 {
+	if o.Streams < 0 || o.Stripes < 0 || o.TCPBufferBytes < 0 {
 		return ErrNegativeOption
 	}
 	if o.Protocol != ProtoGridFTPModeE && (o.Streams > 1 || o.Stripes > 1) {
@@ -105,14 +103,8 @@ func (o *Options) fillDefaults() error {
 	if o.TCPBufferBytes == 0 {
 		o.TCPBufferBytes = netsim.DefaultWindowBytes
 	}
-	if o.BlockSize == 0 {
-		o.BlockSize = gridftp.DefaultBlockSize
-	}
 	return nil
 }
-
-// FTPOptions returns the classic-FTP baseline configuration.
-func FTPOptions() Options { return Options{Protocol: ProtoFTP} }
 
 // GridFTPOptions returns a MODE E configuration with the given stream
 // count (streams == 0 models stream-mode GridFTP, the paper's "no parallel
@@ -164,15 +156,6 @@ type Result struct {
 // Duration returns the end-to-end transfer time (setup included).
 func (r Result) Duration() time.Duration { return r.Finished - r.Started }
 
-// ThroughputMbps returns payload goodput in megabits per second.
-func (r Result) ThroughputMbps() float64 {
-	d := r.Duration().Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) * 8 / d / 1e6
-}
-
 // Transferrer runs simulated transfers on a testbed.
 type Transferrer struct {
 	tb *cluster.Testbed
@@ -197,10 +180,10 @@ func setupRoundTrips(p Protocol) int {
 }
 
 // modeEOverhead is the per-payload-byte MODE E framing overhead fraction
-// (zero for stream-mode protocols).
+// of gridftp.DefaultBlockSize blocks (zero for stream-mode protocols).
 func modeEOverhead(o Options) float64 {
 	if o.Protocol == ProtoGridFTPModeE {
-		return float64(gridftp.HeaderLen) / float64(o.BlockSize)
+		return float64(gridftp.HeaderLen) / float64(gridftp.DefaultBlockSize)
 	}
 	return 0
 }

@@ -95,12 +95,6 @@ func (g *RequestGenerator) pick() string {
 	return g.cfg.Files[g.rng.Intn(len(g.cfg.Files))]
 }
 
-// Requests returns how many requests have been emitted.
-func (g *RequestGenerator) Requests() int { return g.arrivals.Count() }
-
-// Stop halts the generator.
-func (g *RequestGenerator) Stop() { g.arrivals.Stop() }
-
 // JobConfig parameterizes a Poisson stream of compute jobs attached to
 // hosts (the "large-scale data intensive applications" sharing the grid).
 type JobConfig struct {
@@ -174,9 +168,3 @@ func (g *JobGenerator) place() {
 		job.Release()
 	}
 }
-
-// Placed returns how many jobs have been placed.
-func (g *JobGenerator) Placed() int { return g.placed }
-
-// Stop halts new job arrivals (running jobs still complete).
-func (g *JobGenerator) Stop() { g.arrivals.Stop() }

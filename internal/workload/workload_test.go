@@ -56,8 +56,8 @@ func TestRequestGeneratorPoissonRate(t *testing.T) {
 	if count < 3300 || count > 3900 {
 		t.Fatalf("requests = %d, want ~3600", count)
 	}
-	if g.Requests() != count {
-		t.Fatalf("Requests() = %d, count = %d", g.Requests(), count)
+	if g.arrivals.Count() != count {
+		t.Fatalf("Requests() = %d, count = %d", g.arrivals.Count(), count)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestRequestGeneratorStop(t *testing.T) {
 	if err := eng.RunUntil(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	g.Stop()
+	g.arrivals.Stop()
 	frozen := count
 	if err := eng.RunUntil(20 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestJobGeneratorDeterministic(t *testing.T) {
 			if err := eng.RunUntil(ckpt); err != nil {
 				t.Fatal(err)
 			}
-			trace = append(trace, float64(g.Placed()))
+			trace = append(trace, float64(g.placed))
 			for _, name := range []string{"alpha1", "alpha2"} {
 				h, _ := tb.Host(name)
 				trace = append(trace, h.CPULoad(), h.IOLoad())
@@ -292,8 +292,8 @@ func TestJobGenerator(t *testing.T) {
 	if err := eng.RunUntil(20 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if g.Placed() < 5 {
-		t.Fatalf("placed = %d, want several", g.Placed())
+	if g.placed < 5 {
+		t.Fatalf("placed = %d, want several", g.placed)
 	}
 	// Load must be bounded and, with rate*duration*0.3 offered load,
 	// typically nonzero on at least one host at some point; check bounds.
@@ -303,12 +303,12 @@ func TestJobGenerator(t *testing.T) {
 			t.Fatalf("host %s load %v", name, h.CPULoad())
 		}
 	}
-	g.Stop()
-	placed := g.Placed()
+	g.arrivals.Stop()
+	placed := g.placed
 	if err := eng.RunUntil(40 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if g.Placed() != placed {
+	if g.placed != placed {
 		t.Fatal("jobs kept arriving after Stop")
 	}
 	// All jobs eventually release: after the stop and long drain, load
