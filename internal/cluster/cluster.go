@@ -335,7 +335,7 @@ func (t *Testbed) StartLoad(host string, cfg LoadConfig, seed int64) error {
 	if err != nil {
 		return err
 	}
-	w, err := simulation.NewWalk(t.engine, cfg.Period, seed,
+	w, err := simulation.NewWalk(t.engine, cfg.Period, seed, nil,
 		simulation.WalkAxis{V: &h.baseCPULoad, Mean: cfg.CPUMean, Reversion: cfg.Reversion, Volatility: cfg.CPUVolatility, Max: 1},
 		simulation.WalkAxis{V: &h.baseIOLoad, Mean: cfg.IOMean, Reversion: cfg.Reversion, Volatility: cfg.IOVolatility, Max: 1})
 	if err != nil {

@@ -227,26 +227,63 @@ func (r *refLoad) step() {
 	r.io = next(r.io, r.cfg.IOMean, r.cfg.IOVolatility)
 }
 
-// A read scheduled at time 0 for the instant of the second step sees
-// that step: a step due at T comes before every read at T.
-func TestLoadWalkStepPrecedesReadAtItsInstant(t *testing.T) {
+// A read at a grid instant sees the step due there exactly when a ticker
+// started with the walk would have stepped first: when the read was
+// scheduled at most one period ahead (one period ahead only from a
+// same-period chain younger than the walk), or runs outside any event. A
+// read scheduled at 0 for the second step's instant sees one step, as a
+// ticker's reader would; a ticker replaying the walk beside it is
+// compared at reads below, at and above one period ahead.
+func TestLoadWalkStepOrderMatchesTicker(t *testing.T) {
 	eng, tb := newTestbed(t)
 	if err := tb.StartLoad("h1", walkCfg, 11); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := tb.Host("h1")
-	var cpu, io float64
-	if _, err := eng.Schedule(2*walkCfg.Period, func(time.Duration) { cpu, io = h.CPULoad(), h.IOLoad() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntil(3*walkCfg.Period - 1); err != nil {
-		t.Fatal(err)
-	}
 	ref := newRefLoad(walkCfg, 11)
-	ref.step()
-	ref.step()
-	if cpu != ref.cpu || io != ref.io {
-		t.Fatalf("read at 2 periods = (%v, %v), want two steps (%v, %v)", cpu, io, ref.cpu, ref.io)
+	if _, err := eng.NewTicker(walkCfg.Period, false, func(time.Duration) { ref.step() }); err != nil {
+		t.Fatal(err)
+	}
+	reads := map[time.Duration]int{}
+	read := func(lead time.Duration) {
+		reads[lead]++
+		if cpu, io := h.CPULoad(), h.IOLoad(); cpu != ref.cpu || io != ref.io {
+			t.Errorf("read at %v scheduled %v ahead = (%v, %v), the ticker has (%v, %v)", eng.Now(), lead, cpu, io, ref.cpu, ref.io)
+		}
+	}
+	p := walkCfg.Period
+	if _, err := eng.NewTicker(p, false, func(time.Duration) { read(p) }); err != nil {
+		t.Fatal(err)
+	}
+	for k := time.Duration(2); k <= 8; k++ {
+		at := k * p
+		for _, lead := range []time.Duration{p / 4, p / 2, 3 * p / 2, 2 * p} {
+			if _, err := eng.Schedule(at-lead, func(time.Duration) {
+				if _, err := eng.Schedule(at, func(time.Duration) { read(lead) }); err != nil {
+					t.Error(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var early float64
+	if _, err := eng.Schedule(2*p, func(time.Duration) { early = h.CPULoad() }); err != nil {
+		t.Fatal(err)
+	}
+	for k := time.Duration(1); k <= 8; k++ {
+		if err := eng.RunUntil(k * p); err != nil {
+			t.Fatal(err)
+		}
+		read(0)
+	}
+	if len(reads) != 6 {
+		t.Fatalf("reads by lead: %v", reads)
+	}
+	one := newRefLoad(walkCfg, 11)
+	one.step()
+	if early != one.cpu {
+		t.Fatalf("read scheduled at 0 for 2 periods = %v, want one step (%v)", early, one.cpu)
 	}
 }
 
@@ -329,9 +366,10 @@ func TestSetBaseLoadAppliesDueSteps(t *testing.T) {
 	}
 }
 
-// The paper testbed's dynamics fire only the background-traffic steps:
-// 6 WAN directions × 60 one-second steps in a minute. Host load walks
-// schedule nothing (with a 2 s ticker per host they added 12 × 30).
+// The paper testbed's dynamics fire nothing while no flow crosses a WAN
+// link: host load walks and idle links' background walks schedule no
+// event. With a 1 s ticker per WAN direction they fired 6 × 60 in a
+// minute, and a 2 s ticker per host added 12 × 30 more.
 func TestPaperDynamicsEvents(t *testing.T) {
 	eng := simulation.NewEngine()
 	tb, err := NewPaperTestbed(eng)
@@ -344,8 +382,8 @@ func TestPaperDynamicsEvents(t *testing.T) {
 	if err := eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Fired(); got != 360 {
-		t.Fatalf("paper dynamics fired %d events in 60s, want 360", got)
+	if got, pending := eng.Fired(), eng.Pending(); got != 0 || pending != 0 {
+		t.Fatalf("paper dynamics fired %d events in 60s with %d pending, want none", got, pending)
 	}
 }
 

@@ -39,8 +39,10 @@ func TestEnvDeterministic(t *testing.T) {
 // default deployment dropped its latency sensors (one per remote, read
 // by no result), it fired 6,745 here. Before host load came to advance
 // when read instead of on a 2 s ticker per host, they fired 2,629 and
-// 6,622. A slice tail, or a new monitor or ticker on the paper testbed
-// that no result reads, fails here.
+// 6,622; before a link's background walk came to step only while a flow
+// crosses the link instead of on a 1 s ticker per WAN direction, 1,321
+// and 4,210. A slice tail, or a new monitor or ticker on the paper
+// testbed that no result reads, fails here.
 func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -51,8 +53,8 @@ func TestMeasureAtEndsAtTheAnswer(t *testing.T) {
 		o        simxfer.Options
 		fired    uint64
 	}{
-		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.Options{Protocol: simxfer.ProtoFTP}, 1321},
-		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 4210},
+		{"fig3/256MB/ftp", false, Warmup, "alpha1", "gridhit3", 256 * workload.MB, simxfer.Options{Protocol: simxfer.ProtoFTP}, 46},
+		{"table1/hit0", true, Warmup + time.Minute, "hit0", "alpha1", 1024 * workload.MB, simxfer.GridFTPOptions(0), 2106},
 	} {
 		env, err := NewEnv(seed, c.monitor)
 		if err != nil {

@@ -26,9 +26,11 @@ type BackgroundConfig struct {
 
 // StartBackground attaches background traffic to the directed link
 // from->to: a walk seeded with seed that starts at the mean load and
-// steps every Period. Unlike host load it is advanced by a ticker: a step
-// moves the rates of the flows crossing the link at its own instant, and
-// setBackgroundLoad's retight must see every step before the next fill.
+// steps every Period. A link takes one walk. The walk is awake while a
+// flow crosses the link: each step is an event that moves the rates of
+// the flows crossing it at its own instant, and setBackgroundLoad's
+// retight sees every step before the next fill. While no flow crosses it,
+// nothing is scheduled and a read catches the walk up (Link.settle).
 func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed int64) error {
 	if cfg.Mean >= 1 || cfg.Max < 0 || cfg.Max >= 1 {
 		return fmt.Errorf("netsim: background mean %v or max %v out of [0,1)", cfg.Mean, cfg.Max)
@@ -37,19 +39,21 @@ func (n *Network) StartBackground(from, to string, cfg BackgroundConfig, seed in
 	if err != nil {
 		return err
 	}
+	if l.walk != nil {
+		return fmt.Errorf("netsim: link %s->%s already has background traffic", from, to)
+	}
 	if cfg.Max == 0 {
 		cfg.Max = 0.95
 	}
-	load := cfg.Mean
-	w, err := simulation.NewWalk(n.engine, cfg.Period, seed, simulation.WalkAxis{
-		V: &load, Mean: cfg.Mean, Reversion: cfg.Reversion, Volatility: cfg.Volatility, Max: cfg.Max})
+	w, err := simulation.NewWalk(n.engine, cfg.Period, seed, func() { n.setBackgroundLoad(l, l.bgLoad) },
+		simulation.WalkAxis{V: &l.bgLoad, Mean: cfg.Mean, Reversion: cfg.Reversion, Volatility: cfg.Volatility, Max: cfg.Max})
 	if err != nil {
 		return err
 	}
-	n.setBackgroundLoad(l, load)
-	_, err = n.engine.NewTicker(cfg.Period, false, func(time.Duration) {
-		w.Advance()
-		n.setBackgroundLoad(l, load)
-	})
-	return err
+	n.setBackgroundLoad(l, cfg.Mean)
+	l.walk = w
+	if l.nflows > 0 {
+		w.Wake()
+	}
+	return nil
 }

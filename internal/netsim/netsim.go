@@ -95,6 +95,10 @@ type Link struct {
 	// bgLoad is the fraction of capacity consumed by background (non-grid)
 	// traffic, in [0,1).
 	bgLoad float64
+	// walk moves bgLoad (StartBackground), or is nil. It steps on its own
+	// event while a flow crosses the link, moving their rates, and is
+	// caught up by reads while none does (settle).
+	walk *simulation.Walk
 	// down marks a failed link: zero effective capacity, so flows across
 	// it stall (they do not abort — TCP would retry forever too).
 	down bool
@@ -116,9 +120,26 @@ type Link struct {
 // Down reports whether the link is failed.
 func (l *Link) Down() bool { return l.down }
 
+// settle applies the background steps an idle link owes a read at this
+// instant. A crossed link's walk is awake: its steps are events.
+func (l *Link) settle() {
+	if l.nflows == 0 {
+		l.walk.Advance()
+	}
+}
+
 // EffectiveCapacity returns line rate minus background traffic, or zero
 // when the link is down.
 func (l *Link) EffectiveCapacity() float64 {
+	l.settle()
+	return l.effective()
+}
+
+// effective is EffectiveCapacity without the catch-up, for the allocator:
+// the water-fill reads only crossed links, whose walk is awake, and
+// retight's verdict on an idle link, which has no demand, is "not tight"
+// whatever its load.
+func (l *Link) effective() float64 {
 	if l.down {
 		return 0
 	}
@@ -126,7 +147,10 @@ func (l *Link) EffectiveCapacity() float64 {
 }
 
 // BackgroundLoad returns the current background traffic fraction.
-func (l *Link) BackgroundLoad() float64 { return l.bgLoad }
+func (l *Link) BackgroundLoad() float64 {
+	l.settle()
+	return l.bgLoad
+}
 
 // UsedBps returns the rate currently allocated to simulated flows.
 func (l *Link) UsedBps() float64 {
@@ -140,6 +164,7 @@ func (l *Link) UsedBps() float64 {
 
 // Utilization returns (background + allocated)/capacity in [0,1].
 func (l *Link) Utilization() float64 {
+	l.settle()
 	u := (l.cfg.CapacityBps*l.bgLoad + l.UsedBps()) / l.cfg.CapacityBps
 	return math.Min(u, 1)
 }
@@ -1037,15 +1062,20 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 		f.staticCapBps = f.opts.RateCapBps
 	}
 	n.nextID++
+	// A link the flow makes crossed wakes its background walk before the
+	// ramp below opens a batch, which later flows of this instant join.
+	for _, l := range path {
+		if l.nflows == 0 && l.walk != nil {
+			l.walk.Wake()
+		}
+		l.nflows++
+	}
 	// Slow start: rate begins at initialCwnd segments per RTT and doubles
 	// each RTT until it no longer binds.
 	if f.rtt > 0 {
 		f.ramping = true
 		f.cwndBps = float64(initialCwnd*f.mss) * 8 / f.rtt.Seconds()
 		n.scheduleRamp(f)
-	}
-	for _, l := range path {
-		l.nflows++
 	}
 	// Join the partition (merging every component the path touches) and
 	// re-allocate just the resulting component.
@@ -1321,6 +1351,7 @@ func (n *Network) removeFlow(f *Flow, final FlowState) {
 			// again until a flow returns, so zero its allocation — and the
 			// rounding its demand has gathered — exactly.
 			l.usedBps, l.demand = 0, 0
+			l.walk.Sleep()
 			n.retight(l)
 		}
 	}

@@ -421,10 +421,9 @@ func TestBackgroundProcess(t *testing.T) {
 	}, 42); err != nil {
 		t.Fatal(err)
 	}
-	// Background traffic is evented: every step reaches the link when it
-	// is due, not when the link is next read.
-	if eng.Pending() != 1 {
-		t.Fatalf("pending events = %d, want the one ticker", eng.Pending())
+	// An idle link's walk schedules nothing: a read catches it up.
+	if eng.Pending() != 0 {
+		t.Fatalf("pending events = %d on an idle link, want none", eng.Pending())
 	}
 	l, _ := net.GetLink("a", "b")
 	if l.BackgroundLoad() != 0.3 {
@@ -445,6 +444,31 @@ func TestBackgroundProcess(t *testing.T) {
 	if moved < 90 {
 		t.Fatalf("load moved on %d of 100 steps", moved)
 	}
+	// A flow crossing the link wakes the walk: one pending step, which
+	// moves the flow's rate at its own instant; the flow's end cancels it.
+	f, err := net.StartFlow("a", "b", 50_000_000, FlowOptions{WindowBytes: 1 << 24}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(101*time.Second + time.Second/2); err != nil {
+		t.Fatal(err)
+	}
+	if f.State() != FlowActive || eng.Pending() != 2 {
+		t.Fatalf("flow %v with %d pending, want active with its completion and the walk's step", f.State(), eng.Pending())
+	}
+	rate := f.RateBps()
+	if err := eng.RunUntil(102 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f.RateBps() == rate || f.RateBps() != l.EffectiveCapacity() {
+		t.Fatalf("rate %v before the step, %v after, effective capacity %v", rate, f.RateBps(), l.EffectiveCapacity())
+	}
+	if err := net.CancelFlow(f); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("pending events = %d after the last flow left, want none", eng.Pending())
+	}
 }
 
 func TestBackgroundProcessValidation(t *testing.T) {
@@ -464,6 +488,21 @@ func TestBackgroundProcessValidation(t *testing.T) {
 	}
 	if err := net.StartBackground("a", "zzz", BackgroundConfig{Mean: 0.1, Reversion: 0.5, Period: time.Second}, 1); err == nil {
 		t.Fatal("unknown link should be rejected")
+	}
+	// A mean above the clamp would start the walk outside its own range.
+	if err := net.StartBackground("a", "b", BackgroundConfig{Mean: 0.9, Reversion: 0.5, Period: time.Second, Max: 0.8}, 1); err == nil {
+		t.Fatal("mean above max should be rejected")
+	}
+	// A link takes one walk: a second would overwrite the first's load.
+	good := BackgroundConfig{Mean: 0.1, Reversion: 0.5, Period: time.Second}
+	if err := net.StartBackground("a", "b", good, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.StartBackground("a", "b", good, 2); err == nil {
+		t.Fatal("a second walk on one link should be rejected")
+	}
+	if err := net.StartBackground("b", "a", good, 2); err != nil {
+		t.Fatalf("the other direction is its own link: %v", err)
 	}
 }
 

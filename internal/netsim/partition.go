@@ -443,7 +443,7 @@ func (n *Network) waterfill(c *component, now time.Duration) {
 		f.rateBps = 0
 	}
 	for _, l := range c.links {
-		n.remCap[l.idx] = l.EffectiveCapacity()
+		n.remCap[l.idx] = l.effective()
 		n.remCnt[l.idx] = l.nflows
 		l.usedBps = 0
 	}
@@ -558,7 +558,7 @@ func (n *Network) updateCompMin(c *component) {
 // retight re-evaluates link l against the headRoom margin after its demand
 // or effective capacity moved, keeping the owning component's count in step.
 func (n *Network) retight(l *Link) {
-	tight := !(l.demand <= l.EffectiveCapacity()*(1-headRoom))
+	tight := !(l.demand <= l.effective()*(1-headRoom))
 	if tight == l.tight {
 		return
 	}

@@ -18,10 +18,14 @@ var oracleCases = flag.Int("oracle.cases", 1000, "schedule/cancel storms the que
 
 // The reference: the engine as it was — container/heap over []*refEvent,
 // pooled structs, and the rule that holders never pass a dead handle to
-// Cancel (refSubject keeps that rule for it).
+// Cancel (refSubject keeps that rule for it) — with the order within an
+// instant spelled out in full: by the instant an event was scheduled at
+// (or backdated to), backdated first, then by sequence.
 
 type refEvent struct {
 	at       time.Duration
+	sched    time.Duration
+	early    bool
 	seq      uint64
 	index    int
 	canceled bool
@@ -33,10 +37,17 @@ type refQueue []*refEvent
 func (q refQueue) Len() int { return len(q) }
 
 func (q refQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+	a, b := q[i], q[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	if a.sched != b.sched {
+		return a.sched < b.sched
+	}
+	if a.early != b.early {
+		return a.early
+	}
+	return a.seq < b.seq
 }
 
 func (q refQueue) Swap(i, j int) {
@@ -63,6 +74,7 @@ func (q *refQueue) Pop() any {
 
 type refEngine struct {
 	now     time.Duration
+	lead    time.Duration
 	seq     uint64
 	queue   refQueue
 	free    []*refEvent
@@ -94,7 +106,7 @@ func (e *refEngine) Schedule(at time.Duration, fn func(now time.Duration)) (*ref
 		return nil, errors.New("simulation: nil event function")
 	}
 	ev := e.getEvent()
-	*ev = refEvent{at: at, seq: e.seq, fn: fn}
+	*ev = refEvent{at: at, sched: e.now, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev, nil
@@ -125,7 +137,9 @@ func (e *refEngine) Step() bool {
 	e.now = ev.at
 	e.fired++
 	fn := ev.fn
+	e.lead = ev.at - ev.sched
 	fn(e.now)
+	e.lead = 0
 	e.putEvent(ev)
 	return true
 }
@@ -147,7 +161,7 @@ func (e *refEngine) RunUntil(deadline time.Duration) error {
 		}
 		e.Step()
 	}
-	if e.now < deadline && deadline != time.Duration(math.MaxInt64) {
+	if !e.stopped && e.now < deadline && deadline != time.Duration(math.MaxInt64) {
 		e.now = deadline
 	}
 	return nil
@@ -159,6 +173,7 @@ func (e *refEngine) RunUntil(deadline time.Duration) error {
 type subject struct {
 	now      func() time.Duration
 	schedule func(id int, at time.Duration, fn func(time.Duration)) error
+	backdate func(id int, at, asOf time.Duration, fn func(time.Duration))
 	after    func(id int, d time.Duration, fn func(time.Duration)) error
 	cancel   func(id int) bool
 	step     func() bool
@@ -166,6 +181,7 @@ type subject struct {
 	stop     func()
 	pending  func() int
 	fired    func() uint64
+	lead     func() time.Duration
 }
 
 // newSubject drives the production engine: it hands every handle it ever
@@ -186,6 +202,9 @@ func newSubject(reused *int) subject {
 			ev, err := e.Schedule(at, fn)
 			return keep(id, ev, err)
 		},
+		backdate: func(id int, at, asOf time.Duration, fn func(time.Duration)) {
+			keep(id, e.scheduleAsOf(at, asOf, fn), nil)
+		},
 		after: func(id int, d time.Duration, fn func(time.Duration)) error {
 			ev, err := e.After(d, fn)
 			return keep(id, ev, err)
@@ -204,6 +223,7 @@ func newSubject(reused *int) subject {
 		stop:     e.Stop,
 		pending:  e.Pending,
 		fired:    e.Fired,
+		lead:     func() time.Duration { return e.lead },
 	}
 }
 
@@ -231,6 +251,12 @@ func refSubject() subject {
 			ev, err := e.Schedule(at, dropping(id, fn))
 			return keep(id, ev, err)
 		},
+		backdate: func(id int, at, asOf time.Duration, fn func(time.Duration)) {
+			ev, err := e.Schedule(at, dropping(id, fn))
+			ev.sched, ev.early = asOf, true
+			heap.Fix(&e.queue, ev.index)
+			keep(id, ev, err)
+		},
 		after: func(id int, d time.Duration, fn func(time.Duration)) error {
 			ev, err := e.After(d, dropping(id, fn))
 			return keep(id, ev, err)
@@ -245,11 +271,12 @@ func refSubject() subject {
 		stop:     func() { e.stopped = true },
 		pending:  func() int { return len(e.queue) },
 		fired:    func() uint64 { return e.fired },
+		lead:     func() time.Duration { return e.lead },
 	}
 }
 
 // rec is one observation of a storm: what happened, to which handle, and
-// the engine's clock, Pending and Fired right after.
+// the engine's clock, Pending, Fired and firing event's lead right after.
 type rec struct {
 	what    string
 	id      int
@@ -257,12 +284,14 @@ type rec struct {
 	now     time.Duration
 	pending int
 	fired   uint64
+	lead    time.Duration
 }
 
 // queueTally counts the edge cases a sweep reached.
 type queueTally struct {
 	ties, cancelSelf, cancelOtherInside, deadCancels, reusedSlots int
 	stops, deadlineLeftPending, pastRejected, reentrant           int
+	backdated, backdatedJumps                                     int
 }
 
 // storm runs one seeded script against q and returns everything it saw.
@@ -282,7 +311,7 @@ func storm(seed int64, q subject, tally *queueTally) []rec {
 	next := 0             // next handle id
 	lastFire := -1 * unit // timestamp of the previous fire, for the tie tally
 	note := func(what string, id int, ok bool) {
-		log = append(log, rec{what, id, ok, q.now(), q.pending(), q.fired()})
+		log = append(log, rec{what, id, ok, q.now(), q.pending(), q.fired(), q.lead()})
 	}
 	anyHandle := func() int {
 		if next == 0 || rng.Intn(16) == 0 {
@@ -291,11 +320,17 @@ func storm(seed int64, q subject, tally *queueTally) []rec {
 		return rng.Intn(next)
 	}
 	var add func(inside bool)
+	backdated := map[int]bool{}
+	lastID := -1 // the previous event fired, for the jump tally
 	fire := func(id int) func(time.Duration) {
 		return func(now time.Duration) {
 			if now == lastFire {
 				tally.ties++
 			}
+			if backdated[id] && id > lastID && now == lastFire {
+				tally.backdatedJumps++ // fired before an older event of its instant
+			}
+			lastID = id
 			lastFire = now
 			note("fire", id, true)
 			for k := rng.Intn(3); k > 0; k-- {
@@ -337,7 +372,11 @@ func storm(seed int64, q subject, tally *queueTally) []rec {
 		id := next
 		next++
 		var err error
-		switch d := time.Duration(rng.Intn(span)) * unit; rng.Intn(8) {
+		switch d := time.Duration(rng.Intn(span)) * unit; rng.Intn(9) {
+		case 8: // ordered as of an earlier instant (a waking walk's step)
+			tally.backdated++
+			backdated[id] = true
+			q.backdate(id, q.now()+d, q.now()-time.Duration(rng.Intn(span))*unit, fire(id))
 		case 0:
 			err = q.schedule(id, q.now()-unit, fire(id)) // the past
 			if errors.Is(err, ErrPastEvent) {
@@ -408,11 +447,12 @@ func diffStorms(cases int, tally *queueTally) error {
 }
 
 // TestQueueOracle diffs the 4-ary slot-addressed queue against the
-// container/heap engine it replaced over seeded storms of Schedule, After
-// and Cancel: same-instant ties, cancel-self and cancel-other from inside
-// callbacks, cancels of dead handles whose slot was reused, Stop mid-run
-// and RunUntil deadlines. Fire order, every Cancel and error result,
-// clock, Pending and Fired must agree after every operation.
+// container/heap engine it replaced over seeded storms of Schedule, After,
+// backdated schedules and Cancel: same-instant ties, cancel-self and
+// cancel-other from inside callbacks, cancels of dead handles whose slot
+// was reused, Stop mid-run and RunUntil deadlines. Fire order, every
+// Cancel and error result, clock, Pending, Fired and the firing event's
+// lead must agree after every operation.
 func TestQueueOracle(t *testing.T) {
 	var tally queueTally
 	if err := diffStorms(*oracleCases, &tally); err != nil {
@@ -421,7 +461,8 @@ func TestQueueOracle(t *testing.T) {
 	t.Logf("%d storms: %+v", *oracleCases, tally)
 	if tally.ties == 0 || tally.cancelSelf == 0 || tally.cancelOtherInside == 0 ||
 		tally.deadCancels == 0 || tally.reusedSlots == 0 || tally.stops == 0 ||
-		tally.deadlineLeftPending == 0 || tally.pastRejected == 0 || tally.reentrant == 0 {
+		tally.deadlineLeftPending == 0 || tally.pastRejected == 0 || tally.reentrant == 0 ||
+		tally.backdated == 0 || tally.backdatedJumps == 0 {
 		t.Fatalf("generator lost its edge cases: %+v", tally)
 	}
 }

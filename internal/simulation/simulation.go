@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -33,7 +34,11 @@ type Event struct {
 type slot struct {
 	fn  func(now time.Duration)
 	gen uint64
-	pos int32 // index into Engine.heap while pending
+	// sched is the instant the event was scheduled at, or, for a
+	// backdated event (early), the earlier instant it is ordered as of.
+	sched time.Duration
+	pos   int32 // index into Engine.heap while pending
+	early bool  // backdated, and listed in Engine.early while pending
 }
 
 // entry is one pending event in the heap, ordered by (at, seq).
@@ -60,9 +65,19 @@ type Engine struct {
 	// event fired or was canceled. A steady-state simulation (schedule,
 	// fire, reschedule, ...) therefore allocates nothing; all three are
 	// bounded by the peak number of concurrently pending events.
-	heap    []entry
-	slots   []slot
-	free    []uint32
+	heap  []entry
+	slots []slot
+	free  []uint32
+	// early lists the pending backdated events (scheduleAsOf). Within an
+	// instant, events fire in order of the instant they were scheduled
+	// at, a backdated event before an on-time one scheduled at the same
+	// instant, then in scheduling order. Sequence numbers grow with the
+	// clock, so the heap keeps that order among on-time events by itself;
+	// Step checks only these against the root.
+	early []uint32
+	// lead is how far ahead the firing event was scheduled: its instant
+	// minus its slot's sched. It is zero outside any event.
+	lead    time.Duration
 	running bool
 	stopped bool
 	fired   uint64
@@ -110,11 +125,27 @@ func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, 
 		e.slots = append(e.slots, slot{gen: 1})
 	}
 	s := &e.slots[id]
-	s.fn = fn
+	s.fn, s.sched = fn, e.now
 	e.heap = append(e.heap, entry{})
 	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
 	e.seq++
 	return Event{slot: id, gen: s.gen}, nil
+}
+
+// scheduleAsOf schedules fn at at, ordered among the events of that
+// instant as if it had been scheduled at the earlier instant asOf, ahead
+// of everything else scheduled then: after the events scheduled before
+// asOf, before those scheduled at or after it. A waking Walk puts its next
+// step there, where the step of a ticker started with the walk would be.
+func (e *Engine) scheduleAsOf(at, asOf time.Duration, fn func(now time.Duration)) Event {
+	ev, err := e.Schedule(at, fn)
+	if err != nil {
+		panic(fmt.Sprintf("simulation: backdated schedule failed: %v", err))
+	}
+	s := &e.slots[ev.slot]
+	s.sched, s.early = asOf, true
+	e.early = append(e.early, ev.slot)
+	return ev
 }
 
 // After registers fn to run after delay d from the current virtual time.
@@ -142,6 +173,12 @@ func (e *Engine) Cancel(ev Event) bool {
 // The fn reference is dropped so the slab does not pin callback closures.
 func (e *Engine) release(id uint32) {
 	s := &e.slots[id]
+	if s.early {
+		s.early = false
+		last := len(e.early) - 1
+		e.early[slices.Index(e.early, id)] = e.early[last]
+		e.early = e.early[:last]
+	}
 	s.fn = nil
 	s.gen++
 	e.free = append(e.free, id)
@@ -219,14 +256,46 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	top := e.heap[0]
-	fn := e.slots[top.slot].fn
-	e.removeAt(0)
-	e.release(top.slot)
-	e.now = top.at
+	i := 0
+	if len(e.early) > 0 {
+		i = e.next()
+	}
+	x := e.heap[i]
+	s := &e.slots[x.slot]
+	fn, lead := s.fn, x.at-s.sched
+	e.removeAt(i)
+	e.release(x.slot)
+	e.now = x.at
 	e.fired++
+	e.lead = lead
 	fn(e.now)
+	e.lead = 0
 	return true
+}
+
+// next returns the heap index of the event to fire: the root, unless a
+// backdated event of the root's instant comes before it.
+func (e *Engine) next() int {
+	best := 0
+	for _, id := range e.early {
+		if i := int(e.slots[id].pos); e.heap[i].at == e.heap[0].at && e.firesBefore(i, best) {
+			best = i
+		}
+	}
+	return best
+}
+
+// firesBefore orders two events of one instant, by heap index: by the
+// instant they were scheduled (as of), backdated first, then by sequence.
+func (e *Engine) firesBefore(i, j int) bool {
+	a, b := &e.slots[e.heap[i].slot], &e.slots[e.heap[j].slot]
+	if a.sched != b.sched {
+		return a.sched < b.sched
+	}
+	if a.early != b.early {
+		return a.early
+	}
+	return e.heap[i].seq < e.heap[j].seq
 }
 
 // Stop makes RunUntil return after the currently executing event completes.
@@ -240,7 +309,8 @@ var ErrReentrantRun = errors.New("simulation: reentrant Run")
 // clock to deadline (if the clock has not already passed it). Events
 // scheduled beyond the deadline remain queued. A deadline of math.MaxInt64
 // is no deadline: events fire until the queue drains or Stop is called,
-// and the clock stays at the last event.
+// and the clock stays at the last event. After Stop the clock stays at
+// the stopping event too, so it never passes an event left pending.
 func (e *Engine) RunUntil(deadline time.Duration) error {
 	if e.running {
 		return ErrReentrantRun
@@ -257,7 +327,7 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 		}
 		e.Step()
 	}
-	if e.now < deadline && deadline != time.Duration(math.MaxInt64) {
+	if !e.stopped && e.now < deadline && deadline != time.Duration(math.MaxInt64) {
 		e.now = deadline
 	}
 	return nil
