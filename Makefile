@@ -74,7 +74,7 @@ scale_BASELINE   = pr28-core-routes-2cpu
 traffic_BENCH    = TrafficSweep
 traffic_PKGS     = .
 traffic_TIMEOUT  = 3600s
-traffic_BASELINE = pr23-cap-bound-2cpu
+traffic_BASELINE = pr44-request-path-2cpu
 
 # Record a suite into BENCH_<suite>.json so future changes have a perf
 # trajectory to compare against. Same label replaces, new labels append:

@@ -72,7 +72,10 @@ type FailoverPolicy struct {
 	// candidates best-first before each attempt — typically
 	// core.SelectionServer.RankHosts scoring a pinned grid-state
 	// snapshot. When nil, or when its first pick is not one of the
-	// request's sources, the request's source order stands.
+	// request's sources, the request's source order stands. alive is
+	// scratch the transferrer reuses and is valid only during the call.
+	// Rank may return it or a buffer of its own: the transfer reads only
+	// the first element, before Rank runs again.
 	Rank func(now time.Duration, alive []string) []string
 }
 
@@ -145,7 +148,7 @@ func (x *transfer) pickSource(now time.Duration) int {
 	if x.pol.Mode != FailoverReselect {
 		return 0
 	}
-	alive := make([]string, 0, len(x.req.Sources))
+	alive := x.t.alive[:0]
 	for _, s := range x.req.Sources {
 		if !x.burned(s) {
 			alive = append(alive, s)
@@ -155,6 +158,7 @@ func (x *transfer) pickSource(now time.Duration) int {
 		x.readmitted = len(x.res.Attempts)
 		alive = append(alive, x.req.Sources...)
 	}
+	x.t.alive = alive
 	pick := slices.Index(x.req.Sources, alive[0])
 	if x.pol.Rank != nil {
 		if ranked := x.pol.Rank(now, alive); len(ranked) > 0 {
@@ -206,7 +210,7 @@ func (x *transfer) startAttempt() {
 	}
 	i := x.pickSource(now)
 	x.res.Attempts = append(x.res.Attempts, Attempt{Source: x.req.Sources[i], Started: now})
-	s := x.newSession(x.req.Sources[i:i+1], x.req.Bytes-x.resume, x.req.Options.Streams, x.endAttempt)
+	s := x.newSession(x.req.Sources[i:i+1], x.req.Bytes-x.resume, x.req.Options.Streams)
 	if x.pol.AttemptTimeout > 0 {
 		x.timeout, _ = engine.After(x.pol.AttemptTimeout, func(time.Duration) {
 			s.end(fmt.Errorf("%w after %v", ErrAttemptTimeout, x.pol.AttemptTimeout))
@@ -261,6 +265,7 @@ func (x *transfer) endAttempt(s *session, err error) {
 // finishAttempts delivers the failover Result: the serving host is the
 // last attempt's source.
 func (x *transfer) finishAttempts(err error) {
+	x.res.Attempts = slices.Clip(x.res.Attempts)
 	x.res.Src = x.res.Attempts[len(x.res.Attempts)-1].Source
 	x.finish(err)
 }

@@ -1,6 +1,9 @@
 package simxfer
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Scheme selects how a multi-source (co-allocated) transfer divides the
 // file among the replica servers.
@@ -40,7 +43,6 @@ const DefaultChunkBytes = 4 << 20
 func (x *transfer) split() error {
 	k := int64(len(x.req.Sources))
 	x.open = len(x.req.Sources)
-	landed := x.landed
 	for i := range x.req.Sources {
 		movers := x.req.Sources[i : i+1]
 		if k == 1 {
@@ -48,14 +50,14 @@ func (x *transfer) split() error {
 			if movers, err = x.stripeMovers(); err != nil {
 				return err
 			}
-			x.res.Src, x.res.Sources = movers[0], movers
+			x.res.Src, x.res.Sources = movers[0], slices.Clip(movers)
 			x.res.Channels = len(movers) * x.req.Options.Streams
 		}
 		share := x.req.Bytes / k
 		if i == 0 {
 			share += x.req.Bytes % k
 		}
-		s := x.newSession(movers, share, len(movers)*x.req.Options.Streams, landed)
+		s := x.newSession(movers, share, len(movers)*x.req.Options.Streams)
 		if err := s.open((*session).launch); err != nil {
 			return err
 		}
@@ -69,7 +71,7 @@ func (x *transfer) split() error {
 // mover for itself, and stripes beyond the site's size are clamped.
 func (x *transfer) stripeMovers() ([]string, error) {
 	src := x.req.Sources[0]
-	movers := []string{src}
+	movers := x.req.Sources[:1:1]
 	if x.req.Options.Stripes == 1 {
 		return movers, nil
 	}
@@ -100,9 +102,9 @@ func (x *transfer) chunkQueue() error {
 	x.chunks = (x.req.Bytes + x.req.ChunkBytes - 1) / x.req.ChunkBytes
 	x.open = int(x.chunks)
 	channels := len(x.req.Sources) * x.req.Options.Streams
-	landed, pull := x.landed, x.pull
+	pull := x.pull
 	for i := range x.req.Sources {
-		s := x.newSession(x.req.Sources[i:i+1], 0, channels, landed)
+		s := x.newSession(x.req.Sources[i:i+1], 0, channels)
 		if err := s.open(pull); err != nil {
 			return err
 		}

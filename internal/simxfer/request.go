@@ -17,7 +17,8 @@ type Request struct {
 	// Sources is the serving host list. One element is a plain transfer;
 	// several are either co-allocated servers (no Failover) or an ordered
 	// failover candidate list (Failover set — one source active at a
-	// time, the rest standing by).
+	// time, the rest standing by). Submit copies the list: the caller may
+	// reuse or overwrite it as soon as Submit returns.
 	Sources []string
 	// Dst is the receiving host.
 	Dst string
@@ -136,6 +137,7 @@ func (t *Transferrer) admit(req Request) (*transfer, error) {
 		}
 	}
 	x := &transfer{t: t, req: req, overhead: modeEOverhead(req.Options)}
+	x.req.Sources = append(x.sources[:0], req.Sources...)
 	if req.Failover != nil {
 		x.pol = *req.Failover
 		if err := x.pol.fillDefaults(); err != nil {
@@ -151,10 +153,11 @@ func (t *Transferrer) admit(req Request) (*transfer, error) {
 		Scheme:   req.Scheme,
 	}
 	if coalloc || req.Failover != nil {
-		x.res.Sources = append([]string(nil), req.Sources...)
+		x.res.Sources = slices.Clip(x.req.Sources)
 	}
 	if req.Failover != nil {
 		x.res.Channels = req.Options.Streams
+		x.res.Attempts = x.attempts[:0]
 	} else if coalloc {
 		x.res.BytesBySource = make(map[string]int64, len(req.Sources))
 		for _, s := range req.Sources {

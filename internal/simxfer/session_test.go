@@ -110,9 +110,9 @@ func TestFailedSessionCountsNoBytes(t *testing.T) {
 		}
 		x.open, x.chunks, x.next = 3, 3, 3
 		boom := errors.New("boom")
-		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1, x.landed), nil)
-		x.landed(x.newSession(x.req.Sources[1:2], DefaultChunkBytes, 1, x.landed), boom)
-		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1, x.landed), nil) // a straggler
+		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1), nil)
+		x.landed(x.newSession(x.req.Sources[1:2], DefaultChunkBytes, 1), boom)
+		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1), nil) // a straggler
 		if dones != 1 || !errors.Is(res.Err, boom) {
 			t.Fatalf("%v: dones=%d err=%v, want one Done carrying the cause", scheme, dones, res.Err)
 		}

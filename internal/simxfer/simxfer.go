@@ -137,7 +137,9 @@ type Result struct {
 	Started, Finished time.Duration
 	// Sources lists the participating hosts: the stripe movers of a
 	// single-source run, the servers of a co-allocated download, or the
-	// candidate list handed to a failover transfer.
+	// candidate list handed to a failover transfer. Like Attempts, it is
+	// the transfer's own storage, capped at its length so that an append
+	// copies; nothing reuses it, so a retained Result stays valid.
 	Sources []string
 	// Scheme is the co-allocation split policy (co-allocation only).
 	Scheme Scheme
@@ -159,6 +161,9 @@ func (r Result) Duration() time.Duration { return r.Finished - r.Started }
 // Transferrer runs simulated transfers on a testbed.
 type Transferrer struct {
 	tb *cluster.Testbed
+	// alive is pickSource's scratch: the surviving candidates it hands to
+	// FailoverPolicy.Rank.
+	alive []string
 }
 
 // New wires a transferrer to a testbed.
@@ -201,14 +206,27 @@ func endpointCapBps(src, dst *cluster.Host, srcChannels, dstChannels int) float6
 	return srcCap
 }
 
+// inlineSources is how many sources a transfer holds without allocating
+// their list: the traffic plane's failover requests carry up to four.
+const inlineSources = 4
+
 // transfer is the state behind one Submit: the validated request, the one
 // Result every scheduler fills, and the few counters the schedulers keep.
 // It lives entirely on the simulation goroutine.
 type transfer struct {
-	t        *Transferrer
-	req      Request // validated; Options, ChunkBytes and Failover carry their defaults
+	t *Transferrer
+	// req is validated: Sources is the transfer's own copy, and Options,
+	// ChunkBytes and Failover carry their defaults.
+	req      Request
 	overhead float64 // MODE E framing overhead per payload byte
 	res      Result
+
+	// The request's slices and its first session start here: a request
+	// of at most inlineSources sources that one session completes
+	// allocates none of them on its own.
+	sources  [inlineSources]string
+	attempts [1]Attempt
+	first    session
 
 	// Split and chunk-queue schedulers.
 	open         int   // sessions (split) or chunks (queue) not yet landed
@@ -237,19 +255,27 @@ type session struct {
 	bytes int64
 	// dstChannels is how many channels share the receiver's disk.
 	dstChannels int
-	// done receives the session's one report per fan-out.
-	done func(s *session, err error)
 
 	flowDone func(*netsim.Flow)
 	left     int  // channels still moving
 	ended    bool // reported; later flow callbacks are stale
 	// flows are the live channels, tracked only when the request carries
-	// a failover policy (which also arms FailOnDown).
-	flows []*netsim.Flow
+	// a failover policy (which also arms FailOnDown); flowInline holds a
+	// four-stream session's.
+	flows      []*netsim.Flow
+	flowInline [4]*netsim.Flow
 }
 
-func (x *transfer) newSession(movers []string, bytes int64, dstChannels int, done func(*session, error)) *session {
-	s := &session{x: x, movers: movers, bytes: bytes, dstChannels: dstChannels, done: done}
+// newSession opens the transfer's first session in place and allocates
+// any later one: a session whose attempt ended may still have its setup
+// event pending, which must find it ended.
+func (x *transfer) newSession(movers []string, bytes int64, dstChannels int) *session {
+	s := &x.first
+	if s.x != nil {
+		s = new(session)
+	}
+	*s = session{x: x, movers: movers, bytes: bytes, dstChannels: dstChannels}
+	s.flows = s.flowInline[:0]
 	s.flowDone = s.onFlow
 	return s
 }
@@ -339,13 +365,18 @@ func (s *session) onFlow(f *netsim.Flow) {
 	}
 }
 
-// end reports the fan-out exactly once.
+// end reports the fan-out exactly once, to the attempt sequence or to
+// the split and chunk-queue schedulers' common report.
 func (s *session) end(err error) {
 	if s.ended {
 		return
 	}
 	s.ended = true
-	s.done(s, err)
+	if s.x.req.Failover != nil {
+		s.x.endAttempt(s, err)
+	} else {
+		s.x.landed(s, err)
+	}
 }
 
 // finish stamps the Result and delivers it.

@@ -32,6 +32,7 @@ type generator struct {
 	hotEnd  int
 	warmEnd int
 	hosts   []string
+	names   []string
 
 	arrivals *workload.Arrivals
 	pending  []request
@@ -51,6 +52,7 @@ func newGenerator(w *world, r int) (*generator, error) {
 		hotEnd:  hotEnd,
 		warmEnd: warmEnd,
 		hosts:   w.Top.HostsByRegion[region],
+		names:   w.names,
 	}
 	if len(g.hosts) == 0 {
 		return nil, fmt.Errorf("traffic: region %s has no hosts", region)
@@ -106,17 +108,18 @@ func (g *generator) fire(now time.Duration) {
 	}
 	g.pending = append(g.pending, request{
 		at:    now,
-		file:  fmt.Sprintf("lfn:d%d", idx),
+		file:  g.names[idx],
 		bytes: g.spec.SizesMB[g.rng.Intn(len(g.spec.SizesMB))] * workload.MB,
 		dst:   g.hosts[g.rng.Intn(len(g.hosts))],
 	})
 }
 
-// take hands the buffered arrivals to the driver and resets the buffer.
-// Must only run between engine runs.
+// take hands the buffered arrivals to the driver and empties the buffer,
+// which the next arrival reuses: the driver must be done with them before
+// the engine runs again. Must only run between engine runs.
 func (g *generator) take() []request {
 	out := g.pending
-	g.pending = g.pending[len(g.pending):]
+	g.pending = out[:0]
 	return out
 }
 

@@ -112,9 +112,11 @@ func (w *world) run() (*Report, error) {
 	}
 
 	// One policy serves the whole run: Submit copies it, and Rank reads
-	// only the world.
+	// only the world. Rank filters into one buffer, which the transfer
+	// reads before the next call.
 	var failover *simxfer.FailoverPolicy
 	if spec.Failover {
+		var up []string
 		failover = &simxfer.FailoverPolicy{
 			Mode:           simxfer.FailoverReselect,
 			MaxAttempts:    3,
@@ -122,19 +124,20 @@ func (w *world) run() (*Report, error) {
 			MaxBackoff:     30 * time.Second,
 			AttemptTimeout: 4 * time.Minute,
 			Rank: func(_ time.Duration, alive []string) []string {
-				out := make([]string, 0, len(alive))
+				up = up[:0]
 				for _, h := range alive {
 					if down, err := w.Testbed.HostDown(h); err == nil && !down {
-						out = append(out, h)
+						up = append(up, h)
 					}
 				}
-				if len(out) == 0 {
+				if len(up) == 0 {
 					return alive
 				}
-				return out
+				return up
 			},
 		}
 	}
+	done := c.done // one method value for every request
 
 	// dispatch drains one region's buffered arrivals: rank each file on
 	// the pinned epoch snapshot, then schedule the transfer one dispatch
@@ -159,7 +162,8 @@ func (w *world) run() (*Report, error) {
 				}
 				continue
 			}
-			sources := make([]string, 0, maxSources)
+			d := w.newDispatch()
+			sources := d.sources[:0]
 			for _, cand := range cands {
 				if cand.Location.Host == rq.dst {
 					continue
@@ -175,21 +179,17 @@ func (w *world) run() (*Report, error) {
 			if err := c.access(rq, sources[0]); err != nil {
 				return err
 			}
-			req := simxfer.Request{
+			d.req = simxfer.Request{
 				Sources:  sources,
 				Dst:      rq.dst,
 				Bytes:    rq.bytes,
 				Options:  spec.options(),
 				Failover: failover,
-				Done:     c.done,
+				Done:     done,
 			}
 			c.submitted++
 			c.inflight++
-			if _, err := eng.Schedule(rq.at+spec.DispatchInterval, func(time.Duration) {
-				if err := w.xfer.Submit(req); err != nil {
-					w.fail(fmt.Errorf("traffic: submit %s -> %s: %w", req.Sources[0], req.Dst, err))
-				}
-			}); err != nil {
+			if _, err := eng.Schedule(rq.at+spec.DispatchInterval, d.fire); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
@@ -18,6 +19,11 @@ type world struct {
 	*topo.World
 	spec Spec
 	xfer *simxfer.Transferrer
+	// names are the catalog's file names by index, as topo.PlaceFiles
+	// registers them, so that an arrival formats none.
+	names []string
+	// free pools the records of scheduled Submits.
+	free []*dispatchRec
 
 	// err is the first failure raised inside a scheduled callback, where
 	// there is no caller to return it to; see fail.
@@ -32,7 +38,10 @@ func buildWorld(spec Spec, engine *simulation.Engine) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &world{World: tw, spec: spec}
+	w := &world{World: tw, spec: spec, names: make([]string, spec.Files)}
+	for i := range w.names {
+		w.names[i] = "lfn:d" + strconv.Itoa(i)
+	}
 	if w.xfer, err = simxfer.New(w.Testbed); err != nil {
 		return nil, err
 	}
@@ -40,6 +49,33 @@ func buildWorld(spec Spec, engine *simulation.Engine) (*world, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// dispatchRec is one scheduled Submit: the request, the storage its
+// Sources use, and fire, bound once per record as netsim's slow-start
+// batches are. Submit copies Sources, so the record is free again once it
+// has fired.
+type dispatchRec struct {
+	req     simxfer.Request
+	sources [maxSources]string
+	fire    func(time.Duration)
+}
+
+// newDispatch takes a record from the pool, or makes one.
+func (w *world) newDispatch() *dispatchRec {
+	if k := len(w.free); k > 0 {
+		d := w.free[k-1]
+		w.free = w.free[:k-1]
+		return d
+	}
+	d := new(dispatchRec)
+	d.fire = func(time.Duration) {
+		if err := w.xfer.Submit(d.req); err != nil {
+			w.fail(fmt.Errorf("traffic: submit %s -> %s: %w", d.req.Sources[0], d.req.Dst, err))
+		}
+		w.free = append(w.free, d)
+	}
+	return d
 }
 
 // fail records the first error a scheduled callback hit and stops the
