@@ -57,7 +57,7 @@ func newSelectionBenchEnv(b *testing.B) *selectionBenchEnv {
 		logicals = append(logicals, name)
 	}
 	infoSrv := env.Deploy.Server
-	sel, err := core.NewSelectionServer(catalog, infoSrv, core.PaperWeights, nil)
+	sel, err := core.NewSelectionServer(catalog, infoSrv.Publisher(), core.PaperWeights, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

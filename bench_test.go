@@ -376,7 +376,7 @@ func BenchmarkSelectionRank(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	sel, err := core.NewSelectionServer(cat, env.Deploy.Server, core.PaperWeights, nil)
+	sel, err := core.NewSelectionServer(cat, env.Deploy.Server.Publisher(), core.PaperWeights, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -167,8 +167,9 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 var updateGolden = flag.Bool("update", false, "rewrite the -csv and -trials goldens in testdata from this tree")
 
 // TestGoldenOutputs pins the outputs the four stdout pins do not cover:
-// every fast -csv artifact and the -trials aggregation, all at seed 42.
-// The traffic CSV (half a minute) is left to a hand diff.
+// every fast -csv artifact and the -trials aggregation at seed 42, and
+// -all and -faults at a second seed, 7. The traffic CSV (half a minute)
+// is diffed by CI's traffic determinism gate.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite three times and the planet-scale sweep")
@@ -177,16 +178,18 @@ func TestGoldenOutputs(t *testing.T) {
 		file string
 		args []string
 	}{
-		{"fig3_seed42.csv", []string{"-csv", "-fig", "3"}},
-		{"fig4_seed42.csv", []string{"-csv", "-fig", "4"}},
-		{"table1_seed42.csv", []string{"-csv", "-table", "1"}},
-		{"faults_seed42.csv", []string{"-csv", "-faults"}},
-		{"scale_seed42.csv", []string{"-csv", "-scale"}},
-		{"all_trials3_seed42.txt", []string{"-all", "-trials", "3"}},
+		{"fig3_seed42.csv", []string{"-seed", "42", "-csv", "-fig", "3"}},
+		{"fig4_seed42.csv", []string{"-seed", "42", "-csv", "-fig", "4"}},
+		{"table1_seed42.csv", []string{"-seed", "42", "-csv", "-table", "1"}},
+		{"faults_seed42.csv", []string{"-seed", "42", "-csv", "-faults"}},
+		{"scale_seed42.csv", []string{"-seed", "42", "-csv", "-scale"}},
+		{"all_trials3_seed42.txt", []string{"-seed", "42", "-all", "-trials", "3"}},
+		{"all_seed7.txt", []string{"-seed", "7", "-all"}},
+		{"faults_seed7.txt", []string{"-seed", "7", "-faults"}},
 	} {
 		t.Run(c.file, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			args := append([]string{"-seed", "42", "-parallel", "2"}, c.args...)
+			args := append([]string{"-parallel", "2"}, c.args...)
 			if code := run(args, &stdout, &stderr); code != 0 {
 				t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
 			}

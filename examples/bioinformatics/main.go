@@ -94,7 +94,7 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 		names = append(names, db.name)
 	}
 
-	selection, err := core.NewSelectionServer(catalog, dep.Server, core.PaperWeights, mkSelector())
+	selection, err := core.NewSelectionServer(catalog, dep.Server.Publisher(), core.PaperWeights, mkSelector())
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func run(out io.Writer) error {
 			return err
 		}
 	}
-	selection, err := core.NewSelectionServer(catalog, dep.Server, core.PaperWeights, nil)
+	selection, err := core.NewSelectionServer(catalog, dep.Server.Publisher(), core.PaperWeights, nil)
 	if err != nil {
 		return err
 	}

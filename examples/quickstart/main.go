@@ -71,7 +71,7 @@ func run(out io.Writer) error {
 	}
 
 	// 4. The replica selection server with the paper's weights.
-	selection, err := core.NewSelectionServer(catalog, dep.Server, core.PaperWeights, nil)
+	selection, err := core.NewSelectionServer(catalog, dep.Server.Publisher(), core.PaperWeights, nil)
 	if err != nil {
 		return err
 	}

@@ -183,9 +183,9 @@ func churnSequence(t *testing.T, seed int64, ops int, tally *churnTally) {
 	names := cat.LogicalNames()
 	interned := map[string]bool{}
 	for _, lg := range names {
-		hosts, _ := cat.HostsWith(lg)
-		for _, h := range hosts {
-			interned[h] = true
+		locs, _ := cat.Locations(lg)
+		for _, l := range locs {
+			interned[l.Host] = true
 		}
 	}
 	var now time.Duration

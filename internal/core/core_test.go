@@ -198,7 +198,7 @@ func buildPipeline(t *testing.T) *pipeline {
 			t.Fatal(err)
 		}
 	}
-	sel, err := NewSelectionServer(catalog, dep.Server, PaperWeights, nil)
+	sel, err := NewSelectionServer(catalog, dep.Server.Publisher(), PaperWeights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,17 +207,13 @@ func buildPipeline(t *testing.T) *pipeline {
 
 func TestSelectionServerValidation(t *testing.T) {
 	p := buildPipeline(t)
-	if _, err := NewSelectionServer(nil, p.dep.Server, PaperWeights, nil); err == nil {
+	if _, err := NewSelectionServer(nil, p.dep.Server.Publisher(), PaperWeights, nil); err == nil {
 		t.Fatal("nil catalog should be rejected")
 	}
 	if _, err := NewSelectionServer(p.catalog, nil, PaperWeights, nil); err == nil {
 		t.Fatal("nil snapshot source should be rejected")
 	}
-	var unset *info.Server
-	if _, err := NewSelectionServer(p.catalog, unset, PaperWeights, nil); err == nil {
-		t.Fatal("a nil *info.Server behind the interface should be rejected")
-	}
-	if _, err := NewSelectionServer(p.catalog, p.dep.Server, Weights{}, nil); err == nil {
+	if _, err := NewSelectionServer(p.catalog, p.dep.Server.Publisher(), Weights{}, nil); err == nil {
 		t.Fatal("zero weights should be rejected")
 	}
 	if p.sel.weights != PaperWeights {
@@ -480,7 +476,7 @@ func TestLatencyAwareSelector(t *testing.T) {
 		t.Fatalf("plain Select = %d, %v; want far host", i, err)
 	}
 	// ...the latency-aware variant flips to the near one.
-	aware := LatencyAwareSelector{Weights: PaperWeights, PenaltyPerMs: 0.5}
+	aware := LatencyAwareSelector{Weights: PaperWeights}
 	i, err = aware.Select(cands)
 	if err != nil || i != 0 {
 		t.Fatalf("latency-aware Select = %d, %v; want near host", i, err)
@@ -490,9 +486,6 @@ func TestLatencyAwareSelector(t *testing.T) {
 	}
 	if _, err := aware.Select(nil); !errors.Is(err, ErrNoCandidates) {
 		t.Fatal("empty should error")
-	}
-	if _, err := (LatencyAwareSelector{Weights: PaperWeights, PenaltyPerMs: -1}).Select(cands); err == nil {
-		t.Fatal("negative penalty should be rejected")
 	}
 	if _, err := (LatencyAwareSelector{}).Select(cands); err == nil {
 		t.Fatal("zero weights should be rejected")

@@ -143,15 +143,17 @@ func (s *RoundRobinSelector) Select(cands []Candidate) (int, error) {
 
 // LatencyAwareSelector extends the cost model with a fourth system factor
 // (the paper's future work #2: "refer to more system factors"): each
-// millisecond of forecast round-trip time subtracts PenaltyPerMs points
-// from the candidate's score. With many small files the per-transfer
-// protocol handshakes are latency-bound, which the three base factors
-// cannot see.
+// millisecond of forecast round-trip time subtracts latencyPenaltyPerMs
+// points from the candidate's score. With many small files the
+// per-transfer protocol handshakes are latency-bound, which the three base
+// factors cannot see.
 type LatencyAwareSelector struct {
 	Weights Weights
-	// PenaltyPerMs is the score deduction per millisecond of RTT.
-	PenaltyPerMs float64
 }
+
+// latencyPenaltyPerMs is LatencyAwareSelector's score deduction per
+// millisecond of RTT.
+const latencyPenaltyPerMs = 0.5
 
 // Name returns the policy name.
 func (s LatencyAwareSelector) Name() string { return "cost-model+latency" }
@@ -164,12 +166,9 @@ func (s LatencyAwareSelector) Select(cands []Candidate) (int, error) {
 	if err := s.Weights.Validate(); err != nil {
 		return 0, err
 	}
-	if s.PenaltyPerMs < 0 {
-		return 0, fmt.Errorf("core: negative latency penalty %v", s.PenaltyPerMs)
-	}
 	best, bestScore := 0, math.Inf(-1)
 	for i, c := range cands {
-		score := Score(c.Report, s.Weights) - s.PenaltyPerMs*c.Report.LatencyMs
+		score := Score(c.Report, s.Weights) - latencyPenaltyPerMs*c.Report.LatencyMs
 		if score > bestScore {
 			best, bestScore = i, score
 		}
@@ -198,16 +197,6 @@ func (s BandwidthOnlySelector) Select(cands []Candidate) (int, error) {
 	return best, nil
 }
 
-// SnapshotSource yields epoch-stamped grid-state snapshots. Both
-// *info.Server (the full NWS/MDS/sysstat monitoring stack) and
-// *gridstate.Publisher (a bare publisher over any Builder) satisfy it,
-// so a selection server can run against either — the full stack in
-// paper-scale worlds, a thin publisher at planet scale where deploying
-// per-host monitors would dominate the simulation.
-type SnapshotSource interface {
-	Snapshot(now time.Duration) *gridstate.Snapshot
-}
-
 // SelectionServer is the replica selection server of Fig. 1: it takes the
 // replica catalog's location list, reads the three system factors of
 // every candidate from the information plane's current snapshot, scores
@@ -215,7 +204,7 @@ type SnapshotSource interface {
 // catalog; HierarchicalServer runs one per region shard.
 type SelectionServer struct {
 	catalog  *replica.Catalog
-	source   SnapshotSource
+	source   *gridstate.Publisher
 	weights  Weights
 	selector Selector
 	// view is the last pinned snapshot view, reused while its snapshot
@@ -230,15 +219,16 @@ type SelectionServer struct {
 	slots []int32
 }
 
-// NewSelectionServer wires a selection server. selector defaults to the
-// cost model with the given weights when nil.
-func NewSelectionServer(catalog *replica.Catalog, source SnapshotSource, weights Weights, selector Selector) (*SelectionServer, error) {
+// NewSelectionServer wires a selection server that reads source's
+// snapshots: the full monitoring stack's publisher (info.Server.Publisher)
+// in paper-scale worlds, or a thin one at planet scale where deploying
+// per-host monitors would dominate the simulation. selector defaults to
+// the cost model with the given weights when nil.
+func NewSelectionServer(catalog *replica.Catalog, source *gridstate.Publisher, weights Weights, selector Selector) (*SelectionServer, error) {
 	if catalog == nil {
 		return nil, errors.New("core: selection server needs a catalog")
 	}
-	// A nil *info.Server (an unset Deployment.Server) wrapped in the
-	// interface is not == nil and would only fail at the first Rank.
-	if source == nil || source == SnapshotSource((*info.Server)(nil)) {
+	if source == nil {
 		return nil, errors.New("core: selection server needs a snapshot source")
 	}
 	if err := weights.Validate(); err != nil {

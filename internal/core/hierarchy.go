@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
@@ -89,7 +90,7 @@ func (h *HierarchicalServer) refreshRegions() {
 // selection server to the region's catalog shard. The shard may still be
 // empty: replicas registered in the region later are ranked like any
 // other.
-func (h *HierarchicalServer) AddRegion(region string, source SnapshotSource) error {
+func (h *HierarchicalServer) AddRegion(region string, source *gridstate.Publisher) error {
 	if region == "" {
 		return errors.New("core: region needs a name")
 	}

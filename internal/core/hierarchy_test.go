@@ -13,13 +13,6 @@ import (
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
-// Both the full monitoring stack and a bare publisher must plug into a
-// selection server.
-var (
-	_ SnapshotSource = (*info.Server)(nil)
-	_ SnapshotSource = (*gridstate.Publisher)(nil)
-)
-
 func hierRegionOf(host string) string {
 	if i := strings.IndexByte(host, '-'); i > 0 {
 		return host[:i]

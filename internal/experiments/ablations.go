@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/simxfer"
@@ -43,11 +42,7 @@ func AblationSelectors(seed int64, workers int) ([]SelectorResult, string, error
 		if err != nil {
 			return SelectorResult{}, err
 		}
-		cat, err := buildCatalog(fileSize)
-		if err != nil {
-			return SelectorResult{}, err
-		}
-		srv, err := env.selectionFor(cat, sel)
+		srv, _, err := env.selectFile("file-a", fileSize, fileAAttrs, fileAHosts, sel)
 		if err != nil {
 			return SelectorResult{}, err
 		}
@@ -91,78 +86,30 @@ func AblationWeights(seed int64, workers int) ([]WeightResult, string, error) {
 		{Bandwidth: 1.0 / 3, CPU: 1.0 / 3, IO: 1.0 / 3},
 		{CPU: 0.5, IO: 0.5},
 	}
-	hosts := []string{"alpha4", "hit0", "lz02"}
-	epochAt := func(i int) time.Duration { return Warmup + time.Duration(i)*2*time.Minute }
-
-	// The first point (no host) replays the reference world and collects
-	// the information-server reports per epoch; every (epoch, host) point
-	// measures that candidate's actual time in a cloned world.
-	type point struct {
-		epoch int
-		host  string
+	instants := make([]time.Duration, epochs)
+	for i := range instants {
+		instants[i] = Warmup + time.Duration(i)*2*time.Minute
 	}
-	points := []point{{}}
-	for i := 0; i < epochs; i++ {
-		for _, h := range hosts {
-			points = append(points, point{i, h})
-		}
-	}
-	type part struct {
-		reports []map[string]info.HostReport
-		seconds float64
-	}
-	parts, err := sweep(workers, "weight ablation", points, func(p point) (part, error) {
-		if p.host != "" {
-			s, err := measureFresh(seed, true, epochAt(p.epoch), p.host, "alpha1", fileSize, simxfer.GridFTPOptions(0))
-			return part{seconds: s}, err
-		}
-		ref, err := NewEnv(seed, true)
-		if err != nil {
-			return part{}, err
-		}
-		reports := make([]map[string]info.HostReport, epochs)
-		for i := range reports {
-			if err := ref.Engine.RunUntil(epochAt(i)); err != nil {
-				return part{}, err
-			}
-			// One pinned snapshot per decision epoch: all three
-			// candidates are judged on the same grid state.
-			snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
-			reports[i] = map[string]info.HostReport{}
-			for _, h := range hosts {
-				rep, err := snap.Lookup(h)
-				if err != nil {
-					return part{}, err
-				}
-				reports[i][h] = rep
-			}
-		}
-		return part{reports: reports}, nil
-	})
+	reports, times, err := decisions(seed, workers, "weight ablation", instants, fileAHosts, fileSize)
 	if err != nil {
 		return nil, "", err
-	}
-	reports := parts[0].reports
-	times := make(map[point]float64, len(points))
-	for i, p := range points {
-		times[p] = parts[i].seconds
 	}
 
 	var out []WeightResult
 	for _, w := range vectors {
 		sumTime, sumRegret := 0.0, 0.0
-		for i := 0; i < epochs; i++ {
-			// hosts is ascending, so the strict > breaks ties toward the
+		for i := range instants {
+			// Hosts are ascending, so the strict > breaks ties toward the
 			// smaller host, as core's ranking does.
-			best, bestScore, oracle := "", math.Inf(-1), math.Inf(1)
-			for _, h := range hosts {
-				if score := core.Score(reports[i][h], w); score > bestScore {
-					best, bestScore = h, score
+			best, bestScore, oracle := 0, math.Inf(-1), math.Inf(1)
+			for j := range fileAHosts {
+				if score := core.Score(reports[i][j], w); score > bestScore {
+					best, bestScore = j, score
 				}
-				oracle = math.Min(oracle, times[point{i, h}])
+				oracle = math.Min(oracle, times[i][j])
 			}
-			sumTime += times[point{i, best}]
-			sumRegret += times[point{i, best}] - oracle
+			sumTime += times[i][best]
+			sumRegret += times[i][best] - oracle
 		}
 		out = append(out, WeightResult{
 			Weights:           w,
@@ -189,7 +136,7 @@ type ForecasterResult struct {
 // with one-step-ahead mean squared error on a bandwidth measurement trace
 // recorded from the monitored testbed (hit0 -> alpha1, whose backbone
 // background traffic makes the trace genuinely dynamic).
-func AblationForecasters(seed int64, workers int) ([]ForecasterResult, string, error) {
+func AblationForecasters(seed int64, _ int) ([]ForecasterResult, string, error) {
 	env, err := NewEnv(seed, true)
 	if err != nil {
 		return nil, "", err
@@ -214,54 +161,27 @@ func AblationForecasters(seed int64, workers int) ([]ForecasterResult, string, e
 		trace[i] = m.Value
 	}
 
-	// Score each individual expert and the adaptive bank (the last
-	// point) as pool points: each point owns its forecaster; the trace is
-	// shared read-only.
-	nExperts := len(nws.DefaultForecasters())
-	points := make([]int, nExperts+1)
-	for i := range points {
-		points[i] = i
-	}
-	scored, err := sweep(workers, "forecaster ablation", points, func(i int) (ForecasterResult, error) {
-		var name string
-		var predict func() (float64, bool)
-		var update func(float64)
-		if i < nExperts {
-			f := nws.DefaultForecasters()[i]
-			name, predict, update = f.Name(), f.Predict, f.Update
-		} else {
-			// The adaptive bank's forecast before each new value.
-			bank, err := nws.NewBank(nil)
-			if err != nil {
-				return ForecasterResult{}, err
-			}
-			name, update = "nws-bank(adaptive)", bank.Update
-			predict = func() (float64, bool) {
-				fc, err := bank.Forecast()
-				return fc.Value, err == nil
-			}
-		}
-		sum, n := 0.0, 0
-		for _, v := range trace {
-			if p, ok := predict(); ok {
-				d := p - v
-				sum += d * d
-				n++
-			}
-			update(v)
-		}
-		if n == 0 {
-			return ForecasterResult{}, nil // never predicted: no row
-		}
-		return ForecasterResult{Name: name, MSE: sum / float64(n)}, nil
-	})
+	// One bank scores every expert as it learns the trace; the adaptive
+	// row scores the bank's own forecast before each new value.
+	bank, err := nws.NewBank(nil)
 	if err != nil {
 		return nil, "", err
 	}
+	adaptive := nws.ExpertScore{Name: "nws-bank(adaptive)"}
+	sum := 0.0
+	for _, v := range trace {
+		if fc, err := bank.Forecast(); err == nil {
+			d := fc.Value - v
+			sum += d * d
+			adaptive.Scored++
+		}
+		bank.Update(v)
+	}
+	adaptive.MSE = sum / float64(adaptive.Scored)
 	var out []ForecasterResult
-	for _, r := range scored {
-		if r.Name != "" {
-			out = append(out, r)
+	for _, e := range append(bank.Experts(), adaptive) {
+		if e.Scored > 0 { // never predicted: no row
+			out = append(out, ForecasterResult{Name: e.Name, MSE: e.MSE})
 		}
 	}
 

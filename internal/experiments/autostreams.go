@@ -40,24 +40,25 @@ func AblationAutoStreams(seed int64, workers int) ([]AutoStreamsResult, string, 
 	}
 	out, err := sweep(workers, "adaptive parallelism ablation", points, func(p point) (AutoStreamsResult, error) {
 		r := AutoStreamsResult{Path: p.path, Config: fmt.Sprintf("%d", p.streams), Streams: p.streams}
+		env, err := NewEnv(seed, false)
+		if err != nil {
+			return r, err
+		}
 		if p.streams == 0 {
-			// The recommendation consults the same world state the
-			// fixed runs start from (fresh testbed at warmup).
-			env, err := NewEnv(seed, false)
-			if err != nil {
-				return r, err
-			}
+			// The recommendation reads the world at warmup, where the
+			// fixed runs start; reading route and link state draws no
+			// random number and schedules nothing, so the transfer it
+			// recommends runs in that same world.
 			if err := env.Engine.RunUntil(Warmup); err != nil {
 				return r, err
 			}
-			r.Streams, err = simxfer.RecommendStreams(env.Testbed.Network(), p.src, p.dst, 0, 0)
-			if err != nil {
+			if r.Streams, err = simxfer.RecommendStreams(env.Testbed.Network(), p.src, p.dst, 0, 0); err != nil {
 				return r, err
 			}
 			r.Config = fmt.Sprintf("auto(%d)", r.Streams)
 		}
-		var err error
-		r.Seconds, err = measureFresh(seed, false, Warmup, p.src, p.dst, fileSize, simxfer.GridFTPOptions(r.Streams))
+		res, err := env.MeasureAt(Warmup, p.src, p.dst, fileSize, simxfer.GridFTPOptions(r.Streams))
+		r.Seconds = res.Duration().Seconds()
 		return r, err
 	})
 	if err != nil {

@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -49,7 +48,7 @@ func NewEnv(seed int64, monitor bool) (*Env, error) {
 	}
 	return e, e.monitor(info.DeploymentConfig{
 		Local:   "alpha1",
-		Remotes: []string{"alpha4", "hit0", "lz02"},
+		Remotes: fileAHosts,
 	})
 }
 
@@ -127,38 +126,39 @@ func measureFresh(seed int64, monitor bool, at time.Duration, src, dst string, b
 	return res.Duration().Seconds(), err
 }
 
-// oneFileCatalog returns a catalog holding one logical file with one
-// replica, at /data/<name>, on each listed host.
-func oneFileCatalog(name string, sizeBytes int64, attrs map[string]string, hosts []string) (*replica.Catalog, error) {
-	cat := replica.NewCatalog()
-	if err := cat.CreateLogical(replica.LogicalFile{Name: name, SizeBytes: sizeBytes, Attributes: attrs}); err != nil {
-		return nil, err
+// siteOf maps a host to its site; hosts outside the testbed have none.
+func (e *Env) siteOf(host string) string {
+	h, err := e.Testbed.Host(host)
+	if err != nil {
+		return ""
+	}
+	return h.Site()
+}
+
+// selectFile registers one logical file, at /data/<name> on each listed
+// host, in a catalog that knows every host's site, and wires a selection
+// server with the paper's 80/10/10 weights over the env's monitoring
+// deployment; a nil sel is the cost model itself.
+func (e *Env) selectFile(name string, size int64, attrs map[string]string, hosts []string, sel core.Selector) (*core.SelectionServer, *replica.ShardedCatalog, error) {
+	cat := replica.NewSharded(e.siteOf)
+	if err := cat.CreateLogical(replica.LogicalFile{Name: name, SizeBytes: size, Attributes: attrs}); err != nil {
+		return nil, nil, err
 	}
 	for _, h := range hosts {
 		if err := cat.Register(name, replica.Location{Host: h, Path: "/data/" + name}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return cat, nil
+	srv, err := core.NewSelectionServer(cat.Catalog, e.Deploy.Server.Publisher(), core.PaperWeights, sel)
+	return srv, cat, err
 }
 
 // fileAAttrs tag the paper's file-a.
 var fileAAttrs = map[string]string{"type": "biological-database"}
 
-// buildCatalog registers the Table 1 scenario: logical file-a with
-// replicas on the three candidate hosts.
-func buildCatalog(sizeBytes int64) (*replica.Catalog, error) {
-	return oneFileCatalog("file-a", sizeBytes, fileAAttrs, []string{"alpha4", "hit0", "lz02"})
-}
-
-// selectionFor wires a selection server with the paper's 80/10/10
-// weights over the env's deployment.
-func (e *Env) selectionFor(cat *replica.Catalog, sel core.Selector) (*core.SelectionServer, error) {
-	if e.Deploy == nil {
-		return nil, errors.New("experiments: env has no monitoring deployment")
-	}
-	return core.NewSelectionServer(cat, e.Deploy.Server, core.PaperWeights, sel)
-}
+// fileAHosts are the paper's replica holders of file-a, the Table 1
+// candidates beside alpha1 itself.
+var fileAHosts = []string{"alpha4", "hit0", "lz02"}
 
 // sweep runs run once per point, one pool job per point on at most
 // workers goroutines (≤ 0 means GOMAXPROCS), and returns the results in

@@ -191,6 +191,52 @@ func TestTable1RankingAgreement(t *testing.T) {
 	}
 }
 
+// TestDecisionsMatchDirectReads: every cell of the decision oracle is what
+// a direct read gives — the report a world run to that instant publishes,
+// alpha1's local disk read in that world, or a remote host's fresh-world
+// transfer started then — at the cell's own instant and host.
+func TestDecisionsMatchDirectReads(t *testing.T) {
+	instants := []time.Duration{Warmup, Warmup + 2*time.Minute}
+	hosts := []string{"alpha1", "alpha4", "lz02"}
+	const bytes = 256 * workload.MB
+	reports, seconds, err := decisions(seed, 0, "decisions test", instants, hosts, bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range instants {
+		env, err := NewEnv(seed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Engine.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		snap := env.Deploy.Server.Publisher().Snapshot(at)
+		for j, h := range hosts {
+			rep, err := snap.Lookup(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reports[i][j] != rep {
+				t.Errorf("%v %s: report %+v, direct %+v", at, h, reports[i][j], rep)
+			}
+			var want float64
+			if h == "alpha1" {
+				th, err := env.Testbed.Host(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = float64(bytes) * 8 / th.EffectiveDiskReadBps()
+			} else if want, err = measureFresh(seed, true, at, h, "alpha1", bytes, simxfer.GridFTPOptions(0)); err != nil {
+				t.Fatal(err)
+			}
+			if seconds[i][j] != want {
+				t.Errorf("%v %s: %v s, direct %v s", at, h, seconds[i][j], want)
+			}
+		}
+	}
+}
+
 func TestCostSeries(t *testing.T) {
 	points, err := CostSeries(seed, 60*time.Second, 10*time.Second)
 	if err != nil {

@@ -164,15 +164,11 @@ func ExtensionScale(seed int64, workers int) ([]ScaleResult, string, error) {
 		if err := env.monitor(info.DeploymentConfig{Local: local, Remotes: remotes}); err != nil {
 			return 0, err
 		}
-		cat, err := oneFileCatalog("file-x", fileSize, nil, remotes)
-		if err != nil {
-			return 0, err
-		}
 		var sel core.Selector = core.CostModelSelector{Weights: core.PaperWeights}
 		if p.random {
 			sel = core.NewRandomSelector(seed)
 		}
-		srv, err := env.selectionFor(cat, sel)
+		srv, _, err := env.selectFile("file-x", fileSize, nil, remotes, sel)
 		if err != nil {
 			return 0, err
 		}

@@ -119,11 +119,7 @@ func faultsPoint(seed int64, intensity int, mode simxfer.RetryMode) (FaultsResul
 	if err := inj.Install(plan); err != nil {
 		return FaultsResult{}, err
 	}
-	cat, err := oneFileCatalog("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts)
-	if err != nil {
-		return FaultsResult{}, err
-	}
-	srv, err := env.selectionFor(cat, nil)
+	srv, _, err := env.selectFile("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts, nil)
 	if err != nil {
 		return FaultsResult{}, err
 	}

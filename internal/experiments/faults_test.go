@@ -106,11 +106,7 @@ func TestEmptyFaultPlanEqualsNoInjector(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cat, err := oneFileCatalog("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := env.selectionFor(cat, nil)
+		srv, _, err := env.selectFile("file-a", faultsFileBytes, fileAAttrs, faultsReplicaHosts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

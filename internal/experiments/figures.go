@@ -138,11 +138,7 @@ func CostSeries(seed int64, span, period time.Duration) ([]CostPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat, err := buildCatalog(1024 * workload.MB)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := env.selectionFor(cat, nil)
+	sel, _, err := env.selectFile("file-a", 1024*workload.MB, fileAAttrs, fileAHosts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -92,18 +92,14 @@ func AblationLatency(seed int64, workers int) ([]LatencyResult, string, error) {
 	const fileSize = 2 * workload.MB
 	selectors := []core.Selector{
 		core.CostModelSelector{Weights: core.PaperWeights},
-		core.LatencyAwareSelector{Weights: core.PaperWeights, PenaltyPerMs: 0.5},
+		core.LatencyAwareSelector{Weights: core.PaperWeights},
 	}
 	out, err := sweep(workers, "latency ablation", selectors, func(sel core.Selector) (LatencyResult, error) {
 		env, err := latencyEnv(seed)
 		if err != nil {
 			return LatencyResult{}, err
 		}
-		cat, err := oneFileCatalog("small-file", fileSize, nil, []string{"far", "near"})
-		if err != nil {
-			return LatencyResult{}, err
-		}
-		srv, err := env.selectionFor(cat, sel)
+		srv, _, err := env.selectFile("small-file", fileSize, nil, []string{"far", "near"}, sel)
 		if err != nil {
 			return LatencyResult{}, err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
@@ -36,8 +35,8 @@ func ExtensionReplication(seed int64, workers int) ([]ReplicationResult, string,
 		{"no-replication", func(*siteExecutor) (placement.Policy, error) {
 			return placement.NoReplication{}, nil
 		}},
-		{"threshold(3)", func(x *siteExecutor) (placement.Policy, error) {
-			return placement.NewThresholdPolicy(x, placement.ThresholdConfig{Threshold: 3, RegionOf: x.siteOf})
+		{fmt.Sprintf("threshold(%d)", placement.Threshold), func(x *siteExecutor) (placement.Policy, error) {
+			return placement.NewThresholdPolicy(x, x.env.siteOf)
 		}},
 	}
 	out, err := sweep(workers, "replication extension", strategies, func(st replicationStrategy) (ReplicationResult, error) {
@@ -67,41 +66,21 @@ type replicationStrategy struct {
 func (st replicationStrategy) String() string { return st.name }
 
 // siteExecutor carries out a placement policy's decisions on the paper
-// testbed, where regions are sites. A new replica is the Globus replica
-// management operation: a GridFTP copy from the file's first registered
-// location to the site's first host, registered in the catalog when it
-// lands.
+// testbed, where regions are sites and the catalog's regions are the
+// env's sites. A new replica is the Globus replica management operation: a
+// GridFTP copy from the file's first registered location to the site's
+// first host, registered in the catalog when it lands.
 type siteExecutor struct {
 	env      *Env
-	catalog  *replica.Catalog
+	catalog  *replica.ShardedCatalog
 	transfer replica.Transfer
 }
 
 var _ placement.Executor = (*siteExecutor)(nil)
 
-// siteOf maps a host to its site; hosts outside the testbed have none.
-func (x *siteExecutor) siteOf(host string) string {
-	h, err := x.env.Testbed.Host(host)
-	if err != nil {
-		return ""
-	}
-	return h.Site()
-}
-
 // HoldingRegions reports the sites holding the file, sorted.
 func (x *siteExecutor) HoldingRegions(logical string) ([]string, error) {
-	hosts, err := x.catalog.HostsWith(logical)
-	if err != nil {
-		return nil, err
-	}
-	var sites []string
-	for _, h := range hosts {
-		if s := x.siteOf(h); s != "" {
-			sites = append(sites, s)
-		}
-	}
-	slices.Sort(sites)
-	return slices.Compact(sites), nil
+	return x.catalog.RegionsWith(logical)
 }
 
 // AddReplica copies the file to /replicas/<file> on the site's first host.
@@ -152,16 +131,12 @@ func replicationPoint(seed int64, st replicationStrategy) (ReplicationResult, er
 	if err != nil {
 		return ReplicationResult{}, err
 	}
-	catalog, err := oneFileCatalog("file-a", fileSize, nil, []string{"alpha4"})
+	srv, catalog, err := env.selectFile("file-a", fileSize, nil, []string{"alpha4"}, nil)
 	if err != nil {
 		return ReplicationResult{}, err
 	}
 	transfer := env.Xfer.TransferFunc(simxfer.GridFTPOptions(0))
 	policy, err := st.mk(&siteExecutor{env: env, catalog: catalog, transfer: transfer})
-	if err != nil {
-		return ReplicationResult{}, err
-	}
-	srv, err := env.selectionFor(catalog, nil)
 	if err != nil {
 		return ReplicationResult{}, err
 	}

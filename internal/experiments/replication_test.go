@@ -19,7 +19,7 @@ func TestSiteExecutorRegistersLandedCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := replica.NewCatalog()
+	cat := replica.NewSharded(env.siteOf)
 	if err := cat.CreateLogical(replica.LogicalFile{Name: "f", SizeBytes: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,13 @@ func TestSiteExecutorRegistersLandedCopies(t *testing.T) {
 	}}
 	holders := func() []string {
 		t.Helper()
-		hosts, err := cat.HostsWith("f")
+		locs, err := cat.Locations("f")
 		if err != nil {
 			t.Fatal(err)
+		}
+		var hosts []string
+		for _, l := range locs {
+			hosts = append(hosts, l.Host)
 		}
 		return hosts
 	}

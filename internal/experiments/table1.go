@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
+	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -37,80 +39,109 @@ type Table1Result struct {
 	Spearman float64
 }
 
-// Table1 reproduces Table 1: the three system factors, the cost-model
-// score, and the measured transfer time of the 1024 MB logical file for
-// the local host alpha1 and the replica holders alpha4, hit0 and lz02.
-//
-// Method: a reference world (seeded) runs the full monitoring deployment
-// to a snapshot time; scores come from its information server. Each
-// candidate's practical transfer time is then measured in a fresh world
-// with the same seed — identical conditions — so measurements do not
-// perturb each other, mirroring the paper's sequential measurements.
-//
-// Execution fans out across the worker pool with one point per host:
-// alpha1's point rebuilds the reference world (every candidate's factors
-// and score, and alpha1's local disk read), and each remote host's point
-// measures its transfer in a private world.
-func Table1(seed int64, workers int) (Table1Result, string, error) {
-	const fileSize = 1024 * workload.MB
-	snapshot := Warmup + time.Minute
+// decisionPoint is one world of the decision oracle: the reference world
+// (no host), or one remote candidate's transfer at one instant.
+type decisionPoint struct {
+	instant int
+	host    string
+}
 
-	hosts := []string{"alpha1", "alpha4", "hit0", "lz02"}
-	// part carries either the reference point's candidates or one remote
-	// host's measured transfer seconds.
-	type part struct {
-		candidates []Table1Candidate
-		seconds    float64
+// decisions is the counterfactual behind every judged selection: for each
+// instant and each candidate host, the report the monitored reference
+// world's information server gives then, and the seconds the candidate's
+// copy of bytes takes to reach alpha1 when the transfer starts then. Both
+// tables are indexed [instant][host].
+//
+// The reference world runs through the instants and pins one snapshot at
+// each, so every candidate is judged on the same grid state; alpha1's own
+// copy is a local disk read timed there. Each remote transfer runs in a
+// fresh world with the same seed, so measurements do not perturb each
+// other, mirroring the paper's sequential measurements. The reference
+// world is the first pool point and every (instant, remote host) the next.
+func decisions(seed int64, workers int, what string, instants []time.Duration, hosts []string, bytes int64) ([][]info.HostReport, [][]float64, error) {
+	const local = "alpha1"
+	points := []decisionPoint{{}}
+	for i := range instants {
+		for _, h := range hosts {
+			if h != local {
+				points = append(points, decisionPoint{i, h})
+			}
+		}
 	}
-	parts, err := sweep(workers, "table 1", hosts, func(host string) (part, error) {
-		if host != "alpha1" {
-			s, err := measureFresh(seed, true, snapshot, host, "alpha1", fileSize, simxfer.GridFTPOptions(0))
-			return part{seconds: s}, err
+	// part carries either the reference world's reports and local reads
+	// or one remote transfer's seconds.
+	type part struct {
+		reports [][]info.HostReport
+		seconds [][]float64
+		remote  float64
+	}
+	parts, err := sweep(workers, what, points, func(p decisionPoint) (part, error) {
+		if p.host != "" {
+			s, err := measureFresh(seed, true, instants[p.instant], p.host, local, bytes, simxfer.GridFTPOptions(0))
+			return part{remote: s}, err
 		}
 		ref, err := NewEnv(seed, true)
 		if err != nil {
 			return part{}, err
 		}
-		if err := ref.Engine.RunUntil(snapshot); err != nil {
-			return part{}, err
-		}
-		// Pin one grid-state snapshot so every candidate's factors come
-		// from the same epoch, not four separate pulls.
-		snap := ref.Deploy.Server.Snapshot(ref.Engine.Now())
-		var cands []Table1Candidate
-		for _, h := range hosts {
-			rep, err := snap.Lookup(h)
-			if err != nil {
-				return part{}, fmt.Errorf("experiments: report for %s: %w", h, err)
+		var out part
+		for _, at := range instants {
+			if err := ref.Engine.RunUntil(at); err != nil {
+				return part{}, err
 			}
-			c := Table1Candidate{
-				Host:      h,
-				Local:     h == host,
-				BWPercent: rep.BandwidthPercent,
-				CPUIdle:   rep.CPUIdlePercent,
-				IOIdle:    rep.IOIdlePercent,
-				Score:     core.Score(rep, core.PaperWeights),
-			}
-			if c.Local {
-				// Local access: read the file from the local disk.
-				th, err := ref.Testbed.Host(h)
-				if err != nil {
-					return part{}, err
+			snap := ref.Deploy.Server.Publisher().Snapshot(ref.Engine.Now())
+			reports := make([]info.HostReport, len(hosts))
+			seconds := make([]float64, len(hosts))
+			for j, h := range hosts {
+				if reports[j], err = snap.Lookup(h); err != nil {
+					return part{}, fmt.Errorf("experiments: report for %s: %w", h, err)
 				}
-				c.TransferSeconds = float64(fileSize) * 8 / th.EffectiveDiskReadBps()
+				if h == local {
+					th, err := ref.Testbed.Host(h)
+					if err != nil {
+						return part{}, err
+					}
+					seconds[j] = float64(bytes) * 8 / th.EffectiveDiskReadBps()
+				}
 			}
-			cands = append(cands, c)
+			out.reports = append(out.reports, reports)
+			out.seconds = append(out.seconds, seconds)
 		}
-		return part{candidates: cands}, nil
+		return out, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	reports, seconds := parts[0].reports, parts[0].seconds
+	for k, p := range points[1:] {
+		seconds[p.instant][slices.Index(hosts, p.host)] = parts[k+1].remote
+	}
+	return reports, seconds, nil
+}
+
+// Table1 reproduces Table 1: the three system factors, the cost-model
+// score, and the measured transfer time of the 1024 MB logical file for
+// the local host alpha1 and the replica holders alpha4, hit0 and lz02,
+// one minute after warmup. Scores and times come from the decision
+// oracle (decisions) at that one instant.
+func Table1(seed int64, workers int) (Table1Result, string, error) {
+	hosts := append([]string{"alpha1"}, fileAHosts...)
+	reports, seconds, err := decisions(seed, workers, "table 1", []time.Duration{Warmup + time.Minute}, hosts, 1024*workload.MB)
 	if err != nil {
 		return Table1Result{}, "", err
 	}
-	out := Table1Result{Candidates: parts[0].candidates}
-	for i := range hosts {
-		if !out.Candidates[i].Local {
-			out.Candidates[i].TransferSeconds = parts[i].seconds
-		}
+	var out Table1Result
+	for j, h := range hosts {
+		rep := reports[0][j]
+		out.Candidates = append(out.Candidates, Table1Candidate{
+			Host:            h,
+			Local:           j == 0,
+			BWPercent:       rep.BandwidthPercent,
+			CPUIdle:         rep.CPUIdlePercent,
+			IOIdle:          rep.IOIdlePercent,
+			Score:           core.Score(rep, core.PaperWeights),
+			TransferSeconds: seconds[0][j],
+		})
 	}
 
 	scores := make([]float64, len(out.Candidates))
@@ -132,7 +163,7 @@ func Table1(seed int64, workers int) (Table1Result, string, error) {
 
 	tb := metrics.NewTable(
 		"Table 1: replica selection cost model vs measured transfer time (file-a, 1024 MB, user at alpha1)",
-		"factor", "alpha1", "alpha4", "hit0", "lz02")
+		append([]string{"factor"}, hosts...)...)
 	addRow := func(label string, get func(Table1Candidate) float64) {
 		cells := []string{label}
 		for _, c := range out.Candidates {

@@ -183,16 +183,6 @@ func TestTrackExtendsAndInvalidates(t *testing.T) {
 	}
 }
 
-func TestInvalidateForcesRepublish(t *testing.T) {
-	p := newTestPublisher(t, []string{"a"}, &fakeBuilder{})
-	s1 := p.Snapshot(0)
-	p.Invalidate()
-	s2 := p.Snapshot(0)
-	if s2 == s1 || s2.Epoch() != s1.Epoch()+1 {
-		t.Fatal("Invalidate must force a republish")
-	}
-}
-
 func TestConcurrentReaders(t *testing.T) {
 	// Immutability contract: once published, a snapshot (and Current) may
 	// be read from any number of goroutines with no synchronization. Run

@@ -112,11 +112,6 @@ func (p *Publisher) Track(hosts ...string) error {
 	return nil
 }
 
-// Invalidate drops the current snapshot so the next Snapshot call
-// republishes. Callers use it when policy outside the sources changed
-// (e.g. a staleness threshold) and cached entries may no longer be valid.
-func (p *Publisher) Invalidate() { p.cur.Store(nil) }
-
 // Epoch returns the number of snapshots published so far.
 func (p *Publisher) Epoch() uint64 { return p.epoch }
 

@@ -16,8 +16,8 @@ type DeploymentConfig struct {
 	// Local is the host user applications run on (node i of the cost
 	// model); NWS bandwidth sensors probe remote->Local.
 	Local string
-	// Remotes are the hosts to monitor as replica candidates. Empty means
-	// every other host on the testbed.
+	// Remotes are the hosts to monitor as replica candidates; at least
+	// one.
 	Remotes []string
 	// NWSProbeBytes is the probe size; default 4 MiB — large enough that
 	// slow start does not dominate the measurement on fast paths.
@@ -103,11 +103,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 
 	remotes := cfg.Remotes
 	if len(remotes) == 0 {
-		for _, h := range tb.Hosts() {
-			if h != cfg.Local {
-				remotes = append(remotes, h)
-			}
-		}
+		return nil, errors.New("info: deployment needs a remote host")
 	}
 	for _, r := range remotes {
 		if r == cfg.Local {
@@ -184,11 +180,6 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 
 	srv, err := NewServer(cfg.Local, tb.Network(), mem, top, collectors)
 	if err != nil {
-		return nil, err
-	}
-	// A host whose probes have failed for several periods is treated as
-	// unmonitored, so selection routes around dead hosts and links.
-	if err := srv.SetStaleness(6 * nwsProbePeriod); err != nil {
 		return nil, err
 	}
 	return &Deployment{

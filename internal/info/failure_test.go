@@ -52,16 +52,6 @@ func TestLinkFailureMakesHostStale(t *testing.T) {
 	}
 }
 
-func TestSetStalenessValidation(t *testing.T) {
-	_, _, dep := paperSetup(t)
-	if err := dep.Server.SetStaleness(-time.Second); err == nil {
-		t.Fatal("negative staleness should be rejected")
-	}
-	if err := dep.Server.SetStaleness(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinkDownStateAccessors(t *testing.T) {
 	eng, tb, _ := paperSetup(t)
 	_ = eng

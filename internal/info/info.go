@@ -49,24 +49,13 @@ type Server struct {
 	// does not rebuild it on every report.
 	filters map[string]mds.Filter
 	pub     *gridstate.Publisher
-	// maxAge, when positive, marks hosts whose last bandwidth measurement
-	// is older than this as unmonitored (ErrNoData). Stale series mean
-	// the probe path stalled — typically a dead host or link — and the
-	// selection server must stop considering such replicas.
-	maxAge time.Duration
 }
 
-// SetStaleness configures the maximum bandwidth-measurement age before a
-// host is reported as unmonitored. Zero disables the check.
-func (s *Server) SetStaleness(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("info: negative staleness %v", d)
-	}
-	s.maxAge = d
-	// The current snapshot was built under the old staleness policy.
-	s.pub.Invalidate()
-	return nil
-}
+// maxAge marks a host whose last bandwidth measurement is older than six
+// probe periods as unmonitored (ErrNoData). Stale series mean the probe
+// path stalled — typically a dead host or link — and the selection server
+// must stop considering such replicas.
+const maxAge = 6 * nwsProbePeriod
 
 // NewServer builds an information server for queries issued from the local
 // host. dir is the MDS index to query for CPU state (typically the top
@@ -159,14 +148,12 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 		if err != nil {
 			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
 		}
-		if s.maxAge > 0 {
-			last, err := s.nwsMem.Latest(bwKey)
-			if err != nil {
-				return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
-			}
-			if age := now - last.At; age > s.maxAge {
-				return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s stale by %v", ErrNoData, host, s.local, age)
-			}
+		last, err := s.nwsMem.Latest(bwKey)
+		if err != nil {
+			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
+		}
+		if age := now - last.At; age > maxAge {
+			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s stale by %v", ErrNoData, host, s.local, age)
 		}
 		r.BandwidthMbps = fc.Value
 		r.BandwidthPercent = 100 * fc.Value / r.TheoreticalMbps

@@ -195,13 +195,22 @@ type idleTarget struct{}
 
 func (idleTarget) IOLoad() float64 { return 0 }
 
-func TestDeployDefaultsToAllRemotes(t *testing.T) {
+func TestDeployMonitorsListedRemotes(t *testing.T) {
 	eng := simulation.NewEngine()
 	tb, err := cluster.NewPaperTestbed(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1"})
+	if _, err := Deploy(tb, DeploymentConfig{Local: "alpha1"}); err == nil {
+		t.Fatal("a deployment with no remote should be rejected")
+	}
+	var remotes []string
+	for _, h := range tb.Hosts() {
+		if h != "alpha1" {
+			remotes = append(remotes, h)
+		}
+	}
+	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1", Remotes: remotes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +247,7 @@ func TestDeployGRISEntriesAreCPUOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1"})
+	dep, err := Deploy(tb, DeploymentConfig{Local: "alpha1", Remotes: []string{"hit0"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,6 +325,23 @@ func (b *Bank) Forecast() (Forecast, error) {
 	return Forecast{Value: v, Expert: b.experts[best].Name(), MSE: b.meanErr(best), N: b.n}, nil
 }
 
+// ExpertScore is one expert's standing in a bank: the mean squared error
+// of the Scored predictions it made before seeing each value.
+type ExpertScore struct {
+	Name   string
+	MSE    float64 // +Inf while Scored is 0
+	Scored int
+}
+
+// Experts returns every expert's score, in the bank's order.
+func (b *Bank) Experts() []ExpertScore {
+	out := make([]ExpertScore, len(b.experts))
+	for i, e := range b.experts {
+		out[i] = ExpertScore{Name: e.Name(), MSE: b.meanErr(i), Scored: b.scored[i]}
+	}
+	return out
+}
+
 // meanErr returns an expert's mean squared error, normalized by how many
 // times it was scored so late-starting windowed models compete fairly.
 func (b *Bank) meanErr(i int) float64 {

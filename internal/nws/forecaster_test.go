@@ -251,6 +251,51 @@ func expertMSE(t *testing.T, name string, vals []float64) float64 {
 	return 0
 }
 
+// TestBankExpertsMatchLoneExperts: the bank's per-expert scores are, bit
+// for bit, what each default expert scores when it runs alone over the
+// same seeded trace — the forecaster ablation's table reads them.
+func TestBankExpertsMatchLoneExperts(t *testing.T) {
+	for _, n := range []int{30, 400} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		trace := make([]float64, n)
+		level := 50.0
+		for i := range trace {
+			level += rng.NormFloat64()
+			trace[i] = level + 5*rng.NormFloat64()
+		}
+		bank, err := NewBank(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range trace {
+			bank.Update(v)
+		}
+		got := bank.Experts()
+		lone := DefaultForecasters()
+		if len(got) != len(lone) {
+			t.Fatalf("n=%d: %d scores for %d experts", n, len(got), len(lone))
+		}
+		for i, f := range lone {
+			want := ExpertScore{Name: f.Name(), MSE: math.Inf(1)}
+			sum := 0.0
+			for _, v := range trace {
+				if p, ok := f.Predict(); ok {
+					d := p - v
+					sum += d * d
+					want.Scored++
+				}
+				f.Update(v)
+			}
+			if want.Scored > 0 {
+				want.MSE = sum / float64(want.Scored)
+			}
+			if g := got[i]; g.Name != want.Name || g.Scored != want.Scored || math.Float64bits(g.MSE) != math.Float64bits(want.MSE) {
+				t.Errorf("n=%d: expert %d = %+v, alone %+v", n, i, g, want)
+			}
+		}
+	}
+}
+
 // Property: every bank forecast lies within [min, max] of the observed
 // series — all default experts are interpolating statistics.
 func TestPropertyForecastWithinObservedRange(t *testing.T) {

@@ -10,7 +10,6 @@ package placement
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 )
@@ -77,21 +76,16 @@ type Access struct {
 	At time.Duration
 }
 
-// ThresholdConfig tunes the threshold policy.
-type ThresholdConfig struct {
-	// Threshold is the number of accesses from one region after which the
-	// file is replicated there. Must be positive.
-	Threshold int
-	// RegionOf maps a client host to its region.
-	RegionOf func(host string) string
-}
+// Threshold is the number of accesses from one region after which the
+// threshold policy replicates the file there.
+const Threshold = 3
 
 // ThresholdPolicy implements threshold-based dynamic replication: when a
 // region keeps pulling a file it does not hold, the file is copied into
 // that region. It reacts to each access directly and keeps no epoch state.
 type ThresholdPolicy struct {
-	cfg  ThresholdConfig
-	exec Executor
+	regionOf func(host string) string
+	exec     Executor
 
 	counts   map[[2]string]int // (logical, client region) → accesses since the last decision
 	inFlight map[string]bool   // logical → an AddReplica copy is outstanding
@@ -100,19 +94,17 @@ type ThresholdPolicy struct {
 
 var _ Policy = (*ThresholdPolicy)(nil)
 
-// NewThresholdPolicy wires the policy to an executor.
-func NewThresholdPolicy(exec Executor, cfg ThresholdConfig) (*ThresholdPolicy, error) {
+// NewThresholdPolicy wires the policy to an executor; regionOf maps a
+// client host to its region.
+func NewThresholdPolicy(exec Executor, regionOf func(host string) string) (*ThresholdPolicy, error) {
 	if exec == nil {
 		return nil, errors.New("placement: nil executor")
 	}
-	if cfg.RegionOf == nil {
+	if regionOf == nil {
 		return nil, errors.New("placement: nil RegionOf")
 	}
-	if cfg.Threshold <= 0 {
-		return nil, fmt.Errorf("placement: threshold must be positive, got %d", cfg.Threshold)
-	}
 	return &ThresholdPolicy{
-		cfg:      cfg,
+		regionOf: regionOf,
 		exec:     exec,
 		counts:   make(map[[2]string]int),
 		inFlight: make(map[string]bool),
@@ -129,10 +121,10 @@ func (p *ThresholdPolicy) OnAccess(a Access) error {
 		return errors.New("placement: access needs logical and client")
 	}
 	p.stats.Accesses++
-	region := p.cfg.RegionOf(a.Client)
+	region := p.regionOf(a.Client)
 	key := [2]string{a.Logical, region}
 	p.counts[key]++
-	if p.counts[key] < p.cfg.Threshold {
+	if p.counts[key] < Threshold {
 		return nil
 	}
 	holding, err := p.exec.HoldingRegions(a.Logical)

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func newThreshold(t *testing.T, exec Executor, threshold int) *ThresholdPolicy {
+func newThreshold(t *testing.T, exec Executor) *ThresholdPolicy {
 	t.Helper()
-	p, err := NewThresholdPolicy(exec, ThresholdConfig{Threshold: threshold, RegionOf: regionOf})
+	p, err := NewThresholdPolicy(exec, regionOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,25 +17,22 @@ func newThreshold(t *testing.T, exec Executor, threshold int) *ThresholdPolicy {
 
 func TestValidation(t *testing.T) {
 	grid := newFakeGrid(nil)
-	if _, err := NewThresholdPolicy(nil, ThresholdConfig{Threshold: 1, RegionOf: regionOf}); err == nil {
+	if _, err := NewThresholdPolicy(nil, regionOf); err == nil {
 		t.Fatal("nil executor should be rejected")
 	}
-	if _, err := NewThresholdPolicy(grid, ThresholdConfig{Threshold: 1}); err == nil {
+	if _, err := NewThresholdPolicy(grid, nil); err == nil {
 		t.Fatal("nil RegionOf should be rejected")
 	}
-	if _, err := NewThresholdPolicy(grid, ThresholdConfig{RegionOf: regionOf}); err == nil {
-		t.Fatal("zero threshold should be rejected")
-	}
-	if err := newThreshold(t, grid, 1).OnAccess(Access{}); err == nil {
+	if err := newThreshold(t, grid).OnAccess(Access{}); err == nil {
 		t.Fatal("empty access should be rejected")
 	}
 }
 
 func TestThresholdTriggersReplication(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{"file-a": {"r0"}})
-	p := newThreshold(t, grid, 3)
-	// Two accesses from r1: below threshold, nothing happens.
-	for i := 0; i < 2; i++ {
+	p := newThreshold(t, grid)
+	// Two accesses from r1: below the threshold of 3, nothing happens.
+	for i := 0; i < Threshold-1; i++ {
 		mustAccess(t, p, access("file-a", "r1-host"))
 	}
 	if len(grid.log) != 0 {
@@ -53,7 +50,7 @@ func TestThresholdTriggersReplication(t *testing.T) {
 
 func TestNoDuplicateReplicationToSameSite(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{"file-a": {"r0"}})
-	p := newThreshold(t, grid, 2)
+	p := newThreshold(t, grid)
 	for i := 0; i < 10; i++ {
 		mustAccess(t, p, access("file-a", "r1-host"))
 	}
@@ -71,12 +68,14 @@ func TestNoDuplicateReplicationToSameSite(t *testing.T) {
 
 func TestCountsResetAfterReplication(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{"f1": {"r0"}, "f2": {"r0"}})
-	p := newThreshold(t, grid, 2)
+	p := newThreshold(t, grid)
 	// f1 crosses the threshold from r1; f2's count is its own.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < Threshold; i++ {
 		mustAccess(t, p, access("f1", "r1-host"))
 	}
-	mustAccess(t, p, access("f2", "r1-host"))
+	for i := 0; i < Threshold-1; i++ {
+		mustAccess(t, p, access("f2", "r1-host"))
+	}
 	if want := []string{"add f1 r1"}; !slices.Equal(grid.log, want) {
 		t.Fatalf("decisions = %v, want %v", grid.log, want)
 	}
@@ -87,10 +86,13 @@ func TestCountsResetAfterReplication(t *testing.T) {
 func TestThresholdPolicyInFlightGuard(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{"f": {"r0"}})
 	async := &asyncGrid{fakeGrid: grid, pending: make(map[string]func(error))}
-	p := newThreshold(t, async, 1)
-	mustAccess(t, p, access("f", "r1-host"))
-	mustAccess(t, p, access("f", "r1-host"))
-	mustAccess(t, p, access("f", "r2-host"))
+	p := newThreshold(t, async)
+	for i := 0; i <= Threshold; i++ {
+		mustAccess(t, p, access("f", "r1-host"))
+	}
+	for i := 0; i < Threshold; i++ {
+		mustAccess(t, p, access("f", "r2-host"))
+	}
 	if want := []string{"add f r1"}; !slices.Equal(grid.log, want) {
 		t.Fatalf("decisions with a copy in flight = %v, want %v", grid.log, want)
 	}
@@ -98,8 +100,8 @@ func TestThresholdPolicyInFlightGuard(t *testing.T) {
 	if p.Stats().Replications != 1 {
 		t.Fatalf("replications = %d, want 1", p.Stats().Replications)
 	}
-	mustAccess(t, p, access("f", "r1-host")) // now held: no copy
-	mustAccess(t, p, access("f", "r2-host"))
+	mustAccess(t, p, access("f", "r1-host")) // count reset: no copy
+	mustAccess(t, p, access("f", "r2-host")) // still past the threshold
 	if want := []string{"add f r1", "add f r2"}; !slices.Equal(grid.log, want) {
 		t.Fatalf("decisions after the copy landed = %v, want %v", grid.log, want)
 	}
@@ -111,8 +113,10 @@ func TestThresholdPolicyInFlightGuard(t *testing.T) {
 func TestThresholdPolicyRetriesAfterFailure(t *testing.T) {
 	grid := newFakeGrid(map[string][]string{"f": {"r0"}})
 	grid.startErr = errors.New("no route")
-	p := newThreshold(t, grid, 2)
-	mustAccess(t, p, access("f", "r1-host"))
+	p := newThreshold(t, grid)
+	for i := 0; i < Threshold-1; i++ {
+		mustAccess(t, p, access("f", "r1-host"))
+	}
 	if err := p.OnAccess(access("f", "r1-host")); !errors.Is(err, grid.startErr) {
 		t.Fatalf("OnAccess = %v, want the start error", err)
 	}

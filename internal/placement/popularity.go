@@ -16,12 +16,15 @@ type PopularityConfig struct {
 	Regions int
 	// MinReplicas and MaxReplicas bound the per-file replica factor.
 	MinReplicas, MaxReplicas int
-	// HotFactor and ColdFactor position the dynamic classification
-	// thresholds as multiples of the epoch's mean popularity degree:
-	// PD >= HotFactor*mean is hot, PD <= ColdFactor*mean is cold.
-	// Sensible defaults are 1.5 and 0.5.
-	HotFactor, ColdFactor float64
 }
+
+// hotFactor and coldFactor position the popularity policy's dynamic
+// classification thresholds as multiples of the epoch's mean popularity
+// degree: PD >= hotFactor*mean is hot, PD <= coldFactor*mean is cold.
+const (
+	hotFactor  = 1.5
+	coldFactor = 0.5
+)
 
 // fileWindow accumulates one file's accesses within the current epoch.
 type fileWindow struct {
@@ -67,15 +70,6 @@ func NewPopularityPolicy(exec Executor, cfg PopularityConfig) (*PopularityPolicy
 	}
 	if cfg.MinReplicas < 1 || cfg.MaxReplicas < cfg.MinReplicas {
 		return nil, fmt.Errorf("placement: replica bounds [%d,%d] invalid", cfg.MinReplicas, cfg.MaxReplicas)
-	}
-	if cfg.HotFactor == 0 {
-		cfg.HotFactor = 1.5
-	}
-	if cfg.ColdFactor == 0 {
-		cfg.ColdFactor = 0.5
-	}
-	if cfg.ColdFactor < 0 || cfg.HotFactor < cfg.ColdFactor {
-		return nil, fmt.Errorf("placement: thresholds hot=%v cold=%v invalid", cfg.HotFactor, cfg.ColdFactor)
 	}
 	return &PopularityPolicy{
 		cfg:      cfg,
@@ -129,7 +123,7 @@ func (p *PopularityPolicy) OnEpoch(time.Duration) error {
 		total += pd[name]
 	}
 	mean := total / float64(len(names))
-	hotAt, coldAt := p.cfg.HotFactor*mean, p.cfg.ColdFactor*mean
+	hotAt, coldAt := hotFactor*mean, coldFactor*mean
 
 	p.stats.Hot, p.stats.Warm, p.stats.Cold = 0, 0, 0
 	var firstErr error

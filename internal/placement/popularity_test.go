@@ -97,11 +97,6 @@ func TestPopularityPolicyValidation(t *testing.T) {
 	if _, err := NewPopularityPolicy(grid, cfg); err == nil {
 		t.Fatal("max < min should be rejected")
 	}
-	cfg = popCfg()
-	cfg.HotFactor, cfg.ColdFactor = 0.3, 0.6
-	if _, err := NewPopularityPolicy(grid, cfg); err == nil {
-		t.Fatal("hot < cold threshold should be rejected")
-	}
 }
 
 // TestPopularityPolicyGrowsHotFiles: a file hammered from many regions

@@ -373,17 +373,3 @@ func (c *Catalog) HostNames(from int) []string {
 	}
 	return out
 }
-
-// HostsWith returns the hosts holding a copy of the logical file, sorted.
-func (c *Catalog) HostsWith(name string) ([]string, error) {
-	locs, err := c.Locations(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(locs))
-	for i, l := range locs {
-		out[i] = l.Host
-	}
-	slices.Sort(out)
-	return slices.Compact(out), nil
-}

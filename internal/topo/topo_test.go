@@ -158,13 +158,13 @@ func TestPlaceFiles(t *testing.T) {
 			t.Errorf("%s placed in %d regions, want %d distinct", name, len(regions), replicas)
 		}
 		for _, r := range regions {
-			hosts, err := cat.Shard(r).HostsWith(name)
-			if err != nil || len(hosts) == 0 {
+			locs, err := cat.Shard(r).Locations(name)
+			if err != nil || len(locs) == 0 {
 				t.Errorf("%s: region %s shard empty: %v", name, r, err)
 			}
-			for _, h := range hosts {
-				if RegionOfHost(h) != r {
-					t.Errorf("%s: host %s landed in shard %s", name, h, r)
+			for _, l := range locs {
+				if RegionOfHost(l.Host) != r {
+					t.Errorf("%s: host %s landed in shard %s", name, l.Host, r)
 				}
 			}
 		}
@@ -177,8 +177,8 @@ func TestPlaceFiles(t *testing.T) {
 	}
 	for i := 0; i < files; i++ {
 		name := fmt.Sprintf("lfn:d%d", i)
-		a, _ := cat.HostsWith(name)
-		b, _ := cat2.HostsWith(name)
+		a, _ := cat.Locations(name)
+		b, _ := cat2.Locations(name)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s placed on %v then %v", name, a, b)
 		}
