@@ -41,7 +41,8 @@ import (
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
 	// Name is the benchmark name without the "Benchmark" prefix and
-	// without the -GOMAXPROCS suffix, so records compare across machines.
+	// without the -GOMAXPROCS suffix where the run proves one (parse), so
+	// records compare across machines.
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit -> value, e.g. "ns/op", "B/op", "allocs/op" and
@@ -200,11 +201,10 @@ func baselineFor(f File, name, against string) (Benchmark, string, bool) {
 }
 
 // parse scans go test -bench output, echoing every line to echo and
-// collecting parsed results. Sub-benchmarks of the same parent merge their
-// metric columns under one name when go test splits them across lines.
+// collecting parsed results in first-seen order; a name printed twice (a
+// repeated run) keeps its last line.
 func parse(r io.Reader, echo io.Writer) ([]Benchmark, error) {
-	var out []Benchmark
-	byName := map[string]int{}
+	var lines []Benchmark
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -212,13 +212,30 @@ func parse(r io.Reader, echo io.Writer) ([]Benchmark, error) {
 		if echo != nil {
 			fmt.Fprintln(echo, line)
 		}
-		b, ok := parseLine(line)
-		if !ok {
-			continue
+		if b, ok := parseLine(line); ok {
+			lines = append(lines, b)
+		}
+	}
+	shared := "" // the -N suffix every line ends in, if they share one
+	for i, b := range lines {
+		if s := procsSuffix(b.Name); i == 0 || s == shared {
+			shared = s
+		} else {
+			shared = ""
+			break
+		}
+	}
+	var out []Benchmark
+	byName := map[string]int{}
+	for _, b := range lines {
+		// go test appends -N to every line when GOMAXPROCS is N > 1 and
+		// nothing at 1, so a suffix all lines share is it, and so is one
+		// on a top-level name (a Go identifier holds no '-'). A
+		// sub-benchmark's own name may end in -N: parallel-2 at one CPU.
+		if s := procsSuffix(b.Name); s != "" && (s == shared || !strings.Contains(b.Name, "/")) {
+			b.Name = strings.TrimSuffix(b.Name, s)
 		}
 		if i, seen := byName[b.Name]; seen {
-			// go test prints one line per benchmark; duplicates mean a
-			// repeated run — last one wins.
 			out[i] = b
 			continue
 		}
@@ -228,11 +245,22 @@ func parse(r io.Reader, echo io.Writer) ([]Benchmark, error) {
 	return out, sc.Err()
 }
 
+// procsSuffix returns name's trailing "-N" when N > 1, the only form a
+// -GOMAXPROCS suffix takes, or "".
+func procsSuffix(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if n, err := strconv.Atoi(name[i+1:]); i <= 0 || err != nil || n < 2 {
+		return ""
+	}
+	return name[i:]
+}
+
 // parseLine parses one result line of the form
 //
 //	BenchmarkName-8   	     100	  12345 ns/op	  64 B/op	  2 allocs/op
 //
-// with any number of trailing value/unit metric pairs.
+// with any number of trailing value/unit metric pairs. The name keeps any
+// -GOMAXPROCS suffix; parse decides whether to strip it.
 func parseLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -243,12 +271,6 @@ func parseLine(line string) (Benchmark, bool) {
 		return Benchmark{}, false
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
-	// Strip the -GOMAXPROCS suffix, if present.
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
 	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

@@ -46,6 +46,40 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseProcsSuffixOnlyWhenProven parses the suite benchmark as go test
+// prints it at GOMAXPROCS=1 (no -N suffix) and 2 (-2 on every line). The
+// sub-benchmark's own name, parallel-<NumCPU>, ends in a number, so its
+// tail is the procs suffix only when every line of the run shares it.
+func TestParseProcsSuffixOnlyWhenProven(t *testing.T) {
+	for _, tc := range []struct {
+		cpus, transcript string
+		want             []string
+	}{
+		{"1", `goos: linux
+BenchmarkGridbenchAll/sequential         	       1	112715099989 ns/op	5640055696 B/op	37855443 allocs/op
+BenchmarkGridbenchAll/parallel-1         	       1	117106995770 ns/op	5640213800 B/op	37855473 allocs/op
+PASS
+`, []string{"GridbenchAll/sequential", "GridbenchAll/parallel-1"}},
+		{"2", `goos: linux
+BenchmarkGridbenchAll/sequential-2       	       1	44698933482 ns/op	11798783696 B/op	60254525 allocs/op
+BenchmarkGridbenchAll/parallel-2-2       	       1	35617112704 ns/op	11798900128 B/op	60253707 allocs/op
+PASS
+`, []string{"GridbenchAll/sequential", "GridbenchAll/parallel-2"}},
+	} {
+		benches, err := parse(strings.NewReader(tc.transcript), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, b := range benches {
+			got = append(got, b.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("%s CPU: names %q, want %q", tc.cpus, got, tc.want)
+		}
+	}
+}
+
 func TestParseRejectsNonBenchLines(t *testing.T) {
 	benches, err := parse(strings.NewReader("PASS\nok x 1s\nBenchmarkBroken abc\n"), nil)
 	if err != nil {

@@ -211,10 +211,11 @@ type SelectionServer struct {
 	// stays current (per-epoch memoization). Written only by PinView on
 	// the simulation goroutine, as are hosts and slots.
 	view *SnapshotView
-	// hosts is the last pinned snapshot's tracked-host list, sorted, and
-	// slots the id table over it: slots[id] is 1 + the index in hosts of
-	// the catalog host with that id, 0 when the snapshot does not track
-	// it. It covers the hosts the catalog had interned at the last pin.
+	// hosts is the source's tracked-host list, sorted, read at the first
+	// pin (the set is fixed), and slots the id table over it: slots[id] is
+	// 1 + the index in hosts of the catalog host with that id, 0 when the
+	// source does not track it. It covers the hosts the catalog had
+	// interned at the last pin and only grows.
 	hosts []string
 	slots []int32
 }

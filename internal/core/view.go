@@ -44,16 +44,17 @@ type SnapshotView struct {
 // returns the same view. Must run on the simulation goroutine; the
 // returned view may then be shared freely.
 //
-// PinView is the only writer of the server's id table, and it never
-// writes a table a view holds: a changed tracked-host list starts a new
-// table, and hosts the catalog interned since the last pin extend a copy.
+// The publisher's tracked-host set is fixed, so the first pin reads it
+// once. PinView is the only writer of the server's id table, and it never
+// writes a table a view holds: the table only grows, when the catalog
+// interns hosts after the last pin, and then into a copy.
 func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
 	snap := s.source.Snapshot(now)
 	if v := s.view; v != nil && v.snap == snap {
 		return v
 	}
-	if hosts := snap.Hosts(); !slices.Equal(hosts, s.hosts) {
-		s.hosts, s.slots = hosts, nil
+	if s.hosts == nil {
+		s.hosts = snap.Hosts()
 	}
 	if late := s.catalog.HostNames(len(s.slots)); late != nil {
 		slots := make([]int32, len(s.slots), len(s.slots)+len(late))

@@ -3,7 +3,6 @@ package gridstate
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,36 +22,30 @@ type Source interface {
 	Revision() uint64
 }
 
-// Publisher folds the versioned substrates into epoch-stamped snapshots.
-// A snapshot is valid while the virtual clock and every source revision
-// are unchanged since it was built; Snapshot rebuilds lazily otherwise.
+// Publisher folds the versioned substrates into epoch-stamped snapshots
+// of a host set fixed at construction. A snapshot is valid while the
+// virtual clock and every source revision are unchanged since it was
+// built; Snapshot rebuilds lazily otherwise.
 //
-// The zero value is not usable; use NewPublisher. Rebuilds must happen on
-// the simulation goroutine (the builder queries live, single-goroutine
-// substrates); Current is safe from any goroutine.
+// The zero value is not usable; use NewPublisher. A Publisher must be
+// driven from the simulation goroutine (a rebuild queries live,
+// single-goroutine substrates); the snapshots it returns may be shared.
 type Publisher struct {
-	local   string
 	hosts   []string
 	builder Builder
 	sources []Source
 
 	epoch uint64
-	cur   atomic.Pointer[Snapshot]
+	cur   *Snapshot
 	// revs are the source revisions observed after the current snapshot's
 	// build completed (building may itself refresh directory caches).
 	revs []uint64
-	// lastChangeAt is the virtual time of the newest publish that saw a
-	// source revision move since its predecessor; staleEpochs counts the
-	// consecutive publishes since then that saw none. Together they make
-	// monitor silence observable on the snapshots (SourceAge/StaleEpochs).
-	lastChangeAt time.Duration
-	staleEpochs  uint64
-	published    bool
 }
 
 // NewPublisher wires a publisher for the given tracked hosts. builder is
 // the live pull path; sources are the substrates whose revisions gate
-// snapshot reuse.
+// snapshot reuse. local names the observing host the builder reports
+// from; it must be set, though the publisher keeps no copy.
 func NewPublisher(local string, hosts []string, builder Builder, sources ...Source) (*Publisher, error) {
 	if local == "" {
 		return nil, errors.New("gridstate: publisher needs a local host")
@@ -70,7 +63,6 @@ func NewPublisher(local string, hosts []string, builder Builder, sources ...Sour
 		return nil, err
 	}
 	return &Publisher{
-		local:   local,
 		hosts:   order,
 		builder: builder,
 		sources: sources,
@@ -78,52 +70,13 @@ func NewPublisher(local string, hosts []string, builder Builder, sources ...Sour
 	}, nil
 }
 
-// Local returns the observing host.
-func (p *Publisher) Local() string { return p.local }
-
-// Hosts returns the tracked host names, sorted.
-func (p *Publisher) Hosts() []string { return append([]string(nil), p.hosts...) }
-
-// Covers reports whether the publisher tracks the host.
-func (p *Publisher) Covers(host string) bool {
-	for _, h := range p.hosts {
-		if h == host {
-			return true
-		}
-	}
-	return false
-}
-
-// Track adds hosts to the tracked set (duplicates are ignored) and
-// invalidates the current snapshot.
-func (p *Publisher) Track(hosts ...string) error {
-	merged := p.Hosts()
-	for _, h := range hosts {
-		if !p.Covers(h) {
-			merged = append(merged, h)
-		}
-	}
-	order, err := sortedHosts(merged)
-	if err != nil {
-		return err
-	}
-	p.hosts = order
-	p.cur.Store(nil)
-	return nil
-}
-
 // Epoch returns the number of snapshots published so far.
 func (p *Publisher) Epoch() uint64 { return p.epoch }
-
-// Current returns the most recently published snapshot without checking
-// freshness (nil before the first publish). It is safe from any
-// goroutine.
-func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 
 // fresh reports whether the current snapshot can serve queries at now:
 // same virtual instant, no source published a new revision since.
 func (p *Publisher) fresh(now time.Duration) *Snapshot {
-	s := p.cur.Load()
+	s := p.cur
 	if s == nil || s.at != now {
 		return nil
 	}
@@ -142,49 +95,24 @@ func (p *Publisher) Snapshot(now time.Duration) *Snapshot {
 	if s := p.fresh(now); s != nil {
 		return s
 	}
-	return p.Publish(now)
+	return p.publish(now)
 }
 
-// Publish unconditionally rebuilds the snapshot at now from the live pull
-// path, stamps it with the next epoch, and makes it current.
-func (p *Publisher) Publish(now time.Duration) *Snapshot {
-	// Source movement is judged against the previous epoch's post-build
-	// revisions, before this build runs: build-time TTL refreshes belong
-	// to this epoch and must not count as substrate activity.
-	moved := !p.published
-	for i, src := range p.sources {
-		if src.Revision() != p.revs[i] {
-			moved = true
-			break
-		}
-	}
-	if moved {
-		p.lastChangeAt = now
-		p.staleEpochs = 0
-	} else {
-		p.staleEpochs++
-	}
-	p.published = true
+// publish rebuilds the snapshot at now from the live pull path, stamps it
+// with the next epoch, and makes it current.
+func (p *Publisher) publish(now time.Duration) *Snapshot {
 	entries := make(map[string]hostEntry, len(p.hosts))
 	for _, h := range p.hosts {
 		perf, err := p.builder.BuildHostPerf(h, now)
 		entries[h] = hostEntry{perf: perf, err: err}
 	}
 	p.epoch++
-	s := &Snapshot{
-		epoch:       p.epoch,
-		at:          now,
-		local:       p.local,
-		hosts:       entries,
-		order:       p.hosts,
-		sourceAge:   now - p.lastChangeAt,
-		staleEpochs: p.staleEpochs,
-	}
+	s := &Snapshot{epoch: p.epoch, at: now, hosts: entries, order: p.hosts}
 	// Capture revisions after the build: building legitimately refreshes
 	// TTL'd directory caches, and those refreshes belong to this epoch.
 	for i, src := range p.sources {
 		p.revs[i] = src.Revision()
 	}
-	p.cur.Store(s)
+	p.cur = s
 	return s
 }

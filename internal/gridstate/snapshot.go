@@ -13,12 +13,12 @@
 // number of concurrent selectors score candidates against the pinned
 // snapshot with plain, lock-free reads.
 //
-// Immutability contract: a *Snapshot is never mutated after Publish
+// Immutability contract: a *Snapshot is never mutated once the Publisher
 // returns it. Concurrent readers need no synchronization; writers do not
-// exist. The Publisher itself must be driven from the simulation
-// goroutine (rebuilding queries the live substrates, which are
-// single-goroutine by the engine's contract); the snapshots it hands out
-// may then be shared freely.
+// exist. The Publisher itself, and its fixed tracked-host set, belong to
+// the simulation goroutine (rebuilding queries the live substrates, which
+// are single-goroutine by the engine's contract); the snapshots it hands
+// out may then be shared freely.
 package gridstate
 
 import (
@@ -70,47 +70,16 @@ type hostEntry struct {
 type Snapshot struct {
 	epoch uint64
 	at    time.Duration
-	local string
 	hosts map[string]hostEntry
 	order []string
-	// sourceAge is how long (virtual time) the substrates had published no
-	// new revision when this snapshot was built; staleEpochs counts the
-	// consecutive preceding epochs built without source movement. Both are
-	// zero while the monitors are alive — they grow during a monitor
-	// outage, which is how staleness becomes observable per epoch.
-	sourceAge   time.Duration
-	staleEpochs uint64
 }
 
 // Epoch returns the snapshot's monotonically increasing version number.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// At returns the virtual instant the snapshot was built.
-func (s *Snapshot) At() time.Duration { return s.at }
-
-// Local returns the observing host all pair measurements point at.
-func (s *Snapshot) Local() string { return s.local }
-
 // Hosts returns the tracked host names, sorted.
 func (s *Snapshot) Hosts() []string {
 	return append([]string(nil), s.order...)
-}
-
-// SourceAge returns how long the monitoring substrates had been silent
-// (no revision movement) when the snapshot was built. Zero means at least
-// one substrate reported since the previous epoch.
-func (s *Snapshot) SourceAge() time.Duration { return s.sourceAge }
-
-// StaleEpochs returns how many consecutive epochs before this one were
-// built without any source movement. Zero means the grid state behind
-// this snapshot is fresh.
-func (s *Snapshot) StaleEpochs() uint64 { return s.staleEpochs }
-
-// SourcesStale reports whether the substrates have been silent for longer
-// than the given threshold — the snapshot-plane analogue of a monitoring
-// outage alarm.
-func (s *Snapshot) SourcesStale(threshold time.Duration) bool {
-	return s.sourceAge > threshold
 }
 
 // ErrUntracked is returned by Lookup for hosts the snapshot does not
@@ -128,13 +97,6 @@ func (s *Snapshot) Lookup(host string) (HostPerf, error) {
 		return HostPerf{}, e.err
 	}
 	return e.perf, nil
-}
-
-// Covers reports whether the snapshot tracks the host (regardless of
-// whether its build succeeded).
-func (s *Snapshot) Covers(host string) bool {
-	_, ok := s.hosts[host]
-	return ok
 }
 
 // sortedHosts copies and sorts a host list, rejecting empties and dupes.

@@ -110,9 +110,6 @@ func NewServer(local string, network *netsim.Network, nwsMem *nws.Memory, dir md
 	return srv, nil
 }
 
-// Local returns the host this server reports relative to.
-func (s *Server) Local() string { return s.local }
-
 // Publisher exposes the snapshot plane backing this server.
 func (s *Server) Publisher() *gridstate.Publisher { return s.pub }
 

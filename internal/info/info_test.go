@@ -185,8 +185,8 @@ func TestServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Local() != "h" {
-		t.Fatalf("Local = %q", s.Local())
+	if s.local != "h" {
+		t.Fatalf("local = %q", s.local)
 	}
 }
 

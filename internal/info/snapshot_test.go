@@ -28,10 +28,10 @@ func TestSnapshotLookupMatchesBuildHostPerf(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range hosts {
-			if !dep.Server.Publisher().Covers(h) {
+			snap, snapErr := dep.Server.Snapshot(eng.Now()).Lookup(h)
+			if errors.Is(snapErr, gridstate.ErrUntracked) {
 				t.Fatalf("%s should be tracked by the deployment", h)
 			}
-			snap, snapErr := dep.Server.Snapshot(eng.Now()).Lookup(h)
 			live, liveErr := dep.Server.BuildHostPerf(h, eng.Now())
 			if (snapErr == nil) != (liveErr == nil) {
 				t.Fatalf("%s at %v: snapshot err %v vs live err %v", h, at, snapErr, liveErr)
@@ -228,14 +228,11 @@ func TestSnapshotEpochAdvancesWithMonitoring(t *testing.T) {
 	}
 	// Tracked set is the deployment's monitored hosts.
 	for _, h := range []string{"alpha1", "alpha4", "hit0", "lz02"} {
-		if !s3.Covers(h) {
-			t.Fatalf("snapshot should cover %s", h)
+		if _, err := s3.Lookup(h); errors.Is(err, gridstate.ErrUntracked) {
+			t.Fatalf("snapshot should cover %s: %v", h, err)
 		}
 	}
 	// An untracked testbed host is not in the snapshot at all.
-	if s3.Covers("lz04") {
-		t.Fatal("lz04 is not monitored and must not be tracked")
-	}
 	if _, err := s3.Lookup("lz04"); !errors.Is(err, gridstate.ErrUntracked) {
 		t.Fatalf("lz04 err = %v, want ErrUntracked", err)
 	}

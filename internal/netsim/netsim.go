@@ -1151,9 +1151,8 @@ func (n *Network) scheduleRamp(f *Flow) {
 	b := n.newRampBatch()
 	ev, err := n.engine.Schedule(at, b.fire)
 	if err != nil {
-		// Schedule can only fail here if now+rtt overflows the virtual
-		// clock. Ignoring it would silently freeze the flow's slow start
-		// forever, so fail loudly instead.
+		// Invariant: now+rtt fits the virtual clock. Ignoring a failure
+		// would freeze the flow's slow start forever.
 		panic(fmt.Sprintf("netsim: flow %d slow-start schedule failed: %v", f.id, err))
 	}
 	b.at, b.ev, b.live = at, ev, 1

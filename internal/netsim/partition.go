@@ -682,6 +682,7 @@ func (f *Flow) setRate(rate float64, now time.Duration) {
 // fill would have.
 func (n *Network) rebuildUsed(c *component) {
 	if c.dirty {
+		// Invariant: link usage is read between allocation passes only.
 		panic("netsim: link usage read inside an allocation pass")
 	}
 	n.pstats.Rebuilds++
@@ -761,9 +762,8 @@ func (n *Network) rescheduleNextCompletion() {
 	}
 	ev, err := n.engine.Schedule(top.minAt, n.completionFn)
 	if err != nil {
-		// minAt > now by construction, so Schedule can only fail on
-		// virtual-clock overflow. A dropped completion event would stall
-		// every active flow forever; fail loudly instead.
+		// Invariant: minAt > now, so only a virtual-clock overflow fails.
+		// A dropped completion event would stall every active flow forever.
 		panic("netsim: completion schedule failed: " + err.Error())
 	}
 	n.nextEv = ev

@@ -36,7 +36,7 @@ type text struct {
 // add appends s to the arena and returns where it went.
 func (t *text) add(s string) span {
 	if len(t.chunks) == 0 || t.cur.Cap()-t.cur.Len() < len(s) || t.cur.Len() > 0xffff {
-		if len(t.chunks) == 1<<16 { // spans address 4 GiB of text at most
+		if len(t.chunks) == 1<<16 { // invariant: a catalog's text fits the 4 GiB spans address
 			panic("replica: catalog text arena is full")
 		}
 		t.cur = strings.Builder{}
@@ -117,7 +117,7 @@ func (s *slab) grow(r *run) {
 	want := max(2*r.cap, 1)
 	last := len(s.chunks) - 1
 	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < int(want) || len(s.chunks[last]) > 0xfff {
-		if len(s.chunks) == 1<<20 { // runs address 4 Gi entries at most
+		if len(s.chunks) == 1<<20 { // invariant: a catalog's entries fit the 4 Gi runs address
 			panic("replica: catalog entry slab is full")
 		}
 		s.chunks = append(s.chunks, make([]entry, 0, max(firstSlab<<min(len(s.chunks), 10), int(want))))

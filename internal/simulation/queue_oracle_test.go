@@ -294,18 +294,21 @@ type queueTally struct {
 	backdated, backdatedJumps                                     int
 }
 
-// storm runs one seeded script against q and returns everything it saw.
-// All randomness is drawn in firing order, so two engines that fire the
+// intner is the one draw a storm makes: a *rand.Rand, or FuzzEngineOps'
+// byte source.
+type intner interface{ Intn(n int) int }
+
+// storm runs one script drawn from rng against q and returns everything it
+// saw. All draws are made in firing order, so two engines that fire the
 // same stream draw the same script and any divergence shows in the log.
-func storm(seed int64, q subject, tally *queueTally) []rec {
-	rng := rand.New(rand.NewSource(seed))
+// A narrow storm spans a handful of instants, so ties and slot reuse
+// dominate; a wide one spreads over a long horizon, so the heap is deep
+// and cancels land in its middle.
+func storm(rng intner, wide bool, q subject, tally *queueTally) []rec {
 	const unit = time.Millisecond
 	var log []rec
-	// Three storms in four are narrow — a handful of instants, so ties and
-	// slot reuse dominate; the fourth spreads over a long horizon, so the
-	// heap is deep and cancels land in its middle.
 	span, budget, ops := 6, 150, 120 // delay range in units, Schedule/After calls left, top-level operations
-	if seed%4 == 0 {
+	if wide {
 		span, budget, ops = 500, 500, 400
 	}
 	next := 0             // next handle id
@@ -428,19 +431,29 @@ func storm(seed int64, q subject, tally *queueTally) []rec {
 // and the reference disagree over cases seeded storms.
 func diffStorms(cases int, tally *queueTally) error {
 	for seed := int64(1); seed <= int64(cases); seed++ {
-		got := storm(seed, newSubject(&tally.reusedSlots), tally)
-		want := storm(seed, refSubject(), &queueTally{})
-		for i := 0; i < len(got) || i < len(want); i++ {
-			if i >= len(got) || i >= len(want) || got[i] != want[i] {
-				var g, w any = "nothing", "nothing"
-				if i < len(got) {
-					g = got[i]
-				}
-				if i < len(want) {
-					w = want[i]
-				}
-				return fmt.Errorf("seed %d, observation %d: engine saw %+v, reference %+v", seed, i, g, w)
+		// Three storms in four are narrow, the fourth wide.
+		got := storm(rand.New(rand.NewSource(seed)), seed%4 == 0, newSubject(&tally.reusedSlots), tally)
+		want := storm(rand.New(rand.NewSource(seed)), seed%4 == 0, refSubject(), &queueTally{})
+		if err := diffLogs(got, want); err != nil {
+			return fmt.Errorf("seed %d, %w", seed, err)
+		}
+	}
+	return nil
+}
+
+// diffLogs returns the first observation on which the production engine's
+// log and the reference's disagree.
+func diffLogs(got, want []rec) error {
+	for i := 0; i < len(got) || i < len(want); i++ {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			var g, w any = "nothing", "nothing"
+			if i < len(got) {
+				g = got[i]
 			}
+			if i < len(want) {
+				w = want[i]
+			}
+			return fmt.Errorf("observation %d: engine saw %+v, reference %+v", i, g, w)
 		}
 	}
 	return nil

@@ -140,6 +140,7 @@ func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, 
 func (e *Engine) scheduleAsOf(at, asOf time.Duration, fn func(now time.Duration)) Event {
 	ev, err := e.Schedule(at, fn)
 	if err != nil {
+		// Invariant: callers pass at >= now and a non-nil fn.
 		panic(fmt.Sprintf("simulation: backdated schedule failed: %v", err))
 	}
 	s := &e.slots[ev.slot]
@@ -371,10 +372,8 @@ func (t *Ticker) tick(now time.Duration) {
 		t.fn(now)
 	}
 	if _, err := t.engine.After(t.period, t.tickFn); err != nil {
-		// After with a positive period can only fail if now+period
-		// overflows the virtual clock (~292 years). Silently dropping the
-		// error would freeze the ticker forever with no diagnostic, so
-		// treat it as the programming error it is.
+		// Invariant: now+period fits the virtual clock (~292 years).
+		// Dropping the error would freeze the ticker with no diagnostic.
 		panic(fmt.Sprintf("simulation: ticker reschedule failed: %v", err))
 	}
 }

@@ -118,6 +118,7 @@ func (w *Walk) step(time.Duration) {
 	w.onStep()
 	ev, err := w.engine.Schedule(w.due, w.stepFn)
 	if err != nil {
+		// Invariant: catchUp leaves w.due at or after now, inside the clock.
 		panic(fmt.Sprintf("simulation: walk step schedule failed: %v", err))
 	}
 	w.ev = ev

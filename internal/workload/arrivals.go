@@ -37,10 +37,10 @@ func ConstantRate(perMinute float64) func(time.Duration) float64 {
 
 // NewArrivals starts an arrival process on the engine: fire is invoked
 // at every arrival instant. rate must return a positive arrivals-per-minute
-// figure at every sampled time. The caller owns the RNG; all of the
-// process's draws (one ExpFloat64 per gap) come from it, interleaved with
-// whatever draws fire itself performs, exactly as the pre-refactor
-// generators drew them.
+// figure at every sampled time; a first sample that is not is an error, a
+// later one a panic. The caller owns the RNG; all of the process's draws
+// (one ExpFloat64 per gap) come from it, interleaved with whatever draws
+// fire itself performs, exactly as the pre-refactor generators drew them.
 func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration) float64, fire func(time.Duration)) (*Arrivals, error) {
 	if eng == nil {
 		return nil, errors.New("workload: nil engine")
@@ -53,6 +53,9 @@ func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration
 	}
 	if fire == nil {
 		return nil, errors.New("workload: nil fire function")
+	}
+	if r := rate(eng.Now()); !(r > 0) {
+		return nil, fmt.Errorf("workload: arrival rate %v at %v is not positive", r, eng.Now())
 	}
 	a := &Arrivals{eng: eng, rng: rng, rate: rate, fire: fire}
 	a.arriveFn = a.arrive
@@ -72,15 +75,15 @@ func (a *Arrivals) arrive(now time.Duration) {
 func (a *Arrivals) scheduleNext() {
 	r := a.rate(a.eng.Now())
 	if !(r > 0) {
+		// Contract: rate stays positive; NewArrivals rejected a bad first sample.
 		panic(fmt.Sprintf("workload: arrival rate %v at %v is not positive", r, a.eng.Now()))
 	}
 	mean := time.Minute.Seconds() / r
 	delay := time.Duration(a.rng.ExpFloat64() * mean * float64(time.Second))
 	if _, err := a.eng.After(delay, a.arriveFn); err != nil {
-		// After clamps negative delays to "now" and the callback is never
-		// nil, so the engine rejects this event only when now+delay
-		// overflows the virtual clock; silently stopping the stream
-		// would corrupt every downstream number.
+		// Invariant: now+delay fits the virtual clock (After clamps
+		// negative delays and arriveFn is bound). Silently stopping the
+		// stream would corrupt every downstream number.
 		panic(fmt.Sprintf("workload: arrival scheduling failed: %v", err))
 	}
 }

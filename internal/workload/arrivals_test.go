@@ -51,16 +51,40 @@ func TestArrivalsValidation(t *testing.T) {
 	}
 }
 
-// TestArrivalsNonPositiveRatePanics: a rate curve dipping to zero would
-// make the mean gap infinite; the core treats it as a config bug.
+// TestArrivalsNonPositiveRatePanics: a rate curve dipping to zero mid-run
+// would make the mean gap infinite; the core treats it as a bad curve.
 func TestArrivalsNonPositiveRatePanics(t *testing.T) {
+	eng := simulation.NewEngine()
+	rate := func(now time.Duration) float64 {
+		if now < time.Minute {
+			return 60
+		}
+		return 0
+	}
+	if _, err := NewArrivals(eng, rand.New(rand.NewSource(1)), rate, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("non-positive rate should panic")
+			t.Fatal("a rate that goes non-positive mid-run should panic")
 		}
 	}()
-	_, _ = NewArrivals(simulation.NewEngine(), rand.New(rand.NewSource(1)),
-		func(time.Duration) float64 { return 0 }, func(time.Duration) {})
+	_ = eng.RunUntil(time.Hour)
+}
+
+// TestArrivalsNonPositiveStartRateIsAnError: a rate that is not positive
+// when the process starts is the caller's configuration, so NewArrivals
+// returns an error and schedules nothing.
+func TestArrivalsNonPositiveStartRateIsAnError(t *testing.T) {
+	eng := simulation.NewEngine()
+	for _, perMinute := range []float64{0, -1, math.NaN()} {
+		if _, err := NewArrivals(eng, rand.New(rand.NewSource(1)), ConstantRate(perMinute), func(time.Duration) {}); err == nil {
+			t.Fatalf("rate %v: NewArrivals accepted it", perMinute)
+		}
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Fatalf("rejected processes left %d events scheduled", n)
+	}
 }
 
 // TestArrivalsVariableRate: a rate function is sampled at schedule time,
