@@ -54,7 +54,7 @@ bench: bench-netsim
 netsim_BENCH     = Netsim|Reallocate|RouteTree|RoutePlanet|AddLinkBulk|ForecasterBank|EngineChurn|ParallelStreamRamp
 netsim_PKGS      = . ./internal/netsim
 netsim_TIMEOUT   = 600s
-netsim_BASELINE  = pr34-ramp-batch-2cpu
+netsim_BASELINE  = pr47-receivers-2cpu
 suite_BENCH      = GridbenchAll
 suite_PKGS       = .
 suite_TIMEOUT    = 1200s
@@ -74,7 +74,7 @@ scale_BASELINE   = pr28-core-routes-2cpu
 traffic_BENCH    = TrafficSweep
 traffic_PKGS     = .
 traffic_TIMEOUT  = 3600s
-traffic_BASELINE = pr44-request-path-2cpu
+traffic_BASELINE = pr47-receivers-2cpu
 
 # Record a suite into BENCH_<suite>.json so future changes have a perf
 # trajectory to compare against. Same label replaces, new labels append:

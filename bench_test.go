@@ -298,7 +298,7 @@ func BenchmarkNetsimStressLargeGrid(b *testing.B) {
 			}
 			if _, err := net.StartFlow(src, dst, 5_000_000,
 				netsim.FlowOptions{WindowBytes: 1 << 20},
-				func(*netsim.Flow) { completed++ }); err != nil {
+				netsim.FlowFunc(func(*netsim.Flow) { completed++ })); err != nil {
 				b.Fatal(err)
 			}
 		}

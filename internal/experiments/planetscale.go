@@ -179,10 +179,10 @@ func runScalePoint(pointSeed int64, p scalePoint) (PlanetScaleResult, error) {
 		at := time.Duration(f) * scaleFlowGap
 		if _, err := eng.After(at, func(time.Duration) {
 			_, err := w.Testbed.Network().StartFlow(src, dst, scaleFlowBytes,
-				netsim.FlowOptions{WindowBytes: 1 << 20}, func(fl *netsim.Flow) {
+				netsim.FlowOptions{WindowBytes: 1 << 20}, netsim.FlowFunc(func(fl *netsim.Flow) {
 					totalSec += (eng.Now() - at).Seconds()
 					done++
-				})
+				}))
 			if err != nil && runErr == nil {
 				runErr = fmt.Errorf("flow %s -> %s: %w", src, dst, err)
 			}

@@ -229,12 +229,12 @@ func TestLinkFlapKillsFailFastTransfers(t *testing.T) {
 	net := tb.Network()
 	var firstState, secondState netsim.FlowState
 	if _, err := net.StartFlow("hit0", "alpha1", 1<<30, netsim.FlowOptions{FailOnDown: true},
-		func(f *netsim.Flow) { firstState = f.State() }); err != nil {
+		netsim.FlowFunc(func(f *netsim.Flow) { firstState = f.State() })); err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(30*time.Second, func(time.Duration) {
 		if _, err := net.StartFlow("hit0", "alpha1", 1<<20, netsim.FlowOptions{FailOnDown: true},
-			func(f *netsim.Flow) { secondState = f.State() }); err != nil {
+			netsim.FlowFunc(func(f *netsim.Flow) { secondState = f.State() })); err != nil {
 			t.Errorf("post-revert flow: %v", err)
 		}
 	})

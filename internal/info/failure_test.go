@@ -86,7 +86,7 @@ func TestFlowStallsOnDeadLink(t *testing.T) {
 	lz := cluster.SwitchNode(cluster.SiteLiZen)
 	thu := cluster.SwitchNode(cluster.SiteTHU)
 	done := false
-	f, err := tb.Network().StartFlow("lz02", "alpha1", 10_000_000, netsim.FlowOptions{WindowBytes: 1 << 20}, func(*netsim.Flow) { done = true })
+	f, err := tb.Network().StartFlow("lz02", "alpha1", 10_000_000, netsim.FlowOptions{WindowBytes: 1 << 20}, netsim.FlowFunc(func(*netsim.Flow) { done = true }))
 	if err != nil {
 		t.Fatal(err)
 	}

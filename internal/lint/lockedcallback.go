@@ -17,9 +17,10 @@ import (
 // simulation. The analyzer performs a conservative intra-procedural
 // scan: between x.Lock() / x.RLock() and the matching release (a
 // deferred release holds to function end), calls to methods of a type
-// named Engine (Schedule, After, Step, Run, RunUntil, NewTicker, Cancel)
-// and invocations of event-callback values (func(time.Duration)) are
-// reported.
+// named Engine (Schedule, ScheduleHandler, After, AfterHandler, Step,
+// Run, RunUntil, NewTicker, Cancel) and invocations of event callbacks —
+// a func(time.Duration) value, or Fire(time.Duration) on an interface
+// value such as a simulation.Handler — are reported.
 var LockedCallback = &Analyzer{
 	Name: "lockedcallback",
 	Doc: "flags simulation.Engine scheduling calls and event-callback invocations made " +
@@ -28,13 +29,15 @@ var LockedCallback = &Analyzer{
 }
 
 var engineMethods = map[string]bool{
-	"Schedule":  true,
-	"After":     true,
-	"Step":      true,
-	"Run":       true,
-	"RunUntil":  true,
-	"NewTicker": true,
-	"Cancel":    true,
+	"Schedule":        true,
+	"ScheduleHandler": true,
+	"After":           true,
+	"AfterHandler":    true,
+	"Step":            true,
+	"Run":             true,
+	"RunUntil":        true,
+	"NewTicker":       true,
+	"Cancel":          true,
 }
 
 func runLockedCallback(pass *Pass) {
@@ -245,9 +248,11 @@ func (lc *lockScan) isEngine(e ast.Expr) bool {
 	return ok && named.Obj().Name() == "Engine"
 }
 
-// isEventCallback reports whether the call invokes a *value* of type
-// func(time.Duration) — the engine's callback signature — as opposed to
-// a declared function or method.
+// isEventCallback reports whether the call invokes code the caller was
+// handed with the engine's callback signature, func(time.Duration): a
+// func *value*, or the Fire method of an interface value (a
+// simulation.Handler, whatever record it holds). A declared function, or
+// a method called on a concrete type, is not a callback.
 func (lc *lockScan) isEventCallback(call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
@@ -255,6 +260,9 @@ func (lc *lockScan) isEventCallback(call *ast.CallExpr) bool {
 		id = fun
 	case *ast.SelectorExpr:
 		id = fun.Sel
+		if t := lc.pass.TypeOf(fun.X); id.Name == "Fire" && t != nil && types.IsInterface(t) {
+			return lc.takesDuration(call)
+		}
 	default:
 		return false
 	}
@@ -262,6 +270,12 @@ func (lc *lockScan) isEventCallback(call *ast.CallExpr) bool {
 	if _, isFunc := obj.(*types.Func); isFunc || obj == nil {
 		return false // declared func or method, or no type info
 	}
+	return lc.takesDuration(call)
+}
+
+// takesDuration reports whether the called function's signature is
+// func(time.Duration).
+func (lc *lockScan) takesDuration(call *ast.CallExpr) bool {
 	sig, ok := lc.pass.TypeOf(call.Fun).(*types.Signature)
 	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 0 {
 		return false

@@ -11,21 +11,38 @@ import (
 
 type Event struct{}
 
+type Handler interface {
+	Fire(now time.Duration)
+}
+
 type Engine struct{}
 
 func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (*Event, error) {
 	return nil, nil
 }
+func (e *Engine) ScheduleHandler(at time.Duration, h Handler) (*Event, error) {
+	return nil, nil
+}
 func (e *Engine) After(d time.Duration, fn func(now time.Duration)) (*Event, error) {
 	return nil, nil
 }
+func (e *Engine) AfterHandler(d time.Duration, h Handler) (*Event, error) {
+	return nil, nil
+}
 func (e *Engine) Step() bool { return false }
+
+// record is a concrete event receiver.
+type record struct{ fired int }
+
+func (r *record) Fire(time.Duration) { r.fired++ }
 
 type monitor struct {
 	mu     sync.Mutex
 	state  sync.RWMutex
 	engine *Engine
 	cb     func(now time.Duration)
+	h      Handler
+	rec    *record
 	value  int
 }
 
@@ -51,6 +68,39 @@ func (m *monitor) badRLock() {
 func (m *monitor) badCallback(now time.Duration) {
 	m.mu.Lock()
 	m.cb(now) // want `invoking an event callback while holding a mutex`
+	m.mu.Unlock()
+}
+
+func (m *monitor) badScheduleHandler() {
+	m.mu.Lock()
+	m.engine.ScheduleHandler(time.Second, m.h) // want `calling Engine\.ScheduleHandler while holding a mutex`
+	m.mu.Unlock()
+}
+
+func (m *monitor) badAfterHandler() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, err := m.engine.AfterHandler(time.Second, m.rec) // want `calling Engine\.AfterHandler while holding a mutex`
+	return err
+}
+
+func (m *monitor) badHandlerFire(now time.Duration) {
+	m.state.RLock()
+	m.h.Fire(now) // want `invoking an event callback while holding a mutex`
+	m.state.RUnlock()
+}
+
+func (m *monitor) goodHandlerReleaseFirst(now time.Duration) {
+	m.mu.Lock()
+	h := m.h
+	m.mu.Unlock()
+	h.Fire(now)
+}
+
+// A concrete record's own Fire is a declared method, like any other call.
+func (m *monitor) goodConcreteFire(now time.Duration) {
+	m.mu.Lock()
+	m.rec.Fire(now)
 	m.mu.Unlock()
 }
 

@@ -300,9 +300,9 @@ func (w *bgWorld) run() []string {
 				}
 			}
 			for k := 0; k < f.streams; k++ {
-				fl, err := w.n.StartFlow(src, dst, f.bytes, f.opts, func(fl *Flow) {
+				fl, err := w.n.StartFlow(src, dst, f.bytes, f.opts, FlowFunc(func(fl *Flow) {
 					w.logf("done %d.%d %v", i, k, fl.State())
-				})
+				}))
 				if err != nil {
 					w.t.Fatal(err)
 				}

@@ -62,7 +62,7 @@ func TestFailOnDownKillsCrossingFlows(t *testing.T) {
 		}
 	}
 	var failed *Flow
-	victim, err := net.StartFlow("a", "b", 100e6, FlowOptions{FailOnDown: true}, func(f *Flow) { failed = f })
+	victim, err := net.StartFlow("a", "b", 100e6, FlowOptions{FailOnDown: true}, FlowFunc(func(f *Flow) { failed = f }))
 	if err != nil {
 		t.Fatal(err)
 	}

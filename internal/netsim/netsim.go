@@ -262,14 +262,31 @@ type Flow struct {
 	// it stops binding. ramp is the batch holding the flow's next tick
 	// (nil once the window stops binding).
 	cwndBps  float64
-	ramping  bool
 	ramp     *rampBatch
 	rateBps  float64 // current allocated rate
-	fixed    bool    // water-filling scratch: rate fixed this reallocation
 	started  time.Duration
 	finished time.Duration
-	done     func(*Flow)
+	done     FlowHandler
+	// The two flags share one word: apart, each padded its own, and the
+	// 16-byte done would push a Flow from the 256-byte size class into
+	// the 288-byte one (TestFlowSize).
+	ramping bool
+	fixed   bool // water-filling scratch: rate fixed this reallocation
 }
+
+// FlowHandler receives a flow's end: FlowEnded runs on the engine
+// goroutine once the flow has completed or failed (a canceled flow
+// reports nothing). A record that starts flows implements it, so a flow
+// costs no callback allocation.
+type FlowHandler interface {
+	FlowEnded(f *Flow)
+}
+
+// FlowFunc adapts a function to FlowHandler.
+type FlowFunc func(f *Flow)
+
+// FlowEnded calls fn.
+func (fn FlowFunc) FlowEnded(f *Flow) { fn(f) }
 
 // ID returns the unique flow identifier.
 func (f *Flow) ID() int64 { return f.id }
@@ -473,20 +490,22 @@ type Network struct {
 	rootScratch    []int
 	groupScratch   []*component
 
-	nextEv       simulation.Event
-	completionFn func(time.Duration)
+	nextEv simulation.Event
 }
+
+// completion is a Network's completion event (onCompletion).
+type completion Network
+
+func (c *completion) Fire(time.Duration) { (*Network)(c).onCompletion() }
 
 // New creates an empty network driven by engine.
 func New(engine *simulation.Engine) *Network {
-	n := &Network{
+	return &Network{
 		engine:  engine,
 		links:   make(map[linkKey]*Link),
 		paths:   make(map[uint64][]*Link),
 		nodeIdx: make(map[string]int),
 	}
-	n.completionFn = n.onCompletion
-	return n
 }
 
 // AddNode registers a host or router by name.
@@ -620,7 +639,7 @@ func (n *Network) SetLinkDown(from, to string, down bool) error {
 	n.processDirty()
 	for _, f := range failed {
 		if f.done != nil {
-			f.done(f)
+			f.done.FlowEnded(f)
 		}
 	}
 	return nil
@@ -997,10 +1016,10 @@ func (n *Network) AvailableBps(src, dst string) (float64, error) {
 }
 
 // StartFlow begins a simulated TCP transfer of bytes payload bytes from src
-// to dst. done, if non-nil, is invoked on the engine goroutine when the
-// flow completes. The returned flow is live; its fields update as the
+// to dst. done, if non-nil, receives the flow's end on the engine
+// goroutine. The returned flow is live; its fields update as the
 // simulation advances.
-func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done func(*Flow)) (*Flow, error) {
+func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done FlowHandler) (*Flow, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("netsim: flow size must be positive, got %d", bytes)
 	}
@@ -1119,15 +1138,15 @@ func (n *Network) Flows() []*Flow {
 // to back on one path, so their ticks fall on the same instants, and as
 // per-flow events they would fire back to back; a batch fires them as one
 // event in the same order (docs/PERFORMANCE.md, "One slow-start event per
-// instant"). Records are pooled and fire is bound once per record, so a tick
-// allocates nothing; a cold record is cut from a slab, with room for the
-// flows of a four-stream transfer inline.
+// instant"). Records are pooled and each is its own event's receiver, so a
+// tick allocates nothing; a cold record is cut from a slab, with room for
+// the flows of a four-stream transfer inline.
 type rampBatch struct {
+	net    *Network
 	at     time.Duration
 	flows  []*Flow // in tick order, which is id order; nil where a flow left
 	live   int
 	ev     simulation.Event
-	fire   func(time.Duration)
 	inline [4]*Flow
 }
 
@@ -1149,7 +1168,7 @@ func (n *Network) scheduleRamp(f *Flow) {
 		return
 	}
 	b := n.newRampBatch()
-	ev, err := n.engine.Schedule(at, b.fire)
+	ev, err := n.engine.ScheduleHandler(at, b)
 	if err != nil {
 		// Invariant: now+rtt fits the virtual clock. Ignoring a failure
 		// would freeze the flow's slow start forever.
@@ -1173,8 +1192,7 @@ func (n *Network) newRampBatch() *rampBatch {
 	}
 	b := &n.rampSlab[0]
 	n.rampSlab = n.rampSlab[1:]
-	b.flows = b.inline[:0]
-	b.fire = func(time.Duration) { n.fireRamp(b) }
+	b.net, b.flows = n, b.inline[:0]
 	return b
 }
 
@@ -1207,14 +1225,15 @@ func (n *Network) leaveRamp(f *Flow) {
 	}
 }
 
-// fireRamp ticks every flow of batch b in order and drains once at the end,
+// Fire ticks every flow of the batch in order and drains once at the end,
 // or only re-aims the completion event when no tick left anything dirty. A
 // tick whose component then needs a real fill (a tight link, or a cap in a
 // neighbour's band) is drained at once, so every later tick's skip test
 // reads the rates the per-flow events would have shown it. A cap-bound
 // drain moves no rate but the moved flows' own, so deferring it hides
 // nothing from a later test.
-func (n *Network) fireRamp(b *rampBatch) {
+func (b *rampBatch) Fire(time.Duration) {
+	n := b.net
 	undrained := false
 	for _, f := range b.flows {
 		if f == nil {
@@ -1267,14 +1286,14 @@ func (n *Network) rampTick(f *Flow) {
 	}
 }
 
-// onCompletion fires when the earliest-cached completion arrives. It is
-// bound once per Network (completionFn) so rescheduling allocates nothing.
-// Every component whose cached minimum has expired is popped from the
-// completion heap; its drained flows (ties complete together, across
-// components) are removed in ascending id order, sub-byte residues left
-// by the truncating duration conversion are re-anchored, and the dirty
-// drain re-water-fills exactly the components that lost a flow.
-func (n *Network) onCompletion(time.Duration) {
+// onCompletion fires when the earliest-cached completion arrives; the
+// Network is the event's receiver (completion), so rescheduling allocates
+// nothing. Every component whose cached minimum has expired is popped
+// from the completion heap; its drained flows (ties complete together,
+// across components) are removed in ascending id order, sub-byte residues
+// left by the truncating duration conversion are re-anchored, and the
+// dirty drain re-water-fills exactly the components that lost a flow.
+func (n *Network) onCompletion() {
 	now := n.engine.Now()
 	expired := n.expiredScratch[:0]
 	for len(n.compHeap) > 0 && n.compHeap[0].minAt <= now {
@@ -1327,7 +1346,7 @@ func (n *Network) onCompletion(time.Duration) {
 	n.processDirty()
 	for _, f := range done {
 		if f.done != nil {
-			f.done(f)
+			f.done.FlowEnded(f)
 		}
 	}
 	for i := range done {

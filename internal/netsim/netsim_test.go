@@ -156,11 +156,11 @@ func TestParallelStreamsAggregateOnLossyPath(t *testing.T) {
 		perStream := int64(256_000_000 / streams)
 		var last time.Duration
 		for i := 0; i < streams; i++ {
-			f, err := net.StartFlow("a", "b", perStream, FlowOptions{WindowBytes: 1 << 20}, func(f *Flow) {
+			f, err := net.StartFlow("a", "b", perStream, FlowOptions{WindowBytes: 1 << 20}, FlowFunc(func(f *Flow) {
 				if f.Finished() > last {
 					last = f.Finished()
 				}
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,9 +341,9 @@ func TestFlowValidation(t *testing.T) {
 
 func TestCancelFlow(t *testing.T) {
 	eng, net := buildPair(t, LinkConfig{CapacityBps: mbps})
-	f, err := net.StartFlow("a", "b", 1_000_000, FlowOptions{}, func(*Flow) {
+	f, err := net.StartFlow("a", "b", 1_000_000, FlowOptions{}, FlowFunc(func(*Flow) {
 		t.Error("done callback should not fire for canceled flow")
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestFlowStateString(t *testing.T) {
 func TestDoneCallbackSeesCompletedFlow(t *testing.T) {
 	eng, net := buildPair(t, LinkConfig{CapacityBps: 100 * mbps})
 	called := false
-	_, err := net.StartFlow("a", "b", 1000, FlowOptions{}, func(f *Flow) {
+	_, err := net.StartFlow("a", "b", 1000, FlowOptions{}, FlowFunc(func(f *Flow) {
 		called = true
 		if f.State() != FlowDone {
 			t.Errorf("callback state = %v", f.State())
@@ -526,7 +526,7 @@ func TestDoneCallbackSeesCompletedFlow(t *testing.T) {
 		if f.RemainingBytes() > 0.5 {
 			t.Errorf("callback remaining = %v", f.RemainingBytes())
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +566,11 @@ func TestPropertyMoreStreamsNeverSlower(t *testing.T) {
 				if i == 0 {
 					sz += total % int64(k)
 				}
-				if _, err := net.StartFlow("a", "b", sz, FlowOptions{WindowBytes: 1 << 20}, func(f *Flow) {
+				if _, err := net.StartFlow("a", "b", sz, FlowOptions{WindowBytes: 1 << 20}, FlowFunc(func(f *Flow) {
 					if f.Finished() > last {
 						last = f.Finished()
 					}
-				}); err != nil {
+				})); err != nil {
 					return false
 				}
 			}

@@ -760,7 +760,7 @@ func (n *Network) rescheduleNextCompletion() {
 	if top.minAt == noCompletion {
 		return
 	}
-	ev, err := n.engine.Schedule(top.minAt, n.completionFn)
+	ev, err := n.engine.ScheduleHandler(top.minAt, (*completion)(n))
 	if err != nil {
 		// Invariant: minAt > now, so only a virtual-clock overflow fails.
 		// A dropped completion event would stall every active flow forever.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/hpclab/datagrid/internal/simulation"
 )
@@ -293,7 +294,7 @@ func TestCapBoundSteadyStateAllocs(t *testing.T) {
 			h.cwndBps, h.rateBps = cwnd, cwnd
 		}
 		before := n.pstats
-		n.fireRamp(b)
+		b.Fire(n.engine.Now())
 		if s := n.pstats; s.RampFills-before.RampFills != 2 || s.Events-before.Events != 1 || s.CapBound-before.CapBound != 1 {
 			t.Fatalf("the batch ran %d fill ticks through %d drains, %d cap-bound; want 2 ticks, one cap-bound drain",
 				s.RampFills-before.RampFills, s.Events-before.Events, s.CapBound-before.CapBound)
@@ -333,6 +334,50 @@ func TestTransferAllocs(t *testing.T) {
 	transfer()
 	if avg := testing.AllocsPerRun(20, transfer); avg != 2 {
 		t.Fatalf("a warm two-stream transfer allocates %v objects, want its 2 Flows", avg)
+	}
+}
+
+// endCounter is a flow receiver that counts the ends it is handed.
+type endCounter struct{ n int }
+
+func (c *endCounter) FlowEnded(*Flow) { c.n++ }
+
+// TestFlowEndsIntoReceiverAllocs pins a flow's end — the completion
+// event, the drain that re-shares the link, the report to the flow's
+// receiver — at zero allocations: the receiver is a record, not a closure
+// built per flow. The flows, of distinct sizes on one link without delay
+// (so no slow start), are started up front; each run steps the engine to
+// the next end.
+func TestFlowEndsIntoReceiverAllocs(t *testing.T) {
+	const runs = 20
+	eng, n := buildPair(t, LinkConfig{CapacityBps: 100e6})
+	ends := new(endCounter)
+	for i := 1; i <= runs+1; i++ {
+		if _, err := n.StartFlow("a", "b", int64(i)<<20, FlowOptions{}, ends); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func() {
+		for want := ends.n + 1; ends.n < want; {
+			if !eng.Step() {
+				t.Fatal("the queue drained before the next flow ended")
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, next); avg != 0 {
+		t.Fatalf("a flow ending into its receiver allocates %v objects, want 0", avg)
+	}
+	if ends.n != runs+1 || len(n.Flows()) != 0 {
+		t.Fatalf("%d ends reported, %d flows active; want %d and 0", ends.n, len(n.Flows()), runs+1)
+	}
+}
+
+// TestFlowSize holds a Flow to the runtime's 256-byte size class. The
+// next class is 288 bytes, and every transfer stream and NWS probe is a
+// Flow: one more word would raise every workload's bytes per op.
+func TestFlowSize(t *testing.T) {
+	if s := unsafe.Sizeof(Flow{}); s > 256 {
+		t.Fatalf("a Flow is %d bytes, above the 256-byte size class", s)
 	}
 }
 
@@ -937,7 +982,7 @@ func BenchmarkParallelStreamRamp(b *testing.B) {
 			transfer := func() {
 				left = streams
 				for s := 0; s < streams; s++ {
-					if _, err := n.StartFlow("l000h1", "l000h2", 8<<20/int64(streams), FlowOptions{}, done); err != nil {
+					if _, err := n.StartFlow("l000h1", "l000h2", 8<<20/int64(streams), FlowOptions{}, FlowFunc(done)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -71,34 +71,25 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 		return nil, err
 	}
 	key := SeriesKey{Resource: ResourceBandwidth, Source: src, Target: dst}
+	p := &bandwidthProbe{mem: mem, key: key, bytes: cfg.ProbeBytes}
 	s := &Sensor{name: "bw." + src + "->" + dst}
-	var probe *netsim.Flow
-	var probeStart time.Duration
 	tk, err := engine.NewTicker(cfg.Period, true, func(now time.Duration) {
-		if probe != nil {
+		if p.flow != nil {
 			// A slow probe (long path) is simply left to finish; one that
 			// outlives the timeout means the path is stalled (congested
 			// or down). Abandon it, as real NWS sensors time their probes
 			// out, and record nothing: the series goes stale, which
 			// consumers can detect.
-			if now-probeStart > probeTimeoutPeriods*cfg.Period {
-				_ = net.CancelFlow(probe)
-				probe = nil
+			if now-p.start > probeTimeoutPeriods*cfg.Period {
+				_ = net.CancelFlow(p.flow)
+				p.flow = nil
 			}
 			return
 		}
-		probeStart = now
-		f, err := net.StartFlow(src, dst, cfg.ProbeBytes, netsim.FlowOptions{WindowBytes: cfg.WindowBytes}, func(f *netsim.Flow) {
-			probe = nil
-			d := f.Duration().Seconds()
-			if d <= 0 {
-				return
-			}
-			mbpsv := float64(cfg.ProbeBytes) * 8 / d / 1e6
-			_ = mem.Store(key, Measurement{At: f.Finished(), Value: mbpsv})
-		})
+		p.start = now
+		f, err := net.StartFlow(src, dst, cfg.ProbeBytes, netsim.FlowOptions{WindowBytes: cfg.WindowBytes}, p)
 		if err == nil {
-			probe = f
+			p.flow = f
 		}
 	})
 	if err != nil {
@@ -106,6 +97,28 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 	}
 	s.ticker = tk
 	return s, nil
+}
+
+// bandwidthProbe is a bandwidth sensor's probe state: the flow in flight,
+// if any, and when it started. It receives its probes' ends, so a probe
+// costs its Flow and nothing else.
+type bandwidthProbe struct {
+	mem   *Memory
+	key   SeriesKey
+	bytes int64
+	flow  *netsim.Flow
+	start time.Duration
+}
+
+// FlowEnded records a finished probe's throughput in Mb/s.
+func (p *bandwidthProbe) FlowEnded(f *netsim.Flow) {
+	p.flow = nil
+	d := f.Duration().Seconds()
+	if d <= 0 {
+		return
+	}
+	mbpsv := float64(p.bytes) * 8 / d / 1e6
+	_ = p.mem.Store(p.key, Measurement{At: f.Finished(), Value: mbpsv})
 }
 
 // NewLatencySensor creates a sensor recording the path round-trip time in

@@ -109,6 +109,31 @@ func TestScheduleFireSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// counter is a record that is its own event's receiver.
+type counter struct{ n int }
+
+func (c *counter) Fire(time.Duration) { c.n++ }
+
+// TestScheduleHandlerFireSteadyStateAllocs pins the receiver entry point:
+// scheduling a pointer record and firing it allocates nothing, since the
+// slot stores the record itself and no closure is built.
+func TestScheduleHandlerFireSteadyStateAllocs(t *testing.T) {
+	e := warmEngine(t, 64)
+	c := new(counter)
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := e.ScheduleHandler(e.Now(), c); err != nil {
+			t.Fatal(err)
+		}
+		e.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state ScheduleHandler/fire allocates %v objects/op, want 0", avg)
+	}
+	if c.n != 101 {
+		t.Fatalf("the receiver fired %d times, want 101", c.n)
+	}
+}
+
 // TestScheduleCancelSteadyStateAllocs pins the other way an event dies.
 func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
 	e := warmEngine(t, 64)
@@ -128,7 +153,7 @@ func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTickerPeriodAllocs pins one ticker period — fire, callback,
-// reschedule — at zero allocations: the tick method value is bound once.
+// reschedule — at zero allocations: the ticker is its event's receiver.
 func TestTickerPeriodAllocs(t *testing.T) {
 	e := warmEngine(t, 64)
 	ticks := 0

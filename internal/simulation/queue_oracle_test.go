@@ -203,7 +203,7 @@ func newSubject(reused *int) subject {
 			return keep(id, ev, err)
 		},
 		backdate: func(id int, at, asOf time.Duration, fn func(time.Duration)) {
-			keep(id, e.scheduleAsOf(at, asOf, fn), nil)
+			keep(id, e.scheduleAsOf(at, asOf, Func(fn)), nil)
 		},
 		after: func(id int, d time.Duration, fn func(time.Duration)) error {
 			ev, err := e.After(d, fn)
@@ -212,7 +212,7 @@ func newSubject(reused *int) subject {
 		cancel: func(id int) bool {
 			ev := handles[id] // the zero Event for an id that failed to schedule
 			if int(ev.slot) < len(e.slots) {
-				if s := e.slots[ev.slot]; s.gen != ev.gen && s.fn != nil {
+				if s := e.slots[ev.slot]; s.gen != ev.gen && s.h != nil {
 					*reused++
 				}
 			}

@@ -27,12 +27,37 @@ type Event struct {
 	gen  uint64
 }
 
+// Handler is an event's receiver: the engine calls Fire, with the
+// virtual clock, when the event comes due. A record that schedules
+// itself implements Fire (usually through a named pointer type over the
+// record, so the record's own API does not grow a Fire), which keeps a
+// hot event from allocating a closure per scheduling.
+type Handler interface {
+	Fire(now time.Duration)
+}
+
+// Func adapts a function to Handler. A func is pointer-shaped, so the
+// conversion allocates nothing.
+type Func func(now time.Duration)
+
+// Fire calls f.
+func (f Func) Fire(now time.Duration) { f(now) }
+
+// funcHandler wraps fn, leaving a nil fn a nil Handler for
+// ScheduleHandler to refuse.
+func funcHandler(fn func(now time.Duration)) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
+}
+
 // slot is one cell of the engine's event slab. Generations start at 1.
 // Slots and heap positions are 32 bits wide: the slab grows only to the
 // peak number of concurrently pending events, and 2^31 of those would
 // need 100 GB.
 type slot struct {
-	fn  func(now time.Duration)
+	h   Handler
 	gen uint64
 	// sched is the instant the event was scheduled at, or, for a
 	// backdated event (early), the earlier instant it is ordered as of.
@@ -61,7 +86,7 @@ type Engine struct {
 	now time.Duration
 	seq uint64
 	// heap is a 4-ary min-heap of the pending events; slots holds their
-	// callbacks, addressed by entry.slot, and free lists the slots whose
+	// handlers, addressed by entry.slot, and free lists the slots whose
 	// event fired or was canceled. A steady-state simulation (schedule,
 	// fire, reschedule, ...) therefore allocates nothing; all three are
 	// bounded by the peak number of concurrently pending events.
@@ -95,8 +120,9 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Scheduled returns the number of events ever scheduled, canceled ones
-// included: the next event's tie-breaking sequence number. Only Schedule
-// moves it, so an unchanged count means nothing was scheduled since.
+// included: the next event's tie-breaking sequence number. Only
+// scheduling moves it, so an unchanged count means nothing was scheduled
+// since.
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Pending returns the number of events still scheduled. Canceled events
@@ -107,13 +133,15 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // the current virtual time.
 var ErrPastEvent = errors.New("simulation: cannot schedule event in the past")
 
-// Schedule registers fn to run at absolute virtual time at. It returns the
-// event handle, which may be used to cancel the event before it fires.
-func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, error) {
+// ScheduleHandler registers h to fire at absolute virtual time at. It
+// returns the event handle, which may be used to cancel the event before
+// it fires. It is the one way onto the queue: Schedule, After and
+// AfterHandler wrap it.
+func (e *Engine) ScheduleHandler(at time.Duration, h Handler) (Event, error) {
 	if at < e.now {
 		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
-	if fn == nil {
+	if h == nil {
 		return Event{}, errors.New("simulation: nil event function")
 	}
 	var id uint32
@@ -125,22 +153,27 @@ func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, 
 		e.slots = append(e.slots, slot{gen: 1})
 	}
 	s := &e.slots[id]
-	s.fn, s.sched = fn, e.now
+	s.h, s.sched = h, e.now
 	e.heap = append(e.heap, entry{})
 	e.siftUp(len(e.heap)-1, entry{at: at, seq: e.seq, slot: id})
 	e.seq++
 	return Event{slot: id, gen: s.gen}, nil
 }
 
-// scheduleAsOf schedules fn at at, ordered among the events of that
+// Schedule registers fn to run at absolute virtual time at.
+func (e *Engine) Schedule(at time.Duration, fn func(now time.Duration)) (Event, error) {
+	return e.ScheduleHandler(at, funcHandler(fn))
+}
+
+// scheduleAsOf schedules h at at, ordered among the events of that
 // instant as if it had been scheduled at the earlier instant asOf, ahead
 // of everything else scheduled then: after the events scheduled before
 // asOf, before those scheduled at or after it. A waking Walk puts its next
 // step there, where the step of a ticker started with the walk would be.
-func (e *Engine) scheduleAsOf(at, asOf time.Duration, fn func(now time.Duration)) Event {
-	ev, err := e.Schedule(at, fn)
+func (e *Engine) scheduleAsOf(at, asOf time.Duration, h Handler) Event {
+	ev, err := e.ScheduleHandler(at, h)
 	if err != nil {
-		// Invariant: callers pass at >= now and a non-nil fn.
+		// Invariant: callers pass at >= now and a non-nil h.
 		panic(fmt.Sprintf("simulation: backdated schedule failed: %v", err))
 	}
 	s := &e.slots[ev.slot]
@@ -149,13 +182,19 @@ func (e *Engine) scheduleAsOf(at, asOf time.Duration, fn func(now time.Duration)
 	return ev
 }
 
-// After registers fn to run after delay d from the current virtual time.
-// A negative delay is treated as zero.
-func (e *Engine) After(d time.Duration, fn func(now time.Duration)) (Event, error) {
+// AfterHandler registers h to fire after delay d from the current virtual
+// time. A negative delay is treated as zero.
+func (e *Engine) AfterHandler(d time.Duration, h Handler) (Event, error) {
 	if d < 0 {
 		d = 0
 	}
-	return e.Schedule(e.now+d, fn)
+	return e.ScheduleHandler(e.now+d, h)
+}
+
+// After registers fn to run after delay d from the current virtual time.
+// A negative delay is treated as zero.
+func (e *Engine) After(d time.Duration, fn func(now time.Duration)) (Event, error) {
+	return e.AfterHandler(d, funcHandler(fn))
 }
 
 // Cancel removes the event from the schedule and reports whether it was
@@ -171,7 +210,7 @@ func (e *Engine) Cancel(ev Event) bool {
 }
 
 // release kills every handle to the slot's event and recycles the slot.
-// The fn reference is dropped so the slab does not pin callback closures.
+// The handler is dropped so the slab does not pin its record.
 func (e *Engine) release(id uint32) {
 	s := &e.slots[id]
 	if s.early {
@@ -180,7 +219,7 @@ func (e *Engine) release(id uint32) {
 		e.early[slices.Index(e.early, id)] = e.early[last]
 		e.early = e.early[:last]
 	}
-	s.fn = nil
+	s.h = nil
 	s.gen++
 	e.free = append(e.free, id)
 }
@@ -263,13 +302,13 @@ func (e *Engine) Step() bool {
 	}
 	x := e.heap[i]
 	s := &e.slots[x.slot]
-	fn, lead := s.fn, x.at-s.sched
+	h, lead := s.h, x.at-s.sched
 	e.removeAt(i)
 	e.release(x.slot)
 	e.now = x.at
 	e.fired++
 	e.lead = lead
-	fn(e.now)
+	h.Fire(e.now)
 	e.lead = 0
 	return true
 }
@@ -341,10 +380,11 @@ type Ticker struct {
 	engine *Engine
 	period time.Duration
 	fn     func(now time.Duration)
-	// tickFn is t.tick bound once, so rescheduling builds no method value.
-	tickFn func(now time.Duration)
 	paused bool
 }
+
+// tick is a Ticker's event.
+type tick Ticker
 
 // NewTicker schedules fn to run periodically on the engine. period must be
 // positive.
@@ -356,22 +396,21 @@ func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now tim
 		return nil, errors.New("simulation: nil ticker function")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tickFn = t.tick
 	first := period
 	if immediate {
 		first = 0
 	}
-	if _, err := e.After(first, t.tickFn); err != nil {
+	if _, err := e.AfterHandler(first, (*tick)(t)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func (t *Ticker) tick(now time.Duration) {
+func (t *tick) Fire(now time.Duration) {
 	if !t.paused {
 		t.fn(now)
 	}
-	if _, err := t.engine.After(t.period, t.tickFn); err != nil {
+	if _, err := t.engine.AfterHandler(t.period, t); err != nil {
 		// Invariant: now+period fits the virtual clock (~292 years).
 		// Dropping the error would freeze the ticker with no diagnostic.
 		panic(fmt.Sprintf("simulation: ticker reschedule failed: %v", err))

@@ -1,8 +1,10 @@
 package simulation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,6 +51,56 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestSameInstantOrderAcrossEntryPoints: the events of one instant fire in
+// one order whichever entry point queued them — Schedule, After,
+// ScheduleHandler, AfterHandler or a backdated scheduleAsOf — by the
+// instant they were scheduled (as of), a backdated one first, then in
+// scheduling order. The entry points share one slot type and one heap, so
+// a func and a receiver scheduled back to back cannot swap.
+func TestSameInstantOrderAcrossEntryPoints(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(name string) Func { return func(time.Duration) { got = append(got, name) } }
+	const at = 10 * time.Second
+	schedule := func(name string, how int) {
+		var err error
+		switch how {
+		case 0:
+			_, err = e.Schedule(at, rec(name))
+		case 1:
+			_, err = e.ScheduleHandler(at, rec(name))
+		case 2:
+			_, err = e.After(at-e.Now(), rec(name))
+		case 3:
+			_, err = e.AfterHandler(at-e.Now(), rec(name))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		schedule(fmt.Sprintf("t0-%d", i), i%4)
+	}
+	if _, err := e.Schedule(time.Second, func(time.Duration) {
+		schedule("t1-0", 1)
+		e.scheduleAsOf(at, time.Second, rec("asof1-a"))
+		schedule("t1-1", 0)
+		e.scheduleAsOf(at, 0, rec("asof0"))
+		schedule("t1-2", 3)
+		e.scheduleAsOf(at, time.Second, rec("asof1-b"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(at); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"asof0", "t0-0", "t0-1", "t0-2", "t0-3", "t0-4", "t0-5", "t0-6", "t0-7",
+		"asof1-a", "asof1-b", "t1-0", "t1-1", "t1-2"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("same-instant order:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.Schedule(10, func(time.Duration) {}); err != nil {
@@ -66,6 +118,9 @@ func TestNilFunctionRejected(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.Schedule(0, nil); err == nil {
 		t.Fatal("nil event function should be rejected")
+	}
+	if _, err := e.ScheduleHandler(0, nil); err == nil {
+		t.Fatal("nil event handler should be rejected")
 	}
 }
 

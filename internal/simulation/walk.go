@@ -26,11 +26,13 @@ type Walk struct {
 	due  time.Duration
 	axes []WalkAxis
 	// onStep runs after each step the walk takes on its own event; ev is
-	// the pending one while awake, and stepFn is step bound once.
+	// the pending one while awake.
 	onStep func()
 	ev     Event
-	stepFn func(time.Duration)
 }
+
+// walkStep is an awake Walk's event.
+type walkStep Walk
 
 // WalkAxis is one coordinate of a Walk: the value V points at (its owner
 // may overwrite it between steps), pulled toward Mean by Reversion per
@@ -57,9 +59,7 @@ func NewWalk(e *Engine, period time.Duration, seed int64, onStep func(), axes ..
 			return nil, fmt.Errorf("simulation: walk mean %v above its max %v", a.Mean, a.Max)
 		}
 	}
-	w := &Walk{engine: e, seed: seed, period: period, due: e.now + period, axes: axes, onStep: onStep}
-	w.stepFn = w.step
-	return w, nil
+	return &Walk{engine: e, seed: seed, period: period, due: e.now + period, axes: axes, onStep: onStep}, nil
 }
 
 // Advance applies every step that comes before a read at the engine's
@@ -102,7 +102,7 @@ func (w *Walk) catchUp() {
 // it, as the ticker's is.
 func (w *Walk) Wake() {
 	w.Advance()
-	w.ev = w.engine.scheduleAsOf(w.due, w.due-w.period, w.stepFn)
+	w.ev = w.engine.scheduleAsOf(w.due, w.due-w.period, (*walkStep)(w))
 }
 
 // Sleep cancels an awake walk's pending step; reads catch it up again.
@@ -113,10 +113,11 @@ func (w *Walk) Sleep() {
 	}
 }
 
-func (w *Walk) step(time.Duration) {
+func (s *walkStep) Fire(time.Duration) {
+	w := (*Walk)(s)
 	w.catchUp()
 	w.onStep()
-	ev, err := w.engine.Schedule(w.due, w.stepFn)
+	ev, err := w.engine.ScheduleHandler(w.due, s)
 	if err != nil {
 		// Invariant: catchUp leaves w.due at or after now, inside the clock.
 		panic(fmt.Sprintf("simulation: walk step schedule failed: %v", err))

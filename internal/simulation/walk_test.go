@@ -67,7 +67,7 @@ func TestWalkSeedsAtFirstStep(t *testing.T) {
 func TestScheduleAsOfOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	add := func(name string) func(time.Duration) {
+	add := func(name string) Func {
 		return func(time.Duration) { order = append(order, name) }
 	}
 	at := 10 * time.Second

@@ -212,9 +212,7 @@ func (x *transfer) startAttempt() {
 	x.res.Attempts = append(x.res.Attempts, Attempt{Source: x.req.Sources[i], Started: now})
 	s := x.newSession(x.req.Sources[i:i+1], x.req.Bytes-x.resume, x.req.Options.Streams)
 	if x.pol.AttemptTimeout > 0 {
-		x.timeout, _ = engine.After(x.pol.AttemptTimeout, func(time.Duration) {
-			s.end(fmt.Errorf("%w after %v", ErrAttemptTimeout, x.pol.AttemptTimeout))
-		})
+		x.timeout, _ = engine.AfterHandler(x.pol.AttemptTimeout, (*attemptTimeout)(s))
 	}
 	if err := s.open((*session).launch); err != nil {
 		s.end(err)
@@ -257,10 +255,25 @@ func (x *transfer) endAttempt(s *session, err error) {
 		x.finishAttempts(fmt.Errorf("%w: %s after %d attempts: %v", ErrTransferFailed, x.pol.Mode, n, err))
 		return
 	}
-	if _, err := engine.After(x.backoff(n), func(time.Duration) { x.startAttempt() }); err != nil {
+	if _, err := engine.AfterHandler(x.backoff(n), (*restart)(x)); err != nil {
 		x.finishAttempts(fmt.Errorf("%w: %v", ErrTransferFailed, err))
 	}
 }
+
+// attemptTimeout is an attempt's timeout event: it abandons the attempt's
+// session.
+type attemptTimeout session
+
+func (t *attemptTimeout) Fire(time.Duration) {
+	s := (*session)(t)
+	s.end(fmt.Errorf("%w after %v", ErrAttemptTimeout, s.x.pol.AttemptTimeout))
+}
+
+// restart is a failover transfer's backoff event: it starts the next
+// attempt.
+type restart transfer
+
+func (r *restart) Fire(time.Duration) { (*transfer)(r).startAttempt() }
 
 // finishAttempts delivers the failover Result: the serving host is the
 // last attempt's source.

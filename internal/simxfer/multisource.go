@@ -102,10 +102,9 @@ func (x *transfer) chunkQueue() error {
 	x.chunks = (x.req.Bytes + x.req.ChunkBytes - 1) / x.req.ChunkBytes
 	x.open = int(x.chunks)
 	channels := len(x.req.Sources) * x.req.Options.Streams
-	pull := x.pull
 	for i := range x.req.Sources {
 		s := x.newSession(x.req.Sources[i:i+1], 0, channels)
-		if err := s.open(pull); err != nil {
+		if err := s.open((*session).pull); err != nil {
 			return err
 		}
 	}
@@ -113,7 +112,8 @@ func (x *transfer) chunkQueue() error {
 }
 
 // pull hands the session the next chunk, if any is left.
-func (x *transfer) pull(s *session) {
+func (s *session) pull() {
+	x := s.x
 	if x.next == x.chunks {
 		return
 	}
@@ -145,6 +145,6 @@ func (x *transfer) landed(s *session, err error) {
 	if x.open == 0 {
 		x.finish(nil)
 	} else if x.req.Scheme == SchemeDynamic {
-		x.pull(s)
+		s.pull()
 	}
 }

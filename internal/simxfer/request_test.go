@@ -53,9 +53,9 @@ func TestSubmitOwnsSources(t *testing.T) {
 // TestFailoverRequestAllocs pins a warm failover request, Submit to Done,
 // as netsim's TestTransferAllocs pins a bare transfer. The sources, the
 // attempt log, the first session and its flow list live in the transfer,
-// and the candidates handed to Rank in the transferrer's scratch, so what
-// remains is the transfer record, the session's onFlow callback, the
-// attempt-timeout and setup closures the engine holds, and the two Flows.
+// and the candidates handed to Rank in the transferrer's scratch. The
+// session is the receiver of its setup event, its attempt timeout and its
+// flows' ends, so what remains is the transfer record and the two Flows.
 func TestFailoverRequestAllocs(t *testing.T) {
 	eng, _, tr := newBed(t)
 	var res Result
@@ -77,7 +77,7 @@ func TestFailoverRequestAllocs(t *testing.T) {
 		}
 	}
 	request()
-	if avg := testing.AllocsPerRun(20, request); avg != 6 {
-		t.Fatalf("a warm failover request allocates %v objects, want 6", avg)
+	if avg := testing.AllocsPerRun(20, request); avg != 3 {
+		t.Fatalf("a warm failover request allocates %v objects, want 3", avg)
 	}
 }

@@ -256,9 +256,11 @@ type session struct {
 	// dstChannels is how many channels share the receiver's disk.
 	dstChannels int
 
-	flowDone func(*netsim.Flow)
-	left     int  // channels still moving
-	ended    bool // reported; later flow callbacks are stale
+	// start runs after the control-channel setup (Fire): launch, or
+	// the chunk queue's pull.
+	start func(*session)
+	left  int  // channels still moving
+	ended bool // reported; later flow ends are stale
 	// flows are the live channels, tracked only when the request carries
 	// a failover policy (which also arms FailOnDown); flowInline holds a
 	// four-stream session's.
@@ -276,26 +278,29 @@ func (x *transfer) newSession(movers []string, bytes int64, dstChannels int) *se
 	}
 	*s = session{x: x, movers: movers, bytes: bytes, dstChannels: dstChannels}
 	s.flows = s.flowInline[:0]
-	s.flowDone = s.onFlow
 	return s
 }
 
-// open schedules start after the session's control-channel setup; a
-// session ended meanwhile (an attempt timeout shorter than the setup)
-// lets the event fire as a no-op.
+// open schedules start after the session's control-channel setup: the
+// session is the setup event's receiver (Fire).
 func (s *session) open(start func(*session)) error {
 	tb := s.x.t.tb
 	rtt, err := tb.Network().PathRTT(s.movers[0], s.x.req.Dst)
 	if err != nil {
 		return err
 	}
+	s.start = start
 	setup := time.Duration(setupRoundTrips(s.x.req.Options.Protocol)) * rtt
-	_, err = tb.Engine().After(setup, func(time.Duration) {
-		if !s.ended {
-			start(s)
-		}
-	})
+	_, err = tb.Engine().AfterHandler(setup, s)
 	return err
+}
+
+// Fire ends the session's setup. A session ended meanwhile (an attempt
+// timeout shorter than the setup) lets the event fire as a no-op.
+func (s *session) Fire(time.Duration) {
+	if !s.ended {
+		s.start(s)
+	}
 }
 
 // launch fans s.bytes out over the session's data channels. It is the
@@ -334,7 +339,7 @@ func (s *session) launch() {
 				RateCapBps:       cap,
 				OverheadFraction: x.overhead,
 				FailOnDown:       track,
-			}, s.flowDone)
+			}, s)
 			if err != nil {
 				// Under failover typically ErrPathDown: the route broke
 				// during setup.
@@ -351,7 +356,9 @@ func (s *session) launch() {
 	}
 }
 
-func (s *session) onFlow(f *netsim.Flow) {
+// FlowEnded is a data channel's report: the session is every one of its
+// flows' receiver.
+func (s *session) FlowEnded(f *netsim.Flow) {
 	if s.ended {
 		return
 	}

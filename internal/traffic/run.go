@@ -189,7 +189,7 @@ func (w *world) run() (*Report, error) {
 			}
 			c.submitted++
 			c.inflight++
-			if _, err := eng.Schedule(rq.at+spec.DispatchInterval, d.fire); err != nil {
+			if _, err := eng.ScheduleHandler(rq.at+spec.DispatchInterval, d); err != nil {
 				return err
 			}
 		}

@@ -51,14 +51,14 @@ func buildWorld(spec Spec, engine *simulation.Engine) (*world, error) {
 	return w, nil
 }
 
-// dispatchRec is one scheduled Submit: the request, the storage its
-// Sources use, and fire, bound once per record as netsim's slow-start
-// batches are. Submit copies Sources, so the record is free again once it
-// has fired.
+// dispatchRec is one scheduled Submit: the request and the storage its
+// Sources use. The record is its event's receiver, as netsim's slow-start
+// batches are, and Submit copies Sources, so the record is free again once
+// it has fired.
 type dispatchRec struct {
+	w       *world
 	req     simxfer.Request
 	sources [maxSources]string
-	fire    func(time.Duration)
 }
 
 // newDispatch takes a record from the pool, or makes one.
@@ -68,14 +68,16 @@ func (w *world) newDispatch() *dispatchRec {
 		w.free = w.free[:k-1]
 		return d
 	}
-	d := new(dispatchRec)
-	d.fire = func(time.Duration) {
-		if err := w.xfer.Submit(d.req); err != nil {
-			w.fail(fmt.Errorf("traffic: submit %s -> %s: %w", d.req.Sources[0], d.req.Dst, err))
-		}
-		w.free = append(w.free, d)
+	return &dispatchRec{w: w}
+}
+
+// Fire submits the request and returns the record to the pool.
+func (d *dispatchRec) Fire(time.Duration) {
+	w := d.w
+	if err := w.xfer.Submit(d.req); err != nil {
+		w.fail(fmt.Errorf("traffic: submit %s -> %s: %w", d.req.Sources[0], d.req.Dst, err))
 	}
-	return d
+	w.free = append(w.free, d)
 }
 
 // fail records the first error a scheduled callback hit and stops the

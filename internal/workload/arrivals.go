@@ -24,10 +24,10 @@ type Arrivals struct {
 	fire    func(now time.Duration)
 	stopped bool
 	count   int
-	// arriveFn is arrive bound once, so scheduling the next arrival does
-	// not allocate a closure per request.
-	arriveFn func(now time.Duration)
 }
+
+// arrival is an Arrivals' next-arrival event.
+type arrival Arrivals
 
 // ConstantRate adapts a fixed arrivals-per-minute figure to the rate
 // function NewArrivals takes.
@@ -58,12 +58,12 @@ func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration
 		return nil, fmt.Errorf("workload: arrival rate %v at %v is not positive", r, eng.Now())
 	}
 	a := &Arrivals{eng: eng, rng: rng, rate: rate, fire: fire}
-	a.arriveFn = a.arrive
 	a.scheduleNext()
 	return a, nil
 }
 
-func (a *Arrivals) arrive(now time.Duration) {
+func (e *arrival) Fire(now time.Duration) {
+	a := (*Arrivals)(e)
 	if a.stopped {
 		return
 	}
@@ -80,10 +80,10 @@ func (a *Arrivals) scheduleNext() {
 	}
 	mean := time.Minute.Seconds() / r
 	delay := time.Duration(a.rng.ExpFloat64() * mean * float64(time.Second))
-	if _, err := a.eng.After(delay, a.arriveFn); err != nil {
-		// Invariant: now+delay fits the virtual clock (After clamps
-		// negative delays and arriveFn is bound). Silently stopping the
-		// stream would corrupt every downstream number.
+	if _, err := a.eng.AfterHandler(delay, (*arrival)(a)); err != nil {
+		// Invariant: now+delay fits the virtual clock (AfterHandler
+		// clamps negative delays and the handler is not nil). Silently
+		// stopping the stream would corrupt every downstream number.
 		panic(fmt.Sprintf("workload: arrival scheduling failed: %v", err))
 	}
 }
