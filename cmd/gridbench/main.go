@@ -9,6 +9,17 @@
 //	gridbench -ablations
 //	gridbench -extensions
 //	gridbench -all
+//	gridbench -faults
+//	gridbench -scale
+//	gridbench -traffic
+//	gridbench -csv -fig 3
+//
+// -all selects the figures, the table, the ablations and the extensions;
+// the fault-tolerance (-faults), planet-scale (-scale) and traffic-plane
+// (-traffic) sweeps are selected only by their own flags. -csv prints one
+// artifact's rows as CSV instead of its table: -fig 3, -fig 4, -table 1,
+// -faults, -scale or -traffic, alone. -seed S sets the simulation seed
+// (42, the published run, by default).
 //
 // Experiments run concurrently on a deterministic worker pool: -parallel N
 // sets the pool size (1 reproduces the historical sequential execution),
@@ -19,16 +30,13 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 
 	"github.com/hpclab/datagrid/internal/experiments"
-	"github.com/hpclab/datagrid/internal/workload"
 )
 
 func main() {
@@ -69,6 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	entries := selectEntries(*all, *fig, *table, *ablations, *extensions, *faults, *scale, *traffic)
 	if *asCSV {
 		// -csv prints one artifact's rows from one seed; refuse what it
 		// would otherwise drop silently.
@@ -86,14 +95,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "gridbench: -csv prints one seed's rows; it cannot aggregate -trials")
 			return 2
 		}
-		if err := emitCSV(*fig, *table, *faults, *scale, *traffic, *seed, *parallel, stdout); err != nil {
+		if len(entries) != 1 || entries[0].CSV == nil {
+			fmt.Fprintln(stderr, "gridbench: -csv needs -fig 3, -fig 4, -table 1, -faults, -scale or -traffic")
+			return 1
+		}
+		if err := entries[0].CSV(*seed, *parallel, stdout); err != nil {
 			fmt.Fprintf(stderr, "gridbench: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-
-	entries := selectEntries(*all, *fig, *table, *ablations, *extensions, *faults, *scale, *traffic)
 	if len(entries) == 0 {
 		fs.Usage()
 		return 2
@@ -161,168 +172,4 @@ func selectEntries(all bool, fig, table int, ablations, extensions, faults, scal
 		}
 	}
 	return out
-}
-
-// emitCSV writes the selected artifact's structured rows as CSV.
-func emitCSV(fig, table int, faults, scale, traffic bool, seed int64, workers int, out io.Writer) error {
-	w := csv.NewWriter(out)
-	defer w.Flush()
-	switch {
-	case fig == 3:
-		rows, _, err := experiments.Figure3(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{"size_mb", "ftp_sec", "gridftp_sec"}); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := w.Write([]string{
-				strconv.FormatInt(r.SizeMB, 10),
-				strconv.FormatFloat(r.FTPSeconds, 'f', 3, 64),
-				strconv.FormatFloat(r.GridFTPSeconds, 'f', 3, 64),
-			}); err != nil {
-				return err
-			}
-		}
-	case fig == 4:
-		series, _, err := experiments.Figure4(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{"streams", "size_mb", "sec"}); err != nil {
-			return err
-		}
-		for _, s := range series {
-			for _, size := range workload.PaperFileSizesMB {
-				if err := w.Write([]string{
-					strconv.Itoa(s.Streams),
-					strconv.FormatInt(size, 10),
-					strconv.FormatFloat(s.SecondsBySizeMB[size], 'f', 3, 64),
-				}); err != nil {
-					return err
-				}
-			}
-		}
-	case table == 1:
-		res, _, err := experiments.Table1(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{"host", "bw_pct", "cpu_idle_pct", "io_idle_pct", "score", "transfer_sec"}); err != nil {
-			return err
-		}
-		for _, c := range res.Candidates {
-			if err := w.Write([]string{
-				c.Host,
-				strconv.FormatFloat(c.BWPercent, 'f', 2, 64),
-				strconv.FormatFloat(c.CPUIdle, 'f', 2, 64),
-				strconv.FormatFloat(c.IOIdle, 'f', 2, 64),
-				strconv.FormatFloat(c.Score, 'f', 2, 64),
-				strconv.FormatFloat(c.TransferSeconds, 'f', 2, 64),
-			}); err != nil {
-				return err
-			}
-		}
-	case faults:
-		rows, _, err := experiments.ExtensionFaults(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{"intensity", "policy", "completed", "failed", "mean_sec", "attempts"}); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := w.Write([]string{
-				strconv.Itoa(r.Intensity),
-				r.Policy,
-				strconv.Itoa(r.Completed),
-				strconv.Itoa(r.Failed),
-				strconv.FormatFloat(r.MeanSeconds, 'f', 3, 64),
-				strconv.Itoa(r.Attempts),
-			}); err != nil {
-				return err
-			}
-		}
-	case scale:
-		rows, _, err := experiments.ExtensionPlanetScale(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{
-			"grid", "sites", "hosts", "regions", "files", "queries", "flows",
-			"tree_builds", "pair_dijkstras", "dijkstra_savings", "regions_consulted",
-			"hosts_scanned", "max_single_rank", "mean_xfer_sec",
-			"realloc_events", "realloc_rounds", "flows_scanned",
-			"comps_dirtied", "max_comp_flows", "max_round_flows",
-		}); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := w.Write([]string{
-				r.Label,
-				strconv.Itoa(r.Sites),
-				strconv.Itoa(r.Hosts),
-				strconv.Itoa(r.Regions),
-				strconv.Itoa(r.Files),
-				strconv.Itoa(r.Queries),
-				strconv.Itoa(r.Flows),
-				strconv.FormatUint(r.TreeBuilds, 10),
-				strconv.FormatUint(r.PathBuilds, 10),
-				strconv.FormatFloat(r.DijkstraSavings(), 'f', 1, 64),
-				strconv.FormatUint(r.RegionsConsulted, 10),
-				strconv.FormatUint(r.HostsScanned, 10),
-				strconv.Itoa(r.MaxSingleRank),
-				strconv.FormatFloat(r.MeanTransferSec, 'f', 3, 64),
-				strconv.FormatUint(r.ReallocEvents, 10),
-				strconv.FormatUint(r.ReallocRounds, 10),
-				strconv.FormatUint(r.FlowsScanned, 10),
-				strconv.FormatUint(r.ComponentsDirtied, 10),
-				strconv.Itoa(r.MaxComponentFlows),
-				strconv.Itoa(r.MaxRoundFlows),
-			}); err != nil {
-				return err
-			}
-		}
-	case traffic:
-		rows, _, err := experiments.ExtensionTraffic(seed, workers)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{
-			"world", "sites", "hosts", "rate_per_min", "policy", "fault_intensity",
-			"requests", "completed", "failed", "local_hits", "attempts",
-			"p50_sec", "p95_sec", "p99_sec", "goodput_mbps", "site_skew",
-			"replications", "removals",
-		}); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := w.Write([]string{
-				r.Label,
-				strconv.Itoa(r.Sites),
-				strconv.Itoa(r.Hosts),
-				strconv.FormatFloat(r.RatePerMinute, 'f', 0, 64),
-				r.Policy,
-				strconv.Itoa(r.Intensity),
-				strconv.Itoa(r.Requests),
-				strconv.Itoa(r.Completed),
-				strconv.Itoa(r.Failed),
-				strconv.Itoa(r.LocalHits),
-				strconv.Itoa(r.Attempts),
-				strconv.FormatFloat(r.P50, 'f', 3, 64),
-				strconv.FormatFloat(r.P95, 'f', 3, 64),
-				strconv.FormatFloat(r.P99, 'f', 3, 64),
-				strconv.FormatFloat(r.GoodputMbps, 'f', 3, 64),
-				strconv.FormatFloat(r.SiteSkew, 'f', 3, 64),
-				strconv.Itoa(r.Replications),
-				strconv.Itoa(r.Removals),
-			}); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("-csv needs -fig 3, -fig 4, -table 1, -faults, -scale or -traffic")
-	}
-	return nil
 }

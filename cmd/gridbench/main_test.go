@@ -12,50 +12,55 @@ import (
 	"github.com/hpclab/datagrid/internal/workload"
 )
 
+// TestEmitCSV drives -csv through run: each CSV artifact prints its
+// header and one record per row, and a selection with no CSV form exits 1
+// with the list of those that have one.
 func TestEmitCSV(t *testing.T) {
 	cases := []struct {
-		name    string
-		fig     int
-		table   int
-		header  string
-		rows    int
-		wantErr bool
+		name   string
+		args   []string
+		header string
+		rows   int
 	}{
 		{
 			name:   "fig3",
-			fig:    3,
+			args:   []string{"-fig", "3"},
 			header: "size_mb,ftp_sec,gridftp_sec",
 			rows:   len(workload.PaperFileSizesMB),
 		},
 		{
 			name:   "fig4",
-			fig:    4,
+			args:   []string{"-fig", "4"},
 			header: "streams,size_mb,sec",
 			rows:   len(workload.PaperStreamCounts) * len(workload.PaperFileSizesMB),
 		},
 		{
 			name:   "table1",
-			table:  1,
+			args:   []string{"-table", "1"},
 			header: "host,bw_pct,cpu_idle_pct,io_idle_pct,score,transfer_sec",
 			rows:   4,
 		},
-		{name: "no selection", wantErr: true},
-		{name: "unknown figure", fig: 7, wantErr: true},
+		{name: "no selection"},
+		{name: "unknown figure", args: []string{"-fig", "7"}},
+		{name: "all", args: []string{"-all"}},
+		{name: "ablations", args: []string{"-ablations"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			err := emitCSV(tc.fig, tc.table, false, false, false, 42, 2, &buf)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("emitCSV should have errored")
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-csv", "-seed", "42", "-parallel", "2"}, tc.args...)
+			code := run(args, &stdout, &stderr)
+			if tc.header == "" {
+				want := "gridbench: -csv needs -fig 3, -fig 4, -table 1, -faults, -scale or -traffic\n"
+				if code != 1 || stdout.Len() != 0 || stderr.String() != want {
+					t.Fatalf("run(%v) = %d, stdout %q, stderr %q; want 1, no rows, %q", args, code, stdout.String(), stderr.String(), want)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatalf("emitCSV: %v", err)
+			if code != 0 {
+				t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
 			}
-			lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+			lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 			if lines[0] != tc.header {
 				t.Errorf("header = %q, want %q", lines[0], tc.header)
 			}
@@ -169,7 +174,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the -csv and -trials gold
 // TestGoldenOutputs pins the outputs the four stdout pins do not cover:
 // every fast -csv artifact and the -trials aggregation at seed 42, and
 // -all and -faults at a second seed, 7. The traffic CSV (half a minute)
-// is diffed by CI's traffic determinism gate.
+// is diffed by CI's determinism gate.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite three times and the planet-scale sweep")

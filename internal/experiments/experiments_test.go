@@ -108,20 +108,20 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	series, rendered, err := Figure4(seed, 0)
+	points, rendered, err := Figure4(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 6 {
-		t.Fatalf("series = %d, want 6", len(series))
+	if len(points) != 24 {
+		t.Fatalf("points = %d, want 6 stream counts x 4 sizes", len(points))
 	}
 	at := func(streams int, size int64) float64 {
-		for _, s := range series {
-			if s.Streams == streams {
-				return s.SecondsBySizeMB[size]
+		for _, p := range points {
+			if p.Streams == streams && p.SizeMB == size {
+				return p.Seconds
 			}
 		}
-		t.Fatalf("missing series %d", streams)
+		t.Fatalf("missing point %d streams, %d MB", streams, size)
 		return 0
 	}
 	for _, size := range []int64{256, 512, 1024, 2048} {

@@ -8,7 +8,6 @@ import (
 	"github.com/hpclab/datagrid/internal/cluster"
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/faults"
-	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
 )
@@ -197,16 +196,19 @@ func ExtensionFaults(seed int64, workers int) ([]FaultsResult, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	tb := metrics.NewTable(
-		fmt.Sprintf("Extension: fault tolerance (%d x %d MB downloads to alpha1 per point)",
-			faultsTransfers, faultsFileBytes/workload.MB),
-		"intensity", "policy", "completed", "failed", "mean time (s)", "attempts")
-	for _, r := range out {
-		tb.AddRow(fmt.Sprintf("%d", r.Intensity), r.Policy,
-			fmt.Sprintf("%d/%d", r.Completed, faultsTransfers),
-			fmt.Sprintf("%d", r.Failed),
-			fmt.Sprintf("%.2f", r.MeanSeconds),
-			fmt.Sprintf("%d", r.Attempts))
-	}
-	return out, tb.String(), nil
+	return out, faultsColumns.table(fmt.Sprintf("Extension: fault tolerance (%d x %d MB downloads to alpha1 per point)",
+		faultsTransfers, faultsFileBytes/workload.MB), out), nil
+}
+
+// faultsColumns are the fault-tolerance sweep's columns.
+var faultsColumns = columns[FaultsResult]{
+	key: func(r FaultsResult) string { return fmt.Sprintf("faults/i%d/%s", r.Intensity, r.Policy) },
+	cols: []column[FaultsResult]{
+		{"intensity", "%d", "intensity", "%d", false, func(r FaultsResult) any { return r.Intensity }},
+		{"policy", "%s", "policy", "%s", false, func(r FaultsResult) any { return r.Policy }},
+		{"completed", fmt.Sprintf("%%d/%d", faultsTransfers), "completed", "%d", true, func(r FaultsResult) any { return r.Completed }},
+		{"failed", "%d", "failed", "%d", false, func(r FaultsResult) any { return r.Failed }},
+		{"mean time (s)", "%.2f", "mean_sec", "%.3f", true, func(r FaultsResult) any { return r.MeanSeconds }},
+		{"attempts", "%d", "attempts", "%d", true, func(r FaultsResult) any { return r.Attempts }},
+	},
 }

@@ -63,19 +63,31 @@ func Figure3(seed int64, workers int) ([]Figure3Row, string, error) {
 	return rows, rendered, nil
 }
 
-// Figure4Series is one stream-count line of Fig. 4.
-type Figure4Series struct {
+// figure3Columns are Fig. 3's columns; its text is the series plot.
+var figure3Columns = columns[Figure3Row]{
+	key: func(r Figure3Row) string { return fmt.Sprintf("fig3/%dMB", r.SizeMB) },
+	cols: []column[Figure3Row]{
+		{"", "", "size_mb", "%d", false, func(r Figure3Row) any { return r.SizeMB }},
+		{"", "", "ftp_sec", "%.3f", true, func(r Figure3Row) any { return r.FTPSeconds }},
+		{"", "", "gridftp_sec", "%.3f", true, func(r Figure3Row) any { return r.GridFTPSeconds }},
+	},
+}
+
+// Figure4Point is one (stream count, file size) point of Fig. 4.
+type Figure4Point struct {
 	// Streams is the TCP stream count; 0 is GridFTP without parallel
 	// data transfer (stream mode).
 	Streams int
-	// SecondsBySizeMB maps file size to transfer time.
-	SecondsBySizeMB map[int64]float64
+	SizeMB  int64
+	// Seconds is the transfer time.
+	Seconds float64
 }
 
 // Figure4 reproduces Fig. 4 ("GridFTP with parallel data transfer"):
 // transfer times from THU alpha2 to Li-Zen lz04 for stream mode and 1, 2,
-// 4, 8, 16 parallel TCP streams across the paper's file sizes.
-func Figure4(seed int64, workers int) ([]Figure4Series, string, error) {
+// 4, 8, 16 parallel TCP streams across the paper's file sizes. The points
+// come stream count by stream count, each in the paper's size order.
+func Figure4(seed int64, workers int) ([]Figure4Point, string, error) {
 	type cell struct {
 		streams int
 		sizeMB  int64
@@ -92,18 +104,17 @@ func Figure4(seed int64, workers int) ([]Figure4Series, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	var out []Figure4Series
+	out := make([]Figure4Point, len(cells))
 	var series []metrics.Series
 	for i, c := range cells {
-		if len(out) == 0 || out[len(out)-1].Streams != c.streams {
-			out = append(out, Figure4Series{Streams: c.streams, SecondsBySizeMB: map[int64]float64{}})
+		out[i] = Figure4Point{c.streams, c.sizeMB, vals[i]}
+		if i == 0 || cells[i-1].streams != c.streams {
 			name := fmt.Sprintf("%d TCP Stream(s)", c.streams)
 			if c.streams == 0 {
 				name = "no parallel (stream mode)"
 			}
 			series = append(series, metrics.Series{Name: name})
 		}
-		out[len(out)-1].SecondsBySizeMB[c.sizeMB] = vals[i]
 		series[len(series)-1].AddPoint(float64(c.sizeMB), vals[i])
 	}
 	rendered, err := metrics.RenderSeries(
@@ -114,6 +125,23 @@ func Figure4(seed int64, workers int) ([]Figure4Series, string, error) {
 		return nil, "", err
 	}
 	return out, rendered, nil
+}
+
+// figure4Columns are Fig. 4's CSV columns; its text is the series plot.
+// Its metrics are named per point (figure4Metrics), not per column.
+var figure4Columns = columns[Figure4Point]{cols: []column[Figure4Point]{
+	{"", "", "streams", "%d", false, func(p Figure4Point) any { return p.Streams }},
+	{"", "", "size_mb", "%d", false, func(p Figure4Point) any { return p.SizeMB }},
+	{"", "", "sec", "%.3f", false, func(p Figure4Point) any { return p.Seconds }},
+}}
+
+// figure4Metrics names each point's time fig4/streams=S/<size>MB_sec.
+func figure4Metrics(points []Figure4Point) []Metric {
+	ms := make([]Metric, len(points))
+	for i, p := range points {
+		ms[i] = Metric{fmt.Sprintf("fig4/streams=%d/%dMB_sec", p.Streams, p.SizeMB), p.Seconds}
+	}
+	return ms
 }
 
 // CostPoint is one sample of a candidate's cost-model score over time —

@@ -17,8 +17,11 @@ var updateMetrics = flag.Bool("update", false, "rewrite testdata/suite_metrics_s
 // with the value in strconv's shortest 'g' form. These are exactly the
 // lines gridperf's paper-suite digest hashes, and -trials aggregates by
 // these names, so a refactor that reorders, renames or moves one fails
-// here. The traffic plane (about ten seconds) is left to the gridbench
-// -traffic pin.
+// here. The traffic plane (about half a minute) is left out:
+// TestArtifactColumns pins its metric names and order over hand-made
+// rows, and gridbench's -traffic table and CSV pins hold its rows, rounded
+// to their printed digits; its full-precision values at seed 42 are
+// pinned nowhere.
 func TestSuiteMetricsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every suite entry but the traffic plane")

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/netsim"
 	"github.com/hpclab/datagrid/internal/simulation"
 	"github.com/hpclab/datagrid/internal/topo"
@@ -254,22 +253,33 @@ func ExtensionPlanetScale(seed int64, workers int) ([]PlanetScaleResult, string,
 				r.Label, r.MaxComponentFlows)
 		}
 	}
-	tb := metrics.NewTable(
-		"Extension: planet scale (sharded hierarchical selection + per-source route trees)",
-		"grid", "sites", "hosts", "files", "queries", "flows",
-		"tree builds", "pair dijkstras", "savings", "hosts/rank max", "mean xfer (s)")
-	for _, r := range out {
-		tb.AddRow(r.Label,
-			fmt.Sprintf("%d", r.Sites),
-			fmt.Sprintf("%d", r.Hosts),
-			fmt.Sprintf("%d", r.Files),
-			fmt.Sprintf("%d", r.Queries),
-			fmt.Sprintf("%d", r.Flows),
-			fmt.Sprintf("%d", r.TreeBuilds),
-			fmt.Sprintf("%d", r.PathBuilds),
-			fmt.Sprintf("%.1fx", r.DijkstraSavings()),
-			fmt.Sprintf("%d", r.MaxSingleRank),
-			fmt.Sprintf("%.2f", r.MeanTransferSec))
-	}
-	return out, tb.String(), nil
+	return out, planetScaleColumns.table(
+		"Extension: planet scale (sharded hierarchical selection + per-source route trees)", out), nil
+}
+
+// planetScaleColumns are the planet-scale sweep's columns.
+var planetScaleColumns = columns[PlanetScaleResult]{
+	key: func(r PlanetScaleResult) string { return "planetscale/" + r.Label },
+	cols: []column[PlanetScaleResult]{
+		{"grid", "%s", "grid", "%s", false, func(r PlanetScaleResult) any { return r.Label }},
+		{"sites", "%d", "sites", "%d", false, func(r PlanetScaleResult) any { return r.Sites }},
+		{"hosts", "%d", "hosts", "%d", false, func(r PlanetScaleResult) any { return r.Hosts }},
+		{"", "", "regions", "%d", false, func(r PlanetScaleResult) any { return r.Regions }},
+		{"files", "%d", "files", "%d", false, func(r PlanetScaleResult) any { return r.Files }},
+		{"queries", "%d", "queries", "%d", false, func(r PlanetScaleResult) any { return r.Queries }},
+		{"flows", "%d", "flows", "%d", false, func(r PlanetScaleResult) any { return r.Flows }},
+		{"tree builds", "%d", "tree_builds", "%d", true, func(r PlanetScaleResult) any { return r.TreeBuilds }},
+		{"pair dijkstras", "%d", "pair_dijkstras", "%d", true, func(r PlanetScaleResult) any { return r.PathBuilds }},
+		{"savings", "%.1fx", "dijkstra_savings", "%.1f", true, func(r PlanetScaleResult) any { return r.DijkstraSavings() }},
+		{"", "", "regions_consulted", "%d", false, func(r PlanetScaleResult) any { return r.RegionsConsulted }},
+		{"", "", "hosts_scanned", "%d", false, func(r PlanetScaleResult) any { return r.HostsScanned }},
+		{"hosts/rank max", "%d", "max_single_rank", "%d", true, func(r PlanetScaleResult) any { return r.MaxSingleRank }},
+		{"mean xfer (s)", "%.2f", "mean_xfer_sec", "%.3f", true, func(r PlanetScaleResult) any { return r.MeanTransferSec }},
+		{"", "", "realloc_events", "%d", true, func(r PlanetScaleResult) any { return r.ReallocEvents }},
+		{"", "", "realloc_rounds", "%d", true, func(r PlanetScaleResult) any { return r.ReallocRounds }},
+		{"", "", "flows_scanned", "%d", true, func(r PlanetScaleResult) any { return r.FlowsScanned }},
+		{"", "", "comps_dirtied", "%d", true, func(r PlanetScaleResult) any { return r.ComponentsDirtied }},
+		{"", "", "max_comp_flows", "%d", true, func(r PlanetScaleResult) any { return r.MaxComponentFlows }},
+		{"", "", "max_round_flows", "%d", true, func(r PlanetScaleResult) any { return r.MaxRoundFlows }},
+	},
 }

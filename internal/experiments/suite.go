@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/runner"
-	"github.com/hpclab/datagrid/internal/workload"
 )
 
 // Entry groups, in the order gridbench selects them.
@@ -50,6 +51,9 @@ type SuiteEntry struct {
 	Group string
 	// Run takes the seed and the worker count (≤ 0 means GOMAXPROCS).
 	Run func(seed int64, workers int) (string, []Metric, error)
+	// CSV runs the experiment like Run and writes its rows to w as CSV;
+	// it is nil for an entry without a CSV form.
+	CSV func(seed int64, workers int, w io.Writer) error
 }
 
 // EntryResult is one suite entry's outcome.
@@ -69,36 +73,17 @@ type EntryResult struct {
 // "auto(n)" label, whose n can vary by seed, is normalized to "auto").
 func Suite() []SuiteEntry {
 	return []SuiteEntry{
-		entry("figure 3", GroupFigure3, Figure3, func(rows []Figure3Row) (ms []Metric) {
-			for _, r := range rows {
-				ms = append(ms,
-					Metric{fmt.Sprintf("fig3/%dMB/ftp_sec", r.SizeMB), r.FTPSeconds},
-					Metric{fmt.Sprintf("fig3/%dMB/gridftp_sec", r.SizeMB), r.GridFTPSeconds})
-			}
-			return ms
-		}),
-		entry("figure 4", GroupFigure4, Figure4, func(series []Figure4Series) (ms []Metric) {
-			for _, s := range series {
-				for _, size := range workload.PaperFileSizesMB {
-					ms = append(ms, Metric{fmt.Sprintf("fig4/streams=%d/%dMB_sec", s.Streams, size), s.SecondsBySizeMB[size]})
-				}
-			}
-			return ms
-		}),
-		entry("table 1", GroupTable1, Table1, func(res Table1Result) (ms []Metric) {
-			for _, c := range res.Candidates {
-				ms = append(ms,
-					Metric{fmt.Sprintf("table1/%s/score", c.Host), c.Score},
-					Metric{fmt.Sprintf("table1/%s/transfer_sec", c.Host), c.TransferSeconds})
-			}
-			return append(ms, Metric{"table1/spearman", res.Spearman})
+		entry("figure 3", GroupFigure3, Figure3, figure3Columns.metrics, figure3Columns.records),
+		entry("figure 4", GroupFigure4, Figure4, figure4Metrics, figure4Columns.records),
+		entry("table 1", GroupTable1, Table1, table1Metrics, func(res Table1Result) [][]string {
+			return table1Columns.records(res.Candidates)
 		}),
 		entry("selector ablation", GroupAblations, AblationSelectors, func(rows []SelectorResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms, Metric{fmt.Sprintf("selectors/%s/mean_sec", r.Name), r.MeanSeconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("weight ablation", GroupAblations, AblationWeights, func(rows []WeightResult) (ms []Metric) {
 			for _, r := range rows {
 				key := fmt.Sprintf("weights/%.2f-%.2f-%.2f", r.Weights.Bandwidth, r.Weights.CPU, r.Weights.IO)
@@ -107,13 +92,13 @@ func Suite() []SuiteEntry {
 					Metric{key + "/regret_sec", r.MeanRegretSeconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("forecaster ablation", GroupAblations, AblationForecasters, func(rows []ForecasterResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms, Metric{fmt.Sprintf("forecasters/%s/mse", r.Name), r.MSE})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("latency ablation", GroupAblations, AblationLatency, func(rows []LatencyResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms,
@@ -121,7 +106,7 @@ func Suite() []SuiteEntry {
 					Metric{fmt.Sprintf("latency/%s/far_picks", r.Selector), float64(r.FarPicks)})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("adaptive parallelism ablation", GroupAblations, AblationAutoStreams, func(rows []AutoStreamsResult) (ms []Metric) {
 			for _, r := range rows {
 				config := r.Config
@@ -131,13 +116,13 @@ func Suite() []SuiteEntry {
 				ms = append(ms, Metric{fmt.Sprintf("autostreams/%s/%s/sec", r.Path, config), r.Seconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("striped extension", GroupExtensions, ExtensionStriped, func(rows []StripedResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms, Metric{fmt.Sprintf("striped/%d/sec", r.Stripes), r.Seconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("scale extension", GroupExtensions, ExtensionScale, func(rows []ScaleResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms,
@@ -145,7 +130,7 @@ func Suite() []SuiteEntry {
 					Metric{fmt.Sprintf("scale/%dsites/random_sec", r.Sites), r.RandomSeconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("replication extension", GroupExtensions, ExtensionReplication, func(rows []ReplicationResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms,
@@ -153,70 +138,41 @@ func Suite() []SuiteEntry {
 					Metric{fmt.Sprintf("replication/%s/late_sec", r.Strategy), r.LateSeconds})
 			}
 			return ms
-		}),
+		}, nil),
 		entry("coallocation extension", GroupExtensions, ExtensionCoallocation, func(rows []CoallocationResult) (ms []Metric) {
 			for _, r := range rows {
 				ms = append(ms, Metric{fmt.Sprintf("coalloc/%s/sec", r.Config), r.Seconds})
 			}
 			return ms
-		}),
-		entry("fault tolerance", GroupFaults, ExtensionFaults, func(rows []FaultsResult) (ms []Metric) {
-			for _, r := range rows {
-				key := fmt.Sprintf("faults/i%d/%s", r.Intensity, r.Policy)
-				ms = append(ms,
-					Metric{key + "/completed", float64(r.Completed)},
-					Metric{key + "/mean_sec", r.MeanSeconds},
-					Metric{key + "/attempts", float64(r.Attempts)})
-			}
-			return ms
-		}),
-		entry("planet scale", GroupScale, ExtensionPlanetScale, func(rows []PlanetScaleResult) (ms []Metric) {
-			for _, r := range rows {
-				key := "planetscale/" + r.Label
-				ms = append(ms,
-					Metric{key + "/tree_builds", float64(r.TreeBuilds)},
-					Metric{key + "/pair_dijkstras", float64(r.PathBuilds)},
-					Metric{key + "/dijkstra_savings", r.DijkstraSavings()},
-					Metric{key + "/max_single_rank", float64(r.MaxSingleRank)},
-					Metric{key + "/mean_xfer_sec", r.MeanTransferSec},
-					Metric{key + "/realloc_events", float64(r.ReallocEvents)},
-					Metric{key + "/realloc_rounds", float64(r.ReallocRounds)},
-					Metric{key + "/flows_scanned", float64(r.FlowsScanned)},
-					Metric{key + "/comps_dirtied", float64(r.ComponentsDirtied)},
-					Metric{key + "/max_comp_flows", float64(r.MaxComponentFlows)},
-					Metric{key + "/max_round_flows", float64(r.MaxRoundFlows)})
-			}
-			return ms
-		}),
-		entry("traffic plane", GroupTraffic, ExtensionTraffic, func(rows []TrafficResult) (ms []Metric) {
-			for _, r := range rows {
-				key := fmt.Sprintf("traffic/%s/%s/i%d", r.Label, r.Policy, r.Intensity)
-				ms = append(ms,
-					Metric{key + "/requests", float64(r.Requests)},
-					Metric{key + "/completed", float64(r.Completed)},
-					Metric{key + "/failed", float64(r.Failed)},
-					Metric{key + "/p50_sec", r.P50},
-					Metric{key + "/p95_sec", r.P95},
-					Metric{key + "/p99_sec", r.P99},
-					Metric{key + "/goodput_mbps", r.GoodputMbps},
-					Metric{key + "/site_skew", r.SiteSkew},
-					Metric{key + "/replications", float64(r.Replications)})
-			}
-			return ms
-		}),
+		}, nil),
+		entry("fault tolerance", GroupFaults, ExtensionFaults, faultsColumns.metrics, faultsColumns.records),
+		entry("planet scale", GroupScale, ExtensionPlanetScale, planetScaleColumns.metrics, planetScaleColumns.records),
+		entry("traffic plane", GroupTraffic, ExtensionTraffic, trafficColumns.metrics, trafficColumns.records),
 	}
 }
 
 // entry binds one experiment to the registry shape: run's rendered table
-// is the entry's output, and metricsOf names the scalars behind it.
-func entry[R any](name, group string, run func(seed int64, workers int) (R, string, error), metricsOf func(R) []Metric) SuiteEntry {
-	return SuiteEntry{Name: name, Group: group, Run: func(seed int64, workers int) (string, []Metric, error) {
+// is the entry's output, metricsOf names the scalars behind it, and
+// csvOf, when not nil, gives the entry its CSV form.
+func entry[R any](name, group string, run func(seed int64, workers int) (R, string, error),
+	metricsOf func(R) []Metric, csvOf func(R) [][]string) SuiteEntry {
+	e := SuiteEntry{Name: name, Group: group, Run: func(seed int64, workers int) (string, []Metric, error) {
 		r, out, err := run(seed, workers)
 		if err != nil {
 			return "", nil, err
 		}
 		return out, metricsOf(r), nil
 	}}
+	if csvOf != nil {
+		e.CSV = func(seed int64, workers int, w io.Writer) error {
+			r, _, err := run(seed, workers)
+			if err != nil {
+				return err
+			}
+			return csv.NewWriter(w).WriteAll(csvOf(r))
+		}
+	}
+	return e
 }
 
 // RunEntries executes the given entries on the worker pool and returns

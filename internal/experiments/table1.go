@@ -164,19 +164,38 @@ func Table1(seed int64, workers int) (Table1Result, string, error) {
 	tb := metrics.NewTable(
 		"Table 1: replica selection cost model vs measured transfer time (file-a, 1024 MB, user at alpha1)",
 		append([]string{"factor"}, hosts...)...)
-	addRow := func(label string, get func(Table1Candidate) float64) {
-		cells := []string{label}
+	for _, col := range table1Columns.cols {
+		if col.head == "" {
+			continue
+		}
+		cells := []string{col.head}
 		for _, c := range out.Candidates {
-			cells = append(cells, fmt.Sprintf("%.2f", get(c)))
+			cells = append(cells, fmt.Sprintf(col.format, col.value(c)))
 		}
 		tb.AddRow(cells...)
 	}
-	addRow("BW_P (i->j) %", func(c Table1Candidate) float64 { return c.BWPercent })
-	addRow("CPU_P (j) %", func(c Table1Candidate) float64 { return c.CPUIdle })
-	addRow("I/O_P (j) %", func(c Table1Candidate) float64 { return c.IOIdle })
-	addRow("Score (80/10/10)", func(c Table1Candidate) float64 { return c.Score })
-	addRow("Transfer time (s)", func(c Table1Candidate) float64 { return c.TransferSeconds })
 	summary := fmt.Sprintf("ranking agreement: %v (Spearman score vs time = %.3f)\n",
 		out.OrderingsAgree, out.Spearman)
 	return out, tb.String() + summary, nil
+}
+
+// table1Columns are Table 1's columns. Its text is transposed, one line
+// per headed column and one cell per candidate, and its metrics end with
+// the Spearman correlation (table1Metrics).
+var table1Columns = columns[Table1Candidate]{
+	key: func(c Table1Candidate) string { return "table1/" + c.Host },
+	cols: []column[Table1Candidate]{
+		{"", "", "host", "%s", false, func(c Table1Candidate) any { return c.Host }},
+		{"BW_P (i->j) %", "%.2f", "bw_pct", "%.2f", false, func(c Table1Candidate) any { return c.BWPercent }},
+		{"CPU_P (j) %", "%.2f", "cpu_idle_pct", "%.2f", false, func(c Table1Candidate) any { return c.CPUIdle }},
+		{"I/O_P (j) %", "%.2f", "io_idle_pct", "%.2f", false, func(c Table1Candidate) any { return c.IOIdle }},
+		{"Score (80/10/10)", "%.2f", "score", "%.2f", true, func(c Table1Candidate) any { return c.Score }},
+		{"Transfer time (s)", "%.2f", "transfer_sec", "%.2f", true, func(c Table1Candidate) any { return c.TransferSeconds }},
+	},
+}
+
+// table1Metrics are each candidate's score and transfer time, then the
+// Spearman correlation between them.
+func table1Metrics(res Table1Result) []Metric {
+	return append(table1Columns.metrics(res.Candidates), Metric{"table1/spearman", res.Spearman})
 }

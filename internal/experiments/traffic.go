@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/topo"
 	"github.com/hpclab/datagrid/internal/traffic"
 )
@@ -170,26 +169,31 @@ func ExtensionTraffic(seed int64, workers int) ([]TrafficResult, string, error) 
 		return nil, "", fmt.Errorf("experiments: planet tier submitted %d transfers, want >= 1M", megaSubmitted)
 	}
 
-	tb := metrics.NewTable(
-		"Extension: traffic plane (Zipf request flood x dynamic replication; latencies in seconds)",
-		"world", "rate/min", "policy", "faults", "requests", "ok", "fail", "local",
-		"p50", "p95", "p99", "goodput Mb/s", "skew", "repl", "rm")
-	for _, r := range out {
-		tb.AddRow(r.Label,
-			fmt.Sprintf("%.0f", r.RatePerMinute),
-			r.Policy,
-			fmt.Sprintf("%d", r.Intensity),
-			fmt.Sprintf("%d", r.Requests),
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%d", r.Failed),
-			fmt.Sprintf("%d", r.LocalHits),
-			fmt.Sprintf("%.2f", r.P50),
-			fmt.Sprintf("%.2f", r.P95),
-			fmt.Sprintf("%.2f", r.P99),
-			fmt.Sprintf("%.1f", r.GoodputMbps),
-			fmt.Sprintf("%.2f", r.SiteSkew),
-			fmt.Sprintf("%d", r.Replications),
-			fmt.Sprintf("%d", r.Removals))
-	}
-	return out, tb.String(), nil
+	return out, trafficColumns.table(
+		"Extension: traffic plane (Zipf request flood x dynamic replication; latencies in seconds)", out), nil
+}
+
+// trafficColumns are the traffic plane's columns.
+var trafficColumns = columns[TrafficResult]{
+	key: func(r TrafficResult) string { return fmt.Sprintf("traffic/%s/%s/i%d", r.Label, r.Policy, r.Intensity) },
+	cols: []column[TrafficResult]{
+		{"world", "%s", "world", "%s", false, func(r TrafficResult) any { return r.Label }},
+		{"", "", "sites", "%d", false, func(r TrafficResult) any { return r.Sites }},
+		{"", "", "hosts", "%d", false, func(r TrafficResult) any { return r.Hosts }},
+		{"rate/min", "%.0f", "rate_per_min", "%.0f", false, func(r TrafficResult) any { return r.RatePerMinute }},
+		{"policy", "%s", "policy", "%s", false, func(r TrafficResult) any { return r.Policy }},
+		{"faults", "%d", "fault_intensity", "%d", false, func(r TrafficResult) any { return r.Intensity }},
+		{"requests", "%d", "requests", "%d", true, func(r TrafficResult) any { return r.Requests }},
+		{"ok", "%d", "completed", "%d", true, func(r TrafficResult) any { return r.Completed }},
+		{"fail", "%d", "failed", "%d", true, func(r TrafficResult) any { return r.Failed }},
+		{"local", "%d", "local_hits", "%d", false, func(r TrafficResult) any { return r.LocalHits }},
+		{"", "", "attempts", "%d", false, func(r TrafficResult) any { return r.Attempts }},
+		{"p50", "%.2f", "p50_sec", "%.3f", true, func(r TrafficResult) any { return r.P50 }},
+		{"p95", "%.2f", "p95_sec", "%.3f", true, func(r TrafficResult) any { return r.P95 }},
+		{"p99", "%.2f", "p99_sec", "%.3f", true, func(r TrafficResult) any { return r.P99 }},
+		{"goodput Mb/s", "%.1f", "goodput_mbps", "%.3f", true, func(r TrafficResult) any { return r.GoodputMbps }},
+		{"skew", "%.2f", "site_skew", "%.3f", true, func(r TrafficResult) any { return r.SiteSkew }},
+		{"repl", "%d", "replications", "%d", true, func(r TrafficResult) any { return r.Replications }},
+		{"rm", "%d", "removals", "%d", false, func(r TrafficResult) any { return r.Removals }},
+	},
 }

@@ -275,17 +275,16 @@ const (
 // NewCPUProvider returns the provider emitting the CPU device entry for a
 // host at site — the "measurement of CPU status … through the Globus
 // Toolkit/MDS" of paper §3.2. The entry carries what filters and
-// selection read: host, site, device and the idle percentage.
+// selection read: host, site, device and the idle percentage. The
+// provider keeps one map and rewrites only the idle percentage on each
+// Collect; the GRIS copies what it serves.
 func NewCPUProvider(h Host, site string) Provider {
+	attrs := Attributes{AttrHostName: h.Name(), AttrSite: site, AttrDevice: "cpu"}
 	return ProviderFunc{
 		Rdn: AttrDevice + "=cpu," + AttrHostName + "=" + h.Name(),
 		Fn: func() (Attributes, error) {
-			return Attributes{
-				AttrHostName:    h.Name(),
-				AttrSite:        site,
-				AttrDevice:      "cpu",
-				AttrCPUFreeX100: strconv.Itoa(int(h.CPUIdle() * 100 * 100)),
-			}, nil
+			attrs[AttrCPUFreeX100] = strconv.Itoa(int(h.CPUIdle() * 100 * 100))
+			return attrs, nil
 		},
 	}
 }

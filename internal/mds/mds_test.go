@@ -379,6 +379,27 @@ func TestGIISValidation(t *testing.T) {
 	}
 }
 
+// TestCPUProviderCollectAllocs: the CPU provider keeps one map and
+// rewrites the idle percentage in it, so a Collect allocates only that
+// value's string; the GRIS's clone is the one copy of the map.
+func TestCPUProviderCollectAllocs(t *testing.T) {
+	h := &fakeTarget{name: "h", cpuIdle: 0.5}
+	p := NewCPUProvider(h, "s")
+	allocs := testing.AllocsPerRun(100, func() {
+		h.cpuIdle += 0.001
+		if _, err := p.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Collect allocates %v times, want 1", allocs)
+	}
+	attrs, _ := p.Collect()
+	if attrs[AttrHostName] != "h" || attrs[AttrSite] != "s" || attrs[AttrDevice] != "cpu" || len(attrs) != 4 {
+		t.Fatalf("CPU entry = %v", attrs)
+	}
+}
+
 func TestProviderPercentScaling(t *testing.T) {
 	h := &fakeTarget{name: "h", cpuIdle: 0.333}
 	attrs, err := NewCPUProvider(h, "s").Collect()

@@ -41,15 +41,6 @@ func newCollector(policy placement.Policy) *collector {
 	}
 }
 
-// siteOf extracts the site from a generated host name
-// ("r03s07c1h09" -> "r03s07"); unknown shapes collapse to one bucket.
-func siteOf(host string) string {
-	if len(host) >= 6 && topo.RegionOfHost(host) != "" {
-		return host[:6]
-	}
-	return "?"
-}
-
 // done is the transfer completion callback.
 func (c *collector) done(r simxfer.Result) {
 	c.inflight--
@@ -65,7 +56,7 @@ func (c *collector) done(r simxfer.Result) {
 	if src == "" && len(r.Sources) > 0 {
 		src = r.Sources[0]
 	}
-	c.servedBySite[siteOf(src)]++
+	c.servedBySite[topo.SiteOfHost(src)]++
 }
 
 // access reports one dispatched request to the placement policy, at
