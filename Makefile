@@ -62,7 +62,7 @@ suite_BASELINE   = pr21-tick-path-2cpu
 select_BENCH     = SelectionThroughput|HierarchicalRank|CatalogPlace
 select_PKGS      = .
 select_TIMEOUT   = 600s
-select_BASELINE  = pr39-arena-catalog-2cpu
+select_BASELINE  = candidate-ref-2cpu
 faults_BENCH     = FaultsSweep
 faults_PKGS      = .
 faults_TIMEOUT   = 600s

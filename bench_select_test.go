@@ -78,6 +78,7 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 		return nil, err
 	}
 	cands := make([]core.Candidate, 0, len(locs))
+	reps := make([]info.HostReport, 0, len(locs)) // never grows: the candidates point into it
 	for _, loc := range locs {
 		mu.Lock()
 		rep, err := e.infoSrv.BuildHostPerf(loc.Host, e.now)
@@ -88,7 +89,8 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 			}
 			return nil, err
 		}
-		cands = append(cands, core.Candidate{Location: loc, Report: rep, Score: core.Score(rep, core.PaperWeights)})
+		reps = append(reps, rep)
+		cands = append(cands, core.Candidate{Location: loc, Report: &reps[len(reps)-1], Score: core.Score(rep, core.PaperWeights)})
 	}
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("no usable replica for %s", logical)

@@ -17,8 +17,9 @@ type Clock interface {
 type FetchResult struct {
 	// Logical is the requested logical file name.
 	Logical string
-	// Chosen is the replica the selection server picked (zero for local
-	// hits).
+	// Chosen is the replica the selection server picked. A local hit
+	// ranks nothing: Chosen holds the local location only, with a nil
+	// Report and a zero Score.
 	Chosen Candidate
 	// LocalHit reports whether the file was already present at the local
 	// site and no transfer happened (Fig. 1's first branch).

@@ -96,7 +96,7 @@ func refHierRank(cat *replica.ShardedCatalog, pubs map[string]*gridstate.Publish
 			if err != nil {
 				return nil, err
 			}
-			cands = append(cands, core.Candidate{Location: loc, Report: rep, Score: core.Score(rep, core.PaperWeights)})
+			cands = append(cands, core.Candidate{Location: loc, Report: &rep, Score: core.Score(rep, core.PaperWeights)})
 		}
 		if len(cands) == 0 {
 			continue
@@ -261,13 +261,14 @@ func churnErrKind(err error) string {
 
 // diffChurn compares one production answer with the reference's.
 func diffChurn(got []core.Candidate, gotErr error, want []core.Candidate, wantErr error) string {
-	switch {
-	case gotErr != nil || wantErr != nil:
+	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			return fmt.Sprintf("err %v, reference %v", gotErr, wantErr)
 		}
-	case !slices.Equal(got, want):
-		return fmt.Sprintf("\n got %+v\nwant %+v", got, want)
+		return ""
+	}
+	if d := core.DiffCandidates(got, want); d != "" {
+		return "\n" + d
 	}
 	return ""
 }

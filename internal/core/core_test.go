@@ -56,7 +56,8 @@ func cands(scores ...float64) []Candidate {
 	out := make([]Candidate, len(scores))
 	for i, s := range scores {
 		out[i].Score = s
-		out[i].Report = report(s, s, s)
+		r := report(s, s, s)
+		out[i].Report = &r
 		out[i].Location = replica.Location{Host: string(rune('a' + i)), Path: "/f"}
 	}
 	return out
@@ -124,8 +125,8 @@ func TestRoundRobinSelector(t *testing.T) {
 func TestBandwidthOnlySelector(t *testing.T) {
 	s := BandwidthOnlySelector{}
 	cs := []Candidate{
-		{Report: report(20, 99, 99)},
-		{Report: report(80, 1, 1)},
+		{Report: &info.HostReport{BandwidthPercent: 20, CPUIdlePercent: 99, IOIdlePercent: 99}},
+		{Report: &info.HostReport{BandwidthPercent: 80, CPUIdlePercent: 1, IOIdlePercent: 1}},
 	}
 	i, err := s.Select(cs)
 	if err != nil || i != 1 {
@@ -463,13 +464,13 @@ func TestApplicationValidation(t *testing.T) {
 }
 
 func TestLatencyAwareSelector(t *testing.T) {
-	near := Candidate{Report: info.HostReport{BandwidthPercent: 70, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 1}}
-	far := Candidate{Report: info.HostReport{BandwidthPercent: 75, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 40}}
+	near := Candidate{Report: &info.HostReport{BandwidthPercent: 70, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 1}}
+	far := Candidate{Report: &info.HostReport{BandwidthPercent: 75, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 40}}
 	// Plain cost model prefers the marginally-faster far host...
 	plain := CostModelSelector{Weights: PaperWeights}
 	cands := []Candidate{near, far}
 	for i := range cands {
-		cands[i].Score = Score(cands[i].Report, PaperWeights)
+		cands[i].Score = Score(*cands[i].Report, PaperWeights)
 	}
 	i, err := plain.Select(cands)
 	if err != nil || i != 1 {

@@ -58,8 +58,14 @@ func Score(r info.HostReport, w Weights) float64 {
 // Candidate is one scored replica location.
 type Candidate struct {
 	Location replica.Location
-	Report   info.HostReport
-	Score    float64
+	// Report is the host's record in the pinned SnapshotView that ranked
+	// the candidate: the view's memoized copy, shared with every other
+	// candidate of the host under that view. The view never changes it, so
+	// it may be read from any goroutine, but it is read-only, and it keeps
+	// the view's memo alive as long as the candidate is held. nil in a
+	// local hit's FetchResult.Chosen, which no selection ranked.
+	Report *info.HostReport
+	Score  float64
 }
 
 // Selector picks one of the scored candidates. Implementations include the
@@ -168,7 +174,7 @@ func (s LatencyAwareSelector) Select(cands []Candidate) (int, error) {
 	}
 	best, bestScore := 0, math.Inf(-1)
 	for i, c := range cands {
-		score := Score(c.Report, s.Weights) - latencyPenaltyPerMs*c.Report.LatencyMs
+		score := Score(*c.Report, s.Weights) - latencyPenaltyPerMs*c.Report.LatencyMs
 		if score > bestScore {
 			best, bestScore = i, score
 		}

@@ -144,17 +144,16 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 	slices.SortStableFunc(locs, func(a, b replica.Tagged) int {
 		return cmp.Compare(h.order[a.RegionID], h.order[b.RegionID])
 	})
-	var bests [16]Candidate
+	var bests [16]ref
 	merged := bests[:0]
 	regions := 0
-	for rest := locs; len(rest) > 0; {
-		id := rest[0].RegionID
+	for off := 0; off < len(locs); {
+		id := locs[off].RegionID
 		n := 1
-		for n < len(rest) && rest[n].RegionID == id {
+		for off+n < len(locs) && locs[off+n].RegionID == id {
 			n++
 		}
-		part := rest[:n]
-		rest = rest[n:]
+		part := locs[off : off+n]
 		regions++
 		srv := h.regions[id]
 		if srv == nil {
@@ -163,36 +162,20 @@ func (h *HierarchicalServer) Rank(logical string, now time.Duration) ([]Candidat
 		h.stats.RegionsConsulted++
 		h.stats.HostsScanned += uint64(n)
 		h.stats.MaxSingleRank = max(h.stats.MaxSingleRank, n)
-		best, err := srv.PinView(now).scan(logical, part, nil)
-		if err != nil {
-			if errors.Is(err, ErrNoUsableReplica) {
-				continue
-			}
+		best, _, err := srv.PinView(now).scan(logical, part, nil)
+		if err == nil {
+			best.i += off
+			merged = append(merged, best)
+		} else if !errors.Is(err, ErrNoUsableReplica) {
 			return nil, err
 		}
-		merged = append(merged, best)
+		off += n
 	}
 	if len(merged) == 0 {
 		return nil, fmt.Errorf("%w: %q monitored in none of its %d regions",
 			ErrNoUsableReplica, logical, regions)
 	}
-	// Insertion-sort positions, not the 136-byte candidates, then copy each
-	// best once into the result.
-	var posBuf [16]int
-	pos := posBuf[:0]
-	for i := range merged {
-		j := len(pos)
-		pos = append(pos, i)
-		for ; j > 0 && bestFirst(merged[pos[j-1]], merged[i]) > 0; j-- {
-			pos[j] = pos[j-1]
-		}
-		pos[j] = i
-	}
-	out := make([]Candidate, len(merged))
-	for k, i := range pos {
-		out[k] = merged[i]
-	}
-	return out, nil
+	return rankedCandidates(locs, merged), nil
 }
 
 // SelectBest applies the configured selector to the merged per-region

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/info"
@@ -259,11 +261,17 @@ func TestFirstReplicaAfterAddRegion(t *testing.T) {
 }
 
 // TestRankAllocs pins a warm Rank on both tiers, at any region count, to
-// one allocation: the slice it returns. The region tier walks its
+// one allocation: the slice it returns, len × Sizeof(Candidate) bytes
+// rounded to the allocator's size class. The region tier walks its
 // locations through a stack buffer and keeps the running best, so nothing
 // else is built. (One ranker with a list and a sort per region: 5 flat and
-// 8, 11 and 18 for one, two and three regions.)
+// 8, 11 and 18 for one, two and three regions.) A candidate is a 40-byte
+// Location, the report pointer and the score, 56 bytes; with the report
+// held by value it was 136.
 func TestRankAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(Candidate{}); size > 56 {
+		t.Errorf("Candidate is %d bytes, want at most 56", size)
+	}
 	p := buildPipeline(t)
 	if err := p.eng.RunUntil(2 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -280,11 +288,35 @@ func TestRankAllocs(t *testing.T) {
 		{"two-regions", 1, func() ([]Candidate, error) { return h.Rank("two-regions", 0) }},
 		{"all-regions", 1, func() ([]Candidate, error) { return h.Rank("all-regions", 0) }},
 	} {
-		if _, err := tc.rank(); err != nil { // pin the snapshot and view
+		cands, err := tc.rank() // pin the snapshot and view
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { tc.rank() }); got > tc.max {
 			t.Errorf("%s: %v allocs per Rank, want at most %v", tc.name, got, tc.max)
 		}
+		n := uintptr(len(cands)) * unsafe.Sizeof(Candidate{})
+		want := bytesPerRun(100, func() { byteSink = make([]byte, n) })
+		if got := bytesPerRun(100, func() { tc.rank() }); got != want {
+			t.Errorf("%s: %d bytes per Rank, want %d (one slice of %d candidates)", tc.name, got, want, len(cands))
+		}
 	}
+}
+
+// byteSink keeps bytesPerRun's reference allocation on the heap.
+var byteSink []byte
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs after a warm-up call. It counts
+// whole size classes, as the allocator hands them out.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -182,12 +183,12 @@ func diffRank(hosts oracleBuilder, got []Candidate, err error, want []refCand, h
 	case len(got) != len(want):
 		return fmt.Sprintf("%d candidates, want %d", len(got), len(want))
 	}
-	for i := range got {
-		if got[i].Location != want[i].loc || got[i].Score != want[i].score || got[i].Report != hosts[want[i].loc.Host].perf {
-			return fmt.Sprintf("candidate %d = %v (%v), want %v (%v)", i, got[i].Location, got[i].Score, want[i].loc, want[i].score)
-		}
+	wantCands := make([]Candidate, len(want))
+	for i, c := range want {
+		perf := hosts[c.loc.Host].perf
+		wantCands[i] = Candidate{Location: c.loc, Report: &perf, Score: c.score}
 	}
-	return ""
+	return DiffCandidates(got, wantCands)
 }
 
 type rankFn func(logical string) ([]Candidate, error)
@@ -272,7 +273,7 @@ func TestRankOracleCatchesTieBreakMutation(t *testing.T) {
 			cands, err := rank(lg)
 			slices.SortStableFunc(cands, func(a, b Candidate) int {
 				if a.Score != b.Score {
-					return bestFirst(a, b)
+					return cmp.Compare(b.Score, a.Score)
 				}
 				return strings.Compare(b.Location.String(), a.Location.String())
 			})

@@ -99,16 +99,38 @@ func (v *SnapshotView) entry(id int32, host string) *viewEntry {
 // Epoch returns the pinned snapshot's epoch.
 func (v *SnapshotView) Epoch() uint64 { return v.snap.Epoch() }
 
+// ref is one usable location as scan sees it, before it becomes a
+// Candidate: the host's memoized entry and the location's index in the
+// slice scan walked. Rankings sort these 16-byte references and build
+// each Candidate once, straight into the slice they return.
+type ref struct {
+	e *viewEntry
+	i int
+}
+
 // bestFirst is the candidate order every ranking and merge uses: score
-// descending, ties toward the lexicographically smaller location.
-func bestFirst(a, b Candidate) int {
-	if a.Score != b.Score {
-		if a.Score > b.Score {
+// descending, ties toward the lexicographically smaller location. a and b
+// index locs.
+func bestFirst(locs []replica.Tagged, a, b ref) int {
+	if a.e.score != b.e.score {
+		if a.e.score > b.e.score {
 			return -1
 		}
 		return 1
 	}
-	return a.Location.Compare(b.Location)
+	return locs[a.i].Location.Compare(locs[b.i].Location)
+}
+
+// rankedCandidates sorts refs best-first and builds the candidates they
+// name: the one allocation of a Rank on either tier. Each Report points
+// at its view's memoized entry.
+func rankedCandidates(locs []replica.Tagged, refs []ref) []Candidate {
+	slices.SortStableFunc(refs, func(a, b ref) int { return bestFirst(locs, a, b) })
+	out := make([]Candidate, len(refs))
+	for k, r := range refs {
+		out[k] = Candidate{Location: locs[r.i].Location, Report: &r.e.report, Score: r.e.score}
+	}
+	return out
 }
 
 // Rank scores every registered replica of the logical file against the
@@ -123,23 +145,23 @@ func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]Candidate, 0, len(locs))
-	if _, err := v.scan(logical, locs, &cands); err != nil {
+	var refBuf [8]ref
+	_, refs, err := v.scan(logical, locs, refBuf[:0])
+	if err != nil {
 		return nil, err
 	}
-	slices.SortStableFunc(cands, bestFirst)
-	return cands, nil
+	return rankedCandidates(locs, refs), nil
 }
 
-// scan is the only loop turning catalog locations into scored candidates,
+// scan is the only loop turning catalog locations into scored references,
 // on both tiers: the flat Rank hands it the file's catalog read, the
 // hierarchy one region's part of its single read. It returns the bestFirst
-// minimum. The catalog hands out distinct locations in ascending
-// Location.Compare order, so the first of the highest score is the
-// minimum: what a stable bestFirst sort would put at the head. all, when
-// non-nil, also collects every candidate, in catalog order.
-func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all *[]Candidate) (best Candidate, err error) {
-	var top *viewEntry
+// minimum, indexing locs. The catalog hands out distinct locations in
+// ascending Location.Compare order, so the first of the highest score is
+// the minimum: what a stable bestFirst sort would put at the head. all,
+// when non-nil, also collects every usable location, in catalog order; it
+// comes back extended.
+func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all []ref) (best ref, _ []ref, err error) {
 	for i := range locs {
 		t := &locs[i]
 		e := v.entry(t.HostID, t.Host)
@@ -150,20 +172,19 @@ func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all *[]Candid
 			if errors.Is(e.err, info.ErrNoData) {
 				continue
 			}
-			return best, e.err
+			return best, all, e.err
 		}
 		if all != nil {
-			*all = append(*all, Candidate{Location: t.Location, Report: e.report, Score: e.score})
+			all = append(all, ref{e, i})
 		}
-		if top == nil || e.score > top.score {
-			top, best.Location = e, t.Location
+		if best.e == nil || e.score > best.e.score {
+			best = ref{e, i}
 		}
 	}
-	if top == nil {
-		return best, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
+	if best.e == nil {
+		return best, all, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
 	}
-	best.Report, best.Score = top.report, top.score
-	return best, nil
+	return best, all, nil
 }
 
 // RankHosts returns the hosts holding the logical file ordered best-first

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
+	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
@@ -33,13 +34,8 @@ func TestViewRankMatchesServerRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(live) {
-		t.Fatalf("view ranked %d candidates, live ranked %d", len(batch), len(live))
-	}
-	for i := range live {
-		if batch[i] != live[i] {
-			t.Fatalf("candidate %d diverged:\nview: %+v\nlive: %+v", i, batch[i], live[i])
-		}
+	if d := DiffCandidates(batch, live); d != "" {
+		t.Fatalf("view and live diverged: %s", d)
 	}
 }
 
@@ -76,8 +72,53 @@ func TestViewSelectBestMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch != live {
-		t.Fatalf("view chose %+v, live chose %+v", batch, live)
+	if d := DiffCandidates([]Candidate{batch}, []Candidate{live}); d != "" {
+		t.Fatalf("view and live chose differently: %s", d)
+	}
+}
+
+// TestRankSharesViewReports: a candidate's Report points at the pinned
+// view's memo. Two ranks under one view share each host's report, and a
+// republished snapshot builds a new memo, leaving the reports older
+// candidates hold as they were.
+func TestRankSharesViewReports(t *testing.T) {
+	p := buildPipeline(t)
+	if err := p.eng.RunUntil(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	view := p.sel.PinView(p.eng.Now())
+	first, err := view.Rank("file-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := p.sel.Rank("file-a", p.eng.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]info.HostReport, len(first))
+	for i := range first {
+		if first[i].Report != second[i].Report {
+			t.Fatalf("candidate %d: two ranks under one view hold two reports of %s", i, first[i].Location.Host)
+		}
+		kept[i] = *first[i].Report
+	}
+	if err := p.eng.RunUntil(4 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if p.sel.PinView(p.eng.Now()) == view {
+		t.Fatal("the clock moved but the view did not")
+	}
+	later, err := p.sel.Rank("file-a", p.eng.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if *first[i].Report != kept[i] {
+			t.Fatalf("candidate %d's report changed under a republish:\n was %+v\n now %+v", i, kept[i], *first[i].Report)
+		}
+		if later[i].Report.At == kept[i].At {
+			t.Fatalf("candidate %d: the republished rank reads the old instant %v", i, kept[i].At)
+		}
 	}
 }
 
@@ -133,10 +174,8 @@ func TestPinnedViewRanksManyLogicals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range live {
-			if cands[j] != live[j] {
-				t.Fatalf("%s candidate %d diverged", lg, j)
-			}
+		if d := DiffCandidates(cands, live); d != "" {
+			t.Fatalf("%s diverged: %s", lg, d)
 		}
 	}
 }
@@ -191,11 +230,9 @@ func TestViewConcurrentRank(t *testing.T) {
 					t.Errorf("Rank: %v", err)
 					return
 				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("concurrent rank diverged at %d", j)
-						return
-					}
+				if d := DiffCandidates(got, want); d != "" {
+					t.Errorf("concurrent rank diverged: %s", d)
+					return
 				}
 				if _, err := view.SelectBest("file-a"); err != nil {
 					t.Errorf("SelectBest: %v", err)

@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"slices"
-
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/topo"
 )
@@ -21,20 +19,28 @@ import (
 func nearestFirst(cands []core.Candidate, requester string) []core.Candidate {
 	site := topo.SiteOfHost(requester)
 	region := topo.RegionOfHost(requester)
-	tier := func(c core.Candidate) int {
-		h := c.Location.Host
+	var buf [16]uint8
+	tiers := buf[:0]
+	for i := range cands {
+		h := cands[i].Location.Host
+		tier := uint8(3)
 		switch {
 		case h == requester:
-			return 0
+			tier = 0
 		case topo.SiteOfHost(h) == site:
-			return 1
+			tier = 1
 		case topo.RegionOfHost(h) == region:
-			return 2
+			tier = 2
 		}
-		return 3
+		tiers = append(tiers, tier)
 	}
-	slices.SortStableFunc(cands, func(a, b core.Candidate) int {
-		return tier(a) - tier(b)
-	})
+	// A stable insertion sort on the tiers, each computed once above: a
+	// ranking holds one candidate per region, a handful.
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && tiers[j-1] > tiers[j]; j-- {
+			tiers[j-1], tiers[j] = tiers[j], tiers[j-1]
+			cands[j-1], cands[j] = cands[j], cands[j-1]
+		}
+	}
 	return cands
 }

@@ -1,10 +1,14 @@
 package traffic
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/replica"
+	"github.com/hpclab/datagrid/internal/topo"
 )
 
 func TestNearestFirst(t *testing.T) {
@@ -55,5 +59,42 @@ func TestNearestFirstAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("nearestFirst allocates %v objects per call, want 0", avg)
+	}
+}
+
+// TestNearestFirstMatchesStableSort holds the reorder, each tier computed
+// once, to a stable sort that derives both operands' tiers per comparison,
+// over lists with repeated tiers, foreign names and lists longer than the
+// tier buffer.
+func TestNearestFirstMatchesStableSort(t *testing.T) {
+	hosts := []string{"r02s00c0h01", "r02s00c0h03", "r02s04c0h01", "r09s01c0h00", "r09s02c0h00", "thu-node1", "r02s04c1h00"}
+	tier := func(h, requester string) int {
+		switch {
+		case h == requester:
+			return 0
+		case topo.SiteOfHost(h) == topo.SiteOfHost(requester):
+			return 1
+		case topo.RegionOfHost(h) == topo.RegionOfHost(requester):
+			return 2
+		}
+		return 3
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		requester := hosts[rng.Intn(len(hosts))]
+		cands := make([]core.Candidate, rng.Intn(25))
+		for i := range cands {
+			cands[i] = core.Candidate{Location: replica.Location{Host: hosts[rng.Intn(len(hosts))], Path: fmt.Sprintf("/grid/f%d", i)}}
+		}
+		want := slices.Clone(cands)
+		slices.SortStableFunc(want, func(a, b core.Candidate) int {
+			return tier(a.Location.Host, requester) - tier(b.Location.Host, requester)
+		})
+		got := nearestFirst(cands, requester)
+		for i := range want {
+			if got[i].Location != want[i].Location {
+				t.Fatalf("trial %d, requester %s: position %d is %v, want %v", trial, requester, i, got[i].Location, want[i].Location)
+			}
+		}
 	}
 }
