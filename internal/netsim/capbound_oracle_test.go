@@ -134,13 +134,17 @@ func anchorsOf(flows []*Flow) []flowAnchor {
 	return got
 }
 
-// after checks the drain that just ran or the event that just fired,
-// component by component (refill).
+// after checks the drain that just ran or the event that just fired: the
+// partition and its certificates (certificateErr), then component by
+// component (refill).
 // One component in three also has its links read through UsedBps first —
 // the others stay stale into the next event, merges and splits included —
 // and a read must move no flow.
 func (o *capBoundOracle) after(tally *StormTally) error {
 	n := o.n
+	if err := certificateErr(n); err != nil {
+		return err
+	}
 	stats := n.pstats
 	defer func() { n.pstats = stats }() // the checker's own fills are not the storm's
 	for _, c := range n.comps {
@@ -192,9 +196,13 @@ func (o *capBoundOracle) after(tally *StormTally) error {
 // one water-fill of every active flow, whatever the partition says. It must
 // leave each flow where the partitioned allocator left it, bit for bit, and
 // its allocation must be max-min fair in its own right (conservation). The
+// partition and its certificates are checked first (certificateErr). The
 // links' usage is put back as production had it, stale or not.
 func (o *capBoundOracle) global() error {
 	n := o.n
+	if err := certificateErr(n); err != nil {
+		return err
+	}
 	g := globalComp(n)
 	stats, used := n.pstats, make([]float64, len(g.links))
 	for i, l := range g.links {

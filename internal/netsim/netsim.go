@@ -99,9 +99,6 @@ type Link struct {
 	// event while a flow crosses the link, moving their rates, and is
 	// caught up by reads while none does (settle).
 	walk *simulation.Walk
-	// down marks a failed link: zero effective capacity, so flows across
-	// it stall (they do not abort — TCP would retry forever too).
-	down bool
 	// usedBps is the total rate currently allocated to simulated flows, as
 	// the owning component's last water-fill summed it. A cap-bound event
 	// leaves it behind (component.stale); readers go through UsedBps.
@@ -114,7 +111,18 @@ type Link struct {
 	// headRoom margin; retight keeps the owning component's count in step.
 	demand float64
 	tight  bool
-	net    *Network
+	// down marks a failed link: zero effective capacity, so flows across
+	// it stall (they do not abort — TCP would retry forever too). It
+	// shares tight's word, with slot, so a Link stays in the 144-byte
+	// size class.
+	down bool
+	// slot is the link's position in its component's links, so a link that
+	// empties leaves the list in O(1); tree is the flow that joined it to
+	// the component, its parent in the component's spanning forest (nil for
+	// an unoccupied link, and for a link that is its tree's root).
+	slot int32
+	tree *Flow
+	net  *Network
 }
 
 // Down reports whether the link is failed.
@@ -272,6 +280,10 @@ type Flow struct {
 	// the 288-byte one (TestFlowSize).
 	ramping bool
 	fixed   bool // water-filling scratch: rate fixed this reallocation
+	// up is the dense index of the link the flow joined its component
+	// through, its parent in the spanning forest; -1 for a root flow. It
+	// shares the flags' word.
+	up int32
 }
 
 // FlowHandler receives a flow's end: FlowEnded runs on the engine

@@ -22,10 +22,19 @@ import (
 //
 //   - StartFlow merges every component its path touches into one
 //     (union by size over the component records, links re-pointed once).
-//   - Flow removal cannot be handled incrementally in general (the flow
-//     may have been the only bridge between two link groups), so removal
-//     marks the component structurally dirty and the next processDirty
-//     re-derives the partition of just that component with a scoped
+//   - Each component carries a spanning certificate: a spanning tree of
+//     its link–flow incidence graph, in which every link's parent is the
+//     flow that joined it to the component (Link.tree) and every flow's
+//     parent is the link it joined through (Flow.up). StartFlow hangs the
+//     flow under its first touched link and every further component it
+//     merges, rerooted at its touched link, under the flow.
+//   - Flow removal is settled on the certificate in O(path) when it
+//     provably leaves the component whole: the flow had at most one live
+//     tree neighbour, or a flow hanging directly under one of them crosses
+//     them all and takes its place in the tree. Otherwise (the flow may
+//     have been the only bridge between two link groups) removal marks the
+//     component structurally dirty and the next processDirty re-derives the
+//     partition of just that component, and its certificate, with a scoped
 //     union-find over its links — O(component), the same order as the
 //     water-fill that must follow anyway.
 //   - SetBackgroundLoad / SetLinkDown / slow-start ramp ticks mark only
@@ -58,7 +67,7 @@ const noMinID = int64(math.MaxInt64)
 type component struct {
 	id    int
 	flows []*Flow // sorted by ascending flow id
-	links []*Link // unique links occupied by the flows above
+	links []*Link // unique links occupied by the flows above, in no read order
 
 	// minAt/minID cache the earliest (completionAt, flow id) among flows;
 	// heapIdx is the record's slot in Network.compHeap (-1 = not queued).
@@ -186,6 +195,7 @@ func (n *Network) markFill(c *component) {
 // claimLink makes c the owner of link l.
 func (n *Network) claimLink(c *component, l *Link) {
 	n.linkComp[l.idx] = c.id
+	l.slot = int32(len(c.links))
 	c.links = append(c.links, l)
 	if l.tight {
 		c.tight++
@@ -235,17 +245,30 @@ func (n *Network) freeComp(c *component) {
 
 // attachFlow inserts a just-started flow into the partition: all
 // components its path touches merge into one, links not yet occupied join
-// it, and the result is marked dirty.
+// it, and the result is marked dirty. The flow hangs in the certificate
+// under its first touched link, every further component it merges is
+// rerooted at its touched link and hung under the flow, and the flow owns
+// the links new to the component.
 func (n *Network) attachFlow(f *Flow) {
+	// Invariant: StartFlow runs between allocation passes, so no component
+	// its path touches waits for a rebuild and every certificate it joins
+	// spans its component. mergeComps carries structDirty all the same: a
+	// rebuild re-derives the certificate from the flows alone.
 	var c *component
+	f.up = -1
 	for _, l := range f.path {
-		if cid := n.linkComp[l.idx]; cid >= 0 {
-			lc := n.comps[cid]
-			if c == nil {
-				c = lc
-			} else if lc != c {
-				c = n.mergeComps(c, lc)
-			}
+		cid := n.linkComp[l.idx]
+		if cid < 0 {
+			continue
+		}
+		lc := n.comps[cid]
+		if c == nil {
+			c = lc
+			f.up = int32(l.idx)
+		} else if lc != c {
+			n.reroot(l)
+			l.tree = f
+			c = n.mergeComps(c, lc)
 		}
 	}
 	if c == nil {
@@ -257,19 +280,38 @@ func (n *Network) attachFlow(f *Flow) {
 	for _, l := range f.path {
 		if n.linkComp[l.idx] != c.id {
 			n.claimLink(c, l)
+			l.tree = f
 		}
 	}
 	n.markDirty(c)
 }
 
+// reroot makes link l the root of its certificate tree by reversing the
+// parent chain above it, O(depth). The caller hangs l under a new parent.
+func (n *Network) reroot(l *Link) {
+	x, g := l, l.tree
+	l.tree = nil
+	for g != nil {
+		up := g.up
+		g.up = int32(x.idx)
+		if up < 0 {
+			return
+		}
+		y := n.linkList[up]
+		g, y.tree = y.tree, g
+		x = y
+	}
+}
+
 // mergeComps unions two components (larger absorbs smaller): flows are
 // merged preserving id order, the absorbed links are re-pointed, and the
-// absorbed record is freed.
+// absorbed record is freed. A pending rebuild of either side is the union's.
 func (n *Network) mergeComps(a, b *component) *component {
 	if len(b.flows) > len(a.flows) {
 		a, b = b, a
 	}
 	n.pstats.Merges++
+	a.structDirty = a.structDirty || b.structDirty
 	for _, l := range b.links {
 		n.claimLink(a, l)
 	}
@@ -302,9 +344,11 @@ func (n *Network) mergeComps(a, b *component) *component {
 	return a
 }
 
-// detachFlow removes f from its component. The component may have split
-// (f could have been the only bridge), so it is marked structurally dirty
-// and re-partitioned lazily by processDirty.
+// detachFlow removes f from its component. When the certificate shows the
+// component stays whole, the links f leaves empty drop out of it at once.
+// Otherwise the component may have split or emptied (f could have been the
+// only bridge, or the last flow), so it is marked structurally dirty and
+// re-partitioned lazily by processDirty.
 func (n *Network) detachFlow(f *Flow) {
 	c := f.comp
 	if c == nil {
@@ -317,8 +361,91 @@ func (n *Network) detachFlow(f *Flow) {
 		c.flows[len(c.flows)-1] = nil
 		c.flows = c.flows[:len(c.flows)-1]
 	}
-	c.structDirty = true
 	n.markDirty(c)
+	if c.structDirty || len(c.flows) == 0 || !n.certify(c, f) {
+		c.structDirty = true
+		return
+	}
+	for _, l := range f.path {
+		if l.nflows == 0 {
+			n.dropLink(c, l)
+		}
+	}
+}
+
+// certify settles f's departure on c's certificate, or reports that it
+// cannot. f's live tree neighbours are its parent link and the links it
+// owns that still carry flows; the links it leaves empty are leaves under
+// it. A parent link that empties with f was a root link only f crossed, so
+// f's subtrees are all that is left and f stands as the root. With one
+// live neighbour, removing f leaves the tree connected (if f was the root,
+// that link becomes the root). With more, a flow g hanging directly under
+// one of them that crosses them all takes f's place: g's edge to its
+// parent survives as one of the new edges, so each subtree f held hangs
+// under g and g under f's parent. A g deeper down could be an ancestor of
+// f's parent link, and hanging it there would close a cycle.
+func (n *Network) certify(c *component, f *Flow) bool {
+	up := f.up
+	var parent *Link
+	live := 0
+	if up >= 0 {
+		if parent = n.linkList[up]; parent.nflows > 0 {
+			live++
+		} else {
+			parent, up = nil, -1
+		}
+	}
+	var owned *Link
+	for _, l := range f.path {
+		if l.tree == f && l.nflows > 0 {
+			live++
+			owned = l
+		}
+	}
+	if live <= 1 {
+		if parent == nil && owned != nil {
+			owned.tree = nil
+		}
+		return live == 1
+	}
+	for _, g := range c.flows {
+		if g.up < 0 {
+			continue
+		}
+		if u := n.linkList[g.up]; u != parent && u.tree != f {
+			continue
+		}
+		hits := 0
+		for _, l := range g.path {
+			if l == parent || l.tree == f {
+				hits++
+			}
+		}
+		if hits < live {
+			continue
+		}
+		g.up = up
+		for _, l := range f.path {
+			if l.tree == f && l.nflows > 0 {
+				l.tree = g
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// dropLink takes a link its last flow left out of a component that stays
+// whole, swapping the list's last link into its slot.
+func (n *Network) dropLink(c *component, l *Link) {
+	last := len(c.links) - 1
+	m := c.links[last]
+	c.links[l.slot] = m
+	m.slot = l.slot
+	c.links[last] = nil
+	c.links = c.links[:last]
+	n.linkComp[l.idx] = -1
+	l.tree = nil
 }
 
 // ufFind is the scoped union-find lookup with path compression. Parents
@@ -345,6 +472,7 @@ func (n *Network) ufFind(x int) int {
 func (n *Network) rebuildComp(c *component) {
 	for _, l := range c.links {
 		n.linkComp[l.idx] = -1
+		l.tree = nil
 	}
 	c.tight = 0 // the surviving links are claimed again below
 	if len(c.flows) == 0 {
@@ -352,16 +480,38 @@ func (n *Network) rebuildComp(c *component) {
 		return
 	}
 	c.structDirty = false
-	for _, f := range c.flows {
+	// The union pass derives each group's certificate as attachFlow would,
+	// youngest flow first: a link seen first is the flow's own (and its
+	// union-find entry starts there), the first link already seen is the
+	// flow's parent, and every further group it bridges is rerooted at its
+	// touched link and hung under the flow. Younger flows tend to end later,
+	// so the links go to the flows likely to outlive their neighbours, and
+	// more departures find themselves leaves. The order of this pass moves
+	// no group: the grouping below walks flow-id order.
+	for i := len(c.flows) - 1; i >= 0; i-- {
+		f := c.flows[i]
+		f.up = -1
+		r0 := -1
 		for _, l := range f.path {
-			n.ufParent[l.idx] = l.idx
-		}
-	}
-	for _, f := range c.flows {
-		r0 := n.ufFind(f.path[0].idx)
-		for _, l := range f.path[1:] {
+			if l.tree == nil {
+				l.tree = f
+				if r0 < 0 {
+					r0 = l.idx
+				}
+				n.ufParent[l.idx] = r0
+				continue
+			}
 			r := n.ufFind(l.idx)
-			if r != r0 {
+			switch {
+			case f.up < 0:
+				f.up = int32(l.idx)
+				if r0 >= 0 && r0 != r {
+					n.ufParent[r0] = r
+				}
+				r0 = r
+			case r != r0:
+				n.reroot(l)
+				l.tree = f
 				n.ufParent[r] = r0
 			}
 		}

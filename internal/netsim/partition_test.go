@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,10 +16,14 @@ import (
 // component flows crossing it, every link on a component flow's path is
 // owned by that flow's component, unoccupied links are unowned with zero
 // allocation, no capacity leaks across components (per-link usedBps equals
-// the owning component's flow sum), and the completion heap is a valid
-// min-heap over exactly the live components.
+// the owning component's flow sum), the completion heap is a valid
+// min-heap over exactly the live components, and each component is the true
+// one with a spanning certificate (certificateErr).
 func checkPartition(t *testing.T, n *Network, when string) {
 	t.Helper()
+	if err := certificateErr(n); err != nil {
+		t.Errorf("%s: %v", when, err)
+	}
 	live := 0
 	seen := make(map[int64]bool)
 	for _, c := range n.comps {
@@ -134,6 +139,82 @@ func checkPartition(t *testing.T, n *Network, when string) {
 	}
 }
 
+// certificateErr holds the partition to the true one and each component's
+// certificate to a spanning tree of it. Every component is connected through
+// its flows (an over-merged one is not), and its link list knows each link's
+// slot. Every live link's tree flow crosses it in the same component, and
+// every flow's parent link is on its path. The parent edges number links +
+// flows − 1 (one root), and following them up from any flow reaches that
+// root (no cycle). An unoccupied link has no tree flow.
+func certificateErr(n *Network) error {
+	for _, c := range n.comps {
+		if c.gone || len(c.flows) == 0 {
+			continue
+		}
+		on := make(map[*Link][]*Flow)
+		for _, f := range c.flows {
+			for _, l := range f.path {
+				on[l] = append(on[l], f)
+			}
+		}
+		reached := map[*Flow]bool{c.flows[0]: true}
+		for queue := c.flows[:1:1]; len(queue) > 0; queue = queue[1:] {
+			for _, l := range queue[0].path {
+				for _, g := range on[l] {
+					if !reached[g] {
+						reached[g] = true
+						queue = append(queue, g)
+					}
+				}
+			}
+		}
+		if len(reached) != len(c.flows) {
+			return fmt.Errorf("component %d is not connected: its first flow reaches %d of its %d flows", c.id, len(reached), len(c.flows))
+		}
+		edges := 0
+		for i, l := range c.links {
+			if int(l.slot) != i {
+				return fmt.Errorf("component %d link %s->%s sits in slot %d, records %d", c.id, l.from, l.to, i, l.slot)
+			}
+			if l.tree == nil {
+				continue
+			}
+			edges++
+			if l.tree.comp != c || !slices.Contains(l.tree.path, l) {
+				return fmt.Errorf("component %d link %s->%s hangs under flow %d, which does not cross it in the component", c.id, l.from, l.to, l.tree.id)
+			}
+		}
+		for _, f := range c.flows {
+			if f.up < 0 {
+				continue
+			}
+			edges++
+			if !slices.Contains(f.path, n.linkList[f.up]) {
+				return fmt.Errorf("component %d flow %d hangs under link %d, off its path", c.id, f.id, f.up)
+			}
+		}
+		nodes := len(c.links) + len(c.flows)
+		if edges != nodes-1 {
+			return fmt.Errorf("component %d certificate has %d edges over %d links and %d flows, want %d", c.id, edges, len(c.links), len(c.flows), nodes-1)
+		}
+		for _, f := range c.flows {
+			g, steps := f, 0
+			for g != nil && g.up >= 0 {
+				if steps++; steps > nodes {
+					return fmt.Errorf("component %d certificate has a cycle above flow %d", c.id, f.id)
+				}
+				g = n.linkList[g.up].tree
+			}
+		}
+	}
+	for _, l := range n.linkList {
+		if l.nflows == 0 && l.tree != nil {
+			return fmt.Errorf("unoccupied link %s->%s still hangs under flow %d", l.from, l.to, l.tree.id)
+		}
+	}
+	return nil
+}
+
 // islandNet builds two disconnected three-node chains (a1-a2-a3, b1-b2-b3)
 // plus an unused bridge a3-b1, so flows can form one, two, or a merged
 // component depending on the paths they occupy.
@@ -217,6 +298,41 @@ func TestComponentMergeAndSplit(t *testing.T) {
 	}
 	if fA.State() != FlowDone || fB.State() != FlowDone {
 		t.Fatalf("island flows ended %v/%v, want done", fA.State(), fB.State())
+	}
+}
+
+// TestMergeCarriesPendingRebuild starts a flow while a component still
+// waits for its rebuild, as a start inside an allocation pass would: StartFlow
+// is never entered so today, but mergeComps must not lose the pending rebuild
+// when it absorbs that component. Island b's bridge leaves without a drain,
+// so b's two remaining flows no longer share a link; the new flow merges b
+// into the larger island a, and the rebuild must still split b's far flow
+// off rather than leave an over-merged component.
+func TestMergeCarriesPendingRebuild(t *testing.T) {
+	_, n := islandNet(t)
+	start := func(src, dst string) *Flow {
+		t.Helper()
+		f, err := n.StartFlow(src, dst, 10_000_000, FlowOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for i := 0; i < 3; i++ {
+		start("a1", "a3")
+	}
+	near, far := start("b1", "b2"), start("b2", "b3")
+	bridge := start("b1", "b3")
+	checkPartition(t, n, "before")
+	n.removeFlow(bridge, FlowCanceled)
+	if !far.comp.structDirty || near.comp != far.comp {
+		t.Fatal("the bridge's departure left no rebuild pending")
+	}
+	joined := start("a2", "b2")
+	checkPartition(t, n, "after a start merged the pending component")
+	if joined.comp != near.comp || far.comp == near.comp {
+		t.Fatalf("after the merge: the new flow shares a component with b1->b2: %v, b2->b3 with b1->b2: %v; want true, false",
+			joined.comp == near.comp, far.comp == near.comp)
 	}
 }
 

@@ -141,6 +141,39 @@ func BenchmarkReallocateLinkBound(b *testing.B) {
 	}
 }
 
+// BenchmarkReallocateDeparture measures one flow leaving a large component
+// that stays whole, and the same transfer starting again: 256 cap-bound
+// flows share one trunk, and the leaving flow's own access links empty with
+// it. The spanning certificate settles the departure in O(path) where a
+// rebuild re-ran the union-find over every remaining flow's path. Both
+// halves drain on the cap-bound path, so no water-fill runs.
+func BenchmarkReallocateDeparture(b *testing.B) {
+	const flows = 256
+	n := benchTrunkNet(b, flows, false)
+	f := n.Flows()[flows-1]
+	src, dst := f.src, f.dst
+	cycle := func() {
+		if err := n.CancelFlow(f); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if f, err = n.StartFlow(src, dst, 1<<40, FlowOptions{WindowBytes: 64 << 10}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle()
+	rounds := n.pstats.Rounds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	if s := n.ReallocStats(); s.Rounds != rounds || s.Components != 1 {
+		b.Fatalf("%d water-fill rounds ran and %d components are live; want 0 and 1", s.Rounds-rounds, s.Components)
+	}
+}
+
 // TestWaterfillWorkCounters pins the round structure the work counters
 // report: a 64-flow component of distinct binding caps takes one round per
 // flow, scanning 64+63+...+1 unfixed flows, and its link-bound twin fixes
@@ -378,6 +411,16 @@ func TestFlowEndsIntoReceiverAllocs(t *testing.T) {
 func TestFlowSize(t *testing.T) {
 	if s := unsafe.Sizeof(Flow{}); s > 256 {
 		t.Fatalf("a Flow is %d bytes, above the 256-byte size class", s)
+	}
+}
+
+// TestLinkSize holds a Link to the 144-byte size class: the certificate's
+// slot shares a word with the tight and down flags, so only its tree
+// pointer is new. The next class is 160 bytes, and the planet world holds
+// one Link per direction of every link.
+func TestLinkSize(t *testing.T) {
+	if s := unsafe.Sizeof(Link{}); s > 144 {
+		t.Fatalf("a Link is %d bytes, above the 144-byte size class", s)
 	}
 }
 
