@@ -16,9 +16,13 @@ build:
 	$(GO) build ./...
 
 # gofmt -l prints the unformatted files; any output fails the target.
-# Analyzer fixtures under testdata/ are exempt.
+# Analyzer fixtures under testdata/ are exempt. The list is kept in a
+# variable and written to the standard error already open, which a
+# redirected log then keeps whole (tee /dev/stderr would reopen, and so
+# truncate, a log file).
 vet:
-	@test -z "$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l | tee /dev/stderr)"
+	@unformatted="$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/gridlint ./...
 

@@ -407,7 +407,7 @@ func TestExtensionScale(t *testing.T) {
 // TestExtensionScaleDeterminismPin runs the scale study twice with the
 // same seed and requires bit-identical rows and rendering. This is the
 // regression net for the simulation core's determinism guarantee: the
-// incremental allocator, the slow-start fast path and the pooled event
+// incremental allocator, the slow-start batches and the pooled event
 // plumbing must never let run-to-run jitter into experiment output.
 func TestExtensionScaleDeterminismPin(t *testing.T) {
 	res1, rendered1, err := ExtensionScale(seed, 0)

@@ -48,11 +48,10 @@ type StormTally struct {
 	Filled     uint64 // components drained by a water-fill
 	Rebuilds   int    // stale components a link read had to rebuild
 	// Batched counts the slow-start events that ticked two flows or more,
-	// and MidBatch the drains such an event ran with ticks still to come
-	// (a tick whose component had to fill at once): every drain of an
-	// event but its last.
-	Batched  int
-	MidBatch int
+	// and BatchedFills those whose one drain water-filled a component: the
+	// fill that answers several moved caps at once.
+	Batched      int
+	BatchedFills int
 }
 
 type flowAnchor struct {
@@ -379,10 +378,10 @@ func stepChecked(n *Network, rng *rand.Rand, opErr *error, tally *StormTally) er
 			return *opErr
 		}
 		tally.Events++
-		if n.pstats.RampFills+n.pstats.RampSkips-pre.RampFills-pre.RampSkips >= 2 {
+		if n.pstats.Ramps-pre.Ramps >= 2 {
 			tally.Batched++
-			if drains := int(n.pstats.Events - pre.Events); drains > 1 {
-				tally.MidBatch += drains - 1
+			if n.pstats.ComponentsDirtied-pre.ComponentsDirtied > n.pstats.CapBound-pre.CapBound {
+				tally.BatchedFills++
 			}
 		}
 		err := *drainErr

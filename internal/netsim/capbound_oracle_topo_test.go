@@ -18,8 +18,8 @@ import (
 // on the water-fill sweep's hand-made networks, where links bind, caps tie
 // and demand hovers at the margin, with one stream and with two. Streams
 // that start together tick in one slow-start event, so an event can move
-// several caps: the metro regime must have batched ticks, and the
-// tight-streams regime batches whose ticks had to fill mid-way.
+// several caps before its one drain: the metro regime must have batched
+// ticks, and the tight-streams regime batches whose drain water-filled.
 // -oracle.cases is the number of engine events checked, split evenly;
 // every regime must have taken both paths.
 func TestCapBoundOracle(t *testing.T) {
@@ -57,13 +57,13 @@ func TestCapBoundOracle(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
-			t.Logf("%d events, %d components diffed: %d cap-bound, %d water-filled, %d rebuilt on read; %d batched ramp events, %d mid-batch drains",
-				tally.Events, tally.Components, tally.Fast, tally.Filled, tally.Rebuilds, tally.Batched, tally.MidBatch)
+			t.Logf("%d events, %d components diffed: %d cap-bound, %d water-filled, %d rebuilt on read; %d batched ramp events, %d of them water-filled",
+				tally.Events, tally.Components, tally.Fast, tally.Filled, tally.Rebuilds, tally.Batched, tally.BatchedFills)
 			if tally.Fast == 0 || tally.Filled == 0 || tally.Rebuilds == 0 {
 				t.Fatalf("one path went untested: %d cap-bound, %d water-filled, %d rebuilt on read", tally.Fast, tally.Filled, tally.Rebuilds)
 			}
-			if (reg.Name == "metro" && tally.Batched == 0) || (reg.Name == "tight-streams" && tally.MidBatch == 0) {
-				t.Fatalf("batched ticks went untested: %d batched ramp events, %d mid-batch drains", tally.Batched, tally.MidBatch)
+			if (reg.Name == "metro" && tally.Batched == 0) || (reg.Name == "tight-streams" && tally.BatchedFills == 0) {
+				t.Fatalf("batched ticks went untested: %d batched ramp events, %d of them water-filled", tally.Batched, tally.BatchedFills)
 			}
 		})
 	}

@@ -39,10 +39,7 @@ const DefaultMSS = 1460
 const initialCwnd = 2
 
 // allocEps is the relative tolerance the water-filling allocator uses when
-// deciding that a flow's limit equals the round's minimum. The slow-start
-// fast path reuses the same epsilon: a congestion window more than
-// (1+allocEps) above the flow's allocated rate provably cannot have been
-// the binding constraint.
+// deciding that a flow's limit equals the round's minimum.
 const allocEps = 1e-9
 
 // headRoom is the share of a link's effective capacity the summed caps of
@@ -258,17 +255,15 @@ type Flow struct {
 	loss float64
 	mss  int
 
-	// intrinsicBps and staticCapBps memoize the flow's constant rate
-	// bounds: min(window/RTT, Mathis) and that further clamped by any
-	// application cap. rtt, loss, mss and opts never change after
-	// StartFlow, so both are computed once there; only the slow-start
-	// window still varies (capBps folds it in while ramping).
-	intrinsicBps float64
+	// staticCapBps memoizes the flow's constant rate bound: min(window/RTT,
+	// Mathis) further clamped by any application cap. rtt, loss, mss and
+	// opts never change after StartFlow, so it is computed once there; only
+	// the slow-start window still varies (capBps folds it in while ramping).
 	staticCapBps float64
 
-	// cwndBps is the slow-start limited rate; it doubles every RTT until
-	// it stops binding. ramp is the batch holding the flow's next tick
-	// (nil once the window stops binding).
+	// cwndBps is the slow-start limited rate; it doubles every RTT while it
+	// is below staticCapBps, and ramping is set exactly then. ramp is the
+	// batch holding the flow's next tick (nil once ramping ends).
 	cwndBps  float64
 	ramp     *rampBatch
 	rateBps  float64 // current allocated rate
@@ -1084,11 +1079,10 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 	f.remaining = f.wireBytes
 	f.settledAt = f.started
 	f.completionAt = noCompletion
-	f.intrinsicBps = f.windowBps()
-	if m := f.mathisBps(); m < f.intrinsicBps {
-		f.intrinsicBps = m
+	f.staticCapBps = f.windowBps()
+	if m := f.mathisBps(); m < f.staticCapBps {
+		f.staticCapBps = m
 	}
-	f.staticCapBps = f.intrinsicBps
 	if f.opts.RateCapBps > 0 && f.opts.RateCapBps < f.staticCapBps {
 		f.staticCapBps = f.opts.RateCapBps
 	}
@@ -1102,11 +1096,14 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 		l.nflows++
 	}
 	// Slow start: rate begins at initialCwnd segments per RTT and doubles
-	// each RTT until it no longer binds.
+	// each RTT until it reaches the flow's static cap; a first window
+	// already there never ticks.
 	if f.rtt > 0 {
-		f.ramping = true
 		f.cwndBps = float64(initialCwnd*f.mss) * 8 / f.rtt.Seconds()
-		n.scheduleRamp(f)
+		if f.cwndBps < f.staticCapBps {
+			f.ramping = true
+			n.scheduleRamp(f)
+		}
 	}
 	// Join the partition (merging every component the path touches) and
 	// re-allocate just the resulting component.
@@ -1237,65 +1234,34 @@ func (n *Network) leaveRamp(f *Flow) {
 	}
 }
 
-// Fire ticks every flow of the batch in order and drains once at the end,
-// or only re-aims the completion event when no tick left anything dirty. A
-// tick whose component then needs a real fill (a tight link, or a cap in a
-// neighbour's band) is drained at once, so every later tick's skip test
-// reads the rates the per-flow events would have shown it. A cap-bound
-// drain moves no rate but the moved flows' own, so deferring it hides
-// nothing from a later test.
+// Fire ticks every flow of the batch in order and drains once at the end.
+// Every tick moves its flow's cap, so the drain always finds work.
 func (b *rampBatch) Fire(time.Duration) {
 	n := b.net
-	undrained := false
 	for _, f := range b.flows {
-		if f == nil {
-			continue
-		}
-		f.ramp = nil
-		n.rampTick(f)
-		undrained = true
-		if c := f.comp; c.dirty && (c.mustFill || c.tight > 0) {
-			n.processDirty()
-			undrained = false
+		if f != nil {
+			f.ramp = nil
+			n.rampTick(f)
 		}
 	}
-	if len(n.dirtyComps) > 0 {
-		n.processDirty()
-	} else if undrained {
-		n.rescheduleNextCompletion()
-	}
+	n.processDirty()
 	n.freeRampBatch(b)
 }
 
-// rampTick is one flow's slow-start step: double the congestion window and
-// book the move. When the pre-doubling window was not the flow's binding
-// constraint — it already exceeded the flow's other intrinsic caps, or it
-// sat strictly above the allocated rate by more than the allocator's own
-// epsilon — raising it provably leaves the max-min fixed point untouched
-// (see docs/PERFORMANCE.md for the argument): the tick is a RampSkip, which
-// marks no component and only tells the links' demand the new cap.
-// Otherwise it is a RampFill, and the caller drains it.
+// rampTick is one flow's slow-start step: double the congestion window,
+// stop ramping once it reaches the static cap, and book the move for the
+// caller's drain. A flow ramps only while its window is below that cap, so
+// its cap is the window and every tick moves it.
 func (n *Network) rampTick(f *Flow) {
-	skipWaterFill := f.staticCapBps <= f.cwndBps || f.cwndBps > f.rateBps*(1+allocEps)
-	oldCap := f.capBps()
+	oldCap := f.cwndBps
 	f.cwndBps *= 2
-	// Stop ramping once the congestion window exceeds every other
-	// bound — it can no longer be the binding constraint.
-	if f.cwndBps >= f.intrinsicBps {
+	if f.cwndBps >= f.staticCapBps {
 		f.ramping = false
 	} else {
 		n.scheduleRamp(f)
 	}
-	if skipWaterFill {
-		// Rates provably unchanged: no component needs water-filling. The
-		// cap may still have doubled under a link that binds, and the
-		// links' demand has to say so.
-		n.book(f, oldCap, f.capBps())
-		n.pstats.RampSkips++
-	} else {
-		n.capMoved(f, oldCap)
-		n.pstats.RampFills++
-	}
+	n.capMoved(f, oldCap)
+	n.pstats.Ramps++
 }
 
 // onCompletion fires when the earliest-cached completion arrives; the

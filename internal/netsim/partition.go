@@ -103,12 +103,10 @@ type ReallocStats struct {
 	// Events is the number of allocation passes (API events that drained
 	// the dirty set, water-filling or not).
 	Events uint64
-	// Events by cause. Starts, RampFills (slow-start ticks whose window was
-	// binding), Completions (completion instants and cancels) and
-	// CapacityEvents (SetBackgroundLoad, SetLinkDown) add up to Events;
-	// RampSkips are the slow-start ticks that provably moved no rate and
-	// drained nothing.
-	Starts, RampFills, RampSkips, Completions, CapacityEvents uint64
+	// Work by cause: Starts, Ramps (slow-start ticks; the ticks of one
+	// instant share one drain), Completions (completion instants and
+	// cancels) and CapacityEvents (SetBackgroundLoad, SetLinkDown).
+	Starts, Ramps, Completions, CapacityEvents uint64
 	// ComponentsDirtied is the cumulative number of components allocated
 	// across all events, by either path; CapBound is how many of them the
 	// cap-bound path answered without a water-fill, and Rebuilds how many
@@ -801,9 +799,9 @@ func (n *Network) capChanged(f *Flow, oldCap, newCap float64) {
 
 // capMoved is capChanged for a flow that stays: f started (oldCap is 0) or
 // its slow-start window moved its cap. StartFlow drains before it returns;
-// a ramp batch may defer its drain over several ticks, so one drain can
-// find several moved caps, each tested by capChanged against the caps
-// already booked.
+// a ramp batch drains once after all its ticks, so one drain can find
+// several moved caps, each tested by capChanged against the caps already
+// booked.
 func (n *Network) capMoved(f *Flow, oldCap float64) {
 	n.capChanged(f, oldCap, f.capBps())
 	n.moved = append(n.moved, f)

@@ -328,9 +328,9 @@ func TestCapBoundSteadyStateAllocs(t *testing.T) {
 		}
 		before := n.pstats
 		b.Fire(n.engine.Now())
-		if s := n.pstats; s.RampFills-before.RampFills != 2 || s.Events-before.Events != 1 || s.CapBound-before.CapBound != 1 {
-			t.Fatalf("the batch ran %d fill ticks through %d drains, %d cap-bound; want 2 ticks, one cap-bound drain",
-				s.RampFills-before.RampFills, s.Events-before.Events, s.CapBound-before.CapBound)
+		if s := n.pstats; s.Ramps-before.Ramps != 2 || s.Events-before.Events != 1 || s.CapBound-before.CapBound != 1 {
+			t.Fatalf("the batch ran %d ticks through %d drains, %d cap-bound; want 2 ticks, one cap-bound drain",
+				s.Ramps-before.Ramps, s.Events-before.Events, s.CapBound-before.CapBound)
 		}
 		if !f.comp.stale || f.ramp == nil || g.ramp != f.ramp {
 			t.Fatal("the batch was water-filled, or its flows did not tick into one batch again")

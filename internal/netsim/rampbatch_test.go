@@ -252,13 +252,13 @@ func rampStream(t *testing.T, w *bytes.Buffer, seed int64) {
 		fmt.Fprintln(w)
 	}
 	s := n.ReallocStats()
-	fmt.Fprintf(w, "pending=%d ramp-fills=%d ramp-skips=%d\n", eng.Pending(), s.RampFills, s.RampSkips)
+	fmt.Fprintf(w, "pending=%d ramps=%d\n", eng.Pending(), s.Ramps)
 }
 
 // TestRampBatchEventStream pins what slow start does to every flow: each
 // rate change (instant and bits), finish time, final state and delivered
 // bytes, over seeded scenarios of same-instant streams, plus the engine's
-// pending count at the horizon and the ramp tick counters. The golden was
+// pending count at the horizon and the ramp tick counter. The golden was
 // recorded with one engine event per flow per round trip; coalescing the
 // ticks of one instant into one event must leave it byte-identical.
 func TestRampBatchEventStream(t *testing.T) {
@@ -341,5 +341,86 @@ func TestRampJoinSeesForeignSchedule(t *testing.T) {
 		if reschedule && !between {
 			t.Fatal("the foreign event did not fire between the two streams' ticks")
 		}
+	}
+}
+
+// TestSlowStartEndsAtStaticCap holds slow start to the flow's static cap:
+// under an application cap below window/RTT the window doubles exactly
+// ⌈log₂(cap/cwnd₀)⌉ times and the flow then sits in no batch, at its cap;
+// a flow whose first window already meets its cap never ticks.
+func TestSlowStartEndsAtStaticCap(t *testing.T) {
+	eng, n := islandNet(t)
+	const rateCap = 40e6
+	f, err := n.StartFlow("a1", "a3", 1<<30, FlowOptions{RateCapBps: rateCap}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := f.windowBps(); w <= rateCap {
+		t.Fatalf("window/RTT %v does not exceed the application cap %v", w, rateCap)
+	}
+	want := uint64(math.Ceil(math.Log2(rateCap / f.cwndBps)))
+	if err := eng.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.ReallocStats().Ramps; got != want || f.ramp != nil || f.ramping {
+		t.Fatalf("capped flow ticked %d times (in a batch %v, ramping %v); want %d ticks, then none", got, f.ramp != nil, f.ramping, want)
+	}
+	if f.RateBps() != rateCap {
+		t.Fatalf("capped flow runs at %v, want its cap %v", f.RateBps(), rateCap)
+	}
+
+	eng, n = islandNet(t)
+	g, err := n.StartFlow("a1", "a3", 1<<30, FlowOptions{RateCapBps: 1e6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.ramp != nil || g.ramping || eng.Pending() != 1 {
+		t.Fatalf("a flow whose first window meets its cap scheduled a tick: batch %v, ramping %v, %d events pending (want the completion alone)",
+			g.ramp != nil, g.ramping, eng.Pending())
+	}
+	if err := eng.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.ReallocStats().Ramps; got != 0 || g.RateBps() != 1e6 {
+		t.Fatalf("capped-from-start flow ticked %d times at %v b/s; want none at its cap", got, g.RateBps())
+	}
+}
+
+// TestRampBatchDrainsOnce fires a batch of two streams whose first tick
+// already makes their shared link tight: the batch ticks both and then
+// drains once, water-filling the component.
+func TestRampBatchDrainsOnce(t *testing.T) {
+	eng := simulation.NewEngine()
+	n := New(eng)
+	for _, nd := range []string{"a", "b"} {
+		if err := n.AddNode(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.AddLink("a", "b", LinkConfig{CapacityBps: 8e6, Delay: 4 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	var f [2]*Flow
+	for i := range f {
+		var err error
+		if f[i], err = n.StartFlow("a", "b", 1<<30, FlowOptions{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := f[0].path[0]
+	if f[0].ramp == nil || f[1].ramp != f[0].ramp || l.tight || 3*f[0].cwndBps <= l.cfg.CapacityBps {
+		t.Fatalf("want two streams in one batch on a link with head-room that one tick makes tight (batch %v, tight %v, windows %v)",
+			f[0].ramp != nil && f[1].ramp == f[0].ramp, l.tight, f[0].cwndBps)
+	}
+	before := n.ReallocStats()
+	if !eng.Step() {
+		t.Fatal("no ramp event pending")
+	}
+	s := n.ReallocStats()
+	if ramps, drains, fills := s.Ramps-before.Ramps, s.Events-before.Events, (s.ComponentsDirtied-before.ComponentsDirtied)-(s.CapBound-before.CapBound); ramps != 2 || drains != 1 || fills != 1 {
+		t.Fatalf("the batch ran %d ticks through %d drains, %d water-filled; want 2 ticks, one drain, a water-fill", ramps, drains, fills)
+	}
+	if !l.tight || f[0].RateBps() != 4e6 || f[1].RateBps() != 4e6 {
+		t.Fatalf("after the batch: tight %v, rates %v and %v; want the tight link split evenly", l.tight, f[0].RateBps(), f[1].RateBps())
 	}
 }
