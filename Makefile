@@ -26,8 +26,8 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/gridlint ./...
 
-# Domain-specific static analysis; `gridlint -list` names the analyzers,
-# docs/STATIC_ANALYSIS.md explains them.
+# Domain-specific static analysis: wallclock, determinism and errcheck
+# (`gridlint -list`); docs/STATIC_ANALYSIS.md explains them.
 lint:
 	$(GO) run ./cmd/gridlint ./...
 

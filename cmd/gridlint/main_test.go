@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestListAnalyzers pins the suite: docs, the Makefile and CI point at
-// `gridlint -list` instead of enumerating analyzers, so this is the one
-// place the list is spelled out.
+// TestListAnalyzers pins the suite. The Makefile, CI and
+// docs/STATIC_ANALYSIS.md name the same analyzers; a change to the list
+// changes them too.
 func TestListAnalyzers(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -19,7 +19,7 @@ func TestListAnalyzers(t *testing.T) {
 		name, _, _ := strings.Cut(line, " ")
 		got = append(got, name)
 	}
-	want := []string{"wallclock", "determinism", "seedflow", "lockedcallback", "errcheck", "snapshotdiscipline"}
+	want := []string{"wallclock", "determinism", "errcheck"}
 	if !slices.Equal(got, want) {
 		t.Errorf("-list names %v, want exactly %v", got, want)
 	}

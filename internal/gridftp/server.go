@@ -150,7 +150,6 @@ type session struct {
 	user     string
 	authed   bool
 	mode     byte // 'S' stream (default) or 'E' extended block
-	dtype    byte // 'A' ascii (default) or 'I' image
 	rest     int64
 	quitting bool
 
@@ -228,7 +227,7 @@ var features = []string{"SIZE", "REST STREAM", "AUTH GSI", "MODE E", "PARALLEL",
 
 func (srv *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	s := &session{srv: srv, conn: conn, r: bufio.NewReader(conn), mode: 'S', dtype: 'A'}
+	s := &session{srv: srv, conn: conn, r: bufio.NewReader(conn), mode: 'S'}
 	defer func() {
 		s.closePasv()
 		closeAll(s.spas)
@@ -372,14 +371,12 @@ func handleAUTH(s *session, arg string) {
 	s.reply(235, "GSI authentication successful for "+peer)
 }
 
+// handleTYPE accepts types A and I; every transfer moves the file's bytes
+// unchanged, so the type is acknowledged and not kept.
 func handleTYPE(s *session, arg string) {
-	switch strings.ToUpper(arg) {
-	case "I":
-		s.dtype = 'I'
-		s.reply(200, "type set to I")
-	case "A":
-		s.dtype = 'A'
-		s.reply(200, "type set to A")
+	switch t := strings.ToUpper(arg); t {
+	case "A", "I":
+		s.reply(200, "type set to "+t)
 	default:
 		s.reply(504, "only types A and I supported")
 	}

@@ -5,9 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock,
 		Determinism,
-		Seedflow,
-		LockedCallback,
 		ErrcheckLite,
-		Snapshotdiscipline,
 	}
 }

@@ -84,3 +84,20 @@ func returnsError(pass *Pass, call *ast.CallExpr) bool {
 	named, ok := last.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
+
+// exprString renders a simple receiver expression (identifiers, field
+// selectors) for the finding's message.
+func exprString(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return exprString(v.X) + "." + v.Sel.Name
+	case *ast.ParenExpr:
+		return exprString(v.X)
+	case *ast.StarExpr:
+		return "*" + exprString(v.X)
+	default:
+		return "?"
+	}
+}

@@ -3,12 +3,11 @@
 // built entirely on the standard library (go/ast, go/parser, go/types) so
 // it works in hermetic build environments with no module downloads.
 //
-// The framework exists to enforce the two properties the paper's results
-// depend on: determinism (every experiment is driven by the virtual clock
-// in internal/simulation and seeded randomness) and concurrency safety
-// (no event-engine re-entry while holding locks, no silently dropped I/O
-// errors). See docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
-// suppression directive syntax.
+// The framework exists to enforce what the tests cannot see of two
+// properties: determinism (every experiment is driven by the virtual clock
+// in internal/simulation and seeded randomness) and I/O safety (no
+// silently dropped I/O errors). See docs/STATIC_ANALYSIS.md for the
+// analyzer catalogue and the suppression directive syntax.
 //
 // Unlike go/analysis there are no facts: Run analyzes one package on its
 // own, from its syntax and types.
@@ -129,28 +128,4 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Directive) {
 // paths linttest gives testdata packages (internal/netsim).
 func PathHasSuffix(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
-}
-
-// rootIdent finds the variable at the base of an expression chain
-// (a, a.b, (*a).b[i], a.f(), ...); call results chase the callee. A nil
-// result means the value is produced by a literal rather than read from
-// a variable.
-func rootIdent(e ast.Expr) *ast.Ident {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return v
-	case *ast.SelectorExpr:
-		return rootIdent(v.X)
-	case *ast.CallExpr:
-		return rootIdent(v.Fun)
-	case *ast.ParenExpr:
-		return rootIdent(v.X)
-	case *ast.StarExpr:
-		return rootIdent(v.X)
-	case *ast.IndexExpr:
-		return rootIdent(v.X)
-	case *ast.UnaryExpr:
-		return rootIdent(v.X)
-	}
-	return nil
 }

@@ -37,12 +37,10 @@ func TestData() string {
 
 // Run loads <testdata>/src/<pkgPath>, applies the analyzer, and reports
 // any mismatch between diagnostics and // want annotations as test
-// failures. Fixture imports that resolve inside the testdata tree
-// (import "gridstate" -> <testdata>/src/gridstate) are type-checked from
-// there but not analyzed, as gridlint treats a package's dependencies.
+// failures. A fixture imports the standard library only.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgPath string) {
 	t.Helper()
-	loader := lint.NewTestLoader(filepath.Join(testdata, "src"))
+	loader := lint.NewStdLoader()
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
 	pkg, err := loader.LoadDir(dir, pkgPath)
 	if err != nil {

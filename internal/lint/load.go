@@ -36,9 +36,6 @@ type Loader struct {
 	Fset    *token.FileSet
 	modPath string
 	modRoot string
-	// srcRoot, when set, resolves any import whose directory exists under
-	// it (testdata trees: import "a" -> <srcRoot>/a). See NewTestLoader.
-	srcRoot string
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
@@ -85,17 +82,6 @@ func NewStdLoader() *Loader {
 	}
 }
 
-// NewTestLoader creates a loader rooted at a testdata source tree: an
-// import path whose directory exists under srcRoot resolves there
-// (import "gridstate" -> <srcRoot>/gridstate), everything else comes
-// from GOROOT source. This is what lets a linttest fixture import a
-// sibling fixture package that stands in for a real one.
-func NewTestLoader(srcRoot string) *Loader {
-	l := NewStdLoader()
-	l.srcRoot = srcRoot
-	return l
-}
-
 func readModulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {
@@ -121,16 +107,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 			return nil, err
 		}
 		return pkg.Types, nil
-	}
-	if l.srcRoot != "" {
-		dir := filepath.Join(l.srcRoot, filepath.FromSlash(path))
-		if names, err := goFilesIn(dir); err == nil && len(names) > 0 {
-			pkg, err := l.LoadDir(dir, path)
-			if err != nil {
-				return nil, err
-			}
-			return pkg.Types, nil
-		}
 	}
 	return l.std.Import(path)
 }

@@ -27,6 +27,23 @@ func bad(c *conn, t time.Time) {
 	c.SetWriteDeadline(t)  // want `error from c\.SetWriteDeadline is dropped`
 }
 
+// streamData ends an upload by closing its data connection: that close is
+// the transfer's last chance to report a failure.
+func streamData(data *conn, xfer func(*conn) error) error {
+	defer data.Close()
+	if err := xfer(data); err != nil {
+		return err
+	}
+	data.Close() // want `error from data\.Close is dropped`
+	return nil
+}
+
+// accept bounds a wait by a deadline; one that failed to arm leaves the
+// wait unbounded.
+func accept(ln *conn, d time.Duration) {
+	ln.SetDeadline(time.Now().Add(d)) // want `error from ln\.SetDeadline is dropped`
+}
+
 func good(c *conn) error {
 	_ = c.Close()    // explicit discard is a decision, not an accident
 	defer c.Close()  // deferred cleanup is exempt by design

@@ -35,6 +35,18 @@ func orderFeedsSchedule(m map[string]int, out []string) []string {
 	return out // appended but never sorted: order escapes
 }
 
+// registerRegions hands each region's publisher to the server and keeps
+// it in a list meant to follow the region order; a map walk breaks both
+// orders while every ranked result stays the same.
+func registerRegions(hubs map[string]string, add func(region, hub string)) []string {
+	var order []string
+	for region, hub := range hubs { // want `map iteration order is randomized`
+		add(region, hub)
+		order = append(order, region)
+	}
+	return order
+}
+
 func collectThenSort(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -14,6 +14,19 @@ func bad() time.Duration {
 	return time.Since(t) // want `time\.Since reads the wall clock`
 }
 
+// settle is a simulation-side drain loop that gives up after a wall-clock
+// budget: it finishes on a fast machine and fails on a slow one, so no
+// test that passes here can show it.
+func settle(step, done func() bool) bool {
+	start := time.Now() // want `time\.Now reads the wall clock`
+	for !done() {
+		if time.Since(start) > time.Minute || !step() { // want `time\.Since reads the wall clock`
+			return false
+		}
+	}
+	return true
+}
+
 func suppressedSameLine() time.Time {
 	return time.Now() //gridlint:wallclock-ok exercising same-line suppression
 }

@@ -49,15 +49,9 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 // Add records one observation. x must be finite and non-negative —
 // latencies, byte counts and rates all are, so a violation is a caller
 // bug and panics per the impossible-error convention.
-func (s *QuantileSketch) Add(x float64) { s.AddN(x, 1) }
-
-// AddN records n identical observations in one step.
-func (s *QuantileSketch) AddN(x float64, n uint64) {
+func (s *QuantileSketch) Add(x float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
 		panic(fmt.Sprintf("metrics: quantile sketch observation %v is not a finite non-negative value", x))
-	}
-	if n == 0 {
-		return
 	}
 	if x < s.min {
 		s.min = x
@@ -65,12 +59,12 @@ func (s *QuantileSketch) AddN(x float64, n uint64) {
 	if x > s.max {
 		s.max = x
 	}
-	s.total += n
+	s.total++
 	if x == 0 {
-		s.zeros += n
+		s.zeros++
 		return
 	}
-	s.counts[s.bucket(x)] += n
+	s.counts[s.bucket(x)]++
 }
 
 // bucket maps a positive value to its log-bucket index.

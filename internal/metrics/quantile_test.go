@@ -80,7 +80,9 @@ func TestQuantileSketchEdges(t *testing.T) {
 	if _, err := s.Quantile(0.5); err != ErrEmpty {
 		t.Fatalf("empty Quantile err = %v, want ErrEmpty", err)
 	}
-	s.AddN(0, 3)
+	s.Add(0)
+	s.Add(0)
+	s.Add(0)
 	s.Add(10)
 	if q, err := s.Quantile(0); err != nil || q != 0 {
 		t.Fatalf("Quantile(0) = %v, %v; want 0", q, err)

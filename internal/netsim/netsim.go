@@ -377,17 +377,6 @@ type halfEdge struct {
 	delay time.Duration
 }
 
-// nodeHeapEntry is one entry of the Dijkstra priority queue over core
-// indices. Ties on distance are broken by node name, mirroring the
-// deterministic pick rule the allocator has always used; rank is the node's
-// position among the sorted core names (Network.coreRank), so the
-// tie-break is an integer compare.
-type nodeHeapEntry struct {
-	dist time.Duration
-	rank int32
-	node int32
-}
-
 // routeNode is one node's place in the contracted routing graph. A fringe
 // node hangs below parent through the links up (node->parent) and down
 // (parent->node), depth hops under attach, the core node its tree of
@@ -447,12 +436,11 @@ type Network struct {
 	// Reusable scratch buffers (see docs/PERFORMANCE.md): per-link water
 	// level state indexed by Link.idx, the drained-flow batch of the
 	// completion handler, and the Dijkstra working set (tentative
-	// distances indexed by core index, the queue).
+	// distances indexed by core index).
 	remCap  []float64
 	remCnt  []int
 	doneBuf []*Flow
 	dist    []time.Duration
-	heapBuf []nodeHeapEntry
 
 	// Component partition (see partition.go): comps holds every record by
 	// dense id (freed records stay pooled via compFree), linkComp maps a
@@ -839,13 +827,15 @@ func (n *Network) Route(src, dst string) ([]*Link, error) {
 func (n *Network) RouteStats() RouteStats { return n.stats }
 
 // computeTree runs one full Dijkstra sweep of the core from core index src
-// with a binary heap, and returns, per core index, the dense index of the
-// link entering it (noPrev for src and for unreachable nodes). Distances
-// are exact (integer time.Duration sums), pops are ordered by (distance,
-// node name) and relaxations improve strictly, so every predecessor chain
-// is deterministic. An entry is pushed only on a strict improvement, so
-// one whose distance is above its node's is stale. The dist and heap
-// working arrays are reused Network scratch.
+// and returns, per core index, the dense index of the link entering it
+// (noPrev for src and for unreachable nodes). Each step settles the
+// unsettled node with the least (distance, node name) by a scan of the
+// core, which holds a handful of nodes (the region hubs of a generated
+// world, the switches of the paper testbed). Distances are exact (integer
+// time.Duration sums) and relaxations improve strictly, so every
+// predecessor chain is deterministic. A settled node's distance is
+// overwritten with settled, which no relaxation improves on; the dist
+// working array is reused Network scratch.
 func (n *Network) computeTree(src int32) []int32 {
 	n.stats.TreeBuilds++
 	const hopPenalty = time.Microsecond
@@ -855,75 +845,32 @@ func (n *Network) computeTree(src int32) []int32 {
 		prev[i] = noPrev
 	}
 	dist[src] = 0
-	h := heapPush(n.heapBuf[:0], nodeHeapEntry{0, n.coreRank[src], src})
-	for len(h) > 0 {
-		var top nodeHeapEntry
-		top, h = heapPop(h)
-		u := top.node
-		if top.dist > dist[u] {
-			continue
-		}
+	for u := src; u >= 0; {
+		du := dist[u]
+		dist[u] = settled
 		for _, e := range n.coreAdj[n.coreOff[u]:n.coreOff[u+1]] {
-			if nd := top.dist + e.delay + hopPenalty; nd < dist[e.to] {
+			if nd := du + e.delay + hopPenalty; nd < dist[e.to] {
 				dist[e.to] = nd
 				prev[e.to] = e.link
-				h = heapPush(h, nodeHeapEntry{nd, n.coreRank[e.to], e.to})
+			}
+		}
+		u = -1
+		for v, d := range dist {
+			if d != settled && d != unreached && (u < 0 || d < dist[u] ||
+				d == dist[u] && n.coreRank[v] < n.coreRank[u]) {
+				u = int32(v)
 			}
 		}
 	}
-	n.heapBuf = h[:0]
 	return prev
 }
 
-// unreached marks a node the Dijkstra sweep has not relaxed.
-const unreached = time.Duration(math.MaxInt64)
-
-// heapLess orders queue entries by distance, then node name (its rank) —
-// the same deterministic tie-break as the pick-minimum scan it replaces.
-func heapLess(a, b nodeHeapEntry) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.rank < b.rank
-}
-
-func heapPush(h []nodeHeapEntry, e nodeHeapEntry) []nodeHeapEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func heapPop(h []nodeHeapEntry) (nodeHeapEntry, []nodeHeapEntry) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < len(h) && heapLess(h[left], h[smallest]) {
-			smallest = left
-		}
-		if right < len(h) && heapLess(h[right], h[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top, h
-}
+// unreached marks a core node the sweep has not relaxed yet, settled one
+// it has finished.
+const (
+	unreached = time.Duration(math.MaxInt64)
+	settled   = time.Duration(-1)
+)
 
 // PathRTT returns the round-trip time between two nodes (sum of one-way
 // delays both directions; assumes the reverse path mirrors the forward one).
