@@ -312,20 +312,23 @@ func (t *Testbed) HostDown(name string) (bool, error) {
 	return h.up.Down(), nil
 }
 
+// A host load walk steps every loadPeriod of virtual time, and each step
+// pulls CPU and I/O load loadReversion of the way back toward their means.
+const (
+	loadPeriod    = 2 * time.Second
+	loadReversion = 0.2
+)
+
 // LoadConfig parameterizes a synthetic host load walk: mean-reverting
 // random walks for CPU and I/O load, mimicking a shared cluster node.
 type LoadConfig struct {
 	CPUMean, CPUVolatility float64
 	IOMean, IOVolatility   float64
-	// Reversion in (0,1] pulls each walk toward its mean per step.
-	Reversion float64
-	// Period is the virtual-time interval between updates.
-	Period time.Duration
 }
 
 // StartLoad attaches a synthetic load walk to the host: its base CPU and
-// I/O load start at the means and step every Period, CPU first, from one
-// RNG seeded with seed. No event is scheduled: reading or setting the
+// I/O load start at the means and step every loadPeriod, CPU first, from
+// one RNG seeded with seed. No event is scheduled: reading or setting the
 // host's load applies the due steps.
 func (t *Testbed) StartLoad(host string, cfg LoadConfig, seed int64) error {
 	if cfg.CPUMean > 1 || cfg.IOMean > 1 {
@@ -335,9 +338,9 @@ func (t *Testbed) StartLoad(host string, cfg LoadConfig, seed int64) error {
 	if err != nil {
 		return err
 	}
-	w, err := simulation.NewWalk(t.engine, cfg.Period, seed, nil,
-		simulation.WalkAxis{V: &h.baseCPULoad, Mean: cfg.CPUMean, Reversion: cfg.Reversion, Volatility: cfg.CPUVolatility, Max: 1},
-		simulation.WalkAxis{V: &h.baseIOLoad, Mean: cfg.IOMean, Reversion: cfg.Reversion, Volatility: cfg.IOVolatility, Max: 1})
+	w, err := simulation.NewWalk(t.engine, loadPeriod, seed, nil,
+		simulation.WalkAxis{V: &h.baseCPULoad, Mean: cfg.CPUMean, Reversion: loadReversion, Volatility: cfg.CPUVolatility, Max: 1},
+		simulation.WalkAxis{V: &h.baseIOLoad, Mean: cfg.IOMean, Reversion: loadReversion, Volatility: cfg.IOVolatility, Max: 1})
 	if err != nil {
 		return err
 	}

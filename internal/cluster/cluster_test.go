@@ -173,7 +173,25 @@ func TestJobs(t *testing.T) {
 var walkCfg = LoadConfig{
 	CPUMean: 0.4, CPUVolatility: 0.08,
 	IOMean: 0.2, IOVolatility: 0.05,
-	Reversion: 0.2, Period: time.Second,
+}
+
+// walkPeriod is the load walks' step interval; the reference walk below
+// steps on it with a reversion of 0.2, which pins both constants.
+const walkPeriod = 2 * time.Second
+
+// periodic runs fn and reschedules itself walkPeriod later: a ticker whose
+// first tick is one period after it is scheduled with AfterHandler, as a
+// walk's first step is.
+type periodic struct {
+	eng *simulation.Engine
+	fn  func(time.Duration)
+}
+
+func (p *periodic) Fire(now time.Duration) {
+	p.fn(now)
+	if _, err := p.eng.AfterHandler(walkPeriod, p); err != nil {
+		panic(err)
+	}
 }
 
 func TestLoadProcess(t *testing.T) {
@@ -221,7 +239,7 @@ func newRefLoad(cfg LoadConfig, seed int64) *refLoad {
 
 func (r *refLoad) step() {
 	next := func(v, mean, vol float64) float64 {
-		return clamp01(v + (r.cfg.Reversion*(mean-v) + r.rng.NormFloat64()*vol))
+		return clamp01(v + (0.2*(mean-v) + r.rng.NormFloat64()*vol))
 	}
 	r.cpu = next(r.cpu, r.cfg.CPUMean, r.cfg.CPUVolatility)
 	r.io = next(r.io, r.cfg.IOMean, r.cfg.IOVolatility)
@@ -241,7 +259,7 @@ func TestLoadWalkStepOrderMatchesTicker(t *testing.T) {
 	}
 	h, _ := tb.Host("h1")
 	ref := newRefLoad(walkCfg, 11)
-	if _, err := eng.NewTicker(walkCfg.Period, false, func(time.Duration) { ref.step() }); err != nil {
+	if _, err := eng.AfterHandler(walkPeriod, &periodic{eng, func(time.Duration) { ref.step() }}); err != nil {
 		t.Fatal(err)
 	}
 	reads := map[time.Duration]int{}
@@ -251,8 +269,8 @@ func TestLoadWalkStepOrderMatchesTicker(t *testing.T) {
 			t.Errorf("read at %v scheduled %v ahead = (%v, %v), the ticker has (%v, %v)", eng.Now(), lead, cpu, io, ref.cpu, ref.io)
 		}
 	}
-	p := walkCfg.Period
-	if _, err := eng.NewTicker(p, false, func(time.Duration) { read(p) }); err != nil {
+	p := walkPeriod
+	if _, err := eng.AfterHandler(p, &periodic{eng, func(time.Duration) { read(p) }}); err != nil {
 		t.Fatal(err)
 	}
 	for k := time.Duration(2); k <= 8; k++ {
@@ -300,7 +318,7 @@ func TestLoadWalkIndependentOfReadCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if every > 0 {
-			if _, err := eng.NewTicker(every, false, func(time.Duration) {
+			if _, err := eng.NewTicker(every, func(time.Duration) {
 				for _, n := range tb.Hosts() {
 					h, _ := tb.Host(n)
 					h.CPULoad()
@@ -338,7 +356,7 @@ func TestSetBaseLoadAppliesDueSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := tb.Host("h1")
-	if err := eng.RunUntil(2*walkCfg.Period + walkCfg.Period/2); err != nil {
+	if err := eng.RunUntil(2*walkPeriod + walkPeriod/2); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.SetBaseCPULoad(0.9); err != nil {
@@ -350,13 +368,13 @@ func TestSetBaseLoadAppliesDueSteps(t *testing.T) {
 	if h.IOLoad() != ref.io {
 		t.Fatalf("I/O after the set = %v, want two steps applied (%v)", h.IOLoad(), ref.io)
 	}
-	if err := eng.RunUntil(3*walkCfg.Period - 1); err != nil {
+	if err := eng.RunUntil(3*walkPeriod - 1); err != nil {
 		t.Fatal(err)
 	}
 	if h.CPULoad() != 0.9 {
 		t.Fatalf("CPU before the next grid point = %v, want the written 0.9", h.CPULoad())
 	}
-	if err := eng.RunUntil(3 * walkCfg.Period); err != nil {
+	if err := eng.RunUntil(3 * walkPeriod); err != nil {
 		t.Fatal(err)
 	}
 	ref.cpu = 0.9
@@ -390,18 +408,16 @@ func TestPaperDynamicsEvents(t *testing.T) {
 func TestLoadConfigValidation(t *testing.T) {
 	_, tb := newTestbed(t)
 	bad := []LoadConfig{
-		{CPUMean: -0.1, Reversion: 0.5, Period: time.Second},
-		{CPUMean: 0.5, IOMean: 1.2, Reversion: 0.5, Period: time.Second},
-		{CPUVolatility: -1, Reversion: 0.5, Period: time.Second},
-		{Reversion: 0, Period: time.Second},
-		{Reversion: 0.5, Period: 0},
+		{CPUMean: -0.1},
+		{CPUMean: 0.5, IOMean: 1.2},
+		{CPUVolatility: -1},
 	}
 	for i, cfg := range bad {
 		if err := tb.StartLoad("h1", cfg, 1); err == nil {
 			t.Fatalf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	if err := tb.StartLoad("ghost", LoadConfig{Reversion: 0.5, Period: time.Second}, 1); err == nil {
+	if err := tb.StartLoad("ghost", LoadConfig{}, 1); err == nil {
 		t.Fatal("unknown host should be rejected")
 	}
 }

@@ -101,11 +101,11 @@ func StartPaperDynamics(t *Testbed, seed int64) error {
 	loadFor := func(site string) LoadConfig {
 		switch site {
 		case SiteTHU: // busy compute cluster
-			return LoadConfig{CPUMean: 0.45, CPUVolatility: 0.06, IOMean: 0.25, IOVolatility: 0.05, Reversion: 0.2, Period: 2 * time.Second}
+			return LoadConfig{CPUMean: 0.45, CPUVolatility: 0.06, IOMean: 0.25, IOVolatility: 0.05}
 		case SiteLiZen: // lightly used teaching lab
-			return LoadConfig{CPUMean: 0.15, CPUVolatility: 0.05, IOMean: 0.10, IOVolatility: 0.04, Reversion: 0.2, Period: 2 * time.Second}
+			return LoadConfig{CPUMean: 0.15, CPUVolatility: 0.05, IOMean: 0.10, IOVolatility: 0.04}
 		default: // HIT: moderate
-			return LoadConfig{CPUMean: 0.30, CPUVolatility: 0.06, IOMean: 0.20, IOVolatility: 0.05, Reversion: 0.2, Period: 2 * time.Second}
+			return LoadConfig{CPUMean: 0.30, CPUVolatility: 0.06, IOMean: 0.20, IOVolatility: 0.05}
 		}
 	}
 	s := seed
@@ -119,7 +119,7 @@ func StartPaperDynamics(t *Testbed, seed int64) error {
 			return err
 		}
 	}
-	bg := netsim.BackgroundConfig{Mean: 0.15, Volatility: 0.05, Reversion: 0.25, Period: time.Second, Max: 0.8}
+	bg := netsim.BackgroundConfig{Mean: 0.15, Volatility: 0.05, Reversion: 0.25, Max: 0.8}
 	pairs := [][2]string{{SiteTHU, SiteHIT}, {SiteTHU, SiteLiZen}, {SiteHIT, SiteLiZen}}
 	for _, p := range pairs {
 		for _, dir := range [][2]string{{p[0], p[1]}, {p[1], p[0]}} {

@@ -496,7 +496,7 @@ func TestLatencyAwareSelector(t *testing.T) {
 func TestReportCarriesLatency(t *testing.T) {
 	p := buildPipeline(t)
 	// The deployment runs no latency sensors; install lz02's beside it.
-	if _, err := nws.NewLatencySensor(p.eng, p.dep.NWS, p.tb.Network(), "lz02", "alpha1", 10*time.Second, 13); err != nil {
+	if _, err := nws.NewLatencySensor(p.eng, p.dep.NWS, p.tb.Network(), "lz02", "alpha1", 13); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.eng.RunUntil(60 * time.Second); err != nil {

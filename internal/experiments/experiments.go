@@ -163,11 +163,11 @@ var fileAHosts = []string{"alpha4", "hit0", "lz02"}
 // sweep runs run once per point, one pool job per point on at most
 // workers goroutines (≤ 0 means GOMAXPROCS), and returns the results in
 // point order, so whatever is assembled from them is byte-identical at
-// any worker count. It fails fast: the first failure skips the points not
-// yet started, mirroring the historical sequential early return. The
-// error names the experiment and the failing point with %v, so points
-// are plain data, and a point that holds a func names itself with a
-// String method.
+// any worker count. Every point runs even when one fails, and the error
+// joins every failure in point order, so it too is the same at any
+// worker count. Each failure names the experiment and the failing point
+// with %v, so points are plain data, and a point that holds a func names
+// itself with a String method.
 //
 // Every point must build its own world (Env/engine/testbed) inside run —
 // engines are single-goroutine, and one shared across the pool fails the
@@ -183,7 +183,7 @@ func sweep[P, T any](workers int, what string, points []P, run func(P) (T, error
 			return v, err
 		}}
 	}
-	res, err := runner.Run(jobs, runner.Options{Workers: workers})
+	res, err := runner.Run(jobs, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func latencyEnv(seed int64) (*Env, error) {
 	}
 	// Load the near pipe so its bandwidth percentage trails the far one.
 	err = tb.Network().StartBackground(cluster.SwitchNode("Near"), cluster.SwitchNode("Home"),
-		netsim.BackgroundConfig{Mean: 0.25, Volatility: 0.03, Reversion: 0.3, Period: time.Second}, seed+5)
+		netsim.BackgroundConfig{Mean: 0.25, Volatility: 0.03, Reversion: 0.3}, seed+5)
 	if err != nil {
 		return nil, err
 	}
@@ -71,12 +71,12 @@ func latencyEnv(seed int64) (*Env, error) {
 		return env, err
 	}
 	// This is the one experiment that reads latency, so it runs the
-	// latency sensors itself: one per remote, probing every 10 s.
+	// latency sensors itself: one per remote, probing every nws.ProbePeriod.
 	for _, s := range []struct {
 		remote string
 		seed   int64
 	}{{"far", seed + 2}, {"near", seed + 4}} {
-		if _, err := nws.NewLatencySensor(env.Engine, env.Deploy.NWS, tb.Network(), s.remote, "client", 10*time.Second, s.seed); err != nil {
+		if _, err := nws.NewLatencySensor(env.Engine, env.Deploy.NWS, tb.Network(), s.remote, "client", s.seed); err != nil {
 			return env, err
 		}
 	}

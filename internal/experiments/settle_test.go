@@ -12,7 +12,7 @@ import (
 func tickingEngine(t *testing.T) *simulation.Engine {
 	t.Helper()
 	eng := simulation.NewEngine()
-	if _, err := eng.NewTicker(time.Second, false, func(time.Duration) {}); err != nil {
+	if _, err := eng.NewTicker(time.Second, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
 	return eng

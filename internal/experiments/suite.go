@@ -176,10 +176,9 @@ func entry[R any](name, group string, run func(seed int64, workers int) (R, stri
 }
 
 // RunEntries executes the given entries on the worker pool and returns
-// their results in registry order. Unlike the per-experiment fan-out
-// (which fails fast), the suite collects every entry's error so one
-// broken experiment cannot hide the others; the returned error joins
-// all failures.
+// their results in registry order. Every entry runs, so one broken
+// experiment cannot hide the others; the returned error joins all
+// failures in registry order.
 func RunEntries(entries []SuiteEntry, seed int64, workers int) ([]EntryResult, error) {
 	jobs := make([]runner.Job[EntryResult], len(entries))
 	for i, e := range entries {
@@ -188,7 +187,7 @@ func RunEntries(entries []SuiteEntry, seed int64, workers int) ([]EntryResult, e
 			return EntryResult{Output: out, Metrics: ms}, err
 		}}
 	}
-	rs, err := runner.Run(jobs, runner.Options{Workers: workers, Policy: runner.CollectAll})
+	rs, err := runner.Run(jobs, workers)
 	out := make([]EntryResult, len(rs))
 	for i, r := range rs {
 		out[i] = r.Value

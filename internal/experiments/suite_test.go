@@ -169,6 +169,20 @@ func TestSweepOrdersResultsAndNamesTheFailingPoint(t *testing.T) {
 	if !errors.Is(err, boom) || err.Error() != "figure 3: point {512 ftp}: boom" {
 		t.Fatalf("err = %v, want figure 3: point {512 ftp}: boom", err)
 	}
+	// Every point runs and every failure is named, in point order: the
+	// same text at any worker count.
+	for _, workers := range []int{1, 8} {
+		_, err := sweep(workers, "figure 4", []cell{{64, "ftp"}, {256, "gridftp"}, {512, "ftp"}, {1024, "gridftp"}}, func(c cell) (float64, error) {
+			if c.proto == "gridftp" {
+				return 0, fmt.Errorf("%d MB: %w", c.sizeMB, boom)
+			}
+			return 1, nil
+		})
+		const want = "figure 4: point {256 gridftp}: 256 MB: boom\nfigure 4: point {1024 gridftp}: 1024 MB: boom"
+		if !errors.Is(err, boom) || err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+		}
+	}
 	st := replicationStrategy{"failing", func(*siteExecutor) (placement.Policy, error) { return nil, boom }}
 	_, err = sweep(1, "replication extension", []replicationStrategy{st}, func(replicationStrategy) (int, error) { return 0, boom })
 	if err == nil || err.Error() != "replication extension: point failing: boom" {

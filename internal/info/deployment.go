@@ -3,7 +3,6 @@ package info
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
 	"github.com/hpclab/datagrid/internal/mds"
@@ -26,14 +25,6 @@ type DeploymentConfig struct {
 	// measure achievable bandwidth, so they use tuned buffers).
 	NWSProbeWindow int
 }
-
-// The monitoring cadences: the NWS bandwidth-probe interval, the iostat
-// sampling interval, and the GRIS/GIIS cache TTL.
-const (
-	nwsProbePeriod = 10 * time.Second
-	sysstatPeriod  = 2 * time.Second
-	mdsTTL         = 5 * time.Second
-)
 
 func (c *DeploymentConfig) fillDefaults() {
 	if c.NWSProbeBytes == 0 {
@@ -119,7 +110,6 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	sensors := make(map[string]*nws.Sensor, len(remotes))
 	for _, r := range remotes {
 		s, err := nws.NewBandwidthSensor(engine, mem, tb.Network(), r, cfg.Local, nws.BandwidthSensorConfig{
-			Period:      nwsProbePeriod,
 			ProbeBytes:  cfg.NWSProbeBytes,
 			WindowBytes: cfg.NWSProbeWindow,
 		})
@@ -130,14 +120,14 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 	}
 
 	// --- MDS hierarchy ---
-	top, err := mds.NewGIIS(engine, "Mds-Vo-name=grid,o=grid", mdsTTL)
+	top, err := mds.NewGIIS(engine, "Mds-Vo-name=grid,o=grid")
 	if err != nil {
 		return nil, err
 	}
 	var grisServers []*mds.GRIS
 	var siteServers []*mds.GIIS
 	for _, site := range tb.Sites() {
-		siteGIIS, err := mds.NewGIIS(engine, "Mds-Vo-name="+site+",o=grid", mdsTTL)
+		siteGIIS, err := mds.NewGIIS(engine, "Mds-Vo-name="+site+",o=grid")
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +137,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 			return nil, err
 		}
 		for _, h := range hosts {
-			gris, err := mds.NewGRIS(engine, "Mds-Host-hn="+h.Name()+",Mds-Vo-name="+site+",o=grid", mdsTTL)
+			gris, err := mds.NewGRIS(engine, "Mds-Host-hn="+h.Name()+",Mds-Vo-name="+site+",o=grid")
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +161,7 @@ func Deploy(tb *cluster.Testbed, cfg DeploymentConfig) (*Deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		col, err := sysstat.NewCollector(engine, h, sysstatPeriod)
+		col, err := sysstat.NewCollector(engine, h)
 		if err != nil {
 			return nil, err
 		}

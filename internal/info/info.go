@@ -55,7 +55,7 @@ type Server struct {
 // probe periods as unmonitored (ErrNoData). Stale series mean the probe
 // path stalled — typically a dead host or link — and the selection server
 // must stop considering such replicas.
-const maxAge = 6 * nwsProbePeriod
+const maxAge = 6 * nws.ProbePeriod
 
 // NewServer builds an information server for queries issued from the local
 // host. dir is the MDS index to query for CPU state (typically the top

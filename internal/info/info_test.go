@@ -155,11 +155,11 @@ func TestServerValidation(t *testing.T) {
 	eng := simulation.NewEngine()
 	net := netsim.New(eng)
 	mem := nws.NewMemory()
-	dir, err := mds.NewGIIS(eng, "o=grid", 0)
+	dir, err := mds.NewGIIS(eng, "o=grid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := sysstat.NewCollector(eng, idleTarget{}, time.Second)
+	col, err := sysstat.NewCollector(eng, idleTarget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDeployGRISEntriesAreCPUOnly(t *testing.T) {
 // fixedDirectory is a GRIS serving one provider per attribute set.
 func fixedDirectory(t *testing.T, eng *simulation.Engine, sets ...mds.Attributes) *mds.GRIS {
 	t.Helper()
-	g, err := mds.NewGRIS(eng, "o=fixed", time.Hour)
+	g, err := mds.NewGRIS(eng, "o=fixed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestReportBadDirectoryData(t *testing.T) {
 	}
 	// The server needs a collector; the ones that matter below are
 	// hit0's, substituted per case.
-	col, err := sysstat.NewCollector(eng, idleTarget{}, time.Second)
+	col, err := sysstat.NewCollector(eng, idleTarget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestStaleBandwidthYieldsErrNoData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill hit0's bandwidth probes and let the series age past the
-	// deployment's staleness bound (6 probe periods = 60s by default).
+	// deployment's staleness bound (6 probe periods = 60 s).
 	dep.Sensors["hit0"].SetPaused(true)
 	if err := eng.RunUntil(2*time.Minute + 90*time.Second); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestLatencyBestEffort(t *testing.T) {
 	eng, tb, dep := paperSetup(t)
 	// The deployment runs no latency sensor; install one beside it for
 	// hit0, as the latency ablation does.
-	if _, err := nws.NewLatencySensor(eng, dep.NWS, tb.Network(), "hit0", "alpha1", 10*time.Second, 1); err != nil {
+	if _, err := nws.NewLatencySensor(eng, dep.NWS, tb.Network(), "hit0", "alpha1", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(30 * time.Second); err != nil {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -28,9 +29,9 @@ var determinismScope = []string{
 //     appends, sends) — Go randomizes map order, so anything downstream
 //     of such a loop (event scheduling, replica scoring, table output)
 //     varies between runs. The canonical collect-keys-then-sort pattern
-//     is recognized and allowed; pure reductions (min/max/sum built from
-//     comparisons and assignments only) are order-insensitive and
-//     allowed.
+//     is recognized and allowed; pure reductions (min/max and integer
+//     sums built from comparisons and assignments only) are
+//     order-insensitive and allowed.
 //  2. package-level math/rand functions (rand.Intn, rand.Shuffle, ...),
 //     which draw from the shared global source and defeat per-component
 //     seeding. Constructing seeded generators (rand.New, rand.NewSource,
@@ -121,7 +122,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, next ast.Stmt) {
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	if isCollectThenSort(pass, rng, next) || isOrderInsensitive(pass, rng.Body) {
+	if isCollectThenSort(pass, rng, next) || isOrderInsensitive(pass, rng) {
 		return
 	}
 	pass.Report(rng.Pos(),
@@ -183,14 +184,25 @@ func isCollectThenSort(pass *Pass, rng *ast.RangeStmt, next ast.Stmt) bool {
 
 // isOrderInsensitive reports whether the loop body is a pure reduction:
 // no function calls (other than len/cap/delete/min/max and type
-// conversions), no append, no sends, no goroutines. Such bodies compute
-// the same result in any iteration order.
-func isOrderInsensitive(pass *Pass, body *ast.BlockStmt) bool {
+// conversions), no append, no sends, no goroutines, no positional
+// writes and no float accumulation. Such bodies compute the same result
+// in any iteration order. A positional write stores through an index
+// other than the range key (adj[off[c]] = …; off[c]++ fills adj in walk
+// order); a float += rounds differently in each order.
+func isOrderInsensitive(pass *Pass, rng *ast.RangeStmt) bool {
+	key, _ := rng.Key.(*ast.Ident)
 	ok := true
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt:
 			ok = false
+		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				if s.Tok == token.ASSIGN && isPositional(pass, lhs, key) ||
+					s.Tok != token.ASSIGN && s.Tok != token.DEFINE && isFloat(pass, lhs) {
+					ok = false
+				}
+			}
 		case *ast.CallExpr:
 			if pass.Info != nil {
 				if tv, found := pass.Info.Types[s.Fun]; found && tv.IsType() {
@@ -210,4 +222,46 @@ func isOrderInsensitive(pass *Pass, body *ast.BlockStmt) bool {
 		return ok
 	})
 	return ok
+}
+
+// isPositional reports whether the assignment target stores through an
+// index other than the range key, at any depth of the target
+// (a[i] = …, a[i].f = …, *a[i] = …).
+func isPositional(pass *Pass, lhs ast.Expr, key *ast.Ident) bool {
+	for {
+		switch e := lhs.(type) {
+		case *ast.StarExpr:
+			lhs = e.X
+		case *ast.SelectorExpr:
+			lhs = e.X
+		case *ast.IndexExpr:
+			id, isIdent := e.Index.(*ast.Ident)
+			if !isIdent || key == nil || !sameObject(pass, id, key) {
+				return true
+			}
+			lhs = e.X
+		default:
+			return false
+		}
+	}
+}
+
+// sameObject reports whether two identifiers name one variable (by name
+// when the package was not type-checked).
+func sameObject(pass *Pass, a, b *ast.Ident) bool {
+	oa, ob := pass.ObjectOf(a), pass.ObjectOf(b)
+	if oa == nil || ob == nil {
+		return a.Name == b.Name
+	}
+	return oa == ob
+}
+
+// isFloat reports whether e has a floating-point or complex type.
+func isFloat(pass *Pass, e ast.Expr) bool {
+	t := pass.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

@@ -1,7 +1,8 @@
 // Package netsim (testdata) exercises the determinism analyzer inside
 // one of its scoped packages: order-sensitive map iteration and global
-// math/rand draws are flagged; collect-then-sort, pure reductions,
-// seeded generators and suppressed sites are not.
+// math/rand draws are flagged, positional writes and float sums
+// included; collect-then-sort, pure reductions, seeded generators and
+// suppressed sites are not.
 package netsim
 
 import (
@@ -75,6 +76,57 @@ func pureReduction(m map[string]int) int {
 		}
 	}
 	return best
+}
+
+// fillBuckets is rebuildAdjacency's edge fill walking a map: each edge
+// lands at the next free offset of its bucket, so the order inside a
+// bucket is the walk's.
+func fillBuckets(edges map[int]int, off []int, adj []int) {
+	for from, to := range edges { // want `map iteration order is randomized`
+		adj[off[to]] = from
+		off[to]++
+	}
+}
+
+// floatSum rounds differently in each order.
+func floatSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m { // want `map iteration order is randomized`
+		sum += v
+	}
+	return sum
+}
+
+// intCount is exact in any order.
+func intCount(m map[string]int) (positive, total int) {
+	for _, v := range m {
+		if v > 0 {
+			positive++
+		}
+		total += v
+	}
+	return positive, total
+}
+
+// skew is traffic's collector reduction: an integer total and a max.
+func skew(served map[string]uint64) float64 {
+	var max, total uint64
+	for _, n := range served {
+		total += n
+		if n > max {
+			max = n
+		}
+	}
+	return float64(max) / float64(total)
+}
+
+// copyByKey stores through the range key only: one slot per key.
+func copyByKey(m map[string]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 func suppressed(m map[string]int, sink func(string)) {

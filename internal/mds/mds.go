@@ -83,12 +83,15 @@ type Searcher interface {
 	Suffix() string
 }
 
+// TTL is how long a GRIS or GIIS serves its cached entries before the
+// next search refreshes them, MDS's cachettl.
+const TTL = 5 * time.Second
+
 // cache is the TTL cache a GRIS and a GIIS share; they differ only in
 // refresh, which collects the entries the cache serves.
 type cache struct {
 	engine  *simulation.Engine
 	suffix  string
-	ttl     time.Duration
 	refresh func() []Entry
 
 	entries   []Entry
@@ -98,17 +101,14 @@ type cache struct {
 	paused    bool
 }
 
-func newCache(kind string, engine *simulation.Engine, suffix string, ttl time.Duration) (cache, error) {
+func newCache(kind string, engine *simulation.Engine, suffix string) (cache, error) {
 	if engine == nil {
 		return cache{}, fmt.Errorf("mds: %s needs an engine", kind)
 	}
 	if suffix == "" {
 		return cache{}, fmt.Errorf("mds: %s needs a suffix", kind)
 	}
-	if ttl < 0 {
-		return cache{}, fmt.Errorf("mds: negative TTL %v", ttl)
-	}
-	return cache{engine: engine, suffix: suffix, ttl: ttl}, nil
+	return cache{engine: engine, suffix: suffix}, nil
 }
 
 // Suffix returns the DN suffix of this server.
@@ -135,7 +135,7 @@ func (c *cache) invalidate() {
 // first unless refreshes are paused.
 func (c *cache) Search(f Filter) ([]Entry, error) {
 	now := c.engine.Now()
-	if (!c.haveCache || now-c.cachedAt > c.ttl) && !c.paused {
+	if (!c.haveCache || now-c.cachedAt > TTL) && !c.paused {
 		c.entries = c.refresh()
 		c.rev++
 		c.cachedAt = now
@@ -159,9 +159,9 @@ type GRIS struct {
 
 // NewGRIS creates a GRIS answering for suffix (e.g.
 // "Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid"). Provider output is cached
-// for ttl of virtual time, mirroring MDS's cachettl.
-func NewGRIS(engine *simulation.Engine, suffix string, ttl time.Duration) (*GRIS, error) {
-	c, err := newCache("GRIS", engine, suffix, ttl)
+// for TTL of virtual time.
+func NewGRIS(engine *simulation.Engine, suffix string) (*GRIS, error) {
+	c, err := newCache("GRIS", engine, suffix)
 	if err != nil {
 		return nil, err
 	}
@@ -213,9 +213,10 @@ type GIIS struct {
 	children []Searcher
 }
 
-// NewGIIS creates an index server for the given suffix with cache ttl.
-func NewGIIS(engine *simulation.Engine, suffix string, ttl time.Duration) (*GIIS, error) {
-	c, err := newCache("GIIS", engine, suffix, ttl)
+// NewGIIS creates an index server for the given suffix; it caches the
+// union of its children's entries for TTL.
+func NewGIIS(engine *simulation.Engine, suffix string) (*GIIS, error) {
+	c, err := newCache("GIIS", engine, suffix)
 	if err != nil {
 		return nil, err
 	}

@@ -54,9 +54,9 @@ func TestMatchAll(t *testing.T) {
 	}
 }
 
-func newGRIS(t *testing.T, eng *simulation.Engine, ttl time.Duration) *GRIS {
+func newGRIS(t *testing.T, eng *simulation.Engine) *GRIS {
 	t.Helper()
-	g, err := NewGRIS(eng, "Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid", ttl)
+	g, err := NewGRIS(eng, "Mds-Host-hn=alpha1,Mds-Vo-name=THU,o=grid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func newGRIS(t *testing.T, eng *simulation.Engine, ttl time.Duration) *GRIS {
 
 func TestGRISProvidersAndSearch(t *testing.T) {
 	eng := simulation.NewEngine()
-	g := newGRIS(t, eng, time.Minute)
+	g := newGRIS(t, eng)
 	h := &fakeTarget{name: "alpha1", cpuIdle: 0.75}
 	if err := g.AddProvider(NewCPUProvider(h, "THU")); err != nil {
 		t.Fatal(err)
@@ -98,8 +98,11 @@ func TestGRISProvidersAndSearch(t *testing.T) {
 }
 
 func TestGRISCacheTTL(t *testing.T) {
+	if TTL != 5*time.Second {
+		t.Fatalf("TTL = %v, want 5s", TTL)
+	}
 	eng := simulation.NewEngine()
-	g := newGRIS(t, eng, 10*time.Second)
+	g := newGRIS(t, eng)
 	h := &fakeTarget{name: "alpha1", cpuIdle: 1.0}
 	if err := g.AddProvider(NewCPUProvider(h, "THU")); err != nil {
 		t.Fatal(err)
@@ -121,8 +124,17 @@ func TestGRISCacheTTL(t *testing.T) {
 	if attr(es[0], AttrCPUFreeX100) != "10000" {
 		t.Fatalf("cached value should be stale: %v", attr(es[0], AttrCPUFreeX100))
 	}
-	// After TTL expiry the fresh value must appear.
-	if _, err := eng.Schedule(11*time.Second, func(time.Duration) {}); err != nil {
+	// At TTL the cache still serves; after it the fresh value must appear.
+	if _, err := eng.Schedule(TTL, func(time.Duration) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	if es, _ := g.Search(nil); attr(es[0], AttrCPUFreeX100) != "10000" {
+		t.Fatalf("value at TTL = %v, want the cached 10000", attr(es[0], AttrCPUFreeX100))
+	}
+	if _, err := eng.Schedule(TTL+time.Second, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(math.MaxInt64); err != nil {
@@ -139,7 +151,7 @@ func TestGRISCacheTTL(t *testing.T) {
 
 func TestGRISFailingProviderSkipped(t *testing.T) {
 	eng := simulation.NewEngine()
-	g := newGRIS(t, eng, 0)
+	g := newGRIS(t, eng)
 	if err := g.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) { return Attributes{"k": "v"}, nil }}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +166,13 @@ func TestGRISFailingProviderSkipped(t *testing.T) {
 
 func TestGRISValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	if _, err := NewGRIS(nil, "s", 0); err == nil {
+	if _, err := NewGRIS(nil, "s"); err == nil {
 		t.Fatal("nil engine should be rejected")
 	}
-	if _, err := NewGRIS(eng, "", 0); err == nil {
+	if _, err := NewGRIS(eng, ""); err == nil {
 		t.Fatal("empty suffix should be rejected")
 	}
-	if _, err := NewGRIS(eng, "s", -1); err == nil {
-		t.Fatal("negative ttl should be rejected")
-	}
-	g := newGRIS(t, eng, 0)
+	g := newGRIS(t, eng)
 	if err := g.AddProvider(nil); err == nil {
 		t.Fatal("nil provider should be rejected")
 	}
@@ -184,7 +193,7 @@ func TestGRISValidation(t *testing.T) {
 // changes nothing the hierarchy serves until the next refresh.
 func TestProviderMutationWaitsForRefresh(t *testing.T) {
 	eng := simulation.NewEngine()
-	g := newGRIS(t, eng, time.Minute)
+	g := newGRIS(t, eng)
 	owned := Attributes{"k": "original"}
 	if err := g.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) { return owned, nil }}); err != nil {
 		t.Fatal(err)
@@ -198,7 +207,7 @@ func TestProviderMutationWaitsForRefresh(t *testing.T) {
 	if len(es) != 1 || attr(es[0], "k") != "original" || es[0].Len() != 1 {
 		t.Fatalf("provider mutation reached the cached entry: %v", es)
 	}
-	if _, err := eng.Schedule(2*time.Minute, func(time.Duration) {}); err != nil {
+	if _, err := eng.Schedule(2*TTL, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(math.MaxInt64); err != nil {
@@ -213,7 +222,7 @@ func TestProviderMutationWaitsForRefresh(t *testing.T) {
 // deployment of the paper's testbed.
 func buildHierarchy(t *testing.T, eng *simulation.Engine) (*GIIS, map[string]*fakeTarget) {
 	t.Helper()
-	top, err := NewGIIS(eng, "Mds-Vo-name=grid,o=grid", time.Second)
+	top, err := NewGIIS(eng, "Mds-Vo-name=grid,o=grid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +231,14 @@ func buildHierarchy(t *testing.T, eng *simulation.Engine) (*GIIS, map[string]*fa
 		"THU": {"alpha1", "alpha4"},
 		"HIT": {"hit0"},
 	} {
-		siteGIIS, err := NewGIIS(eng, "Mds-Vo-name="+site+",o=grid", time.Second)
+		siteGIIS, err := NewGIIS(eng, "Mds-Vo-name="+site+",o=grid")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range names {
 			h := &fakeTarget{name: n, cpuIdle: 0.5}
 			hosts[n] = h
-			gris, err := NewGRIS(eng, "Mds-Host-hn="+n+",Mds-Vo-name="+site+",o=grid", time.Second)
+			gris, err := NewGRIS(eng, "Mds-Host-hn="+n+",Mds-Vo-name="+site+",o=grid")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,8 +309,8 @@ func TestGIISCacheTTL(t *testing.T) {
 		t.Fatalf("queries = %d, want 1", got)
 	}
 	hosts["alpha1"].cpuIdle = 0.1
-	// Advance past every TTL in the hierarchy.
-	if _, err := eng.Schedule(3*time.Second, func(time.Duration) {}); err != nil {
+	// Advance past the TTL every tier of the hierarchy shares.
+	if _, err := eng.Schedule(TTL+time.Second, func(time.Duration) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(math.MaxInt64); err != nil {
@@ -336,16 +345,13 @@ func TestGIISFailingChildSkipped(t *testing.T) {
 
 func TestGIISValidation(t *testing.T) {
 	eng := simulation.NewEngine()
-	if _, err := NewGIIS(nil, "s", 0); err == nil {
+	if _, err := NewGIIS(nil, "s"); err == nil {
 		t.Fatal("nil engine should be rejected")
 	}
-	if _, err := NewGIIS(eng, "", 0); err == nil {
+	if _, err := NewGIIS(eng, ""); err == nil {
 		t.Fatal("empty suffix should be rejected")
 	}
-	if _, err := NewGIIS(eng, "s", -1); err == nil {
-		t.Fatal("negative ttl should be rejected")
-	}
-	g, err := NewGIIS(eng, "s", 0)
+	g, err := NewGIIS(eng, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +359,7 @@ func TestGIISValidation(t *testing.T) {
 		t.Fatal("nil child should be rejected")
 	}
 	server := func(v string) *GRIS {
-		s, _ := NewGRIS(eng, "c", 0)
+		s, _ := NewGRIS(eng, "c")
 		if err := s.AddProvider(ProviderFunc{Rdn: "a=1", Fn: func() (Attributes, error) { return Attributes{"k": v}, nil }}); err != nil {
 			t.Fatal(err)
 		}

@@ -24,27 +24,46 @@ import (
 // bit, and the lazy links must have stepped on events exactly the ticks
 // that found a flow on the link.
 
-const bgPeriod = time.Second
+const bgPeriod = backgroundPeriod
+
+// periodic runs fn and reschedules itself one bgPeriod later: a ticker
+// whose first tick is one period after it is scheduled with
+// after(eng, fn), as a walk's first step is.
+type periodic struct {
+	eng *simulation.Engine
+	fn  func(time.Duration)
+}
+
+func (p *periodic) Fire(now time.Duration) {
+	p.fn(now)
+	if _, err := p.eng.AfterHandler(bgPeriod, p); err != nil {
+		panic(err)
+	}
+}
+
+func after(eng *simulation.Engine, fn func(time.Duration)) error {
+	_, err := eng.AfterHandler(bgPeriod, &periodic{eng, fn})
+	return err
+}
 
 // startTickerBackground is the reference: the same walk as
 // StartBackground, stepped by a ticker started with it whether or not a
 // flow crosses the link. crossed counts the ticks that found one.
 func startTickerBackground(n *Network, l *Link, cfg BackgroundConfig, seed int64, crossed *int) error {
 	load := cfg.Mean
-	w, err := simulation.NewWalk(n.engine, cfg.Period, seed, nil, simulation.WalkAxis{
+	w, err := simulation.NewWalk(n.engine, bgPeriod, seed, nil, simulation.WalkAxis{
 		V: &load, Mean: cfg.Mean, Reversion: cfg.Reversion, Volatility: cfg.Volatility, Max: cfg.Max})
 	if err != nil {
 		return err
 	}
 	n.setBackgroundLoad(l, load)
-	_, err = n.engine.NewTicker(cfg.Period, false, func(time.Duration) {
+	return after(n.engine, func(time.Duration) {
 		if l.nflows > 0 {
 			*crossed++
 		}
 		w.Advance()
 		n.setBackgroundLoad(l, load)
 	})
-	return err
 }
 
 // bgScenario is one drawn script; both worlds replay it.
@@ -119,7 +138,6 @@ func drawBgScenario(seed int64) bgScenario {
 				Mean:       0.05 + 0.45*r.Float64(),
 				Volatility: 0.02 + 0.1*r.Float64(),
 				Reversion:  0.1 + 0.4*r.Float64(),
-				Period:     bgPeriod,
 				Max:        []float64{0, 0.8}[r.Intn(2)],
 			}, r.Int63()})
 		}
@@ -326,7 +344,7 @@ func (w *bgWorld) run() []string {
 	// The one reader chain one period ahead: a ticker younger than every
 	// walk, the only kind of same-period reader the tie rule covers.
 	k := 0
-	if _, err := w.eng.NewTicker(bgPeriod, false, func(time.Duration) {
+	if err := after(w.eng, func(time.Duration) {
 		w.read(bgPeriod, w.s.chain[k%len(w.s.chain)], k%len(w.dirs))
 		k++
 	}); err != nil {

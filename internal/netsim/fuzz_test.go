@@ -171,7 +171,7 @@ func fuzzNet(t *testing.T, r *opBytes) *Network {
 		}
 		if c&64 != 0 {
 			// A background walk on a->b: awake while a flow crosses it.
-			bg := BackgroundConfig{Mean: 0.2, Volatility: 0.05, Reversion: 0.3, Period: 250 * time.Millisecond << (c >> 7)}
+			bg := BackgroundConfig{Mean: 0.2, Volatility: 0.05, Reversion: 0.3}
 			if err := n.StartBackground(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), bg, int64(len(n.linkList))); err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,9 @@ import (
 // rate <= MSS/RTT * C/sqrt(p).
 const mathisC = 1.22
 
-// DefaultMSS is the TCP maximum segment size assumed when a link does not
-// specify one (standard Ethernet MTU minus headers).
-const DefaultMSS = 1460
+// MSS is the TCP maximum segment size of every flow (standard
+// Ethernet MTU minus headers).
+const MSS = 1460
 
 // initialCwnd is the slow-start initial congestion window in segments.
 const initialCwnd = 2
@@ -60,8 +60,6 @@ type LinkConfig struct {
 	// lossy path this, not the line rate, is what limits a single TCP
 	// stream — the effect the paper's parallel-stream experiment exploits.
 	LossRate float64
-	// MSS is the maximum segment size in bytes; DefaultMSS if zero.
-	MSS int
 }
 
 func (c LinkConfig) validate() error {
@@ -73,9 +71,6 @@ func (c LinkConfig) validate() error {
 	}
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		return fmt.Errorf("netsim: loss rate %v out of [0,1)", c.LossRate)
-	}
-	if c.MSS < 0 {
-		return fmt.Errorf("netsim: negative MSS %d", c.MSS)
 	}
 	return nil
 }
@@ -253,11 +248,10 @@ type Flow struct {
 
 	rtt  time.Duration
 	loss float64
-	mss  int
 
 	// staticCapBps memoizes the flow's constant rate bound: min(window/RTT,
-	// Mathis) further clamped by any application cap. rtt, loss, mss and
-	// opts never change after StartFlow, so it is computed once there; only
+	// Mathis) further clamped by any application cap. rtt, loss and opts
+	// never change after StartFlow, so it is computed once there; only
 	// the slow-start window still varies (capBps folds it in while ramping).
 	staticCapBps float64
 
@@ -366,7 +360,7 @@ func (f *Flow) mathisBps() float64 {
 	if f.loss <= 0 || f.rtt <= 0 {
 		return math.Inf(1)
 	}
-	return float64(f.mss) * 8 / f.rtt.Seconds() * mathisC / math.Sqrt(f.loss)
+	return MSS * 8 / f.rtt.Seconds() * mathisC / math.Sqrt(f.loss)
 }
 
 // halfEdge is one core-to-core edge of the routing graph: the receiving
@@ -544,9 +538,6 @@ func (n *Network) addDirected(from, to string, cfg LinkConfig) error {
 	k := linkKey{from, to}
 	if _, ok := n.links[k]; ok {
 		return fmt.Errorf("netsim: duplicate link %s->%s", from, to)
-	}
-	if cfg.MSS == 0 {
-		cfg.MSS = DefaultMSS
 	}
 	l := &Link{from: from, to: to, fromIdx: int32(fi), toIdx: int32(ti), cfg: cfg, idx: len(n.linkList), net: n}
 	n.links[k] = l
@@ -994,19 +985,15 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 			}
 		}
 	}
-	// Loss, RTT and MSS are derived from the resolved path in a single
+	// Loss and RTT are derived from the resolved path in a single
 	// traversal; the per-metric lookups (PathLossRate, PathRTT) cannot
 	// fail once Route has succeeded, and reusing the path makes that
 	// structurally evident instead of discarding their errors.
 	keep := 1.0
 	var oneWay time.Duration
-	mss := path[0].cfg.MSS
 	for _, l := range path {
 		keep *= 1 - l.cfg.LossRate
 		oneWay += l.cfg.Delay
-		if l.cfg.MSS < mss {
-			mss = l.cfg.MSS
-		}
 	}
 	f := &Flow{
 		id:        n.nextID,
@@ -1019,7 +1006,6 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 		state:     FlowActive,
 		rtt:       2 * oneWay,
 		loss:      1 - keep,
-		mss:       mss,
 		started:   n.engine.Now(),
 		done:      done,
 	}
@@ -1046,7 +1032,7 @@ func (n *Network) StartFlow(src, dst string, bytes int64, opts FlowOptions, done
 	// each RTT until it reaches the flow's static cap; a first window
 	// already there never ticks.
 	if f.rtt > 0 {
-		f.cwndBps = float64(initialCwnd*f.mss) * 8 / f.rtt.Seconds()
+		f.cwndBps = initialCwnd * MSS * 8 / f.rtt.Seconds()
 		if f.cwndBps < f.staticCapBps {
 			f.ramping = true
 			n.scheduleRamp(f)

@@ -415,9 +415,12 @@ func TestLinkAccessors(t *testing.T) {
 }
 
 func TestBackgroundProcess(t *testing.T) {
+	if backgroundPeriod != time.Second {
+		t.Fatalf("backgroundPeriod = %v, want 1s", backgroundPeriod)
+	}
 	eng, net := buildPair(t, LinkConfig{CapacityBps: 100 * mbps})
 	if err := net.StartBackground("a", "b", BackgroundConfig{
-		Mean: 0.3, Volatility: 0.1, Reversion: 0.2, Period: time.Second,
+		Mean: 0.3, Volatility: 0.1, Reversion: 0.2,
 	}, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -474,27 +477,25 @@ func TestBackgroundProcess(t *testing.T) {
 func TestBackgroundProcessValidation(t *testing.T) {
 	_, net := buildPair(t, LinkConfig{CapacityBps: mbps})
 	bad := []BackgroundConfig{
-		{Mean: -0.1, Reversion: 0.5, Period: time.Second},
-		{Mean: 0.5, Volatility: -1, Reversion: 0.5, Period: time.Second},
-		{Mean: 0.5, Reversion: 0, Period: time.Second},
-		{Mean: 0.5, Reversion: 0.5, Period: 0},
-		{Mean: 0.5, Reversion: 0.5, Period: time.Second, Max: 0.99999999},
+		{Mean: -0.1, Reversion: 0.5},
+		{Mean: 0.5, Volatility: -1, Reversion: 0.5},
+		{Mean: 0.5, Reversion: 0},
+		{Mean: 0.5, Reversion: 0.5, Max: 1},
 	}
-	bad[4].Max = 1.0
 	for i, cfg := range bad {
 		if err := net.StartBackground("a", "b", cfg, 1); err == nil {
 			t.Fatalf("config %d should be rejected: %+v", i, cfg)
 		}
 	}
-	if err := net.StartBackground("a", "zzz", BackgroundConfig{Mean: 0.1, Reversion: 0.5, Period: time.Second}, 1); err == nil {
+	if err := net.StartBackground("a", "zzz", BackgroundConfig{Mean: 0.1, Reversion: 0.5}, 1); err == nil {
 		t.Fatal("unknown link should be rejected")
 	}
 	// A mean above the clamp would start the walk outside its own range.
-	if err := net.StartBackground("a", "b", BackgroundConfig{Mean: 0.9, Reversion: 0.5, Period: time.Second, Max: 0.8}, 1); err == nil {
+	if err := net.StartBackground("a", "b", BackgroundConfig{Mean: 0.9, Reversion: 0.5, Max: 0.8}, 1); err == nil {
 		t.Fatal("mean above max should be rejected")
 	}
 	// A link takes one walk: a second would overwrite the first's load.
-	good := BackgroundConfig{Mean: 0.1, Reversion: 0.5, Period: time.Second}
+	good := BackgroundConfig{Mean: 0.1, Reversion: 0.5}
 	if err := net.StartBackground("a", "b", good, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ var updateRampGolden = flag.Bool("update", false, "rewrite testdata/ramp_stream_
 
 // rampNet is a dumbbell with spokes of unequal delay, so transfers started
 // together have mixed round trips, and one narrow spoke (s3) that its
-// streams saturate in slow start. s4 has the round trip of s0 and s1 but a
-// smaller MSS, so its windows sit between theirs, and the narrow spoke d3
-// is what s0 and s4 share.
+// streams saturate in slow start. s4 has the round trip of s0 and s1, so
+// its streams tick in their batches, and the narrow spoke d3 is what s0
+// and s4 share.
 func rampNet(t *testing.T) (*simulation.Engine, *Network) {
 	t.Helper()
 	eng := simulation.NewEngine()
@@ -36,21 +36,20 @@ func rampNet(t *testing.T) (*simulation.Engine, *Network) {
 		bps   float64
 		delay time.Duration
 		loss  float64
-		mss   int
 	}{
-		{"s0", "r1", 1e9, time.Millisecond, 0, 0},
-		{"s1", "r1", 1e9, time.Millisecond, 0, 0},
-		{"s2", "r1", 1e9, 3 * time.Millisecond, 1e-6, 0},
-		{"s3", "r1", 24e6, 2 * time.Millisecond, 0, 0},
-		{"s4", "r1", 1e9, time.Millisecond, 0, 1000},
-		{"r1", "r2", 1e9, 4 * time.Millisecond, 1e-6, 0},
-		{"r2", "d0", 1e9, time.Millisecond, 0, 0},
-		{"r2", "d1", 1e9, time.Millisecond, 0, 0},
-		{"r2", "d2", 1e9, 5 * time.Millisecond, 0, 0},
-		{"r2", "d3", 30e6, time.Millisecond, 0, 0},
+		{"s0", "r1", 1e9, time.Millisecond, 0},
+		{"s1", "r1", 1e9, time.Millisecond, 0},
+		{"s2", "r1", 1e9, 3 * time.Millisecond, 1e-6},
+		{"s3", "r1", 24e6, 2 * time.Millisecond, 0},
+		{"s4", "r1", 1e9, time.Millisecond, 0},
+		{"r1", "r2", 1e9, 4 * time.Millisecond, 1e-6},
+		{"r2", "d0", 1e9, time.Millisecond, 0},
+		{"r2", "d1", 1e9, time.Millisecond, 0},
+		{"r2", "d2", 1e9, 5 * time.Millisecond, 0},
+		{"r2", "d3", 30e6, time.Millisecond, 0},
 	}
 	for _, l := range links {
-		if err := n.AddLink(l.a, l.b, LinkConfig{CapacityBps: l.bps, Delay: l.delay, LossRate: l.loss, MSS: l.mss}); err != nil {
+		if err := n.AddLink(l.a, l.b, LinkConfig{CapacityBps: l.bps, Delay: l.delay, LossRate: l.loss}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,10 +214,9 @@ func rampStream(t *testing.T, w *bytes.Buffer, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	// s4's stream then s0's, ticking in one batch: the fourth tick of s4's
-	// doubles its window past the rate s0's holds, the spoke turns tight,
-	// and the fill that follows drops s0's stream below its window before
-	// its own tick tests it.
+	// s4's stream then s0's, ticking in one batch: their third tick takes
+	// the two windows past the d3 spoke, the spoke turns tight, and the
+	// batch's one drain holds both streams to its fair share.
 	at(200*time.Millisecond, func(time.Duration) {
 		start([2]string{"s4", "d3"}, 1, FlowOptions{WindowBytes: 1 << 20}, 8<<20)
 		start([2]string{"s0", "d3"}, 1, FlowOptions{WindowBytes: 1 << 20}, 8<<20)

@@ -112,17 +112,22 @@ func deployment(t *testing.T) (*simulation.Engine, *netsim.Network, *Memory) {
 	return eng, net, NewMemory()
 }
 
+// A sensor probes every 10 s, the first probe at once: the probes
+// started at 0..50 s have all landed by 60 s.
 func TestBandwidthSensorProbes(t *testing.T) {
+	if ProbePeriod != 10*time.Second {
+		t.Fatalf("ProbePeriod = %v, want 10s", ProbePeriod)
+	}
 	eng, net, mem := deployment(t)
-	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: 10 * time.Second}); err != nil {
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{ProbeBytes: 512 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	key := SeriesKey{Resource: ResourceBandwidth, Source: "a", Target: "b"}
-	if hist, _ := mem.History(key); len(hist) < 5 {
-		t.Fatalf("bandwidth samples = %d, want >= 5", len(hist))
+	if hist, _ := mem.History(key); len(hist) != 6 {
+		t.Fatalf("bandwidth samples = %d, want 6", len(hist))
 	}
 	last, err := mem.Latest(key)
 	if err != nil {
@@ -145,7 +150,7 @@ func TestBandwidthSensorProbes(t *testing.T) {
 
 func TestBandwidthSensorMeasuresContention(t *testing.T) {
 	eng, net, mem := deployment(t)
-	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: 5 * time.Second, WindowBytes: 1 << 22}); err != nil {
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{ProbeBytes: 512 << 10, WindowBytes: 1 << 22}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntil(30 * time.Second); err != nil {
@@ -177,27 +182,26 @@ func TestBandwidthSensorMeasuresContention(t *testing.T) {
 
 func TestBandwidthSensorValidation(t *testing.T) {
 	eng, net, mem := deployment(t)
-	if _, err := NewBandwidthSensor(eng, mem, net, "a", "ghost", BandwidthSensorConfig{Period: time.Second}); err == nil {
+	if _, err := NewBandwidthSensor(eng, mem, net, "a", "ghost", BandwidthSensorConfig{ProbeBytes: 1}); err == nil {
 		t.Fatal("unroutable pair should be rejected")
 	}
-	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{}); err == nil {
-		t.Fatal("zero period should be rejected")
+	for _, cfg := range []BandwidthSensorConfig{{}, {ProbeBytes: -1}, {ProbeBytes: 1, WindowBytes: -1}} {
+		if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", cfg); err == nil {
+			t.Fatalf("%+v should be rejected", cfg)
+		}
 	}
-	if _, err := NewBandwidthSensor(eng, mem, net, "a", "b", BandwidthSensorConfig{Period: time.Second, ProbeBytes: -1}); err == nil {
-		t.Fatal("negative probe size should be rejected")
-	}
-	if _, err := NewBandwidthSensor(eng, mem, nil, "a", "b", BandwidthSensorConfig{Period: time.Second}); err == nil {
+	if _, err := NewBandwidthSensor(eng, mem, nil, "a", "b", BandwidthSensorConfig{ProbeBytes: 1}); err == nil {
 		t.Fatal("nil network should be rejected")
 	}
 }
 
 func TestLatencySensor(t *testing.T) {
 	eng, net, mem := deployment(t)
-	s, err := NewLatencySensor(eng, mem, net, "a", "b", time.Second, 3)
+	s, err := NewLatencySensor(eng, mem, net, "a", "b", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RunUntil(10 * time.Second); err != nil {
+	if err := eng.RunUntil(10 * ProbePeriod); err != nil {
 		t.Fatal(err)
 	}
 	key := SeriesKey{Resource: ResourceLatency, Source: "a", Target: "b"}
@@ -215,7 +219,7 @@ func TestLatencySensor(t *testing.T) {
 		t.Fatalf("sensor name = %q", s.Name())
 	}
 	s.SetPaused(true)
-	if err := eng.RunUntil(20 * time.Second); err != nil {
+	if err := eng.RunUntil(20 * ProbePeriod); err != nil {
 		t.Fatal(err)
 	}
 	if hist, _ := mem.History(key); len(hist) != 11 {
@@ -225,14 +229,11 @@ func TestLatencySensor(t *testing.T) {
 
 func TestLatencySensorValidation(t *testing.T) {
 	eng, net, mem := deployment(t)
-	if _, err := NewLatencySensor(eng, mem, net, "a", "nope", time.Second, 1); err == nil {
+	if _, err := NewLatencySensor(eng, mem, net, "a", "nope", 1); err == nil {
 		t.Fatal("unroutable pair should be rejected")
 	}
-	if _, err := NewLatencySensor(nil, mem, net, "a", "b", time.Second, 1); err == nil {
+	if _, err := NewLatencySensor(nil, mem, net, "a", "b", 1); err == nil {
 		t.Fatal("nil engine should be rejected")
-	}
-	if _, err := NewLatencySensor(eng, mem, net, "a", "b", 0, 1); err == nil {
-		t.Fatal("zero period should be rejected")
 	}
 }
 

@@ -25,46 +25,40 @@ func (s *Sensor) Name() string { return s.name }
 // has crashed, so its series goes stale until the process "restarts".
 func (s *Sensor) SetPaused(paused bool) { s.ticker.SetPaused(paused) }
 
+// ProbePeriod is the interval between a sensor's measurements.
+const ProbePeriod = 10 * time.Second
+
 // BandwidthSensorConfig tunes an end-to-end TCP bandwidth sensor.
 type BandwidthSensorConfig struct {
-	// Period between probes.
-	Period time.Duration
-	// ProbeBytes is the probe transfer size; NWS defaults to 64 KiB–1 MiB.
-	// Default 512 KiB.
+	// ProbeBytes is the probe transfer size; it must be positive.
 	ProbeBytes int64
 	// WindowBytes is the probe's TCP window; default netsim's 64 KiB.
 	WindowBytes int
 }
 
-// probeTimeoutPeriods is how many periods a probe may stay in flight
+// probeTimeoutPeriods is how many ProbePeriods a probe may stay in flight
 // before it is abandoned (a stalled path). While a probe is in flight,
 // new probes are skipped.
 const probeTimeoutPeriods = 3
 
-func (c *BandwidthSensorConfig) fillDefaults() error {
-	if c.Period <= 0 {
-		return fmt.Errorf("nws: sensor period must be positive, got %v", c.Period)
-	}
-	if c.ProbeBytes == 0 {
-		c.ProbeBytes = 512 * 1024
-	}
-	if c.ProbeBytes < 0 || c.WindowBytes < 0 {
-		return errors.New("nws: negative bandwidth sensor option")
+func (c BandwidthSensorConfig) validate() error {
+	if c.ProbeBytes <= 0 || c.WindowBytes < 0 {
+		return fmt.Errorf("nws: probe of %d bytes with a %d-byte window", c.ProbeBytes, c.WindowBytes)
 	}
 	return nil
 }
 
 // NewBandwidthSensor creates the NWS end-to-end TCP bandwidth sensor: every
-// period it pushes a real probe flow through the simulated network from src
-// to dst and records the achieved throughput in Mb/s. Probes share the
-// network with grid transfers, so — exactly as with real NWS — measurements
-// are noisy and reflect current conditions. A new probe is skipped while
-// the previous one is still in flight.
+// ProbePeriod, the first at once, it pushes a real probe flow through the
+// simulated network from src to dst and records the achieved throughput in
+// Mb/s. Probes share the network with grid transfers, so — exactly as with
+// real NWS — measurements are noisy and reflect current conditions. A new
+// probe is skipped while the previous one is still in flight.
 func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Network, src, dst string, cfg BandwidthSensorConfig) (*Sensor, error) {
 	if engine == nil || mem == nil || net == nil {
 		return nil, errors.New("nws: bandwidth sensor needs engine, memory and network")
 	}
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if _, err := net.Route(src, dst); err != nil {
@@ -73,14 +67,14 @@ func NewBandwidthSensor(engine *simulation.Engine, mem *Memory, net *netsim.Netw
 	key := SeriesKey{Resource: ResourceBandwidth, Source: src, Target: dst}
 	p := &bandwidthProbe{mem: mem, key: key, bytes: cfg.ProbeBytes}
 	s := &Sensor{name: "bw." + src + "->" + dst}
-	tk, err := engine.NewTicker(cfg.Period, true, func(now time.Duration) {
+	tk, err := engine.NewTicker(ProbePeriod, func(now time.Duration) {
 		if p.flow != nil {
 			// A slow probe (long path) is simply left to finish; one that
 			// outlives the timeout means the path is stalled (congested
 			// or down). Abandon it, as real NWS sensors time their probes
 			// out, and record nothing: the series goes stale, which
 			// consumers can detect.
-			if now-p.start > probeTimeoutPeriods*cfg.Period {
+			if now-p.start > probeTimeoutPeriods*ProbePeriod {
 				_ = net.CancelFlow(p.flow)
 				p.flow = nil
 			}
@@ -122,9 +116,9 @@ func (p *bandwidthProbe) FlowEnded(f *netsim.Flow) {
 }
 
 // NewLatencySensor creates a sensor recording the path round-trip time in
-// milliseconds with a small multiplicative jitter (queueing noise a real
-// ping would see).
-func NewLatencySensor(engine *simulation.Engine, mem *Memory, net *netsim.Network, src, dst string, period time.Duration, seed int64) (*Sensor, error) {
+// milliseconds every ProbePeriod, the first at once, with a small
+// multiplicative jitter (queueing noise a real ping would see).
+func NewLatencySensor(engine *simulation.Engine, mem *Memory, net *netsim.Network, src, dst string, seed int64) (*Sensor, error) {
 	if engine == nil || mem == nil || net == nil {
 		return nil, errors.New("nws: latency sensor needs engine, memory and network")
 	}
@@ -134,7 +128,7 @@ func NewLatencySensor(engine *simulation.Engine, mem *Memory, net *netsim.Networ
 	key := SeriesKey{Resource: ResourceLatency, Source: src, Target: dst}
 	rng := rand.New(rand.NewSource(seed))
 	s := &Sensor{name: "lat." + src + "->" + dst}
-	tk, err := engine.NewTicker(period, true, func(now time.Duration) {
+	tk, err := engine.NewTicker(ProbePeriod, func(now time.Duration) {
 		// Pings see queueing delay on loaded links, not just propagation.
 		rtt, err := net.PathRTTLoaded(src, dst)
 		if err != nil {

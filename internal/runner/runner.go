@@ -24,8 +24,9 @@
 //     or one DeriveSeed computed before submission (gridbench -trials).
 //     Nothing about a job depends on the worker that runs it.
 //
-// Under those rules Run(jobs, opts) is a pure function of jobs — the
-// Workers knob changes wall-clock time only.
+// Under those rules Run(jobs, workers) is a pure function of jobs, its
+// error included: every job runs, and the errors are joined in submission
+// order. The worker count changes wall-clock time only.
 package runner
 
 import (
@@ -47,51 +48,23 @@ type Job[T any] struct {
 	Run func() (T, error)
 }
 
-// Policy selects how Run reacts to a failing job.
-type Policy int
-
-const (
-	// FailFast stops dispatching new jobs after the first failure;
-	// already-running jobs finish, not-yet-started jobs are marked
-	// Skipped. Run returns the error of the lowest-indexed failed job.
-	// Note the *identity* of that error can depend on timing (an
-	// earlier-indexed job may be skipped before its failure is ever
-	// observed); use CollectAll when deterministic error sets matter.
-	FailFast Policy = iota
-	// CollectAll runs every job regardless of failures and returns the
-	// joined errors in submission order.
-	CollectAll
-)
-
-// Options configures one Run call.
-type Options struct {
-	// Workers caps concurrent jobs. Values <= 0 mean GOMAXPROCS(0); the
-	// cap is further clamped to len(jobs).
-	Workers int
-	// Policy is the error policy; the zero value is FailFast.
-	Policy Policy
-}
-
 // Result is one job's outcome, returned in submission order.
 type Result[T any] struct {
 	Name  string
 	Value T
 	// Err is the job's error, or a wrapped panic value if Run panicked.
 	Err error
-	// Skipped marks a job that was never started because an earlier
-	// failure tripped the FailFast policy.
-	Skipped bool
-	// Wall is the job's wall-clock duration (zero when skipped).
+	// Wall is the job's wall-clock duration.
 	Wall time.Duration
 }
 
-// Run executes jobs on a bounded worker pool and returns their results
-// in submission order. The returned error is nil when every job
-// succeeded; under FailFast it is the lowest-indexed observed failure,
-// under CollectAll the errors.Join of every failure in submission order.
-// The full result slice is returned even on error, so callers can
+// Run executes every job on at most workers goroutines (<= 0 means
+// GOMAXPROCS) and returns their results in submission order. The
+// returned error is nil when every job succeeded, else the errors.Join
+// of every failure in submission order, each prefixed with its job's
+// name. The full result slice is returned even on error, so callers can
 // inspect partial outcomes and per-job timing.
-func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
+func Run[T any](jobs []Job[T], workers int) ([]Result[T], error) {
 	results := make([]Result[T], len(jobs))
 	for i := range results {
 		results[i].Name = jobs[i].Name
@@ -99,7 +72,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 	if len(jobs) == 0 {
 		return results, nil
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -108,7 +80,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 	}
 
 	var next atomic.Int64 // next job index to dispatch
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -120,10 +91,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 					return
 				}
 				r := &results[i]
-				if opts.Policy == FailFast && failed.Load() {
-					r.Skipped = true
-					continue
-				}
 				start := time.Now() //gridlint:wallclock-ok measures host wall-clock of a job, not simulated time
 				var v T
 				var err error
@@ -137,9 +104,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 				}()
 				r.Wall = time.Since(start) //gridlint:wallclock-ok measures host wall-clock of a job, not simulated time
 				r.Value, r.Err = v, err
-				if err != nil && opts.Policy == FailFast {
-					failed.Store(true)
-				}
 			}
 		}()
 	}
@@ -150,12 +114,6 @@ func Run[T any](jobs []Job[T], opts Options) ([]Result[T], error) {
 		if results[i].Err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", jobName(results[i].Name, i), results[i].Err))
 		}
-	}
-	if len(errs) == 0 {
-		return results, nil
-	}
-	if opts.Policy == FailFast {
-		return results, errs[0]
 	}
 	return results, errors.Join(errs...)
 }

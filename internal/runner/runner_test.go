@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -36,7 +37,7 @@ func TestRunOrderedAndDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := squareJobs(37)
 	var want []int64
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		res, err := Run(jobs, Options{Workers: workers})
+		res, err := Run(jobs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -47,8 +48,8 @@ func TestRunOrderedAndDeterministicAcrossWorkerCounts(t *testing.T) {
 			if r.Name != jobs[i].Name {
 				t.Fatalf("workers=%d: result %d has Name=%q", workers, i, r.Name)
 			}
-			if r.Err != nil || r.Skipped {
-				t.Fatalf("workers=%d: result %d: err=%v skipped=%v", workers, i, r.Err, r.Skipped)
+			if r.Err != nil {
+				t.Fatalf("workers=%d: result %d: err=%v", workers, i, r.Err)
 			}
 		}
 		got := Values(res)
@@ -66,7 +67,7 @@ func TestRunOrderedAndDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	res, err := Run[int](nil, Options{})
+	res, err := Run[int](nil, 0)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("Run(nil) = %v, %v", res, err)
 	}
@@ -85,7 +86,7 @@ func TestRunSurfacesTiming(t *testing.T) {
 			return x, nil
 		},
 	}}
-	res, err := Run(jobs, Options{Workers: 1})
+	res, err := Run(jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,66 +95,34 @@ func TestRunSurfacesTiming(t *testing.T) {
 	}
 }
 
-func TestRunFailFastSkipsPendingJobs(t *testing.T) {
-	boom := errors.New("boom")
-	const n = 200
-	jobs := make([]Job[int], n)
-	for i := 0; i < n; i++ {
-		jobs[i] = Job[int]{Name: fmt.Sprintf("j%d", i), Run: func() (int, error) {
-			if i == 0 {
-				return 0, boom
-			}
-			return i, nil
-		}}
-	}
-	res, err := Run(jobs, Options{Workers: 2, Policy: FailFast})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped %v", err, boom)
-	}
-	if !strings.Contains(err.Error(), "j0") {
-		t.Fatalf("err = %v, want job name j0", err)
-	}
-	skipped := 0
-	for i, r := range res {
-		if r.Skipped {
-			skipped++
-			if r.Err != nil || r.Wall != 0 {
-				t.Fatalf("skipped job %d has err=%v wall=%v", i, r.Err, r.Wall)
-			}
-		}
-	}
-	// Job 0 fails while at most one other job is in flight; with 200
-	// jobs and 2 workers the tail must be skipped.
-	if skipped == 0 {
-		t.Fatal("FailFast skipped no jobs")
-	}
-}
-
-func TestRunCollectAllRunsEverythingAndJoinsErrors(t *testing.T) {
+// Every job runs whatever fails, and the error joins every failure in
+// submission order: the same text at any worker count.
+func TestRunRunsEveryJobAndJoinsErrors(t *testing.T) {
+	var ran atomic.Int64
 	jobs := make([]Job[int], 10)
 	for i := range jobs {
 		jobs[i] = Job[int]{Name: fmt.Sprintf("j%d", i), Run: func() (int, error) {
+			ran.Add(1)
 			if i%3 == 0 {
 				return 0, fmt.Errorf("fail-%d", i)
 			}
 			return i, nil
 		}}
 	}
-	res, err := Run(jobs, Options{Workers: 4, Policy: CollectAll})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	for i := 0; i < 10; i += 3 {
-		if !strings.Contains(err.Error(), fmt.Sprintf("fail-%d", i)) {
-			t.Fatalf("joined error missing fail-%d: %v", i, err)
+	const want = "j0: fail-0\nj3: fail-3\nj6: fail-6\nj9: fail-9"
+	for _, workers := range []int{1, 4, 8} {
+		ran.Store(0)
+		res, err := Run(jobs, workers)
+		if err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
 		}
-	}
-	for i, r := range res {
-		if r.Skipped {
-			t.Fatalf("CollectAll skipped job %d", i)
+		if ran.Load() != int64(len(jobs)) {
+			t.Fatalf("workers=%d: %d of %d jobs ran", workers, ran.Load(), len(jobs))
 		}
-		if i%3 != 0 && r.Value != i {
-			t.Fatalf("job %d value = %d", i, r.Value)
+		for i, r := range res {
+			if i%3 != 0 && r.Value != i {
+				t.Fatalf("workers=%d: job %d value = %d", workers, i, r.Value)
+			}
 		}
 	}
 }
@@ -163,7 +132,7 @@ func TestRunRecoversPanics(t *testing.T) {
 		{Name: "ok", Run: func() (int, error) { return 7, nil }},
 		{Name: "bad", Run: func() (int, error) { panic("kaboom") }},
 	}
-	res, err := Run(jobs, Options{Workers: 2, Policy: CollectAll})
+	res, err := Run(jobs, 2)
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want panic message", err)
 	}
@@ -177,7 +146,7 @@ func TestRunRecoversPanics(t *testing.T) {
 
 func TestRunAnonymousJobNamesInErrors(t *testing.T) {
 	jobs := []Job[int]{{Run: func() (int, error) { return 0, errors.New("x") }}}
-	_, err := Run(jobs, Options{})
+	_, err := Run(jobs, 0)
 	if err == nil || !strings.Contains(err.Error(), "job[0]") {
 		t.Fatalf("err = %v, want job[0] label", err)
 	}
@@ -246,11 +215,11 @@ func TestRunStressRace(t *testing.T) {
 		}
 		return jobs
 	}
-	resA, err := Run(mk(), Options{Workers: 64, Policy: CollectAll})
+	resA, err := Run(mk(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Run(mk(), Options{Workers: 3, Policy: CollectAll})
+	resB, err := Run(mk(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

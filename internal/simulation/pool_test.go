@@ -157,7 +157,7 @@ func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
 func TestTickerPeriodAllocs(t *testing.T) {
 	e := warmEngine(t, 64)
 	ticks := 0
-	if _, err := e.NewTicker(time.Second, true, func(time.Duration) { ticks++ }); err != nil {
+	if _, err := e.NewTicker(time.Second, func(time.Duration) { ticks++ }); err != nil {
 		t.Fatal(err)
 	}
 	e.Step()

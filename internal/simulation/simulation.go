@@ -373,9 +373,8 @@ func (e *Engine) RunUntil(deadline time.Duration) error {
 	return nil
 }
 
-// Ticker repeatedly invokes fn every period; it never stops, so an engine
-// with a ticker never drains. The first invocation happens one period
-// after creation unless immediate is set.
+// Ticker repeatedly invokes fn every period, the first time at the instant
+// it is created; it never stops, so an engine with a ticker never drains.
 type Ticker struct {
 	engine *Engine
 	period time.Duration
@@ -386,9 +385,9 @@ type Ticker struct {
 // tick is a Ticker's event.
 type tick Ticker
 
-// NewTicker schedules fn to run periodically on the engine. period must be
-// positive.
-func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now time.Duration)) (*Ticker, error) {
+// NewTicker schedules fn to run now and then every period on the engine.
+// period must be positive.
+func (e *Engine) NewTicker(period time.Duration, fn func(now time.Duration)) (*Ticker, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("simulation: ticker period must be positive, got %v", period)
 	}
@@ -396,11 +395,7 @@ func (e *Engine) NewTicker(period time.Duration, immediate bool, fn func(now tim
 		return nil, errors.New("simulation: nil ticker function")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	first := period
-	if immediate {
-		first = 0
-	}
-	if _, err := e.AfterHandler(first, (*tick)(t)); err != nil {
+	if _, err := e.AfterHandler(0, (*tick)(t)); err != nil {
 		return nil, err
 	}
 	return t, nil

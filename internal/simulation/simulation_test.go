@@ -262,28 +262,34 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	if _, err := e.NewTicker(10, false, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
+	if _, err := e.NewTicker(10, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(35); err != nil {
 		t.Fatal(err)
 	}
-	if len(ticks) != 3 || ticks[0] != 10 || ticks[1] != 20 || ticks[2] != 30 {
-		t.Fatalf("ticks = %v, want [10 20 30]", ticks)
+	if want := []time.Duration{0, 10, 20, 30}; !slices.Equal(ticks, want) {
+		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
 }
 
+// A ticker's first tick is at the instant it is created, not one period
+// later.
 func TestTickerImmediate(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	if _, err := e.NewTicker(10, true, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
+	if _, err := e.Schedule(7, func(time.Duration) {
+		if _, err := e.NewTicker(10, func(now time.Duration) { ticks = append(ticks, now) }); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunUntil(15); err != nil {
+	if err := e.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
-	if len(ticks) != 2 || ticks[0] != 0 || ticks[1] != 10 {
-		t.Fatalf("ticks = %v, want [0 10]", ticks)
+	if want := []time.Duration{7, 17}; !slices.Equal(ticks, want) {
+		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
 }
 
@@ -292,7 +298,7 @@ func TestTickerImmediate(t *testing.T) {
 func TestTickerStopInsideCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	if _, err := e.NewTicker(1, false, func(time.Duration) {
+	if _, err := e.NewTicker(1, func(time.Duration) {
 		count++
 		if count == 3 {
 			e.Stop()
@@ -303,15 +309,15 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	if err := e.RunUntil(math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	if count != 3 || e.Now() != 3 || e.Pending() != 1 {
-		t.Fatalf("count = %d at %v with %d pending, want 3 at 3 with the next tick", count, e.Now(), e.Pending())
+	if count != 3 || e.Now() != 2 || e.Pending() != 1 {
+		t.Fatalf("count = %d at %v with %d pending, want 3 at 2 with the next tick", count, e.Now(), e.Pending())
 	}
 }
 
 func TestTickerSetPaused(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	tk, err := e.NewTicker(10, false, func(now time.Duration) { ticks = append(ticks, now) })
+	tk, err := e.NewTicker(10, func(now time.Duration) { ticks = append(ticks, now) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,21 +332,21 @@ func TestTickerSetPaused(t *testing.T) {
 	if err := e.RunUntil(55); err != nil {
 		t.Fatal(err)
 	}
-	want := []time.Duration{10, 20, 50}
-	if len(ticks) != len(want) || ticks[0] != want[0] || ticks[1] != want[1] || ticks[2] != want[2] {
+	want := []time.Duration{0, 10, 20, 50}
+	if !slices.Equal(ticks, want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
 }
 
 func TestTickerInvalidPeriod(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.NewTicker(0, false, func(time.Duration) {}); err == nil {
+	if _, err := e.NewTicker(0, func(time.Duration) {}); err == nil {
 		t.Fatal("zero period should be rejected")
 	}
-	if _, err := e.NewTicker(-1, false, func(time.Duration) {}); err == nil {
+	if _, err := e.NewTicker(-1, func(time.Duration) {}); err == nil {
 		t.Fatal("negative period should be rejected")
 	}
-	if _, err := e.NewTicker(1, false, nil); err == nil {
+	if _, err := e.NewTicker(1, nil); err == nil {
 		t.Fatal("nil ticker fn should be rejected")
 	}
 }

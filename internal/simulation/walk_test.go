@@ -124,6 +124,22 @@ func TestRunUntilStoppedKeepsClock(t *testing.T) {
 	}
 }
 
+// periodic runs fn and reschedules itself period later: a ticker whose
+// first tick the test places, one period out when scheduled with
+// AfterHandler(period, p).
+type periodic struct {
+	e      *Engine
+	period time.Duration
+	fn     func(time.Duration)
+}
+
+func (p *periodic) Fire(now time.Duration) {
+	p.fn(now)
+	if _, err := p.e.AfterHandler(p.period, p); err != nil {
+		panic(err)
+	}
+}
+
 // An awake walk and a lazy one of the same seed, each beside a ticker
 // replaying it, agree with the ticker at every read: below, at and above
 // one period ahead, and outside any event, while the first walk sleeps
@@ -145,10 +161,10 @@ func TestWalkWakeMatchesTicker(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	if _, err := e.NewTicker(period, false, func(time.Duration) {
+	if _, err := e.AfterHandler(period, &periodic{e, period, func(time.Duration) {
 		ref += 0.2*(0.3-ref) + rng.NormFloat64()*0.1
 		ref = min(max(ref, 0), 0.9)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	sleeping := true
@@ -165,7 +181,7 @@ func TestWalkWakeMatchesTicker(t *testing.T) {
 	}
 	// Reads one period ahead come from a same-period chain younger than
 	// the walks, the one such reader the tie rule covers.
-	if _, err := e.NewTicker(period, false, func(time.Duration) { check(period) }); err != nil {
+	if _, err := e.AfterHandler(period, &periodic{e, period, func(time.Duration) { check(period) }}); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))

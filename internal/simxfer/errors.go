@@ -17,7 +17,7 @@ var (
 	// ErrDuplicateSource rejects a source listed twice.
 	ErrDuplicateSource = errors.New("simxfer: duplicate source")
 	// ErrNegativeOption rejects negative transfer options (streams,
-	// stripes, buffers, block and chunk sizes).
+	// stripes, buffers and block sizes).
 	ErrNegativeOption = errors.New("simxfer: negative option")
 	// ErrSingleChannel rejects parallel or striped configurations on a
 	// protocol that supports only one data channel.

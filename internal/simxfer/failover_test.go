@@ -99,11 +99,11 @@ func TestSubmitSentinels(t *testing.T) {
 	if err := start(tr, "alpha1", "hit0", 1, Options{Protocol: ProtoFTP, Streams: 2}, cb); !errors.Is(err, ErrSingleChannel) {
 		t.Errorf("single-source parallel FTP: %v", err)
 	}
-	if err := startMulti(tr, []string{"hit0", "hit0"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); !errors.Is(err, ErrDuplicateSource) {
+	if err := startMulti(tr, []string{"hit0", "hit0"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, cb); !errors.Is(err, ErrDuplicateSource) {
 		t.Errorf("multi-source duplicate: %v", err)
 	}
 	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1,
-		Options{Protocol: ProtoGridFTPModeE, Streams: 2, Stripes: 2}, SchemeDynamic, 0, cb); !errors.Is(err, ErrStripedCoalloc) {
+		Options{Protocol: ProtoGridFTPModeE, Streams: 2, Stripes: 2}, SchemeDynamic, cb); !errors.Is(err, ErrStripedCoalloc) {
 		t.Errorf("multi-source striped: %v", err)
 	}
 }

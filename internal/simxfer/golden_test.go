@@ -49,7 +49,7 @@ func goldenCases() []goldenCase {
 		{name: "static 2-source", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(0)}},
 		{name: "static 2-source x3 streams", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(3)}},
 		{name: "dynamic 2-source", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: oddMB, Options: GridFTPOptions(0), Scheme: SchemeDynamic}},
-		{name: "dynamic 2-source 1MiB chunks", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: 32*mb + 7, Options: GridFTPOptions(0), Scheme: SchemeDynamic, ChunkBytes: 1 << 20}},
+		{name: "dynamic 2-source 33 chunks", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: 32*ChunkBytes + 7, Options: GridFTPOptions(0), Scheme: SchemeDynamic}},
 		{name: "dynamic 2-source x3 streams", req: Request{Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: 64*mb + 7, Options: GridFTPOptions(3), Scheme: SchemeDynamic}},
 		{name: "dynamic 1-source", req: Request{Sources: []string{"hit0"}, Dst: "alpha1", Bytes: 64*mb + 7, Options: GridFTPOptions(0), Scheme: SchemeDynamic}},
 		{name: "dynamic more sources than chunks", req: Request{Sources: []string{"hit0", "lz02", "gridhit1"}, Dst: "alpha1", Bytes: 5 * mb, Options: GridFTPOptions(0), Scheme: SchemeDynamic}},

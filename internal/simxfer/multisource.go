@@ -31,8 +31,8 @@ func (s Scheme) String() string {
 	}
 }
 
-// DefaultChunkBytes is the dynamic scheme's work-queue granularity.
-const DefaultChunkBytes = 4 << 20
+// ChunkBytes is the dynamic scheme's work-queue granularity.
+const ChunkBytes = 4 << 20
 
 // split is the up-front scheduler: one session per source, each carrying
 // an equal share of the payload (the first takes the remainder) over its
@@ -99,7 +99,7 @@ func (x *transfer) stripeMovers() ([]string, error) {
 // one lands, so fast servers carry more of the file. Setup is paid once
 // per source, not per chunk.
 func (x *transfer) chunkQueue() error {
-	x.chunks = (x.req.Bytes + x.req.ChunkBytes - 1) / x.req.ChunkBytes
+	x.chunks = (x.req.Bytes + ChunkBytes - 1) / ChunkBytes
 	x.open = int(x.chunks)
 	channels := len(x.req.Sources) * x.req.Options.Streams
 	for i := range x.req.Sources {
@@ -117,9 +117,9 @@ func (s *session) pull() {
 	if x.next == x.chunks {
 		return
 	}
-	s.bytes = x.req.ChunkBytes
+	s.bytes = ChunkBytes
 	if x.next == x.chunks-1 {
-		s.bytes = x.req.Bytes - x.next*x.req.ChunkBytes
+		s.bytes = x.req.Bytes - x.next*ChunkBytes
 	}
 	x.next++
 	s.launch()

@@ -9,23 +9,22 @@ import (
 )
 
 // startMulti submits a co-allocated request.
-func startMulti(tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64, done func(Result)) error {
+func startMulti(tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, done func(Result)) error {
 	return tr.Submit(Request{
-		Sources:    sources,
-		Dst:        dst,
-		Bytes:      bytes,
-		Options:    o,
-		Scheme:     scheme,
-		ChunkBytes: chunk,
-		Done:       done,
+		Sources: sources,
+		Dst:     dst,
+		Bytes:   bytes,
+		Options: o,
+		Scheme:  scheme,
+		Done:    done,
 	})
 }
 
-func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme, chunk int64) Result {
+func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []string, dst string, bytes int64, o Options, scheme Scheme) Result {
 	t.Helper()
 	var res Result
 	got := false
-	if err := startMulti(tr, sources, dst, bytes, o, scheme, chunk, func(r Result) {
+	if err := startMulti(tr, sources, dst, bytes, o, scheme, func(r Result) {
 		res = r
 		got = true
 	}); err != nil {
@@ -46,31 +45,28 @@ func runMulti(t *testing.T, eng *simulation.Engine, tr *Transferrer, sources []s
 func TestMultiSourceValidation(t *testing.T) {
 	_, _, tr := newBed(t)
 	cb := func(Result) {}
-	if err := startMulti(tr, nil, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, nil, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("no sources should be rejected")
 	}
-	if err := startMulti(tr, []string{"hit0"}, "alpha1", 0, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"hit0"}, "alpha1", 0, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("zero bytes should be rejected")
 	}
-	if err := startMulti(tr, []string{"alpha1"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"alpha1"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("source == dst should be rejected")
 	}
-	if err := startMulti(tr, []string{"hit0", "hit0"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"hit0", "hit0"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("duplicate sources should be rejected")
 	}
-	if err := startMulti(tr, []string{"ghost"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"ghost"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("unknown source should be rejected")
 	}
-	if err := startMulti(tr, []string{"hit0"}, "ghost", 1, GridFTPOptions(0), SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"hit0"}, "ghost", 1, GridFTPOptions(0), SchemeDynamic, cb); err == nil {
 		t.Fatal("unknown dst should be rejected")
 	}
-	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1, GridFTPOptions(0), SchemeDynamic, -1, cb); err == nil {
-		t.Fatal("negative chunk should be rejected")
-	}
-	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1, Options{Protocol: ProtoGridFTPModeE, Streams: 2, Stripes: 2}, SchemeDynamic, 0, cb); err == nil {
+	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1, Options{Protocol: ProtoGridFTPModeE, Streams: 2, Stripes: 2}, SchemeDynamic, cb); err == nil {
 		t.Fatal("striped co-allocation should be rejected")
 	}
-	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1, GridFTPOptions(0), Scheme(9), 0, cb); err == nil {
+	if err := startMulti(tr, []string{"hit0"}, "alpha1", 1, GridFTPOptions(0), Scheme(9), cb); err == nil {
 		t.Fatal("unknown scheme should be rejected")
 	}
 }
@@ -88,7 +84,7 @@ func TestDynamicCoallocationBeatsBestSingle(t *testing.T) {
 	engS, _, trS := newBed(t)
 	single := run(t, engS, trS, "hit0", "alpha1", 1024*mb, GridFTPOptions(0))
 	engM, _, trM := newBed(t)
-	multi := runMulti(t, engM, trM, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeDynamic, 0)
+	multi := runMulti(t, engM, trM, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeDynamic)
 	if multi.Duration() >= single.Duration() {
 		t.Fatalf("co-allocation (%v) should beat the best single replica (%v)",
 			multi.Duration(), single.Duration())
@@ -112,9 +108,9 @@ func TestStaticSplitHurtsWithAsymmetricSources(t *testing.T) {
 	engS, _, trS := newBed(t)
 	single := run(t, engS, trS, "hit0", "alpha1", 1024*mb, GridFTPOptions(0))
 	engSt, _, trSt := newBed(t)
-	static := runMulti(t, engSt, trSt, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeStatic, 0)
+	static := runMulti(t, engSt, trSt, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeStatic)
 	engDy, _, trDy := newBed(t)
-	dynamic := runMulti(t, engDy, trDy, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeDynamic, 0)
+	dynamic := runMulti(t, engDy, trDy, []string{"hit0", "lz02"}, "alpha1", 1024*mb, GridFTPOptions(0), SchemeDynamic)
 	if static.Duration() <= single.Duration() {
 		t.Fatalf("static split (%v) should lose to best-single (%v) when sources are asymmetric",
 			static.Duration(), single.Duration())
@@ -128,7 +124,7 @@ func TestDynamicSymmetricSourcesShareEvenly(t *testing.T) {
 	// alpha4 and alpha3 both sit on the THU LAN: near-identical paths to
 	// gridhit3 — chunks should split roughly evenly.
 	eng, _, tr := newBed(t)
-	res := runMulti(t, eng, tr, []string{"alpha4", "alpha3"}, "gridhit3", 512*mb, GridFTPOptions(0), SchemeDynamic, 8*mb)
+	res := runMulti(t, eng, tr, []string{"alpha4", "alpha3"}, "gridhit3", 512*mb, GridFTPOptions(0), SchemeDynamic)
 	a, b := res.BytesBySource["alpha4"], res.BytesBySource["alpha3"]
 	if a+b != 512*mb {
 		t.Fatalf("bytes = %v", res.BytesBySource)
@@ -145,7 +141,7 @@ func TestMultiSourceSingleDegeneratesToStart(t *testing.T) {
 	engA, _, trA := newBed(t)
 	plain := run(t, engA, trA, "hit0", "alpha1", 256*mb, GridFTPOptions(0))
 	engB, _, trB := newBed(t)
-	multi := runMulti(t, engB, trB, []string{"hit0"}, "alpha1", 256*mb, GridFTPOptions(0), SchemeDynamic, 0)
+	multi := runMulti(t, engB, trB, []string{"hit0"}, "alpha1", 256*mb, GridFTPOptions(0), SchemeDynamic)
 	lo, hi := plain.Duration()*9/10, plain.Duration()*11/10
 	if multi.Duration() < lo || multi.Duration() > hi {
 		t.Fatalf("single-source dynamic (%v) should track plain transfer (%v)",
@@ -156,7 +152,7 @@ func TestMultiSourceSingleDegeneratesToStart(t *testing.T) {
 func TestMultiSourceParallelStreamsCompose(t *testing.T) {
 	eng, _, tr := newBed(t)
 	res := runMulti(t, eng, tr, []string{"hit0", "lz02"}, "alpha1", 512*mb,
-		GridFTPOptions(4), SchemeDynamic, 16*mb)
+		GridFTPOptions(4), SchemeDynamic)
 	if res.Duration() <= 0 {
 		t.Fatal("no duration")
 	}

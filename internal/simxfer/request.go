@@ -29,9 +29,6 @@ type Request struct {
 	// Scheme picks how several sources share the payload. SchemeDynamic
 	// also applies to a single source, which then serves every chunk.
 	Scheme Scheme
-	// ChunkBytes is the SchemeDynamic work-queue granularity; zero means
-	// DefaultChunkBytes. Other schemes ignore it.
-	ChunkBytes int64
 	// Failover, when non-nil, arms mid-transfer failure detection and
 	// the retry/failover engine. Incompatible with co-allocation.
 	Failover *FailoverPolicy
@@ -96,15 +93,10 @@ func (t *Transferrer) admit(req Request) (*transfer, error) {
 	switch {
 	case req.Failover != nil && req.Options.Stripes > 1:
 		return nil, fmt.Errorf("%w: striped transfer", ErrFailoverConfig)
-	case req.Failover != nil && (req.Scheme != SchemeStatic || req.ChunkBytes != 0):
+	case req.Failover != nil && req.Scheme != SchemeStatic:
 		return nil, fmt.Errorf("%w: co-allocation scheme", ErrFailoverConfig)
 	case req.Failover == nil && coalloc && req.Options.Stripes > 1:
 		return nil, ErrStripedCoalloc
-	case req.ChunkBytes < 0:
-		return nil, fmt.Errorf("%w: chunk size %d", ErrNegativeOption, req.ChunkBytes)
-	}
-	if req.ChunkBytes == 0 {
-		req.ChunkBytes = DefaultChunkBytes
 	}
 	for i, s := range req.Sources {
 		if s == req.Dst {

@@ -101,7 +101,7 @@ func TestFailedSessionCountsNoBytes(t *testing.T) {
 		var res Result
 		dones := 0
 		x, err := tr.admit(Request{
-			Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: 2 * DefaultChunkBytes,
+			Sources: []string{"hit0", "lz02"}, Dst: "alpha1", Bytes: 2 * ChunkBytes,
 			Options: GridFTPOptions(0), Scheme: scheme,
 			Done: func(r Result) { res = r; dones++ },
 		})
@@ -110,27 +110,14 @@ func TestFailedSessionCountsNoBytes(t *testing.T) {
 		}
 		x.open, x.chunks, x.next = 3, 3, 3
 		boom := errors.New("boom")
-		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1), nil)
-		x.landed(x.newSession(x.req.Sources[1:2], DefaultChunkBytes, 1), boom)
-		x.landed(x.newSession(x.req.Sources[0:1], DefaultChunkBytes, 1), nil) // a straggler
+		x.landed(x.newSession(x.req.Sources[0:1], ChunkBytes, 1), nil)
+		x.landed(x.newSession(x.req.Sources[1:2], ChunkBytes, 1), boom)
+		x.landed(x.newSession(x.req.Sources[0:1], ChunkBytes, 1), nil) // a straggler
 		if dones != 1 || !errors.Is(res.Err, boom) {
 			t.Fatalf("%v: dones=%d err=%v, want one Done carrying the cause", scheme, dones, res.Err)
 		}
-		if res.BytesBySource["hit0"] != DefaultChunkBytes || res.BytesBySource["lz02"] != 0 {
+		if res.BytesBySource["hit0"] != ChunkBytes || res.BytesBySource["lz02"] != 0 {
 			t.Fatalf("%v: by-source = %v, want only the bytes that moved", scheme, res.BytesBySource)
 		}
-	}
-}
-
-// ChunkBytes no longer routes a request: a one-source static request is
-// the plain transfer whether or not it is set.
-func TestChunkBytesDoesNotChangeStaticShape(t *testing.T) {
-	engA, _, trA := newBed(t)
-	plain := run(t, engA, trA, "hit0", "alpha1", 64*mb, GridFTPOptions(2))
-	engB, _, trB := newBed(t)
-	chunked := runMulti(t, engB, trB, []string{"hit0"}, "alpha1", 64*mb, GridFTPOptions(2), SchemeStatic, 1<<20)
-	if chunked.Src != "hit0" || chunked.BytesBySource != nil || chunked.Finished != plain.Finished ||
-		engA.Fired() != engB.Fired() {
-		t.Fatalf("static one-source with ChunkBytes = %+v, want the plain transfer %+v", chunked, plain)
 	}
 }

@@ -215,8 +215,8 @@ const inlineSources = 4
 // It lives entirely on the simulation goroutine.
 type transfer struct {
 	t *Transferrer
-	// req is validated: Sources is the transfer's own copy, and Options,
-	// ChunkBytes and Failover carry their defaults.
+	// req is validated: Sources is the transfer's own copy, and Options
+	// and Failover carry their defaults.
 	req      Request
 	overhead float64 // MODE E framing overhead per payload byte
 	res      Result

@@ -48,7 +48,7 @@ func RecommendStreams(net *netsim.Network, src, dst string, windowBytes int, max
 		perStream = float64(windowBytes) * 8 / rtt.Seconds()
 		// Mathis limit with the standard MSS.
 		if loss > 0 {
-			if m := netsim.DefaultMSS * 8 / rtt.Seconds() * 1.22 / math.Sqrt(loss); m < perStream {
+			if m := netsim.MSS * 8 / rtt.Seconds() * 1.22 / math.Sqrt(loss); m < perStream {
 				perStream = m
 			}
 		}

@@ -20,7 +20,10 @@ type Target interface {
 	IOLoad() float64
 }
 
-// Collector samples a Target's disk utilisation every period, the way an
+// Period is the iostat sampling interval.
+const Period = 2 * time.Second
+
+// Collector samples a Target's disk utilisation every Period, the way an
 // iostat daemon samples /proc, and keeps the latest sample.
 type Collector struct {
 	target Target
@@ -29,14 +32,14 @@ type Collector struct {
 	rev    uint64
 }
 
-// NewCollector starts sampling target every period on the engine, the
+// NewCollector starts sampling target every Period on the engine, the
 // first sample at the current instant.
-func NewCollector(engine *simulation.Engine, target Target, period time.Duration) (*Collector, error) {
+func NewCollector(engine *simulation.Engine, target Target) (*Collector, error) {
 	if target == nil {
 		return nil, errors.New("sysstat: nil target")
 	}
 	c := &Collector{target: target}
-	tk, err := engine.NewTicker(period, true, c.sample)
+	tk, err := engine.NewTicker(Period, c.sample)
 	if err != nil {
 		return nil, err
 	}

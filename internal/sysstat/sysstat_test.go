@@ -13,33 +13,37 @@ type fakeHost struct{ io float64 }
 
 func (f *fakeHost) IOLoad() float64 { return f.io }
 
-func newCollector(t *testing.T, target Target, period time.Duration) (*simulation.Engine, *Collector) {
+func newCollector(t *testing.T, target Target) (*simulation.Engine, *Collector) {
 	t.Helper()
 	eng := simulation.NewEngine()
-	c, err := NewCollector(eng, target, period)
+	c, err := NewCollector(eng, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, c
 }
 
+// iostat samples every 2 s, the first sample at t=0: samples at t=0, 2,
+// ..., 20 inclusive = 11.
 func TestSamplingCadence(t *testing.T) {
-	eng, c := newCollector(t, &fakeHost{io: 0.2}, time.Second)
-	if err := eng.RunUntil(10 * time.Second); err != nil {
+	if Period != 2*time.Second {
+		t.Fatalf("Period = %v, want 2s", Period)
+	}
+	eng, c := newCollector(t, &fakeHost{io: 0.2})
+	if err := eng.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The first sample fires at t=0: samples at t=0..10 inclusive = 11.
 	if got := c.Revision(); got != 11 {
-		t.Fatalf("revision after 10 s = %d, want 11", got)
+		t.Fatalf("revision after 20 s = %d, want 11", got)
 	}
 }
 
 func TestIdlePercentsTrackTarget(t *testing.T) {
 	h := &fakeHost{io: 0.30}
-	eng, c := newCollector(t, h, time.Second)
+	eng, c := newCollector(t, h)
 	for i, io := range []float64{0.30, 0.75, 0, 1, 0.1} {
 		h.io = io
-		if err := eng.RunUntil(time.Duration(i+1) * time.Second); err != nil {
+		if err := eng.RunUntil(time.Duration(i+1) * Period); err != nil {
 			t.Fatal(err)
 		}
 		got, err := c.IOIdlePercent()
@@ -54,7 +58,7 @@ func TestIdlePercentsTrackTarget(t *testing.T) {
 }
 
 func TestNoSamplesErrors(t *testing.T) {
-	_, c := newCollector(t, &fakeHost{}, time.Hour)
+	_, c := newCollector(t, &fakeHost{})
 	// No events run yet: even the immediate sample hasn't fired.
 	if _, err := c.IOIdlePercent(); err != ErrNoSamples {
 		t.Fatalf("IOIdlePercent err = %v, want ErrNoSamples", err)
@@ -65,21 +69,21 @@ func TestNoSamplesErrors(t *testing.T) {
 // reading nor the revision moves, and both resume with the next tick.
 func TestSetPausedFreezes(t *testing.T) {
 	h := &fakeHost{io: 0.5}
-	eng, c := newCollector(t, h, time.Second)
-	if err := eng.RunUntil(3 * time.Second); err != nil {
+	eng, c := newCollector(t, h)
+	if err := eng.RunUntil(3 * Period); err != nil {
 		t.Fatal(err)
 	}
 	c.SetPaused(true)
 	rev := c.Revision()
 	h.io = 0.9
-	if err := eng.RunUntil(10 * time.Second); err != nil {
+	if err := eng.RunUntil(10 * Period); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.IOIdlePercent(); c.Revision() != rev || got != 50 {
 		t.Fatalf("paused collector moved: revision %d -> %d, idle %v, want 50", rev, c.Revision(), got)
 	}
 	c.SetPaused(false)
-	if err := eng.RunUntil(11 * time.Second); err != nil {
+	if err := eng.RunUntil(11 * Period); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.IOIdlePercent(); c.Revision() != rev+1 || got != 100*(1-h.io) {
@@ -88,20 +92,14 @@ func TestSetPausedFreezes(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	eng := simulation.NewEngine()
-	if _, err := NewCollector(eng, nil, time.Second); err == nil {
+	if _, err := NewCollector(simulation.NewEngine(), nil); err == nil {
 		t.Fatal("nil target should be rejected")
-	}
-	for _, period := range []time.Duration{0, -time.Second} {
-		if _, err := NewCollector(eng, &fakeHost{}, period); err == nil {
-			t.Fatalf("period %v should be rejected", period)
-		}
 	}
 }
 
 // TestSampleAllocs pins the tick: one sample allocates nothing.
 func TestSampleAllocs(t *testing.T) {
-	eng, c := newCollector(t, &fakeHost{io: 0.2}, time.Second)
+	eng, c := newCollector(t, &fakeHost{io: 0.2})
 	if avg := testing.AllocsPerRun(100, func() { c.sample(eng.Now()) }); avg != 0 {
 		t.Fatalf("sample allocates %v objects/op, want 0", avg)
 	}
@@ -113,8 +111,8 @@ func TestPropertyPercentagesSane(t *testing.T) {
 	f := func(ioRaw uint8) bool {
 		io := float64(ioRaw) / 255
 		eng := simulation.NewEngine()
-		c, err := NewCollector(eng, &fakeHost{io: io}, time.Second)
-		if err != nil || eng.RunUntil(time.Second) != nil {
+		c, err := NewCollector(eng, &fakeHost{io: io})
+		if err != nil || eng.RunUntil(Period) != nil {
 			return false
 		}
 		v, err := c.IOIdlePercent()
