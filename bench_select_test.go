@@ -13,6 +13,7 @@ import (
 
 	"github.com/hpclab/datagrid/internal/core"
 	"github.com/hpclab/datagrid/internal/experiments"
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 	"github.com/hpclab/datagrid/internal/simulation"
@@ -78,7 +79,7 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 		return nil, err
 	}
 	cands := make([]core.Candidate, 0, len(locs))
-	reps := make([]info.HostReport, 0, len(locs)) // never grows: the candidates point into it
+	reps := make([]gridstate.HostPerf, 0, len(locs)) // never grows: the candidates point into it
 	for _, loc := range locs {
 		mu.Lock()
 		rep, err := e.infoSrv.BuildHostPerf(loc.Host, e.now)

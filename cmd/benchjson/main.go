@@ -28,14 +28,17 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -202,17 +205,23 @@ func baselineFor(f File, name, against string) (Benchmark, string, bool) {
 
 // parse scans go test -bench output, echoing every line to echo and
 // collecting parsed results in first-seen order; a name printed twice (a
-// repeated run) keeps its last line.
+// repeated run) keeps its last line. A result line that the JSON record
+// could not hold as read — a NaN or infinite value, or bytes that are not
+// UTF-8 — is an error naming the line, not a result to compare.
 func parse(r io.Reader, echo io.Writer) ([]Benchmark, error) {
 	var lines []Benchmark
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := sc.Text()
 		if echo != nil {
 			fmt.Fprintln(echo, line)
 		}
-		if b, ok := parseLine(line); ok {
+		b, ok, err := parseLine(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d %q: %w", n, line, err)
+		}
+		if ok {
 			lines = append(lines, b)
 		}
 	}
@@ -260,29 +269,36 @@ func procsSuffix(name string) string {
 //	BenchmarkName-8   	     100	  12345 ns/op	  64 B/op	  2 allocs/op
 //
 // with any number of trailing value/unit metric pairs. The name keeps any
-// -GOMAXPROCS suffix; parse decides whether to strip it.
-func parseLine(line string) (Benchmark, bool) {
+// -GOMAXPROCS suffix; parse decides whether to strip it. A line without a
+// name, a positive iteration count or a numeric value is not a result.
+func parseLine(line string) (Benchmark, bool, error) {
 	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Benchmark{}, false
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[0] == "Benchmark" {
+		return Benchmark{}, false, nil
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, false
+	if err != nil || iters < 1 {
+		return Benchmark{}, false, nil
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
 	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Benchmark{}, false
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0): // an overflow parses to ±Inf
+			return Benchmark{}, false, fmt.Errorf("%s is not a finite value", fields[i])
+		case err != nil:
+			return Benchmark{}, false, nil
 		}
 		b.Metrics[fields[i+1]] = v
 	}
 	if len(b.Metrics) == 0 {
-		return Benchmark{}, false
+		return Benchmark{}, false, nil
 	}
-	return b, true
+	if !utf8.ValidString(line) {
+		return Benchmark{}, false, errors.New("not valid UTF-8")
+	}
+	return b, true, nil
 }
 
 // merge loads path (if it exists), replaces the run with the same label or

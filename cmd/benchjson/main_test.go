@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -88,6 +90,66 @@ func TestParseRejectsNonBenchLines(t *testing.T) {
 	if len(benches) != 0 {
 		t.Fatalf("parsed %d benchmarks from junk, want 0", len(benches))
 	}
+}
+
+// TestParseRejectsNonFinite: a NaN or infinite value (an overflow reads
+// as one) fails the parse with the line named, instead of passing -diff
+// silently or failing the JSON write later.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "-inf", "infinity", "1e400"} {
+		line := "BenchmarkX 10 " + v + " ns/op"
+		_, err := parse(strings.NewReader("PASS\n"+line+"\n"), nil)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), line) {
+			t.Fatalf("%q: err = %v, want one naming line 2", line, err)
+		}
+	}
+}
+
+// FuzzParse: parse never panics, and every result it returns has a name,
+// positive iterations and finite metrics, and reads back unchanged from
+// the file merge writes.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		benches, err := parse(strings.NewReader(text), nil)
+		if err != nil {
+			return
+		}
+		want := map[string]Benchmark{}
+		for _, b := range benches {
+			if b.Name == "" || b.Iterations < 1 {
+				t.Fatalf("result %+v has no name or no iterations", b)
+			}
+			for unit, v := range b.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("result %s has %s = %v", b.Name, unit, v)
+				}
+			}
+			if _, dup := want[b.Name]; dup {
+				t.Fatalf("name %q returned twice", b.Name)
+			}
+			want[b.Name] = b
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := merge(path, Run{Label: "fuzz", Benchmarks: benches}); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back File
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if len(back.Runs) != 1 || len(back.Runs[0].Benchmarks) != len(benches) {
+			t.Fatalf("re-read %+v, want one run of %d benchmarks", back.Runs, len(benches))
+		}
+		for _, b := range back.Runs[0].Benchmarks {
+			if w, ok := want[b.Name]; !ok || !reflect.DeepEqual(b, w) {
+				t.Fatalf("re-read %+v, parsed %+v", b, w)
+			}
+		}
+	})
 }
 
 func TestMergeReplacesSameLabel(t *testing.T) {

@@ -77,6 +77,7 @@ func main() {
 		log.Printf("serving %s from disk", ds.Root())
 	}
 	mem, _ := store.(*gridftp.MemStore)
+	preloaded := 0
 	rng := rand.New(rand.NewSource(*seed))
 	for _, spec := range synth {
 		path, sizeStr, ok := strings.Cut(spec, "=")
@@ -95,6 +96,7 @@ func main() {
 		if err := mem.Put(path, buf); err != nil {
 			log.Fatalf("gridftpd: %v", err)
 		}
+		preloaded++
 		log.Printf("synthesized %s (%d bytes)", path, size)
 	}
 	if *load != "" {
@@ -117,6 +119,7 @@ func main() {
 			if err := mem.Put(vpath, data); err != nil {
 				return err
 			}
+			preloaded++
 			log.Printf("loaded %s (%d bytes)", vpath, len(data))
 			return nil
 		})
@@ -159,8 +162,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("gridftpd: %v", err)
 	}
-	log.Printf("gridftpd listening on %s (%d files, stripes=%d, gsi=%v)",
-		bound, len(store.List()), *stripes, cfg.GSI != nil)
+	log.Printf("gridftpd listening on %s (%d files preloaded, stripes=%d, gsi=%v)",
+		bound, preloaded, *stripes, cfg.GSI != nil)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

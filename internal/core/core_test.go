@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/cluster"
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/nws"
 	"github.com/hpclab/datagrid/internal/replica"
@@ -26,8 +27,8 @@ func TestWeightsValidate(t *testing.T) {
 	}
 }
 
-func report(bw, cpu, io float64) info.HostReport {
-	return info.HostReport{BandwidthPercent: bw, CPUIdlePercent: cpu, IOIdlePercent: io}
+func report(bw, cpu, io float64) gridstate.HostPerf {
+	return gridstate.HostPerf{BandwidthPercent: bw, CPUIdlePercent: cpu, IOIdlePercent: io}
 }
 
 func TestScoreFormula(t *testing.T) {
@@ -125,8 +126,8 @@ func TestRoundRobinSelector(t *testing.T) {
 func TestBandwidthOnlySelector(t *testing.T) {
 	s := BandwidthOnlySelector{}
 	cs := []Candidate{
-		{Report: &info.HostReport{BandwidthPercent: 20, CPUIdlePercent: 99, IOIdlePercent: 99}},
-		{Report: &info.HostReport{BandwidthPercent: 80, CPUIdlePercent: 1, IOIdlePercent: 1}},
+		{Report: &gridstate.HostPerf{BandwidthPercent: 20, CPUIdlePercent: 99, IOIdlePercent: 99}},
+		{Report: &gridstate.HostPerf{BandwidthPercent: 80, CPUIdlePercent: 1, IOIdlePercent: 1}},
 	}
 	i, err := s.Select(cs)
 	if err != nil || i != 1 {
@@ -464,8 +465,8 @@ func TestApplicationValidation(t *testing.T) {
 }
 
 func TestLatencyAwareSelector(t *testing.T) {
-	near := Candidate{Report: &info.HostReport{BandwidthPercent: 70, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 1}}
-	far := Candidate{Report: &info.HostReport{BandwidthPercent: 75, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 40}}
+	near := Candidate{Report: &gridstate.HostPerf{BandwidthPercent: 70, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 1}}
+	far := Candidate{Report: &gridstate.HostPerf{BandwidthPercent: 75, CPUIdlePercent: 50, IOIdlePercent: 50, LatencyMs: 40}}
 	// Plain cost model prefers the marginally-faster far host...
 	plain := CostModelSelector{Weights: PaperWeights}
 	cands := []Candidate{near, far}

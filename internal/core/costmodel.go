@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
@@ -51,7 +50,7 @@ func (w Weights) Validate() error {
 
 // Score applies formula (1) to an information-server report. The result is
 // in [0, 100] for normalized weights; higher is better.
-func Score(r info.HostReport, w Weights) float64 {
+func Score(r gridstate.HostPerf, w Weights) float64 {
 	return r.BandwidthPercent*w.Bandwidth + r.CPUIdlePercent*w.CPU + r.IOIdlePercent*w.IO
 }
 
@@ -64,7 +63,7 @@ type Candidate struct {
 	// it may be read from any goroutine, but it is read-only, and it keeps
 	// the view's memo alive as long as the candidate is held. nil in a
 	// local hit's FetchResult.Chosen, which no selection ranked.
-	Report *info.HostReport
+	Report *gridstate.HostPerf
 	Score  float64
 }
 

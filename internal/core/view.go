@@ -15,7 +15,7 @@ import (
 // viewEntry is one host's memoized outcome under a pinned snapshot: the
 // report and its cost-model score, or the error the snapshot build stored.
 type viewEntry struct {
-	report info.HostReport
+	report gridstate.HostPerf
 	score  float64
 	err    error
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/gridstate"
-	"github.com/hpclab/datagrid/internal/info"
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
@@ -95,7 +94,7 @@ func TestRankSharesViewReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := make([]info.HostReport, len(first))
+	kept := make([]gridstate.HostPerf, len(first))
 	for i := range first {
 		if first[i].Report != second[i].Report {
 			t.Fatalf("candidate %d: two ranks under one view hold two reports of %s", i, first[i].Location.Host)

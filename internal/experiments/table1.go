@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"github.com/hpclab/datagrid/internal/core"
-	"github.com/hpclab/datagrid/internal/info"
+	"github.com/hpclab/datagrid/internal/gridstate"
 	"github.com/hpclab/datagrid/internal/metrics"
 	"github.com/hpclab/datagrid/internal/simxfer"
 	"github.com/hpclab/datagrid/internal/workload"
@@ -58,7 +58,7 @@ type decisionPoint struct {
 // fresh world with the same seed, so measurements do not perturb each
 // other, mirroring the paper's sequential measurements. The reference
 // world is the first pool point and every (instant, remote host) the next.
-func decisions(seed int64, workers int, what string, instants []time.Duration, hosts []string, bytes int64) ([][]info.HostReport, [][]float64, error) {
+func decisions(seed int64, workers int, what string, instants []time.Duration, hosts []string, bytes int64) ([][]gridstate.HostPerf, [][]float64, error) {
 	const local = "alpha1"
 	points := []decisionPoint{{}}
 	for i := range instants {
@@ -71,7 +71,7 @@ func decisions(seed int64, workers int, what string, instants []time.Duration, h
 	// part carries either the reference world's reports and local reads
 	// or one remote transfer's seconds.
 	type part struct {
-		reports [][]info.HostReport
+		reports [][]gridstate.HostPerf
 		seconds [][]float64
 		remote  float64
 	}
@@ -90,7 +90,7 @@ func decisions(seed int64, workers int, what string, instants []time.Duration, h
 				return part{}, err
 			}
 			snap := ref.Deploy.Server.Publisher().Snapshot(ref.Engine.Now())
-			reports := make([]info.HostReport, len(hosts))
+			reports := make([]gridstate.HostPerf, len(hosts))
 			seconds := make([]float64, len(hosts))
 			for j, h := range hosts {
 				if reports[j], err = snap.Lookup(h); err != nil {

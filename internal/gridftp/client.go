@@ -247,13 +247,18 @@ func (c *Client) Passive() (string, error) {
 	return parsePasvAddr(msg[open+1 : close])
 }
 
-// Size returns the server-side size of a file.
+// Size returns the server-side size of a file. Downloads size their
+// buffer by it, so a negative size is an error.
 func (c *Client) Size(path string) (int64, error) {
 	msg, err := c.Expect(213, "SIZE %s", path)
 	if err != nil {
 		return 0, err
 	}
-	return strconv.ParseInt(strings.TrimSpace(msg), 10, 64)
+	n, err := strconv.ParseInt(strings.TrimSpace(msg), 10, 64)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("gridftp: negative size in %q", msg)
+	}
+	return n, err
 }
 
 // Quit logs out and closes the connection.
@@ -282,86 +287,67 @@ func (c *Client) dialData(addrs []string) ([]net.Conn, error) {
 	return conns, nil
 }
 
-// dialPassive issues PASV and dials the address once per parallel channel.
-func (c *Client) dialPassive() ([]net.Conn, error) {
-	addr, err := c.Passive()
-	if err != nil {
-		return nil, err
+// transfer runs one data command: PASV and one data connection per
+// channel (unless the caller passes conns it dialed), cmd and its 150
+// reply, the data moved, the close that ends every channel, and the 226
+// reply. A download (dst set) lands in dst: a stream from its start, MODE
+// E blocks at their own offsets. An upload sends src, in MODE E announced
+// by OPTS STOR before cmd. It returns the bytes moved.
+func (c *Client) transfer(conns []net.Conn, cmd string, dst io.WriterAt, src []byte) (int64, error) {
+	if conns == nil {
+		addr, err := c.Passive()
+		if err != nil {
+			return 0, err
+		}
+		addrs := []string{addr}
+		for c.modeE && len(addrs) < c.cfg.Parallelism {
+			addrs = append(addrs, addr)
+		}
+		if conns, err = c.dialData(addrs); err != nil {
+			return 0, err
+		}
 	}
-	addrs := make([]string, c.cfg.Parallelism)
-	for i := range addrs {
-		addrs[i] = addr
-	}
-	return c.dialData(addrs)
-}
-
-// streamData runs one stream-mode data command: PASV, the data connection,
-// REST when rest > 0, cmd and its 150 reply, xfer over the connection, the
-// close that ends it, and the 226 reply.
-func (c *Client) streamData(rest int64, cmd string, xfer func(net.Conn) (int64, error)) (int64, error) {
-	addr, err := c.Passive()
-	if err != nil {
-		return 0, err
-	}
-	conns, err := c.dialData([]string{addr})
-	if err != nil {
-		return 0, err
-	}
-	data := conns[0]
-	defer data.Close()
-	if rest > 0 {
-		if _, err := c.Expect(350, "REST %d", rest); err != nil {
+	defer closeAll(conns)
+	if p := c.cfg.Parallelism; dst == nil && c.modeE {
+		if _, err := c.Expect(200, "OPTS STOR Parallelism=%d,%d,%d;", p, p, p); err != nil {
 			return 0, err
 		}
 	}
 	if _, err := c.Expect(150, "%s", cmd); err != nil {
 		return 0, err
 	}
-	n, err := xfer(data)
-	if err != nil {
-		return n, fmt.Errorf("gridftp: data transfer: %w", err)
+	var n int64
+	var err error
+	switch {
+	case dst == nil && c.modeE:
+		n, err = int64(len(src)), SendBlocks(conns, bytes.NewReader(src), 0, int64(len(src)), c.cfg.BlockSize)
+	case dst == nil:
+		n, err = io.Copy(conns[0], bytes.NewReader(src))
+	case c.modeE:
+		var announced, eods int
+		n, announced, eods, err = ReceiveBlocks(conns, dst)
+		if err == nil && announced > 0 && eods < announced {
+			err = fmt.Errorf("incomplete: %d EODs of %d channels", eods, announced)
+		}
+	default:
+		n, err = io.Copy(io.NewOffsetWriter(dst, 0), conns[0])
 	}
 	// Closing signals EOF to an upload's receiver; a failed close means
 	// the transfer never terminated cleanly, so surface it.
-	if err := data.Close(); err != nil {
-		return n, fmt.Errorf("gridftp: close data connection: %w", err)
+	for _, d := range conns {
+		if cerr := d.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("close data connection: %w", cerr)
+		}
 	}
-	_, err = c.expectFinal(226)
-	return n, err
-}
-
-// Retr downloads a file into w in stream mode and returns the byte count.
-func (c *Client) Retr(path string, w io.Writer) (int64, error) {
-	return c.RetrFrom(path, 0, w)
-}
-
-// RetrFrom downloads a file starting at offset (REST + RETR).
-func (c *Client) RetrFrom(path string, offset int64, w io.Writer) (int64, error) {
-	return c.streamData(offset, "RETR "+path, func(d net.Conn) (int64, error) { return io.Copy(w, d) })
-}
-
-// Stor uploads r to path in stream mode and returns the byte count.
-func (c *Client) Stor(path string, r io.Reader) (int64, error) {
-	return c.streamData(0, "STOR "+path, func(d net.Conn) (int64, error) { return io.Copy(d, r) })
-}
-
-// receive runs one MODE E download over already dialed data channels:
-// cmd and its 150 reply, every block written into dst, then the 226
-// reply.
-func (c *Client) receive(conns []net.Conn, cmd string, dst io.WriterAt) error {
-	defer closeAll(conns)
-	if _, err := c.Expect(150, "%s", cmd); err != nil {
-		return err
+	// The final reply is read after a failure too, so the next command
+	// gets its own; a refusal there says more than the data error.
+	if _, ferr := c.expectFinal(226); ferr != nil {
+		return n, ferr
 	}
-	_, announced, eods, err := ReceiveBlocks(conns, dst)
 	if err != nil {
-		return err
+		return n, fmt.Errorf("gridftp: data transfer: %w", err)
 	}
-	if announced > 0 && eods < announced {
-		return fmt.Errorf("gridftp: incomplete transfer: %d EODs of %d channels", eods, announced)
-	}
-	_, err = c.expectFinal(226)
-	return err
+	return n, nil
 }
 
 // byteWriterAt adapts a fixed buffer to io.WriterAt with bounds checking.
@@ -377,41 +363,42 @@ func (b byteWriterAt) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// offsetWriterAt shifts every write by a fixed amount: a ranged ERET
-// download lands in a buffer that starts at the region's offset.
-type offsetWriterAt struct {
-	w     io.WriterAt
-	shift int64
-}
-
-func (o offsetWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	return o.w.WriteAt(p, off+o.shift)
-}
-
 // Get downloads a whole file, using the session's mode and parallelism.
 func (c *Client) Get(path string) ([]byte, error) {
+	return c.get(path, false)
+}
+
+// GetStriped downloads a file over the server's striped data movers
+// (SPAS) — the paper's future-work feature #1. It requires MODE E.
+func (c *Client) GetStriped(path string) ([]byte, error) {
+	if !c.modeE {
+		return nil, errors.New("gridftp: striped transfer requires MODE E")
+	}
+	return c.get(path, true)
+}
+
+// get downloads a whole file over PASV, or over the SPAS stripes.
+func (c *Client) get(path string, striped bool) ([]byte, error) {
 	size, err := c.Size(path)
 	if err != nil {
 		return nil, err
 	}
-	if !c.modeE {
-		// MinRead of slack lets bytes.Buffer take the last read and the
-		// EOF without growing.
-		buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-		if _, err := c.Retr(path, buf); err != nil {
+	var conns []net.Conn
+	if striped {
+		addrs, err := c.spas()
+		if err != nil {
 			return nil, err
 		}
-		return buf.Bytes(), nil
+		if conns, err = c.dialData(addrs); err != nil {
+			return nil, err
+		}
 	}
-	conns, err := c.dialPassive()
+	buf := make([]byte, size)
+	n, err := c.transfer(conns, "RETR "+path, byteWriterAt{buf}, nil)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
-	if err := c.receive(conns, "RETR "+path, byteWriterAt{buf}); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return buf[:min(n, size)], nil // a stream may end short; MODE E blocks may overlap
 }
 
 // GetPartial downloads the byte range [offset, offset+length) with ERET —
@@ -420,50 +407,23 @@ func (c *Client) GetPartial(path string, offset, length int64) ([]byte, error) {
 	if offset < 0 || length < 0 {
 		return nil, errors.New("gridftp: negative partial range")
 	}
-	cmd := fmt.Sprintf("ERET P %d %d %s", offset, length, path)
-	if !c.modeE {
-		var buf bytes.Buffer
-		if _, err := c.streamData(0, cmd, func(d net.Conn) (int64, error) { return buf.ReadFrom(d) }); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	buf := make([]byte, length)
+	// MODE E blocks carry absolute offsets: shift them back by the region
+	// start. A stream starts at the region's first byte.
+	dst := io.WriterAt(byteWriterAt{buf})
+	if c.modeE {
+		dst = io.NewOffsetWriter(dst, -offset)
 	}
-	conns, err := c.dialPassive()
+	n, err := c.transfer(nil, fmt.Sprintf("ERET P %d %d %s", offset, length, path), dst, nil)
 	if err != nil {
 		return nil, err
 	}
-	// MODE E blocks carry absolute offsets; receive into a window shifted
-	// back by the region start.
-	buf := make([]byte, length)
-	if err := c.receive(conns, cmd, offsetWriterAt{byteWriterAt{buf}, -offset}); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return buf[:min(n, length)], nil
 }
 
 // Put uploads data to path, using the session's mode and parallelism.
 func (c *Client) Put(path string, data []byte) error {
-	if !c.modeE {
-		_, err := c.Stor(path, bytes.NewReader(data))
-		return err
-	}
-	conns, err := c.dialPassive()
-	if err != nil {
-		return err
-	}
-	defer closeAll(conns)
-	p := c.cfg.Parallelism
-	if _, err := c.Expect(200, "OPTS STOR Parallelism=%d,%d,%d;", p, p, p); err != nil {
-		return err
-	}
-	if _, err := c.Expect(150, "STOR %s", path); err != nil {
-		return err
-	}
-	if err := SendBlocks(conns, bytes.NewReader(data), 0, int64(len(data)), c.cfg.BlockSize); err != nil {
-		return err
-	}
-	closeAll(conns) // signal EOF on every channel
-	_, err = c.expectFinal(226)
+	_, err := c.transfer(nil, "STOR "+path, nil, data)
 	return err
 }
 
@@ -493,31 +453,6 @@ func parseSpasReply(msg string) ([]string, error) {
 		return nil, fmt.Errorf("gridftp: no stripe addresses in SPAS reply %q", msg)
 	}
 	return out, nil
-}
-
-// GetStriped downloads a file over the server's striped data movers
-// (SPAS) — the paper's future-work feature #1. It requires MODE E.
-func (c *Client) GetStriped(path string) ([]byte, error) {
-	if !c.modeE {
-		return nil, errors.New("gridftp: striped transfer requires MODE E")
-	}
-	size, err := c.Size(path)
-	if err != nil {
-		return nil, err
-	}
-	addrs, err := c.spas()
-	if err != nil {
-		return nil, err
-	}
-	conns, err := c.dialData(addrs)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if err := c.receive(conns, "RETR "+path, byteWriterAt{buf}); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // ThirdParty moves srcPath on the src server directly to dstPath on the

@@ -3,11 +3,9 @@ package gridftp
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -51,17 +49,14 @@ func (s *DiskStore) resolve(path string) (string, error) {
 	return full, nil
 }
 
-// diskFile adapts *os.File to the Store's File interface with a cached
-// size for readers and growth tracking for writers.
+// diskFile adapts *os.File to the Store's File interface: the size is
+// read from the file each time, so a writer sees its own growth.
 type diskFile struct {
-	f *os.File
+	*os.File
 }
 
-func (d diskFile) ReadAt(p []byte, off int64) (int, error)  { return d.f.ReadAt(p, off) }
-func (d diskFile) WriteAt(p []byte, off int64) (int, error) { return d.f.WriteAt(p, off) }
-
 func (d diskFile) Size() int64 {
-	fi, err := d.f.Stat()
+	fi, err := d.Stat()
 	if err != nil {
 		return 0
 	}
@@ -123,23 +118,4 @@ func (s *DiskStore) Size(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// List walks the tree and returns all virtual file paths, sorted.
-func (s *DiskStore) List() []string {
-	var out []string
-	_ = filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(s.root, p)
-		if err != nil {
-			return nil
-		}
-		out = append(out, "/"+filepath.ToSlash(rel))
-		return nil
-	})
-	sort.Strings(out)
-	return out
-}
-
 var _ Store = (*DiskStore)(nil)
-var _ io.ReaderAt = diskFile{}

@@ -27,6 +27,9 @@ func putDisk(t *testing.T, st *DiskStore, path string, data []byte) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDiskStoreValidation(t *testing.T) {
@@ -60,8 +63,11 @@ func TestDiskStoreCRUD(t *testing.T) {
 	if string(buf) != "payload" {
 		t.Fatalf("content = %q", buf)
 	}
-	if got := st.List(); len(got) != 1 || got[0] != "/data/nested/file.bin" {
-		t.Fatalf("List = %v", got)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(st.Root(), "data", "nested", "file.bin")); err != nil {
+		t.Fatalf("file not under the root: %v", err)
 	}
 	if _, err := st.Open("/data/nested/ghost.bin"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Open missing err = %v", err)
@@ -130,17 +136,17 @@ func TestGridFTPOverDiskStore(t *testing.T) {
 	if err := c.TypeImage(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Retr("/pub/big.bin", &buf); err != nil {
+	got, err := c.Get("/pub/big.bin")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), payload) {
+	if !bytes.Equal(got, payload) {
 		t.Fatal("disk-backed download mismatch")
 	}
-	if _, err := c.Stor("/incoming/up.bin", bytes.NewReader(payload[:1000])); err != nil {
+	if err := c.Put("/incoming/up.bin", payload[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(st.Root(), "incoming", "up.bin"))
+	got, err = os.ReadFile(filepath.Join(st.Root(), "incoming", "up.bin"))
 	if err != nil || !bytes.Equal(got, payload[:1000]) {
 		t.Fatalf("upload on disk = %d bytes, %v", len(got), err)
 	}

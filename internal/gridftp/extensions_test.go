@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -14,18 +13,18 @@ import (
 func TestCwdRelativePaths(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	var buf bytes.Buffer
-	if _, err := c.Retr("data/hello.txt", &buf); err != nil {
+	got, err := c.Get("data/hello.txt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != "hello, grid" {
-		t.Fatalf("relative RETR = %q", buf.String())
+	if string(got) != "hello, grid" {
+		t.Fatalf("relative RETR = %q", got)
 	}
 	n, err := c.Size("data/../data/hello.txt")
 	if err != nil || n != 11 {
 		t.Fatalf("relative SIZE = %d, %v", n, err)
 	}
-	if _, err := c.Stor("up/nested.bin", strings.NewReader("x")); err != nil {
+	if err := c.Put("up/nested.bin", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Size("/up/nested.bin"); err != nil {

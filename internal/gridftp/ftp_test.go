@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // startHello starts a server whose store holds only /data/hello.txt.
@@ -47,8 +49,8 @@ func TestMemStore(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("Size = %d, %v", n, err)
 	}
-	if got := st.List(); len(got) != 1 || got[0] != "/a/b.bin" {
-		t.Fatalf("List = %v", got)
+	if len(st.files) != 1 || st.files["/a/b.bin"] == nil {
+		t.Fatalf("files = %v", st.files)
 	}
 	if _, err := st.Create(""); err == nil {
 		t.Fatal("empty path should be rejected")
@@ -187,21 +189,41 @@ func TestAuthRequired(t *testing.T) {
 func TestRetr(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	var buf bytes.Buffer
-	n, err := c.Retr("/data/hello.txt", &buf)
+	got, err := c.Get("/data/hello.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 11 || buf.String() != "hello, grid" {
-		t.Fatalf("Retr = %d bytes, %q", n, buf.String())
+	if string(got) != "hello, grid" {
+		t.Fatalf("Get = %q", got)
 	}
 }
 
+// TestGetRefusesNegativeSize: a download sizes its buffer by the SIZE
+// reply, so a negative size is an error, not a panic.
+func TestGetRefusesNegativeSize(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	go func() {
+		defer srv.Close()
+		if _, err := bufio.NewReader(srv).ReadString('\n'); err == nil {
+			srv.Write([]byte("213 -5\r\n"))
+		}
+	}()
+	c := &Client{conn: cli, r: bufio.NewReader(cli), cfg: ClientConfig{Timeout: 5 * time.Second}}
+	if _, err := c.Get("/data/f.bin"); err == nil || !strings.Contains(err.Error(), "negative size") {
+		t.Fatalf("Get with SIZE -5 = %v, want a negative-size error", err)
+	}
+}
+
+// TestRetrMissingFile: RETR of a missing file answers 550 before any data
+// connection is asked for, and Get fails.
 func TestRetrMissingFile(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	var buf bytes.Buffer
-	if _, err := c.Retr("/no/such/file", &buf); err == nil {
+	if code, _, err := c.Cmd("RETR /no/such/file"); err != nil || code != 550 {
+		t.Fatalf("RETR missing = %d, %v; want 550", code, err)
+	}
+	if _, err := c.Get("/no/such/file"); err == nil {
 		t.Fatal("missing file should fail")
 	}
 }
@@ -210,29 +232,22 @@ func TestStorAndRoundTrip(t *testing.T) {
 	st, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 64*1024) // 1 MiB
-	n, err := c.Stor("/up/large.bin", bytes.NewReader(payload))
-	if err != nil {
+	if err := c.Put("/up/large.bin", payload); err != nil {
 		t.Fatal(err)
-	}
-	if n != int64(len(payload)) {
-		t.Fatalf("Stor sent %d, want %d", n, len(payload))
 	}
 	got, err := st.Get("/up/large.bin")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("server content mismatch: %d bytes, %v", len(got), err)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Retr("/up/large.bin", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), payload) {
-		t.Fatal("round trip mismatch")
+	if got, err := c.Get("/up/large.bin"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip = %d bytes, %v", len(got), err)
 	}
 	// REST then STOR writes into the existing file from the offset.
-	if _, err := c.streamData(16, "STOR /up/large.bin", func(d net.Conn) (int64, error) {
-		return io.Copy(d, strings.NewReader("PATCHED"))
-	}); err != nil {
+	if _, err := c.Expect(350, "REST 16"); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := c.transfer(nil, "STOR /up/large.bin", nil, []byte("PATCHED")); err != nil || n != 7 {
+		t.Fatalf("REST+STOR sent %d, %v", n, err)
 	}
 	copy(payload[16:], "PATCHED")
 	got, err = st.Get("/up/large.bin")
@@ -244,17 +259,23 @@ func TestStorAndRoundTrip(t *testing.T) {
 func TestRestPartialRetr(t *testing.T) {
 	_, addr := startHello(t)
 	c := dialAndLogin(t, addr, ClientConfig{})
-	var buf bytes.Buffer
-	n, err := c.RetrFrom("/data/hello.txt", 7, &buf)
+	if _, err := c.Expect(350, "REST 7"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	n, err := c.transfer(nil, "RETR /data/hello.txt", byteWriterAt{buf}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 || buf.String() != "grid" {
-		t.Fatalf("partial = %d %q", n, buf.String())
+	if n != 4 || string(buf) != "grid" {
+		t.Fatalf("partial = %d %q", n, buf)
 	}
-	// Offset beyond EOF is an error.
-	if _, err := c.RetrFrom("/data/hello.txt", 100, &buf); err == nil {
-		t.Fatal("offset beyond size should fail")
+	// Offset beyond EOF is refused with 554.
+	if _, err := c.Expect(350, "REST 100"); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, err := c.Cmd("RETR /data/hello.txt"); err != nil || code != 554 {
+		t.Fatalf("RETR past the end = %d, %v; want 554", code, err)
 	}
 }
 
@@ -298,8 +319,8 @@ func TestUnknownCommand(t *testing.T) {
 			t.Fatalf("after %s: %v", cmd, err)
 		}
 	}
-	if got := st.List(); len(got) != 1 || got[0] != "/data/hello.txt" {
-		t.Fatalf("files after the refused verbs = %v", got)
+	if len(st.files) != 1 || st.files["/data/hello.txt"] == nil {
+		t.Fatalf("files after the refused verbs = %v", st.files)
 	}
 	if got, err := st.Get("/data/hello.txt"); err != nil || string(got) != "hello, grid" {
 		t.Fatalf("content after the refused verbs = %q, %v", got, err)
@@ -371,12 +392,12 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- err
 				return
 			}
-			var buf bytes.Buffer
-			if _, err := c.Retr("/data/hello.txt", &buf); err != nil {
+			got, err := c.Get("/data/hello.txt")
+			if err != nil {
 				errs <- err
 				return
 			}
-			if buf.String() != "hello, grid" {
+			if string(got) != "hello, grid" {
 				errs <- errors.New("content mismatch")
 				return
 			}
@@ -398,14 +419,11 @@ func TestPropertyStorRetrRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		payload := make([]byte, int(size)+1)
 		rng.Read(payload)
-		if _, err := c.Stor("/prop/file.bin", bytes.NewReader(payload)); err != nil {
+		if err := c.Put("/prop/file.bin", payload); err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if _, err := c.Retr("/prop/file.bin", &buf); err != nil {
-			return false
-		}
-		return bytes.Equal(buf.Bytes(), payload)
+		got, err := c.Get("/prop/file.bin")
+		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -164,12 +164,8 @@ func TestRestPartialModeE(t *testing.T) {
 	if _, err := c.Expect(350, "REST %d", 1<<19); err != nil {
 		t.Fatal(err)
 	}
-	conns, err := c.dialPassive()
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, 1<<20)
-	if err := c.receive(conns, "RETR /data/big.bin", byteWriterAt{buf}); err != nil {
+	if _, err := c.transfer(nil, "RETR /data/big.bin", byteWriterAt{buf}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf[1<<19:], payload[1<<19:]) {
@@ -489,11 +485,27 @@ func TestUseStreamModeSwitchBack(t *testing.T) {
 	if _, err := c.Expect(200, "MODE S"); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Retr("/data/big.bin", &buf); err != nil {
+	// The client still thinks in MODE E, so the stream is read by hand.
+	pasv, err := c.Passive()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), payload) {
+	conns, err := c.dialData([]string{pasv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(conns)
+	if _, err := c.Expect(150, "RETR /data/big.bin"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conns[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.expectFinal(226); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
 		t.Fatal("stream-mode content mismatch after switch back")
 	}
 }
@@ -602,19 +614,7 @@ func TestTimedOutAcceptFreesListener(t *testing.T) {
 			}
 		}
 		got := make([]byte, len(payload))
-		if striped {
-			err = c.receive(conns, "RETR /data/big.bin", byteWriterAt{got})
-		} else {
-			_, err = c.Expect(150, "RETR /data/big.bin")
-			if err == nil {
-				_, err = io.ReadFull(conns[0], got)
-			}
-			closeAll(conns)
-			if err == nil {
-				_, err = c.expectFinal(226)
-			}
-		}
-		if err != nil {
+		if _, err := c.transfer(conns, "RETR /data/big.bin", byteWriterAt{got}, nil); err != nil {
 			t.Fatalf("striped=%v: transfer after a timed-out accept: %v", striped, err)
 		}
 		if !bytes.Equal(got, payload) {

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -47,9 +48,9 @@ func (f *flakyFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestRetrResumable: a read error mid-transfer fails a plain Retr and
-// leaves the session usable; a RetrFrom (REST + RETR) that starts at the
-// bytes already received then completes the file byte for byte.
+// TestRetrResumable: a read error mid-transfer fails a plain RETR and
+// leaves the session usable; a REST + RETR that starts at the bytes
+// already received then completes the file byte for byte.
 func TestRetrResumable(t *testing.T) {
 	mem := NewMemStore()
 	payload := bytes.Repeat([]byte("resume-me-"), 100_000) // 1 MB
@@ -60,23 +61,26 @@ func TestRetrResumable(t *testing.T) {
 	st := &flakyStore{MemStore: mem, failAt: 256 << 10, remaining: 1}
 	_, addr, _ := startServer(t, ServerConfig{Store: st})
 	c := dialAndLogin(t, addr, ClientConfig{})
-	var buf bytes.Buffer
-	n, err := c.Retr("/data/big.bin", &buf)
+	buf := make([]byte, len(payload))
+	n, err := c.transfer(nil, "RETR /data/big.bin", byteWriterAt{buf}, nil)
 	if err == nil {
-		t.Fatal("plain Retr should fail on the hiccup")
+		t.Fatal("plain RETR should fail on the hiccup")
 	}
-	if n == 0 || n != int64(buf.Len()) || !bytes.Equal(buf.Bytes(), payload[:n]) {
-		t.Fatalf("failed Retr delivered %d bytes (%d buffered), want a prefix of the file", n, buf.Len())
+	if n == 0 || n >= int64(len(payload)) || !bytes.Equal(buf[:n], payload[:n]) {
+		t.Fatalf("failed RETR delivered %d bytes, want a prefix of the file", n)
 	}
 	if _, err := c.Expect(200, "NOOP"); err != nil {
 		t.Fatalf("session after the failed transfer: %v", err)
 	}
-	m, err := c.RetrFrom("/data/big.bin", n, &buf)
+	if _, err := c.Expect(350, "REST %d", n); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.transfer(nil, "RETR /data/big.bin", io.NewOffsetWriter(byteWriterAt{buf}, n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n+m != int64(len(payload)) || !bytes.Equal(buf.Bytes(), payload) {
-		t.Fatalf("resumed transfer = %d+%d bytes, match=%v", n, m, bytes.Equal(buf.Bytes(), payload))
+	if n+m != int64(len(payload)) || !bytes.Equal(buf, payload) {
+		t.Fatalf("resumed transfer = %d+%d bytes, match=%v", n, m, bytes.Equal(buf, payload))
 	}
 	if st.failures != 1 {
 		t.Fatalf("failures = %d, want exactly 1", st.failures)
@@ -114,11 +118,10 @@ func TestXferlog(t *testing.T) {
 	if err := c.TypeImage(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Retr("/data/hello.txt", &buf); err != nil {
+	if _, err := c.Get("/data/hello.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stor("/up/x.bin", strings.NewReader("12345")); err != nil {
+	if err := c.Put("/up/x.bin", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
 	// Give the async session goroutine a moment to flush... writes happen
@@ -150,7 +153,7 @@ func TestXferlog(t *testing.T) {
 	if err := c2.Login("ct yang", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Stor("/up/a b.bin", strings.NewReader("12345")); err != nil {
+	if err := c2.Put("/up/a b.bin", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
 	lines = strings.Split(strings.TrimSpace(logBuf.String()), "\n")

@@ -262,8 +262,6 @@ func (s *session) replyLines(code int, first string, middle []string, last strin
 	fmt.Fprintf(s.conn, "%d %s\r\n", code, last)
 }
 
-func (s *session) store() Store { return s.srv.cfg.Store }
-
 // requireAuth replies 530 and returns false when the session has not
 // logged in.
 func (s *session) requireAuth() bool {
@@ -458,7 +456,7 @@ func handleSIZE(s *session, arg string) {
 	if !s.requireAuth() {
 		return
 	}
-	n, err := s.store().Size(s.resolve(arg))
+	n, err := s.srv.cfg.Store.Size(s.resolve(arg))
 	if err != nil {
 		s.reply(550, err.Error())
 		return
@@ -600,32 +598,21 @@ func (s *session) accept(ln *net.TCPListener) (net.Conn, error) {
 	return c, err
 }
 
-// openData establishes a data connection: accepted on the passive
-// listener if PASV was issued, else dialed to the PORT address.
-func (s *session) openData() (net.Conn, error) {
-	if s.pasv != nil {
-		return s.accept(s.pasv)
-	}
-	if s.portAddr != "" {
-		return net.DialTimeout("tcp", s.portAddr, s.srv.cfg.DataTimeout)
-	}
-	return nil, errors.New("ftp: use PASV or PORT first")
-}
-
-// channelCount is the number of data channels a MODE E transfer uses.
+// channelCount is the number of data channels a transfer uses: one in
+// stream mode, else one per SPAS listener, or the OPTS parallelism.
 func (s *session) channelCount() int {
 	switch {
+	case s.mode != 'E':
+		return 1
 	case len(s.spas) > 0:
 		return len(s.spas)
-	case s.parallelism > 0:
-		return s.parallelism
 	}
-	return 1
+	return max(s.parallelism, 1)
 }
 
-// dataChannels establishes a MODE E transfer's data connections: one per
-// SPAS listener, else `parallelism` connections
-// accepted on the passive listener or dialed to the PORT address.
+// dataChannels opens a transfer's data connections: in MODE E one per
+// SPAS listener when SPAS was issued; otherwise each is accepted on the
+// PASV listener or dialed to the PORT address.
 func (s *session) dataChannels() ([]net.Conn, error) {
 	n := s.channelCount()
 	conns := make([]net.Conn, 0, n)
@@ -633,10 +620,14 @@ func (s *session) dataChannels() ([]net.Conn, error) {
 		var c net.Conn
 		var err error
 		switch {
-		case len(s.spas) > 0:
+		case s.mode == 'E' && len(s.spas) > 0:
 			c, err = s.accept(s.spas[i])
+		case s.pasv != nil:
+			c, err = s.accept(s.pasv)
+		case s.portAddr != "":
+			c, err = net.DialTimeout("tcp", s.portAddr, s.srv.cfg.DataTimeout)
 		default:
-			c, err = s.openData()
+			err = errors.New("ftp: use PASV or PORT first")
 		}
 		if err != nil {
 			closeAll(conns)
@@ -665,34 +656,19 @@ func closeAll[C io.Closer](cs []C) {
 // --- transfers ---
 
 func handleRETR(s *session, arg string) {
-	if !s.requireAuth() {
-		return
+	if s.requireAuth() {
+		s.retrieve(arg, s.takeRest(), -1)
 	}
-	p := s.resolve(arg)
-	f, err := s.store().Open(p)
-	if err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	offset := s.takeRest()
-	size := f.Size()
-	if offset > size {
-		s.reply(554, fmt.Sprintf("restart offset %d beyond size %d", offset, size))
-		return
-	}
-	n := size - offset
-	if s.mode == 'E' {
-		s.retrieveModeE(f, offset, n, arg, p)
-		return
-	}
-	s.retrieveStream(f, offset, n, p,
-		fmt.Sprintf("opening data connection for %s (%d bytes)", arg, n),
-		fmt.Sprintf("transfer complete (%d bytes)", n))
 }
 
 // handleERET is the partial retrieve "ERET P <offset> <length> <path>".
+// The region names its own offset, so a pending REST refuses it.
 func handleERET(s *session, arg string) {
 	if !s.requireAuth() {
+		return
+	}
+	if s.takeRest() > 0 {
+		s.reply(503, "ERET names its own offset; REST not allowed")
 		return
 	}
 	fields := strings.SplitN(arg, " ", 4)
@@ -706,145 +682,113 @@ func handleERET(s *session, arg string) {
 		s.reply(501, "bad offset/length")
 		return
 	}
-	name, p := fields[3], s.resolve(fields[3])
-	f, err := s.store().Open(p)
+	s.retrieve(fields[3], offset, length)
+}
+
+// retrieve sends [offset, offset+length) of the file name names, or from
+// offset to the end when length < 0 (RETR): one stream in MODE S, MODE E
+// blocks over the data channels otherwise.
+func (s *session) retrieve(name string, offset, length int64) {
+	path := s.resolve(name)
+	f, err := s.srv.cfg.Store.Open(path)
 	if err != nil {
 		s.reply(550, err.Error())
 		return
 	}
-	if size := f.Size(); offset > size || length > size-offset {
+	size, ranged := f.Size(), length >= 0
+	if !ranged {
+		length = max(size-offset, 0)
+	}
+	if offset > size || length > size-offset {
+		_ = f.Close() // nothing was read; the 554 is the report
 		s.reply(554, fmt.Sprintf("region (%d,%d) beyond size %d", offset, length, size))
 		return
 	}
-	if s.mode == 'E' {
-		s.retrieveModeE(f, offset, length, name, p)
-		return
+	opening, done := fmt.Sprintf("opening data connection for %s (%d bytes)", name, length), ""
+	switch {
+	case s.mode == 'E':
+		opening = fmt.Sprintf("opening %d data channel(s) for %s (%d bytes, MODE E)", s.channelCount(), name, length)
+	case ranged:
+		opening = fmt.Sprintf("opening data connection for %s region (%d,%d)", name, offset, length)
+		done = "transfer complete"
 	}
-	s.retrieveStream(f, offset, length, p,
-		fmt.Sprintf("opening data connection for %s region (%d,%d)", name, offset, length),
-		"transfer complete")
+	s.transfer(f, path, 'o', opening, done, func(conns []net.Conn) (int64, error) {
+		if s.mode == 'E' {
+			return length, SendBlocks(conns, f, offset, length, DefaultBlockSize)
+		}
+		return io.Copy(conns[0], io.NewSectionReader(f, offset, length))
+	})
 }
 
-// retrieveStream sends [offset, offset+length) of f over one stream-mode
-// data connection. opening and done are the 150 and 226 reply texts.
-func (s *session) retrieveStream(f File, offset, length int64, path, opening, done string) {
-	s.reply(150, opening)
-	conn, err := s.openData()
-	if err != nil {
-		s.reply(425, err.Error())
-		return
-	}
-	defer conn.Close()
-	start := s.srv.cfg.Clock()
-	if _, err := io.Copy(conn, io.NewSectionReader(f, offset, length)); err != nil {
-		s.reply(426, "transfer aborted: "+err.Error())
-		return
-	}
-	s.logTransfer(start, length, path, 'o')
-	s.reply(226, done)
-}
-
-// retrieveModeE sends [offset, offset+length) of f as MODE E blocks over
-// the session's data channels; name is the path as the client gave it.
-func (s *session) retrieveModeE(f File, offset, length int64, name, path string) {
-	s.reply(150, fmt.Sprintf("opening %d data channel(s) for %s (%d bytes, MODE E)",
-		s.channelCount(), name, length))
-	conns, err := s.dataChannels()
-	if err != nil {
-		s.reply(425, err.Error())
-		return
-	}
-	defer closeAll(conns)
-	start := s.srv.cfg.Clock()
-	if err := SendBlocks(conns, f, offset, length, DefaultBlockSize); err != nil {
-		s.reply(426, "transfer aborted: "+err.Error())
-		return
-	}
-	s.logTransfer(start, length, path, 'o')
-	s.reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", length, len(conns)))
-}
-
+// handleSTOR receives one upload. In MODE S it is one stream written from
+// the pending REST offset, into a created or truncated file without one;
+// in MODE E the blocks carry their own offsets, so a pending REST refuses
+// it, and they land in a created file.
 func handleSTOR(s *session, arg string) {
 	if !s.requireAuth() {
 		return
 	}
-	if s.mode == 'E' {
-		s.storeModeE(s.resolve(arg))
-		return
-	}
-	s.storeStream(s.resolve(arg))
-}
-
-// storeStream receives one stream-mode upload into path, written from the
-// pending REST offset; without one the file is created or truncated.
-func (s *session) storeStream(path string) {
 	offset := s.takeRest()
-	var f File
-	var err error
-	if offset > 0 {
-		f, err = s.store().Open(path)
-	} else {
-		f, err = s.store().Create(path)
+	if s.mode == 'E' && offset > 0 {
+		s.reply(503, "MODE E blocks carry their own offsets; REST not allowed")
+		return
 	}
+	path := s.resolve(arg)
+	open := s.srv.cfg.Store.Create
+	if offset > 0 {
+		open = s.srv.cfg.Store.Open
+	}
+	f, err := open(path)
 	if err != nil {
 		s.reply(550, err.Error())
 		return
 	}
-	s.reply(150, "ok to send data")
-	conn, err := s.openData()
-	if err != nil {
-		s.reply(425, err.Error())
-		return
+	opening := "ok to send data"
+	if s.mode == 'E' {
+		opening = fmt.Sprintf("ready for %d data channel(s) (MODE E)", s.channelCount())
 	}
-	defer conn.Close()
-	start := s.srv.cfg.Clock()
-	buf := make([]byte, 64*1024)
-	total := int64(0)
-	for {
-		n, rerr := conn.Read(buf)
-		if n > 0 {
-			if _, werr := f.WriteAt(buf[:n], offset+total); werr != nil {
-				s.reply(452, "write failed: "+werr.Error())
-				return
-			}
-			total += int64(n)
+	s.transfer(f, path, 'i', opening, "", func(conns []net.Conn) (int64, error) {
+		if s.mode != 'E' {
+			return io.Copy(io.NewOffsetWriter(f, offset), conns[0])
 		}
-		if rerr == io.EOF {
-			break
+		n, announced, eods, err := ReceiveBlocks(conns, f)
+		if err == nil && announced > 0 && eods < announced {
+			err = fmt.Errorf("missing data channels: got %d EODs of %d", eods, announced)
 		}
-		if rerr != nil {
-			s.reply(426, "transfer aborted: "+rerr.Error())
-			return
-		}
-	}
-	s.logTransfer(start, total, path, 'i')
-	s.reply(226, fmt.Sprintf("transfer complete (%d bytes)", total))
+		return n, err
+	})
 }
 
-// storeModeE runs a MODE E receive into path, created or truncated.
-func (s *session) storeModeE(path string) {
-	f, err := s.store().Create(path)
-	if err != nil {
-		s.reply(550, err.Error())
-		return
-	}
-	s.reply(150, fmt.Sprintf("ready for %d data channel(s) (MODE E)", s.channelCount()))
+// transfer moves the open file f over the session's data channels and
+// closes it: the 150 reply (opening), the channels, move, then the
+// xferlog record and the 226 reply (done, or one counting the bytes and,
+// in MODE E, the channels). A channel that cannot open replies 425, data
+// that fails to move 426, and a file that fails to close 452.
+func (s *session) transfer(f File, path string, dir byte, opening, done string, move func([]net.Conn) (int64, error)) {
+	s.reply(150, opening)
 	conns, err := s.dataChannels()
 	if err != nil {
+		_ = f.Close() // nothing moved; the 425 is the report
 		s.reply(425, err.Error())
 		return
 	}
 	defer closeAll(conns)
 	start := s.srv.cfg.Clock()
-	total, announced, eods, err := ReceiveBlocks(conns, f)
-	if err != nil {
+	n, err := move(conns)
+	cerr := f.Close()
+	switch {
+	case err != nil:
 		s.reply(426, "transfer aborted: "+err.Error())
-		return
+	case cerr != nil:
+		s.reply(452, "closing file failed: "+cerr.Error())
+	default:
+		if done == "" {
+			done = fmt.Sprintf("transfer complete (%d bytes)", n)
+		}
+		if s.mode == 'E' {
+			done = fmt.Sprintf("transfer complete (%d bytes on %d channels)", n, len(conns))
+		}
+		s.logTransfer(start, n, path, dir)
+		s.reply(226, done)
 	}
-	if announced > 0 && eods < announced {
-		s.reply(426, fmt.Sprintf("missing data channels: got %d EODs of %d", eods, announced))
-		return
-	}
-	s.logTransfer(start, total, path, 'i')
-	s.reply(226, fmt.Sprintf("transfer complete (%d bytes on %d channels)", total, len(conns)))
 }

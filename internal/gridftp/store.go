@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // File is an open file supporting random access reads and writes. MODE E
 // receivers need WriteAt because extended blocks may arrive out of order.
+// The server closes every file it opens.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
+	io.Closer
 	// Size returns the current file length.
 	Size() int64
 }
@@ -27,8 +28,6 @@ type Store interface {
 	Create(path string) (File, error)
 	// Size returns a file's length.
 	Size(path string) (int64, error)
-	// List returns all paths, sorted.
-	List() []string
 }
 
 // ErrNotFound is returned for missing paths.
@@ -106,6 +105,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
+// Close is a no-op: the bytes stay in the store.
+func (f *memFile) Close() error { return nil }
+
 func (f *memFile) Size() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -160,18 +162,6 @@ func (s *MemStore) Size(path string) (int64, error) {
 		return 0, err
 	}
 	return f.Size(), nil
-}
-
-// List returns all paths, sorted.
-func (s *MemStore) List() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.files))
-	for p := range s.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Put writes a whole file (test and example convenience).

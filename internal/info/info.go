@@ -28,10 +28,6 @@ import (
 	"github.com/hpclab/datagrid/internal/sysstat"
 )
 
-// HostReport is the information server's answer about one candidate host,
-// seen from the local site: the snapshot plane's per-host record.
-type HostReport = gridstate.HostPerf
-
 // ioIdleSource is the slice of sysstat.Collector the server reads. Keeping
 // it an interface lets same-package tests substitute failing collectors.
 type ioIdleSource interface {
@@ -126,8 +122,8 @@ var ErrNoData = errors.New("info: no monitoring data")
 
 // BuildHostPerf implements gridstate.Builder with the pull path: it
 // queries NWS, MDS and sysstat for one host at one virtual instant.
-func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, error) {
-	r := HostReport{Host: host, Local: s.local, At: now}
+func (s *Server) BuildHostPerf(host string, now time.Duration) (gridstate.HostPerf, error) {
+	r := gridstate.HostPerf{Host: host, Local: s.local, At: now}
 
 	if host == s.local {
 		// Local access: no network involved; treat bandwidth as ideal.
@@ -137,20 +133,20 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 	} else {
 		theo, err := s.network.BottleneckBps(host, s.local)
 		if err != nil {
-			return HostReport{}, fmt.Errorf("info: no path %s->%s: %w", host, s.local, err)
+			return gridstate.HostPerf{}, fmt.Errorf("info: no path %s->%s: %w", host, s.local, err)
 		}
 		r.TheoreticalMbps = theo / 1e6
 		bwKey := nws.SeriesKey{Resource: nws.ResourceBandwidth, Source: host, Target: s.local}
 		fc, err := s.nwsMem.Forecast(bwKey)
 		if err != nil {
-			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
+			return gridstate.HostPerf{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
 		}
 		last, err := s.nwsMem.Latest(bwKey)
 		if err != nil {
-			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
+			return gridstate.HostPerf{}, fmt.Errorf("%w: bandwidth %s->%s: %v", ErrNoData, host, s.local, err)
 		}
 		if age := now - last.At; age > maxAge {
-			return HostReport{}, fmt.Errorf("%w: bandwidth %s->%s stale by %v", ErrNoData, host, s.local, age)
+			return gridstate.HostPerf{}, fmt.Errorf("%w: bandwidth %s->%s stale by %v", ErrNoData, host, s.local, age)
 		}
 		r.BandwidthMbps = fc.Value
 		r.BandwidthPercent = 100 * fc.Value / r.TheoreticalMbps
@@ -172,13 +168,13 @@ func (s *Server) BuildHostPerf(host string, now time.Duration) (HostReport, erro
 
 	cpu, err := s.cpuIdle(host)
 	if err != nil {
-		return HostReport{}, err
+		return gridstate.HostPerf{}, err
 	}
 	r.CPUIdlePercent = cpu
 
 	io, err := s.ioIdle(host)
 	if err != nil {
-		return HostReport{}, err
+		return gridstate.HostPerf{}, err
 	}
 	r.IOIdlePercent = io
 	return r, nil

@@ -14,7 +14,7 @@ import (
 
 // TestSnapshotLookupMatchesBuildHostPerf is the snapshot-vs-pull
 // equivalence check: for every tracked host and at several instants, the
-// snapshot's entry must be byte-for-byte the HostReport the live pull
+// snapshot's entry must be byte-for-byte the gridstate.HostPerf the live pull
 // path (the builder) produces, successes and failures alike.
 func TestSnapshotLookupMatchesBuildHostPerf(t *testing.T) {
 	eng, tb, dep := paperSetup(t)

@@ -27,9 +27,9 @@ func bad(c *conn, t time.Time) {
 	c.SetWriteDeadline(t)  // want `error from c\.SetWriteDeadline is dropped`
 }
 
-// streamData ends an upload by closing its data connection: that close is
+// transfer ends an upload by closing its data connection: that close is
 // the transfer's last chance to report a failure.
-func streamData(data *conn, xfer func(*conn) error) error {
+func transfer(data *conn, xfer func(*conn) error) error {
 	defer data.Close()
 	if err := xfer(data); err != nil {
 		return err
