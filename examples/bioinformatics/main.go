@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -108,14 +109,23 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 		return nil, err
 	}
 
-	// Compute jobs churn the database hosts while transfers run.
-	if _, err := workload.NewJobGenerator(testbed, workload.JobConfig{
-		Hosts:         remotes,
-		RatePerMinute: 2,
-		MeanDuration:  4 * time.Minute,
-		CPU:           0.35,
-		IO:            0.25,
-		Seed:          seed + 1,
+	// Compute jobs churn the database hosts while transfers run: each
+	// lands on a random database host and holds CPU and I/O load for an
+	// exponentially distributed time.
+	jobRNG := rand.New(rand.NewSource(seed + 1))
+	if _, err := workload.NewArrivals(engine, jobRNG, workload.ConstantRate(2), func(time.Duration) {
+		h, err := testbed.Host(remotes[jobRNG.Intn(len(remotes))])
+		if err != nil {
+			return
+		}
+		job, err := h.AddJob(0.35, 0.25)
+		if err != nil {
+			return
+		}
+		dur := time.Duration(jobRNG.ExpFloat64() * float64(4*time.Minute))
+		if _, err := engine.After(dur, func(time.Duration) { job.Release() }); err != nil {
+			job.Release()
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -123,12 +133,10 @@ func runPolicy(policyName string, mkSelector func() core.Selector, seed int64, s
 	out := &outcome{byFile: map[string][]float64{}, chosen: map[string]int{}}
 	// BLAST jobs arrive as a Poisson process; popular databases are hit
 	// more (Zipf).
-	if _, err := workload.NewRequestGenerator(engine, workload.RequestConfig{
-		Files:         names,
-		RatePerMinute: 0.5,
-		ZipfS:         1.4,
-		Seed:          seed + 2,
-	}, func(name string) {
+	reqRNG := rand.New(rand.NewSource(seed + 2))
+	zipf := rand.NewZipf(reqRNG, 1.4, 1, uint64(len(names)-1))
+	if _, err := workload.NewArrivals(engine, reqRNG, workload.ConstantRate(0.5), func(time.Duration) {
+		name := names[zipf.Uint64()]
 		err := app.Fetch(name, func(r core.FetchResult, err error) {
 			if err != nil {
 				return // e.g. replica data momentarily unavailable

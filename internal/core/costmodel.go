@@ -57,12 +57,12 @@ func Score(r gridstate.HostPerf, w Weights) float64 {
 // Candidate is one scored replica location.
 type Candidate struct {
 	Location replica.Location
-	// Report is the host's record in the pinned SnapshotView that ranked
-	// the candidate: the view's memoized copy, shared with every other
-	// candidate of the host under that view. The view never changes it, so
-	// it may be read from any goroutine, but it is read-only, and it keeps
-	// the view's memo alive as long as the candidate is held. nil in a
-	// local hit's FetchResult.Chosen, which no selection ranked.
+	// Report is the host's record in the grid-state snapshot the ranking
+	// view pinned: the snapshot's own, shared with every other candidate
+	// of the host in that epoch. Snapshots are immutable, so it may be
+	// read from any goroutine, but it is read-only, and it keeps the
+	// snapshot alive as long as the candidate is held. nil in a local
+	// hit's FetchResult.Chosen, which no selection ranked.
 	Report *gridstate.HostPerf
 	Score  float64
 }
@@ -214,14 +214,12 @@ type SelectionServer struct {
 	selector Selector
 	// view is the last pinned snapshot view, reused while its snapshot
 	// stays current (per-epoch memoization). Written only by PinView on
-	// the simulation goroutine, as are hosts and slots.
+	// the simulation goroutine, as is slots.
 	view *SnapshotView
-	// hosts is the source's tracked-host list, sorted, read at the first
-	// pin (the set is fixed), and slots the id table over it: slots[id] is
-	// 1 + the index in hosts of the catalog host with that id, 0 when the
-	// source does not track it. It covers the hosts the catalog had
+	// slots is the id table: slots[id] is 1 + the snapshot index
+	// (gridstate.Snapshot.Index) of the catalog host with that id, 0 when
+	// the source does not track it. It covers the hosts the catalog had
 	// interned at the last pin and only grows.
-	hosts []string
 	slots []int32
 }
 

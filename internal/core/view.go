@@ -12,30 +12,21 @@ import (
 	"github.com/hpclab/datagrid/internal/replica"
 )
 
-// viewEntry is one host's memoized outcome under a pinned snapshot: the
-// report and its cost-model score, or the error the snapshot build stored.
-type viewEntry struct {
-	report gridstate.HostPerf
-	score  float64
-	err    error
-}
-
 // SnapshotView scores candidates against one pinned grid-state snapshot.
-// Every tracked host's report and score is memoized when the view is
-// built, so ranking N logical files costs N catalog reads plus sorts — no
-// substrate queries. A location finds its host's outcome through the
-// server's id table, indexed by catalog host id. The view is immutable
-// after PinView returns it; Rank and SelectBest are safe to call from any
-// number of goroutines concurrently, provided the replica catalog is not
-// mutated meanwhile and the configured selector is stateless
+// It holds only the snapshot and the server's id table: a location finds
+// its host's record in the snapshot through the table, indexed by catalog
+// host id, and is scored from that record when a rank scans it, so
+// ranking N logical files costs N catalog reads plus sorts — no substrate
+// queries — and pinning costs nothing per tracked host. The view is
+// immutable after PinView returns it; Rank and SelectBest are safe to call
+// from any number of goroutines concurrently, provided the replica catalog
+// is not mutated meanwhile and the configured selector is stateless
 // (CostModelSelector and the other value-type selectors are;
 // *RoundRobinSelector is not).
 type SnapshotView struct {
-	srv     *SelectionServer
-	snap    *gridstate.Snapshot
-	hosts   []string    // the tracked hosts, sorted; entries[i] is hosts[i]'s
-	entries []viewEntry // one per tracked host
-	slots   []int32     // the server's id table as of the pin (SelectionServer.slots)
+	srv   *SelectionServer
+	snap  *gridstate.Snapshot
+	slots []int32 // the server's id table as of the pin (SelectionServer.slots)
 }
 
 // PinView pins the server's current grid-state snapshot (rebuilding it if
@@ -44,23 +35,21 @@ type SnapshotView struct {
 // returns the same view. Must run on the simulation goroutine; the
 // returned view may then be shared freely.
 //
-// The publisher's tracked-host set is fixed, so the first pin reads it
-// once. PinView is the only writer of the server's id table, and it never
+// PinView is the only writer of the server's id table, and it never
 // writes a table a view holds: the table only grows, when the catalog
-// interns hosts after the last pin, and then into a copy.
+// interns hosts after the last pin, and then into a copy. The publisher's
+// tracked-host set is fixed, so an index one snapshot gives holds in
+// every later one.
 func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
 	snap := s.source.Snapshot(now)
 	if v := s.view; v != nil && v.snap == snap {
 		return v
 	}
-	if s.hosts == nil {
-		s.hosts = snap.Hosts()
-	}
 	if late := s.catalog.HostNames(len(s.slots)); late != nil {
 		slots := make([]int32, len(s.slots), len(s.slots)+len(late))
 		copy(slots, s.slots)
 		for _, h := range late {
-			i, ok := slices.BinarySearch(s.hosts, h)
+			i, ok := snap.Index(h)
 			if !ok {
 				i = -1
 			}
@@ -68,52 +57,49 @@ func (s *SelectionServer) PinView(now time.Duration) *SnapshotView {
 		}
 		s.slots = slots
 	}
-	entries := make([]viewEntry, len(s.hosts))
-	for i, h := range s.hosts {
-		e := &entries[i]
-		if e.report, e.err = snap.Lookup(h); e.err == nil {
-			e.score = Score(e.report, s.weights)
-		}
-	}
-	v := &SnapshotView{srv: s, snap: snap, hosts: s.hosts, entries: entries, slots: s.slots}
+	v := &SnapshotView{srv: s, snap: snap, slots: s.slots}
 	s.view = v
 	return v
 }
 
-// entry returns the memoized outcome for a catalog host, or nil when the
-// snapshot does not track it. A host the catalog interned after the pin
-// is past the table's end and is found by name.
-func (v *SnapshotView) entry(id int32, host string) *viewEntry {
-	if int(id) < len(v.slots) {
-		if i := v.slots[id]; i > 0 {
-			return &v.entries[i-1]
-		}
-		return nil
+// record returns a catalog host's record in the pinned snapshot, the error
+// its build stored, or gridstate.ErrUntracked itself when the snapshot
+// does not track the host. A host the catalog interned after the pin is
+// past the table's end and is found by name.
+func (v *SnapshotView) record(t *replica.Tagged) (*gridstate.HostPerf, error) {
+	var i int
+	var ok bool
+	if int(t.HostID) < len(v.slots) {
+		i, ok = int(v.slots[t.HostID])-1, v.slots[t.HostID] > 0
+	} else {
+		i, ok = v.snap.Index(t.Host)
 	}
-	if i, ok := slices.BinarySearch(v.hosts, host); ok {
-		return &v.entries[i]
+	if !ok {
+		return nil, gridstate.ErrUntracked
 	}
-	return nil
+	return v.snap.Record(i)
 }
 
 // Epoch returns the pinned snapshot's epoch.
 func (v *SnapshotView) Epoch() uint64 { return v.snap.Epoch() }
 
 // ref is one usable location as scan sees it, before it becomes a
-// Candidate: the host's memoized entry and the location's index in the
-// slice scan walked. Rankings sort these 16-byte references and build
-// each Candidate once, straight into the slice they return.
+// Candidate: its host's record in the snapshot, the record's score, and
+// the location's index in the slice scan walked. Rankings sort these
+// 24-byte references and build each Candidate once, straight into the
+// slice they return.
 type ref struct {
-	e *viewEntry
-	i int
+	r     *gridstate.HostPerf
+	score float64
+	i     int
 }
 
 // bestFirst is the candidate order every ranking and merge uses: score
 // descending, ties toward the lexicographically smaller location. a and b
 // index locs.
 func bestFirst(locs []replica.Tagged, a, b ref) int {
-	if a.e.score != b.e.score {
-		if a.e.score > b.e.score {
+	if a.score != b.score {
+		if a.score > b.score {
 			return -1
 		}
 		return 1
@@ -123,12 +109,12 @@ func bestFirst(locs []replica.Tagged, a, b ref) int {
 
 // rankedCandidates sorts refs best-first and builds the candidates they
 // name: the one allocation of a Rank on either tier. Each Report points
-// at its view's memoized entry.
+// at its host's record in the pinned snapshot.
 func rankedCandidates(locs []replica.Tagged, refs []ref) []Candidate {
 	slices.SortStableFunc(refs, func(a, b ref) int { return bestFirst(locs, a, b) })
 	out := make([]Candidate, len(refs))
 	for k, r := range refs {
-		out[k] = Candidate{Location: locs[r.i].Location, Report: &r.e.report, Score: r.e.score}
+		out[k] = Candidate{Location: locs[r.i].Location, Report: r.r, Score: r.score}
 	}
 	return out
 }
@@ -163,25 +149,22 @@ func (v *SnapshotView) Rank(logical string) ([]Candidate, error) {
 // comes back extended.
 func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all []ref) (best ref, _ []ref, err error) {
 	for i := range locs {
-		t := &locs[i]
-		e := v.entry(t.HostID, t.Host)
-		if e == nil {
-			continue
-		}
-		if e.err != nil {
-			if errors.Is(e.err, info.ErrNoData) {
+		r, err := v.record(&locs[i])
+		if err != nil {
+			if err == gridstate.ErrUntracked || errors.Is(err, info.ErrNoData) {
 				continue
 			}
-			return best, all, e.err
+			return best, all, err
 		}
+		c := ref{r, Score(*r, v.srv.weights), i}
 		if all != nil {
-			all = append(all, ref{e, i})
+			all = append(all, c)
 		}
-		if best.e == nil || e.score > best.e.score {
-			best = ref{e, i}
+		if best.r == nil || c.score > best.score {
+			best = c
 		}
 	}
-	if best.e == nil {
+	if best.r == nil {
 		return best, all, fmt.Errorf("%w: %q has %d replicas, none monitored", ErrNoUsableReplica, logical, len(locs))
 	}
 	return best, all, nil
@@ -212,8 +195,8 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 		if i > 0 && locs[i-1].Host == t.Host || alive != nil && !alive(t.Host) {
 			continue
 		}
-		if e := v.entry(t.HostID, t.Host); e != nil && e.err == nil {
-			ranked = append(ranked, scored{host: t.Host, score: e.score})
+		if r, err := v.record(&locs[i]); err == nil {
+			ranked = append(ranked, scored{host: t.Host, score: Score(*r, s.weights)})
 			continue
 		}
 		blind = append(blind, t.Host)

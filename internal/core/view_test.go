@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -76,10 +77,10 @@ func TestViewSelectBestMatchesServer(t *testing.T) {
 	}
 }
 
-// TestRankSharesViewReports: a candidate's Report points at the pinned
-// view's memo. Two ranks under one view share each host's report, and a
-// republished snapshot builds a new memo, leaving the reports older
-// candidates hold as they were.
+// TestRankSharesViewReports: a candidate's Report is the pinned
+// snapshot's own record of its host. Two ranks under one view share each
+// host's report, and a republished snapshot holds new records, leaving
+// the reports older candidates hold as they were.
 func TestRankSharesViewReports(t *testing.T) {
 	p := buildPipeline(t)
 	if err := p.eng.RunUntil(2 * time.Minute); err != nil {
@@ -98,6 +99,13 @@ func TestRankSharesViewReports(t *testing.T) {
 	for i := range first {
 		if first[i].Report != second[i].Report {
 			t.Fatalf("candidate %d: two ranks under one view hold two reports of %s", i, first[i].Location.Host)
+		}
+		j, ok := view.snap.Index(first[i].Location.Host)
+		if !ok {
+			t.Fatalf("candidate %d: %s is not in the pinned snapshot", i, first[i].Location.Host)
+		}
+		if r, err := view.snap.Record(j); err != nil || r != first[i].Report {
+			t.Fatalf("candidate %d: Report is not the snapshot's record of %s (%v)", i, first[i].Location.Host, err)
 		}
 		kept[i] = *first[i].Report
 	}
@@ -118,6 +126,41 @@ func TestRankSharesViewReports(t *testing.T) {
 		if later[i].Report.At == kept[i].At {
 			t.Fatalf("candidate %d: the republished rank reads the old instant %v", i, kept[i].At)
 		}
+	}
+}
+
+// TestRepinAllocatesOnlyTheView: re-pinning after a republish allocates
+// the view and nothing per tracked host, since a view reads each record
+// where the snapshot keeps it. The republish's own allocations are
+// measured apart and subtracted.
+func TestRepinAllocatesOnlyTheView(t *testing.T) {
+	hosts := make([]string, 100)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("us-h%d", i)
+	}
+	pub, err := gridstate.NewPublisher("client.us", hosts, hierBuilder{local: "client.us"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := replica.NewCatalog()
+	if err := cat.CreateLogical(replica.LogicalFile{Name: "f", SizeBytes: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosts[:3] {
+		if err := cat.Register("f", replica.Location{Host: h, Path: "/d/f"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewSelectionServer(cat, pub, PaperWeights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	srv.PinView(now) // the first pin builds the id table
+	publish := testing.AllocsPerRun(100, func() { now += time.Second; pub.Snapshot(now) })
+	repin := testing.AllocsPerRun(100, func() { now += time.Second; srv.PinView(now) })
+	if got := repin - publish; got != 1 {
+		t.Errorf("a re-pin allocates %v beside the republish's %v, want 1 (the view)", got, publish)
 	}
 }
 

@@ -247,7 +247,7 @@ func (c *Client) Passive() (string, error) {
 	return parsePasvAddr(msg[open+1 : close])
 }
 
-// Size returns the server-side size of a file. Downloads size their
+// Size returns the server-side size of a file. Downloads bound their
 // buffer by it, so a negative size is an error.
 func (c *Client) Size(path string) (int64, error) {
 	msg, err := c.Expect(213, "SIZE %s", path)
@@ -350,17 +350,19 @@ func (c *Client) transfer(conns []net.Conn, cmd string, dst io.WriterAt, src []b
 	return n, nil
 }
 
-// byteWriterAt adapts a fixed buffer to io.WriterAt with bounds checking.
-type byteWriterAt struct {
-	buf []byte
+// download is a download's buffer: a memFile, which grows with the bytes
+// that arrive and bounds a hole at MaxBlockLen, refusing any write past
+// limit. A server's SIZE reply thus allocates nothing by itself.
+type download struct {
+	memFile
+	limit int64
 }
 
-func (b byteWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(b.buf)) || int64(len(p)) > int64(len(b.buf))-off {
-		return 0, fmt.Errorf("gridftp: write (%d,%d) outside buffer of %d", off, len(p), len(b.buf))
+func (d *download) WriteAt(p []byte, off int64) (int, error) {
+	if off >= 0 && int64(len(p)) > d.limit-off {
+		return 0, fmt.Errorf("gridftp: write (%d,%d) past the announced %d bytes", off, len(p), d.limit)
 	}
-	copy(b.buf[off:], p)
-	return len(p), nil
+	return d.memFile.WriteAt(p, off)
 }
 
 // Get downloads a whole file, using the session's mode and parallelism.
@@ -393,12 +395,11 @@ func (c *Client) get(path string, striped bool) ([]byte, error) {
 			return nil, err
 		}
 	}
-	buf := make([]byte, size)
-	n, err := c.transfer(conns, "RETR "+path, byteWriterAt{buf}, nil)
-	if err != nil {
+	buf := &download{limit: size}
+	if _, err := c.transfer(conns, "RETR "+path, buf, nil); err != nil {
 		return nil, err
 	}
-	return buf[:min(n, size)], nil // a stream may end short; MODE E blocks may overlap
+	return buf.data, nil
 }
 
 // GetPartial downloads the byte range [offset, offset+length) with ERET —
@@ -407,18 +408,17 @@ func (c *Client) GetPartial(path string, offset, length int64) ([]byte, error) {
 	if offset < 0 || length < 0 {
 		return nil, errors.New("gridftp: negative partial range")
 	}
-	buf := make([]byte, length)
+	buf := &download{limit: length}
 	// MODE E blocks carry absolute offsets: shift them back by the region
 	// start. A stream starts at the region's first byte.
-	dst := io.WriterAt(byteWriterAt{buf})
+	dst := io.WriterAt(buf)
 	if c.modeE {
 		dst = io.NewOffsetWriter(dst, -offset)
 	}
-	n, err := c.transfer(nil, fmt.Sprintf("ERET P %d %d %s", offset, length, path), dst, nil)
-	if err != nil {
+	if _, err := c.transfer(nil, fmt.Sprintf("ERET P %d %d %s", offset, length, path), dst, nil); err != nil {
 		return nil, err
 	}
-	return buf[:min(n, length)], nil
+	return buf.data, nil
 }
 
 // Put uploads data to path, using the session's mode and parallelism.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -212,6 +213,107 @@ func TestGetRefusesNegativeSize(t *testing.T) {
 	c := &Client{conn: cli, r: bufio.NewReader(cli), cfg: ClientConfig{Timeout: 5 * time.Second}}
 	if _, err := c.Get("/data/f.bin"); err == nil || !strings.Contains(err.Error(), "negative size") {
 		t.Fatalf("Get with SIZE -5 = %v, want a negative-size error", err)
+	}
+}
+
+// TestGetHugeSizeGrowsWithData: a download's buffer grows with the bytes
+// that arrive, so a SIZE reply of 2^62 costs nothing and the bytes the
+// server sends come back, in stream mode, MODE E and over SPAS stripes; a
+// MODE E block past the announced size is an error. A scripted server on
+// loopback answers the client's commands.
+func TestGetHugeSizeGrowsWithData(t *testing.T) {
+	const payload = "hello, grid"
+	for _, tc := range []struct {
+		name    string
+		modeE   bool
+		striped bool
+		size    string
+		wantErr string
+	}{
+		{name: "stream", size: "4611686018427387904"},
+		{name: "mode-e", modeE: true, size: "4611686018427387904"},
+		{name: "striped", modeE: true, striped: true, size: "4611686018427387904"},
+		{name: "mode-e-past-size", modeE: true, size: "5", wantErr: "past the announced 5 bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer cli.Close()
+			go scriptedRetr(t, srv, tc.size, tc.modeE, payload)
+			c := &Client{conn: cli, r: bufio.NewReader(cli), cfg: ClientConfig{Timeout: 5 * time.Second, Parallelism: 1, BlockSize: 4}, modeE: tc.modeE}
+			get := c.Get
+			if tc.striped {
+				get = c.GetStriped
+			}
+			got, err := get("/data/f.bin")
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Get = %q, %v; want an error containing %q", got, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || string(got) != payload {
+				t.Fatalf("Get = %q, %v; want %q", got, err, payload)
+			}
+		})
+	}
+}
+
+// scriptedRetr answers one download on ctrl: SIZE with size, PASV or
+// SPAS with a loopback listener, and RETR with payload on the one data
+// connection (MODE E blocks when modeE), then 226.
+func scriptedRetr(t *testing.T, ctrl net.Conn, size string, modeE bool, payload string) {
+	defer ctrl.Close()
+	r := bufio.NewReader(ctrl)
+	var ln net.Listener
+	defer func() {
+		if ln != nil {
+			ln.Close()
+		}
+	}()
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return
+		}
+		verb, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		switch verb {
+		case "SIZE":
+			fmt.Fprintf(ctrl, "213 %s\r\n", size)
+		case "PASV", "SPAS":
+			if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				t.Error(err)
+				return
+			}
+			spec, err := formatAddr(ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if verb == "PASV" {
+				fmt.Fprintf(ctrl, "227 Entering Passive Mode (%s)\r\n", spec)
+			} else {
+				fmt.Fprintf(ctrl, "229-Entering Striped Passive Mode\r\n %s\r\n229 End\r\n", spec)
+			}
+		case "RETR":
+			fmt.Fprint(ctrl, "150 Opening data connection\r\n")
+			d, err := ln.Accept()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if modeE {
+				err = SendBlocks([]net.Conn{d}, strings.NewReader(payload), 0, int64(len(payload)), 4)
+			} else {
+				_, err = io.WriteString(d, payload)
+			}
+			d.Close()
+			if err != nil {
+				t.Error(err)
+			}
+			fmt.Fprint(ctrl, "226 Transfer complete\r\n")
+		default:
+			fmt.Fprint(ctrl, "502 Not scripted\r\n")
+		}
 	}
 }
 

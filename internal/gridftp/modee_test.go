@@ -2,11 +2,25 @@ package gridftp
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// byteWriterAt adapts a fixed buffer to io.WriterAt with bounds checking.
+type byteWriterAt struct {
+	buf []byte
+}
+
+func (b byteWriterAt) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > int64(len(b.buf)) || int64(len(p)) > int64(len(b.buf))-off {
+		return 0, fmt.Errorf("gridftp: write (%d,%d) outside buffer of %d", off, len(p), len(b.buf))
+	}
+	copy(b.buf[off:], p)
+	return len(p), nil
+}
 
 func TestBlockRoundTrip(t *testing.T) {
 	var buf bytes.Buffer

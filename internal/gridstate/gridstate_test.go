@@ -138,6 +138,29 @@ func TestSnapshotStoresBuildErrors(t *testing.T) {
 	if _, err := s.Lookup("bad"); !errors.Is(err, boom) || errors.Is(err, ErrUntracked) {
 		t.Fatalf("bad host err = %v, want stored build error", err)
 	}
+	// Lookup is Index then Record: both agree with it on every tracked
+	// host, record and stored error alike, and an untracked host has no
+	// index.
+	for _, h := range []string{"bad", "good"} {
+		want, werr := s.Lookup(h)
+		i, ok := s.Index(h)
+		if !ok {
+			t.Fatalf("Index(%s) untracked", h)
+		}
+		r, err := s.Record(i)
+		if err != werr || err == nil && *r != want {
+			t.Fatalf("Record(Index(%s)) = %+v, %v; Lookup = %+v, %v", h, r, err, want, werr)
+		}
+		if err == nil && r.Host != h {
+			t.Fatalf("Record(Index(%s)) is %s's record", h, r.Host)
+		}
+	}
+	if i, ok := s.Index("ghost"); ok {
+		t.Fatalf("Index(ghost) = %d, want untracked", i)
+	}
+	if _, err := s.Lookup("ghost"); !errors.Is(err, ErrUntracked) || err.Error() != `gridstate: host not tracked by snapshot: "ghost" (epoch 1)` {
+		t.Fatalf("Lookup(ghost) = %v", err)
+	}
 }
 
 func TestLookupUntracked(t *testing.T) {
@@ -148,16 +171,21 @@ func TestLookupUntracked(t *testing.T) {
 	}
 }
 
-func TestHostsReturnsSortedCopy(t *testing.T) {
+func TestIndexFollowsSortedOrder(t *testing.T) {
+	// Every snapshot of a publisher keeps its records in the sorted
+	// tracked-host order, so one snapshot's index holds in every later one.
 	p := newTestPublisher(t, []string{"c", "a", "b"}, &fakeBuilder{})
-	s := p.Snapshot(0)
-	hs := s.Hosts()
-	if len(hs) != 3 || hs[0] != "a" || hs[1] != "b" || hs[2] != "c" {
-		t.Fatalf("Hosts = %v", hs)
-	}
-	hs[0] = "mutated"
-	if s.Hosts()[0] != "a" {
-		t.Fatal("Hosts must return a copy")
+	for epoch, now := range []time.Duration{0, time.Second} {
+		s := p.Snapshot(now)
+		for want, h := range []string{"a", "b", "c"} {
+			i, ok := s.Index(h)
+			if !ok || i != want {
+				t.Fatalf("epoch %d: Index(%s) = %d, %v; want %d", epoch+1, h, i, ok, want)
+			}
+			if r, err := s.Record(i); err != nil || r.Host != h || r.At != now {
+				t.Fatalf("epoch %d: Record(%d) = %+v, %v", epoch+1, i, r, err)
+			}
+		}
 	}
 }
 
@@ -172,7 +200,7 @@ func TestConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				for _, h := range s.Hosts() {
+				for _, h := range []string{"a", "b", "c"} {
 					if _, err := s.Lookup(h); err != nil {
 						t.Errorf("Lookup(%s): %v", h, err)
 						return

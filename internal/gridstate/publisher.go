@@ -101,13 +101,13 @@ func (p *Publisher) Snapshot(now time.Duration) *Snapshot {
 // publish rebuilds the snapshot at now from the live pull path, stamps it
 // with the next epoch, and makes it current.
 func (p *Publisher) publish(now time.Duration) *Snapshot {
-	entries := make(map[string]hostEntry, len(p.hosts))
-	for _, h := range p.hosts {
-		perf, err := p.builder.BuildHostPerf(h, now)
-		entries[h] = hostEntry{perf: perf, err: err}
+	entries := make([]hostEntry, len(p.hosts))
+	for i, h := range p.hosts {
+		e := &entries[i]
+		e.perf, e.err = p.builder.BuildHostPerf(h, now)
 	}
 	p.epoch++
-	s := &Snapshot{epoch: p.epoch, at: now, hosts: entries, order: p.hosts}
+	s := &Snapshot{epoch: p.epoch, at: now, hosts: p.hosts, entries: entries}
 	// Capture revisions after the build: building legitimately refreshes
 	// TTL'd directory caches, and those refreshes belong to this epoch.
 	for i, src := range p.sources {

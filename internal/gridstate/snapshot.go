@@ -24,7 +24,7 @@ package gridstate
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -66,43 +66,60 @@ type hostEntry struct {
 // Snapshot is one immutable epoch of grid state: the outcome of building
 // every tracked host's HostPerf at a single virtual instant. Hosts whose
 // build failed carry their error, so consumers see the exact
-// unmonitored/staleness semantics of the live path.
+// unmonitored/staleness semantics of the live path. The records are kept
+// in the tracked hosts' sorted order, which every epoch of a publisher
+// shares, so an index Index returns holds for all of them.
 type Snapshot struct {
-	epoch uint64
-	at    time.Duration
-	hosts map[string]hostEntry
-	order []string
+	epoch   uint64
+	at      time.Duration
+	hosts   []string    // the tracked hosts, sorted; shared across epochs
+	entries []hostEntry // entries[i] is hosts[i]'s outcome
 }
 
 // Epoch returns the snapshot's monotonically increasing version number.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Hosts returns the tracked host names, sorted.
-func (s *Snapshot) Hosts() []string {
-	return append([]string(nil), s.order...)
-}
-
 // ErrUntracked is returned by Lookup for hosts the snapshot does not
 // cover; selection treats such hosts as unmonitored.
 var ErrUntracked = errors.New("gridstate: host not tracked by snapshot")
 
-// Lookup returns the host's performance record, the error the live build
-// produced for it, or ErrUntracked when the snapshot does not cover it.
+// Index returns the host's position in the sorted tracked-host list, or
+// false when the snapshot does not track it. Every snapshot of one
+// publisher tracks the same hosts, so the index is valid in each.
+func (s *Snapshot) Index(host string) (int, bool) {
+	return slices.BinarySearch(s.hosts, host)
+}
+
+// Record returns the record of the host at index i (from Index), or the
+// error its build stored. The record is the snapshot's own and must not
+// be modified.
+func (s *Snapshot) Record(i int) (*HostPerf, error) {
+	e := &s.entries[i]
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.perf, nil
+}
+
+// Lookup returns a copy of the host's performance record, the error the
+// live build produced for it, or ErrUntracked when the snapshot does not
+// cover it.
 func (s *Snapshot) Lookup(host string) (HostPerf, error) {
-	e, ok := s.hosts[host]
+	i, ok := s.Index(host)
 	if !ok {
 		return HostPerf{}, fmt.Errorf("%w: %q (epoch %d)", ErrUntracked, host, s.epoch)
 	}
-	if e.err != nil {
-		return HostPerf{}, e.err
+	r, err := s.Record(i)
+	if err != nil {
+		return HostPerf{}, err
 	}
-	return e.perf, nil
+	return *r, nil
 }
 
 // sortedHosts copies and sorts a host list, rejecting empties and dupes.
 func sortedHosts(hosts []string) ([]string, error) {
-	out := append([]string(nil), hosts...)
-	sort.Strings(out)
+	out := slices.Clone(hosts)
+	slices.Sort(out)
 	for i, h := range out {
 		if h == "" {
 			return nil, errors.New("gridstate: empty host name")

@@ -9,8 +9,9 @@ import (
 	"github.com/hpclab/datagrid/internal/simulation"
 )
 
-// Arrivals is the seeded Poisson-arrival core shared by the request and
-// job generators and by internal/traffic's per-region client populations.
+// Arrivals is the seeded Poisson-arrival core of internal/traffic's
+// per-region client populations and of the examples' request and job
+// streams.
 // It owns the inter-arrival schedule: each arrival draws an exponential
 // gap from the generator's RNG at the configured rate, fires the
 // callback, and schedules the next arrival. The rate is a function of
@@ -40,7 +41,7 @@ func ConstantRate(perMinute float64) func(time.Duration) float64 {
 // figure at every sampled time; a first sample that is not is an error, a
 // later one a panic. The caller owns the RNG; all of the process's draws
 // (one ExpFloat64 per gap) come from it, interleaved with whatever draws
-// fire itself performs, exactly as the pre-refactor generators drew them.
+// fire itself performs.
 func NewArrivals(eng *simulation.Engine, rng *rand.Rand, rate func(time.Duration) float64, fire func(time.Duration)) (*Arrivals, error) {
 	if eng == nil {
 		return nil, errors.New("workload: nil engine")

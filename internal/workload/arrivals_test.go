@@ -119,6 +119,47 @@ func TestArrivalsVariableRate(t *testing.T) {
 	}
 }
 
+// TestArrivalsInterArrivalExponential checks the arrival process is
+// actually exponential, not just roughly the right rate: the mean gap
+// matches 1/rate and the coefficient of variation is ~1 (an
+// exponential's signature; a uniform or constant gap would fail).
+func TestArrivalsInterArrivalExponential(t *testing.T) {
+	eng := simulation.NewEngine()
+	var arrivals []time.Duration
+	if _, err := NewArrivals(eng, rand.New(rand.NewSource(11)), ConstantRate(600),
+		func(now time.Duration) { arrivals = append(arrivals, now) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(4 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) < 1000 {
+		t.Fatalf("only %d arrivals", len(arrivals))
+	}
+	var gaps []float64
+	prev := time.Duration(0)
+	for _, at := range arrivals {
+		gaps = append(gaps, (at - prev).Seconds())
+		prev = at
+	}
+	var sum float64
+	for _, g := range gaps {
+		sum += g
+	}
+	mean := sum / float64(len(gaps))
+	if math.Abs(mean-0.1) > 0.01 { // 600/min = 10/s: mean gap 100ms
+		t.Errorf("mean inter-arrival = %.4fs, want ~0.1s", mean)
+	}
+	var sq float64
+	for _, g := range gaps {
+		sq += (g - mean) * (g - mean)
+	}
+	cv := math.Sqrt(sq/float64(len(gaps))) / mean
+	if cv < 0.9 || cv > 1.1 {
+		t.Errorf("coefficient of variation = %.3f, want ~1 (exponential)", cv)
+	}
+}
+
 // TestArrivalsStopFreezesRNG: after Stop, the pending event must not
 // fire the callback or draw further gaps.
 func TestArrivalsStopFreezesRNG(t *testing.T) {
