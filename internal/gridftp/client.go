@@ -358,6 +358,13 @@ type download struct {
 	limit int64
 }
 
+// newDownload returns an empty buffer for at most limit bytes. Its data
+// starts empty but non-nil, so an empty file or range downloads as an
+// empty slice, never nil.
+func newDownload(limit int64) *download {
+	return &download{memFile: memFile{data: []byte{}}, limit: limit}
+}
+
 func (d *download) WriteAt(p []byte, off int64) (int, error) {
 	if off >= 0 && int64(len(p)) > d.limit-off {
 		return 0, fmt.Errorf("gridftp: write (%d,%d) past the announced %d bytes", off, len(p), d.limit)
@@ -395,7 +402,7 @@ func (c *Client) get(path string, striped bool) ([]byte, error) {
 			return nil, err
 		}
 	}
-	buf := &download{limit: size}
+	buf := newDownload(size)
 	if _, err := c.transfer(conns, "RETR "+path, buf, nil); err != nil {
 		return nil, err
 	}
@@ -408,7 +415,7 @@ func (c *Client) GetPartial(path string, offset, length int64) ([]byte, error) {
 	if offset < 0 || length < 0 {
 		return nil, errors.New("gridftp: negative partial range")
 	}
-	buf := &download{limit: length}
+	buf := newDownload(length)
 	// MODE E blocks carry absolute offsets: shift them back by the region
 	// start. A stream starts at the region's first byte.
 	dst := io.WriterAt(buf)

@@ -219,23 +219,28 @@ func TestGetRefusesNegativeSize(t *testing.T) {
 // TestGetHugeSizeGrowsWithData: a download's buffer grows with the bytes
 // that arrive, so a SIZE reply of 2^62 costs nothing and the bytes the
 // server sends come back, in stream mode, MODE E and over SPAS stripes; a
-// MODE E block past the announced size is an error. A scripted server on
-// loopback answers the client's commands.
+// MODE E block past the announced size is an error, and an empty file
+// comes back as an empty slice, not nil. A scripted server on loopback
+// answers the client's commands.
 func TestGetHugeSizeGrowsWithData(t *testing.T) {
-	const payload = "hello, grid"
+	const hello = "hello, grid"
 	for _, tc := range []struct {
 		name    string
 		modeE   bool
 		striped bool
 		size    string
+		payload string
 		wantErr string
 	}{
-		{name: "stream", size: "4611686018427387904"},
-		{name: "mode-e", modeE: true, size: "4611686018427387904"},
-		{name: "striped", modeE: true, striped: true, size: "4611686018427387904"},
-		{name: "mode-e-past-size", modeE: true, size: "5", wantErr: "past the announced 5 bytes"},
+		{name: "stream", size: "4611686018427387904", payload: hello},
+		{name: "mode-e", modeE: true, size: "4611686018427387904", payload: hello},
+		{name: "striped", modeE: true, striped: true, size: "4611686018427387904", payload: hello},
+		{name: "mode-e-past-size", modeE: true, size: "5", payload: hello, wantErr: "past the announced 5 bytes"},
+		{name: "stream-empty", size: "0"},
+		{name: "mode-e-empty", modeE: true, size: "0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			payload := tc.payload
 			cli, srv := net.Pipe()
 			defer cli.Close()
 			go scriptedRetr(t, srv, tc.size, tc.modeE, payload)
@@ -251,8 +256,8 @@ func TestGetHugeSizeGrowsWithData(t *testing.T) {
 				}
 				return
 			}
-			if err != nil || string(got) != payload {
-				t.Fatalf("Get = %q, %v; want %q", got, err, payload)
+			if err != nil || got == nil || string(got) != payload {
+				t.Fatalf("Get = %#v, %v; want %q", got, err, payload)
 			}
 		})
 	}

@@ -149,6 +149,12 @@ func TestPartialTransferERET(t *testing.T) {
 	if !bytes.Equal(got, payload[123456:123456+70000]) {
 		t.Fatal("MODE E partial mismatch")
 	}
+	// An empty range is an empty slice, not nil, in both modes.
+	for _, cl := range []*Client{c, c2} {
+		if got, err := cl.GetPartial("/data/big.bin", 1000, 0); err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("empty GetPartial = %#v, %v; want an empty slice", got, err)
+		}
+	}
 	// Region past EOF is refused.
 	if _, err := c2.GetPartial("/data/big.bin", 1<<20, 10); err == nil {
 		t.Fatal("region beyond EOF should fail")
