@@ -91,7 +91,7 @@ func rankPull(e *selectionBenchEnv, mu *sync.Mutex, logical string) ([]core.Cand
 			return nil, err
 		}
 		reps = append(reps, rep)
-		cands = append(cands, core.Candidate{Location: loc, Report: &reps[len(reps)-1], Score: core.Score(rep, core.PaperWeights)})
+		cands = append(cands, core.Candidate{Location: loc, Report: &reps[len(reps)-1], Score: core.Score(&rep, core.PaperWeights)})
 	}
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("no usable replica for %s", logical)

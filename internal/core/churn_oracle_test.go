@@ -96,7 +96,7 @@ func refHierRank(cat *replica.ShardedCatalog, pubs map[string]*gridstate.Publish
 			if err != nil {
 				return nil, err
 			}
-			cands = append(cands, core.Candidate{Location: loc, Report: &rep, Score: core.Score(rep, core.PaperWeights)})
+			cands = append(cands, core.Candidate{Location: loc, Report: &rep, Score: core.Score(&rep, core.PaperWeights)})
 		}
 		if len(cands) == 0 {
 			continue
@@ -286,7 +286,7 @@ func churnTies(cat *replica.ShardedCatalog, pubs map[string]*gridstate.Publisher
 		var scores []float64
 		for _, loc := range locs {
 			if rep, err := pub.Snapshot(now).Lookup(loc.Host); err == nil {
-				scores = append(scores, core.Score(rep, core.PaperWeights))
+				scores = append(scores, core.Score(&rep, core.PaperWeights))
 			}
 		}
 		slices.Sort(scores)

@@ -34,7 +34,7 @@ func report(bw, cpu, io float64) gridstate.HostPerf {
 func TestScoreFormula(t *testing.T) {
 	// The exact formula (1) with the paper's 80/10/10 weights.
 	r := report(50, 80, 90)
-	got := Score(r, PaperWeights)
+	got := Score(&r, PaperWeights)
 	want := 50*0.8 + 80*0.1 + 90*0.1
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Score = %v, want %v", got, want)
@@ -44,11 +44,11 @@ func TestScoreFormula(t *testing.T) {
 func TestScoreWeightSensitivity(t *testing.T) {
 	fastNet := report(90, 10, 10)
 	idleCPU := report(10, 90, 90)
-	if Score(fastNet, PaperWeights) <= Score(idleCPU, PaperWeights) {
+	if Score(&fastNet, PaperWeights) <= Score(&idleCPU, PaperWeights) {
 		t.Fatal("with 80% bandwidth weight, the fast-network host must win")
 	}
 	cpuHeavy := Weights{Bandwidth: 0.1, CPU: 0.8, IO: 0.1}
-	if Score(fastNet, cpuHeavy) >= Score(idleCPU, cpuHeavy) {
+	if Score(&fastNet, cpuHeavy) >= Score(&idleCPU, cpuHeavy) {
 		t.Fatal("with CPU-heavy weights, the idle host must win")
 	}
 }
@@ -471,7 +471,7 @@ func TestLatencyAwareSelector(t *testing.T) {
 	plain := CostModelSelector{Weights: PaperWeights}
 	cands := []Candidate{near, far}
 	for i := range cands {
-		cands[i].Score = Score(*cands[i].Report, PaperWeights)
+		cands[i].Score = Score(cands[i].Report, PaperWeights)
 	}
 	i, err := plain.Select(cands)
 	if err != nil || i != 1 {
@@ -555,7 +555,7 @@ func TestPropertyScoreMonotone(t *testing.T) {
 			math.Min(100, base.CPUIdlePercent+float64(dcpu%50)),
 			math.Min(100, base.IOIdlePercent+float64(dio%50)),
 		)
-		return Score(better, PaperWeights) >= Score(base, PaperWeights)
+		return Score(&better, PaperWeights) >= Score(&base, PaperWeights)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -49,8 +49,9 @@ func (w Weights) Validate() error {
 }
 
 // Score applies formula (1) to an information-server report. The result is
-// in [0, 100] for normalized weights; higher is better.
-func Score(r gridstate.HostPerf, w Weights) float64 {
+// in [0, 100] for normalized weights; higher is better. It reads the record
+// in place, so a rank scores a snapshot's own record without copying it.
+func Score(r *gridstate.HostPerf, w Weights) float64 {
 	return r.BandwidthPercent*w.Bandwidth + r.CPUIdlePercent*w.CPU + r.IOIdlePercent*w.IO
 }
 
@@ -173,7 +174,7 @@ func (s LatencyAwareSelector) Select(cands []Candidate) (int, error) {
 	}
 	best, bestScore := 0, math.Inf(-1)
 	for i, c := range cands {
-		score := Score(*c.Report, s.Weights) - latencyPenaltyPerMs*c.Report.LatencyMs
+		score := Score(c.Report, s.Weights) - latencyPenaltyPerMs*c.Report.LatencyMs
 		if score > bestScore {
 			best, bestScore = i, score
 		}

@@ -120,7 +120,7 @@ func flatBest(t *testing.T, cat *replica.ShardedCatalog, logical string) (replic
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, scored{loc: loc, score: Score(perf, PaperWeights)})
+		all = append(all, scored{loc: loc, score: Score(&perf, PaperWeights)})
 	}
 	if len(all) == 0 {
 		return replica.Location{}, 0, false

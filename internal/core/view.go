@@ -156,7 +156,7 @@ func (v *SnapshotView) scan(logical string, locs []replica.Tagged, all []ref) (b
 			}
 			return best, all, err
 		}
-		c := ref{r, Score(*r, v.srv.weights), i}
+		c := ref{r, Score(r, v.srv.weights), i}
 		if all != nil {
 			all = append(all, c)
 		}
@@ -196,7 +196,7 @@ func (s *SelectionServer) RankHosts(logical string, now time.Duration, alive fun
 			continue
 		}
 		if r, err := v.record(&locs[i]); err == nil {
-			ranked = append(ranked, scored{host: t.Host, score: Score(*r, s.weights)})
+			ranked = append(ranked, scored{host: t.Host, score: Score(r, s.weights)})
 			continue
 		}
 		blind = append(blind, t.Host)

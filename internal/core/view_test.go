@@ -342,7 +342,10 @@ func TestRankScoresHostsInternedAfterPin(t *testing.T) {
 
 	register("eu-late", "eu-stray")
 
-	score := func(h string) float64 { return Score(hosts[h].perf, PaperWeights) }
+	score := func(h string) float64 {
+		perf := hosts[h].perf
+		return Score(&perf, PaperWeights)
+	}
 	cands, err := view.Rank("f")
 	if err != nil {
 		t.Fatal(err)

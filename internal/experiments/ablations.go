@@ -103,7 +103,7 @@ func AblationWeights(seed int64, workers int) ([]WeightResult, string, error) {
 			// smaller host, as core's ranking does.
 			best, bestScore, oracle := 0, math.Inf(-1), math.Inf(1)
 			for j := range fileAHosts {
-				if score := core.Score(reports[i][j], w); score > bestScore {
+				if score := core.Score(&reports[i][j], w); score > bestScore {
 					best, bestScore = j, score
 				}
 				oracle = math.Min(oracle, times[i][j])

@@ -139,7 +139,7 @@ func Table1(seed int64, workers int) (Table1Result, string, error) {
 			BWPercent:       rep.BandwidthPercent,
 			CPUIdle:         rep.CPUIdlePercent,
 			IOIdle:          rep.IOIdlePercent,
-			Score:           core.Score(rep, core.PaperWeights),
+			Score:           core.Score(&rep, core.PaperWeights),
 			TransferSeconds: seconds[0][j],
 		})
 	}
